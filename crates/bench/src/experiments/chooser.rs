@@ -2,10 +2,11 @@
 //! planner-adversarial workloads, the UCB1 bandit picking which
 //! (execution path × pruning backend) arm runs each round.
 //!
-//! Layout is resident, as everywhere else in the harness: routing keys,
-//! the fitted sharder, the shard split, and the stream layout are built
-//! once per workload; each round pays only execution, so the costs the
-//! bandit observes are the costs the arms actually differ on. A
+//! Layout is resident, as everywhere else in the harness: one `ExecPlan`
+//! (routing keys, fitted sharder, shard split) is built once per
+//! workload and every arm executes it — the path arm switches only the
+//! plan's transport — so the costs the bandit observes are the costs the
+//! arms actually differ on. A
 //! round-robin reference phase (every arm played the same number of
 //! times) establishes each arm's mean completion cost independently of
 //! the bandit's choices — the table reports both, and the regret line
@@ -15,12 +16,9 @@
 use crate::report::secs;
 use crate::{Report, RunCtx, Scale};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, ChooserArm, Cluster, DbQuery, ExecBackend, ExecPath,
-    PathChooser, PlanDecision, ShardSpec, Table,
-};
+use cheetah_db::{ChooserArm, Cluster, DbQuery, ExecBackend, PathChooser, ShardSpec};
 use cheetah_net::ExecBreakdown;
-use cheetah_runtime::{PooledExecution, StreamLayout, StreamSpec, StreamedExecution};
+use cheetah_runtime::{execute, ExecPlan, StreamSpec};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
@@ -31,15 +29,13 @@ pub const CHOOSER_LINK_GBPS: f64 = 10.0;
 /// Shards every arm runs on.
 const CHOOSER_SHARDS: usize = 4;
 
-/// One workload held resident: both cluster twins, the pre-split shards
-/// for the barrier arms, and the stream layout for the streamed arms.
+/// One workload held resident: both backend clusters and the one routed
+/// plan every arm executes.
 struct ResidentWorkload {
     q: DbQuery,
     interp: Cluster,
     compiled: Cluster,
-    spec: ShardSpec,
-    shards: Vec<Arc<Table>>,
-    layout: StreamLayout,
+    plan: ExecPlan,
 }
 
 impl ResidentWorkload {
@@ -47,16 +43,14 @@ impl ResidentWorkload {
         let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
         let interp = Cluster::default();
         let compiled = interp.clone().with_backend(ExecBackend::Compiled);
-        let table = adversary.table(rows, CHOOSER_SHARDS, seed);
-        let spec = ShardSpec::new(CHOOSER_SHARDS, ShardPartitioner::Hash);
-        let keys = routing_keys(&q, 0, &table, interp.tuning.seed);
-        let sharder = fixed_sharder(&spec, interp.tuning.seed, &[&keys]);
-        let shards: Vec<Arc<Table>> = route_range(&table, &keys, &sharder, 0, table.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let layout = interp.plan_stream(&q, &table, None, &StreamSpec::fixed(spec));
-        Self { q, interp, compiled, spec, shards, layout }
+        let table = Arc::new(adversary.table(rows, CHOOSER_SHARDS, seed));
+        // One round, like the serving plane's resident layouts.
+        let spec = StreamSpec {
+            rounds: 1,
+            ..StreamSpec::fixed(ShardSpec::new(CHOOSER_SHARDS, ShardPartitioner::Hash))
+        };
+        let plan = ExecPlan::new(&interp, &q, &table, None, &spec).expect("routes");
+        Self { q, interp, compiled, plan }
     }
 
     /// Execute one round on `arm` and return its breakdown.
@@ -65,27 +59,7 @@ impl ResidentWorkload {
             ExecBackend::Interpreted => &self.interp,
             ExecBackend::Compiled => &self.compiled,
         };
-        match arm.path {
-            ExecPath::BarrierPooled => {
-                cluster
-                    .run_cheetah_presplit(
-                        &self.q,
-                        &self.shards,
-                        None,
-                        &self.spec.ingest,
-                        PlanDecision::Fixed(self.spec.partitioner),
-                        None,
-                    )
-                    .expect("plan fits")
-                    .breakdown
-            }
-            ExecPath::StreamedResident => {
-                cluster
-                    .run_cheetah_streamed_resident(&self.q, &self.layout)
-                    .expect("fits")
-                    .breakdown
-            }
-        }
+        execute(cluster, &self.q, &self.plan.for_path(arm.path)).expect("plan fits").breakdown
     }
 }
 
@@ -198,8 +172,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         ));
     }
     report.note(
-        "layout (keys, sharder, shard split, stream units) is resident for every arm; \
-         rounds pay execution only, so arm costs differ on path and backend alone",
+        "one routed plan (keys, sharder, shard split) is resident for every arm; \
+         rounds pay execution only, so arm costs differ on transport and backend alone",
     );
     vec![report]
 }

@@ -11,21 +11,23 @@
 //! planner is *for*).
 
 use crate::report::secs;
-use crate::{Report, RunCtx};
+use crate::{run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ShardPlanner, ShardSpec, ShardedRun, Tables};
+use cheetah_db::{Cluster, DbQuery, ShardPlanner, ShardSpec, Tables};
+use cheetah_runtime::{ExecRun, ShardLayout};
 use cheetah_workloads::PlannerAdversary;
+use std::sync::Arc;
 
 const LINK_GBPS: f64 = 10.0;
 /// Wall-clock repetitions per point (best-of, to shave scheduler noise
 /// off the inline worst-case assertion).
 const REPS: usize = 2;
 
-fn completion(run: &ShardedRun) -> f64 {
+fn completion(run: &ExecRun) -> f64 {
     run.breakdown.completion_seconds(LINK_GBPS)
 }
 
-fn best_of<F: FnMut() -> ShardedRun>(mut f: F) -> ShardedRun {
+fn best_of<F: FnMut() -> ExecRun>(mut f: F) -> ExecRun {
     let mut best = f();
     for _ in 1..REPS {
         let next = f();
@@ -36,7 +38,7 @@ fn best_of<F: FnMut() -> ShardedRun>(mut f: F) -> ShardedRun {
     best
 }
 
-fn push_row(r: &mut Report, query: &str, spec: &str, run: &ShardedRun) {
+fn push_row(r: &mut Report, query: &str, spec: &str, run: &ExecRun) {
     r.row(vec![
         query.to_string(),
         spec.to_string(),
@@ -50,8 +52,8 @@ fn push_row(r: &mut Report, query: &str, spec: &str, run: &ShardedRun) {
 /// Build the sweep.
 pub fn run(ctx: &RunCtx) -> Vec<Report> {
     let rows = ctx.scale.entries(20_000, 2_000_000);
-    let table = PlannerAdversary::Zipf(1.5).table(rows, 8, 0x9_1A2D);
-    let right = PlannerAdversary::Zipf(1.5).table(rows / 2, 4, 0xB0B5);
+    let table = Arc::new(PlannerAdversary::Zipf(1.5).table(rows, 8, 0x9_1A2D));
+    let right = Arc::new(PlannerAdversary::Zipf(1.5).table(rows / 2, 4, 0xB0B5));
     let cluster = Cluster::default();
     let planner = ctx.planner();
     let families: Vec<(&str, DbQuery)> = vec![
@@ -67,14 +69,14 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     );
     for (name, q) in &families {
         let right_of = q.is_binary().then_some(&right);
-        let single = cluster.run_cheetah(q, &table, right_of).expect("plan fits");
+        let single = cluster.run_cheetah(q, &table, right_of.map(|r| &**r)).expect("plan fits");
 
         let mut worst: Option<(String, f64)> = None;
         for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
             for &n in &ctx.shards {
                 let spec = ShardSpec::new(n, partitioner);
                 let run = best_of(|| {
-                    cluster.run_cheetah_sharded(q, &table, right_of, &spec).expect("plan fits")
+                    run_barrier(&cluster, q, &table, right_of, ShardLayout::Fixed(spec))
                 });
                 assert_eq!(single.output, run.output, "{name}: fixed spec diverged");
                 let label = format!("{}@{}", partitioner.name(), n);
@@ -87,7 +89,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         }
 
         let planned = best_of(|| {
-            cluster.run_cheetah_planned(q, &table, right_of, &planner).expect("plan fits")
+            run_barrier(&cluster, q, &table, right_of, ShardLayout::Planned(planner.clone()))
         });
         assert_eq!(single.output, planned.output, "{name}: planned run diverged");
         let plan = planned.plan.as_ref().expect("planned run records its plan");
@@ -116,7 +118,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         // measured calibration closes. The model prices the worker and
         // master phases (not the link transfer), so the measured side is
         // the same phase sum.
-        let modelled = |run: &ShardedRun| {
+        let modelled = |run: &ExecRun| {
             let p = run.plan.as_ref().expect("planned run records its plan");
             p.report
                 .curve
@@ -125,7 +127,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 .map(|c| c.total())
                 .unwrap_or(0.0)
         };
-        let phases = |run: &ShardedRun| run.breakdown.worker_seconds + run.breakdown.master_seconds;
+        let phases = |run: &ExecRun| run.breakdown.worker_seconds + run.breakdown.master_seconds;
         let default_gap = (modelled(&planned) - phases(&planned)).abs();
         let tables = match right_of {
             Some(rt) => Tables::binary(&table, rt),
@@ -133,7 +135,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         };
         let calibrated = ShardPlanner::new(planner.cfg.clone().calibrate(&cluster, &tables));
         let cal_run = best_of(|| {
-            cluster.run_cheetah_planned(q, &table, right_of, &calibrated).expect("plan fits")
+            run_barrier(&cluster, q, &table, right_of, ShardLayout::Planned(calibrated.clone()))
         });
         assert_eq!(single.output, cal_run.output, "{name}: calibrated run diverged");
         let cal_gap = (modelled(&cal_run) - phases(&cal_run)).abs();

@@ -1,12 +1,14 @@
-//! Streamed vs barrier execution: what overlapping the merge buys.
+//! Stream vs barrier transport: what overlapping the merge buys.
 //!
-//! The `shards` sweep shows the barrier axis, the `planner` sweep shows
-//! the layout choice; this experiment shows the *dataflow* choice. On the
+//! The `shards` sweep shows the shard axis, the `planner` sweep shows
+//! the layout choice; this experiment shows the *transport* choice. On the
 //! planner-adversarial workloads where shard completion times spread the
 //! most — zipf(1.5) key skew and the single-hot-key degenerate — the
-//! barrier twin joins every worker before the master folds a single
-//! survivor, while the streamed runtime folds early shards' batches
-//! behind the straggler and may re-fit boundaries mid-run.
+//! barrier transport joins every worker before the master folds a single
+//! survivor, while the stream transport folds early shards' batches
+//! behind the straggler. Both rows execute the *same* routed plan (four
+//! input rounds, supervised re-fits), so the transport is the only
+//! difference between them.
 //!
 //! Two bars are asserted inline on every run, mirroring the acceptance
 //! criteria: on the zipf(1.5) workload the streamed run's modelled
@@ -18,14 +20,15 @@
 use crate::report::secs;
 use crate::{Report, RunCtx};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ShardSpec, ShardedRun};
-use cheetah_runtime::{StreamSpec, StreamedExecution, StreamedRun};
+use cheetah_db::{Cluster, DbQuery, ExecPath, ShardSpec};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, StreamSpec};
 use cheetah_workloads::PlannerAdversary;
+use std::sync::Arc;
 
 const LINK_GBPS: f64 = 10.0;
 /// Wall-clock repetitions per point (best-of, to shave scheduler noise
 /// off the inline assertions).
-const REPS: usize = 3;
+const REPS: usize = 5;
 /// Noise allowance on the streamed ≤ barrier bar. The bar is asserted on
 /// the *workload aggregate* across the routing-agnostic families —
 /// individual sub-millisecond quick-scale points jitter by more than the
@@ -33,11 +36,7 @@ const REPS: usize = 3;
 /// real, not to police microseconds.
 const NOISE: f64 = 1.10;
 
-fn barrier_completion(run: &ShardedRun) -> f64 {
-    run.breakdown.completion_seconds(LINK_GBPS)
-}
-
-fn streamed_completion(run: &StreamedRun) -> f64 {
+fn completion(run: &ExecRun) -> f64 {
     run.breakdown.completion_seconds(LINK_GBPS)
 }
 
@@ -55,7 +54,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
 
     let mut r = Report::new(
         "runtime",
-        "Streamed runtime vs barrier sharded (adversarial workloads)",
+        "Stream vs barrier transport (adversarial workloads)",
         &[
             "workload",
             "query",
@@ -69,28 +68,26 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         ],
     );
     for adv in [PlannerAdversary::Zipf(1.5), PlannerAdversary::SingleHotKey] {
-        let table = adv.table(rows, 8, 0xC4_11EE);
-        let spec = ShardSpec::new(shards, ShardPartitioner::Hash);
-        let streamed_spec = StreamSpec::fixed(spec);
+        let table = Arc::new(adv.table(rows, 8, 0xC4_11EE));
+        let spec = StreamSpec::fixed(ShardSpec::new(shards, ShardPartitioner::Hash));
         let mut asserted_barrier = 0.0f64;
         let mut asserted_streamed = 0.0f64;
         for (name, q) in &families {
             let single = cluster.run_cheetah(q, &table, None).expect("plan fits");
 
-            let mut barrier =
-                cluster.run_cheetah_sharded(q, &table, None, &spec).expect("plan fits");
-            let mut streamed =
-                cluster.run_cheetah_streamed(q, &table, None, &streamed_spec).expect("plan fits");
+            let stream_plan = ExecPlan::new(&cluster, q, &table, None, &spec).expect("routes");
+            let barrier_plan = stream_plan.for_path(ExecPath::BarrierPooled);
+            let mut barrier = execute(&cluster, q, &barrier_plan).expect("plan fits");
+            let mut streamed = execute(&cluster, q, &stream_plan).expect("plan fits");
             let mut max_overlap = streamed.breakdown.overlap_seconds;
             for _ in 1..REPS {
-                let b = cluster.run_cheetah_sharded(q, &table, None, &spec).expect("plan fits");
-                if barrier_completion(&b) < barrier_completion(&barrier) {
+                let b = execute(&cluster, q, &barrier_plan).expect("plan fits");
+                if completion(&b) < completion(&barrier) {
                     barrier = b;
                 }
-                let s =
-                    cluster.run_cheetah_streamed(q, &table, None, &streamed_spec).expect("fits");
+                let s = execute(&cluster, q, &stream_plan).expect("plan fits");
                 max_overlap = max_overlap.max(s.breakdown.overlap_seconds);
-                if streamed_completion(&s) < streamed_completion(&streamed) {
+                if completion(&s) < completion(&streamed) {
                     streamed = s;
                 }
             }
@@ -102,7 +99,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 adv.name(),
                 (*name).to_string(),
                 "barrier".into(),
-                secs(barrier_completion(&barrier)),
+                secs(completion(&barrier)),
                 secs(b.worker_seconds),
                 secs(b.master_seconds),
                 secs(0.0),
@@ -114,7 +111,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 adv.name(),
                 (*name).to_string(),
                 "streamed".into(),
-                secs(streamed_completion(&streamed)),
+                secs(completion(&streamed)),
                 secs(s.worker_seconds),
                 secs(s.master_seconds),
                 secs(s.overlap_seconds),
@@ -127,8 +124,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             // the input side) are reported but not asserted: at toy scale
             // their framing overhead has no straggler to hide behind.
             if matches!(adv, PlannerAdversary::Zipf(1.5)) && q.merge_routing_agnostic() {
-                asserted_barrier += barrier_completion(&barrier);
-                asserted_streamed += streamed_completion(&streamed);
+                asserted_barrier += completion(&barrier);
+                asserted_streamed += completion(&streamed);
                 // Judged across the reps, not just the fastest one — a
                 // descheduled master in a single rep is noise, every rep
                 // showing zero overlap is a broken runtime.
@@ -144,8 +141,9 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         }
     }
     r.note(format!(
-        "{rows} rows, {shards} hash shards; streamed rounds/batching per StreamSpec defaults; \
-         outputs verified equal to the unsharded run at every point"
+        "{rows} rows, {shards} hash shards; one routed plan per point (rounds/batching per \
+         StreamSpec defaults) executed on both transports; outputs verified equal to the \
+         unsharded run at every point"
     ));
     r.note(
         "inline bars on zipf(1.5), routing-agnostic families: streamed completion ≤ barrier \

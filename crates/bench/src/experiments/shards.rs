@@ -12,10 +12,12 @@
 //! output must equal the unsharded run's, or the harness panics.
 
 use crate::report::secs;
-use crate::{Report, RunCtx};
+use crate::{run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ShardSpec};
+use cheetah_runtime::{ExecRun, ShardLayout};
 use cheetah_workloads::SkewedTableConfig;
+use std::sync::Arc;
 
 const LINK_GBPS: f64 = 10.0;
 
@@ -23,24 +25,28 @@ const LINK_GBPS: f64 = 10.0;
 pub fn run(ctx: &RunCtx) -> Vec<Report> {
     let scale = ctx.scale;
     let rows = scale.entries(20_000, 2_000_000);
-    let table = SkewedTableConfig {
-        rows,
-        partitions: 8,
-        partition_skew: 1.0,
-        keys: 400,
-        key_skew: 1.1,
-        seed: 0x51A2D,
-    }
-    .build();
-    let right = SkewedTableConfig {
-        rows: rows / 2,
-        partitions: 4,
-        partition_skew: 0.8,
-        keys: 400,
-        key_skew: 0.9,
-        seed: 0xB0B,
-    }
-    .build();
+    let table = Arc::new(
+        SkewedTableConfig {
+            rows,
+            partitions: 8,
+            partition_skew: 1.0,
+            keys: 400,
+            key_skew: 1.1,
+            seed: 0x51A2D,
+        }
+        .build(),
+    );
+    let right = Arc::new(
+        SkewedTableConfig {
+            rows: rows / 2,
+            partitions: 4,
+            partition_skew: 0.8,
+            keys: 400,
+            key_skew: 0.9,
+            seed: 0xB0B,
+        }
+        .build(),
+    );
     let cluster = Cluster::default();
     let families: Vec<(&str, DbQuery)> = vec![
         ("distinct", DbQuery::Distinct { col: 0 }),
@@ -66,8 +72,11 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     let planner = ctx.planner();
     for (name, q) in &families {
         let right_of = q.is_binary().then_some(&right);
-        let single = cluster.run_cheetah(q, &table, right_of).expect("plan fits");
-        let mut record = |label: String, sharded: &cheetah_db::ShardedRun| {
+        let single = cluster.run_cheetah(q, &table, right_of.map(|r| &**r)).expect("plan fits");
+        // One round per shard on the barrier transport: the sweep's axis
+        // is the shard count, not the dataflow.
+        let run_under = |layout| run_barrier(&cluster, q, &table, right_of, layout);
+        let mut record = |label: String, sharded: &ExecRun| {
             assert_eq!(
                 single.output, sharded.output,
                 "shard contract violated for {name} at {label} shards"
@@ -86,13 +95,11 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         };
         for &n in &ctx.shards {
             let spec = ShardSpec::new(n, ShardPartitioner::Hash);
-            let sharded =
-                cluster.run_cheetah_sharded(q, &table, right_of, &spec).expect("plan fits");
-            record(n.to_string(), &sharded);
+            record(n.to_string(), &run_under(ShardLayout::Fixed(spec)));
         }
         // The planned comparison row: the planner searches the same
         // shard range the sweep covers (RunCtx-driven).
-        let planned = cluster.run_cheetah_planned(q, &table, right_of, &planner).expect("fits");
+        let planned = run_under(ShardLayout::Planned(planner.clone()));
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         record(format!("planned:{}@{}", plan.partitioner().name(), plan.shards()), &planned);
     }

@@ -36,6 +36,23 @@ pub use report::Report;
 pub use smoke::{run_smoke, SmokeFamily, SmokeReport};
 pub use workload::{ArrivalMode, ServingWorkload, TenantSpec};
 
+/// Route `q` under `layout` in one round and execute it on the barrier
+/// transport — the classic sharded run. Routing (and, for a planned
+/// layout, sampling and fitting) is inside the call, so callers that time
+/// it price a run from raw table to merged answer.
+pub fn run_barrier(
+    cluster: &cheetah_db::Cluster,
+    q: &cheetah_db::DbQuery,
+    left: &std::sync::Arc<cheetah_db::Table>,
+    right: Option<&std::sync::Arc<cheetah_db::Table>>,
+    layout: cheetah_runtime::ShardLayout,
+) -> cheetah_runtime::ExecRun {
+    let spec = cheetah_runtime::StreamSpec { layout, rounds: 1, ..Default::default() };
+    let plan = cheetah_runtime::ExecPlan::new(cluster, q, left, right, &spec).expect("routes");
+    cheetah_runtime::execute(cluster, q, &plan.for_path(cheetah_db::ExecPath::BarrierPooled))
+        .expect("plan fits")
+}
+
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

@@ -20,13 +20,13 @@
 //! serde stand-in has no serializer; the parser only promises to read
 //! what [`SmokeReport::to_json`] writes.
 
+use crate::run_barrier;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath,
-    IntCmp, PlanDecision, ShardPlanner, ShardSpec, Table,
+    Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardPlanner, ShardSpec, Table,
 };
 use cheetah_net::ENTRY_WIRE_BYTES;
-use cheetah_runtime::{FaultSpec, PooledExecution, StreamSpec, StreamedExecution};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, FaultSpec, ShardLayout, StreamSpec};
 use cheetah_serve::{QueryRequest, Session, SessionConfig};
 use cheetah_telemetry::{Registry, Trace};
 use cheetah_workloads::SkewedTableConfig;
@@ -104,7 +104,7 @@ fn smoke_queries() -> Vec<(&'static str, DbQuery)> {
     ]
 }
 
-fn smoke_tables(seed: u64, rows: usize) -> (Table, Table) {
+fn smoke_tables(seed: u64, rows: usize) -> (Arc<Table>, Arc<Table>) {
     let left = SkewedTableConfig {
         rows,
         partitions: 4,
@@ -123,7 +123,7 @@ fn smoke_tables(seed: u64, rows: usize) -> (Table, Table) {
         seed: seed ^ 0xFACE,
     }
     .build();
-    (left, right)
+    (Arc::new(left), Arc::new(right))
 }
 
 /// Time `execute` best-of-`reps` and record one family. `execute` returns
@@ -211,7 +211,7 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
     let mut families = Vec::new();
 
     for (name, q) in smoke_queries() {
-        let right_of = q.is_binary().then_some(&right);
+        let right_of = q.is_binary().then_some(&*right);
         let input_rows = left.rows() + right_of.map_or(0, |r| r.rows());
         families.push(measure_family(name.to_string(), input_rows, reps, || {
             let run = cluster.run_cheetah(&q, &left, right_of).expect("plan fits");
@@ -219,11 +219,13 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         }));
     }
 
-    // The compiled twin of the barrier pool: same cluster tuning, every
+    // The compiled twin of the interpreted cluster: same tuning, every
     // shard routed through the plan-time fused kernels.
     let compiled = cluster.clone().with_backend(ExecBackend::Compiled);
+    let counters = |run: ExecRun| {
+        (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)
+    };
 
-    let planner = ShardPlanner::default();
     for (name, q) in [
         ("distinct", DbQuery::Distinct { col: 0 }),
         ("groupby-max", DbQuery::GroupByMax { key_col: 0, val_col: 1 }),
@@ -234,81 +236,52 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         let spec = ShardSpec::new(SMOKE_SHARDS, ShardPartitioner::Hash);
         // Routing keys, the fitted sharder, and the shard split itself are
         // data layout, not execution: in the paper's deployment each worker
-        // holds its slice from ingest on. Derive and route once, outside
-        // the timed region, and time the resident-data entry on the
-        // persistent worker pool. (The earlier harness re-derived keys,
-        // re-fit the sharder, re-routed every row, and re-spawned scoped
-        // threads inside every rep — setup noise on top of the execution
-        // number this row is supposed to gate.)
-        let seed = cluster.tuning.seed;
-        let left_keys = routing_keys(&q, 0, &left, seed);
-        let right_keys = right_of.map(|r| routing_keys(&q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        let sharder = fixed_sharder(&spec, seed, &key_slices);
-        let left_shards: Vec<Arc<Table>> = route_range(&left, &left_keys, &sharder, 0, left.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let right_shards: Option<Vec<Arc<Table>>> = right_of.map(|r| {
-            route_range(r, right_keys.as_deref().expect("binary query"), &sharder, 0, r.rows())
-                .into_iter()
-                .map(Arc::new)
-                .collect()
-        });
+        // holds its slice from ingest on. Route once, outside the timed
+        // region, and time `execute` over the resident plan.
+        let one_round = StreamSpec { rounds: 1, ..StreamSpec::fixed(spec) };
+        let resident = ExecPlan::new(&cluster, &q, &left, right_of, &one_round)
+            .expect("routes")
+            .for_path(ExecPath::BarrierPooled);
         // The @shards row and its @compiled twin — identical resident
-        // layout, identical pool entry point, but the twin's shards run
+        // plan, identical barrier transport, but the twin's shards run
         // the monomorphic fused kernel instead of walking the boxed stage
         // pipeline. The compiled contract gate proves the outputs and
         // counters identical; the twin's row gates the *speedup* (and its
         // own wall-clock floor, `--smoke-compiled-tolerance`), so the
         // pair is measured interleaved rather than as two windows.
-        let presplit = |c: &Cluster| {
-            let run = c
-                .run_cheetah_presplit(
-                    &q,
-                    &left_shards,
-                    right_shards.as_deref(),
-                    &spec.ingest,
-                    PlanDecision::Fixed(spec.partitioner),
-                    None,
-                )
-                .expect("plan fits");
-            (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)
-        };
         let (interp_row, compiled_row) = measure_pair(
             (format!("{name}@shards{SMOKE_SHARDS}"), format!("{name}@compiled")),
             input_rows,
             reps,
-            || presplit(&cluster),
-            || presplit(&compiled),
+            || counters(execute(&cluster, &q, &resident).expect("plan fits")),
+            || counters(execute(&compiled, &q, &resident).expect("plan fits")),
         );
         families.push(interp_row);
         families.push(compiled_row);
         // The planned counterpart of the fixed-spec row above: same
         // query, same tables, layout chosen by the sample-driven
-        // planner. `@planned` rows get their own gate tolerance —
-        // planning adds a sampling pass and a data-dependent shard
-        // count, so their wall-clock varies more than a pinned spec's.
+        // planner — sampled, fitted and routed inside every rep.
+        // `@planned` rows get their own gate tolerance — planning adds a
+        // sampling pass and a data-dependent shard count, so their
+        // wall-clock varies more than a pinned spec's.
         families.push(measure_family(format!("{name}@planned"), input_rows, reps, || {
-            let run = cluster.run_cheetah_planned(&q, &left, right_of, &planner).expect("fits");
-            (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)
+            let layout = ShardLayout::Planned(ShardPlanner::default());
+            counters(run_barrier(&cluster, &q, &left, right_of, layout))
         }));
-        // The streamed-runtime twin of the same fixed spec: survivor
+        // The stream-transport row of the same fixed spec: survivor
         // batches over bounded channels into the incremental merge. Its
         // pruning counters are deterministic like every other row (input
         // rounds change *which* duplicates the per-round switch programs
         // see, so its floor differs from @shards — that is recorded in
         // the baseline, not excused); its wall-clock carries threading +
         // framing variance, hence its own gate tolerance. Like @shards,
-        // the layout (keys, sharder fit, per-round routing) is resident:
-        // it is built once here and the timed region pays only dispatch,
-        // per-shard pruning, framing, and the incremental merge.
-        let streamed = StreamSpec::fixed(spec);
-        let layout = cluster.plan_stream(&q, &left, right_of, &streamed);
+        // the plan (keys, sharder fit, per-round routing) is resident:
+        // the timed region pays only per-shard pruning, framing, and the
+        // incremental merge.
+        let streamed =
+            ExecPlan::new(&cluster, &q, &left, right_of, &StreamSpec::fixed(spec)).expect("routes");
         families.push(measure_family(format!("{name}@streamed"), input_rows, reps, || {
-            let run = cluster.run_cheetah_streamed_resident(&q, &layout).expect("fits");
-            (run.switch_stats.pruned, run.breakdown.entries_to_master, run.breakdown.backend)
+            counters(execute(&cluster, &q, &streamed).expect("fits"))
         }));
     }
 
@@ -323,12 +296,11 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
     // pinned shard layout before the first timed rep.
     {
         let q = DbQuery::Distinct { col: 0 };
-        let serving_left = Arc::new(left.clone());
         let session = Session::new(cluster.clone(), SessionConfig::default());
         let tenants = ["alpha", "beta", "gamma", "delta"];
         const BURST_PER_TENANT: usize = 8;
         let pinned = |tenant: &str| {
-            QueryRequest::new(q.clone(), Arc::clone(&serving_left))
+            QueryRequest::new(q.clone(), Arc::clone(&left))
                 .tenant(tenant)
                 .path(ExecPath::BarrierPooled)
                 .backend(ExecBackend::Interpreted)
@@ -363,9 +335,7 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
         // supplies a deterministic hit rate: 1 miss + 3 hits.
         for _ in 0..4 {
             session
-                .run_blocking(
-                    QueryRequest::new(q.clone(), Arc::clone(&serving_left)).tenant("alpha"),
-                )
+                .run_blocking(QueryRequest::new(q.clone(), Arc::clone(&left)).tenant("alpha"))
                 .expect("plan fits");
         }
         let queue_p99_seconds = session
@@ -386,7 +356,8 @@ pub fn run_smoke(seed: u64, rows: usize, reps: usize) -> SmokeReport {
             let mut fspec = StreamSpec::fixed(ShardSpec::new(SMOKE_SHARDS, ShardPartitioner::Hash));
             fspec.batch = Some(4);
             fspec.fault = Some(FaultSpec::harsh(seed));
-            cluster.run_cheetah_streamed(&q, &left, None, &fspec).expect("plan fits");
+            let plan = ExecPlan::new(&cluster, &q, &left, None, &fspec).expect("routes");
+            execute(&cluster, &q, &plan).expect("plan fits");
         }
         root.finish();
         let retransmits = registry.snapshot().counters.get("net.retransmits").copied().unwrap_or(0);

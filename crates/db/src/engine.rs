@@ -131,10 +131,9 @@ pub struct Cluster {
     pub tuning: CheetahTuning,
     /// Which pruning backend the Cheetah path runs: the interpreted
     /// pipeline (default, the oracle) or the plan-time fused kernels of
-    /// [`cheetah_core::CompiledProgram`]. Because the sharded, pooled and
-    /// streamed paths all clone the cluster into their workers, setting
-    /// this once routes every shard's entry loop through the chosen
-    /// engine.
+    /// [`cheetah_core::CompiledProgram`]. Because the executor clones the
+    /// cluster into its shard workers, setting this once routes every
+    /// shard's entry loop through the chosen engine.
     pub backend: ExecBackend,
 }
 
@@ -202,11 +201,8 @@ impl Cluster {
     /// ([`Cluster::execute`]); each arm below only picks the
     /// [`PruningOperator`](cheetah_core::PruningOperator) impl.
     ///
-    /// **Deprecated**: prefer the serving plane's front door — build a
-    /// `cheetah_serve::QueryRequest` and call `Session::run_blocking` /
-    /// `Session::submit`. This entry point stays as the shim the
-    /// serving contract gates verify bit-identity against.
-    #[doc(hidden)]
+    /// This is the one-slice executor: `cheetah_runtime::execute` calls it
+    /// once per routed unit on every shard worker.
     pub fn run_cheetah(
         &self,
         q: &DbQuery,

@@ -14,11 +14,12 @@
 //!   (no per-row computation), the switch prunes, and the master completes
 //!   the query on the survivors — producing bit-identical output to the
 //!   baseline path,
-//! * a **sharded layer** ([`sharded`]) that routes rows to N worker
-//!   shards (hash/range partitioners from `cheetah-core`), runs the
-//!   generic executor per shard in parallel — each with its own switch
-//!   program — and merges at the master ([`master`]) with per-operator
-//!   semantics, preserving `Q(merge(shards(D))) = Q(D)`.
+//! * a **shard layout layer** ([`sharded`]) that routes rows to N worker
+//!   shards (hash/range partitioners from `cheetah-core`) and a master
+//!   merge plane ([`master`]) with per-operator semantics;
+//!   `cheetah-runtime` runs the generic executor per shard in parallel —
+//!   each with its own switch program — between the two, preserving
+//!   `Q(merge(shards(D))) = Q(D)`.
 //!
 //! What is modelled and what is not (smoltcp-style honesty):
 //!
@@ -61,6 +62,6 @@ pub use planner::{
     ShardPlanner,
 };
 pub use query::{DbQuery, QueryOutput};
-pub use sharded::{finish_sharded, route_range, ShardSpec, ShardStats, ShardedRun};
+pub use sharded::{route_range, ShardSpec, ShardStats};
 pub use table::{Column, Partition, Table, TableBuilder};
 pub use value::{DataType, Value};

@@ -6,9 +6,9 @@
 //! whole run serializes behind it, while a fixed shard count either
 //! wastes workers on small inputs or starves large ones. The planner
 //! replaces both hand-picked choices with one sampling pass over the
-//! per-query routing keys (the same keys [`Cluster::run_cheetah_sharded`]
-//! routes by — key extraction lives *here*, in one place, and the sharded
-//! layer consumes it):
+//! per-query routing keys (the same keys every routed layout is split by —
+//! key extraction lives *here*, in one place, and the plan constructor in
+//! `cheetah-runtime` consumes it):
 //!
 //! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over every
 //!    stream's routing keys, plus a KMV distinct sketch and the top-key
@@ -34,12 +34,11 @@ use crate::engine::Cluster;
 use crate::executor::Tables;
 use crate::operators::encode_key;
 use crate::query::DbQuery;
-use crate::sharded::{ShardSpec, ShardedRun};
+use crate::sharded::ShardSpec;
 use crate::table::{Partition, Table, TableBuilder};
 use crate::value::encode_ordered_i64;
 use cheetah_core::plan::{
-    fit_boundaries, max_load_fraction, KeySampler, PlanDecision, PlanReport, ShardCostPoint,
-    ShardPlan,
+    fit_boundaries, max_load_fraction, KeySampler, PlanReport, ShardCostPoint, ShardPlan,
 };
 use cheetah_core::{ShardPartitioner, Sharder};
 use cheetah_net::MasterIngestModel;
@@ -189,6 +188,8 @@ fn probe_slice(table: &Table, rows: usize) -> Table {
 ///
 /// ```
 /// use cheetah_db::{Cluster, DataType, DbQuery, ShardPlanner, TableBuilder, Value};
+/// use cheetah_runtime::{execute, ExecPlan, StreamSpec};
+/// use std::sync::Arc;
 ///
 /// let mut b = TableBuilder::new(
 ///     "visits",
@@ -199,7 +200,7 @@ fn probe_slice(table: &Table, rows: usize) -> Table {
 ///     let agent = if i % 10 < 9 { format!("hot-{}", i % 10) } else { format!("cold-{i}") };
 ///     b.push_row(vec![Value::Str(agent), Value::Int(i % 997)]);
 /// }
-/// let table = b.build();
+/// let table = Arc::new(b.build());
 ///
 /// let cluster = Cluster::default();
 /// let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
@@ -214,7 +215,8 @@ fn probe_slice(table: &Table, rows: usize) -> Table {
 ///
 /// // …and the planned run completes bit-identically to the baseline.
 /// let base = cluster.run_baseline(&q, &table, None);
-/// let planned = cluster.run_cheetah_planned(&q, &table, None, &planner).unwrap();
+/// let routed = ExecPlan::new(&cluster, &q, &table, None, &StreamSpec::planned(planner)).unwrap();
+/// let planned = execute(&cluster, &q, &routed).unwrap();
 /// assert_eq!(base.output, planned.output);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -239,9 +241,9 @@ impl ShardPlanner {
         self.plan_from_keys(&slices, seed)
     }
 
-    /// Plan from precomputed routing-key streams (what
-    /// [`Cluster::run_cheetah_planned`] and the streamed runtime use so
-    /// the keys are extracted once for sampling *and* routing).
+    /// Plan from precomputed routing-key streams (what the plan
+    /// constructor in `cheetah-runtime` uses so the keys are extracted
+    /// once for sampling *and* routing).
     pub fn plan_from_keys(&self, key_slices: &[&[u64]], seed: u64) -> ShardPlan {
         let mut sampler = KeySampler::new(self.cfg.sample_size, seed);
         for &stream in key_slices {
@@ -399,15 +401,16 @@ impl ShardPlanner {
 // (execution path × pruning backend), tuned from observed breakdowns.
 // ---------------------------------------------------------------------
 
-/// Which execution twin a run goes through. The chooser scores these
-/// against each other; the caller maps the choice onto the concrete entry
-/// points (`run_cheetah_presplit` on the worker pool for the barrier twin,
-/// `run_cheetah_streamed_resident` for the streamed one).
+/// Which transport carries survivors from the shard workers to the
+/// master. The chooser scores these against each other; the one executor
+/// (`cheetah_runtime::execute`) reads the choice off its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// Pre-split shards on the shared worker pool, barrier merge.
+    /// Workers hand their completed outputs over whole; the master merges
+    /// once the last one is in.
     BarrierPooled,
-    /// Resident stream units with the overlapped merge plane.
+    /// Workers frame survivors in batches; the master folds them as they
+    /// land, overlapping the merge with still-running workers.
     StreamedResident,
 }
 
@@ -424,7 +427,7 @@ impl ExecPath {
 /// One pullable arm: an execution path on a pruning backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChooserArm {
-    /// The execution twin.
+    /// The survivor transport.
     pub path: ExecPath,
     /// The pruning engine.
     pub backend: cheetah_net::ExecBackend,
@@ -669,10 +672,9 @@ fn route_key(
 
 /// Every row's routing key for stream `stream`, in row order.
 ///
-/// Public because every sharded execution path — the barrier twins here
-/// and in [`crate::sharded`], and the streamed runtime in
-/// `cheetah-runtime` — must route by the *same* keys for the per-operator
-/// merge semantics to hold.
+/// Public because the plan constructor in `cheetah-runtime` and the
+/// planner here must route and sample by the *same* keys for the
+/// per-operator merge semantics to hold.
 pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec<u64> {
     let mut keys = Vec::with_capacity(table.rows());
     let mut global_row = 0u64;
@@ -692,11 +694,11 @@ pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec
 /// fingerprints fill only the lower 2⁶³; encoded small ints cluster
 /// around 2⁶³) split into populated spans instead of piling onto one
 /// shard. (The planner's *fitted* range plan goes further and cuts at the
-/// sampled quantiles.) Shared with the streamed runtime's fixed-layout
-/// mode, hence public.
+/// sampled quantiles.) A zero shard count is served as one shard.
 pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
+    let shards = spec.shards.max(1);
     match spec.partitioner {
-        ShardPartitioner::Hash => Sharder::new(ShardPartitioner::Hash, spec.shards, seed),
+        ShardPartitioner::Hash => Sharder::new(ShardPartitioner::Hash, shards, seed),
         ShardPartitioner::Range => {
             let mut bounds: Option<(u64, u64)> = None;
             for &k in keys.iter().flat_map(|s| s.iter()) {
@@ -706,58 +708,11 @@ pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
                 });
             }
             match bounds {
-                Some((lo, hi)) => Sharder::range_over(lo, hi, spec.shards),
+                Some((lo, hi)) => Sharder::range_over(lo, hi, shards),
                 // No rows anywhere: any total routing works.
-                None => Sharder::new(ShardPartitioner::Range, spec.shards, seed),
+                None => Sharder::new(ShardPartitioner::Range, shards, seed),
             }
         }
-    }
-}
-
-impl Cluster {
-    /// Execute `q` sharded under a *planner-chosen* layout: sample the
-    /// routing keys, pick the shard count from the ingest-model fan-in
-    /// curve and the partitioner from the sampled skew, then run exactly
-    /// like [`run_cheetah_sharded`](Cluster::run_cheetah_sharded). The
-    /// returned run carries the [`ShardPlan`] (and
-    /// `breakdown.plan = Some(PlanDecision::Planned(..))`).
-    ///
-    /// Output equals the baseline's and the unsharded run's for every
-    /// query shape — the planner changes *where* rows go, never *what*
-    /// the query answers.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — an
-    /// un-pinned `cheetah_serve::QueryRequest` runs planner-chosen
-    /// layouts through the session's plan cache, so repeat shapes skip
-    /// the sampling pass entirely. This entry point stays as the shim
-    /// the serving contract gates verify bit-identity against.
-    #[doc(hidden)]
-    pub fn run_cheetah_planned(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        planner: &ShardPlanner,
-    ) -> cheetah_core::Result<ShardedRun> {
-        let seed = self.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        let plan = planner.plan_from_keys(&slices, seed);
-        let sharder = plan.sharder.clone();
-        let decision = PlanDecision::Planned(plan.report.partitioner);
-        self.run_cheetah_routed(
-            q,
-            left,
-            right,
-            &left_keys,
-            right_keys.as_deref(),
-            &sharder,
-            &planner.cfg.ingest,
-            decision,
-            Some(plan),
-        )
     }
 }
 
@@ -821,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn calibration_measures_real_constants_and_still_plans_correctly() {
+    fn calibration_measures_real_constants() {
         let cluster = Cluster::default();
         let t = test_table(3_000, 3);
         let cfg = PlannerConfig::default().calibrate(&cluster, &Tables::unary(&t));
@@ -834,11 +789,6 @@ mod tests {
                 < 1e-12
         );
         assert_eq!(cfg.ingest.arrival_rate, cal.measured_arrival_rate.max(1.0));
-        // A calibrated planner keeps the correctness contract.
-        let planner = ShardPlanner::new(cfg);
-        let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let planned = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
-        assert_eq!(planned.output, cluster.run_baseline(&q, &t, None).output);
     }
 
     #[test]
@@ -978,21 +928,5 @@ mod tests {
             picked
         };
         assert_eq!(run(), run(), "no RNG: identical histories must replay identically");
-    }
-
-    #[test]
-    fn planned_run_matches_fixed_sharded_output() {
-        let cluster = Cluster::default();
-        let t = test_table(2_000, 3);
-        let q = DbQuery::Distinct { col: 0 };
-        let fixed = cluster
-            .run_cheetah_sharded(&q, &t, None, &ShardSpec::new(4, ShardPartitioner::Hash))
-            .unwrap();
-        let planned = cluster.run_cheetah_planned(&q, &t, None, &ShardPlanner::default()).unwrap();
-        assert_eq!(fixed.output, planned.output);
-        let plan = planned.plan.as_ref().expect("planned run records its plan");
-        assert_eq!(planned.breakdown.shards as usize, plan.shards());
-        assert!(planned.breakdown.plan.expect("decision recorded").is_planned());
-        assert!(fixed.plan.is_none(), "fixed runs carry no plan");
     }
 }

@@ -1,16 +1,22 @@
-//! Fixtures shared by the contract gates (`pruning_contract`,
-//! `shard_contract`): one deterministic random table generator and one
-//! query per [`DbQuery`] variant, so a schema or query-shape change lands
-//! in exactly one place.
+//! Fixtures shared by the contract gates: one deterministic random table
+//! generator, one query per [`DbQuery`] variant, and the one execution
+//! grid (`for_each_exec_case`) the shard, runtime and compiled gates all
+//! walk — so a schema, query-shape or grid-axis change lands in exactly
+//! one place.
+// Each integration test compiles `common` separately and uses its own
+// subset of these fixtures.
+#![allow(dead_code)]
 
-use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, LikePattern, Table, TableBuilder, Value};
+use cheetah_db::{
+    Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, LikePattern,
+    ShardPartitioner, ShardSpec, Table, TableBuilder, Value,
+};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout, StreamSpec};
 use cheetah_switch::hash::mix64;
+use std::sync::Arc;
 
 /// Deterministic random table: `rows` rows, `keys` distinct string keys,
 /// two int columns with ranges derived from the seed.
-// Each integration test compiles `common` separately; the planner gate
-// uses only `all_seven` (its tables come from the adversarial family).
-#[allow(dead_code)]
 pub fn gen_table(rows: usize, keys: u64, partitions: usize, seed: u64) -> Table {
     let mut b = TableBuilder::new(
         "t",
@@ -35,8 +41,6 @@ pub fn gen_table(rows: usize, keys: u64, partitions: usize, seed: u64) -> Table 
 }
 
 /// One query per [`DbQuery`] variant — all seven shapes.
-// The telemetry gate exercises single shapes only; see `gen_table`.
-#[allow(dead_code)]
 pub fn all_seven(threshold: i64) -> Vec<DbQuery> {
     vec![
         DbQuery::FilterCount {
@@ -55,4 +59,78 @@ pub fn all_seven(threshold: i64) -> Vec<DbQuery> {
         DbQuery::HavingSum { key_col: 0, val_col: 1, threshold },
         DbQuery::Join { left_key: 0, right_key: 0 },
     ]
+}
+
+/// Route `q` under `layout` in one round and execute it on the barrier
+/// transport — the classic sharded run the shard and planner gates pin.
+pub fn run_barrier(
+    cluster: &Cluster,
+    q: &DbQuery,
+    left: &Arc<Table>,
+    right: Option<&Arc<Table>>,
+    layout: ShardLayout,
+) -> ExecRun {
+    let spec = StreamSpec { layout, rounds: 1, ..StreamSpec::default() };
+    let plan = ExecPlan::new(cluster, q, left, right, &spec).expect("routes");
+    execute(cluster, q, &plan.for_path(ExecPath::BarrierPooled)).expect("plan fits")
+}
+
+/// One point of the execution grid.
+pub struct ExecCase {
+    pub q: DbQuery,
+    pub path: ExecPath,
+    pub backend: ExecBackend,
+    /// `query × partitioner@shards × transport/backend on <workload>`.
+    pub label: String,
+}
+
+/// Walk the execution grid over one workload pair — all seven variants ×
+/// shards {1, 2, 7} × {hash, range} × {barrier, stream} × {interpreted,
+/// compiled} — routing each (variant, partitioner, shards) once under
+/// `template` (its `layout` is overwritten per point). Every point is
+/// held to the universal contract here: output equals `run_baseline`'s,
+/// the shard count is honoured, and routing loses no rows. `visit` adds
+/// the calling gate's own assertions; the backend is the innermost axis
+/// (interpreted first), so a gate can pair the two runs of a point.
+pub fn for_each_exec_case(
+    left: &Arc<Table>,
+    right: &Arc<Table>,
+    threshold: i64,
+    template: &StreamSpec,
+    workload: &str,
+    mut visit: impl FnMut(&ExecCase, &ExecRun),
+) {
+    let oracle = Cluster::default();
+    for q in all_seven(threshold) {
+        let right_of = q.is_binary().then_some(right);
+        let base = oracle.run_baseline(&q, left, right_of.map(|r| &**r));
+        let total = (left.rows() + right_of.map_or(0, |r| r.rows())) as u64;
+        for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
+            for shards in [1usize, 2, 7] {
+                let layout = ShardLayout::Fixed(ShardSpec::new(shards, partitioner));
+                let spec = StreamSpec { layout, ..template.clone() };
+                let plan = ExecPlan::new(&oracle, &q, left, right_of, &spec).expect("routes");
+                for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
+                    for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+                        let label = format!(
+                            "{} × {}@{shards} × {}/{} on {workload}",
+                            q.kind(),
+                            partitioner.name(),
+                            path.label(),
+                            backend.label()
+                        );
+                        let cluster = oracle.clone().with_backend(backend);
+                        let run = execute(&cluster, &q, &plan.for_path(path)).expect("plan fits");
+                        assert_eq!(base.output, run.output, "{label}: diverged from baseline");
+                        assert_eq!(run.breakdown.shards as usize, shards, "{label}");
+                        assert_eq!(run.per_shard.len(), shards, "{label}");
+                        let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
+                        assert_eq!(routed, total, "{label}: rows lost in routing");
+                        let case = ExecCase { q: q.clone(), path, backend, label };
+                        visit(&case, &run);
+                    }
+                }
+            }
+        }
+    }
 }

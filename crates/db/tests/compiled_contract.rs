@@ -18,78 +18,56 @@
 
 mod common;
 
-use common::all_seven;
+use common::{all_seven, for_each_exec_case, run_barrier};
 
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ShardSpec, Table};
+use cheetah_db::{Cluster, DbQuery, ExecBackend, ShardSpec};
+use cheetah_runtime::{ExecRun, ShardLayout, StreamSpec};
 use cheetah_workloads::PlannerAdversary;
+use std::sync::Arc;
 
-/// Drive one query on both backends over the same tables and spec;
-/// assert output + counter identity.
-fn assert_backends_agree(
-    oracle: &Cluster,
-    compiled: &Cluster,
-    q: &DbQuery,
-    left: &Table,
-    right: Option<&Table>,
-    shards: usize,
-    label: &str,
-) {
-    if shards == 1 {
-        let i = oracle.run_cheetah(q, left, right).expect("oracle run fits");
-        let c = compiled.run_cheetah(q, left, right).expect("compiled run fits");
-        assert_eq!(i.output, c.output, "{} output diverged on {label}", q.kind());
-        assert_eq!(i.switch_stats, c.switch_stats, "{} counters diverged on {label}", q.kind());
-        assert_eq!(
-            i.breakdown.entries_to_master,
-            c.breakdown.entries_to_master,
-            "{} survivor count diverged on {label}",
-            q.kind()
-        );
-        assert_eq!(i.breakdown.backend, ExecBackend::Interpreted);
-        assert_eq!(c.breakdown.backend, ExecBackend::Compiled, "{label}");
-        return;
-    }
-    let spec = ShardSpec::new(shards, ShardPartitioner::Hash);
-    let i = oracle.run_cheetah_sharded(q, left, right, &spec).expect("oracle run fits");
-    let c = compiled.run_cheetah_sharded(q, left, right, &spec).expect("compiled run fits");
-    assert_eq!(i.output, c.output, "{} output diverged on {label}", q.kind());
-    assert_eq!(i.switch_stats, c.switch_stats, "{} counters diverged on {label}", q.kind());
+/// One grid point run on both backends: assert counter identity (the grid
+/// itself already held both outputs to the baseline).
+fn assert_backends_agree(i: &ExecRun, c: &ExecRun, label: &str) {
+    assert_eq!(i.output, c.output, "output diverged: {label}");
+    assert_eq!(i.switch_stats, c.switch_stats, "counters diverged: {label}");
     assert_eq!(
-        i.breakdown.entries_to_master,
-        c.breakdown.entries_to_master,
-        "{} survivor count diverged on {label}",
-        q.kind()
+        i.breakdown.entries_to_master, c.breakdown.entries_to_master,
+        "survivor count diverged: {label}"
     );
     // Shard by shard, not just in aggregate: a kernel that prunes the
     // right total from the wrong shards still fails. Only the
     // deterministic fields — ShardStats also carries wall-clock seconds.
     for (s, (is_, cs)) in i.per_shard.iter().zip(&c.per_shard).enumerate() {
-        let ctx = format!("{} shard {s} on {label}", q.kind());
+        let ctx = format!("shard {s} of {label}");
         assert_eq!(is_.rows, cs.rows, "rows diverged: {ctx}");
         assert_eq!(is_.seen, cs.seen, "seen diverged: {ctx}");
         assert_eq!(is_.pruned, cs.pruned, "pruned diverged: {ctx}");
         assert_eq!(is_.entries_to_master, cs.entries_to_master, "survivors diverged: {ctx}");
         assert_eq!(is_.master_wire_bytes, cs.master_wire_bytes, "bytes diverged: {ctx}");
     }
-    assert_eq!(i.breakdown.backend, ExecBackend::Interpreted);
+    assert_eq!(i.breakdown.backend, ExecBackend::Interpreted, "{label}");
     assert_eq!(c.breakdown.backend, ExecBackend::Compiled, "{label}");
 }
 
 #[test]
 fn compiled_kernels_are_bit_identical_across_the_adversarial_family() {
-    let oracle = Cluster::default();
-    let compiled = Cluster::default().with_backend(ExecBackend::Compiled);
+    let one_round = StreamSpec { rounds: 1, ..StreamSpec::default() };
     for adv in PlannerAdversary::all() {
-        let left = adv.table(900, 3, 0x5EED);
-        let right = adv.table(450, 2, 0x5EED ^ 0xFACE);
-        for shards in [1usize, 2, 7] {
-            let label = format!("{}@{shards}", adv.name());
-            for q in all_seven(9_000) {
-                let right_of = q.is_binary().then_some(&right);
-                assert_backends_agree(&oracle, &compiled, &q, &left, right_of, shards, &label);
+        let left = Arc::new(adv.table(900, 3, 0x5EED));
+        let right = Arc::new(adv.table(450, 2, 0x5EED ^ 0xFACE));
+        // The grid runs each point's interpreted oracle right before its
+        // compiled twin: hold the former, compare when the latter lands.
+        let mut oracle: Option<ExecRun> = None;
+        for_each_exec_case(&left, &right, 9_000, &one_round, &adv.name(), |case, run| {
+            match case.backend {
+                ExecBackend::Interpreted => oracle = Some(run.clone()),
+                ExecBackend::Compiled => {
+                    let i = oracle.take().expect("the oracle runs first");
+                    assert_backends_agree(&i, run, &case.label);
+                }
             }
-        }
+        });
     }
 }
 
@@ -98,13 +76,13 @@ fn compiled_backend_is_recorded_end_to_end() {
     // The honest-attribution clause on its own, over a bigger table, so a
     // future fallback path can't silently misreport what ran.
     let compiled = Cluster::default().with_backend(ExecBackend::Compiled);
-    let t = PlannerAdversary::Zipf(1.5).table(2_000, 4, 0xBEEF);
-    let run = compiled.run_cheetah(&DbQuery::Distinct { col: 0 }, &t, None).unwrap();
+    let t = Arc::new(PlannerAdversary::Zipf(1.5).table(2_000, 4, 0xBEEF));
+    let q = DbQuery::Distinct { col: 0 };
+    let run = compiled.run_cheetah(&q, &t, None).unwrap();
     assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
     assert_eq!(run.breakdown.backend.label(), "compiled");
-    let spec = ShardSpec::new(4, ShardPartitioner::Range);
-    let sharded =
-        compiled.run_cheetah_sharded(&DbQuery::Distinct { col: 0 }, &t, None, &spec).unwrap();
+    let layout = ShardLayout::Fixed(ShardSpec::new(4, ShardPartitioner::Range));
+    let sharded = run_barrier(&compiled, &q, &t, None, layout);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Compiled);
 }
 

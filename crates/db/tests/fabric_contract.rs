@@ -19,7 +19,7 @@
 //!    [`FaultProfile::harsh`], with the §7.2 reliability machines doing
 //!    the recovery. Same seed ⇒ bit-identical report (retransmit counts
 //!    included); the merged output still equals the baseline.
-//! 3. **Streamed runtime** — `run_cheetah_streamed` at 15% drop + 15%
+//! 3. **Stream transport** — `execute` over a faulty plan at 15% drop + 15%
 //!    corruption + duplication answers every family exactly, and the
 //!    go-back-N resends are visible in `ExecBreakdown::retransmits`.
 
@@ -33,8 +33,9 @@ use cheetah_db::{
 use cheetah_net::{
     emit_batch, explore, CheckerConfig, FabricConfig, FabricSim, FaultProfile, SurvivorBatch,
 };
-use cheetah_runtime::{FaultSpec, StreamSpec, StreamedExecution};
+use cheetah_runtime::{execute, ExecPlan, FaultSpec, StreamSpec};
 use common::{all_seven, gen_table};
+use std::sync::Arc;
 
 /// Shards (= checker flows) the survivor traffic is split across.
 const SHARDS: usize = 2;
@@ -181,17 +182,18 @@ fn harsh_fabric_delivers_exactly_and_is_seed_deterministic() {
 }
 
 #[test]
-fn streamed_runtime_answers_all_seven_families_under_harsh_faults() {
+fn stream_transport_answers_all_seven_families_under_harsh_faults() {
     let cluster = Cluster::default();
-    let left = gen_table(600, 23, 3, 47);
-    let right = gen_table(240, 23, 2, 53);
+    let left = Arc::new(gen_table(600, 23, 3, 47));
+    let right = Arc::new(gen_table(240, 23, 2, 53));
     for q in all_seven(4_000) {
         let r = matches!(q, DbQuery::Join { .. }).then_some(&right);
-        let base = cluster.run_baseline(&q, &left, r).output;
+        let base = cluster.run_baseline(&q, &left, r.map(|r| &**r)).output;
         let mut spec = StreamSpec::fixed(ShardSpec::new(SHARDS, ShardPartitioner::Hash));
         spec.batch = Some(4); // many small frames → many fault draws
         spec.fault = Some(FaultSpec::harsh(0xFAB));
-        let run = cluster.run_cheetah_streamed(&q, &left, r, &spec).expect("streamed run");
+        let plan = ExecPlan::new(&cluster, &q, &left, r, &spec).expect("routes");
+        let run = execute(&cluster, &q, &plan).expect("streamed run");
         assert_eq!(base, run.output, "{}: harsh channel changed the answer", q.kind());
         assert!(
             run.breakdown.retransmits > 0,

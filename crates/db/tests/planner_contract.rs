@@ -17,29 +17,42 @@
 
 mod common;
 
-use common::all_seven;
+use common::{all_seven, run_barrier};
 
 use cheetah_db::{
     Cluster, DataType, DbQuery, PlannerConfig, ShardPartitioner, ShardPlanner, Table, TableBuilder,
-    Value,
+    Tables, Value,
 };
+use cheetah_runtime::{ExecRun, ShardLayout};
 use cheetah_workloads::PlannerAdversary;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// One barrier run under the planner's chosen layout.
+fn planned(
+    cluster: &Cluster,
+    q: &DbQuery,
+    left: &Arc<Table>,
+    right: Option<&Arc<Table>>,
+    planner: &ShardPlanner,
+) -> ExecRun {
+    run_barrier(cluster, q, left, right, ShardLayout::Planned(planner.clone()))
+}
 
 /// Assert properties 1 and 2 over the full variant grid for one
 /// workload pair.
 fn assert_planner_contract(
     cluster: &Cluster,
     planner: &ShardPlanner,
-    left: &Table,
-    right: &Table,
+    left: &Arc<Table>,
+    right: &Arc<Table>,
     threshold: i64,
     label: &str,
 ) {
     for q in all_seven(threshold) {
         let right_of = q.is_binary().then_some(right);
-        let base = cluster.run_baseline(&q, left, right_of);
-        let planned = cluster.run_cheetah_planned(&q, left, right_of, planner).expect("plan fits");
+        let base = cluster.run_baseline(&q, left, right_of.map(|r| &**r));
+        let planned = planned(cluster, &q, left, right_of, planner);
         assert_eq!(
             base.output,
             planned.output,
@@ -79,10 +92,22 @@ fn planned_runs_match_baseline_across_the_adversarial_family() {
     let cluster = Cluster::default();
     let planner = ShardPlanner::default();
     for adv in PlannerAdversary::all() {
-        let left = adv.table(900, 3, 0x5EED);
-        let right = adv.table(450, 2, 0x5EED ^ 0xFACE);
+        let left = Arc::new(adv.table(900, 3, 0x5EED));
+        let right = Arc::new(adv.table(450, 2, 0x5EED ^ 0xFACE));
         assert_planner_contract(&cluster, &planner, &left, &right, 9_000, &adv.name());
     }
+}
+
+#[test]
+fn a_calibrated_planner_keeps_the_correctness_contract() {
+    // Calibration swaps the cost constants for wall-clock measurements:
+    // the plan may differ run to run, the answers may not.
+    let cluster = Cluster::default();
+    let left = Arc::new(PlannerAdversary::Zipf(1.0).table(3_000, 3, 0xCA1));
+    let right = Arc::new(PlannerAdversary::Zipf(1.0).table(900, 2, 0xCA1 ^ 0xFACE));
+    let cfg = PlannerConfig::default().calibrate(&cluster, &Tables::unary(&left));
+    assert!(cfg.calibration.is_some(), "probe ran");
+    assert_planner_contract(&cluster, &ShardPlanner::new(cfg), &left, &right, 9_000, "calibrated");
 }
 
 proptest! {
@@ -101,8 +126,8 @@ proptest! {
             sample_size,
             ..PlannerConfig::default()
         });
-        let left = adv.table(rows, 3, seed);
-        let right = adv.table(rows / 2 + 1, 2, seed ^ 0xFF);
+        let left = Arc::new(adv.table(rows, 3, seed));
+        let right = Arc::new(adv.table(rows / 2 + 1, 2, seed ^ 0xFF));
         assert_planner_contract(&cluster, &planner, &left, &right, rows as i64 * 20, &adv.name());
     }
 }
@@ -137,10 +162,10 @@ fn same_seed_and_tables_give_the_identical_plan() {
 fn planned_execution_is_deterministic_end_to_end() {
     let cluster = Cluster::default();
     let planner = ShardPlanner::default();
-    let t = PlannerAdversary::Zipf(1.2).table(1_500, 3, 77);
+    let t = Arc::new(PlannerAdversary::Zipf(1.2).table(1_500, 3, 77));
     let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 };
-    let a = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
-    let b = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
+    let a = planned(&cluster, &q, &t, None, &planner);
+    let b = planned(&cluster, &q, &t, None, &planner);
     assert_eq!(a.output, b.output);
     assert_eq!(a.plan, b.plan);
     let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
@@ -152,21 +177,23 @@ fn planned_execution_is_deterministic_end_to_end() {
 fn empty_table_plans_one_shard_and_runs() {
     let cluster = Cluster::default();
     let planner = ShardPlanner::default();
-    let t = TableBuilder::new(
-        "empty",
-        vec![
-            ("key".into(), DataType::Str),
-            ("a".into(), DataType::Int),
-            ("b".into(), DataType::Int),
-        ],
-        8,
-    )
-    .build();
+    let t = Arc::new(
+        TableBuilder::new(
+            "empty",
+            vec![
+                ("key".into(), DataType::Str),
+                ("a".into(), DataType::Int),
+                ("b".into(), DataType::Int),
+            ],
+            8,
+        )
+        .build(),
+    );
     let q = DbQuery::Distinct { col: 0 };
     let plan = planner.plan(&q, &t, None, 1);
     assert_eq!(plan.shards(), 1);
     assert_eq!(plan.report.rows, 0);
-    let run = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
+    let run = planned(&cluster, &q, &t, None, &planner);
     assert_eq!(run.output, cheetah_db::QueryOutput::Values(vec![]));
     assert_eq!(run.breakdown.shards, 1);
 }
@@ -175,13 +202,12 @@ fn empty_table_plans_one_shard_and_runs() {
 fn table_smaller_than_the_sample_size_is_planned_exactly() {
     let planner =
         ShardPlanner::new(PlannerConfig { sample_size: 4_096, ..PlannerConfig::default() });
-    let t = PlannerAdversary::Uniform.table(60, 2, 5);
+    let t = Arc::new(PlannerAdversary::Uniform.table(60, 2, 5));
     let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &t, None, 5);
     assert_eq!(plan.report.rows, 60);
     assert_eq!(plan.report.sample_len, 60, "small tables are sampled in full");
     let cluster = Cluster::default();
-    let run =
-        cluster.run_cheetah_planned(&DbQuery::Distinct { col: 0 }, &t, None, &planner).unwrap();
+    let run = planned(&cluster, &DbQuery::Distinct { col: 0 }, &t, None, &planner);
     assert_eq!(run.output, cluster.run_baseline(&DbQuery::Distinct { col: 0 }, &t, None).output);
 }
 
@@ -199,7 +225,7 @@ fn all_equal_keys_collapse_to_one_shard() {
     for i in 0..400i64 {
         b.push_row(vec![Value::Str("same".into()), Value::Int(i % 9), Value::Int(3)]);
     }
-    let t = b.build();
+    let t = Arc::new(b.build());
     let planner = ShardPlanner::default();
     let cluster = Cluster::default();
     for q in [
@@ -210,7 +236,7 @@ fn all_equal_keys_collapse_to_one_shard() {
         let plan = planner.plan(&q, &t, None, cluster.tuning.seed);
         assert_eq!(plan.shards(), 1, "{}: single key must not fan out", q.kind());
         assert!(plan.report.reason.contains("equal"), "{}", plan.report.reason);
-        let run = cluster.run_cheetah_planned(&q, &t, None, &planner).unwrap();
+        let run = planned(&cluster, &q, &t, None, &planner);
         assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
     // The single-hot-key adversary hits the same rule through the

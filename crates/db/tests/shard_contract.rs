@@ -12,45 +12,32 @@
 
 mod common;
 
-use common::{all_seven, gen_table};
+use common::{for_each_exec_case, gen_table, run_barrier};
 
 use cheetah_db::{
     Cluster, DataType, DbQuery, ShardPartitioner, ShardSpec, Table, TableBuilder, Value,
 };
+use cheetah_runtime::{ShardLayout, StreamSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 const PARTITIONERS: [ShardPartitioner; 2] = [ShardPartitioner::Hash, ShardPartitioner::Range];
 
-/// Assert the full grid: every query, every shard count, every
-/// partitioner, against both the baseline and the unsharded Cheetah run.
-fn assert_shard_contract(cluster: &Cluster, left: &Table, right: &Table, threshold: i64) {
-    for q in all_seven(threshold) {
-        let right_of = q.is_binary().then_some(right);
-        let base = cluster.run_baseline(&q, left, right_of);
-        let single = cluster.run_cheetah(&q, left, right_of).expect("plan fits");
-        assert_eq!(base.output, single.output, "{} unsharded diverged", q.kind());
-        for partitioner in PARTITIONERS {
-            for shards in SHARD_COUNTS {
-                let spec = ShardSpec::new(shards, partitioner);
-                let sharded =
-                    cluster.run_cheetah_sharded(&q, left, right_of, &spec).expect("plan fits");
-                assert_eq!(
-                    base.output,
-                    sharded.output,
-                    "{} diverged at {} shards under {} routing",
-                    q.kind(),
-                    shards,
-                    partitioner.name()
-                );
-                assert_eq!(sharded.breakdown.shards, shards as u32);
-                assert_eq!(sharded.per_shard.len(), shards);
-                let routed: u64 = sharded.per_shard.iter().map(|s| s.rows).sum();
-                let total = left.rows() as u64 + right_of.map_or(0, |r| r.rows() as u64);
-                assert_eq!(routed, total, "{}: rows lost in routing", q.kind());
-            }
-        }
-    }
+/// Assert the full grid — every query, every shard count, every
+/// partitioner, both transports, both backends — against the baseline,
+/// with each shard's slice routed in one round (the classic sharded run).
+fn assert_shard_contract(left: &Arc<Table>, right: &Arc<Table>, threshold: i64) {
+    let one_round = StreamSpec { rounds: 1, ..StreamSpec::default() };
+    for_each_exec_case(left, right, threshold, &one_round, "shard grid", |case, run| {
+        assert_eq!(run.rounds, 1, "{}", case.label);
+        assert_eq!(run.breakdown.replans, 0, "{}", case.label);
+    });
+}
+
+/// One barrier run under a hand-picked spec.
+fn sharded(q: &DbQuery, t: &Arc<Table>, spec: ShardSpec) -> cheetah_runtime::ExecRun {
+    run_barrier(&Cluster::default(), q, t, None, ShardLayout::Fixed(spec))
 }
 
 proptest! {
@@ -63,34 +50,31 @@ proptest! {
         keys in 1u64..150,
         partitions in 1usize..5,
     ) {
-        let cluster = Cluster::default();
-        let left = gen_table(rows, keys, partitions, seed);
-        let right = gen_table(rows / 2 + 1, keys.saturating_mul(2).max(1), 2, seed ^ 0xFF);
+        let left = Arc::new(gen_table(rows, keys, partitions, seed));
+        let right =
+            Arc::new(gen_table(rows / 2 + 1, keys.saturating_mul(2).max(1), 2, seed ^ 0xFF));
         let threshold = (rows as i64) * 20;
-        assert_shard_contract(&cluster, &left, &right, threshold);
+        assert_shard_contract(&left, &right, threshold);
     }
 }
 
 #[test]
 fn empty_table_every_variant_every_grid_point() {
     // All shards empty: the degenerate end of the empty-shard case.
-    let cluster = Cluster::default();
-    let left = gen_table(0, 1, 1, 7);
-    let right = gen_table(0, 1, 1, 8);
-    assert_shard_contract(&cluster, &left, &right, 10);
+    let left = Arc::new(gen_table(0, 1, 1, 7));
+    let right = Arc::new(gen_table(0, 1, 1, 8));
+    assert_shard_contract(&left, &right, 10);
 }
 
 #[test]
 fn fewer_rows_than_shards_leaves_empty_shards() {
     // 3 rows over 7 shards: at least four shards receive nothing and
     // must still merge cleanly.
-    let cluster = Cluster::default();
-    let left = gen_table(3, 5, 1, 21);
-    let right = gen_table(2, 5, 1, 22);
-    assert_shard_contract(&cluster, &left, &right, 0);
+    let left = Arc::new(gen_table(3, 5, 1, 21));
+    let right = Arc::new(gen_table(2, 5, 1, 22));
+    assert_shard_contract(&left, &right, 0);
     let q = DbQuery::Distinct { col: 0 };
-    let spec = ShardSpec::new(7, ShardPartitioner::Hash);
-    let run = cluster.run_cheetah_sharded(&q, &left, None, &spec).unwrap();
+    let run = sharded(&q, &left, ShardSpec::new(7, ShardPartitioner::Hash));
     assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
 }
 
@@ -110,16 +94,14 @@ fn constant_key_routes_all_rows_to_one_shard() {
     for i in 0..300i64 {
         b.push_row(vec![Value::Str("same".into()), Value::Int(i % 50), Value::Int(5)]);
     }
-    let table = b.build();
-    let cluster = Cluster::default();
-    assert_shard_contract(&cluster, &table, &table, 100);
+    let table = Arc::new(b.build());
+    assert_shard_contract(&table, &table, 100);
     for q in [
         DbQuery::Distinct { col: 0 },
         DbQuery::GroupByMax { key_col: 0, val_col: 1 },
         DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 100 },
     ] {
-        let spec = ShardSpec::new(5, ShardPartitioner::Hash);
-        let run = cluster.run_cheetah_sharded(&q, &table, None, &spec).unwrap();
+        let run = sharded(&q, &table, ShardSpec::new(5, ShardPartitioner::Hash));
         let nonempty: Vec<u64> = run.per_shard.iter().map(|s| s.rows).filter(|&r| r > 0).collect();
         assert_eq!(nonempty, vec![300], "{}: keyed routing must co-locate the key", q.kind());
     }
@@ -131,11 +113,10 @@ fn range_routing_keeps_topn_value_locality() {
     // top values all sit on the highest-keyed shard, yet the merged
     // output still matches.
     let cluster = Cluster::default();
-    let left = gen_table(800, 40, 3, 77);
+    let left = Arc::new(gen_table(800, 40, 3, 77));
     let q = DbQuery::TopN { order_col: 1, n: 10 };
     let single = cluster.run_cheetah(&q, &left, None).unwrap();
-    let spec = ShardSpec::new(2, ShardPartitioner::Range);
-    let run = cluster.run_cheetah_sharded(&q, &left, None, &spec).unwrap();
+    let run = sharded(&q, &left, ShardSpec::new(2, ShardPartitioner::Range));
     assert_eq!(single.output, run.output);
 }
 
@@ -162,14 +143,13 @@ fn having_sum_spanning_threshold_only_globally_is_not_lost() {
     for i in 0..30 {
         b.push_row(vec![Value::Str(format!("cold-{i}")), Value::Int(1), Value::Int(1)]);
     }
-    let table = b.build();
+    let table = Arc::new(b.build());
     let cluster = Cluster::default();
     let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 1_000 };
     let base = cluster.run_baseline(&q, &table, None);
     for partitioner in PARTITIONERS {
         for shards in SHARD_COUNTS {
-            let spec = ShardSpec::new(shards, partitioner);
-            let run = cluster.run_cheetah_sharded(&q, &table, None, &spec).unwrap();
+            let run = sharded(&q, &table, ShardSpec::new(shards, partitioner));
             assert_eq!(
                 base.output,
                 run.output,

@@ -17,7 +17,7 @@
 mod common;
 
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
-use cheetah_runtime::{FaultSpec, StreamSpec, StreamedExecution};
+use cheetah_runtime::{execute, ExecPlan, FaultSpec, StreamSpec};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{Registry, Trace, TraceTree};
 use std::sync::Arc;
@@ -153,7 +153,7 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
 #[test]
 fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let cluster = Cluster::default();
-    let t = common::gen_table(1_500, 60, 3, 0xBAD);
+    let t = Arc::new(common::gen_table(1_500, 60, 3, 0xBAD));
     let q = DbQuery::Distinct { col: 0 };
     let mut spec = StreamSpec::fixed(ShardSpec::new(3, cheetah_core::ShardPartitioner::Hash));
     spec.batch = Some(4); // many small frames → many fault draws
@@ -162,9 +162,10 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let registry = Registry::new();
     let trace = Trace::new(registry.clone());
     let root = trace.span("query");
+    let plan = ExecPlan::new(&cluster, &q, &t, None, &spec).unwrap();
     let run = {
         let _g = root.enter();
-        cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap()
+        execute(&cluster, &q, &plan).unwrap()
     };
     root.finish();
     assert!(run.breakdown.retransmits > 0, "harsh channel must force resends");

@@ -1,25 +1,28 @@
-//! Tuning of one streamed execution.
+//! What an [`ExecPlan`](crate::ExecPlan) is built from.
 
+use cheetah_core::plan::ShardPlan;
 use cheetah_db::{ShardPlanner, ShardSpec};
 use cheetah_net::{FaultProfile, MasterIngestModel};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// How the streamed runtime picks its shard layout — the same two choices
-/// the barrier twins offer.
+/// Where the plan constructor gets its sharder.
 #[derive(Debug, Clone)]
 pub enum ShardLayout {
-    /// A hand-picked spec, like `run_cheetah_sharded`.
+    /// A hand-picked spec.
     Fixed(ShardSpec),
-    /// Sample-driven, like `run_cheetah_planned`.
+    /// Sample-driven: the planner fits a [`ShardPlan`] to the routing keys.
     Planned(ShardPlanner),
+    /// A plan fitted earlier (the serving plane's plan cache), priced
+    /// under the given ingest model.
+    Fitted(Arc<ShardPlan>, MasterIngestModel),
 }
 
-/// Tuning of a [`run_cheetah_streamed`] execution.
-///
-/// [`run_cheetah_streamed`]: crate::StreamedExecution::run_cheetah_streamed
+/// Everything [`ExecPlan::new`](crate::ExecPlan::new) needs beyond the
+/// query and its tables.
 #[derive(Debug, Clone)]
 pub struct StreamSpec {
-    /// Shard layout (fixed spec or planner).
+    /// Shard layout (fixed spec, planner, or an already-fitted plan).
     pub layout: ShardLayout,
     /// Survivor-batch size in merge items; `None` reads it off the ingest
     /// model's fan-in curve
@@ -63,15 +66,6 @@ impl StreamSpec {
     pub fn planned(planner: ShardPlanner) -> Self {
         Self { layout: ShardLayout::Planned(planner), ..Self::default() }
     }
-
-    /// The ingest model of the chosen layout (batch sizing and the
-    /// modelled fan-in latency both read it).
-    pub fn ingest(&self) -> &MasterIngestModel {
-        match &self.layout {
-            ShardLayout::Fixed(s) => &s.ingest,
-            ShardLayout::Planned(p) => &p.cfg.ingest,
-        }
-    }
 }
 
 impl Default for StreamSpec {
@@ -89,7 +83,7 @@ impl Default for StreamSpec {
     }
 }
 
-/// The streamed runtime's faulty-channel mode: every survivor frame a
+/// The stream transport's faulty-channel mode: every survivor frame a
 /// worker emits crosses a seeded lossy link (drops, single-octet
 /// corruption, duplication), and the worker runs the §7.2 go-back-N
 /// window over per-frame master ACKs, so the run only completes once
@@ -150,11 +144,5 @@ mod tests {
         assert!(harsh.rto > Duration::ZERO);
         let mild = FaultSpec::new(FaultProfile { drop_prob: 0.01, ..FaultProfile::lossless() }, 3);
         assert_eq!(mild.profile.corrupt_prob, 0.0);
-    }
-
-    #[test]
-    fn ingest_reads_through_the_layout() {
-        let spec = StreamSpec::fixed(ShardSpec::new(2, ShardPartitioner::Range));
-        assert_eq!(spec.ingest().arrival_rate, MasterIngestModel::default_rack().arrival_rate);
     }
 }

@@ -1,84 +1,89 @@
-//! # cheetah-runtime — the event-driven streamed shard runtime
+//! # cheetah-runtime — one plan, one executor, two transports
 //!
-//! The barrier twins ([`Cluster::run_cheetah_sharded`] /
-//! [`Cluster::run_cheetah_planned`]) join every shard worker at a
-//! `std::thread::scope` barrier before the master touches a single
-//! survivor: one slow (skewed) shard stalls the whole merge, exactly the
-//! fan-in cost the [`MasterIngestModel`](cheetah_net::MasterIngestModel)
-//! curve predicts. This crate replaces the join-barrier dataflow with a
-//! streaming one — the third twin,
-//! [`run_cheetah_streamed`](StreamedExecution::run_cheetah_streamed),
-//! sharing the barrier paths' routing keys, sharders, and planner:
+//! Cheetah's dataflow (§2) is one thing: route rows to shard workers,
+//! prune each shard at its switch, merge the survivors at the master.
+//! This crate implements it once. [`ExecPlan::new`] does all the routing
+//! (keys → sharder → per-round shard slices, with supervised re-fits
+//! between rounds) and [`execute`] runs the routed plan on the persistent
+//! [`WorkerPool`]; how survivors travel to the master is a field of the
+//! plan ([`ExecPath`](cheetah_db::ExecPath)), not a second engine:
 //!
 //! ```text
-//!        router (rounds, re-plans)           workers (N threads)
-//!  rows ──────route by sharder──────▶ [unit ch] ─▶ prune shard slice
-//!    ▲                                              │ survivor batches
-//!    │ supervisor: dispatched-load                  ▼ (bounded channel)
-//!    └─ imbalance > 2×? re-fit ◀──── counters   master merge plane
-//!       boundaries for the rest                 MergeState::ingest_batch
+//!  ExecPlan::new  (once per layout)            execute  (per query)
+//!  rows ──routing_keys──▶ sharder          units[round][shard]
+//!    ▲      │ route_range per round              │ one pool job per shard
+//!    │      ▼                                    ▼
+//!    │  dispatched-load counters          Cluster::run_cheetah per unit
+//!    └─ supervisor: imbalance > 2×?              │
+//!       re-fit boundaries for the rest           ├─ barrier: whole outputs ──▶ merge_shard_outputs
+//!                                                └─ stream: survivor frames ─▶ MergeState (as they land)
 //! ```
 //!
-//! * **Overlap** — workers decompose each completed slice into
+//! * **Barrier** — each worker hands its completed outputs over whole;
+//!   the master merges once the last worker is in. Nothing to frame,
+//!   nothing to overlap: cheapest when shards finish together and the
+//!   pruned stream is small.
+//! * **Stream** — workers decompose each completed slice into
 //!   [`MergeItem`](cheetah_db::MergeItem)s and stream them in
 //!   [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames over a
 //!   *bounded* channel (backpressure is the flow control); the master
 //!   folds batches into an incremental
 //!   [`MergeState`](cheetah_db::MergeState) while slow shards are still
 //!   pruning. The measured overlap is reported as
-//!   `ExecBreakdown::overlap_seconds`.
-//! * **Cross-shard batching** — the batch size comes off the ingest
-//!   model's fan-in curve
+//!   `ExecBreakdown::overlap_seconds`. The batch size comes off the
+//!   ingest model's fan-in curve
 //!   ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)):
 //!   big enough to amortize framing, small enough that the aggregate
 //!   in-flight entries keep the merge plane in its linear service regime.
+//!   A [`FaultSpec`] makes the channel lossy and runs §7.2's go-back-N
+//!   for real.
 //! * **Mid-run re-planning** — a [`RuntimeSupervisor`] watches per-shard
-//!   dispatch counters between input rounds; when observed load imbalance
-//!   exceeds the planner's 2× bound it re-samples the *remaining* routing
-//!   keys via `cheetah_core::plan` and re-fits quantile boundaries for
-//!   the rest of the input.
+//!   dispatch counters between input rounds while the plan is built;
+//!   when observed load imbalance exceeds the planner's 2× bound it
+//!   re-samples the *remaining* routing keys via `cheetah_core::plan` and
+//!   re-fits quantile boundaries for the rest of the input.
 //!
-//! ## When overlap pays
+//! ## When streaming pays
 //!
-//! Overlap buys exactly the merge work that the barrier would have
-//! serialized **behind the slowest shard**. It pays when
+//! Overlap buys exactly the merge work that the barrier serializes
+//! **behind the slowest shard**. It pays when
 //!
 //! 1. shard completion times are *spread* — skewed loads
 //!    (`cheetah_workloads::skew`), a straggling worker, or a fitted plan
-//!    gone stale mid-run; and
+//!    gone stale; and
 //! 2. the master has real per-survivor merge work to hide — large
 //!    survivor sets (low pruning rates) or expensive folds (SKYLINE
 //!    dominance, wide GROUP BY key spaces).
 //!
 //! On a perfectly balanced cluster with heavy pruning there is nothing to
-//! hide: every worker finishes together and the pruned stream merges in
-//! microseconds — the streamed run then matches the barrier run, paying
-//! only framing overhead. The `runtime` bench experiment measures both
-//! regimes on the zipf(1.5) and single-hot-key adversaries.
+//! hide: the stream transport then matches the barrier, paying only
+//! framing overhead — which is why the serving plane's bandit picks the
+//! transport per query shape from measured completions. The `runtime`
+//! bench experiment measures both regimes on the zipf(1.5) and
+//! single-hot-key adversaries.
 //!
-//! ## What streams, and what cannot
+//! ## What routes in rounds, and what cannot
 //!
 //! Input *rounds* (and therefore re-planning) require the master merge to
 //! be correct under any assignment of rows to executor runs
 //! ([`DbQuery::merge_routing_agnostic`](cheetah_db::DbQuery::merge_routing_agnostic)):
 //! re-prune merges, count sums, and GROUP BY MAX qualify. HAVING (local
 //! sum + threshold must see every row of a key) and JOIN (both streams
-//! must meet inside one run) execute as a single round per shard — they
-//! still stream their survivor batches, so the merge of early shards
+//! must meet inside one run) are routed as a single round per shard —
+//! they still stream their survivor batches, so the merge of early shards
 //! overlaps late shards, but their routing is pinned for the whole run.
-//!
-//! [`Cluster::run_cheetah_sharded`]: cheetah_db::Cluster::run_cheetah_sharded
-//! [`Cluster::run_cheetah_planned`]: cheetah_db::Cluster::run_cheetah_planned
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod plan;
 pub mod pool;
 pub mod runtime;
 pub mod supervisor;
 
 pub use config::{FaultSpec, ShardLayout, StreamSpec};
-pub use pool::{PooledExecution, WorkerPool, WorkerScratch};
-pub use runtime::{StreamLayout, StreamedExecution, StreamedRun};
+pub use plan::ExecPlan;
+pub use pool::{WorkerPool, WorkerScratch};
+pub use runtime::{execute, ExecRun};
 pub use supervisor::{ReplanEvent, RuntimeSupervisor};

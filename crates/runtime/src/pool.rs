@@ -1,11 +1,9 @@
 //! A persistent shard-worker pool.
 //!
-//! The barrier twins spin up one `std::thread::scope` worker per shard
-//! per query and tear them all down at the join — at smoke scale
-//! (thousands of reps over a few thousand rows) thread spin-up and the
-//! per-run allocation churn are a measurable slice of the gap between
-//! `distinct` and `distinct@shards4`. This module keeps both out of the
-//! per-query path:
+//! Spinning up one thread per shard per query and tearing them all down
+//! at the join is, at smoke scale (thousands of reps over a few thousand
+//! rows), a measurable slice of a multi-shard run. This module keeps
+//! thread spin-up and per-run allocation churn out of the per-query path:
 //!
 //! * [`WorkerPool`] owns long-lived worker threads fed through one
 //!   shared injector queue. Spawning a job is a channel send, not a
@@ -13,12 +11,9 @@
 //! * Each worker owns a [`WorkerScratch`] whose arena allocations (the
 //!   [`FrameBuilder`] behind survivor-batch framing) survive from query
 //!   to query, so steady-state framing allocates nothing.
-//! * [`PooledExecution`] re-bases the barrier dataflow on the pool: the
-//!   per-shard executor runs become pool jobs and the master-side
-//!   accounting is `cheetah_db::finish_sharded` — the same merge
-//!   semantics as `run_cheetah_sharded`, minus the thread churn. The
-//!   streamed twin ([`crate::StreamedExecution`]) routes its shard
-//!   workers through the same pool.
+//!
+//! [`execute`](crate::execute) submits one job per shard to
+//! [`WorkerPool::global`], whichever transport its plan carries.
 //!
 //! The pool is deliberately dumb: no work stealing, no priorities, one
 //! `Mutex<Receiver>` that each idle worker takes in turn (the lock is
@@ -28,14 +23,7 @@
 //! the thread that submitted it, which keeps the pool deadlock-free
 //! even at one worker.
 
-use bytes::BytesMut;
-use cheetah_core::plan::{PlanDecision, ShardPlan};
-use cheetah_db::{
-    finish_sharded, fixed_sharder, route_range, routing_keys, Cluster, DbQuery, MasterIngestModel,
-    ShardSpec, ShardedRun, Sharder, Table,
-};
 use cheetah_net::FrameBuilder;
-use cheetah_telemetry::SpanContext;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -49,14 +37,11 @@ pub struct WorkerScratch {
     /// Survivor-batch frame builder; `finish()` leaves capacity behind
     /// for the next frame.
     pub frames: FrameBuilder,
-    /// Spare encode buffer for jobs that frame nothing but still want a
-    /// warm scratch allocation.
-    pub bytes: BytesMut,
 }
 
 impl WorkerScratch {
     fn new() -> Self {
-        Self { frames: FrameBuilder::new(), bytes: BytesMut::new() }
+        Self { frames: FrameBuilder::new() }
     }
 }
 
@@ -99,7 +84,8 @@ impl WorkerPool {
         Self { injector: Mutex::new(tx), workers }
     }
 
-    /// The process-wide pool both execution twins route through. Sized
+    /// The process-wide pool every [`execute`](crate::execute) call routes
+    /// its shard jobs through. Sized
     /// at `max(available_parallelism, 8)` so every shard count the
     /// bench sweeps exercises can be in flight at once.
     pub fn global() -> &'static WorkerPool {
@@ -126,279 +112,9 @@ impl WorkerPool {
     }
 }
 
-/// The pooled barrier twin, implemented for [`Cluster`] —
-/// `use cheetah_runtime::PooledExecution` brings
-/// `cluster.run_cheetah_pooled(..)` into scope next to
-/// `run_cheetah_sharded`. Same dataflow, same merge, same accounting
-/// (`cheetah_db::finish_sharded`); the only difference is that shard
-/// executors run on [`WorkerPool::global`] instead of freshly spawned
-/// scoped threads.
-pub trait PooledExecution {
-    /// Barrier-sharded execution on the persistent pool: route by the
-    /// spec's partitioner, run each shard's slice as a pool job, join,
-    /// merge at the master. Output is bit-identical to
-    /// `run_cheetah_sharded` with the same spec.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — build a
-    /// `cheetah_serve::QueryRequest` (pin `.path(BarrierPooled)` and a
-    /// shard count) and call `Session::run_blocking` /
-    /// `Session::submit`. This entry point stays as the shim the
-    /// serving contract gates verify bit-identity against.
-    #[doc(hidden)]
-    fn run_cheetah_pooled(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &ShardSpec,
-    ) -> cheetah_core::Result<ShardedRun>;
-
-    /// The prepared-routing entry: the caller already derived routing
-    /// keys and fitted a sharder (e.g. once, outside a timed region),
-    /// so this call pays only routing + execution + merge. The pooled
-    /// sibling of `Cluster::run_cheetah_routed`.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — the
-    /// `Session` layout cache keeps fitted sharders and routed slices
-    /// resident per (shape, table, shard count), so a
-    /// `cheetah_serve::QueryRequest` pays execution only on repeats
-    /// without hand-threading keys. This entry point stays as the shim
-    /// the serving contract gates verify bit-identity against.
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn run_cheetah_pooled_routed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        left_keys: &[u64],
-        right_keys: Option<&[u64]>,
-        sharder: &Sharder,
-        ingest: &MasterIngestModel,
-        decision: PlanDecision,
-        plan: Option<ShardPlan>,
-    ) -> cheetah_core::Result<ShardedRun>;
-
-    /// The resident-data entry: shard slices were already routed (the
-    /// deployment model's steady state — each worker holds its slice of
-    /// the table from ingest on, the shuffle is not part of query
-    /// latency). Pays only per-shard execution + master merge; handing
-    /// workers `Arc` clones keeps repeat queries over the same layout
-    /// allocation-free on the input side.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — the
-    /// `Session` routes once, caches the `Arc` slices, and dispatches
-    /// repeat `cheetah_serve::QueryRequest`s against the resident
-    /// layout. This entry point stays as the shim the serving plane
-    /// itself executes through and the contract gates verify against.
-    #[doc(hidden)]
-    fn run_cheetah_presplit(
-        &self,
-        q: &DbQuery,
-        left_shards: &[Arc<Table>],
-        right_shards: Option<&[Arc<Table>]>,
-        ingest: &MasterIngestModel,
-        decision: PlanDecision,
-        plan: Option<ShardPlan>,
-    ) -> cheetah_core::Result<ShardedRun>;
-}
-
-impl PooledExecution for Cluster {
-    fn run_cheetah_pooled(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &ShardSpec,
-    ) -> cheetah_core::Result<ShardedRun> {
-        let seed = self.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        let sharder = fixed_sharder(spec, seed, &key_slices);
-        self.run_cheetah_pooled_routed(
-            q,
-            left,
-            right,
-            &left_keys,
-            right_keys.as_deref(),
-            &sharder,
-            &spec.ingest,
-            PlanDecision::Fixed(spec.partitioner),
-            None,
-        )
-    }
-
-    fn run_cheetah_pooled_routed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        left_keys: &[u64],
-        right_keys: Option<&[u64]>,
-        sharder: &Sharder,
-        ingest: &MasterIngestModel,
-        decision: PlanDecision,
-        plan: Option<ShardPlan>,
-    ) -> cheetah_core::Result<ShardedRun> {
-        let left_shards: Vec<Arc<Table>> = route_range(left, left_keys, sharder, 0, left.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let right_shards: Option<Vec<Arc<Table>>> = right.map(|r| {
-            route_range(r, right_keys.expect("keys computed"), sharder, 0, r.rows())
-                .into_iter()
-                .map(Arc::new)
-                .collect()
-        });
-        self.run_cheetah_presplit(q, &left_shards, right_shards.as_deref(), ingest, decision, plan)
-    }
-
-    fn run_cheetah_presplit(
-        &self,
-        q: &DbQuery,
-        left_shards: &[Arc<Table>],
-        right_shards: Option<&[Arc<Table>]>,
-        ingest: &MasterIngestModel,
-        decision: PlanDecision,
-        plan: Option<ShardPlan>,
-    ) -> cheetah_core::Result<ShardedRun> {
-        let shards = left_shards.len();
-        if let Some(r) = right_shards {
-            assert_eq!(r.len(), shards, "left/right shard layouts must agree");
-        }
-        let rows_per_shard: Vec<u64> = (0..shards)
-            .map(|s| left_shards[s].rows() as u64 + right_shards.map_or(0, |v| v[s].rows() as u64))
-            .collect();
-
-        // Jobs must be 'static: each takes an `Arc` handle onto its slice
-        // plus a clone of the (configuration-only, cheap) cluster and query.
-        // The submitting thread's span context (the session's `execute`
-        // span, when one is entered) rides into each job the same way, so
-        // per-shard `worker` spans land in the query's trace even though
-        // they run on pool threads.
-        let trace_ctx = SpanContext::current();
-        let pool = WorkerPool::global();
-        let (tx, rx) = mpsc::channel();
-        for (shard, l) in left_shards.iter().enumerate() {
-            let l = Arc::clone(l);
-            let r = right_shards.map(|v| Arc::clone(&v[shard]));
-            let cluster = self.clone();
-            let q = q.clone();
-            let tx = tx.clone();
-            let trace_ctx = trace_ctx.clone();
-            pool.spawn(move |_scratch| {
-                let span = trace_ctx.as_ref().map(|ctx| {
-                    let mut s = ctx.child("worker");
-                    s.attr("shard", shard);
-                    s
-                });
-                let run = cluster.run_cheetah(&q, &l, r.as_deref());
-                if let (Some(mut s), Ok(run)) = (span, run.as_ref()) {
-                    s.attr("rows", l.rows());
-                    s.attr("entries_to_master", run.breakdown.entries_to_master);
-                }
-                tx.send((shard, run)).ok();
-            });
-        }
-        drop(tx);
-
-        let mut runs: Vec<Option<_>> = (0..shards).map(|_| None).collect();
-        for _ in 0..shards {
-            let (shard, run) = rx.recv().expect("shard worker panicked");
-            runs[shard] = Some(run?);
-        }
-        let runs: Vec<_> = runs.into_iter().map(|r| r.expect("every shard reported")).collect();
-        let merge_span = trace_ctx.as_ref().map(|ctx| ctx.child("merge"));
-        let finished = finish_sharded(q, runs, &rows_per_shard, ingest, decision, plan);
-        if let Some(mut s) = merge_span {
-            s.attr("shards", shards);
-        }
-        Ok(finished)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_core::ShardPartitioner;
-    use cheetah_db::{DataType, DbPredicate, IntCmp, TableBuilder, Value};
-
-    fn table(rows: usize) -> Table {
-        let mut b = TableBuilder::new(
-            "t",
-            vec![("key".into(), DataType::Str), ("a".into(), DataType::Int)],
-            256,
-        );
-        let mut x = 9u64;
-        for _ in 0..rows {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            b.push_row(vec![Value::Str(format!("key-{}", x % 53)), Value::Int((x % 7_919) as i64)]);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn pooled_matches_scoped_barrier_run() {
-        let cluster = Cluster::default();
-        let t = table(2_000);
-        for q in [
-            DbQuery::Distinct { col: 0 },
-            DbQuery::FilterCount {
-                pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 4_000 },
-            },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-        ] {
-            for shards in [1usize, 3, 4] {
-                let spec = ShardSpec::new(shards, ShardPartitioner::Hash);
-                let scoped = cluster.run_cheetah_sharded(&q, &t, None, &spec).unwrap();
-                let pooled = cluster.run_cheetah_pooled(&q, &t, None, &spec).unwrap();
-                assert_eq!(scoped.output, pooled.output, "{} @ {shards}", q.kind());
-                assert_eq!(scoped.breakdown.shards, pooled.breakdown.shards);
-                assert_eq!(
-                    scoped.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                    pooled.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pool_reuse_is_bit_identical_across_back_to_back_variants() {
-        // The pool's scratch state (frame arenas, encode buffers) must
-        // never leak between queries: interleave different variants
-        // back-to-back on the same global pool and require every repeat
-        // to reproduce its first answer exactly.
-        use crate::{config::StreamSpec, runtime::StreamedExecution};
-        let cluster = Cluster::default();
-        let t = table(1_500);
-        let queries = [
-            DbQuery::Distinct { col: 0 },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-            DbQuery::TopN { order_col: 1, n: 10 },
-        ];
-        let spec = ShardSpec::new(4, ShardPartitioner::Hash);
-        let stream = StreamSpec::fixed(spec);
-        let first: Vec<_> = queries
-            .iter()
-            .map(|q| {
-                (
-                    cluster.run_cheetah_pooled(q, &t, None, &spec).unwrap().output,
-                    cluster.run_cheetah_streamed(q, &t, None, &stream).unwrap().output,
-                )
-            })
-            .collect();
-        for round in 0..3 {
-            for (q, (pooled0, streamed0)) in queries.iter().zip(&first) {
-                let pooled = cluster.run_cheetah_pooled(q, &t, None, &spec).unwrap();
-                let streamed = cluster.run_cheetah_streamed(q, &t, None, &stream).unwrap();
-                assert_eq!(&pooled.output, pooled0, "{} round {round}", q.kind());
-                assert_eq!(&streamed.output, streamed0, "{} round {round}", q.kind());
-                assert_eq!(pooled.output, cluster.run_baseline(q, &t, None).output);
-            }
-        }
-    }
 
     #[test]
     fn private_pool_runs_jobs_and_shuts_down_on_drop() {

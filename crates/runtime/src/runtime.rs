@@ -1,44 +1,43 @@
-//! The streamed dataflow: router → pooled shard workers → incremental
-//! merge.
+//! The one executor: pooled shard workers → master merge, over a routed
+//! [`ExecPlan`].
 //!
-//! Three roles share the run:
+//! Two roles share a run:
 //!
-//! * the **router** (the calling thread, before the merge plane starts)
-//!   walks the input in rounds, routes each round's rows by the current
-//!   [`Sharder`](cheetah_core::Sharder) into per-shard sub-tables
-//!   ([`route_range`], shared with the barrier twins), dispatches them
-//!   as work units over *unbounded* channels (so routing never blocks
-//!   behind a slow worker), and lets the [`RuntimeSupervisor`] re-fit
-//!   the boundaries between rounds;
 //! * one **worker job** per shard — submitted to the persistent
-//!   [`WorkerPool`], not spawned per query — runs
-//!   the unchanged generic executor on each unit, encodes the survivors
-//!   straight into its worker-resident
-//!   [`FrameBuilder`](cheetah_net::FrameBuilder) arena, and
-//!   streams the finished [`SurvivorBatch`] frames over a *bounded*
-//!   channel (a full channel blocks the worker — the backpressure that
-//!   stands in for sender pacing);
-//! * the **master merge plane** (the calling thread again, once routing
-//!   is done) parses frames zero-copy and folds the survivor slices
-//!   into a [`MergeState`] as they arrive — no per-item re-decode into
-//!   owned `MergeItem`s, no join barrier.
+//!   [`WorkerPool`], not spawned per query — runs the unchanged generic
+//!   executor ([`Cluster::run_cheetah`]) on each of its routed units and
+//!   hands the survivors to the master by the plan's transport
+//!   ([`ExecPath`]). On the **barrier** transport the completed outputs
+//!   ride the worker's end-of-stream report whole. On the **stream**
+//!   transport the worker encodes them straight into its worker-resident
+//!   [`FrameBuilder`](cheetah_net::FrameBuilder) arena and streams the
+//!   finished [`SurvivorBatch`] frames over a *bounded* channel (a full
+//!   channel blocks the worker — the backpressure that stands in for
+//!   sender pacing);
+//! * the **master merge plane** (the calling thread) either folds the
+//!   whole outputs once the last worker reports
+//!   ([`merge_shard_outputs`]), or parses frames zero-copy and folds the
+//!   survivor slices into a [`MergeState`] as they arrive — no per-item
+//!   re-decode into owned `MergeItem`s, no join barrier.
 //!
 //! Every timestamp is taken against one run-local epoch so the overlap —
 //! merge work performed while the slowest worker was still computing —
-//! can be read directly out of the event log afterwards.
+//! can be read directly out of the event log afterwards. One accounting
+//! tail (`assemble`) serves both transports; under the barrier the
+//! overlap is zero by construction.
 
-use crate::config::{FaultSpec, ShardLayout, StreamSpec};
+use crate::config::FaultSpec;
+use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
-use crate::supervisor::{ReplanEvent, RuntimeSupervisor};
+use crate::supervisor::ReplanEvent;
 use bytes::Bytes;
-use cheetah_core::plan::{PlanDecision, ShardPlan};
+use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
-    decompose_output, fixed_sharder, route_range, routing_keys, Cluster, DbQuery, MergeState,
-    QueryOutput, ShardStats, Table,
+    decompose_output, merge_shard_outputs, Cluster, DbQuery, ExecPath, MergeState, QueryOutput,
+    ShardStats, Table,
 };
 use cheetah_net::{
-    ExecBackend, ExecBreakdown, MasterIngestModel, SimRng, SurvivorBatch, SwitchAction, SwitchFlow,
-    WorkerFlow, MAX_BATCH_ITEMS,
+    ExecBackend, ExecBreakdown, SimRng, SurvivorBatch, SwitchAction, SwitchFlow, WorkerFlow,
 };
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::SpanContext;
@@ -46,222 +45,58 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Result of a streamed Cheetah execution — the streaming sibling of
-/// `cheetah_db::ShardedRun`, with the runtime's own telemetry on top.
+/// Result of executing an [`ExecPlan`].
 #[derive(Debug, Clone)]
-pub struct StreamedRun {
-    /// Merged, normalized query output — equal to the barrier runs' and
-    /// the baseline's.
+pub struct ExecRun {
+    /// Merged, normalized query output — equal to the baseline's on
+    /// either transport.
     pub output: QueryOutput,
     /// Phase breakdown. `master_seconds` already discounts
     /// `overlap_seconds` (merge work hidden behind still-running
-    /// workers), so `completion_seconds` stays comparable across the
-    /// three twins.
+    /// workers), so `completion_seconds` stays comparable across
+    /// transports.
     pub breakdown: ExecBreakdown,
-    /// Switch statistics summed across every shard's per-round programs.
+    /// Switch statistics summed across every shard's per-unit programs.
     pub switch_stats: ProgramStats,
-    /// Per-shard accounting, rounds summed.
+    /// Per-shard accounting, rounds summed (the §4.6 skew story).
     pub per_shard: Vec<ShardStats>,
-    /// Total merge-plane work: every `ingest_batch` plus the final
-    /// `finish`, overlapped or not.
+    /// Total merge-plane work: every frame ingest plus the final fold,
+    /// overlapped or not.
     pub merge_seconds: f64,
-    /// Merge items per survivor batch this run framed at.
+    /// Merge items per survivor frame the plan's stream transport frames
+    /// at.
     pub batch_size: usize,
-    /// Survivor batches the master ingested.
+    /// Survivor frames the master ingested (zero on the barrier).
     pub batches: u64,
     /// Modelled wire bytes of those frames.
     pub batch_wire_bytes: u64,
-    /// Input rounds the router dispatched (1 for key-holistic queries).
+    /// Input rounds the plan was routed in (1 for key-holistic queries).
     pub rounds: usize,
-    /// The supervisor's intervention log (adopted and rejected re-fits).
+    /// The supervisor's intervention log from plan construction (adopted
+    /// and rejected re-fits).
     pub replan_events: Vec<ReplanEvent>,
     /// The up-front plan, when the layout was planner-chosen.
-    pub plan: Option<ShardPlan>,
+    pub plan: Option<Arc<ShardPlan>>,
     /// Control-plane rules of the largest per-shard program.
     pub rules: usize,
 }
 
-/// The streamed execution entry point, implemented for
-/// [`Cluster`] — `use cheetah_runtime::StreamedExecution` brings
-/// `cluster.run_cheetah_streamed(..)` into scope as the third twin next
-/// to `run_cheetah_sharded` / `run_cheetah_planned`.
-pub trait StreamedExecution {
-    /// Execute `q` through the event-driven shard runtime: route rows in
-    /// rounds, prune per shard on worker threads, stream survivor
-    /// batches into the incremental master merge, re-plan mid-run when
-    /// the supervisor sees the load tip over.
-    ///
-    /// Output equals `run_baseline`'s for every query shape — streaming
-    /// changes *when* survivors reach the master, never *what* the query
-    /// answers.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — build a
-    /// `cheetah_serve::QueryRequest` (pin `.path(StreamedResident)` or
-    /// let the bandit choose) and call `Session::run_blocking` /
-    /// `Session::submit`. This entry point stays as the shim the
-    /// serving contract gates verify bit-identity against.
-    #[doc(hidden)]
-    fn run_cheetah_streamed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> cheetah_core::Result<StreamedRun>;
-
-    /// Derive everything layout-shaped about a streamed run — routing
-    /// keys, the fitted sharder, and the per-round, per-shard input
-    /// slices — without executing it. The returned [`StreamLayout`] is
-    /// the streaming analogue of pre-routed resident data: build it once
-    /// at ingest time, run [`run_cheetah_streamed_resident`] against it
-    /// as often as you like.
-    ///
-    /// [`run_cheetah_streamed_resident`]: StreamedExecution::run_cheetah_streamed_resident
-    fn plan_stream(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> StreamLayout;
-
-    /// The resident-data streamed twin: workers stream their
-    /// already-routed slices (`Arc` handles out of a [`StreamLayout`])
-    /// through the same pooled prune → frame → incremental-merge plane
-    /// as [`run_cheetah_streamed`]. No keys are derived, no rows are
-    /// cloned, no supervisor runs — the layout is fixed by construction,
-    /// so there is nothing to re-fit mid-run. Output is identical to the
-    /// routing twin's when no mid-run re-plan fired there.
-    ///
-    /// **Deprecated**: prefer the serving plane's front door — the
-    /// `Session` assembles and caches `StreamLayout`s per (shape,
-    /// table, shard count) and dispatches streamed
-    /// `cheetah_serve::QueryRequest`s against them. This entry point
-    /// stays as the shim the serving plane itself executes through and
-    /// the contract gates verify against.
-    ///
-    /// [`run_cheetah_streamed`]: StreamedExecution::run_cheetah_streamed
-    #[doc(hidden)]
-    fn run_cheetah_streamed_resident(
-        &self,
-        q: &DbQuery,
-        layout: &StreamLayout,
-    ) -> cheetah_core::Result<StreamedRun>;
-}
-
-/// A fully-routed streamed input layout: which rows of which round land
-/// on which shard, plus the spec-derived knobs the run needs
-/// (batch size, channel depth, ingest model, plan provenance).
+/// Execute `q` over the routed `plan`: prune every unit on pool workers
+/// (each with its own planned switch program), carry the survivors to
+/// the master by the plan's transport, merge, account.
 ///
-/// Produced by [`StreamedExecution::plan_stream`]; consumed (repeatedly)
-/// by [`StreamedExecution::run_cheetah_streamed_resident`].
-#[derive(Clone)]
-pub struct StreamLayout {
-    /// `units[round][shard]` — the left-stream slice that shard prunes
-    /// in that round.
-    units: Vec<Vec<Arc<Table>>>,
-    /// Co-partitioned right stream (binary queries), dispatched with
-    /// round 0.
-    right_units: Option<Vec<Arc<Table>>>,
-    /// Rows routed per shard (authoritative, includes empty units).
-    dispatched: Vec<u64>,
-    shards: usize,
-    rounds: usize,
-    batch_size: usize,
-    channel_depth: usize,
-    fault: Option<FaultSpec>,
-    ingest: MasterIngestModel,
-    decision: PlanDecision,
-    plan: Option<ShardPlan>,
+/// Output equals `run_baseline`'s for every query shape, shard count,
+/// partitioner, transport and backend — the transport changes *when*
+/// survivors reach the master, never *what* the query answers. `q` must
+/// be the query the plan was routed for.
+pub fn execute(cluster: &Cluster, q: &DbQuery, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
+    let epoch = Instant::now();
+    let plane = spawn_worker_plane(cluster, q, plan, epoch);
+    let fold = drain_merge_plane(q, plan, plane, epoch)?;
+    Ok(assemble(fold, plan, cluster.backend))
 }
 
-impl StreamLayout {
-    /// Shard count of the layout.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Input rounds the dispatcher will walk.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Rows routed to each shard.
-    pub fn dispatched(&self) -> &[u64] {
-        &self.dispatched
-    }
-
-    /// Assemble a resident layout from already-routed slices, skipping
-    /// key derivation and sharder fitting entirely. This is the serving
-    /// plane's entry point: a session that has presplit a table once
-    /// (and cached the `Arc` slices) can wrap the same slices as a
-    /// one-round-per-`units`-entry streamed layout and run
-    /// [`run_cheetah_streamed_resident`] against it — the pooled path
-    /// and the streamed path then share one routing pass.
-    ///
-    /// `units[round][shard]` must be rectangular and non-empty: every
-    /// round slices the input across the same shard set. `batch` of
-    /// `None` asks the ingest model for its suggested batch size, as
-    /// [`plan_stream`] does; `channel_depth` of `None` likewise derives
-    /// the in-flight frame budget from the model's link rates
-    /// ([`suggested_depth`](MasterIngestModel::suggested_depth)).
-    ///
-    /// [`run_cheetah_streamed_resident`]: StreamedExecution::run_cheetah_streamed_resident
-    /// [`plan_stream`]: StreamedExecution::plan_stream
-    pub fn from_units(
-        units: Vec<Vec<Arc<Table>>>,
-        right_units: Option<Vec<Arc<Table>>>,
-        ingest: MasterIngestModel,
-        decision: PlanDecision,
-        plan: Option<ShardPlan>,
-        batch: Option<usize>,
-        channel_depth: Option<usize>,
-    ) -> StreamLayout {
-        assert!(
-            !units.is_empty() && !units[0].is_empty(),
-            "a resident layout needs at least one round over at least one shard"
-        );
-        let shards = units[0].len();
-        assert!(
-            units.iter().all(|round| round.len() == shards),
-            "every round must slice the input across the same shard set"
-        );
-        let rounds = units.len();
-        let mut dispatched = vec![0u64; shards];
-        for round in &units {
-            for (shard, t) in round.iter().enumerate() {
-                dispatched[shard] += t.rows() as u64;
-            }
-        }
-        let batch_size =
-            batch.unwrap_or_else(|| ingest.suggested_batch(shards)).clamp(1, MAX_BATCH_ITEMS);
-        let channel_depth =
-            channel_depth.map_or_else(|| ingest.suggested_depth(shards), |d| d.max(1));
-        StreamLayout {
-            units,
-            right_units,
-            dispatched,
-            shards,
-            rounds,
-            batch_size,
-            channel_depth,
-            fault: None,
-            ingest,
-            decision,
-            plan,
-        }
-    }
-}
-
-/// One routed slice of one shard's input for one round. Units carry
-/// `Arc` handles so a resident layout can re-dispatch the same slices
-/// query after query without re-cloning a row.
-struct WorkUnit {
-    left: Arc<Table>,
-    right: Option<Arc<Table>>,
-}
-
-/// What a shard worker hands back when its unit stream closes.
+/// What a shard worker hands back when its units are done.
 #[derive(Default)]
 struct WorkerReport {
     stats: ShardStats,
@@ -270,52 +105,63 @@ struct WorkerReport {
     rules: usize,
     /// Seconds since the run epoch at which this worker went idle.
     finished_at: f64,
-    /// Pruning backend the worker's unit runs actually executed on.
-    backend: ExecBackend,
+    /// Pruning backend the worker's unit runs actually executed on
+    /// (`None` when every unit was empty and nothing ran).
+    backend: Option<ExecBackend>,
     /// Go-back-N resends this shard's flow needed (zero when lossless).
     retransmits: u64,
+    /// Barrier transport: the completed output of every unit.
+    outputs: Vec<QueryOutput>,
 }
 
-/// What the router hands back.
-struct RouterReport {
-    dispatched: Vec<u64>,
-    events: Vec<ReplanEvent>,
-}
-
-/// The live channels of a spawned worker plane: one unit stream per
-/// shard in, survivor frames and end-of-stream reports out. Under a
-/// faulty channel the master also holds one unbounded ACK sender per
-/// shard (empty when lossless) — unbounded so acking never blocks the
-/// merge plane behind a slow worker.
+/// The live channels of a spawned worker plane: survivor frames and
+/// end-of-stream reports out. Under a faulty channel the master also
+/// holds one unbounded ACK sender per shard (empty when lossless) —
+/// unbounded so acking never blocks the merge plane behind a slow worker.
 struct WorkerPlane {
-    unit_txs: Vec<mpsc::Sender<WorkUnit>>,
     batch_rx: mpsc::Receiver<Bytes>,
     report_rx: mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>,
     ack_txs: Vec<mpsc::Sender<u64>>,
 }
 
-/// Submit one pool job per shard: each owns its unit stream plus cheap
-/// clones of the cluster config and query, prunes every unit through the
-/// unchanged generic executor, and frames the survivors out of its
-/// worker-resident arena straight onto the bounded batch channel.
+/// Submit one pool job per shard: each owns `Arc` handles onto its routed
+/// units plus cheap clones of the cluster config and query, prunes every
+/// non-empty unit through the unchanged generic executor, and — on the
+/// stream transport — frames the survivors out of its worker-resident
+/// arena straight onto the bounded batch channel.
 fn spawn_worker_plane(
     cluster: &Cluster,
     q: &DbQuery,
-    shards: usize,
-    batch_size: usize,
-    channel_depth: usize,
-    fault: Option<&FaultSpec>,
+    plan: &ExecPlan,
     epoch: Instant,
 ) -> WorkerPlane {
-    let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(channel_depth.max(1) * shards);
+    let shards = plan.shards();
+    let stream = plan.path == ExecPath::StreamedResident;
+    let batch_size = plan.batch;
+    let fault = plan.fault.as_ref().filter(|_| stream);
+    let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(plan.depth * shards);
     let (report_tx, report_rx) = mpsc::channel::<(usize, cheetah_core::Result<WorkerReport>)>();
-    let mut unit_txs = Vec::with_capacity(shards);
     let mut ack_txs = Vec::new();
-    let window = fault.map(|f| f.window.unwrap_or(channel_depth.max(1) as u64).max(1));
+    let window = fault.map(|f| f.window.unwrap_or(plan.depth as u64).max(1));
     let pool = WorkerPool::global();
+    // The submitting thread's span context (the session's `execute` span,
+    // when one is entered) rides into each job, so per-shard `worker`
+    // spans land in the query's trace even though they run on pool
+    // threads.
+    let trace_ctx = SpanContext::current();
     for shard in 0..shards {
-        let (unit_tx, unit_rx) = mpsc::channel::<WorkUnit>();
-        unit_txs.push(unit_tx);
+        // The right stream rides round 0; all-empty units never reach the
+        // executor (the plan's dispatch counts stay authoritative).
+        let units: Vec<(Arc<Table>, Option<Arc<Table>>)> = plan
+            .units
+            .iter()
+            .enumerate()
+            .map(|(round, slices)| {
+                let right = plan.right_units.as_ref().filter(|_| round == 0);
+                (Arc::clone(&slices[shard]), right.map(|v| Arc::clone(&v[shard])))
+            })
+            .filter(|(l, r)| l.rows() + r.as_ref().map_or(0, |t| t.rows()) > 0)
+            .collect();
         let fault_lane = fault.map(|f| {
             let (ack_tx, ack_rx) = mpsc::channel::<u64>();
             ack_txs.push(ack_tx);
@@ -325,7 +171,7 @@ fn spawn_worker_plane(
         let q = q.clone();
         let batch_tx = batch_tx.clone();
         let report_tx = report_tx.clone();
-        let trace_ctx = SpanContext::current();
+        let trace_ctx = trace_ctx.clone();
         pool.spawn(move |scratch| {
             let mut worker_span = trace_ctx.as_ref().map(|ctx| {
                 let mut s = ctx.child("worker");
@@ -338,8 +184,8 @@ fn spawn_worker_plane(
             // eagerly: the go-back-N window needs the whole flow (and its
             // length) so retransmitted frames can be replayed verbatim.
             let mut flow_frames: Vec<Bytes> = Vec::new();
-            'units: for unit in unit_rx {
-                let run = match cluster.run_cheetah(&q, &unit.left, unit.right.as_deref()) {
+            'units: for (left, right) in units {
+                let run = match cluster.run_cheetah(&q, &left, right.as_deref()) {
                     Ok(run) => run,
                     Err(e) => {
                         report_tx.send((shard, Err(e))).ok();
@@ -347,7 +193,7 @@ fn spawn_worker_plane(
                     }
                 };
                 rep.stats.rows +=
-                    unit.left.rows() as u64 + unit.right.as_ref().map_or(0, |r| r.rows() as u64);
+                    left.rows() as u64 + right.as_ref().map_or(0, |r| r.rows() as u64);
                 rep.stats.worker_seconds += run.breakdown.worker_seconds;
                 rep.stats.master_seconds += run.breakdown.master_seconds;
                 rep.stats.worker_wire_bytes += run.breakdown.worker_wire_bytes;
@@ -360,7 +206,11 @@ fn spawn_worker_plane(
                 rep.switch.forwarded += run.switch_stats.forwarded;
                 rep.passes = rep.passes.max(run.breakdown.passes);
                 rep.rules = rep.rules.max(run.rules);
-                rep.backend = run.breakdown.backend;
+                rep.backend = Some(run.breakdown.backend);
+                if !stream {
+                    rep.outputs.push(run.output);
+                    continue;
+                }
                 let items = decompose_output(&q, run.output);
                 for chunk in items.chunks(batch_size) {
                     // Encode each survivor once, straight into the
@@ -411,7 +261,7 @@ fn spawn_worker_plane(
     }
     // The master's recv loops must end when the last worker does — the
     // only live senders are the ones captured by the jobs.
-    WorkerPlane { unit_txs, batch_rx, report_rx, ack_txs }
+    WorkerPlane { batch_rx, report_rx, ack_txs }
 }
 
 /// Drive one shard's buffered frames to the master across the seeded
@@ -483,26 +333,26 @@ fn stream_lossy(
     flow.retransmissions
 }
 
-/// The master merge plane: fold survivor slices as frames land, then
-/// collect the per-shard end-of-stream reports. The batch parses
-/// zero-copy (offsets into the frame's arena) and the merge folds each
-/// slice directly — decode work happens exactly once, here, per
-/// survivor. `unit_txs` must already be dropped (or the recv loop never
-/// ends).
+/// The master merge plane. On the stream transport: fold survivor slices
+/// as frames land — the batch parses zero-copy (offsets into the frame's
+/// arena) and the merge folds each slice directly, so decode work happens
+/// exactly once, here, per survivor. On the barrier transport no frame is
+/// ever sent: the loop just waits out the workers, and the whole outputs
+/// off their reports are folded afterwards.
 fn drain_merge_plane(
     q: &DbQuery,
-    epoch: Instant,
+    plan: &ExecPlan,
     plane: WorkerPlane,
-    router: RouterReport,
-    ctx: AssembleCtx,
-) -> cheetah_core::Result<StreamedRun> {
-    let WorkerPlane { unit_txs, batch_rx, report_rx, ack_txs } = plane;
-    debug_assert!(unit_txs.is_empty(), "dispatch must close the unit streams");
-    drop(unit_txs);
+    epoch: Instant,
+) -> cheetah_core::Result<Fold> {
+    let WorkerPlane { batch_rx, report_rx, ack_txs } = plane;
+    let shards = plan.shards();
+    let stream = plan.path == ExecPath::StreamedResident;
     // The merge plane runs on the submitting thread, so the session's
-    // entered `execute` span (if any) is directly visible here.
-    let mut merge_span = SpanContext::current().map(|tc| tc.child("merge"));
-    let shards = ctx.shards;
+    // entered `execute` span (if any) is directly visible here. The
+    // barrier's merge span opens only once the workers are done.
+    let open_merge_span = || SpanContext::current().map(|tc| tc.child("merge"));
+    let mut merge_span = stream.then(open_merge_span).flatten();
     let faulty = !ack_txs.is_empty();
     let mut state = MergeState::new(q);
     let mut merge_events: Vec<(f64, f64)> = Vec::new();
@@ -543,9 +393,6 @@ fn drain_merge_plane(
         merge_events.push((start, epoch.elapsed().as_secs_f64() - start));
     }
     drop(ack_txs);
-    let finish_start = epoch.elapsed().as_secs_f64();
-    let output = state.finish();
-    let finish_seconds = epoch.elapsed().as_secs_f64() - finish_start;
 
     // Every batch sender has dropped, so every job has finished (or
     // errored): the reports are all in flight already.
@@ -554,283 +401,45 @@ fn drain_merge_plane(
         let (shard, rep) = report_rx.recv().expect("shard worker panicked");
         reports[shard] = Some(rep?);
     }
-    let reports: Vec<WorkerReport> =
+    let mut reports: Vec<WorkerReport> =
         reports.into_iter().map(|r| r.expect("every shard reported")).collect();
+
+    let finish_start = epoch.elapsed().as_secs_f64();
+    let output = if stream {
+        state.finish()
+    } else {
+        merge_span = open_merge_span();
+        let outputs = reports.iter_mut().flat_map(|r| std::mem::take(&mut r.outputs)).collect();
+        merge_shard_outputs(q, outputs)
+    };
+    let finish_seconds = epoch.elapsed().as_secs_f64() - finish_start;
 
     if let Some(s) = merge_span.as_mut() {
         s.attr("shards", shards);
-        s.attr("batches", batches);
+        if stream {
+            s.attr("batches", batches);
+        }
     }
     drop(merge_span);
 
-    let fold =
-        Fold { output, reports, router, merge_events, finish_seconds, batches, batch_wire_bytes };
-    Ok(assemble(fold, ctx))
+    Ok(Fold { output, reports, merge_events, finish_seconds, batches, batch_wire_bytes })
 }
 
-impl StreamedExecution for Cluster {
-    fn run_cheetah_streamed(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> cheetah_core::Result<StreamedRun> {
-        let epoch = Instant::now();
-        let seed = self.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-
-        let (sharder0, ingest, plan, decision) = match &spec.layout {
-            ShardLayout::Fixed(s) => (
-                fixed_sharder(s, seed, &key_slices),
-                s.ingest,
-                None,
-                PlanDecision::Fixed(s.partitioner),
-            ),
-            ShardLayout::Planned(p) => {
-                let plan = p.plan_from_keys(&key_slices, seed);
-                let decision = PlanDecision::Planned(plan.report.partitioner);
-                (plan.sharder.clone(), p.cfg.ingest, Some(plan), decision)
-            }
-        };
-        let shards = sharder0.shards();
-        // Clamp to what one frame can carry — a user-pinned batch above
-        // the 16-bit item count would otherwise panic the framing.
-        let batch_size =
-            spec.batch.unwrap_or_else(|| ingest.suggested_batch(shards)).clamp(1, MAX_BATCH_ITEMS);
-        // Input rounds only where the merge tolerates rows moving between
-        // executor runs; HAVING/JOIN take their whole shard slice at once.
-        let rounds = if q.merge_routing_agnostic() { spec.rounds.max(1) } else { 1 };
-        let channel_depth =
-            spec.channel_depth.map_or_else(|| ingest.suggested_depth(shards), |d| d.max(1));
-
-        let mut plane = spawn_worker_plane(
-            self,
-            q,
-            shards,
-            batch_size,
-            channel_depth,
-            spec.fault.as_ref(),
-            epoch,
-        );
-
-        // Router, inline on the calling thread: rounds, dispatch,
-        // supervised re-fits. Unit channels are unbounded, so routing
-        // never blocks behind a busy worker — by the time the merge
-        // plane below starts draining, every unit is already dispatched
-        // and the re-plan decisions are identical to the concurrent
-        // router's (they read only the dispatch counters).
-        let router = {
-            let mut sharder = sharder0.clone();
-            let right_keys = right_keys.as_deref();
-            let mut supervisor =
-                RuntimeSupervisor::new(spec.imbalance_factor, spec.supervisor_sample, seed);
-            let mut dispatched = vec![0u64; shards];
-            let total = left.rows();
-            for round in 0..rounds {
-                let lo = round * total / rounds;
-                let hi = (round + 1) * total / rounds;
-                let left_slices = route_range(left, &left_keys, &sharder, lo, hi);
-                // The right stream of a binary query rides the single
-                // round, co-partitioned by the same sharder.
-                let right_slices: Option<Vec<Arc<Table>>> = (round == 0)
-                    .then(|| {
-                        right.map(|r| {
-                            route_range(
-                                r,
-                                right_keys.expect("keys computed"),
-                                &sharder,
-                                0,
-                                r.rows(),
-                            )
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect()
-                        })
-                    })
-                    .flatten();
-                for (shard, l) in left_slices.into_iter().enumerate() {
-                    let r = right_slices.as_ref().map(|v| Arc::clone(&v[shard]));
-                    let unit_rows = l.rows() + r.as_ref().map_or(0, |t| t.rows());
-                    dispatched[shard] += unit_rows as u64;
-                    if unit_rows == 0 {
-                        continue;
-                    }
-                    plane.unit_txs[shard].send(WorkUnit { left: Arc::new(l), right: r }).ok();
-                }
-                if spec.replan && round + 1 < rounds {
-                    if let Some(refit) =
-                        supervisor.consider(round, &dispatched, &left_keys[hi..], &sharder)
-                    {
-                        sharder = refit;
-                    }
-                }
-            }
-            RouterReport { dispatched, events: supervisor.into_events() }
-        };
-        plane.unit_txs.clear();
-
-        drain_merge_plane(
-            q,
-            epoch,
-            plane,
-            router,
-            AssembleCtx { ingest, plan, decision, shards, batch_size, rounds },
-        )
-    }
-
-    fn plan_stream(
-        &self,
-        q: &DbQuery,
-        left: &Table,
-        right: Option<&Table>,
-        spec: &StreamSpec,
-    ) -> StreamLayout {
-        let seed = self.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let key_slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        let (sharder, ingest, plan, decision) = match &spec.layout {
-            ShardLayout::Fixed(s) => (
-                fixed_sharder(s, seed, &key_slices),
-                s.ingest,
-                None,
-                PlanDecision::Fixed(s.partitioner),
-            ),
-            ShardLayout::Planned(p) => {
-                let plan = p.plan_from_keys(&key_slices, seed);
-                let decision = PlanDecision::Planned(plan.report.partitioner);
-                (plan.sharder.clone(), p.cfg.ingest, Some(plan), decision)
-            }
-        };
-        let shards = sharder.shards();
-        let batch_size =
-            spec.batch.unwrap_or_else(|| ingest.suggested_batch(shards)).clamp(1, MAX_BATCH_ITEMS);
-        let rounds = if q.merge_routing_agnostic() { spec.rounds.max(1) } else { 1 };
-        let total = left.rows();
-        let mut dispatched = vec![0u64; shards];
-        let mut units = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            let lo = round * total / rounds;
-            let hi = (round + 1) * total / rounds;
-            let slices: Vec<Arc<Table>> =
-                route_range(left, &left_keys, &sharder, lo, hi).into_iter().map(Arc::new).collect();
-            for (shard, t) in slices.iter().enumerate() {
-                dispatched[shard] += t.rows() as u64;
-            }
-            units.push(slices);
-        }
-        let right_units: Option<Vec<Arc<Table>>> = right.map(|r| {
-            let slices: Vec<Arc<Table>> = route_range(
-                r,
-                right_keys.as_deref().expect("keys computed"),
-                &sharder,
-                0,
-                r.rows(),
-            )
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-            for (shard, t) in slices.iter().enumerate() {
-                dispatched[shard] += t.rows() as u64;
-            }
-            slices
-        });
-        StreamLayout {
-            units,
-            right_units,
-            dispatched,
-            shards,
-            rounds,
-            batch_size,
-            channel_depth: spec
-                .channel_depth
-                .map_or_else(|| ingest.suggested_depth(shards), |d| d.max(1)),
-            fault: spec.fault.clone(),
-            ingest,
-            decision,
-            plan,
-        }
-    }
-
-    fn run_cheetah_streamed_resident(
-        &self,
-        q: &DbQuery,
-        layout: &StreamLayout,
-    ) -> cheetah_core::Result<StreamedRun> {
-        let epoch = Instant::now();
-        let shards = layout.shards;
-        let mut plane = spawn_worker_plane(
-            self,
-            q,
-            shards,
-            layout.batch_size,
-            layout.channel_depth,
-            layout.fault.as_ref(),
-            epoch,
-        );
-        // Dispatch is `Arc` clones of resident slices — no routing, no
-        // row movement, no supervisor (a resident layout is fixed by
-        // construction, so there is nothing to re-fit mid-run).
-        for (round, slices) in layout.units.iter().enumerate() {
-            for (shard, l) in slices.iter().enumerate() {
-                let r = (round == 0)
-                    .then(|| layout.right_units.as_ref().map(|v| Arc::clone(&v[shard])))
-                    .flatten();
-                if l.rows() + r.as_ref().map_or(0, |t| t.rows()) == 0 {
-                    continue;
-                }
-                plane.unit_txs[shard].send(WorkUnit { left: Arc::clone(l), right: r }).ok();
-            }
-        }
-        plane.unit_txs.clear();
-        let router = RouterReport { dispatched: layout.dispatched.clone(), events: Vec::new() };
-        drain_merge_plane(
-            q,
-            epoch,
-            plane,
-            router,
-            AssembleCtx {
-                ingest: layout.ingest,
-                plan: layout.plan.clone(),
-                decision: layout.decision,
-                shards,
-                batch_size: layout.batch_size,
-                rounds: layout.rounds,
-            },
-        )
-    }
-}
-
-/// Everything the scope produced, before accounting.
+/// Everything the worker and merge planes produced, before accounting.
 struct Fold {
     output: QueryOutput,
     reports: Vec<WorkerReport>,
-    router: RouterReport,
     merge_events: Vec<(f64, f64)>,
     finish_seconds: f64,
     batches: u64,
     batch_wire_bytes: u64,
 }
 
-struct AssembleCtx {
-    ingest: MasterIngestModel,
-    plan: Option<ShardPlan>,
-    decision: PlanDecision,
-    shards: usize,
-    batch_size: usize,
-    rounds: usize,
-}
-
 /// Turn the raw fold into the run's accounting: the overlap is the merge
-/// work that happened before the slowest worker went idle.
-fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
-    let Fold { output, reports, router, merge_events, finish_seconds, batches, batch_wire_bytes } =
-        fold;
+/// work that happened before the slowest worker went idle (none on the
+/// barrier transport, whose merge starts after the last worker).
+fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
+    let Fold { output, reports, merge_events, finish_seconds, batches, batch_wire_bytes } = fold;
     let last_worker = reports.iter().map(|r| r.finished_at).fold(0.0, f64::max);
     let ingest_seconds: f64 = merge_events.iter().map(|(_, d)| d).sum();
     let overlap_seconds: f64 = merge_events
@@ -840,9 +449,9 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
     let merge_seconds = ingest_seconds + finish_seconds;
 
     let mut per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
-    for (s, rows) in router.dispatched.iter().enumerate() {
+    for (s, rows) in plan.dispatched.iter().enumerate() {
         // Rows routed to a shard whose every unit was empty never reach a
-        // worker; the router's count is authoritative.
+        // worker; the plan's count is authoritative.
         per_shard[s].rows = *rows;
     }
     let switch_stats = reports.iter().fold(ProgramStats::default(), |mut acc, r| {
@@ -852,7 +461,7 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
         acc
     });
     let entries_per_shard: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
-    let replans = router.events.iter().filter(|e| e.adopted).count() as u32;
+    let replans = plan.replan_events.iter().filter(|e| e.adopted).count() as u32;
 
     let breakdown = ExecBreakdown {
         // Workers run concurrently; the slowest shard bounds the phase.
@@ -865,29 +474,31 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
         master_wire_bytes: per_shard.iter().map(|s| s.master_wire_bytes).sum(),
         entries_to_master: entries_per_shard.iter().sum(),
         passes: reports.iter().map(|r| r.passes).max().unwrap_or(1),
-        shards: ctx.shards as u32,
-        master_ingest_seconds: ctx.ingest.blocking_latency_sharded(&entries_per_shard),
-        plan: Some(ctx.decision),
+        shards: plan.shards() as u32,
+        master_ingest_seconds: plan.ingest.blocking_latency_sharded(&entries_per_shard),
+        plan: Some(plan.decision),
         overlap_seconds,
         replans,
-        // All workers clone one cluster; any report speaks for the run.
-        backend: reports.first().map(|r| r.backend).unwrap_or_default(),
+        // All workers clone one cluster, so any report that ran a unit
+        // speaks for the run (a compiled-requested run that fell back
+        // records the fallback here too).
+        backend: reports.iter().find_map(|r| r.backend).unwrap_or(requested),
         retransmits: reports.iter().map(|r| r.retransmits).sum(),
         ..ExecBreakdown::default()
     };
     let rules = reports.iter().map(|r| r.rules).max().unwrap_or(0);
-    StreamedRun {
+    ExecRun {
         output,
         breakdown,
         switch_stats,
         per_shard,
         merge_seconds,
-        batch_size: ctx.batch_size,
+        batch_size: plan.batch,
         batches,
         batch_wire_bytes,
-        rounds: ctx.rounds,
-        replan_events: router.events,
-        plan: ctx.plan,
+        rounds: plan.rounds(),
+        replan_events: plan.replan_events.clone(),
+        plan: plan.plan.clone(),
         rules,
     }
 }
@@ -895,10 +506,15 @@ fn assemble(fold: Fold, ctx: AssembleCtx) -> StreamedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_core::{ShardPartitioner, Sharder};
-    use cheetah_db::{DataType, DbPredicate, IntCmp, ShardSpec, TableBuilder, Value};
+    use crate::config::{ShardLayout, StreamSpec};
+    use cheetah_core::ShardPartitioner;
+    use cheetah_db::{
+        DataType, DbPredicate, IntCmp, MasterIngestModel, ShardSpec, TableBuilder, Value,
+    };
 
-    fn table(rows: usize, parts: usize) -> Table {
+    const PATHS: [ExecPath; 2] = [ExecPath::BarrierPooled, ExecPath::StreamedResident];
+
+    fn table(rows: usize, parts: usize) -> Arc<Table> {
         let mut b = TableBuilder::new(
             "t",
             vec![
@@ -917,43 +533,21 @@ mod tests {
                 Value::Int((i % 500) as i64),
             ]);
         }
-        b.build()
+        Arc::new(b.build())
+    }
+
+    fn fixed(shards: usize, partitioner: ShardPartitioner) -> StreamSpec {
+        StreamSpec::fixed(ShardSpec::new(shards, partitioner))
+    }
+
+    fn plan_of(q: &DbQuery, t: &Arc<Table>, r: Option<&Arc<Table>>, spec: &StreamSpec) -> ExecPlan {
+        ExecPlan::new(&Cluster::default(), q, t, r, spec).expect("routes")
     }
 
     #[test]
-    fn route_range_partitions_exactly_the_requested_rows() {
-        let t = table(1_000, 4);
-        let keys: Vec<u64> = (0..1_000u64).collect();
-        let sharder = Sharder::new(ShardPartitioner::Hash, 3, 9);
-        let mid = route_range(&t, &keys, &sharder, 250, 750);
-        assert_eq!(mid.iter().map(Table::rows).sum::<usize>(), 500);
-        let all = route_range(&t, &keys, &sharder, 0, 1_000);
-        assert_eq!(all.iter().map(Table::rows).sum::<usize>(), 1_000);
-        let none = route_range(&t, &keys, &sharder, 400, 400);
-        assert_eq!(none.iter().map(Table::rows).sum::<usize>(), 0);
-        assert_eq!(none.len(), 3, "every shard gets a (possibly empty) table");
-    }
-
-    #[test]
-    fn round_slices_cover_the_input_exactly_once() {
-        let t = table(997, 3);
-        let keys: Vec<u64> = (0..997u64).rev().collect();
-        let sharder = Sharder::new(ShardPartitioner::Hash, 4, 1);
-        let rounds = 4;
-        let mut covered = 0usize;
-        for round in 0..rounds {
-            let lo = round * t.rows() / rounds;
-            let hi = (round + 1) * t.rows() / rounds;
-            covered +=
-                route_range(&t, &keys, &sharder, lo, hi).iter().map(Table::rows).sum::<usize>();
-        }
-        assert_eq!(covered, 997);
-    }
-
-    #[test]
-    fn streamed_matches_baseline_on_a_simple_grid() {
-        // The full 7×4×{1,2,7} grid lives in the runtime_contract gate;
-        // this is the crate-local smoke version.
+    fn both_transports_match_baseline_on_a_simple_grid() {
+        // The full 7×4×{1,2,7} grid lives in the contract gates; this is
+        // the crate-local smoke version.
         let cluster = Cluster::default();
         let t = table(2_000, 4);
         let queries = [
@@ -968,152 +562,117 @@ mod tests {
         for q in queries {
             let base = cluster.run_baseline(&q, &t, None);
             for shards in [1usize, 4] {
-                let spec = StreamSpec::fixed(ShardSpec::new(shards, ShardPartitioner::Hash));
-                let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-                assert_eq!(base.output, run.output, "{} @ {shards}", q.kind());
-                assert_eq!(run.breakdown.shards as usize, shards);
-                assert_eq!(
-                    run.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                    2_000,
-                    "{}: routed rows lost",
-                    q.kind()
-                );
-                assert!(run.batches > 0, "{}: survivors must arrive in batches", q.kind());
-                assert!(run.breakdown.overlap_seconds <= run.merge_seconds + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn key_holistic_queries_run_one_round_and_never_replan() {
-        let cluster = Cluster::default();
-        let l = table(1_200, 3);
-        let r = table(600, 2);
-        let q = DbQuery::Join { left_key: 0, right_key: 0 };
-        let mut spec = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
-        spec.imbalance_factor = 0.0; // trigger at any imbalance — must still not fire
-        let run = cluster.run_cheetah_streamed(&q, &l, Some(&r), &spec).unwrap();
-        assert_eq!(run.rounds, 1);
-        assert_eq!(run.breakdown.replans, 0);
-        assert!(run.replan_events.is_empty());
-        assert_eq!(run.output, cluster.run_baseline(&q, &l, Some(&r)).output);
-        let q = DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 };
-        let run = cluster.run_cheetah_streamed(&q, &l, None, &spec).unwrap();
-        assert_eq!(run.rounds, 1);
-        assert_eq!(run.breakdown.replans, 0);
-    }
-
-    #[test]
-    fn planned_layout_records_its_plan() {
-        let cluster = Cluster::default();
-        let t = table(1_500, 3);
-        let q = DbQuery::Distinct { col: 0 };
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &StreamSpec::default()).unwrap();
-        let plan = run.plan.as_ref().expect("planned layout records its plan");
-        assert_eq!(run.breakdown.shards as usize, plan.shards());
-        assert!(run.breakdown.plan.expect("decision").is_planned());
-        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
-    }
-
-    #[test]
-    fn from_units_rebuilds_a_layout_that_runs_identically() {
-        // The serving plane assembles layouts from cached presplit
-        // slices instead of re-deriving keys; a rebuilt layout must be
-        // indistinguishable from the planned one at run time.
-        let cluster = Cluster::default();
-        let t = table(1_800, 4);
-        let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Hash));
-        let layout = cluster.plan_stream(&q, &t, None, &spec);
-        let rebuilt = StreamLayout::from_units(
-            layout.units.clone(),
-            layout.right_units.clone(),
-            layout.ingest,
-            layout.decision,
-            layout.plan.clone(),
-            Some(layout.batch_size),
-            Some(layout.channel_depth),
-        );
-        assert_eq!(rebuilt.shards(), layout.shards());
-        assert_eq!(rebuilt.rounds(), layout.rounds());
-        assert_eq!(rebuilt.dispatched(), layout.dispatched());
-        let planned = cluster.run_cheetah_streamed_resident(&q, &layout).unwrap();
-        let assembled = cluster.run_cheetah_streamed_resident(&q, &rebuilt).unwrap();
-        assert_eq!(planned.output, assembled.output);
-        assert_eq!(planned.output, cluster.run_baseline(&q, &t, None).output);
-        assert_eq!(planned.breakdown.entries_to_master, assembled.breakdown.entries_to_master);
-        // Omitting the hints falls back to the ingest model: suggested
-        // batch size, NIC-paced channel depth.
-        let suggested = StreamLayout::from_units(
-            layout.units.clone(),
-            None,
-            layout.ingest,
-            layout.decision,
-            None,
-            None,
-            None,
-        );
-        assert!(suggested.batch_size >= 1);
-        assert_eq!(suggested.channel_depth, layout.ingest.suggested_depth(4));
-        // A pinned depth of zero still clamps to a workable channel.
-        let clamped = StreamLayout::from_units(
-            layout.units.clone(),
-            None,
-            layout.ingest,
-            layout.decision,
-            None,
-            None,
-            Some(0),
-        );
-        assert_eq!(clamped.channel_depth, 1, "channel depth is clamped to at least 1");
-    }
-
-    #[test]
-    fn resident_layout_matches_the_routing_twin_and_reuses_cleanly() {
-        let cluster = Cluster::default();
-        let t = table(2_000, 4);
-        let r = table(900, 2);
-        let queries: Vec<(DbQuery, Option<&Table>)> = vec![
-            (DbQuery::Distinct { col: 0 }, None),
-            (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, None),
-            (DbQuery::Join { left_key: 0, right_key: 0 }, Some(&r)),
-        ];
-        for (q, right) in queries {
-            for shards in [1usize, 4] {
-                let spec = StreamSpec::fixed(ShardSpec::new(shards, ShardPartitioner::Hash));
-                let layout = cluster.plan_stream(&q, &t, right, &spec);
-                assert_eq!(layout.shards(), shards);
-                assert_eq!(
-                    layout.dispatched().iter().sum::<u64>(),
-                    (t.rows() + right.map_or(0, |r| r.rows())) as u64,
-                    "{}: layout loses rows",
-                    q.kind()
-                );
-                let routed = cluster.run_cheetah_streamed(&q, &t, right, &spec).unwrap();
-                // Same layout, three back-to-back runs: the resident twin
-                // must reproduce the routing twin bit for bit every time.
-                for round in 0..3 {
-                    let resident = cluster.run_cheetah_streamed_resident(&q, &layout).unwrap();
-                    assert_eq!(routed.output, resident.output, "{} round {round}", q.kind());
-                    assert_eq!(resident.rounds, routed.rounds);
-                    assert_eq!(
-                        resident.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                        routed.per_shard.iter().map(|s| s.rows).sum::<u64>(),
-                    );
-                    assert!(resident.replan_events.is_empty());
+                let plan = plan_of(&q, &t, None, &fixed(shards, ShardPartitioner::Hash));
+                assert_eq!(plan.dispatched().iter().sum::<u64>(), 2_000, "{}", q.kind());
+                for path in PATHS {
+                    let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+                    let label = format!("{} @ {shards} {}", q.kind(), path.label());
+                    assert_eq!(base.output, run.output, "{label}");
+                    assert_eq!(run.breakdown.shards as usize, shards, "{label}");
+                    assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), 2_000, "{label}");
+                    assert!(run.breakdown.overlap_seconds <= run.merge_seconds + 1e-12, "{label}");
+                    assert!(run.plan.is_none(), "fixed layouts carry no plan");
+                    match path {
+                        ExecPath::StreamedResident => assert!(run.batches > 0, "{label}"),
+                        ExecPath::BarrierPooled => {
+                            assert_eq!(run.batches, 0, "{label}");
+                            assert_eq!(run.breakdown.overlap_seconds, 0.0, "{label}");
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn harsh_faulty_channel_still_answers_exactly() {
+    fn per_shard_accounting_sums_to_the_breakdown() {
+        let cluster = Cluster::default();
+        let t = table(4_000, 4);
+        let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
+        let plan = plan_of(&q, &t, None, &StreamSpec::fixed(ShardSpec::default()));
+        for path in PATHS {
+            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            assert_eq!(run.per_shard.len(), 4);
+            assert_eq!(
+                run.breakdown.master_wire_bytes,
+                run.per_shard.iter().map(|s| s.master_wire_bytes).sum::<u64>()
+            );
+            assert_eq!(
+                run.breakdown.entries_to_master,
+                run.per_shard.iter().map(|s| s.entries_to_master).sum::<u64>()
+            );
+            assert_eq!(run.switch_stats.seen, run.per_shard.iter().map(|s| s.seen).sum::<u64>());
+            assert!(run.breakdown.master_ingest_seconds > 0.0, "ingest model must be threaded");
+        }
+    }
+
+    #[test]
+    fn range_routing_fits_observed_key_bounds() {
+        // Encoded small ints cluster just above 2⁶³ and string fingerprints
+        // fill only the lower half of the u64 space; a naive full-space
+        // range split would put every row on one shard. Fitted bounds
+        // must spread both over populated spans.
+        let t = table(4_000, 4);
+        for q in [DbQuery::TopN { order_col: 1, n: 10 }, DbQuery::Distinct { col: 0 }] {
+            let plan = plan_of(&q, &t, None, &fixed(4, ShardPartitioner::Range));
+            let loads = plan.dispatched();
+            assert!(
+                loads.iter().filter(|&&r| r > 0).count() >= 3,
+                "{}: range spans must be populated: {loads:?}",
+                q.kind()
+            );
+        }
+    }
+
+    #[test]
+    fn key_holistic_queries_route_one_round_and_never_replan() {
+        let cluster = Cluster::default();
+        let l = table(1_200, 3);
+        let r = table(600, 2);
+        let mut spec = fixed(3, ShardPartitioner::Hash);
+        spec.imbalance_factor = 0.0; // trigger at any imbalance — must still not fire
+        let q = DbQuery::Join { left_key: 0, right_key: 0 };
+        let plan = plan_of(&q, &l, Some(&r), &spec);
+        assert_eq!(plan.dispatched().iter().sum::<u64>(), 1_800, "both streams are routed");
+        for path in PATHS {
+            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            assert_eq!(run.rounds, 1);
+            assert_eq!(run.breakdown.replans, 0);
+            assert!(run.replan_events.is_empty());
+            assert_eq!(run.output, cluster.run_baseline(&q, &l, Some(&r)).output);
+        }
+        let q = DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 };
+        assert_eq!(plan_of(&q, &l, None, &spec).rounds(), 1);
+    }
+
+    #[test]
+    fn planned_and_fitted_layouts_record_their_plan() {
+        let cluster = Cluster::default();
+        let t = table(1_500, 3);
+        let q = DbQuery::Distinct { col: 0 };
+        let planned =
+            execute(&cluster, &q, &plan_of(&q, &t, None, &StreamSpec::default())).unwrap();
+        let plan = planned.plan.clone().expect("planned layout records its plan");
+        assert_eq!(planned.breakdown.shards as usize, plan.shards());
+        assert!(planned.breakdown.plan.expect("decision").is_planned());
+        assert_eq!(planned.output, cluster.run_baseline(&q, &t, None).output);
+        // Handing the fitted plan back (the plan cache's hit path) routes
+        // the identical layout without re-sampling.
+        let layout = ShardLayout::Fitted(Arc::clone(&plan), MasterIngestModel::default_rack());
+        let refit = plan_of(&q, &t, None, &StreamSpec { layout, ..StreamSpec::default() });
+        let rerun = execute(&cluster, &q, &refit).unwrap();
+        assert!(Arc::ptr_eq(rerun.plan.as_ref().expect("plan rides along"), &plan));
+        assert_eq!(rerun.per_shard.iter().map(|s| s.rows).collect::<Vec<_>>(), refit.dispatched());
+        assert_eq!(rerun.output, planned.output);
+    }
+
+    #[test]
+    fn harsh_faulty_channel_still_answers_exactly_and_the_plan_reuses_cleanly() {
         // 15% drop + 15% corruption + duplication on every survivor
         // frame: the §7.2 machinery (go-back-N resends, switch
         // sequencing, merge-plane dedup) must still deliver the
-        // baseline answer, and the resends must show up in the
-        // breakdown.
-        use crate::config::FaultSpec;
+        // baseline answer, the resends must show up in the breakdown,
+        // and a second run of the same plan replays the same lossy flow.
         let cluster = Cluster::default();
         let t = table(1_500, 3);
         let queries = [
@@ -1123,76 +682,123 @@ mod tests {
         ];
         for q in queries {
             let base = cluster.run_baseline(&q, &t, None);
-            let mut spec = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
+            let mut spec = fixed(3, ShardPartitioner::Hash);
             spec.batch = Some(4); // many small frames → many fault draws
             spec.fault = Some(FaultSpec::harsh(0xC0FFEE));
-            let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-            assert_eq!(base.output, run.output, "{} under harsh faults", q.kind());
-            assert!(
-                run.breakdown.retransmits > 0,
-                "{}: a harsh channel must force resends",
-                q.kind()
-            );
+            let plan = plan_of(&q, &t, None, &spec);
+            let first = execute(&cluster, &q, &plan).unwrap();
+            let second = execute(&cluster, &q, &plan).unwrap();
+            for run in [&first, &second] {
+                assert_eq!(base.output, run.output, "{} under harsh faults", q.kind());
+                assert!(run.breakdown.retransmits > 0, "{}: must force resends", q.kind());
+            }
+            // The barrier transport sends no frames, so it has none to lose.
+            let barrier = execute(&cluster, &q, &plan.for_path(ExecPath::BarrierPooled)).unwrap();
+            assert_eq!(barrier.breakdown.retransmits, 0);
+            assert_eq!(base.output, barrier.output);
         }
-        // The lossless path keeps its zero.
-        let spec = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
+        // The lossless stream keeps its zero.
         let q = DbQuery::Distinct { col: 0 };
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-        assert_eq!(run.breakdown.retransmits, 0);
+        let run = execute(&cluster, &q, &plan_of(&q, &t, None, &fixed(3, ShardPartitioner::Hash)));
+        assert_eq!(run.unwrap().breakdown.retransmits, 0);
     }
 
     #[test]
-    fn faulty_resident_layout_reuses_cleanly() {
-        // plan_stream carries the spec's fault lane into the layout, so
-        // the resident twin replays the same lossy flow per run.
-        use crate::config::FaultSpec;
+    fn empty_and_over_sharded_tables_run_cleanly() {
         let cluster = Cluster::default();
-        let t = table(1_200, 3);
-        let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let mut spec = StreamSpec::fixed(ShardSpec::new(2, ShardPartitioner::Hash));
-        spec.batch = Some(4);
-        spec.fault = Some(FaultSpec::harsh(17));
-        let layout = cluster.plan_stream(&q, &t, None, &spec);
-        let base = cluster.run_baseline(&q, &t, None);
-        for _ in 0..2 {
-            let run = cluster.run_cheetah_streamed_resident(&q, &layout).unwrap();
-            assert_eq!(base.output, run.output);
-            assert!(run.breakdown.retransmits > 0);
+        let empty = Arc::new(
+            TableBuilder::new(
+                "empty",
+                vec![("key".into(), DataType::Str), ("a".into(), DataType::Int)],
+                4,
+            )
+            .build(),
+        );
+        let q = DbQuery::Distinct { col: 0 };
+        let plan = plan_of(&q, &empty, None, &fixed(5, ShardPartitioner::Range));
+        for path in PATHS {
+            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            assert_eq!(run.output, QueryOutput::Values(vec![]));
+            assert_eq!(run.batches, 0);
+            assert_eq!(run.breakdown.entries_to_master, 0);
+            assert_eq!(run.breakdown.master_ingest_seconds, 0.0);
+            assert_eq!(run.breakdown.overlap_seconds, 0.0);
+        }
+        // Three rows over seven shards: at least four stay empty.
+        let tiny = table(3, 1);
+        let q = DbQuery::TopN { order_col: 1, n: 2 };
+        let plan = plan_of(&q, &tiny, None, &fixed(7, ShardPartitioner::Hash));
+        for path in PATHS {
+            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
+            assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
         }
     }
 
     #[test]
-    fn empty_table_streams_cleanly() {
-        let cluster = Cluster::default();
-        let t = TableBuilder::new(
-            "empty",
-            vec![("key".into(), DataType::Str), ("a".into(), DataType::Int)],
-            4,
-        )
-        .build();
-        let spec = StreamSpec::fixed(ShardSpec::new(5, ShardPartitioner::Range));
-        let run =
-            cluster.run_cheetah_streamed(&DbQuery::Distinct { col: 0 }, &t, None, &spec).unwrap();
-        assert_eq!(run.output, QueryOutput::Values(vec![]));
-        assert_eq!(run.batches, 0);
-        assert_eq!(run.breakdown.entries_to_master, 0);
-        assert_eq!(run.breakdown.overlap_seconds, 0.0);
-    }
-
-    #[test]
-    fn batch_size_follows_the_fan_in_curve_unless_pinned() {
+    fn batch_size_and_depth_follow_the_ingest_model_unless_pinned() {
         let cluster = Cluster::default();
         let t = table(800, 2);
         let q = DbQuery::Distinct { col: 0 };
-        let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Hash));
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &spec).unwrap();
-        assert_eq!(run.batch_size, spec.ingest().suggested_batch(4));
+        let spec = fixed(4, ShardPartitioner::Hash);
+        let ingest = MasterIngestModel::default_rack();
+        let plan = plan_of(&q, &t, None, &spec);
+        assert_eq!(plan.depth, ingest.suggested_depth(4), "NIC-paced channel depth");
+        let run = execute(&cluster, &q, &plan).unwrap();
+        assert_eq!(run.batch_size, ingest.suggested_batch(4));
         let mut pinned = spec.clone();
         pinned.batch = Some(7);
-        let run = cluster.run_cheetah_streamed(&q, &t, None, &pinned).unwrap();
+        pinned.channel_depth = Some(0);
+        let plan = plan_of(&q, &t, None, &pinned);
+        assert_eq!(plan.depth, 1, "channel depth is clamped to at least 1");
+        let run = execute(&cluster, &q, &plan).unwrap();
         assert_eq!(run.batch_size, 7);
         // 37 distinct survivors at batch 7 → ceil division worth of frames
         // per emitting shard; at least more frames than the unpinned run.
         assert!(run.batches >= 4, "tiny batches must yield multiple frames: {}", run.batches);
+    }
+
+    #[test]
+    fn pool_reuse_is_bit_identical_across_back_to_back_variants() {
+        // The pool's scratch state (frame arenas) must never leak between
+        // queries: interleave different variants and both transports
+        // back-to-back on the same global pool and require every repeat
+        // to reproduce the baseline exactly.
+        let cluster = Cluster::default();
+        let t = table(1_500, 4);
+        let queries = [
+            DbQuery::Distinct { col: 0 },
+            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
+            DbQuery::TopN { order_col: 1, n: 10 },
+        ];
+        let plans: Vec<ExecPlan> = queries
+            .iter()
+            .map(|q| plan_of(q, &t, None, &fixed(4, ShardPartitioner::Hash)))
+            .collect();
+        for round in 0..3 {
+            for (q, plan) in queries.iter().zip(&plans) {
+                let base = cluster.run_baseline(q, &t, None).output;
+                for path in PATHS {
+                    let run = execute(&cluster, q, &plan.for_path(path)).unwrap();
+                    assert_eq!(run.output, base, "{} {} round {round}", q.kind(), path.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_requests_are_typed_or_clamped_never_panics() {
+        let t = table(200, 1);
+        let join = DbQuery::Join { left_key: 0, right_key: 0 };
+        let spec = fixed(0, ShardPartitioner::Hash);
+        let err = ExecPlan::new(&Cluster::default(), &join, &t, None, &spec).unwrap_err();
+        assert_eq!(err, cheetah_core::Error::MissingStream { stream: 1 });
+        // Zero shards is served as one; a right table on a unary query is
+        // dropped, so the plan is over the left table alone.
+        let q = DbQuery::Distinct { col: 0 };
+        let plan = plan_of(&q, &t, Some(&t), &spec);
+        assert_eq!(plan.shards(), 1);
+        assert!(plan.is_over(&t, None) && !plan.is_over(&t, Some(&t)));
+        assert!(!plan.is_over(&table(200, 1), None), "identity, not equality");
     }
 }

@@ -1,7 +1,7 @@
 //! The mid-run re-planner: watch per-shard load, re-fit boundaries.
 //!
-//! The up-front planner (barrier `run_cheetah_planned`) decides once from
-//! a sample of the *whole* input. A long run whose key distribution
+//! The up-front planner (`ShardLayout::Planned`) decides once from a
+//! sample of the *whole* input. A long run whose key distribution
 //! drifts — or whose fitted boundaries simply turned out wrong — shows up
 //! as dispatched-load imbalance while the run is still in flight. The
 //! [`RuntimeSupervisor`] closes that loop with the same estimator
@@ -13,8 +13,9 @@
 //! routing does.
 //!
 //! Decisions read only dispatched row counts and routing keys — both
-//! deterministic in (seed, data) — so a streamed run's shard assignment
-//! is as reproducible as a planned barrier run's.
+//! deterministic in (seed, data) — so a re-planned layout is as
+//! reproducible as an up-front plan, and [`ExecPlan::new`](crate::ExecPlan::new)
+//! can consult the supervisor between rounds without executing anything.
 
 use cheetah_core::plan::{fit_boundaries, max_load_fraction, KeySampler};
 use cheetah_core::Sharder;

@@ -1,12 +1,13 @@
 //! # cheetah-serve — the multi-tenant serving plane
 //!
 //! Everything below this crate executes *one query at a time*: the db
-//! crate's barrier twins, the runtime's streamed twin, the compiled
-//! kernels. This crate is the front door the paper's deployment story
-//! implies — a switch-accelerated database serves *many tenants at
-//! once* — and it is the **one** public way in: callers build a
-//! [`QueryRequest`] and hand it to a [`Session`]; which twin runs, on
-//! which backend, over which shard layout, is the session's business.
+//! crate's one-slice executor, the runtime's `execute` over a routed
+//! plan, the compiled kernels. This crate is the front door the paper's
+//! deployment story implies — a switch-accelerated database serves
+//! *many tenants at once* — and it is the **one** public way in: callers
+//! build a [`QueryRequest`] and hand it to a [`Session`]; which
+//! transport runs, on which backend, over which shard layout, is the
+//! session's business.
 //!
 //! The pipeline behind [`Session::submit`]:
 //!

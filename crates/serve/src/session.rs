@@ -21,7 +21,7 @@
 //!        │   path chooser   │
 //!        └────────┬────────┘
 //!                 ▼
-//!          execution twins ──▶ QueryResponse (+ queue/tenant breakdown)
+//!        ExecPlan ─▶ execute ──▶ QueryResponse (+ queue/tenant breakdown)
 //! ```
 //!
 //! Drivers are dedicated threads, *not* worker-pool jobs: the pool's
@@ -33,13 +33,13 @@
 use crate::error::{Error, Result};
 use crate::plan_cache::{CachedPlan, PlanCache, StatsFingerprint};
 use crate::request::QueryRequest;
-use cheetah_core::plan::{PlanDecision, ShardPlan};
+use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, ChooserArm, Cluster, ExecBackend, ExecBreakdown,
-    ExecPath, PathChooser, PlannerConfig, QueryOutput, ShardPlanner, ShardSpec, Sharder, Table,
+    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, PathChooser, PlannerConfig,
+    QueryOutput, ShardPlanner, ShardSpec,
 };
 use cheetah_net::MasterIngestModel;
-use cheetah_runtime::{PooledExecution, StreamLayout, StreamedExecution};
+use cheetah_runtime::{ExecPlan, ShardLayout, StreamSpec};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
 use std::collections::{HashMap, VecDeque};
@@ -184,25 +184,23 @@ struct SchedState {
     shutdown: bool,
 }
 
-/// One presplit input, reusable across requests: the pooled slices and
-/// the streamed layout wrap the *same* `Arc` slices, so the two twins
-/// share one routing pass.
+/// One routed input, reusable across requests and across both
+/// transports. The plan holds `Arc` clones of the tables it was routed
+/// from, so the addresses in the cache key cannot be reused by another
+/// table while the entry lives.
 struct LayoutEntry {
-    /// Generation of the plan this layout was routed under (0 for
+    /// Generation of the shard plan this layout was routed under (0 for
     /// pinned-shard layouts, which no plan governs).
     generation: u64,
-    left_slices: Vec<Arc<Table>>,
-    right_slices: Option<Vec<Arc<Table>>>,
-    layout: StreamLayout,
-    decision: PlanDecision,
-    plan: Option<Arc<ShardPlan>>,
+    plan: Arc<ExecPlan>,
 }
 
 struct Caches {
     plans: PlanCache,
     /// `(shape, left table ptr, right table ptr, pinned shards)` →
-    /// routed slices. Table pointers stand in for content identity —
-    /// tables are immutable, so a rebuilt table is a new allocation.
+    /// routed plan. Table pointers stand in for content identity —
+    /// tables are immutable, so a rebuilt table is a new allocation —
+    /// and every hit is confirmed with [`ExecPlan::is_over`].
     layouts: HashMap<(String, usize, usize, usize), LayoutEntry>,
     /// One bandit per query shape.
     choosers: HashMap<String, PathChooser>,
@@ -522,10 +520,10 @@ fn shape_key(req: &QueryRequest) -> String {
     format!("{:?}|{}|{}", req.query, req.left.name(), req.right.as_ref().map_or("-", |r| r.name()))
 }
 
-/// Resolve plan → arm → layout, run the chosen twin, stamp the serving
-/// fields, and close out the request's trace. Runs on a driver thread
-/// (or the caller's, via the `run_blocking` fast path); never holds the
-/// scheduler lock.
+/// Resolve plan → arm → layout, execute on the chosen transport, stamp
+/// the serving fields, and close out the request's trace. Runs on a
+/// driver thread (or the caller's, via the `run_blocking` fast path);
+/// never holds the scheduler lock.
 fn execute(
     shared: &Shared,
     req: &QueryRequest,
@@ -544,10 +542,12 @@ fn execute(
 
     // 1. The shard plan: pinned count, or plan cache, or the planner.
     let mut plan_span = root.child("plan");
-    let (decision, plan, generation, plan_cached) = match req.shards {
-        Some(_) => {
+    let ingest = shared.cfg.ingest;
+    let (layout, generation, plan_cached) = match req.shards {
+        Some(shards) => {
             plan_span.attr("cache", "pinned");
-            (PlanDecision::Fixed(cheetah_core::ShardPartitioner::Hash), None, 0, false)
+            let spec = ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
+            (ShardLayout::Fixed(spec), 0, false)
         }
         None => {
             let stats = StatsFingerprint::of(&req.left, req.right.as_deref());
@@ -555,13 +555,13 @@ fn execute(
             if let Some(CachedPlan { plan, generation }) = caches.plans.lookup(&shape, stats) {
                 plan_span.attr("cache", "hit");
                 shared.telemetry.plan_hits.inc();
-                (PlanDecision::Planned(plan.partitioner()), Some(plan), generation, true)
+                (ShardLayout::Fitted(plan, ingest), generation, true)
             } else {
                 plan_span.attr("cache", "miss");
                 shared.telemetry.plan_misses.inc();
                 // Fit a fresh plan; let the shape's bandit inform the
                 // survivor pricing if it has measured this shape before.
-                let cfg = PlannerConfig { ingest: shared.cfg.ingest, ..PlannerConfig::default() };
+                let cfg = PlannerConfig { ingest, ..PlannerConfig::default() };
                 let cfg = match caches.choosers.get(&shape) {
                     Some(chooser) => chooser.informed(cfg),
                     None => cfg,
@@ -575,7 +575,7 @@ fn execute(
                 ));
                 let mut caches = shared.caches.lock().expect("caches lock");
                 let generation = caches.plans.insert(&shape, stats, Arc::clone(&fitted));
-                (PlanDecision::Planned(fitted.partitioner()), Some(fitted), generation, false)
+                (ShardLayout::Fitted(fitted, ingest), generation, false)
             }
         }
     };
@@ -599,71 +599,53 @@ fn execute(
     choose_span.attr("arm", arm.label());
     choose_span.finish();
 
-    // 3. Execute: resolve the routed layout (cached after first sight),
-    // then run the chosen twin with the span entered so the worker
-    // pool's shard jobs and the merge plane trace themselves under it.
+    // 3. Execute: resolve the routed plan (cached after first sight),
+    // then run it on the arm's transport with the span entered so the
+    // worker pool's shard jobs and the merge plane trace themselves
+    // under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", arm.path.label());
     exec_span.attr("backend", arm.backend.label());
 
+    let right = req.right.as_ref().filter(|_| req.query.is_binary());
     let layout_key = (
         shape.clone(),
         Arc::as_ptr(&req.left) as usize,
-        req.right.as_ref().map_or(0, |r| Arc::as_ptr(r) as usize),
+        right.map_or(0, |r| Arc::as_ptr(r) as usize),
         req.shards.unwrap_or(0),
     );
-    let caches_guard = {
+    let cached = {
         let caches = shared.caches.lock().expect("caches lock");
-        let stale = match caches.layouts.get(&layout_key) {
-            Some(e) => e.generation != generation,
-            None => true,
-        };
-        if stale {
-            drop(caches);
+        caches
+            .layouts
+            .get(&layout_key)
+            .filter(|e| e.generation == generation && e.plan.is_over(&req.left, right))
+            .map(|e| Arc::clone(&e.plan))
+    };
+    let plan = match cached {
+        Some(plan) => plan,
+        None => {
             let mut route_span = exec_span.child("route");
-            let entry = build_layout(shared, req, seed, &decision, plan.clone(), generation)?;
-            route_span.attr("shards", entry.left_slices.len());
+            // The session routes once, in one round: both transports run
+            // off the same resident slices.
+            let spec = StreamSpec { layout, rounds: 1, ..StreamSpec::default() };
+            let plan =
+                Arc::new(ExecPlan::new(&shared.cluster, &req.query, &req.left, right, &spec)?);
+            route_span.attr("shards", plan.shards());
             route_span.finish();
-            let mut caches = shared.caches.lock().expect("caches lock");
-            caches.layouts.insert(layout_key.clone(), entry);
-            caches
-        } else {
-            caches
+            let entry = LayoutEntry { generation, plan: Arc::clone(&plan) };
+            shared.caches.lock().expect("caches lock").layouts.insert(layout_key, entry);
+            plan
         }
     };
-    let (left_slices, right_slices, layout, decision, plan) = {
-        let e = caches_guard.layouts.get(&layout_key).expect("just ensured");
-        (
-            e.left_slices.clone(),
-            e.right_slices.clone(),
-            e.layout.clone(),
-            e.decision,
-            e.plan.clone(),
-        )
-    };
-    drop(caches_guard);
 
     let cluster = shared.cluster.clone().with_backend(arm.backend);
-    let owned_plan = plan.as_deref().cloned();
-    let run_result = {
+    let run = {
         let _in_exec = exec_span.enter();
-        match arm.path {
-            ExecPath::BarrierPooled => cluster
-                .run_cheetah_presplit(
-                    &req.query,
-                    &left_slices,
-                    right_slices.as_deref(),
-                    &shared.cfg.ingest,
-                    decision,
-                    owned_plan,
-                )
-                .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
-            ExecPath::StreamedResident => cluster
-                .run_cheetah_streamed_resident(&req.query, &layout)
-                .map(|run| (run.output, run.per_shard, run.breakdown, run.switch_stats)),
-        }
+        cheetah_runtime::execute(&cluster, &req.query, &plan.for_path(arm.path))?
     };
-    let (output, per_shard, mut breakdown, switch_stats) = run_result?;
+    let (output, per_shard, mut breakdown, switch_stats) =
+        (run.output, run.per_shard, run.breakdown, run.switch_stats);
     let entries: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
     breakdown.master_ingest_seconds = shared.cfg.ingest.concurrent_latency(&entries, concurrent);
     exec_span.attr("shards", breakdown.shards);
@@ -700,55 +682,6 @@ fn execute(
         shared.telemetry.sink.push(tree.clone());
     }
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace })
-}
-
-/// Route the request's tables once; both twins run off these slices.
-fn build_layout(
-    shared: &Shared,
-    req: &QueryRequest,
-    seed: u64,
-    decision: &PlanDecision,
-    plan: Option<Arc<ShardPlan>>,
-    generation: u64,
-) -> Result<LayoutEntry> {
-    let left_keys = routing_keys(&req.query, 0, &req.left, seed);
-    let right_keys = match (&req.right, req.query.is_binary()) {
-        (Some(r), true) => Some(routing_keys(&req.query, 1, r, seed)),
-        _ => None,
-    };
-    let sharder: Sharder = match &plan {
-        Some(p) => p.sharder.clone(),
-        None => {
-            let spec =
-                ShardSpec::new(req.shards.unwrap_or(1), cheetah_core::ShardPartitioner::Hash);
-            let mut key_slices: Vec<&[u64]> = vec![&left_keys];
-            if let Some(rk) = &right_keys {
-                key_slices.push(rk);
-            }
-            fixed_sharder(&spec, seed, &key_slices)
-        }
-    };
-    let left_slices: Vec<Arc<Table>> =
-        route_range(&req.left, &left_keys, &sharder, 0, req.left.rows())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-    let right_slices: Option<Vec<Arc<Table>>> = match (&req.right, &right_keys) {
-        (Some(r), Some(rk)) => {
-            Some(route_range(r, rk, &sharder, 0, r.rows()).into_iter().map(Arc::new).collect())
-        }
-        _ => None,
-    };
-    let layout = StreamLayout::from_units(
-        vec![left_slices.clone()],
-        right_slices.clone(),
-        shared.cfg.ingest,
-        *decision,
-        plan.as_deref().cloned(),
-        None,
-        None,
-    );
-    Ok(LayoutEntry { generation, left_slices, right_slices, layout, decision: *decision, plan })
 }
 
 /// The arm to pull: fully pinned requests get exactly what they asked
@@ -788,7 +721,7 @@ fn pick_arm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, TableBuilder, Value};
+    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, Table, TableBuilder, Value};
 
     fn table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -873,6 +806,39 @@ mod tests {
         assert_eq!(stats.plan_misses, 1);
         assert_eq!(stats.plan_hits, 5);
         assert!(stats.plan_hit_rate() > 0.8);
+    }
+
+    #[test]
+    fn layout_cache_retains_its_tables_so_addresses_are_never_reused() {
+        // The layout cache is keyed on table addresses and pinned-shard
+        // entries are never invalidated, so an entry must keep its source
+        // table alive: a freed address could be handed to a *different*
+        // table, which would then be served the old table's shards.
+        let cluster = Cluster::default();
+        let session = Session::new(cluster.clone(), SessionConfig::default());
+        let q = DbQuery::Distinct { col: 1 };
+        let pinned = |t: &Arc<Table>| QueryRequest::new(q.clone(), Arc::clone(t)).shards(4);
+        let routed = |resp: &QueryResponse| {
+            resp.trace.as_ref().expect("trace exports").root.find("route").is_some()
+        };
+
+        let first = table(1_000, 2, 3);
+        let want = cluster.run_baseline(&q, &first, None).output;
+        let resp = session.run_blocking(pinned(&first)).unwrap();
+        assert!(routed(&resp), "first sight routes");
+        assert_eq!(resp.output, want);
+        assert!(!routed(&session.run_blocking(pinned(&first)).unwrap()), "repeat hits the cache");
+        let held = Arc::downgrade(&first);
+        drop(first);
+        assert!(held.upgrade().is_some(), "the cached plan must retain its source table");
+
+        // A second, different table: its own entry, its own answer.
+        let second = table(700, 2, 99);
+        let resp = session.run_blocking(pinned(&second)).unwrap();
+        assert!(routed(&resp), "a different table never hits the first one's entry");
+        assert_eq!(resp.output, cluster.run_baseline(&q, &second, None).output);
+        assert_ne!(resp.output, want, "fixture tables must differ for the test to bite");
+        assert_eq!(session.shared.caches.lock().unwrap().layouts.len(), 2);
     }
 
     #[test]

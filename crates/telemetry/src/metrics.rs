@@ -154,21 +154,6 @@ impl HistogramCore {
         let count = self.count.load(Ordering::Relaxed);
         let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
         let occupancy: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let quantile = |q: f64| -> f64 {
-            if count == 0 {
-                return 0.0;
-            }
-            // Nearest-rank over the cumulative bucket occupancy.
-            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-            let mut seen = 0u64;
-            for (i, occ) in occupancy.iter().enumerate() {
-                seen += occ;
-                if seen >= rank {
-                    return Self::bucket_upper_edge(i);
-                }
-            }
-            Self::bucket_upper_edge(HIST_BUCKETS - 1)
-        };
         let (min, max) = if count == 0 {
             (0.0, 0.0)
         } else {
@@ -176,6 +161,32 @@ impl HistogramCore {
                 f64::from_bits(self.min_bits.load(Ordering::Relaxed)),
                 f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
             )
+        };
+        let quantile = |q: f64| -> f64 {
+            if count == 0 {
+                return 0.0;
+            }
+            // Nearest-rank over the cumulative bucket occupancy.
+            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+            let mut seen = 0u64;
+            let mut edge = Self::bucket_upper_edge(HIST_BUCKETS - 1);
+            for (i, occ) in occupancy.iter().enumerate() {
+                seen += occ;
+                if seen >= rank {
+                    edge = Self::bucket_upper_edge(i);
+                    break;
+                }
+            }
+            // A bucket's upper edge can lie above the largest sample (and
+            // the clamp buckets' edges on either side of the range); the
+            // exact extremes bound every sample, so they bound every
+            // quantile. `min > max` only while a first observation is
+            // mid-flight or when every sample was NaN.
+            if min <= max {
+                edge.max(min).min(max)
+            } else {
+                edge
+            }
         };
         HistogramSnapshot {
             count,
@@ -266,7 +277,7 @@ pub struct HistogramSnapshot {
     pub min: f64,
     /// Exact largest observation (0 when empty).
     pub max: f64,
-    /// Median estimate (≤ 9% high, never low).
+    /// Median estimate (≤ 9% high, never low, never outside `[min, max]`).
     pub p50: f64,
     /// 90th-percentile estimate.
     pub p90: f64,
@@ -432,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn single_sample_pins_every_quantile_to_its_bucket() {
+    fn single_sample_pins_every_quantile_to_the_sample() {
         let reg = Registry::new();
         let h = reg.histogram("latency");
         h.observe(0.125);
@@ -441,12 +452,9 @@ mod tests {
         assert_eq!(snap.sum, 0.125);
         assert_eq!(snap.min, 0.125);
         assert_eq!(snap.max, 0.125);
-        // Every quantile falls in the one occupied bucket; its upper
-        // edge is within one sub-bucket ratio of the sample.
-        for q in [snap.p50, snap.p90, snap.p99] {
-            assert!(q >= 0.125, "quantile {q} below the sample");
-            assert!(q <= 0.125 * 2f64.powf(1.0 / HIST_SUB_BUCKETS as f64) + 1e-12);
-        }
+        // Every quantile falls in the one occupied bucket, whose upper
+        // edge the exact extremes clamp back onto the sample.
+        assert_eq!([snap.p50, snap.p90, snap.p99], [0.125; 3]);
         assert_eq!(snap.mean(), 0.125);
     }
 
@@ -471,6 +479,31 @@ mod tests {
         h.observe(1e12);
         h.observe(f64::NAN);
         assert_eq!(h.count(), 4);
+        assert!(h.snapshot().p99 <= 1e12);
+        let nan_only = reg.histogram("nan");
+        nan_only.observe(f64::NAN);
+        let _ = nan_only.snapshot(); // no exact extremes to clamp to; must not panic
+
+        // Mid-bucket samples: the bucket's upper edge sits above them, so
+        // an unclamped quantile would exceed the histogram's own max
+        // (a p50 of 2.097 ms over an exact max of 1.950 ms).
+        let one = reg.histogram("one");
+        one.observe(1.95e-3);
+        let snap = one.snapshot();
+        assert_eq!([snap.p50, snap.p90, snap.p99], [1.95e-3; 3]);
+        let two = reg.histogram("two");
+        two.observe(1.2e-3);
+        two.observe(1.95e-3);
+        let snap = two.snapshot();
+        for q in [snap.p50, snap.p90, snap.p99] {
+            assert!(snap.min <= q && q <= snap.max, "{q} outside [{}, {}]", snap.min, snap.max);
+        }
+        assert!(snap.p50 < snap.max, "the median of two stays in the lower sample's bucket");
+        assert_eq!(snap.p99, 1.95e-3);
+        // Past the overflow bucket the edge undershoots instead: clamp up.
+        let huge = reg.histogram("huge");
+        huge.observe(1e12);
+        assert_eq!(huge.snapshot().p50, 1e12);
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! let table = Arc::new(b.build());
 //!
 //! // SELECT DISTINCT seller — the Spark-like baseline vs the serving
-//! // plane's switch-pruned path (the session picks the execution twin).
+//! // plane's switch-pruned path (the session picks transport and backend).
 //! let cluster = Cluster::default();
 //! let q = DbQuery::Distinct { col: 0 };
 //! let spark = cluster.run_baseline(&q, &table, None);
