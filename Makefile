@@ -1,35 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-SMOKE_OUT ?= BENCH_smoke.json
-SMOKE_BASELINE ?= ci/bench_baseline.json
-SMOKE_TOLERANCE ?= 0.2
-# The @planned rows carry a sampling pass and a data-dependent layout,
-# so their wall-clock floor is looser than a pinned spec's.
-SMOKE_PLANNER_TOLERANCE ?= 0.35
-# The @streamed rows carry worker/merge threading and per-batch
-# framing, so they get their own wall-clock floor too.
-SMOKE_STREAMED_TOLERANCE ?= 0.35
-# The @compiled rows run the plan-time fused kernels over the same
-# resident plan; they are expected to be *faster* than interpreted, but
-# wall clock on shared runners still gets a floor of its own.
-SMOKE_COMPILED_TOLERANCE ?= 0.35
-# The @serving row pushes a four-tenant closed-loop burst through the
-# Session front door, so it carries session-scheduler threading variance
-# on top of the pool's and gets its own wall-clock floor.
-SMOKE_SERVING_TOLERANCE ?= 0.35
-# Within-run gate: every smoke pass requires distinct@compiled and at
-# least one aggregate family to beat their interpreted @shards siblings
-# by this factor (same machine, same run — no cross-host comparison).
-SMOKE_COMPILED_SPEEDUP ?= 1.5
-
-CROSSOVER_OUT ?= BENCH_crossover.json
-CROSSOVER_BASELINE ?= ci/crossover_baseline.json
-# Wall clock on shared runners is noisy; the crossover shard count
-# itself is gated exactly (it may only ever move down).
-CROSSOVER_TOLERANCE ?= 0.35
-
-.PHONY: build test lint no-shims docs ledger-check bench-compile bench-smoke bench-crossover shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate
+.PHONY: build test lint no-shims docs ledger-check ledger shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -42,11 +14,12 @@ lint: no-shims
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # There is one multi-shard entry point (cheetah_runtime::execute over an
-# ExecPlan) and one run type (ExecRun). Fail if a deleted twin, shim or
-# run type is named anywhere again.
+# ExecPlan), one run type (ExecRun) and one wall-clock harness
+# (cheetah-ledger). Fail if a deleted twin, shim, run type, harness flag,
+# baseline file or do-nothing vendored stub is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units" \
-		crates src tests examples README.md .github
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)" \
+		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
 # builds it: an API rename would otherwise break the benchmark silently.
@@ -55,10 +28,6 @@ ledger-check:
 
 docs:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-# All criterion benches (incl. the sharding bench) must keep compiling.
-bench-compile:
-	cargo bench --no-run
 
 # The named CI gate: shard equivalence across all seven query variants.
 shard-gate:
@@ -113,26 +82,15 @@ fabric-gate:
 telemetry-gate:
 	cargo test -q -p cheetah-db --test telemetry_contract
 
-# The CI perf-smoke invocation, byte for byte: runs the fixed-seed smoke
-# pass, writes $(SMOKE_OUT), and fails on >$(SMOKE_TOLERANCE) regression
-# vs the checked-in baseline.
-bench-smoke:
-	cargo run --release -q -p cheetah-bench --bin cheetah-experiments -- \
-		--smoke-json $(SMOKE_OUT) \
-		--smoke-baseline $(SMOKE_BASELINE) \
-		--smoke-tolerance $(SMOKE_TOLERANCE) \
-		--smoke-planner-tolerance $(SMOKE_PLANNER_TOLERANCE) \
-		--smoke-streamed-tolerance $(SMOKE_STREAMED_TOLERANCE) \
-		--smoke-compiled-tolerance $(SMOKE_COMPILED_TOLERANCE) \
-		--smoke-serving-tolerance $(SMOKE_SERVING_TOLERANCE) \
-		--smoke-compiled-speedup $(SMOKE_COMPILED_SPEEDUP)
+# The named CI gate: pruning counters — entries pruned, entries to the
+# master and the executing backend, exact on all 20 fixed-seed rows.
+counters-gate:
+	cargo test -q -p cheetah-db --test counters_contract
 
-# The CI perf-crossover invocation: run the shard-count sweep, write
-# $(CROSSOVER_OUT), and fail when any family's crossover shard count
-# moves up vs the checked-in baseline or its best throughput regresses
-# past $(CROSSOVER_TOLERANCE).
-bench-crossover:
-	cargo run --release -q -p cheetah-bench --bin cheetah-experiments -- \
-		--crossover-json $(CROSSOVER_OUT) \
-		--crossover-baseline $(CROSSOVER_BASELINE) \
-		--crossover-tolerance $(CROSSOVER_TOLERANCE)
+# The benchmark, as BENCHMARK.json declares it: the one command, once per
+# workload. The last stdout line of each run is its JSON verdict.
+ledger:
+	cargo run --release --offline --quiet --manifest-path cheetah-ledger/Cargo.toml -- --workload prune_heavy --seed 1 --seconds 20 --trace 0
+	cargo run --release --offline --quiet --manifest-path cheetah-ledger/Cargo.toml -- --workload survivor_heavy --seed 1 --seconds 20 --trace 0
+	cargo run --release --offline --quiet --manifest-path cheetah-ledger/Cargo.toml -- --workload adhoc_cold --seed 1 --seconds 20 --trace 0
+	cargo run --release --offline --quiet --manifest-path cheetah-ledger/Cargo.toml -- --workload tenants_small --seed 1 --seconds 20 --trace 0

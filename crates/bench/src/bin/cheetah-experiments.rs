@@ -1,95 +1,39 @@
 //! CLI driver regenerating every table and figure of the paper, plus the
-//! CI perf-smoke pass.
+//! repository's own report-only experiments.
 //!
 //! ```text
-//! cheetah-experiments [EXPERIMENT ...] [--full] [--csv DIR]
-//!                     [--shards LIST]
-//!                     [--smoke-json PATH [--smoke-baseline PATH]
-//!                      [--smoke-tolerance FRAC]
-//!                      [--smoke-planner-tolerance FRAC] [--smoke-seed N]]
+//! cheetah-experiments [EXPERIMENT ...] [--full] [--csv DIR] [--shards LIST]
+//! cheetah-experiments --trace
 //!
-//!   EXPERIMENT        one of: table2 table3 fig5 fig6 fig7 fig8 fig9
-//!                     fig10 fig11 fig12_13 ablations shards planner
-//!                     runtime (default: all)
+//!   EXPERIMENT        one of the ids `--help` lists (default: all)
 //!   --full            paper-scale streams (minutes) instead of quick
 //!   --csv DIR         additionally write one CSV per report into DIR
 //!   --shards LIST     comma-separated worker-shard axis for the sharded
 //!                     sweeps, e.g. 1,2,4,8,16 (the default)
-//!   --smoke-json PATH run the perf-smoke pass instead of experiments and
-//!                     write the machine-readable report to PATH
-//!   --smoke-baseline  compare the smoke report against this baseline
-//!                     JSON and exit 1 on regression
-//!   --smoke-tolerance allowed fractional regression (default 0.2)
-//!   --smoke-planner-tolerance
-//!                     allowed fractional regression of the `@planned`
-//!                     rows (default 0.35 — planning adds a sampling pass
-//!                     and a data-dependent layout)
-//!   --smoke-streamed-tolerance
-//!                     allowed fractional regression of the `@streamed`
-//!                     rows (default 0.35 — the streamed runtime carries
-//!                     router/worker/merge threading and batch framing)
-//!   --smoke-compiled-tolerance
-//!                     allowed fractional regression of the `@compiled`
-//!                     rows (default 0.35 — the fused kernels share the
-//!                     pool's threading variance)
-//!   --smoke-serving-tolerance
-//!                     allowed fractional regression of the `@serving`
-//!                     rows (default 0.35 — the multi-tenant burst adds
-//!                     session-scheduler threading on top of the pool's)
-//!   --smoke-compiled-speedup
-//!                     required within-run ops/s speedup of the
-//!                     `@compiled` rows over their interpreted `@shards`
-//!                     siblings: distinct plus at least one aggregate
-//!                     family must reach it (default 1.5; 0 disables)
-//!   --smoke-seed      workload seed of the smoke pass (default 42)
-//!   --crossover-json PATH
-//!                     run the crossover scale-sweep instead of
-//!                     experiments and write the report to PATH
-//!   --crossover-baseline PATH
-//!                     compare the sweep against this baseline JSON and
-//!                     exit 1 when a family's crossover shard count
-//!                     moved up or its best throughput regressed
-//!   --crossover-tolerance FRAC
-//!                     allowed fractional best-throughput regression of
-//!                     the crossover gate (default 0.35 — wall clock on
-//!                     shared CI runners; the crossover shard count
-//!                     itself is gated exactly, no tolerance)
 //!   --trace           run one traced sample query through the Session
 //!                     front door and pretty-print its lifecycle span
 //!                     tree (admit → queue → plan → choose → execute
 //!                     {worker per shard, merge} → respond), followed by
 //!                     the JSON-lines export and the session registry
-//!                     snapshot; `--smoke-seed` seeds the table
+//!                     snapshot
 //! ```
+//!
+//! Nothing here gates: experiments print what they measured. Wall clock
+//! is judged by the `cheetah-ledger` benchmark, pruning counters by the
+//! `counters_contract` test.
 
-use cheetah_bench::crossover::{run_crossover_default, CrossoverReport};
 use cheetah_bench::experiments;
-use cheetah_bench::smoke::{run_smoke, SmokeReport};
-use cheetah_bench::{RunCtx, Scale};
+use cheetah_bench::{skewed_tables, RunCtx, Scale};
 use cheetah_db::DbQuery;
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{export_jsonl, render};
-use cheetah_workloads::SkewedTableConfig;
 use std::io::Write;
-use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
     let mut csv_dir: Option<String> = None;
     let mut shards: Option<Vec<usize>> = None;
-    let mut smoke_json: Option<String> = None;
-    let mut smoke_baseline: Option<String> = None;
-    let mut smoke_tolerance = 0.2f64;
-    let mut smoke_planner_tolerance = 0.35f64;
-    let mut smoke_streamed_tolerance = 0.35f64;
-    let mut smoke_compiled_tolerance = 0.35f64;
-    let mut smoke_serving_tolerance = 0.35f64;
-    let mut smoke_compiled_speedup = 1.5f64;
-    let mut smoke_seed = 42u64;
-    let mut crossover_json: Option<String> = None;
-    let mut crossover_baseline: Option<String> = None;
-    let mut crossover_tolerance = 0.35f64;
     let mut trace_mode = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut i = 0;
@@ -119,121 +63,13 @@ fn main() {
                     }
                 }
             }
-            "--smoke-json" => {
-                i += 1;
-                smoke_json = Some(value_of(&args, i, "--smoke-json"));
-            }
-            "--smoke-baseline" => {
-                i += 1;
-                smoke_baseline = Some(value_of(&args, i, "--smoke-baseline"));
-            }
-            "--smoke-tolerance" => {
-                i += 1;
-                let parsed: f64 =
-                    value_of(&args, i, "--smoke-tolerance").parse().unwrap_or(f64::NAN);
-                // NaN would make every floor comparison false and silently
-                // disable the gate; reject anything outside [0, 1).
-                if !parsed.is_finite() || !(0.0..1.0).contains(&parsed) {
-                    eprintln!("--smoke-tolerance needs a fraction in [0, 1), e.g. 0.2");
-                    std::process::exit(2);
-                }
-                smoke_tolerance = parsed;
-            }
-            "--smoke-planner-tolerance" => {
-                i += 1;
-                let parsed: f64 =
-                    value_of(&args, i, "--smoke-planner-tolerance").parse().unwrap_or(f64::NAN);
-                if !parsed.is_finite() || !(0.0..1.0).contains(&parsed) {
-                    eprintln!("--smoke-planner-tolerance needs a fraction in [0, 1), e.g. 0.35");
-                    std::process::exit(2);
-                }
-                smoke_planner_tolerance = parsed;
-            }
-            "--smoke-streamed-tolerance" => {
-                i += 1;
-                let parsed: f64 =
-                    value_of(&args, i, "--smoke-streamed-tolerance").parse().unwrap_or(f64::NAN);
-                if !parsed.is_finite() || !(0.0..1.0).contains(&parsed) {
-                    eprintln!("--smoke-streamed-tolerance needs a fraction in [0, 1), e.g. 0.35");
-                    std::process::exit(2);
-                }
-                smoke_streamed_tolerance = parsed;
-            }
-            "--smoke-compiled-tolerance" => {
-                i += 1;
-                let parsed: f64 =
-                    value_of(&args, i, "--smoke-compiled-tolerance").parse().unwrap_or(f64::NAN);
-                if !parsed.is_finite() || !(0.0..1.0).contains(&parsed) {
-                    eprintln!("--smoke-compiled-tolerance needs a fraction in [0, 1), e.g. 0.35");
-                    std::process::exit(2);
-                }
-                smoke_compiled_tolerance = parsed;
-            }
-            "--smoke-serving-tolerance" => {
-                i += 1;
-                let parsed: f64 =
-                    value_of(&args, i, "--smoke-serving-tolerance").parse().unwrap_or(f64::NAN);
-                if !parsed.is_finite() || !(0.0..1.0).contains(&parsed) {
-                    eprintln!("--smoke-serving-tolerance needs a fraction in [0, 1), e.g. 0.35");
-                    std::process::exit(2);
-                }
-                smoke_serving_tolerance = parsed;
-            }
-            "--smoke-compiled-speedup" => {
-                i += 1;
-                let parsed: f64 =
-                    value_of(&args, i, "--smoke-compiled-speedup").parse().unwrap_or(f64::NAN);
-                // 0 disables the within-run gate; anything else must be a
-                // sane multiplier.
-                if !parsed.is_finite() || parsed < 0.0 {
-                    eprintln!("--smoke-compiled-speedup needs a non-negative factor, e.g. 1.5");
-                    std::process::exit(2);
-                }
-                smoke_compiled_speedup = parsed;
-            }
-            "--crossover-json" => {
-                i += 1;
-                crossover_json = Some(value_of(&args, i, "--crossover-json"));
-            }
-            "--crossover-baseline" => {
-                i += 1;
-                crossover_baseline = Some(value_of(&args, i, "--crossover-baseline"));
-            }
-            "--crossover-tolerance" => {
-                i += 1;
-                let parsed: f64 =
-                    value_of(&args, i, "--crossover-tolerance").parse().unwrap_or(f64::NAN);
-                if !parsed.is_finite() || !(0.0..1.0).contains(&parsed) {
-                    eprintln!("--crossover-tolerance needs a fraction in [0, 1), e.g. 0.35");
-                    std::process::exit(2);
-                }
-                crossover_tolerance = parsed;
-            }
             "--trace" => trace_mode = true,
-            "--smoke-seed" => {
-                i += 1;
-                smoke_seed = value_of(&args, i, "--smoke-seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--smoke-seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: cheetah-experiments [EXPERIMENT ...] [--full] [--csv DIR] \
                      [--shards LIST]"
                 );
-                println!(
-                    "       cheetah-experiments --smoke-json PATH [--smoke-baseline PATH] \
-                     [--smoke-tolerance FRAC] [--smoke-planner-tolerance FRAC] \
-                     [--smoke-streamed-tolerance FRAC] [--smoke-compiled-tolerance FRAC] \
-                     [--smoke-serving-tolerance FRAC] [--smoke-compiled-speedup FACTOR] \
-                     [--smoke-seed N]"
-                );
-                println!(
-                    "       cheetah-experiments --crossover-json PATH \
-                     [--crossover-baseline PATH] [--crossover-tolerance FRAC] [--smoke-seed N]"
-                );
-                println!("       cheetah-experiments --trace [--smoke-seed N]");
+                println!("       cheetah-experiments --trace");
                 println!("experiments:");
                 for (id, _) in experiments::all() {
                     println!("  {id}");
@@ -246,25 +82,7 @@ fn main() {
     }
 
     if trace_mode {
-        run_trace_mode(smoke_seed);
-        return;
-    }
-    if let Some(path) = smoke_json {
-        run_smoke_mode(
-            &path,
-            smoke_baseline.as_deref(),
-            smoke_tolerance,
-            smoke_planner_tolerance,
-            smoke_streamed_tolerance,
-            smoke_compiled_tolerance,
-            smoke_serving_tolerance,
-            smoke_compiled_speedup,
-            smoke_seed,
-        );
-        return;
-    }
-    if let Some(path) = crossover_json {
-        run_crossover_mode(&path, crossover_baseline.as_deref(), crossover_tolerance, smoke_seed);
+        run_trace_mode();
         return;
     }
 
@@ -309,18 +127,8 @@ fn main() {
 /// and show all three faces of its telemetry — the pretty-printed
 /// lifecycle span tree, the JSON-lines export, and the registry
 /// snapshot the same request fed.
-fn run_trace_mode(seed: u64) {
-    let table = Arc::new(
-        SkewedTableConfig {
-            rows: 6_000,
-            partitions: 4,
-            partition_skew: 0.6,
-            keys: 200,
-            key_skew: 1.0,
-            seed,
-        }
-        .build(),
-    );
+fn run_trace_mode() {
+    let (table, _) = skewed_tables(6_000, 42);
     let session = Session::with_defaults();
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
     let resp = session
@@ -334,123 +142,4 @@ fn run_trace_mode(seed: u64) {
     println!();
     println!("session registry after the request:");
     print!("{}", session.registry().snapshot().render());
-}
-
-/// The CI perf-smoke path: measure, write JSON, optionally gate against a
-/// baseline. Exit code 1 = regression, 2 = usage/IO error.
-#[allow(clippy::too_many_arguments)]
-fn run_smoke_mode(
-    out_path: &str,
-    baseline_path: Option<&str>,
-    tolerance: f64,
-    planner_tolerance: f64,
-    streamed_tolerance: f64,
-    compiled_tolerance: f64,
-    serving_tolerance: f64,
-    compiled_speedup: f64,
-    seed: u64,
-) {
-    eprintln!("running perf smoke (seed {seed})...");
-    let report = run_smoke(seed, 6_000, 3);
-    let json = report.to_json();
-    std::fs::write(out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("wrote {out_path}");
-    println!("{json}");
-    // Within-run gate first: compiled rows vs their interpreted siblings
-    // measured in this very report, so it holds on any machine without a
-    // baseline at all.
-    if compiled_speedup > 0.0 {
-        let violations = report.compiled_speedup_violations(compiled_speedup);
-        if !violations.is_empty() {
-            eprintln!("compiled speedup gate FAILED (need {compiled_speedup:.2}x):");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("compiled speedup gate OK (>= {compiled_speedup:.2}x within-run)");
-    }
-    let Some(baseline_path) = baseline_path else {
-        return;
-    };
-    let baseline_text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let baseline = SmokeReport::parse_json(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let violations = report.regressions_against_with(
-        &baseline,
-        tolerance,
-        planner_tolerance,
-        streamed_tolerance,
-        compiled_tolerance,
-        serving_tolerance,
-    );
-    if violations.is_empty() {
-        eprintln!(
-            "perf smoke OK: {} families within {:.0}% of {baseline_path} ({:.0}% for @planned, \
-             {:.0}% for @streamed, {:.0}% for @compiled, {:.0}% for @serving)",
-            report.families.len(),
-            tolerance * 100.0,
-            planner_tolerance * 100.0,
-            streamed_tolerance * 100.0,
-            compiled_tolerance * 100.0,
-            serving_tolerance * 100.0
-        );
-    } else {
-        eprintln!("perf smoke FAILED vs {baseline_path}:");
-        for v in &violations {
-            eprintln!("  - {v}");
-        }
-        eprintln!();
-        eprintln!("per-row before/after (baseline = {baseline_path}):");
-        eprint!("{}", report.comparison_table(&baseline));
-        std::process::exit(1);
-    }
-}
-
-/// The CI crossover path: sweep, write JSON, optionally gate against a
-/// baseline. Exit code 1 = regression, 2 = usage/IO error.
-fn run_crossover_mode(out_path: &str, baseline_path: Option<&str>, tolerance: f64, seed: u64) {
-    eprintln!("running crossover sweep (seed {seed})...");
-    let report = run_crossover_default(seed);
-    let json = report.to_json();
-    std::fs::write(out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("wrote {out_path}");
-    println!("{json}");
-    let Some(baseline_path) = baseline_path else {
-        return;
-    };
-    let baseline_text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let baseline = CrossoverReport::parse_json(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let violations = report.regressions_against(&baseline, tolerance);
-    if violations.is_empty() {
-        eprintln!(
-            "crossover OK: {} families, crossover points no later than {baseline_path}, \
-             throughput within {:.0}%",
-            report.families.len(),
-            tolerance * 100.0
-        );
-    } else {
-        eprintln!("crossover FAILED vs {baseline_path}:");
-        for v in &violations {
-            eprintln!("  - {v}");
-        }
-        std::process::exit(1);
-    }
 }

@@ -22,7 +22,7 @@ use cheetah_runtime::{execute, ExecPlan, StreamSpec};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
-/// Link rate the chooser prices completions over — the crossover gate's
+/// Link rate the chooser prices completions over — the crossover sweep's
 /// 10G, so arm costs line up with the rest of the harness.
 pub const CHOOSER_LINK_GBPS: f64 = 10.0;
 
@@ -32,7 +32,6 @@ const CHOOSER_SHARDS: usize = 4;
 /// One workload held resident: both backend clusters and the one routed
 /// plan every arm executes.
 struct ResidentWorkload {
-    q: DbQuery,
     interp: Cluster,
     compiled: Cluster,
     plan: ExecPlan,
@@ -50,7 +49,7 @@ impl ResidentWorkload {
             ..StreamSpec::fixed(ShardSpec::new(CHOOSER_SHARDS, ShardPartitioner::Hash))
         };
         let plan = ExecPlan::new(&interp, &q, &table, None, &spec).expect("routes");
-        Self { q, interp, compiled, plan }
+        Self { interp, compiled, plan }
     }
 
     /// Execute one round on `arm` and return its breakdown.
@@ -59,7 +58,7 @@ impl ResidentWorkload {
             ExecBackend::Interpreted => &self.interp,
             ExecBackend::Compiled => &self.compiled,
         };
-        execute(cluster, &self.q, &self.plan.for_path(arm.path)).expect("plan fits").breakdown
+        execute(cluster, &self.plan.for_path(arm.path)).expect("plan fits").breakdown
     }
 }
 

@@ -24,11 +24,10 @@
 
 use crate::report::{frac, secs};
 use crate::workload::ServingWorkload;
-use crate::{Report, RunCtx, Scale};
+use crate::{skewed_tables, Report, RunCtx, Scale};
 use cheetah_db::{Cluster, DbPredicate, DbQuery, IntCmp, QueryOutput, Table};
 use cheetah_serve::{QueryRequest, Session, SessionConfig, SessionStats};
 use cheetah_telemetry::Histogram;
-use cheetah_workloads::SkewedTableConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -44,7 +43,7 @@ const SERVING_SEED: u64 = 0x5E21;
 const FLOOD_DEPTH: usize = 8;
 
 /// The mixed query bag: all seven shapes, constants sized for the
-/// skewed smoke-style tables below.
+/// skewed tables below.
 fn serving_queries() -> Vec<DbQuery> {
     vec![
         DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 90_000 } },
@@ -55,28 +54,6 @@ fn serving_queries() -> Vec<DbQuery> {
         DbQuery::Skyline { cols: vec![1, 2] },
         DbQuery::Join { left_key: 0, right_key: 0 },
     ]
-}
-
-fn serving_tables(rows: usize, seed: u64) -> (Arc<Table>, Arc<Table>) {
-    let left = SkewedTableConfig {
-        rows,
-        partitions: 4,
-        partition_skew: 0.6,
-        keys: 200,
-        key_skew: 1.0,
-        seed,
-    }
-    .build();
-    let right = SkewedTableConfig {
-        rows: rows / 2,
-        partitions: 2,
-        partition_skew: 0.4,
-        keys: 200,
-        key_skew: 0.8,
-        seed: seed ^ 0xFACE,
-    }
-    .build();
-    (Arc::new(left), Arc::new(right))
 }
 
 fn request(q: &DbQuery, left: &Arc<Table>, right: &Arc<Table>, tenant: &str) -> QueryRequest {
@@ -360,7 +337,7 @@ fn run_at(
 ) -> ServingRun {
     let cluster = Cluster::default();
     let queries = serving_queries();
-    let (left, right) = serving_tables(rows, SERVING_SEED);
+    let (left, right) = skewed_tables(rows, SERVING_SEED);
     let truth = baselines(&cluster, &queries, &left, &right);
 
     let closed_w = ServingWorkload::closed(&TENANTS, per_tenant, queries.clone(), SERVING_SEED);
@@ -446,7 +423,7 @@ mod tests {
     fn closed_loop_is_bit_identical_and_caches() {
         let cluster = Cluster::default();
         let queries = serving_queries();
-        let (left, right) = serving_tables(1_500, SERVING_SEED);
+        let (left, right) = skewed_tables(1_500, SERVING_SEED);
         let truth = baselines(&cluster, &queries, &left, &right);
         let w = ServingWorkload::closed(&TENANTS, 30, queries, SERVING_SEED);
         let session = Session::new(cluster, SessionConfig::default());
@@ -472,7 +449,7 @@ mod tests {
     #[test]
     fn light_tenant_p99_stays_within_the_fairness_bound() {
         let cluster = Cluster::default();
-        let (left, right) = serving_tables(2_000, SERVING_SEED);
+        let (left, right) = skewed_tables(2_000, SERVING_SEED);
         let mut failures = Vec::new();
         for _ in 0..3 {
             let f = run_flood(&cluster, &left, &right, 12, 24);

@@ -18,6 +18,12 @@
 //! | [`experiments::fig11`] | Fig. 11a–f — pruning rate vs data scale |
 //! | [`experiments::fig12_13`] | Figs. 12/13 — server vs switch-CPU processing |
 //!
+//! Beyond the paper's artifacts, [`experiments`] carries the repository's
+//! own report-only sweeps (`ablations`, `shards`, `planner`, `runtime`,
+//! `crossover`, `chooser`, `serving`, `fabric`). They print what they
+//! measured and assert only outputs: wall clock is *gated* in one place,
+//! the `cheetah-ledger` benchmark package, and nowhere in this crate.
+//!
 //! `Scale::Quick` keeps every experiment in CI-friendly territory;
 //! `Scale::Full` runs the paper-sized streams (tens of millions of
 //! entries) and takes minutes.
@@ -25,16 +31,39 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crossover;
 pub mod experiments;
 pub mod report;
-pub mod smoke;
 pub mod workload;
 
-pub use crossover::{run_crossover, run_crossover_default, CrossoverFamily, CrossoverReport};
 pub use report::Report;
-pub use smoke::{run_smoke, SmokeFamily, SmokeReport};
 pub use workload::{ArrivalMode, ServingWorkload, TenantSpec};
+
+/// The skewed table pair (`rows` left rows over 4 partitions, `rows / 2`
+/// right rows over 2, 200 zipf keys each) the `crossover` and `serving`
+/// experiments and the `--trace` demo run on.
+pub fn skewed_tables(
+    rows: usize,
+    seed: u64,
+) -> (std::sync::Arc<cheetah_db::Table>, std::sync::Arc<cheetah_db::Table>) {
+    use cheetah_workloads::SkewedTableConfig;
+    let left = SkewedTableConfig {
+        rows,
+        partitions: 4,
+        partition_skew: 0.6,
+        keys: 200,
+        key_skew: 1.0,
+        seed,
+    };
+    let right = SkewedTableConfig {
+        rows: rows / 2,
+        partitions: 2,
+        partition_skew: 0.4,
+        keys: 200,
+        key_skew: 0.8,
+        seed: seed ^ 0xFACE,
+    };
+    (left.build().into(), right.build().into())
+}
 
 /// Route `q` under `layout` in one round and execute it on the barrier
 /// transport — the classic sharded run. Routing (and, for a planned
@@ -49,7 +78,7 @@ pub fn run_barrier(
 ) -> cheetah_runtime::ExecRun {
     let spec = cheetah_runtime::StreamSpec { layout, rounds: 1, ..Default::default() };
     let plan = cheetah_runtime::ExecPlan::new(cluster, q, left, right, &spec).expect("routes");
-    cheetah_runtime::execute(cluster, q, &plan.for_path(cheetah_db::ExecPath::BarrierPooled))
+    cheetah_runtime::execute(cluster, &plan.for_path(cheetah_db::ExecPath::BarrierPooled))
         .expect("plan fits")
 }
 
@@ -91,7 +120,7 @@ impl RunCtx {
         Self { scale, shards: vec![1, 2, 4, 8, 16] }
     }
 
-    /// Quick scale, default axes — what unit tests and smoke runs use.
+    /// Quick scale, default axes — what unit tests use.
     pub fn quick() -> Self {
         Self::new(Scale::Quick)
     }

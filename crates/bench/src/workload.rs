@@ -1,8 +1,8 @@
 //! Multi-tenant serving workload generator: who asks what, when.
 //!
-//! The serving experiments and the `@serving` smoke family replay the
-//! same deterministic request schedules, so a latency difference between
-//! two runs is a scheduling/serving difference, never a workload one.
+//! The serving experiments replay the same deterministic request
+//! schedules, so a latency difference between two runs is a
+//! scheduling/serving difference, never a workload one.
 //! Two arrival disciplines:
 //!
 //! * **closed-loop** — each tenant keeps exactly one request in flight:

@@ -14,10 +14,9 @@
 //! wrapper strategy applies to the other row-partitioned algorithms.
 
 use cheetah_switch::{ControlMsg, HashFn, RegisterArray, ResourceLedger, UsageSummary, Verdict};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for batched DISTINCT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchedDistinctConfig {
     /// Matrix rows `d`.
     pub rows: usize,

@@ -28,11 +28,10 @@ use cheetah_switch::{
     ControlMsg, HashFn, PacketRef, RegisterArray, ResourceLedger, SwitchProgram, UsageSummary,
     Verdict,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Which value the row evicts when full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Least-recently-used via the paper's rolling replacement. One column
     /// per pipeline stage: `w` stages, `w` ALUs.
@@ -44,7 +43,7 @@ pub enum EvictionPolicy {
 }
 
 /// Configuration of the DISTINCT matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistinctConfig {
     /// Number of rows `d` (the hash range).
     pub rows: usize,

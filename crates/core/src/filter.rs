@@ -21,10 +21,9 @@
 use cheetah_switch::{
     ControlMsg, ExactTable, PacketRef, ResourceLedger, SwitchProgram, UsageSummary, Verdict,
 };
-use serde::{Deserialize, Serialize};
 
 /// Comparison operators a switch ALU supports directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `column > constant`
     Gt,
@@ -56,7 +55,7 @@ impl CmpOp {
 }
 
 /// A switch-evaluable predicate: `column <op> constant`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Predicate {
     /// Index of the column in the packet's value list.
     pub col: usize,
@@ -68,7 +67,7 @@ pub struct Predicate {
 }
 
 /// One atom of the Boolean formula.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AtomSpec {
     /// Evaluated on the switch.
     Switch(Predicate),
@@ -82,7 +81,7 @@ pub enum AtomSpec {
 }
 
 /// How external (non-switch-evaluable) atoms are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExternalMode {
     /// Replace by `T` (monotone weakening); master re-checks survivors.
     Tautology,
@@ -92,7 +91,7 @@ pub enum ExternalMode {
 }
 
 /// A monotone Boolean formula over atom indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BoolExpr {
     /// Atom `i` of the config's atom list.
     Atom(usize),
@@ -195,7 +194,7 @@ impl BoolExpr {
 }
 
 /// Filtering configuration: atoms + formula + external handling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterConfig {
     /// The atoms referenced by [`FilterConfig::expr`].
     pub atoms: Vec<AtomSpec>,

@@ -10,10 +10,9 @@
 
 use crate::analysis;
 use cheetah_switch::HashFn;
-use serde::{Deserialize, Serialize};
 
 /// A fingerprint function: `bits`-wide hash of the queried columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FingerprintSpec {
     /// Fingerprint width in bits (1..=63 so the +1 "occupied" bias used by
     /// the matrix cache cannot wrap).

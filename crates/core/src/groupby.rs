@@ -26,11 +26,10 @@ use cheetah_switch::{
     ControlMsg, HashFn, PacketRef, RegisterArray, ResourceLedger, SwitchProgram, UsageSummary,
     Verdict,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which aggregate the GROUP BY maintains per key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggKind {
     /// Keep the per-key maximum; prune entries ≤ the stored max.
     Max,
@@ -39,7 +38,7 @@ pub enum AggKind {
 }
 
 /// Configuration of the GROUP BY matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupByConfig {
     /// Number of rows `d`.
     pub rows: usize,

@@ -29,11 +29,10 @@ use cheetah_switch::{
     ControlMsg, ExactTable, HashFamily, HashFn, PacketRef, RegisterArray, ResourceLedger,
     SwitchProgram, UsageSummary, Verdict,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Which aggregate the HAVING condition applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HavingAgg {
     /// `SUM(value) > c` — packets carry `[key, value]`.
     Sum,
@@ -42,7 +41,7 @@ pub enum HavingAgg {
 }
 
 /// HAVING pruning configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HavingConfig {
     /// Count-Min rows (`d` in Table 2; the paper evaluates 3).
     pub cm_rows: usize,

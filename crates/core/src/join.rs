@@ -33,11 +33,10 @@ use cheetah_switch::{
     ControlMsg, HashFamily, HashFn, PacketRef, RegisterArray, ResourceLedger, SwitchProgram,
     UsageSummary, Verdict,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Which side of the join a flow carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinSide {
     /// The left (or small) table.
     A,
@@ -46,7 +45,7 @@ pub enum JoinSide {
 }
 
 /// Bloom filter implementation choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BloomKind {
     /// Classic `M`-bit filter with `H` independent hash probes.
     Classic {
@@ -61,7 +60,7 @@ pub enum BloomKind {
 }
 
 /// Pass structure of the join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinMode {
     /// Both tables build in pass 1, both are pruned in pass 2.
     TwoPass,
@@ -71,7 +70,7 @@ pub enum JoinMode {
 }
 
 /// JOIN pruning configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinConfig {
     /// Filter size in bits (per side).
     pub m_bits: u64,

@@ -32,7 +32,6 @@
 
 use crate::shard::{ShardPartitioner, Sharder};
 use cheetah_switch::hash::mix64;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Seeded Algorithm-R reservoir sampler over a `u64` key stream.
@@ -238,7 +237,7 @@ pub fn max_load_fraction(keys: &[u64], sharder: &Sharder) -> f64 {
 /// How a run's sharding layout was decided — recorded in
 /// `ExecBreakdown` so every measurement says whether a planner or a
 /// hand-picked spec chose it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanDecision {
     /// A hand-picked `ShardSpec` (or the unsharded path's implicit one).
     Fixed(ShardPartitioner),

@@ -22,11 +22,10 @@ use crate::topn::{TopNDetConfig, TopNDetPruner, TopNRandConfig, TopNRandPruner};
 use cheetah_switch::{
     ControlPlane, Pipeline, ProgramId, ResourceLedger, SwitchProfile, UsageSummary,
 };
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A query the switch can help prune.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuerySpec {
     /// `SELECT .. WHERE <predicates>`.
     Filter(FilterConfig),

@@ -22,10 +22,9 @@
 //! workload generators exercise).
 
 use cheetah_switch::hash::mix64;
-use serde::{Deserialize, Serialize};
 
 /// The shard routing family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPartitioner {
     /// Uniform scatter: `shard = mix64(key ⊕ seed) mod n`.
     Hash,
@@ -48,7 +47,7 @@ impl ShardPartitioner {
 
 /// A concrete `key → shard` function: partitioner kind + shard count +
 /// hash seed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sharder {
     kind: ShardPartitioner,
     shards: usize,

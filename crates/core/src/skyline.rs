@@ -27,10 +27,9 @@ use cheetah_switch::{
     ApproxLog, ControlMsg, PacketRef, RegisterArray, ResourceLedger, SwitchProgram, UsageSummary,
     Verdict,
 };
-use serde::{Deserialize, Serialize};
 
 /// Point-selection policy (the curves of Figure 10b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkylinePolicy {
     /// Rolling minimum on `h_S(x) = Σ x_i`.
     Sum,
@@ -45,7 +44,7 @@ pub enum SkylinePolicy {
 }
 
 /// SKYLINE pruning configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkylineConfig {
     /// Number of dimensions `D`.
     pub dims: usize,

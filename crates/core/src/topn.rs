@@ -26,11 +26,10 @@ use cheetah_switch::{
     ControlMsg, HashFn, PacketRef, RegisterArray, ResourceLedger, SwitchProgram, UsageSummary,
     Verdict,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// Configuration of the deterministic threshold ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopNDetConfig {
     /// The `N` of TOP N.
     pub n: usize,
@@ -144,7 +143,7 @@ impl SwitchProgram for TopNDetPruner {
 }
 
 /// Configuration of the randomized matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopNRandConfig {
     /// Matrix rows `d`.
     pub rows: usize,

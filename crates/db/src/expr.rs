@@ -1,10 +1,8 @@
 //! Predicates for WHERE clauses, including the string `LIKE` the switch
 //! cannot evaluate (§4.1's running example).
 
-use serde::{Deserialize, Serialize};
-
 /// Integer comparison operators (signed SQL semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntCmp {
     /// `>`
     Gt,
@@ -37,7 +35,7 @@ impl IntCmp {
 
 /// A SQL `LIKE` pattern with `%` wildcards (no `_` support — the paper's
 /// example only uses `%`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LikePattern {
     segments: Vec<String>,
     anchored_start: bool,
@@ -88,7 +86,7 @@ impl LikePattern {
 
 /// A WHERE-clause predicate tree (monotone: And/Or over atoms; negations
 /// are pushed into the comparison operators, as §4.1 assumes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DbPredicate {
     /// Integer comparison against a literal.
     CmpInt {

@@ -216,7 +216,7 @@ fn probe_slice(table: &Table, rows: usize) -> Table {
 /// // …and the planned run completes bit-identically to the baseline.
 /// let base = cluster.run_baseline(&q, &table, None);
 /// let routed = ExecPlan::new(&cluster, &q, &table, None, &StreamSpec::planned(planner)).unwrap();
-/// let planned = execute(&cluster, &q, &routed).unwrap();
+/// let planned = execute(&cluster, &routed).unwrap();
 /// assert_eq!(base.output, planned.output);
 /// ```
 #[derive(Debug, Clone, Default)]

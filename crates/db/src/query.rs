@@ -8,11 +8,10 @@
 
 use crate::expr::DbPredicate;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A query over one table (or two, for JOIN).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DbQuery {
     /// `SELECT COUNT(*) FROM t WHERE <pred>` — benchmark query 1
     /// (BigData A).
@@ -110,7 +109,7 @@ impl DbQuery {
 }
 
 /// Normalized query output, comparable with `==` across execution paths.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryOutput {
     /// A row count.
     Count(u64),

@@ -5,10 +5,9 @@
 //! mirroring Spark's task-per-partition execution.
 
 use crate::value::{DataType, Value};
-use serde::{Deserialize, Serialize};
 
 /// One column of a partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Integer column.
     Int(Vec<i64>),
@@ -72,7 +71,7 @@ impl Column {
 }
 
 /// One horizontal slice of a table, owned by one worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     columns: Vec<Column>,
     rows: usize,
@@ -111,7 +110,7 @@ impl Partition {
 }
 
 /// A schema'd table split into partitions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     fields: Vec<(String, DataType)>,

@@ -1,10 +1,9 @@
 //! Typed values and their switch encodings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Column data types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -13,7 +12,7 @@ pub enum DataType {
 }
 
 /// One cell value.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// Integer value.
     Int(i64),

@@ -72,7 +72,7 @@ pub fn run_barrier(
 ) -> ExecRun {
     let spec = StreamSpec { layout, rounds: 1, ..StreamSpec::default() };
     let plan = ExecPlan::new(cluster, q, left, right, &spec).expect("routes");
-    execute(cluster, q, &plan.for_path(ExecPath::BarrierPooled)).expect("plan fits")
+    execute(cluster, &plan.for_path(ExecPath::BarrierPooled)).expect("plan fits")
 }
 
 /// One point of the execution grid.
@@ -120,7 +120,7 @@ pub fn for_each_exec_case(
                             backend.label()
                         );
                         let cluster = oracle.clone().with_backend(backend);
-                        let run = execute(&cluster, &q, &plan.for_path(path)).expect("plan fits");
+                        let run = execute(&cluster, &plan.for_path(path)).expect("plan fits");
                         assert_eq!(base.output, run.output, "{label}: diverged from baseline");
                         assert_eq!(run.breakdown.shards as usize, shards, "{label}");
                         assert_eq!(run.per_shard.len(), shards, "{label}");

@@ -13,8 +13,8 @@
 //!    shard. A kernel that forwards the right rows for the wrong reasons
 //!    (different prune pattern, same survivors after dedup) fails here.
 //! 3. **Honest attribution** — the breakdown of a compiled run records
-//!    `ExecBackend::Compiled`; the oracle records `Interpreted`. Perf
-//!    rows in the smoke harness trust this field.
+//!    `ExecBackend::Compiled`; the oracle records `Interpreted`. The
+//!    counters gate (`counters_contract`) pins this field row by row.
 
 mod common;
 

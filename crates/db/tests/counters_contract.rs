@@ -1,0 +1,158 @@
+//! Pruning counters gate: for a fixed seed, how many entries the switch
+//! prunes, how many survivors the master sees, and which backend did the
+//! pruning are *exact* numbers, on every execution path.
+//!
+//! The other contract gates prove every path answers like the baseline;
+//! this one pins how much work the switch took off the wire to get
+//! there. A one-entry drift in pruning quality (a changed hash seed, a
+//! resized matrix, a round boundary that moved) or a compiled run that
+//! silently fell back to the interpreter fails here — with no tolerance
+//! and no timer, so it fails the same way on every machine.
+//!
+//! Twenty rows over one skewed table pair: each of the seven families
+//! unsharded through [`Cluster::run_cheetah`]; three representative
+//! families × four sharded forms through [`ExecPlan`] + [`execute`]
+//! (`@shards4` = fixed hash layout on the barrier transport,
+//! `@compiled` = the same plan on the fused kernels, `@planned` = the
+//! sampling planner's layout, `@streamed` = the four-round stream
+//! transport, whose round boundaries legitimately change which
+//! duplicates each per-round switch program sees); and one pinned
+//! request through the [`Session`] front door, which may change when an
+//! answer arrives but never what it says.
+
+mod common;
+
+use cheetah_core::ShardPartitioner;
+use cheetah_db::{
+    Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardPlanner, ShardSpec,
+};
+use cheetah_runtime::{execute, ExecPlan, ShardLayout, StreamSpec};
+use cheetah_serve::{QueryRequest, Session};
+use cheetah_workloads::SkewedTableConfig;
+use std::sync::Arc;
+
+const SHARDS: usize = 4;
+const INTERP: ExecBackend = ExecBackend::Interpreted;
+const COMPILED: ExecBackend = ExecBackend::Compiled;
+
+/// `(row, entries pruned at the switch, entries to the master, backend)`.
+type Row = (&'static str, u64, u64, ExecBackend);
+
+const GOLDEN: [Row; 20] = [
+    ("filter-count", 5387, 613, INTERP),
+    ("distinct", 5801, 199, INTERP),
+    ("topn", 24, 5976, INTERP),
+    ("groupby-max", 5357, 643, INTERP),
+    ("having-sum", 5988, 3146, INTERP),
+    ("skyline", 5500, 500, INTERP),
+    ("join", 9002, 8998, INTERP),
+    ("distinct@shards4", 5801, 199, INTERP),
+    ("distinct@compiled", 5801, 199, COMPILED),
+    ("distinct@planned", 5801, 199, INTERP),
+    ("distinct@streamed", 5282, 718, INTERP),
+    ("groupby-max@shards4", 5357, 643, INTERP),
+    ("groupby-max@compiled", 5357, 643, COMPILED),
+    ("groupby-max@planned", 5357, 643, INTERP),
+    ("groupby-max@streamed", 4513, 1487, INTERP),
+    ("join@shards4", 9002, 8998, INTERP),
+    ("join@compiled", 9002, 8998, COMPILED),
+    ("join@planned", 9002, 8998, INTERP),
+    ("join@streamed", 9002, 8998, INTERP),
+    ("burst@serving", 5801, 199, INTERP),
+];
+
+#[test]
+fn pruning_counters_match_the_golden_table_exactly() {
+    let left = Arc::new(
+        SkewedTableConfig {
+            rows: 6_000,
+            partitions: 4,
+            partition_skew: 0.6,
+            keys: 200,
+            key_skew: 1.0,
+            seed: 42,
+        }
+        .build(),
+    );
+    let right = Arc::new(
+        SkewedTableConfig {
+            rows: 3_000,
+            partitions: 2,
+            partition_skew: 0.4,
+            keys: 200,
+            key_skew: 0.8,
+            seed: 42 ^ 0xFACE,
+        }
+        .build(),
+    );
+    let cluster = Cluster::default();
+    let compiled = cluster.clone().with_backend(COMPILED);
+    let distinct = DbQuery::Distinct { col: 0 };
+    let groupby = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
+    let join = DbQuery::Join { left_key: 0, right_key: 0 };
+    let mut seen: Vec<(String, u64, u64, ExecBackend)> = Vec::new();
+
+    let filter = DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 90_000 };
+    for (name, q) in [
+        ("filter-count", DbQuery::FilterCount { pred: filter }),
+        ("distinct", distinct.clone()),
+        ("topn", DbQuery::TopN { order_col: 1, n: 64 }),
+        ("groupby-max", groupby.clone()),
+        ("having-sum", DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 40_000 }),
+        ("skyline", DbQuery::Skyline { cols: vec![1, 2] }),
+        ("join", join.clone()),
+    ] {
+        let right_of = q.is_binary().then_some(&*right);
+        let run = cluster.run_cheetah(&q, &left, right_of).expect("plan fits");
+        let b = run.breakdown;
+        seen.push((name.to_string(), run.switch_stats.pruned, b.entries_to_master, b.backend));
+    }
+
+    for (family, q) in [("distinct", &distinct), ("groupby-max", &groupby), ("join", &join)] {
+        let right_of = q.is_binary().then_some(&right);
+        let fixed = StreamSpec::fixed(ShardSpec::new(SHARDS, ShardPartitioner::Hash));
+        let one_round = StreamSpec { rounds: 1, ..fixed.clone() };
+        let barrier = ExecPlan::new(&cluster, q, &left, right_of, &one_round)
+            .expect("routes")
+            .for_path(ExecPath::BarrierPooled);
+        let streamed = ExecPlan::new(&cluster, q, &left, right_of, &fixed).expect("routes");
+        let planned = ShardLayout::Planned(ShardPlanner::default());
+        let runs = [
+            ("shards4", execute(&cluster, &barrier).expect("plan fits")),
+            ("compiled", execute(&compiled, &barrier).expect("plan fits")),
+            ("planned", common::run_barrier(&cluster, q, &left, right_of, planned)),
+            ("streamed", execute(&cluster, &streamed).expect("plan fits")),
+        ];
+        for (form, run) in &runs {
+            let b = &run.breakdown;
+            let name = format!("{family}@{form}");
+            seen.push((name, run.switch_stats.pruned, b.entries_to_master, b.backend));
+        }
+    }
+
+    // Pinned requests skip the plan cache and the bandit, so the serving
+    // plane's counters are as deterministic as the executor's.
+    let resp = Session::with_defaults()
+        .run_blocking(
+            QueryRequest::new(distinct, Arc::clone(&left))
+                .path(ExecPath::BarrierPooled)
+                .backend(INTERP)
+                .shards(SHARDS),
+        )
+        .expect("plan fits");
+    let b = resp.breakdown;
+    seen.push(("burst@serving".into(), resp.switch_stats.pruned, b.entries_to_master, b.backend));
+
+    assert_eq!(seen.len(), GOLDEN.len());
+    for ((name, pruned, to_master, backend), want) in seen.iter().zip(&GOLDEN) {
+        assert_eq!((name.as_str(), *pruned, *to_master, *backend), *want);
+    }
+    // The fused kernels prune exactly like the interpreter they replace.
+    for family in ["distinct", "groupby-max", "join"] {
+        let row = |form: &str| {
+            let name = format!("{family}@{form}");
+            GOLDEN.iter().find(|r| r.0 == name).map(|r| (r.1, r.2)).expect("row present")
+        };
+        assert_eq!(row("compiled"), row("shards4"), "{family}");
+    }
+}

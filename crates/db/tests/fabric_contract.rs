@@ -193,7 +193,7 @@ fn stream_transport_answers_all_seven_families_under_harsh_faults() {
         spec.batch = Some(4); // many small frames → many fault draws
         spec.fault = Some(FaultSpec::harsh(0xFAB));
         let plan = ExecPlan::new(&cluster, &q, &left, r, &spec).expect("routes");
-        let run = execute(&cluster, &q, &plan).expect("streamed run");
+        let run = execute(&cluster, &plan).expect("streamed run");
         assert_eq!(base, run.output, "{}: harsh channel changed the answer", q.kind());
         assert!(
             run.breakdown.retransmits > 0,

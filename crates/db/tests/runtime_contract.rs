@@ -33,7 +33,7 @@ use std::sync::Arc;
 /// Route under `spec` and execute on the stream transport.
 fn streamed(cluster: &Cluster, q: &DbQuery, t: &Arc<Table>, spec: &StreamSpec) -> ExecRun {
     let plan = ExecPlan::new(cluster, q, t, None, spec).expect("routes");
-    execute(cluster, q, &plan).expect("plan fits")
+    execute(cluster, &plan).expect("plan fits")
 }
 
 /// What every run of this gate must satisfy beyond the grid's universal
@@ -87,7 +87,7 @@ fn planner_chosen_layouts_match_baseline_too() {
                 .expect("routes");
             for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
                 let label = format!("{} × planned × {} on {}", q.kind(), path.label(), adv.name());
-                let run = execute(&cluster, &q, &plan.for_path(path)).expect("plan fits");
+                let run = execute(&cluster, &plan.for_path(path)).expect("plan fits");
                 assert_eq!(base.output, run.output, "{label}");
                 let total = (left.rows() + right_of.map_or(0, |r| r.rows())) as u64;
                 assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), total, "{label}");

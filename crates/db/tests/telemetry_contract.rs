@@ -13,6 +13,9 @@
 //! 3. **Fabric attribution** — a traced faulty-channel run lands its
 //!    go-back-N resend count in the owning registry's
 //!    `net.retransmits`, equal to the breakdown's field.
+//! 4. **Errors are traced too** — a request that fails with a typed
+//!    error still exports its tree (root attr `error`) and still counts
+//!    in `serve.latency_seconds`.
 
 mod common;
 
@@ -151,6 +154,28 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
 }
 
 #[test]
+fn errored_requests_stay_in_the_trace_plane_and_the_latency_histogram() {
+    let t = fixture(0xE220);
+    let session = Session::with_defaults();
+    session.run_blocking(QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))).unwrap();
+    let traced = session.traces().pushed();
+
+    // Reachable from tenant input: a join submitted without its right table.
+    let join = DbQuery::Join { left_key: 0, right_key: 0 };
+    let err = session.run_blocking(QueryRequest::new(join, t)).unwrap_err();
+    let missing = cheetah_core::Error::MissingStream { stream: 1 };
+    assert_eq!(err, cheetah_serve::Error::Exec(missing));
+
+    assert_eq!(session.traces().pushed(), traced + 1, "the failed request must export its tree");
+    let tree = session.traces().last().expect("just pushed");
+    assert_eq!(tree.root.attr("error"), Some(err.to_string().as_str()));
+    assert_eq!(tree.root.attr("query"), Some("join"));
+    let snap = session.registry().snapshot();
+    assert_eq!(snap.counters["serve.queries"], 2);
+    assert_eq!(snap.histograms["serve.latency_seconds"].count, snap.counters["serve.queries"]);
+}
+
+#[test]
 fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let cluster = Cluster::default();
     let t = Arc::new(common::gen_table(1_500, 60, 3, 0xBAD));
@@ -165,7 +190,7 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let plan = ExecPlan::new(&cluster, &q, &t, None, &spec).unwrap();
     let run = {
         let _g = root.enter();
-        execute(&cluster, &q, &plan).unwrap()
+        execute(&cluster, &plan).unwrap()
     };
     root.finish();
     assert!(run.breakdown.retransmits > 0, "harsh channel must force resends");

@@ -7,13 +7,12 @@
 
 use bytes::Bytes;
 use cheetah_switch::hash::mix64;
-use serde::{Deserialize, Serialize};
 
 /// Simulated nanoseconds.
 pub type SimTime = u64;
 
 /// Fault-injection knobs (probabilities in `[0, 1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Probability a packet is silently dropped.
     pub drop_prob: f64,

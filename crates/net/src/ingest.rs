@@ -16,10 +16,8 @@
 //! adding workers eventually moves the bottleneck from worker compute to
 //! master ingest (§4.6).
 
-use serde::{Deserialize, Serialize};
-
 /// Queueing model of the master ingesting a pruned stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MasterIngestModel {
     /// Entry arrival rate at the master's NIC (entries/second) — the
     /// CWorker send rate times the unpruned fraction.

@@ -13,7 +13,6 @@
 //!   execution, with the link-rate completion model of Figure 8.
 
 use cheetah_core::{Error, PacketEntry, PlanDecision};
-use serde::{Deserialize, Serialize};
 
 /// Wire size of one Cheetah entry-packet (Ethernet + IP + UDP + Cheetah
 /// header + values). Chosen so a 10G link carries ~10 M entries/s, the
@@ -77,7 +76,7 @@ impl PacketEntry for Encoded {
 /// kernel ([`cheetah_core::CompiledProgram`]) — bit-identical verdicts,
 /// no per-entry virtual dispatch. Recorded in [`ExecBreakdown`] so every
 /// measurement says which engine produced it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecBackend {
     /// Generic interpreted pipeline (the oracle).
     #[default]
@@ -105,7 +104,7 @@ impl ExecBackend {
 /// `entries_to_master` attributes, and `retransmits` to the registry's
 /// `net.retransmits` counter. Direct (non-session) runs fill the same
 /// fields from the same measurement seams, just without the spans.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecBreakdown {
     /// Slowest worker's compute/serialize time (workers run in parallel).
     pub worker_seconds: f64,

@@ -13,7 +13,6 @@
 //! and malformed packets yield a typed [`WireError`] — never a panic.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Packet type discriminants on the wire.
 const TYPE_DATA: u8 = 1;
@@ -57,7 +56,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A data message: one entry of a flow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataPacket {
     /// Flow id (dataset/query channel).
     pub fid: u32,
@@ -68,7 +67,7 @@ pub struct DataPacket {
 }
 
 /// Who acknowledged a sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckSource {
     /// The switch pruned the entry (it will never reach the master).
     SwitchPruned,
@@ -77,7 +76,7 @@ pub enum AckSource {
 }
 
 /// An acknowledgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckPacket {
     /// Flow id.
     pub fid: u32,
@@ -88,7 +87,7 @@ pub struct AckPacket {
 }
 
 /// Any Cheetah message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Packet {
     /// Entry data.
     Data(DataPacket),

@@ -29,6 +29,8 @@ use std::sync::Arc;
 /// transport ([`ExecPath`]) carries the survivors to the master.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
+    /// The query the layout was routed for — the only one it can run.
+    query: DbQuery,
     /// The tables the units were routed from. Held so a cache keyed on
     /// their addresses can never see an address reused by another table.
     left: Arc<Table>,
@@ -131,6 +133,7 @@ impl ExecPlan {
             }
         }
         Ok(ExecPlan {
+            query: q.clone(),
             left: Arc::clone(left),
             right: right.cloned(),
             units,
@@ -163,6 +166,11 @@ impl ExecPlan {
     pub fn is_over(&self, left: &Arc<Table>, right: Option<&Arc<Table>>) -> bool {
         Arc::ptr_eq(&self.left, left)
             && self.right.as_ref().map(Arc::as_ptr) == right.map(Arc::as_ptr)
+    }
+
+    /// The query this plan was routed for.
+    pub fn query(&self) -> &DbQuery {
+        &self.query
     }
 
     /// Shard count of the layout.

@@ -81,16 +81,16 @@ pub struct ExecRun {
     pub rules: usize,
 }
 
-/// Execute `q` over the routed `plan`: prune every unit on pool workers
+/// Execute the routed `plan`'s query: prune every unit on pool workers
 /// (each with its own planned switch program), carry the survivors to
 /// the master by the plan's transport, merge, account.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
 /// partitioner, transport and backend — the transport changes *when*
-/// survivors reach the master, never *what* the query answers. `q` must
-/// be the query the plan was routed for.
-pub fn execute(cluster: &Cluster, q: &DbQuery, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
+/// survivors reach the master, never *what* the query answers.
+pub fn execute(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
     let epoch = Instant::now();
+    let q = plan.query();
     let plane = spawn_worker_plane(cluster, q, plan, epoch);
     let fold = drain_merge_plane(q, plan, plane, epoch)?;
     Ok(assemble(fold, plan, cluster.backend))
@@ -565,7 +565,7 @@ mod tests {
                 let plan = plan_of(&q, &t, None, &fixed(shards, ShardPartitioner::Hash));
                 assert_eq!(plan.dispatched().iter().sum::<u64>(), 2_000, "{}", q.kind());
                 for path in PATHS {
-                    let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+                    let run = execute(&cluster, &plan.for_path(path)).unwrap();
                     let label = format!("{} @ {shards} {}", q.kind(), path.label());
                     assert_eq!(base.output, run.output, "{label}");
                     assert_eq!(run.breakdown.shards as usize, shards, "{label}");
@@ -591,7 +591,7 @@ mod tests {
         let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
         let plan = plan_of(&q, &t, None, &StreamSpec::fixed(ShardSpec::default()));
         for path in PATHS {
-            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            let run = execute(&cluster, &plan.for_path(path)).unwrap();
             assert_eq!(run.per_shard.len(), 4);
             assert_eq!(
                 run.breakdown.master_wire_bytes,
@@ -635,7 +635,7 @@ mod tests {
         let plan = plan_of(&q, &l, Some(&r), &spec);
         assert_eq!(plan.dispatched().iter().sum::<u64>(), 1_800, "both streams are routed");
         for path in PATHS {
-            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            let run = execute(&cluster, &plan.for_path(path)).unwrap();
             assert_eq!(run.rounds, 1);
             assert_eq!(run.breakdown.replans, 0);
             assert!(run.replan_events.is_empty());
@@ -650,8 +650,7 @@ mod tests {
         let cluster = Cluster::default();
         let t = table(1_500, 3);
         let q = DbQuery::Distinct { col: 0 };
-        let planned =
-            execute(&cluster, &q, &plan_of(&q, &t, None, &StreamSpec::default())).unwrap();
+        let planned = execute(&cluster, &plan_of(&q, &t, None, &StreamSpec::default())).unwrap();
         let plan = planned.plan.clone().expect("planned layout records its plan");
         assert_eq!(planned.breakdown.shards as usize, plan.shards());
         assert!(planned.breakdown.plan.expect("decision").is_planned());
@@ -660,7 +659,7 @@ mod tests {
         // the identical layout without re-sampling.
         let layout = ShardLayout::Fitted(Arc::clone(&plan), MasterIngestModel::default_rack());
         let refit = plan_of(&q, &t, None, &StreamSpec { layout, ..StreamSpec::default() });
-        let rerun = execute(&cluster, &q, &refit).unwrap();
+        let rerun = execute(&cluster, &refit).unwrap();
         assert!(Arc::ptr_eq(rerun.plan.as_ref().expect("plan rides along"), &plan));
         assert_eq!(rerun.per_shard.iter().map(|s| s.rows).collect::<Vec<_>>(), refit.dispatched());
         assert_eq!(rerun.output, planned.output);
@@ -686,20 +685,20 @@ mod tests {
             spec.batch = Some(4); // many small frames → many fault draws
             spec.fault = Some(FaultSpec::harsh(0xC0FFEE));
             let plan = plan_of(&q, &t, None, &spec);
-            let first = execute(&cluster, &q, &plan).unwrap();
-            let second = execute(&cluster, &q, &plan).unwrap();
+            let first = execute(&cluster, &plan).unwrap();
+            let second = execute(&cluster, &plan).unwrap();
             for run in [&first, &second] {
                 assert_eq!(base.output, run.output, "{} under harsh faults", q.kind());
                 assert!(run.breakdown.retransmits > 0, "{}: must force resends", q.kind());
             }
             // The barrier transport sends no frames, so it has none to lose.
-            let barrier = execute(&cluster, &q, &plan.for_path(ExecPath::BarrierPooled)).unwrap();
+            let barrier = execute(&cluster, &plan.for_path(ExecPath::BarrierPooled)).unwrap();
             assert_eq!(barrier.breakdown.retransmits, 0);
             assert_eq!(base.output, barrier.output);
         }
         // The lossless stream keeps its zero.
         let q = DbQuery::Distinct { col: 0 };
-        let run = execute(&cluster, &q, &plan_of(&q, &t, None, &fixed(3, ShardPartitioner::Hash)));
+        let run = execute(&cluster, &plan_of(&q, &t, None, &fixed(3, ShardPartitioner::Hash)));
         assert_eq!(run.unwrap().breakdown.retransmits, 0);
     }
 
@@ -717,7 +716,7 @@ mod tests {
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &empty, None, &fixed(5, ShardPartitioner::Range));
         for path in PATHS {
-            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            let run = execute(&cluster, &plan.for_path(path)).unwrap();
             assert_eq!(run.output, QueryOutput::Values(vec![]));
             assert_eq!(run.batches, 0);
             assert_eq!(run.breakdown.entries_to_master, 0);
@@ -729,7 +728,7 @@ mod tests {
         let q = DbQuery::TopN { order_col: 1, n: 2 };
         let plan = plan_of(&q, &tiny, None, &fixed(7, ShardPartitioner::Hash));
         for path in PATHS {
-            let run = execute(&cluster, &q, &plan.for_path(path)).unwrap();
+            let run = execute(&cluster, &plan.for_path(path)).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
             assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
         }
@@ -744,14 +743,14 @@ mod tests {
         let ingest = MasterIngestModel::default_rack();
         let plan = plan_of(&q, &t, None, &spec);
         assert_eq!(plan.depth, ingest.suggested_depth(4), "NIC-paced channel depth");
-        let run = execute(&cluster, &q, &plan).unwrap();
+        let run = execute(&cluster, &plan).unwrap();
         assert_eq!(run.batch_size, ingest.suggested_batch(4));
         let mut pinned = spec.clone();
         pinned.batch = Some(7);
         pinned.channel_depth = Some(0);
         let plan = plan_of(&q, &t, None, &pinned);
         assert_eq!(plan.depth, 1, "channel depth is clamped to at least 1");
-        let run = execute(&cluster, &q, &plan).unwrap();
+        let run = execute(&cluster, &plan).unwrap();
         assert_eq!(run.batch_size, 7);
         // 37 distinct survivors at batch 7 → ceil division worth of frames
         // per emitting shard; at least more frames than the unpinned run.
@@ -779,7 +778,7 @@ mod tests {
             for (q, plan) in queries.iter().zip(&plans) {
                 let base = cluster.run_baseline(q, &t, None).output;
                 for path in PATHS {
-                    let run = execute(&cluster, q, &plan.for_path(path)).unwrap();
+                    let run = execute(&cluster, &plan.for_path(path)).unwrap();
                     assert_eq!(run.output, base, "{} {} round {round}", q.kind(), path.label());
                 }
             }

@@ -520,16 +520,53 @@ fn shape_key(req: &QueryRequest) -> String {
     format!("{:?}|{}|{}", req.query, req.left.name(), req.right.as_ref().map_or("-", |r| r.name()))
 }
 
-/// Resolve plan → arm → layout, execute on the chosen transport, stamp
-/// the serving fields, and close out the request's trace. Runs on a
-/// driver thread (or the caller's, via the `run_blocking` fast path);
-/// never holds the scheduler lock.
+/// Serve one admitted request and close out its trace — on *both* arms:
+/// a request that fails with a typed error still exports its span tree
+/// (root attr `error`) and still counts in `serve.latency_seconds`, so
+/// the trace plane and the latency histogram account for every request
+/// `serve.queries` does. Runs on a driver thread (or the caller's, via
+/// the `run_blocking` fast path); never holds the scheduler lock.
 fn execute(
     shared: &Shared,
     req: &QueryRequest,
     queue_seconds: f64,
     concurrent: usize,
     mut root: Span,
+) -> Result<QueryResponse> {
+    let mut result = serve(shared, req, queue_seconds, concurrent, &mut root);
+    if let Err(e) = &result {
+        root.attr("error", e);
+    }
+    // The root span opened at admission, so its age is queue + execute —
+    // exactly the client-observed latency.
+    let latency = root.elapsed_s();
+    shared.telemetry.latency_seconds.observe(latency);
+    shared
+        .telemetry
+        .registry
+        .histogram(&format!("serve.tenant.{}.latency_seconds", req.tenant))
+        .observe(latency);
+    let trace = root.trace().clone();
+    root.finish();
+    let trace = trace.export().ok();
+    if let Some(tree) = &trace {
+        shared.telemetry.sink.push(tree.clone());
+    }
+    if let Ok(resp) = &mut result {
+        resp.trace = trace;
+    }
+    result
+}
+
+/// Resolve plan → arm → layout, execute on the chosen transport, and
+/// stamp the serving fields. The response's `trace` is filled in by the
+/// caller once the root span has closed.
+fn serve(
+    shared: &Shared,
+    req: &QueryRequest,
+    queue_seconds: f64,
+    concurrent: usize,
+    root: &mut Span,
 ) -> Result<QueryResponse> {
     let shape = shape_key(req);
     let seed = shared.cluster.tuning.seed;
@@ -642,7 +679,7 @@ fn execute(
     let cluster = shared.cluster.clone().with_backend(arm.backend);
     let run = {
         let _in_exec = exec_span.enter();
-        cheetah_runtime::execute(&cluster, &req.query, &plan.for_path(arm.path))?
+        cheetah_runtime::execute(&cluster, &plan.for_path(arm.path))?
     };
     let (output, per_shard, mut breakdown, switch_stats) =
         (run.output, run.per_shard, run.breakdown, run.switch_stats);
@@ -652,7 +689,7 @@ fn execute(
     exec_span.finish();
 
     // 4. Respond: feed the bandit what this arm cost, then stamp the
-    // serving fields the caller sees and close out the trace.
+    // serving fields the caller sees.
     let respond_span = root.child("respond");
     {
         let mut caches = shared.caches.lock().expect("caches lock");
@@ -666,22 +703,7 @@ fn execute(
 
     root.attr("arm", arm.label());
     root.attr("plan_cached", plan_cached);
-    // The root span opened at admission, so its age is queue + execute —
-    // exactly the client-observed latency.
-    let latency = root.elapsed_s();
-    shared.telemetry.latency_seconds.observe(latency);
-    shared
-        .telemetry
-        .registry
-        .histogram(&format!("serve.tenant.{}.latency_seconds", req.tenant))
-        .observe(latency);
-    let trace = root.trace().clone();
-    root.finish();
-    let trace = trace.export().ok();
-    if let Some(tree) = &trace {
-        shared.telemetry.sink.push(tree.clone());
-    }
-    Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace })
+    Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
 }
 
 /// The arm to pull: fully pinned requests get exactly what they asked

@@ -13,10 +13,8 @@
 //! [`aph`](crate::aph) module shows the paper's lookup-table workaround for
 //! `log`.
 
-use serde::{Deserialize, Serialize};
-
 /// A stateless ALU operation on up to two operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AluOp {
     /// `a + b`, wrapping (hardware adders wrap).
     Add,

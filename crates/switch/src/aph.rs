@@ -17,10 +17,9 @@
 use crate::resources::ResourceLedger;
 use crate::tcam::TernaryTable;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Which scalar projection a multi-dimensional algorithm uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProjectionKind {
     /// `h_S(x) = Σ x_i` — cheap but biased toward large-range dimensions.
     Sum,

@@ -13,11 +13,10 @@
 //!   server and sits behind a thin channel (Figures 12 and 13).
 //!   [`SwitchCpuModel`] charges that time.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Rule-installation timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlPlane {
     /// Time to install one match-action rule, in microseconds.
     pub rule_install_micros: u64,
@@ -37,7 +36,7 @@ impl ControlPlane {
 
 /// Models reading result state out of the switch (the NetAccel lower bound
 /// of Figure 7: *"the time it takes to read the output from the switch"*).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrainModel {
     /// Dataplane→CPU→server channel rate in gigabits per second. The PCIe
     /// channel between an ASIC and its management CPU is on the order of a
@@ -61,7 +60,7 @@ impl DrainModel {
 }
 
 /// Models running query operators on the switch's management CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchCpuModel {
     /// How many times slower the switch CPU processes a row than the master
     /// server (weak cores, no vectorization, small caches).

@@ -1,10 +1,9 @@
 //! Per-program packet statistics.
 
 use crate::pipeline::Verdict;
-use serde::{Deserialize, Serialize};
 
 /// Counters a pruning program accumulates while processing a stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramStats {
     /// Packets offered to the program.
     pub seen: u64,

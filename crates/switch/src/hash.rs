@@ -6,8 +6,6 @@
 //! deterministic: every hash function is identified by `(family_seed, index)`
 //! so experiments are exactly reproducible.
 
-use serde::{Deserialize, Serialize};
-
 /// The splitmix64 finalizer: a full-avalanche 64→64-bit mixer.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -18,7 +16,7 @@ pub fn mix64(mut x: u64) -> u64 {
 }
 
 /// One hash function drawn from a [`HashFamily`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashFn {
     seed: u64,
 }
@@ -73,7 +71,7 @@ impl HashFn {
 ///
 /// Bloom filters and Count-Min sketches draw their `H` functions from one
 /// family so a single seed reproduces an entire experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashFamily {
     seed: u64,
 }

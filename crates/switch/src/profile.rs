@@ -7,10 +7,8 @@
 //! deliberately conservative: if a Cheetah program fits these budgets it
 //! would fit the real chip.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource envelope of a particular switch model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchProfile {
     /// Human-readable model name.
     pub name: String,

@@ -11,10 +11,9 @@ use crate::error::SwitchError;
 use crate::profile::SwitchProfile;
 use crate::register::RegisterArray;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Resources consumed within one pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageUsage {
     /// Stateful ALUs allocated in this stage.
     pub alus: usize,
@@ -25,7 +24,7 @@ pub struct StageUsage {
 /// A summary of everything a program (or a set of packed programs) consumes.
 ///
 /// This is the machine-readable form of one row of Table 2.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UsageSummary {
     /// Number of stages with at least one allocation.
     pub stages_used: usize,

@@ -7,10 +7,9 @@
 //! for range-style matching in filters.
 
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// One TCAM entry: `key & mask == value & mask` matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcamEntry<A> {
     /// The value to compare against (only bits under the mask matter).
     pub value: u64,
