@@ -14,11 +14,12 @@ lint: no-shims
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # There is one multi-shard entry point (cheetah_runtime::execute over an
-# ExecPlan), one run type (ExecRun) and one wall-clock harness
-# (cheetah-ledger). Fail if a deleted twin, shim, run type, harness flag,
-# baseline file or do-nothing vendored stub is named anywhere again.
+# ExecPlan), one run type (ExecRun), one wall-clock harness
+# (cheetah-ledger) and one §7.2 event loop (cheetah_net::rack). Fail if a
+# deleted twin, shim, run type, harness flag, baseline file or
+# do-nothing vendored stub is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -68,8 +69,9 @@ serving-gate:
 # at 20 000 and asserted un-truncated) into the merge plane for all
 # seven query variants, the simulated fabric answers exactly and
 # bit-identically per seed at 15% drop + 15% corruption, and the
-# stream transport survives the same profile with its go-back-N resends
-# reported in the breakdown.
+# stream transport's fault mode — the same carrier (cheetah_net::rack)
+# run by the merge plane in simulated time — survives the same profile
+# with its go-back-N resends reported in the breakdown.
 fabric-gate:
 	cargo test -q -p cheetah-db --test fabric_contract
 

@@ -10,7 +10,7 @@
 
 use crate::{Report, RunCtx};
 use bytes::Bytes;
-use cheetah_net::{emit_batch, FabricConfig, FabricSim, FaultProfile};
+use cheetah_net::{emit_batch, FabricSim, FaultProfile, RackConfig};
 
 /// Worker flows feeding the switch.
 const SHARDS: usize = 4;
@@ -55,8 +55,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             dup_prob: drop / 4.0,
             jitter_ns: if drop == 0.0 { 0 } else { 2_000 },
         };
-        let cfg =
-            FabricConfig { faults, seed: 0xFAB + (drop * 100.0) as u64, ..Default::default() };
+        let cfg = RackConfig { faults, seed: 0xFAB + (drop * 100.0) as u64, ..Default::default() };
         let mut delivered = 0u64;
         let report = FabricSim::new(cfg, streams.clone()).run(|_| delivered += 1);
         r.row(vec![

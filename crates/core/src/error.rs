@@ -39,6 +39,15 @@ pub enum Error {
         /// Index of the first cut point below its predecessor.
         index: usize,
     },
+    /// A fault-mode run's simulated fabric reached its time limit with
+    /// flows unfinished — a fault profile so hostile (every frame
+    /// dropped, say) that go-back-N never gets the data across.
+    FabricStalled {
+        /// Frames the master had accepted when time ran out.
+        delivered: u64,
+        /// Frames the shard flows held in total.
+        frames: u64,
+    },
 }
 
 impl Error {
@@ -48,7 +57,8 @@ impl Error {
             Error::Switch(e) => Some(e),
             Error::ValueSlotOverflow { .. }
             | Error::MissingStream { .. }
-            | Error::UnsortedShardBoundaries { .. } => None,
+            | Error::UnsortedShardBoundaries { .. }
+            | Error::FabricStalled { .. } => None,
         }
     }
 }
@@ -66,6 +76,9 @@ impl fmt::Display for Error {
             Error::UnsortedShardBoundaries { index } => {
                 write!(f, "fitted shard boundaries are not ascending at cut {index}")
             }
+            Error::FabricStalled { delivered, frames } => {
+                write!(f, "faulty fabric hit its time limit with {delivered} of {frames} frames delivered")
+            }
         }
     }
 }
@@ -76,7 +89,8 @@ impl std::error::Error for Error {
             Error::Switch(e) => Some(e),
             Error::ValueSlotOverflow { .. }
             | Error::MissingStream { .. }
-            | Error::UnsortedShardBoundaries { .. } => None,
+            | Error::UnsortedShardBoundaries { .. }
+            | Error::FabricStalled { .. } => None,
         }
     }
 }
@@ -117,6 +131,13 @@ mod tests {
     fn unsorted_boundaries_is_informative() {
         let e = Error::UnsortedShardBoundaries { index: 3 };
         assert!(e.to_string().contains("cut 3"), "{e}");
+        assert!(e.as_switch().is_none());
+    }
+
+    #[test]
+    fn fabric_stall_is_informative() {
+        let e = Error::FabricStalled { delivered: 2, frames: 9 };
+        assert!(e.to_string().contains("2 of 9"), "{e}");
         assert!(e.as_switch().is_none());
     }
 

@@ -31,7 +31,7 @@ use cheetah_db::{
     QueryOutput, ShardPartitioner, ShardSpec, Table,
 };
 use cheetah_net::{
-    emit_batch, explore, CheckerConfig, FabricConfig, FabricSim, FaultProfile, SurvivorBatch,
+    emit_batch, explore, CheckerConfig, FabricSim, FaultProfile, RackConfig, SurvivorBatch,
 };
 use cheetah_runtime::{execute, ExecPlan, FaultSpec, StreamSpec};
 use common::{all_seven, gen_table};
@@ -164,7 +164,7 @@ fn harsh_fabric_delivers_exactly_and_is_seed_deterministic() {
         let frames = shard_frames(&cluster, &q, &left, None);
         let expected = fold_in_order(&q, &frames);
         let run_once = || {
-            let cfg = FabricConfig { faults: FaultProfile::harsh(), ..FabricConfig::default() };
+            let cfg = RackConfig { faults: FaultProfile::harsh(), ..RackConfig::default() };
             let mut st = MergeState::new(&q);
             let report = FabricSim::new(cfg, frames.clone()).run(|batch| {
                 st.ingest_survivor_batch(batch).expect("merge item round-trips");

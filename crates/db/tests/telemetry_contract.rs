@@ -199,7 +199,7 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
         snap.counters["net.retransmits"], run.breakdown.retransmits,
         "registry counter must equal the breakdown's retransmit total"
     );
-    // The trace carries worker spans with stream children for each flow.
+    // The master-side merge span carries one stream child per shard flow.
     let tree = trace.export().unwrap();
     let mut streams = Vec::new();
     tree.root.find_all("stream", &mut streams);

@@ -1,80 +1,27 @@
-//! A seeded discrete-event simulated fabric for [`SurvivorBatch`] frames.
+//! The frame-level binding of the rack: [`SurvivorBatch`] frames over a
+//! seeded lossy fabric.
 //!
-//! [`crate::transfer`] simulates the paper's *entry-level* channel (one
+//! [`crate::transfer`] carries the paper's *entry-level* channel (one
 //! value tuple per packet). The streamed shard runtime, though, ships
-//! survivors in columnar [`SurvivorBatch`] frames — and until now nothing
-//! carried those frames over a faulty network. `FabricSim` closes that
-//! gap: per-worker uplinks into one switch, a shared downlink to the
-//! master, and per-worker ACK return paths, every link driven by a
-//! [`FaultProfile`] injecting drops, single-octet corruption,
-//! duplication, and jitter-induced reordering.
+//! survivors in columnar [`SurvivorBatch`] frames; `FabricSim` hands
+//! those frames to the same carrier, [`crate::rack`], which owns the
+//! topology, the fault injection and the §7.2 roles.
 //!
-//! The three roles run the real `§7.2` state machines from
-//! [`crate::reliability`]:
-//!
-//! * **workers** run a go-back-N [`WorkerFlow`] window over the frames of
-//!   their shard, retransmitting on timeout;
-//! * **the switch** runs a [`SwitchFlow`] per shard. Frames are already
-//!   post-pruning survivors, so the switch never prune-ACKs here; it
-//!   verifies the frame checksum (as a real switch verifies the FCS),
-//!   forwards in-order (`Y = X+1`) and stale (`Y ≤ X`) frames, and drops
-//!   gaps (`Y > X+1`) to keep its per-flow state stream-ordered;
-//! * **the master** runs a [`MasterFlow`] per shard, deduplicates by
-//!   sequence, ACKs every valid frame, and hands each *new* batch to the
-//!   caller's sink — the merge plane.
-//!
-//! Everything is seeded: the same config and streams produce a
-//! bit-identical [`FabricReport`], retransmit counts included, which is
-//! what keeps lossy CI failures reproducible.
+//! What the binding decides: a frame is shard `w`'s sequence `seq + 1`
+//! (`SurvivorBatch.seq` is 0-based, the protocol counts from 1); frames
+//! are already post-pruning survivors, so the switch never prune-ACKs —
+//! it verifies the checksum, forwards in-order and stale frames and
+//! drops gaps; and the master hands each *new* batch to the caller's
+//! sink — the merge plane.
 //!
 //! The send window defaults to the uplink's bandwidth-delay product in
 //! frames (rate × RTT / frame size), so pacing follows the link's
 //! serialization rate rather than a constant.
 
-use crate::channel::{Arrival, FaultProfile, Link, SimTime};
-use crate::reliability::{MasterFlow, SwitchAction, SwitchFlow, WorkerFlow};
+use crate::channel::SimTime;
+use crate::rack::{self, wire_bytes, Payload, RackConfig, RackReport};
 use crate::stream::SurvivorBatch;
-use crate::wire::{AckPacket, AckSource, Packet};
 use bytes::Bytes;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Configuration of a fabric run.
-#[derive(Debug, Clone)]
-pub struct FabricConfig {
-    /// Per-worker uplink rate (bits/second).
-    pub uplink_bps: f64,
-    /// Switch→master downlink rate (bits/second).
-    pub downlink_bps: f64,
-    /// One-way link latency in nanoseconds.
-    pub latency_ns: SimTime,
-    /// Fault profile applied to every link.
-    pub faults: FaultProfile,
-    /// Worker send window in frames. `None` derives the window from the
-    /// uplink's bandwidth-delay product (see [`bdp_window`]).
-    pub window: Option<u64>,
-    /// Retransmission timeout in nanoseconds.
-    pub rto_ns: SimTime,
-    /// Simulation time limit (safety stop).
-    pub max_ns: SimTime,
-    /// RNG seed (drives every link's fault draws).
-    pub seed: u64,
-}
-
-impl Default for FabricConfig {
-    fn default() -> Self {
-        Self {
-            uplink_bps: 10e9,
-            downlink_bps: 10e9,
-            latency_ns: 1_000,
-            faults: FaultProfile::lossless(),
-            window: None,
-            rto_ns: 2_000_000,       // 2 ms
-            max_ns: 120_000_000_000, // 2 minutes of simulated time
-            seed: 0xFAB,
-        }
-    }
-}
 
 /// A send window sized to the link: how many frames of `frame_bytes`
 /// fit in `rate_bps × rtt_ns` of flight, clamped to `[4, 1024]`. This is
@@ -86,73 +33,11 @@ pub fn bdp_window(rate_bps: f64, rtt_ns: SimTime, frame_bytes: u64) -> u64 {
     frames.clamp(4, 1024)
 }
 
-/// Outcome of a fabric run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabricReport {
-    /// Simulated completion time in seconds (all flows FIN-acknowledged).
-    pub sim_seconds: f64,
-    /// Data frames retransmitted by workers.
-    pub retransmissions: u64,
-    /// Frames the switch dropped due to a sequence gap (`Y > X+1`).
-    pub dropped_ahead: u64,
-    /// Retransmissions the switch forwarded without processing (`Y ≤ X`).
-    pub forwarded_stale: u64,
-    /// Frames discarded on checksum/parse failure (corruption casualties).
-    pub malformed: u64,
-    /// Duplicate frames the master discarded (retransmit overlap plus
-    /// link-level duplication).
-    pub duplicates: u64,
-    /// Unique frames the master accepted and handed to the sink.
-    pub delivered_frames: u64,
-    /// Unique payload bits delivered per simulated second.
-    pub goodput_bps: f64,
-    /// Did the run complete before `max_ns`?
-    pub completed: bool,
-}
-
-#[derive(Debug)]
-enum Event {
-    SwitchRx(Bytes),
-    MasterRx(Bytes),
-    WorkerRx(usize, Bytes),
-    /// Retransmission timer for worker `w`, valid only at `epoch`.
-    Timer(usize, u64),
-}
-
-struct HeapItem {
-    at: SimTime,
-    tie: u64,
-    event: Event,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.tie == other.tie
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.tie).cmp(&(other.at, other.tie))
-    }
-}
-
 /// The simulator: one stream of pre-encoded [`SurvivorBatch`] frames per
 /// worker, carried over the faulty fabric to a master-side sink.
 pub struct FabricSim {
-    cfg: FabricConfig,
+    cfg: RackConfig,
     streams: Vec<Vec<Bytes>>,
-}
-
-/// Wire bytes of a raw frame, following the crate's encapsulation
-/// convention (42 bytes of Ethernet/IP/UDP overhead, 64-byte minimum).
-fn frame_wire_bytes(frame: &Bytes) -> u64 {
-    (frame.len() as u64 + 42).max(64)
 }
 
 impl FabricSim {
@@ -164,7 +49,7 @@ impl FabricSim {
     /// # Panics
     /// Panics if a stream violates that invariant (a harness bug, not a
     /// runtime condition).
-    pub fn new(cfg: FabricConfig, streams: Vec<Vec<Bytes>>) -> Self {
+    pub fn new(cfg: RackConfig, streams: Vec<Vec<Bytes>>) -> Self {
         for (w, stream) in streams.iter().enumerate() {
             for (i, frame) in stream.iter().enumerate() {
                 let b = SurvivorBatch::parse(frame.clone()).expect("stream frame must parse");
@@ -177,278 +62,50 @@ impl FabricSim {
 
     /// Run to completion (or the time limit), feeding every unique batch
     /// the master accepts to `sink` in arrival order.
-    pub fn run(self, mut sink: impl FnMut(&SurvivorBatch)) -> FabricReport {
-        let w_count = self.streams.len();
-        let window = self.cfg.window.unwrap_or_else(|| {
-            // Size the window to the uplink BDP of a typical frame.
-            let frames: u64 = self.streams.iter().map(|s| s.len() as u64).sum();
-            let bytes: u64 = self.streams.iter().flatten().map(frame_wire_bytes).sum();
-            let avg = bytes.checked_div(frames).unwrap_or(1500);
-            bdp_window(self.cfg.uplink_bps, 2 * self.cfg.latency_ns, avg)
-        });
+    pub fn run(self, sink: impl FnMut(&SurvivorBatch)) -> RackReport {
+        rack::run(&self.cfg, &mut Frames { streams: &self.streams, sink })
+    }
+}
 
-        let mut uplinks: Vec<Link> = (0..w_count)
-            .map(|w| {
-                Link::new(
-                    self.cfg.uplink_bps,
-                    self.cfg.latency_ns,
-                    self.cfg.faults,
-                    self.cfg.seed ^ ((w as u64) << 8),
-                )
-            })
-            .collect();
-        let mut downlink = Link::new(
-            self.cfg.downlink_bps,
-            self.cfg.latency_ns,
-            self.cfg.faults,
-            self.cfg.seed ^ 0xD0_117,
-        );
-        let mut ack_links: Vec<Link> = (0..w_count)
-            .map(|w| {
-                Link::new(
-                    self.cfg.downlink_bps,
-                    self.cfg.latency_ns,
-                    self.cfg.faults,
-                    self.cfg.seed ^ 0xACC ^ ((w as u64) << 16),
-                )
-            })
-            .collect();
+/// The frame streams plus the master-side sink, as the rack's payload.
+struct Frames<'s, S> {
+    streams: &'s [Vec<Bytes>],
+    sink: S,
+}
 
-        let mut workers: Vec<WorkerFlow> = self
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(w, s)| WorkerFlow::new(w as u32, s.len() as u64, window))
-            .collect();
-        let mut fin_sent = vec![false; w_count];
-        let mut fin_acked = vec![false; w_count];
-        let mut switch_flows: Vec<SwitchFlow> = (0..w_count).map(|_| SwitchFlow::new()).collect();
-        let mut master_flows: Vec<MasterFlow> =
-            (0..w_count).map(|_| MasterFlow::default()).collect();
+impl<S: FnMut(&SurvivorBatch)> Payload for Frames<'_, S> {
+    type Unit = SurvivorBatch;
 
-        let mut heap: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
-        let mut tie = 0u64;
-        let mut push = |heap: &mut BinaryHeap<Reverse<HeapItem>>, at: SimTime, event: Event| {
-            tie += 1;
-            heap.push(Reverse(HeapItem { at, tie, event }));
-        };
+    fn flows(&self) -> Vec<u64> {
+        self.streams.iter().map(|s| s.len() as u64).collect()
+    }
 
-        let mut dropped_ahead = 0u64;
-        let mut forwarded_stale = 0u64;
-        let mut malformed = 0u64;
-        let mut delivered_frames = 0u64;
-        let mut delivered_payload_bytes = 0u64;
+    /// Sized to the uplink BDP of a typical frame.
+    fn default_window(&self, cfg: &RackConfig) -> u64 {
+        let frames: u64 = self.flows().iter().sum();
+        let bytes: u64 = self.streams.iter().flatten().map(wire_bytes).sum();
+        let avg = bytes.checked_div(frames).unwrap_or(1500);
+        bdp_window(cfg.uplink_bps, 2 * cfg.latency_ns, avg)
+    }
 
-        // Initial sends.
-        for w in 0..w_count {
-            for seq in workers[w].sendable() {
-                let frame = self.streams[w][(seq - 1) as usize].clone();
-                let wire = frame_wire_bytes(&frame);
-                for Arrival { at, bytes } in uplinks[w].transmit(0, frame, wire) {
-                    push(&mut heap, at, Event::SwitchRx(bytes));
-                }
-            }
-            let epoch = workers[w].timer_epoch;
-            push(&mut heap, self.cfg.rto_ns, Event::Timer(w, epoch));
-        }
+    fn emit(&self, w: usize, seq: u64) -> Bytes {
+        self.streams[w][(seq - 1) as usize].clone()
+    }
 
-        let mut now: SimTime = 0;
-        let mut completed = false;
-        while let Some(Reverse(item)) = heap.pop() {
-            now = item.at;
-            if now > self.cfg.max_ns {
-                break;
-            }
-            match item.event {
-                Event::SwitchRx(bytes) => {
-                    // A survivor frame: verify the checksum (a real switch
-                    // verifies the FCS before acting) and sequence it.
-                    let batch = match SurvivorBatch::parse(bytes.clone()) {
-                        Ok(b) => b,
-                        Err(_) => {
-                            // Not a valid frame — maybe a FIN, maybe
-                            // corruption. FINs pass through unmodified.
-                            match Packet::parse(bytes.clone()) {
-                                Ok(fin @ Packet::Fin { .. }) => {
-                                    let wire = fin.wire_bytes();
-                                    for Arrival { at, bytes } in downlink.transmit(now, bytes, wire)
-                                    {
-                                        push(&mut heap, at, Event::MasterRx(bytes));
-                                    }
-                                }
-                                _ => malformed += 1,
-                            }
-                            continue;
-                        }
-                    };
-                    let w = batch.shard as usize;
-                    if w >= w_count {
-                        continue;
-                    }
-                    // SurvivorBatch.seq is 0-based; the protocol counts
-                    // from 1.
-                    match switch_flows[w].classify(batch.seq + 1) {
-                        SwitchAction::Process => {
-                            let wire = frame_wire_bytes(&bytes);
-                            for Arrival { at, bytes } in downlink.transmit(now, bytes, wire) {
-                                push(&mut heap, at, Event::MasterRx(bytes));
-                            }
-                        }
-                        SwitchAction::ForwardStale => {
-                            forwarded_stale += 1;
-                            let wire = frame_wire_bytes(&bytes);
-                            for Arrival { at, bytes } in downlink.transmit(now, bytes, wire) {
-                                push(&mut heap, at, Event::MasterRx(bytes));
-                            }
-                        }
-                        SwitchAction::DropAhead => {
-                            dropped_ahead += 1;
-                        }
-                    }
-                }
-                Event::MasterRx(bytes) => {
-                    let batch = match SurvivorBatch::parse(bytes.clone()) {
-                        Ok(b) => b,
-                        Err(_) => {
-                            match Packet::parse(bytes) {
-                                Ok(Packet::Fin { fid, .. }) => {
-                                    let w = fid as usize;
-                                    if w >= w_count {
-                                        continue;
-                                    }
-                                    master_flows[w].fin_seen = true;
-                                    let ack = Packet::FinAck { fid };
-                                    let wire = ack.wire_bytes();
-                                    for Arrival { at, bytes } in
-                                        ack_links[w].transmit(now, ack.emit(), wire)
-                                    {
-                                        push(&mut heap, at, Event::WorkerRx(w, bytes));
-                                    }
-                                }
-                                // Corrupted past the switch: no ACK, the
-                                // retransmit arrives as ForwardStale.
-                                _ => malformed += 1,
-                            }
-                            continue;
-                        }
-                    };
-                    let w = batch.shard as usize;
-                    if w >= w_count {
-                        continue;
-                    }
-                    if master_flows[w].on_data(batch.seq + 1) {
-                        delivered_frames += 1;
-                        delivered_payload_bytes += bytes.len() as u64;
-                        sink(&batch);
-                    }
-                    let ack = Packet::Ack(AckPacket {
-                        fid: w as u32,
-                        seq: batch.seq + 1,
-                        source: AckSource::Master,
-                    });
-                    let wire = ack.wire_bytes();
-                    for Arrival { at, bytes } in ack_links[w].transmit(now, ack.emit(), wire) {
-                        push(&mut heap, at, Event::WorkerRx(w, bytes));
-                    }
-                }
-                Event::WorkerRx(w, bytes) => {
-                    let pkt = match Packet::parse(bytes) {
-                        Ok(p) => p,
-                        Err(_) => {
-                            malformed += 1;
-                            continue;
-                        }
-                    };
-                    match pkt {
-                        Packet::Ack(a) if a.fid as usize == w => {
-                            if workers[w].on_ack(a.seq) {
-                                for seq in workers[w].sendable() {
-                                    let frame = self.streams[w][(seq - 1) as usize].clone();
-                                    let wire = frame_wire_bytes(&frame);
-                                    for Arrival { at, bytes } in
-                                        uplinks[w].transmit(now, frame, wire)
-                                    {
-                                        push(&mut heap, at, Event::SwitchRx(bytes));
-                                    }
-                                }
-                                let epoch = workers[w].timer_epoch;
-                                push(&mut heap, now + self.cfg.rto_ns, Event::Timer(w, epoch));
-                            }
-                            if workers[w].all_acked() && !fin_sent[w] {
-                                fin_sent[w] = true;
-                                let fin =
-                                    Packet::Fin { fid: w as u32, last_seq: workers[w].total() };
-                                let wire = fin.wire_bytes();
-                                for Arrival { at, bytes } in
-                                    uplinks[w].transmit(now, fin.emit(), wire)
-                                {
-                                    push(&mut heap, at, Event::SwitchRx(bytes));
-                                }
-                                let epoch = workers[w].timer_epoch;
-                                push(&mut heap, now + self.cfg.rto_ns, Event::Timer(w, epoch));
-                            }
-                        }
-                        Packet::FinAck { fid } if fid as usize == w => {
-                            fin_acked[w] = true;
-                            if fin_acked.iter().all(|&f| f) {
-                                completed = true;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Event::Timer(w, epoch) => {
-                    if fin_acked[w] || epoch != workers[w].timer_epoch {
-                        continue; // stale timer
-                    }
-                    if workers[w].all_acked() {
-                        // Data done but FIN unacked: (re)send the FIN.
-                        // Also first sends the FIN for zero-frame flows.
-                        fin_sent[w] = true;
-                        let fin = Packet::Fin { fid: w as u32, last_seq: workers[w].total() };
-                        let wire = fin.wire_bytes();
-                        for Arrival { at, bytes } in uplinks[w].transmit(now, fin.emit(), wire) {
-                            push(&mut heap, at, Event::SwitchRx(bytes));
-                        }
-                        push(&mut heap, now + self.cfg.rto_ns, Event::Timer(w, epoch));
-                        continue;
-                    }
-                    for seq in workers[w].on_timeout() {
-                        let frame = self.streams[w][(seq - 1) as usize].clone();
-                        let wire = frame_wire_bytes(&frame);
-                        for Arrival { at, bytes } in uplinks[w].transmit(now, frame, wire) {
-                            push(&mut heap, at, Event::SwitchRx(bytes));
-                        }
-                    }
-                    let epoch = workers[w].timer_epoch;
-                    push(&mut heap, now + self.cfg.rto_ns, Event::Timer(w, epoch));
-                }
-            }
-        }
+    fn parse(&self, bytes: &Bytes) -> Option<(u32, u64, SurvivorBatch)> {
+        let batch = SurvivorBatch::parse(bytes.clone()).ok()?;
+        Some((batch.shard, batch.seq + 1, batch))
+    }
 
-        let sim_seconds = now as f64 / 1e9;
-        FabricReport {
-            sim_seconds,
-            retransmissions: workers.iter().map(|w| w.retransmissions).sum(),
-            dropped_ahead,
-            forwarded_stale,
-            malformed,
-            duplicates: master_flows.iter().map(|m| m.duplicates).sum(),
-            delivered_frames,
-            goodput_bps: if sim_seconds > 0.0 {
-                delivered_payload_bytes as f64 * 8.0 / sim_seconds
-            } else {
-                0.0
-            },
-            completed,
-        }
+    fn deliver(&mut self, _: u32, _: u64, batch: SurvivorBatch) {
+        (self.sink)(&batch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::FaultProfile;
     use crate::stream::emit_batch;
 
     /// `frames` survivor batches per worker, each holding a few
@@ -463,7 +120,7 @@ mod tests {
             .collect()
     }
 
-    fn collect(cfg: FabricConfig, streams: Vec<Vec<Bytes>>) -> (FabricReport, Vec<(u32, u64)>) {
+    fn collect(cfg: RackConfig, streams: Vec<Vec<Bytes>>) -> (RackReport, Vec<(u32, u64)>) {
         let mut seen = Vec::new();
         let report = FabricSim::new(cfg, streams).run(|b| seen.push((b.shard, b.seq)));
         (report, seen)
@@ -471,7 +128,7 @@ mod tests {
 
     #[test]
     fn lossless_fabric_delivers_every_frame_once_in_order() {
-        let (report, seen) = collect(FabricConfig::default(), streams(3, 20));
+        let (report, seen) = collect(RackConfig::default(), streams(3, 20));
         assert!(report.completed);
         assert_eq!(report.delivered_frames, 60);
         assert_eq!(report.retransmissions, 0);
@@ -487,12 +144,33 @@ mod tests {
 
     #[test]
     fn harsh_fabric_still_delivers_every_frame_exactly_once() {
-        let cfg =
-            FabricConfig { faults: FaultProfile::harsh(), rto_ns: 200_000, ..Default::default() };
+        let cfg = RackConfig {
+            faults: FaultProfile::harsh(),
+            rto_ns: 200_000,
+            seed: 0xFAB, // the golden below was recorded under this seed
+            ..Default::default()
+        };
         let (report, mut seen) = collect(cfg, streams(2, 40));
         assert!(report.completed, "harsh run must still terminate");
         assert!(report.retransmissions > 0, "loss must force retransmits");
         assert_eq!(report.delivered_frames, 80, "sink sees each frame exactly once");
+        // Golden: pinned before the event loop moved into `rack`, so the
+        // move is checked bit for bit (same seed ⇒ same event order).
+        assert_eq!(
+            (
+                report.sim_seconds,
+                report.retransmissions,
+                report.dropped_ahead,
+                report.forwarded_stale,
+                report.malformed,
+                report.duplicates,
+                report.delivered_frames,
+                report.goodput_bps,
+                report.completed,
+            ),
+            (0.008191105, 1376, 969, 85, 219, 50, 80, 3418342.213901543, true)
+        );
+        assert_eq!(report.flow_retransmissions.iter().sum::<u64>(), report.retransmissions);
         seen.sort_unstable();
         let mut want: Vec<(u32, u64)> = (0..2).flat_map(|w| (0..40).map(move |q| (w, q))).collect();
         want.sort_unstable();
@@ -501,7 +179,7 @@ mod tests {
 
     #[test]
     fn same_seed_is_bit_identical_retransmit_counts_included() {
-        let cfg = FabricConfig {
+        let cfg = RackConfig {
             faults: FaultProfile::harsh(),
             rto_ns: 200_000,
             seed: 0xDEAD_BEEF,
@@ -516,9 +194,9 @@ mod tests {
     #[test]
     fn different_seeds_change_the_loss_pattern_not_the_answer() {
         let base =
-            FabricConfig { faults: FaultProfile::harsh(), rto_ns: 200_000, ..Default::default() };
-        let (r1, mut s1) = collect(FabricConfig { seed: 1, ..base.clone() }, streams(2, 30));
-        let (r2, mut s2) = collect(FabricConfig { seed: 2, ..base }, streams(2, 30));
+            RackConfig { faults: FaultProfile::harsh(), rto_ns: 200_000, ..Default::default() };
+        let (r1, mut s1) = collect(RackConfig { seed: 1, ..base.clone() }, streams(2, 30));
+        let (r2, mut s2) = collect(RackConfig { seed: 2, ..base }, streams(2, 30));
         assert!(r1.completed && r2.completed);
         // Same unique deliveries either way.
         s1.sort_unstable();
@@ -528,7 +206,7 @@ mod tests {
 
     #[test]
     fn corruption_shows_up_as_malformed_then_recovers() {
-        let cfg = FabricConfig {
+        let cfg = RackConfig {
             faults: FaultProfile { corrupt_prob: 0.15, ..FaultProfile::lossless() },
             rto_ns: 200_000,
             ..Default::default()
@@ -541,7 +219,7 @@ mod tests {
 
     #[test]
     fn duplication_is_absorbed_by_master_dedup() {
-        let cfg = FabricConfig {
+        let cfg = RackConfig {
             faults: FaultProfile { dup_prob: 0.3, ..FaultProfile::lossless() },
             rto_ns: 200_000,
             ..Default::default()
@@ -554,7 +232,7 @@ mod tests {
 
     #[test]
     fn empty_streams_complete_via_the_fin_timer_path() {
-        let (report, seen) = collect(FabricConfig::default(), streams(2, 0));
+        let (report, seen) = collect(RackConfig::default(), streams(2, 0));
         assert!(report.completed);
         assert_eq!(report.delivered_frames, 0);
         assert!(seen.is_empty());
@@ -576,7 +254,7 @@ mod tests {
     #[test]
     fn goodput_degrades_with_drop_rate() {
         let run = |drop: f64| {
-            let cfg = FabricConfig {
+            let cfg = RackConfig {
                 faults: FaultProfile { drop_prob: drop, ..FaultProfile::lossless() },
                 rto_ns: 200_000,
                 ..Default::default()

@@ -13,12 +13,15 @@
 //! * [`reliability`] — the §7.2 state machines: the switch's
 //!   `Y = X+1 / Y ≤ X / Y > X+1` sequencing rules, the workers'
 //!   go-back-N window, the master's dedup;
-//! * [`transfer`] — a deterministic discrete-event simulation of the full
-//!   rack (`W` workers → switch → master) running any pruning function;
-//! * [`fabric`] — the same rack carrying the streamed runtime's
-//!   [`SurvivorBatch`] frames end-to-end, with the worker/switch/master
-//!   roles running the [`reliability`] state machines so retransmits flow
-//!   for real;
+//! * [`rack`] — the one §7.2 carrier: a deterministic discrete-event
+//!   simulation of the full rack (`W` workers → switch → master) that
+//!   owns the links, the event loop and the three roles, parameterised
+//!   only by the payload it carries;
+//! * [`transfer`] — binds the rack to the entry packets of [`wire`],
+//!   with the switch running any pruning function;
+//! * [`fabric`] — binds the rack to the streamed runtime's
+//!   [`SurvivorBatch`] frames, handing each new frame to a master-side
+//!   sink (the merge plane);
 //! * [`checker`] — a dslab-mp-style bounded model checker that
 //!   exhaustively enumerates delivery schedules (orders, drops,
 //!   duplicates) of small frame sets for the merge-plane contract gate;
@@ -45,6 +48,7 @@ pub mod checker;
 pub mod fabric;
 pub mod ingest;
 pub mod model;
+pub mod rack;
 pub mod reliability;
 pub mod stream;
 pub mod transfer;
@@ -52,10 +56,11 @@ pub mod wire;
 
 pub use channel::{Arrival, FaultProfile, Link, SimRng, SimTime};
 pub use checker::{explore, CheckerConfig, Delivery, DeliveryKind, ExploreStats};
-pub use fabric::{bdp_window, FabricConfig, FabricReport, FabricSim};
+pub use fabric::{bdp_window, FabricSim};
 pub use ingest::MasterIngestModel;
 pub use model::{Encoded, ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES};
+pub use rack::{RackConfig, RackReport};
 pub use reliability::{MasterFlow, SwitchAction, SwitchFlow, WorkerFlow};
 pub use stream::{emit_batch, FrameBuilder, SurvivorBatch, MAX_BATCH_ITEMS};
-pub use transfer::{TransferConfig, TransferReport, TransferSim};
+pub use transfer::{TransferReport, TransferSim};
 pub use wire::{AckPacket, AckSource, DataPacket, Packet, WireError, MAX_VALUES};

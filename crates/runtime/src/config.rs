@@ -4,7 +4,6 @@ use cheetah_core::plan::ShardPlan;
 use cheetah_db::{ShardPlanner, ShardSpec};
 use cheetah_net::{FaultProfile, MasterIngestModel};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Where the plan constructor gets its sharder.
 #[derive(Debug, Clone)]
@@ -42,9 +41,10 @@ pub struct StreamSpec {
     /// ([`suggested_depth`](MasterIngestModel::suggested_depth)) — the
     /// NIC-paced default.
     pub channel_depth: Option<usize>,
-    /// Faulty-channel mode: when set, worker→master frames pass through a
-    /// seeded lossy channel and the §7.2 go-back-N/ACK machinery runs for
-    /// real. `None` keeps today's perfect in-process channel.
+    /// Fault mode: when set, the stream transport's survivor frames reach
+    /// the merge across the seeded lossy rack of [`cheetah_net::rack`]
+    /// (simulated time, store-and-forward). `None` keeps the perfect
+    /// in-process channel.
     pub fault: Option<FaultSpec>,
     /// Dispatched-load imbalance (hottest shard over the balanced share)
     /// above which the supervisor re-samples and re-fits — defaults to
@@ -83,31 +83,26 @@ impl Default for StreamSpec {
     }
 }
 
-/// The stream transport's faulty-channel mode: every survivor frame a
-/// worker emits crosses a seeded lossy link (drops, single-octet
-/// corruption, duplication), and the worker runs the §7.2 go-back-N
-/// window over per-frame master ACKs, so the run only completes once
-/// every frame has actually been merged.
+/// The stream transport's fault mode: each shard's finished survivor
+/// frames cross the simulated §7.2 rack of [`cheetah_net::rack`] — seeded
+/// lossy links (drops, single-octet corruption, duplication, reordering),
+/// go-back-N workers, a sequencing switch and a deduping master — before
+/// the merge sees them, so the run only completes once every frame has
+/// actually been merged. Window and retransmission timeout are the
+/// carrier's, in simulated time.
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
-    /// Fault probabilities applied to each frame transmission.
+    /// Fault probabilities applied to every link of the rack.
     pub profile: FaultProfile,
-    /// Seed of the per-shard fault streams (shard id is mixed in), so a
-    /// lossy run is reproducible frame for frame.
+    /// Seed of the links' fault draws, so a lossy run is reproducible
+    /// frame for frame — retransmit counts included.
     pub seed: u64,
-    /// Go-back-N window in frames; `None` uses the resolved channel
-    /// depth (the NIC-paced in-flight budget).
-    pub window: Option<u64>,
-    /// Retransmission timeout: how long a worker waits on an ACK before
-    /// resending its unacked window.
-    pub rto: Duration,
 }
 
 impl FaultSpec {
-    /// A lossy channel with the given profile and seed, window derived
-    /// from the channel depth and a CI-friendly 2 ms RTO.
+    /// A lossy fabric with the given profile and seed.
     pub fn new(profile: FaultProfile, seed: u64) -> Self {
-        Self { profile, seed, window: None, rto: Duration::from_millis(2) }
+        Self { profile, seed }
     }
 
     /// The smoltcp-style harsh profile (15% drop + 15% corrupt).
@@ -140,8 +135,6 @@ mod tests {
         let harsh = FaultSpec::harsh(7);
         assert_eq!(harsh.seed, 7);
         assert!(harsh.profile.drop_prob > 0.0 && harsh.profile.corrupt_prob > 0.0);
-        assert!(harsh.window.is_none(), "window follows the resolved channel depth");
-        assert!(harsh.rto > Duration::ZERO);
         let mild = FaultSpec::new(FaultProfile { drop_prob: 0.01, ..FaultProfile::lossless() }, 3);
         assert_eq!(mild.profile.corrupt_prob, 0.0);
     }

@@ -35,8 +35,9 @@
 //!   ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)):
 //!   big enough to amortize framing, small enough that the aggregate
 //!   in-flight entries keep the merge plane in its linear service regime.
-//!   A [`FaultSpec`] makes the channel lossy and runs §7.2's go-back-N
-//!   for real.
+//!   A [`FaultSpec`] carries the finished frames across the simulated
+//!   lossy rack of `cheetah_net::rack` instead (§7.2's go-back-N in
+//!   simulated time: store-and-forward, deterministic per seed).
 //! * **Mid-run re-planning** — a [`RuntimeSupervisor`] watches per-shard
 //!   dispatch counters between input rounds while the plan is built;
 //!   when observed load imbalance exceeds the planner's 2× bound it

@@ -51,7 +51,7 @@ pub struct ExecPlan {
     pub(crate) batch: usize,
     /// Stream transport: per-shard budget of in-flight frames.
     pub(crate) depth: usize,
-    /// Stream transport: the faulty-channel lane, when asked for.
+    /// Stream transport: fault mode (the simulated lossy rack), when asked for.
     pub(crate) fault: Option<FaultSpec>,
 }
 

@@ -20,13 +20,18 @@
 //!   survivor slices into a [`MergeState`] as they arrive — no per-item
 //!   re-decode into owned `MergeItem`s, no join barrier.
 //!
+//! Under a [`FaultSpec`](crate::FaultSpec) the stream transport is
+//! store-and-forward: the finished frames ride the worker's report, and
+//! the merge plane carries them across the simulated §7.2 rack
+//! ([`FabricSim`], the frame binding of `cheetah_net::rack`) into the
+//! same [`MergeState`] — simulated time, so deterministic per seed.
+//!
 //! Every timestamp is taken against one run-local epoch so the overlap —
 //! merge work performed while the slowest worker was still computing —
 //! can be read directly out of the event log afterwards. One accounting
 //! tail (`assemble`) serves both transports; under the barrier the
 //! overlap is zero by construction.
 
-use crate::config::FaultSpec;
 use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
 use crate::supervisor::ReplanEvent;
@@ -36,9 +41,7 @@ use cheetah_db::{
     decompose_output, merge_shard_outputs, Cluster, DbQuery, ExecPath, MergeState, QueryOutput,
     ShardStats, Table,
 };
-use cheetah_net::{
-    ExecBackend, ExecBreakdown, SimRng, SurvivorBatch, SwitchAction, SwitchFlow, WorkerFlow,
-};
+use cheetah_net::{ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::SpanContext;
 use std::sync::mpsc;
@@ -87,7 +90,9 @@ pub struct ExecRun {
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
 /// partitioner, transport and backend — the transport changes *when*
-/// survivors reach the master, never *what* the query answers.
+/// survivors reach the master, never *what* the query answers. A fault
+/// profile the carrier cannot finish under (every frame dropped, say) is
+/// a typed [`FabricStalled`](cheetah_core::Error::FabricStalled).
 pub fn execute(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
     let epoch = Instant::now();
     let q = plan.query();
@@ -108,27 +113,26 @@ struct WorkerReport {
     /// Pruning backend the worker's unit runs actually executed on
     /// (`None` when every unit was empty and nothing ran).
     backend: Option<ExecBackend>,
-    /// Go-back-N resends this shard's flow needed (zero when lossless).
-    retransmits: u64,
     /// Barrier transport: the completed output of every unit.
     outputs: Vec<QueryOutput>,
+    /// Stream transport in fault mode: the shard's finished survivor
+    /// frames, for the master to carry across the simulated rack.
+    frames: Vec<Bytes>,
 }
 
 /// The live channels of a spawned worker plane: survivor frames and
-/// end-of-stream reports out. Under a faulty channel the master also
-/// holds one unbounded ACK sender per shard (empty when lossless) —
-/// unbounded so acking never blocks the merge plane behind a slow worker.
+/// end-of-stream reports out.
 struct WorkerPlane {
     batch_rx: mpsc::Receiver<Bytes>,
     report_rx: mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>,
-    ack_txs: Vec<mpsc::Sender<u64>>,
 }
 
 /// Submit one pool job per shard: each owns `Arc` handles onto its routed
 /// units plus cheap clones of the cluster config and query, prunes every
 /// non-empty unit through the unchanged generic executor, and — on the
 /// stream transport — frames the survivors out of its worker-resident
-/// arena straight onto the bounded batch channel.
+/// arena straight onto the bounded batch channel (in fault mode, onto its
+/// report: the lossy carrier is store-and-forward).
 fn spawn_worker_plane(
     cluster: &Cluster,
     q: &DbQuery,
@@ -138,11 +142,9 @@ fn spawn_worker_plane(
     let shards = plan.shards();
     let stream = plan.path == ExecPath::StreamedResident;
     let batch_size = plan.batch;
-    let fault = plan.fault.as_ref().filter(|_| stream);
+    let faulty = stream && plan.fault.is_some();
     let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(plan.depth * shards);
     let (report_tx, report_rx) = mpsc::channel::<(usize, cheetah_core::Result<WorkerReport>)>();
-    let mut ack_txs = Vec::new();
-    let window = fault.map(|f| f.window.unwrap_or(plan.depth as u64).max(1));
     let pool = WorkerPool::global();
     // The submitting thread's span context (the session's `execute` span,
     // when one is entered) rides into each job, so per-shard `worker`
@@ -162,11 +164,6 @@ fn spawn_worker_plane(
             })
             .filter(|(l, r)| l.rows() + r.as_ref().map_or(0, |t| t.rows()) > 0)
             .collect();
-        let fault_lane = fault.map(|f| {
-            let (ack_tx, ack_rx) = mpsc::channel::<u64>();
-            ack_txs.push(ack_tx);
-            (f.clone(), ack_rx)
-        });
         let cluster = cluster.clone();
         let q = q.clone();
         let batch_tx = batch_tx.clone();
@@ -180,10 +177,6 @@ fn spawn_worker_plane(
             });
             let mut rep = WorkerReport::default();
             let mut seq = 0u64;
-            // Under a faulty channel, frames are buffered instead of sent
-            // eagerly: the go-back-N window needs the whole flow (and its
-            // length) so retransmitted frames can be replayed verbatim.
-            let mut flow_frames: Vec<Bytes> = Vec::new();
             'units: for (left, right) in units {
                 let run = match cluster.run_cheetah(&q, &left, right.as_deref()) {
                     Ok(run) => run,
@@ -221,33 +214,16 @@ fn spawn_worker_plane(
                     }
                     let frame = scratch.frames.finish();
                     seq += 1;
-                    if fault_lane.is_some() {
-                        flow_frames.push(frame);
+                    if faulty {
+                        // Buffered, not sent: the go-back-N window needs
+                        // the whole flow (and its length) so retransmitted
+                        // frames can be replayed verbatim.
+                        rep.frames.push(frame);
                     } else if batch_tx.send(frame).is_err() {
                         // The merge plane hung up: pruning further
                         // units is pure waste.
                         break 'units;
                     }
-                }
-            }
-            if let Some((f, ack_rx)) = &fault_lane {
-                let stream_span = worker_span.as_ref().map(|s| s.child("stream"));
-                rep.retransmits = stream_lossy(
-                    shard,
-                    &flow_frames,
-                    f,
-                    window.expect("fault mode resolves a window"),
-                    &batch_tx,
-                    ack_rx,
-                );
-                if let Some(mut s) = stream_span {
-                    s.attr("frames", flow_frames.len());
-                    s.attr("retransmits", rep.retransmits);
-                }
-                if let Some(ctx) = trace_ctx.as_ref() {
-                    // The fabric's recovery work lands in the owning
-                    // session's registry, attributed via the trace.
-                    ctx.trace().registry().counter("net.retransmits").add(rep.retransmits);
                 }
             }
             rep.finished_at = epoch.elapsed().as_secs_f64();
@@ -261,76 +237,7 @@ fn spawn_worker_plane(
     }
     // The master's recv loops must end when the last worker does — the
     // only live senders are the ones captured by the jobs.
-    WorkerPlane { batch_rx, report_rx, ack_txs }
-}
-
-/// Drive one shard's buffered frames to the master across the seeded
-/// lossy channel, under the §7.2 go-back-N window: every transmission
-/// draws its faults (drop / single-bit corruption / duplication) from
-/// the shard's own deterministic stream, per-frame ACKs advance the
-/// window, and an RTO with no ACK resends everything unacked. Returns
-/// the retransmission count once the master has acknowledged the whole
-/// flow.
-fn stream_lossy(
-    shard: usize,
-    frames: &[Bytes],
-    fault: &FaultSpec,
-    window: u64,
-    batch_tx: &mpsc::SyncSender<Bytes>,
-    ack_rx: &mpsc::Receiver<u64>,
-) -> u64 {
-    let mut rng = SimRng::new(fault.seed ^ ((shard as u64) << 8));
-    let mut flow = WorkerFlow::new(shard as u32, frames.len() as u64, window);
-    // Returns false when the merge plane hung up — sending further is
-    // pure waste.
-    let transmit = |seq: u64, rng: &mut SimRng| -> bool {
-        let frame = &frames[(seq - 1) as usize];
-        if rng.next_f64() < fault.profile.drop_prob {
-            // Lost on the wire; the RTO recovers it.
-            return true;
-        }
-        let bytes = if rng.next_f64() < fault.profile.corrupt_prob {
-            // One flipped bit of one octet — the master's frame checksum
-            // rejects it, it earns no ACK, and go-back-N resends it.
-            let mut m = frame.to_vec();
-            let i = rng.below(m.len());
-            m[i] ^= 1 << rng.below(8);
-            Bytes::from(m)
-        } else {
-            frame.clone()
-        };
-        let dup = fault.profile.dup_prob > 0.0 && rng.next_f64() < fault.profile.dup_prob;
-        if batch_tx.send(bytes.clone()).is_err() {
-            return false;
-        }
-        !(dup && batch_tx.send(bytes).is_err())
-    };
-    while !flow.all_acked() {
-        for s in flow.sendable() {
-            if !transmit(s, &mut rng) {
-                return flow.retransmissions;
-            }
-        }
-        match ack_rx.recv_timeout(fault.rto) {
-            Ok(s) => {
-                flow.on_ack(s);
-                // Drain whatever else is queued before refilling the
-                // window — cheaper than one send per ack round-trip.
-                while let Ok(s) = ack_rx.try_recv() {
-                    flow.on_ack(s);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                for s in flow.on_timeout() {
-                    if !transmit(s, &mut rng) {
-                        return flow.retransmissions;
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return flow.retransmissions,
-        }
-    }
-    flow.retransmissions
+    WorkerPlane { batch_rx, report_rx }
 }
 
 /// The master merge plane. On the stream transport: fold survivor slices
@@ -345,7 +252,7 @@ fn drain_merge_plane(
     plane: WorkerPlane,
     epoch: Instant,
 ) -> cheetah_core::Result<Fold> {
-    let WorkerPlane { batch_rx, report_rx, ack_txs } = plane;
+    let WorkerPlane { batch_rx, report_rx } = plane;
     let shards = plan.shards();
     let stream = plan.path == ExecPath::StreamedResident;
     // The merge plane runs on the submitting thread, so the session's
@@ -353,46 +260,21 @@ fn drain_merge_plane(
     // barrier's merge span opens only once the workers are done.
     let open_merge_span = || SpanContext::current().map(|tc| tc.child("merge"));
     let mut merge_span = stream.then(open_merge_span).flatten();
-    let faulty = !ack_txs.is_empty();
     let mut state = MergeState::new(q);
     let mut merge_events: Vec<(f64, f64)> = Vec::new();
     let mut batches = 0u64;
     let mut batch_wire_bytes = 0u64;
-    // Per-shard §7.2 switch sequencing state (faulty channel only): the
-    // in-process merge plane doubles as the switch's reliability role.
-    let mut switches: Vec<SwitchFlow> = (0..shards).map(|_| SwitchFlow::new()).collect();
+    let mut ingest = |batch: &SurvivorBatch, start: f64| {
+        batch_wire_bytes += batch.wire_bytes();
+        batches += 1;
+        state.ingest_survivor_batch(batch).expect("merge item round-trips");
+        merge_events.push((start, epoch.elapsed().as_secs_f64() - start));
+    };
     while let Ok(frame) = batch_rx.recv() {
         let start = epoch.elapsed().as_secs_f64();
-        if faulty {
-            // A corrupted frame fails the checksum here, earns no ACK,
-            // and the worker's go-back-N timeout resends it.
-            if let Ok(batch) = SurvivorBatch::parse(frame) {
-                let shard = batch.shard as usize;
-                match switches[shard].classify(batch.seq + 1) {
-                    // A gap: an earlier frame was lost. Dropping keeps
-                    // the switch stream-ordered; the resend fills it.
-                    SwitchAction::DropAhead => {}
-                    SwitchAction::Process | SwitchAction::ForwardStale => {
-                        // Retransmits that already merged dedup here
-                        // (Ok(false)); either way the sender hears an
-                        // ACK so its window advances.
-                        if state.ingest_survivor_batch(&batch).expect("merge item round-trips") {
-                            batch_wire_bytes += batch.wire_bytes();
-                            batches += 1;
-                        }
-                        ack_txs[shard].send(batch.seq + 1).ok();
-                    }
-                }
-            }
-        } else {
-            let batch = SurvivorBatch::parse(frame).expect("in-memory survivor frame round-trips");
-            batch_wire_bytes += batch.wire_bytes();
-            batches += 1;
-            state.ingest_survivor_batch(&batch).expect("merge item round-trips");
-        }
-        merge_events.push((start, epoch.elapsed().as_secs_f64() - start));
+        let batch = SurvivorBatch::parse(frame).expect("in-memory survivor frame round-trips");
+        ingest(&batch, start);
     }
-    drop(ack_txs);
 
     // Every batch sender has dropped, so every job has finished (or
     // errored): the reports are all in flight already.
@@ -403,6 +285,46 @@ fn drain_merge_plane(
     }
     let mut reports: Vec<WorkerReport> =
         reports.into_iter().map(|r| r.expect("every shard reported")).collect();
+
+    // Fault mode: no frame rode the channel. The shards' finished flows
+    // cross the simulated §7.2 rack instead (go-back-N workers, a
+    // sequencing switch, a deduping master that hands each new frame to
+    // the merge) — in simulated time, so a lossy run never sleeps on a
+    // timeout and its resend count is a pure function of (plan, seed).
+    let mut retransmits = 0;
+    if let Some(fault) = plan.fault.as_ref().filter(|_| stream) {
+        let flows: Vec<Vec<Bytes>> =
+            reports.iter_mut().map(|r| std::mem::take(&mut r.frames)).collect();
+        let frames_total = flows.iter().map(|f| f.len() as u64).sum();
+        let mut stream_spans: Vec<_> = flows
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, flow)| {
+                let mut s = merge_span.as_ref()?.child("stream");
+                s.attr("shard", shard);
+                s.attr("frames", flow.len());
+                Some(s)
+            })
+            .collect();
+        let cfg = RackConfig { faults: fault.profile, seed: fault.seed, ..RackConfig::default() };
+        let carried =
+            FabricSim::new(cfg, flows).run(|batch| ingest(batch, epoch.elapsed().as_secs_f64()));
+        if !carried.completed {
+            return Err(cheetah_core::Error::FabricStalled {
+                delivered: carried.delivered_frames,
+                frames: frames_total,
+            });
+        }
+        for (s, resent) in stream_spans.iter_mut().zip(&carried.flow_retransmissions) {
+            s.attr("retransmits", resent);
+        }
+        if let Some(tc) = SpanContext::current() {
+            // The fabric's recovery work lands in the owning session's
+            // registry, attributed via the trace.
+            tc.trace().registry().counter("net.retransmits").add(carried.retransmissions);
+        }
+        retransmits = carried.retransmissions;
+    }
 
     let finish_start = epoch.elapsed().as_secs_f64();
     let output = if stream {
@@ -422,7 +344,15 @@ fn drain_merge_plane(
     }
     drop(merge_span);
 
-    Ok(Fold { output, reports, merge_events, finish_seconds, batches, batch_wire_bytes })
+    Ok(Fold {
+        output,
+        reports,
+        merge_events,
+        finish_seconds,
+        batches,
+        batch_wire_bytes,
+        retransmits,
+    })
 }
 
 /// Everything the worker and merge planes produced, before accounting.
@@ -433,13 +363,23 @@ struct Fold {
     finish_seconds: f64,
     batches: u64,
     batch_wire_bytes: u64,
+    /// Go-back-N resends the carrier needed (zero when lossless).
+    retransmits: u64,
 }
 
 /// Turn the raw fold into the run's accounting: the overlap is the merge
 /// work that happened before the slowest worker went idle (none on the
 /// barrier transport, whose merge starts after the last worker).
 fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
-    let Fold { output, reports, merge_events, finish_seconds, batches, batch_wire_bytes } = fold;
+    let Fold {
+        output,
+        reports,
+        merge_events,
+        finish_seconds,
+        batches,
+        batch_wire_bytes,
+        retransmits,
+    } = fold;
     let last_worker = reports.iter().map(|r| r.finished_at).fold(0.0, f64::max);
     let ingest_seconds: f64 = merge_events.iter().map(|(_, d)| d).sum();
     let overlap_seconds: f64 = merge_events
@@ -483,7 +423,7 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         // speaks for the run (a compiled-requested run that fell back
         // records the fallback here too).
         backend: reports.iter().find_map(|r| r.backend).unwrap_or(requested),
-        retransmits: reports.iter().map(|r| r.retransmits).sum(),
+        retransmits,
         ..ExecBreakdown::default()
     };
     let rules = reports.iter().map(|r| r.rules).max().unwrap_or(0);
@@ -506,11 +446,12 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ShardLayout, StreamSpec};
+    use crate::config::{FaultSpec, ShardLayout, StreamSpec};
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
         DataType, DbPredicate, IntCmp, MasterIngestModel, ShardSpec, TableBuilder, Value,
     };
+    use cheetah_net::FaultProfile;
 
     const PATHS: [ExecPath; 2] = [ExecPath::BarrierPooled, ExecPath::StreamedResident];
 
@@ -691,6 +632,9 @@ mod tests {
                 assert_eq!(base.output, run.output, "{} under harsh faults", q.kind());
                 assert!(run.breakdown.retransmits > 0, "{}: must force resends", q.kind());
             }
+            // The carrier runs in simulated time: the resend count is a
+            // pure function of (plan, seed), not of thread scheduling.
+            assert_eq!(first.breakdown.retransmits, second.breakdown.retransmits, "{}", q.kind());
             // The barrier transport sends no frames, so it has none to lose.
             let barrier = execute(&cluster, &plan.for_path(ExecPath::BarrierPooled)).unwrap();
             assert_eq!(barrier.breakdown.retransmits, 0);
@@ -700,6 +644,21 @@ mod tests {
         let q = DbQuery::Distinct { col: 0 };
         let run = execute(&cluster, &plan_of(&q, &t, None, &fixed(3, ShardPartitioner::Hash)));
         assert_eq!(run.unwrap().breakdown.retransmits, 0);
+    }
+
+    #[test]
+    fn a_fabric_that_drops_everything_is_a_typed_error_not_a_panic() {
+        let cluster = Cluster::default();
+        let t = table(200, 1);
+        let q = DbQuery::Distinct { col: 0 };
+        let mut spec = fixed(2, ShardPartitioner::Hash);
+        let black_hole = FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() };
+        spec.fault = Some(FaultSpec::new(black_hole, 7));
+        let err = execute(&cluster, &plan_of(&q, &t, None, &spec)).unwrap_err();
+        assert!(
+            matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, frames } if frames > 0),
+            "{err}"
+        );
     }
 
     #[test]
@@ -732,6 +691,12 @@ mod tests {
             assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
             assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
         }
+        // Same layout under harsh faults: the empty shards' zero-frame
+        // flows must finish through the carrier's FIN-timer path.
+        let mut lossy = fixed(7, ShardPartitioner::Hash);
+        lossy.fault = Some(FaultSpec::harsh(0xC0FFEE));
+        let run = execute(&cluster, &plan_of(&q, &tiny, None, &lossy)).unwrap();
+        assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
     }
 
     #[test]

@@ -59,7 +59,8 @@ pub struct SessionConfig {
     pub drivers: usize,
     /// Deficit round-robin quantum, in input rows per turn.
     pub quantum_rows: u64,
-    /// Plans the cache holds before evicting the coldest.
+    /// Plans the cache holds before evicting the coldest; also the bound
+    /// on cached routed layouts (oldest insertion evicted first).
     pub plan_cache_capacity: usize,
     /// Row-count drift (fractional) beyond which a cached plan is never
     /// reused.
@@ -195,15 +196,37 @@ struct LayoutEntry {
     plan: Arc<ExecPlan>,
 }
 
+/// `(shape, left table ptr, right table ptr, pinned shards)`.
+type LayoutKey = (String, usize, usize, usize);
+
 struct Caches {
     plans: PlanCache,
-    /// `(shape, left table ptr, right table ptr, pinned shards)` →
-    /// routed plan. Table pointers stand in for content identity —
-    /// tables are immutable, so a rebuilt table is a new allocation —
-    /// and every hit is confirmed with [`ExecPlan::is_over`].
-    layouts: HashMap<(String, usize, usize, usize), LayoutEntry>,
+    /// Layout key → routed plan. Table pointers stand in for content
+    /// identity — tables are immutable, so a rebuilt table is a new
+    /// allocation — and every hit is confirmed with
+    /// [`ExecPlan::is_over`].
+    layouts: HashMap<LayoutKey, LayoutEntry>,
+    /// The keys of `layouts` in insertion order: every entry pins its
+    /// source tables and a routed copy of their rows, so the cache is
+    /// bounded and the oldest insertion goes first.
+    layout_order: VecDeque<LayoutKey>,
     /// One bandit per query shape.
     choosers: HashMap<String, PathChooser>,
+}
+
+impl Caches {
+    /// Cache a routed layout, holding at most as many as the plan cache
+    /// holds plans. Eviction is by insertion order, so the hit path pays
+    /// no bookkeeping.
+    fn insert_layout(&mut self, key: LayoutKey, entry: LayoutEntry) {
+        if self.layouts.insert(key.clone(), entry).is_none() {
+            self.layout_order.push_back(key);
+            if self.layout_order.len() > self.plans.capacity() {
+                let oldest = self.layout_order.pop_front().expect("just pushed");
+                self.layouts.remove(&oldest);
+            }
+        }
+    }
 }
 
 /// The session's always-on observability handles: one registry, one
@@ -291,6 +314,7 @@ impl Session {
         let caches = Caches {
             plans: PlanCache::new(cfg.plan_cache_capacity, cfg.stats_tolerance),
             layouts: HashMap::new(),
+            layout_order: VecDeque::new(),
             choosers: HashMap::new(),
         };
         let shared = Arc::new(Shared {
@@ -370,13 +394,7 @@ impl Session {
                 let queue_seconds = queue.elapsed_s();
                 queue.finish();
                 let result = execute(&self.shared, &req, queue_seconds, concurrent, root);
-                let mut st = self.shared.sched.lock().expect("scheduler lock");
-                st.executing -= 1;
-                st.completed += 1;
-                drop(st);
-                self.shared.telemetry.executing.add(-1);
-                self.shared.telemetry.queries.inc();
-                self.shared.work.notify_all();
+                close_out(&self.shared);
                 return result;
             }
         }
@@ -435,29 +453,15 @@ impl Drop for Session {
 
 fn driver_loop(shared: &Shared) {
     loop {
-        let (pending, concurrent) = {
+        let (pending, concurrent, mut deficits) = {
             let mut st = shared.sched.lock().expect("scheduler lock");
             loop {
                 if let Some(p) = pop_next(&mut st, shared.cfg.quantum_rows.max(1)) {
                     st.executing += 1;
                     shared.telemetry.queue_depth.set(st.queued as i64);
-                    // Publish the DRR deficits the dequeue left behind;
-                    // a tenant whose queue just drained reads zero.
-                    for (tenant, deficit) in &st.deficit {
-                        shared
-                            .telemetry
-                            .registry
-                            .gauge(&format!("serve.tenant.{tenant}.deficit"))
-                            .set(*deficit as i64);
-                    }
-                    if !st.deficit.contains_key(&p.req.tenant) {
-                        shared
-                            .telemetry
-                            .registry
-                            .gauge(&format!("serve.tenant.{}.deficit", p.req.tenant))
-                            .set(0);
-                    }
-                    break (p, st.executing);
+                    let deficits: Vec<(String, u64)> =
+                        st.deficit.iter().map(|(t, d)| (t.clone(), *d)).collect();
+                    break (p, st.executing, deficits);
                 }
                 if st.shutdown {
                     return;
@@ -465,6 +469,16 @@ fn driver_loop(shared: &Shared) {
                 st = shared.work.wait(st).expect("scheduler lock");
             }
         };
+        // Publish the DRR deficits the dequeue left behind — a tenant
+        // whose queue just drained reads zero — with the scheduler lock
+        // released: each gauge is a `format!` plus a registry lookup.
+        if deficits.iter().all(|(tenant, _)| *tenant != pending.req.tenant) {
+            deficits.push((pending.req.tenant.clone(), 0));
+        }
+        for (tenant, deficit) in deficits {
+            let gauge = shared.telemetry.registry.gauge(&format!("serve.tenant.{tenant}.deficit"));
+            gauge.set(deficit as i64);
+        }
         shared.telemetry.executing.add(1);
         let Pending { req, tx, root, queue } = pending;
         // The queue span is the queue clock: the breakdown field and the
@@ -474,17 +488,24 @@ fn driver_loop(shared: &Shared) {
         let result = execute(shared, &req, queue_seconds, concurrent, root);
         // Account *before* waking the waiter, so a redeemed ticket is
         // always reflected in the session counters.
-        {
-            let mut st = shared.sched.lock().expect("scheduler lock");
-            st.executing -= 1;
-            st.completed += 1;
-        }
-        shared.telemetry.executing.add(-1);
-        shared.telemetry.queries.inc();
-        shared.work.notify_all();
+        close_out(shared);
         // A dropped Ticket just means nobody is waiting; fine.
         let _ = tx.send(result);
     }
+}
+
+/// Account one executed request as done. No parked driver is woken: they
+/// wait for a queued request or shutdown, never for a free slot
+/// (`submit` refuses rather than blocks), so a completion changes nothing
+/// any waiter's predicate reads.
+fn close_out(shared: &Shared) {
+    {
+        let mut st = shared.sched.lock().expect("scheduler lock");
+        st.executing -= 1;
+        st.completed += 1;
+    }
+    shared.telemetry.executing.add(-1);
+    shared.telemetry.queries.inc();
 }
 
 /// Deficit round-robin: the front tenant spends deficit to dequeue; a
@@ -671,7 +692,7 @@ fn serve(
             route_span.attr("shards", plan.shards());
             route_span.finish();
             let entry = LayoutEntry { generation, plan: Arc::clone(&plan) };
-            shared.caches.lock().expect("caches lock").layouts.insert(layout_key, entry);
+            shared.caches.lock().expect("caches lock").insert_layout(layout_key, entry);
             plan
         }
     };
@@ -861,6 +882,26 @@ mod tests {
         assert_eq!(resp.output, cluster.run_baseline(&q, &second, None).output);
         assert_ne!(resp.output, want, "fixture tables must differ for the test to bite");
         assert_eq!(session.shared.caches.lock().unwrap().layouts.len(), 2);
+    }
+
+    #[test]
+    fn layout_cache_is_bounded_and_evicts_the_oldest_insertion() {
+        // Every cached layout pins its source tables and a routed copy of
+        // their rows: a session that keeps seeing rebuilt tables must not
+        // grow without limit.
+        let cluster = Cluster::default();
+        let cfg = SessionConfig { plan_cache_capacity: 2, ..SessionConfig::default() };
+        let session = Session::new(cluster.clone(), cfg);
+        let q = DbQuery::Distinct { col: 1 };
+        let mut first = None;
+        for seed in [3, 99, 1234] {
+            let t = table(800, 2, seed);
+            let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t)).shards(4));
+            assert_eq!(resp.unwrap().output, cluster.run_baseline(&q, &t, None).output);
+            first.get_or_insert_with(|| Arc::downgrade(&t));
+        }
+        assert_eq!(session.shared.caches.lock().unwrap().layouts.len(), 2);
+        assert!(first.unwrap().upgrade().is_none(), "the evicted layout must free its table");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! ```
 
 use cheetah::algorithms::{DistinctConfig, DistinctPruner, EvictionPolicy};
-use cheetah::net::{FaultProfile, TransferConfig, TransferSim};
+use cheetah::net::{FaultProfile, RackConfig, TransferSim};
 use cheetah::switch::hash::mix64;
 use cheetah::switch::{PacketRef, ResourceLedger, SwitchProfile, SwitchProgram};
 use std::collections::HashSet;
@@ -55,7 +55,7 @@ fn main() {
     .expect("fits");
     let mut epoch = 0u64;
 
-    let cfg = TransferConfig {
+    let cfg = RackConfig {
         faults: FaultProfile {
             drop_prob: drop_pct / 100.0,
             corrupt_prob: corrupt_pct / 100.0,
@@ -75,15 +75,15 @@ fn main() {
     })
     .run();
 
-    assert!(report.completed, "transfer must terminate despite the losses");
-    println!("completed in {:.3} simulated seconds", report.sim_seconds);
+    assert!(report.rack.completed, "transfer must terminate despite the losses");
+    println!("completed in {:.3} simulated seconds", report.rack.sim_seconds);
     println!("  delivered (unique)   : {}", report.delivered_unique());
-    println!("  switch prune-ACKs    : {}", report.switch_acks);
-    println!("  retransmissions      : {}", report.retransmissions);
-    println!("  stale forwards (Y≤X) : {}", report.forwarded_stale);
-    println!("  gap drops (Y>X+1)    : {}", report.dropped_ahead);
-    println!("  checksum rejections  : {}", report.malformed);
-    println!("  master dedups        : {}", report.master_duplicates);
+    println!("  switch prune-ACKs    : {}", report.rack.switch_acks);
+    println!("  retransmissions      : {}", report.rack.retransmissions);
+    println!("  stale forwards (Y≤X) : {}", report.rack.forwarded_stale);
+    println!("  gap drops (Y>X+1)    : {}", report.rack.dropped_ahead);
+    println!("  checksum rejections  : {}", report.rack.malformed);
+    println!("  master dedups        : {}", report.rack.duplicates);
 
     // The master completes the DISTINCT query from whatever arrived —
     // any superset of the unpruned entries yields the same output.

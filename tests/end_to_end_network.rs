@@ -10,7 +10,7 @@ use cheetah::algorithms::{
     AggKind, DistinctConfig, DistinctPruner, EvictionPolicy, GroupByConfig, GroupByPruner,
     TopNRandConfig, TopNRandPruner,
 };
-use cheetah::net::{FaultProfile, TransferConfig, TransferSim};
+use cheetah::net::{FaultProfile, RackConfig, TransferSim};
 use cheetah::switch::hash::mix64;
 use cheetah::switch::{PacketRef, ResourceLedger, SwitchProfile, SwitchProgram};
 use std::collections::{HashMap, HashSet};
@@ -19,8 +19,8 @@ fn ledger() -> ResourceLedger {
     ResourceLedger::new(SwitchProfile::tofino2())
 }
 
-fn lossy(seed: u64) -> TransferConfig {
-    TransferConfig {
+fn lossy(seed: u64) -> RackConfig {
+    RackConfig {
         faults: FaultProfile { drop_prob: 0.12, corrupt_prob: 0.06, ..FaultProfile::lossless() },
         rto_ns: 250_000,
         seed,
@@ -30,7 +30,7 @@ fn lossy(seed: u64) -> TransferConfig {
 
 /// Drive a program through the transfer sim.
 fn transfer<P: SwitchProgram>(
-    cfg: TransferConfig,
+    cfg: RackConfig,
     streams: Vec<Vec<Vec<u64>>>,
     mut program: P,
 ) -> cheetah::net::TransferReport {
@@ -70,11 +70,11 @@ fn distinct_over_lossy_network_is_exact() {
     )
     .unwrap();
     let report = transfer(lossy(0xE2E1), streams, program);
-    assert!(report.completed);
+    assert!(report.rack.completed);
     let got: HashSet<u64> =
         report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
     assert_eq!(got, truth, "DISTINCT output diverged under loss");
-    assert!(report.retransmissions > 0, "the loss must actually have been exercised");
+    assert!(report.rack.retransmissions > 0, "the loss must actually have been exercised");
 }
 
 #[test]
@@ -106,7 +106,7 @@ fn groupby_max_over_lossy_network_is_exact() {
     )
     .unwrap();
     let report = transfer(lossy(0xE2E2), streams, program);
-    assert!(report.completed);
+    assert!(report.rack.completed);
     // Master-side completion: MAX over whatever was delivered.
     let mut got: HashMap<u64, u64> = HashMap::new();
     for v in report.delivered.values().flat_map(|m| m.values()) {
@@ -139,7 +139,7 @@ fn topn_over_lossy_network_keeps_the_top() {
         TopNRandPruner::build(TopNRandConfig { rows: 512, cols: 8, seed: 6 }, &mut ledger())
             .unwrap();
     let report = transfer(lossy(0xE2E3), streams, program);
-    assert!(report.completed);
+    assert!(report.rack.completed);
     let mut got: Vec<u64> =
         report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
     got.sort_unstable_by(|a, b| b.cmp(a));
@@ -156,10 +156,10 @@ fn reliability_overhead_is_bounded_under_light_loss() {
     let per = 5_000u64;
     let streams: Vec<Vec<Vec<u64>>> =
         (0..workers).map(|w| (0..per).map(|i| vec![(w as u64) << 32 | i]).collect()).collect();
-    let cfg = TransferConfig {
+    let cfg = RackConfig {
         faults: FaultProfile { drop_prob: 0.02, corrupt_prob: 0.0, ..FaultProfile::lossless() },
         rto_ns: 150_000,
-        window: 32,
+        window: Some(32),
         ..Default::default()
     };
     let program = DistinctPruner::build(
@@ -174,12 +174,12 @@ fn reliability_overhead_is_bounded_under_light_loss() {
     )
     .unwrap();
     let report = transfer(cfg, streams, program);
-    assert!(report.completed);
+    assert!(report.rack.completed);
     let total = (workers as u64) * per;
     assert!(
-        report.retransmissions < total * 5,
+        report.rack.retransmissions < total * 5,
         "retransmission storm: {} for {} entries",
-        report.retransmissions,
+        report.rack.retransmissions,
         total
     );
 }
@@ -198,13 +198,13 @@ fn lossless_transfer_has_zero_protocol_overhead() {
         &mut ledger(),
     )
     .unwrap();
-    let report = transfer(TransferConfig::default(), streams, program);
-    assert!(report.completed);
-    assert_eq!(report.retransmissions, 0);
-    assert_eq!(report.dropped_ahead, 0);
-    assert_eq!(report.forwarded_stale, 0);
-    assert_eq!(report.malformed, 0);
-    assert_eq!(report.master_duplicates, 0);
+    let report = transfer(RackConfig::default(), streams, program);
+    assert!(report.rack.completed);
+    assert_eq!(report.rack.retransmissions, 0);
+    assert_eq!(report.rack.dropped_ahead, 0);
+    assert_eq!(report.rack.forwarded_stale, 0);
+    assert_eq!(report.rack.malformed, 0);
+    assert_eq!(report.rack.duplicates, 0);
     // All 2000 distinct → everything forwarded.
     assert_eq!(report.delivered_unique(), 2_000);
 }
