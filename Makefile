@@ -15,11 +15,13 @@ lint: no-shims
 
 # There is one multi-shard entry point (cheetah_runtime::execute over an
 # ExecPlan), one run type (ExecRun), one wall-clock harness
-# (cheetah-ledger) and one §7.2 event loop (cheetah_net::rack). Fail if a
-# deleted twin, shim, run type, harness flag, baseline file or
-# do-nothing vendored stub is named anywhere again.
+# (cheetah-ledger), one §7.2 event loop (cheetah_net::rack), one row
+# encoder (PruningOperator::encode_part) under one encode -> prune loop,
+# and no arm selector. Fail if a deleted twin, shim, run type, harness
+# flag, baseline file, do-nothing vendored stub, multi-pass kernel or
+# bandit is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -48,10 +50,12 @@ runtime-gate:
 	cargo test -q -p cheetah-db --test runtime_contract
 
 # The named CI gate: compiled contract — the plan-time fused kernels
-# bit-identical to the interpreted oracle across all seven variants x
-# the adversarial workload family x shards {1,2,7} x both partitioners
-# x both transports, with deterministic pruning counters unchanged
-# shard by shard.
+# (five families have one: filter, DISTINCT, TOP N, GROUP BY, SKYLINE;
+# JOIN and HAVING run the interpreter on either backend and must say
+# so) bit-identical to the interpreted oracle across all seven variants
+# x the adversarial workload family x shards {1,2,7} x both
+# partitioners x both transports, with deterministic pruning counters
+# unchanged shard by shard.
 compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract
 

@@ -2,7 +2,6 @@
 //! the sharded-execution sweep.
 
 pub mod ablations;
-pub mod chooser;
 pub mod crossover;
 pub mod fabric;
 pub mod fig10;
@@ -43,7 +42,6 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
         ("planner", planner::run),
         ("runtime", runtime::run),
         ("crossover", crossover::run),
-        ("chooser", chooser::run),
         ("serving", serving::run),
         ("fabric", fabric::run),
     ]
@@ -71,7 +69,6 @@ mod tests {
             "planner",
             "runtime",
             "crossover",
-            "chooser",
             "serving",
             "fabric",
         ] {

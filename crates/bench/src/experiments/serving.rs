@@ -442,8 +442,8 @@ mod tests {
         );
     }
 
-    /// The fairness criterion, retry-damped like the chooser tests: a
-    /// single attempt under a fully parallel `cargo test` can land the
+    /// The fairness criterion, retry-damped: a single attempt under a
+    /// fully parallel `cargo test` can land the
     /// solo reference and the flooded phase on very different machine
     /// load, so pass if any of three attempts is within bound.
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! Beyond the paper's artifacts, [`experiments`] carries the repository's
 //! own report-only sweeps (`ablations`, `shards`, `planner`, `runtime`,
-//! `crossover`, `chooser`, `serving`, `fabric`). They print what they
+//! `crossover`, `serving`, `fabric`). They print what they
 //! measured and assert only outputs: wall clock is *gated* in one place,
 //! the `cheetah-ledger` benchmark package, and nowhere in this crate.
 //!

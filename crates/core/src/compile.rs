@@ -12,13 +12,28 @@
 //!
 //! **The interpreter stays the oracle.** Kernels rebuild exactly the state
 //! the interpreted pruners derive from the same configs and seeds (row
-//! hashes, key fingerprints, Bloom probes, threshold ladders), so verdicts
-//! are bit-identical entry by entry — enforced by the in-module tests here
-//! and by the `compiled_contract` gate in `cheetah-db`, which replays all
-//! seven query families against the interpreted pipeline across adversarial
-//! workloads and shard counts.
+//! hashes, key fingerprints, threshold ladders), so verdicts are
+//! bit-identical entry by entry — enforced by the in-module tests here and
+//! by the `compiled_contract` gate in `cheetah-db`, which replays all seven
+//! query families on both backends across adversarial workloads and shard
+//! counts.
+//!
+//! **Kernels exist for single-pass families only** — filter, DISTINCT,
+//! TOP N, GROUP BY, SKYLINE. The executor's encode → prune loop is shared
+//! by both backends, so a kernel is worth its lines only for what it saves
+//! *per entry* over the interpreter. JOIN and HAVING are bound by encoding
+//! and completion, not by the prune step (their kernels measured 0.84–1.6×
+//! the interpreter, losing as often as winning):
+//! [`CompiledProgram::compile`] answers
+//! [`Error::NoKernel`](crate::Error::NoKernel)
+//! for them and the executor runs the interpreter, which is why programs
+//! here have no phases.
 //!
 //! # Adding a compiled kernel for a new query family
+//!
+//! Single-pass families only, and only if it beats the interpreter ≥ 1.3×
+//! *on the shared loop* (the ledger's `shard_exec.<family>.*_ns_per_row`
+//! pair, not `kernel.*_ns_per_entry` alone).
 //!
 //! 1. Add a kernel struct holding the family's state as flat vectors
 //!    (`Vec<u64>` cells, plain counters). Derive every seed exactly as the
@@ -30,7 +45,7 @@
 //!    *statement by statement* (including conservative fallbacks like
 //!    "forward when uncacheable").
 //! 3. Add a variant to the private `Kernel` enum, construct it in
-//!    [`CompiledProgram::compile`], and wire `run`/`set_phase`/`clear`.
+//!    [`CompiledProgram::compile`], and wire `run`/`clear`.
 //! 4. Extend the oracle tests at the bottom of this file with a randomized
 //!    stream comparing the kernel against a `StandalonePruner` of the
 //!    interpreted program, and add the family to the `compiled_contract`
@@ -40,8 +55,6 @@ use crate::distinct::{DistinctConfig, EvictionPolicy};
 use crate::filter::{AtomSpec, CmpOp, ExternalMode, FilterConfig};
 use crate::fingerprint::FingerprintSpec;
 use crate::groupby::{AggKind, GroupByConfig};
-use crate::having::{HavingAgg, HavingConfig};
-use crate::join::{BloomKind, JoinConfig, JoinMode, JoinSide};
 use crate::planner::QuerySpec;
 use crate::skyline::{SkylineConfig, SkylinePolicy};
 use crate::topn::{TopNDetConfig, TopNRandConfig};
@@ -55,8 +68,8 @@ use cheetah_switch::{ApproxLog, HashFamily, HashFn, ProgramStats, Verdict};
 /// Two implementations exist: the interpreted
 /// [`StandalonePruner`](crate::StandalonePruner)-over-`Pipeline` oracle
 /// (adapted in `cheetah-db`) and the compiled kernels here. The executor's
-/// pass loop is generic over this trait so the four-arm `PassPlan` logic
-/// stays single-sourced across backends.
+/// one encode → prune loop is generic over this trait, so the four-arm
+/// `PassPlan` logic exists once for both backends.
 pub trait PruneEngine {
     /// Offer a run of same-flow entries; `sink` observes each entry's index
     /// and verdict in stream order. Statistics accumulate internally.
@@ -67,8 +80,11 @@ pub trait PruneEngine {
         sink: impl FnMut(usize, Verdict),
     ) -> cheetah_switch::Result<()>;
 
-    /// Advance a multi-pass algorithm (JOIN, HAVING) to `phase`.
-    fn set_phase(&mut self, phase: u8) -> cheetah_switch::Result<()>;
+    /// Advance a multi-pass algorithm (JOIN) to `phase`. Single-pass
+    /// engines — every compiled kernel — have no phases and refuse.
+    fn set_phase(&mut self, _phase: u8) -> cheetah_switch::Result<()> {
+        Err(SwitchError::UnsupportedOp { op: "phase switch on a single-pass pruning engine" })
+    }
 
     /// Accumulated verdict statistics.
     fn stats(&self) -> ProgramStats;
@@ -94,13 +110,13 @@ enum Kernel {
     TopNDet(TopNDetKernel),
     TopNRand(TopNRandKernel),
     GroupBy(GroupByKernel),
-    Join(JoinKernel),
-    Having(HavingKernel),
     Skyline(SkylineKernel),
 }
 
 impl CompiledProgram {
-    /// Compile `spec` into its family's fused kernel.
+    /// Compile `spec` into its family's fused kernel, or
+    /// [`Error::NoKernel`](crate::Error::NoKernel) for the multi-pass
+    /// families (JOIN, HAVING), which run on the interpreter.
     pub fn compile(spec: &QuerySpec) -> crate::Result<Self> {
         let kernel = match spec {
             QuerySpec::Filter(c) => Kernel::Filter(FilterKernel::new(c)),
@@ -108,19 +124,21 @@ impl CompiledProgram {
             QuerySpec::TopNDet(c) => Kernel::TopNDet(TopNDetKernel::new(*c)),
             QuerySpec::TopNRand(c) => Kernel::TopNRand(TopNRandKernel::new(*c)),
             QuerySpec::GroupBy(c) => Kernel::GroupBy(GroupByKernel::new(*c)),
-            QuerySpec::Join(c) => Kernel::Join(JoinKernel::new(*c)),
-            QuerySpec::Having(c) => Kernel::Having(HavingKernel::new(*c)),
             QuerySpec::Skyline(c) => Kernel::Skyline(SkylineKernel::new(*c)),
+            QuerySpec::Join(_) | QuerySpec::Having(_) => {
+                return Err(crate::Error::NoKernel { family: spec.kind() })
+            }
         };
         Ok(Self { kernel, stats: ProgramStats::default() })
     }
 
-    /// Offer a run of same-flow entries through the kernel. The family (and
-    /// for JOIN the side/phase arm) is resolved once, before the entry
-    /// loop — the per-entry body is branch-light straight-line code.
+    /// Offer a run of same-flow entries through the kernel. The family is
+    /// resolved once, before the entry loop — the per-entry body is
+    /// branch-light straight-line code. Every kernel is single-stream, so
+    /// the flow id is not consulted.
     pub fn offer_run<'v>(
         &mut self,
-        fid: u32,
+        _fid: u32,
         entries: impl Iterator<Item = &'v [u64]>,
         mut sink: impl FnMut(usize, Verdict),
     ) -> cheetah_switch::Result<()> {
@@ -135,21 +153,11 @@ impl CompiledProgram {
             Kernel::TopNDet(k) => k.run(entries, &mut emit),
             Kernel::TopNRand(k) => k.run(entries, &mut emit),
             Kernel::GroupBy(k) => k.run(entries, &mut emit),
-            Kernel::Join(k) => k.run(fid, entries, &mut emit),
-            Kernel::Having(k) => k.run(entries, &mut emit),
             Kernel::Skyline(k) => k.run(entries, &mut emit),
         }
     }
 
-    /// Advance a multi-pass kernel (JOIN) to `phase`; a no-op for
-    /// single-pass families, mirroring the interpreted control plane.
-    pub fn set_phase(&mut self, phase: u8) {
-        if let Kernel::Join(k) = &mut self.kernel {
-            k.phase = phase;
-        }
-    }
-
-    /// Reset all kernel state (registers, pointers, phases) — the compiled
+    /// Reset all kernel state (registers, pointers) — the compiled
     /// analogue of `ControlMsg::Clear`. Statistics are kept.
     pub fn clear(&mut self) {
         match &mut self.kernel {
@@ -164,15 +172,6 @@ impl CompiledProgram {
                 k.arrival = 0;
             }
             Kernel::GroupBy(k) => k.clear(),
-            Kernel::Join(k) => {
-                k.filter_a.clear();
-                k.filter_b.clear();
-                k.phase = 1;
-            }
-            Kernel::Having(k) => {
-                k.counters.fill(0);
-                k.dedup.clear();
-            }
             Kernel::Skyline(k) => {
                 k.scores.fill(0);
                 k.dims_cells.fill(0);
@@ -207,11 +206,6 @@ impl PruneEngine for CompiledProgram {
         sink: impl FnMut(usize, Verdict),
     ) -> cheetah_switch::Result<()> {
         CompiledProgram::offer_run(self, fid, entries, sink)
-    }
-
-    fn set_phase(&mut self, phase: u8) -> cheetah_switch::Result<()> {
-        CompiledProgram::set_phase(self, phase);
-        Ok(())
     }
 
     fn stats(&self) -> ProgramStats {
@@ -349,8 +343,7 @@ impl DistinctKernel {
         }
     }
 
-    /// One entry's verdict — shared with the HAVING kernel's embedded
-    /// announcement deduplicator.
+    /// One entry's verdict.
     #[inline]
     fn offer(&mut self, raw: u64) -> Verdict {
         let stored = self.encode(raw);
@@ -620,244 +613,6 @@ impl GroupByKernel {
     }
 }
 
-// ------------------------------------------------------------------ join
-
-/// Kernel twin of the dataplane Bloom filter: same probes, plain words.
-#[derive(Debug)]
-enum KernelFilter {
-    Classic { words: Vec<u64>, m_bits: u64, hashes: Vec<HashFn> },
-    Register { words: Vec<u64>, word_hash: HashFn, bit_hash: HashFn, h: u32 },
-}
-
-impl KernelFilter {
-    fn new(kind: BloomKind, m_bits: u64, seed: u64) -> Self {
-        let words = m_bits.div_ceil(64) as usize;
-        let fam = HashFamily::new(seed);
-        match kind {
-            BloomKind::Classic { h } => Self::Classic {
-                words: vec![0; words],
-                m_bits,
-                hashes: (0..h as usize).map(|i| fam.function(i)).collect(),
-            },
-            BloomKind::Register { h } => Self::Register {
-                words: vec![0; words],
-                word_hash: fam.function(0),
-                bit_hash: fam.function(1),
-                h,
-            },
-        }
-    }
-
-    #[inline]
-    fn word_mask(bit_hash: &HashFn, h: u32, key: u64) -> u64 {
-        let digest = bit_hash.hash64(key);
-        let mut mask = 0u64;
-        for i in 0..h {
-            mask |= 1 << ((digest >> (i * 6)) & 63);
-        }
-        mask
-    }
-
-    #[inline]
-    fn insert(&mut self, key: u64) {
-        match self {
-            Self::Classic { words, m_bits, hashes } => {
-                for h in hashes.iter() {
-                    let bit = h.index(key, *m_bits as usize) as u64;
-                    words[(bit / 64) as usize] |= 1 << (bit % 64);
-                }
-            }
-            Self::Register { words, word_hash, bit_hash, h } => {
-                let word = word_hash.index(key, words.len());
-                words[word] |= Self::word_mask(bit_hash, *h, key);
-            }
-        }
-    }
-
-    #[inline]
-    fn query(&self, key: u64) -> bool {
-        match self {
-            Self::Classic { words, m_bits, hashes } => hashes.iter().all(|h| {
-                let bit = h.index(key, *m_bits as usize) as u64;
-                words[(bit / 64) as usize] >> (bit % 64) & 1 == 1
-            }),
-            Self::Register { words, word_hash, bit_hash, h } => {
-                let word = word_hash.index(key, words.len());
-                let mask = Self::word_mask(bit_hash, *h, key);
-                words[word] & mask == mask
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Classic { words, .. } | Self::Register { words, .. } => words.fill(0),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct JoinKernel {
-    mode: JoinMode,
-    phase: u8,
-    fid_a: u32,
-    fid_b: u32,
-    filter_a: KernelFilter,
-    filter_b: KernelFilter,
-}
-
-/// The per-run arm a join stream resolves to (hoisted out of the loop).
-enum JoinArm {
-    InsertA,
-    InsertB,
-    QueryA,
-    QueryB,
-    BuildForwardA,
-    ForwardAll,
-}
-
-impl JoinKernel {
-    fn new(cfg: JoinConfig) -> Self {
-        assert!(cfg.m_bits >= 64, "filter size validated at plan time");
-        assert!(cfg.fid_a != cfg.fid_b, "join sides validated at plan time");
-        Self {
-            mode: cfg.mode,
-            phase: 1,
-            fid_a: cfg.fid_a,
-            fid_b: cfg.fid_b,
-            filter_a: KernelFilter::new(cfg.kind, cfg.m_bits, cfg.seed),
-            filter_b: KernelFilter::new(cfg.kind, cfg.m_bits, cfg.seed ^ 0xB0B),
-        }
-    }
-
-    fn run<'v>(
-        &mut self,
-        fid: u32,
-        entries: impl Iterator<Item = &'v [u64]>,
-        emit: &mut impl FnMut(usize, Verdict),
-    ) -> cheetah_switch::Result<()> {
-        let side = if fid == self.fid_a {
-            JoinSide::A
-        } else if fid == self.fid_b {
-            JoinSide::B
-        } else {
-            return Err(SwitchError::NoProgramForFlow { fid });
-        };
-        let arm = match (self.mode, self.phase, side) {
-            (JoinMode::TwoPass, 1, JoinSide::A) => JoinArm::InsertA,
-            (JoinMode::TwoPass, 1, JoinSide::B) => JoinArm::InsertB,
-            (JoinMode::TwoPass, 2, JoinSide::A) => JoinArm::QueryB,
-            (JoinMode::TwoPass, 2, JoinSide::B) => JoinArm::QueryA,
-            (JoinMode::SmallTableFirst, 1, JoinSide::A) => JoinArm::BuildForwardA,
-            (JoinMode::SmallTableFirst, 2, JoinSide::B) => JoinArm::QueryA,
-            _ => JoinArm::ForwardAll,
-        };
-        match arm {
-            JoinArm::InsertA => {
-                for (i, values) in entries.enumerate() {
-                    self.filter_a.insert(value_at(values, 0)?);
-                    emit(i, Verdict::Prune);
-                }
-            }
-            JoinArm::InsertB => {
-                for (i, values) in entries.enumerate() {
-                    self.filter_b.insert(value_at(values, 0)?);
-                    emit(i, Verdict::Prune);
-                }
-            }
-            JoinArm::QueryA => {
-                for (i, values) in entries.enumerate() {
-                    let hit = self.filter_a.query(value_at(values, 0)?);
-                    emit(i, if hit { Verdict::Forward } else { Verdict::Prune });
-                }
-            }
-            JoinArm::QueryB => {
-                for (i, values) in entries.enumerate() {
-                    let hit = self.filter_b.query(value_at(values, 0)?);
-                    emit(i, if hit { Verdict::Forward } else { Verdict::Prune });
-                }
-            }
-            JoinArm::BuildForwardA => {
-                for (i, values) in entries.enumerate() {
-                    self.filter_a.insert(value_at(values, 0)?);
-                    emit(i, Verdict::Forward);
-                }
-            }
-            JoinArm::ForwardAll => {
-                for (i, values) in entries.enumerate() {
-                    value_at(values, 0)?;
-                    emit(i, Verdict::Forward);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------- having
-
-#[derive(Debug)]
-struct HavingKernel {
-    cm_counters: usize,
-    threshold: u64,
-    agg: HavingAgg,
-    row_hashes: Vec<HashFn>,
-    /// Row-major `cm_rows × cm_counters` Count-Min sketch.
-    counters: Vec<u64>,
-    /// Deduplicates candidate announcements (LRU DISTINCT twin).
-    dedup: DistinctKernel,
-}
-
-impl HavingKernel {
-    fn new(cfg: HavingConfig) -> Self {
-        assert!(cfg.cm_rows > 0 && cfg.cm_counters > 0, "sketch validated at plan time");
-        let fam = HashFamily::new(cfg.seed);
-        Self {
-            cm_counters: cfg.cm_counters,
-            threshold: cfg.threshold,
-            agg: cfg.agg,
-            row_hashes: (0..cfg.cm_rows).map(|i| fam.function(i)).collect(),
-            counters: vec![0; cfg.cm_rows * cfg.cm_counters],
-            dedup: DistinctKernel::new(DistinctConfig {
-                rows: cfg.dedup_rows,
-                cols: cfg.dedup_cols,
-                policy: EvictionPolicy::Lru,
-                fingerprint: None,
-                seed: cfg.seed ^ 0xDED,
-            }),
-        }
-    }
-
-    fn run<'v>(
-        &mut self,
-        entries: impl Iterator<Item = &'v [u64]>,
-        emit: &mut impl FnMut(usize, Verdict),
-    ) -> cheetah_switch::Result<()> {
-        let w = self.cm_counters;
-        for (i, values) in entries.enumerate() {
-            let key = value_at(values, 0)?;
-            let add = match self.agg {
-                HavingAgg::Sum => value_at(values, 1)?,
-                HavingAgg::Count => 1,
-            };
-            let mut estimate = u64::MAX;
-            for (r, h) in self.row_hashes.iter().enumerate() {
-                let idx = h.index(key, w);
-                let counter = &mut self.counters[r * w + idx];
-                let updated = counter.saturating_add(add);
-                *counter = updated;
-                estimate = estimate.min(updated);
-            }
-            if estimate <= self.threshold {
-                emit(i, Verdict::Prune);
-            } else {
-                emit(i, self.dedup.offer(key));
-            }
-        }
-        Ok(())
-    }
-}
-
 // --------------------------------------------------------------- skyline
 
 #[derive(Debug)]
@@ -960,68 +715,23 @@ mod tests {
     use crate::planner::QuerySpec;
     use crate::pruner::StandalonePruner;
     use cheetah_switch::hash::mix64;
-    use cheetah_switch::{ControlMsg, ResourceLedger, SwitchProfile};
+    use cheetah_switch::{ResourceLedger, SwitchProfile};
 
     /// Drive `spec`'s interpreted pruner and compiled kernel over the same
-    /// `(fid, values)` stream, asserting verdict-by-verdict equality.
-    /// `phase_switch_at` optionally advances both to phase 2 mid-stream.
-    fn assert_oracle_parity(
-        spec: &QuerySpec,
-        stream: &[(u32, Vec<u64>)],
-        phase_switch_at: Option<usize>,
-    ) {
+    /// entry stream as one run, asserting verdict-by-verdict equality.
+    fn assert_oracle_parity(spec: &QuerySpec, stream: &[Vec<u64>]) {
         let mut ledger = ResourceLedger::new(SwitchProfile::tofino2());
         let mut pipeline = cheetah_switch::Pipeline::new();
         let program = crate::planner::build_into(spec, &mut ledger, &mut pipeline).unwrap();
         pipeline.bind_flow(0, program);
-        pipeline.bind_flow(1, program);
         let mut oracle = StandalonePruner::new(pipeline);
         let mut compiled = CompiledProgram::compile(spec).unwrap();
 
         let mut interpreted_verdicts = Vec::new();
         let mut compiled_verdicts = Vec::new();
-        let feed = |from: usize,
-                    to: usize,
-                    oracle: &mut StandalonePruner<cheetah_switch::Pipeline>,
-                    compiled: &mut CompiledProgram,
-                    iv: &mut Vec<Verdict>,
-                    cv: &mut Vec<Verdict>| {
-            // Group consecutive same-fid entries into runs, as the executor
-            // does per partition.
-            let mut i = from;
-            while i < to {
-                let fid = stream[i].0;
-                let mut j = i;
-                while j < to && stream[j].0 == fid {
-                    j += 1;
-                }
-                oracle
-                    .offer_run(fid, stream[i..j].iter().map(|(_, v)| v.as_slice()), |_, v| {
-                        iv.push(v)
-                    })
-                    .unwrap();
-                compiled
-                    .offer_run(fid, stream[i..j].iter().map(|(_, v)| v.as_slice()), |_, v| {
-                        cv.push(v)
-                    })
-                    .unwrap();
-                i = j;
-            }
-        };
-        let cut = phase_switch_at.unwrap_or(stream.len()).min(stream.len());
-        feed(0, cut, &mut oracle, &mut compiled, &mut interpreted_verdicts, &mut compiled_verdicts);
-        if phase_switch_at.is_some() {
-            oracle.program_mut().control(program, &ControlMsg::SetPhase(2)).unwrap();
-            compiled.set_phase(2);
-            feed(
-                cut,
-                stream.len(),
-                &mut oracle,
-                &mut compiled,
-                &mut interpreted_verdicts,
-                &mut compiled_verdicts,
-            );
-        }
+        let entries = || stream.iter().map(Vec::as_slice);
+        oracle.offer_run(0, entries(), |_, v| interpreted_verdicts.push(v)).unwrap();
+        compiled.offer_run(0, entries(), |_, v| compiled_verdicts.push(v)).unwrap();
         assert_eq!(
             interpreted_verdicts,
             compiled_verdicts,
@@ -1033,14 +743,14 @@ mod tests {
         assert_eq!((istats.seen, istats.pruned), (cstats.seen, cstats.pruned), "{}", spec.kind());
     }
 
-    fn unary_stream(len: usize, key_mod: u64, val_mod: u64, seed: u64) -> Vec<(u32, Vec<u64>)> {
+    fn unary_stream(len: usize, key_mod: u64, val_mod: u64, seed: u64) -> Vec<Vec<u64>> {
         let mut x = seed;
         (0..len)
             .map(|_| {
                 x = mix64(x);
                 let k = x % key_mod;
                 x = mix64(x);
-                (0u32, vec![k, x % val_mod, x % 7])
+                vec![k, x % val_mod, x % 7]
             })
             .collect()
     }
@@ -1050,13 +760,13 @@ mod tests {
         for mode in [ExternalMode::Tautology, ExternalMode::WorkerComputed] {
             let spec = QuerySpec::Filter(FilterConfig::paper_example(mode));
             let mut x = 0xF17u64;
-            let stream: Vec<(u32, Vec<u64>)> = (0..4_000)
+            let stream: Vec<Vec<u64>> = (0..4_000)
                 .map(|_| {
                     x = mix64(x);
-                    (0u32, vec![x % 10, mix64(x) % 10, x % 2])
+                    vec![x % 10, mix64(x) % 10, x % 2]
                 })
                 .collect();
-            assert_oracle_parity(&spec, &stream, None);
+            assert_oracle_parity(&spec, &stream);
         }
     }
 
@@ -1076,13 +786,13 @@ mod tests {
         };
         let spec = QuerySpec::Filter(cfg);
         let mut x = 9u64;
-        let stream: Vec<(u32, Vec<u64>)> = (0..4_000)
+        let stream: Vec<Vec<u64>> = (0..4_000)
             .map(|_| {
                 x = mix64(x);
-                (0u32, vec![x, x % 12_000, mix64(x) % 100])
+                vec![x, x % 12_000, mix64(x) % 100]
             })
             .collect();
-        assert_oracle_parity(&spec, &stream, None);
+        assert_oracle_parity(&spec, &stream);
     }
 
     #[test]
@@ -1097,8 +807,8 @@ mod tests {
                     seed: 0xD,
                 });
                 let mut stream = unary_stream(6_000, 300, 1_000, 0xD15);
-                stream.push((0, vec![u64::MAX, 0, 0])); // uncacheable sentinel
-                assert_oracle_parity(&spec, &stream, None);
+                stream.push(vec![u64::MAX, 0, 0]); // uncacheable sentinel
+                assert_oracle_parity(&spec, &stream);
             }
         }
     }
@@ -1108,8 +818,8 @@ mod tests {
         let det = QuerySpec::TopNDet(TopNDetConfig { n: 40, w: 4 });
         let rand = QuerySpec::TopNRand(TopNRandConfig { rows: 128, cols: 4, seed: 0x7 });
         let stream = unary_stream(8_000, u64::MAX, u64::MAX, 0x70);
-        assert_oracle_parity(&det, &stream, None);
-        assert_oracle_parity(&rand, &stream, None);
+        assert_oracle_parity(&det, &stream);
+        assert_oracle_parity(&rand, &stream);
     }
 
     #[test]
@@ -1122,49 +832,7 @@ mod tests {
                 key_bits: 31,
                 seed: 0x6B,
             });
-            assert_oracle_parity(&spec, &unary_stream(8_000, 100, 1_000, 0x6B2), None);
-        }
-    }
-
-    #[test]
-    fn join_kernel_matches_oracle_across_phases() {
-        for kind in [BloomKind::Classic { h: 3 }, BloomKind::Register { h: 3 }] {
-            for mode in [JoinMode::TwoPass, JoinMode::SmallTableFirst] {
-                let spec = QuerySpec::Join(JoinConfig {
-                    m_bits: 1 << 12,
-                    kind,
-                    mode,
-                    fid_a: 0,
-                    fid_b: 1,
-                    seed: 0x101,
-                });
-                let mut x = 0x30u64;
-                let build: Vec<(u32, Vec<u64>)> = (0..3_000)
-                    .map(|i| {
-                        x = mix64(x);
-                        ((i % 2) as u32, vec![x % 500])
-                    })
-                    .collect();
-                let stream: Vec<(u32, Vec<u64>)> =
-                    build.iter().cloned().chain(build.iter().cloned()).collect();
-                assert_oracle_parity(&spec, &stream, Some(build.len()));
-            }
-        }
-    }
-
-    #[test]
-    fn having_kernel_matches_oracle() {
-        for agg in [HavingAgg::Sum, HavingAgg::Count] {
-            let spec = QuerySpec::Having(HavingConfig {
-                cm_rows: 3,
-                cm_counters: 64,
-                threshold: 500,
-                agg,
-                dedup_rows: 32,
-                dedup_cols: 2,
-                seed: 0x4A11,
-            });
-            assert_oracle_parity(&spec, &unary_stream(10_000, 120, 20, 0x4A), None);
+            assert_oracle_parity(&spec, &unary_stream(8_000, 100, 1_000, 0x6B2));
         }
     }
 
@@ -1176,15 +844,15 @@ mod tests {
             let spec =
                 QuerySpec::Skyline(SkylineConfig { dims: 2, points: 6, policy, packed: true });
             let mut x = 5u64;
-            let stream: Vec<(u32, Vec<u64>)> = (0..6_000)
+            let stream: Vec<Vec<u64>> = (0..6_000)
                 .map(|_| {
                     x = mix64(x);
                     let a = x % 1_000 + 1;
                     x = mix64(x);
-                    (0u32, vec![a, x % 1_000 + 1])
+                    vec![a, x % 1_000 + 1]
                 })
                 .collect();
-            assert_oracle_parity(&spec, &stream, None);
+            assert_oracle_parity(&spec, &stream);
         }
     }
 
@@ -1210,15 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn join_kernel_rejects_unknown_fid() {
-        let spec = QuerySpec::Join(JoinConfig::paper_default());
-        let mut k = CompiledProgram::compile(&spec).unwrap();
-        let entries = [vec![1u64]];
-        let err = k.offer_run(9, entries.iter().map(|v| v.as_slice()), |_, _| {});
-        assert!(matches!(err, Err(SwitchError::NoProgramForFlow { fid: 9 })));
-    }
-
-    #[test]
     fn skyline_kernel_rejects_short_packets() {
         let spec = QuerySpec::Skyline(SkylineConfig {
             dims: 3,
@@ -1233,13 +892,26 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_all_verdicts_including_build_passes() {
-        let spec = QuerySpec::Join(JoinConfig { m_bits: 1 << 10, ..JoinConfig::paper_default() });
+    fn multi_pass_families_have_no_kernel_and_kernels_have_no_phases() {
+        let join = QuerySpec::Join(crate::JoinConfig::paper_default());
+        let having = QuerySpec::Having(crate::HavingConfig {
+            cm_rows: 3,
+            cm_counters: 64,
+            threshold: 500,
+            agg: crate::HavingAgg::Sum,
+            dedup_rows: 32,
+            dedup_cols: 2,
+            seed: 1,
+        });
+        for spec in [join, having] {
+            let err = CompiledProgram::compile(&spec).unwrap_err();
+            assert_eq!(err, crate::Error::NoKernel { family: spec.kind() });
+        }
+        let spec = QuerySpec::TopNDet(TopNDetConfig { n: 4, w: 2 });
         let mut k = CompiledProgram::compile(&spec).unwrap();
-        let entries: Vec<Vec<u64>> = (0..10u64).map(|v| vec![v]).collect();
-        k.offer_run(0, entries.iter().map(|v| v.as_slice()), |_, _| {}).unwrap();
-        let s = k.stats();
-        assert_eq!(s.seen, 10);
-        assert_eq!(s.pruned, 10, "two-pass build consumes the stream");
+        assert!(matches!(
+            PruneEngine::set_phase(&mut k, 2),
+            Err(SwitchError::UnsupportedOp { .. })
+        ));
     }
 }

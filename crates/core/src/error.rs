@@ -48,6 +48,20 @@ pub enum Error {
         /// Frames the shard flows held in total.
         frames: u64,
     },
+    /// An operator's `encode_part` did not call its sink exactly once per
+    /// row of the partition it was asked to encode.
+    EncodedRowMismatch {
+        /// Rows the partition holds.
+        rows: usize,
+        /// Rows the operator encoded.
+        encoded: usize,
+    },
+    /// The query family has no compiled kernel — kernels exist for
+    /// single-pass families only; the executor runs the interpreter.
+    NoKernel {
+        /// The family's [`QuerySpec::kind`](crate::QuerySpec::kind).
+        family: &'static str,
+    },
 }
 
 impl Error {
@@ -58,7 +72,9 @@ impl Error {
             Error::ValueSlotOverflow { .. }
             | Error::MissingStream { .. }
             | Error::UnsortedShardBoundaries { .. }
-            | Error::FabricStalled { .. } => None,
+            | Error::FabricStalled { .. }
+            | Error::EncodedRowMismatch { .. }
+            | Error::NoKernel { .. } => None,
         }
     }
 }
@@ -79,6 +95,12 @@ impl fmt::Display for Error {
             Error::FabricStalled { delivered, frames } => {
                 write!(f, "faulty fabric hit its time limit with {delivered} of {frames} frames delivered")
             }
+            Error::EncodedRowMismatch { rows, encoded } => {
+                write!(f, "operator encoded {encoded} rows of a {rows}-row partition")
+            }
+            Error::NoKernel { family } => {
+                write!(f, "no compiled kernel for the multi-pass {family} family")
+            }
         }
     }
 }
@@ -90,7 +112,9 @@ impl std::error::Error for Error {
             Error::ValueSlotOverflow { .. }
             | Error::MissingStream { .. }
             | Error::UnsortedShardBoundaries { .. }
-            | Error::FabricStalled { .. } => None,
+            | Error::FabricStalled { .. }
+            | Error::EncodedRowMismatch { .. }
+            | Error::NoKernel { .. } => None,
         }
     }
 }
@@ -138,6 +162,20 @@ mod tests {
     fn fabric_stall_is_informative() {
         let e = Error::FabricStalled { delivered: 2, frames: 9 };
         assert!(e.to_string().contains("2 of 9"), "{e}");
+        assert!(e.as_switch().is_none());
+    }
+
+    #[test]
+    fn encoded_row_mismatch_is_informative() {
+        let e = Error::EncodedRowMismatch { rows: 10, encoded: 9 };
+        assert!(e.to_string().contains("9 rows of a 10-row"), "{e}");
+        assert!(e.as_switch().is_none());
+    }
+
+    #[test]
+    fn no_kernel_is_informative() {
+        let e = Error::NoKernel { family: "join" };
+        assert!(e.to_string().contains("join"), "{e}");
         assert!(e.as_switch().is_none());
     }
 

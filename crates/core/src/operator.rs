@@ -7,15 +7,16 @@
 //! per query is only
 //!
 //! 1. which switch program to install ([`PruningOperator::spec`]),
-//! 2. how a row becomes packet value slots ([`PruningOperator::encode`]),
+//! 2. how a partition's rows become packet value slots
+//!    ([`PruningOperator::encode_part`] — the one encoder),
 //! 3. how the master finishes the query ([`PruningOperator::complete`]),
 //! 4. and the *pass structure* — single pass, JOIN's build-then-prune,
 //!    or HAVING's candidate announcement ([`PassPlan`]).
 //!
 //! [`PruningOperator`] captures exactly that contract. The executor (in
-//! `cheetah-db`) drives serialize → plan → per-pass switch pruning →
-//! master completion generically, so adding a query type is one operator
-//! impl — not a hand-rolled copy of the whole pipeline.
+//! `cheetah-db`) drives plan → per-pass encode + switch pruning → master
+//! completion generically, so adding a query type is one operator impl —
+//! not a hand-rolled copy of the whole pipeline.
 //!
 //! The trait is generic over the source `S` (a table, a pair of tables —
 //! owned by the engine layer) and the entry type `E` (owned by the wire
@@ -79,9 +80,8 @@ impl PassPlan {
 /// survivors on the master.
 ///
 /// `S` is the data source (e.g. one table, or two for JOIN) and `E` the
-/// serialized entry type. Operators are shared read-only across worker
-/// threads during serialization, hence the `Sync` bound.
-pub trait PruningOperator<S: ?Sized, E: PacketEntry>: Sync {
+/// serialized entry type.
+pub trait PruningOperator<S: ?Sized, E: PacketEntry> {
     /// The completed, master-side output.
     type Output;
 
@@ -108,22 +108,12 @@ pub trait PruningOperator<S: ?Sized, E: PacketEntry>: Sync {
         PassPlan::Single
     }
 
-    /// Encode row `row` of partition `part` of stream `stream` into packet
-    /// value slots. Runs inside the serialize phase's worker threads; must
-    /// do no per-row query work (that is the whole point — CWorkers only
-    /// serialize, §7.1).
-    fn encode(&self, src: &S, stream: usize, part: usize, row: usize, slots: &mut Vec<u64>);
-
     /// Encode every row of partition `part` of stream `stream`, calling
     /// `sink` exactly once per row, in row order, with that row's value
-    /// slots. This is the worker-side half of plan-time specialization:
-    /// the compiled fast path calls it once per partition so an operator
-    /// can hoist its column-type dispatch (and any per-row value boxing)
-    /// out of the row loop. The default simply loops over [`encode`], so
-    /// overriding is purely a performance choice — the slot values must
-    /// be identical either way.
-    ///
-    /// [`encode`]: PruningOperator::encode
+    /// slots. The executor calls it once per partition and pass, so an
+    /// operator resolves its column types (and anything else that is the
+    /// same for every row) once, outside the row loop — and does no
+    /// per-row query work: CWorkers only serialize (§7.1).
     fn encode_part(
         &self,
         src: &S,
@@ -131,14 +121,7 @@ pub trait PruningOperator<S: ?Sized, E: PacketEntry>: Sync {
         part: usize,
         rows: usize,
         sink: &mut dyn FnMut(&[u64]),
-    ) {
-        let mut slots: Vec<u64> = Vec::new();
-        for row in 0..rows {
-            slots.clear();
-            self.encode(src, stream, part, row, &mut slots);
-            sink(&slots);
-        }
-    }
+    );
 
     /// Complete the query on the master from the per-stream survivors.
     fn complete(&self, src: &S, survivors: &[Vec<E>]) -> Self::Output;
@@ -181,15 +164,17 @@ mod tests {
                 seed: 1,
             }))
         }
-        fn encode(
+        fn encode_part(
             &self,
             src: &[u64],
             _stream: usize,
             _part: usize,
-            row: usize,
-            out: &mut Vec<u64>,
+            rows: usize,
+            sink: &mut dyn FnMut(&[u64]),
         ) {
-            out.push(src[row]);
+            for v in &src[..rows] {
+                sink(&[*v]);
+            }
         }
         fn complete(&self, src: &[u64], survivors: &[Vec<TestEntry>]) -> u64 {
             survivors.iter().flatten().map(|e| src[e.id().1]).sum()
@@ -211,8 +196,8 @@ mod tests {
         let src = [10u64, 20, 30];
         let op = SumOp;
         let mut slots = Vec::new();
-        op.encode(&src, 0, 0, 1, &mut slots);
-        assert_eq!(slots, vec![20]);
+        op.encode_part(&src, 0, 0, 2, &mut |row| slots.extend_from_slice(row));
+        assert_eq!(slots, vec![10, 20]);
         let survivors =
             vec![vec![TestEntry { row: 0, val: [10] }, TestEntry { row: 2, val: [30] }]];
         assert_eq!(op.complete(&src, &survivors), 40);

@@ -1,20 +1,21 @@
 //! The generic switch-pruned executor.
 //!
 //! One dataflow serves every query type (the paper's §4–§6 claim, made
-//! structural): **serialize → plan → per-pass switch pruning → master
+//! structural): **plan → per-pass encode + switch pruning → master
 //! completion**. The per-query contract is a
 //! [`PruningOperator`] impl (see [`crate::operators`]); everything here is
 //! query-agnostic:
 //!
 //! 1. [`PruningOperator::spec`] is planned onto the switch profile;
-//! 2. each input stream is serialized partition-parallel by worker
-//!    threads calling [`PruningOperator::encode`] — no per-row query
-//!    work, exactly the CWorker of §7.1;
-//! 3. the entries stream through the installed plan via a
-//!    [`StandalonePruner`], pass by pass, following the operator's
-//!    [`PassPlan`] (single pass, JOIN's build-then-prune, HAVING's
-//!    candidate keys);
-//! 4. the master completes the unchanged query on the survivors with
+//! 2. one loop, for every [`PassPlan`] and both engines, takes each
+//!    partition in turn: the operator's
+//!    [`encode_part`](PruningOperator::encode_part) serializes it into the
+//!    worker thread's flat scratch block — no per-row query work, exactly
+//!    the CWorker of §7.1 — and the block streams through the installed
+//!    plan via a [`PruneEngine`] (the interpreted [`StandalonePruner`] or
+//!    a compiled kernel). An [`Encoded`] entry is built only for a row the
+//!    switch forwarded (or HAVING announced a candidate key for);
+//! 3. the master completes the unchanged query on the survivors with
 //!    [`PruningOperator::complete`].
 //!
 //! Worker and master phases are measured on real work; transfer volumes
@@ -27,7 +28,10 @@ use cheetah_core::{
     planner, CompiledProgram, PassPlan, PruneEngine, PruningOperator, QuerySpec, StandalonePruner,
 };
 use cheetah_net::{Encoded, ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES};
-use cheetah_switch::{ControlMsg, Pipeline, ProgramId, ProgramStats, Verdict};
+use cheetah_switch::{
+    ControlMsg, Pipeline, ProgramId, ProgramStats, SwitchError, SwitchProfile, UsageSummary,
+    Verdict,
+};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -36,8 +40,8 @@ use std::time::Instant;
 /// planned against, the plan's resource verdict, and the kernel itself.
 struct InstalledProgram {
     spec: QuerySpec,
-    profile: cheetah_switch::SwitchProfile,
-    usage: cheetah_switch::UsageSummary,
+    profile: SwitchProfile,
+    usage: UsageSummary,
     engine: CompiledProgram,
 }
 
@@ -52,58 +56,32 @@ thread_local! {
     /// register file nor the kernel's is re-allocated per run.
     static COMPILED_CACHE: RefCell<Option<InstalledProgram>> = const { RefCell::new(None) };
 
-    /// The fused path's working buffers, kept warm per worker thread for
-    /// the same reason as the program cache.
-    static FUSED_SCRATCH: RefCell<FusedScratch> = const { RefCell::new(FusedScratch::new()) };
+    /// The thread's scratch block, kept warm for the same reason as the
+    /// program cache.
+    static SCRATCH: RefCell<Block> = const {
+        RefCell::new(Block { buf: Vec::new(), offsets: Vec::new(), forwarded: Vec::new() })
+    };
 }
 
-/// Working buffers of [`run_fused_single`]: the flat slot buffer, the
-/// row-boundary offsets into it, and the forwarded-row index list.
+/// One partition's encoded rows, flat: row `r`'s value slots are
+/// `buf[offsets[r]..offsets[r + 1]]`, and `forwarded` lists the rows the
+/// switch forwarded when the block was last offered. Reused across
+/// partitions, passes *and* runs on the same worker thread.
 #[derive(Default)]
-struct FusedScratch {
+struct Block {
     buf: Vec<u64>,
     offsets: Vec<usize>,
     forwarded: Vec<usize>,
 }
 
-impl FusedScratch {
-    const fn new() -> Self {
-        Self { buf: Vec::new(), offsets: Vec::new(), forwarded: Vec::new() }
+impl Block {
+    fn rows(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
-}
 
-/// The thread's installed program for (`spec`, `profile`), reset in place
-/// — or `None` when the cache holds something else (the caller plans and
-/// compiles from scratch).
-fn take_installed(
-    spec: &QuerySpec,
-    profile: &cheetah_switch::SwitchProfile,
-) -> Option<(cheetah_switch::UsageSummary, CompiledProgram)> {
-    COMPILED_CACHE.with(|c| {
-        let mut slot = c.borrow_mut();
-        match slot.take() {
-            Some(p) if p.spec == *spec && p.profile == *profile => {
-                let mut engine = p.engine;
-                engine.reset();
-                Some((p.usage, engine))
-            }
-            other => {
-                *slot = other;
-                None
-            }
-        }
-    })
-}
-
-/// Park a finished program back in the thread's cache for the next run.
-fn park_installed(
-    spec: QuerySpec,
-    profile: cheetah_switch::SwitchProfile,
-    usage: cheetah_switch::UsageSummary,
-    engine: CompiledProgram,
-) {
-    COMPILED_CACHE
-        .with(|c| *c.borrow_mut() = Some(InstalledProgram { spec, profile, usage, engine }));
+    fn row(&self, r: usize) -> &[u64] {
+        &self.buf[self.offsets[r]..self.offsets[r + 1]]
+    }
 }
 
 /// The data a query runs over: one table, or two for JOIN. Stream 0 is
@@ -150,16 +128,9 @@ impl<'a> Tables<'a> {
 /// control messages address. The compiled twin is
 /// [`CompiledProgram`]; `run_passes` is generic over both, so the
 /// four-arm pass logic exists exactly once.
-pub struct InterpretedEngine {
+struct InterpretedEngine {
     pruner: StandalonePruner<Pipeline>,
     program: ProgramId,
-}
-
-impl InterpretedEngine {
-    /// Wrap an installed pipeline as a pass engine.
-    pub fn new(pipeline: Pipeline, program: ProgramId) -> Self {
-        Self { pruner: StandalonePruner::new(pipeline), program }
-    }
 }
 
 impl PruneEngine for InterpretedEngine {
@@ -203,349 +174,249 @@ impl Cluster {
         // (spec, profile) reuses its installed program and verdict
         // instead of re-planning per repetition.
         let spec = op.spec()?;
+        let hit = |p: &mut InstalledProgram| p.spec == spec && p.profile == self.profile;
         let installed = match self.backend {
-            ExecBackend::Compiled => take_installed(&spec, &self.profile),
+            ExecBackend::Compiled => COMPILED_CACHE.with(|c| c.borrow_mut().take_if(hit)),
             ExecBackend::Interpreted => None,
         };
-        let (usage, interp, compiled) = match installed {
-            Some((usage, engine)) => (usage, None, Some(engine)),
+        let (usage, mut kernel) = match installed {
+            Some(mut installed) => {
+                installed.engine.reset();
+                (installed.usage, installed.engine)
+            }
             None => {
-                let plan = planner::plan(&spec, self.profile.clone())?;
-                let planner::Plan { pipeline, program, usage, .. } = plan;
-                // A spec the compiler cannot specialize falls back to the
-                // interpreter; `breakdown.backend` records what ran.
-                let compiled = match self.backend {
+                let planner::Plan { pipeline, program, usage, .. } =
+                    planner::plan(&spec, self.profile.clone())?;
+                // Kernels exist for single-pass families only: JOIN and
+                // HAVING run the interpreter whatever was asked for, and
+                // `breakdown.backend` records what ran.
+                let kernel = match self.backend {
                     ExecBackend::Compiled => CompiledProgram::compile(&spec).ok(),
                     ExecBackend::Interpreted => None,
                 };
-                (usage, Some((pipeline, program)), compiled)
+                let Some(kernel) = kernel else {
+                    let pruner = StandalonePruner::new(pipeline);
+                    let mut engine = InterpretedEngine { pruner, program };
+                    return run_on(&mut engine, ExecBackend::Interpreted, op, tables, usage.rules);
+                };
+                (usage, kernel)
             }
         };
-
-        // Switch + workers. The compiled fast path fuses the two for
-        // single-pass plans: each partition is encoded through the
-        // operator's hoisted `encode_part` straight into the kernel, and
-        // only survivors materialize as entries. Multi-pass plans (and the
-        // interpreter, deliberately the straightforward oracle) serialize
-        // the full entry streams first, then drive the pass loop.
-        let (survivors, worker_seconds, max_worker_entries, stats, backend) = match compiled {
-            Some(mut engine) if matches!(op.pass_plan(), PassPlan::Single) => {
-                let (survivors, worker, max_entries) = run_fused_single(op, tables, &mut engine)?;
-                let stats = engine.stats();
-                park_installed(spec, self.profile.clone(), usage, engine);
-                (survivors, worker, max_entries, stats, ExecBackend::Compiled)
-            }
-            Some(mut engine) => {
-                let (streams, worker) = serialize_streams(op, tables)?;
-                let (survivors, extra) = run_passes(op, &streams, &mut engine)?;
-                let max = max_worker_entries_of(&streams);
-                let stats = engine.stats();
-                park_installed(spec, self.profile.clone(), usage, engine);
-                (survivors, worker + extra, max, stats, ExecBackend::Compiled)
-            }
-            None => {
-                let (pipeline, program) = interp.expect("interpreted path always plans");
-                let (streams, worker) = serialize_streams(op, tables)?;
-                let mut engine = InterpretedEngine::new(pipeline, program);
-                let (survivors, extra) = run_passes(op, &streams, &mut engine)?;
-                let max = max_worker_entries_of(&streams);
-                (
-                    survivors,
-                    worker + extra,
-                    max,
-                    PruneEngine::stats(&engine),
-                    ExecBackend::Interpreted,
-                )
-            }
-        };
-
-        // Master: complete the unchanged query on the survivors.
-        let t0 = Instant::now();
-        let output = op.complete(tables, &survivors);
-        let master_seconds = t0.elapsed().as_secs_f64();
-        let survivor_count: u64 = survivors.iter().map(|s| s.len() as u64).sum();
-        let passes = op.pass_plan().wire_passes();
-        Ok(CheetahRun {
-            output,
-            breakdown: ExecBreakdown {
-                worker_seconds,
-                master_seconds,
-                worker_wire_bytes: max_worker_entries * ENTRY_WIRE_BYTES * passes as u64,
-                master_wire_bytes: survivor_count * ENTRY_WIRE_BYTES,
-                entries_to_master: survivor_count,
-                passes,
-                shards: 1,
-                master_ingest_seconds: 0.0,
-                plan: None,
-                overlap_seconds: 0.0,
-                replans: 0,
-                backend,
-                ..ExecBreakdown::default()
-            },
-            switch_stats: stats,
-            rules: usage.rules,
-        })
+        let run = run_on(&mut kernel, ExecBackend::Compiled, op, tables, usage.rules)?;
+        // Park the kernel for this thread's next run of (spec, profile).
+        let installed =
+            InstalledProgram { spec, profile: self.profile.clone(), usage, engine: kernel };
+        COMPILED_CACHE.with(|c| *c.borrow_mut() = Some(installed));
+        Ok(run)
     }
 }
 
-/// Serialize every stream of the source; returns the per-stream,
-/// per-partition entry streams and the summed worker time.
-fn serialize_streams<'a, O>(
-    op: &O,
-    tables: &Tables<'a>,
-) -> cheetah_core::Result<(Vec<Vec<Vec<Encoded>>>, f64)>
+/// The worker side of a run: the paper's CWorkers, one per partition,
+/// serializing their rows into the thread's scratch block.
+struct Workers<'o, 'a, O> {
+    op: &'o O,
+    tables: &'o Tables<'a>,
+    block: Block,
+    /// See [`ExecBreakdown::worker_seconds`].
+    worker_seconds: f64,
+    /// The largest per-partition entry count across all streams — the
+    /// worker-wire unit of the byte model.
+    max_worker_entries: u64,
+}
+
+impl<'a, O> Workers<'_, 'a, O>
 where
     O: PruningOperator<Tables<'a>, Encoded, Output = QueryOutput>,
 {
-    let mut streams: Vec<Vec<Vec<Encoded>>> = Vec::with_capacity(op.streams());
-    let mut worker_seconds = 0.0;
-    for s in 0..op.streams() {
-        let (stream, wt) = serialize(op, tables, s)?;
-        worker_seconds += wt;
-        streams.push(stream);
-    }
-    Ok((streams, worker_seconds))
-}
-
-/// The largest per-partition entry count across all streams — the
-/// worker-wire unit of the byte model.
-fn max_worker_entries_of(streams: &[Vec<Vec<Encoded>>]) -> u64 {
-    streams.iter().flat_map(|st| st.iter()).map(|s| s.len() as u64).max().unwrap_or(0)
-}
-
-/// The compiled fast path for [`PassPlan::Single`] operators: encode each
-/// partition through the operator's hoisted
-/// [`encode_part`](PruningOperator::encode_part) into a flat, reused slot
-/// buffer and stream it through the kernel in the same breath. No
-/// full-stream `Encoded` materialization — only survivors are built.
-///
-/// Bit-identity with serialize + [`run_passes`] holds by construction:
-/// the slot values, the per-partition offer order, and the kernel are all
-/// identical; the only thing that changes is when (and for which rows)
-/// the `Encoded` wrapper exists. The byte model is likewise unchanged —
-/// every row still crosses the worker wire, so `max_worker_entries` comes
-/// from the partition row counts exactly as the materialized path counts
-/// them.
-///
-/// Returns (survivors, worker seconds spent encoding, max worker
-/// entries).
-fn run_fused_single<'a, O, E>(
-    op: &O,
-    tables: &Tables<'a>,
-    engine: &mut E,
-) -> cheetah_core::Result<(Vec<Vec<Encoded>>, f64, u64)>
-where
-    O: PruningOperator<Tables<'a>, Encoded, Output = QueryOutput>,
-    E: PruneEngine,
-{
-    let mut survivors: Vec<Vec<Encoded>> = vec![Vec::new(); op.streams()];
-    let mut worker_seconds = 0.0;
-    let mut max_entries = 0u64;
-    // Reused across partitions *and* across runs on the same worker
-    // thread: the flat slot buffer, the row-boundary offsets into it, and
-    // the forwarded-row index list.
-    let FusedScratch { mut buf, mut offsets, mut forwarded } =
-        FUSED_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    buf.clear();
-    offsets.clear();
-    forwarded.clear();
-    for (s, out) in survivors.iter_mut().enumerate() {
-        let fid = op.flow_id(s);
-        let parts = tables.stream(s)?.partitions();
-        for (pi, part) in parts.iter().enumerate() {
+    /// One pass of the workers over stream `s`: encode each non-empty
+    /// partition into the block and hand it to `visit`, which returns any
+    /// further worker-side seconds it spent on it. CWorkers run in
+    /// parallel, so the pass adds its *slowest* partition to
+    /// `worker_seconds`, however the partitions were scheduled here.
+    fn each_block(
+        &mut self,
+        s: usize,
+        mut visit: impl FnMut(usize, &mut Block) -> cheetah_core::Result<f64>,
+    ) -> cheetah_core::Result<()> {
+        let mut slowest = 0.0f64;
+        for (pi, part) in self.tables.stream(s)?.partitions().iter().enumerate() {
             let rows = part.rows();
-            max_entries = max_entries.max(rows as u64);
+            self.max_worker_entries = self.max_worker_entries.max(rows as u64);
             if rows == 0 {
                 continue;
             }
+            let Block { buf, offsets, .. } = &mut self.block;
             let t0 = Instant::now();
             buf.clear();
             offsets.clear();
             offsets.push(0);
-            let mut overflow = None;
-            op.encode_part(tables, s, pi, rows, &mut |slots| {
-                if slots.len() > Encoded::MAX_SLOTS {
-                    overflow = Some(slots.len());
-                }
+            let mut widest = 0;
+            self.op.encode_part(self.tables, s, pi, rows, &mut |slots| {
+                widest = widest.max(slots.len());
                 buf.extend_from_slice(slots);
                 offsets.push(buf.len());
             });
-            worker_seconds += t0.elapsed().as_secs_f64();
-            // The same typed error the materialized path raises on its
-            // first oversized row.
-            if let Some(got) = overflow {
+            let encode_seconds = t0.elapsed().as_secs_f64();
+            // A malformed operator is a typed error, never a panic on a
+            // pool thread: too many slots for an entry header, or a sink
+            // not called exactly once per row.
+            if widest > Encoded::MAX_SLOTS {
                 return Err(cheetah_core::Error::ValueSlotOverflow {
-                    got,
+                    got: widest,
                     max: Encoded::MAX_SLOTS,
                 });
             }
-            assert_eq!(
-                offsets.len(),
-                rows + 1,
-                "encode_part must call its sink exactly once per row"
-            );
-            forwarded.clear();
+            if self.block.rows() != rows {
+                return Err(cheetah_core::Error::EncodedRowMismatch {
+                    rows,
+                    encoded: self.block.rows(),
+                });
+            }
+            slowest = slowest.max(encode_seconds + visit(pi, &mut self.block)?);
+        }
+        self.worker_seconds += slowest;
+        Ok(())
+    }
+
+    /// One switch pass over stream `s`: every block goes through `engine`
+    /// as one run of the stream's flow (one flow lookup per partition, not
+    /// per entry), then to `forwarded` with the forwarded rows listed.
+    /// The switch prunes at line rate: its time is nobody's phase.
+    fn offer<E: PruneEngine>(
+        &mut self,
+        engine: &mut E,
+        s: usize,
+        mut forwarded: impl FnMut(usize, &Block) -> cheetah_core::Result<()>,
+    ) -> cheetah_core::Result<()> {
+        let fid = self.op.flow_id(s);
+        self.each_block(s, |pi, block| {
+            let Block { buf, offsets, forwarded: kept } = &mut *block;
+            kept.clear();
             engine.offer_run(fid, offsets.windows(2).map(|w| &buf[w[0]..w[1]]), |i, v| {
                 if v == Verdict::Forward {
-                    forwarded.push(i);
+                    kept.push(i);
                 }
             })?;
-            for &r in &forwarded {
-                out.push(Encoded::new(pi, r, &buf[offsets[r]..offsets[r + 1]])?);
-            }
-        }
+            forwarded(pi, block)?;
+            Ok(0.0)
+        })
     }
-    FUSED_SCRATCH.with(|s| *s.borrow_mut() = FusedScratch { buf, offsets, forwarded });
-    Ok((survivors, worker_seconds, max_entries))
 }
 
-/// Serialize stream `stream` of the source through the operator's row
-/// encoding, one worker thread per partition; returns the per-partition
-/// entry streams and the slowest worker's duration.
-fn serialize<'a, O>(
+/// Materialize the rows a pass forwarded — the only entries a run builds.
+fn keep_forwarded(
+    out: &mut Vec<Encoded>,
+) -> impl FnMut(usize, &Block) -> cheetah_core::Result<()> + '_ {
+    move |pi, block| {
+        for &r in &block.forwarded {
+            out.push(Encoded::new(pi, r, block.row(r))?);
+        }
+        Ok(())
+    }
+}
+
+/// The one encode → prune loop, then the master: stream the source
+/// through `engine`, pass by pass, per the operator's [`PassPlan`], and
+/// complete the unchanged query on the survivors. Every pass re-encodes
+/// its partitions into the one scratch block — as the paper's workers
+/// re-stream their data per pass — so a run holds a block and its
+/// survivors, never a materialized stream.
+fn run_on<'a, O, E>(
+    engine: &mut E,
+    backend: ExecBackend,
     op: &O,
     tables: &Tables<'a>,
-    stream: usize,
-) -> cheetah_core::Result<(Vec<Vec<Encoded>>, f64)>
-where
-    O: PruningOperator<Tables<'a>, Encoded, Output = QueryOutput>,
-{
-    let parts = tables.stream(stream)?.partitions();
-    let encode_part =
-        |pi: usize, p: &crate::table::Partition| -> cheetah_core::Result<(Vec<Encoded>, f64)> {
-            let t0 = Instant::now();
-            let mut out = Vec::with_capacity(p.rows());
-            let mut slots = Vec::with_capacity(Encoded::MAX_SLOTS);
-            for r in 0..p.rows() {
-                slots.clear();
-                op.encode(tables, stream, pi, r, &mut slots);
-                out.push(Encoded::new(pi, r, &slots)?);
-            }
-            Ok((out, t0.elapsed().as_secs_f64()))
-        };
-    // A single-partition stream (every routed shard slice, most small
-    // tables) serializes inline: one worker means the thread would add
-    // spawn/join latency without any parallelism to show for it.
-    if parts.len() == 1 {
-        let (entries, secs) = encode_part(0, &parts[0])?;
-        return Ok((vec![entries], secs));
-    }
-    let encode_part = &encode_part;
-    let results: Vec<cheetah_core::Result<(Vec<Encoded>, f64)>> = std::thread::scope(|sc| {
-        let handles: Vec<_> =
-            parts.iter().enumerate().map(|(pi, p)| sc.spawn(move || encode_part(pi, p))).collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let mut stream_out = Vec::with_capacity(results.len());
-    let mut max = 0.0f64;
-    for r in results {
-        let (entries, secs) = r?;
-        max = max.max(secs);
-        stream_out.push(entries);
-    }
-    Ok((stream_out, max))
-}
-
-/// Stream the serialized entries through the installed plan, pass by
-/// pass, per the operator's [`PassPlan`]. Returns the per-stream
-/// survivors plus any worker-side time the plan itself cost (HAVING's
-/// candidate re-stream).
-fn run_passes<'a, O, E>(
-    op: &O,
-    streams: &[Vec<Vec<Encoded>>],
-    engine: &mut E,
-) -> cheetah_core::Result<(Vec<Vec<Encoded>>, f64)>
+    rules: usize,
+) -> cheetah_core::Result<CheetahRun>
 where
     O: PruningOperator<Tables<'a>, Encoded, Output = QueryOutput>,
     E: PruneEngine,
 {
     let mut survivors: Vec<Vec<Encoded>> = vec![Vec::new(); op.streams()];
-    let mut extra_worker = 0.0;
-
-    // Offer every entry of stream `s`, collecting forwarded entries.
-    // The runs go through `offer_run`, which hoists the flow dispatch
-    // out of the inner loop — one slot lookup per partition, not one
-    // per entry.
-    let collect = |engine: &mut E, s: usize, out: &mut Vec<Encoded>| -> cheetah_core::Result<()> {
-        let fid = op.flow_id(s);
-        for part in &streams[s] {
-            engine.offer_run(fid, part.iter().map(Encoded::values), |i, v| {
-                if v == Verdict::Forward {
-                    out.push(part[i]);
-                }
-            })?;
-        }
-        Ok(())
-    };
-
+    let block = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    let mut w = Workers { op, tables, block, worker_seconds: 0.0, max_worker_entries: 0 };
     match op.pass_plan() {
         PassPlan::Single => {
             for (s, out) in survivors.iter_mut().enumerate() {
-                collect(engine, s, out)?;
+                w.offer(engine, s, keep_forwarded(out))?;
             }
         }
         PassPlan::BuildThenPrune => {
             // Pass 1: build filters (stream consumed at the switch).
-            for (s, stream) in streams.iter().enumerate() {
-                let fid = op.flow_id(s);
-                for part in stream {
-                    engine.offer_run(fid, part.iter().map(Encoded::values), |_, _| {})?;
-                }
+            for s in 0..survivors.len() {
+                w.offer(engine, s, |_, _| Ok(()))?;
             }
             engine.set_phase(2)?;
             // Pass 2: prune every stream.
             for (s, out) in survivors.iter_mut().enumerate() {
-                collect(engine, s, out)?;
+                w.offer(engine, s, keep_forwarded(out))?;
             }
         }
         PassPlan::FirstBuildsThenPruneSecond => {
             // Stream 0 streams once: unpruned, building its filter on the
             // way through.
-            collect(engine, 0, &mut survivors[0])?;
+            w.offer(engine, 0, keep_forwarded(&mut survivors[0]))?;
             engine.set_phase(2)?;
             // Stream 1 is pruned against the filter.
-            collect(engine, 1, &mut survivors[1])?;
+            w.offer(engine, 1, keep_forwarded(&mut survivors[1]))?;
         }
         PassPlan::CandidateKeys { key_slot } => {
             // A malformed operator that encodes fewer slots than its own
             // plan's key slot must surface as a typed error, not a panic.
-            let key_of = |e: &Encoded| -> cheetah_core::Result<u64> {
-                e.values().get(key_slot).copied().ok_or_else(|| {
-                    cheetah_switch::SwitchError::BadPacketShape {
-                        expected: key_slot + 1,
-                        got: e.values().len(),
-                    }
-                    .into()
-                })
+            let key_of = |row: &[u64]| {
+                let short = SwitchError::BadPacketShape { expected: key_slot + 1, got: row.len() };
+                row.get(key_slot).copied().ok_or(short)
             };
             // Pass 1: sketch + candidate announcements.
-            let fid = op.flow_id(0);
             let mut candidates: HashSet<u64> = HashSet::new();
-            for part in &streams[0] {
-                let mut announced: Vec<usize> = Vec::new();
-                engine.offer_run(fid, part.iter().map(Encoded::values), |i, v| {
-                    if v == Verdict::Forward {
-                        announced.push(i);
+            w.offer(engine, 0, |_, block| {
+                for &r in &block.forwarded {
+                    candidates.insert(key_of(block.row(r))?);
+                }
+                Ok(())
+            })?;
+            // Pass 2 (partial): workers re-stream only the entries of
+            // announced keys; the selection is worker-side time, and the
+            // switch is not involved.
+            let kept = &mut survivors[0];
+            w.each_block(0, |pi, block| {
+                let t0 = Instant::now();
+                for r in 0..block.rows() {
+                    let row = block.row(r);
+                    if candidates.contains(&key_of(row)?) {
+                        kept.push(Encoded::new(pi, r, row)?);
                     }
-                })?;
-                for i in announced {
-                    candidates.insert(key_of(&part[i])?);
                 }
-            }
-            // Pass 2 (partial): workers re-stream only the announced keys;
-            // this is worker-side selection time, not switch time.
-            let t1 = Instant::now();
-            let mut kept = Vec::new();
-            for e in streams[0].iter().flatten() {
-                if candidates.contains(&key_of(e)?) {
-                    kept.push(*e);
-                }
-            }
-            survivors[0] = kept;
-            extra_worker = t1.elapsed().as_secs_f64();
+                Ok(t0.elapsed().as_secs_f64())
+            })?;
         }
     }
-    Ok((survivors, extra_worker))
+    let Workers { block, worker_seconds, max_worker_entries, .. } = w;
+    SCRATCH.with(|s| *s.borrow_mut() = block);
+
+    // Master: complete the unchanged query on the survivors.
+    let t0 = Instant::now();
+    let output = op.complete(tables, &survivors);
+    let master_seconds = t0.elapsed().as_secs_f64();
+    let survivor_count: u64 = survivors.iter().map(|s| s.len() as u64).sum();
+    let passes = op.pass_plan().wire_passes();
+    Ok(CheetahRun {
+        output,
+        breakdown: ExecBreakdown {
+            worker_seconds,
+            master_seconds,
+            // Every row crosses the worker wire once per pass, pruned or not.
+            worker_wire_bytes: max_worker_entries * ENTRY_WIRE_BYTES * passes as u64,
+            master_wire_bytes: survivor_count * ENTRY_WIRE_BYTES,
+            entries_to_master: survivor_count,
+            passes,
+            backend,
+            // One unsharded run: no plan, no modelled ingest, no overlap.
+            ..ExecBreakdown::default()
+        },
+        switch_stats: engine.stats(),
+        rules,
+    })
 }
 
 #[cfg(test)]
@@ -617,14 +488,19 @@ mod tests {
         assert_eq!(out4, out8);
     }
 
-    /// A deliberately malformed operator: encodes more value slots than an
-    /// entry carries. The executor must surface a typed error, not panic.
-    struct OverflowOp;
+    /// A deliberately malformed operator over the DISTINCT program: emits
+    /// `slots` for each of the first `rows − skip` rows of a partition.
+    /// The executor must surface a typed error, not panic.
+    struct MalformedOp {
+        slots: &'static [u64],
+        skip: usize,
+        pass_plan: PassPlan,
+    }
 
-    impl<'a> PruningOperator<Tables<'a>, Encoded> for OverflowOp {
+    impl<'a> PruningOperator<Tables<'a>, Encoded> for MalformedOp {
         type Output = QueryOutput;
         fn kind(&self) -> &'static str {
-            "overflow"
+            "malformed"
         }
         fn spec(&self) -> cheetah_core::Result<QuerySpec> {
             Ok(QuerySpec::Distinct(cheetah_core::DistinctConfig {
@@ -635,63 +511,51 @@ mod tests {
                 seed: 1,
             }))
         }
-        fn encode(
+        fn pass_plan(&self) -> PassPlan {
+            self.pass_plan
+        }
+        fn encode_part(
             &self,
             _src: &Tables<'a>,
             _stream: usize,
             _part: usize,
-            _row: usize,
-            out: &mut Vec<u64>,
+            rows: usize,
+            sink: &mut dyn FnMut(&[u64]),
         ) {
-            out.extend_from_slice(&[1, 2, 3, 4, 5, 6]);
+            for _ in self.skip..rows {
+                sink(self.slots);
+            }
         }
         fn complete(&self, _src: &Tables<'a>, _survivors: &[Vec<Encoded>]) -> QueryOutput {
             QueryOutput::Count(0)
         }
+    }
+
+    fn malformed_error(op: &MalformedOp) -> Error {
+        let t = test_table(10, 1);
+        // Both engines run the one loop, so both must refuse the same way.
+        let errs = [ExecBackend::Interpreted, ExecBackend::Compiled].map(|b| {
+            Cluster::default().with_backend(b).execute(op, &Tables::unary(&t)).unwrap_err()
+        });
+        assert_eq!(errs[0], errs[1]);
+        errs[0].clone()
     }
 
     #[test]
     fn malformed_operator_yields_typed_error_not_panic() {
-        let cluster = Cluster::default();
-        let t = test_table(10, 1);
-        let err = cluster.execute(&OverflowOp, &Tables::unary(&t)).unwrap_err();
-        assert_eq!(err, Error::ValueSlotOverflow { got: 6, max: Encoded::MAX_SLOTS });
+        // More value slots than an entry carries.
+        let op = MalformedOp { slots: &[1, 2, 3, 4, 5, 6], skip: 0, pass_plan: PassPlan::Single };
+        assert_eq!(
+            malformed_error(&op),
+            Error::ValueSlotOverflow { got: 6, max: Encoded::MAX_SLOTS }
+        );
     }
 
-    /// Malformed in the other direction: the operator's own pass plan
-    /// names a key slot its `encode` never fills.
-    struct ShortKeyOp;
-
-    impl<'a> PruningOperator<Tables<'a>, Encoded> for ShortKeyOp {
-        type Output = QueryOutput;
-        fn kind(&self) -> &'static str {
-            "short-key"
-        }
-        fn spec(&self) -> cheetah_core::Result<QuerySpec> {
-            Ok(QuerySpec::Distinct(cheetah_core::DistinctConfig {
-                rows: 64,
-                cols: 2,
-                policy: cheetah_core::EvictionPolicy::Lru,
-                fingerprint: None,
-                seed: 1,
-            }))
-        }
-        fn pass_plan(&self) -> cheetah_core::PassPlan {
-            cheetah_core::PassPlan::CandidateKeys { key_slot: 3 }
-        }
-        fn encode(
-            &self,
-            _src: &Tables<'a>,
-            _stream: usize,
-            _part: usize,
-            _row: usize,
-            out: &mut Vec<u64>,
-        ) {
-            out.push(7);
-        }
-        fn complete(&self, _src: &Tables<'a>, _survivors: &[Vec<Encoded>]) -> QueryOutput {
-            QueryOutput::Count(0)
-        }
+    #[test]
+    fn miscounting_encoder_is_a_typed_error_not_a_pool_thread_panic() {
+        // The sink is called for `rows − 1` rows of a 10-row partition.
+        let op = MalformedOp { slots: &[7], skip: 1, pass_plan: PassPlan::Single };
+        assert_eq!(malformed_error(&op), Error::EncodedRowMismatch { rows: 10, encoded: 9 });
     }
 
     #[test]
@@ -718,12 +582,16 @@ mod tests {
 
     #[test]
     fn candidate_key_slot_out_of_range_is_a_typed_error() {
-        let cluster = Cluster::default();
-        let t = test_table(10, 1);
-        let err = cluster.execute(&ShortKeyOp, &Tables::unary(&t)).unwrap_err();
+        // Malformed in the other direction: the operator's own pass plan
+        // names a key slot its encoder never fills.
+        let op = MalformedOp {
+            slots: &[7],
+            skip: 0,
+            pass_plan: PassPlan::CandidateKeys { key_slot: 3 },
+        };
         assert_eq!(
-            err,
-            Error::Switch(cheetah_switch::SwitchError::BadPacketShape { expected: 4, got: 1 })
+            malformed_error(&op),
+            Error::Switch(SwitchError::BadPacketShape { expected: 4, got: 1 })
         );
     }
 }

@@ -54,7 +54,7 @@ mod testutil;
 pub use cheetah_core::plan::{PlanDecision, PlanReport, ShardPlan};
 pub use cheetah_core::{ShardPartitioner, Sharder};
 pub use engine::{CheetahRun, CheetahTuning, Cluster, ExecBackend, ExecBreakdown, SparkRun};
-pub use executor::{InterpretedEngine, Tables};
+pub use executor::Tables;
 pub use expr::{DbPredicate, IntCmp, LikePattern};
 pub use master::{decompose_output, merge_shard_outputs, MasterIngestModel, MergeItem, MergeState};
 pub use planner::{

@@ -4,15 +4,13 @@
 //! the master re-fetches the true column values of the survivors and
 //! normalizes (duplicates from matrix evictions collapse there).
 
-use super::encode_key;
+use super::for_each_key;
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
-use crate::table::Column;
-use crate::value::{encode_ordered_i64, Value};
+use crate::value::Value;
 use cheetah_core::{DistinctConfig, PruningOperator, QuerySpec};
 use cheetah_net::Encoded;
-use cheetah_switch::HashFn;
 
 /// The DISTINCT operator.
 pub struct DistinctOp {
@@ -39,11 +37,6 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for DistinctOp {
         Ok(QuerySpec::Distinct(self.cfg))
     }
 
-    fn encode(&self, src: &Tables<'a>, stream: usize, part: usize, row: usize, out: &mut Vec<u64>) {
-        let p = &super::stream_table(src, stream).partitions()[part];
-        out.push(encode_key(self.seed, &p.column(self.col).get(row)));
-    }
-
     fn encode_part(
         &self,
         src: &Tables<'a>,
@@ -52,22 +45,8 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for DistinctOp {
         rows: usize,
         sink: &mut dyn FnMut(&[u64]),
     ) {
-        // Hoisted twin of `encode`: one type dispatch per partition, no
-        // per-row `Value` boxing (string keys hash in place).
-        let p = &super::stream_table(src, stream).partitions()[part];
-        match p.column(self.col) {
-            Column::Int(v) => {
-                for &x in &v[..rows] {
-                    sink(&[encode_ordered_i64(x)]);
-                }
-            }
-            Column::Str(v) => {
-                let h = HashFn::from_seed(self.seed);
-                for s in &v[..rows] {
-                    sink(&[h.hash_bytes(s.as_bytes()) >> 1]);
-                }
-            }
-        }
+        let col = super::stream_part(src, stream, part).column(self.col);
+        for_each_key(self.seed, col, rows, |_, k| sink(&[k]));
     }
 
     fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {

@@ -41,15 +41,6 @@ impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for FilterOp<'q> {
         Ok(QuerySpec::Filter(self.cfg.clone()))
     }
 
-    fn encode(&self, src: &Tables<'a>, stream: usize, part: usize, row: usize, out: &mut Vec<u64>) {
-        let p = &super::stream_table(src, stream).partitions()[part];
-        out.extend(
-            self.slots
-                .iter()
-                .map(|&c| encode_ordered_i64(p.column(c).as_int().expect("int filter col")[row])),
-        );
-    }
-
     fn encode_part(
         &self,
         src: &Tables<'a>,
@@ -58,9 +49,9 @@ impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for FilterOp<'q> {
         rows: usize,
         sink: &mut dyn FnMut(&[u64]),
     ) {
-        // Hoisted twin of `encode`: resolve every referenced column to a
-        // raw slice once per partition.
-        let p = &super::stream_table(src, stream).partitions()[part];
+        // Resolve every referenced column to a raw slice once per
+        // partition.
+        let p = super::stream_part(src, stream, part);
         let cols: Vec<&[i64]> =
             self.slots.iter().map(|&c| p.column(c).as_int().expect("int filter col")).collect();
         let mut slots = vec![0u64; cols.len()];

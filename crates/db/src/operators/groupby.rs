@@ -4,15 +4,14 @@
 //! their group's maximum; the master re-aggregates the survivors exactly
 //! by true key value (fingerprint collisions only reduce pruning).
 
-use super::{encode_i64_32, encode_key};
+use super::{encode_i64_32, for_each_key};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
 use crate::table::Column;
-use crate::value::{encode_ordered_i64, Value};
+use crate::value::Value;
 use cheetah_core::{AggKind, GroupByConfig, PruningOperator, QuerySpec};
 use cheetah_net::Encoded;
-use cheetah_switch::HashFn;
 use std::collections::HashMap;
 
 /// The GROUP BY (MAX) operator.
@@ -55,12 +54,6 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for GroupByMaxOp {
         }))
     }
 
-    fn encode(&self, src: &Tables<'a>, stream: usize, part: usize, row: usize, out: &mut Vec<u64>) {
-        let p = &super::stream_table(src, stream).partitions()[part];
-        out.push(encode_key(self.seed, &p.column(self.key_col).get(row)));
-        out.push(encode_i64_32(p.column(self.val_col).as_int().expect("int agg col")[row]));
-    }
-
     fn encode_part(
         &self,
         src: &Tables<'a>,
@@ -69,23 +62,11 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for GroupByMaxOp {
         rows: usize,
         sink: &mut dyn FnMut(&[u64]),
     ) {
-        // Hoisted twin of `encode`: key-column type dispatch once per
-        // partition, aggregate column taken as a raw slice.
-        let p = &super::stream_table(src, stream).partitions()[part];
+        let p = super::stream_part(src, stream, part);
         let vals = p.column(self.val_col).as_int().expect("int agg col");
-        match p.column(self.key_col) {
-            Column::Int(keys) => {
-                for r in 0..rows {
-                    sink(&[encode_ordered_i64(keys[r]), encode_i64_32(vals[r])]);
-                }
-            }
-            Column::Str(keys) => {
-                let h = HashFn::from_seed(self.seed);
-                for r in 0..rows {
-                    sink(&[h.hash_bytes(keys[r].as_bytes()) >> 1, encode_i64_32(vals[r])]);
-                }
-            }
-        }
+        for_each_key(self.seed, p.column(self.key_col), rows, |r, k| {
+            sink(&[k, encode_i64_32(vals[r])])
+        });
     }
 
     fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {

@@ -8,7 +8,7 @@
 //! them exactly by true key value and applies the threshold — sketch
 //! overestimates only add candidates, never wrong sums.
 
-use super::encode_key;
+use super::for_each_key;
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -70,10 +70,19 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for HavingSumOp {
         PassPlan::CandidateKeys { key_slot: 0 }
     }
 
-    fn encode(&self, src: &Tables<'a>, stream: usize, part: usize, row: usize, out: &mut Vec<u64>) {
-        let p = &super::stream_table(src, stream).partitions()[part];
-        out.push(encode_key(self.seed, &p.column(self.key_col).get(row)));
-        out.push(p.column(self.val_col).as_int().expect("int sum col")[row].max(0) as u64);
+    fn encode_part(
+        &self,
+        src: &Tables<'a>,
+        stream: usize,
+        part: usize,
+        rows: usize,
+        sink: &mut dyn FnMut(&[u64]),
+    ) {
+        let p = super::stream_part(src, stream, part);
+        let vals = p.column(self.val_col).as_int().expect("int sum col");
+        for_each_key(self.seed, p.column(self.key_col), rows, |r, k| {
+            sink(&[k, vals[r].max(0) as u64])
+        });
     }
 
     fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {

@@ -14,7 +14,7 @@
 //! The master runs an exact hash join on the survivors' true key values —
 //! Bloom false positives contribute no pairs.
 
-use super::encode_key;
+use super::for_each_key;
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::ops;
@@ -85,9 +85,16 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for JoinOp {
         }
     }
 
-    fn encode(&self, src: &Tables<'a>, stream: usize, part: usize, row: usize, out: &mut Vec<u64>) {
-        let p = &super::stream_table(src, stream).partitions()[part];
-        out.push(encode_key(self.seed, &p.column(self.key_col(stream)).get(row)));
+    fn encode_part(
+        &self,
+        src: &Tables<'a>,
+        stream: usize,
+        part: usize,
+        rows: usize,
+        sink: &mut dyn FnMut(&[u64]),
+    ) {
+        let col = super::stream_part(src, stream, part).column(self.key_col(stream));
+        for_each_key(self.seed, col, rows, |_, k| sink(&[k]));
     }
 
     fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
@@ -98,9 +105,7 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for JoinOp {
                 .iter()
                 .map(|e| {
                     let (pi, r) = e.id();
-                    super::stream_table(src, stream).partitions()[pi]
-                        .column(self.key_col(stream))
-                        .get(r)
+                    super::stream_part(src, stream, pi).column(self.key_col(stream)).get(r)
                 })
                 .collect()
         };

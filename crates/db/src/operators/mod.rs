@@ -4,14 +4,14 @@
 //! # The contract
 //!
 //! A [`PruningOperator`](cheetah_core::PruningOperator) answers exactly
-//! four questions — everything else (threaded serialization, planning,
-//! pass loops, byte accounting, timing) is the generic executor's job
+//! four questions — everything else (planning, the encode → prune pass
+//! loop, byte accounting, timing) is the generic executor's job
 //! ([`Cluster::execute`](crate::Cluster::execute)):
 //!
 //! | question | method | e.g. DISTINCT |
 //! |---|---|---|
 //! | which switch program? | `spec()` | `QuerySpec::Distinct(matrix cfg)` |
-//! | how does a row become packet slots? | `encode()` | one slot: the encoded key |
+//! | how do a partition's rows become packet slots? | `encode_part()` | one slot per row: the encoded key |
 //! | what does the master do with survivors? | `complete()` | collect + normalize values |
 //! | what pass structure? | `pass_plan()` | [`PassPlan::Single`](cheetah_core::PassPlan) |
 //!
@@ -58,15 +58,37 @@ pub use skyline::SkylineOp;
 pub use topn::TopNOp;
 
 use crate::executor::Tables;
-use crate::table::Table;
+use crate::table::{Column, Partition};
 use crate::value::{encode_ordered_i64, Value};
 use cheetah_switch::HashFn;
 
-/// The table behind stream `stream`. Operators run only under the generic
-/// executor, which rejects a stream-arity mismatch with a typed error
-/// before any operator code runs — so resolution here cannot fail.
-pub(crate) fn stream_table<'a>(src: &Tables<'a>, stream: usize) -> &'a Table {
-    src.stream(stream).expect("executor validates stream arity before running the operator")
+/// Partition `part` of the table behind stream `stream`. Operators run
+/// only under the generic executor, which rejects a stream-arity mismatch
+/// with a typed error before any operator code runs — so resolution here
+/// cannot fail.
+pub(crate) fn stream_part<'a>(src: &Tables<'a>, stream: usize, part: usize) -> &'a Partition {
+    let table =
+        src.stream(stream).expect("executor validates stream arity before running the operator");
+    &table.partitions()[part]
+}
+
+/// [`encode_key`] over the first `rows` cells of a key column, in row
+/// order: the Int/Str dispatch happens once per partition, and string keys
+/// hash in place — no per-row `Value`.
+pub(crate) fn for_each_key(seed: u64, col: &Column, rows: usize, mut f: impl FnMut(usize, u64)) {
+    match col {
+        Column::Int(v) => {
+            for (r, &x) in v[..rows].iter().enumerate() {
+                f(r, encode_ordered_i64(x));
+            }
+        }
+        Column::Str(v) => {
+            let h = HashFn::from_seed(seed);
+            for (r, s) in v[..rows].iter().enumerate() {
+                f(r, h.hash_bytes(s.as_bytes()) >> 1);
+            }
+        }
+    }
 }
 
 /// Key encoding shared by the operators: ints map order-preservingly;

@@ -42,15 +42,6 @@ impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for SkylineOp<'q> {
         }))
     }
 
-    fn encode(&self, src: &Tables<'a>, stream: usize, part: usize, row: usize, out: &mut Vec<u64>) {
-        let p = &super::stream_table(src, stream).partitions()[part];
-        out.extend(
-            self.cols
-                .iter()
-                .map(|&c| encode_i64_32(p.column(c).as_int().expect("int skyline col")[row])),
-        );
-    }
-
     fn encode_part(
         &self,
         src: &Tables<'a>,
@@ -59,9 +50,9 @@ impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for SkylineOp<'q> {
         rows: usize,
         sink: &mut dyn FnMut(&[u64]),
     ) {
-        // Hoisted twin of `encode`: resolve every dimension column to a
-        // raw slice once per partition.
-        let p = &super::stream_table(src, stream).partitions()[part];
+        // Resolve every dimension column to a raw slice once per
+        // partition.
+        let p = super::stream_part(src, stream, part);
         let cols: Vec<&[i64]> =
             self.cols.iter().map(|&c| p.column(c).as_int().expect("int skyline col")).collect();
         let mut slots = vec![0u64; cols.len()];

@@ -37,11 +37,6 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for TopNOp {
         Ok(QuerySpec::TopNRand(self.cfg))
     }
 
-    fn encode(&self, src: &Tables<'a>, stream: usize, part: usize, row: usize, out: &mut Vec<u64>) {
-        let p = &super::stream_table(src, stream).partitions()[part];
-        out.push(encode_i64_32(p.column(self.col).as_int().expect("int order col")[row]));
-    }
-
     fn encode_part(
         &self,
         src: &Tables<'a>,
@@ -50,9 +45,7 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for TopNOp {
         rows: usize,
         sink: &mut dyn FnMut(&[u64]),
     ) {
-        // Hoisted twin of `encode`: the order column resolves to a raw
-        // slice once per partition.
-        let p = &super::stream_table(src, stream).partitions()[part];
+        let p = super::stream_part(src, stream, part);
         let vals = p.column(self.col).as_int().expect("int order col");
         for &v in &vals[..rows] {
             sink(&[encode_i64_32(v)]);

@@ -67,8 +67,8 @@ pub struct PlannerConfig {
     /// hard-coded defaults.
     pub calibration: Option<Calibration>,
     /// Measured survivor volume (`entries_to_master`) from a previous run
-    /// of the same query, when a [`PathChooser`] (or caller) observed one.
-    /// Overrides the distinct-estimate proxy in the merge model — crucial
+    /// of the same query, when the caller observed one (the serving
+    /// plane's plan cache records it per shape). Overrides the distinct-estimate proxy in the merge model — crucial
     /// for high-fanout JOINs, where survivors are matching *rows*, not
     /// distinct keys, and the proxy under-prices the merge badly.
     pub survivor_hint: Option<u64>,
@@ -266,9 +266,8 @@ impl ShardPlanner {
             );
         }
 
-        // Survivor volume for the merge model. A measured hint (fed back
-        // by a [`PathChooser`] from an observed `entries_to_master`) wins
-        // outright — it is reality, and deliberately NOT clamped to
+        // Survivor volume for the merge model. A measured hint (an
+        // observed `entries_to_master`) wins outright — it is reality, and deliberately NOT clamped to
         // `rows`: a two-pass JOIN delivers matching rows from *both*
         // streams, which the per-stream row count would truncate. Absent
         // a measurement, fall back to the proxy of roughly one survivor
@@ -397,20 +396,20 @@ impl ShardPlanner {
 }
 
 // ---------------------------------------------------------------------
-// The online path chooser: a tiny deterministic UCB bandit over
-// (execution path × pruning backend), tuned from observed breakdowns.
+// The execution grid: survivor transport × pruning backend.
 // ---------------------------------------------------------------------
 
 /// Which transport carries survivors from the shard workers to the
-/// master. The chooser scores these against each other; the one executor
-/// (`cheetah_runtime::execute`) reads the choice off its plan.
+/// master. The one executor (`cheetah_runtime::execute`) reads the choice
+/// off its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
     /// Workers hand their completed outputs over whole; the master merges
     /// once the last one is in.
     BarrierPooled,
     /// Workers frame survivors in batches; the master folds them as they
-    /// land, overlapping the merge with still-running workers.
+    /// land, overlapping the merge with still-running workers. The carrier
+    /// of `ExecPlan`'s fault mode, where frames are the point.
     StreamedResident,
 }
 
@@ -424,7 +423,7 @@ impl ExecPath {
     }
 }
 
-/// One pullable arm: an execution path on a pruning backend.
+/// One point of the grid: an execution path on a pruning backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChooserArm {
     /// The survivor transport.
@@ -440,62 +439,15 @@ impl ChooserArm {
     }
 }
 
-/// Per-arm cost accounting, backed by a telemetry histogram so every
-/// observation the bandit makes is *also* an exported metric
-/// (`…<arm>.cost_seconds` in the owning registry's snapshot).
-///
-/// Histograms keep an exact `sum`/`count` beside their buckets, so the
-/// mean the bandit decides on is bit-identical to the private
-/// `total_cost / plays` bookkeeping this replaced.
-#[derive(Debug, Clone)]
-struct ArmState {
-    arm: ChooserArm,
-    cost: cheetah_telemetry::Histogram,
-}
-
-impl ArmState {
-    fn plays(&self) -> u64 {
-        self.cost.count()
-    }
-
-    fn mean(&self) -> f64 {
-        self.cost.mean().unwrap_or(0.0)
-    }
-}
-
-/// A deterministic UCB1 bandit over the four (path × backend) arms,
-/// learning online which execution strategy completes this query cheapest
-/// — the Cuttlefish idea, shrunk to the two axes this engine actually
-/// exposes. Costs are modelled completion seconds from observed
-/// [`cheetah_net::ExecBreakdown`]s, so the chooser weighs real measured work plus the
-/// byte-model transfer, exactly what the planner prices.
-///
-/// Determinism: arms are played in declaration order until each has one
-/// observation, then the arm minimizing `mean − c·s·√(2·ln N / n)` (the
-/// lower confidence bound — we minimize cost) is chosen; ties break to
-/// the earliest arm. No RNG anywhere, so repeated runs reproduce.
-///
-/// `s` is the cheapest observed mean: textbook UCB1 assumes rewards in
-/// `[0, 1]`, but completion costs are whatever the workload makes them —
-/// seconds on paper-scale streams, microseconds on a smoke table. An
-/// *absolute* bonus would drown sub-millisecond cost gaps and degenerate
-/// into round-robin, so the bonus is rescaled by the observed cost floor,
-/// making the pick sequence invariant to the unit of cost.
-///
-/// The chooser also remembers the latest measured `entries_to_master`;
-/// [`PathChooser::informed`] feeds it into a [`PlannerConfig`] as the
-/// [`survivor_hint`](PlannerConfig::survivor_hint), re-pricing the merge
-/// from reality instead of the distinct-estimate proxy.
-#[derive(Debug, Clone)]
-pub struct PathChooser {
-    arms: [ArmState; 4],
-    link_gbps: f64,
-    explore: f64,
-    measured_survivors: Option<u64>,
-}
+/// The pinnable grid. Nothing is learned or chosen here: a request runs
+/// the point it pins, and unpinned traffic runs pooled + compiled — with
+/// one encode → prune loop under both backends and the transports tied
+/// within noise on every ledger workload, the points no longer differ by
+/// enough for an online selector to find, only to lose to.
+pub struct PathChooser;
 
 impl PathChooser {
-    /// The four arms, in deterministic play order.
+    /// The four (path × backend) points, in report order.
     pub const ARMS: [ChooserArm; 4] = [
         ChooserArm {
             path: ExecPath::BarrierPooled,
@@ -511,119 +463,6 @@ impl PathChooser {
             backend: cheetah_net::ExecBackend::Compiled,
         },
     ];
-
-    /// A chooser costing completions over `link_gbps` links, recording
-    /// arm costs into a private registry.
-    pub fn new(link_gbps: f64) -> Self {
-        Self::with_registry(link_gbps, &cheetah_telemetry::Registry::new(), "chooser")
-    }
-
-    /// A chooser whose arm-cost histograms live in `registry` under
-    /// `<scope>.<arm>.cost_seconds` — the serving plane passes its
-    /// session registry here so every bandit observation shows up in
-    /// telemetry snapshots.
-    pub fn with_registry(
-        link_gbps: f64,
-        registry: &cheetah_telemetry::Registry,
-        scope: &str,
-    ) -> Self {
-        Self {
-            arms: Self::ARMS.map(|arm| ArmState {
-                arm,
-                cost: registry.histogram(&format!("{scope}.{}.cost_seconds", arm.label())),
-            }),
-            link_gbps,
-            // Softer than the textbook √2: with the bonus rescaled to
-            // the observed cost floor, √2 would spend tens of pulls per
-            // suboptimal arm before exploiting — too slow for the dozens
-            // of repeats a query realistically gets. 0.5 still re-probes
-            // arms whose gap is within ~½ of the floor.
-            explore: 0.5,
-            measured_survivors: None,
-        }
-    }
-
-    /// Total observations across all arms.
-    pub fn plays(&self) -> u64 {
-        self.arms.iter().map(ArmState::plays).sum()
-    }
-
-    /// The arm to play next: each arm once, then lowest confidence bound.
-    pub fn next(&self) -> ChooserArm {
-        if let Some(unplayed) = self.arms.iter().find(|a| a.plays() == 0) {
-            return unplayed.arm;
-        }
-        let n = self.plays() as f64;
-        // The cost floor every bonus is expressed in units of — all four
-        // arms have been played when we reach here.
-        let scale = self
-            .arms
-            .iter()
-            .map(ArmState::mean)
-            .fold(f64::INFINITY, f64::min)
-            .max(f64::MIN_POSITIVE);
-        self.arms
-            .iter()
-            .map(|a| {
-                (a.arm, a.mean() - self.explore * scale * (2.0 * n.ln() / a.plays() as f64).sqrt())
-            })
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite costs"))
-            .map(|(arm, _)| arm)
-            .expect("four arms")
-    }
-
-    /// How many times `arm` has been played.
-    pub fn plays_of(&self, arm: ChooserArm) -> u64 {
-        self.arms.iter().find(|a| a.arm == arm).map_or(0, ArmState::plays)
-    }
-
-    /// Record what one run of `arm` cost, and remember its measured
-    /// survivor volume for [`PathChooser::informed`].
-    pub fn observe(&mut self, arm: ChooserArm, breakdown: &cheetah_net::ExecBreakdown) {
-        let cost = breakdown.completion_seconds(self.link_gbps);
-        let state =
-            self.arms.iter_mut().find(|a| a.arm == arm).expect("observed arm is one of the four");
-        state.cost.observe(cost);
-        self.measured_survivors = Some(breakdown.entries_to_master);
-    }
-
-    /// The arm with the lowest observed mean cost (exploitation only —
-    /// what the bandit has converged to). Unplayed arms are ignored;
-    /// before any observation, the first arm.
-    pub fn best(&self) -> ChooserArm {
-        self.arms
-            .iter()
-            .filter(|a| a.plays() > 0)
-            .min_by(|a, b| a.mean().partial_cmp(&b.mean()).expect("finite costs"))
-            .map(|a| a.arm)
-            .unwrap_or(Self::ARMS[0])
-    }
-
-    /// Observed mean completion cost of `arm`, if it has been played.
-    pub fn mean_cost(&self, arm: ChooserArm) -> Option<f64> {
-        self.arms.iter().find(|a| a.arm == arm && a.plays() > 0).map(ArmState::mean)
-    }
-
-    /// Total cost paid across every observation — the numerator of a
-    /// cumulative-regret comparison against any fixed strategy.
-    pub fn cumulative_cost(&self) -> f64 {
-        self.arms.iter().map(|a| a.cost.sum()).sum()
-    }
-
-    /// The latest measured `entries_to_master`, once any run was observed.
-    pub fn measured_survivors(&self) -> Option<u64> {
-        self.measured_survivors
-    }
-
-    /// Feed the measured survivor volume back into a planner config: the
-    /// returned config prices the merge from the observed
-    /// `entries_to_master` instead of the distinct-estimate proxy.
-    pub fn informed(&self, mut cfg: PlannerConfig) -> PlannerConfig {
-        if let Some(measured) = self.measured_survivors {
-            cfg.survivor_hint = Some(measured);
-        }
-        cfg
-    }
 }
 
 struct PartitionerChoice {
@@ -719,7 +558,6 @@ pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ExecBreakdown;
     use crate::testutil::test_table;
 
     #[test]
@@ -837,12 +675,10 @@ mod tests {
         let seed = cluster.tuning.seed;
         let blind = ShardPlanner::default();
         let blind_plan = blind.plan(&q, &l, Some(&r), seed);
-        let mut chooser = PathChooser::new(10.0);
-        chooser.observe(
-            PathChooser::ARMS[0],
-            &ExecBreakdown { entries_to_master: measured, ..ExecBreakdown::default() },
-        );
-        let informed = ShardPlanner::new(chooser.informed(PlannerConfig::default()));
+        let informed = ShardPlanner::new(PlannerConfig {
+            survivor_hint: Some(measured),
+            ..PlannerConfig::default()
+        });
         let informed_plan = informed.plan(&q, &l, Some(&r), seed);
 
         // Compare the merge model at every candidate shard count, with the
@@ -868,65 +704,5 @@ mod tests {
                 b.shards
             );
         }
-    }
-
-    #[test]
-    fn chooser_plays_every_arm_once_then_converges_to_the_cheapest() {
-        let mut chooser = PathChooser::new(10.0);
-        // Deterministic cost per arm: streamed/compiled is the cheapest.
-        let cost_of = |arm: ChooserArm| match (arm.path, arm.backend) {
-            (ExecPath::BarrierPooled, crate::engine::ExecBackend::Interpreted) => 4.0,
-            (ExecPath::BarrierPooled, crate::engine::ExecBackend::Compiled) => 2.0,
-            (ExecPath::StreamedResident, crate::engine::ExecBackend::Interpreted) => 3.0,
-            (ExecPath::StreamedResident, crate::engine::ExecBackend::Compiled) => 1.0,
-        };
-        let mut seen = Vec::new();
-        for _ in 0..40 {
-            let arm = chooser.next();
-            seen.push(arm);
-            chooser.observe(
-                arm,
-                &ExecBreakdown { master_seconds: cost_of(arm), ..ExecBreakdown::default() },
-            );
-        }
-        // Warm-up: the four arms in declaration order.
-        assert_eq!(&seen[..4], &PathChooser::ARMS);
-        let winner = ChooserArm {
-            path: ExecPath::StreamedResident,
-            backend: crate::engine::ExecBackend::Compiled,
-        };
-        assert_eq!(chooser.best(), winner);
-        // Converged: the cheapest arm dominates the post-warm-up plays.
-        let wins = seen[4..].iter().filter(|a| **a == winner).count();
-        assert!(wins * 2 > seen.len() - 4, "winner played only {wins}/{}", seen.len() - 4);
-        // And the bandit's average cost beats the worst fixed strategy.
-        let avg = chooser.cumulative_cost() / chooser.plays() as f64;
-        assert!(avg < 4.0, "bandit average {avg} not better than always-worst");
-    }
-
-    #[test]
-    fn chooser_is_deterministic() {
-        let run = || {
-            let mut c = PathChooser::new(10.0);
-            let mut picked = Vec::new();
-            for i in 0..20u64 {
-                let arm = c.next();
-                picked.push(arm.label());
-                c.observe(
-                    arm,
-                    &ExecBreakdown {
-                        master_seconds: (i % 5) as f64
-                            + if arm.backend == crate::engine::ExecBackend::Compiled {
-                                0.0
-                            } else {
-                                1.0
-                            },
-                        ..ExecBreakdown::default()
-                    },
-                );
-            }
-            picked
-        };
-        assert_eq!(run(), run(), "no RNG: identical histories must replay identically");
     }
 }

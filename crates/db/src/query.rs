@@ -86,6 +86,14 @@ impl DbQuery {
         matches!(self, DbQuery::Join { .. })
     }
 
+    /// Does the family's switch program have a compiled kernel
+    /// ([`cheetah_core::CompiledProgram`])? Kernels exist for the
+    /// single-pass families only; JOIN and HAVING run the interpreter on
+    /// either backend, and their breakdowns say so.
+    pub fn has_kernel(&self) -> bool {
+        !matches!(self, DbQuery::Join { .. } | DbQuery::HavingSum { .. })
+    }
+
     /// Is the master merge correct under *any* deterministic assignment
     /// of rows to shard runs — including assignments that change mid-run?
     ///

@@ -13,8 +13,10 @@
 //!    shard. A kernel that forwards the right rows for the wrong reasons
 //!    (different prune pattern, same survivors after dedup) fails here.
 //! 3. **Honest attribution** — the breakdown of a compiled run records
-//!    `ExecBackend::Compiled`; the oracle records `Interpreted`. The
-//!    counters gate (`counters_contract`) pins this field row by row.
+//!    `ExecBackend::Compiled` where the family has a kernel (filter,
+//!    DISTINCT, TOP N, GROUP BY, SKYLINE) and `Interpreted` where it has
+//!    none (JOIN, HAVING); the oracle records `Interpreted`. The counters
+//!    gate (`counters_contract`) pins this field row by row.
 
 mod common;
 
@@ -28,7 +30,7 @@ use std::sync::Arc;
 
 /// One grid point run on both backends: assert counter identity (the grid
 /// itself already held both outputs to the baseline).
-fn assert_backends_agree(i: &ExecRun, c: &ExecRun, label: &str) {
+fn assert_backends_agree(q: &DbQuery, i: &ExecRun, c: &ExecRun, label: &str) {
     assert_eq!(i.output, c.output, "output diverged: {label}");
     assert_eq!(i.switch_stats, c.switch_stats, "counters diverged: {label}");
     assert_eq!(
@@ -47,7 +49,8 @@ fn assert_backends_agree(i: &ExecRun, c: &ExecRun, label: &str) {
         assert_eq!(is_.master_wire_bytes, cs.master_wire_bytes, "bytes diverged: {ctx}");
     }
     assert_eq!(i.breakdown.backend, ExecBackend::Interpreted, "{label}");
-    assert_eq!(c.breakdown.backend, ExecBackend::Compiled, "{label}");
+    let ran = if q.has_kernel() { ExecBackend::Compiled } else { ExecBackend::Interpreted };
+    assert_eq!(c.breakdown.backend, ran, "{label}");
 }
 
 #[test]
@@ -64,7 +67,7 @@ fn compiled_kernels_are_bit_identical_across_the_adversarial_family() {
                 ExecBackend::Interpreted => oracle = Some(run.clone()),
                 ExecBackend::Compiled => {
                     let i = oracle.take().expect("the oracle runs first");
-                    assert_backends_agree(&i, run, &case.label);
+                    assert_backends_agree(&case.q, &i, run, &case.label);
                 }
             }
         });
@@ -82,8 +85,20 @@ fn compiled_backend_is_recorded_end_to_end() {
     assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
     assert_eq!(run.breakdown.backend.label(), "compiled");
     let layout = ShardLayout::Fixed(ShardSpec::new(4, ShardPartitioner::Range));
-    let sharded = run_barrier(&compiled, &q, &t, None, layout);
+    let sharded = run_barrier(&compiled, &q, &t, None, layout.clone());
     assert_eq!(sharded.breakdown.backend, ExecBackend::Compiled);
+
+    // JOIN has no kernel: asked for the compiled backend, it answers like
+    // the oracle and says the interpreter ran — unsharded and sharded.
+    let join = DbQuery::Join { left_key: 0, right_key: 0 };
+    let r = Arc::new(PlannerAdversary::Zipf(1.0).table(1_000, 2, 0xFEED));
+    let want = compiled.run_baseline(&join, &t, Some(&r)).output;
+    let run = compiled.run_cheetah(&join, &t, Some(&r)).unwrap();
+    assert_eq!(run.output, want);
+    assert_eq!(run.breakdown.backend, ExecBackend::Interpreted);
+    let sharded = run_barrier(&compiled, &join, &t, Some(&r), layout);
+    assert_eq!(sharded.output, want);
+    assert_eq!(sharded.breakdown.backend, ExecBackend::Interpreted);
 }
 
 #[test]

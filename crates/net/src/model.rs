@@ -106,7 +106,13 @@ impl ExecBackend {
 /// fields from the same measurement seams, just without the spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecBreakdown {
-    /// Slowest worker's compute/serialize time (workers run in parallel).
+    /// Worker-side serialize time, as the paper's parallel CWorkers would
+    /// pay it: each partition is one worker, so a pass over a stream
+    /// costs its *slowest* partition, and a run costs the sum of that
+    /// over its streams and passes (plus HAVING's candidate selection) —
+    /// the same on either backend, whatever order the partitions were
+    /// actually encoded in. A sharded run reports its slowest shard.
+    /// The baseline path charges its slowest worker's compute here.
     pub worker_seconds: f64,
     /// Master completion time.
     pub master_seconds: f64,

@@ -58,10 +58,12 @@
 //!
 //! On a perfectly balanced cluster with heavy pruning there is nothing to
 //! hide: the stream transport then matches the barrier, paying only
-//! framing overhead — which is why the serving plane's bandit picks the
-//! transport per query shape from measured completions. The `runtime`
-//! bench experiment measures both regimes on the zipf(1.5) and
-//! single-hot-key adversaries.
+//! framing overhead. The ledger's four workloads all sit there (the two
+//! transports tie within a few per cent, or the stream loses), so the
+//! serving plane runs unpinned requests on the barrier and the stream is
+//! a per-request pin — and the carrier of the fault mode, where frames
+//! are the point. The `runtime` bench experiment measures both regimes on
+//! the zipf(1.5) and single-hot-key adversaries.
 //!
 //! ## What routes in rounds, and what cannot
 //!

@@ -20,14 +20,15 @@
 //! 3. **Plan cache** — repeat query shapes over stable table stats
 //!    skip the [`ShardPlanner`](cheetah_db::ShardPlanner) entirely
 //!    ([`PlanCache`]).
-//! 4. **Path choice** — a per-shape UCB1 bandit
-//!    ([`PathChooser`](cheetah_db::PathChooser)) routes the request to
-//!    {barrier-pooled, streamed-resident} × {interpreted, compiled},
-//!    unless the request pinned a choice.
+//! 4. **The arm** — {barrier-pooled, streamed-resident} × {interpreted,
+//!    compiled}, read off the request: what it pins, else the barrier
+//!    on the compiled backend (the interpreter where the family has no
+//!    kernel). Nothing is learned: with one encode → prune loop under
+//!    both backends the arms differ by less than a selector's regret.
 //!
-//! Every path produces bit-identical output — the serving plane
+//! Every arm produces bit-identical output — the serving plane
 //! inherits the repo-wide invariant `Q(A_Q(D)) = Q(D)` — so admission
-//! order, tenancy, and path choice affect *when* an answer arrives,
+//! order, tenancy, and the arm affect *when* an answer arrives,
 //! never *what* it says.
 
 #![forbid(unsafe_code)]

@@ -3,9 +3,9 @@
 //! A [`QueryRequest`] is everything the session needs to know about one
 //! query: what to run ([`DbQuery`]), over which resident tables (`Arc`
 //! handles — the plane never copies rows), on behalf of which tenant,
-//! and — optionally — pinned execution choices that bypass the bandit
-//! for callers that know exactly what they want (benchmark harnesses,
-//! A/B comparisons, regression gates).
+//! and — optionally — pinned execution choices for callers that know
+//! exactly what they want (benchmark harnesses, A/B comparisons,
+//! regression gates).
 
 use cheetah_db::{DbQuery, ExecBackend, ExecPath, Table};
 use std::sync::Arc;
@@ -64,16 +64,17 @@ impl QueryRequest {
         self
     }
 
-    /// Pin the execution path (barrier-pooled or streamed-resident)
-    /// instead of letting the [`PathChooser`] bandit pick.
-    ///
-    /// [`PathChooser`]: cheetah_db::PathChooser
+    /// Pin the execution path. Unpinned requests run barrier-pooled;
+    /// streamed-resident is there to be pinned (and carries the fault
+    /// mode of `cheetah_runtime::ExecPlan`).
     pub fn path(mut self, path: ExecPath) -> Self {
         self.path = Some(path);
         self
     }
 
     /// Pin the pruning backend (interpreted oracle or compiled kernel).
+    /// Unpinned requests run compiled. Either way a family without a
+    /// kernel (JOIN, HAVING) runs the interpreter, and the response says so.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = Some(backend);
         self

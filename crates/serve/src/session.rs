@@ -1,5 +1,5 @@
-//! The front door: admission, fair scheduling, plan caching, and path
-//! routing for a stream of concurrent [`QueryRequest`]s.
+//! The front door: admission, fair scheduling and plan caching for a
+//! stream of concurrent [`QueryRequest`]s.
 //!
 //! ```text
 //!            QueryRequest
@@ -17,8 +17,8 @@
 //!        │    plan cache    │
 //!        └────────┬────────┘
 //!                 ▼
-//!        ┌─────────────────┐   UCB1 over {pooled,streamed}×{interp,compiled}
-//!        │   path chooser   │
+//!        ┌─────────────────┐   the request's pins, else pooled + compiled
+//!        │       arm        │   (interpreted where the family has no kernel)
 //!        └────────┬────────┘
 //!                 ▼
 //!        ExecPlan ─▶ execute ──▶ QueryResponse (+ queue/tenant breakdown)
@@ -35,8 +35,8 @@ use crate::plan_cache::{CachedPlan, PlanCache, StatsFingerprint};
 use crate::request::QueryRequest;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, PathChooser, PlannerConfig,
-    QueryOutput, ShardPlanner, ShardSpec,
+    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, PlannerConfig, QueryOutput,
+    ShardPlanner, ShardSpec,
 };
 use cheetah_net::MasterIngestModel;
 use cheetah_runtime::{ExecPlan, ShardLayout, StreamSpec};
@@ -65,8 +65,6 @@ pub struct SessionConfig {
     /// Row-count drift (fractional) beyond which a cached plan is never
     /// reused.
     pub stats_tolerance: f64,
-    /// Link rate the path chooser prices completions at.
-    pub link_gbps: f64,
     /// Master ingest model for admitted runs; concurrency re-prices it
     /// per request ([`MasterIngestModel::with_concurrency`]).
     pub ingest: MasterIngestModel,
@@ -84,7 +82,6 @@ impl Default for SessionConfig {
             quantum_rows: 8_192,
             plan_cache_capacity: 128,
             stats_tolerance: 0.35,
-            link_gbps: 10.0,
             ingest: MasterIngestModel::default_rack(),
             trace_capacity: 64,
         }
@@ -105,7 +102,9 @@ pub struct QueryResponse {
     pub breakdown: ExecBreakdown,
     /// Switch-side pruning counters.
     pub switch_stats: ProgramStats,
-    /// The (path, backend) arm that executed the request.
+    /// The (path, backend) arm that executed the request — the backend
+    /// is the one that ran ([`ExecBreakdown::backend`]), not the one
+    /// asked for, where the two differ.
     pub arm: ChooserArm,
     /// Whether the shard plan came out of the cache (always `false`
     /// for requests that pinned a shard count).
@@ -210,8 +209,6 @@ struct Caches {
     /// source tables and a routed copy of their rows, so the cache is
     /// bounded and the oldest insertion goes first.
     layout_order: VecDeque<LayoutKey>,
-    /// One bandit per query shape.
-    choosers: HashMap<String, PathChooser>,
 }
 
 impl Caches {
@@ -315,7 +312,6 @@ impl Session {
             plans: PlanCache::new(cfg.plan_cache_capacity, cfg.stats_tolerance),
             layouts: HashMap::new(),
             layout_order: VecDeque::new(),
-            choosers: HashMap::new(),
         };
         let shared = Arc::new(Shared {
             cluster,
@@ -408,10 +404,9 @@ impl Session {
     }
 
     /// The session's metrics registry: queue/latency histograms,
-    /// admission and plan-cache counters, per-tenant DRR deficits, the
-    /// per-shape bandit's arm costs, and the fabric's retransmit
-    /// counter all land here. Snapshot it ([`Registry::snapshot`]) for
-    /// a deterministic, name-ordered view.
+    /// admission and plan-cache counters, per-tenant DRR deficits and the
+    /// fabric's retransmit counter all land here. Snapshot it
+    /// ([`Registry::snapshot`]) for a deterministic, name-ordered view.
     pub fn registry(&self) -> &Registry {
         &self.shared.telemetry.registry
     }
@@ -601,11 +596,13 @@ fn serve(
     // 1. The shard plan: pinned count, or plan cache, or the planner.
     let mut plan_span = root.child("plan");
     let ingest = shared.cfg.ingest;
-    let (layout, generation, plan_cached) = match req.shards {
+    // `stats` is the plan-cache key of an unpinned request — and where
+    // the run's survivor count is recorded afterwards.
+    let (layout, generation, plan_cached, stats) = match req.shards {
         Some(shards) => {
             plan_span.attr("cache", "pinned");
             let spec = ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
-            (ShardLayout::Fixed(spec), 0, false)
+            (ShardLayout::Fixed(spec), 0, false, None)
         }
         None => {
             let stats = StatsFingerprint::of(&req.left, req.right.as_deref());
@@ -613,17 +610,14 @@ fn serve(
             if let Some(CachedPlan { plan, generation }) = caches.plans.lookup(&shape, stats) {
                 plan_span.attr("cache", "hit");
                 shared.telemetry.plan_hits.inc();
-                (ShardLayout::Fitted(plan, ingest), generation, true)
+                (ShardLayout::Fitted(plan, ingest), generation, true, Some(stats))
             } else {
                 plan_span.attr("cache", "miss");
                 shared.telemetry.plan_misses.inc();
-                // Fit a fresh plan; let the shape's bandit inform the
-                // survivor pricing if it has measured this shape before.
-                let cfg = PlannerConfig { ingest, ..PlannerConfig::default() };
-                let cfg = match caches.choosers.get(&shape) {
-                    Some(chooser) => chooser.informed(cfg),
-                    None => cfg,
-                };
+                // Fit a fresh plan — priced from the shape's measured
+                // survivor count if an earlier fit of it has run.
+                let survivor_hint = caches.plans.measured_survivors(&shape);
+                let cfg = PlannerConfig { ingest, survivor_hint, ..PlannerConfig::default() };
                 drop(caches);
                 let fitted = Arc::new(ShardPlanner::new(cfg).plan(
                     &req.query,
@@ -633,27 +627,15 @@ fn serve(
                 ));
                 let mut caches = shared.caches.lock().expect("caches lock");
                 let generation = caches.plans.insert(&shape, stats, Arc::clone(&fitted));
-                (ShardLayout::Fitted(fitted, ingest), generation, false)
+                (ShardLayout::Fitted(fitted, ingest), generation, false, Some(stats))
             }
         }
     };
     plan_span.finish();
 
-    // 2. The arm: honour pins, let the shape's bandit fill the rest.
+    // 2. The arm: a value read off the request, nothing learned.
     let mut choose_span = root.child("choose");
-    let arm = {
-        let mut caches = shared.caches.lock().expect("caches lock");
-        let chooser = caches.choosers.entry(shape.clone()).or_insert_with(|| {
-            // The shape's arm-cost histograms live in the session
-            // registry: every bandit observation is also a metric.
-            PathChooser::with_registry(
-                shared.cfg.link_gbps,
-                &shared.telemetry.registry,
-                &format!("serve.chooser.{}", req.query.kind()),
-            )
-        });
-        pick_arm(chooser, req.path, req.backend)
-    };
+    let arm = arm_of(req);
     choose_span.attr("arm", arm.label());
     choose_span.finish();
 
@@ -709,14 +691,12 @@ fn serve(
     exec_span.attr("shards", breakdown.shards);
     exec_span.finish();
 
-    // 4. Respond: feed the bandit what this arm cost, then stamp the
-    // serving fields the caller sees.
+    // 4. Respond: note beside the plan what the run delivered to the
+    // master, then stamp the serving fields the caller sees.
     let respond_span = root.child("respond");
-    {
+    if let Some(stats) = stats {
         let mut caches = shared.caches.lock().expect("caches lock");
-        if let Some(chooser) = caches.choosers.get_mut(&shape) {
-            chooser.observe(arm, &breakdown);
-        }
+        caches.plans.record_survivors(&shape, stats, breakdown.entries_to_master);
     }
     breakdown.queue_seconds = queue_seconds;
     breakdown.tenant = req.tenant.clone();
@@ -727,38 +707,18 @@ fn serve(
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
 }
 
-/// The arm to pull: fully pinned requests get exactly what they asked
-/// for; partially pinned ones get the bandit's preference *among the
-/// matching arms* (unplayed arms first, in declaration order, then the
-/// cheapest observed mean); unpinned ones get the bandit's pick.
-fn pick_arm(
-    chooser: &PathChooser,
-    path: Option<ExecPath>,
-    backend: Option<ExecBackend>,
-) -> ChooserArm {
-    match (path, backend) {
-        (Some(p), Some(b)) => ChooserArm { path: p, backend: b },
-        (None, None) => chooser.next(),
-        _ => {
-            let matching = PathChooser::ARMS
-                .iter()
-                .copied()
-                .filter(|a| path.is_none_or(|p| a.path == p))
-                .filter(|a| backend.is_none_or(|b| a.backend == b));
-            let mut best: Option<ChooserArm> = None;
-            for arm in matching {
-                if chooser.plays_of(arm) == 0 {
-                    return arm;
-                }
-                let cost = chooser.mean_cost(arm).unwrap_or(f64::INFINITY);
-                let best_cost = best.and_then(|b| chooser.mean_cost(b)).unwrap_or(f64::INFINITY);
-                if best.is_none() || cost < best_cost {
-                    best = Some(arm);
-                }
-            }
-            best.expect("at least one arm matches any single pin")
-        }
-    }
+/// The arm a request runs on — a pure function of the request. Pins are
+/// honoured; unpinned traffic runs the barrier transport on the compiled
+/// backend (the cheapest point of the grid on every ledger workload; the
+/// stream transport stays pinnable, and carries `ExecPlan`'s fault mode).
+/// A family without a kernel runs the interpreter whatever was asked, and
+/// the arm says so up front.
+fn arm_of(req: &QueryRequest) -> ChooserArm {
+    let backend = match req.backend.unwrap_or(ExecBackend::Compiled) {
+        ExecBackend::Compiled if !req.query.has_kernel() => ExecBackend::Interpreted,
+        backend => backend,
+    };
+    ChooserArm { path: req.path.unwrap_or(ExecPath::BarrierPooled), backend }
 }
 
 #[cfg(test)]
@@ -815,22 +775,78 @@ mod tests {
     fn pinned_requests_run_exactly_the_requested_arm() {
         let t = table(1_500, 3, 5);
         let session = Session::with_defaults();
+        let distinct = || QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
         for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
             for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                let resp = session
-                    .run_blocking(
-                        QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))
-                            .path(path)
-                            .backend(backend)
-                            .shards(4),
-                    )
-                    .unwrap();
+                let resp =
+                    session.run_blocking(distinct().path(path).backend(backend).shards(4)).unwrap();
                 assert_eq!(resp.arm, ChooserArm { path, backend });
                 assert_eq!(resp.breakdown.shards, 4);
                 assert_eq!(resp.breakdown.backend, backend);
                 assert!(!resp.plan_cached, "pinned shards never consult the plan cache");
             }
         }
+        // Unpinned: the arm is a pure function of the request — the same
+        // on first sight as on every repeat, no warm-up plays.
+        let join = DbQuery::Join { left_key: 0, right_key: 0 };
+        let join = || QueryRequest::new(join.clone(), Arc::clone(&t)).with_right(Arc::clone(&t));
+        for _ in 0..3 {
+            let resp = session.run_blocking(distinct()).unwrap();
+            assert_eq!(resp.arm.label(), "pooled/compiled");
+            assert_eq!(resp.breakdown.backend, ExecBackend::Compiled);
+            // JOIN has no kernel: the arm and the breakdown both say what ran.
+            let resp = session.run_blocking(join()).unwrap();
+            assert_eq!(resp.arm.label(), "pooled/interp");
+            assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
+        }
+        // A pin to the compiled backend cannot conjure a kernel either.
+        let resp = session.run_blocking(join().backend(ExecBackend::Compiled)).unwrap();
+        assert_eq!(resp.arm.label(), "pooled/interp");
+        assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
+        assert_eq!(
+            arm_of(&distinct().path(ExecPath::StreamedResident)).label(),
+            "streamed/compiled"
+        );
+        assert_eq!(arm_of(&distinct().backend(ExecBackend::Interpreted)).label(), "pooled/interp");
+    }
+
+    #[test]
+    fn a_stats_drift_refit_of_a_seen_shape_is_priced_from_the_measured_survivors() {
+        // A high-fanout join: eight keys, every row matches, so survivors
+        // are matching *rows* and the planner's distinct-key proxy
+        // under-prices the merge by orders of magnitude.
+        let fanout = |name: &str, rows: i64| {
+            let fields = vec![("k".into(), DataType::Int), ("v".into(), DataType::Int)];
+            let mut b = TableBuilder::new(name, fields, 1_000);
+            for i in 0..rows {
+                b.push_row(vec![Value::Int(i % 8), Value::Int(i)]);
+            }
+            Arc::new(b.build())
+        };
+        let session = Session::with_defaults();
+        let q = DbQuery::Join { left_key: 0, right_key: 0 };
+        let run = |rows| {
+            let (l, r) = (fanout("l", rows), fanout("r", rows));
+            let req = QueryRequest::new(q.clone(), Arc::clone(&l)).with_right(Arc::clone(&r));
+            let shape = shape_key(&req);
+            let resp = session.run_blocking(req).unwrap();
+            assert!(!resp.plan_cached, "{rows} rows: first sight of these stats must fit");
+            let stats = StatsFingerprint::of(&l, Some(&r));
+            let mut caches = session.shared.caches.lock().unwrap();
+            let plan = caches.plans.lookup(&shape, stats).expect("just fitted").plan;
+            (resp.breakdown.entries_to_master, plan.report.curve[0].merge_seconds)
+        };
+        let cfg = PlannerConfig::default();
+        let price = |survivors| cfg.ingest.planning_latency(1, survivors);
+        // First sight is priced blind, from the eight distinct keys.
+        let (measured, blind_merge) = run(3_000);
+        assert!(measured > 1_000, "the adversary must flood the master: {measured}");
+        assert!(blind_merge < price(measured) / 2.0 + cfg.per_shard_overhead_seconds);
+        // Same shape, twice the rows: past the stats tolerance, so a
+        // re-fit — priced from what the first fit's run delivered.
+        let (_, informed_merge) = run(6_000);
+        let want = price(measured) + cfg.per_shard_overhead_seconds;
+        assert!((informed_merge - want).abs() < 1e-12, "{informed_merge} vs {want}");
     }
 
     #[test]

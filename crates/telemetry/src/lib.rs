@@ -2,7 +2,7 @@
 //!
 //! Every other crate in the workspace measures something: the session
 //! stamps queue time, the runtime counts retransmits, the plan cache
-//! tracks hits, the bandit tracks arm costs. Before this crate each of
+//! tracks hits. Before this crate each of
 //! those was private bookkeeping with its own ad-hoc surface. Telemetry
 //! gives them one home with two halves:
 //!
@@ -11,7 +11,7 @@
 //!   (no lock on the hot path); snapshots are deterministic
 //!   (name-ordered) and mergeable across threads. Histograms keep an
 //!   *exact* `sum`/`count` beside the buckets, so exact-mean consumers
-//!   (the `PathChooser` bandit) lose nothing by reading from them.
+//!   lose nothing by reading from them.
 //! * **Spans** — a per-query [`Trace`] whose [`Span`]s assemble into
 //!   the query-lifecycle tree:
 //!
@@ -20,7 +20,7 @@
 //!   ├─ admit
 //!   ├─ queue
 //!   ├─ plan            cache=hit|miss
-//!   ├─ choose          arm=streamed/compiled
+//!   ├─ choose          arm=pooled/compiled
 //!   ├─ execute         path=.. backend=..
 //!   │  ├─ route
 //!   │  ├─ worker       shard=0   (one per shard, pool threads)
@@ -53,7 +53,7 @@
 //! ```
 //!
 //! Name metrics `plane.thing[.unit]` (`serve.queue_seconds`,
-//! `net.retransmits`, `db.chooser.<shape>.<arm>.cost_seconds`): the
+//! `net.retransmits`, `serve.tenant.<tenant>.latency_seconds`): the
 //! snapshot renders in name order, so shared prefixes group related
 //! metrics together for free.
 //!

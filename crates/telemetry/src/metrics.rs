@@ -79,9 +79,9 @@ impl Gauge {
 /// *exact* running sum and count.
 ///
 /// The bucketing only affects quantile estimates; `sum`/`count` (and
-/// therefore the mean) are exact, which lets exact-mean consumers (the
-/// `PathChooser` bandit) read from the histogram without any behavioral
-/// drift versus private bookkeeping.
+/// therefore the mean) are exact, which lets exact-mean consumers read
+/// from the histogram without any behavioral drift versus private
+/// bookkeeping.
 #[derive(Debug)]
 pub(crate) struct HistogramCore {
     buckets: Vec<AtomicU64>,
