@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims docs ledger-check ledger shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims docs ledger-check ledger pruning-gate shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -17,11 +17,13 @@ lint: no-shims
 # ExecPlan), one run type (ExecRun), one wall-clock harness
 # (cheetah-ledger), one §7.2 event loop (cheetah_net::rack), one row
 # encoder (PruningOperator::encode_part) under one encode -> prune loop,
-# and no arm selector. Fail if a deleted twin, shim, run type, harness
-# flag, baseline file, do-nothing vendored stub, multi-pass kernel or
-# bandit is named anywhere again.
+# one survivor representation (row selections: no entry type, no
+# per-row key encoder beside the operators' walk), and no arm selector.
+# Fail if a deleted twin, shim, run type, harness flag, baseline file,
+# do-nothing vendored stub, multi-pass kernel, bandit or entry type is
+# named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -31,6 +33,12 @@ ledger-check:
 
 docs:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# The named CI gate: pruning contract — Q(A_Q(D)) = Q(D) for all seven
+# variants through the generic executor, both JOIN pass structures,
+# degenerate tables, and invariance under repartitioning.
+pruning-gate:
+	cargo test -q -p cheetah-db --test pruning_contract
 
 # The named CI gate: shard equivalence across all seven query variants.
 shard-gate:

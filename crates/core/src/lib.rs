@@ -64,7 +64,7 @@ pub use groupby::{AggKind, GroupByConfig, GroupByOpt, GroupByPruner};
 pub use having::{HavingAgg, HavingConfig, HavingOpt, HavingPruner, SecondPassFilter};
 pub use hierarchy::MultiSwitch;
 pub use join::{BloomKind, JoinConfig, JoinMode, JoinOpt, JoinPruner, JoinSide};
-pub use operator::{PacketEntry, PassPlan, PruningOperator};
+pub use operator::PassPlan;
 pub use plan::{KeySampler, KeyStats, PlanDecision, PlanReport, ShardPlan};
 pub use planner::{plan, PackedQueries, Plan, QuerySpec};
 pub use pruner::{OptPruner, StandalonePruner};

@@ -14,7 +14,7 @@
 //!   the queried columns into entry-per-packet streams (§7.1), the switch
 //!   prunes at line rate, and the master completes the query on the
 //!   survivors. The per-query specifics live in small
-//!   [`PruningOperator`](cheetah_core::PruningOperator) impls under
+//!   [`PruningOperator`](crate::operators::PruningOperator) impls under
 //!   [`operators`](crate::operators); everything else is generic.
 //!
 //! Phase timings are measured on real work with `Instant`; transfer times
@@ -34,7 +34,7 @@ use cheetah_switch::{ProgramStats, SwitchProfile};
 
 // Byte accounting lives in the layer that owns link modelling; re-exported
 // here because the engine's runs are where callers meet it.
-pub use cheetah_net::{Encoded, ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES};
+pub use cheetah_net::{ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES};
 
 /// Result of the baseline path.
 #[derive(Debug, Clone)]
@@ -199,7 +199,7 @@ impl Cluster {
     ///
     /// Every query shape goes through the same generic executor
     /// ([`Cluster::execute`]); each arm below only picks the
-    /// [`PruningOperator`](cheetah_core::PruningOperator) impl.
+    /// [`PruningOperator`](crate::operators::PruningOperator) impl.
     ///
     /// This is the one-slice executor: `cheetah_runtime::execute` calls it
     /// once per routed unit on every shard worker.

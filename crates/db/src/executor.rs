@@ -13,21 +13,24 @@
 //!    worker thread's flat scratch block — no per-row query work, exactly
 //!    the CWorker of §7.1 — and the block streams through the installed
 //!    plan via a [`PruneEngine`] (the interpreted [`StandalonePruner`] or
-//!    a compiled kernel). An [`Encoded`] entry is built only for a row the
-//!    switch forwarded (or HAVING announced a candidate key for);
-//! 3. the master completes the unchanged query on the survivors with
-//!    [`PruningOperator::complete`].
+//!    a compiled kernel). What a pass keeps of a partition is the `u32`
+//!    indices of the rows the switch forwarded (or HAVING announced a
+//!    candidate key for), appended to its selection in [`Survivors`]: a
+//!    survivor is a row id, and no entry is built;
+//! 3. the master completes the unchanged query with
+//!    [`PruningOperator::complete`], reading the true values of the
+//!    selected rows straight from the tables (late materialization).
 //!
 //! Worker and master phases are measured on real work; transfer volumes
 //! feed `cheetah-net`'s [`ExecBreakdown`] byte model.
 
 use crate::engine::{CheetahRun, Cluster};
-use crate::query::QueryOutput;
+use crate::operators::{PruningOperator, Survivors};
 use crate::table::Table;
 use cheetah_core::{
-    planner, CompiledProgram, PassPlan, PruneEngine, PruningOperator, QuerySpec, StandalonePruner,
+    planner, CompiledProgram, Error, PassPlan, PruneEngine, QuerySpec, StandalonePruner,
 };
-use cheetah_net::{Encoded, ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES};
+use cheetah_net::{ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES, MAX_ENTRY_SLOTS};
 use cheetah_switch::{
     ControlMsg, Pipeline, ProgramId, ProgramStats, SwitchError, SwitchProfile, UsageSummary,
     Verdict,
@@ -64,24 +67,15 @@ thread_local! {
 }
 
 /// One partition's encoded rows, flat: row `r`'s value slots are
-/// `buf[offsets[r]..offsets[r + 1]]`, and `forwarded` lists the rows the
-/// switch forwarded when the block was last offered. Reused across
+/// `buf[offsets[r]..offsets[r + 1]]`, and `forwarded` lists, ascending,
+/// the rows the switch forwarded when the block was last offered — a
+/// partition's selection in [`Survivors`], ready-made. Reused across
 /// partitions, passes *and* runs on the same worker thread.
 #[derive(Default)]
 struct Block {
     buf: Vec<u64>,
     offsets: Vec<usize>,
-    forwarded: Vec<usize>,
-}
-
-impl Block {
-    fn rows(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    fn row(&self, r: usize) -> &[u64] {
-        &self.buf[self.offsets[r]..self.offsets[r + 1]]
-    }
+    forwarded: Vec<u32>,
 }
 
 /// The data a query runs over: one table, or two for JOIN. Stream 0 is
@@ -110,15 +104,15 @@ impl<'a> Tables<'a> {
         1 + usize::from(self.right.is_some())
     }
 
-    /// The table feeding stream `i`, or a typed
-    /// [`Error::MissingStream`](cheetah_core::Error::MissingStream) when
-    /// the source does not carry it — a misconfigured binary-join shard
-    /// plan over a unary source fails loudly but cleanly, never panics.
+    /// The table feeding stream `i`, or a typed [`Error::MissingStream`]
+    /// when the source does not carry it — a misconfigured binary-join
+    /// shard plan over a unary source fails loudly but cleanly, never
+    /// panics.
     pub fn stream(&self, i: usize) -> cheetah_core::Result<&'a Table> {
         match i {
             0 => Ok(self.left),
-            1 => self.right.ok_or(cheetah_core::Error::MissingStream { stream: i }),
-            _ => Err(cheetah_core::Error::MissingStream { stream: i }),
+            1 => self.right.ok_or(Error::MissingStream { stream: i }),
+            _ => Err(Error::MissingStream { stream: i }),
         }
     }
 }
@@ -157,16 +151,10 @@ impl Cluster {
     ///
     /// This is the seam that makes the next query type a one-file change:
     /// implement the operator, call `execute`.
-    pub fn execute<'a, O>(&self, op: &O, tables: &Tables<'a>) -> cheetah_core::Result<CheetahRun>
+    pub fn execute<O>(&self, op: &O, tables: &Tables<'_>) -> cheetah_core::Result<CheetahRun>
     where
-        O: PruningOperator<Tables<'a>, Encoded, Output = QueryOutput>,
+        O: PruningOperator,
     {
-        // Reject a plan whose stream arity exceeds the source's before any
-        // work happens — the typed error names the missing stream.
-        for s in 0..op.streams() {
-            tables.stream(s)?;
-        }
-
         // Plan the switch program. The interpreted plan is the
         // resource-validation oracle (ledger, rules, install time) even
         // when a compiled kernel will run the entries — but planning is
@@ -224,10 +212,7 @@ struct Workers<'o, 'a, O> {
     max_worker_entries: u64,
 }
 
-impl<'a, O> Workers<'_, 'a, O>
-where
-    O: PruningOperator<Tables<'a>, Encoded, Output = QueryOutput>,
-{
+impl<O: PruningOperator> Workers<'_, '_, O> {
     /// One pass of the workers over stream `s`: encode each non-empty
     /// partition into the block and hand it to `visit`, which returns any
     /// further worker-side seconds it spent on it. CWorkers run in
@@ -251,7 +236,7 @@ where
             offsets.clear();
             offsets.push(0);
             let mut widest = 0;
-            self.op.encode_part(self.tables, s, pi, rows, &mut |slots| {
+            self.op.encode_part(s, part, &mut |slots| {
                 widest = widest.max(slots.len());
                 buf.extend_from_slice(slots);
                 offsets.push(buf.len());
@@ -260,17 +245,12 @@ where
             // A malformed operator is a typed error, never a panic on a
             // pool thread: too many slots for an entry header, or a sink
             // not called exactly once per row.
-            if widest > Encoded::MAX_SLOTS {
-                return Err(cheetah_core::Error::ValueSlotOverflow {
-                    got: widest,
-                    max: Encoded::MAX_SLOTS,
-                });
+            if widest > MAX_ENTRY_SLOTS {
+                return Err(Error::ValueSlotOverflow { got: widest, max: MAX_ENTRY_SLOTS });
             }
-            if self.block.rows() != rows {
-                return Err(cheetah_core::Error::EncodedRowMismatch {
-                    rows,
-                    encoded: self.block.rows(),
-                });
+            let encoded = self.block.offsets.len() - 1;
+            if encoded != rows {
+                return Err(Error::EncodedRowMismatch { rows, encoded });
             }
             slowest = slowest.max(encode_seconds + visit(pi, &mut self.block)?);
         }
@@ -294,7 +274,7 @@ where
             kept.clear();
             engine.offer_run(fid, offsets.windows(2).map(|w| &buf[w[0]..w[1]]), |i, v| {
                 if v == Verdict::Forward {
-                    kept.push(i);
+                    kept.push(i as u32);
                 }
             })?;
             forwarded(pi, block)?;
@@ -303,14 +283,14 @@ where
     }
 }
 
-/// Materialize the rows a pass forwarded — the only entries a run builds.
+/// What a pruning pass over stream `s` keeps of each partition: the rows
+/// the switch forwarded, as they stand in the block.
 fn keep_forwarded(
-    out: &mut Vec<Encoded>,
+    survivors: &mut Survivors,
+    s: usize,
 ) -> impl FnMut(usize, &Block) -> cheetah_core::Result<()> + '_ {
     move |pi, block| {
-        for &r in &block.forwarded {
-            out.push(Encoded::new(pi, r, block.row(r))?);
-        }
+        survivors.keep(s, pi, &block.forwarded);
         Ok(())
     }
 }
@@ -320,45 +300,44 @@ fn keep_forwarded(
 /// complete the unchanged query on the survivors. Every pass re-encodes
 /// its partitions into the one scratch block — as the paper's workers
 /// re-stream their data per pass — so a run holds a block and its
-/// survivors, never a materialized stream.
-fn run_on<'a, O, E>(
+/// survivors' row ids, never a materialized stream.
+fn run_on<O: PruningOperator, E: PruneEngine>(
     engine: &mut E,
     backend: ExecBackend,
     op: &O,
-    tables: &Tables<'a>,
+    tables: &Tables<'_>,
     rules: usize,
-) -> cheetah_core::Result<CheetahRun>
-where
-    O: PruningOperator<Tables<'a>, Encoded, Output = QueryOutput>,
-    E: PruneEngine,
-{
-    let mut survivors: Vec<Vec<Encoded>> = vec![Vec::new(); op.streams()];
+) -> cheetah_core::Result<CheetahRun> {
+    // Shaping the selections is the arity check: an operator with more
+    // streams than the source carries is refused before any row is encoded.
+    let streams = op.streams();
+    let mut survivors = Survivors::none(tables, streams)?;
     let block = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
     let mut w = Workers { op, tables, block, worker_seconds: 0.0, max_worker_entries: 0 };
     match op.pass_plan() {
         PassPlan::Single => {
-            for (s, out) in survivors.iter_mut().enumerate() {
-                w.offer(engine, s, keep_forwarded(out))?;
+            for s in 0..streams {
+                w.offer(engine, s, keep_forwarded(&mut survivors, s))?;
             }
         }
         PassPlan::BuildThenPrune => {
             // Pass 1: build filters (stream consumed at the switch).
-            for s in 0..survivors.len() {
+            for s in 0..streams {
                 w.offer(engine, s, |_, _| Ok(()))?;
             }
             engine.set_phase(2)?;
             // Pass 2: prune every stream.
-            for (s, out) in survivors.iter_mut().enumerate() {
-                w.offer(engine, s, keep_forwarded(out))?;
+            for s in 0..streams {
+                w.offer(engine, s, keep_forwarded(&mut survivors, s))?;
             }
         }
         PassPlan::FirstBuildsThenPruneSecond => {
             // Stream 0 streams once: unpruned, building its filter on the
             // way through.
-            w.offer(engine, 0, keep_forwarded(&mut survivors[0]))?;
+            w.offer(engine, 0, keep_forwarded(&mut survivors, 0))?;
             engine.set_phase(2)?;
             // Stream 1 is pruned against the filter.
-            w.offer(engine, 1, keep_forwarded(&mut survivors[1]))?;
+            w.offer(engine, 1, keep_forwarded(&mut survivors, 1))?;
         }
         PassPlan::CandidateKeys { key_slot } => {
             // A malformed operator that encodes fewer slots than its own
@@ -371,22 +350,24 @@ where
             let mut candidates: HashSet<u64> = HashSet::new();
             w.offer(engine, 0, |_, block| {
                 for &r in &block.forwarded {
-                    candidates.insert(key_of(block.row(r))?);
+                    let slots = block.offsets[r as usize]..block.offsets[r as usize + 1];
+                    candidates.insert(key_of(&block.buf[slots])?);
                 }
                 Ok(())
             })?;
             // Pass 2 (partial): workers re-stream only the entries of
-            // announced keys; the selection is worker-side time, and the
-            // switch is not involved.
-            let kept = &mut survivors[0];
+            // announced keys, listed like forwarded rows; the selection is
+            // worker-side time, and the switch is not involved.
             w.each_block(0, |pi, block| {
                 let t0 = Instant::now();
-                for r in 0..block.rows() {
-                    let row = block.row(r);
-                    if candidates.contains(&key_of(row)?) {
-                        kept.push(Encoded::new(pi, r, row)?);
+                let Block { buf, offsets, forwarded: announced } = &mut *block;
+                announced.clear();
+                for (r, w) in offsets.windows(2).enumerate() {
+                    if candidates.contains(&key_of(&buf[w[0]..w[1]])?) {
+                        announced.push(r as u32);
                     }
                 }
+                survivors.keep(0, pi, announced);
                 Ok(t0.elapsed().as_secs_f64())
             })?;
         }
@@ -398,7 +379,7 @@ where
     let t0 = Instant::now();
     let output = op.complete(tables, &survivors);
     let master_seconds = t0.elapsed().as_secs_f64();
-    let survivor_count: u64 = survivors.iter().map(|s| s.len() as u64).sum();
+    let survivor_count = survivors.count();
     let passes = op.pass_plan().wire_passes();
     Ok(CheetahRun {
         output,
@@ -422,9 +403,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::DbQuery;
+    use crate::query::{DbQuery, QueryOutput};
+    use crate::table::Partition;
     use crate::testutil::{all_queries, test_table};
-    use cheetah_core::{Error, QuerySpec};
 
     #[test]
     fn cheetah_output_equals_baseline_for_every_query() {
@@ -475,19 +456,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repartitioned_tables_give_same_cheetah_output() {
-        // Figure 6 varies the worker count; output must be invariant.
-        let cluster = Cluster::default();
-        let t = test_table(4_000, 4);
-        let q = DbQuery::Distinct { col: 0 };
-        let out4 = cluster.run_cheetah(&q, &t, None).unwrap().output;
-        let out1 = cluster.run_cheetah(&q, &t.repartition(1), None).unwrap().output;
-        let out8 = cluster.run_cheetah(&q, &t.repartition(8), None).unwrap().output;
-        assert_eq!(out4, out1);
-        assert_eq!(out4, out8);
-    }
-
     /// A deliberately malformed operator over the DISTINCT program: emits
     /// `slots` for each of the first `rows − skip` rows of a partition.
     /// The executor must surface a typed error, not panic.
@@ -497,8 +465,7 @@ mod tests {
         pass_plan: PassPlan,
     }
 
-    impl<'a> PruningOperator<Tables<'a>, Encoded> for MalformedOp {
-        type Output = QueryOutput;
+    impl PruningOperator for MalformedOp {
         fn kind(&self) -> &'static str {
             "malformed"
         }
@@ -514,41 +481,42 @@ mod tests {
         fn pass_plan(&self) -> PassPlan {
             self.pass_plan
         }
-        fn encode_part(
-            &self,
-            _src: &Tables<'a>,
-            _stream: usize,
-            _part: usize,
-            rows: usize,
-            sink: &mut dyn FnMut(&[u64]),
-        ) {
-            for _ in self.skip..rows {
+        fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+            for _ in self.skip..part.rows() {
                 sink(self.slots);
             }
         }
-        fn complete(&self, _src: &Tables<'a>, _survivors: &[Vec<Encoded>]) -> QueryOutput {
+        fn complete(&self, _src: &Tables<'_>, _survivors: &Survivors) -> QueryOutput {
             QueryOutput::Count(0)
         }
     }
 
-    fn malformed_error(op: &MalformedOp) -> Error {
+    /// `op` over a 10-row partition on both engines: they run the one
+    /// loop, so they must agree — on the refusal, or on the run's output.
+    fn on_both_backends(op: &MalformedOp) -> cheetah_core::Result<QueryOutput> {
         let t = test_table(10, 1);
-        // Both engines run the one loop, so both must refuse the same way.
-        let errs = [ExecBackend::Interpreted, ExecBackend::Compiled].map(|b| {
-            Cluster::default().with_backend(b).execute(op, &Tables::unary(&t)).unwrap_err()
+        let [interp, compiled] = [ExecBackend::Interpreted, ExecBackend::Compiled].map(|b| {
+            let run = Cluster::default().with_backend(b).execute(op, &Tables::unary(&t));
+            run.map(|r| r.output)
         });
-        assert_eq!(errs[0], errs[1]);
-        errs[0].clone()
+        assert_eq!(interp, compiled);
+        interp
+    }
+
+    fn malformed_error(op: &MalformedOp) -> Error {
+        on_both_backends(op).unwrap_err()
     }
 
     #[test]
     fn malformed_operator_yields_typed_error_not_panic() {
         // More value slots than an entry carries.
         let op = MalformedOp { slots: &[1, 2, 3, 4, 5, 6], skip: 0, pass_plan: PassPlan::Single };
-        assert_eq!(
-            malformed_error(&op),
-            Error::ValueSlotOverflow { got: 6, max: Encoded::MAX_SLOTS }
-        );
+        assert_eq!(malformed_error(&op), Error::ValueSlotOverflow { got: 6, max: 4 });
+        // The bound has two sides: five is refused, four runs.
+        let five = MalformedOp { slots: &[1, 2, 3, 4, 5], ..op };
+        assert_eq!(malformed_error(&five), Error::ValueSlotOverflow { got: 5, max: 4 });
+        let four = MalformedOp { slots: &[1, 2, 3, 4], ..op };
+        assert_eq!(on_both_backends(&four), Ok(QueryOutput::Count(0)));
     }
 
     #[test]
@@ -556,6 +524,75 @@ mod tests {
         // The sink is called for `rows − 1` rows of a 10-row partition.
         let op = MalformedOp { slots: &[7], skip: 1, pass_plan: PassPlan::Single };
         assert_eq!(malformed_error(&op), Error::EncodedRowMismatch { rows: 10, encoded: 9 });
+    }
+
+    /// A real operator with its `complete` swapped for a look at what the
+    /// executor hands it: every selection strictly ascending and inside
+    /// its partition, one per partition. Answers the rows it was handed.
+    struct Probe<O>(O);
+
+    impl<O: PruningOperator> PruningOperator for Probe<O> {
+        fn kind(&self) -> &'static str {
+            self.0.kind()
+        }
+        fn spec(&self) -> cheetah_core::Result<QuerySpec> {
+            self.0.spec()
+        }
+        fn streams(&self) -> usize {
+            self.0.streams()
+        }
+        fn pass_plan(&self) -> PassPlan {
+            self.0.pass_plan()
+        }
+        fn encode_part(&self, stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+            self.0.encode_part(stream, part, sink)
+        }
+        fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+            let mut handed = 0;
+            for s in 0..self.streams() {
+                let parts = src.stream(s).unwrap().partitions().len();
+                assert_eq!(survivors.parts(src, s).count(), parts, "one selection per partition");
+                for (part, sel) in survivors.parts(src, s) {
+                    assert!(sel.windows(2).all(|w| w[0] < w[1]), "not ascending: {sel:?}");
+                    assert!(sel.last().is_none_or(|&r| (r as usize) < part.rows()), "out of range");
+                    handed += sel.len() as u64;
+                }
+            }
+            QueryOutput::Count(handed)
+        }
+    }
+
+    #[test]
+    fn survivors_are_ascending_in_range_selections_that_sum_to_the_entries_sent() {
+        let cluster = Cluster::default();
+        let t = test_table(4_000, 4);
+        let tuning = &cluster.tuning;
+
+        // The trait's defaults describe a unary single-pass query…
+        let single = Probe(crate::operators::DistinctOp::new(0, tuning));
+        assert_eq!((single.0.streams(), single.0.flow_id(0)), (1, 0));
+        assert_eq!(single.0.pass_plan(), PassPlan::Single);
+        let run = cluster.execute(&single, &Tables::unary(&t)).unwrap();
+        assert_eq!(run.output, QueryOutput::Count(run.breakdown.entries_to_master));
+        assert_eq!(run.output, QueryOutput::Count(run.switch_stats.forwarded));
+        assert!((50..4_000).contains(&run.breakdown.entries_to_master), "pruned, not emptied");
+
+        // …and JOIN overrides them: two streams on flows 0 and 1. Pass 1's
+        // verdicts build filters; only pass 2's rows are kept.
+        let join = Probe(crate::operators::JoinOp::new(0, 0, tuning));
+        assert_eq!((join.0.streams(), join.0.flow_id(0), join.0.flow_id(1)), (2, 0, 1));
+        assert_eq!(join.0.pass_plan(), PassPlan::BuildThenPrune);
+        let run = cluster.execute(&join, &Tables::binary(&t, &t)).unwrap();
+        assert_eq!(run.output, QueryOutput::Count(run.breakdown.entries_to_master));
+        assert_eq!(run.breakdown.entries_to_master, 8_000, "self-join: every key has a partner");
+
+        // What is kept is the rows of announced keys, not what pass 1
+        // forwarded (one announcement per key).
+        let having = Probe(crate::operators::HavingSumOp::new(0, 1, 50_000, tuning));
+        assert_eq!(having.0.pass_plan(), PassPlan::CandidateKeys { key_slot: 0 });
+        let run = cluster.execute(&having, &Tables::unary(&t)).unwrap();
+        assert_eq!(run.output, QueryOutput::Count(run.breakdown.entries_to_master));
+        assert!(run.breakdown.entries_to_master > run.switch_stats.forwarded);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! the master re-fetches the true column values of the survivors and
 //! normalizes (duplicates from matrix evictions collapse there).
 
-use super::for_each_key;
+use super::{for_each_key, for_each_selected_key, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
-use crate::value::Value;
-use cheetah_core::{DistinctConfig, PruningOperator, QuerySpec};
-use cheetah_net::Encoded;
+use crate::table::Partition;
+use cheetah_core::{DistinctConfig, QuerySpec};
+use std::collections::HashSet;
 
 /// The DISTINCT operator.
 pub struct DistinctOp {
@@ -26,9 +26,7 @@ impl DistinctOp {
     }
 }
 
-impl<'a> PruningOperator<Tables<'a>, Encoded> for DistinctOp {
-    type Output = QueryOutput;
-
+impl PruningOperator for DistinctOp {
     fn kind(&self) -> &'static str {
         "distinct"
     }
@@ -37,26 +35,19 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for DistinctOp {
         Ok(QuerySpec::Distinct(self.cfg))
     }
 
-    fn encode_part(
-        &self,
-        src: &Tables<'a>,
-        stream: usize,
-        part: usize,
-        rows: usize,
-        sink: &mut dyn FnMut(&[u64]),
-    ) {
-        let col = super::stream_part(src, stream, part).column(self.col);
-        for_each_key(self.seed, col, rows, |_, k| sink(&[k]));
+    fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+        for_each_key(self.seed, part.column(self.col), |_, k| sink(&[k]));
     }
 
-    fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
-        let vals: Vec<Value> = survivors[0]
-            .iter()
-            .map(|e| {
-                let (pi, r) = e.id();
-                src.left.partitions()[pi].column(self.col).get(r)
-            })
-            .collect();
-        QueryOutput::values(vals)
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        // Matrix evictions let a key through more than once: dedup on the
+        // borrowed cells, own one `Value` per distinct key.
+        let mut seen: HashSet<KeyRef<'_>> = HashSet::new();
+        for (part, sel) in survivors.parts(src, 0) {
+            for_each_selected_key(part.column(self.col), sel, |_, k| {
+                seen.insert(k);
+            });
+        }
+        QueryOutput::values(seen.into_iter().map(KeyRef::to_value).collect())
     }
 }

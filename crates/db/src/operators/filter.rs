@@ -4,15 +4,14 @@
 //! external atoms (LIKE) are tautology-substituted there and re-checked by
 //! the master, which evaluates the *full* predicate on the survivors.
 
+use super::{PruningOperator, Survivors};
 use crate::executor::Tables;
 use crate::expr::DbPredicate;
 use crate::ops;
 use crate::query::QueryOutput;
+use crate::table::Partition;
 use crate::value::encode_ordered_i64;
-use cheetah_core::{
-    AtomSpec, BoolExpr, CmpOp, ExternalMode, FilterConfig, Predicate, PruningOperator, QuerySpec,
-};
-use cheetah_net::Encoded;
+use cheetah_core::{AtomSpec, BoolExpr, CmpOp, ExternalMode, FilterConfig, Predicate, QuerySpec};
 
 /// The filtering operator: predicate lowering + master-side re-check.
 pub struct FilterOp<'q> {
@@ -30,9 +29,7 @@ impl<'q> FilterOp<'q> {
     }
 }
 
-impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for FilterOp<'q> {
-    type Output = QueryOutput;
-
+impl PruningOperator for FilterOp<'_> {
     fn kind(&self) -> &'static str {
         "filter-count"
     }
@@ -41,21 +38,13 @@ impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for FilterOp<'q> {
         Ok(QuerySpec::Filter(self.cfg.clone()))
     }
 
-    fn encode_part(
-        &self,
-        src: &Tables<'a>,
-        stream: usize,
-        part: usize,
-        rows: usize,
-        sink: &mut dyn FnMut(&[u64]),
-    ) {
+    fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
         // Resolve every referenced column to a raw slice once per
         // partition.
-        let p = super::stream_part(src, stream, part);
         let cols: Vec<&[i64]> =
-            self.slots.iter().map(|&c| p.column(c).as_int().expect("int filter col")).collect();
+            self.slots.iter().map(|&c| part.column(c).as_int().expect("int filter col")).collect();
         let mut slots = vec![0u64; cols.len()];
-        for r in 0..rows {
+        for r in 0..part.rows() {
             for (out, col) in slots.iter_mut().zip(&cols) {
                 *out = encode_ordered_i64(col[r]);
             }
@@ -63,15 +52,14 @@ impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for FilterOp<'q> {
         }
     }
 
-    fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
-        // Master: fetch survivors, evaluate the FULL predicate (including
-        // atoms the switch replaced by tautologies), count.
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        // Master: evaluate the FULL predicate (including atoms the switch
+        // replaced by tautologies) on the survivors, count.
         let mut count = 0u64;
-        for e in &survivors[0] {
-            let (pi, r) = e.id();
-            if ops::eval_predicate(self.pred, &src.left.partitions()[pi], r) {
-                count += 1;
-            }
+        for (part, sel) in survivors.parts(src, 0) {
+            count +=
+                sel.iter().filter(|&&r| ops::eval_predicate(self.pred, part, r as usize)).count()
+                    as u64;
         }
         QueryOutput::Count(count)
     }

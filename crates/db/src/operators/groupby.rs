@@ -4,14 +4,14 @@
 //! their group's maximum; the master re-aggregates the survivors exactly
 //! by true key value (fingerprint collisions only reduce pruning).
 
-use super::{encode_i64_32, for_each_key};
+use super::{
+    encode_i64_32, for_each_key, for_each_selected_key, KeyRef, PruningOperator, Survivors,
+};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
-use crate::table::Column;
-use crate::value::Value;
-use cheetah_core::{AggKind, GroupByConfig, PruningOperator, QuerySpec};
-use cheetah_net::Encoded;
+use crate::table::Partition;
+use cheetah_core::{AggKind, GroupByConfig, QuerySpec};
 use std::collections::HashMap;
 
 /// The GROUP BY (MAX) operator.
@@ -37,9 +37,7 @@ impl GroupByMaxOp {
     }
 }
 
-impl<'a> PruningOperator<Tables<'a>, Encoded> for GroupByMaxOp {
-    type Output = QueryOutput;
-
+impl PruningOperator for GroupByMaxOp {
     fn kind(&self) -> &'static str {
         "groupby-max"
     }
@@ -54,50 +52,23 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for GroupByMaxOp {
         }))
     }
 
-    fn encode_part(
-        &self,
-        src: &Tables<'a>,
-        stream: usize,
-        part: usize,
-        rows: usize,
-        sink: &mut dyn FnMut(&[u64]),
-    ) {
-        let p = super::stream_part(src, stream, part);
-        let vals = p.column(self.val_col).as_int().expect("int agg col");
-        for_each_key(self.seed, p.column(self.key_col), rows, |r, k| {
+    fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+        let vals = part.column(self.val_col).as_int().expect("int agg col");
+        for_each_key(self.seed, part.column(self.key_col), |r, k| {
             sink(&[k, encode_i64_32(vals[r])])
         });
     }
 
-    fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
-        // Aggregate by *borrowed* key — the owned `Value` keys (one clone
-        // per group, not per survivor) only materialize in the final map.
-        let parts = src.left.partitions();
-        match parts.first().map(|p| p.column(self.key_col)) {
-            Some(Column::Str(_)) => {
-                let mut best: HashMap<&str, i64> = HashMap::new();
-                for e in &survivors[0] {
-                    let (pi, r) = e.id();
-                    let p = &parts[pi];
-                    let k = p.column(self.key_col).as_str().expect("str key col")[r].as_str();
-                    let v = p.column(self.val_col).as_int().expect("int agg col")[r];
-                    best.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
-                }
-                QueryOutput::KeyedInts(
-                    best.into_iter().map(|(k, v)| (Value::Str(k.to_string()), v)).collect(),
-                )
-            }
-            _ => {
-                let mut best: HashMap<i64, i64> = HashMap::new();
-                for e in &survivors[0] {
-                    let (pi, r) = e.id();
-                    let p = &parts[pi];
-                    let k = p.column(self.key_col).as_int().expect("int key col")[r];
-                    let v = p.column(self.val_col).as_int().expect("int agg col")[r];
-                    best.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
-                }
-                QueryOutput::KeyedInts(best.into_iter().map(|(k, v)| (Value::Int(k), v)).collect())
-            }
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        // Aggregate by *borrowed* key: the owned `Value` keys — one per
+        // group, not per survivor — only materialize in the final map.
+        let mut best: HashMap<KeyRef<'_>, i64> = HashMap::new();
+        for (part, sel) in survivors.parts(src, 0) {
+            let vals = part.column(self.val_col).as_int().expect("int agg col");
+            for_each_selected_key(part.column(self.key_col), sel, |r, k| {
+                best.entry(k).and_modify(|m| *m = (*m).max(vals[r])).or_insert(vals[r]);
+            });
         }
+        QueryOutput::KeyedInts(best.into_iter().map(|(k, v)| (k.to_value(), v)).collect())
     }
 }

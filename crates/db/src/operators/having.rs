@@ -8,13 +8,12 @@
 //! them exactly by true key value and applies the threshold — sketch
 //! overestimates only add candidates, never wrong sums.
 
-use super::for_each_key;
+use super::{for_each_key, for_each_selected_key, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
-use crate::value::Value;
-use cheetah_core::{planner, HavingAgg, HavingConfig, PassPlan, PruningOperator, QuerySpec};
-use cheetah_net::Encoded;
+use crate::table::Partition;
+use cheetah_core::{planner, HavingAgg, HavingConfig, PassPlan, QuerySpec};
 use std::collections::HashMap;
 
 /// The HAVING-SUM operator.
@@ -34,9 +33,7 @@ impl HavingSumOp {
     }
 }
 
-impl<'a> PruningOperator<Tables<'a>, Encoded> for HavingSumOp {
-    type Output = QueryOutput;
-
+impl PruningOperator for HavingSumOp {
     fn kind(&self) -> &'static str {
         "having-sum"
     }
@@ -70,30 +67,25 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for HavingSumOp {
         PassPlan::CandidateKeys { key_slot: 0 }
     }
 
-    fn encode_part(
-        &self,
-        src: &Tables<'a>,
-        stream: usize,
-        part: usize,
-        rows: usize,
-        sink: &mut dyn FnMut(&[u64]),
-    ) {
-        let p = super::stream_part(src, stream, part);
-        let vals = p.column(self.val_col).as_int().expect("int sum col");
-        for_each_key(self.seed, p.column(self.key_col), rows, |r, k| {
+    fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+        let vals = part.column(self.val_col).as_int().expect("int sum col");
+        for_each_key(self.seed, part.column(self.key_col), |r, k| {
             sink(&[k, vals[r].max(0) as u64])
         });
     }
 
-    fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
-        let mut sums: HashMap<Value, i64> = HashMap::new();
-        for e in &survivors[0] {
-            let (pi, r) = e.id();
-            let p = &src.left.partitions()[pi];
-            let k = p.column(self.key_col).get(r);
-            *sums.entry(k).or_insert(0) += p.column(self.val_col).as_int().expect("int sum col")[r];
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        // Exact sums by true (borrowed) key; an owned `Value` only for the
+        // keys that clear the threshold.
+        let mut sums: HashMap<KeyRef<'_>, i64> = HashMap::new();
+        for (part, sel) in survivors.parts(src, 0) {
+            let vals = part.column(self.val_col).as_int().expect("int sum col");
+            for_each_selected_key(part.column(self.key_col), sel, |r, k| {
+                *sums.entry(k).or_insert(0) += vals[r];
+            });
         }
-        QueryOutput::KeyedInts(sums.into_iter().filter(|(_, s)| *s > self.threshold).collect())
+        let over = sums.into_iter().filter(|(_, s)| *s > self.threshold);
+        QueryOutput::KeyedInts(over.map(|(k, s)| (k.to_value(), s)).collect())
     }
 }
 

@@ -14,14 +14,13 @@
 //! The master runs an exact hash join on the survivors' true key values —
 //! Bloom false positives contribute no pairs.
 
-use super::for_each_key;
+use super::{for_each_key, for_each_selected_key, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
-use crate::ops;
 use crate::query::QueryOutput;
-use crate::value::Value;
-use cheetah_core::{BloomKind, JoinConfig, JoinMode, PassPlan, PruningOperator, QuerySpec};
-use cheetah_net::Encoded;
+use crate::table::Partition;
+use cheetah_core::{BloomKind, JoinConfig, JoinMode, PassPlan, QuerySpec};
+use std::collections::HashMap;
 
 /// The JOIN operator.
 pub struct JoinOp {
@@ -46,19 +45,9 @@ impl JoinOp {
             seed: tuning.seed,
         }
     }
-
-    fn key_col(&self, stream: usize) -> usize {
-        if stream == 0 {
-            self.left_key
-        } else {
-            self.right_key
-        }
-    }
 }
 
-impl<'a> PruningOperator<Tables<'a>, Encoded> for JoinOp {
-    type Output = QueryOutput;
-
+impl PruningOperator for JoinOp {
     fn kind(&self) -> &'static str {
         "join"
     }
@@ -85,33 +74,27 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for JoinOp {
         }
     }
 
-    fn encode_part(
-        &self,
-        src: &Tables<'a>,
-        stream: usize,
-        part: usize,
-        rows: usize,
-        sink: &mut dyn FnMut(&[u64]),
-    ) {
-        let col = super::stream_part(src, stream, part).column(self.key_col(stream));
-        for_each_key(self.seed, col, rows, |_, k| sink(&[k]));
+    fn encode_part(&self, stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+        let key_col = if stream == 0 { self.left_key } else { self.right_key };
+        for_each_key(self.seed, part.column(key_col), |_, k| sink(&[k]));
     }
 
-    fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
-        // Master: exact hash join on the survivors' true key values —
-        // Bloom false positives contribute no pairs.
-        let keys_of = |stream: usize| -> Vec<Value> {
-            survivors[stream]
-                .iter()
-                .map(|e| {
-                    let (pi, r) = e.id();
-                    super::stream_part(src, stream, pi).column(self.key_col(stream)).get(r)
-                })
-                .collect()
-        };
-        let lkeys = keys_of(0);
-        let rkeys = keys_of(1);
-        QueryOutput::JoinPairs(ops::hash_join_pairs(&lkeys, &rkeys))
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        // One build over the left survivors' true keys, one probe per right
+        // survivor: a Bloom false positive finds no partner, so adds no pair.
+        let mut build: HashMap<KeyRef<'_>, u64> = HashMap::new();
+        for (part, sel) in survivors.parts(src, 0) {
+            for_each_selected_key(part.column(self.left_key), sel, |_, k| {
+                *build.entry(k).or_insert(0) += 1;
+            });
+        }
+        let mut pairs = 0u64;
+        for (part, sel) in survivors.parts(src, 1) {
+            for_each_selected_key(part.column(self.right_key), sel, |_, k| {
+                pairs += build.get(&k).copied().unwrap_or(0);
+            });
+        }
+        QueryOutput::JoinPairs(pairs)
     }
 }
 

@@ -4,13 +4,13 @@
 //! entries not dominated by them; the master runs the exact pairwise
 //! dominance check on the survivors' true coordinates.
 
-use super::encode_i64_32;
+use super::{encode_i64_32, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::ops;
 use crate::query::QueryOutput;
-use cheetah_core::{PruningOperator, QuerySpec, SkylineConfig, SkylinePolicy};
-use cheetah_net::Encoded;
+use crate::table::Partition;
+use cheetah_core::{QuerySpec, SkylineConfig, SkylinePolicy};
 
 /// The SKYLINE operator.
 pub struct SkylineOp<'q> {
@@ -24,11 +24,15 @@ impl<'q> SkylineOp<'q> {
     pub fn new(cols: &'q [usize], tuning: &CheetahTuning) -> Self {
         Self { cols, points: tuning.skyline_points, policy: tuning.skyline_policy }
     }
+
+    /// Every dimension column of `part` as a raw slice, resolved once per
+    /// partition.
+    fn dims<'t>(&self, part: &'t Partition) -> Vec<&'t [i64]> {
+        self.cols.iter().map(|&c| part.column(c).as_int().expect("int skyline col")).collect()
+    }
 }
 
-impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for SkylineOp<'q> {
-    type Output = QueryOutput;
-
+impl PruningOperator for SkylineOp<'_> {
     fn kind(&self) -> &'static str {
         "skyline"
     }
@@ -42,40 +46,23 @@ impl<'a, 'q> PruningOperator<Tables<'a>, Encoded> for SkylineOp<'q> {
         }))
     }
 
-    fn encode_part(
-        &self,
-        src: &Tables<'a>,
-        stream: usize,
-        part: usize,
-        rows: usize,
-        sink: &mut dyn FnMut(&[u64]),
-    ) {
-        // Resolve every dimension column to a raw slice once per
-        // partition.
-        let p = super::stream_part(src, stream, part);
-        let cols: Vec<&[i64]> =
-            self.cols.iter().map(|&c| p.column(c).as_int().expect("int skyline col")).collect();
-        let mut slots = vec![0u64; cols.len()];
-        for r in 0..rows {
-            for (out, col) in slots.iter_mut().zip(&cols) {
-                *out = encode_i64_32(col[r]);
+    fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+        let dims = self.dims(part);
+        let mut slots = vec![0u64; dims.len()];
+        for r in 0..part.rows() {
+            for (out, dim) in slots.iter_mut().zip(&dims) {
+                *out = encode_i64_32(dim[r]);
             }
             sink(&slots);
         }
     }
 
-    fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
-        let pts: Vec<Vec<i64>> = survivors[0]
-            .iter()
-            .map(|e| {
-                let (pi, r) = e.id();
-                let p = &src.left.partitions()[pi];
-                self.cols
-                    .iter()
-                    .map(|&c| p.column(c).as_int().expect("int skyline col")[r])
-                    .collect()
-            })
-            .collect();
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        let mut pts: Vec<Vec<i64>> = Vec::with_capacity(survivors.count() as usize);
+        for (part, sel) in survivors.parts(src, 0) {
+            let dims = self.dims(part);
+            pts.extend(sel.iter().map(|&r| dims.iter().map(|dim| dim[r as usize]).collect()));
+        }
         QueryOutput::points(ops::skyline_of(&pts))
     }
 }

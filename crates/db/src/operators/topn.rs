@@ -4,13 +4,13 @@
 //! be in the top N; the master merges the survivors' true order values
 //! into the exact answer.
 
-use super::encode_i64_32;
+use super::{encode_i64_32, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::ops;
 use crate::query::QueryOutput;
-use cheetah_core::{PruningOperator, QuerySpec, TopNRandConfig};
-use cheetah_net::Encoded;
+use crate::table::Partition;
+use cheetah_core::{QuerySpec, TopNRandConfig};
 
 /// The randomized TOP-N operator.
 pub struct TopNOp {
@@ -26,9 +26,7 @@ impl TopNOp {
     }
 }
 
-impl<'a> PruningOperator<Tables<'a>, Encoded> for TopNOp {
-    type Output = QueryOutput;
-
+impl PruningOperator for TopNOp {
     fn kind(&self) -> &'static str {
         "topn"
     }
@@ -37,29 +35,18 @@ impl<'a> PruningOperator<Tables<'a>, Encoded> for TopNOp {
         Ok(QuerySpec::TopNRand(self.cfg))
     }
 
-    fn encode_part(
-        &self,
-        src: &Tables<'a>,
-        stream: usize,
-        part: usize,
-        rows: usize,
-        sink: &mut dyn FnMut(&[u64]),
-    ) {
-        let p = super::stream_part(src, stream, part);
-        let vals = p.column(self.col).as_int().expect("int order col");
-        for &v in &vals[..rows] {
+    fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
+        for &v in part.column(self.col).as_int().expect("int order col") {
             sink(&[encode_i64_32(v)]);
         }
     }
 
-    fn complete(&self, src: &Tables<'a>, survivors: &[Vec<Encoded>]) -> QueryOutput {
-        let vals: Vec<i64> = survivors[0]
-            .iter()
-            .map(|e| {
-                let (pi, r) = e.id();
-                src.left.partitions()[pi].column(self.col).as_int().expect("int order col")[r]
-            })
-            .collect();
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        let mut vals: Vec<i64> = Vec::with_capacity(survivors.count() as usize);
+        for (part, sel) in survivors.parts(src, 0) {
+            let col = part.column(self.col).as_int().expect("int order col");
+            vals.extend(sel.iter().map(|&r| col[r as usize]));
+        }
         QueryOutput::top_values(ops::merge_topn(vec![vals], self.n))
     }
 }

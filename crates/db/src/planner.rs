@@ -32,11 +32,10 @@
 
 use crate::engine::Cluster;
 use crate::executor::Tables;
-use crate::operators::encode_key;
+use crate::operators::for_each_key;
 use crate::query::DbQuery;
 use crate::sharded::ShardSpec;
-use crate::table::{Partition, Table, TableBuilder};
-use crate::value::encode_ordered_i64;
+use crate::table::{Table, TableBuilder};
 use cheetah_core::plan::{
     fit_boundaries, max_load_fraction, KeySampler, PlanReport, ShardCostPoint, ShardPlan,
 };
@@ -478,50 +477,34 @@ struct PartitionerChoice {
 // route by" (the sharded layer and the planner both consume it).
 // ---------------------------------------------------------------------
 
-/// The routing key of row `row` of `part` for query `q` on `stream`.
+/// Every row's routing key for stream `stream`, in row order.
 ///
 /// Keyed queries route by their group/join key so each key lives on one
-/// shard (exact key-union and co-partitioned-join merges); TOP N routes by
-/// the order column (order-preserving encoding, so range sharding splits
-/// the value space); scans and skylines route by a row-id hash (pure load
-/// balance — their merges are routing-agnostic).
-fn route_key(
-    q: &DbQuery,
-    seed: u64,
-    stream: usize,
-    part: &Partition,
-    row: usize,
-    global_row: u64,
-) -> u64 {
-    match q {
-        DbQuery::FilterCount { .. } | DbQuery::Skyline { .. } => mix64(global_row ^ seed),
-        DbQuery::Distinct { col } => encode_key(seed, &part.column(*col).get(row)),
-        DbQuery::TopN { order_col, .. } => {
-            encode_ordered_i64(part.column(*order_col).as_int().expect("int order col")[row])
-        }
-        DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => {
-            encode_key(seed, &part.column(*key_col).get(row))
-        }
-        DbQuery::Join { left_key, right_key } => {
-            let col = if stream == 0 { *left_key } else { *right_key };
-            encode_key(seed, &part.column(col).get(row))
-        }
-    }
-}
-
-/// Every row's routing key for stream `stream`, in row order.
+/// shard (exact key-union and co-partitioned-join merges) — the key the
+/// operator encodes for the switch, so routing shares the operator's walk
+/// (`for_each_key`: one Int/Str dispatch per partition, strings hashed
+/// in place). TOP N routes by the order column through the same walk's
+/// order-preserving int arm, so range sharding splits the value space.
+/// Scans and skylines route by a row-id hash (pure load balance — their
+/// merges are routing-agnostic).
 ///
 /// Public because the plan constructor in `cheetah-runtime` and the
 /// planner here must route and sample by the *same* keys for the
 /// per-operator merge semantics to hold.
 pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec<u64> {
-    let mut keys = Vec::with_capacity(table.rows());
-    let mut global_row = 0u64;
-    for p in table.partitions() {
-        for r in 0..p.rows() {
-            keys.push(route_key(q, seed, stream, p, r, global_row));
-            global_row += 1;
+    let col = match q {
+        DbQuery::FilterCount { .. } | DbQuery::Skyline { .. } => {
+            return (0..table.rows() as u64).map(|row| mix64(row ^ seed)).collect();
         }
+        DbQuery::Distinct { col } => *col,
+        DbQuery::TopN { order_col, .. } => *order_col,
+        DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => *key_col,
+        DbQuery::Join { left_key, .. } if stream == 0 => *left_key,
+        DbQuery::Join { right_key, .. } => *right_key,
+    };
+    let mut keys = Vec::with_capacity(table.rows());
+    for p in table.partitions() {
+        for_each_key(seed, p.column(col), |_, k| keys.push(k));
     }
     keys
 }

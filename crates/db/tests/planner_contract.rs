@@ -14,16 +14,22 @@
 //!    [`ShardPlan`] (reservoir sampling must not smuggle in
 //!    nondeterminism), including the degenerate edges: empty table,
 //!    table smaller than the sample, all-equal keys ⇒ 1 shard.
+//! 4. **Routing keys** — the keys every layout is sampled and split by
+//!    are a golden: the switch encoding of the query's key column, or a
+//!    row-id hash. A key that moves re-routes rows; that is a finding,
+//!    not a golden to refresh.
 
 mod common;
 
 use common::{all_seven, run_barrier};
 
+use cheetah_db::value::encode_ordered_i64;
 use cheetah_db::{
-    Cluster, DataType, DbQuery, PlannerConfig, ShardPartitioner, ShardPlanner, Table, TableBuilder,
-    Tables, Value,
+    routing_keys, Cluster, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPartitioner,
+    ShardPlanner, Table, TableBuilder, Tables, Value,
 };
 use cheetah_runtime::{ExecRun, ShardLayout};
+use cheetah_switch::{hash::mix64, HashFn};
 use cheetah_workloads::PlannerAdversary;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -273,4 +279,38 @@ fn skew_flips_the_partitioner_choice() {
             r.hash_sample_load
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Routing keys
+// ---------------------------------------------------------------------
+
+#[test]
+fn routing_keys_are_the_switch_encoding_of_the_key_column_or_a_row_id_hash() {
+    // Three rows cut 2 + 1, so the row-id hash must count across
+    // partitions.
+    let fields = vec![("name".into(), DataType::Str), ("n".into(), DataType::Int)];
+    let mut b = TableBuilder::new("t", fields, 2);
+    for (name, n) in [("pizza", 7), ("jello", -3), ("fries", i64::MIN)] {
+        b.push_row(vec![Value::Str(name.into()), Value::Int(n)]);
+    }
+    let t = b.build();
+    assert_eq!(t.partitions().len(), 2);
+
+    let seed = 0xC43E7A;
+    let fingerprint = |s: &str| HashFn::from_seed(seed).hash_bytes(s.as_bytes()) >> 1;
+    let names = vec![fingerprint("pizza"), fingerprint("jello"), fingerprint("fries")];
+    let ints = vec![encode_ordered_i64(7), encode_ordered_i64(-3), encode_ordered_i64(i64::MIN)];
+    assert_eq!(ints[2], 0, "the order-preserving encoding starts at i64::MIN");
+
+    assert_eq!(routing_keys(&DbQuery::TopN { order_col: 1, n: 2 }, 0, &t, seed), ints);
+    assert_eq!(routing_keys(&DbQuery::Distinct { col: 0 }, 0, &t, seed), names);
+    let join = DbQuery::Join { left_key: 0, right_key: 1 };
+    assert_eq!(routing_keys(&join, 0, &t, seed), names);
+    assert_eq!(routing_keys(&join, 1, &t, seed), ints);
+    let pred = DbPredicate::CmpInt { col: 1, op: IntCmp::Lt, lit: 0 };
+    assert_eq!(
+        routing_keys(&DbQuery::FilterCount { pred }, 0, &t, seed),
+        vec![mix64(seed), mix64(1 ^ seed), mix64(2 ^ seed)]
+    );
 }

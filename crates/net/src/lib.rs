@@ -25,9 +25,10 @@
 //! * [`checker`] — a dslab-mp-style bounded model checker that
 //!   exhaustively enumerates delivery schedules (orders, drops,
 //!   duplicates) of small frame sets for the merge-plane contract gate;
-//! * [`model`] — byte-level transfer accounting for the query engine: the
-//!   serialized entry ([`Encoded`]), its modelled wire size, and the
-//!   phase/transfer breakdown with the Figure 8 completion model;
+//! * [`model`] — byte-level transfer accounting for the query engine: an
+//!   entry-packet's modelled wire size and value-slot budget
+//!   ([`MAX_ENTRY_SLOTS`]), and the phase/transfer breakdown with the
+//!   Figure 8 completion model;
 //! * [`ingest`] — the Figure 9 master-ingest queueing model, including
 //!   §4.6's shard fan-in (concurrent survivor streams sharing the master
 //!   downlink);
@@ -58,7 +59,7 @@ pub use channel::{Arrival, FaultProfile, Link, SimRng, SimTime};
 pub use checker::{explore, CheckerConfig, Delivery, DeliveryKind, ExploreStats};
 pub use fabric::{bdp_window, FabricSim};
 pub use ingest::MasterIngestModel;
-pub use model::{Encoded, ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES};
+pub use model::{ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES, MAX_ENTRY_SLOTS};
 pub use rack::{RackConfig, RackReport};
 pub use reliability::{MasterFlow, SwitchAction, SwitchFlow, WorkerFlow};
 pub use stream::{emit_batch, FrameBuilder, SurvivorBatch, MAX_BATCH_ITEMS};

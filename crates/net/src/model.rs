@@ -6,68 +6,24 @@
 //! and link models, because the wire layer is what defines how many bytes
 //! an entry costs and how links bound a transfer:
 //!
-//! * [`Encoded`] — one serialized entry (the CWorker output of §7.1): the
-//!   entry id plus up to [`Encoded::MAX_SLOTS`] packet value slots;
+//! * [`MAX_ENTRY_SLOTS`] — the packet value slots one serialized entry
+//!   (the CWorker output of §7.1) may carry beside its entry id;
 //! * [`ENTRY_WIRE_BYTES`] — the modelled wire size of one entry-packet;
 //! * [`ExecBreakdown`] — per-phase timings and byte counts of one
 //!   execution, with the link-rate completion model of Figure 8.
 
-use cheetah_core::{Error, PacketEntry, PlanDecision};
+use cheetah_core::PlanDecision;
 
 /// Wire size of one Cheetah entry-packet (Ethernet + IP + UDP + Cheetah
 /// header + values). Chosen so a 10G link carries ~10 M entries/s, the
 /// rate §7.1 reports.
 pub const ENTRY_WIRE_BYTES: u64 = 125;
 
-/// One serialized entry: its id (partition, row) plus the queried values.
-///
-/// The value-slot budget is [`Encoded::MAX_SLOTS`] — the PHV room the
-/// fixed Cheetah entry header affords, deliberately tighter than the wire
-/// format's hard cap ([`MAX_VALUES`](crate::wire::MAX_VALUES)).
-#[derive(Debug, Clone, Copy)]
-pub struct Encoded {
-    part: u32,
-    row: u32,
-    vals: [u64; Encoded::MAX_SLOTS],
-    n: u8,
-}
-
-impl Encoded {
-    /// How many packet value slots an encoded entry may use.
-    pub const MAX_SLOTS: usize = 4;
-
-    /// Build an entry. An operator that encodes more than
-    /// [`Encoded::MAX_SLOTS`] values gets a typed
-    /// [`Error::ValueSlotOverflow`] — never a panic.
-    pub fn new(part: usize, row: usize, vals: &[u64]) -> cheetah_core::Result<Self> {
-        if vals.len() > Self::MAX_SLOTS {
-            return Err(Error::ValueSlotOverflow { got: vals.len(), max: Self::MAX_SLOTS });
-        }
-        let mut a = [0u64; Self::MAX_SLOTS];
-        a[..vals.len()].copy_from_slice(vals);
-        Ok(Self { part: part as u32, row: row as u32, vals: a, n: vals.len() as u8 })
-    }
-
-    /// The value slots.
-    pub fn values(&self) -> &[u64] {
-        &self.vals[..self.n as usize]
-    }
-
-    /// Entry id as (partition, row).
-    pub fn id(&self) -> (usize, usize) {
-        (self.part as usize, self.row as usize)
-    }
-}
-
-impl PacketEntry for Encoded {
-    fn id(&self) -> (usize, usize) {
-        Encoded::id(self)
-    }
-
-    fn values(&self) -> &[u64] {
-        Encoded::values(self)
-    }
-}
+/// How many packet value slots one entry may use — the PHV room the fixed
+/// Cheetah entry header affords, deliberately tighter than the wire
+/// format's hard cap ([`MAX_VALUES`](crate::wire::MAX_VALUES)). An
+/// operator that encodes more is refused with a typed `ValueSlotOverflow`.
+pub const MAX_ENTRY_SLOTS: usize = 4;
 
 /// Which pruning backend executed a run's switch program.
 ///
@@ -207,30 +163,6 @@ impl ExecBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encoded_round_trips_id_and_values() {
-        let e = Encoded::new(3, 17, &[5, 6]).unwrap();
-        assert_eq!(e.id(), (3, 17));
-        assert_eq!(e.values(), &[5, 6]);
-        let empty = Encoded::new(0, 0, &[]).unwrap();
-        assert_eq!(empty.values(), &[] as &[u64]);
-    }
-
-    #[test]
-    fn slot_overflow_is_a_typed_error_not_a_panic() {
-        let err = Encoded::new(0, 0, &[1, 2, 3, 4, 5]).unwrap_err();
-        assert_eq!(err, Error::ValueSlotOverflow { got: 5, max: Encoded::MAX_SLOTS });
-        // The boundary itself is fine.
-        assert!(Encoded::new(0, 0, &[1, 2, 3, 4]).is_ok());
-    }
-
-    #[test]
-    fn packet_entry_trait_matches_inherent_accessors() {
-        let e = Encoded::new(1, 2, &[9]).unwrap();
-        assert_eq!(PacketEntry::id(&e), (1, 2));
-        assert_eq!(PacketEntry::values(&e), &[9]);
-    }
 
     #[test]
     fn breakdown_completion_is_additive() {

@@ -29,7 +29,7 @@
 //! * [`serve`] — the multi-tenant serving plane: the
 //!   [`QueryRequest`](serve::QueryRequest)/[`Session`](serve::Session)
 //!   front door with admission control, per-tenant fair scheduling, a
-//!   plan cache, and bandit routing over the execution paths;
+//!   plan cache, and a pinnable (transport × backend) execution grid;
 //! * [`telemetry`] — lock-light always-on observability: a metrics
 //!   registry (atomic counters/gauges, log-bucketed histograms) and
 //!   per-query lifecycle span traces, carried through the session, the
