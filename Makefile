@@ -70,8 +70,11 @@ compiled-gate:
 # The named CI gate: serving-plane contract — concurrent multi-tenant
 # requests through the Session front door bit-identical to sequential
 # baselines, no starvation under a flooding co-tenant, typed
-# Error::Overloaded past the in-flight bound, and plan-cache reuse that
-# never changes results.
+# Error::Overloaded past the in-flight bound, the layout lifecycle of a
+# repeated shape (first sight runs the tables whole, second sight plans
+# and routes, later ones hit the plan cache) never changing results, and
+# a right table attached to a unary query ignored by every key,
+# fingerprint and cost.
 serving-gate:
 	cargo test -q -p cheetah-db --test serving_contract
 
@@ -91,8 +94,11 @@ fabric-gate:
 # the Session yields a complete lifecycle span tree (admit/queue/plan/
 # choose/execute{worker per shard, merge}/respond), the registry's
 # totals reconcile with SessionStats and the returned ExecBreakdowns,
-# and a traced faulty-channel run attributes its go-back-N resends to
-# the owning registry, equal to the breakdown's count.
+# the layout policy reads off the trees (first sight: no route span, one
+# worker; second sight: route + one worker per planned shard; third:
+# neither route nor planner; a pinned shard count routes at first
+# sight), and a traced faulty-channel run attributes its go-back-N
+# resends to the owning registry, equal to the breakdown's count.
 telemetry-gate:
 	cargo test -q -p cheetah-db --test telemetry_contract
 

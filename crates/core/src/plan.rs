@@ -17,7 +17,9 @@
 //!   over the *whole* stream, not just the sample;
 //! * [`KeySampler`] / [`KeyStats`] — one pass over the routing keys
 //!   producing the sampled quantiles, the distinct estimate, and the
-//!   top-key mass (the skew signal);
+//!   top-key mass (the skew signal). Long streams are read through a
+//!   bounded stride ([`KeySampler::offer_strided`]): the one sampler the
+//!   planner, its precomputed-keys twin and the mid-run supervisor share;
 //! * [`fit_boundaries`] — fitted range cut points from the sampled
 //!   quantiles, consumed by [`Sharder::fitted_range`];
 //! * [`max_load_fraction`] — evaluate a candidate sharder's worst shard
@@ -105,10 +107,15 @@ impl DistinctSketch {
     /// Observe one key.
     pub fn offer(&mut self, key: u64) {
         let h = mix64(key ^ 0xD15_71C7);
-        self.mins.insert(h);
-        if self.mins.len() > self.k {
-            let last = *self.mins.iter().next_back().expect("non-empty");
-            self.mins.remove(&last);
+        if self.mins.len() < self.k {
+            self.mins.insert(h);
+            return;
+        }
+        // Full: a hash at or above the k-th minimum cannot enter the
+        // sketch, so the tree is not touched for it.
+        let kth = *self.mins.last().expect("k >= 2 entries");
+        if h < kth && self.mins.insert(h) {
+            self.mins.remove(&kth);
         }
     }
 
@@ -130,11 +137,19 @@ impl DistinctSketch {
 pub struct KeySampler {
     reservoir: Reservoir,
     sketch: DistinctSketch,
+    /// Keys the sampled streams carried — every one of them, read or not.
+    rows: u64,
 }
 
 /// Default distinct-sketch size — enough for a ±10 % estimate, tiny next
 /// to any real table.
 pub const DEFAULT_SKETCH_K: usize = 256;
+
+/// Keys one [`KeySampler::offer_strided`] pass reads per reservoir slot,
+/// at most. A 1 024-key reservoir is as well filled from 16 384 evenly
+/// spaced keys as from 900 000, and the pass costs a tree probe and a
+/// `mix64` per key read.
+pub const STRIDE_READS_PER_SLOT: usize = 16;
 
 impl KeySampler {
     /// A sampler with a `sample_size` reservoir and the default sketch.
@@ -142,24 +157,54 @@ impl KeySampler {
         Self {
             reservoir: Reservoir::new(sample_size, seed),
             sketch: DistinctSketch::new(DEFAULT_SKETCH_K),
+            rows: 0,
         }
     }
 
     /// Observe one routing key.
     pub fn offer(&mut self, key: u64) {
+        self.rows += 1;
+        self.read(key);
+    }
+
+    fn read(&mut self, key: u64) {
         self.reservoir.offer(key);
         self.sketch.offer(key);
     }
 
+    /// Observe key streams of `lens` keys through a bounded strided
+    /// sample: the streams are read as one concatenation, every
+    /// `stride`-th key of it, with the stride the smallest that keeps the
+    /// keys read within [`STRIDE_READS_PER_SLOT`] × the reservoir's
+    /// capacity — so a pass at or under that bound reads every key, in
+    /// order, exactly like [`offer`](Self::offer) per key. `key_at(stream,
+    /// row)` is asked only for the keys read, with `row` ascending within
+    /// each stream; the row count stays exact (the sum of `lens`).
+    pub fn offer_strided(&mut self, lens: &[usize], mut key_at: impl FnMut(usize, usize) -> u64) {
+        let total: usize = lens.iter().sum();
+        let bound = self.reservoir.capacity.saturating_mul(STRIDE_READS_PER_SLOT);
+        let stride = total.div_ceil(bound).max(1);
+        // `at`: position of the next key to read, relative to the start
+        // of the current stream.
+        let mut at = 0;
+        for (stream, &len) in lens.iter().enumerate() {
+            while at < len {
+                self.read(key_at(stream, at));
+                at += stride;
+            }
+            at -= len;
+        }
+        self.rows += total as u64;
+    }
+
     /// Finish the pass: sorted sample + estimates.
     pub fn finish(self) -> KeyStats {
-        let rows = self.reservoir.seen();
-        let mut sample = self.reservoir.sample.clone();
+        let mut sample = self.reservoir.sample;
         sample.sort_unstable();
         let top_key_mass = longest_equal_run(&sample) as f64 / sample.len().max(1) as f64;
         KeyStats {
-            rows,
-            distinct_estimate: self.sketch.estimate().min(rows as f64),
+            rows: self.rows,
+            distinct_estimate: self.sketch.estimate().min(self.rows as f64),
             top_key_mass,
             sample,
         }
@@ -171,7 +216,9 @@ impl KeySampler {
 pub struct KeyStats {
     /// Rows (keys) the stream carried, exactly.
     pub rows: u64,
-    /// Estimated distinct routing keys (KMV; exact for small domains).
+    /// Estimated distinct routing keys among the keys *read* (KMV; exact
+    /// for small domains): the stream's own distinct count when every key
+    /// was read, a lower bound on it after a strided pass.
     pub distinct_estimate: f64,
     /// Fraction of the sample occupied by its most frequent key — the
     /// skew signal. `1.0` means every sampled key is equal.
@@ -285,11 +332,13 @@ impl ShardCostPoint {
 /// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanReport {
-    /// Rows the sampler saw (both streams of a binary query).
+    /// Rows of the sampled streams (both streams of a binary query),
+    /// exactly — read by the sampler or not.
     pub rows: u64,
     /// Reservoir sample size actually held.
     pub sample_len: usize,
-    /// KMV distinct-key estimate.
+    /// KMV distinct-key estimate over the keys the sampler read
+    /// ([`KeyStats::distinct_estimate`]).
     pub distinct_estimate: f64,
     /// Hottest sampled key's share of the sample.
     pub top_key_mass: f64,
@@ -411,6 +460,71 @@ mod tests {
         assert!(stats.top_key_mass > 0.45 && stats.top_key_mass < 0.75, "{}", stats.top_key_mass);
         assert!(stats.distinct_estimate > 1_000.0, "{}", stats.distinct_estimate);
         assert!(!stats.all_keys_equal());
+    }
+
+    #[test]
+    fn sampler_and_sketch_answer_exactly_as_before_the_fast_reject() {
+        // 100 000 keys over a 50 000-key domain: the values the sketch
+        // (insert-then-evict per key) and the sampler (cloned reservoir)
+        // produced before `offer` learnt to reject without touching the
+        // tree and `finish` to take the reservoir — bit for bit.
+        let keys = || (0..100_000u64).map(|i| mix64(i) % 50_000);
+        let mut sketch = DistinctSketch::new(DEFAULT_SKETCH_K);
+        let mut sampler = KeySampler::new(1024, 7);
+        for k in keys() {
+            sketch.offer(k);
+            sampler.offer(k);
+        }
+        assert_eq!(sketch.estimate().to_bits(), 0x40e4_8563_9a88_aa14, "{}", sketch.estimate());
+        let stats = sampler.finish();
+        assert_eq!(stats.rows, 100_000);
+        assert_eq!(stats.distinct_estimate.to_bits(), 0x40e4_8563_9a88_aa14);
+        assert_eq!(stats.top_key_mass.to_bits(), 0x3f60_0000_0000_0000);
+        assert_eq!(stats.sample.len(), 1024);
+        assert_eq!((stats.sample[0], stats.sample[512], stats.sample[1023]), (51, 25_565, 49_991));
+        let checksum = stats.sample.iter().fold(0u64, |acc, &k| mix64(acc ^ k));
+        assert_eq!(checksum, 0x2718_b1a2_dcdf_ac67);
+    }
+
+    #[test]
+    fn a_strided_pass_at_or_under_the_bound_is_the_per_key_pass() {
+        let streams: [Vec<u64>; 2] =
+            [(0..5_000u64).map(mix64).collect(), (0..3_192u64).map(|i| i % 97).collect()];
+        let lens = [streams[0].len(), streams[1].len()];
+        let mut per_key = KeySampler::new(512, 9);
+        streams.iter().flatten().for_each(|&k| per_key.offer(k));
+        let mut strided = KeySampler::new(512, 9);
+        strided.offer_strided(&lens, |s, r| streams[s][r]);
+        assert_eq!(lens.iter().sum::<usize>(), 512 * STRIDE_READS_PER_SLOT, "exactly at the bound");
+        assert_eq!(strided.finish(), per_key.finish());
+    }
+
+    #[test]
+    fn a_strided_pass_over_the_bound_reads_evenly_and_counts_every_row() {
+        // 100 000 + 60 001 keys into a 64-slot reservoir: bound 1 024,
+        // stride 157, read as one concatenation.
+        let lens = [100_000usize, 60_001];
+        let mut read: Vec<(usize, usize)> = Vec::new();
+        let mut s = KeySampler::new(64, 3);
+        s.offer_strided(&lens, |stream, row| {
+            read.push((stream, row));
+            (stream * lens[0] + row) as u64
+        });
+        let stride = 160_001usize.div_ceil(64 * STRIDE_READS_PER_SLOT);
+        assert_eq!(read.len(), 160_001usize.div_ceil(stride));
+        assert!(read.len() <= 64 * STRIDE_READS_PER_SLOT);
+        let positions: Vec<usize> = read.iter().map(|&(s, r)| s * lens[0] + r).collect();
+        assert!(positions.iter().enumerate().all(|(i, &p)| p == i * stride), "evenly spaced");
+        assert!(read.iter().any(|&(s, _)| s == 1), "the second stream is sampled too");
+        let stats = s.finish();
+        assert_eq!(stats.rows, 160_001, "rows are the streams', not the keys read");
+        assert_eq!(stats.sample.len(), 64);
+        // Every key read was distinct, and only those are counted.
+        assert!((stats.distinct_estimate - read.len() as f64).abs() / (read.len() as f64) < 0.25);
+        // No streams, or empty ones, read nothing.
+        let mut none = KeySampler::new(64, 3);
+        none.offer_strided(&[0, 0], |_, _| unreachable!("nothing to read"));
+        assert_eq!(none.finish().rows, 0);
     }
 
     #[test]

@@ -131,6 +131,24 @@ impl DbPredicate {
         }
     }
 
+    /// The same predicate over a table that carries only columns `cols`
+    /// (ascending, covering [`columns`](Self::columns)), in that order:
+    /// every column index becomes its position in `cols`. Positions
+    /// ascend with the indices, so the switch sees the same packet slots.
+    pub fn remapped(&self, cols: &[usize]) -> DbPredicate {
+        let at = |col: &usize| cols.binary_search(col).expect("a column the projection carries");
+        match self {
+            DbPredicate::CmpInt { col, op, lit } => {
+                DbPredicate::CmpInt { col: at(col), op: *op, lit: *lit }
+            }
+            DbPredicate::Like { col, pattern } => {
+                DbPredicate::Like { col: at(col), pattern: pattern.clone() }
+            }
+            DbPredicate::And(xs) => DbPredicate::And(xs.iter().map(|x| x.remapped(cols)).collect()),
+            DbPredicate::Or(xs) => DbPredicate::Or(xs.iter().map(|x| x.remapped(cols)).collect()),
+        }
+    }
+
     /// Does the predicate contain any non-switch-evaluable atom?
     pub fn has_external_atoms(&self) -> bool {
         match self {
@@ -212,6 +230,7 @@ mod tests {
         ]);
         assert_eq!(p.columns(), vec![0, 1, 2]);
         assert!(p.has_external_atoms());
+        assert_eq!(p.remapped(&[0, 1, 2]), p, "a full-width projection moves nothing");
         let q = DbPredicate::CmpInt { col: 0, op: IntCmp::Lt, lit: 10 };
         assert!(!q.has_external_atoms());
     }

@@ -206,10 +206,24 @@ pub(crate) fn for_each_key(seed: u64, col: &Column, mut f: impl FnMut(usize, u64
         Column::Str(v) => {
             let h = HashFn::from_seed(seed);
             for (r, s) in v.iter().enumerate() {
-                f(r, h.hash_bytes(s.as_bytes()) >> 1);
+                f(r, str_key(&h, s));
             }
         }
     }
+}
+
+/// [`for_each_key`]'s key for the one cell at `row` — for the planner's
+/// strided sample, which reads a few thousand cells of a column, not all.
+pub(crate) fn key_at(seed: u64, col: &Column, row: usize) -> u64 {
+    match col {
+        Column::Int(v) => encode_ordered_i64(v[row]),
+        Column::Str(v) => str_key(&HashFn::from_seed(seed), &v[row]),
+    }
+}
+
+#[inline]
+fn str_key(h: &HashFn, s: &str) -> u64 {
+    h.hash_bytes(s.as_bytes()) >> 1
 }
 
 /// Clamped order-preserving 32-bit encoding for aggregate/order columns

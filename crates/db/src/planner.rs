@@ -10,9 +10,18 @@
 //! key extraction lives *here*, in one place, and the plan constructor in
 //! `cheetah-runtime` consumes it):
 //!
-//! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over every
-//!    stream's routing keys, plus a KMV distinct sketch and the top-key
-//!    mass.
+//! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over a bounded
+//!    strided sample of every stream's routing keys
+//!    ([`KeySampler::offer_strided`]: at most 16 keys read per reservoir
+//!    slot, extracted at the sampled rows only, so a plan costs the same
+//!    on 200 k rows as on 16 k; a request at or under the bound reads
+//!    every key), plus a KMV distinct sketch and the top-key mass. Row
+//!    counts stay exact; `distinct_estimate` counts the distinct keys
+//!    *among those read* — the table's own count under the bound, a lower
+//!    bound on it above. It only stands in for the survivor volume until
+//!    one is measured: the serving plane runs a shape once before it plans
+//!    it, and hands the planner that run's count
+//!    ([`PlannerConfig::survivor_hint`]).
 //! 2. **Choose the shard count** — walk the
 //!    [`MasterIngestModel::planning_latency`] fan-in curve: each
 //!    candidate count is charged the hottest shard's share of the rows
@@ -32,12 +41,12 @@
 
 use crate::engine::Cluster;
 use crate::executor::Tables;
-use crate::operators::for_each_key;
+use crate::operators::{for_each_key, key_at};
 use crate::query::DbQuery;
 use crate::sharded::ShardSpec;
-use crate::table::{Table, TableBuilder};
+use crate::table::{Partition, Table, TableBuilder};
 use cheetah_core::plan::{
-    fit_boundaries, max_load_fraction, KeySampler, PlanReport, ShardCostPoint, ShardPlan,
+    fit_boundaries, max_load_fraction, KeySampler, KeyStats, PlanReport, ShardCostPoint, ShardPlan,
 };
 use cheetah_core::{ShardPartitioner, Sharder};
 use cheetah_net::MasterIngestModel;
@@ -66,10 +75,12 @@ pub struct PlannerConfig {
     /// hard-coded defaults.
     pub calibration: Option<Calibration>,
     /// Measured survivor volume (`entries_to_master`) from a previous run
-    /// of the same query, when the caller observed one (the serving
-    /// plane's plan cache records it per shape). Overrides the distinct-estimate proxy in the merge model — crucial
-    /// for high-fanout JOINs, where survivors are matching *rows*, not
-    /// distinct keys, and the proxy under-prices the merge badly.
+    /// of the same query, when the caller observed one (the serving plane
+    /// runs a shape over its tables once, whole, before it plans it, and
+    /// hands over that run's count). Overrides the distinct-estimate proxy
+    /// in the merge model — crucial for high-fanout JOINs, where survivors
+    /// are matching *rows*, not distinct keys, and the proxy under-prices
+    /// the merge badly.
     pub survivor_hint: Option<u64>,
 }
 
@@ -230,28 +241,34 @@ impl ShardPlanner {
         Self { cfg }
     }
 
-    /// Plan the sharded execution of `q` over the given tables: sample
-    /// the per-query routing keys of every stream and emit the plan.
+    /// Plan the sharded execution of `q` over the given tables from a
+    /// bounded strided sample of every stream's routing keys
+    /// ([`KeySampler::offer_strided`]): keys are extracted at the sampled
+    /// rows only, so the cost of a plan does not grow with the tables.
     pub fn plan(&self, q: &DbQuery, left: &Table, right: Option<&Table>, seed: u64) -> ShardPlan {
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
-        let slices: Vec<&[u64]> =
-            std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
-        self.plan_from_keys(&slices, seed)
+        let tables: Vec<&Table> = std::iter::once(left).chain(right).collect();
+        let lens: Vec<usize> = tables.iter().map(|t| t.rows()).collect();
+        let mut cursors: Vec<KeyCursor<'_>> =
+            tables.iter().enumerate().map(|(s, t)| KeyCursor::new(q, s, t, seed)).collect();
+        let mut sampler = KeySampler::new(self.cfg.sample_size, seed);
+        sampler.offer_strided(&lens, |stream, row| cursors[stream].key_at(row));
+        self.plan_from_stats(sampler.finish(), seed)
     }
 
     /// Plan from precomputed routing-key streams (what the plan
     /// constructor in `cheetah-runtime` uses so the keys are extracted
-    /// once for sampling *and* routing).
+    /// once for sampling *and* routing) — the same strided sample, so the
+    /// same plan, as [`plan`](Self::plan) over the tables the keys came
+    /// from.
     pub fn plan_from_keys(&self, key_slices: &[&[u64]], seed: u64) -> ShardPlan {
+        let lens: Vec<usize> = key_slices.iter().map(|s| s.len()).collect();
         let mut sampler = KeySampler::new(self.cfg.sample_size, seed);
-        for &stream in key_slices {
-            for &k in stream {
-                sampler.offer(k);
-            }
-        }
-        let stats = sampler.finish();
+        sampler.offer_strided(&lens, |stream, row| key_slices[stream][row]);
+        self.plan_from_stats(sampler.finish(), seed)
+    }
 
+    /// Steps 2 and 3: from what the sample learned to the plan.
+    fn plan_from_stats(&self, stats: KeyStats, seed: u64) -> ShardPlan {
         if stats.rows == 0 {
             return self.trivial_plan(stats, seed, "empty input: any routing is vacuous");
         }
@@ -266,13 +283,14 @@ impl ShardPlanner {
         }
 
         // Survivor volume for the merge model. A measured hint (an
-        // observed `entries_to_master`) wins outright — it is reality, and deliberately NOT clamped to
-        // `rows`: a two-pass JOIN delivers matching rows from *both*
-        // streams, which the per-stream row count would truncate. Absent
-        // a measurement, fall back to the proxy of roughly one survivor
-        // per distinct routing key (keyed queries forward per-key
+        // observed `entries_to_master`) wins outright — it is reality,
+        // and deliberately NOT clamped to `rows`: a two-pass JOIN
+        // delivers matching rows from *both* streams, which the
+        // per-stream row count would truncate. Absent a measurement, fall
+        // back to the proxy of roughly one survivor per distinct routing
+        // key among the keys read (keyed queries forward per-key
         // champions; scans route by unique row-id hashes, making this
-        // `rows` — conservatively assuming nothing is pruned).
+        // every key read — up to the sampling bound, nothing pruned).
         let survivors = match self.cfg.survivor_hint {
             Some(measured) => measured.max(1),
             None => (stats.distinct_estimate.round() as u64).clamp(1, stats.rows),
@@ -371,7 +389,7 @@ impl ShardPlanner {
     }
 
     /// The degenerate one-shard plan (empty input, single key).
-    fn trivial_plan(&self, stats: cheetah_core::plan::KeyStats, seed: u64, why: &str) -> ShardPlan {
+    fn trivial_plan(&self, stats: KeyStats, seed: u64, why: &str) -> ShardPlan {
         let worker_seconds = stats.rows as f64 / self.cfg.ingest.arrival_rate.max(1.0);
         let merge_seconds =
             self.cfg.ingest.planning_latency(1, stats.rows.min(stats.distinct_estimate as u64))
@@ -492,21 +510,54 @@ struct PartitionerChoice {
 /// planner here must route and sample by the *same* keys for the
 /// per-operator merge semantics to hold.
 pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec<u64> {
-    let col = match q {
-        DbQuery::FilterCount { .. } | DbQuery::Skyline { .. } => {
-            return (0..table.rows() as u64).map(|row| mix64(row ^ seed)).collect();
-        }
-        DbQuery::Distinct { col } => *col,
-        DbQuery::TopN { order_col, .. } => *order_col,
-        DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => *key_col,
-        DbQuery::Join { left_key, .. } if stream == 0 => *left_key,
-        DbQuery::Join { right_key, .. } => *right_key,
+    let Some(col) = routing_column(q, stream) else {
+        return (0..table.rows() as u64).map(|row| mix64(row ^ seed)).collect();
     };
     let mut keys = Vec::with_capacity(table.rows());
     for p in table.partitions() {
         for_each_key(seed, p.column(col), |_, k| keys.push(k));
     }
     keys
+}
+
+/// The column stream `stream` of `q` routes by; `None` for the scans and
+/// skylines that route by a row-id hash.
+fn routing_column(q: &DbQuery, stream: usize) -> Option<usize> {
+    match q {
+        DbQuery::FilterCount { .. } | DbQuery::Skyline { .. } => None,
+        DbQuery::Distinct { col } => Some(*col),
+        DbQuery::TopN { order_col, .. } => Some(*order_col),
+        DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => Some(*key_col),
+        DbQuery::Join { left_key, .. } if stream == 0 => Some(*left_key),
+        DbQuery::Join { right_key, .. } => Some(*right_key),
+    }
+}
+
+/// [`routing_keys`] at chosen rows only: the key of one stream's row
+/// `row` (a global row index), for rows asked in ascending order — what
+/// the planner's strided sample reads instead of a key per row.
+struct KeyCursor<'t> {
+    parts: &'t [Partition],
+    col: Option<usize>,
+    seed: u64,
+    /// The partition the last row asked for lay in, and its first row.
+    part: usize,
+    base: usize,
+}
+
+impl<'t> KeyCursor<'t> {
+    fn new(q: &DbQuery, stream: usize, table: &'t Table, seed: u64) -> Self {
+        Self { parts: table.partitions(), col: routing_column(q, stream), seed, part: 0, base: 0 }
+    }
+
+    fn key_at(&mut self, row: usize) -> u64 {
+        let Some(col) = self.col else { return mix64(row as u64 ^ self.seed) };
+        while row >= self.base + self.parts[self.part].rows() {
+            self.base += self.parts[self.part].rows();
+            self.part += 1;
+        }
+        key_at(self.seed, self.parts[self.part].column(col), row - self.base)
+    }
 }
 
 /// The sharder of a *hand-picked* [`ShardSpec`]. Hash scatters over the
@@ -541,7 +592,7 @@ pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::test_table;
+    use crate::testutil::{all_queries, test_table};
 
     #[test]
     fn plans_are_deterministic_in_seed_and_data() {
@@ -577,6 +628,30 @@ mod tests {
         let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &t, None, 7);
         assert_eq!(plan.report.rows, 50);
         assert_eq!(plan.report.sample_len, 50, "reservoir must hold every key");
+    }
+
+    #[test]
+    fn a_table_over_the_bound_is_planned_from_the_same_strided_keys_either_way() {
+        // 40 000 + 20 000 rows against a bound of 16 × 1 024 reads: stride
+        // 4. Extracting keys at the sampled rows only (`plan`) must see
+        // exactly what striding the full key vectors (`plan_from_keys`)
+        // sees — string fingerprints, ordered ints and row-id hashes, and
+        // a second stream whose first sampled row is not its row 0.
+        let (l, r) = (test_table(40_000, 7), test_table(20_000, 3));
+        let planner = ShardPlanner::default();
+        let seed = 0xC43E7A;
+        for q in all_queries().into_iter().chain([DbQuery::Join { left_key: 0, right_key: 1 }]) {
+            let right = q.is_binary().then_some(&r);
+            let left_keys = routing_keys(&q, 0, &l, seed);
+            let right_keys = right.map(|r| routing_keys(&q, 1, r, seed));
+            let slices: Vec<&[u64]> =
+                std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
+            let plan = planner.plan(&q, &l, right, seed);
+            assert_eq!(plan, planner.plan_from_keys(&slices, seed), "{}", q.kind());
+            let rows = l.rows() + right.map_or(0, Table::rows);
+            assert_eq!(plan.report.rows, rows as u64, "{}: rows stay exact", q.kind());
+            assert_eq!(plan.report.sample_len, planner.cfg.sample_size, "{}", q.kind());
+        }
     }
 
     #[test]

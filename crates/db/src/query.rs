@@ -94,6 +94,52 @@ impl DbQuery {
         !matches!(self, DbQuery::Join { .. } | DbQuery::HavingSum { .. })
     }
 
+    /// The columns of stream `stream` the query reads — to encode, to
+    /// route by, or to complete from — ascending and deduplicated. Every
+    /// other column of the table is dead weight to a shard that runs only
+    /// this query.
+    pub fn columns(&self, stream: usize) -> Vec<usize> {
+        let mut cols = match self {
+            DbQuery::FilterCount { pred } => return pred.columns(),
+            DbQuery::Distinct { col } => vec![*col],
+            DbQuery::Skyline { cols } => cols.clone(),
+            DbQuery::TopN { order_col, .. } => vec![*order_col],
+            DbQuery::GroupByMax { key_col, val_col }
+            | DbQuery::HavingSum { key_col, val_col, .. } => vec![*key_col, *val_col],
+            DbQuery::Join { left_key, .. } if stream == 0 => vec![*left_key],
+            DbQuery::Join { right_key, .. } => vec![*right_key],
+        };
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
+    /// The same query over tables that carry only [`columns`](Self::columns)
+    /// of each stream, in that order: every column index becomes its
+    /// position there. Parameter *order* is kept (SKYLINE's dimensions
+    /// stay in the order asked), so the remapped query answers over the
+    /// projection exactly what this one answers over the full tables.
+    pub fn remapped(&self) -> DbQuery {
+        let left = self.columns(0);
+        let at = |col: &usize| left.binary_search(col).expect("a column the query reads");
+        match self {
+            DbQuery::FilterCount { pred } => DbQuery::FilterCount { pred: pred.remapped(&left) },
+            DbQuery::Distinct { col } => DbQuery::Distinct { col: at(col) },
+            DbQuery::Skyline { cols } => DbQuery::Skyline { cols: cols.iter().map(at).collect() },
+            DbQuery::TopN { order_col, n } => DbQuery::TopN { order_col: at(order_col), n: *n },
+            DbQuery::GroupByMax { key_col, val_col } => {
+                DbQuery::GroupByMax { key_col: at(key_col), val_col: at(val_col) }
+            }
+            // Each side of a join projects to its key alone.
+            DbQuery::Join { .. } => DbQuery::Join { left_key: 0, right_key: 0 },
+            DbQuery::HavingSum { key_col, val_col, threshold } => DbQuery::HavingSum {
+                key_col: at(key_col),
+                val_col: at(val_col),
+                threshold: *threshold,
+            },
+        }
+    }
+
     /// Is the master merge correct under *any* deterministic assignment
     /// of rows to shard runs — including assignments that change mid-run?
     ///
@@ -169,6 +215,111 @@ impl QueryOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{IntCmp, LikePattern};
+    use crate::sharded::route_columns;
+    use crate::table::{Table, TableBuilder};
+    use crate::value::DataType;
+    use crate::{Cluster, ShardPartitioner, Sharder};
+    use cheetah_switch::hash::mix64;
+    use proptest::prelude::*;
+
+    /// Five columns, so a projection has something to drop and — with the
+    /// value column left of the key — something to reorder.
+    fn wide_table(rows: usize, keys: u64, partitions: usize, seed: u64) -> Table {
+        let fields = vec![
+            ("pad".into(), DataType::Int),
+            ("key".into(), DataType::Str),
+            ("a".into(), DataType::Int),
+            ("tag".into(), DataType::Str),
+            ("b".into(), DataType::Int),
+        ];
+        let mut b = TableBuilder::new("wide", fields, rows.div_ceil(partitions).max(1));
+        let mut x = seed | 1;
+        let mut next = |modulo: u64| {
+            x = mix64(x);
+            x % modulo
+        };
+        for _ in 0..rows {
+            b.push_row(vec![
+                Value::Int(next(1 << 40) as i64),
+                Value::Str(format!("key-{}", next(keys))),
+                Value::Int(next(10_000) as i64),
+                Value::Str(format!("tag-{}", next(keys.div_ceil(3)))),
+                Value::Int(next(500) as i64),
+            ]);
+        }
+        b.build()
+    }
+
+    /// Columns `cols` of `t`, as one partition — what a routed unit holds.
+    fn project(t: &Table, cols: &[usize]) -> Table {
+        let one = Sharder::new(ShardPartitioner::Hash, 1, 0);
+        route_columns(t, cols, &vec![0; t.rows()], &one, 0, t.rows()).remove(0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        #[test]
+        fn the_remapped_query_over_the_projection_answers_like_the_query_over_the_tables(
+            seed in any::<u64>(),
+            rows in 1usize..400,
+            keys in 1u64..40,
+            partitions in 1usize..5,
+        ) {
+            let left = wide_table(rows, keys, partitions, seed);
+            let right = wide_table(rows / 2 + 1, keys * 2, 2, seed ^ 0xFACE);
+            let queries = [
+                // A predicate tree that names column 4 twice.
+                DbQuery::FilterCount {
+                    pred: DbPredicate::Or(vec![
+                        DbPredicate::CmpInt { col: 4, op: IntCmp::Lt, lit: 50 },
+                        DbPredicate::And(vec![
+                            DbPredicate::CmpInt { col: 4, op: IntCmp::Gt, lit: 300 },
+                            DbPredicate::Like { col: 1, pattern: LikePattern::parse("key-1%") },
+                            DbPredicate::CmpInt { col: 2, op: IntCmp::Ge, lit: 2_000 },
+                        ]),
+                    ]),
+                },
+                DbQuery::Distinct { col: 3 },
+                // Dimensions out of schema order: the points keep it.
+                DbQuery::Skyline { cols: vec![4, 2] },
+                DbQuery::TopN { order_col: 2, n: 7 },
+                // The value column sits left of the key.
+                DbQuery::GroupByMax { key_col: 3, val_col: 2 },
+                DbQuery::Join { left_key: 1, right_key: 3 },
+                DbQuery::HavingSum { key_col: 1, val_col: 4, threshold: rows as i64 * 4 },
+            ];
+            let cluster = Cluster::default();
+            for q in queries {
+                let cols = q.columns(0);
+                prop_assert!(cols.windows(2).all(|w| w[0] < w[1]), "{}: {:?}", q.kind(), cols);
+                let right_of = q.is_binary().then_some(&right);
+                let want = cluster.run_baseline(&q, &left, right_of).output;
+                let narrow_right = right_of.map(|r| project(r, &q.columns(1)));
+                let narrow = project(&left, &cols);
+                prop_assert_eq!(narrow.fields().len(), cols.len());
+                let got = cluster.run_baseline(&q.remapped(), &narrow, narrow_right.as_ref());
+                prop_assert_eq!(&want, &got.output, "{} (seed {})", q.kind(), seed);
+                // The switch path too: same slots, same survivors' values.
+                let pruned = cluster.run_cheetah(&q.remapped(), &narrow, narrow_right.as_ref());
+                prop_assert_eq!(&want, &pruned.expect("plan fits").output, "{}", q.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn columns_are_per_stream_ascending_and_deduplicated() {
+        let join = DbQuery::Join { left_key: 4, right_key: 1 };
+        assert_eq!((join.columns(0), join.columns(1)), (vec![4], vec![1]));
+        assert_eq!(join.remapped(), DbQuery::Join { left_key: 0, right_key: 0 });
+        let q = DbQuery::Skyline { cols: vec![5, 2, 5] };
+        assert_eq!(q.columns(0), vec![2, 5]);
+        assert_eq!(q.remapped(), DbQuery::Skyline { cols: vec![1, 0, 1] });
+        let q = DbQuery::GroupByMax { key_col: 3, val_col: 3 };
+        assert_eq!(q.columns(0), vec![3]);
+        assert_eq!(q.remapped(), DbQuery::GroupByMax { key_col: 0, val_col: 0 });
+    }
 
     #[test]
     fn values_normalization() {

@@ -7,11 +7,12 @@
 //!
 //! * [`ShardSpec`] — a hand-picked shard count, routing family
 //!   ([`ShardPartitioner`]) and ingest model;
-//! * [`route_range`] — the one routing loop: rows `[lo, hi)` of a table
-//!   split into per-shard sub-tables by a [`Sharder`] over per-query
-//!   routing keys (the group/join key for keyed queries, which makes keyed
-//!   merges exact; the order column for TOP N; a row-id hash for scans and
-//!   skylines);
+//! * [`route_columns`] — the one routing loop: the chosen columns of rows
+//!   `[lo, hi)` of a table split into per-shard sub-tables by a
+//!   [`Sharder`] over per-query routing keys (the group/join key for keyed
+//!   queries, which makes keyed merges exact; the order column for TOP N;
+//!   a row-id hash for scans and skylines). [`route_range`] is that loop
+//!   over every column;
 //! * [`ShardStats`] — the per-shard byte/entry accounting of a run.
 //!
 //! The executor that runs a routed layout (`cheetah_runtime::execute`)
@@ -83,8 +84,8 @@ pub struct ShardStats {
 /// tables (one empty partition), which the executor handles like any
 /// degenerate input.
 ///
-/// `lo`/`hi` exist because the plan constructor routes in *rounds* — one
-/// routing loop, so a cadence or empty-shard fix lands everywhere at once.
+/// This is [`route_columns`] over every column: full-width slices, for a
+/// caller that runs queries it has not named over them.
 pub fn route_range(
     table: &Table,
     keys: &[u64],
@@ -92,10 +93,30 @@ pub fn route_range(
     lo: usize,
     hi: usize,
 ) -> Vec<Table> {
+    let every: Vec<usize> = (0..table.fields().len()).collect();
+    route_columns(table, &every, keys, sharder, lo, hi)
+}
+
+/// The one routing loop: [`route_range`], carrying only columns `cols` of
+/// `table` (schema indices, in the order the slices are to hold them).
+/// What the plan constructor routes for a query that reads `cols` and
+/// nothing else — a routed slice is a fresh per-column layout of its rows,
+/// so every column left behind is a copy not made and not kept resident.
+///
+/// `lo`/`hi` exist because the plan constructor routes in *rounds* — one
+/// routing loop, so a cadence or empty-shard fix lands everywhere at once.
+pub fn route_columns(
+    table: &Table,
+    cols: &[usize],
+    keys: &[u64],
+    sharder: &Sharder,
+    lo: usize,
+    hi: usize,
+) -> Vec<Table> {
     let shards = sharder.shards();
+    let fields: Vec<(String, DataType)> = cols.iter().map(|&c| table.fields()[c].clone()).collect();
     let empty_cols = || -> Vec<Column> {
-        table
-            .fields()
+        fields
             .iter()
             .map(|(_, t)| match t {
                 DataType::Int => Column::Int(Vec::new()),
@@ -124,7 +145,7 @@ pub fn route_range(
                 if list.is_empty() {
                     continue;
                 }
-                for (c, dst_col) in out[s].iter_mut().enumerate() {
+                for (dst_col, &c) in out[s].iter_mut().zip(cols) {
                     match (dst_col, p.column(c)) {
                         (Column::Int(dst), Column::Int(src)) => {
                             dst.extend(list.iter().map(|&r| src[r as usize]));
@@ -143,9 +164,7 @@ pub fn route_range(
         }
     }
     out.into_iter()
-        .map(|cols| {
-            Table::from_partition(table.name(), table.fields().to_vec(), Partition::new(cols))
-        })
+        .map(|cols| Table::from_partition(table.name(), fields.clone(), Partition::new(cols)))
         .collect()
 }
 
@@ -166,6 +185,24 @@ mod tests {
         let none = route_range(&t, &keys, &sharder, 400, 400);
         assert_eq!(none.iter().map(Table::rows).sum::<usize>(), 0);
         assert_eq!(none.len(), 3, "every shard gets a (possibly empty) table");
+    }
+
+    #[test]
+    fn route_range_is_the_routing_loop_over_every_column() {
+        let t = test_table(500, 3);
+        let keys: Vec<u64> = (0..500u64).map(|k| k * 7).collect();
+        let sharder = Sharder::new(ShardPartitioner::Hash, 4, 5);
+        let full = route_range(&t, &keys, &sharder, 100, 450);
+        let every: Vec<usize> = (0..t.fields().len()).collect();
+        assert_eq!(full, route_columns(&t, &every, &keys, &sharder, 100, 450));
+        // A projection carries the named columns, in the order named, of
+        // the same rows in the same order.
+        let narrow = route_columns(&t, &[2, 0], &keys, &sharder, 100, 450);
+        for (f, n) in full.iter().zip(&narrow) {
+            assert_eq!(n.fields(), [f.fields()[2].clone(), f.fields()[0].clone()]);
+            let (fp, np) = (&f.partitions()[0], &n.partitions()[0]);
+            assert_eq!((np.column(0), np.column(1)), (fp.column(2), fp.column(0)));
+        }
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //!    tenant keeps the queue saturated.
 //! 3. **Typed overload** — past the in-flight bound, `submit` returns
 //!    `Error::Overloaded` immediately instead of growing memory.
+//!
+//! Under property 1 sit the layout lifecycle of a repeated shape (first
+//! sight runs the tables whole, second sight plans and routes, later ones
+//! hit the plan cache — every layout answers alike) and the right table a
+//! unary query ignores.
 
 mod common;
 
-use cheetah_db::{Cluster, DbQuery, QueryOutput, Table};
+use cheetah_db::{Cluster, DataType, DbQuery, QueryOutput, Table, TableBuilder, Value};
 use cheetah_serve::{Error, QueryRequest, Session, SessionConfig};
 use std::sync::Arc;
 
@@ -80,8 +85,10 @@ fn concurrent_tenants_get_bit_identical_results() {
     assert_eq!(stats.rejected, 0);
 }
 
-/// Property 1b: repeat shapes must come out of the plan cache, and the
-/// cached plan must keep producing baseline-identical output.
+/// Property 1b: a shape that keeps coming back is run whole at first
+/// sight, planned at the second, and served from the plan cache from the
+/// third on — and every one of those layouts must keep producing
+/// baseline-identical output.
 #[test]
 fn plan_cache_reuse_preserves_results() {
     let cluster = Cluster::default();
@@ -93,11 +100,44 @@ fn plan_cache_reuse_preserves_results() {
     for round in 0..8 {
         let resp = session.run_blocking(request(&q, &left, &right, "repeat")).unwrap();
         assert_eq!(resp.output, baseline, "round {round}");
-        assert_eq!(resp.plan_cached, round > 0, "round {round}");
+        assert_eq!(resp.plan_cached, round > 1, "round {round}");
     }
+    // First sight consults neither the planner nor its cache.
     let stats = session.stats();
     assert_eq!(stats.plan_misses, 1);
-    assert_eq!(stats.plan_hits, 7);
+    assert_eq!(stats.plan_hits, 6);
+}
+
+/// Property 1c: a right table attached to a unary query is not the
+/// query's input. It used to reach the planner, which indexed it with the
+/// left table's column and panicked the serving thread; it must answer
+/// like the baseline and be, to every cache, the request without it.
+#[test]
+fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
+    let cluster = Cluster::default();
+    let (left, _) = fixtures(0x0DD);
+    let mut b = TableBuilder::new("narrow", vec![("only".into(), DataType::Int)], 8);
+    b.push_row(vec![Value::Int(1)]);
+    let narrow = Arc::new(b.build());
+    let q = DbQuery::Distinct { col: 2 };
+    let baseline = cluster.run_baseline(&q, &left, None).output;
+
+    let session = Session::new(cluster, SessionConfig::default());
+    let plain = || QueryRequest::new(q.clone(), Arc::clone(&left));
+    // Alternate the two spellings: were the ignored table part of the
+    // shape or layout key, each would be first sight, then a miss, of its
+    // own entry.
+    for round in 0..6 {
+        let req = if round % 2 == 0 { plain().with_right(Arc::clone(&narrow)) } else { plain() };
+        let resp = session.run_blocking(req).unwrap();
+        assert_eq!(resp.output, baseline, "round {round}");
+        assert_eq!(resp.plan_cached, round > 1, "round {round}");
+    }
+    let stats = session.stats();
+    assert_eq!((stats.plan_misses, stats.plan_hits), (1, 4));
+    // The queued path too: a driver thread must survive the request.
+    let ticket = session.submit(plain().with_right(narrow)).unwrap();
+    assert_eq!(ticket.wait().unwrap().output, baseline);
 }
 
 /// Property 2: a flooding tenant saturating the queue must not keep a

@@ -10,10 +10,15 @@
 //!    totals agree with [`SessionStats`] and with the
 //!    [`ExecBreakdown`]s the same requests returned: completed counts,
 //!    plan-cache hits/misses, queue times, per-shard survivor entries.
-//! 3. **Fabric attribution** — a traced faulty-channel run lands its
+//! 3. **The layout policy, off the trees** — a layout is built for a key
+//!    that comes back: first sight has no `route` span and one `worker`,
+//!    second sight a `route` span and one `worker` per planned shard, the
+//!    third neither `route` nor a planner call; a pinned shard count
+//!    routes at first sight.
+//! 4. **Fabric attribution** — a traced faulty-channel run lands its
 //!    go-back-N resend count in the owning registry's
 //!    `net.retransmits`, equal to the breakdown's field.
-//! 4. **Errors are traced too** — a request that fails with a typed
+//! 5. **Errors are traced too** — a request that fails with a typed
 //!    error still exports its tree (root attr `error`) and still counts
 //!    in `serve.latency_seconds`.
 
@@ -110,16 +115,24 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
     let t = fixture(0xCAFE);
     let session = Session::with_defaults();
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-    let first =
-        session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t)).tenant("alpha")).unwrap();
-    let plan = first.trace.as_ref().unwrap().root.find("plan").unwrap();
-    assert_eq!(plan.attr("cache"), Some("miss"));
-    for _ in 0..3 {
+    // First sight, second sight, then the warm path: the `plan` span says
+    // which, and only the last two consult the plan cache.
+    for (tenant, cache) in [
+        ("alpha", "first-sight"),
+        ("alpha", "miss"),
+        ("beta", "hit"),
+        ("beta", "hit"),
+        ("beta", "hit"),
+    ] {
         let resp = session
-            .run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t)).tenant("beta"))
+            .run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t)).tenant(tenant))
             .unwrap();
-        let plan = resp.trace.as_ref().unwrap().root.find("plan").unwrap();
-        assert_eq!(plan.attr("cache"), Some("hit"));
+        let tree = resp.trace.as_ref().unwrap();
+        assert_eq!(tree.root.find("plan").unwrap().attr("cache"), Some(cache));
+        assert_eq!(resp.plan_cached, cache == "hit");
+        for required in ["admit", "queue", "plan", "choose", "execute", "respond"] {
+            assert!(child_names(tree).contains(&required), "{cache}: missing `{required}`");
+        }
     }
 
     // Registry totals must reconcile with the session's own stats.
@@ -135,12 +148,59 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
     // sample, globally and per tenant.
     assert_eq!(snap.histograms["serve.queue_seconds"].count, stats.completed);
     assert_eq!(snap.histograms["serve.latency_seconds"].count, stats.completed);
-    assert_eq!(snap.histograms["serve.tenant.alpha.latency_seconds"].count, 1);
+    assert_eq!(snap.histograms["serve.tenant.alpha.latency_seconds"].count, 2);
     assert_eq!(snap.histograms["serve.tenant.beta.latency_seconds"].count, 3);
 
     // Nothing in flight when idle.
     assert_eq!(snap.gauges["serve.queue_depth"], 0);
     assert_eq!(snap.gauges["serve.executing"], 0);
+}
+
+/// The layout policy, read off the span trees — no timer: a layout is
+/// built only for a key that comes back. First sight routes nothing and
+/// runs the table whole on one worker; second sight fits a plan and
+/// routes under it, one worker per planned shard; from the third on
+/// nothing is planned or routed. A pinned shard count is a layout asked
+/// for by name: it is routed at first sight.
+#[test]
+fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
+    // 20 000 spread order values: the planner fans TOP N out.
+    let t = Arc::new(common::gen_table(20_000, 90, 4, 0x51647));
+    let session = Session::with_defaults();
+    let q = DbQuery::TopN { order_col: 1, n: 10 };
+    let ask = |req: QueryRequest| {
+        let resp = session.run_blocking(req).unwrap();
+        let tree = resp.trace.clone().expect("trace exports");
+        let mut workers = Vec::new();
+        tree.root.find_all("worker", &mut workers);
+        let routed = tree.root.find("route").map(|r| r.attr("shards").unwrap().to_string());
+        (resp, routed, workers.len())
+    };
+    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
+
+    let (first, routed, workers) = ask(unpinned());
+    assert_eq!((routed, workers), (None, 1), "first sight: no route span, one worker");
+    assert_eq!(first.breakdown.shards, 1);
+
+    let (second, routed, workers) = ask(unpinned());
+    let shards = second.breakdown.shards as usize;
+    assert!(shards >= 2, "fixture must make the planner fan out, chose {shards}");
+    assert_eq!(routed, Some(shards.to_string()), "second sight routes under the fitted plan");
+    assert_eq!(workers, shards, "one worker per planned shard");
+    assert_eq!(session.stats().plan_misses, 1);
+
+    for _ in 0..2 {
+        let (warm, routed, workers) = ask(unpinned());
+        assert_eq!((routed, workers), (None, shards), "warm: the routed layout, reused");
+        assert!(warm.plan_cached);
+    }
+    assert_eq!(session.stats().plan_misses, 1, "the planner ran once, at second sight");
+
+    let (pinned, routed, workers) = ask(unpinned().shards(SHARDS));
+    assert_eq!((routed, workers), (Some(SHARDS.to_string()), SHARDS), "pinned: routed at once");
+    for resp in [&first, &second, &pinned] {
+        assert_eq!(resp.output, first.output);
+    }
 }
 
 #[test]

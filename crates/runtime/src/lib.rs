@@ -3,15 +3,17 @@
 //! Cheetah's dataflow (§2) is one thing: route rows to shard workers,
 //! prune each shard at its switch, merge the survivors at the master.
 //! This crate implements it once. [`ExecPlan::new`] does all the routing
-//! (keys → sharder → per-round shard slices, with supervised re-fits
-//! between rounds) and [`execute`] runs the routed plan on the persistent
-//! [`WorkerPool`]; how survivors travel to the master is a field of the
-//! plan ([`ExecPath`](cheetah_db::ExecPath)), not a second engine:
+//! (sharder → keys → per-round shard slices of the columns the query
+//! reads, with supervised re-fits between rounds; a one-shard layout is
+//! the table itself, uncopied) and [`execute`] runs the routed plan on
+//! the persistent [`WorkerPool`]; how survivors travel to the master is a
+//! field of the plan ([`ExecPath`](cheetah_db::ExecPath)), not a second
+//! engine:
 //!
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
 //!  rows ──routing_keys──▶ sharder          units[round][shard]
-//!    ▲      │ route_range per round              │ one pool job per shard
+//!    ▲      │ route_columns per round            │ one pool job per shard
 //!    │      ▼                                    ▼
 //!    │  dispatched-load counters          Cluster::run_cheetah per unit
 //!    └─ supervisor: imbalance > 2×?              │

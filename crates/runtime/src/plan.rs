@@ -1,13 +1,27 @@
-//! The one plan representation: a fully routed input layout plus the
-//! transport its survivors travel by.
+//! The one plan representation: a laid-out input plus the transport its
+//! survivors travel by.
 //!
 //! Everything layout-shaped about a multi-shard run is decided here, once,
-//! by [`ExecPlan::new`]: routing keys → sharder (hand-picked, planner-fitted
-//! or already fitted) → [`route_range`] per input round, with the
+//! by [`ExecPlan::new`]: sharder (hand-picked, planner-fitted or already
+//! fitted) → routing keys → [`route_columns`] per input round, with the
 //! [`RuntimeSupervisor`] re-fitting the boundaries between rounds when the
 //! dispatched load tips over. The supervisor reads only dispatch counters
 //! and routing keys, so re-planning is a pure layout-construction step —
 //! [`execute`](crate::execute) never routes a row.
+//!
+//! Two facts about what a layout holds:
+//!
+//! * **A one-shard layout is the table.** Whenever the sharder has one
+//!   shard — a pinned count of 0 or 1, or a plan that chose 1 — there is
+//!   nothing to split: no key is extracted, no cell copied, the single
+//!   unit *is* the `Arc` the caller handed in, in one round. It runs
+//!   through the same [`execute`](crate::execute) as any other plan.
+//! * **Units carry the query's columns.** With two shards or more a unit
+//!   is a fresh copy of its rows — a layout worth having: each column's
+//!   cells re-allocated contiguously per shard — so it copies only the
+//!   columns the query reads ([`DbQuery::columns`]), and the shard workers
+//!   run the query remapped onto them ([`DbQuery::remapped`]). The merge,
+//!   and [`ExecPlan::query`], keep the query as asked.
 //!
 //! A plan is resident data: its units are `Arc` handles, so the same plan
 //! runs query after query (the serving plane caches one per shape, tables
@@ -19,7 +33,8 @@ use crate::supervisor::{ReplanEvent, RuntimeSupervisor};
 use cheetah_core::plan::{PlanDecision, ShardPlan};
 use cheetah_core::Sharder;
 use cheetah_db::{
-    fixed_sharder, route_range, routing_keys, Cluster, DbQuery, ExecPath, MasterIngestModel, Table,
+    fixed_sharder, route_columns, routing_keys, Cluster, DbQuery, ExecPath, MasterIngestModel,
+    Table,
 };
 use cheetah_net::MAX_BATCH_ITEMS;
 use std::sync::Arc;
@@ -31,6 +46,10 @@ use std::sync::Arc;
 pub struct ExecPlan {
     /// The query the layout was routed for — the only one it can run.
     query: DbQuery,
+    /// `query` as the shard workers run it: over the units' schema
+    /// (remapped onto the routed columns; `query` itself where the units
+    /// are the tables). The merge keeps `query`.
+    pub(crate) unit_query: DbQuery,
     /// The tables the units were routed from. Held so a cache keyed on
     /// their addresses can never see an address reused by another table.
     left: Arc<Table>,
@@ -56,7 +75,7 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Route `q`'s input under `spec`. The plan comes back on the stream
+    /// Lay out `q`'s input under `spec`. The plan comes back on the stream
     /// transport the spec describes; [`for_path`](ExecPlan::for_path)
     /// derives its barrier form.
     ///
@@ -76,8 +95,22 @@ impl ExecPlan {
             (false, _) => None,
         };
         let seed = cluster.tuning.seed;
-        let left_keys = routing_keys(q, 0, left, seed);
-        let right_keys = right.map(|r| routing_keys(q, 1, r, seed));
+        // A layout already known to be one shard routes nothing, so it
+        // reads no key either; a planner reads them to decide.
+        let keyed = match &spec.layout {
+            ShardLayout::Fixed(s) => s.shards > 1,
+            ShardLayout::Planned(_) => true,
+            ShardLayout::Fitted(plan, _) => plan.shards() > 1,
+        };
+        let keys_of = |stream: usize, t: &Arc<Table>| {
+            if keyed {
+                routing_keys(q, stream, t, seed)
+            } else {
+                Vec::new()
+            }
+        };
+        let left_keys = keys_of(0, left);
+        let right_keys = right.map(|r| keys_of(1, r));
         let key_slices: Vec<&[u64]> =
             std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
         let (mut sharder, ingest, plan, decision) = match &spec.layout {
@@ -100,40 +133,56 @@ impl ExecPlan {
             ),
         };
         let shards = sharder.shards();
-        let route = |t: &Table, keys: &[u64], sharder: &Sharder, lo: usize, hi: usize| {
-            route_range(t, keys, sharder, lo, hi).into_iter().map(Arc::new).collect::<Vec<_>>()
-        };
-        let mut dispatched = vec![0u64; shards];
-        // The right stream of a binary query rides round 0, co-partitioned
-        // by the same sharder.
-        let right_units = right.zip(right_keys.as_deref()).map(|(r, keys)| {
-            let slices = route(r, keys, &sharder, 0, r.rows());
-            count_rows(&mut dispatched, &slices);
-            slices
-        });
-        // Input rounds only where the merge tolerates rows moving between
-        // executor runs; HAVING/JOIN take their whole shard slice at once.
-        let rounds = if q.merge_routing_agnostic() { spec.rounds.max(1) } else { 1 };
         let mut supervisor =
             RuntimeSupervisor::new(spec.imbalance_factor, spec.supervisor_sample, seed);
-        let total = left.rows();
-        let mut units = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            let lo = round * total / rounds;
-            let hi = (round + 1) * total / rounds;
-            let slices = route(left, &left_keys, &sharder, lo, hi);
-            count_rows(&mut dispatched, &slices);
-            units.push(slices);
-            if spec.replan && round + 1 < rounds {
-                if let Some(refit) =
-                    supervisor.consider(round, &dispatched, &left_keys[hi..], &sharder)
-                {
-                    sharder = refit;
+        let (unit_query, units, right_units, dispatched) = if shards == 1 {
+            // A one-shard layout is the table: nothing to split, so no
+            // cell is copied, and one round (rounds and re-planning need
+            // a second shard to mean anything).
+            let rows = left.rows() + right.map_or(0, |r| r.rows());
+            let right_units = right.map(|r| vec![Arc::clone(r)]);
+            (q.clone(), vec![vec![Arc::clone(left)]], right_units, vec![rows as u64])
+        } else {
+            // Every unit is a fresh copy of its rows, so it carries only
+            // the columns `q` reads, and the workers run `q` remapped onto
+            // them.
+            let route = |t: &Table, stream: usize, keys: &[u64], by: &Sharder, lo, hi| {
+                let slices = route_columns(t, &q.columns(stream), keys, by, lo, hi);
+                slices.into_iter().map(Arc::new).collect::<Vec<_>>()
+            };
+            let mut dispatched = vec![0u64; shards];
+            // The right stream of a binary query rides round 0,
+            // co-partitioned by the same sharder.
+            let right_units = right.zip(right_keys.as_deref()).map(|(r, keys)| {
+                let slices = route(r, 1, keys, &sharder, 0, r.rows());
+                count_rows(&mut dispatched, &slices);
+                slices
+            });
+            // Input rounds only where the merge tolerates rows moving
+            // between executor runs; HAVING/JOIN take their whole shard
+            // slice at once.
+            let rounds = if q.merge_routing_agnostic() { spec.rounds.max(1) } else { 1 };
+            let total = left.rows();
+            let mut units = Vec::with_capacity(rounds);
+            for round in 0..rounds {
+                let lo = round * total / rounds;
+                let hi = (round + 1) * total / rounds;
+                let slices = route(left, 0, &left_keys, &sharder, lo, hi);
+                count_rows(&mut dispatched, &slices);
+                units.push(slices);
+                if spec.replan && round + 1 < rounds {
+                    if let Some(refit) =
+                        supervisor.consider(round, &dispatched, &left_keys[hi..], &sharder)
+                    {
+                        sharder = refit;
+                    }
                 }
             }
-        }
+            (q.remapped(), units, right_units, dispatched)
+        };
         Ok(ExecPlan {
             query: q.clone(),
+            unit_query,
             left: Arc::clone(left),
             right: right.cloned(),
             units,

@@ -129,7 +129,8 @@ struct WorkerPlane {
 
 /// Submit one pool job per shard: each owns `Arc` handles onto its routed
 /// units plus cheap clones of the cluster config and query, prunes every
-/// non-empty unit through the unchanged generic executor, and — on the
+/// non-empty unit through the unchanged generic executor (running the
+/// plan's unit query, which addresses the units' columns), and — on the
 /// stream transport — frames the survivors out of its worker-resident
 /// arena straight onto the bounded batch channel (in fault mode, onto its
 /// report: the lossy carrier is store-and-forward).
@@ -165,6 +166,10 @@ fn spawn_worker_plane(
             .filter(|(l, r)| l.rows() + r.as_ref().map_or(0, |t| t.rows()) > 0)
             .collect();
         let cluster = cluster.clone();
+        // The units carry only the columns the query reads, so the shard
+        // runs the query remapped onto them; what it hands the merge is
+        // decomposed under the query as asked.
+        let unit_q = plan.unit_query.clone();
         let q = q.clone();
         let batch_tx = batch_tx.clone();
         let report_tx = report_tx.clone();
@@ -178,7 +183,7 @@ fn spawn_worker_plane(
             let mut rep = WorkerReport::default();
             let mut seq = 0u64;
             'units: for (left, right) in units {
-                let run = match cluster.run_cheetah(&q, &left, right.as_deref()) {
+                let run = match cluster.run_cheetah(&unit_q, &left, right.as_deref()) {
                     Ok(run) => run,
                     Err(e) => {
                         report_tx.send((shard, Err(e))).ok();
@@ -449,7 +454,8 @@ mod tests {
     use crate::config::{FaultSpec, ShardLayout, StreamSpec};
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
-        DataType, DbPredicate, IntCmp, MasterIngestModel, ShardSpec, TableBuilder, Value,
+        DataType, DbPredicate, IntCmp, LikePattern, MasterIngestModel, ShardPlanner, ShardSpec,
+        TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
 
@@ -584,6 +590,77 @@ mod tests {
         }
         let q = DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 };
         assert_eq!(plan_of(&q, &l, None, &spec).rounds(), 1);
+    }
+
+    #[test]
+    fn a_one_shard_layout_is_the_tables_and_a_routed_one_carries_the_querys_columns() {
+        let cluster = Cluster::default();
+        let l = table(1_200, 3);
+        let r = table(600, 2);
+        let like = DbPredicate::Like { col: 0, pattern: LikePattern::parse("key-1%") };
+        let queries = [
+            // A predicate tree that names column 2 twice.
+            DbQuery::FilterCount {
+                pred: DbPredicate::Or(vec![
+                    DbPredicate::CmpInt { col: 2, op: IntCmp::Lt, lit: 40 },
+                    DbPredicate::And(vec![
+                        DbPredicate::CmpInt { col: 2, op: IntCmp::Gt, lit: 450 },
+                        like,
+                    ]),
+                ]),
+            },
+            DbQuery::Distinct { col: 0 },
+            DbQuery::Skyline { cols: vec![2, 1] },
+            DbQuery::TopN { order_col: 1, n: 10 },
+            DbQuery::GroupByMax { key_col: 0, val_col: 2 },
+            DbQuery::Join { left_key: 0, right_key: 0 },
+            DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 },
+        ];
+        // A fitted plan that chose one shard (three rows are not worth a
+        // second), handed back over the full tables as the plan cache would.
+        let tiny = table(3, 1);
+        let fitted = Arc::new(ShardPlanner::default().plan(&queries[1], &tiny, None, 7));
+        assert_eq!(fitted.shards(), 1);
+        let one_shard = [
+            ShardLayout::Fixed(ShardSpec::new(1, ShardPartitioner::Hash)),
+            ShardLayout::Fixed(ShardSpec::new(0, ShardPartitioner::Range)),
+            ShardLayout::Fitted(fitted, MasterIngestModel::default_rack()),
+        ];
+        for q in &queries {
+            let right = q.is_binary().then_some(&r);
+            let base = cluster.run_baseline(q, &l, right.map(|r| &**r)).output;
+            for layout in &one_shard {
+                // Four rounds asked for: one shard has nothing to route in rounds.
+                let spec = StreamSpec { layout: layout.clone(), ..StreamSpec::default() };
+                let plan = plan_of(q, &l, right, &spec);
+                assert_eq!((plan.shards(), plan.rounds()), (1, 1), "{}", q.kind());
+                assert!(Arc::ptr_eq(&plan.units[0][0], &l), "{}: a copy was made", q.kind());
+                let right_unit = plan.right_units.as_ref().map(|units| &units[0]);
+                assert_eq!(right_unit.map(Arc::as_ptr), right.map(Arc::as_ptr), "{}", q.kind());
+                let total = l.rows() + right.map_or(0, |r| r.rows());
+                assert_eq!(plan.dispatched(), [total as u64], "{}", q.kind());
+                for path in PATHS {
+                    let run = execute(&cluster, &plan.for_path(path)).unwrap();
+                    assert_eq!(run.output, base, "{} {}", q.kind(), path.label());
+                    assert_eq!(run.rounds, 1);
+                }
+            }
+            // Two shards or more: fresh copies, of the columns read only.
+            let plan = plan_of(q, &l, right, &fixed(3, ShardPartitioner::Hash));
+            let widths = |units: &[Arc<Table>]| -> Vec<usize> {
+                units.iter().map(|t| t.fields().len()).collect()
+            };
+            for round in &plan.units {
+                assert_eq!(widths(round), [q.columns(0).len(); 3], "{}", q.kind());
+            }
+            if let Some(units) = &plan.right_units {
+                assert_eq!(widths(units), [q.columns(1).len(); 3], "{}", q.kind());
+            }
+            for path in PATHS {
+                let run = execute(&cluster, &plan.for_path(path)).unwrap();
+                assert_eq!(run.output, base, "{} {}", q.kind(), path.label());
+            }
+        }
     }
 
     #[test]

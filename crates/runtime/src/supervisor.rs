@@ -7,7 +7,8 @@
 //! [`RuntimeSupervisor`] closes that loop with the same estimator
 //! machinery the planner uses (`cheetah_core::plan`): when the hottest
 //! shard's dispatched share exceeds the configured factor of the balanced
-//! share, it re-samples the **remaining** routing keys, fits fresh
+//! share, it re-samples the **remaining** routing keys (through the
+//! planner's bounded stride), fits fresh
 //! quantile boundaries, and hands back a replacement [`Sharder`] iff the
 //! re-fit actually balances the sampled remainder better than the current
 //! routing does.
@@ -117,9 +118,7 @@ impl RuntimeSupervisor {
         self.baseline.copy_from_slice(dispatched);
 
         let mut sampler = KeySampler::new(self.sample_size, self.seed ^ (round as u64 + 1));
-        for &k in remaining_keys {
-            sampler.offer(k);
-        }
+        sampler.offer_strided(&[remaining_keys.len()], |_, row| remaining_keys[row]);
         let stats = sampler.finish();
         let current_load = max_load_fraction(&stats.sample, current);
         // A broken fit (non-monotonic cuts) is a typed error upstream;

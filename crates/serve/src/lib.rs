@@ -17,9 +17,13 @@
 //! 2. **Fair scheduling** — deficit round-robin over per-tenant
 //!    queues, costed in input rows, so a flooding tenant cannot starve
 //!    a light one.
-//! 3. **Plan cache** — repeat query shapes over stable table stats
-//!    skip the [`ShardPlanner`](cheetah_db::ShardPlanner) entirely
-//!    ([`PlanCache`]).
+//! 3. **Layout, for what comes back** — first sight of a (shape,
+//!    tables) pair runs the tables whole on one shard: no planner, no
+//!    copy. A pair that returns is planned — from that run's measured
+//!    survivors — and routed, once; from then on repeat shapes over
+//!    stable table stats skip the
+//!    [`ShardPlanner`](cheetah_db::ShardPlanner) entirely ([`PlanCache`])
+//!    and reuse the routed layout.
 //! 4. **The arm** — {barrier-pooled, streamed-resident} × {interpreted,
 //!    compiled}, read off the request: what it pins, else the barrier
 //!    on the compiled backend (the interpreter where the family has no

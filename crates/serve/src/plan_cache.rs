@@ -21,13 +21,6 @@
 //! semantics (`Q(merge(shards(D))) = Q(D)`). Staleness costs balance,
 //! not answers — which is why a row-count tolerance is an acceptable
 //! invalidation signal.
-//!
-//! Each entry also remembers what its runs actually delivered to the
-//! master ([`record_survivors`](PlanCache::record_survivors)). When a
-//! shape's stats drift past tolerance and it has to be re-fitted,
-//! [`measured_survivors`](PlanCache::measured_survivors) hands the planner
-//! that measurement in place of its distinct-key proxy — which is off by
-//! orders of magnitude for a high-fanout JOIN.
 
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::Table;
@@ -74,8 +67,6 @@ struct Entry {
     plan: Arc<ShardPlan>,
     stats: StatsFingerprint,
     generation: u64,
-    /// `entries_to_master` of the latest run under this plan.
-    survivors: Option<u64>,
 }
 
 /// A bounded LRU of fitted shard plans, keyed on
@@ -146,27 +137,10 @@ impl PlanCache {
             let coldest = self.order.remove(0);
             self.map.remove(&coldest);
         }
-        self.map.insert(key.clone(), Entry { plan, stats, generation, survivors: None });
+        self.map.insert(key.clone(), Entry { plan, stats, generation });
         self.order.retain(|k| k != &key);
         self.order.push(key);
         generation
-    }
-
-    /// Note what a run under the cached plan for `(shape, stats)`
-    /// delivered to the master. A no-op once the entry is evicted: the
-    /// measurement lives and dies with its plan.
-    pub fn record_survivors(&mut self, shape: &str, stats: StatsFingerprint, entries: u64) {
-        let key = self.key(shape, stats);
-        if let Some(entry) = self.map.get_mut(&key) {
-            entry.survivors = Some(entries);
-        }
-    }
-
-    /// The survivor volume measured for `shape`, from its most recently
-    /// used entry that has run — whatever stats bucket that entry sits in.
-    pub fn measured_survivors(&self, shape: &str) -> Option<u64> {
-        let hottest_first = self.order.iter().rev().filter(|k| k.shape == shape);
-        hottest_first.filter_map(|k| self.map[k].survivors).next()
     }
 
     fn touch(&mut self, key: &CacheKey) {
@@ -320,29 +294,6 @@ mod tests {
         assert!(c.lookup("b", fp(1_000, 0)).is_none(), "coldest entry evicted");
         assert!(c.lookup("a", fp(1_000, 0)).is_some());
         assert!(c.lookup("c", fp(1_000, 0)).is_some());
-    }
-
-    #[test]
-    fn survivor_measurements_follow_the_shape_and_die_with_their_entry() {
-        let mut c = PlanCache::new(2, 0.35);
-        assert_eq!(c.measured_survivors("join|l|r"), None);
-        c.insert("join|l|r", fp(6_000, 3_000), plan(4));
-        assert_eq!(c.measured_survivors("join|l|r"), None, "fitted but never run");
-        c.record_survivors("join|l|r", fp(6_000, 3_000), 9_000);
-        // The same shape after its stats drifted: a new bucket, the old
-        // entry's measurement still speaks for the shape.
-        assert!(c.lookup("join|l|r", fp(60_000, 30_000)).is_none());
-        assert_eq!(c.measured_survivors("join|l|r"), Some(9_000));
-        assert_eq!(c.measured_survivors("distinct|t"), None, "other shapes see nothing");
-        c.insert("join|l|r", fp(60_000, 30_000), plan(8));
-        c.record_survivors("join|l|r", fp(60_000, 30_000), 90_000);
-        assert_eq!(c.measured_survivors("join|l|r"), Some(90_000), "hottest entry wins");
-        // Bounded by the cache itself: evict both entries, the memory goes.
-        c.insert("a", fp(1_000, 0), plan(2));
-        c.insert("b", fp(1_000, 0), plan(2));
-        assert_eq!(c.measured_survivors("join|l|r"), None);
-        c.record_survivors("join|l|r", fp(6_000, 3_000), 1);
-        assert_eq!(c.len(), 2, "recording never resurrects an entry");
     }
 
     #[test]

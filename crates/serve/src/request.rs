@@ -51,9 +51,14 @@ impl QueryRequest {
         }
     }
 
-    /// Attach the right-hand stream of a binary query (JOIN).
+    /// Attach the right-hand stream of a binary query (JOIN). A unary
+    /// query reads one table, so it drops the handle here — once, before
+    /// the shape key, the stats fingerprint, the planner, the layout key
+    /// or the scheduler's cost can see a table the query never reads.
     pub fn with_right(mut self, right: Arc<Table>) -> Self {
-        self.right = Some(right);
+        if self.query.is_binary() {
+            self.right = Some(right);
+        }
         self
     }
 
@@ -107,7 +112,8 @@ impl QueryRequest {
         &self.tenant
     }
 
-    /// Input rows across both streams — the fair scheduler's cost unit.
+    /// Input rows across the streams the query reads — the fair
+    /// scheduler's cost unit.
     pub(crate) fn cost_rows(&self) -> u64 {
         (self.left.rows() + self.right.as_ref().map_or(0, |r| r.rows())) as u64
     }
@@ -147,5 +153,14 @@ mod tests {
         let req = QueryRequest::new(DbQuery::Join { left_key: 0, right_key: 0 }, tiny(5))
             .with_right(tiny(7));
         assert_eq!(req.cost_rows(), 12);
+    }
+
+    #[test]
+    fn a_unary_query_keeps_no_right_table() {
+        // A tenant is charged for the rows its query reads, and nothing
+        // downstream is handed a table to index with the query's columns.
+        let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, tiny(5)).with_right(tiny(7));
+        assert!(req.right().is_none());
+        assert_eq!(req.cost_rows(), 5);
     }
 }

@@ -1,5 +1,5 @@
-//! The front door: admission, fair scheduling and plan caching for a
-//! stream of concurrent [`QueryRequest`]s.
+//! The front door: admission, fair scheduling, and a layout built only
+//! for what comes back, for a stream of concurrent [`QueryRequest`]s.
 //!
 //! ```text
 //!            QueryRequest
@@ -13,9 +13,15 @@
 //!        │ per-tenant DRR   │   deficit round-robin over tenant queues
 //!        └────────┬────────┘
 //!                 ▼ driver thread
-//!        ┌─────────────────┐   (shape, stats) hit → skip ShardPlanner
-//!        │    plan cache    │
-//!        └────────┬────────┘
+//!        ┌─────────────────┐   what is held for (shape, tables)?
+//!        │   layout cache   │   absent ─▶ first sight: no planner, no copy — the
+//!        │                  │             tables run whole on one shard; the key
+//!        │                  │             and the survivors it delivered are noted
+//!        │                  │   whole ──▶ second sight: plan cache, on a miss the
+//!        │                  │             planner (priced from that measurement);
+//!        │                  │             route the query's columns; keep the layout
+//!        │                  │   routed ─▶ warm: (shape, stats) hit, layout reused
+//!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
 //!        ┌─────────────────┐   the request's pins, else pooled + compiled
 //!        │       arm        │   (interpreted where the family has no kernel)
@@ -23,6 +29,14 @@
 //!                 ▼
 //!        ExecPlan ─▶ execute ──▶ QueryResponse (+ queue/tenant breakdown)
 //! ```
+//!
+//! A routed layout is an investment — a plan fitted, every row of the
+//! columns the query reads copied into per-shard units — that only a
+//! repeat of the same shape over the same tables pays back, and the
+//! session can observe exactly that: whether it has run this shape over
+//! these tables before. So the first run of a key costs what the query
+//! costs, and also measures the survivor count the planner would
+//! otherwise guess.
 //!
 //! Drivers are dedicated threads, *not* worker-pool jobs: the pool's
 //! deadlock rule says anything a job blocks on must be drained by its
@@ -36,7 +50,7 @@ use crate::request::QueryRequest;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
     ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, PlannerConfig, QueryOutput,
-    ShardPlanner, ShardSpec,
+    ShardPlanner, ShardSpec, Table,
 };
 use cheetah_net::MasterIngestModel;
 use cheetah_runtime::{ExecPlan, ShardLayout, StreamSpec};
@@ -60,7 +74,7 @@ pub struct SessionConfig {
     /// Deficit round-robin quantum, in input rows per turn.
     pub quantum_rows: u64,
     /// Plans the cache holds before evicting the coldest; also the bound
-    /// on cached routed layouts (oldest insertion evicted first).
+    /// on layout-cache entries (oldest insertion evicted first).
     pub plan_cache_capacity: usize,
     /// Row-count drift (fractional) beyond which a cached plan is never
     /// reused.
@@ -106,8 +120,11 @@ pub struct QueryResponse {
     /// is the one that ran ([`ExecBreakdown::backend`]), not the one
     /// asked for, where the two differ.
     pub arm: ChooserArm,
-    /// Whether the shard plan came out of the cache (always `false`
-    /// for requests that pinned a shard count).
+    /// Whether the shard plan came out of the cache. Always `false` for
+    /// a request that pinned a shard count, and at first sight of a
+    /// (shape, tables) pair — which runs the tables whole and consults
+    /// neither the planner nor its cache; `false` once more at second
+    /// sight, whose lookup misses and fits the plan.
     pub plan_cached: bool,
     /// The query's lifecycle span tree
     /// (`admit → queue → plan → choose → execute{…} → respond`), when it
@@ -140,7 +157,8 @@ pub struct SessionStats {
     pub rejected: u64,
     /// Plan-cache hits.
     pub plan_hits: u64,
-    /// Plan-cache misses.
+    /// Plan-cache misses: lookups that went on to fit a plan. First
+    /// sights consult no plan, so they are neither.
     pub plan_misses: u64,
 }
 
@@ -184,15 +202,33 @@ struct SchedState {
     shutdown: bool,
 }
 
-/// One routed input, reusable across requests and across both
-/// transports. The plan holds `Arc` clones of the tables it was routed
+/// What the session holds for one layout key — one of the two states a
+/// seen key is in (an unseen key has no entry):
+///
+/// * **whole** — first sight ran the tables themselves on one shard
+///   (no planner, no copy) and measured what reached the master;
+/// * **routed** — a later sight invested: the plan is laid out under a
+///   sharder (the cached shard plan's, or a pinned count's), its units
+///   fresh per-shard copies of the columns the query reads. This is the
+///   layout every further request reuses, on either transport.
+///
+/// Either way the plan holds `Arc` clones of the tables it was built
 /// from, so the addresses in the cache key cannot be reused by another
 /// table while the entry lives.
 struct LayoutEntry {
-    /// Generation of the shard plan this layout was routed under (0 for
-    /// pinned-shard layouts, which no plan governs).
-    generation: u64,
     plan: Arc<ExecPlan>,
+    sight: Sight,
+}
+
+#[derive(Clone, Copy)]
+enum Sight {
+    /// Seen once, run whole; `survivors` is that run's
+    /// `entries_to_master` — the planner's survivor hint if the key
+    /// comes back.
+    Whole { survivors: u64 },
+    /// Routed under the shard plan of this plan-cache generation (0 for
+    /// pinned-shard layouts, which no plan governs).
+    Routed { generation: u64 },
 }
 
 /// `(shape, left table ptr, right table ptr, pinned shards)`.
@@ -200,21 +236,34 @@ type LayoutKey = (String, usize, usize, usize);
 
 struct Caches {
     plans: PlanCache,
-    /// Layout key → routed plan. Table pointers stand in for content
-    /// identity — tables are immutable, so a rebuilt table is a new
-    /// allocation — and every hit is confirmed with
+    /// Layout key → what the session holds for it: absent → whole →
+    /// routed, in the order a key that keeps coming back moves through
+    /// them (a pinned key is routed at first sight). Table pointers stand
+    /// in for content identity — tables are immutable, so a rebuilt table
+    /// is a new allocation — and every hit is confirmed with
     /// [`ExecPlan::is_over`].
     layouts: HashMap<LayoutKey, LayoutEntry>,
     /// The keys of `layouts` in insertion order: every entry pins its
-    /// source tables and a routed copy of their rows, so the cache is
-    /// bounded and the oldest insertion goes first.
+    /// source tables, and a routed one a copy of the columns its query
+    /// reads, so the cache is bounded and the oldest insertion goes first.
     layout_order: VecDeque<LayoutKey>,
 }
 
 impl Caches {
-    /// Cache a routed layout, holding at most as many as the plan cache
-    /// holds plans. Eviction is by insertion order, so the hit path pays
-    /// no bookkeeping.
+    /// What is held for `key`, confirmed to be over exactly these tables.
+    fn held(
+        &self,
+        key: &LayoutKey,
+        left: &Arc<Table>,
+        right: Option<&Arc<Table>>,
+    ) -> Option<(Arc<ExecPlan>, Sight)> {
+        let entry = self.layouts.get(key).filter(|e| e.plan.is_over(left, right))?;
+        Some((Arc::clone(&entry.plan), entry.sight))
+    }
+
+    /// Cache a layout, holding at most as many as the plan cache holds
+    /// plans. Eviction is by insertion order, so the hit path pays no
+    /// bookkeeping; a key moving from whole to routed keeps its place.
     fn insert_layout(&mut self, key: LayoutKey, entry: LayoutEntry) {
         if self.layouts.insert(key.clone(), entry).is_none() {
             self.layout_order.push_back(key);
@@ -531,7 +580,7 @@ fn pop_next(st: &mut SchedState, quantum: u64) -> Option<Pending> {
 }
 
 /// The query's structural identity: variant plus parameters plus the
-/// table names it runs over.
+/// names of the tables it reads.
 fn shape_key(req: &QueryRequest) -> String {
     format!("{:?}|{}|{}", req.query, req.left.name(), req.right.as_ref().map_or("-", |r| r.name()))
 }
@@ -577,6 +626,13 @@ fn execute(
 /// Resolve plan → arm → layout, execute on the chosen transport, and
 /// stamp the serving fields. The response's `trace` is filled in by the
 /// caller once the root span has closed.
+///
+/// A layout is an investment only a key that comes back repays, so what
+/// an unpinned request does depends on what the session holds for its
+/// layout key: nothing — run the tables whole, on one shard, and note
+/// what reached the master; the whole layout — fit (or look up) a shard
+/// plan, priced from that measurement, and route; a routed layout — run
+/// it.
 fn serve(
     shared: &Shared,
     req: &QueryRequest,
@@ -592,45 +648,61 @@ fn serve(
         .registry
         .histogram(&format!("serve.tenant.{}.queue_seconds", req.tenant))
         .observe(queue_seconds);
+    let right = req.right.as_ref();
+    let layout_key = (
+        shape.clone(),
+        Arc::as_ptr(&req.left) as usize,
+        right.map_or(0, |r| Arc::as_ptr(r) as usize),
+        req.shards.unwrap_or(0),
+    );
 
-    // 1. The shard plan: pinned count, or plan cache, or the planner.
+    // 1. The shard plan: pinned count, or — by what the session holds for
+    // the layout key — none at first sight, else plan cache or planner.
     let mut plan_span = root.child("plan");
     let ingest = shared.cfg.ingest;
-    // `stats` is the plan-cache key of an unpinned request — and where
-    // the run's survivor count is recorded afterwards.
-    let (layout, generation, plan_cached, stats) = match req.shards {
-        Some(shards) => {
+    let hashed = |shards| ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
+    let mut caches = shared.caches.lock().expect("caches lock");
+    let held = caches.held(&layout_key, &req.left, right);
+    let (layout, generation, plan_cached) = match (req.shards, &held) {
+        (Some(shards), _) => {
             plan_span.attr("cache", "pinned");
-            let spec = ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
-            (ShardLayout::Fixed(spec), 0, false, None)
+            (ShardLayout::Fixed(hashed(shards)), 0, false)
         }
-        None => {
-            let stats = StatsFingerprint::of(&req.left, req.right.as_deref());
-            let mut caches = shared.caches.lock().expect("caches lock");
+        (None, None) => {
+            plan_span.attr("cache", "first-sight");
+            (ShardLayout::Fixed(hashed(1)), 0, false)
+        }
+        (None, Some((_, sight))) => {
+            let stats = StatsFingerprint::of(&req.left, right.map(|r| &**r));
             if let Some(CachedPlan { plan, generation }) = caches.plans.lookup(&shape, stats) {
                 plan_span.attr("cache", "hit");
                 shared.telemetry.plan_hits.inc();
-                (ShardLayout::Fitted(plan, ingest), generation, true, Some(stats))
+                (ShardLayout::Fitted(plan, ingest), generation, true)
             } else {
                 plan_span.attr("cache", "miss");
                 shared.telemetry.plan_misses.inc();
-                // Fit a fresh plan — priced from the shape's measured
-                // survivor count if an earlier fit of it has run.
-                let survivor_hint = caches.plans.measured_survivors(&shape);
+                // Fit a fresh plan, priced from what first sight of these
+                // very tables delivered to the master. (A routed key
+                // whose plan was since evicted is re-fitted blind.)
+                let survivor_hint = match sight {
+                    Sight::Whole { survivors } => Some(*survivors),
+                    Sight::Routed { .. } => None,
+                };
                 let cfg = PlannerConfig { ingest, survivor_hint, ..PlannerConfig::default() };
                 drop(caches);
                 let fitted = Arc::new(ShardPlanner::new(cfg).plan(
                     &req.query,
                     &req.left,
-                    req.right.as_deref(),
+                    right.map(|r| &**r),
                     seed,
                 ));
-                let mut caches = shared.caches.lock().expect("caches lock");
+                caches = shared.caches.lock().expect("caches lock");
                 let generation = caches.plans.insert(&shape, stats, Arc::clone(&fitted));
-                (ShardLayout::Fitted(fitted, ingest), generation, false, Some(stats))
+                (ShardLayout::Fitted(fitted, ingest), generation, false)
             }
         }
     };
+    drop(caches);
     plan_span.finish();
 
     // 2. The arm: a value read off the request, nothing learned.
@@ -639,42 +711,34 @@ fn serve(
     choose_span.attr("arm", arm.label());
     choose_span.finish();
 
-    // 3. Execute: resolve the routed plan (cached after first sight),
-    // then run it on the arm's transport with the span entered so the
-    // worker pool's shard jobs and the merge plane trace themselves
-    // under it.
+    // 3. Execute: resolve the laid-out plan, then run it on the arm's
+    // transport with the span entered so the worker pool's shard jobs and
+    // the merge plane trace themselves under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", arm.path.label());
     exec_span.attr("backend", arm.backend.label());
 
-    let right = req.right.as_ref().filter(|_| req.query.is_binary());
-    let layout_key = (
-        shape.clone(),
-        Arc::as_ptr(&req.left) as usize,
-        right.map_or(0, |r| Arc::as_ptr(r) as usize),
-        req.shards.unwrap_or(0),
-    );
-    let cached = {
-        let caches = shared.caches.lock().expect("caches lock");
-        caches
-            .layouts
-            .get(&layout_key)
-            .filter(|e| e.generation == generation && e.plan.is_over(&req.left, right))
-            .map(|e| Arc::clone(&e.plan))
-    };
-    let plan = match cached {
+    let first_sight = req.shards.is_none() && held.is_none();
+    let routed = held.and_then(|(plan, sight)| {
+        matches!(sight, Sight::Routed { generation: g } if g == generation).then_some(plan)
+    });
+    let plan = match routed {
         Some(plan) => plan,
         None => {
-            let mut route_span = exec_span.child("route");
-            // The session routes once, in one round: both transports run
-            // off the same resident slices.
+            // The session lays out once, in one round: both transports
+            // run off the same resident units. First sight's one shard is
+            // the tables themselves — there is nothing to route.
+            let route_span = (!first_sight).then(|| exec_span.child("route"));
             let spec = StreamSpec { layout, rounds: 1, ..StreamSpec::default() };
             let plan =
                 Arc::new(ExecPlan::new(&shared.cluster, &req.query, &req.left, right, &spec)?);
-            route_span.attr("shards", plan.shards());
-            route_span.finish();
-            let entry = LayoutEntry { generation, plan: Arc::clone(&plan) };
-            shared.caches.lock().expect("caches lock").insert_layout(layout_key, entry);
+            if let Some(mut route_span) = route_span {
+                route_span.attr("shards", plan.shards());
+                route_span.finish();
+                let entry =
+                    LayoutEntry { plan: Arc::clone(&plan), sight: Sight::Routed { generation } };
+                shared.caches.lock().expect("caches lock").insert_layout(layout_key.clone(), entry);
+            }
             plan
         }
     };
@@ -691,12 +755,16 @@ fn serve(
     exec_span.attr("shards", breakdown.shards);
     exec_span.finish();
 
-    // 4. Respond: note beside the plan what the run delivered to the
-    // master, then stamp the serving fields the caller sees.
+    // 4. Respond: at first sight, remember the key and what its run
+    // delivered to the master (unless a racing request has already moved
+    // the key on); then stamp the serving fields the caller sees.
     let respond_span = root.child("respond");
-    if let Some(stats) = stats {
+    if first_sight {
         let mut caches = shared.caches.lock().expect("caches lock");
-        caches.plans.record_survivors(&shape, stats, breakdown.entries_to_master);
+        if caches.held(&layout_key, &req.left, right).is_none() {
+            let sight = Sight::Whole { survivors: breakdown.entries_to_master };
+            caches.insert_layout(layout_key, LayoutEntry { plan, sight });
+        }
     }
     breakdown.queue_seconds = queue_seconds;
     breakdown.tenant = req.tenant.clone();
@@ -724,7 +792,7 @@ fn arm_of(req: &QueryRequest) -> ChooserArm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, Table, TableBuilder, Value};
+    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, TableBuilder, Value};
 
     fn table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -825,28 +893,44 @@ mod tests {
         };
         let session = Session::with_defaults();
         let q = DbQuery::Join { left_key: 0, right_key: 0 };
-        let run = |rows| {
-            let (l, r) = (fanout("l", rows), fanout("r", rows));
-            let req = QueryRequest::new(q.clone(), Arc::clone(&l)).with_right(Arc::clone(&r));
-            let shape = shape_key(&req);
-            let resp = session.run_blocking(req).unwrap();
-            assert!(!resp.plan_cached, "{rows} rows: first sight of these stats must fit");
-            let stats = StatsFingerprint::of(&l, Some(&r));
-            let mut caches = session.shared.caches.lock().unwrap();
-            let plan = caches.plans.lookup(&shape, stats).expect("just fitted").plan;
-            (resp.breakdown.entries_to_master, plan.report.curve[0].merge_seconds)
-        };
         let cfg = PlannerConfig::default();
         let price = |survivors| cfg.ingest.planning_latency(1, survivors);
-        // First sight is priced blind, from the eight distinct keys.
-        let (measured, blind_merge) = run(3_000);
+        // First and second sight of one pair of tables: what the first
+        // run delivered to the master, and the one-shard merge price of
+        // the plan the second fitted.
+        let two_sights = |rows| {
+            let (l, r) = (fanout("l", rows), fanout("r", rows));
+            let req = || QueryRequest::new(q.clone(), Arc::clone(&l)).with_right(Arc::clone(&r));
+            let shape = shape_key(&req());
+            let stats = StatsFingerprint::of(&l, Some(&r));
+            let first = session.run_blocking(req()).unwrap();
+            assert!(!first.plan_cached, "{rows} rows: first sight consults no plan");
+            let fitted =
+                |s: &Session| s.shared.caches.lock().unwrap().plans.fitted_stats(&shape, stats);
+            assert_eq!(fitted(&session), None, "{rows} rows: first sight fits nothing");
+            let second = session.run_blocking(req()).unwrap();
+            assert!(!second.plan_cached, "{rows} rows: second sight of these stats must fit");
+            assert_eq!(second.output, first.output);
+            let mut caches = session.shared.caches.lock().unwrap();
+            let plan = caches.plans.lookup(&shape, stats).expect("just fitted").plan;
+            // What the proxy would have priced: the eight distinct keys.
+            let seed = session.shared.cluster.tuning.seed;
+            let blind = ShardPlanner::new(cfg.clone()).plan(&q, &l, Some(&r), seed);
+            assert!(blind.report.curve[0].merge_seconds < price(1_000));
+            (first.breakdown.entries_to_master, plan.report.curve[0].merge_seconds)
+        };
+        // Second sight is priced from what first sight measured.
+        let (measured, merge) = two_sights(3_000);
         assert!(measured > 1_000, "the adversary must flood the master: {measured}");
-        assert!(blind_merge < price(measured) / 2.0 + cfg.per_shard_overhead_seconds);
-        // Same shape, twice the rows: past the stats tolerance, so a
-        // re-fit — priced from what the first fit's run delivered.
-        let (_, informed_merge) = run(6_000);
         let want = price(measured) + cfg.per_shard_overhead_seconds;
-        assert!((informed_merge - want).abs() < 1e-12, "{informed_merge} vs {want}");
+        assert!((merge - want).abs() < 1e-12, "{merge} vs {want}");
+        // Same shape, twice the rows: past the stats tolerance, so a
+        // re-fit — priced from the drifted tables' own first run, not
+        // from the proxy and not from the stale measurement.
+        let (drifted, merge) = two_sights(6_000);
+        assert!(drifted > measured + 1_000, "{drifted} vs {measured}");
+        let want = price(drifted) + cfg.per_shard_overhead_seconds;
+        assert!((merge - want).abs() < 1e-12, "{merge} vs {want}");
     }
 
     #[test]
@@ -854,10 +938,15 @@ mod tests {
         let t = table(2_000, 4, 3);
         let session = Session::with_defaults();
         let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let first = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
-        assert!(!first.plan_cached, "first sight of a shape must plan");
+        let ask = || session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
+        let first = ask();
+        assert!(!first.plan_cached, "first sight runs the table whole: no plan to cache");
+        assert_eq!(session.stats().plan_misses, 0, "…and no planner call to miss for");
+        let second = ask();
+        assert!(!second.plan_cached, "second sight must plan");
+        assert_eq!(second.output, first.output);
         for _ in 0..5 {
-            let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
+            let resp = ask();
             assert!(resp.plan_cached);
             assert_eq!(resp.output, first.output);
         }
@@ -865,6 +954,37 @@ mod tests {
         assert_eq!(stats.plan_misses, 1);
         assert_eq!(stats.plan_hits, 5);
         assert!(stats.plan_hit_rate() > 0.8);
+    }
+
+    #[test]
+    fn racing_first_sights_both_answer_and_leave_one_layout() {
+        let cluster = Cluster::default();
+        let t = table(20_000, 4, 17);
+        let q = DbQuery::Distinct { col: 0 };
+        let want = cluster.run_baseline(&q, &t, None).output;
+        let session = Session::new(cluster, SessionConfig::default());
+        // Started together, each on its caller's thread (`run_blocking`'s
+        // fast path needs only an empty queue): whichever way they
+        // interleave — both finding the key absent, or one finding the
+        // other's entry — both must answer, and the key must end up held
+        // exactly once.
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap()
+                    })
+                })
+                .collect();
+            for racer in racers {
+                assert_eq!(racer.join().expect("racer thread").output, want);
+            }
+        });
+        let caches = session.shared.caches.lock().unwrap();
+        assert_eq!(caches.layouts.len(), 1);
+        assert_eq!(caches.layout_order.len(), 1);
     }
 
     #[test]
