@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims docs ledger-check ledger pruning-gate shard-gate planner-gate runtime-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims docs ledger-check ledger pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -18,12 +18,14 @@ lint: no-shims
 # (cheetah-ledger), one §7.2 event loop (cheetah_net::rack), one row
 # encoder (PruningOperator::encode_part) under one encode -> prune loop,
 # one survivor representation (row selections: no entry type, no
-# per-row key encoder beside the operators' walk), and no arm selector.
+# per-row key encoder beside the operators' walk), no arm selector, and
+# one round, one way to fit a layout (no input rounds, mid-run
+# supervisor, planner-in-the-constructor layout or calibration probe).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
-# do-nothing vendored stub, multi-pass kernel, bandit or entry type is
-# named anywhere again.
+# do-nothing vendored stub, multi-pass kernel, bandit, entry type,
+# supervisor or gate is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -40,22 +42,19 @@ docs:
 pruning-gate:
 	cargo test -q -p cheetah-db --test pruning_contract
 
-# The named CI gate: shard equivalence across all seven query variants.
+# The named CI gate: shard equivalence across all seven query variants x
+# shards {1,2,7} x both partitioners x both transports x both backends,
+# with the merge plane's discipline held at every point and streamed
+# execution deterministic end to end.
 shard-gate:
 	cargo test -q -p cheetah-db --test shard_contract
 
 # The named CI gate: planner contract — planned runs bit-identical to
-# baseline across all seven variants x the adversarial workload family,
-# deterministic plans, fitted-range load within 2x of hash.
+# baseline across all seven variants x the adversarial workload family
+# on both transports, deterministic plans, fitted-range load within 2x
+# of hash.
 planner-gate:
 	cargo test -q -p cheetah-db --test planner_contract
-
-# The named CI gate: runtime contract — execute over plans routed in
-# rounds bit-identical to baseline across all seven variants x the
-# adversarial workload family x shards {1,2,7} x both partitioners x
-# both transports x both backends, including a forced mid-run re-plan.
-runtime-gate:
-	cargo test -q -p cheetah-db --test runtime_contract
 
 # The named CI gate: compiled contract — the plan-time fused kernels
 # (five families have one: filter, DISTINCT, TOP N, GROUP BY, SKYLINE;
@@ -72,9 +71,11 @@ compiled-gate:
 # baselines, no starvation under a flooding co-tenant, typed
 # Error::Overloaded past the in-flight bound, the layout lifecycle of a
 # repeated shape (first sight runs the tables whole, second sight plans
-# and routes, later ones hit the plan cache) never changing results, and
-# a right table attached to a unary query ignored by every key,
-# fingerprint and cost.
+# and routes, later ones hit the plan cache) never changing results, a
+# right table attached to a unary query ignored by every key,
+# fingerprint and cost, and containment: a column the table cannot
+# answer for is a typed BadColumn, a panicking shard job a typed
+# WorkerPanicked, each to its own request with the pool intact.
 serving-gate:
 	cargo test -q -p cheetah-db --test serving_contract
 

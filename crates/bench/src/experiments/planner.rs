@@ -10,10 +10,10 @@
 //! `SLOWER:` note beside the rows, not asserted — only the outputs are.
 
 use crate::report::secs;
-use crate::{run_barrier, Report, RunCtx};
+use crate::{fitted_spec, run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ShardPlanner, ShardSpec, Tables};
-use cheetah_runtime::{ExecRun, ShardLayout};
+use cheetah_db::{Cluster, DbQuery, ShardSpec};
+use cheetah_runtime::{ExecRun, StreamSpec};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
@@ -73,10 +73,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         let mut worst: Option<(String, f64)> = None;
         for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
             for &n in &ctx.shards {
-                let spec = ShardSpec::new(n, partitioner);
-                let run = best_of(|| {
-                    run_barrier(&cluster, q, &table, right_of, ShardLayout::Fixed(spec))
-                });
+                let spec = StreamSpec::fixed(ShardSpec::new(n, partitioner));
+                let run = best_of(|| run_barrier(&cluster, q, &table, right_of, &spec));
                 assert_eq!(single.output, run.output, "{name}: fixed spec diverged");
                 let label = format!("{}@{}", partitioner.name(), n);
                 let c = completion(&run);
@@ -87,9 +85,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             }
         }
 
-        let planned = best_of(|| {
-            run_barrier(&cluster, q, &table, right_of, ShardLayout::Planned(planner.clone()))
-        });
+        let spec = fitted_spec(&cluster, &planner, q, &table, right_of);
+        let planned = best_of(|| run_barrier(&cluster, q, &table, right_of, &spec));
         assert_eq!(single.output, planned.output, "{name}: planned run diverged");
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         let label = format!("planned:{}@{}", plan.partitioner().name(), plan.shards());
@@ -107,40 +104,14 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             plan.report.reason
         ));
 
-        // The calibration story (ROADMAP): how far the default cost
-        // constants sit from this machine, and how much of that gap a
-        // measured calibration closes. The model prices the worker and
-        // master phases (not the link transfer), so the measured side is
-        // the same phase sum.
-        let modelled = |run: &ExecRun| {
-            let p = run.plan.as_ref().expect("planned run records its plan");
-            p.report
-                .curve
-                .iter()
-                .find(|c| c.shards == p.report.shards)
-                .map(|c| c.total())
-                .unwrap_or(0.0)
-        };
-        let phases = |run: &ExecRun| run.breakdown.worker_seconds + run.breakdown.master_seconds;
-        let default_gap = (modelled(&planned) - phases(&planned)).abs();
-        let tables = match right_of {
-            Some(rt) => Tables::binary(&table, rt),
-            None => Tables::unary(&table),
-        };
-        let calibrated = ShardPlanner::new(planner.cfg.clone().calibrate(&cluster, &tables));
-        let cal_run = best_of(|| {
-            run_barrier(&cluster, q, &table, right_of, ShardLayout::Planned(calibrated.clone()))
-        });
-        assert_eq!(single.output, cal_run.output, "{name}: calibrated run diverged");
-        let cal_gap = (modelled(&cal_run) - phases(&cal_run)).abs();
-        let cal = calibrated.cfg.calibration.expect("probe ran");
+        // How far the default cost constants sit from this machine. The
+        // model prices the worker and master phases (not the link
+        // transfer), so the measured side is the same phase sum.
+        let modelled = plan.report.curve[plan.shards() - 1].total();
+        let measured = planned.breakdown.worker_seconds + planned.breakdown.master_seconds;
         r.note(format!(
-            "{name}: modelled-vs-measured gap {:.3} ms with default constants, {:.3} ms \
-             calibrated (measured {:.0} entries/s serialize, {:.1} µs/shard overhead)",
-            default_gap * 1e3,
-            cal_gap * 1e3,
-            cal.measured_arrival_rate,
-            cal.measured_overhead_seconds * 1e6,
+            "{name}: modelled-vs-measured gap {:.3} ms with the default constants",
+            (modelled - measured).abs() * 1e3,
         ));
     }
     r.note(format!(
@@ -170,7 +141,7 @@ mod tests {
             r.rows.iter().filter(|row| row[1].starts_with("planned:")).collect();
         assert_eq!(planned_rows.len(), 3);
         assert!(r.notes.iter().any(|n| n.contains("planner chose")), "{:?}", r.notes);
-        // Every family reports the calibration's modelled-vs-measured gap.
+        // Every family reports the model's distance from the measurement.
         assert_eq!(
             r.notes.iter().filter(|n| n.contains("modelled-vs-measured gap")).count(),
             3,

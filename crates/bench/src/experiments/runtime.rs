@@ -6,16 +6,15 @@
 //! most — zipf(1.5) key skew and the single-hot-key degenerate — the
 //! barrier transport joins every worker before the master folds a single
 //! survivor, while the stream transport folds early shards' batches
-//! behind the straggler. Both rows execute the *same* routed plan (four
-//! input rounds, supervised re-fits), so the transport is the only
-//! difference between them.
+//! behind the straggler. Both rows execute the *same* routed plan, so the
+//! transport is the only difference between them.
 //!
 //! Two bars are reported on every run: on the zipf(1.5) workload the
-//! streamed runs' modelled completion, summed over the routing-agnostic
-//! families, against the barrier runs' (a `SLOWER:` note when streaming
-//! lost), and whether any repetition measured a positive
-//! `overlap_seconds` (a `NO OVERLAP:` note when none did). Both are wall
-//! clock at quick scale, so neither is asserted — only the outputs are.
+//! streamed runs' modelled completion, summed over the families, against
+//! the barrier runs' (a `SLOWER:` note when streaming lost), and whether
+//! any repetition measured a positive `overlap_seconds` (a `NO OVERLAP:`
+//! note when none did). Both are wall clock at quick scale, so neither is
+//! asserted — only the outputs are.
 
 use crate::report::secs;
 use crate::{Report, RunCtx};
@@ -49,17 +48,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     let mut r = Report::new(
         "runtime",
         "Stream vs barrier transport (adversarial workloads)",
-        &[
-            "workload",
-            "query",
-            "dataflow",
-            "completion",
-            "worker",
-            "master",
-            "overlap",
-            "replans",
-            "batches",
-        ],
+        &["workload", "query", "dataflow", "completion", "worker", "master", "overlap", "batches"],
     );
     for adv in [PlannerAdversary::Zipf(1.5), PlannerAdversary::SingleHotKey] {
         let table = Arc::new(adv.table(rows, 8, 0xC4_11EE));
@@ -97,7 +86,6 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 secs(b.worker_seconds),
                 secs(b.master_seconds),
                 secs(0.0),
-                "0".into(),
                 "-".into(),
             ]);
             let s = &streamed.breakdown;
@@ -109,17 +97,13 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 secs(s.worker_seconds),
                 secs(s.master_seconds),
                 secs(s.overlap_seconds),
-                s.replans.to_string(),
                 streamed.batches.to_string(),
             ]);
 
             // The bars, on the workload they are stated over, summed
             // across families: individual sub-millisecond points jitter by
-            // more than the overlap win. Key-holistic families (single
-            // round — nothing to overlap at the input side) stay out of
-            // the sum: at toy scale their framing overhead has no
-            // straggler to hide behind.
-            if matches!(adv, PlannerAdversary::Zipf(1.5)) && q.merge_routing_agnostic() {
+            // more than the overlap win.
+            if matches!(adv, PlannerAdversary::Zipf(1.5)) {
                 zipf_barrier += completion(&barrier);
                 zipf_streamed += completion(&streamed);
                 // Judged across the reps, not just the fastest one — a
@@ -137,14 +121,14 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         }
     }
     r.note(format!(
-        "{rows} rows, {shards} hash shards; one routed plan per point (rounds/batching per \
-         StreamSpec defaults) executed on both transports; outputs verified equal to the \
-         unsharded run at every point"
+        "{rows} rows, {shards} hash shards; one routed plan per point (batching off the ingest \
+         model) executed on both transports; outputs verified equal to the unsharded run at \
+         every point"
     ));
     r.note(
-        "bars on zipf(1.5), routing-agnostic families: a streamed completion above the \
+        "bars on zipf(1.5), summed over the families: a streamed completion above the \
          barrier's prints a SLOWER note, no positive overlap_seconds in any repetition a \
-         NO OVERLAP note; having-sum (single round) stays out of both",
+         NO OVERLAP note",
     );
     vec![r]
 }
@@ -164,7 +148,7 @@ mod tests {
         assert_eq!(r.rows.iter().filter(|row| row[2] == "streamed").count(), 8);
         // Streamed rows carry live batch counts.
         for row in r.rows.iter().filter(|row| row[2] == "streamed") {
-            let batches: u64 = row[8].parse().expect("batch count");
+            let batches: u64 = row[7].parse().expect("batch count");
             assert!(batches > 0, "{row:?}");
         }
     }

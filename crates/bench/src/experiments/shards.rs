@@ -12,10 +12,10 @@
 //! output must equal the unsharded run's, or the harness panics.
 
 use crate::report::secs;
-use crate::{run_barrier, Report, RunCtx};
+use crate::{fitted_spec, run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ShardSpec};
-use cheetah_runtime::{ExecRun, ShardLayout};
+use cheetah_runtime::{ExecRun, StreamSpec};
 use cheetah_workloads::SkewedTableConfig;
 use std::sync::Arc;
 
@@ -73,9 +73,9 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     for (name, q) in &families {
         let right_of = q.is_binary().then_some(&right);
         let single = cluster.run_cheetah(q, &table, right_of.map(|r| &**r)).expect("plan fits");
-        // One round per shard on the barrier transport: the sweep's axis
-        // is the shard count, not the dataflow.
-        let run_under = |layout| run_barrier(&cluster, q, &table, right_of, layout);
+        // The barrier transport throughout: the sweep's axis is the shard
+        // count, not the dataflow.
+        let run_under = |spec| run_barrier(&cluster, q, &table, right_of, &spec);
         let mut record = |label: String, sharded: &ExecRun| {
             assert_eq!(
                 single.output, sharded.output,
@@ -95,11 +95,11 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         };
         for &n in &ctx.shards {
             let spec = ShardSpec::new(n, ShardPartitioner::Hash);
-            record(n.to_string(), &run_under(ShardLayout::Fixed(spec)));
+            record(n.to_string(), &run_under(StreamSpec::fixed(spec)));
         }
         // The planned comparison row: the planner searches the same
         // shard range the sweep covers (RunCtx-driven).
-        let planned = run_under(ShardLayout::Planned(planner.clone()));
+        let planned = run_under(fitted_spec(&cluster, &planner, q, &table, right_of));
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         record(format!("planned:{}@{}", plan.partitioner().name(), plan.shards()), &planned);
     }

@@ -65,21 +65,31 @@ pub fn skewed_tables(
     (left.build().into(), right.build().into())
 }
 
-/// Route `q` under `layout` in one round and execute it on the barrier
-/// transport — the classic sharded run. Routing (and, for a planned
-/// layout, sampling and fitting) is inside the call, so callers that time
-/// it price a run from raw table to merged answer.
+/// Route `q` under `spec` and execute it on the barrier transport — the
+/// classic sharded run.
 pub fn run_barrier(
     cluster: &cheetah_db::Cluster,
     q: &cheetah_db::DbQuery,
     left: &std::sync::Arc<cheetah_db::Table>,
     right: Option<&std::sync::Arc<cheetah_db::Table>>,
-    layout: cheetah_runtime::ShardLayout,
+    spec: &cheetah_runtime::StreamSpec,
 ) -> cheetah_runtime::ExecRun {
-    let spec = cheetah_runtime::StreamSpec { layout, rounds: 1, ..Default::default() };
-    let plan = cheetah_runtime::ExecPlan::new(cluster, q, left, right, &spec).expect("routes");
+    let plan = cheetah_runtime::ExecPlan::new(cluster, q, left, right, spec).expect("routes");
     cheetah_runtime::execute(cluster, &plan.for_path(cheetah_db::ExecPath::BarrierPooled))
         .expect("plan fits")
+}
+
+/// The layout `planner` fits for `q` over these tables, as a spec — what
+/// the serving plane builds at second sight of a request.
+pub fn fitted_spec(
+    cluster: &cheetah_db::Cluster,
+    planner: &cheetah_db::ShardPlanner,
+    q: &cheetah_db::DbQuery,
+    left: &std::sync::Arc<cheetah_db::Table>,
+    right: Option<&std::sync::Arc<cheetah_db::Table>>,
+) -> cheetah_runtime::StreamSpec {
+    let plan = planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed);
+    cheetah_runtime::StreamSpec::fitted(std::sync::Arc::new(plan), planner.cfg.ingest)
 }
 
 /// Experiment scale.

@@ -62,6 +62,21 @@ pub enum Error {
         /// The family's [`QuerySpec::kind`](crate::QuerySpec::kind).
         family: &'static str,
     },
+    /// A query named a column its table does not have, or one of a type
+    /// the family cannot read there (an `Int` where it orders, aggregates,
+    /// sums, dominates or compares; a `Str` under `LIKE`).
+    BadColumn {
+        /// The stream whose table was asked (0 = left, 1 = right).
+        stream: usize,
+        /// The offending column index, as the query named it.
+        col: usize,
+    },
+    /// A shard's worker job ended without reporting — it panicked. The
+    /// failure is the request's alone: the pool thread survives it.
+    WorkerPanicked {
+        /// The lowest shard that never reported.
+        shard: usize,
+    },
 }
 
 impl Error {
@@ -74,7 +89,9 @@ impl Error {
             | Error::UnsortedShardBoundaries { .. }
             | Error::FabricStalled { .. }
             | Error::EncodedRowMismatch { .. }
-            | Error::NoKernel { .. } => None,
+            | Error::NoKernel { .. }
+            | Error::BadColumn { .. }
+            | Error::WorkerPanicked { .. } => None,
         }
     }
 }
@@ -101,6 +118,12 @@ impl fmt::Display for Error {
             Error::NoKernel { family } => {
                 write!(f, "no compiled kernel for the multi-pass {family} family")
             }
+            Error::BadColumn { stream, col } => {
+                write!(f, "column {col} of input stream {stream} is missing or of the wrong type for the query")
+            }
+            Error::WorkerPanicked { shard } => {
+                write!(f, "the worker job of shard {shard} panicked before reporting")
+            }
         }
     }
 }
@@ -114,7 +137,9 @@ impl std::error::Error for Error {
             | Error::UnsortedShardBoundaries { .. }
             | Error::FabricStalled { .. }
             | Error::EncodedRowMismatch { .. }
-            | Error::NoKernel { .. } => None,
+            | Error::NoKernel { .. }
+            | Error::BadColumn { .. }
+            | Error::WorkerPanicked { .. } => None,
         }
     }
 }
@@ -176,6 +201,15 @@ mod tests {
     fn no_kernel_is_informative() {
         let e = Error::NoKernel { family: "join" };
         assert!(e.to_string().contains("join"), "{e}");
+        assert!(e.as_switch().is_none());
+    }
+
+    #[test]
+    fn bad_column_and_worker_panic_are_informative() {
+        let e = Error::BadColumn { stream: 1, col: 9 };
+        assert!(e.to_string().contains("column 9 of input stream 1"), "{e}");
+        let e = Error::WorkerPanicked { shard: 3 };
+        assert!(e.to_string().contains("shard 3"), "{e}");
         assert!(e.as_switch().is_none());
     }
 

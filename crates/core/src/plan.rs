@@ -18,8 +18,7 @@
 //! * [`KeySampler`] / [`KeyStats`] — one pass over the routing keys
 //!   producing the sampled quantiles, the distinct estimate, and the
 //!   top-key mass (the skew signal). Long streams are read through a
-//!   bounded stride ([`KeySampler::offer_strided`]): the one sampler the
-//!   planner, its precomputed-keys twin and the mid-run supervisor share;
+//!   bounded stride ([`KeySampler::offer_strided`]);
 //! * [`fit_boundaries`] — fitted range cut points from the sampled
 //!   quantiles, consumed by [`Sharder::fitted_range`];
 //! * [`max_load_fraction`] — evaluate a candidate sharder's worst shard

@@ -1,6 +1,8 @@
 //! Predicates for WHERE clauses, including the string `LIKE` the switch
 //! cannot evaluate (§4.1's running example).
 
+use crate::value::DataType;
+
 /// Integer comparison operators (signed SQL semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntCmp {
@@ -113,20 +115,20 @@ pub enum DbPredicate {
 impl DbPredicate {
     /// All column indices the predicate reads.
     pub fn columns(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
+        let mut out: Vec<usize> = self.typed_columns().into_iter().map(|(col, _)| col).collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    fn collect_columns(&self, out: &mut Vec<usize>) {
+    /// Every atom's column with the type the atom reads it as — `Int`
+    /// under a comparison, `Str` under `LIKE` — in tree order.
+    pub fn typed_columns(&self) -> Vec<(usize, DataType)> {
         match self {
-            DbPredicate::CmpInt { col, .. } | DbPredicate::Like { col, .. } => out.push(*col),
+            DbPredicate::CmpInt { col, .. } => vec![(*col, DataType::Int)],
+            DbPredicate::Like { col, .. } => vec![(*col, DataType::Str)],
             DbPredicate::And(xs) | DbPredicate::Or(xs) => {
-                for x in xs {
-                    x.collect_columns(out);
-                }
+                xs.iter().flat_map(DbPredicate::typed_columns).collect()
             }
         }
     }
@@ -229,6 +231,10 @@ mod tests {
             ]),
         ]);
         assert_eq!(p.columns(), vec![0, 1, 2]);
+        assert_eq!(
+            p.typed_columns(),
+            vec![(2, DataType::Int), (1, DataType::Int), (0, DataType::Str)]
+        );
         assert!(p.has_external_atoms());
         assert_eq!(p.remapped(&[0, 1, 2]), p, "a full-width projection moves nothing");
         let q = DbPredicate::CmpInt { col: 0, op: IntCmp::Lt, lit: 10 };

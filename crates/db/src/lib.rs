@@ -58,8 +58,7 @@ pub use executor::Tables;
 pub use expr::{DbPredicate, IntCmp, LikePattern};
 pub use master::{decompose_output, merge_shard_outputs, MasterIngestModel, MergeItem, MergeState};
 pub use planner::{
-    fixed_sharder, routing_keys, Calibration, ChooserArm, ExecPath, PathChooser, PlannerConfig,
-    ShardPlanner,
+    fixed_sharder, routing_keys, ChooserArm, ExecPath, PathChooser, PlannerConfig, ShardPlanner,
 };
 pub use query::{DbQuery, QueryOutput};
 pub use sharded::{route_columns, route_range, ShardSpec, ShardStats};

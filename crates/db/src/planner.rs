@@ -8,7 +8,10 @@
 //! replaces both hand-picked choices with one sampling pass over the
 //! per-query routing keys (the same keys every routed layout is split by —
 //! key extraction lives *here*, in one place, and the plan constructor in
-//! `cheetah-runtime` consumes it):
+//! `cheetah-runtime` consumes it). A caller fits a plan
+//! ([`ShardPlanner::plan`]) and hands it to the plan constructor as a
+//! fitted layout — there is one way to fit, whether the plan is used at
+//! once or kept in the serving plane's plan cache:
 //!
 //! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over a bounded
 //!    strided sample of every stream's routing keys
@@ -39,12 +42,10 @@
 //! humans audit the choice instead of trusting it. Plans are
 //! deterministic: same seed + same tables ⇒ identical [`ShardPlan`].
 
-use crate::engine::Cluster;
-use crate::executor::Tables;
 use crate::operators::{for_each_key, key_at};
 use crate::query::DbQuery;
 use crate::sharded::ShardSpec;
-use crate::table::{Partition, Table, TableBuilder};
+use crate::table::{Partition, Table};
 use cheetah_core::plan::{
     fit_boundaries, max_load_fraction, KeySampler, KeyStats, PlanReport, ShardCostPoint, ShardPlan,
 };
@@ -70,10 +71,6 @@ pub struct PlannerConfig {
     /// Ingest model queried for the fan-in curve and applied to the
     /// planned run's survivor streams.
     pub ingest: MasterIngestModel,
-    /// The measurements a [`PlannerConfig::calibrate`] run recorded, when
-    /// this config's constants came from a probe instead of the
-    /// hard-coded defaults.
-    pub calibration: Option<Calibration>,
     /// Measured survivor volume (`entries_to_master`) from a previous run
     /// of the same query, when the caller observed one (the serving plane
     /// runs a shape over its tables once, whole, before it plans it, and
@@ -92,100 +89,9 @@ impl Default for PlannerConfig {
             range_load_factor: 2.0,
             per_shard_overhead_seconds: 300e-6,
             ingest: MasterIngestModel::default_rack(),
-            calibration: None,
             survivor_hint: None,
         }
     }
-}
-
-/// What one [`PlannerConfig::calibrate`] probe measured.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Calibration {
-    /// Rows the throughput probe serialized.
-    pub probe_rows: u64,
-    /// Measured worker serialize rate (entries/second), installed as the
-    /// cost model's arrival rate.
-    pub measured_arrival_rate: f64,
-    /// Measured fixed cost of standing up one more shard (planning +
-    /// running one degenerate switch program), installed as
-    /// `per_shard_overhead_seconds`.
-    pub measured_overhead_seconds: f64,
-}
-
-impl PlannerConfig {
-    /// Replace the hard-coded cost constants with measured ones from a
-    /// short calibration run over (a slice of) the actual input:
-    ///
-    /// * **per-shard overhead** — the wall time of a complete executor
-    ///   run over a tiny slice, which is dominated by exactly the fixed
-    ///   work every additional shard pays (planning its own switch
-    ///   program, standing up its pipeline, one more merge input);
-    /// * **arrival rate** — the measured CWorker serialize rate over a
-    ///   larger probe slice, replacing the nominal 10 M entries/s the
-    ///   default model assumes.
-    ///
-    /// Best-effort: an empty input or a probe failure returns the config
-    /// unchanged. The probe is seeded data (the table's own first rows),
-    /// but the measurements are wall-clock — calibrated plans trade the
-    /// planner's bit-determinism for a model that matches this machine.
-    pub fn calibrate(mut self, cluster: &Cluster, tables: &Tables<'_>) -> PlannerConfig {
-        const PROBE_ROWS: usize = 512;
-        const OVERHEAD_ROWS: usize = 32;
-        const REPS: usize = 3;
-        let probe = probe_slice(tables.left, PROBE_ROWS);
-        if probe.rows() == 0 {
-            return self;
-        }
-        let q = DbQuery::Distinct { col: 0 };
-        // Fixed cost: the fastest of a few tiny complete runs.
-        let tiny = probe_slice(tables.left, OVERHEAD_ROWS);
-        let mut overhead = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = std::time::Instant::now();
-            if cluster.run_cheetah(&q, &tiny, None).is_err() {
-                return self;
-            }
-            overhead = overhead.min(t0.elapsed().as_secs_f64());
-        }
-        // Serialize rate: rows over the measured worker phase.
-        let mut worker_seconds = f64::INFINITY;
-        for _ in 0..REPS {
-            match cluster.run_cheetah(&q, &probe, None) {
-                Ok(run) => worker_seconds = worker_seconds.min(run.breakdown.worker_seconds),
-                Err(_) => return self,
-            }
-        }
-        let rate = probe.rows() as f64 / worker_seconds.max(1e-9);
-        let calibration = Calibration {
-            probe_rows: probe.rows() as u64,
-            measured_arrival_rate: rate,
-            measured_overhead_seconds: overhead,
-        };
-        self.per_shard_overhead_seconds = overhead.max(1e-9);
-        self.ingest.arrival_rate = rate.max(1.0);
-        self.calibration = Some(calibration);
-        self
-    }
-}
-
-/// The first `rows` rows of `table` as one single-partition table — the
-/// calibration probe's input.
-fn probe_slice(table: &Table, rows: usize) -> Table {
-    let take = table.rows().min(rows);
-    // `take + 1` keeps the builder's automatic partition cadence
-    // unreachable: the probe is exactly one partition.
-    let mut b = TableBuilder::new(table.name(), table.fields().to_vec(), take + 1);
-    let mut left = take;
-    'outer: for p in table.partitions() {
-        for r in 0..p.rows() {
-            if left == 0 {
-                break 'outer;
-            }
-            b.push_row(p.row(r));
-            left -= 1;
-        }
-    }
-    b.build()
 }
 
 /// The sample-driven shard planner.
@@ -215,7 +121,7 @@ fn probe_slice(table: &Table, rows: usize) -> Table {
 /// let cluster = Cluster::default();
 /// let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
 /// let planner = ShardPlanner::default();
-/// let plan = planner.plan(&q, &table, None, cluster.tuning.seed);
+/// let plan = Arc::new(planner.plan(&q, &table, None, cluster.tuning.seed));
 ///
 /// // The report carries every estimate the decision read…
 /// assert_eq!(plan.report.rows, 4000);
@@ -223,9 +129,10 @@ fn probe_slice(table: &Table, rows: usize) -> Table {
 /// assert!(plan.shards() >= 1 && plan.shards() <= 16);
 /// println!("{}", plan.report.reason);
 ///
-/// // …and the planned run completes bit-identically to the baseline.
+/// // …and a run laid out by it completes bit-identically to the baseline.
 /// let base = cluster.run_baseline(&q, &table, None);
-/// let routed = ExecPlan::new(&cluster, &q, &table, None, &StreamSpec::planned(planner)).unwrap();
+/// let spec = StreamSpec::fitted(plan, planner.cfg.ingest);
+/// let routed = ExecPlan::new(&cluster, &q, &table, None, &spec).unwrap();
 /// let planned = execute(&cluster, &routed).unwrap();
 /// assert_eq!(base.output, planned.output);
 /// ```
@@ -252,18 +159,6 @@ impl ShardPlanner {
             tables.iter().enumerate().map(|(s, t)| KeyCursor::new(q, s, t, seed)).collect();
         let mut sampler = KeySampler::new(self.cfg.sample_size, seed);
         sampler.offer_strided(&lens, |stream, row| cursors[stream].key_at(row));
-        self.plan_from_stats(sampler.finish(), seed)
-    }
-
-    /// Plan from precomputed routing-key streams (what the plan
-    /// constructor in `cheetah-runtime` uses so the keys are extracted
-    /// once for sampling *and* routing) — the same strided sample, so the
-    /// same plan, as [`plan`](Self::plan) over the tables the keys came
-    /// from.
-    pub fn plan_from_keys(&self, key_slices: &[&[u64]], seed: u64) -> ShardPlan {
-        let lens: Vec<usize> = key_slices.iter().map(|s| s.len()).collect();
-        let mut sampler = KeySampler::new(self.cfg.sample_size, seed);
-        sampler.offer_strided(&lens, |stream, row| key_slices[stream][row]);
         self.plan_from_stats(sampler.finish(), seed)
     }
 
@@ -592,6 +487,7 @@ pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Cluster;
     use crate::testutil::{all_queries, test_table};
 
     #[test]
@@ -631,23 +527,26 @@ mod tests {
     }
 
     #[test]
-    fn a_table_over_the_bound_is_planned_from_the_same_strided_keys_either_way() {
+    fn a_table_over_the_bound_is_sampled_at_the_keys_routing_splits_by() {
         // 40 000 + 20 000 rows against a bound of 16 × 1 024 reads: stride
-        // 4. Extracting keys at the sampled rows only (`plan`) must see
-        // exactly what striding the full key vectors (`plan_from_keys`)
-        // sees — string fingerprints, ordered ints and row-id hashes, and
-        // a second stream whose first sampled row is not its row 0.
+        // 4. Extracting keys at the sampled rows only (the planner's
+        // cursor) must read exactly what every routed layout is split by
+        // (`routing_keys`) — string fingerprints, ordered ints and row-id
+        // hashes, and a second stream whose first sampled row is not its
+        // row 0.
         let (l, r) = (test_table(40_000, 7), test_table(20_000, 3));
         let planner = ShardPlanner::default();
         let seed = 0xC43E7A;
         for q in all_queries().into_iter().chain([DbQuery::Join { left_key: 0, right_key: 1 }]) {
             let right = q.is_binary().then_some(&r);
-            let left_keys = routing_keys(&q, 0, &l, seed);
-            let right_keys = right.map(|r| routing_keys(&q, 1, r, seed));
-            let slices: Vec<&[u64]> =
-                std::iter::once(left_keys.as_slice()).chain(right_keys.as_deref()).collect();
+            for (stream, t) in std::iter::once(&l).chain(right).enumerate() {
+                let keys = routing_keys(&q, stream, t, seed);
+                let mut cursor = KeyCursor::new(&q, stream, t, seed);
+                for row in (stream..t.rows()).step_by(4) {
+                    assert_eq!(cursor.key_at(row), keys[row], "{} stream {stream}", q.kind());
+                }
+            }
             let plan = planner.plan(&q, &l, right, seed);
-            assert_eq!(plan, planner.plan_from_keys(&slices, seed), "{}", q.kind());
             let rows = l.rows() + right.map_or(0, Table::rows);
             assert_eq!(plan.report.rows, rows as u64, "{}: rows stay exact", q.kind());
             assert_eq!(plan.report.sample_len, planner.cfg.sample_size, "{}", q.kind());
@@ -669,36 +568,6 @@ mod tests {
             plan.report
         );
         assert_eq!(plan.report.curve.len(), planner.cfg.max_shards);
-    }
-
-    #[test]
-    fn calibration_measures_real_constants() {
-        let cluster = Cluster::default();
-        let t = test_table(3_000, 3);
-        let cfg = PlannerConfig::default().calibrate(&cluster, &Tables::unary(&t));
-        let cal = cfg.calibration.expect("probe ran");
-        assert_eq!(cal.probe_rows, 512);
-        assert!(cal.measured_arrival_rate > 0.0);
-        assert!(cal.measured_overhead_seconds > 0.0);
-        assert!(
-            (cfg.per_shard_overhead_seconds - cal.measured_overhead_seconds.max(1e-9)).abs()
-                < 1e-12
-        );
-        assert_eq!(cfg.ingest.arrival_rate, cal.measured_arrival_rate.max(1.0));
-    }
-
-    #[test]
-    fn calibration_of_an_empty_table_is_a_no_op() {
-        let cluster = Cluster::default();
-        let t = crate::table::TableBuilder::new(
-            "empty",
-            vec![("agent".into(), crate::value::DataType::Str)],
-            8,
-        )
-        .build();
-        let cfg = PlannerConfig::default().calibrate(&cluster, &Tables::unary(&t));
-        assert_eq!(cfg, PlannerConfig::default());
-        assert!(cfg.calibration.is_none());
     }
 
     /// High-fanout join: few distinct keys, every row matches. Survivors

@@ -7,7 +7,8 @@
 //! test-suite.
 
 use crate::expr::DbPredicate;
-use crate::value::Value;
+use crate::table::Table;
+use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
 
 /// A query over one table (or two, for JOIN).
@@ -114,6 +115,42 @@ impl DbQuery {
         cols
     }
 
+    /// Can the query read these tables? Every stream it reads must be
+    /// there ([`MissingStream`](cheetah_core::Error::MissingStream)), and
+    /// every column it names must be inside that stream's schema and of a
+    /// type the family can read there — `Int` where it orders, aggregates,
+    /// sums, dominates or compares, `Str` under `LIKE`; keys of either
+    /// type — or the request is a typed
+    /// [`BadColumn`](cheetah_core::Error::BadColumn). Requests come from
+    /// outside the program; the operators index columns unchecked.
+    pub fn check(&self, left: &Table, right: Option<&Table>) -> cheetah_core::Result<()> {
+        // (stream, column, the type it is read as — `None`: either).
+        let key = |stream, col: &usize| (stream, *col, None);
+        let int = |col: &usize| (0, *col, Some(DataType::Int));
+        let reads: Vec<(usize, usize, Option<DataType>)> = match self {
+            DbQuery::FilterCount { pred } => {
+                pred.typed_columns().into_iter().map(|(col, t)| (0, col, Some(t))).collect()
+            }
+            DbQuery::Distinct { col } => vec![key(0, col)],
+            DbQuery::Skyline { cols } => cols.iter().map(int).collect(),
+            DbQuery::TopN { order_col, .. } => vec![int(order_col)],
+            DbQuery::GroupByMax { key_col, val_col }
+            | DbQuery::HavingSum { key_col, val_col, .. } => vec![key(0, key_col), int(val_col)],
+            DbQuery::Join { left_key, right_key } => vec![key(0, left_key), key(1, right_key)],
+        };
+        for (stream, col, want) in reads {
+            let table = match stream {
+                0 => left,
+                _ => right.ok_or(cheetah_core::Error::MissingStream { stream })?,
+            };
+            match table.fields().get(col) {
+                Some((_, have)) if want.is_none_or(|want| want == *have) => {}
+                _ => return Err(cheetah_core::Error::BadColumn { stream, col }),
+            }
+        }
+        Ok(())
+    }
+
     /// The same query over tables that carry only [`columns`](Self::columns)
     /// of each stream, in that order: every column index becomes its
     /// position there. Parameter *order* is kept (SKYLINE's dimensions
@@ -141,15 +178,15 @@ impl DbQuery {
     }
 
     /// Is the master merge correct under *any* deterministic assignment
-    /// of rows to shard runs — including assignments that change mid-run?
+    /// of rows to shard runs?
     ///
-    /// Re-prune merges (TOP N, SKYLINE, DISTINCT), count sums, and
-    /// GROUP BY MAX (max of maxes over any cover of the rows) are; HAVING
-    /// needs every row of a key inside one shard run for its local sum +
-    /// threshold to be global, and JOIN needs both streams co-partitioned
-    /// into the same runs. The streamed runtime reads this to decide
-    /// whether input rounds and mid-run re-planning are available, or the
-    /// whole shard input must reach one executor run.
+    /// A fact about the merge algebra ([`crate::master`]): re-prune merges
+    /// (TOP N, SKYLINE, DISTINCT), count sums, and GROUP BY MAX (max of
+    /// maxes over any cover of the rows) are; HAVING needs every row of a
+    /// key inside one shard run for its local sum + threshold to be
+    /// global, and JOIN needs both streams co-partitioned into the same
+    /// runs. For the five agnostic families any split of a table — its own
+    /// partitions, say — is a valid set of units, with no key read.
     pub fn merge_routing_agnostic(&self) -> bool {
         match self {
             DbQuery::FilterCount { .. }
@@ -217,8 +254,7 @@ mod tests {
     use super::*;
     use crate::expr::{IntCmp, LikePattern};
     use crate::sharded::route_columns;
-    use crate::table::{Table, TableBuilder};
-    use crate::value::DataType;
+    use crate::table::TableBuilder;
     use crate::{Cluster, ShardPartitioner, Sharder};
     use cheetah_switch::hash::mix64;
     use proptest::prelude::*;
@@ -319,6 +355,41 @@ mod tests {
         let q = DbQuery::GroupByMax { key_col: 3, val_col: 3 };
         assert_eq!(q.columns(0), vec![3]);
         assert_eq!(q.remapped(), DbQuery::GroupByMax { key_col: 0, val_col: 0 });
+    }
+
+    #[test]
+    fn check_refuses_columns_outside_the_schema_or_of_the_wrong_type() {
+        use cheetah_core::Error::{BadColumn, MissingStream};
+        let t = wide_table(4, 2, 1, 7); // (Int, Str, Int, Str, Int)
+        let cmp = |col| DbPredicate::CmpInt { col, op: IntCmp::Gt, lit: 0 };
+        let like = |col| DbPredicate::Like { col, pattern: LikePattern::parse("k%") };
+        let filter = |pred| DbQuery::FilterCount { pred };
+        for (q, bad) in [
+            (DbQuery::Distinct { col: 9 }, 9),
+            (DbQuery::TopN { order_col: 1, n: 3 }, 1),
+            (DbQuery::GroupByMax { key_col: 1, val_col: 3 }, 3),
+            (DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 0 }, 1),
+            (DbQuery::Skyline { cols: vec![0, 1] }, 1),
+            (filter(DbPredicate::And(vec![cmp(0), cmp(3)])), 3),
+            (filter(DbPredicate::Or(vec![like(1), like(2)])), 2),
+            (DbQuery::Join { left_key: 5, right_key: 0 }, 5),
+        ] {
+            assert_eq!(q.check(&t, Some(&t)), Err(BadColumn { stream: 0, col: bad }), "{q:?}");
+        }
+        let join = DbQuery::Join { left_key: 1, right_key: 5 };
+        assert_eq!(join.check(&t, Some(&t)), Err(BadColumn { stream: 1, col: 5 }));
+        assert_eq!(join.check(&t, None), Err(MissingStream { stream: 1 }));
+        // Keys of either type; a right table a unary query ignores is not read.
+        for q in [
+            DbQuery::Distinct { col: 0 },
+            DbQuery::GroupByMax { key_col: 2, val_col: 4 },
+            DbQuery::Join { left_key: 1, right_key: 0 },
+            filter(DbPredicate::And(vec![cmp(4), like(3)])),
+        ] {
+            assert_eq!(q.check(&t, Some(&t)), Ok(()), "{q:?}");
+        }
+        let narrow = project(&t, &[0]);
+        assert_eq!(DbQuery::Distinct { col: 3 }.check(&t, Some(&narrow)), Ok(()));
     }
 
     #[test]

@@ -103,8 +103,9 @@ pub fn route_range(
 /// nothing else — a routed slice is a fresh per-column layout of its rows,
 /// so every column left behind is a copy not made and not kept resident.
 ///
-/// `lo`/`hi` exist because the plan constructor routes in *rounds* — one
-/// routing loop, so a cadence or empty-shard fix lands everywhere at once.
+/// `lo`/`hi` serve a caller that replays a head of a table (the plan
+/// constructor routes `0..rows`) — one routing loop, so a cadence or
+/// empty-shard fix lands everywhere at once.
 pub fn route_columns(
     table: &Table,
     cols: &[usize],
@@ -206,15 +207,15 @@ mod tests {
     }
 
     #[test]
-    fn round_slices_cover_the_input_exactly_once() {
+    fn consecutive_ranges_cover_the_input_exactly_once() {
+        // Cuts that fall inside partitions (997 rows over 3, cut in 4).
         let t = test_table(997, 3);
         let keys: Vec<u64> = (0..997u64).rev().collect();
         let sharder = Sharder::new(ShardPartitioner::Hash, 4, 1);
-        let rounds = 4;
         let mut covered = 0usize;
-        for round in 0..rounds {
-            let lo = round * t.rows() / rounds;
-            let hi = (round + 1) * t.rows() / rounds;
+        for piece in 0..4 {
+            let lo = piece * t.rows() / 4;
+            let hi = (piece + 1) * t.rows() / 4;
             covered +=
                 route_range(&t, &keys, &sharder, lo, hi).iter().map(Table::rows).sum::<usize>();
         }

@@ -1,17 +1,16 @@
 //! Fixtures shared by the contract gates: one deterministic random table
 //! generator, one query per [`DbQuery`] variant, and the one execution
-//! grid (`for_each_exec_case`) the shard, runtime and compiled gates all
-//! walk — so a schema, query-shape or grid-axis change lands in exactly
-//! one place.
+//! grid (`for_each_exec_case`) the shard and compiled gates both walk — so
+//! a schema, query-shape or grid-axis change lands in exactly one place.
 // Each integration test compiles `common` separately and uses its own
 // subset of these fixtures.
 #![allow(dead_code)]
 
 use cheetah_db::{
     Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, LikePattern,
-    ShardPartitioner, ShardSpec, Table, TableBuilder, Value,
+    ShardPartitioner, ShardPlanner, ShardSpec, Table, TableBuilder, Value,
 };
-use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, StreamSpec};
 use cheetah_switch::hash::mix64;
 use std::sync::Arc;
 
@@ -61,18 +60,43 @@ pub fn all_seven(threshold: i64) -> Vec<DbQuery> {
     ]
 }
 
-/// Route `q` under `layout` in one round and execute it on the barrier
-/// transport — the classic sharded run the shard and planner gates pin.
+/// The layout `planner` fits for `q` over these tables, as a spec — what
+/// the serving plane builds at second sight of a request.
+pub fn fitted(
+    cluster: &Cluster,
+    planner: &ShardPlanner,
+    q: &DbQuery,
+    left: &Arc<Table>,
+    right: Option<&Arc<Table>>,
+) -> StreamSpec {
+    let plan = planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed);
+    StreamSpec::fitted(Arc::new(plan), planner.cfg.ingest)
+}
+
+/// Route `q` under `spec` and execute it on the barrier transport — the
+/// classic sharded run the shard and planner gates pin.
 pub fn run_barrier(
     cluster: &Cluster,
     q: &DbQuery,
     left: &Arc<Table>,
     right: Option<&Arc<Table>>,
-    layout: ShardLayout,
+    spec: &StreamSpec,
 ) -> ExecRun {
-    let spec = StreamSpec { layout, rounds: 1, ..StreamSpec::default() };
-    let plan = ExecPlan::new(cluster, q, left, right, &spec).expect("routes");
+    let plan = ExecPlan::new(cluster, q, left, right, spec).expect("routes");
     execute(cluster, &plan.for_path(ExecPath::BarrierPooled)).expect("plan fits")
+}
+
+/// What the merge plane's telemetry must satisfy on every run, whatever
+/// the layout: the overlap is part of the merge work, and a streamed run
+/// with survivors framed them.
+pub fn assert_merge_discipline(path: ExecPath, run: &ExecRun, label: &str) {
+    assert!(
+        run.breakdown.overlap_seconds <= run.merge_seconds + 1e-12,
+        "{label}: overlap exceeds total merge work"
+    );
+    if path == ExecPath::StreamedResident && run.breakdown.entries_to_master > 0 {
+        assert!(run.batches > 0, "{label}: survivors must be framed");
+    }
 }
 
 /// One point of the execution grid.
@@ -86,17 +110,17 @@ pub struct ExecCase {
 
 /// Walk the execution grid over one workload pair — all seven variants ×
 /// shards {1, 2, 7} × {hash, range} × {barrier, stream} × {interpreted,
-/// compiled} — routing each (variant, partitioner, shards) once under
-/// `template` (its `layout` is overwritten per point). Every point is
-/// held to the universal contract here: output equals `run_baseline`'s,
-/// the shard count is honoured, and routing loses no rows. `visit` adds
-/// the calling gate's own assertions; the backend is the innermost axis
-/// (interpreted first), so a gate can pair the two runs of a point.
+/// compiled} — routing each (variant, partitioner, shards) once. Every
+/// point is held to the universal contract here: output equals
+/// `run_baseline`'s, the shard count is honoured, routing loses no rows,
+/// the merge plane's accounting is self-consistent, and a streamed run
+/// with survivors framed them. `visit` adds the calling gate's own
+/// assertions; the backend is the innermost axis (interpreted first), so
+/// a gate can pair the two runs of a point.
 pub fn for_each_exec_case(
     left: &Arc<Table>,
     right: &Arc<Table>,
     threshold: i64,
-    template: &StreamSpec,
     workload: &str,
     mut visit: impl FnMut(&ExecCase, &ExecRun),
 ) {
@@ -107,8 +131,7 @@ pub fn for_each_exec_case(
         let total = (left.rows() + right_of.map_or(0, |r| r.rows())) as u64;
         for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
             for shards in [1usize, 2, 7] {
-                let layout = ShardLayout::Fixed(ShardSpec::new(shards, partitioner));
-                let spec = StreamSpec { layout, ..template.clone() };
+                let spec = StreamSpec::fixed(ShardSpec::new(shards, partitioner));
                 let plan = ExecPlan::new(&oracle, &q, left, right_of, &spec).expect("routes");
                 for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
                     for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
@@ -126,6 +149,7 @@ pub fn for_each_exec_case(
                         assert_eq!(run.per_shard.len(), shards, "{label}");
                         let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
                         assert_eq!(routed, total, "{label}: rows lost in routing");
+                        assert_merge_discipline(path, &run, &label);
                         let case = ExecCase { q: q.clone(), path, backend, label };
                         visit(&case, &run);
                     }

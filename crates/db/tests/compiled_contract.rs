@@ -24,7 +24,7 @@ use common::{all_seven, for_each_exec_case, run_barrier};
 
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ShardSpec};
-use cheetah_runtime::{ExecRun, ShardLayout, StreamSpec};
+use cheetah_runtime::{ExecRun, StreamSpec};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
@@ -55,20 +55,17 @@ fn assert_backends_agree(q: &DbQuery, i: &ExecRun, c: &ExecRun, label: &str) {
 
 #[test]
 fn compiled_kernels_are_bit_identical_across_the_adversarial_family() {
-    let one_round = StreamSpec { rounds: 1, ..StreamSpec::default() };
     for adv in PlannerAdversary::all() {
         let left = Arc::new(adv.table(900, 3, 0x5EED));
         let right = Arc::new(adv.table(450, 2, 0x5EED ^ 0xFACE));
         // The grid runs each point's interpreted oracle right before its
         // compiled twin: hold the former, compare when the latter lands.
         let mut oracle: Option<ExecRun> = None;
-        for_each_exec_case(&left, &right, 9_000, &one_round, &adv.name(), |case, run| {
-            match case.backend {
-                ExecBackend::Interpreted => oracle = Some(run.clone()),
-                ExecBackend::Compiled => {
-                    let i = oracle.take().expect("the oracle runs first");
-                    assert_backends_agree(&case.q, &i, run, &case.label);
-                }
+        for_each_exec_case(&left, &right, 9_000, &adv.name(), |case, run| match case.backend {
+            ExecBackend::Interpreted => oracle = Some(run.clone()),
+            ExecBackend::Compiled => {
+                let i = oracle.take().expect("the oracle runs first");
+                assert_backends_agree(&case.q, &i, run, &case.label);
             }
         });
     }
@@ -84,8 +81,8 @@ fn compiled_backend_is_recorded_end_to_end() {
     let run = compiled.run_cheetah(&q, &t, None).unwrap();
     assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
     assert_eq!(run.breakdown.backend.label(), "compiled");
-    let layout = ShardLayout::Fixed(ShardSpec::new(4, ShardPartitioner::Range));
-    let sharded = run_barrier(&compiled, &q, &t, None, layout.clone());
+    let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Range));
+    let sharded = run_barrier(&compiled, &q, &t, None, &spec);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Compiled);
 
     // JOIN has no kernel: asked for the compiled backend, it answers like
@@ -96,7 +93,7 @@ fn compiled_backend_is_recorded_end_to_end() {
     let run = compiled.run_cheetah(&join, &t, Some(&r)).unwrap();
     assert_eq!(run.output, want);
     assert_eq!(run.breakdown.backend, ExecBackend::Interpreted);
-    let sharded = run_barrier(&compiled, &join, &t, Some(&r), layout);
+    let sharded = run_barrier(&compiled, &join, &t, Some(&r), &spec);
     assert_eq!(sharded.output, want);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Interpreted);
 }

@@ -5,7 +5,7 @@
 //! The other contract gates prove every path answers like the baseline;
 //! this one pins how much work the switch took off the wire to get
 //! there. A one-entry drift in pruning quality (a changed hash seed, a
-//! resized matrix, a round boundary that moved) or a compiled run that
+//! resized matrix, a layout that moved a row) or a compiled run that
 //! silently fell back to the interpreter fails here — with no tolerance
 //! and no timer, so it fails the same way on every machine.
 //!
@@ -15,11 +15,11 @@
 //! (`@shards4` = fixed hash layout on the barrier transport,
 //! `@compiled` = the same plan asked to run the fused kernels — JOIN has
 //! none, so its row reads `INTERP` — `@planned` = the
-//! sampling planner's layout, `@streamed` = the four-round stream
-//! transport, whose round boundaries legitimately change which
-//! duplicates each per-round switch program sees); and one pinned
-//! request through the [`Session`] front door, which may change when an
-//! answer arrives but never what it says.
+//! sampling planner's layout, `@streamed` = the `@shards4` plan on the
+//! stream transport); and one pinned request through the [`Session`]
+//! front door. Neither a backend nor a transport may move a counter: the
+//! one changes how the switch program is executed, the other *when*
+//! survivors arrive — never what the switch prunes.
 
 mod common;
 
@@ -27,7 +27,7 @@ use cheetah_core::ShardPartitioner;
 use cheetah_db::{
     Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardPlanner, ShardSpec,
 };
-use cheetah_runtime::{execute, ExecPlan, ShardLayout, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan, StreamSpec};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_workloads::SkewedTableConfig;
 use std::sync::Arc;
@@ -50,11 +50,11 @@ const GOLDEN: [Row; 20] = [
     ("distinct@shards4", 5801, 199, INTERP),
     ("distinct@compiled", 5801, 199, COMPILED),
     ("distinct@planned", 5801, 199, INTERP),
-    ("distinct@streamed", 5282, 718, INTERP),
+    ("distinct@streamed", 5801, 199, INTERP),
     ("groupby-max@shards4", 5357, 643, INTERP),
     ("groupby-max@compiled", 5357, 643, COMPILED),
     ("groupby-max@planned", 5357, 643, INTERP),
-    ("groupby-max@streamed", 4513, 1487, INTERP),
+    ("groupby-max@streamed", 5357, 643, INTERP),
     ("join@shards4", 9002, 8998, INTERP),
     ("join@compiled", 9002, 8998, INTERP),
     ("join@planned", 9002, 8998, INTERP),
@@ -112,16 +112,13 @@ fn pruning_counters_match_the_golden_table_exactly() {
     for (family, q) in [("distinct", &distinct), ("groupby-max", &groupby), ("join", &join)] {
         let right_of = q.is_binary().then_some(&right);
         let fixed = StreamSpec::fixed(ShardSpec::new(SHARDS, ShardPartitioner::Hash));
-        let one_round = StreamSpec { rounds: 1, ..fixed.clone() };
-        let barrier = ExecPlan::new(&cluster, q, &left, right_of, &one_round)
-            .expect("routes")
-            .for_path(ExecPath::BarrierPooled);
         let streamed = ExecPlan::new(&cluster, q, &left, right_of, &fixed).expect("routes");
-        let planned = ShardLayout::Planned(ShardPlanner::default());
+        let barrier = streamed.for_path(ExecPath::BarrierPooled);
+        let planned = common::fitted(&cluster, &ShardPlanner::default(), q, &left, right_of);
         let runs = [
             ("shards4", execute(&cluster, &barrier).expect("plan fits")),
             ("compiled", execute(&compiled, &barrier).expect("plan fits")),
-            ("planned", common::run_barrier(&cluster, q, &left, right_of, planned)),
+            ("planned", common::run_barrier(&cluster, q, &left, right_of, &planned)),
             ("streamed", execute(&cluster, &streamed).expect("plan fits")),
         ];
         for (form, run) in &runs {
@@ -148,12 +145,14 @@ fn pruning_counters_match_the_golden_table_exactly() {
     for ((name, pruned, to_master, backend), want) in seen.iter().zip(&GOLDEN) {
         assert_eq!((name.as_str(), *pruned, *to_master, *backend), *want);
     }
-    // Asking for the fused kernels never changes what is pruned.
+    // Asking for the fused kernels never changes what is pruned, and
+    // neither does the transport the survivors travel by.
     for family in ["distinct", "groupby-max", "join"] {
         let row = |form: &str| {
             let name = format!("{family}@{form}");
             GOLDEN.iter().find(|r| r.0 == name).map(|r| (r.1, r.2)).expect("row present")
         };
         assert_eq!(row("compiled"), row("shards4"), "{family}");
+        assert_eq!(row("streamed"), row("shards4"), "{family}");
     }
 }

@@ -4,8 +4,9 @@
 //! 1. **Correctness** — a planner-chosen run is bit-identical to the
 //!    baseline for **all seven** [`DbQuery`] variants across the
 //!    planner-adversarial workload family
-//!    ({uniform, zipf(1.0), zipf(1.5), single-hot-key}): the planner may
-//!    change *where* rows go, never *what* the query answers.
+//!    ({uniform, zipf(1.0), zipf(1.5), single-hot-key}), on both
+//!    transports: the planner may change *where* rows go, never *what*
+//!    the query answers.
 //! 2. **Balance bound** — whenever the planner keeps the fitted range
 //!    partitioner, its max shard load on the sample stays within the
 //!    configured factor (default 2×) of hash on the same sample;
@@ -21,14 +22,14 @@
 
 mod common;
 
-use common::{all_seven, run_barrier};
+use common::{all_seven, assert_merge_discipline, fitted, run_barrier};
 
 use cheetah_db::value::encode_ordered_i64;
 use cheetah_db::{
-    routing_keys, Cluster, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPartitioner,
-    ShardPlanner, Table, TableBuilder, Tables, Value,
+    routing_keys, Cluster, DataType, DbPredicate, DbQuery, ExecPath, IntCmp, PlannerConfig,
+    ShardPartitioner, ShardPlanner, Table, TableBuilder, Value,
 };
-use cheetah_runtime::{ExecRun, ShardLayout};
+use cheetah_runtime::{execute, ExecPlan, ExecRun};
 use cheetah_switch::{hash::mix64, HashFn};
 use cheetah_workloads::PlannerAdversary;
 use proptest::prelude::*;
@@ -42,7 +43,7 @@ fn planned(
     right: Option<&Arc<Table>>,
     planner: &ShardPlanner,
 ) -> ExecRun {
-    run_barrier(cluster, q, left, right, ShardLayout::Planned(planner.clone()))
+    run_barrier(cluster, q, left, right, &fitted(cluster, planner, q, left, right))
 }
 
 /// Assert properties 1 and 2 over the full variant grid for one
@@ -58,13 +59,17 @@ fn assert_planner_contract(
     for q in all_seven(threshold) {
         let right_of = q.is_binary().then_some(right);
         let base = cluster.run_baseline(&q, left, right_of.map(|r| &**r));
-        let planned = planned(cluster, &q, left, right_of, planner);
-        assert_eq!(
-            base.output,
-            planned.output,
-            "{} diverged under the planned layout on {label}",
-            q.kind()
-        );
+        let spec = fitted(cluster, planner, &q, left, right_of);
+        let routed = ExecPlan::new(cluster, &q, left, right_of, &spec).expect("routes");
+        let streamed = execute(cluster, &routed).expect("plan fits");
+        let planned = execute(cluster, &routed.for_path(ExecPath::BarrierPooled)).expect("fits");
+        for (run, path) in
+            [(&streamed, ExecPath::StreamedResident), (&planned, ExecPath::BarrierPooled)]
+        {
+            let label = format!("{} × planned × {} on {label}", q.kind(), path.label());
+            assert_eq!(base.output, run.output, "{label}: diverged under the planned layout");
+            assert_merge_discipline(path, run, &label);
+        }
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         let report = &plan.report;
         assert_eq!(planned.breakdown.shards as usize, plan.shards(), "{label}");
@@ -102,18 +107,6 @@ fn planned_runs_match_baseline_across_the_adversarial_family() {
         let right = Arc::new(adv.table(450, 2, 0x5EED ^ 0xFACE));
         assert_planner_contract(&cluster, &planner, &left, &right, 9_000, &adv.name());
     }
-}
-
-#[test]
-fn a_calibrated_planner_keeps_the_correctness_contract() {
-    // Calibration swaps the cost constants for wall-clock measurements:
-    // the plan may differ run to run, the answers may not.
-    let cluster = Cluster::default();
-    let left = Arc::new(PlannerAdversary::Zipf(1.0).table(3_000, 3, 0xCA1));
-    let right = Arc::new(PlannerAdversary::Zipf(1.0).table(900, 2, 0xCA1 ^ 0xFACE));
-    let cfg = PlannerConfig::default().calibrate(&cluster, &Tables::unary(&left));
-    assert!(cfg.calibration.is_some(), "probe ran");
-    assert_planner_contract(&cluster, &ShardPlanner::new(cfg), &left, &right, 9_000, "calibrated");
 }
 
 proptest! {

@@ -15,11 +15,17 @@
 //! Under property 1 sit the layout lifecycle of a repeated shape (first
 //! sight runs the tables whole, second sight plans and routes, later ones
 //! hit the plan cache — every layout answers alike) and the right table a
-//! unary query ignores.
+//! unary query ignores. Under property 3 sits containment: a request its
+//! tables cannot answer, or one that panics its shard job anyway, fails
+//! alone and typed — no thread lost, no slot leaked.
 
 mod common;
 
-use cheetah_db::{Cluster, DataType, DbQuery, QueryOutput, Table, TableBuilder, Value};
+use cheetah_core::Error::{BadColumn, WorkerPanicked};
+use cheetah_db::{
+    Cluster, DataType, DbPredicate, DbQuery, IntCmp, LikePattern, QueryOutput, Table, TableBuilder,
+    Value,
+};
 use cheetah_serve::{Error, QueryRequest, Session, SessionConfig};
 use std::sync::Arc;
 
@@ -212,4 +218,77 @@ fn overload_is_a_typed_rejection_not_memory_growth() {
         t.wait().expect("admitted requests still complete under overload");
     }
     assert_eq!(session.stats().rejected, rejections as u64);
+}
+
+/// Send `q` over `t` both ways — the caller's thread (`run_blocking`) and
+/// a driver thread (`submit` + `wait`) — and hand back the two refusals,
+/// each leaving nothing in flight.
+fn refused(session: &Session, q: &DbQuery, t: &Arc<Table>) -> [cheetah_core::Error; 2] {
+    let req = || QueryRequest::new(q.clone(), Arc::clone(t));
+    [session.run_blocking(req()), session.submit(req()).expect("admitted").wait()].map(|resp| {
+        assert_eq!(session.in_flight(), 0, "{q:?}: a refused request leaked its slot");
+        match resp {
+            Err(Error::Exec(e)) => e,
+            other => panic!("{q:?}: expected a typed execution error, got {other:?}"),
+        }
+    })
+}
+
+/// A well-formed request pinned to eight shards — one job on every thread
+/// of the process-wide pool — still answers like the baseline.
+fn assert_pool_intact(session: &Session, t: &Arc<Table>) {
+    let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
+    let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(t)).shards(8));
+    let resp = resp.expect("a well-formed request after malformed ones");
+    assert_eq!(resp.output, Cluster::default().run_baseline(&q, t, None).output);
+    assert_eq!(resp.breakdown.shards, 8);
+    assert_eq!(session.in_flight(), 0);
+}
+
+/// Property 3b: a request that names a column its table does not have, or
+/// one of the wrong type, used to index out of bounds on a pool thread —
+/// the thread gone for the process, the caller panicked, the slot leaked.
+/// It is refused before anything runs, as a typed `BadColumn`.
+#[test]
+fn a_column_the_table_cannot_answer_for_is_a_typed_refusal() {
+    let (t, _) = fixtures(0xBAD); // (Str, Int, Int)
+    let session = Session::with_defaults();
+    let cmp = DbPredicate::CmpInt { col: 0, op: IntCmp::Gt, lit: 1 };
+    let like = DbPredicate::Like { col: 1, pattern: LikePattern::parse("k%") };
+    for (q, col) in [
+        (DbQuery::Distinct { col: 9 }, 9),
+        (DbQuery::TopN { order_col: 0, n: 5 }, 0),
+        (DbQuery::GroupByMax { key_col: 1, val_col: 0 }, 0),
+        (DbQuery::HavingSum { key_col: 1, val_col: 0, threshold: 10 }, 0),
+        (DbQuery::Skyline { cols: vec![0, 1] }, 0),
+        (DbQuery::FilterCount { pred: cmp }, 0),
+        (DbQuery::FilterCount { pred: like }, 1),
+    ] {
+        for e in refused(&session, &q, &t) {
+            assert_eq!(e, BadColumn { stream: 0, col }, "{q:?}");
+        }
+        // The same session answers the next well-formed request.
+        assert_pool_intact(&session, &t);
+    }
+    assert_eq!(session.stats().rejected, 0, "refused by the schema, not by admission");
+}
+
+/// Property 3c: two configuration asserts in the pruning layer are still
+/// reachable through a request the schema check cannot fault (no columns
+/// at all). Sixteen of each — twice the pool's threads — panic their shard
+/// job; each comes back as `WorkerPanicked`, to that request only.
+#[test]
+fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
+    let (t, _) = fixtures(0xB00);
+    let session = Session::with_defaults();
+    for q in
+        [DbQuery::Skyline { cols: vec![] }, DbQuery::FilterCount { pred: DbPredicate::And(vec![]) }]
+    {
+        for _ in 0..8 {
+            for e in refused(&session, &q, &t) {
+                assert_eq!(e, WorkerPanicked { shard: 0 }, "{q:?}");
+            }
+        }
+        assert_pool_intact(&session, &t);
+    }
 }

@@ -17,7 +17,8 @@ use common::{for_each_exec_case, gen_table, run_barrier};
 use cheetah_db::{
     Cluster, DataType, DbQuery, ShardPartitioner, ShardSpec, Table, TableBuilder, Value,
 };
-use cheetah_runtime::{ShardLayout, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan, StreamSpec};
+use cheetah_workloads::PlannerAdversary;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -25,19 +26,14 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 const PARTITIONERS: [ShardPartitioner; 2] = [ShardPartitioner::Hash, ShardPartitioner::Range];
 
 /// Assert the full grid — every query, every shard count, every
-/// partitioner, both transports, both backends — against the baseline,
-/// with each shard's slice routed in one round (the classic sharded run).
+/// partitioner, both transports, both backends — against the baseline.
 fn assert_shard_contract(left: &Arc<Table>, right: &Arc<Table>, threshold: i64) {
-    let one_round = StreamSpec { rounds: 1, ..StreamSpec::default() };
-    for_each_exec_case(left, right, threshold, &one_round, "shard grid", |case, run| {
-        assert_eq!(run.rounds, 1, "{}", case.label);
-        assert_eq!(run.breakdown.replans, 0, "{}", case.label);
-    });
+    for_each_exec_case(left, right, threshold, "shard grid", |_, _| {});
 }
 
 /// One barrier run under a hand-picked spec.
 fn sharded(q: &DbQuery, t: &Arc<Table>, spec: ShardSpec) -> cheetah_runtime::ExecRun {
-    run_barrier(&Cluster::default(), q, t, None, ShardLayout::Fixed(spec))
+    run_barrier(&Cluster::default(), q, t, None, &StreamSpec::fixed(spec))
 }
 
 proptest! {
@@ -157,5 +153,28 @@ fn having_sum_spanning_threshold_only_globally_is_not_lost() {
                 partitioner.name()
             );
         }
+    }
+}
+
+#[test]
+fn streamed_execution_is_deterministic_end_to_end() {
+    let cluster = Cluster::default();
+    let t = Arc::new(PlannerAdversary::Zipf(1.2).table(1_500, 3, 77));
+    for q in [
+        DbQuery::Distinct { col: 0 },
+        DbQuery::GroupByMax { key_col: 0, val_col: 1 },
+        DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 },
+    ] {
+        let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Hash));
+        let streamed = || {
+            let plan = ExecPlan::new(&cluster, &q, &t, None, &spec).expect("routes");
+            execute(&cluster, &plan).expect("plan fits")
+        };
+        let (a, b) = (streamed(), streamed());
+        assert_eq!(a.output, b.output, "{}", q.kind());
+        let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
+        let rows_b: Vec<u64> = b.per_shard.iter().map(|s| s.rows).collect();
+        assert_eq!(rows_a, rows_b, "{}: shard assignment must be deterministic", q.kind());
+        assert_eq!(a.breakdown.entries_to_master, b.breakdown.entries_to_master);
     }
 }

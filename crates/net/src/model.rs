@@ -98,10 +98,6 @@ pub struct ExecBreakdown {
     /// [`completion_seconds`](ExecBreakdown::completion_seconds) stays
     /// additive across all execution paths.
     pub overlap_seconds: f64,
-    /// Mid-run re-plans the runtime supervisor adopted (re-fitted shard
-    /// boundaries for the remaining input). Zero for every path that
-    /// plans once, up front.
-    pub replans: u32,
     /// Which pruning backend ran the switch program. When a compiled run
     /// falls back to the interpreter (unsupported family), the value here
     /// is what *actually* executed, not what was requested.
@@ -134,7 +130,6 @@ impl Default for ExecBreakdown {
             master_ingest_seconds: 0.0,
             plan: None,
             overlap_seconds: 0.0,
-            replans: 0,
             backend: ExecBackend::default(),
             queue_seconds: 0.0,
             tenant: String::new(),

@@ -1,7 +1,7 @@
 //! What an [`ExecPlan`](crate::ExecPlan) is built from.
 
 use cheetah_core::plan::ShardPlan;
-use cheetah_db::{ShardPlanner, ShardSpec};
+use cheetah_db::ShardSpec;
 use cheetah_net::{FaultProfile, MasterIngestModel};
 use std::sync::Arc;
 
@@ -10,10 +10,10 @@ use std::sync::Arc;
 pub enum ShardLayout {
     /// A hand-picked spec.
     Fixed(ShardSpec),
-    /// Sample-driven: the planner fits a [`ShardPlan`] to the routing keys.
-    Planned(ShardPlanner),
-    /// A plan fitted earlier (the serving plane's plan cache), priced
-    /// under the given ingest model.
+    /// A plan the sampling planner fitted
+    /// ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)) — just
+    /// now, or earlier and kept in the serving plane's plan cache —
+    /// priced under the given ingest model.
     Fitted(Arc<ShardPlan>, MasterIngestModel),
 }
 
@@ -21,17 +21,12 @@ pub enum ShardLayout {
 /// query and its tables.
 #[derive(Debug, Clone)]
 pub struct StreamSpec {
-    /// Shard layout (fixed spec, planner, or an already-fitted plan).
+    /// Shard layout (a fixed spec or a fitted plan).
     pub layout: ShardLayout,
     /// Survivor-batch size in merge items; `None` reads it off the ingest
     /// model's fan-in curve
     /// ([`suggested_batch`](MasterIngestModel::suggested_batch)).
     pub batch: Option<usize>,
-    /// Input rounds for queries whose merge is routing-agnostic — the
-    /// granularity at which survivors start flowing and at which the
-    /// supervisor may re-plan. Key-holistic queries (HAVING, JOIN) always
-    /// run one round.
-    pub rounds: usize,
     /// Per-shard budget of in-flight survivor batches: the master's one
     /// shared channel is bounded at `channel_depth × shards` frames, so
     /// this caps the *aggregate* backlog (senders block when the merge
@@ -46,40 +41,21 @@ pub struct StreamSpec {
     /// (simulated time, store-and-forward). `None` keeps the perfect
     /// in-process channel.
     pub fault: Option<FaultSpec>,
-    /// Dispatched-load imbalance (hottest shard over the balanced share)
-    /// above which the supervisor re-samples and re-fits — defaults to
-    /// the planner contract's 2× bound.
-    pub imbalance_factor: f64,
-    /// Master switch for mid-run re-planning.
-    pub replan: bool,
-    /// Reservoir size of the supervisor's remaining-input sample.
-    pub supervisor_sample: usize,
 }
 
 impl StreamSpec {
-    /// Stream under a hand-picked shard spec.
+    /// Lay out under a hand-picked shard spec.
     pub fn fixed(spec: ShardSpec) -> Self {
-        Self { layout: ShardLayout::Fixed(spec), ..Self::default() }
+        Self::over(ShardLayout::Fixed(spec))
     }
 
-    /// Stream under a planner-chosen layout.
-    pub fn planned(planner: ShardPlanner) -> Self {
-        Self { layout: ShardLayout::Planned(planner), ..Self::default() }
+    /// Lay out under a fitted plan, priced under `ingest`.
+    pub fn fitted(plan: Arc<ShardPlan>, ingest: MasterIngestModel) -> Self {
+        Self::over(ShardLayout::Fitted(plan, ingest))
     }
-}
 
-impl Default for StreamSpec {
-    fn default() -> Self {
-        Self {
-            layout: ShardLayout::Planned(ShardPlanner::default()),
-            batch: None,
-            rounds: 4,
-            channel_depth: None,
-            fault: None,
-            imbalance_factor: 2.0,
-            replan: true,
-            supervisor_sample: 512,
-        }
+    fn over(layout: ShardLayout) -> Self {
+        Self { layout, batch: None, channel_depth: None, fault: None }
     }
 }
 
@@ -115,19 +91,22 @@ impl FaultSpec {
 mod tests {
     use super::*;
     use cheetah_core::ShardPartitioner;
+    use cheetah_db::{DataType, DbQuery, ShardPlanner, TableBuilder};
 
     #[test]
-    fn constructors_pick_the_layout_and_keep_defaults() {
+    fn constructors_pick_the_layout_and_leave_the_transport_to_the_ingest_model() {
         let fixed = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
         assert!(matches!(fixed.layout, ShardLayout::Fixed(s) if s.shards == 3));
-        assert_eq!(fixed.rounds, 4);
-        assert_eq!(fixed.imbalance_factor, 2.0);
-        assert!(fixed.replan);
-        let planned = StreamSpec::planned(ShardPlanner::default());
-        assert!(matches!(planned.layout, ShardLayout::Planned(_)));
-        assert!(planned.batch.is_none());
-        assert!(planned.channel_depth.is_none(), "depth defaults to the NIC-paced suggestion");
-        assert!(planned.fault.is_none(), "the channel is perfect unless asked otherwise");
+        let empty = TableBuilder::new("t", vec![("k".into(), DataType::Str)], 1).build();
+        let q = DbQuery::Distinct { col: 0 };
+        let plan = Arc::new(ShardPlanner::default().plan(&q, &empty, None, 7));
+        let fitted = StreamSpec::fitted(Arc::clone(&plan), MasterIngestModel::default_rack());
+        assert!(matches!(&fitted.layout, ShardLayout::Fitted(p, _) if Arc::ptr_eq(p, &plan)));
+        for spec in [fixed, fitted] {
+            assert!(spec.batch.is_none());
+            assert!(spec.channel_depth.is_none(), "depth defaults to the NIC-paced suggestion");
+            assert!(spec.fault.is_none(), "the channel is perfect unless asked otherwise");
+        }
     }
 
     #[test]

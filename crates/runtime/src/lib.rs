@@ -3,29 +3,39 @@
 //! Cheetah's dataflow (§2) is one thing: route rows to shard workers,
 //! prune each shard at its switch, merge the survivors at the master.
 //! This crate implements it once. [`ExecPlan::new`] does all the routing
-//! (sharder → keys → per-round shard slices of the columns the query
-//! reads, with supervised re-fits between rounds; a one-shard layout is
-//! the table itself, uncopied) and [`execute`] runs the routed plan on
-//! the persistent [`WorkerPool`]; how survivors travel to the master is a
-//! field of the plan ([`ExecPath`](cheetah_db::ExecPath)), not a second
-//! engine:
+//! (sharder → keys → one unit per shard, of the columns the query reads;
+//! a one-shard layout is the table itself, uncopied) and [`execute`] runs
+//! the routed plan on the persistent [`WorkerPool`], one job — one
+//! [`Cluster::run_cheetah`](cheetah_db::Cluster::run_cheetah), one
+//! installed switch program, one report — per shard; how survivors travel
+//! to the master is a field of the plan
+//! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine:
 //!
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
-//!  rows ──routing_keys──▶ sharder          units[round][shard]
-//!    ▲      │ route_columns per round            │ one pool job per shard
-//!    │      ▼                                    ▼
-//!    │  dispatched-load counters          Cluster::run_cheetah per unit
-//!    └─ supervisor: imbalance > 2×?              │
-//!       re-fit boundaries for the rest           ├─ barrier: whole outputs ──▶ merge_shard_outputs
+//!  DbQuery::check (schema, types)           units[shard]
+//!  rows ──routing_keys──▶ sharder                │ one pool job per shard
+//!           │ route_columns, once                ▼
+//!           ▼                              Cluster::run_cheetah per unit
+//!     one unit per shard                         │
+//!                                                ├─ barrier: whole outputs ──▶ merge_shard_outputs
 //!                                                └─ stream: survivor frames ─▶ MergeState (as they land)
 //! ```
 //!
-//! * **Barrier** — each worker hands its completed outputs over whole;
+//! The sharder is a hand-picked [`ShardSpec`](cheetah_db::ShardSpec) or a
+//! plan the sampling planner fitted
+//! ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)) —
+//! [`ShardLayout`] has those two variants and [`StreamSpec::fixed`] /
+//! [`StreamSpec::fitted`] are the two ways to ask. Adapting a layout to
+//! what a run observed happens between *sights* of a request, in the
+//! serving plane (first sight measures, second sight fits), not inside a
+//! run.
+//!
+//! * **Barrier** — each worker hands its completed output over whole;
 //!   the master merges once the last worker is in. Nothing to frame,
 //!   nothing to overlap: cheapest when shards finish together and the
 //!   pruned stream is small.
-//! * **Stream** — workers decompose each completed slice into
+//! * **Stream** — workers decompose their completed output into
 //!   [`MergeItem`](cheetah_db::MergeItem)s and stream them in
 //!   [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames over a
 //!   *bounded* channel (backpressure is the flow control); the master
@@ -40,16 +50,19 @@
 //!   A [`FaultSpec`] carries the finished frames across the simulated
 //!   lossy rack of `cheetah_net::rack` instead (§7.2's go-back-N in
 //!   simulated time: store-and-forward, deterministic per seed).
-//! * **Mid-run re-planning** — a [`RuntimeSupervisor`] watches per-shard
-//!   dispatch counters between input rounds while the plan is built;
-//!   when observed load imbalance exceeds the planner's 2× bound it
-//!   re-samples the *remaining* routing keys via `cheetah_core::plan` and
-//!   re-fits quantile boundaries for the rest of the input.
+//!
+//! A request its tables cannot answer is refused by [`ExecPlan::new`]
+//! with a typed error before anything runs, and a shard job that panics
+//! anyway fails its own [`execute`] call with
+//! [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked) — the pool
+//! thread, and every other request, carry on.
 //!
 //! ## When streaming pays
 //!
-//! Overlap buys exactly the merge work that the barrier serializes
-//! **behind the slowest shard**. It pays when
+//! A shard frames its survivors when its one run completes, so what the
+//! stream overlaps is the merge of **early shards' frames behind a
+//! straggler** — the work the barrier serializes after the slowest shard.
+//! It pays when
 //!
 //! 1. shard completion times are *spread* — skewed loads
 //!    (`cheetah_workloads::skew`), a straggling worker, or a fitted plan
@@ -66,17 +79,6 @@
 //! a per-request pin — and the carrier of the fault mode, where frames
 //! are the point. The `runtime` bench experiment measures both regimes on
 //! the zipf(1.5) and single-hot-key adversaries.
-//!
-//! ## What routes in rounds, and what cannot
-//!
-//! Input *rounds* (and therefore re-planning) require the master merge to
-//! be correct under any assignment of rows to executor runs
-//! ([`DbQuery::merge_routing_agnostic`](cheetah_db::DbQuery::merge_routing_agnostic)):
-//! re-prune merges, count sums, and GROUP BY MAX qualify. HAVING (local
-//! sum + threshold must see every row of a key) and JOIN (both streams
-//! must meet inside one run) are routed as a single round per shard —
-//! they still stream their survivor batches, so the merge of early shards
-//! overlaps late shards, but their routing is pinned for the whole run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,10 +87,8 @@ pub mod config;
 pub mod plan;
 pub mod pool;
 pub mod runtime;
-pub mod supervisor;
 
 pub use config::{FaultSpec, ShardLayout, StreamSpec};
 pub use plan::ExecPlan;
 pub use pool::{WorkerPool, WorkerScratch};
 pub use runtime::{execute, ExecRun};
-pub use supervisor::{ReplanEvent, RuntimeSupervisor};

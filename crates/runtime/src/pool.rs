@@ -21,9 +21,12 @@
 //! free). Jobs must not depend on *which* worker runs them; anything a
 //! job blocks on (e.g. a bounded survivor channel) must be drained by
 //! the thread that submitted it, which keeps the pool deadlock-free
-//! even at one worker.
+//! even at one worker. A job that panics unwinds to the worker loop and
+//! no further: whatever the job owned (its channels' senders) drops, which
+//! is how its submitter learns, and the thread takes the next job.
 
 use cheetah_net::FrameBuilder;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -76,7 +79,12 @@ impl WorkerPool {
                             Ok(job) => job,
                             Err(_) => return, // pool dropped
                         };
-                        job(&mut scratch);
+                        // A panicking job is its submitter's failure, not
+                        // the pool's: the thread lives on, and the scratch
+                        // the job may have left mid-frame is rebuilt.
+                        if catch_unwind(AssertUnwindSafe(|| job(&mut scratch))).is_err() {
+                            scratch = WorkerScratch::new();
+                        }
                     }
                 })
                 .expect("spawn pool worker");
@@ -136,5 +144,28 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..16).collect::<Vec<_>>());
         drop(pool); // workers exit; nothing to assert beyond not hanging
+    }
+
+    #[test]
+    fn a_job_after_a_panicking_job_runs_on_the_same_thread() {
+        let pool = WorkerPool::new(1);
+        let (tx, rx) = mpsc::channel();
+        let dropped = tx.clone();
+        pool.spawn(move |scratch| {
+            scratch.frames.begin(0, 0); // left mid-frame
+            let _held = dropped;
+            panic!("job panics (expected by this test)");
+        });
+        pool.spawn(move |scratch| {
+            // A fresh scratch: a frame begins and finishes cleanly.
+            scratch.frames.begin(0, 1);
+            scratch.frames.push(b"ok");
+            let thread = std::thread::current().name().map(str::to_string);
+            tx.send((thread, scratch.frames.finish().len())).ok();
+        });
+        let (thread, len) = rx.recv().expect("the one worker survived the panic");
+        assert_eq!(thread.as_deref(), Some("cheetah-pool-0"));
+        assert!(len > 0);
+        assert!(rx.recv().is_err(), "the panicked job's sender dropped with it");
     }
 }

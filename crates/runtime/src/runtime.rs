@@ -5,11 +5,11 @@
 //!
 //! * one **worker job** per shard — submitted to the persistent
 //!   [`WorkerPool`], not spawned per query — runs the unchanged generic
-//!   executor ([`Cluster::run_cheetah`]) on each of its routed units and
+//!   executor ([`Cluster::run_cheetah`]) once, on its routed unit, and
 //!   hands the survivors to the master by the plan's transport
-//!   ([`ExecPath`]). On the **barrier** transport the completed outputs
-//!   ride the worker's end-of-stream report whole. On the **stream**
-//!   transport the worker encodes them straight into its worker-resident
+//!   ([`ExecPath`]). On the **barrier** transport the completed output
+//!   rides the worker's end-of-stream report whole. On the **stream**
+//!   transport the worker encodes it straight into its worker-resident
 //!   [`FrameBuilder`](cheetah_net::FrameBuilder) arena and streams the
 //!   finished [`SurvivorBatch`] frames over a *bounded* channel (a full
 //!   channel blocks the worker — the backpressure that stands in for
@@ -34,12 +34,11 @@
 
 use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
-use crate::supervisor::ReplanEvent;
 use bytes::Bytes;
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
     decompose_output, merge_shard_outputs, Cluster, DbQuery, ExecPath, MergeState, QueryOutput,
-    ShardStats, Table,
+    ShardStats,
 };
 use cheetah_net::{ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch};
 use cheetah_switch::ProgramStats;
@@ -59,9 +58,9 @@ pub struct ExecRun {
     /// workers), so `completion_seconds` stays comparable across
     /// transports.
     pub breakdown: ExecBreakdown,
-    /// Switch statistics summed across every shard's per-unit programs.
+    /// Switch statistics summed across the shards' programs.
     pub switch_stats: ProgramStats,
-    /// Per-shard accounting, rounds summed (the §4.6 skew story).
+    /// Per-shard accounting (the §4.6 skew story).
     pub per_shard: Vec<ShardStats>,
     /// Total merge-plane work: every frame ingest plus the final fold,
     /// overlapped or not.
@@ -73,12 +72,7 @@ pub struct ExecRun {
     pub batches: u64,
     /// Modelled wire bytes of those frames.
     pub batch_wire_bytes: u64,
-    /// Input rounds the plan was routed in (1 for key-holistic queries).
-    pub rounds: usize,
-    /// The supervisor's intervention log from plan construction (adopted
-    /// and rejected re-fits).
-    pub replan_events: Vec<ReplanEvent>,
-    /// The up-front plan, when the layout was planner-chosen.
+    /// The fitted plan, when the layout was planner-chosen.
     pub plan: Option<Arc<ShardPlan>>,
     /// Control-plane rules of the largest per-shard program.
     pub rules: usize,
@@ -92,7 +86,10 @@ pub struct ExecRun {
 /// partitioner, transport and backend — the transport changes *when*
 /// survivors reach the master, never *what* the query answers. A fault
 /// profile the carrier cannot finish under (every frame dropped, say) is
-/// a typed [`FabricStalled`](cheetah_core::Error::FabricStalled).
+/// a typed [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard
+/// job that panics is a typed
+/// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
+/// failure is this call's alone.
 pub fn execute(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
     let epoch = Instant::now();
     let q = plan.query();
@@ -101,7 +98,7 @@ pub fn execute(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<ExecR
     Ok(assemble(fold, plan, cluster.backend))
 }
 
-/// What a shard worker hands back when its units are done.
+/// What a shard worker hands back when its unit is done.
 #[derive(Default)]
 struct WorkerReport {
     stats: ShardStats,
@@ -110,11 +107,11 @@ struct WorkerReport {
     rules: usize,
     /// Seconds since the run epoch at which this worker went idle.
     finished_at: f64,
-    /// Pruning backend the worker's unit runs actually executed on
-    /// (`None` when every unit was empty and nothing ran).
+    /// Pruning backend the worker's run actually executed on (`None`
+    /// when the unit was empty and nothing ran).
     backend: Option<ExecBackend>,
-    /// Barrier transport: the completed output of every unit.
-    outputs: Vec<QueryOutput>,
+    /// Barrier transport: the unit's completed output.
+    output: Option<QueryOutput>,
     /// Stream transport in fault mode: the shard's finished survivor
     /// frames, for the master to carry across the simulated rack.
     frames: Vec<Bytes>,
@@ -128,10 +125,10 @@ struct WorkerPlane {
 }
 
 /// Submit one pool job per shard: each owns `Arc` handles onto its routed
-/// units plus cheap clones of the cluster config and query, prunes every
-/// non-empty unit through the unchanged generic executor (running the
-/// plan's unit query, which addresses the units' columns), and — on the
-/// stream transport — frames the survivors out of its worker-resident
+/// unit plus cheap clones of the cluster config and query, prunes the unit
+/// (unless it is empty) through the unchanged generic executor (running
+/// the plan's unit query, which addresses the unit's columns), and — on
+/// the stream transport — frames the survivors out of its worker-resident
 /// arena straight onto the bounded batch channel (in fault mode, onto its
 /// report: the lossy carrier is store-and-forward).
 fn spawn_worker_plane(
@@ -153,20 +150,10 @@ fn spawn_worker_plane(
     // threads.
     let trace_ctx = SpanContext::current();
     for shard in 0..shards {
-        // The right stream rides round 0; all-empty units never reach the
-        // executor (the plan's dispatch counts stay authoritative).
-        let units: Vec<(Arc<Table>, Option<Arc<Table>>)> = plan
-            .units
-            .iter()
-            .enumerate()
-            .map(|(round, slices)| {
-                let right = plan.right_units.as_ref().filter(|_| round == 0);
-                (Arc::clone(&slices[shard]), right.map(|v| Arc::clone(&v[shard])))
-            })
-            .filter(|(l, r)| l.rows() + r.as_ref().map_or(0, |t| t.rows()) > 0)
-            .collect();
+        let left = Arc::clone(&plan.units[shard]);
+        let right = plan.right_units.as_ref().map(|units| Arc::clone(&units[shard]));
         let cluster = cluster.clone();
-        // The units carry only the columns the query reads, so the shard
+        // The unit carries only the columns the query reads, so the shard
         // runs the query remapped onto them; what it hands the merge is
         // decomposed under the query as asked.
         let unit_q = plan.unit_query.clone();
@@ -181,8 +168,9 @@ fn spawn_worker_plane(
                 s
             });
             let mut rep = WorkerReport::default();
-            let mut seq = 0u64;
-            'units: for (left, right) in units {
+            let rows = left.rows() + right.as_ref().map_or(0, |r| r.rows());
+            // An empty unit never reaches the executor.
+            if rows > 0 {
                 let run = match cluster.run_cheetah(&unit_q, &left, right.as_deref()) {
                     Ok(run) => run,
                     Err(e) => {
@@ -190,45 +178,44 @@ fn spawn_worker_plane(
                         return;
                     }
                 };
-                rep.stats.rows +=
-                    left.rows() as u64 + right.as_ref().map_or(0, |r| r.rows() as u64);
-                rep.stats.worker_seconds += run.breakdown.worker_seconds;
-                rep.stats.master_seconds += run.breakdown.master_seconds;
-                rep.stats.worker_wire_bytes += run.breakdown.worker_wire_bytes;
-                rep.stats.master_wire_bytes += run.breakdown.master_wire_bytes;
-                rep.stats.entries_to_master += run.breakdown.entries_to_master;
-                rep.stats.seen += run.switch_stats.seen;
-                rep.stats.pruned += run.switch_stats.pruned;
-                rep.switch.seen += run.switch_stats.seen;
-                rep.switch.pruned += run.switch_stats.pruned;
-                rep.switch.forwarded += run.switch_stats.forwarded;
-                rep.passes = rep.passes.max(run.breakdown.passes);
-                rep.rules = rep.rules.max(run.rules);
-                rep.backend = Some(run.breakdown.backend);
-                if !stream {
-                    rep.outputs.push(run.output);
-                    continue;
-                }
-                let items = decompose_output(&q, run.output);
-                for chunk in items.chunks(batch_size) {
-                    // Encode each survivor once, straight into the
-                    // frame arena — no per-item Bytes round-trip.
-                    scratch.frames.begin(shard as u32, seq);
-                    for item in chunk {
-                        scratch.frames.push_with(|b| item.encode_into(b));
+                let b = &run.breakdown;
+                rep.stats = ShardStats {
+                    rows: rows as u64,
+                    worker_seconds: b.worker_seconds,
+                    master_seconds: b.master_seconds,
+                    worker_wire_bytes: b.worker_wire_bytes,
+                    master_wire_bytes: b.master_wire_bytes,
+                    entries_to_master: b.entries_to_master,
+                    seen: run.switch_stats.seen,
+                    pruned: run.switch_stats.pruned,
+                };
+                rep.switch = run.switch_stats;
+                rep.passes = b.passes;
+                rep.rules = run.rules;
+                rep.backend = Some(b.backend);
+                if stream {
+                    let items = decompose_output(&q, run.output);
+                    for (seq, chunk) in items.chunks(batch_size).enumerate() {
+                        // Encode each survivor once, straight into the
+                        // frame arena — no per-item Bytes round-trip.
+                        scratch.frames.begin(shard as u32, seq as u64);
+                        for item in chunk {
+                            scratch.frames.push_with(|b| item.encode_into(b));
+                        }
+                        let frame = scratch.frames.finish();
+                        if faulty {
+                            // Buffered, not sent: the go-back-N window needs
+                            // the whole flow (and its length) so retransmitted
+                            // frames can be replayed verbatim.
+                            rep.frames.push(frame);
+                        } else if batch_tx.send(frame).is_err() {
+                            // The merge plane hung up: framing the rest is
+                            // pure waste.
+                            break;
+                        }
                     }
-                    let frame = scratch.frames.finish();
-                    seq += 1;
-                    if faulty {
-                        // Buffered, not sent: the go-back-N window needs
-                        // the whole flow (and its length) so retransmitted
-                        // frames can be replayed verbatim.
-                        rep.frames.push(frame);
-                    } else if batch_tx.send(frame).is_err() {
-                        // The merge plane hung up: pruning further
-                        // units is pure waste.
-                        break 'units;
-                    }
+                } else {
+                    rep.output = Some(run.output);
                 }
             }
             rep.finished_at = epoch.elapsed().as_secs_f64();
@@ -281,15 +268,18 @@ fn drain_merge_plane(
         ingest(&batch, start);
     }
 
-    // Every batch sender has dropped, so every job has finished (or
-    // errored): the reports are all in flight already.
+    // Every batch sender has dropped, so every job has finished, errored
+    // or panicked: the reports are all in flight already, and a shard the
+    // channel closes without hearing from unwound before it could report.
     let mut reports: Vec<Option<WorkerReport>> = (0..shards).map(|_| None).collect();
-    for _ in 0..shards {
-        let (shard, rep) = report_rx.recv().expect("shard worker panicked");
+    for (shard, rep) in report_rx {
         reports[shard] = Some(rep?);
     }
-    let mut reports: Vec<WorkerReport> =
-        reports.into_iter().map(|r| r.expect("every shard reported")).collect();
+    let mut reports = reports
+        .into_iter()
+        .enumerate()
+        .map(|(shard, r)| r.ok_or(cheetah_core::Error::WorkerPanicked { shard }))
+        .collect::<cheetah_core::Result<Vec<WorkerReport>>>()?;
 
     // Fault mode: no frame rode the channel. The shards' finished flows
     // cross the simulated §7.2 rack instead (go-back-N workers, a
@@ -336,7 +326,7 @@ fn drain_merge_plane(
         state.finish()
     } else {
         merge_span = open_merge_span();
-        let outputs = reports.iter_mut().flat_map(|r| std::mem::take(&mut r.outputs)).collect();
+        let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
         merge_shard_outputs(q, outputs)
     };
     let finish_seconds = epoch.elapsed().as_secs_f64() - finish_start;
@@ -393,12 +383,7 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         .sum();
     let merge_seconds = ingest_seconds + finish_seconds;
 
-    let mut per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
-    for (s, rows) in plan.dispatched.iter().enumerate() {
-        // Rows routed to a shard whose every unit was empty never reach a
-        // worker; the plan's count is authoritative.
-        per_shard[s].rows = *rows;
-    }
+    let per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
     let switch_stats = reports.iter().fold(ProgramStats::default(), |mut acc, r| {
         acc.seen += r.switch.seen;
         acc.pruned += r.switch.pruned;
@@ -406,7 +391,6 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         acc
     });
     let entries_per_shard: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
-    let replans = plan.replan_events.iter().filter(|e| e.adopted).count() as u32;
 
     let breakdown = ExecBreakdown {
         // Workers run concurrently; the slowest shard bounds the phase.
@@ -423,7 +407,6 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         master_ingest_seconds: plan.ingest.blocking_latency_sharded(&entries_per_shard),
         plan: Some(plan.decision),
         overlap_seconds,
-        replans,
         // All workers clone one cluster, so any report that ran a unit
         // speaks for the run (a compiled-requested run that fell back
         // records the fallback here too).
@@ -441,8 +424,6 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         batch_size: plan.batch,
         batches,
         batch_wire_bytes,
-        rounds: plan.rounds(),
-        replan_events: plan.replan_events.clone(),
         plan: plan.plan.clone(),
         rules,
     }
@@ -451,11 +432,11 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FaultSpec, ShardLayout, StreamSpec};
+    use crate::config::{FaultSpec, StreamSpec};
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
         DataType, DbPredicate, IntCmp, LikePattern, MasterIngestModel, ShardPlanner, ShardSpec,
-        TableBuilder, Value,
+        Table, TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
 
@@ -572,27 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn key_holistic_queries_route_one_round_and_never_replan() {
-        let cluster = Cluster::default();
-        let l = table(1_200, 3);
-        let r = table(600, 2);
-        let mut spec = fixed(3, ShardPartitioner::Hash);
-        spec.imbalance_factor = 0.0; // trigger at any imbalance — must still not fire
-        let q = DbQuery::Join { left_key: 0, right_key: 0 };
-        let plan = plan_of(&q, &l, Some(&r), &spec);
-        assert_eq!(plan.dispatched().iter().sum::<u64>(), 1_800, "both streams are routed");
-        for path in PATHS {
-            let run = execute(&cluster, &plan.for_path(path)).unwrap();
-            assert_eq!(run.rounds, 1);
-            assert_eq!(run.breakdown.replans, 0);
-            assert!(run.replan_events.is_empty());
-            assert_eq!(run.output, cluster.run_baseline(&q, &l, Some(&r)).output);
-        }
-        let q = DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 };
-        assert_eq!(plan_of(&q, &l, None, &spec).rounds(), 1);
-    }
-
-    #[test]
     fn a_one_shard_layout_is_the_tables_and_a_routed_one_carries_the_querys_columns() {
         let cluster = Cluster::default();
         let l = table(1_200, 3);
@@ -622,27 +582,24 @@ mod tests {
         let fitted = Arc::new(ShardPlanner::default().plan(&queries[1], &tiny, None, 7));
         assert_eq!(fitted.shards(), 1);
         let one_shard = [
-            ShardLayout::Fixed(ShardSpec::new(1, ShardPartitioner::Hash)),
-            ShardLayout::Fixed(ShardSpec::new(0, ShardPartitioner::Range)),
-            ShardLayout::Fitted(fitted, MasterIngestModel::default_rack()),
+            fixed(1, ShardPartitioner::Hash),
+            fixed(0, ShardPartitioner::Range),
+            StreamSpec::fitted(fitted, MasterIngestModel::default_rack()),
         ];
         for q in &queries {
             let right = q.is_binary().then_some(&r);
             let base = cluster.run_baseline(q, &l, right.map(|r| &**r)).output;
-            for layout in &one_shard {
-                // Four rounds asked for: one shard has nothing to route in rounds.
-                let spec = StreamSpec { layout: layout.clone(), ..StreamSpec::default() };
-                let plan = plan_of(q, &l, right, &spec);
-                assert_eq!((plan.shards(), plan.rounds()), (1, 1), "{}", q.kind());
-                assert!(Arc::ptr_eq(&plan.units[0][0], &l), "{}: a copy was made", q.kind());
+            let total = (l.rows() + right.map_or(0, |r| r.rows())) as u64;
+            for spec in &one_shard {
+                let plan = plan_of(q, &l, right, spec);
+                assert_eq!(plan.shards(), 1, "{}", q.kind());
+                assert!(Arc::ptr_eq(&plan.units[0], &l), "{}: a copy was made", q.kind());
                 let right_unit = plan.right_units.as_ref().map(|units| &units[0]);
                 assert_eq!(right_unit.map(Arc::as_ptr), right.map(Arc::as_ptr), "{}", q.kind());
-                let total = l.rows() + right.map_or(0, |r| r.rows());
-                assert_eq!(plan.dispatched(), [total as u64], "{}", q.kind());
+                assert_eq!(plan.dispatched(), [total], "{}", q.kind());
                 for path in PATHS {
                     let run = execute(&cluster, &plan.for_path(path)).unwrap();
                     assert_eq!(run.output, base, "{} {}", q.kind(), path.label());
-                    assert_eq!(run.rounds, 1);
                 }
             }
             // Two shards or more: fresh copies, of the columns read only.
@@ -650,9 +607,8 @@ mod tests {
             let widths = |units: &[Arc<Table>]| -> Vec<usize> {
                 units.iter().map(|t| t.fields().len()).collect()
             };
-            for round in &plan.units {
-                assert_eq!(widths(round), [q.columns(0).len(); 3], "{}", q.kind());
-            }
+            assert_eq!(plan.dispatched().iter().sum::<u64>(), total, "{}: both streams", q.kind());
+            assert_eq!(widths(&plan.units), [q.columns(0).len(); 3], "{}", q.kind());
             if let Some(units) = &plan.right_units {
                 assert_eq!(widths(units), [q.columns(1).len(); 3], "{}", q.kind());
             }
@@ -664,23 +620,19 @@ mod tests {
     }
 
     #[test]
-    fn planned_and_fitted_layouts_record_their_plan() {
+    fn a_fitted_layout_records_its_plan() {
         let cluster = Cluster::default();
         let t = table(1_500, 3);
         let q = DbQuery::Distinct { col: 0 };
-        let planned = execute(&cluster, &plan_of(&q, &t, None, &StreamSpec::default())).unwrap();
-        let plan = planned.plan.clone().expect("planned layout records its plan");
-        assert_eq!(planned.breakdown.shards as usize, plan.shards());
-        assert!(planned.breakdown.plan.expect("decision").is_planned());
-        assert_eq!(planned.output, cluster.run_baseline(&q, &t, None).output);
-        // Handing the fitted plan back (the plan cache's hit path) routes
-        // the identical layout without re-sampling.
-        let layout = ShardLayout::Fitted(Arc::clone(&plan), MasterIngestModel::default_rack());
-        let refit = plan_of(&q, &t, None, &StreamSpec { layout, ..StreamSpec::default() });
-        let rerun = execute(&cluster, &refit).unwrap();
-        assert!(Arc::ptr_eq(rerun.plan.as_ref().expect("plan rides along"), &plan));
-        assert_eq!(rerun.per_shard.iter().map(|s| s.rows).collect::<Vec<_>>(), refit.dispatched());
-        assert_eq!(rerun.output, planned.output);
+        let plan = Arc::new(ShardPlanner::default().plan(&q, &t, None, cluster.tuning.seed));
+        let spec = StreamSpec::fitted(Arc::clone(&plan), MasterIngestModel::default_rack());
+        let routed = plan_of(&q, &t, None, &spec);
+        let run = execute(&cluster, &routed).unwrap();
+        assert!(Arc::ptr_eq(run.plan.as_ref().expect("plan rides along"), &plan));
+        assert_eq!(run.breakdown.shards as usize, plan.shards());
+        assert!(run.breakdown.plan.expect("decision").is_planned());
+        assert_eq!(run.per_shard.iter().map(|s| s.rows).collect::<Vec<_>>(), routed.dispatched());
+        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
 
     #[test]
@@ -736,6 +688,22 @@ mod tests {
             matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, frames } if frames > 0),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_shard_that_never_reports_is_a_typed_error_naming_it() {
+        // What a panicked job leaves behind: its senders dropped, its
+        // report never sent. Shard 0 of two reports; shard 1 is silent.
+        let t = table(200, 1);
+        let q = DbQuery::Distinct { col: 0 };
+        let plan = plan_of(&q, &t, None, &fixed(2, ShardPartitioner::Hash));
+        let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(1);
+        let (report_tx, report_rx) = mpsc::channel();
+        report_tx.send((0, Ok(WorkerReport::default()))).unwrap();
+        drop((batch_tx, report_tx));
+        let plane = WorkerPlane { batch_rx, report_rx };
+        let err = drain_merge_plane(&q, &plan, plane, Instant::now()).err().expect("no answer");
+        assert_eq!(err, cheetah_core::Error::WorkerPanicked { shard: 1 });
     }
 
     #[test]
@@ -816,12 +784,12 @@ mod tests {
             .iter()
             .map(|q| plan_of(q, &t, None, &fixed(4, ShardPartitioner::Hash)))
             .collect();
-        for round in 0..3 {
+        for rep in 0..3 {
             for (q, plan) in queries.iter().zip(&plans) {
                 let base = cluster.run_baseline(q, &t, None).output;
                 for path in PATHS {
                     let run = execute(&cluster, &plan.for_path(path)).unwrap();
-                    assert_eq!(run.output, base, "{} {} round {round}", q.kind(), path.label());
+                    assert_eq!(run.output, base, "{} {} rep {rep}", q.kind(), path.label());
                 }
             }
         }
@@ -834,6 +802,13 @@ mod tests {
         let spec = fixed(0, ShardPartitioner::Hash);
         let err = ExecPlan::new(&Cluster::default(), &join, &t, None, &spec).unwrap_err();
         assert_eq!(err, cheetah_core::Error::MissingStream { stream: 1 });
+        // A column the table does not have, or cannot be ordered by.
+        for (q, col) in
+            [(DbQuery::Distinct { col: 9 }, 9), (DbQuery::TopN { order_col: 0, n: 3 }, 0)]
+        {
+            let err = ExecPlan::new(&Cluster::default(), &q, &t, None, &spec).unwrap_err();
+            assert_eq!(err, cheetah_core::Error::BadColumn { stream: 0, col });
+        }
         // Zero shards is served as one; a right table on a unary query is
         // dropped, so the plan is over the left table alone.
         let q = DbQuery::Distinct { col: 0 };

@@ -53,7 +53,7 @@ use cheetah_db::{
     ShardPlanner, ShardSpec, Table,
 };
 use cheetah_net::MasterIngestModel;
-use cheetah_runtime::{ExecPlan, ShardLayout, StreamSpec};
+use cheetah_runtime::{ExecPlan, StreamSpec};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
 use std::collections::{HashMap, VecDeque};
@@ -663,21 +663,21 @@ fn serve(
     let hashed = |shards| ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
     let mut caches = shared.caches.lock().expect("caches lock");
     let held = caches.held(&layout_key, &req.left, right);
-    let (layout, generation, plan_cached) = match (req.shards, &held) {
+    let (spec, generation, plan_cached) = match (req.shards, &held) {
         (Some(shards), _) => {
             plan_span.attr("cache", "pinned");
-            (ShardLayout::Fixed(hashed(shards)), 0, false)
+            (StreamSpec::fixed(hashed(shards)), 0, false)
         }
         (None, None) => {
             plan_span.attr("cache", "first-sight");
-            (ShardLayout::Fixed(hashed(1)), 0, false)
+            (StreamSpec::fixed(hashed(1)), 0, false)
         }
         (None, Some((_, sight))) => {
             let stats = StatsFingerprint::of(&req.left, right.map(|r| &**r));
             if let Some(CachedPlan { plan, generation }) = caches.plans.lookup(&shape, stats) {
                 plan_span.attr("cache", "hit");
                 shared.telemetry.plan_hits.inc();
-                (ShardLayout::Fitted(plan, ingest), generation, true)
+                (StreamSpec::fitted(plan, ingest), generation, true)
             } else {
                 plan_span.attr("cache", "miss");
                 shared.telemetry.plan_misses.inc();
@@ -698,7 +698,7 @@ fn serve(
                 ));
                 caches = shared.caches.lock().expect("caches lock");
                 let generation = caches.plans.insert(&shape, stats, Arc::clone(&fitted));
-                (ShardLayout::Fitted(fitted, ingest), generation, false)
+                (StreamSpec::fitted(fitted, ingest), generation, false)
             }
         }
     };
@@ -725,11 +725,10 @@ fn serve(
     let plan = match routed {
         Some(plan) => plan,
         None => {
-            // The session lays out once, in one round: both transports
-            // run off the same resident units. First sight's one shard is
-            // the tables themselves — there is nothing to route.
+            // The session lays out once: both transports run off the same
+            // resident units. First sight's one shard is the tables
+            // themselves — there is nothing to route.
             let route_span = (!first_sight).then(|| exec_span.child("route"));
-            let spec = StreamSpec { layout, rounds: 1, ..StreamSpec::default() };
             let plan =
                 Arc::new(ExecPlan::new(&shared.cluster, &req.query, &req.left, right, &spec)?);
             if let Some(mut route_span) = route_span {

@@ -21,9 +21,10 @@
 //! * [`net`] — the Cheetah wire format and the §7.2 reliability protocol
 //!   (the switch ACKs what it prunes) over a fault-injected link
 //!   simulator;
-//! * [`runtime`] — the event-driven streamed shard runtime: overlapped
-//!   incremental master merge, cross-shard survivor batching, and
-//!   supervised mid-run re-planning;
+//! * [`runtime`] — the one multi-shard executor: a routed plan (one unit
+//!   per shard) run as contained worker-pool jobs, over a barrier or a
+//!   streaming transport (overlapped incremental master merge,
+//!   cross-shard survivor batching);
 //! * [`workloads`] — seeded generators for the Big Data benchmark, a
 //!   TPC-H subset, and the pruning-rate simulation streams;
 //! * [`serve`] — the multi-tenant serving plane: the
