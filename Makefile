@@ -43,9 +43,10 @@ pruning-gate:
 	cargo test -q -p cheetah-db --test pruning_contract
 
 # The named CI gate: shard equivalence across all seven query variants x
-# shards {1,2,7} x both partitioners x both transports x both backends,
-# with the merge plane's discipline held at every point and streamed
-# execution deterministic end to end.
+# shards {1,2,7} x both partitioners x (both transports x both backends,
+# and the direct arm once per layout: pass-through accounting, nothing
+# pruned), with the merge plane's discipline held at every point and
+# streamed execution deterministic end to end.
 shard-gate:
 	cargo test -q -p cheetah-db --test shard_contract
 
@@ -73,8 +74,12 @@ compiled-gate:
 # repeated shape (first sight runs the tables whole, second sight plans
 # and routes, later ones hit the plan cache) never changing results, a
 # right table attached to a unary query ignored by every key,
-# fingerprint and cost, and containment: a column the table cannot
-# answer for is a typed BadColumn, a panicking shard job a typed
+# fingerprint and cost, the arm lifecycle (a key whose first sight pruned
+# nothing runs direct from its second; a key the switch prunes well stays
+# pooled + compiled; pins override the verdict per request), and
+# containment: a column the table cannot answer for is a typed BadColumn,
+# a query with nothing to evaluate a typed BadArity on the pruned pin, the
+# direct pin and unpinned alike, a panicking shard job a typed
 # WorkerPanicked, each to its own request with the pool intact.
 serving-gate:
 	cargo test -q -p cheetah-db --test serving_contract
@@ -98,13 +103,16 @@ fabric-gate:
 # the layout policy reads off the trees (first sight: no route span, one
 # worker; second sight: route + one worker per planned shard; third:
 # neither route nor planner; a pinned shard count routes at first
-# sight), and a traced faulty-channel run attributes its go-back-N
+# sight), so does the arm policy (first sight's respond span carries the
+# go-direct rule's inputs and verdict, execute and worker spans the path
+# that ran), and a traced faulty-channel run attributes its go-back-N
 # resends to the owning registry, equal to the breakdown's count.
 telemetry-gate:
 	cargo test -q -p cheetah-db --test telemetry_contract
 
 # The named CI gate: pruning counters — entries pruned, entries to the
-# master and the executing backend, exact on all 20 fixed-seed rows.
+# master and the executing backend, exact on all 20 fixed-seed rows, and
+# the pass-through identity on one @direct run per sharded family.
 counters-gate:
 	cargo test -q -p cheetah-db --test counters_contract
 

@@ -16,7 +16,11 @@
 //!   cluster with one core per shard would see, and the `<- first win`
 //!   mark is read off it.
 //! * **measured wall** — what this machine's clock saw, shards
-//!   time-sliced onto however many cores it has.
+//!   time-sliced onto however many cores it has — once pruned, once on
+//!   the direct arm (the same layout pinned `.path(Direct)`: no switch
+//!   program, the operator's completion over every row), so the serving
+//!   plane's go-direct verdicts can be checked against a measurement
+//!   with one command.
 //!
 //! The two disagree wherever the box has fewer idle cores than shards,
 //! so this is a report, not a gate: the model is a finding to be checked
@@ -40,6 +44,8 @@ struct Point {
     shards: usize,
     completion_seconds: f64,
     wall_seconds: f64,
+    /// The same layout, same repetitions, pinned to the direct arm.
+    direct_wall_seconds: f64,
 }
 
 /// One family's sweep: its name, its input rows (both streams) and one
@@ -65,10 +71,10 @@ fn sweep(rows: usize, reps: usize, shard_axis: &[usize]) -> Vec<Sweep> {
     for (name, q) in families {
         let mut points = Vec::with_capacity(shard_axis.len());
         for &shards in shard_axis {
-            let pinned = || {
+            let pinned = |path| {
                 let req = QueryRequest::new(q.clone(), Arc::clone(&left))
                     .tenant("crossover")
-                    .path(ExecPath::BarrierPooled)
+                    .path(path)
                     .backend(ExecBackend::Interpreted)
                     .shards(shards);
                 if q.is_binary() {
@@ -78,22 +84,28 @@ fn sweep(rows: usize, reps: usize, shard_axis: &[usize]) -> Vec<Sweep> {
                 }
             };
             // Warm-up: routes and caches this (family, shard count)
-            // layout so the timed reps pay execution only.
-            session.run_blocking(pinned()).expect("plan fits");
-            let mut best: Option<(f64, ExecBreakdown)> = None;
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                let resp = session.run_blocking(pinned()).expect("plan fits");
-                let wall = t0.elapsed().as_secs_f64();
-                if best.as_ref().is_none_or(|(w, _)| wall < *w) {
-                    best = Some((wall, resp.breakdown));
+            // layout — both arms run off it — so the timed reps pay
+            // execution only.
+            session.run_blocking(pinned(ExecPath::BarrierPooled)).expect("plan fits");
+            let best_of = |path| {
+                let mut best: Option<(f64, ExecBreakdown)> = None;
+                for _ in 0..reps.max(1) {
+                    let t0 = Instant::now();
+                    let resp = session.run_blocking(pinned(path)).expect("plan fits");
+                    let wall = t0.elapsed().as_secs_f64();
+                    if best.as_ref().is_none_or(|(w, _)| wall < *w) {
+                        best = Some((wall, resp.breakdown));
+                    }
                 }
-            }
-            let (wall_seconds, breakdown) = best.expect("at least one rep");
+                best.expect("at least one rep")
+            };
+            let (wall_seconds, breakdown) = best_of(ExecPath::BarrierPooled);
+            let (direct_wall_seconds, _) = best_of(ExecPath::Direct);
             points.push(Point {
                 shards,
                 completion_seconds: breakdown.completion_seconds(LINK_GBPS),
                 wall_seconds,
+                direct_wall_seconds,
             });
         }
         let input_rows = left.rows() + if q.is_binary() { right.rows() } else { 0 };
@@ -122,7 +134,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     let mut report = Report::new(
         "crossover",
         format!("Where parallelism starts paying ({rows} rows, modelled {LINK_GBPS:.0}G link)"),
-        &["family", "shards", "modelled completion", "wall", "ops/s", "crossover"],
+        &["family", "shards", "modelled completion", "wall", "direct wall", "ops/s", "crossover"],
     );
     for f in sweep(rows, reps, &ctx.shards) {
         let crossover = find_crossover(&f.points);
@@ -133,6 +145,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 p.shards.to_string(),
                 secs(p.completion_seconds),
                 secs(p.wall_seconds),
+                secs(p.direct_wall_seconds),
                 format!("{:.0}", f.input_rows as f64 / p.wall_seconds.max(1e-12)),
                 mark.to_string(),
             ]);
@@ -142,6 +155,12 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         "first win = smallest shard count whose modelled completion beats 1 shard; the model's \
          worker phase is the max of per-shard measured times (one core per shard), the wall \
          column is this machine — where they disagree, the wall column is what happened",
+    );
+    report.note(
+        "direct wall = the same layout pinned to the direct arm (no switch program; the \
+         operator's completion over every row) — the measurement a first-sight go-direct \
+         verdict is checked against (the wall column is the interpreted switch; unpinned \
+         serving runs the compiled kernels where a family has one)",
     );
     report.note(
         "routing keys, sharder fitting, and the shard split are hoisted out of the \
@@ -165,8 +184,12 @@ mod tests {
 
     #[test]
     fn crossover_is_the_smallest_winning_shard_count() {
-        let point =
-            |shards, completion_seconds| Point { shards, completion_seconds, wall_seconds: 1.0 };
+        let point = |shards, completion_seconds| Point {
+            shards,
+            completion_seconds,
+            wall_seconds: 1.0,
+            direct_wall_seconds: 1.0,
+        };
         let points = [point(1, 1.0), point(2, 1.2), point(4, 0.7), point(8, 0.6)];
         assert_eq!(find_crossover(&points), Some(4));
         assert_eq!(find_crossover(&points[..2]), None);

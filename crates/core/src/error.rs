@@ -71,6 +71,20 @@ pub enum Error {
         /// The offending column index, as the query named it.
         col: usize,
     },
+    /// A query gives its family's switch program nothing to evaluate per
+    /// entry, or more than it can hold: a SKYLINE over no dimensions (or
+    /// more than an entry has slots for), a filter whose predicate tree
+    /// has no atom (or more than the truth table enumerates). Refused
+    /// before any arm runs, so the pruned and the direct arm agree on
+    /// which requests are valid.
+    BadArity {
+        /// The query family's short name.
+        family: &'static str,
+        /// Dimensions or atoms the query names.
+        got: usize,
+        /// The most the family's program takes; the least is one.
+        max: usize,
+    },
     /// A shard's worker job ended without reporting — it panicked. The
     /// failure is the request's alone: the pool thread survives it.
     WorkerPanicked {
@@ -91,6 +105,7 @@ impl Error {
             | Error::EncodedRowMismatch { .. }
             | Error::NoKernel { .. }
             | Error::BadColumn { .. }
+            | Error::BadArity { .. }
             | Error::WorkerPanicked { .. } => None,
         }
     }
@@ -121,6 +136,9 @@ impl fmt::Display for Error {
             Error::BadColumn { stream, col } => {
                 write!(f, "column {col} of input stream {stream} is missing or of the wrong type for the query")
             }
+            Error::BadArity { family, got, max } => {
+                write!(f, "a {family} query over {got} terms: the family evaluates 1..={max}")
+            }
             Error::WorkerPanicked { shard } => {
                 write!(f, "the worker job of shard {shard} panicked before reporting")
             }
@@ -139,6 +157,7 @@ impl std::error::Error for Error {
             | Error::EncodedRowMismatch { .. }
             | Error::NoKernel { .. }
             | Error::BadColumn { .. }
+            | Error::BadArity { .. }
             | Error::WorkerPanicked { .. } => None,
         }
     }
@@ -210,6 +229,8 @@ mod tests {
         assert!(e.to_string().contains("column 9 of input stream 1"), "{e}");
         let e = Error::WorkerPanicked { shard: 3 };
         assert!(e.to_string().contains("shard 3"), "{e}");
+        let e = Error::BadArity { family: "skyline", got: 0, max: 4 };
+        assert!(e.to_string().contains("skyline query over 0 terms"), "{e}");
         assert!(e.as_switch().is_none());
     }
 

@@ -164,6 +164,45 @@ pub fn spark_overhead_factor(q: &DbQuery) -> f64 {
     }
 }
 
+/// Build `$q`'s [`PruningOperator`](crate::operators::PruningOperator)
+/// as `$op` and evaluate `$body` with it — the one place a query shape
+/// picks its operator impl, statically, for both arms.
+macro_rules! with_operator {
+    ($cluster:expr, $q:expr, |$op:ident| $body:expr) => {{
+        let tuning = &$cluster.tuning;
+        match $q {
+            DbQuery::FilterCount { pred } => {
+                let $op = FilterOp::new(pred);
+                $body
+            }
+            DbQuery::Distinct { col } => {
+                let $op = DistinctOp::new(*col, tuning);
+                $body
+            }
+            DbQuery::Skyline { cols } => {
+                let $op = SkylineOp::new(cols, tuning);
+                $body
+            }
+            DbQuery::TopN { order_col, n } => {
+                let $op = TopNOp::new(*order_col, *n, tuning);
+                $body
+            }
+            DbQuery::GroupByMax { key_col, val_col } => {
+                let $op = GroupByMaxOp::new(*key_col, *val_col, tuning);
+                $body
+            }
+            DbQuery::Join { left_key, right_key } => {
+                let $op = JoinOp::new(*left_key, *right_key, tuning);
+                $body
+            }
+            DbQuery::HavingSum { key_col, val_col, threshold } => {
+                let $op = HavingSumOp::new(*key_col, *val_col, *threshold, tuning);
+                $body
+            }
+        }
+    }};
+}
+
 impl Cluster {
     /// This cluster with the Cheetah path pinned to `backend`.
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
@@ -198,11 +237,12 @@ impl Cluster {
     /// the probabilistic fingerprint caveats documented per algorithm).
     ///
     /// Every query shape goes through the same generic executor
-    /// ([`Cluster::execute`]); each arm below only picks the
+    /// ([`Cluster::execute`]); `with_operator!` only picks the
     /// [`PruningOperator`](crate::operators::PruningOperator) impl.
     ///
     /// This is the one-slice executor: `cheetah_runtime::execute` calls it
-    /// once per routed unit on every shard worker.
+    /// (or [`run_direct`](Self::run_direct)) once per routed unit on every
+    /// shard worker.
     pub fn run_cheetah(
         &self,
         q: &DbQuery,
@@ -210,23 +250,35 @@ impl Cluster {
         right: Option<&Table>,
     ) -> cheetah_core::Result<CheetahRun> {
         let t = Tables { left, right };
-        match q {
-            DbQuery::FilterCount { pred } => self.execute(&FilterOp::new(pred), &t),
-            DbQuery::Distinct { col } => self.execute(&DistinctOp::new(*col, &self.tuning), &t),
-            DbQuery::Skyline { cols } => self.execute(&SkylineOp::new(cols, &self.tuning), &t),
-            DbQuery::TopN { order_col, n } => {
-                self.execute(&TopNOp::new(*order_col, *n, &self.tuning), &t)
-            }
-            DbQuery::GroupByMax { key_col, val_col } => {
-                self.execute(&GroupByMaxOp::new(*key_col, *val_col, &self.tuning), &t)
-            }
-            DbQuery::Join { left_key, right_key } => {
-                self.execute(&JoinOp::new(*left_key, *right_key, &self.tuning), &t)
-            }
-            DbQuery::HavingSum { key_col, val_col, threshold } => {
-                self.execute(&HavingSumOp::new(*key_col, *val_col, *threshold, &self.tuning), &t)
-            }
-        }
+        with_operator!(self, q, |op| self.execute(&op, &t))
+    }
+
+    /// Execute the query *without* the switch: the same operator's
+    /// `complete` over the identity selection
+    /// ([`Survivors::all`](crate::operators::Survivors)) — no `spec()`, no
+    /// encode, no pruning pass. Output equals
+    /// [`run_baseline`](Self::run_baseline)'s exactly.
+    ///
+    /// The paper's claim is conditional: pruning pays when the switch
+    /// removes work the master would otherwise do. Where completing a row
+    /// costs less than encoding and judging it, this is the faster plan,
+    /// and `cheetah_runtime::execute` runs it per routed unit under
+    /// [`ExecPath::Direct`](crate::ExecPath::Direct). The run is accounted
+    /// as what it physically is — a worker computing a partial and
+    /// shipping it through a pass-through switch: `worker_seconds` is the
+    /// operator's time, `master_seconds` zero, `entries_to_master` the
+    /// result rows of its output
+    /// ([`QueryOutput::result_rows`](crate::QueryOutput::result_rows); a
+    /// fan-out join ships its input rows instead, being fewer), every one
+    /// of them seen and forwarded, none pruned.
+    pub fn run_direct(
+        &self,
+        q: &DbQuery,
+        left: &Table,
+        right: Option<&Table>,
+    ) -> cheetah_core::Result<CheetahRun> {
+        let t = Tables { left, right };
+        with_operator!(self, q, |op| crate::executor::complete_all(&op, &t))
     }
 }
 

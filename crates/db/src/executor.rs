@@ -400,6 +400,39 @@ fn run_on<O: PruningOperator, E: PruneEngine>(
     })
 }
 
+/// The direct arm ([`Cluster::run_direct`]): complete the query over the
+/// identity selection — every row, no plan, no encode, no switch — and
+/// account the run as a worker computing a partial that a pass-through
+/// switch forwards whole. What it ships is the partial's result rows
+/// ([`QueryOutput::result_rows`](crate::QueryOutput::result_rows)) — or
+/// the rows it read, where those are fewer: a fan-out join's pairs
+/// outnumber its inputs, and it would ship the inputs. Those are the
+/// entries seen, forwarded and delivered; every counter is a function of
+/// the data, so it is finite, bounded by the input and repeats exactly.
+pub(crate) fn complete_all<O: PruningOperator>(
+    op: &O,
+    tables: &Tables<'_>,
+) -> cheetah_core::Result<CheetahRun> {
+    let t0 = Instant::now();
+    let all = Survivors::all(tables, op.streams())?;
+    let output = op.complete(tables, &all);
+    let worker_seconds = t0.elapsed().as_secs_f64();
+    let entries = output.result_rows().min(all.count());
+    Ok(CheetahRun {
+        output,
+        breakdown: ExecBreakdown {
+            worker_seconds,
+            worker_wire_bytes: entries * ENTRY_WIRE_BYTES,
+            master_wire_bytes: entries * ENTRY_WIRE_BYTES,
+            entries_to_master: entries,
+            passes: 1,
+            ..ExecBreakdown::default()
+        },
+        switch_stats: ProgramStats { seen: entries, pruned: 0, forwarded: entries },
+        rules: 0,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,6 +121,18 @@ impl DbPredicate {
         out
     }
 
+    /// The `Int` columns the predicate compares, ascending and
+    /// deduplicated — the packet value slots of its switch program, in
+    /// slot order (a `LIKE` column never reaches the switch).
+    pub fn int_columns(&self) -> Vec<usize> {
+        let atoms = self.typed_columns().into_iter();
+        let mut out: Vec<usize> =
+            atoms.filter(|(_, t)| *t == DataType::Int).map(|(col, _)| col).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Every atom's column with the type the atom reads it as — `Int`
     /// under a comparison, `Str` under `LIKE` — in tree order.
     pub fn typed_columns(&self) -> Vec<(usize, DataType)> {

@@ -71,26 +71,11 @@ impl PruningOperator for FilterOp<'_> {
 /// (tautology-substituted; the master re-checks them on the survivors).
 pub fn filter_config_of(pred: &DbPredicate) -> (FilterConfig, Vec<usize>) {
     // Slot layout: unique int columns in ascending order.
-    let mut int_cols: Vec<usize> = Vec::new();
-    collect_int_cols(pred, &mut int_cols);
-    int_cols.sort_unstable();
-    int_cols.dedup();
+    let int_cols = pred.int_columns();
     let slot_of = |col: usize| int_cols.iter().position(|&c| c == col).expect("mapped col");
     let mut atoms: Vec<AtomSpec> = Vec::new();
     let expr = lower_pred(pred, &mut atoms, &slot_of);
     (FilterConfig { atoms, expr, external_mode: ExternalMode::Tautology }, int_cols)
-}
-
-fn collect_int_cols(pred: &DbPredicate, out: &mut Vec<usize>) {
-    match pred {
-        DbPredicate::CmpInt { col, .. } => out.push(*col),
-        DbPredicate::Like { .. } => {}
-        DbPredicate::And(xs) | DbPredicate::Or(xs) => {
-            for x in xs {
-                collect_int_cols(x, out);
-            }
-        }
-    }
 }
 
 fn lower_pred(

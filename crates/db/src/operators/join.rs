@@ -80,17 +80,23 @@ impl PruningOperator for JoinOp {
     }
 
     fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
-        // One build over the left survivors' true keys, one probe per right
-        // survivor: a Bloom false positive finds no partner, so adds no pair.
+        // One build over the true keys of the side with fewer survivors,
+        // one probe per survivor of the other (pair counts are symmetric):
+        // the map every probe lands in is the smaller one, and a key held
+        // is re-hashed — for string keys, re-read — on the fewest growths.
+        // A Bloom false positive finds no partner, so adds no pair.
+        let key_cols = [self.left_key, self.right_key];
+        let held = |stream| survivors.parts(src, stream).map(|(_, sel)| sel.len()).sum::<usize>();
+        let (small, large) = if held(0) <= held(1) { (0, 1) } else { (1, 0) };
         let mut build: HashMap<KeyRef<'_>, u64> = HashMap::new();
-        for (part, sel) in survivors.parts(src, 0) {
-            for_each_selected_key(part.column(self.left_key), sel, |_, k| {
+        for (part, sel) in survivors.parts(src, small) {
+            for_each_selected_key(part.column(key_cols[small]), sel, |_, k| {
                 *build.entry(k).or_insert(0) += 1;
             });
         }
         let mut pairs = 0u64;
-        for (part, sel) in survivors.parts(src, 1) {
-            for_each_selected_key(part.column(self.right_key), sel, |_, k| {
+        for (part, sel) in survivors.parts(src, large) {
+            for_each_selected_key(part.column(key_cols[large]), sel, |_, k| {
                 pairs += build.get(&k).copied().unwrap_or(0);
             });
         }

@@ -28,6 +28,13 @@
 //! filters, Count-Min) never corrupt the output, only change how much
 //! survives.
 //!
+//! Completion is a function of a row selection and nothing else, so the
+//! *identity* selection ([`Survivors::all`]: every row of every partition)
+//! is the unaccelerated plan: `complete` over it answers the query with no
+//! `spec()`, no encode and no switch. That is the whole of the direct arm
+//! ([`Cluster::run_direct`](crate::Cluster::run_direct)) — no operator
+//! carries a second implementation for it.
+//!
 //! # Adding a query type
 //!
 //! 1. Create `operators/<name>.rs` with a struct holding the query's
@@ -121,11 +128,29 @@ pub struct Survivors {
 }
 
 impl Survivors {
-    /// Nothing kept yet: one empty selection per partition of each of the
-    /// first `streams` streams of `src`.
-    pub(crate) fn none(src: &Tables<'_>, streams: usize) -> cheetah_core::Result<Self> {
-        let shape = |s| src.stream(s).map(|t: &Table| vec![Vec::new(); t.partitions().len()]);
+    /// One selection per partition of each of the first `streams` streams
+    /// of `src` — shaping them is also the stream-arity check.
+    fn shaped(
+        src: &Tables<'_>,
+        streams: usize,
+        selection: impl Fn(&Partition) -> Vec<u32>,
+    ) -> cheetah_core::Result<Self> {
+        let shape =
+            |s| src.stream(s).map(|t: &Table| t.partitions().iter().map(&selection).collect());
         Ok(Self { streams: (0..streams).map(shape).collect::<Result<_, _>>()? })
+    }
+
+    /// Nothing kept yet: every selection empty.
+    pub(crate) fn none(src: &Tables<'_>, streams: usize) -> cheetah_core::Result<Self> {
+        Self::shaped(src, streams, |_| Vec::new())
+    }
+
+    /// The identity selection: every row of every partition of the first
+    /// `streams` streams of `src`. Completing over it *is* the unpruned
+    /// plan — what [`Cluster::run_direct`](crate::Cluster::run_direct)
+    /// runs where the switch would cost more than it saves.
+    pub fn all(src: &Tables<'_>, streams: usize) -> cheetah_core::Result<Self> {
+        Self::shaped(src, streams, |p| (0..p.rows() as u32).collect())
     }
 
     /// Keep `rows` — ascending, and past anything already kept — of

@@ -308,12 +308,13 @@ impl ShardPlanner {
 }
 
 // ---------------------------------------------------------------------
-// The execution grid: survivor transport × pruning backend.
+// The execution grid: survivor transport × pruning backend, and the arm
+// that engages neither.
 // ---------------------------------------------------------------------
 
-/// Which transport carries survivors from the shard workers to the
-/// master. The one executor (`cheetah_runtime::execute`) reads the choice
-/// off its plan.
+/// How a shard's unit is run and how its result reaches the master. The
+/// one executor (`cheetah_runtime::execute`) reads the choice off its
+/// plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
     /// Workers hand their completed outputs over whole; the master merges
@@ -323,6 +324,13 @@ pub enum ExecPath {
     /// land, overlapping the merge with still-running workers. The carrier
     /// of `ExecPlan`'s fault mode, where frames are the point.
     StreamedResident,
+    /// The unaccelerated plan: each shard job completes its unit over the
+    /// identity selection ([`Cluster::run_direct`](crate::Cluster::run_direct)
+    /// — no `spec()`, no encode, no switch) and hands the whole output to
+    /// the same barrier merge. The serving plane engages it per
+    /// (shape, tables) key, where the key's own first run measured that
+    /// completing every row costs less than pruning did.
+    Direct,
 }
 
 impl ExecPath {
@@ -331,31 +339,42 @@ impl ExecPath {
         match self {
             ExecPath::BarrierPooled => "pooled",
             ExecPath::StreamedResident => "streamed",
+            ExecPath::Direct => "direct",
         }
     }
 }
 
-/// One point of the grid: an execution path on a pruning backend.
+/// The arm a request ran on: an execution path and, where a switch
+/// program ran, the engine that ran it. Under [`ExecPath::Direct`] no
+/// engine runs: the field reads [`Interpreted`](cheetah_net::ExecBackend)
+/// (as a baseline run's breakdown does) and the label leaves it out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChooserArm {
-    /// The survivor transport.
+    /// The execution path.
     pub path: ExecPath,
     /// The pruning engine.
     pub backend: cheetah_net::ExecBackend,
 }
 
 impl ChooserArm {
-    /// `"pooled/compiled"`-style label for reports and assertions.
+    /// `"pooled/compiled"`-style label for reports and assertions;
+    /// `"direct"` for the arm with no engine.
     pub fn label(self) -> String {
-        format!("{}/{}", self.path.label(), self.backend.label())
+        match self.path {
+            ExecPath::Direct => self.path.label().to_string(),
+            path => format!("{}/{}", path.label(), self.backend.label()),
+        }
     }
 }
 
-/// The pinnable grid. Nothing is learned or chosen here: a request runs
-/// the point it pins, and unpinned traffic runs pooled + compiled — with
-/// one encode → prune loop under both backends and the transports tied
-/// within noise on every ledger workload, the points no longer differ by
-/// enough for an online selector to find, only to lose to.
+/// The pinnable (transport × backend) grid of the pruned arms. Nothing is
+/// learned here: a request runs the point it pins, and unpinned traffic
+/// runs pooled + compiled — with one encode → prune loop under both
+/// backends and the transports tied within noise on every ledger
+/// workload, the points no longer differ by enough for an online selector
+/// to find, only to lose to. (Whether a key is pruned at all is the
+/// serving plane's measured break-even, not a point of this grid:
+/// [`ExecPath::Direct`].)
 pub struct PathChooser;
 
 impl PathChooser {

@@ -9,6 +9,8 @@
 use crate::expr::DbPredicate;
 use crate::table::Table;
 use crate::value::{DataType, Value};
+use cheetah_core::FilterPruner;
+use cheetah_net::MAX_ENTRY_SLOTS;
 use std::collections::BTreeMap;
 
 /// A query over one table (or two, for JOIN).
@@ -123,7 +125,20 @@ impl DbQuery {
     /// type — or the request is a typed
     /// [`BadColumn`](cheetah_core::Error::BadColumn). Requests come from
     /// outside the program; the operators index columns unchecked.
+    ///
+    /// Before the tables are looked at, the query itself must give its
+    /// family's switch program something to evaluate per entry and no more
+    /// than it holds: SKYLINE one dimension per entry slot; a filter one to
+    /// [`MAX_ATOMS`](cheetah_core::FilterPruner::MAX_ATOMS) atoms anywhere
+    /// in its predicate tree — else a typed
+    /// [`BadArity`](cheetah_core::Error::BadArity), where the program
+    /// builders assert — over at most an entry's slots of distinct `Int`
+    /// columns ([`ValueSlotOverflow`](cheetah_core::Error::ValueSlotOverflow),
+    /// as the encode loop reports it). The direct arm never builds that
+    /// program, so this is where both arms learn that a request is not
+    /// one — identically, before either runs.
     pub fn check(&self, left: &Table, right: Option<&Table>) -> cheetah_core::Result<()> {
+        self.check_arity()?;
         // (stream, column, the type it is read as — `None`: either).
         let key = |stream, col: &usize| (stream, *col, None);
         let int = |col: &usize| (0, *col, Some(DataType::Int));
@@ -149,6 +164,29 @@ impl DbQuery {
             }
         }
         Ok(())
+    }
+
+    /// Does the query name between one and as many terms as its family's
+    /// switch program evaluates per entry? (The other five families take
+    /// a fixed number of columns.)
+    fn check_arity(&self) -> cheetah_core::Result<()> {
+        let (got, max) = match self {
+            DbQuery::Skyline { cols } => (cols.len(), MAX_ENTRY_SLOTS),
+            DbQuery::FilterCount { pred } => {
+                let slots = pred.int_columns().len();
+                if slots > MAX_ENTRY_SLOTS {
+                    let (got, max) = (slots, MAX_ENTRY_SLOTS);
+                    return Err(cheetah_core::Error::ValueSlotOverflow { got, max });
+                }
+                (pred.typed_columns().len(), FilterPruner::MAX_ATOMS)
+            }
+            _ => return Ok(()),
+        };
+        if (1..=max).contains(&got) {
+            Ok(())
+        } else {
+            Err(cheetah_core::Error::BadArity { family: self.kind(), got, max })
+        }
     }
 
     /// The same query over tables that carry only [`columns`](Self::columns)
@@ -235,6 +273,20 @@ impl QueryOutput {
         pts.sort();
         pts.dedup();
         QueryOutput::Points(pts)
+    }
+
+    /// Rows of the result this output normalizes — what a worker that
+    /// computed it as a partial stands to ship: a `COUNT(*)` is one row;
+    /// a join's result is its pairs (this repo compares joins by their
+    /// pair count, so that is what the variant holds); every other variant
+    /// holds its rows. The direct arm accounts a shard's partial by it, so
+    /// what it reports to the master depends on the data, not only on the
+    /// shard count.
+    pub fn result_rows(&self) -> u64 {
+        match self {
+            QueryOutput::JoinPairs(pairs) => *pairs,
+            other => other.cardinality(),
+        }
     }
 
     /// Rough output cardinality (rows/keys/points), for reports.
@@ -431,6 +483,10 @@ mod tests {
 
     #[test]
     fn cardinality() {
+        assert_eq!(QueryOutput::Count(5).result_rows(), 1);
+        assert_eq!(QueryOutput::JoinPairs(5).result_rows(), 5);
+        assert_eq!(QueryOutput::TopValues(vec![3, 1]).result_rows(), 2);
+        assert_eq!(QueryOutput::JoinPairs(5).cardinality(), 1);
         assert_eq!(QueryOutput::Count(5).cardinality(), 1);
         assert_eq!(QueryOutput::values(vec![Value::Int(1), Value::Int(2)]).cardinality(), 2);
     }

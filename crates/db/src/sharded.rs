@@ -66,6 +66,12 @@ pub struct ShardStats {
     pub worker_seconds: f64,
     /// The shard's completion seconds (its local `complete` run).
     pub master_seconds: f64,
+    /// Wall seconds the shard's job spent running its unit, measured
+    /// around the one executor call: plan + encode + prune + complete on a
+    /// pruned path, the operator alone on the direct one. One thread's
+    /// work — what the serving plane's go-direct rule weighs completion
+    /// against.
+    pub busy_seconds: f64,
     /// Bytes the shard's busiest worker put on its uplink.
     pub worker_wire_bytes: u64,
     /// Bytes this shard contributed to the master downlink.

@@ -7,8 +7,8 @@
 #![allow(dead_code)]
 
 use cheetah_db::{
-    Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, LikePattern,
-    ShardPartitioner, ShardPlanner, ShardSpec, Table, TableBuilder, Value,
+    ChooserArm, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
+    LikePattern, ShardPartitioner, ShardPlanner, ShardSpec, Table, TableBuilder, Value,
 };
 use cheetah_runtime::{execute, ExecPlan, ExecRun, StreamSpec};
 use cheetah_switch::hash::mix64;
@@ -104,19 +104,23 @@ pub struct ExecCase {
     pub q: DbQuery,
     pub path: ExecPath,
     pub backend: ExecBackend,
-    /// `query × partitioner@shards × transport/backend on <workload>`.
+    /// `query × partitioner@shards × arm on <workload>`.
     pub label: String,
 }
 
 /// Walk the execution grid over one workload pair — all seven variants ×
-/// shards {1, 2, 7} × {hash, range} × {barrier, stream} × {interpreted,
-/// compiled} — routing each (variant, partitioner, shards) once. Every
-/// point is held to the universal contract here: output equals
+/// shards {1, 2, 7} × {hash, range} × ({barrier, stream} × {interpreted,
+/// compiled}, then direct) — routing each (variant, partitioner, shards)
+/// once. Every point is held to the universal contract here: output equals
 /// `run_baseline`'s, the shard count is honoured, routing loses no rows,
 /// the merge plane's accounting is self-consistent, and a streamed run
 /// with survivors framed them. `visit` adds the calling gate's own
 /// assertions; the backend is the innermost axis (interpreted first), so
-/// a gate can pair the two runs of a point.
+/// a gate can pair the two runs of a pruned point. The direct arm runs no
+/// engine, so it is walked once per layout (its case reads `Interpreted`,
+/// like its breakdown), and held to the pass-through accounting: nothing
+/// pruned, every result row of the shards' partials seen and forwarded, nothing
+/// framed, nothing overlapped.
 pub fn for_each_exec_case(
     left: &Arc<Table>,
     right: &Arc<Table>,
@@ -133,27 +137,37 @@ pub fn for_each_exec_case(
             for shards in [1usize, 2, 7] {
                 let spec = StreamSpec::fixed(ShardSpec::new(shards, partitioner));
                 let plan = ExecPlan::new(&oracle, &q, left, right_of, &spec).expect("routes");
+                let mut point = |path: ExecPath, backend: ExecBackend| {
+                    let arm = ChooserArm { path, backend }.label();
+                    let kind = q.kind();
+                    let label =
+                        format!("{kind} × {}@{shards} × {arm} on {workload}", partitioner.name());
+                    let cluster = oracle.clone().with_backend(backend);
+                    let run = execute(&cluster, &plan.for_path(path)).expect("plan fits");
+                    assert_eq!(base.output, run.output, "{label}: diverged from baseline");
+                    assert_eq!(run.breakdown.shards as usize, shards, "{label}");
+                    assert_eq!(run.per_shard.len(), shards, "{label}");
+                    let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
+                    assert_eq!(routed, total, "{label}: rows lost in routing");
+                    assert_merge_discipline(path, &run, &label);
+                    if path == ExecPath::Direct {
+                        let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
+                        assert_eq!(stats.pruned, 0, "{label}");
+                        assert_eq!((stats.seen, stats.forwarded), (entries, entries), "{label}");
+                        assert_eq!(
+                            (run.batches, run.breakdown.overlap_seconds),
+                            (0, 0.0),
+                            "{label}"
+                        );
+                    }
+                    visit(&ExecCase { q: q.clone(), path, backend, label }, &run);
+                };
                 for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
                     for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                        let label = format!(
-                            "{} × {}@{shards} × {}/{} on {workload}",
-                            q.kind(),
-                            partitioner.name(),
-                            path.label(),
-                            backend.label()
-                        );
-                        let cluster = oracle.clone().with_backend(backend);
-                        let run = execute(&cluster, &plan.for_path(path)).expect("plan fits");
-                        assert_eq!(base.output, run.output, "{label}: diverged from baseline");
-                        assert_eq!(run.breakdown.shards as usize, shards, "{label}");
-                        assert_eq!(run.per_shard.len(), shards, "{label}");
-                        let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
-                        assert_eq!(routed, total, "{label}: rows lost in routing");
-                        assert_merge_discipline(path, &run, &label);
-                        let case = ExecCase { q: q.clone(), path, backend, label };
-                        visit(&case, &run);
+                        point(path, backend);
                     }
                 }
+                point(ExecPath::Direct, ExecBackend::Interpreted);
             }
         }
     }

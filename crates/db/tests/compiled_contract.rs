@@ -23,7 +23,7 @@ mod common;
 use common::{all_seven, for_each_exec_case, run_barrier};
 
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ShardSpec};
+use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec};
 use cheetah_runtime::{ExecRun, StreamSpec};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
@@ -62,6 +62,8 @@ fn compiled_kernels_are_bit_identical_across_the_adversarial_family() {
         // compiled twin: hold the former, compare when the latter lands.
         let mut oracle: Option<ExecRun> = None;
         for_each_exec_case(&left, &right, 9_000, &adv.name(), |case, run| match case.backend {
+            // The direct arm runs no engine: there is no pair to compare.
+            _ if case.path == ExecPath::Direct => {}
             ExecBackend::Interpreted => oracle = Some(run.clone()),
             ExecBackend::Compiled => {
                 let i = oracle.take().expect("the oracle runs first");

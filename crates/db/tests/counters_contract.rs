@@ -19,7 +19,9 @@
 //! stream transport); and one pinned request through the [`Session`]
 //! front door. Neither a backend nor a transport may move a counter: the
 //! one changes how the switch program is executed, the other *when*
-//! survivors arrive — never what the switch prunes.
+//! survivors arrive — never what the switch prunes. Beside the golden
+//! rows, each sharded family runs once `@direct` — no switch program — and
+//! is held to the pass-through identity instead of a golden figure.
 
 mod common;
 
@@ -126,6 +128,26 @@ fn pruning_counters_match_the_golden_table_exactly() {
             let name = format!("{family}@{form}");
             seen.push((name, run.switch_stats.pruned, b.entries_to_master, b.backend));
         }
+        // `@direct`: the same layout with no switch program at all. Not a
+        // golden row — what it ships is its shards' outputs, not what a
+        // switch let through — but an identity, asserted: a pass-through
+        // switch sees and forwards exactly the partials' result rows,
+        // shard by shard, prunes nothing, and no engine is named.
+        let direct = execute(&compiled, &streamed.for_path(ExecPath::Direct)).expect("runs");
+        assert_eq!(direct.output, runs[0].1.output, "{family}@direct");
+        let (stats, b) = (direct.switch_stats, &direct.breakdown);
+        assert_eq!((stats.pruned, b.backend), (0, INTERP), "{family}@direct");
+        assert_eq!((stats.seen, stats.forwarded), (b.entries_to_master, b.entries_to_master));
+        for s in &direct.per_shard {
+            assert_eq!((s.seen, s.pruned), (s.entries_to_master, 0), "{family}@direct");
+        }
+        // Key-aligned routing makes the partials disjoint, so a keyed
+        // family's result rows add up to the answer's; this JOIN fans out
+        // (its pairs outnumber its rows), so every shard ships its inputs.
+        let rows = (left.rows() + right_of.map_or(0, |r| r.rows())) as u64;
+        let want = if q.is_binary() { rows } else { direct.output.result_rows() };
+        assert_eq!(b.entries_to_master, want, "{family}@direct");
+        assert!(direct.output.result_rows() > rows || !q.is_binary(), "fixture: a fan-out join");
     }
 
     // Pinned requests skip the plan cache, so the serving plane's

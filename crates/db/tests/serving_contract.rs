@@ -15,18 +15,21 @@
 //! Under property 1 sit the layout lifecycle of a repeated shape (first
 //! sight runs the tables whole, second sight plans and routes, later ones
 //! hit the plan cache — every layout answers alike) and the right table a
-//! unary query ignores. Under property 3 sits containment: a request its
-//! tables cannot answer, or one that panics its shard job anyway, fails
-//! alone and typed — no thread lost, no slot leaked.
+//! unary query ignores, and the arm lifecycle (first sight measures and
+//! decides direct or pruned; pins override either way). Under property 3
+//! sits containment: a request its tables cannot answer or that gives the
+//! switch nothing to evaluate is refused before any arm runs, identically
+//! on each; a shard job that panics anyway fails alone and typed — no
+//! thread lost, no slot leaked.
 
 mod common;
 
-use cheetah_core::Error::{BadColumn, WorkerPanicked};
+use cheetah_core::Error::{BadArity, BadColumn, WorkerPanicked};
 use cheetah_db::{
-    Cluster, DataType, DbPredicate, DbQuery, IntCmp, LikePattern, QueryOutput, Table, TableBuilder,
-    Value,
+    CheetahTuning, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
+    LikePattern, QueryOutput, Table, TableBuilder, Value,
 };
-use cheetah_serve::{Error, QueryRequest, Session, SessionConfig};
+use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use std::sync::Arc;
 
 fn fixtures(seed: u64) -> (Arc<Table>, Arc<Table>) {
@@ -144,6 +147,99 @@ fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
     // The queued path too: a driver thread must survive the request.
     let ticket = session.submit(plain().with_right(narrow)).unwrap();
     assert_eq!(ticket.wait().unwrap().output, baseline);
+}
+
+/// The arm a response reports, and the `rule.*` verdict its first sight
+/// traced (`None` from the second sight on: a key's decision is taken once).
+fn arm_and_verdict(resp: &QueryResponse) -> (String, Option<String>) {
+    let respond = resp.trace.as_ref().expect("trace exports").root.find("respond").unwrap();
+    (resp.arm.label(), respond.attr("rule.direct").map(str::to_string))
+}
+
+/// Property 1d: win or get out of the way. A TOP N over a table a tenth
+/// the switch's matrix rows prunes nothing, so its first sight — the
+/// pruned, measuring run — decides the key direct (every row survived and
+/// encode + prune took time: no timer margin to be flaky about), and from
+/// the second sight on the key runs with no switch at all. Every sight,
+/// on either arm and either layout, answers like the baseline.
+#[test]
+fn a_key_whose_first_sight_pruned_nothing_runs_direct_from_the_second() {
+    let cluster = Cluster::default();
+    let t = Arc::new(common::gen_table(400, 40, 3, 0xD12EC7));
+    let q = DbQuery::TopN { order_col: 1, n: 25 };
+    let want = cluster.run_baseline(&q, &t, None).output;
+    let session = Session::new(cluster, SessionConfig::default());
+    let ask = |req: QueryRequest| session.run_blocking(req).unwrap();
+    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
+    for sight in 1..=4 {
+        let resp = ask(unpinned());
+        assert_eq!(resp.output, want, "sight {sight}");
+        let (arm, verdict) = arm_and_verdict(&resp);
+        match sight {
+            1 => {
+                assert_eq!((arm.as_str(), verdict.as_deref()), ("pooled/compiled", Some("true")));
+                assert_eq!(resp.switch_stats.pruned, 0, "fixture: nothing prunes");
+                assert_eq!(resp.breakdown.entries_to_master, 400);
+            }
+            _ => {
+                assert_eq!((arm.as_str(), verdict), ("direct", None), "sight {sight}");
+                // A pass-through switch: the partials' items, all forwarded.
+                let stats = resp.switch_stats;
+                assert_eq!((stats.seen, stats.pruned), (stats.forwarded, 0), "sight {sight}");
+                assert_eq!(stats.forwarded, resp.breakdown.entries_to_master, "sight {sight}");
+            }
+        }
+    }
+    // A path pin overrides the key's decision, for that request only…
+    let pruned = ask(unpinned().path(ExecPath::BarrierPooled));
+    assert_eq!(pruned.arm.label(), "pooled/compiled");
+    assert_eq!(pruned.output, want);
+    assert_eq!(pruned.switch_stats.seen, 400, "the switch saw every row");
+    // …and so does a backend pin, which names a pruning engine.
+    let interp = ask(unpinned().backend(ExecBackend::Interpreted));
+    assert_eq!((interp.arm.label().as_str(), interp.output == want), ("pooled/interp", true));
+    assert_eq!(ask(unpinned()).arm.label(), "direct");
+    let snap = session.registry().snapshot();
+    assert_eq!(snap.counters["serve.direct.keys"], 1);
+    assert_eq!(snap.counters["serve.direct.requests"], 4);
+}
+
+/// Property 1e: …and a key the switch wins on stays pruned. Ten keys over
+/// 100 000 rows: first sight delivers a handful of survivors, completing
+/// each costs more than encoding and judging a row did, and every later
+/// sight runs pooled + compiled. A direct pin is honoured at first sight —
+/// but measures no pruned run, so it decides nothing.
+#[test]
+fn a_key_the_switch_prunes_well_stays_pruned_and_a_direct_pin_decides_nothing() {
+    let cluster = Cluster::default();
+    let t = Arc::new(common::gen_table(100_000, 10, 4, 0x9127));
+    let q = DbQuery::Distinct { col: 0 };
+    let want = cluster.run_baseline(&q, &t, None).output;
+    let session = Session::new(cluster.clone(), SessionConfig::default());
+    for sight in 1..=4 {
+        let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
+        assert_eq!(resp.output, want, "sight {sight}");
+        let (arm, verdict) = arm_and_verdict(&resp);
+        assert_eq!(arm, "pooled/compiled", "sight {sight}");
+        assert_eq!(verdict.as_deref(), (sight == 1).then_some("false"), "sight {sight}");
+    }
+    assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 0);
+
+    // A fresh session, first sight pinned direct: it runs direct, whole,
+    // on one shard; the key is noted undecided-for-direct, so unpinned
+    // sights of it run pruned.
+    let session = Session::new(cluster, SessionConfig::default());
+    let pinned = QueryRequest::new(q.clone(), Arc::clone(&t)).path(ExecPath::Direct);
+    let first = session.run_blocking(pinned.clone()).unwrap();
+    assert_eq!((first.arm.label().as_str(), first.breakdown.shards), ("direct", 1));
+    assert_eq!(first.output, want);
+    assert_eq!(arm_and_verdict(&first).1, None, "a direct run measures nothing for the rule");
+    let second = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
+    assert_eq!((second.arm.label().as_str(), second.output == want), ("pooled/compiled", true));
+    // The pin keeps working on the routed layout second sight built.
+    let third = session.run_blocking(pinned).unwrap();
+    assert_eq!((third.arm.label().as_str(), third.output == want), ("direct", true));
+    assert_eq!(third.breakdown.shards, second.breakdown.shards);
 }
 
 /// Property 2: a flooding tenant saturating the queue must not keep a
@@ -273,22 +369,82 @@ fn a_column_the_table_cannot_answer_for_is_a_typed_refusal() {
     assert_eq!(session.stats().rejected, 0, "refused by the schema, not by admission");
 }
 
-/// Property 3c: two configuration asserts in the pruning layer are still
-/// reachable through a request the schema check cannot fault (no columns
-/// at all). Sixteen of each — twice the pool's threads — panic their shard
-/// job; each comes back as `WorkerPanicked`, to that request only.
+/// Property 3c: a query with nothing to evaluate — no skyline dimension,
+/// no atom anywhere in its predicate — or with more atoms than the filter
+/// program enumerates used to trip a configuration assert inside `spec()`
+/// on a pool thread. The direct arm never calls `spec()`, so the same
+/// request would have *answered* there: two arms disagreeing on whether a
+/// request is valid. All of them are refused before any arm runs, typed,
+/// identically on the pruned pin, the direct pin and unpinned.
+#[test]
+fn a_query_with_nothing_to_evaluate_is_refused_identically_on_every_arm() {
+    let (t, _) = fixtures(0xB00);
+    let session = Session::with_defaults();
+    let cmp = |lit| DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit };
+    let filter = |pred| DbQuery::FilterCount { pred };
+    for (q, got, max) in [
+        (DbQuery::Skyline { cols: vec![] }, 0, 4),
+        (filter(DbPredicate::And(vec![])), 0, 16),
+        (filter(DbPredicate::Or(vec![])), 0, 16),
+        (filter(DbPredicate::And(vec![DbPredicate::Or(vec![]), DbPredicate::And(vec![])])), 0, 16),
+        (filter(DbPredicate::Or((0..17).map(cmp).collect())), 17, 16),
+    ] {
+        let want = BadArity { family: q.kind(), got, max };
+        let req = || QueryRequest::new(q.clone(), Arc::clone(&t));
+        for (arm, req) in [
+            ("pruned", req().path(ExecPath::BarrierPooled)),
+            ("direct", req().path(ExecPath::Direct)),
+            ("unpinned", req()),
+        ] {
+            match session.run_blocking(req) {
+                Err(Error::Exec(e)) => assert_eq!(e, want, "{q:?} on the {arm} arm"),
+                other => panic!("{q:?} on the {arm} arm: expected a typed refusal, got {other:?}"),
+            }
+            assert_eq!(session.in_flight(), 0, "{q:?}: a refused request leaked its slot");
+        }
+        // A driver thread refuses it the same way…
+        for e in refused(&session, &q, &t) {
+            assert_eq!(e, want, "{q:?}");
+        }
+        // …and the same session answers the next well-formed request.
+        assert_pool_intact(&session, &t);
+    }
+    // The bounds have an inside: sixteen atoms, and an empty conjunct
+    // beside a real atom (vacuously true on every arm), both answer.
+    for pred in [
+        DbPredicate::Or((0..16).map(|i| cmp(9_000 + i)).collect()),
+        DbPredicate::And(vec![DbPredicate::And(vec![]), cmp(5_000)]),
+    ] {
+        let q = filter(pred);
+        let want = Cluster::default().run_baseline(&q, &t, None).output;
+        for path in [ExecPath::BarrierPooled, ExecPath::Direct] {
+            let req = QueryRequest::new(q.clone(), Arc::clone(&t)).path(path);
+            assert_eq!(session.run_blocking(req).unwrap().output, want, "{q:?}");
+        }
+    }
+}
+
+/// Property 3d: a shard job that panics anyway fails its own request and
+/// nothing else. No request can reach a panic any more, so the operator
+/// misconfigures the switch instead: a cluster tuned to zero stored
+/// skyline points trips the program builder's assert on a pool thread.
+/// Sixteen such requests — twice the pool's threads — each come back as
+/// `WorkerPanicked`, to that request only; the direct arm, which builds no
+/// program, answers the same query; and every other family is served.
 #[test]
 fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
     let (t, _) = fixtures(0xB00);
-    let session = Session::with_defaults();
-    for q in
-        [DbQuery::Skyline { cols: vec![] }, DbQuery::FilterCount { pred: DbPredicate::And(vec![]) }]
-    {
-        for _ in 0..8 {
-            for e in refused(&session, &q, &t) {
-                assert_eq!(e, WorkerPanicked { shard: 0 }, "{q:?}");
-            }
+    let tuning = CheetahTuning { skyline_points: 0, ..CheetahTuning::default() };
+    let cluster = Cluster { tuning, ..Cluster::default() };
+    let session = Session::new(cluster, SessionConfig::default());
+    let q = DbQuery::Skyline { cols: vec![1, 2] };
+    for _ in 0..8 {
+        for e in refused(&session, &q, &t) {
+            assert_eq!(e, WorkerPanicked { shard: 0 }, "{q:?}");
         }
-        assert_pool_intact(&session, &t);
     }
+    assert_pool_intact(&session, &t);
+    let direct = QueryRequest::new(q.clone(), Arc::clone(&t)).path(ExecPath::Direct);
+    let want = Cluster::default().run_baseline(&q, &t, None).output;
+    assert_eq!(session.run_blocking(direct).unwrap().output, want);
 }

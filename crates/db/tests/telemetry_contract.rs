@@ -15,6 +15,10 @@
 //!    second sight a `route` span and one `worker` per planned shard, the
 //!    third neither `route` nor a planner call; a pinned shard count
 //!    routes at first sight.
+//!    And the arm policy beside it: first sight's `respond` span carries
+//!    the go-direct rule's inputs and verdict (`rule.*`), `execute` and
+//!    every `worker` span the path that ran, the registry the keys
+//!    decided direct and the requests run so.
 //! 4. **Fabric attribution** — a traced faulty-channel run lands its
 //!    go-back-N resend count in the owning registry's
 //!    `net.retransmits`, equal to the breakdown's field.
@@ -201,6 +205,65 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     for resp in [&first, &second, &pinned] {
         assert_eq!(resp.output, first.output);
     }
+}
+
+/// The trace says why a key runs where it runs. First sight's `respond`
+/// span carries what the go-direct rule read and what it decided — the
+/// rule re-evaluates from the traced figures — and nothing re-decides
+/// later; `execute` and every `worker` span name the path that ran; the
+/// registry counts the keys decided direct and the requests that ran so.
+#[test]
+fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
+    let session = Session::with_defaults();
+    // A TOP N that prunes nothing goes direct; a 10-key DISTINCT over
+    // 100 000 rows stays pruned (25–50× from break-even either build).
+    let small = Arc::new(common::gen_table(400, 40, 3, 0xD12EC7));
+    let keyed = Arc::new(common::gen_table(100_000, 10, 4, 0x9127));
+    for (q, t, direct) in [
+        (DbQuery::TopN { order_col: 1, n: 25 }, &small, true),
+        (DbQuery::Distinct { col: 0 }, &keyed, false),
+    ] {
+        for sight in 1..=3 {
+            let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(t))).unwrap();
+            let tree = resp.trace.as_ref().expect("trace exports");
+            let respond = tree.root.find("respond").expect("lifecycle span");
+            let label = format!("{} sight {sight}", q.kind());
+            if sight == 1 {
+                let figure = |key: &str| -> f64 {
+                    respond
+                        .attr(key)
+                        .unwrap_or_else(|| panic!("{label}: no {key}"))
+                        .parse()
+                        .unwrap()
+                };
+                let (rows, survivors) = (figure("rule.rows"), figure("rule.survivors"));
+                let (complete_us, busy_us) = (figure("rule.complete_us"), figure("rule.busy_us"));
+                assert_eq!(rows, t.rows() as f64, "{label}");
+                assert_eq!(survivors, resp.breakdown.entries_to_master as f64, "{label}");
+                assert!(complete_us > 0.0 && complete_us <= busy_us, "{label}");
+                // The verdict is the rule over the figures beside it.
+                assert_eq!(complete_us * rows < busy_us * survivors, direct, "{label}");
+                assert_eq!(respond.attr("rule.direct"), Some(direct.to_string().as_str()));
+            } else {
+                let rule: Vec<_> =
+                    respond.attrs.iter().filter(|(k, _)| k.starts_with("rule.")).collect();
+                assert!(rule.is_empty(), "{label}: a decision is written once, got {rule:?}");
+            }
+            // First sight is always the pruned, measuring run.
+            let path = if direct && sight > 1 { "direct" } else { "pooled" };
+            let exec = tree.root.find("execute").expect("lifecycle span");
+            assert_eq!(exec.attr("path"), Some(path), "{label}");
+            assert_eq!(exec.attr("backend").is_some(), path != "direct", "{label}: no engine ran");
+            let mut workers = Vec::new();
+            exec.find_all("worker", &mut workers);
+            assert_eq!(workers.len(), resp.breakdown.shards as usize, "{label}");
+            assert!(workers.iter().all(|w| w.attr("path") == Some(path)), "{label}");
+            assert_eq!(tree.root.attr("arm"), Some(resp.arm.label().as_str()), "{label}");
+        }
+    }
+    let snap = session.registry().snapshot();
+    assert_eq!(snap.counters["serve.direct.keys"], 1);
+    assert_eq!(snap.counters["serve.direct.requests"], 2);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! # cheetah-runtime — one plan, one executor, two transports
+//! # cheetah-runtime — one plan, one executor, two transports, one way out
 //!
 //! Cheetah's dataflow (§2) is one thing: route rows to shard workers,
 //! prune each shard at its switch, merge the survivors at the master.
@@ -7,8 +7,8 @@
 //! a one-shard layout is the table itself, uncopied) and [`execute`] runs
 //! the routed plan on the persistent [`WorkerPool`], one job — one
 //! [`Cluster::run_cheetah`](cheetah_db::Cluster::run_cheetah), one
-//! installed switch program, one report — per shard; how survivors travel
-//! to the master is a field of the plan
+//! installed switch program, one report — per shard; how a unit is run
+//! and how its result travels to the master is a field of the plan
 //! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine:
 //!
 //! ```text
@@ -20,6 +20,8 @@
 //!     one unit per shard                         │
 //!                                                ├─ barrier: whole outputs ──▶ merge_shard_outputs
 //!                                                └─ stream: survivor frames ─▶ MergeState (as they land)
+//!                                          or, direct: Cluster::run_direct per unit (no switch)
+//!                                                └─ whole outputs ──▶ merge_shard_outputs
 //! ```
 //!
 //! The sharder is a hand-picked [`ShardSpec`](cheetah_db::ShardSpec) or a
@@ -31,6 +33,17 @@
 //! serving plane (first sight measures, second sight fits), not inside a
 //! run.
 //!
+//! * **Direct** — the way out: a shard job skips `spec()`, encode and
+//!   the switch and runs
+//!   [`Cluster::run_direct`](cheetah_db::Cluster::run_direct) — the
+//!   operator's own completion over every row of its unit — then hands
+//!   the output over whole, like the barrier. Same units, same pool, same
+//!   merge, same accounting tail (a pass-through switch: every result row
+//!   of the partials seen and forwarded, none pruned). The serving plane
+//!   engages it per key, where the key's first run measured that
+//!   completing every row costs less than pruning did; each job's measured
+//!   [`busy_seconds`](cheetah_db::ShardStats::busy_seconds) is one side of
+//!   that comparison.
 //! * **Barrier** — each worker hands its completed output over whole;
 //!   the master merges once the last worker is in. Nothing to frame,
 //!   nothing to overlap: cheapest when shards finish together and the

@@ -1,5 +1,5 @@
-//! The one plan representation: a laid-out input plus the transport its
-//! survivors travel by.
+//! The one plan representation: a laid-out input plus the path it runs
+//! by — a survivor transport, or the direct arm.
 //!
 //! Everything layout-shaped about a multi-shard run is decided here, once,
 //! by [`ExecPlan::new`]: the request is checked against its tables'
@@ -24,7 +24,7 @@
 //! A plan is resident data: its units are `Arc` handles, so the same plan
 //! runs query after query (the serving plane caches one per shape, tables
 //! and shard count) and [`for_path`](ExecPlan::for_path) switches the
-//! transport on a clone that copies no rows.
+//! path on a clone that copies no rows.
 
 use crate::config::{FaultSpec, ShardLayout, StreamSpec};
 use cheetah_core::plan::{PlanDecision, ShardPlan};
@@ -36,8 +36,9 @@ use cheetah_net::MAX_BATCH_ITEMS;
 use std::sync::Arc;
 
 /// A routed, ready-to-run multi-shard execution: which rows land on which
-/// shard, how the layout was decided, and which transport ([`ExecPath`])
-/// carries the survivors to the master.
+/// shard, how the layout was decided, and which path ([`ExecPath`]) runs
+/// it — pruned, with the survivors carried to the master by one of two
+/// transports, or direct.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     /// The query the layout was routed for — the only one it can run.
@@ -76,9 +77,10 @@ impl ExecPlan {
     /// derives its barrier form.
     ///
     /// A request its tables cannot answer — a binary query without its
-    /// right table, a column outside the schema or of the wrong type — is
-    /// a typed error ([`DbQuery::check`]); a right table handed to a unary
-    /// query is ignored.
+    /// right table, a column outside the schema or of the wrong type — or
+    /// that gives the switch nothing to evaluate is a typed error
+    /// ([`DbQuery::check`]), whichever path will run it; a right table
+    /// handed to a unary query is ignored.
     pub fn new(
         cluster: &Cluster,
         q: &DbQuery,
@@ -157,8 +159,8 @@ impl ExecPlan {
         })
     }
 
-    /// The same routed layout on `path`'s transport. Clones `Arc` handles,
-    /// never rows.
+    /// The same routed layout on `path` — either transport, or the direct
+    /// arm. Clones `Arc` handles, never rows.
     pub fn for_path(&self, path: ExecPath) -> ExecPlan {
         ExecPlan { path, ..self.clone() }
     }

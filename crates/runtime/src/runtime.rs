@@ -8,7 +8,10 @@
 //!   executor ([`Cluster::run_cheetah`]) once, on its routed unit, and
 //!   hands the survivors to the master by the plan's transport
 //!   ([`ExecPath`]). On the **barrier** transport the completed output
-//!   rides the worker's end-of-stream report whole. On the **stream**
+//!   rides the worker's end-of-stream report whole — as it does on the
+//!   **direct** path, whose job skips the switch altogether
+//!   ([`Cluster::run_direct`]: the operator's completion over every row)
+//!   and is the same job in every other respect. On the **stream**
 //!   transport the worker encodes it straight into its worker-resident
 //!   [`FrameBuilder`](cheetah_net::FrameBuilder) arena and streams the
 //!   finished [`SurvivorBatch`] frames over a *bounded* channel (a full
@@ -79,12 +82,14 @@ pub struct ExecRun {
 }
 
 /// Execute the routed `plan`'s query: prune every unit on pool workers
-/// (each with its own planned switch program), carry the survivors to
-/// the master by the plan's transport, merge, account.
+/// (each with its own planned switch program) — or, on
+/// [`ExecPath::Direct`], complete every unit with no switch at all —
+/// carry the results to the master by the plan's transport, merge,
+/// account.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
-/// partitioner, transport and backend — the transport changes *when*
-/// survivors reach the master, never *what* the query answers. A fault
+/// partitioner, path and backend — the path changes *when* and *how much*
+/// reaches the master, never *what* the query answers. A fault
 /// profile the carrier cannot finish under (every frame dropped, say) is
 /// a typed [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard
 /// job that panics is a typed
@@ -138,7 +143,8 @@ fn spawn_worker_plane(
     epoch: Instant,
 ) -> WorkerPlane {
     let shards = plan.shards();
-    let stream = plan.path == ExecPath::StreamedResident;
+    let path = plan.path;
+    let stream = path == ExecPath::StreamedResident;
     let batch_size = plan.batch;
     let faulty = stream && plan.fault.is_some();
     let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(plan.depth * shards);
@@ -165,13 +171,20 @@ fn spawn_worker_plane(
             let mut worker_span = trace_ctx.as_ref().map(|ctx| {
                 let mut s = ctx.child("worker");
                 s.attr("shard", shard);
+                s.attr("path", path.label());
                 s
             });
             let mut rep = WorkerReport::default();
             let rows = left.rows() + right.as_ref().map_or(0, |r| r.rows());
             // An empty unit never reaches the executor.
             if rows > 0 {
-                let run = match cluster.run_cheetah(&unit_q, &left, right.as_deref()) {
+                let started = Instant::now();
+                let run = match path {
+                    ExecPath::Direct => cluster.run_direct(&unit_q, &left, right.as_deref()),
+                    _ => cluster.run_cheetah(&unit_q, &left, right.as_deref()),
+                };
+                let busy_seconds = started.elapsed().as_secs_f64();
+                let run = match run {
                     Ok(run) => run,
                     Err(e) => {
                         report_tx.send((shard, Err(e))).ok();
@@ -183,6 +196,7 @@ fn spawn_worker_plane(
                     rows: rows as u64,
                     worker_seconds: b.worker_seconds,
                     master_seconds: b.master_seconds,
+                    busy_seconds,
                     worker_wire_bytes: b.worker_wire_bytes,
                     master_wire_bytes: b.master_wire_bytes,
                     entries_to_master: b.entries_to_master,
@@ -440,7 +454,8 @@ mod tests {
     };
     use cheetah_net::FaultProfile;
 
-    const PATHS: [ExecPath; 2] = [ExecPath::BarrierPooled, ExecPath::StreamedResident];
+    const PATHS: [ExecPath; 3] =
+        [ExecPath::BarrierPooled, ExecPath::StreamedResident, ExecPath::Direct];
 
     fn table(rows: usize, parts: usize) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -473,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn both_transports_match_baseline_on_a_simple_grid() {
+    fn every_path_matches_baseline_on_a_simple_grid() {
         // The full 7×4×{1,2,7} grid lives in the contract gates; this is
         // the crate-local smoke version.
         let cluster = Cluster::default();
@@ -502,10 +517,17 @@ mod tests {
                     assert!(run.plan.is_none(), "fixed layouts carry no plan");
                     match path {
                         ExecPath::StreamedResident => assert!(run.batches > 0, "{label}"),
-                        ExecPath::BarrierPooled => {
+                        ExecPath::BarrierPooled | ExecPath::Direct => {
                             assert_eq!(run.batches, 0, "{label}");
                             assert_eq!(run.breakdown.overlap_seconds, 0.0, "{label}");
                         }
+                    }
+                    // The direct arm's switch passes its partials through.
+                    if path == ExecPath::Direct {
+                        let entries = run.breakdown.entries_to_master;
+                        assert_eq!(run.switch_stats.pruned, 0, "{label}");
+                        assert_eq!(run.switch_stats.forwarded, entries, "{label}");
+                        assert_eq!(run.breakdown.master_seconds, run.merge_seconds, "{label}");
                     }
                 }
             }

@@ -15,17 +15,21 @@
 //!                 ▼ driver thread
 //!        ┌─────────────────┐   what is held for (shape, tables)?
 //!        │   layout cache   │   absent ─▶ first sight: no planner, no copy — the
-//!        │                  │             tables run whole on one shard; the key
-//!        │                  │             and the survivors it delivered are noted
+//!        │                  │             tables run whole on one shard, pruned; the
+//!        │                  │             run *measures* (survivors, completion and
+//!        │                  │             busy seconds) and *decides*: the key goes
+//!        │                  │             direct iff completing every row would have
+//!        │                  │             cost less work than pruning did
 //!        │                  │   whole ──▶ second sight: plan cache, on a miss the
 //!        │                  │             planner (priced from that measurement);
 //!        │                  │             route the query's columns; keep the layout
 //!        │                  │   routed ─▶ warm: (shape, stats) hit, layout reused
 //!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
-//!        ┌─────────────────┐   the request's pins, else pooled + compiled
-//!        │       arm        │   (interpreted where the family has no kernel)
-//!        └────────┬────────┘
+//!        ┌─────────────────┐   the request's pins; else, for a key decided
+//!        │       arm        │   direct, `direct` — no spec, no encode, no switch —
+//!        │                  │   else pooled + compiled (interpreted where the
+//!        └────────┬────────┘   family has no kernel)
 //!                 ▼
 //!        ExecPlan ─▶ execute ──▶ QueryResponse (+ queue/tenant breakdown)
 //! ```
@@ -37,6 +41,17 @@
 //! these tables before. So the first run of a key costs what the query
 //! costs, and also measures the survivor count the planner would
 //! otherwise guess.
+//!
+//! The same run is where the accelerator earns its place or loses it. The
+//! paper's claim is conditional — pruning pays when the switch removes
+//! work the master would otherwise do — and here the switch is software
+//! on the same cores, so its per-entry cost is on the clock. First sight
+//! holds everything the break-even needs (`goes_direct`): the rows it
+//! read, the survivors it delivered, the seconds completion took over
+//! those survivors and the seconds the whole job was busy. Work against
+//! work on one thread, so core and shard counts divide out. The decision
+//! is written once, on the key's layout entry; every later sight lays the
+//! key out exactly as before and runs it on the arm decided.
 //!
 //! Drivers are dedicated threads, *not* worker-pool jobs: the pool's
 //! deadlock rule says anything a job blocks on must be drained by its
@@ -225,10 +240,36 @@ enum Sight {
     /// Seen once, run whole; `survivors` is that run's
     /// `entries_to_master` — the planner's survivor hint if the key
     /// comes back.
-    Whole { survivors: u64 },
+    Whole { survivors: u64, direct: bool },
     /// Routed under the shard plan of this plan-cache generation (0 for
     /// pinned-shard layouts, which no plan governs).
-    Routed { generation: u64 },
+    Routed { generation: u64, direct: bool },
+}
+
+impl Sight {
+    /// The key's arm decision — taken once, by [`goes_direct`] on what
+    /// first sight measured, and carried from whole to routed. A key
+    /// first seen with a pinned shard count or on a pinned direct run
+    /// measured no pruned run, so it stays pruned.
+    fn direct(self) -> bool {
+        match self {
+            Sight::Whole { direct, .. } | Sight::Routed { direct, .. } => direct,
+        }
+    }
+}
+
+/// The go-direct rule: would completing *every* row have cost less work
+/// than pruning did? A first-sight run over `rows` rows was busy for
+/// `busy_s` seconds on one thread, `complete_s` of them completing the
+/// `survivors` rows the switch let through; at that measured cost per
+/// completed row the identity selection costs `complete_s × rows ÷
+/// survivors`, and the key goes direct iff that is under `busy_s` —
+/// equivalently, iff survivors ÷ rows exceeds completion's share of the
+/// run. Nothing survived: pruning removed all of completion's work, stay
+/// pruned. Everything survived: direct whenever anything but completion
+/// took time.
+fn goes_direct(rows: u64, survivors: u64, complete_s: f64, busy_s: f64) -> bool {
+    complete_s * (rows as f64) < busy_s * (survivors as f64)
 }
 
 /// `(shape, left table ptr, right table ptr, pinned shards)`.
@@ -290,6 +331,11 @@ struct Telemetry {
     /// with the plan cache's own counters.
     plan_hits: Counter,
     plan_misses: Counter,
+    /// `serve.direct.keys` — (shape, tables) keys whose first sight
+    /// decided for the direct arm; `serve.direct.requests` — requests
+    /// that ran on it, pinned or decided.
+    direct_keys: Counter,
+    direct_requests: Counter,
     /// `serve.queue_depth` — requests queued right now.
     queue_depth: Gauge,
     /// `serve.executing` — requests executing right now.
@@ -309,6 +355,8 @@ impl Telemetry {
             rejected: registry.counter("serve.rejected"),
             plan_hits: registry.counter("serve.plan_cache.hits"),
             plan_misses: registry.counter("serve.plan_cache.misses"),
+            direct_keys: registry.counter("serve.direct.keys"),
+            direct_requests: registry.counter("serve.direct.requests"),
             queue_depth: registry.gauge("serve.queue_depth"),
             executing: registry.gauge("serve.executing"),
             queue_seconds: registry.histogram("serve.queue_seconds"),
@@ -685,7 +733,7 @@ fn serve(
                 // very tables delivered to the master. (A routed key
                 // whose plan was since evicted is re-fitted blind.)
                 let survivor_hint = match sight {
-                    Sight::Whole { survivors } => Some(*survivors),
+                    Sight::Whole { survivors, .. } => Some(*survivors),
                     Sight::Routed { .. } => None,
                 };
                 let cfg = PlannerConfig { ingest, survivor_hint, ..PlannerConfig::default() };
@@ -705,9 +753,11 @@ fn serve(
     drop(caches);
     plan_span.finish();
 
-    // 2. The arm: a value read off the request, nothing learned.
+    // 2. The arm: the request's pins, else what first sight of the key
+    // decided. Nothing is learned here and nothing re-decided.
     let mut choose_span = root.child("choose");
-    let arm = arm_of(req);
+    let key_direct = held.as_ref().is_some_and(|(_, sight)| sight.direct());
+    let arm = arm_of(req, key_direct);
     choose_span.attr("arm", arm.label());
     choose_span.finish();
 
@@ -716,11 +766,15 @@ fn serve(
     // the merge plane trace themselves under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", arm.path.label());
-    exec_span.attr("backend", arm.backend.label());
+    if arm.path == ExecPath::Direct {
+        shared.telemetry.direct_requests.inc();
+    } else {
+        exec_span.attr("backend", arm.backend.label());
+    }
 
     let first_sight = req.shards.is_none() && held.is_none();
     let routed = held.and_then(|(plan, sight)| {
-        matches!(sight, Sight::Routed { generation: g } if g == generation).then_some(plan)
+        matches!(sight, Sight::Routed { generation: g, .. } if g == generation).then_some(plan)
     });
     let plan = match routed {
         Some(plan) => plan,
@@ -734,8 +788,8 @@ fn serve(
             if let Some(mut route_span) = route_span {
                 route_span.attr("shards", plan.shards());
                 route_span.finish();
-                let entry =
-                    LayoutEntry { plan: Arc::clone(&plan), sight: Sight::Routed { generation } };
+                let sight = Sight::Routed { generation, direct: key_direct };
+                let entry = LayoutEntry { plan: Arc::clone(&plan), sight };
                 shared.caches.lock().expect("caches lock").insert_layout(layout_key.clone(), entry);
             }
             plan
@@ -754,15 +808,34 @@ fn serve(
     exec_span.attr("shards", breakdown.shards);
     exec_span.finish();
 
-    // 4. Respond: at first sight, remember the key and what its run
-    // delivered to the master (unless a racing request has already moved
-    // the key on); then stamp the serving fields the caller sees.
-    let respond_span = root.child("respond");
+    // 4. Respond: at first sight, take the key's one decision — direct or
+    // pruned, from what this run measured — and remember it with what the
+    // run delivered to the master (unless a racing request has already
+    // moved the key on); then stamp the serving fields the caller sees.
+    let mut respond_span = root.child("respond");
     if first_sight {
+        let survivors = breakdown.entries_to_master;
+        // A run pinned direct pruned nothing, so it measured nothing the
+        // rule can read: the key stays pruned.
+        let direct = arm.path != ExecPath::Direct && {
+            let rows: u64 = per_shard.iter().map(|s| s.rows).sum();
+            let complete_s: f64 = per_shard.iter().map(|s| s.master_seconds).sum();
+            let busy_s: f64 = per_shard.iter().map(|s| s.busy_seconds).sum();
+            let direct = goes_direct(rows, survivors, complete_s, busy_s);
+            respond_span.attr("rule.rows", rows);
+            respond_span.attr("rule.survivors", survivors);
+            respond_span.attr("rule.complete_us", format_args!("{:.1}", complete_s * 1e6));
+            respond_span.attr("rule.busy_us", format_args!("{:.1}", busy_s * 1e6));
+            respond_span.attr("rule.direct", direct);
+            direct
+        };
         let mut caches = shared.caches.lock().expect("caches lock");
         if caches.held(&layout_key, &req.left, right).is_none() {
-            let sight = Sight::Whole { survivors: breakdown.entries_to_master };
+            let sight = Sight::Whole { survivors, direct };
             caches.insert_layout(layout_key, LayoutEntry { plan, sight });
+            if direct {
+                shared.telemetry.direct_keys.inc();
+            }
         }
     }
     breakdown.queue_seconds = queue_seconds;
@@ -774,18 +847,28 @@ fn serve(
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
 }
 
-/// The arm a request runs on — a pure function of the request. Pins are
-/// honoured; unpinned traffic runs the barrier transport on the compiled
-/// backend (the cheapest point of the grid on every ledger workload; the
-/// stream transport stays pinnable, and carries `ExecPlan`'s fault mode).
-/// A family without a kernel runs the interpreter whatever was asked, and
-/// the arm says so up front.
-fn arm_of(req: &QueryRequest) -> ChooserArm {
+/// The arm a request runs on: a function of the request and of what first
+/// sight of its key decided (`key_direct`), fixed from the second sight
+/// on. Path pins are honoured — `.path(BarrierPooled)` overrides a direct
+/// key, `.path(Direct)` a pruned one — and a backend pin names a pruning
+/// engine, so it asks for a pruned arm too. Otherwise a key decided direct
+/// runs direct, and every other runs the barrier transport on the compiled
+/// backend (the cheapest pruned point on every ledger workload; the stream
+/// transport stays pinnable, and carries `ExecPlan`'s fault mode). A
+/// family without a kernel runs the interpreter whatever was asked, and
+/// the direct arm runs no engine at all; the arm says so up front.
+fn arm_of(req: &QueryRequest, key_direct: bool) -> ChooserArm {
+    let unpinned = match req.backend {
+        None if key_direct => ExecPath::Direct,
+        _ => ExecPath::BarrierPooled,
+    };
+    let path = req.path.unwrap_or(unpinned);
     let backend = match req.backend.unwrap_or(ExecBackend::Compiled) {
+        _ if path == ExecPath::Direct => ExecBackend::Interpreted,
         ExecBackend::Compiled if !req.query.has_kernel() => ExecBackend::Interpreted,
         backend => backend,
     };
-    ChooserArm { path: req.path.unwrap_or(ExecPath::BarrierPooled), backend }
+    ChooserArm { path, backend }
 }
 
 #[cfg(test)]
@@ -853,28 +936,83 @@ mod tests {
                 assert!(!resp.plan_cached, "pinned shards never consult the plan cache");
             }
         }
-        // Unpinned: the arm is a pure function of the request — the same
-        // on first sight as on every repeat, no warm-up plays.
+        // The direct arm runs no engine, whatever backend rides along.
+        let resp = session.run_blocking(distinct().path(ExecPath::Direct).shards(4)).unwrap();
+        assert_eq!((resp.arm.label().as_str(), resp.breakdown.shards), ("direct", 4));
+        assert_eq!(resp.switch_stats.pruned, 0);
+        let pinned_both = distinct().path(ExecPath::Direct).backend(ExecBackend::Compiled);
+        assert_eq!(arm_of(&pinned_both, false).label(), "direct");
+
+        // Unpinned: the arm is a function of the request *and of what first
+        // sight of its key measured*, fixed from the second sight on —
+        // nothing is re-decided, no warm-up plays. 37 keys over 1 500 rows
+        // prune well: DISTINCT stays pruned. The self-join prunes nothing
+        // (every key has a partner), so it goes direct — after a first
+        // sight on the interpreter: JOIN has no kernel, and the arm and
+        // the breakdown both say what ran.
         let join = DbQuery::Join { left_key: 0, right_key: 0 };
         let join = || QueryRequest::new(join.clone(), Arc::clone(&t)).with_right(Arc::clone(&t));
-        for _ in 0..3 {
+        for sight in 1..=3 {
             let resp = session.run_blocking(distinct()).unwrap();
-            assert_eq!(resp.arm.label(), "pooled/compiled");
+            assert_eq!(resp.arm.label(), "pooled/compiled", "sight {sight}");
             assert_eq!(resp.breakdown.backend, ExecBackend::Compiled);
-            // JOIN has no kernel: the arm and the breakdown both say what ran.
             let resp = session.run_blocking(join()).unwrap();
-            assert_eq!(resp.arm.label(), "pooled/interp");
+            let want = if sight == 1 { "pooled/interp" } else { "direct" };
+            assert_eq!(resp.arm.label(), want, "sight {sight}");
             assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
         }
-        // A pin to the compiled backend cannot conjure a kernel either.
+        // A pin to the compiled backend cannot conjure a kernel either —
+        // and, naming a pruning engine, it asks for a pruned arm.
         let resp = session.run_blocking(join().backend(ExecBackend::Compiled)).unwrap();
         assert_eq!(resp.arm.label(), "pooled/interp");
         assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
+
+        // The whole function: pins first, then the key's decision.
+        let streamed = distinct().path(ExecPath::StreamedResident);
+        assert_eq!(arm_of(&streamed, true).label(), "streamed/compiled");
         assert_eq!(
-            arm_of(&distinct().path(ExecPath::StreamedResident)).label(),
-            "streamed/compiled"
+            arm_of(&distinct().backend(ExecBackend::Interpreted), true).label(),
+            "pooled/interp"
         );
-        assert_eq!(arm_of(&distinct().backend(ExecBackend::Interpreted)).label(), "pooled/interp");
+        assert_eq!(
+            arm_of(&distinct().path(ExecPath::BarrierPooled), true).label(),
+            "pooled/compiled"
+        );
+        assert_eq!(arm_of(&distinct(), true).label(), "direct");
+        assert_eq!(arm_of(&distinct(), false).label(), "pooled/compiled");
+        assert_eq!(arm_of(&distinct().path(ExecPath::Direct), false).label(), "direct");
+    }
+
+    #[test]
+    fn the_rule_goes_direct_where_completing_every_row_costs_less_than_pruning_did() {
+        // First sights of the seven Big Data shapes (600 k-row UserVisits,
+        // 300 k-row Rankings, fresh process, µs): what the rule read and
+        // decided; beside each, how far from break-even that was and what a
+        // warm pinned A/B on the routed layout then measured, direct ms vs
+        // pruned ms (CHANGES.md, PR 21).
+        for (shape, rows, survivors, complete_us, busy_us, direct) in [
+            ("filter-count", 300_000, 22_505, 386.0, 4_555.0, false), // 0.89×; 1.1 vs 2.9
+            ("distinct", 600_000, 500, 173.0, 25_095.0, false),       // 0.12×; 13.6 vs 6.9
+            ("skyline", 300_000, 173, 32.0, 13_237.0, false),         // 0.24×; 8.7 vs 7.8
+            ("topn", 600_000, 73_290, 594.0, 9_214.0, true),          // 1.9×; 0.95 vs 8.35
+            ("groupby-max", 600_000, 3_025, 911.0, 31_449.0, false),  // 0.17×; 10.0 vs 8.1
+            ("join", 900_000, 598_527, 135_778.0, 246_301.0, true),   // 1.2×; 33.1 vs 53.8
+            ("having-sum", 600_000, 287_396, 21_252.0, 84_664.0, true), // 1.9×; 8.8 vs 20.5
+        ] {
+            let decided = goes_direct(rows, survivors, complete_us * 1e-6, busy_us * 1e-6);
+            assert_eq!(decided, direct, "{shape}");
+        }
+        // Nothing survived: pruning removed all of completion's work.
+        assert!(!goes_direct(1_000, 0, 0.0, 1e-3));
+        assert!(!goes_direct(1_000, 0, 1e-6, 1e-3));
+        // Everything survived: direct whenever anything but completion
+        // took time, and not when nothing else did.
+        assert!(goes_direct(1_000, 1_000, 0.9e-3, 1e-3));
+        assert!(!goes_direct(1_000, 1_000, 1e-3, 1e-3));
+        // An empty table decides nothing.
+        assert!(!goes_direct(0, 0, 0.0, 0.0));
+        // Scale-free: work against work, so rows and seconds divide out.
+        assert_eq!(goes_direct(10, 5, 1.0, 3.0), goes_direct(10_000, 5_000, 1e-3, 3e-3));
     }
 
     #[test]
