@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims docs ledger-check ledger pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims docs ledger-check ledger gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -20,12 +20,15 @@ lint: no-shims
 # one survivor representation (row selections: no entry type, no
 # per-row key encoder beside the operators' walk), no arm selector, and
 # one round, one way to fit a layout (no input rounds, mid-run
-# supervisor, planner-in-the-constructor layout or calibration probe).
+# supervisor, planner-in-the-constructor layout or calibration probe),
+# and one map in the session: an entry per key, the fitted plan on the
+# layout it governs (no second cache, shape string or stamp to keep them
+# coherent, and no option that had one value everywhere).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
-# supervisor or gate is named anywhere again.
+# supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -35,6 +38,11 @@ ledger-check:
 
 docs:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# All eight named gates below in one invocation: one link of the db
+# crate's dev profile, eight test binaries, each still failing by name.
+gates:
+	cargo test -q -p cheetah-db --test pruning_contract --test shard_contract --test planner_contract --test compiled_contract --test serving_contract --test fabric_contract --test telemetry_contract --test counters_contract
 
 # The named CI gate: pruning contract — Q(A_Q(D)) = Q(D) for all seven
 # variants through the generic executor, both JOIN pass structures,
@@ -72,11 +80,12 @@ compiled-gate:
 # baselines, no starvation under a flooding co-tenant, typed
 # Error::Overloaded past the in-flight bound, the layout lifecycle of a
 # repeated shape (first sight runs the tables whole, second sight plans
-# and routes, later ones hit the plan cache) never changing results, a
-# right table attached to a unary query ignored by every key,
-# fingerprint and cost, the arm lifecycle (a key whose first sight pruned
-# nothing runs direct from its second; a key the switch prunes well stays
-# pooled + compiled; pins override the verdict per request), and
+# and routes, later ones run the held layout under the plan it carries)
+# never changing results, a layout never outliving its plan, a right
+# table attached to a unary query ignored by the key and the cost, the arm
+# lifecycle (a key whose first sight pruned nothing runs direct from its
+# second; a key the switch prunes well stays pooled + compiled; pins
+# override the verdict per request), and
 # containment: a column the table cannot answer for is a typed BadColumn,
 # a query with nothing to evaluate a typed BadArity on the pruned pin, the
 # direct pin and unpinned alike, a panicking shard job a typed

@@ -57,7 +57,7 @@ struct Sweep {
 }
 
 /// Sweep each family over `shard_axis`, best-of-`reps` per point. Pinned
-/// requests bypass the plan cache, so every repetition of a point runs
+/// requests consult no planner, so every repetition of a point runs
 /// the same layout on the same arm.
 fn sweep(rows: usize, reps: usize, shard_axis: &[usize]) -> Vec<Sweep> {
     let (left, right) = skewed_tables(rows, 42);

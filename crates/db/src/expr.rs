@@ -4,7 +4,7 @@
 use crate::value::DataType;
 
 /// Integer comparison operators (signed SQL semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntCmp {
     /// `>`
     Gt,
@@ -37,7 +37,7 @@ impl IntCmp {
 
 /// A SQL `LIKE` pattern with `%` wildcards (no `_` support — the paper's
 /// example only uses `%`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LikePattern {
     segments: Vec<String>,
     anchored_start: bool,
@@ -88,7 +88,7 @@ impl LikePattern {
 
 /// A WHERE-clause predicate tree (monotone: And/Or over atoms; negations
 /// are pushed into the comparison operators, as §4.1 assumes).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DbPredicate {
     /// Integer comparison against a literal.
     CmpInt {

@@ -14,7 +14,7 @@ use cheetah_net::MAX_ENTRY_SLOTS;
 use std::collections::BTreeMap;
 
 /// A query over one table (or two, for JOIN).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DbQuery {
     /// `SELECT COUNT(*) FROM t WHERE <pred>` — benchmark query 1
     /// (BigData A).

@@ -12,10 +12,11 @@
 //! 3. **Typed overload** — past the in-flight bound, `submit` returns
 //!    `Error::Overloaded` immediately instead of growing memory.
 //!
-//! Under property 1 sit the layout lifecycle of a repeated shape (first
+//! Under property 1 sit the layout lifecycle of a repeated query (first
 //! sight runs the tables whole, second sight plans and routes, later ones
-//! hit the plan cache — every layout answers alike) and the right table a
-//! unary query ignores, and the arm lifecycle (first sight measures and
+//! run the held layout under the plan it carries — every layout answers
+//! alike, and no layout outlives its plan) and the right table a unary
+//! query ignores, and the arm lifecycle (first sight measures and
 //! decides direct or pruned; pins override either way). Under property 3
 //! sits containment: a request its tables cannot answer or that gives the
 //! switch nothing to evaluate is refused before any arm runs, identically
@@ -94,10 +95,10 @@ fn concurrent_tenants_get_bit_identical_results() {
     assert_eq!(stats.rejected, 0);
 }
 
-/// Property 1b: a shape that keeps coming back is run whole at first
-/// sight, planned at the second, and served from the plan cache from the
-/// third on — and every one of those layouts must keep producing
-/// baseline-identical output.
+/// Property 1b: a query that keeps coming back is run whole at first
+/// sight, planned at the second, and served from the held layout — under
+/// the plan it carries — from the third on, and every one of those layouts
+/// must keep producing baseline-identical output.
 #[test]
 fn plan_cache_reuse_preserves_results() {
     let cluster = Cluster::default();
@@ -117,6 +118,35 @@ fn plan_cache_reuse_preserves_results() {
     assert_eq!(stats.plan_hits, 6);
 }
 
+/// Property 1b′: a layout cannot outlive its plan. Layouts and plans used
+/// to live in two caches that evicted differently (insertion order vs
+/// least recently looked up), so at capacity 2 the sequence A A B B A C C B
+/// left B's routed layout held and B's plan evicted: B's third sight
+/// missed, re-fitted blind and re-routed every column it reads. Held on
+/// one entry, they leave together or not at all.
+#[test]
+fn a_held_layout_keeps_the_plan_it_was_routed_under() {
+    let cluster = Cluster::default();
+    let (left, right) = fixtures(0xB0B);
+    let [a, b, c] = [
+        DbQuery::Distinct { col: 0 },
+        DbQuery::GroupByMax { key_col: 0, val_col: 1 },
+        DbQuery::TopN { order_col: 1, n: 10 },
+    ];
+    let baseline = cluster.run_baseline(&b, &left, None).output;
+    let cfg = SessionConfig { plan_cache_capacity: 2, ..SessionConfig::default() };
+    let session = Session::new(cluster, cfg);
+    let ask = |q: &DbQuery| session.run_blocking(request(q, &left, &right, "t")).unwrap();
+    for q in [&a, &a, &b, &b, &a, &c, &c] {
+        ask(q);
+    }
+    let third = ask(&b);
+    assert!(third.plan_cached, "B's layout is held, so the plan it was routed under is");
+    assert_eq!(session.stats().plan_misses, 3, "one fit per query, none twice");
+    assert!(third.trace.as_ref().expect("trace exports").root.find("route").is_none());
+    assert_eq!(third.output, baseline);
+}
+
 /// Property 1c: a right table attached to a unary query is not the
 /// query's input. It used to reach the planner, which indexed it with the
 /// left table's column and panicked the serving thread; it must answer
@@ -134,8 +164,8 @@ fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
     let session = Session::new(cluster, SessionConfig::default());
     let plain = || QueryRequest::new(q.clone(), Arc::clone(&left));
     // Alternate the two spellings: were the ignored table part of the
-    // shape or layout key, each would be first sight, then a miss, of its
-    // own entry.
+    // session's key, each would be first sight, then a miss, of its own
+    // entry.
     for round in 0..6 {
         let req = if round % 2 == 0 { plain().with_right(Arc::clone(&narrow)) } else { plain() };
         let resp = session.run_blocking(req).unwrap();

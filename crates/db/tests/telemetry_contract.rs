@@ -120,7 +120,8 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
     let session = Session::with_defaults();
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
     // First sight, second sight, then the warm path: the `plan` span says
-    // which, and only the last two consult the plan cache.
+    // which: only the second consults the planner, and from the third on
+    // the plan is the one the held layout carries.
     for (tenant, cache) in [
         ("alpha", "first-sight"),
         ("alpha", "miss"),

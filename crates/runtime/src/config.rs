@@ -12,7 +12,7 @@ pub enum ShardLayout {
     Fixed(ShardSpec),
     /// A plan the sampling planner fitted
     /// ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)) — just
-    /// now, or earlier and kept in the serving plane's plan cache —
+    /// now, or earlier and kept on a layout the serving plane holds —
     /// priced under the given ingest model.
     Fitted(Arc<ShardPlan>, MasterIngestModel),
 }
@@ -27,15 +27,6 @@ pub struct StreamSpec {
     /// model's fan-in curve
     /// ([`suggested_batch`](MasterIngestModel::suggested_batch)).
     pub batch: Option<usize>,
-    /// Per-shard budget of in-flight survivor batches: the master's one
-    /// shared channel is bounded at `channel_depth × shards` frames, so
-    /// this caps the *aggregate* backlog (senders block when the merge
-    /// plane falls behind — the backpressure that stands in for the
-    /// paper's token-bucket pacing), not each shard individually. `None`
-    /// derives the depth from the ingest model's link rates
-    /// ([`suggested_depth`](MasterIngestModel::suggested_depth)) — the
-    /// NIC-paced default.
-    pub channel_depth: Option<usize>,
     /// Fault mode: when set, the stream transport's survivor frames reach
     /// the merge across the seeded lossy rack of [`cheetah_net::rack`]
     /// (simulated time, store-and-forward). `None` keeps the perfect
@@ -55,7 +46,7 @@ impl StreamSpec {
     }
 
     fn over(layout: ShardLayout) -> Self {
-        Self { layout, batch: None, channel_depth: None, fault: None }
+        Self { layout, batch: None, fault: None }
     }
 }
 
@@ -104,7 +95,6 @@ mod tests {
         assert!(matches!(&fitted.layout, ShardLayout::Fitted(p, _) if Arc::ptr_eq(p, &plan)));
         for spec in [fixed, fitted] {
             assert!(spec.batch.is_none());
-            assert!(spec.channel_depth.is_none(), "depth defaults to the NIC-paced suggestion");
             assert!(spec.fault.is_none(), "the channel is perfect unless asked otherwise");
         }
     }

@@ -22,7 +22,7 @@
 //!   and [`ExecPlan::query`], keep the query as asked.
 //!
 //! A plan is resident data: its units are `Arc` handles, so the same plan
-//! runs query after query (the serving plane caches one per shape, tables
+//! runs query after query (the serving plane holds one per query, tables
 //! and shard count) and [`for_path`](ExecPlan::for_path) switches the
 //! path on a clone that copies no rows.
 
@@ -65,7 +65,10 @@ pub struct ExecPlan {
     pub(crate) path: ExecPath,
     /// Stream transport: merge items per survivor frame.
     pub(crate) batch: usize,
-    /// Stream transport: per-shard budget of in-flight frames.
+    /// Stream transport: per-shard budget of in-flight frames, NIC-paced
+    /// ([`suggested_depth`](MasterIngestModel::suggested_depth)). The
+    /// master's one shared channel is bounded at `depth × shards` frames, so
+    /// senders block when the merge plane falls behind.
     pub(crate) depth: usize,
     /// Stream transport: fault mode (the simulated lossy rack), when asked for.
     pub(crate) fault: Option<FaultSpec>,
@@ -154,7 +157,7 @@ impl ExecPlan {
                 .batch
                 .unwrap_or_else(|| ingest.suggested_batch(shards))
                 .clamp(1, MAX_BATCH_ITEMS),
-            depth: spec.channel_depth.map_or_else(|| ingest.suggested_depth(shards), |d| d.max(1)),
+            depth: ingest.suggested_depth(shards),
             fault: spec.fault.clone(),
         })
     }
@@ -170,6 +173,18 @@ impl ExecPlan {
     pub fn is_over(&self, left: &Arc<Table>, right: Option<&Arc<Table>>) -> bool {
         Arc::ptr_eq(&self.left, left)
             && self.right.as_ref().map(Arc::as_ptr) == right.map(Arc::as_ptr)
+    }
+
+    /// The tables this plan was routed from.
+    pub fn tables(&self) -> (&Table, Option<&Table>) {
+        (&self.left, self.right.as_deref())
+    }
+
+    /// The fitted shard plan the layout was routed under — `None` under a
+    /// hand-picked spec. A cache of `ExecPlan`s is thereby a cache of
+    /// fitted plans too.
+    pub fn shard_plan(&self) -> Option<&Arc<ShardPlan>> {
+        self.plan.as_ref()
     }
 
     /// The query this plan was routed for.

@@ -599,7 +599,7 @@ mod tests {
             DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 },
         ];
         // A fitted plan that chose one shard (three rows are not worth a
-        // second), handed back over the full tables as the plan cache would.
+        // second), handed back over the full tables as the serving plane would.
         let tiny = table(3, 1);
         let fitted = Arc::new(ShardPlanner::default().plan(&queries[1], &tiny, None, 7));
         assert_eq!(fitted.shards(), 1);
@@ -779,10 +779,7 @@ mod tests {
         assert_eq!(run.batch_size, ingest.suggested_batch(4));
         let mut pinned = spec.clone();
         pinned.batch = Some(7);
-        pinned.channel_depth = Some(0);
-        let plan = plan_of(&q, &t, None, &pinned);
-        assert_eq!(plan.depth, 1, "channel depth is clamped to at least 1");
-        let run = execute(&cluster, &plan).unwrap();
+        let run = execute(&cluster, &plan_of(&q, &t, None, &pinned)).unwrap();
         assert_eq!(run.batch_size, 7);
         // 37 distinct survivors at batch 7 → ceil division worth of frames
         // per emitting shard; at least more frames than the unpinned run.

@@ -17,13 +17,14 @@
 //! 2. **Fair scheduling** — deficit round-robin over per-tenant
 //!    queues, costed in input rows, so a flooding tenant cannot starve
 //!    a light one.
-//! 3. **Layout, for what comes back** — first sight of a (shape,
-//!    tables) pair runs the tables whole on one shard: no planner, no
-//!    copy. A pair that returns is planned — from that run's measured
-//!    survivors — and routed, once; from then on repeat shapes over
-//!    stable table stats skip the
-//!    [`ShardPlanner`](cheetah_db::ShardPlanner) entirely ([`PlanCache`])
-//!    and reuse the routed layout.
+//! 3. **Layout, for what comes back** — the session holds one entry
+//!    per (query, tables) key. First sight runs the tables whole on one
+//!    shard: no planner, no copy. A key that returns is routed, once,
+//!    under a plan already held for this query over same-named tables
+//!    of like size ([`StatsFingerprint::within`]), else one the
+//!    [`ShardPlanner`](cheetah_db::ShardPlanner) fits from that run's
+//!    measured survivors; from then on the entry's layout, and the plan
+//!    it carries, is all a request consults.
 //! 4. **The arm** — {barrier-pooled, streamed-resident} × {interpreted,
 //!    compiled}, read off the request: what it pins, else the barrier
 //!    on the compiled backend (the interpreter where the family has no
@@ -39,11 +40,9 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod plan_cache;
 pub mod request;
 pub mod session;
 
 pub use error::{Error, Result};
-pub use plan_cache::{CachedPlan, PlanCache, StatsFingerprint};
 pub use request::QueryRequest;
-pub use session::{QueryResponse, Session, SessionConfig, SessionStats, Ticket};
+pub use session::{QueryResponse, Session, SessionConfig, SessionStats, StatsFingerprint, Ticket};

@@ -27,7 +27,9 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
-    pub(crate) query: DbQuery,
+    /// Shared, so the session's key for the request clones a handle, not
+    /// the predicate tree.
+    pub(crate) query: Arc<DbQuery>,
     pub(crate) left: Arc<Table>,
     pub(crate) right: Option<Arc<Table>>,
     pub(crate) tenant: String,
@@ -41,7 +43,7 @@ impl QueryRequest {
     /// execution choice left to the session.
     pub fn new(query: DbQuery, left: Arc<Table>) -> Self {
         Self {
-            query,
+            query: Arc::new(query),
             left,
             right: None,
             tenant: "default".to_string(),
@@ -53,8 +55,8 @@ impl QueryRequest {
 
     /// Attach the right-hand stream of a binary query (JOIN). A unary
     /// query reads one table, so it drops the handle here — once, before
-    /// the shape key, the stats fingerprint, the planner, the layout key
-    /// or the scheduler's cost can see a table the query never reads.
+    /// the session's key, the planner or the scheduler's cost can see a
+    /// table the query never reads.
     pub fn with_right(mut self, right: Arc<Table>) -> Self {
         if self.query.is_binary() {
             self.right = Some(right);
@@ -86,7 +88,7 @@ impl QueryRequest {
     }
 
     /// Pin the shard count (hash-routed) instead of consulting the
-    /// shard planner / plan cache. `0` is clamped to 1.
+    /// planner. `0` is clamped to 1.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
         self

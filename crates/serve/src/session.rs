@@ -13,17 +13,18 @@
 //!        │ per-tenant DRR   │   deficit round-robin over tenant queues
 //!        └────────┬────────┘
 //!                 ▼ driver thread
-//!        ┌─────────────────┐   what is held for (shape, tables)?
-//!        │   layout cache   │   absent ─▶ first sight: no planner, no copy — the
-//!        │                  │             tables run whole on one shard, pruned; the
+//!        ┌─────────────────┐   what is held for (query, tables)?
+//!        │  one entry per   │   absent ─▶ first sight: no planner, no copy — the
+//!        │       key        │             tables run whole on one shard, pruned; the
 //!        │                  │             run *measures* (survivors, completion and
 //!        │                  │             busy seconds) and *decides*: the key goes
 //!        │                  │             direct iff completing every row would have
 //!        │                  │             cost less work than pruning did
-//!        │                  │   whole ──▶ second sight: plan cache, on a miss the
+//!        │                  │   whole ──▶ second sight: a held plan for this query
+//!        │                  │             over same-named tables of like size, else the
 //!        │                  │             planner (priced from that measurement);
 //!        │                  │             route the query's columns; keep the layout
-//!        │                  │   routed ─▶ warm: (shape, stats) hit, layout reused
+//!        │                  │   routed ─▶ warm: the layout, and the plan it carries
 //!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
 //!        ┌─────────────────┐   the request's pins; else, for a key decided
@@ -36,8 +37,8 @@
 //!
 //! A routed layout is an investment — a plan fitted, every row of the
 //! columns the query reads copied into per-shard units — that only a
-//! repeat of the same shape over the same tables pays back, and the
-//! session can observe exactly that: whether it has run this shape over
+//! repeat of the same query over the same tables pays back, and the
+//! session can observe exactly that: whether it has run this query over
 //! these tables before. So the first run of a key costs what the query
 //! costs, and also measures the survivor count the planner would
 //! otherwise guess.
@@ -50,8 +51,15 @@
 //! read, the survivors it delivered, the seconds completion took over
 //! those survivors and the seconds the whole job was busy. Work against
 //! work on one thread, so core and shard counts divide out. The decision
-//! is written once, on the key's layout entry; every later sight lays the
-//! key out exactly as before and runs it on the arm decided.
+//! is written once, on the key's entry; every later sight lays the key
+//! out exactly as before and runs it on the arm decided.
+//!
+//! The entry is all the session knows about its key — layout, fitted
+//! plan, measurement, decision — in one map under one lock, so a layout
+//! cannot outlive the plan it was routed under. Routing another table
+//! under a held plan is correctness-free: every total routing preserves
+//! the merge (`Q(merge(shards(D))) = Q(D)`), so staleness costs balance,
+//! not answers, and a row-count tolerance is an acceptable test for it.
 //!
 //! Drivers are dedicated threads, *not* worker-pool jobs: the pool's
 //! deadlock rule says anything a job blocks on must be drained by its
@@ -60,11 +68,11 @@
 //! feeds.
 
 use crate::error::{Error, Result};
-use crate::plan_cache::{CachedPlan, PlanCache, StatsFingerprint};
 use crate::request::QueryRequest;
+use cheetah_core::plan::ShardPlan;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, PlannerConfig, QueryOutput,
+    ChooserArm, Cluster, DbQuery, ExecBackend, ExecBreakdown, ExecPath, PlannerConfig, QueryOutput,
     ShardPlanner, ShardSpec, Table,
 };
 use cheetah_net::MasterIngestModel;
@@ -86,33 +94,30 @@ pub struct SessionConfig {
     pub max_in_flight: usize,
     /// Dedicated driver threads draining the tenant queues.
     pub drivers: usize,
-    /// Deficit round-robin quantum, in input rows per turn.
-    pub quantum_rows: u64,
-    /// Plans the cache holds before evicting the coldest; also the bound
-    /// on layout-cache entries (oldest insertion evicted first).
+    /// Keys the session holds an entry for — a layout, and the plan it was
+    /// routed under — before evicting the oldest insertion.
     pub plan_cache_capacity: usize,
-    /// Row-count drift (fractional) beyond which a cached plan is never
-    /// reused.
-    pub stats_tolerance: f64,
     /// Master ingest model for admitted runs; concurrency re-prices it
     /// per request ([`MasterIngestModel::with_concurrency`]).
     pub ingest: MasterIngestModel,
-    /// Finished query traces the session's ring-buffer sink retains
-    /// (oldest evicted first). Zero disables retention but keeps the
-    /// per-query spans and registry metrics.
-    pub trace_capacity: usize,
 }
+
+/// Deficit round-robin quantum, in input rows per turn.
+const QUANTUM_ROWS: u64 = 8_192;
+/// Row-count drift (fractional) beyond which a held plan is never reused
+/// for another table.
+const STATS_TOLERANCE: f64 = 0.35;
+/// Finished query traces the session's ring-buffer sink retains (oldest
+/// evicted first).
+const TRACE_CAPACITY: usize = 64;
 
 impl Default for SessionConfig {
     fn default() -> Self {
         Self {
             max_in_flight: 256,
             drivers: 2,
-            quantum_rows: 8_192,
             plan_cache_capacity: 128,
-            stats_tolerance: 0.35,
             ingest: MasterIngestModel::default_rack(),
-            trace_capacity: 64,
         }
     }
 }
@@ -135,11 +140,11 @@ pub struct QueryResponse {
     /// is the one that ran ([`ExecBreakdown::backend`]), not the one
     /// asked for, where the two differ.
     pub arm: ChooserArm,
-    /// Whether the shard plan came out of the cache. Always `false` for
-    /// a request that pinned a shard count, and at first sight of a
-    /// (shape, tables) pair — which runs the tables whole and consults
-    /// neither the planner nor its cache; `false` once more at second
-    /// sight, whose lookup misses and fits the plan.
+    /// Whether the request ran under a shard plan the session already
+    /// held. Always `false` for a request that pinned a shard count, and
+    /// at first sight of a (query, tables) key — which runs the tables
+    /// whole and consults no plan; `false` once more at a second sight
+    /// that had to fit one.
     pub plan_cached: bool,
     /// The query's lifecycle span tree
     /// (`admit → queue → plan → choose → execute{…} → respond`), when it
@@ -170,15 +175,15 @@ pub struct SessionStats {
     pub completed: u64,
     /// Requests refused at admission.
     pub rejected: u64,
-    /// Plan-cache hits.
+    /// Unpinned requests that ran under a plan the session already held.
     pub plan_hits: u64,
-    /// Plan-cache misses: lookups that went on to fit a plan. First
-    /// sights consult no plan, so they are neither.
+    /// Second sights that went on to fit a plan. First sights consult no
+    /// plan, so they are neither.
     pub plan_misses: u64,
 }
 
 impl SessionStats {
-    /// Plan-cache hit fraction (0.0 before any planner-path request).
+    /// Held-plan fraction (0.0 before any planner-path request).
     pub fn plan_hit_rate(&self) -> f64 {
         let total = self.plan_hits + self.plan_misses;
         if total == 0 {
@@ -217,45 +222,84 @@ struct SchedState {
     shutdown: bool,
 }
 
-/// What the session holds for one layout key — one of the two states a
-/// seen key is in (an unseen key has no entry):
-///
-/// * **whole** — first sight ran the tables themselves on one shard
-///   (no planner, no copy) and measured what reached the master;
-/// * **routed** — a later sight invested: the plan is laid out under a
-///   sharder (the cached shard plan's, or a pinned count's), its units
-///   fresh per-shard copies of the columns the query reads. This is the
-///   layout every further request reuses, on either transport.
-///
-/// Either way the plan holds `Arc` clones of the tables it was built
-/// from, so the addresses in the cache key cannot be reused by another
-/// table while the entry lives.
-struct LayoutEntry {
-    plan: Arc<ExecPlan>,
-    sight: Sight,
+/// The table statistics a plan was fitted against. Tables are immutable,
+/// so "the stats moved" means the caller swapped in a rebuilt table; row
+/// counts are the signal the planner's cost model actually reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatsFingerprint {
+    /// Left-stream row count.
+    pub left_rows: u64,
+    /// Right-stream row count (0 for unary queries).
+    pub right_rows: u64,
 }
 
-#[derive(Clone, Copy)]
-enum Sight {
-    /// Seen once, run whole; `survivors` is that run's
-    /// `entries_to_master` — the planner's survivor hint if the key
-    /// comes back.
-    Whole { survivors: u64, direct: bool },
-    /// Routed under the shard plan of this plan-cache generation (0 for
-    /// pinned-shard layouts, which no plan governs).
-    Routed { generation: u64, direct: bool },
+impl StatsFingerprint {
+    /// Fingerprint the inputs of a request.
+    pub fn of(left: &Table, right: Option<&Table>) -> Self {
+        Self { left_rows: left.rows() as u64, right_rows: right.map_or(0, |r| r.rows() as u64) }
+    }
+
+    /// Do both streams' row counts agree within a factor of
+    /// `1 + tolerance`? An empty stream is like only another empty one.
+    pub fn within(self, other: Self, tolerance: f64) -> bool {
+        let like = |a: u64, b: u64| a.max(b) as f64 <= a.min(b) as f64 * (1.0 + tolerance);
+        like(self.left_rows, other.left_rows) && like(self.right_rows, other.right_rows)
+    }
 }
 
-impl Sight {
-    /// The key's arm decision — taken once, by [`goes_direct`] on what
-    /// first sight measured, and carried from whole to routed. A key
-    /// first seen with a pinned shard count or on a pinned direct run
-    /// measured no pruned run, so it stays pruned.
-    fn direct(self) -> bool {
-        match self {
-            Sight::Whole { direct, .. } | Sight::Routed { direct, .. } => direct,
+/// What a request is, to the session: the query, the tables it reads (by
+/// address) and the shard count it pins (0: none). Addresses stand in for
+/// content identity — tables are immutable, so a rebuilt table is a new
+/// allocation — and cannot be reused while the key is held: its entry's
+/// plan holds `Arc` clones of the tables. Every lookup is confirmed with
+/// [`ExecPlan::is_over`] all the same.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Key {
+    query: Arc<DbQuery>,
+    left: usize,
+    right: usize,
+    shards: usize,
+}
+
+impl Key {
+    fn of(req: &QueryRequest) -> Self {
+        Key {
+            query: Arc::clone(&req.query),
+            left: Arc::as_ptr(&req.left) as usize,
+            right: req.right.as_ref().map_or(0, |r| Arc::as_ptr(r) as usize),
+            shards: req.shards.unwrap_or(0),
         }
     }
+}
+
+/// Everything the session holds for one key. A key that keeps coming
+/// back moves absent → whole → routed:
+///
+/// * **whole** — first sight ran the tables themselves on one shard (no
+///   planner, no copy), measured `survivors` — the planner's hint if the
+///   key comes back — and took the key's one arm decision, `direct`;
+/// * **routed** — second sight invested: `plan`'s units are fresh
+///   per-shard copies of the columns the query reads, laid out under the
+///   fitted shard plan it carries ([`ExecPlan::shard_plan`]) — a held
+///   plan for this query over same-named tables of like size
+///   ([`Caches::like`]), else the planner's. Every further request runs
+///   it, on either transport.
+///
+/// A key that pins a shard count is routed at first sight, under no plan;
+/// it measured no pruned run, so it stays pruned.
+#[derive(Clone)]
+struct Entry {
+    plan: Arc<ExecPlan>,
+    routed: bool,
+    /// What first sight delivered to the master (0 for a pinned key).
+    survivors: u64,
+    direct: bool,
+}
+
+/// What a request runs: a held plan, or one to lay out under a spec.
+enum Layout {
+    Held(Arc<ExecPlan>),
+    Under(StreamSpec),
 }
 
 /// The go-direct rule: would completing *every* row have cost less work
@@ -272,45 +316,48 @@ fn goes_direct(rows: u64, survivors: u64, complete_s: f64, busy_s: f64) -> bool 
     complete_s * (rows as f64) < busy_s * (survivors as f64)
 }
 
-/// `(shape, left table ptr, right table ptr, pinned shards)`.
-type LayoutKey = (String, usize, usize, usize);
-
+/// The session's one map. Every entry pins its source tables, and a
+/// routed one a copy of the columns its query reads, so it is bounded
+/// ([`SessionConfig::plan_cache_capacity`]): `order` is the keys of `map`
+/// in insertion order and the oldest goes first, which costs the warm path
+/// no bookkeeping.
+#[derive(Default)]
 struct Caches {
-    plans: PlanCache,
-    /// Layout key → what the session holds for it: absent → whole →
-    /// routed, in the order a key that keeps coming back moves through
-    /// them (a pinned key is routed at first sight). Table pointers stand
-    /// in for content identity — tables are immutable, so a rebuilt table
-    /// is a new allocation — and every hit is confirmed with
-    /// [`ExecPlan::is_over`].
-    layouts: HashMap<LayoutKey, LayoutEntry>,
-    /// The keys of `layouts` in insertion order: every entry pins its
-    /// source tables, and a routed one a copy of the columns its query
-    /// reads, so the cache is bounded and the oldest insertion goes first.
-    layout_order: VecDeque<LayoutKey>,
+    map: HashMap<Key, Entry>,
+    order: VecDeque<Key>,
 }
 
 impl Caches {
-    /// What is held for `key`, confirmed to be over exactly these tables.
-    fn held(
-        &self,
-        key: &LayoutKey,
-        left: &Arc<Table>,
-        right: Option<&Arc<Table>>,
-    ) -> Option<(Arc<ExecPlan>, Sight)> {
-        let entry = self.layouts.get(key).filter(|e| e.plan.is_over(left, right))?;
-        Some((Arc::clone(&entry.plan), entry.sight))
+    /// The entry for `key`, confirmed to be over exactly these tables.
+    fn get(&self, key: &Key, left: &Arc<Table>, right: Option<&Arc<Table>>) -> Option<&Entry> {
+        self.map.get(key).filter(|e| e.plan.is_over(left, right))
     }
 
-    /// Cache a layout, holding at most as many as the plan cache holds
-    /// plans. Eviction is by insertion order, so the hit path pays no
-    /// bookkeeping; a key moving from whole to routed keeps its place.
-    fn insert_layout(&mut self, key: LayoutKey, entry: LayoutEntry) {
-        if self.layouts.insert(key.clone(), entry).is_none() {
-            self.layout_order.push_back(key);
-            if self.layout_order.len() > self.plans.capacity() {
-                let oldest = self.layout_order.pop_front().expect("just pushed");
-                self.layouts.remove(&oldest);
+    /// The fitted plan of the oldest routed entry for an equal query over
+    /// same-named tables with both row counts within [`STATS_TOLERANCE`]
+    /// of these. Consulted at second sight only, so a tenant's table is
+    /// planned once for all of its same-sized siblings.
+    fn like(&self, key: &Key, left: &Table, right: Option<&Table>) -> Option<Arc<ShardPlan>> {
+        let stats = StatsFingerprint::of(left, right);
+        self.order.iter().filter(|k| k.query == key.query).find_map(|k| {
+            let e = &self.map[k];
+            let (l, r) = e.plan.tables();
+            let alike = e.routed
+                && l.name() == left.name()
+                && r.map(Table::name) == right.map(Table::name)
+                && StatsFingerprint::of(l, r).within(stats, STATS_TOLERANCE);
+            e.plan.shard_plan().filter(|_| alike).cloned()
+        })
+    }
+
+    /// Hold `entry` for `key`, and at most `capacity` entries; a key moving
+    /// from whole to routed keeps its place in the eviction order.
+    fn insert(&mut self, key: Key, entry: Entry, capacity: usize) {
+        if self.map.insert(key.clone(), entry).is_none() {
+            self.order.push_back(key);
+            if self.order.len() > capacity.max(1) {
+                let oldest = self.order.pop_front().expect("just pushed");
+                self.map.remove(&oldest);
             }
         }
     }
@@ -327,11 +374,11 @@ struct Telemetry {
     queries: Counter,
     /// `serve.rejected` — admission refusals.
     rejected: Counter,
-    /// `serve.plan_cache.hits` / `serve.plan_cache.misses` — reconcile
-    /// with the plan cache's own counters.
+    /// `serve.plan_cache.hits` / `serve.plan_cache.misses` — what
+    /// [`SessionStats`] reports.
     plan_hits: Counter,
     plan_misses: Counter,
-    /// `serve.direct.keys` — (shape, tables) keys whose first sight
+    /// `serve.direct.keys` — (query, tables) keys whose first sight
     /// decided for the direct arm; `serve.direct.requests` — requests
     /// that ran on it, pinned or decided.
     direct_keys: Counter,
@@ -347,10 +394,10 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn new(trace_capacity: usize) -> Self {
+    fn new() -> Self {
         let registry = Registry::new();
         Self {
-            sink: TraceSink::new(trace_capacity),
+            sink: TraceSink::new(TRACE_CAPACITY),
             queries: registry.counter("serve.queries"),
             rejected: registry.counter("serve.rejected"),
             plan_hits: registry.counter("serve.plan_cache.hits"),
@@ -405,18 +452,13 @@ pub struct Session {
 impl Session {
     /// A session executing on `cluster` with the given knobs.
     pub fn new(cluster: Cluster, cfg: SessionConfig) -> Self {
-        let caches = Caches {
-            plans: PlanCache::new(cfg.plan_cache_capacity, cfg.stats_tolerance),
-            layouts: HashMap::new(),
-            layout_order: VecDeque::new(),
-        };
         let shared = Arc::new(Shared {
             cluster,
             cfg: cfg.clone(),
             sched: Mutex::new(SchedState::default()),
             work: Condvar::new(),
-            caches: Mutex::new(caches),
-            telemetry: Telemetry::new(cfg.trace_capacity),
+            caches: Mutex::default(),
+            telemetry: Telemetry::new(),
         });
         let drivers = (0..cfg.drivers.max(1))
             .map(|_| {
@@ -468,7 +510,7 @@ impl Session {
     /// Submit and wait. When the session is idle (nothing queued, a
     /// slot free) the calling thread executes the request directly —
     /// no cross-thread handoff — so a single blocking client pays only
-    /// a mutex and two cache lookups over the raw execution paths.
+    /// a mutex and one map lookup over the raw execution paths.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
         {
             let mut st = self.shared.sched.lock().expect("scheduler lock");
@@ -508,24 +550,20 @@ impl Session {
         &self.shared.telemetry.registry
     }
 
-    /// The ring buffer of recently completed query traces (capacity
-    /// [`SessionConfig::trace_capacity`]). Each entry is the full
-    /// lifecycle span tree of one request.
+    /// The ring buffer of the 64 most recently completed query traces.
+    /// Each entry is the full lifecycle span tree of one request.
     pub fn traces(&self) -> &TraceSink {
         &self.shared.telemetry.sink
     }
 
-    /// Admission, completion, and plan-cache counters.
+    /// Admission, completion, and held-plan counters.
     pub fn stats(&self) -> SessionStats {
         let st = self.shared.sched.lock().expect("scheduler lock");
-        let (completed, rejected) = (st.completed, st.rejected);
-        drop(st);
-        let caches = self.shared.caches.lock().expect("caches lock");
         SessionStats {
-            completed,
-            rejected,
-            plan_hits: caches.plans.hits(),
-            plan_misses: caches.plans.misses(),
+            completed: st.completed,
+            rejected: st.rejected,
+            plan_hits: self.shared.telemetry.plan_hits.get(),
+            plan_misses: self.shared.telemetry.plan_misses.get(),
         }
     }
 }
@@ -548,7 +586,7 @@ fn driver_loop(shared: &Shared) {
         let (pending, concurrent, mut deficits) = {
             let mut st = shared.sched.lock().expect("scheduler lock");
             loop {
-                if let Some(p) = pop_next(&mut st, shared.cfg.quantum_rows.max(1)) {
+                if let Some(p) = pop_next(&mut st, QUANTUM_ROWS) {
                     st.executing += 1;
                     shared.telemetry.queue_depth.set(st.queued as i64);
                     let deficits: Vec<(String, u64)> =
@@ -627,12 +665,6 @@ fn pop_next(st: &mut SchedState, quantum: u64) -> Option<Pending> {
     }
 }
 
-/// The query's structural identity: variant plus parameters plus the
-/// names of the tables it reads.
-fn shape_key(req: &QueryRequest) -> String {
-    format!("{:?}|{}|{}", req.query, req.left.name(), req.right.as_ref().map_or("-", |r| r.name()))
-}
-
 /// Serve one admitted request and close out its trace — on *both* arms:
 /// a request that fails with a typed error still exports its span tree
 /// (root attr `error`) and still counts in `serve.latency_seconds`, so
@@ -677,10 +709,9 @@ fn execute(
 ///
 /// A layout is an investment only a key that comes back repays, so what
 /// an unpinned request does depends on what the session holds for its
-/// layout key: nothing — run the tables whole, on one shard, and note
-/// what reached the master; the whole layout — fit (or look up) a shard
-/// plan, priced from that measurement, and route; a routed layout — run
-/// it.
+/// key: nothing — run the tables whole, on one shard, and note what
+/// reached the master; the whole layout — find or fit a shard plan, priced
+/// from that measurement, and route; a routed layout — run it.
 fn serve(
     shared: &Shared,
     req: &QueryRequest,
@@ -688,8 +719,6 @@ fn serve(
     concurrent: usize,
     root: &mut Span,
 ) -> Result<QueryResponse> {
-    let shape = shape_key(req);
-    let seed = shared.cluster.tuning.seed;
     shared.telemetry.queue_seconds.observe(queue_seconds);
     shared
         .telemetry
@@ -697,66 +726,57 @@ fn serve(
         .histogram(&format!("serve.tenant.{}.queue_seconds", req.tenant))
         .observe(queue_seconds);
     let right = req.right.as_ref();
-    let layout_key = (
-        shape.clone(),
-        Arc::as_ptr(&req.left) as usize,
-        right.map_or(0, |r| Arc::as_ptr(r) as usize),
-        req.shards.unwrap_or(0),
-    );
+    let (key, capacity) = (Key::of(req), shared.cfg.plan_cache_capacity);
 
-    // 1. The shard plan: pinned count, or — by what the session holds for
-    // the layout key — none at first sight, else plan cache or planner.
+    // 1. The layout, by what the session holds for the key: routed,
+    // whole or nothing. Only a second sight with no like plan held
+    // consults the planner.
     let mut plan_span = root.child("plan");
     let ingest = shared.cfg.ingest;
-    let hashed = |shards| ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
-    let mut caches = shared.caches.lock().expect("caches lock");
-    let held = caches.held(&layout_key, &req.left, right);
-    let (spec, generation, plan_cached) = match (req.shards, &held) {
-        (Some(shards), _) => {
-            plan_span.attr("cache", "pinned");
-            (StreamSpec::fixed(hashed(shards)), 0, false)
-        }
-        (None, None) => {
-            plan_span.attr("cache", "first-sight");
-            (StreamSpec::fixed(hashed(1)), 0, false)
-        }
-        (None, Some((_, sight))) => {
-            let stats = StatsFingerprint::of(&req.left, right.map(|r| &**r));
-            if let Some(CachedPlan { plan, generation }) = caches.plans.lookup(&shape, stats) {
-                plan_span.attr("cache", "hit");
-                shared.telemetry.plan_hits.inc();
-                (StreamSpec::fitted(plan, ingest), generation, true)
-            } else {
-                plan_span.attr("cache", "miss");
-                shared.telemetry.plan_misses.inc();
-                // Fit a fresh plan, priced from what first sight of these
-                // very tables delivered to the master. (A routed key
-                // whose plan was since evicted is re-fitted blind.)
-                let survivor_hint = match sight {
-                    Sight::Whole { survivors, .. } => Some(*survivors),
-                    Sight::Routed { .. } => None,
-                };
-                let cfg = PlannerConfig { ingest, survivor_hint, ..PlannerConfig::default() };
-                drop(caches);
-                let fitted = Arc::new(ShardPlanner::new(cfg).plan(
-                    &req.query,
-                    &req.left,
-                    right.map(|r| &**r),
-                    seed,
-                ));
-                caches = shared.caches.lock().expect("caches lock");
-                let generation = caches.plans.insert(&shape, stats, Arc::clone(&fitted));
-                (StreamSpec::fitted(fitted, ingest), generation, false)
+    let fitted = |plan| Layout::Under(StreamSpec::fitted(plan, ingest));
+    let hashed = |shards| {
+        let spec = ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
+        Layout::Under(StreamSpec::fixed(spec))
+    };
+    let entry = shared.caches.lock().expect("caches lock").get(&key, &req.left, right).cloned();
+    let first_sight = req.shards.is_none() && entry.is_none();
+    let (survivors, key_direct) = entry.as_ref().map_or((0, false), |e| (e.survivors, e.direct));
+    let (cache, layout) = match (entry, req.shards) {
+        (Some(Entry { routed: true, plan, .. }), Some(_)) => ("pinned", Layout::Held(plan)),
+        (Some(Entry { routed: true, plan, .. }), None) => ("hit", Layout::Held(plan)),
+        (Some(_), _) => {
+            let right = right.map(|r| &**r);
+            let like = shared.caches.lock().expect("caches lock").like(&key, &req.left, right);
+            match like {
+                Some(plan) => ("hit", fitted(plan)),
+                None => {
+                    // Priced from what first sight of these very tables
+                    // delivered to the master; fitted with no lock held.
+                    let cfg = PlannerConfig {
+                        ingest,
+                        survivor_hint: Some(survivors),
+                        ..PlannerConfig::default()
+                    };
+                    let seed = shared.cluster.tuning.seed;
+                    let plan = ShardPlanner::new(cfg).plan(&req.query, &req.left, right, seed);
+                    ("miss", fitted(Arc::new(plan)))
+                }
             }
         }
+        (None, Some(shards)) => ("pinned", hashed(shards)),
+        (None, None) => ("first-sight", hashed(1)),
     };
-    drop(caches);
+    plan_span.attr("cache", cache);
+    match cache {
+        "hit" => shared.telemetry.plan_hits.inc(),
+        "miss" => shared.telemetry.plan_misses.inc(),
+        _ => {}
+    }
     plan_span.finish();
 
     // 2. The arm: the request's pins, else what first sight of the key
     // decided. Nothing is learned here and nothing re-decided.
     let mut choose_span = root.child("choose");
-    let key_direct = held.as_ref().is_some_and(|(_, sight)| sight.direct());
     let arm = arm_of(req, key_direct);
     choose_span.attr("arm", arm.label());
     choose_span.finish();
@@ -772,25 +792,22 @@ fn serve(
         exec_span.attr("backend", arm.backend.label());
     }
 
-    let first_sight = req.shards.is_none() && held.is_none();
-    let routed = held.and_then(|(plan, sight)| {
-        matches!(sight, Sight::Routed { generation: g, .. } if g == generation).then_some(plan)
-    });
-    let plan = match routed {
-        Some(plan) => plan,
-        None => {
+    let plan = match layout {
+        Layout::Held(plan) => plan,
+        Layout::Under(spec) => {
             // The session lays out once: both transports run off the same
             // resident units. First sight's one shard is the tables
-            // themselves — there is nothing to route.
+            // themselves — there is nothing to route, and nothing to hold
+            // until the run has measured.
             let route_span = (!first_sight).then(|| exec_span.child("route"));
             let plan =
                 Arc::new(ExecPlan::new(&shared.cluster, &req.query, &req.left, right, &spec)?);
             if let Some(mut route_span) = route_span {
                 route_span.attr("shards", plan.shards());
                 route_span.finish();
-                let sight = Sight::Routed { generation, direct: key_direct };
-                let entry = LayoutEntry { plan: Arc::clone(&plan), sight };
-                shared.caches.lock().expect("caches lock").insert_layout(layout_key.clone(), entry);
+                let entry =
+                    Entry { plan: Arc::clone(&plan), routed: true, survivors, direct: key_direct };
+                shared.caches.lock().expect("caches lock").insert(key.clone(), entry, capacity);
             }
             plan
         }
@@ -830,9 +847,8 @@ fn serve(
             direct
         };
         let mut caches = shared.caches.lock().expect("caches lock");
-        if caches.held(&layout_key, &req.left, right).is_none() {
-            let sight = Sight::Whole { survivors, direct };
-            caches.insert_layout(layout_key, LayoutEntry { plan, sight });
+        if caches.get(&key, &req.left, right).is_none() {
+            caches.insert(key, Entry { plan, routed: false, survivors, direct }, capacity);
             if direct {
                 shared.telemetry.direct_keys.inc();
             }
@@ -842,6 +858,7 @@ fn serve(
     breakdown.tenant = req.tenant.clone();
     respond_span.finish();
 
+    let plan_cached = cache == "hit";
     root.attr("arm", arm.label());
     root.attr("plan_cached", plan_cached);
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
@@ -874,7 +891,8 @@ fn arm_of(req: &QueryRequest, key_direct: bool) -> ChooserArm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, TableBuilder, Value};
+    use cheetah_db::{DataType, DbPredicate, IntCmp, LikePattern, TableBuilder, Value};
+    use std::sync::Barrier;
 
     fn table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -896,6 +914,16 @@ mod tests {
             ]);
         }
         Arc::new(b.build())
+    }
+
+    /// The fitted plan the session holds for `req`'s key, if any.
+    fn held_plan(session: &Session, req: &QueryRequest) -> Option<Arc<ShardPlan>> {
+        let caches = session.shared.caches.lock().unwrap();
+        caches.map.get(&Key::of(req)).and_then(|e| e.plan.shard_plan().cloned())
+    }
+
+    fn has_route_span(resp: &QueryResponse) -> bool {
+        resp.trace.as_ref().expect("trace exports").root.find("route").is_some()
     }
 
     #[test]
@@ -1016,7 +1044,8 @@ mod tests {
     }
 
     #[test]
-    fn a_stats_drift_refit_of_a_seen_shape_is_priced_from_the_measured_survivors() {
+    fn a_sibling_table_runs_under_the_held_plan_and_a_drifted_one_is_refit_from_its_own_survivors()
+    {
         // A high-fanout join: eight keys, every row matches, so survivors
         // are matching *rows* and the planner's distinct-key proxy
         // under-prices the merge by orders of magnitude.
@@ -1032,42 +1061,94 @@ mod tests {
         let q = DbQuery::Join { left_key: 0, right_key: 0 };
         let cfg = PlannerConfig::default();
         let price = |survivors| cfg.ingest.planning_latency(1, survivors);
-        // First and second sight of one pair of tables: what the first
-        // run delivered to the master, and the one-shard merge price of
-        // the plan the second fitted.
+        // First and second sight of a fresh pair of tables named `l` and
+        // `r`: what the first run delivered to the master, whether the
+        // second ran under a plan already held, and the plan now held.
         let two_sights = |rows| {
             let (l, r) = (fanout("l", rows), fanout("r", rows));
             let req = || QueryRequest::new(q.clone(), Arc::clone(&l)).with_right(Arc::clone(&r));
-            let shape = shape_key(&req());
-            let stats = StatsFingerprint::of(&l, Some(&r));
             let first = session.run_blocking(req()).unwrap();
             assert!(!first.plan_cached, "{rows} rows: first sight consults no plan");
-            let fitted =
-                |s: &Session| s.shared.caches.lock().unwrap().plans.fitted_stats(&shape, stats);
-            assert_eq!(fitted(&session), None, "{rows} rows: first sight fits nothing");
+            assert!(held_plan(&session, &req()).is_none(), "{rows} rows: …and fits none");
             let second = session.run_blocking(req()).unwrap();
-            assert!(!second.plan_cached, "{rows} rows: second sight of these stats must fit");
             assert_eq!(second.output, first.output);
-            let mut caches = session.shared.caches.lock().unwrap();
-            let plan = caches.plans.lookup(&shape, stats).expect("just fitted").plan;
+            let plan = held_plan(&session, &req()).expect("second sight routes under a plan");
             // What the proxy would have priced: the eight distinct keys.
             let seed = session.shared.cluster.tuning.seed;
             let blind = ShardPlanner::new(cfg.clone()).plan(&q, &l, Some(&r), seed);
             assert!(blind.report.curve[0].merge_seconds < price(1_000));
-            (first.breakdown.entries_to_master, plan.report.curve[0].merge_seconds)
+            (first.breakdown.entries_to_master, second.plan_cached, plan)
         };
         // Second sight is priced from what first sight measured.
-        let (measured, merge) = two_sights(3_000);
+        let (measured, cached, plan) = two_sights(3_000);
+        assert!(!cached && session.stats().plan_misses == 1, "nothing held: second sight fits");
         assert!(measured > 1_000, "the adversary must flood the master: {measured}");
         let want = price(measured) + cfg.per_shard_overhead_seconds;
+        let merge = plan.report.curve[0].merge_seconds;
         assert!((merge - want).abs() < 1e-12, "{merge} vs {want}");
-        // Same shape, twice the rows: past the stats tolerance, so a
-        // re-fit — priced from the drifted tables' own first run, not
-        // from the proxy and not from the stale measurement.
-        let (drifted, merge) = two_sights(6_000);
+        // Same query, same names, same sizes, other tables: the plan held
+        // for the first pair is the plan the second pair is routed under.
+        let (_, cached, sibling) = two_sights(3_000);
+        assert!(cached && Arc::ptr_eq(&sibling, &plan));
+        assert_eq!(session.stats().plan_misses, 1);
+        // Twice the rows is past the tolerance, so a fit of its own —
+        // priced from the drifted tables' own first run, not from the
+        // proxy and not from the stale measurement.
+        let (drifted, cached, own) = two_sights(6_000);
+        assert!(!cached && session.stats().plan_misses == 2);
         assert!(drifted > measured + 1_000, "{drifted} vs {measured}");
         let want = price(drifted) + cfg.per_shard_overhead_seconds;
+        let merge = own.report.curve[0].merge_seconds;
         assert!((merge - want).abs() < 1e-12, "{merge} vs {want}");
+    }
+
+    #[test]
+    fn a_plan_is_never_reused_after_either_stream_moves_beyond_tolerance() {
+        let fp = |left_rows, right_rows| StatsFingerprint { left_rows, right_rows };
+        let tol = STATS_TOLERANCE;
+        for rows in [100u64, 999, 6_000, 123_456, 10_000_000] {
+            let grown = (rows as f64 * (1.0 + tol) * 1.001).ceil() as u64;
+            let shrunk = (rows as f64 / (1.0 + tol) / 1.001).floor() as u64;
+            for (moved, near) in [(grown, rows + rows / 4), (shrunk, rows - rows / 5)] {
+                assert!(!fp(rows, 0).within(fp(moved, 0), tol), "{rows} -> {moved} rows, left");
+                assert!(!fp(7, rows).within(fp(7, moved), tol), "{rows} -> {moved} rows, right");
+                assert!(fp(rows, rows).within(fp(near, near), tol), "{rows} -> {near} rows");
+                assert!(fp(near, 0).within(fp(rows, 0), tol), "{near} -> {rows} rows");
+            }
+        }
+        // An empty stream is like another empty stream and nothing else.
+        assert!(fp(0, 0).within(fp(0, 0), tol));
+        assert!(!fp(0, 0).within(fp(1, 0), tol) && !fp(5, 1).within(fp(5, 0), tol));
+    }
+
+    #[test]
+    fn a_key_is_the_query_the_tables_it_reads_and_the_pinned_shard_count() {
+        let (t, other) = (table(10, 1, 1), table(10, 1, 2));
+        let req = |q: DbQuery| QueryRequest::new(q, Arc::clone(&t));
+        let gt = |col, lit| DbQuery::FilterCount {
+            pred: DbPredicate::CmpInt { col, op: IntCmp::Gt, lit },
+        };
+        let like = |pattern| DbQuery::FilterCount {
+            pred: DbPredicate::Like { col: 0, pattern: LikePattern::parse(pattern) },
+        };
+        let top = |n| DbQuery::TopN { order_col: 1, n };
+        assert_eq!(Key::of(&req(like("key-1%"))), Key::of(&req(like("key-1%"))));
+        for (a, b) in [
+            (gt(1, 5), gt(1, 6)),
+            (gt(1, 5), gt(2, 5)),
+            (top(5), top(6)),
+            (like("key-1%"), like("%key-1")),
+        ] {
+            assert_ne!(Key::of(&req(a.clone())), Key::of(&req(b)), "{a:?}");
+        }
+        let pinned = |shards| Key::of(&req(top(5)).shards(shards));
+        assert_ne!(pinned(2), pinned(3));
+        assert_ne!(pinned(1), Key::of(&req(top(5))), "a pinned single shard is still a pin");
+        assert_ne!(Key::of(&req(top(5))), Key::of(&QueryRequest::new(top(5), Arc::clone(&other))));
+        // A unary query reads one table, whatever rides along; JOIN reads two.
+        assert_eq!(Key::of(&req(top(5)).with_right(Arc::clone(&other))), Key::of(&req(top(5))));
+        let join = || req(DbQuery::Join { left_key: 0, right_key: 0 });
+        assert_ne!(Key::of(&join().with_right(other)), Key::of(&join().with_right(t.clone())));
     }
 
     #[test]
@@ -1094,34 +1175,42 @@ mod tests {
     }
 
     #[test]
-    fn racing_first_sights_both_answer_and_leave_one_layout() {
+    fn racing_sights_all_answer_and_leave_one_warm_entry_per_key() {
+        // Two same-named, same-sized tables under one query: sibling keys,
+        // so second sights race for the one plan as well as for their entry.
         let cluster = Cluster::default();
-        let t = table(20_000, 4, 17);
+        let tables = [table(4_000, 4, 17), table(4_000, 4, 71)];
         let q = DbQuery::Distinct { col: 0 };
-        let want = cluster.run_baseline(&q, &t, None).output;
-        let session = Session::new(cluster, SessionConfig::default());
-        // Started together, each on its caller's thread (`run_blocking`'s
-        // fast path needs only an empty queue): whichever way they
-        // interleave — both finding the key absent, or one finding the
-        // other's entry — both must answer, and the key must end up held
-        // exactly once.
-        let gate = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            let racers: Vec<_> = (0..2)
-                .map(|_| {
-                    scope.spawn(|| {
-                        gate.wait();
-                        session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap()
-                    })
-                })
-                .collect();
-            for racer in racers {
-                assert_eq!(racer.join().expect("racer thread").output, want);
+        let want = tables.each_ref().map(|t| cluster.run_baseline(&q, t, None).output);
+        for round in 0..20 {
+            let session = Session::new(cluster.clone(), SessionConfig::default());
+            // Each sight starts together, each request on its caller's
+            // thread (`run_blocking`'s fast path needs only an empty
+            // queue). However first sights interleave (all finding the key
+            // absent, or some another's entry), and second sights after
+            // them (fitting, finding a sibling's plan, or the key already
+            // routed), all answer, and third sights find every key warm.
+            let gate = Barrier::new(8);
+            let ask = |racer: usize| {
+                gate.wait();
+                session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&tables[racer % 2])))
+            };
+            let sights = std::thread::scope(|scope| {
+                let racers: Vec<_> =
+                    (0..8).map(|racer| scope.spawn(move || [(); 3].map(|()| ask(racer)))).collect();
+                racers.into_iter().map(|r| r.join().expect("racer thread")).collect::<Vec<_>>()
+            });
+            for (racer, sights) in sights.into_iter().enumerate() {
+                let [first, second, third] = sights.map(|resp| resp.unwrap());
+                assert_eq!(first.output, want[racer % 2], "round {round}");
+                assert_eq!(second.output, want[racer % 2], "round {round}");
+                assert_eq!(third.output, want[racer % 2], "round {round}");
+                assert!(third.plan_cached && !has_route_span(&third), "round {round}");
             }
-        });
-        let caches = session.shared.caches.lock().unwrap();
-        assert_eq!(caches.layouts.len(), 1);
-        assert_eq!(caches.layout_order.len(), 1);
+            let caches = session.shared.caches.lock().unwrap();
+            assert_eq!((caches.map.len(), caches.order.len()), (2, 2), "round {round}");
+            assert!(caches.map.values().all(|e| e.routed && e.plan.shard_plan().is_some()));
+        }
     }
 
     #[test]
@@ -1134,9 +1223,7 @@ mod tests {
         let session = Session::new(cluster.clone(), SessionConfig::default());
         let q = DbQuery::Distinct { col: 1 };
         let pinned = |t: &Arc<Table>| QueryRequest::new(q.clone(), Arc::clone(t)).shards(4);
-        let routed = |resp: &QueryResponse| {
-            resp.trace.as_ref().expect("trace exports").root.find("route").is_some()
-        };
+        let routed = has_route_span;
 
         let first = table(1_000, 2, 3);
         let want = cluster.run_baseline(&q, &first, None).output;
@@ -1154,27 +1241,35 @@ mod tests {
         assert!(routed(&resp), "a different table never hits the first one's entry");
         assert_eq!(resp.output, cluster.run_baseline(&q, &second, None).output);
         assert_ne!(resp.output, want, "fixture tables must differ for the test to bite");
-        assert_eq!(session.shared.caches.lock().unwrap().layouts.len(), 2);
+        assert_eq!(session.shared.caches.lock().unwrap().map.len(), 2);
     }
 
     #[test]
-    fn layout_cache_is_bounded_and_evicts_the_oldest_insertion() {
-        // Every cached layout pins its source tables and a routed copy of
-        // their rows: a session that keeps seeing rebuilt tables must not
-        // grow without limit.
+    fn layout_cache_is_bounded_and_evicting_a_key_frees_its_plan_and_its_table() {
+        // Every entry pins its source tables, a routed copy of their rows
+        // and the plan it was routed under: a session that keeps seeing
+        // rebuilt tables must not grow without limit. Each table is twice
+        // the last, so each is fitted a plan of its own.
         let cluster = Cluster::default();
         let cfg = SessionConfig { plan_cache_capacity: 2, ..SessionConfig::default() };
         let session = Session::new(cluster.clone(), cfg);
         let q = DbQuery::Distinct { col: 1 };
         let mut first = None;
-        for seed in [3, 99, 1234] {
-            let t = table(800, 2, seed);
-            let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t)).shards(4));
-            assert_eq!(resp.unwrap().output, cluster.run_baseline(&q, &t, None).output);
-            first.get_or_insert_with(|| Arc::downgrade(&t));
+        for (rows, seed) in [(800, 3), (1_600, 99), (3_200, 1234)] {
+            let t = table(rows, 2, seed);
+            let req = || QueryRequest::new(q.clone(), Arc::clone(&t));
+            for _sight in 1..=2 {
+                let resp = session.run_blocking(req()).unwrap();
+                assert_eq!(resp.output, cluster.run_baseline(&q, &t, None).output);
+            }
+            let plan = held_plan(&session, &req()).expect("routed under a fitted plan");
+            first.get_or_insert_with(|| (Arc::downgrade(&t), Arc::downgrade(&plan)));
         }
-        assert_eq!(session.shared.caches.lock().unwrap().layouts.len(), 2);
-        assert!(first.unwrap().upgrade().is_none(), "the evicted layout must free its table");
+        assert_eq!(session.stats().plan_misses, 3);
+        assert_eq!(session.shared.caches.lock().unwrap().map.len(), 2);
+        let (table, plan) = first.unwrap();
+        assert!(table.upgrade().is_none(), "the evicted entry must free its table");
+        assert!(plan.upgrade().is_none(), "…and the plan that governed only it");
     }
 
     #[test]
@@ -1216,7 +1311,7 @@ mod tests {
         let mut st = SchedState::default();
         let t = table(100, 1, 1);
         let (tx, _rx) = mpsc::channel();
-        let telemetry = Telemetry::new(0);
+        let telemetry = Telemetry::new();
         for tenant in ["flood", "flood", "flood", "light", "flood"] {
             let req =
                 QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t)).tenant(tenant);

@@ -63,9 +63,9 @@ fn main() {
     let products = Arc::new(products());
     let ratings = Arc::new(ratings());
     // The serving plane's front door: requests go through admission, the
-    // fair scheduler, and the plan cache; the baseline below stays on the
-    // engine directly — it is the ground truth the plane is checked
-    // against.
+    // fair scheduler, and the session's held layouts; the baseline below
+    // stays on the engine directly — it is the ground truth the plane is
+    // checked against.
     let session = Session::new(cluster.clone(), SessionConfig::default());
 
     println!("Cheetah quickstart — the paper's §4 examples\n");
