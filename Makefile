@@ -23,12 +23,14 @@ lint: no-shims
 # supervisor, planner-in-the-constructor layout or calibration probe),
 # and one map in the session: an entry per key, the fitted plan on the
 # layout it governs (no second cache, shape string or stamp to keep them
-# coherent, and no option that had one value everywhere).
+# coherent, and no option that had one value everywhere), and no measured
+# survivor hint for the planner (first sight runs direct: no pruned count
+# exists before the second sight fits).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -83,13 +85,17 @@ compiled-gate:
 # and routes, later ones run the held layout under the plan it carries)
 # never changing results, a layout never outliving its plan, a right
 # table attached to a unary query ignored by the key and the cost, the arm
-# lifecycle (a key whose first sight pruned nothing runs direct from its
-# second; a key the switch prunes well stays pooled + compiled; pins
-# override the verdict per request), and
+# lifecycle (every family's first sight runs direct; its second runs pruned
+# on the routed layout and decides; a key whose second sight pruned
+# nothing runs direct from its third; a key the switch prunes well stays
+# pooled + compiled; pins run what they name and override the verdict per
+# request), and
 # containment: a column the table cannot answer for is a typed BadColumn,
 # a query with nothing to evaluate a typed BadArity on the pruned pin, the
 # direct pin and unpinned alike, a panicking shard job a typed
-# WorkerPanicked, each to its own request with the pool intact.
+# WorkerPanicked — pinned pruned, or at an unpinned key's deciding sight,
+# which then decides nothing — each to its own request with the pool
+# intact.
 serving-gate:
 	cargo test -q -p cheetah-db --test serving_contract
 
@@ -112,10 +118,11 @@ fabric-gate:
 # the layout policy reads off the trees (first sight: no route span, one
 # worker; second sight: route + one worker per planned shard; third:
 # neither route nor planner; a pinned shard count routes at first
-# sight), so does the arm policy (first sight's respond span carries the
-# go-direct rule's inputs and verdict, execute and worker spans the path
-# that ran), and a traced faulty-channel run attributes its go-back-N
-# resends to the owning registry, equal to the breakdown's count.
+# sight), so does the arm policy (first sight runs direct; the second
+# sight's respond span carries the go-direct rule's inputs and verdict,
+# execute and worker spans the path that ran), and a traced faulty-channel
+# run attributes its go-back-N resends to the owning registry, equal to
+# the breakdown's count.
 telemetry-gate:
 	cargo test -q -p cheetah-db --test telemetry_contract
 

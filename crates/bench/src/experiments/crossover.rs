@@ -158,8 +158,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     );
     report.note(
         "direct wall = the same layout pinned to the direct arm (no switch program; the \
-         operator's completion over every row) — the measurement a first-sight go-direct \
-         verdict is checked against (the wall column is the interpreted switch; unpinned \
+         operator's completion over every row) — the measurement a go-direct verdict is \
+         checked against (the wall column is the interpreted switch; unpinned \
          serving runs the compiled kernels where a family has one)",
     );
     report.note(

@@ -11,7 +11,7 @@
 //! `cheetah-runtime` consumes it). A caller fits a plan
 //! ([`ShardPlanner::plan`]) and hands it to the plan constructor as a
 //! fitted layout — there is one way to fit, whether the plan is used at
-//! once or kept in the serving plane's plan cache:
+//! once or held on a layout the serving plane keeps:
 //!
 //! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over a bounded
 //!    strided sample of every stream's routing keys
@@ -21,10 +21,8 @@
 //!    every key), plus a KMV distinct sketch and the top-key mass. Row
 //!    counts stay exact; `distinct_estimate` counts the distinct keys
 //!    *among those read* — the table's own count under the bound, a lower
-//!    bound on it above. It only stands in for the survivor volume until
-//!    one is measured: the serving plane runs a shape once before it plans
-//!    it, and hands the planner that run's count
-//!    ([`PlannerConfig::survivor_hint`]).
+//!    bound on it above — and stands in for the survivor volume: a plan is
+//!    fitted before any pruned run of its query has been measured.
 //! 2. **Choose the shard count** — walk the
 //!    [`MasterIngestModel::planning_latency`] fan-in curve: each
 //!    candidate count is charged the hottest shard's share of the rows
@@ -71,14 +69,6 @@ pub struct PlannerConfig {
     /// Ingest model queried for the fan-in curve and applied to the
     /// planned run's survivor streams.
     pub ingest: MasterIngestModel,
-    /// Measured survivor volume (`entries_to_master`) from a previous run
-    /// of the same query, when the caller observed one (the serving plane
-    /// runs a shape over its tables once, whole, before it plans it, and
-    /// hands over that run's count). Overrides the distinct-estimate proxy
-    /// in the merge model — crucial for high-fanout JOINs, where survivors
-    /// are matching *rows*, not distinct keys, and the proxy under-prices
-    /// the merge badly.
-    pub survivor_hint: Option<u64>,
 }
 
 impl Default for PlannerConfig {
@@ -89,7 +79,6 @@ impl Default for PlannerConfig {
             range_load_factor: 2.0,
             per_shard_overhead_seconds: 300e-6,
             ingest: MasterIngestModel::default_rack(),
-            survivor_hint: None,
         }
     }
 }
@@ -177,19 +166,15 @@ impl ShardPlanner {
             );
         }
 
-        // Survivor volume for the merge model. A measured hint (an
-        // observed `entries_to_master`) wins outright — it is reality,
-        // and deliberately NOT clamped to `rows`: a two-pass JOIN
-        // delivers matching rows from *both* streams, which the
-        // per-stream row count would truncate. Absent a measurement, fall
-        // back to the proxy of roughly one survivor per distinct routing
-        // key among the keys read (keyed queries forward per-key
-        // champions; scans route by unique row-id hashes, making this
-        // every key read — up to the sampling bound, nothing pruned).
-        let survivors = match self.cfg.survivor_hint {
-            Some(measured) => measured.max(1),
-            None => (stats.distinct_estimate.round() as u64).clamp(1, stats.rows),
-        };
+        // Survivor volume for the merge model: roughly one survivor per
+        // distinct routing key among the keys read (keyed queries forward
+        // per-key champions; scans route by unique row-id hashes, making
+        // this every key read — up to the sampling bound, nothing pruned).
+        // The proxy under-prices a high-fanout JOIN, whose survivors are
+        // matching rows — but a key whose survivors flood the master is the
+        // key the serving plane's go-direct rule sends direct, and a direct
+        // key's merge is one partial per shard, which the proxy prices.
+        let survivors = (stats.distinct_estimate.round() as u64).clamp(1, stats.rows);
 
         // Walk the fan-in curve: per candidate count, the hottest shard's
         // share of the rows at the CWorker send rate, plus modelled
@@ -506,7 +491,6 @@ pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Cluster;
     use crate::testutil::{all_queries, test_table};
 
     #[test]
@@ -587,68 +571,5 @@ mod tests {
             plan.report
         );
         assert_eq!(plan.report.curve.len(), planner.cfg.max_shards);
-    }
-
-    /// High-fanout join: few distinct keys, every row matches. Survivors
-    /// are matching *rows* from both streams; the distinct-key proxy is
-    /// off by orders of magnitude.
-    fn high_fanout_tables() -> (Table, Table) {
-        let fields = vec![
-            ("k".into(), crate::value::DataType::Int),
-            ("v".into(), crate::value::DataType::Int),
-        ];
-        let mut l = crate::table::TableBuilder::new("l", fields.clone(), 1000);
-        let mut r = crate::table::TableBuilder::new("r", fields, 1000);
-        for i in 0..3000i64 {
-            l.push_row(vec![crate::value::Value::Int(i % 8), crate::value::Value::Int(i)]);
-            r.push_row(vec![crate::value::Value::Int(i % 8), crate::value::Value::Int(-i)]);
-        }
-        (l.build(), r.build())
-    }
-
-    #[test]
-    fn measured_survivors_reprice_the_high_fanout_join_merge() {
-        // The satellite-1 regression: without feedback the planner prices
-        // the JOIN merge from ~8 distinct keys; the run actually delivers
-        // thousands of matching rows to the master. Learning the measured
-        // `entries_to_master` must close that >2× under-pricing.
-        let cluster = Cluster::default();
-        let (l, r) = high_fanout_tables();
-        let q = DbQuery::Join { left_key: 0, right_key: 0 };
-        let measured = cluster.run_cheetah(&q, &l, Some(&r)).unwrap().breakdown.entries_to_master;
-        assert!(measured > 1_000, "high-fanout adversary must flood the master: {measured}");
-
-        let seed = cluster.tuning.seed;
-        let blind = ShardPlanner::default();
-        let blind_plan = blind.plan(&q, &l, Some(&r), seed);
-        let informed = ShardPlanner::new(PlannerConfig {
-            survivor_hint: Some(measured),
-            ..PlannerConfig::default()
-        });
-        let informed_plan = informed.plan(&q, &l, Some(&r), seed);
-
-        // Compare the merge model at every candidate shard count, with the
-        // fixed per-shard overhead subtracted so only the survivor term
-        // speaks. The truth is the ingest price of the measured volume.
-        let ingest = MasterIngestModel::default_rack();
-        let overhead = |n: usize| n as f64 * blind.cfg.per_shard_overhead_seconds;
-        for (b, i) in blind_plan.report.curve.iter().zip(&informed_plan.report.curve) {
-            assert_eq!(b.shards, i.shards);
-            let truth = ingest.planning_latency(b.shards, measured);
-            let blind_price = b.merge_seconds - overhead(b.shards);
-            let informed_price = i.merge_seconds - overhead(i.shards);
-            assert!(
-                truth > 2.0 * blind_price,
-                "adversary no longer exhibits the undershoot at {} shards: \
-                 truth {truth}, blind {blind_price}",
-                b.shards
-            );
-            assert!(
-                truth <= 2.0 * informed_price,
-                "informed planner still under-prices the merge by >2× at {} shards: \
-                 truth {truth}, informed {informed_price}",
-                b.shards
-            );
-        }
     }
 }

@@ -16,8 +16,10 @@
 //! sight runs the tables whole, second sight plans and routes, later ones
 //! run the held layout under the plan it carries — every layout answers
 //! alike, and no layout outlives its plan) and the right table a unary
-//! query ignores, and the arm lifecycle (first sight measures and
-//! decides direct or pruned; pins override either way). Under property 3
+//! query ignores, and the arm lifecycle (first sight runs direct, every
+//! family; the second runs pruned on the layout the key keeps, and decides
+//! direct or pruned; pins run what they name and decide nothing, except
+//! that a pruned pin at the deciding sight measures it). Under property 3
 //! sits containment: a request its tables cannot answer or that gives the
 //! switch nothing to evaluate is refused before any arm runs, identically
 //! on each; a shard job that panics anyway fails alone and typed — no
@@ -179,21 +181,68 @@ fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
     assert_eq!(ticket.wait().unwrap().output, baseline);
 }
 
-/// The arm a response reports, and the `rule.*` verdict its first sight
-/// traced (`None` from the second sight on: a key's decision is taken once).
+/// The arm a response reports, and the `rule.*` verdict its respond span
+/// traced (`None` except at a key's deciding sight: a decision is taken
+/// once).
 fn arm_and_verdict(resp: &QueryResponse) -> (String, Option<String>) {
     let respond = resp.trace.as_ref().expect("trace exports").root.find("respond").unwrap();
     (resp.arm.label(), respond.attr("rule.direct").map(str::to_string))
 }
 
-/// Property 1d: win or get out of the way. A TOP N over a table a tenth
-/// the switch's matrix rows prunes nothing, so its first sight — the
-/// pruned, measuring run — decides the key direct (every row survived and
-/// encode + prune took time: no timer margin to be flaky about), and from
-/// the second sight on the key runs with no switch at all. Every sight,
-/// on either arm and either layout, answers like the baseline.
+fn routed(resp: &QueryResponse) -> bool {
+    resp.trace.as_ref().expect("trace exports").root.find("route").is_some()
+}
+
+/// Property 1d: a key seen once pays for a scan, not for a switch program.
+/// For every family over a multi-partition table the unpinned first sight
+/// runs `direct` over the tables whole — one `worker`, no `route`, nothing
+/// pruned, no verdict — and answers like the baseline. The second sight
+/// routes and runs pruned (`pooled/compiled`; `pooled/interp` for the
+/// families with no kernel) and carries the verdict; the third runs the
+/// verdict and decides nothing.
 #[test]
-fn a_key_whose_first_sight_pruned_nothing_runs_direct_from_the_second() {
+fn every_family_runs_direct_at_first_sight_and_decides_at_the_second() {
+    let cluster = Cluster::default();
+    let (left, right) = fixtures(0xF125);
+    let session = Session::new(cluster.clone(), SessionConfig::default());
+    for q in common::all_seven(400_000) {
+        let kind = q.kind();
+        let want = cluster.run_baseline(&q, &left, q.is_binary().then_some(&*right)).output;
+        let ask = || session.run_blocking(request(&q, &left, &right, "t")).unwrap();
+
+        let first = ask();
+        let mut workers = Vec::new();
+        first.trace.as_ref().expect("trace exports").root.find_all("worker", &mut workers);
+        assert_eq!((first.arm.label().as_str(), workers.len()), ("direct", 1), "{kind}");
+        assert!(!routed(&first), "{kind}: first sight routes nothing");
+        assert_eq!(first.switch_stats.pruned, 0, "{kind}: no switch ran");
+        assert_eq!(arm_and_verdict(&first).1, None, "{kind}: first sight decides nothing");
+        assert_eq!(first.output, want, "{kind}");
+
+        let second = ask();
+        let pruned = if q.has_kernel() { "pooled/compiled" } else { "pooled/interp" };
+        let (arm, verdict) = arm_and_verdict(&second);
+        assert_eq!(arm, pruned, "{kind}: the deciding sight runs pruned");
+        assert!(routed(&second) && verdict.is_some(), "{kind}: …on its layout, and decides");
+        assert_eq!(second.output, want, "{kind}");
+
+        let third = ask();
+        let decided = if verdict.as_deref() == Some("true") { "direct" } else { pruned };
+        assert_eq!(arm_and_verdict(&third), (decided.to_string(), None), "{kind}");
+        assert!(!routed(&third), "{kind}");
+        assert_eq!(third.output, want, "{kind}");
+    }
+}
+
+/// Property 1e: win or get out of the way. A TOP N over a table a tenth
+/// the switch's matrix rows prunes nothing, so its second sight — the
+/// pruned, measuring run on the routed layout — decides the key direct
+/// (every row survived and encode + prune took time: no timer margin to be
+/// flaky about), and from the third sight on the key runs with no switch
+/// at all, as it did at the first. Every sight, on either arm and either
+/// layout, answers like the baseline.
+#[test]
+fn a_key_whose_second_sight_pruned_nothing_runs_direct_from_the_third() {
     let cluster = Cluster::default();
     let t = Arc::new(common::gen_table(400, 40, 3, 0xD12EC7));
     let q = DbQuery::TopN { order_col: 1, n: 25 };
@@ -206,7 +255,7 @@ fn a_key_whose_first_sight_pruned_nothing_runs_direct_from_the_second() {
         assert_eq!(resp.output, want, "sight {sight}");
         let (arm, verdict) = arm_and_verdict(&resp);
         match sight {
-            1 => {
+            2 => {
                 assert_eq!((arm.as_str(), verdict.as_deref()), ("pooled/compiled", Some("true")));
                 assert_eq!(resp.switch_stats.pruned, 0, "fixture: nothing prunes");
                 assert_eq!(resp.breakdown.entries_to_master, 400);
@@ -234,11 +283,12 @@ fn a_key_whose_first_sight_pruned_nothing_runs_direct_from_the_second() {
     assert_eq!(snap.counters["serve.direct.requests"], 4);
 }
 
-/// Property 1e: …and a key the switch wins on stays pruned. Ten keys over
-/// 100 000 rows: first sight delivers a handful of survivors, completing
-/// each costs more than encoding and judging a row did, and every later
-/// sight runs pooled + compiled. A direct pin is honoured at first sight —
-/// but measures no pruned run, so it decides nothing.
+/// Property 1f: …and a key the switch wins on stays pruned. Ten keys over
+/// 100 000 rows: its deciding second sight delivers a handful of
+/// survivors, completing each costs more than encoding and judging a row
+/// did, and every later sight runs pooled + compiled. A direct pin is
+/// honoured at the deciding sight — but measures no pruned run, so it
+/// decides nothing and the key stays pruned.
 #[test]
 fn a_key_the_switch_prunes_well_stays_pruned_and_a_direct_pin_decides_nothing() {
     let cluster = Cluster::default();
@@ -246,30 +296,69 @@ fn a_key_the_switch_prunes_well_stays_pruned_and_a_direct_pin_decides_nothing() 
     let q = DbQuery::Distinct { col: 0 };
     let want = cluster.run_baseline(&q, &t, None).output;
     let session = Session::new(cluster.clone(), SessionConfig::default());
+    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
     for sight in 1..=4 {
-        let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
+        let resp = session.run_blocking(unpinned()).unwrap();
         assert_eq!(resp.output, want, "sight {sight}");
         let (arm, verdict) = arm_and_verdict(&resp);
-        assert_eq!(arm, "pooled/compiled", "sight {sight}");
-        assert_eq!(verdict.as_deref(), (sight == 1).then_some("false"), "sight {sight}");
+        let want_arm = if sight == 1 { "direct" } else { "pooled/compiled" };
+        assert_eq!(arm, want_arm, "sight {sight}");
+        assert_eq!(verdict.as_deref(), (sight == 2).then_some("false"), "sight {sight}");
     }
     assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 0);
 
-    // A fresh session, first sight pinned direct: it runs direct, whole,
-    // on one shard; the key is noted undecided-for-direct, so unpinned
-    // sights of it run pruned.
+    // A fresh session, the deciding sight pinned direct: it routes and runs
+    // direct on the routed layout; the key is left undecided-for-direct, so
+    // unpinned sights of it run pruned.
     let session = Session::new(cluster, SessionConfig::default());
-    let pinned = QueryRequest::new(q.clone(), Arc::clone(&t)).path(ExecPath::Direct);
-    let first = session.run_blocking(pinned.clone()).unwrap();
+    let first = session.run_blocking(unpinned()).unwrap();
     assert_eq!((first.arm.label().as_str(), first.breakdown.shards), ("direct", 1));
-    assert_eq!(first.output, want);
-    assert_eq!(arm_and_verdict(&first).1, None, "a direct run measures nothing for the rule");
-    let second = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
-    assert_eq!((second.arm.label().as_str(), second.output == want), ("pooled/compiled", true));
+    let pinned = unpinned().path(ExecPath::Direct);
+    let second = session.run_blocking(pinned.clone()).unwrap();
+    assert_eq!((second.arm.label().as_str(), second.output == want), ("direct", true));
+    assert!(routed(&second), "the deciding sight routes, pinned or not");
+    assert_eq!(arm_and_verdict(&second).1, None, "a direct run measures nothing for the rule");
+    let third = session.run_blocking(unpinned()).unwrap();
+    assert_eq!(arm_and_verdict(&third), ("pooled/compiled".to_string(), None));
+    assert_eq!(third.output, want);
     // The pin keeps working on the routed layout second sight built.
-    let third = session.run_blocking(pinned).unwrap();
-    assert_eq!((third.arm.label().as_str(), third.output == want), ("direct", true));
-    assert_eq!(third.breakdown.shards, second.breakdown.shards);
+    let fourth = session.run_blocking(pinned).unwrap();
+    assert_eq!((fourth.arm.label().as_str(), fourth.output == want), ("direct", true));
+    assert_eq!(fourth.breakdown.shards, second.breakdown.shards);
+    assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 0);
+}
+
+/// Property 1g: pins at first sight run what they name. A pruned pin — a
+/// backend, or the barrier path — runs the tables whole, pruned, and
+/// measures nothing the lifecycle needs: the key stays undecided, and its
+/// next unpinned sight routes and decides. A direct pin runs what an
+/// unpinned first sight runs anyway, and leaves the key the same.
+#[test]
+fn pins_at_first_sight_run_what_they_name_and_decide_nothing() {
+    let cluster = Cluster::default();
+    let t = Arc::new(common::gen_table(400, 40, 3, 0xD12EC7));
+    let q = DbQuery::TopN { order_col: 1, n: 25 };
+    let want = cluster.run_baseline(&q, &t, None).output;
+    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
+    for (pinned, arm) in [
+        (unpinned().backend(ExecBackend::Interpreted), "pooled/interp"),
+        (unpinned().path(ExecPath::BarrierPooled), "pooled/compiled"),
+        (unpinned().path(ExecPath::Direct), "direct"),
+    ] {
+        let session = Session::new(cluster.clone(), SessionConfig::default());
+        let first = session.run_blocking(pinned).unwrap();
+        assert_eq!(arm_and_verdict(&first), (arm.to_string(), None), "{arm}");
+        assert_eq!((first.breakdown.shards, routed(&first)), (1, false), "{arm}: whole");
+        let seen = if arm == "direct" { first.breakdown.entries_to_master } else { 400 };
+        assert_eq!(first.switch_stats.seen, seen, "{arm}");
+        assert_eq!(first.output, want, "{arm}");
+        // Undecided: the next unpinned sight is the key's second.
+        let second = session.run_blocking(unpinned()).unwrap();
+        let verdict = arm_and_verdict(&second);
+        assert_eq!(verdict, ("pooled/compiled".to_string(), Some("true".to_string())), "{arm}");
+        assert!(routed(&second) && second.output == want, "{arm}");
+        assert_eq!(session.run_blocking(unpinned()).unwrap().arm.label(), "direct", "{arm}");
+    }
 }
 
 /// Property 2: a flooding tenant saturating the queue must not keep a
@@ -346,11 +435,11 @@ fn overload_is_a_typed_rejection_not_memory_growth() {
     assert_eq!(session.stats().rejected, rejections as u64);
 }
 
-/// Send `q` over `t` both ways — the caller's thread (`run_blocking`) and
-/// a driver thread (`submit` + `wait`) — and hand back the two refusals,
-/// each leaving nothing in flight.
-fn refused(session: &Session, q: &DbQuery, t: &Arc<Table>) -> [cheetah_core::Error; 2] {
-    let req = || QueryRequest::new(q.clone(), Arc::clone(t));
+/// Send `req()` both ways — the caller's thread (`run_blocking`) and a
+/// driver thread (`submit` + `wait`) — and hand back the two refusals, each
+/// leaving nothing in flight.
+fn refused(session: &Session, req: impl Fn() -> QueryRequest) -> [cheetah_core::Error; 2] {
+    let q = req().query().clone();
     [session.run_blocking(req()), session.submit(req()).expect("admitted").wait()].map(|resp| {
         assert_eq!(session.in_flight(), 0, "{q:?}: a refused request leaked its slot");
         match resp {
@@ -390,7 +479,7 @@ fn a_column_the_table_cannot_answer_for_is_a_typed_refusal() {
         (DbQuery::FilterCount { pred: cmp }, 0),
         (DbQuery::FilterCount { pred: like }, 1),
     ] {
-        for e in refused(&session, &q, &t) {
+        for e in refused(&session, || QueryRequest::new(q.clone(), Arc::clone(&t))) {
             assert_eq!(e, BadColumn { stream: 0, col }, "{q:?}");
         }
         // The same session answers the next well-formed request.
@@ -433,7 +522,7 @@ fn a_query_with_nothing_to_evaluate_is_refused_identically_on_every_arm() {
             assert_eq!(session.in_flight(), 0, "{q:?}: a refused request leaked its slot");
         }
         // A driver thread refuses it the same way…
-        for e in refused(&session, &q, &t) {
+        for e in refused(&session, req) {
             assert_eq!(e, want, "{q:?}");
         }
         // …and the same session answers the next well-formed request.
@@ -457,10 +546,15 @@ fn a_query_with_nothing_to_evaluate_is_refused_identically_on_every_arm() {
 /// Property 3d: a shard job that panics anyway fails its own request and
 /// nothing else. No request can reach a panic any more, so the operator
 /// misconfigures the switch instead: a cluster tuned to zero stored
-/// skyline points trips the program builder's assert on a pool thread.
-/// Sixteen such requests — twice the pool's threads — each come back as
-/// `WorkerPanicked`, to that request only; the direct arm, which builds no
-/// program, answers the same query; and every other family is served.
+/// skyline points trips the program builder's assert on a pool thread — on
+/// a pruned arm only. Sixteen requests pinned to it — twice the pool's
+/// threads — each come back as `WorkerPanicked`, to that request only.
+/// Unpinned, the key's first sight runs direct and answers; its deciding
+/// second sight routes, runs pruned and panics, to that request alone, and
+/// decides nothing: the key stays undecided, its next sight pruned on the
+/// held layout. Every other family is served throughout — a `.shards(8)`
+/// GROUP BY answers like the baseline after each panic — and so is the
+/// panicking family on the direct arm, unpinned-key or eight shards.
 #[test]
 fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
     let (t, _) = fixtures(0xB00);
@@ -468,13 +562,35 @@ fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
     let cluster = Cluster { tuning, ..Cluster::default() };
     let session = Session::new(cluster, SessionConfig::default());
     let q = DbQuery::Skyline { cols: vec![1, 2] };
+    let want = Cluster::default().run_baseline(&q, &t, None).output;
+    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
     for _ in 0..8 {
-        for e in refused(&session, &q, &t) {
+        for e in refused(&session, || unpinned().path(ExecPath::BarrierPooled)) {
             assert_eq!(e, WorkerPanicked { shard: 0 }, "{q:?}");
         }
     }
     assert_pool_intact(&session, &t);
-    let direct = QueryRequest::new(q.clone(), Arc::clone(&t)).path(ExecPath::Direct);
-    let want = Cluster::default().run_baseline(&q, &t, None).output;
+
+    assert_eq!(session.run_blocking(unpinned()).unwrap().output, want, "first sight: direct");
+    for sight in ["deciding", "undecided"] {
+        match session.run_blocking(unpinned()) {
+            Err(Error::Exec(WorkerPanicked { .. })) => {}
+            other => panic!("{sight} sight: expected WorkerPanicked, got {other:?}"),
+        }
+        assert_eq!(session.in_flight(), 0, "{sight} sight leaked its slot");
+        let tree = session.traces().last().expect("a failed request exports its tree");
+        let choose = tree.root.find("choose").expect("lifecycle span");
+        assert_eq!(choose.attr("arm"), Some("pooled/compiled"), "{sight} sight runs pruned");
+        let routes = tree.root.find("route").is_some();
+        assert_eq!(routes, sight == "deciding", "{sight} sight: routed once, then held");
+    }
+    assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 0);
+    assert_pool_intact(&session, &t);
+    let direct = unpinned().path(ExecPath::Direct);
     assert_eq!(session.run_blocking(direct).unwrap().output, want);
+    // Eight shards of the panicking family itself: a layout of its own,
+    // pinned direct because any pruned arm of this cluster panics.
+    let eight = session.run_blocking(unpinned().shards(8).path(ExecPath::Direct)).unwrap();
+    assert_eq!((eight.output == want, eight.breakdown.shards), (true, 8));
+    assert_eq!(session.in_flight(), 0);
 }

@@ -15,10 +15,10 @@
 //!    second sight a `route` span and one `worker` per planned shard, the
 //!    third neither `route` nor a planner call; a pinned shard count
 //!    routes at first sight.
-//!    And the arm policy beside it: first sight's `respond` span carries
-//!    the go-direct rule's inputs and verdict (`rule.*`), `execute` and
-//!    every `worker` span the path that ran, the registry the keys
-//!    decided direct and the requests run so.
+//!    And the arm policy beside it: first sight runs `direct`, the second
+//!    sight's `respond` span carries the go-direct rule's inputs and
+//!    verdict (`rule.*`), `execute` and every `worker` span the path that
+//!    ran, the registry the keys decided direct and the requests run so.
 //! 4. **Fabric attribution** — a traced faulty-channel run lands its
 //!    go-back-N resend count in the owning registry's
 //!    `net.retransmits`, equal to the breakdown's field.
@@ -186,6 +186,7 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     let (first, routed, workers) = ask(unpinned());
     assert_eq!((routed, workers), (None, 1), "first sight: no route span, one worker");
     assert_eq!(first.breakdown.shards, 1);
+    assert_eq!(first.arm.label(), "direct", "…and no switch program");
 
     let (second, routed, workers) = ask(unpinned());
     let shards = second.breakdown.shards as usize;
@@ -208,11 +209,12 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     }
 }
 
-/// The trace says why a key runs where it runs. First sight's `respond`
-/// span carries what the go-direct rule read and what it decided — the
-/// rule re-evaluates from the traced figures — and nothing re-decides
-/// later; `execute` and every `worker` span name the path that ran; the
-/// registry counts the keys decided direct and the requests that ran so.
+/// The trace says why a key runs where it runs. First sight runs direct
+/// and decides nothing; the second sight's `respond` span carries what the
+/// go-direct rule read on that pruned run and what it decided — the rule
+/// re-evaluates from the traced figures — and nothing re-decides later;
+/// `execute` and every `worker` span name the path that ran; the registry
+/// counts the keys decided direct and the requests that ran so.
 #[test]
 fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
     let session = Session::with_defaults();
@@ -229,7 +231,7 @@ fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
             let tree = resp.trace.as_ref().expect("trace exports");
             let respond = tree.root.find("respond").expect("lifecycle span");
             let label = format!("{} sight {sight}", q.kind());
-            if sight == 1 {
+            if sight == 2 {
                 let figure = |key: &str| -> f64 {
                     respond
                         .attr(key)
@@ -250,8 +252,13 @@ fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
                     respond.attrs.iter().filter(|(k, _)| k.starts_with("rule.")).collect();
                 assert!(rule.is_empty(), "{label}: a decision is written once, got {rule:?}");
             }
-            // First sight is always the pruned, measuring run.
-            let path = if direct && sight > 1 { "direct" } else { "pooled" };
+            // First sight runs direct; the second, which decides, pruned.
+            let path = match sight {
+                1 => "direct",
+                2 => "pooled",
+                _ if direct => "direct",
+                _ => "pooled",
+            };
             let exec = tree.root.find("execute").expect("lifecycle span");
             assert_eq!(exec.attr("path"), Some(path), "{label}");
             assert_eq!(exec.attr("backend").is_some(), path != "direct", "{label}: no engine ran");
@@ -264,7 +271,7 @@ fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
     }
     let snap = session.registry().snapshot();
     assert_eq!(snap.counters["serve.direct.keys"], 1);
-    assert_eq!(snap.counters["serve.direct.requests"], 2);
+    assert_eq!(snap.counters["serve.direct.requests"], 3);
 }
 
 #[test]

@@ -22,14 +22,15 @@
 //!    shard: no planner, no copy. A key that returns is routed, once,
 //!    under a plan already held for this query over same-named tables
 //!    of like size ([`StatsFingerprint::within`]), else one the
-//!    [`ShardPlanner`](cheetah_db::ShardPlanner) fits from that run's
-//!    measured survivors; from then on the entry's layout, and the plan
-//!    it carries, is all a request consults.
-//! 4. **The arm** — {barrier-pooled, streamed-resident} × {interpreted,
-//!    compiled}, read off the request: what it pins, else the barrier
-//!    on the compiled backend (the interpreter where the family has no
-//!    kernel). Nothing is learned: with one encode → prune loop under
-//!    both backends the arms differ by less than a selector's regret.
+//!    [`ShardPlanner`](cheetah_db::ShardPlanner) fits; from then on the
+//!    entry's layout, and the plan it carries, is all a request consults.
+//! 4. **The arm** — what the request pins, else what its key's stage
+//!    says: `direct` (the operator's completion over every row — no
+//!    switch program) at first sight; pruned, on the barrier transport
+//!    and the compiled backend (the interpreter where the family has no
+//!    kernel), at the second, whose run decides the key direct or pruned
+//!    by one measured break-even; that verdict from then on. Nothing is
+//!    learned: one rule, evaluated once per key.
 //!
 //! Every arm produces bit-identical output — the serving plane
 //! inherits the repo-wide invariant `Q(A_Q(D)) = Q(D)` — so admission

@@ -11,7 +11,7 @@
 //! cargo run --release --example bigdata_benchmark -- 500000  # uservisits rows
 //! ```
 
-use cheetah::db::{Cluster, DbPredicate, DbQuery, IntCmp};
+use cheetah::db::{Cluster, DbPredicate, DbQuery, ExecPath, IntCmp};
 use cheetah::serve::{QueryRequest, Session, SessionConfig};
 use cheetah::workloads::bigdata::BigDataConfig;
 use std::sync::Arc;
@@ -108,7 +108,10 @@ fn main() {
     println!("{}", "-".repeat(96));
     for (name, q, left, right) in queries {
         let base = cluster.run_baseline(&q, left, right.map(|r| &**r));
-        let mut req = QueryRequest::new(q, Arc::clone(left)).tenant("bigdata");
+        // Pinned to the pruned arm: unpinned, a query's first sight runs
+        // direct, and this table is about what the switch prunes.
+        let mut req =
+            QueryRequest::new(q, Arc::clone(left)).tenant("bigdata").path(ExecPath::BarrierPooled);
         if let Some(r) = right {
             req = req.with_right(Arc::clone(r));
         }

@@ -10,7 +10,7 @@
 //! ```
 
 use cheetah::db::{Cluster, DataType, DbQuery, QueryOutput, Table, TableBuilder, Value};
-use cheetah::db::{DbPredicate, IntCmp, LikePattern};
+use cheetah::db::{DbPredicate, ExecPath, IntCmp, LikePattern};
 use cheetah::serve::{QueryRequest, Session, SessionConfig};
 use std::sync::Arc;
 
@@ -65,8 +65,14 @@ fn main() {
     // The serving plane's front door: requests go through admission, the
     // fair scheduler, and the session's held layouts; the baseline below
     // stays on the engine directly — it is the ground truth the plane is
-    // checked against.
+    // checked against. Each request pins the pruned arm: unpinned, a
+    // query's first sight runs direct, with no switch to show.
     let session = Session::new(cluster.clone(), SessionConfig::default());
+    let pruned = |q: &DbQuery, table: &Arc<Table>| {
+        QueryRequest::new(q.clone(), Arc::clone(table))
+            .tenant("quickstart")
+            .path(ExecPath::BarrierPooled)
+    };
 
     println!("Cheetah quickstart — the paper's §4 examples\n");
 
@@ -98,9 +104,7 @@ fn main() {
         ("SELECT name FROM Ratings SKYLINE OF taste, texture", &skyline, &ratings),
     ] {
         let base = cluster.run_baseline(q, table, None);
-        let chee = session
-            .run_blocking(QueryRequest::new(q.clone(), Arc::clone(table)).tenant("quickstart"))
-            .expect("plan fits the switch");
+        let chee = session.run_blocking(pruned(q, table)).expect("plan fits the switch");
         assert_eq!(base.output, chee.output, "pruning must not change the output");
         show(name, &chee.output, chee.switch_stats.pruned_fraction() * 100.0);
     }
@@ -109,11 +113,7 @@ fn main() {
     let join = DbQuery::Join { left_key: 0, right_key: 0 };
     let base = cluster.run_baseline(&join, &products, Some(&ratings));
     let chee = session
-        .run_blocking(
-            QueryRequest::new(join, Arc::clone(&products))
-                .with_right(Arc::clone(&ratings))
-                .tenant("quickstart"),
-        )
+        .run_blocking(pruned(&join, &products).with_right(Arc::clone(&ratings)))
         .expect("plan fits the switch");
     assert_eq!(base.output, chee.output);
     show(
