@@ -23,14 +23,17 @@ lint: no-shims
 # supervisor, planner-in-the-constructor layout or calibration probe),
 # and one map in the session: an entry per key, the fitted plan on the
 # layout it governs (no second cache, shape string or stamp to keep them
-# coherent, and no option that had one value everywhere), and no measured
+# coherent, and no option that had one value everywhere), no measured
 # survivor hint for the planner (first sight runs direct: no pruned count
-# exists before the second sight fits).
+# exists before the second sight fits), and one way survivors travel: at
+# the end of each shard job, never over a live channel (no NIC-paced
+# depth, overlap timeline or per-request concurrency re-pricing, and no
+# ingest model riding a layout).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -55,8 +58,10 @@ pruning-gate:
 # The named CI gate: shard equivalence across all seven query variants x
 # shards {1,2,7} x both partitioners x (both transports x both backends,
 # and the direct arm once per layout: pass-through accounting, nothing
-# pruned), with the merge plane's discipline held at every point and
-# streamed execution deterministic end to end.
+# pruned), with the merge plane's accounting held at every point (the
+# master's time is the shards' completions plus the merge; a streamed run
+# with survivors framed them) and streamed execution deterministic end to
+# end.
 shard-gate:
 	cargo test -q -p cheetah-db --test shard_contract
 
@@ -105,9 +110,10 @@ serving-gate:
 # at 20 000 and asserted un-truncated) into the merge plane for all
 # seven query variants, the simulated fabric answers exactly and
 # bit-identically per seed at 15% drop + 15% corruption, and the
-# stream transport's fault mode — the same carrier (cheetah_net::rack)
-# run by the merge plane in simulated time — survives the same profile
-# with its go-back-N resends reported in the breakdown.
+# stream transport's fault mode — the frames each shard job ends with,
+# carried by the same carrier (cheetah_net::rack) in simulated time —
+# survives the same profile with its go-back-N resends, exact per
+# family, reported in the breakdown.
 fabric-gate:
 	cargo test -q -p cheetah-db --test fabric_contract
 
@@ -121,8 +127,8 @@ fabric-gate:
 # sight), so does the arm policy (first sight runs direct; the second
 # sight's respond span carries the go-direct rule's inputs and verdict,
 # execute and worker spans the path that ran), and a traced faulty-channel
-# run attributes its go-back-N resends to the owning registry, equal to
-# the breakdown's count.
+# run attributes its go-back-N resends (an exact count) to the owning
+# registry, equal to the breakdown's count.
 telemetry-gate:
 	cargo test -q -p cheetah-db --test telemetry_contract
 

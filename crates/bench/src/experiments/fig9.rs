@@ -8,7 +8,7 @@
 
 use crate::report::secs;
 use crate::{Report, RunCtx};
-use cheetah_db::MasterIngestModel;
+use cheetah_net::MasterIngestModel;
 
 /// Per-query master service rates (entries/second), in the measured order
 /// of magnitude for the software operators of `cheetah-db`.

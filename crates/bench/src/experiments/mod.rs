@@ -13,7 +13,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod planner;
-pub mod runtime;
 pub mod serving;
 pub mod shards;
 pub mod table2;
@@ -40,7 +39,6 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
         ("ablations", ablations::run),
         ("shards", shards::run),
         ("planner", planner::run),
-        ("runtime", runtime::run),
         ("crossover", crossover::run),
         ("serving", serving::run),
         ("fabric", fabric::run),
@@ -67,7 +65,6 @@ mod tests {
             "fig12_13",
             "shards",
             "planner",
-            "runtime",
             "crossover",
             "serving",
             "fabric",

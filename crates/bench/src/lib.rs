@@ -19,8 +19,8 @@
 //! | [`experiments::fig12_13`] | Figs. 12/13 — server vs switch-CPU processing |
 //!
 //! Beyond the paper's artifacts, [`experiments`] carries the repository's
-//! own report-only sweeps (`ablations`, `shards`, `planner`, `runtime`,
-//! `crossover`, `serving`, `fabric`). They print what they
+//! own report-only sweeps (`ablations`, `shards`, `planner`, `crossover`,
+//! `serving`, `fabric`). They print what they
 //! measured and assert only outputs: wall clock is *gated* in one place,
 //! the `cheetah-ledger` benchmark package, and nowhere in this crate.
 //!
@@ -89,7 +89,7 @@ pub fn fitted_spec(
     right: Option<&std::sync::Arc<cheetah_db::Table>>,
 ) -> cheetah_runtime::StreamSpec {
     let plan = planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed);
-    cheetah_runtime::StreamSpec::fitted(std::sync::Arc::new(plan), planner.cfg.ingest)
+    cheetah_runtime::StreamSpec::fitted(std::sync::Arc::new(plan))
 }
 
 /// Experiment scale.

@@ -169,7 +169,6 @@ impl Cluster {
                 shards: 1,
                 master_ingest_seconds: 0.0,
                 plan: None,
-                overlap_seconds: 0.0,
                 // The baseline never touches the switch; the field only
                 // distinguishes Cheetah-path engines.
                 backend: cheetah_net::ExecBackend::Interpreted,

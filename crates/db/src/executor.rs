@@ -392,7 +392,7 @@ fn run_on<O: PruningOperator, E: PruneEngine>(
             entries_to_master: survivor_count,
             passes,
             backend,
-            // One unsharded run: no plan, no modelled ingest, no overlap.
+            // One unsharded run: no plan, no modelled ingest.
             ..ExecBreakdown::default()
         },
         switch_stats: engine.stats(),

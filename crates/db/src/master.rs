@@ -20,30 +20,24 @@
 //!   key with the same [`Sharder`](cheetah_core::Sharder)) so every
 //!   matching pair meets inside exactly one shard.
 //!
-//! The ingest-side queueing model ([`MasterIngestModel`], Figure 9 and the
-//! §4.6 master-bottleneck analysis) lives in `cheetah-net` next to the
-//! link models; it is re-exported here because the master is where callers
-//! meet it.
-//!
 //! # Incremental merging
 //!
-//! The merge semantics exist in two granularities over one state machine:
+//! The merge semantics exist in two granularities:
 //!
-//! * **batch-at-a-time** — the streamed runtime decomposes each shard
-//!   output into [`MergeItem`]s ([`decompose_output`]), frames them over
-//!   the wire, and folds them into a [`MergeState`] as they arrive
-//!   ([`MergeState::ingest_batch`]): TOP N and SKYLINE *re-prune* their
-//!   running survivors per batch, DISTINCT re-normalizes, GROUP BY /
+//! * **batch-at-a-time** — the stream transport decomposes each shard
+//!   output into [`MergeItem`]s ([`decompose_output`]), frames them, and
+//!   the master folds the frames into a [`MergeState`]
+//!   ([`MergeState::ingest_survivor_batch`]): TOP N and SKYLINE *re-prune*
+//!   their running survivors per batch, DISTINCT re-normalizes, GROUP BY /
 //!   HAVING / filtered counts / JOIN pair counts fold associatively. The
-//!   fold is order-insensitive across shards and batches, which is what
-//!   makes overlapping the merge with still-running workers safe.
-//! * **output-at-a-time** — the barrier path's [`merge_shard_outputs`] is
-//!   the same fold, driven with every shard's complete output at once.
-//!   One implementation, zero chance of the two paths diverging.
-
-// The ingest model moved to the layer that owns link modelling; the
-// re-export keeps `cheetah_db::MasterIngestModel` working.
-pub use cheetah_net::MasterIngestModel;
+//!   fold is order-insensitive across shards and batches, and idempotent
+//!   per frame, which is what lets a lossy carrier deliver frames
+//!   reordered, resent and duplicated.
+//! * **output-at-a-time** — the barrier path's [`merge_shard_outputs`]
+//!   drives the same [`MergeState`] with every shard's complete output at
+//!   once, except GROUP BY MAX, whose whole shard maps fold map-into-map
+//!   with the same entry-wise max. The grids in the contract gates run
+//!   both paths over every family and hold them to one answer.
 
 use crate::ops;
 use crate::query::{DbQuery, QueryOutput};
@@ -762,13 +756,5 @@ mod tests {
         assert_eq!(lossy.duplicate_batches(), 2 * frames.len() as u64);
         assert_eq!(lossy.ingested(), clean.ingested());
         assert_eq!(lossy.finish(), clean.finish());
-    }
-
-    #[test]
-    fn ingest_model_reexport_still_works() {
-        // PR compat: `cheetah_db::MasterIngestModel` predates the move of
-        // the model into cheetah-net.
-        let m = MasterIngestModel::default_rack();
-        assert!(m.blocking_latency(1_000) > 0.0);
     }
 }

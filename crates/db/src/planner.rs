@@ -32,8 +32,8 @@
 //!    pruning win.
 //! 3. **Choose the partitioner** — fit range boundaries to the sampled
 //!    quantiles; keep them when the fitted plan's max sampled shard load
-//!    stays within [`PlannerConfig::range_load_factor`] (default 2×) of
-//!    hash on the same sample, fall back to hash when skew concentrates.
+//!    stays within [`RANGE_LOAD_FACTOR`] (2×) of hash on the same
+//!    sample, fall back to hash when skew concentrates.
 //!
 //! The emitted [`PlanReport`] records
 //! every estimate and modelled cost the decision read, so tests and
@@ -51,7 +51,17 @@ use cheetah_core::{ShardPartitioner, Sharder};
 use cheetah_net::MasterIngestModel;
 use cheetah_switch::hash::mix64;
 
-/// Tuning of the sample-driven shard planner.
+/// A fitted range is kept while its max sampled shard load stays within
+/// this factor of hash's on the same sample (the planner contract's 2×
+/// bound).
+pub const RANGE_LOAD_FACTOR: f64 = 2.0;
+
+/// Fixed per-shard master-side cost (planning one switch program, merging
+/// one more output) charged by the shard-count model, in seconds.
+pub const PER_SHARD_OVERHEAD_SECONDS: f64 = 300e-6;
+
+/// Tuning of the sample-driven shard planner. The shard-count model prices
+/// the master with [`MasterIngestModel::default_rack`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Reservoir capacity: how many routing keys the quantile fit and
@@ -59,27 +69,11 @@ pub struct PlannerConfig {
     pub sample_size: usize,
     /// Largest worker count the fan-in walk considers.
     pub max_shards: usize,
-    /// Fitted range is kept while its max sampled shard load stays
-    /// within this factor of hash's on the same sample (the planner
-    /// contract's 2× bound).
-    pub range_load_factor: f64,
-    /// Fixed per-shard master-side cost (planning one switch program,
-    /// merging one more output) charged by the shard-count model.
-    pub per_shard_overhead_seconds: f64,
-    /// Ingest model queried for the fan-in curve and applied to the
-    /// planned run's survivor streams.
-    pub ingest: MasterIngestModel,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        Self {
-            sample_size: 1024,
-            max_shards: 16,
-            range_load_factor: 2.0,
-            per_shard_overhead_seconds: 300e-6,
-            ingest: MasterIngestModel::default_rack(),
-        }
+        Self { sample_size: 1024, max_shards: 16 }
     }
 }
 
@@ -120,7 +114,7 @@ impl Default for PlannerConfig {
 ///
 /// // …and a run laid out by it completes bit-identically to the baseline.
 /// let base = cluster.run_baseline(&q, &table, None);
-/// let spec = StreamSpec::fitted(plan, planner.cfg.ingest);
+/// let spec = StreamSpec::fitted(plan);
 /// let routed = ExecPlan::new(&cluster, &q, &table, None, &spec).unwrap();
 /// let planned = execute(&cluster, &routed).unwrap();
 /// assert_eq!(base.output, planned.output);
@@ -154,12 +148,12 @@ impl ShardPlanner {
     /// Steps 2 and 3: from what the sample learned to the plan.
     fn plan_from_stats(&self, stats: KeyStats, seed: u64) -> ShardPlan {
         if stats.rows == 0 {
-            return self.trivial_plan(stats, seed, "empty input: any routing is vacuous");
+            return trivial_plan(stats, seed, "empty input: any routing is vacuous");
         }
         if stats.all_keys_equal() {
             // Key-aligned routing pins a single key to one shard; extra
             // workers would only idle and add merge overhead.
-            return self.trivial_plan(
+            return trivial_plan(
                 stats,
                 seed,
                 "all sampled routing keys are equal: no partitioner can spread them",
@@ -179,14 +173,14 @@ impl ShardPlanner {
         // Walk the fan-in curve: per candidate count, the hottest shard's
         // share of the rows at the CWorker send rate, plus modelled
         // ingest and per-shard merge overhead.
+        let ingest = MasterIngestModel::default_rack();
         let mut curve = Vec::with_capacity(self.cfg.max_shards);
         let mut per_count = Vec::with_capacity(self.cfg.max_shards);
         for n in 1..=self.cfg.max_shards.max(1) {
-            let choice = self.partitioner_at(&stats.sample, n, seed);
-            let worker_seconds =
-                stats.rows as f64 * choice.load / self.cfg.ingest.arrival_rate.max(1.0);
-            let merge_seconds = self.cfg.ingest.planning_latency(n, survivors)
-                + n as f64 * self.cfg.per_shard_overhead_seconds;
+            let choice = partitioner_at(&stats.sample, n, seed);
+            let worker_seconds = stats.rows as f64 * choice.load / ingest.arrival_rate.max(1.0);
+            let merge_seconds =
+                ingest.planning_latency(n, survivors) + n as f64 * PER_SHARD_OVERHEAD_SECONDS;
             curve.push(ShardCostPoint { shards: n, worker_seconds, merge_seconds });
             per_count.push(choice);
         }
@@ -216,7 +210,7 @@ impl ShardPlanner {
             stats.top_key_mass,
             chosen.range_load,
             chosen.hash_load,
-            self.cfg.range_load_factor,
+            RANGE_LOAD_FACTOR,
             curve[best].total() * 1e3,
             match turn {
                 Some(n) => format!(", merge cost eats the win from {n} shards on"),
@@ -239,57 +233,65 @@ impl ShardPlanner {
             },
         }
     }
+}
 
-    /// The adaptive partitioner choice at a candidate shard count: fitted
-    /// range when the sampled quantiles spread the load, hash when skew
-    /// concentrates it.
-    fn partitioner_at(&self, sample: &[u64], shards: usize, seed: u64) -> PartitionerChoice {
-        let hash = Sharder::new(ShardPartitioner::Hash, shards, seed);
-        let hash_load = max_load_fraction(sample, &hash);
-        let fitted = Sharder::fitted_range(fit_boundaries(sample, shards))
-            .expect("fit_boundaries yields ascending cuts");
-        let range_load = max_load_fraction(sample, &fitted);
-        if range_load <= self.cfg.range_load_factor * hash_load {
-            PartitionerChoice {
-                partitioner: ShardPartitioner::Range,
-                load: range_load,
-                hash_load,
-                range_load,
-                sharder: fitted,
-            }
-        } else {
-            PartitionerChoice {
-                partitioner: ShardPartitioner::Hash,
-                load: hash_load,
-                hash_load,
-                range_load,
-                sharder: hash,
-            }
+/// The degenerate one-shard plan (empty input, single key).
+fn trivial_plan(stats: KeyStats, seed: u64, why: &str) -> ShardPlan {
+    let ingest = MasterIngestModel::default_rack();
+    let worker_seconds = stats.rows as f64 / ingest.arrival_rate.max(1.0);
+    let merge_seconds = ingest.planning_latency(1, stats.rows.min(stats.distinct_estimate as u64))
+        + PER_SHARD_OVERHEAD_SECONDS;
+    ShardPlan {
+        sharder: Sharder::new(ShardPartitioner::Hash, 1, seed),
+        report: PlanReport {
+            rows: stats.rows,
+            sample_len: stats.sample.len(),
+            distinct_estimate: stats.distinct_estimate,
+            top_key_mass: stats.top_key_mass,
+            shards: 1,
+            partitioner: ShardPartitioner::Hash,
+            hash_sample_load: 1.0,
+            range_sample_load: 1.0,
+            curve: vec![ShardCostPoint { shards: 1, worker_seconds, merge_seconds }],
+            reason: format!("chose 1 shard: {why}"),
+        },
+    }
+}
+
+/// The adaptive partitioner choice at a candidate shard count: fitted
+/// range when the sampled quantiles spread the load, hash when skew
+/// concentrates it.
+fn partitioner_at(sample: &[u64], shards: usize, seed: u64) -> PartitionerChoice {
+    let hash = Sharder::new(ShardPartitioner::Hash, shards, seed);
+    let hash_load = max_load_fraction(sample, &hash);
+    let fitted = Sharder::fitted_range(fit_boundaries(sample, shards))
+        .expect("fit_boundaries yields ascending cuts");
+    let range_load = max_load_fraction(sample, &fitted);
+    if range_load <= RANGE_LOAD_FACTOR * hash_load {
+        PartitionerChoice {
+            partitioner: ShardPartitioner::Range,
+            load: range_load,
+            hash_load,
+            range_load,
+            sharder: fitted,
+        }
+    } else {
+        PartitionerChoice {
+            partitioner: ShardPartitioner::Hash,
+            load: hash_load,
+            hash_load,
+            range_load,
+            sharder: hash,
         }
     }
+}
 
-    /// The degenerate one-shard plan (empty input, single key).
-    fn trivial_plan(&self, stats: KeyStats, seed: u64, why: &str) -> ShardPlan {
-        let worker_seconds = stats.rows as f64 / self.cfg.ingest.arrival_rate.max(1.0);
-        let merge_seconds =
-            self.cfg.ingest.planning_latency(1, stats.rows.min(stats.distinct_estimate as u64))
-                + self.cfg.per_shard_overhead_seconds;
-        ShardPlan {
-            sharder: Sharder::new(ShardPartitioner::Hash, 1, seed),
-            report: PlanReport {
-                rows: stats.rows,
-                sample_len: stats.sample.len(),
-                distinct_estimate: stats.distinct_estimate,
-                top_key_mass: stats.top_key_mass,
-                shards: 1,
-                partitioner: ShardPartitioner::Hash,
-                hash_sample_load: 1.0,
-                range_sample_load: 1.0,
-                curve: vec![ShardCostPoint { shards: 1, worker_seconds, merge_seconds }],
-                reason: format!("chose 1 shard: {why}"),
-            },
-        }
-    }
+struct PartitionerChoice {
+    partitioner: ShardPartitioner,
+    load: f64,
+    hash_load: f64,
+    range_load: f64,
+    sharder: Sharder,
 }
 
 // ---------------------------------------------------------------------
@@ -305,9 +307,10 @@ pub enum ExecPath {
     /// Workers hand their completed outputs over whole; the master merges
     /// once the last one is in.
     BarrierPooled,
-    /// Workers frame survivors in batches; the master folds them as they
-    /// land, overlapping the merge with still-running workers. The carrier
-    /// of `ExecPlan`'s fault mode, where frames are the point.
+    /// Workers frame their completed outputs in survivor batches at the
+    /// end of their jobs; the master folds the frames once the last one is
+    /// in. The carrier of `ExecPlan`'s fault mode, where frames are the
+    /// point.
     StreamedResident,
     /// The unaccelerated plan: each shard job completes its unit over the
     /// identity selection ([`Cluster::run_direct`](crate::Cluster::run_direct)
@@ -379,14 +382,6 @@ impl PathChooser {
             backend: cheetah_net::ExecBackend::Compiled,
         },
     ];
-}
-
-struct PartitionerChoice {
-    partitioner: ShardPartitioner,
-    load: f64,
-    hash_load: f64,
-    range_load: f64,
-    sharder: Sharder,
 }
 
 // ---------------------------------------------------------------------
@@ -565,8 +560,7 @@ mod tests {
         let plan = planner.plan(&DbQuery::TopN { order_col: 1, n: 10 }, &t, None, 3);
         assert!(plan.shards() > 1, "{}", plan.report.reason);
         assert!(
-            plan.report.range_sample_load
-                <= planner.cfg.range_load_factor * plan.report.hash_sample_load,
+            plan.report.range_sample_load <= RANGE_LOAD_FACTOR * plan.report.hash_sample_load,
             "kept range must respect the load bound: {:?}",
             plan.report
         );

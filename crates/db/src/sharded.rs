@@ -5,8 +5,8 @@
 //! its switch, and the master completes the query from the pruned union.
 //! This module owns the pieces of that layout every caller shares:
 //!
-//! * [`ShardSpec`] — a hand-picked shard count, routing family
-//!   ([`ShardPartitioner`]) and ingest model;
+//! * [`ShardSpec`] — a hand-picked shard count and routing family
+//!   ([`ShardPartitioner`]);
 //! * [`route_columns`] — the one routing loop: the chosen columns of rows
 //!   `[lo, hi)` of a table split into per-shard sub-tables by a
 //!   [`Sharder`] over per-query routing keys (the group/join key for keyed
@@ -19,8 +19,8 @@
 //! prunes each shard's slice through [`Cluster::run_cheetah`], merges at
 //! the master with the per-operator semantics of
 //! [`merge_shard_outputs`](crate::master::merge_shard_outputs), and prices
-//! the concurrent survivor streams with [`MasterIngestModel`] and §4.6's
-//! shard fan-in. The equivalence contract is `Q(merge(shards(D))) = Q(D)`
+//! the concurrent survivor streams with `cheetah_net`'s master ingest
+//! model and §4.6's shard fan-in. The equivalence contract is `Q(merge(shards(D))) = Q(D)`
 //! for every query shape, shard count, and partitioner — enforced by the
 //! `shard_contract` test suite (a named CI gate, like the pruning
 //! contract).
@@ -30,24 +30,20 @@
 use crate::table::{Column, Partition, Table};
 use crate::value::DataType;
 use cheetah_core::{ShardPartitioner, Sharder};
-use cheetah_net::MasterIngestModel;
 
 /// How to shard a query's execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Worker shard count.
     pub shards: usize,
     /// Row-routing family.
     pub partitioner: ShardPartitioner,
-    /// Master ingest model applied to the merged survivor streams.
-    pub ingest: MasterIngestModel,
 }
 
 impl ShardSpec {
-    /// `shards` workers with the given partitioner and the default rack
-    /// ingest model.
+    /// `shards` workers with the given partitioner.
     pub fn new(shards: usize, partitioner: ShardPartitioner) -> Self {
-        Self { shards, partitioner, ingest: MasterIngestModel::default_rack() }
+        Self { shards, partitioner }
     }
 }
 

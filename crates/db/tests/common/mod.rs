@@ -70,7 +70,7 @@ pub fn fitted(
     right: Option<&Arc<Table>>,
 ) -> StreamSpec {
     let plan = planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed);
-    StreamSpec::fitted(Arc::new(plan), planner.cfg.ingest)
+    StreamSpec::fitted(Arc::new(plan))
 }
 
 /// Route `q` under `spec` and execute it on the barrier transport — the
@@ -86,14 +86,12 @@ pub fn run_barrier(
     execute(cluster, &plan.for_path(ExecPath::BarrierPooled)).expect("plan fits")
 }
 
-/// What the merge plane's telemetry must satisfy on every run, whatever
-/// the layout: the overlap is part of the merge work, and a streamed run
-/// with survivors framed them.
+/// What the merge plane's accounting must satisfy on every run, whatever
+/// the layout: the master's time is every shard's completion plus the
+/// merge, and a streamed run with survivors framed them.
 pub fn assert_merge_discipline(path: ExecPath, run: &ExecRun, label: &str) {
-    assert!(
-        run.breakdown.overlap_seconds <= run.merge_seconds + 1e-12,
-        "{label}: overlap exceeds total merge work"
-    );
+    let completions: f64 = run.per_shard.iter().map(|s| s.master_seconds).sum();
+    assert_eq!(run.breakdown.master_seconds, completions + run.merge_seconds, "{label}");
     if path == ExecPath::StreamedResident && run.breakdown.entries_to_master > 0 {
         assert!(run.batches > 0, "{label}: survivors must be framed");
     }
@@ -120,7 +118,7 @@ pub struct ExecCase {
 /// engine, so it is walked once per layout (its case reads `Interpreted`,
 /// like its breakdown), and held to the pass-through accounting: nothing
 /// pruned, every result row of the shards' partials seen and forwarded, nothing
-/// framed, nothing overlapped.
+/// framed.
 pub fn for_each_exec_case(
     left: &Arc<Table>,
     right: &Arc<Table>,
@@ -154,11 +152,7 @@ pub fn for_each_exec_case(
                         let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
                         assert_eq!(stats.pruned, 0, "{label}");
                         assert_eq!((stats.seen, stats.forwarded), (entries, entries), "{label}");
-                        assert_eq!(
-                            (run.batches, run.breakdown.overlap_seconds),
-                            (0, 0.0),
-                            "{label}"
-                        );
+                        assert_eq!(run.batches, 0, "{label}");
                     }
                     visit(&ExecCase { q: q.clone(), path, backend, label }, &run);
                 };

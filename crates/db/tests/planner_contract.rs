@@ -9,7 +9,7 @@
 //!    the query answers.
 //! 2. **Balance bound** — whenever the planner keeps the fitted range
 //!    partitioner, its max shard load on the sample stays within the
-//!    configured factor (default 2×) of hash on the same sample;
+//!    planner's factor (2×) of hash on the same sample;
 //!    otherwise it must have fallen back to hash.
 //! 3. **Determinism** — same seed + same tables ⇒ the identical
 //!    [`ShardPlan`] (reservoir sampling must not smuggle in
@@ -24,6 +24,7 @@ mod common;
 
 use common::{all_seven, assert_merge_discipline, fitted, run_barrier};
 
+use cheetah_db::planner::RANGE_LOAD_FACTOR;
 use cheetah_db::value::encode_ordered_i64;
 use cheetah_db::{
     routing_keys, Cluster, DataType, DbPredicate, DbQuery, ExecPath, IntCmp, PlannerConfig,
@@ -80,14 +81,14 @@ fn assert_planner_contract(
         );
         // The balance bound: a kept range plan is within the factor of
         // hash on the same sample, or the planner chose hash.
-        if report.range_sample_load > planner.cfg.range_load_factor * report.hash_sample_load {
+        if report.range_sample_load > RANGE_LOAD_FACTOR * report.hash_sample_load {
             assert_eq!(
                 report.partitioner,
                 ShardPartitioner::Hash,
                 "{} on {label}: range load {:.3} exceeds {}x hash load {:.3} but range was kept",
                 q.kind(),
                 report.range_sample_load,
-                planner.cfg.range_load_factor,
+                RANGE_LOAD_FACTOR,
                 report.hash_sample_load
             );
         }
@@ -264,7 +265,7 @@ fn skew_flips_the_partitioner_choice() {
         let p = planner.plan(&DbQuery::GroupByMax { key_col: 0, val_col: 1 }, &t, None, 33);
         let r = &p.report;
         assert!(
-            r.range_sample_load <= planner.cfg.range_load_factor * r.hash_sample_load
+            r.range_sample_load <= RANGE_LOAD_FACTOR * r.hash_sample_load
                 || r.partitioner == ShardPartitioner::Hash,
             "{}: unbalanced range kept ({:.3} vs hash {:.3})",
             adv.name(),

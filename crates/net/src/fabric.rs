@@ -24,9 +24,7 @@ use crate::stream::SurvivorBatch;
 use bytes::Bytes;
 
 /// A send window sized to the link: how many frames of `frame_bytes`
-/// fit in `rate_bps × rtt_ns` of flight, clamped to `[4, 1024]`. This is
-/// the frame-count analogue of the NIC-paced channel depth in
-/// [`crate::ingest::MasterIngestModel::suggested_depth`].
+/// fit in `rate_bps × rtt_ns` of flight, clamped to `[4, 1024]`.
 pub fn bdp_window(rate_bps: f64, rtt_ns: SimTime, frame_bytes: u64) -> u64 {
     let bits_in_flight = rate_bps * rtt_ns as f64 / 1e9;
     let frames = (bits_in_flight / (8.0 * frame_bytes.max(1) as f64)).ceil() as u64;

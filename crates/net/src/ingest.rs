@@ -121,18 +121,6 @@ impl MasterIngestModel {
         (per_shard as usize).clamp(32, 8192)
     }
 
-    /// The bounded-channel depth (frames buffered per shard) the streamed
-    /// runtime should run at, derived from the link instead of a
-    /// constant: roughly how many batches one shard's share of the
-    /// downlink delivers while the master digests one batch
-    /// (`arrival / service`), plus one in-flight slot. Deep enough that a
-    /// paced sender never starves the merge plane, shallow enough that
-    /// backpressure engages before the master's backlog regime.
-    pub fn suggested_depth(&self, shards: usize) -> usize {
-        let per_shard = self.arrival_rate.min(self.nic_cap_rate / shards.max(1) as f64);
-        ((per_shard / self.base_service_rate).ceil() as usize + 1).clamp(2, 64)
-    }
-
     /// The shard planner's cost query: the modelled master latency of
     /// ingesting `entries` survivors streamed concurrently by `shards`
     /// workers. This is the fan-in curve the planner walks to decide
@@ -141,42 +129,6 @@ impl MasterIngestModel {
     /// where the modelled merge cost starts eating the pruning win.
     pub fn planning_latency(&self, shards: usize, entries: u64) -> f64 {
         self.with_shards(shards.max(1)).blocking_latency(entries)
-    }
-
-    /// The same model as seen by *one* of `concurrent` admitted queries
-    /// fanning into the master at once — the serving plane's steady
-    /// state. Two resources are shared:
-    ///
-    /// * the **downlink**: the co-running queries' survivor streams split
-    ///   the NIC line rate, so this query's arrivals are capped at its
-    ///   fair share of [`nic_cap_rate`](MasterIngestModel::nic_cap_rate);
-    /// * the **completion operators**: the master is one machine, so the
-    ///   per-query software service rate divides by the active query
-    ///   count.
-    ///
-    /// `with_concurrency(1)` is the identity — a lone query sees the
-    /// unshared model, which keeps single-client measurements comparable
-    /// before and after the serving plane.
-    pub fn with_concurrency(self, concurrent: usize) -> Self {
-        let c = concurrent.max(1) as f64;
-        Self {
-            arrival_rate: self.arrival_rate.min(self.nic_cap_rate / c),
-            base_service_rate: self.base_service_rate / c,
-            ..self
-        }
-    }
-
-    /// Blocking latency of one query's per-shard survivor streams when
-    /// `concurrent` admitted queries share the master — shard fan-in
-    /// raises this query's aggregate arrivals exactly as in
-    /// [`blocking_latency_sharded`](MasterIngestModel::blocking_latency_sharded),
-    /// then the concurrency share divides the downlink and the service
-    /// rate. This is the price a serving session stamps on an admitted
-    /// request's ingest phase.
-    pub fn concurrent_latency(&self, per_shard_entries: &[u64], concurrent: usize) -> f64 {
-        let total: u64 = per_shard_entries.iter().sum();
-        let active = per_shard_entries.iter().filter(|&&e| e > 0).count();
-        self.with_shards(active.max(1)).with_concurrency(concurrent).blocking_latency(total)
     }
 }
 
@@ -306,28 +258,6 @@ mod tests {
         assert_eq!(tight.suggested_batch(8), 32);
     }
 
-    #[test]
-    fn suggested_depth_follows_the_link_and_stays_bounded() {
-        let m = MasterIngestModel::default_rack();
-        // 10 M/s arrivals over a 2.5 M/s operator: four batches arrive
-        // per batch digested, plus one in-flight slot.
-        assert_eq!(m.suggested_depth(1), 5);
-        assert_eq!(m.suggested_depth(4), 5, "NIC cap not binding yet");
-        // At 8 shards each gets 5 M/s of the 40G downlink: shallower.
-        assert_eq!(m.suggested_depth(8), 3);
-        let mut last = usize::MAX;
-        for shards in [1usize, 2, 4, 8, 16, 64, 1024] {
-            let d = m.suggested_depth(shards);
-            assert!((2..=64).contains(&d), "depth {d} out of range");
-            assert!(d <= last, "more shards must not deepen the channel: {d} > {last}");
-            last = d;
-        }
-        assert_eq!(m.suggested_depth(0), m.suggested_depth(1));
-        // A very slow operator saturates the cap instead of exploding.
-        let slow = MasterIngestModel { base_service_rate: 1.0, ..m };
-        assert_eq!(slow.suggested_depth(1), 64);
-    }
-
     // ------------------------------------------------------------------
     // Edge coverage of the fan-in model (the shapes the streamed runtime
     // and the planner both lean on).
@@ -383,53 +313,5 @@ mod tests {
         let sparse = m.blocking_latency_sharded(&[2_000_000, 0, 0, 0]);
         let dense = m.blocking_latency_sharded(&[2_000_000]);
         assert!((sparse - dense).abs() < 1e-9);
-    }
-
-    // ------------------------------------------------------------------
-    // Concurrent fan-in: the serving plane's shared-master pricing.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn concurrency_of_one_is_the_identity() {
-        // A lone admitted query must see the unshared model, so
-        // single-client measurements stay comparable before and after the
-        // serving plane.
-        let m = model(5e6);
-        let alone = m.with_concurrency(1);
-        assert_eq!(alone.arrival_rate, m.arrival_rate);
-        assert_eq!(alone.base_service_rate, m.base_service_rate);
-        let per_shard = [400_000u64, 300_000, 0, 200_000];
-        let direct = m.blocking_latency_sharded(&per_shard);
-        let priced = m.concurrent_latency(&per_shard, 1);
-        assert!((direct - priced).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concurrent_latency_is_monotone_non_decreasing_in_query_count() {
-        // More co-running queries can only slow this one down: the NIC
-        // share shrinks and the master's operators are split further.
-        let m = model(5e6);
-        let per_shard = [500_000u64, 500_000, 500_000, 500_000];
-        let mut last = 0.0f64;
-        for c in 1..=16usize {
-            let t = m.concurrent_latency(&per_shard, c);
-            assert!(t >= last - 1e-12, "latency fell at concurrency {c}: {t} < {last}");
-            last = t;
-        }
-        // And the slowdown is real, not a flat line.
-        assert!(m.concurrent_latency(&per_shard, 8) > m.concurrent_latency(&per_shard, 1));
-    }
-
-    #[test]
-    fn concurrency_splits_the_downlink_fair_share() {
-        // With c queries fanning in, one query's arrivals are capped at
-        // nic_cap/c even if its own shard fan-in could go higher.
-        let m = model(1e9); // fast master: latency is arrival-dominated
-        let c = 4usize;
-        let shared = m.with_shards(100).with_concurrency(c);
-        assert_eq!(shared.arrival_rate, m.nic_cap_rate / c as f64);
-        // Zero concurrency is clamped to one, never a division blow-up.
-        let clamped = m.with_concurrency(0);
-        assert_eq!(clamped.arrival_rate, m.with_concurrency(1).arrival_rate);
     }
 }

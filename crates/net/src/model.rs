@@ -91,13 +91,6 @@ pub struct ExecBreakdown {
     /// sample-driven shard planner chose it — so every recorded
     /// measurement says which planning path produced it.
     pub plan: Option<PlanDecision>,
-    /// Master merge work (seconds) that ran *while shard workers were
-    /// still computing* — the streamed runtime's overlap win. Runs whose
-    /// master phase starts only after the worker join barrier record
-    /// zero. `master_seconds` already has this overlap discounted, so
-    /// [`completion_seconds`](ExecBreakdown::completion_seconds) stays
-    /// additive across all execution paths.
-    pub overlap_seconds: f64,
     /// Which pruning backend ran the switch program. When a compiled run
     /// falls back to the interpreter (unsupported family), the value here
     /// is what *actually* executed, not what was requested.
@@ -129,7 +122,6 @@ impl Default for ExecBreakdown {
             shards: 1,
             master_ingest_seconds: 0.0,
             plan: None,
-            overlap_seconds: 0.0,
             backend: ExecBackend::default(),
             queue_seconds: 0.0,
             tenant: String::new(),

@@ -2,10 +2,10 @@
 //!
 //! Under the barrier dataflow every shard's survivors reach the master as
 //! one completed output at the join point. The streamed runtime instead
-//! has each shard worker emit its survivors *incrementally*, in
-//! [`SurvivorBatch`] frames over a bounded channel, so the master's merge
-//! plane can fold early shards' results while slow (skewed) shards are
-//! still pruning.
+//! has each shard worker frame its completed output in [`SurvivorBatch`]es
+//! — checksummed and sequenced, so the §7.2 carrier can drop, resend and
+//! duplicate them — and the master's merge plane folds the frames batch
+//! by batch.
 //!
 //! # Wire layout (columnar, zero-copy)
 //!

@@ -2,7 +2,7 @@
 
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::ShardSpec;
-use cheetah_net::{FaultProfile, MasterIngestModel};
+use cheetah_net::FaultProfile;
 use std::sync::Arc;
 
 /// Where the plan constructor gets its sharder.
@@ -12,9 +12,8 @@ pub enum ShardLayout {
     Fixed(ShardSpec),
     /// A plan the sampling planner fitted
     /// ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)) — just
-    /// now, or earlier and kept on a layout the serving plane holds —
-    /// priced under the given ingest model.
-    Fitted(Arc<ShardPlan>, MasterIngestModel),
+    /// now, or earlier and kept on a layout the serving plane holds.
+    Fitted(Arc<ShardPlan>),
 }
 
 /// Everything [`ExecPlan::new`](crate::ExecPlan::new) needs beyond the
@@ -23,14 +22,13 @@ pub enum ShardLayout {
 pub struct StreamSpec {
     /// Shard layout (a fixed spec or a fitted plan).
     pub layout: ShardLayout,
-    /// Survivor-batch size in merge items; `None` reads it off the ingest
-    /// model's fan-in curve
-    /// ([`suggested_batch`](MasterIngestModel::suggested_batch)).
+    /// Survivor-batch size in merge items; `None` reads it off the rack
+    /// ingest model's fan-in curve
+    /// ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)).
     pub batch: Option<usize>,
     /// Fault mode: when set, the stream transport's survivor frames reach
     /// the merge across the seeded lossy rack of [`cheetah_net::rack`]
-    /// (simulated time, store-and-forward). `None` keeps the perfect
-    /// in-process channel.
+    /// (simulated time). `None` folds them as the workers framed them.
     pub fault: Option<FaultSpec>,
 }
 
@@ -40,9 +38,9 @@ impl StreamSpec {
         Self::over(ShardLayout::Fixed(spec))
     }
 
-    /// Lay out under a fitted plan, priced under `ingest`.
-    pub fn fitted(plan: Arc<ShardPlan>, ingest: MasterIngestModel) -> Self {
-        Self::over(ShardLayout::Fitted(plan, ingest))
+    /// Lay out under a fitted plan.
+    pub fn fitted(plan: Arc<ShardPlan>) -> Self {
+        Self::over(ShardLayout::Fitted(plan))
     }
 
     fn over(layout: ShardLayout) -> Self {
@@ -91,11 +89,11 @@ mod tests {
         let empty = TableBuilder::new("t", vec![("k".into(), DataType::Str)], 1).build();
         let q = DbQuery::Distinct { col: 0 };
         let plan = Arc::new(ShardPlanner::default().plan(&q, &empty, None, 7));
-        let fitted = StreamSpec::fitted(Arc::clone(&plan), MasterIngestModel::default_rack());
-        assert!(matches!(&fitted.layout, ShardLayout::Fitted(p, _) if Arc::ptr_eq(p, &plan)));
+        let fitted = StreamSpec::fitted(Arc::clone(&plan));
+        assert!(matches!(&fitted.layout, ShardLayout::Fitted(p) if Arc::ptr_eq(p, &plan)));
         for spec in [fixed, fitted] {
             assert!(spec.batch.is_none());
-            assert!(spec.fault.is_none(), "the channel is perfect unless asked otherwise");
+            assert!(spec.fault.is_none(), "the carrier is lossless unless asked otherwise");
         }
     }
 

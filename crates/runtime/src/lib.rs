@@ -19,7 +19,8 @@
 //!           ▼                              Cluster::run_cheetah per unit
 //!     one unit per shard                         │
 //!                                                ├─ barrier: whole outputs ──▶ merge_shard_outputs
-//!                                                └─ stream: survivor frames ─▶ MergeState (as they land)
+//!                                                └─ stream: survivor frames ─▶ MergeState (in shard order,
+//!                                                                                or across the lossy rack)
 //!                                          or, direct: Cluster::run_direct per unit (no switch)
 //!                                                └─ whole outputs ──▶ merge_shard_outputs
 //! ```
@@ -45,53 +46,29 @@
 //!   [`busy_seconds`](cheetah_db::ShardStats::busy_seconds) is one side of
 //!   that comparison.
 //! * **Barrier** — each worker hands its completed output over whole;
-//!   the master merges once the last worker is in. Nothing to frame,
-//!   nothing to overlap: cheapest when shards finish together and the
-//!   pruned stream is small.
-//! * **Stream** — workers decompose their completed output into
-//!   [`MergeItem`](cheetah_db::MergeItem)s and stream them in
-//!   [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames over a
-//!   *bounded* channel (backpressure is the flow control); the master
-//!   folds batches into an incremental
-//!   [`MergeState`](cheetah_db::MergeState) while slow shards are still
-//!   pruning. The measured overlap is reported as
-//!   `ExecBreakdown::overlap_seconds`. The batch size comes off the
-//!   ingest model's fan-in curve
-//!   ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)):
-//!   big enough to amortize framing, small enough that the aggregate
-//!   in-flight entries keep the merge plane in its linear service regime.
-//!   A [`FaultSpec`] carries the finished frames across the simulated
-//!   lossy rack of `cheetah_net::rack` instead (§7.2's go-back-N in
-//!   simulated time: store-and-forward, deterministic per seed).
+//!   the master merges once the last worker is in. Nothing to frame: the
+//!   transport every unpinned pruned request runs.
+//! * **Stream** — each worker decomposes its completed output into
+//!   [`MergeItem`](cheetah_db::MergeItem)s and frames them in
+//!   [`SurvivorBatch`](cheetah_net::SurvivorBatch)es at the end of its job;
+//!   once the last worker is in, the master folds the frames into a
+//!   [`MergeState`](cheetah_db::MergeState) in shard order. The batch size
+//!   comes off the rack ingest model's fan-in curve
+//!   ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)).
+//!   Frames are the point of the fault mode: a [`FaultSpec`] carries them
+//!   across the simulated lossy rack of `cheetah_net::rack` instead (§7.2's
+//!   go-back-N in simulated time, deterministic per seed). Unpinned
+//!   requests never run it; the ledger pins it, and the two transports
+//!   tie on its workloads.
+//!
+//! Every transport is store-and-forward: a shard job reports once, when
+//! its unit is done, and never blocks.
 //!
 //! A request its tables cannot answer is refused by [`ExecPlan::new`]
 //! with a typed error before anything runs, and a shard job that panics
 //! anyway fails its own [`execute`] call with
 //! [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked) — the pool
 //! thread, and every other request, carry on.
-//!
-//! ## When streaming pays
-//!
-//! A shard frames its survivors when its one run completes, so what the
-//! stream overlaps is the merge of **early shards' frames behind a
-//! straggler** — the work the barrier serializes after the slowest shard.
-//! It pays when
-//!
-//! 1. shard completion times are *spread* — skewed loads
-//!    (`cheetah_workloads::skew`), a straggling worker, or a fitted plan
-//!    gone stale; and
-//! 2. the master has real per-survivor merge work to hide — large
-//!    survivor sets (low pruning rates) or expensive folds (SKYLINE
-//!    dominance, wide GROUP BY key spaces).
-//!
-//! On a perfectly balanced cluster with heavy pruning there is nothing to
-//! hide: the stream transport then matches the barrier, paying only
-//! framing overhead. The ledger's four workloads all sit there (the two
-//! transports tie within a few per cent, or the stream loses), so the
-//! serving plane runs unpinned requests on the barrier and the stream is
-//! a per-request pin — and the carrier of the fault mode, where frames
-//! are the point. The `runtime` bench experiment measures both regimes on
-//! the zipf(1.5) and single-hot-key adversaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

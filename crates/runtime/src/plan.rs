@@ -28,11 +28,8 @@
 
 use crate::config::{FaultSpec, ShardLayout, StreamSpec};
 use cheetah_core::plan::{PlanDecision, ShardPlan};
-use cheetah_db::{
-    fixed_sharder, route_columns, routing_keys, Cluster, DbQuery, ExecPath, MasterIngestModel,
-    Table,
-};
-use cheetah_net::MAX_BATCH_ITEMS;
+use cheetah_db::{fixed_sharder, route_columns, routing_keys, Cluster, DbQuery, ExecPath, Table};
+use cheetah_net::{MasterIngestModel, MAX_BATCH_ITEMS};
 use std::sync::Arc;
 
 /// A routed, ready-to-run multi-shard execution: which rows land on which
@@ -59,17 +56,11 @@ pub struct ExecPlan {
     pub(crate) right_units: Option<Vec<Arc<Table>>>,
     /// Rows routed per shard, both streams, empty units included.
     pub(crate) dispatched: Vec<u64>,
-    pub(crate) ingest: MasterIngestModel,
     pub(crate) decision: PlanDecision,
     pub(crate) plan: Option<Arc<ShardPlan>>,
     pub(crate) path: ExecPath,
     /// Stream transport: merge items per survivor frame.
     pub(crate) batch: usize,
-    /// Stream transport: per-shard budget of in-flight frames, NIC-paced
-    /// ([`suggested_depth`](MasterIngestModel::suggested_depth)). The
-    /// master's one shared channel is bounded at `depth × shards` frames, so
-    /// senders block when the merge plane falls behind.
-    pub(crate) depth: usize,
     /// Stream transport: fault mode (the simulated lossy rack), when asked for.
     pub(crate) fault: Option<FaultSpec>,
 }
@@ -94,16 +85,11 @@ impl ExecPlan {
         q.check(left, right.map(|r| &**r))?;
         let right = right.filter(|_| q.is_binary());
         let seed = cluster.tuning.seed;
-        let (shards, ingest, plan, decision) = match &spec.layout {
-            ShardLayout::Fixed(s) => {
-                (s.shards.max(1), s.ingest, None, PlanDecision::Fixed(s.partitioner))
+        let (shards, plan, decision) = match &spec.layout {
+            ShardLayout::Fixed(s) => (s.shards.max(1), None, PlanDecision::Fixed(s.partitioner)),
+            ShardLayout::Fitted(plan) => {
+                (plan.shards(), Some(Arc::clone(plan)), PlanDecision::Planned(plan.partitioner()))
             }
-            ShardLayout::Fitted(plan, ingest) => (
-                plan.shards(),
-                *ingest,
-                Some(Arc::clone(plan)),
-                PlanDecision::Planned(plan.partitioner()),
-            ),
         };
         let (unit_query, units, right_units) = if shards == 1 {
             // A one-shard layout is the table: nothing to split, so no key
@@ -120,7 +106,7 @@ impl ExecPlan {
                     let slices: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
                     fixed_sharder(s, seed, &slices)
                 }
-                ShardLayout::Fitted(plan, _) => plan.sharder.clone(),
+                ShardLayout::Fitted(plan) => plan.sharder.clone(),
             };
             // Every unit is a fresh copy of its rows, so it carries only
             // the columns `q` reads, and the workers run `q` remapped onto
@@ -147,7 +133,6 @@ impl ExecPlan {
             units,
             right_units,
             dispatched,
-            ingest,
             decision,
             plan,
             path: ExecPath::StreamedResident,
@@ -155,9 +140,8 @@ impl ExecPlan {
             // the 16-bit item count would otherwise panic the framing.
             batch: spec
                 .batch
-                .unwrap_or_else(|| ingest.suggested_batch(shards))
+                .unwrap_or_else(|| MasterIngestModel::default_rack().suggested_batch(shards))
                 .clamp(1, MAX_BATCH_ITEMS),
-            depth: ingest.suggested_depth(shards),
             fault: spec.fault.clone(),
         })
     }

@@ -10,7 +10,8 @@
 //!   `pthread_create`.
 //! * Each worker owns a [`WorkerScratch`] whose arena allocations (the
 //!   [`FrameBuilder`] behind survivor-batch framing) survive from query
-//!   to query, so steady-state framing allocates nothing.
+//!   to query, so each frame is allocated once, at its worker's
+//!   high-water size.
 //!
 //! [`execute`](crate::execute) submits one job per shard to
 //! [`WorkerPool::global`], whichever transport its plan carries.
@@ -18,12 +19,12 @@
 //! The pool is deliberately dumb: no work stealing, no priorities, one
 //! `Mutex<Receiver>` that each idle worker takes in turn (the lock is
 //! released while a job runs, so jobs distribute to whichever worker is
-//! free). Jobs must not depend on *which* worker runs them; anything a
-//! job blocks on (e.g. a bounded survivor channel) must be drained by
-//! the thread that submitted it, which keeps the pool deadlock-free
-//! even at one worker. A job that panics unwinds to the worker loop and
-//! no further: whatever the job owned (its channels' senders) drops, which
-//! is how its submitter learns, and the thread takes the next job.
+//! free). Jobs must not depend on *which* worker runs them, and a job
+//! never blocks: it computes, sends its one result on an unbounded
+//! channel and returns, so the pool cannot deadlock even at one worker.
+//! A job that panics unwinds to the worker loop and no further: whatever
+//! the job owned (its channel's sender) drops, which is how its submitter
+//! learns, and the thread takes the next job.
 
 use cheetah_net::FrameBuilder;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -6,46 +6,36 @@
 //! * one **worker job** per shard — submitted to the persistent
 //!   [`WorkerPool`], not spawned per query — runs the unchanged generic
 //!   executor ([`Cluster::run_cheetah`]) once, on its routed unit, and
-//!   hands the survivors to the master by the plan's transport
-//!   ([`ExecPath`]). On the **barrier** transport the completed output
-//!   rides the worker's end-of-stream report whole — as it does on the
+//!   reports once, when its unit is done. On the **barrier** transport the
+//!   report carries the completed output whole — as it does on the
 //!   **direct** path, whose job skips the switch altogether
 //!   ([`Cluster::run_direct`]: the operator's completion over every row)
 //!   and is the same job in every other respect. On the **stream**
-//!   transport the worker encodes it straight into its worker-resident
-//!   [`FrameBuilder`](cheetah_net::FrameBuilder) arena and streams the
-//!   finished [`SurvivorBatch`] frames over a *bounded* channel (a full
-//!   channel blocks the worker — the backpressure that stands in for
-//!   sender pacing);
-//! * the **master merge plane** (the calling thread) either folds the
-//!   whole outputs once the last worker reports
-//!   ([`merge_shard_outputs`]), or parses frames zero-copy and folds the
-//!   survivor slices into a [`MergeState`] as they arrive — no per-item
-//!   re-decode into owned `MergeItem`s, no join barrier.
-//!
-//! Under a [`FaultSpec`](crate::FaultSpec) the stream transport is
-//! store-and-forward: the finished frames ride the worker's report, and
-//! the merge plane carries them across the simulated §7.2 rack
-//! ([`FabricSim`], the frame binding of `cheetah_net::rack`) into the
-//! same [`MergeState`] — simulated time, so deterministic per seed.
-//!
-//! Every timestamp is taken against one run-local epoch so the overlap —
-//! merge work performed while the slowest worker was still computing —
-//! can be read directly out of the event log afterwards. One accounting
-//! tail (`assemble`) serves both transports; under the barrier the
-//! overlap is zero by construction.
+//!   transport the job encodes the completed output into its
+//!   worker-resident [`FrameBuilder`](cheetah_net::FrameBuilder) arena and
+//!   the report carries the finished [`SurvivorBatch`] frames. A job never
+//!   blocks: its one report goes onto an unbounded channel.
+//! * the **master merge plane** (the calling thread) folds once the last
+//!   report is in: whole outputs through [`merge_shard_outputs`], frames
+//!   through [`MergeState::ingest_survivor_batch`] — parsed zero-copy, in
+//!   shard order on a lossless run, or carried across the simulated §7.2
+//!   rack ([`FabricSim`], the frame binding of `cheetah_net::rack`) under a
+//!   [`FaultSpec`]: simulated time, so deterministic per
+//!   seed.
 
+use crate::config::FaultSpec;
 use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
 use bytes::Bytes;
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
-    decompose_output, merge_shard_outputs, Cluster, DbQuery, ExecPath, MergeState, QueryOutput,
-    ShardStats,
+    decompose_output, merge_shard_outputs, Cluster, ExecPath, MergeState, QueryOutput, ShardStats,
 };
-use cheetah_net::{ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch};
+use cheetah_net::{
+    ExecBackend, ExecBreakdown, FabricSim, MasterIngestModel, RackConfig, SurvivorBatch,
+};
 use cheetah_switch::ProgramStats;
-use cheetah_telemetry::SpanContext;
+use cheetah_telemetry::{Span, SpanContext};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,25 +46,17 @@ pub struct ExecRun {
     /// Merged, normalized query output — equal to the baseline's on
     /// either transport.
     pub output: QueryOutput,
-    /// Phase breakdown. `master_seconds` already discounts
-    /// `overlap_seconds` (merge work hidden behind still-running
-    /// workers), so `completion_seconds` stays comparable across
-    /// transports.
+    /// Phase breakdown.
     pub breakdown: ExecBreakdown,
     /// Switch statistics summed across the shards' programs.
     pub switch_stats: ProgramStats,
     /// Per-shard accounting (the §4.6 skew story).
     pub per_shard: Vec<ShardStats>,
-    /// Total merge-plane work: every frame ingest plus the final fold,
-    /// overlapped or not.
+    /// Merge-plane work: the fold of every shard's output or frames, after
+    /// the last worker reported.
     pub merge_seconds: f64,
-    /// Merge items per survivor frame the plan's stream transport frames
-    /// at.
-    pub batch_size: usize,
-    /// Survivor frames the master ingested (zero on the barrier).
+    /// Survivor frames the master ingested (zero off the stream transport).
     pub batches: u64,
-    /// Modelled wire bytes of those frames.
-    pub batch_wire_bytes: u64,
     /// The fitted plan, when the layout was planner-chosen.
     pub plan: Option<Arc<ShardPlan>>,
     /// Control-plane rules of the largest per-shard program.
@@ -88,18 +70,16 @@ pub struct ExecRun {
 /// account.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
-/// partitioner, path and backend — the path changes *when* and *how much*
-/// reaches the master, never *what* the query answers. A fault
+/// partitioner, path and backend — the path changes *how much* reaches
+/// the master and in what form, never *what* the query answers. A fault
 /// profile the carrier cannot finish under (every frame dropped, say) is
 /// a typed [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard
 /// job that panics is a typed
 /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
 /// failure is this call's alone.
 pub fn execute(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
-    let epoch = Instant::now();
-    let q = plan.query();
-    let plane = spawn_worker_plane(cluster, q, plan, epoch);
-    let fold = drain_merge_plane(q, plan, plane, epoch)?;
+    let reports = spawn_worker_plane(cluster, plan);
+    let fold = drain_merge_plane(plan, reports)?;
     Ok(assemble(fold, plan, cluster.backend))
 }
 
@@ -110,52 +90,35 @@ struct WorkerReport {
     switch: ProgramStats,
     passes: u8,
     rules: usize,
-    /// Seconds since the run epoch at which this worker went idle.
-    finished_at: f64,
     /// Pruning backend the worker's run actually executed on (`None`
     /// when the unit was empty and nothing ran).
     backend: Option<ExecBackend>,
-    /// Barrier transport: the unit's completed output.
+    /// Barrier and direct: the unit's completed output.
     output: Option<QueryOutput>,
-    /// Stream transport in fault mode: the shard's finished survivor
-    /// frames, for the master to carry across the simulated rack.
+    /// Stream transport: the unit's survivor frames, in sequence order.
     frames: Vec<Bytes>,
 }
 
-/// The live channels of a spawned worker plane: survivor frames and
-/// end-of-stream reports out.
-struct WorkerPlane {
-    batch_rx: mpsc::Receiver<Bytes>,
-    report_rx: mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>,
-}
+/// The end-of-job reports of a spawned worker plane, tagged by shard.
+type Reports = mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>;
 
 /// Submit one pool job per shard: each owns `Arc` handles onto its routed
-/// unit plus cheap clones of the cluster config and query, prunes the unit
+/// unit plus cheap clones of the cluster config and query, runs the unit
 /// (unless it is empty) through the unchanged generic executor (running
 /// the plan's unit query, which addresses the unit's columns), and — on
-/// the stream transport — frames the survivors out of its worker-resident
-/// arena straight onto the bounded batch channel (in fault mode, onto its
-/// report: the lossy carrier is store-and-forward).
-fn spawn_worker_plane(
-    cluster: &Cluster,
-    q: &DbQuery,
-    plan: &ExecPlan,
-    epoch: Instant,
-) -> WorkerPlane {
-    let shards = plan.shards();
+/// the stream transport — frames the completed output out of its
+/// worker-resident arena into its report.
+fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
     let path = plan.path;
-    let stream = path == ExecPath::StreamedResident;
     let batch_size = plan.batch;
-    let faulty = stream && plan.fault.is_some();
-    let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(plan.depth * shards);
-    let (report_tx, report_rx) = mpsc::channel::<(usize, cheetah_core::Result<WorkerReport>)>();
+    let (report_tx, report_rx) = mpsc::channel();
     let pool = WorkerPool::global();
     // The submitting thread's span context (the session's `execute` span,
     // when one is entered) rides into each job, so per-shard `worker`
     // spans land in the query's trace even though they run on pool
     // threads.
     let trace_ctx = SpanContext::current();
-    for shard in 0..shards {
+    for shard in 0..plan.shards() {
         let left = Arc::clone(&plan.units[shard]);
         let right = plan.right_units.as_ref().map(|units| Arc::clone(&units[shard]));
         let cluster = cluster.clone();
@@ -163,8 +126,7 @@ fn spawn_worker_plane(
         // runs the query remapped onto them; what it hands the merge is
         // decomposed under the query as asked.
         let unit_q = plan.unit_query.clone();
-        let q = q.clone();
-        let batch_tx = batch_tx.clone();
+        let q = plan.query().clone();
         let report_tx = report_tx.clone();
         let trace_ctx = trace_ctx.clone();
         pool.spawn(move |scratch| {
@@ -207,7 +169,7 @@ fn spawn_worker_plane(
                 rep.passes = b.passes;
                 rep.rules = run.rules;
                 rep.backend = Some(b.backend);
-                if stream {
+                if path == ExecPath::StreamedResident {
                     let items = decompose_output(&q, run.output);
                     for (seq, chunk) in items.chunks(batch_size).enumerate() {
                         // Encode each survivor once, straight into the
@@ -216,23 +178,12 @@ fn spawn_worker_plane(
                         for item in chunk {
                             scratch.frames.push_with(|b| item.encode_into(b));
                         }
-                        let frame = scratch.frames.finish();
-                        if faulty {
-                            // Buffered, not sent: the go-back-N window needs
-                            // the whole flow (and its length) so retransmitted
-                            // frames can be replayed verbatim.
-                            rep.frames.push(frame);
-                        } else if batch_tx.send(frame).is_err() {
-                            // The merge plane hung up: framing the rest is
-                            // pure waste.
-                            break;
-                        }
+                        rep.frames.push(scratch.frames.finish());
                     }
                 } else {
                     rep.output = Some(run.output);
                 }
             }
-            rep.finished_at = epoch.elapsed().as_secs_f64();
             if let Some(s) = worker_span.as_mut() {
                 s.attr("rows", rep.stats.rows);
                 s.attr("entries_to_master", rep.stats.entries_to_master);
@@ -241,109 +192,61 @@ fn spawn_worker_plane(
             report_tx.send((shard, Ok(rep))).ok();
         });
     }
-    // The master's recv loops must end when the last worker does — the
+    // The master's recv loop must end when the last worker does — the
     // only live senders are the ones captured by the jobs.
-    WorkerPlane { batch_rx, report_rx }
+    report_rx
 }
 
-/// The master merge plane. On the stream transport: fold survivor slices
-/// as frames land — the batch parses zero-copy (offsets into the frame's
-/// arena) and the merge folds each slice directly, so decode work happens
-/// exactly once, here, per survivor. On the barrier transport no frame is
-/// ever sent: the loop just waits out the workers, and the whole outputs
-/// off their reports are folded afterwards.
-fn drain_merge_plane(
-    q: &DbQuery,
-    plan: &ExecPlan,
-    plane: WorkerPlane,
-    epoch: Instant,
-) -> cheetah_core::Result<Fold> {
-    let WorkerPlane { batch_rx, report_rx } = plane;
+/// The master merge plane: wait out every shard's report, then fold — the
+/// whole outputs off the barrier and direct reports, or the stream
+/// transport's frames, each parsed zero-copy (offsets into the frame's
+/// arena) and folded slice by slice, so decode work happens exactly once,
+/// here, per survivor.
+fn drain_merge_plane(plan: &ExecPlan, reports: Reports) -> cheetah_core::Result<Fold> {
     let shards = plan.shards();
-    let stream = plan.path == ExecPath::StreamedResident;
-    // The merge plane runs on the submitting thread, so the session's
-    // entered `execute` span (if any) is directly visible here. The
-    // barrier's merge span opens only once the workers are done.
-    let open_merge_span = || SpanContext::current().map(|tc| tc.child("merge"));
-    let mut merge_span = stream.then(open_merge_span).flatten();
-    let mut state = MergeState::new(q);
-    let mut merge_events: Vec<(f64, f64)> = Vec::new();
-    let mut batches = 0u64;
-    let mut batch_wire_bytes = 0u64;
-    let mut ingest = |batch: &SurvivorBatch, start: f64| {
-        batch_wire_bytes += batch.wire_bytes();
-        batches += 1;
-        state.ingest_survivor_batch(batch).expect("merge item round-trips");
-        merge_events.push((start, epoch.elapsed().as_secs_f64() - start));
-    };
-    while let Ok(frame) = batch_rx.recv() {
-        let start = epoch.elapsed().as_secs_f64();
-        let batch = SurvivorBatch::parse(frame).expect("in-memory survivor frame round-trips");
-        ingest(&batch, start);
+    // Every job reports once or unwinds, dropping its sender: the loop
+    // ends when the last job has done either, and a shard the channel
+    // closes without hearing from unwound before it could report.
+    let mut slots: Vec<Option<WorkerReport>> = (0..shards).map(|_| None).collect();
+    for (shard, rep) in reports {
+        slots[shard] = Some(rep?);
     }
-
-    // Every batch sender has dropped, so every job has finished, errored
-    // or panicked: the reports are all in flight already, and a shard the
-    // channel closes without hearing from unwound before it could report.
-    let mut reports: Vec<Option<WorkerReport>> = (0..shards).map(|_| None).collect();
-    for (shard, rep) in report_rx {
-        reports[shard] = Some(rep?);
-    }
-    let mut reports = reports
+    let mut reports = slots
         .into_iter()
         .enumerate()
         .map(|(shard, r)| r.ok_or(cheetah_core::Error::WorkerPanicked { shard }))
         .collect::<cheetah_core::Result<Vec<WorkerReport>>>()?;
 
-    // Fault mode: no frame rode the channel. The shards' finished flows
-    // cross the simulated §7.2 rack instead (go-back-N workers, a
-    // sequencing switch, a deduping master that hands each new frame to
-    // the merge) — in simulated time, so a lossy run never sleeps on a
-    // timeout and its resend count is a pure function of (plan, seed).
-    let mut retransmits = 0;
-    if let Some(fault) = plan.fault.as_ref().filter(|_| stream) {
+    // The merge plane runs on the submitting thread, so the session's
+    // entered `execute` span (if any) is directly visible here.
+    let mut merge_span = SpanContext::current().map(|tc| tc.child("merge"));
+    let started = Instant::now();
+    let q = plan.query();
+    let stream = plan.path == ExecPath::StreamedResident;
+    let (output, batches, retransmits) = if stream {
         let flows: Vec<Vec<Bytes>> =
             reports.iter_mut().map(|r| std::mem::take(&mut r.frames)).collect();
-        let frames_total = flows.iter().map(|f| f.len() as u64).sum();
-        let mut stream_spans: Vec<_> = flows
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, flow)| {
-                let mut s = merge_span.as_ref()?.child("stream");
-                s.attr("shard", shard);
-                s.attr("frames", flow.len());
-                Some(s)
-            })
-            .collect();
-        let cfg = RackConfig { faults: fault.profile, seed: fault.seed, ..RackConfig::default() };
-        let carried =
-            FabricSim::new(cfg, flows).run(|batch| ingest(batch, epoch.elapsed().as_secs_f64()));
-        if !carried.completed {
-            return Err(cheetah_core::Error::FabricStalled {
-                delivered: carried.delivered_frames,
-                frames: frames_total,
-            });
-        }
-        for (s, resent) in stream_spans.iter_mut().zip(&carried.flow_retransmissions) {
-            s.attr("retransmits", resent);
-        }
-        if let Some(tc) = SpanContext::current() {
-            // The fabric's recovery work lands in the owning session's
-            // registry, attributed via the trace.
-            tc.trace().registry().counter("net.retransmits").add(carried.retransmissions);
-        }
-        retransmits = carried.retransmissions;
-    }
-
-    let finish_start = epoch.elapsed().as_secs_f64();
-    let output = if stream {
-        state.finish()
+        let mut state = MergeState::new(q);
+        let mut batches = 0u64;
+        let mut ingest = |batch: &SurvivorBatch| {
+            batches += 1;
+            state.ingest_survivor_batch(batch).expect("merge item round-trips");
+        };
+        let retransmits = match &plan.fault {
+            None => {
+                for frame in flows.into_iter().flatten() {
+                    ingest(&SurvivorBatch::parse(frame).expect("in-memory survivor frame parses"));
+                }
+                0
+            }
+            Some(fault) => carry_across_rack(fault, flows, merge_span.as_ref(), ingest)?,
+        };
+        (state.finish(), batches, retransmits)
     } else {
-        merge_span = open_merge_span();
         let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
-        merge_shard_outputs(q, outputs)
+        (merge_shard_outputs(q, outputs), 0, 0)
     };
-    let finish_seconds = epoch.elapsed().as_secs_f64() - finish_start;
+    let merge_seconds = started.elapsed().as_secs_f64();
 
     if let Some(s) = merge_span.as_mut() {
         s.attr("shards", shards);
@@ -353,50 +256,63 @@ fn drain_merge_plane(
     }
     drop(merge_span);
 
-    Ok(Fold {
-        output,
-        reports,
-        merge_events,
-        finish_seconds,
-        batches,
-        batch_wire_bytes,
-        retransmits,
-    })
+    Ok(Fold { output, reports, merge_seconds, batches, retransmits })
+}
+
+/// Fault mode: the shards' finished flows cross the simulated §7.2 rack
+/// (go-back-N workers, a sequencing switch, a deduping master that hands
+/// each new frame to `ingest`) — in simulated time, so a lossy run never
+/// sleeps on a timeout and its resend count, returned, is a pure function
+/// of (plan, seed). One `stream` span per flow lands under `merge_span`.
+fn carry_across_rack(
+    fault: &FaultSpec,
+    flows: Vec<Vec<Bytes>>,
+    merge_span: Option<&Span>,
+    ingest: impl FnMut(&SurvivorBatch),
+) -> cheetah_core::Result<u64> {
+    let frames = flows.iter().map(|f| f.len() as u64).sum();
+    let mut stream_spans: Vec<Span> = flows
+        .iter()
+        .enumerate()
+        .filter_map(|(shard, flow)| {
+            let mut s = merge_span?.child("stream");
+            s.attr("shard", shard);
+            s.attr("frames", flow.len());
+            Some(s)
+        })
+        .collect();
+    let cfg = RackConfig { faults: fault.profile, seed: fault.seed, ..RackConfig::default() };
+    let carried = FabricSim::new(cfg, flows).run(ingest);
+    if !carried.completed {
+        return Err(cheetah_core::Error::FabricStalled {
+            delivered: carried.delivered_frames,
+            frames,
+        });
+    }
+    for (s, resent) in stream_spans.iter_mut().zip(&carried.flow_retransmissions) {
+        s.attr("retransmits", resent);
+    }
+    if let Some(tc) = SpanContext::current() {
+        // The fabric's recovery work lands in the owning session's
+        // registry, attributed via the trace.
+        tc.trace().registry().counter("net.retransmits").add(carried.retransmissions);
+    }
+    Ok(carried.retransmissions)
 }
 
 /// Everything the worker and merge planes produced, before accounting.
 struct Fold {
     output: QueryOutput,
     reports: Vec<WorkerReport>,
-    merge_events: Vec<(f64, f64)>,
-    finish_seconds: f64,
+    merge_seconds: f64,
     batches: u64,
-    batch_wire_bytes: u64,
     /// Go-back-N resends the carrier needed (zero when lossless).
     retransmits: u64,
 }
 
-/// Turn the raw fold into the run's accounting: the overlap is the merge
-/// work that happened before the slowest worker went idle (none on the
-/// barrier transport, whose merge starts after the last worker).
+/// Turn the raw fold into the run's accounting.
 fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
-    let Fold {
-        output,
-        reports,
-        merge_events,
-        finish_seconds,
-        batches,
-        batch_wire_bytes,
-        retransmits,
-    } = fold;
-    let last_worker = reports.iter().map(|r| r.finished_at).fold(0.0, f64::max);
-    let ingest_seconds: f64 = merge_events.iter().map(|(_, d)| d).sum();
-    let overlap_seconds: f64 = merge_events
-        .iter()
-        .map(|&(start, dur)| (last_worker.min(start + dur) - start).max(0.0))
-        .sum();
-    let merge_seconds = ingest_seconds + finish_seconds;
-
+    let Fold { output, reports, merge_seconds, batches, retransmits } = fold;
     let per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
     let switch_stats = reports.iter().fold(ProgramStats::default(), |mut acc, r| {
         acc.seen += r.switch.seen;
@@ -409,18 +325,16 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
     let breakdown = ExecBreakdown {
         // Workers run concurrently; the slowest shard bounds the phase.
         worker_seconds: per_shard.iter().map(|s| s.worker_seconds).fold(0.0, f64::max),
-        // The master is one machine: per-slice completions plus the merge
-        // plane — minus the part of the merge hidden behind workers.
-        master_seconds: per_shard.iter().map(|s| s.master_seconds).sum::<f64>() + merge_seconds
-            - overlap_seconds,
+        // The master is one machine: per-slice completions plus the merge.
+        master_seconds: per_shard.iter().map(|s| s.master_seconds).sum::<f64>() + merge_seconds,
         worker_wire_bytes: per_shard.iter().map(|s| s.worker_wire_bytes).max().unwrap_or(0),
         master_wire_bytes: per_shard.iter().map(|s| s.master_wire_bytes).sum(),
         entries_to_master: entries_per_shard.iter().sum(),
         passes: reports.iter().map(|r| r.passes).max().unwrap_or(1),
         shards: plan.shards() as u32,
-        master_ingest_seconds: plan.ingest.blocking_latency_sharded(&entries_per_shard),
+        master_ingest_seconds: MasterIngestModel::default_rack()
+            .blocking_latency_sharded(&entries_per_shard),
         plan: Some(plan.decision),
-        overlap_seconds,
         // All workers clone one cluster, so any report that ran a unit
         // speaks for the run (a compiled-requested run that fell back
         // records the fallback here too).
@@ -435,9 +349,7 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         switch_stats,
         per_shard,
         merge_seconds,
-        batch_size: plan.batch,
         batches,
-        batch_wire_bytes,
         plan: plan.plan.clone(),
         rules,
     }
@@ -446,11 +358,11 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FaultSpec, StreamSpec};
+    use crate::config::StreamSpec;
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
-        DataType, DbPredicate, IntCmp, LikePattern, MasterIngestModel, ShardPlanner, ShardSpec,
-        Table, TableBuilder, Value,
+        DataType, DbPredicate, DbQuery, IntCmp, LikePattern, ShardPlanner, ShardSpec, Table,
+        TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
 
@@ -513,13 +425,11 @@ mod tests {
                     assert_eq!(base.output, run.output, "{label}");
                     assert_eq!(run.breakdown.shards as usize, shards, "{label}");
                     assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), 2_000, "{label}");
-                    assert!(run.breakdown.overlap_seconds <= run.merge_seconds + 1e-12, "{label}");
                     assert!(run.plan.is_none(), "fixed layouts carry no plan");
                     match path {
                         ExecPath::StreamedResident => assert!(run.batches > 0, "{label}"),
                         ExecPath::BarrierPooled | ExecPath::Direct => {
-                            assert_eq!(run.batches, 0, "{label}");
-                            assert_eq!(run.breakdown.overlap_seconds, 0.0, "{label}");
+                            assert_eq!(run.batches, 0, "{label}")
                         }
                     }
                     // The direct arm's switch passes its partials through.
@@ -552,7 +462,10 @@ mod tests {
                 run.per_shard.iter().map(|s| s.entries_to_master).sum::<u64>()
             );
             assert_eq!(run.switch_stats.seen, run.per_shard.iter().map(|s| s.seen).sum::<u64>());
-            assert!(run.breakdown.master_ingest_seconds > 0.0, "ingest model must be threaded");
+            // The master does every shard's completion, then the merge.
+            let completions: f64 = run.per_shard.iter().map(|s| s.master_seconds).sum();
+            assert_eq!(run.breakdown.master_seconds, completions + run.merge_seconds);
+            assert!(run.breakdown.master_ingest_seconds > 0.0, "master ingest must be priced");
         }
     }
 
@@ -606,7 +519,7 @@ mod tests {
         let one_shard = [
             fixed(1, ShardPartitioner::Hash),
             fixed(0, ShardPartitioner::Range),
-            StreamSpec::fitted(fitted, MasterIngestModel::default_rack()),
+            StreamSpec::fitted(fitted),
         ];
         for q in &queries {
             let right = q.is_binary().then_some(&r);
@@ -647,8 +560,7 @@ mod tests {
         let t = table(1_500, 3);
         let q = DbQuery::Distinct { col: 0 };
         let plan = Arc::new(ShardPlanner::default().plan(&q, &t, None, cluster.tuning.seed));
-        let spec = StreamSpec::fitted(Arc::clone(&plan), MasterIngestModel::default_rack());
-        let routed = plan_of(&q, &t, None, &spec);
+        let routed = plan_of(&q, &t, None, &StreamSpec::fitted(Arc::clone(&plan)));
         let run = execute(&cluster, &routed).unwrap();
         assert!(Arc::ptr_eq(run.plan.as_ref().expect("plan rides along"), &plan));
         assert_eq!(run.breakdown.shards as usize, plan.shards());
@@ -666,12 +578,15 @@ mod tests {
         // and a second run of the same plan replays the same lossy flow.
         let cluster = Cluster::default();
         let t = table(1_500, 3);
+        // The carrier's resend count per family: a pure function of the
+        // frames and the seed, so any change to what the workers frame or
+        // how the rack carries it shows here.
         let queries = [
-            DbQuery::Distinct { col: 0 },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-            DbQuery::TopN { order_col: 1, n: 10 },
+            (DbQuery::Distinct { col: 0 }, 38),
+            (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, 38),
+            (DbQuery::TopN { order_col: 1, n: 10 }, 29),
         ];
-        for q in queries {
+        for (q, resends) in queries {
             let base = cluster.run_baseline(&q, &t, None);
             let mut spec = fixed(3, ShardPartitioner::Hash);
             spec.batch = Some(4); // many small frames → many fault draws
@@ -681,11 +596,8 @@ mod tests {
             let second = execute(&cluster, &plan).unwrap();
             for run in [&first, &second] {
                 assert_eq!(base.output, run.output, "{} under harsh faults", q.kind());
-                assert!(run.breakdown.retransmits > 0, "{}: must force resends", q.kind());
+                assert_eq!(run.breakdown.retransmits, resends, "{}", q.kind());
             }
-            // The carrier runs in simulated time: the resend count is a
-            // pure function of (plan, seed), not of thread scheduling.
-            assert_eq!(first.breakdown.retransmits, second.breakdown.retransmits, "{}", q.kind());
             // The barrier transport sends no frames, so it has none to lose.
             let barrier = execute(&cluster, &plan.for_path(ExecPath::BarrierPooled)).unwrap();
             assert_eq!(barrier.breakdown.retransmits, 0);
@@ -714,17 +626,15 @@ mod tests {
 
     #[test]
     fn a_shard_that_never_reports_is_a_typed_error_naming_it() {
-        // What a panicked job leaves behind: its senders dropped, its
+        // What a panicked job leaves behind: its sender dropped, its
         // report never sent. Shard 0 of two reports; shard 1 is silent.
         let t = table(200, 1);
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &t, None, &fixed(2, ShardPartitioner::Hash));
-        let (batch_tx, batch_rx) = mpsc::sync_channel::<Bytes>(1);
         let (report_tx, report_rx) = mpsc::channel();
         report_tx.send((0, Ok(WorkerReport::default()))).unwrap();
-        drop((batch_tx, report_tx));
-        let plane = WorkerPlane { batch_rx, report_rx };
-        let err = drain_merge_plane(&q, &plan, plane, Instant::now()).err().expect("no answer");
+        drop(report_tx);
+        let err = drain_merge_plane(&plan, report_rx).err().expect("no answer");
         assert_eq!(err, cheetah_core::Error::WorkerPanicked { shard: 1 });
     }
 
@@ -747,7 +657,6 @@ mod tests {
             assert_eq!(run.batches, 0);
             assert_eq!(run.breakdown.entries_to_master, 0);
             assert_eq!(run.breakdown.master_ingest_seconds, 0.0);
-            assert_eq!(run.breakdown.overlap_seconds, 0.0);
         }
         // Three rows over seven shards: at least four stay empty.
         let tiny = table(3, 1);
@@ -767,22 +676,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_and_depth_follow_the_ingest_model_unless_pinned() {
+    fn batch_size_follows_the_ingest_model_unless_pinned() {
         let cluster = Cluster::default();
         let t = table(800, 2);
         let q = DbQuery::Distinct { col: 0 };
         let spec = fixed(4, ShardPartitioner::Hash);
-        let ingest = MasterIngestModel::default_rack();
         let plan = plan_of(&q, &t, None, &spec);
-        assert_eq!(plan.depth, ingest.suggested_depth(4), "NIC-paced channel depth");
-        let run = execute(&cluster, &plan).unwrap();
-        assert_eq!(run.batch_size, ingest.suggested_batch(4));
+        assert_eq!(plan.batch, MasterIngestModel::default_rack().suggested_batch(4));
         let mut pinned = spec.clone();
         pinned.batch = Some(7);
-        let run = execute(&cluster, &plan_of(&q, &t, None, &pinned)).unwrap();
-        assert_eq!(run.batch_size, 7);
+        let plan = plan_of(&q, &t, None, &pinned);
+        assert_eq!(plan.batch, 7);
         // 37 distinct survivors at batch 7 → ceil division worth of frames
         // per emitting shard; at least more frames than the unpinned run.
+        let run = execute(&cluster, &plan).unwrap();
         assert!(run.batches >= 4, "tiny batches must yield multiple frames: {}", run.batches);
     }
 

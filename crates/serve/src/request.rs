@@ -71,9 +71,11 @@ impl QueryRequest {
         self
     }
 
-    /// Pin the execution path. Unpinned requests run barrier-pooled;
-    /// streamed-resident is there to be pinned (and carries the fault
-    /// mode of `cheetah_runtime::ExecPlan`).
+    /// Pin the execution path. Unpinned requests run direct or
+    /// barrier-pooled, by their key's sight and verdict; streamed-resident
+    /// runs only when pinned: each shard frames its completed output, and
+    /// the master folds the frames once every shard is done (the form the
+    /// fault mode of `cheetah_runtime::ExecPlan` carries).
     pub fn path(mut self, path: ExecPath) -> Self {
         self.path = Some(path);
         self

@@ -64,21 +64,19 @@
 //! the merge (`Q(merge(shards(D))) = Q(D)`), so staleness costs balance,
 //! not answers, and a row-count tolerance is an acceptable test for it.
 //!
-//! Drivers are dedicated threads, *not* worker-pool jobs: the pool's
-//! deadlock rule says anything a job blocks on must be drained by its
-//! submitter, and a driver blocks on the shard jobs it fans out. Keeping
-//! drivers off the pool means a session can never deadlock the pool it
-//! feeds.
+//! Drivers are dedicated threads, *not* worker-pool jobs: a pool job
+//! never blocks, and a driver blocks on the shard jobs it fans out — as a
+//! job it would hold a worker while waiting for workers. Keeping drivers
+//! off the pool means a session can never deadlock the pool it feeds.
 
 use crate::error::{Error, Result};
 use crate::request::QueryRequest;
 use cheetah_core::plan::ShardPlan;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    ChooserArm, Cluster, DbQuery, ExecBackend, ExecBreakdown, ExecPath, PlannerConfig, QueryOutput,
-    ShardPlanner, ShardSpec, Table,
+    ChooserArm, Cluster, DbQuery, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, ShardPlanner,
+    ShardSpec, Table,
 };
-use cheetah_net::MasterIngestModel;
 use cheetah_runtime::{ExecPlan, StreamSpec};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
@@ -88,8 +86,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Knobs of one serving session. The defaults serve a small rack: a
-/// few driver threads, a few hundred requests in flight, and the same
-/// rack ingest model the rest of the repo prices transfers with.
+/// few driver threads and a few hundred requests in flight.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Admission bound: queued plus executing requests. One more is
@@ -100,9 +97,6 @@ pub struct SessionConfig {
     /// Keys the session holds an entry for — a layout, and the plan it was
     /// routed under — before evicting the oldest insertion.
     pub plan_cache_capacity: usize,
-    /// Master ingest model for admitted runs; concurrency re-prices it
-    /// per request ([`MasterIngestModel::with_concurrency`]).
-    pub ingest: MasterIngestModel,
 }
 
 /// Deficit round-robin quantum, in input rows per turn.
@@ -116,12 +110,7 @@ const TRACE_CAPACITY: usize = 64;
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        Self {
-            max_in_flight: 256,
-            drivers: 2,
-            plan_cache_capacity: 128,
-            ingest: MasterIngestModel::default_rack(),
-        }
+        Self { max_in_flight: 256, drivers: 2, plan_cache_capacity: 128 }
     }
 }
 
@@ -130,9 +119,9 @@ impl Default for SessionConfig {
 pub struct QueryResponse {
     /// The query result — bit-identical to every other execution path's.
     pub output: QueryOutput,
-    /// Phase decomposition, with [`queue_seconds`] and [`tenant`]
-    /// stamped by the session and `master_ingest_seconds` re-priced for
-    /// the concurrency the request actually ran under.
+    /// Phase decomposition of the run, as
+    /// [`execute`](cheetah_runtime::execute) accounted it, with
+    /// [`queue_seconds`] and [`tenant`] stamped by the session.
     ///
     /// [`queue_seconds`]: ExecBreakdown::queue_seconds
     /// [`tenant`]: ExecBreakdown::tenant
@@ -594,7 +583,6 @@ impl Session {
             }
             if st.queued == 0 && st.executing < self.shared.cfg.max_in_flight {
                 st.executing += 1;
-                let concurrent = st.executing;
                 let in_flight = st.queued + st.executing - 1;
                 drop(st);
                 self.shared.telemetry.executing.add(1);
@@ -603,7 +591,7 @@ impl Session {
                 let (root, queue) = self.shared.telemetry.begin(&req, in_flight);
                 let queue_seconds = queue.elapsed_s();
                 queue.finish();
-                let result = execute(&self.shared, &req, queue_seconds, concurrent, root);
+                let result = execute(&self.shared, &req, queue_seconds, root);
                 close_out(&self.shared);
                 return result;
             }
@@ -658,7 +646,7 @@ impl Drop for Session {
 
 fn driver_loop(shared: &Shared) {
     loop {
-        let (pending, concurrent, mut deficits) = {
+        let (pending, mut deficits) = {
             let mut st = shared.sched.lock().expect("scheduler lock");
             loop {
                 if let Some(p) = pop_next(&mut st, QUANTUM_ROWS) {
@@ -666,7 +654,7 @@ fn driver_loop(shared: &Shared) {
                     shared.telemetry.queue_depth.set(st.queued as i64);
                     let deficits: Vec<(String, u64)> =
                         st.deficit.iter().map(|(t, d)| (t.clone(), *d)).collect();
-                    break (p, st.executing, deficits);
+                    break (p, deficits);
                 }
                 if st.shutdown {
                     return;
@@ -690,7 +678,7 @@ fn driver_loop(shared: &Shared) {
         // exported span read the same measurement.
         let queue_seconds = queue.elapsed_s();
         queue.finish();
-        let result = execute(shared, &req, queue_seconds, concurrent, root);
+        let result = execute(shared, &req, queue_seconds, root);
         // Account *before* waking the waiter, so a redeemed ticket is
         // always reflected in the session counters.
         close_out(shared);
@@ -750,10 +738,9 @@ fn execute(
     shared: &Shared,
     req: &QueryRequest,
     queue_seconds: f64,
-    concurrent: usize,
     mut root: Span,
 ) -> Result<QueryResponse> {
-    let mut result = serve(shared, req, queue_seconds, concurrent, &mut root);
+    let mut result = serve(shared, req, queue_seconds, &mut root);
     if let Err(e) = &result {
         root.attr("error", e);
     }
@@ -792,7 +779,6 @@ fn serve(
     shared: &Shared,
     req: &QueryRequest,
     queue_seconds: f64,
-    concurrent: usize,
     root: &mut Span,
 ) -> Result<QueryResponse> {
     shared.telemetry.queue_seconds.observe(queue_seconds);
@@ -809,12 +795,9 @@ fn serve(
     // its deciding sight — fits a plan, and only with no like plan held
     // does it consult the planner.
     let mut plan_span = root.child("plan");
-    let ingest = shared.cfg.ingest;
-    let fitted = |plan| Layout::Under(StreamSpec::fitted(plan, ingest));
-    let hashed = |shards| {
-        let spec = ShardSpec { shards, partitioner: ShardPartitioner::Hash, ingest };
-        Layout::Under(StreamSpec::fixed(spec))
-    };
+    let fitted = |plan| Layout::Under(StreamSpec::fitted(plan));
+    let hashed =
+        |shards| Layout::Under(StreamSpec::fixed(ShardSpec::new(shards, ShardPartitioner::Hash)));
     let held = shared.caches.lock().expect("caches lock").sight(&key, &req.left, right);
     let (visit, layout) = match (held, req.shards) {
         (Some((plan, stage @ (Stage::Routed | Stage::Direct))), shards) => {
@@ -830,9 +813,8 @@ fn serve(
                 None => {
                     // Fitted with no lock held: the claim keeps racing
                     // sights off the key's fit.
-                    let cfg = PlannerConfig { ingest, ..PlannerConfig::default() };
                     let seed = shared.cluster.tuning.seed;
-                    let plan = ShardPlanner::new(cfg).plan(&req.query, &req.left, right, seed);
+                    let plan = ShardPlanner::default().plan(&req.query, &req.left, right, seed);
                     (Visit::Deciding { like: false }, fitted(Arc::new(plan)))
                 }
             }
@@ -896,8 +878,6 @@ fn serve(
     };
     let (output, per_shard, mut breakdown, switch_stats) =
         (run.output, run.per_shard, run.breakdown, run.switch_stats);
-    let entries: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
-    breakdown.master_ingest_seconds = shared.cfg.ingest.concurrent_latency(&entries, concurrent);
     exec_span.attr("shards", breakdown.shards);
     exec_span.finish();
 
@@ -950,8 +930,10 @@ fn serve(
 /// names a pruning engine, so it asks for a pruned arm too. Otherwise a
 /// direct key runs direct, and every other runs the barrier transport on
 /// the compiled backend (the cheapest pruned point on every ledger
-/// workload; the stream transport stays pinnable, and carries `ExecPlan`'s
-/// fault mode). A family without a kernel runs the interpreter whatever
+/// workload). The stream transport is run only when pinned: it frames the
+/// same outputs at the end of each job, a cost the barrier does not pay,
+/// for the frames `ExecPlan`'s fault mode carries. A family without a
+/// kernel runs the interpreter whatever
 /// was asked, and the direct arm runs no engine at all; the arm says so up
 /// front.
 fn arm_of(req: &QueryRequest, key_direct: bool) -> ChooserArm {

@@ -22,9 +22,10 @@
 //!   (the switch ACKs what it prunes) over a fault-injected link
 //!   simulator;
 //! * [`runtime`] — the one multi-shard executor: a routed plan (one unit
-//!   per shard) run as contained worker-pool jobs, over a barrier or a
-//!   streaming transport (overlapped incremental master merge,
-//!   cross-shard survivor batching);
+//!   per shard) run as contained worker-pool jobs that never block, over
+//!   a barrier transport (whole outputs) or a streaming one (survivor
+//!   frames at the end of each job, folded once every shard reported, or
+//!   carried across the lossy rack in fault mode);
 //! * [`workloads`] — seeded generators for the Big Data benchmark, a
 //!   TPC-H subset, and the pruning-rate simulation streams;
 //! * [`serve`] — the multi-tenant serving plane: the
