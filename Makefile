@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims docs ledger-check ledger gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims net-deps docs ledger-check ledger gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -9,9 +9,15 @@ build:
 test:
 	cargo test -q --workspace
 
-lint: no-shims
+lint: no-shims net-deps
 	cargo fmt --all --check
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# The wire layer sits under the engine: cheetah-net's breakdown records
+# what ran, never how a layout was decided, so it needs nothing from
+# cheetah-core. Fail if it depends on it again.
+net-deps:
+	@deps=$$(cargo tree -p cheetah-net -e normal --offline) && ! echo "$$deps" | grep cheetah-core
 
 # There is one multi-shard entry point (cheetah_runtime::execute over an
 # ExecPlan), one run type (ExecRun), one wall-clock harness
@@ -25,15 +31,18 @@ lint: no-shims
 # layout it governs (no second cache, shape string or stamp to keep them
 # coherent, and no option that had one value everywhere), no measured
 # survivor hint for the planner (first sight runs direct: no pruned count
-# exists before the second sight fits), and one way survivors travel: at
+# exists before the second sight fits), one way survivors travel: at
 # the end of each shard job, never over a live channel (no NIC-paced
 # depth, overlap timeline or per-request concurrency re-pricing, and no
-# ingest model riding a layout).
+# ingest model riding a layout), one layout value (a spec or a fitted
+# plan, no wrapper around it and no record of it beside `ExecRun::plan`;
+# fault mode and its frame size are set on the built plan), no breakdown
+# field nothing reads, and no metric name keyed by a caller's tenant.
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\." \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -49,26 +58,34 @@ docs:
 gates:
 	cargo test -q -p cheetah-db --test pruning_contract --test shard_contract --test planner_contract --test compiled_contract --test serving_contract --test fabric_contract --test telemetry_contract --test counters_contract
 
-# The named CI gate: pruning contract — Q(A_Q(D)) = Q(D) for all seven
-# variants through the generic executor, both JOIN pass structures,
-# degenerate tables, and invariance under repartitioning.
+# The named CI gate: pruning contract — Q(A_Q(D)) = Q(D) where the grid
+# does not vary it: both JOIN pass structures, invariance under
+# repartitioning, JOIN keys of different types, and the empty table (an
+# empty unit never reaches the executor). All seven variants through the
+# generic executor are the grid's one-shard points (walked by the shard,
+# compiled and planner gates).
 pruning-gate:
 	cargo test -q -p cheetah-db --test pruning_contract
 
 # The named CI gate: shard equivalence across all seven query variants x
-# shards {1,2,7} x both partitioners x (both transports x both backends,
-# and the direct arm once per layout: pass-through accounting, nothing
-# pruned), with the merge plane's accounting held at every point (the
-# master's time is the shards' completions plus the merge; a streamed run
-# with survivors framed them) and streamed execution deterministic end to
-# end.
+# the grid's layouts (the one-shard layout, hash and range at 2 and 7
+# shards, and the planner's fitted layout) x (both transports x both
+# backends, and the direct arm once per layout: pass-through accounting,
+# nothing pruned), with the merge plane's accounting held at every point
+# (the master's time is the shards' completions plus the merge; bytes,
+# survivors and switch arrivals are the shards' sums; a streamed run with
+# survivors framed them; a plan recorded exactly when the layout was
+# fitted) and streamed execution deterministic end to end.
 shard-gate:
 	cargo test -q -p cheetah-db --test shard_contract
 
-# The named CI gate: planner contract — planned runs bit-identical to
-# baseline across all seven variants x the adversarial workload family
-# on both transports, deterministic plans, fitted-range load within 2x
-# of hash.
+# The named CI gate: planner contract — a walk of the shared execution
+# grid under a planner of random sample size, so every fitted point (all
+# seven variants x both transports x both backends, and the direct arm)
+# is bit-identical to baseline on random adversarial-family tables, with
+# its plan recorded, its shard count the plan's and a kept fitted range
+# within 2x of hash's load (the default planner on the fixed adversarial
+# tables is the compiled gate's walk); plans deterministic.
 planner-gate:
 	cargo test -q -p cheetah-db --test planner_contract
 
@@ -76,8 +93,8 @@ planner-gate:
 # (five families have one: filter, DISTINCT, TOP N, GROUP BY, SKYLINE;
 # JOIN and HAVING run the interpreter on either backend and must say
 # so) bit-identical to the interpreted oracle across all seven variants
-# x the adversarial workload family x shards {1,2,7} x both
-# partitioners x both transports, with deterministic pruning counters
+# x the adversarial workload family x the grid's layouts (the fitted one
+# included) x both transports, with deterministic pruning counters
 # unchanged shard by shard.
 compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract
@@ -120,8 +137,8 @@ fabric-gate:
 # The named CI gate: telemetry contract — every path x backend through
 # the Session yields a complete lifecycle span tree (admit/queue/plan/
 # choose/execute{worker per shard, merge}/respond), the registry's
-# totals reconcile with SessionStats and the returned ExecBreakdowns,
-# the layout policy reads off the trees (first sight: no route span, one
+# totals reconcile with SessionStats and the returned ExecBreakdowns and
+# its names do not grow with the tenants callers send, the layout policy reads off the trees (first sight: no route span, one
 # worker; second sight: route + one worker per planned shard; third:
 # neither route nor planner; a pinned shard count routes at first
 # sight), so does the arm policy (first sight runs direct; the second

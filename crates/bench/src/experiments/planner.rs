@@ -10,10 +10,10 @@
 //! `SLOWER:` note beside the rows, not asserted — only the outputs are.
 
 use crate::report::secs;
-use crate::{fitted_spec, run_barrier, Report, RunCtx};
+use crate::{fitted_plan, run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ShardSpec};
-use cheetah_runtime::{ExecRun, StreamSpec};
+use cheetah_runtime::ExecRun;
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
@@ -73,8 +73,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         let mut worst: Option<(String, f64)> = None;
         for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
             for &n in &ctx.shards {
-                let spec = StreamSpec::fixed(ShardSpec::new(n, partitioner));
-                let run = best_of(|| run_barrier(&cluster, q, &table, right_of, &spec));
+                let spec = ShardSpec::new(n, partitioner);
+                let run = best_of(|| run_barrier(&cluster, q, &table, right_of, spec));
                 assert_eq!(single.output, run.output, "{name}: fixed spec diverged");
                 let label = format!("{}@{}", partitioner.name(), n);
                 let c = completion(&run);
@@ -85,8 +85,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             }
         }
 
-        let spec = fitted_spec(&cluster, &planner, q, &table, right_of);
-        let planned = best_of(|| run_barrier(&cluster, q, &table, right_of, &spec));
+        let fitted = fitted_plan(&cluster, &planner, q, &table, right_of);
+        let planned = best_of(|| run_barrier(&cluster, q, &table, right_of, Arc::clone(&fitted)));
         assert_eq!(single.output, planned.output, "{name}: planned run diverged");
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         let label = format!("planned:{}@{}", plan.partitioner().name(), plan.shards());

@@ -12,10 +12,11 @@
 //! output must equal the unsharded run's, or the harness panics.
 
 use crate::report::secs;
-use crate::{fitted_spec, run_barrier, Report, RunCtx};
+use crate::{fitted_plan, run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, DbQuery, ShardSpec};
-use cheetah_runtime::{ExecRun, StreamSpec};
+use cheetah_net::MasterIngestModel;
+use cheetah_runtime::{ExecRun, ShardLayout};
 use cheetah_workloads::SkewedTableConfig;
 use std::sync::Arc;
 
@@ -75,31 +76,32 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         let single = cluster.run_cheetah(q, &table, right_of.map(|r| &**r)).expect("plan fits");
         // The barrier transport throughout: the sweep's axis is the shard
         // count, not the dataflow.
-        let run_under = |spec| run_barrier(&cluster, q, &table, right_of, &spec);
+        let run_under = |layout: ShardLayout| run_barrier(&cluster, q, &table, right_of, layout);
         let mut record = |label: String, sharded: &ExecRun| {
             assert_eq!(
                 single.output, sharded.output,
                 "shard contract violated for {name} at {label} shards"
             );
             let b = &sharded.breakdown;
+            let entries: Vec<u64> = sharded.per_shard.iter().map(|s| s.entries_to_master).collect();
             r.row(vec![
                 label,
                 (*name).to_string(),
                 secs(b.completion_seconds(LINK_GBPS)),
                 secs(b.worker_seconds),
                 secs(b.master_seconds),
-                secs(b.master_ingest_seconds),
+                secs(MasterIngestModel::default_rack().blocking_latency_sharded(&entries)),
                 b.entries_to_master.to_string(),
                 sharded.per_shard.iter().map(|s| s.rows).max().unwrap_or(0).to_string(),
             ]);
         };
         for &n in &ctx.shards {
             let spec = ShardSpec::new(n, ShardPartitioner::Hash);
-            record(n.to_string(), &run_under(StreamSpec::fixed(spec)));
+            record(n.to_string(), &run_under(spec.into()));
         }
         // The planned comparison row: the planner searches the same
         // shard range the sweep covers (RunCtx-driven).
-        let planned = run_under(fitted_spec(&cluster, &planner, q, &table, right_of));
+        let planned = run_under(fitted_plan(&cluster, &planner, q, &table, right_of).into());
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         record(format!("planned:{}@{}", plan.partitioner().name(), plan.shards()), &planned);
     }

@@ -65,31 +65,30 @@ pub fn skewed_tables(
     (left.build().into(), right.build().into())
 }
 
-/// Route `q` under `spec` and execute it on the barrier transport — the
+/// Route `q` under `layout` and execute it on the barrier transport — the
 /// classic sharded run.
 pub fn run_barrier(
     cluster: &cheetah_db::Cluster,
     q: &cheetah_db::DbQuery,
     left: &std::sync::Arc<cheetah_db::Table>,
     right: Option<&std::sync::Arc<cheetah_db::Table>>,
-    spec: &cheetah_runtime::StreamSpec,
+    layout: impl Into<cheetah_runtime::ShardLayout>,
 ) -> cheetah_runtime::ExecRun {
-    let plan = cheetah_runtime::ExecPlan::new(cluster, q, left, right, spec).expect("routes");
+    let plan = cheetah_runtime::ExecPlan::new(cluster, q, left, right, layout).expect("routes");
     cheetah_runtime::execute(cluster, &plan.for_path(cheetah_db::ExecPath::BarrierPooled))
         .expect("plan fits")
 }
 
-/// The layout `planner` fits for `q` over these tables, as a spec — what
-/// the serving plane builds at second sight of a request.
-pub fn fitted_spec(
+/// The layout `planner` fits for `q` over these tables — what the serving
+/// plane builds at second sight of a request.
+pub fn fitted_plan(
     cluster: &cheetah_db::Cluster,
     planner: &cheetah_db::ShardPlanner,
     q: &cheetah_db::DbQuery,
     left: &std::sync::Arc<cheetah_db::Table>,
     right: Option<&std::sync::Arc<cheetah_db::Table>>,
-) -> cheetah_runtime::StreamSpec {
-    let plan = planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed);
-    cheetah_runtime::StreamSpec::fitted(std::sync::Arc::new(plan))
+) -> std::sync::Arc<cheetah_db::ShardPlan> {
+    std::sync::Arc::new(planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed))
 }
 
 /// Experiment scale.

@@ -65,7 +65,7 @@ pub use having::{HavingAgg, HavingConfig, HavingOpt, HavingPruner, SecondPassFil
 pub use hierarchy::MultiSwitch;
 pub use join::{BloomKind, JoinConfig, JoinMode, JoinOpt, JoinPruner, JoinSide};
 pub use operator::PassPlan;
-pub use plan::{KeySampler, KeyStats, PlanDecision, PlanReport, ShardPlan};
+pub use plan::{KeySampler, KeyStats, PlanReport, ShardPlan};
 pub use planner::{plan, PackedQueries, Plan, QuerySpec};
 pub use pruner::{OptPruner, StandalonePruner};
 pub use shard::{ShardPartitioner, Sharder};

@@ -24,8 +24,8 @@
 //! * [`max_load_fraction`] — evaluate a candidate sharder's worst shard
 //!   load on the sample (the balance signal the hash-vs-range choice and
 //!   the planner contract's 2× bound are stated over);
-//! * [`ShardPlan`] / [`PlanReport`] / [`PlanDecision`] — the concrete
-//!   plan a planner emits, with an explicit record of *why*.
+//! * [`ShardPlan`] / [`PlanReport`] — the concrete plan a planner emits,
+//!   with an explicit record of *why*.
 //!
 //! Everything is deterministic in the seed: the same keys and the same
 //! seed always produce the same sample, the same estimates, and therefore
@@ -278,31 +278,6 @@ pub fn max_load_fraction(keys: &[u64], sharder: &Sharder) -> f64 {
         counts[sharder.shard_of(k)] += 1;
     }
     counts.iter().copied().max().unwrap_or(0) as f64 / keys.len() as f64
-}
-
-/// How a run's sharding layout was decided — recorded in
-/// `ExecBreakdown` so every measurement says whether a planner or a
-/// hand-picked spec chose it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanDecision {
-    /// A hand-picked `ShardSpec` (or the unsharded path's implicit one).
-    Fixed(ShardPartitioner),
-    /// Chosen by a sample-driven shard planner.
-    Planned(ShardPartitioner),
-}
-
-impl PlanDecision {
-    /// The routing family the decision landed on.
-    pub fn partitioner(&self) -> ShardPartitioner {
-        match self {
-            PlanDecision::Fixed(p) | PlanDecision::Planned(p) => *p,
-        }
-    }
-
-    /// Was this layout planner-chosen?
-    pub fn is_planned(&self) -> bool {
-        matches!(self, PlanDecision::Planned(_))
-    }
 }
 
 /// One candidate shard count's modelled cost, kept in the report so the
@@ -574,14 +549,6 @@ mod tests {
         let load = max_load_fraction(&spread, &sharder);
         assert!(load < 0.30, "hash load {load}");
         assert_eq!(max_load_fraction(&[], &sharder), 0.25);
-    }
-
-    #[test]
-    fn plan_decision_accessors() {
-        let d = PlanDecision::Planned(ShardPartitioner::Range);
-        assert!(d.is_planned());
-        assert_eq!(d.partitioner(), ShardPartitioner::Range);
-        assert!(!PlanDecision::Fixed(ShardPartitioner::Hash).is_planned());
     }
 
     #[test]

@@ -167,8 +167,6 @@ impl Cluster {
                 entries_to_master: entries,
                 passes: 1,
                 shards: 1,
-                master_ingest_seconds: 0.0,
-                plan: None,
                 // The baseline never touches the switch; the field only
                 // distinguishes Cheetah-path engines.
                 backend: cheetah_net::ExecBackend::Interpreted,

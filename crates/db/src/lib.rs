@@ -51,7 +51,7 @@ pub mod value;
 #[cfg(test)]
 mod testutil;
 
-pub use cheetah_core::plan::{PlanDecision, PlanReport, ShardPlan};
+pub use cheetah_core::plan::{PlanReport, ShardPlan};
 pub use cheetah_core::{ShardPartitioner, Sharder};
 pub use engine::{CheetahRun, CheetahTuning, Cluster, ExecBackend, ExecBreakdown, SparkRun};
 pub use executor::Tables;

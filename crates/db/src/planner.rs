@@ -87,7 +87,7 @@ impl Default for PlannerConfig {
 ///
 /// ```
 /// use cheetah_db::{Cluster, DataType, DbQuery, ShardPlanner, TableBuilder, Value};
-/// use cheetah_runtime::{execute, ExecPlan, StreamSpec};
+/// use cheetah_runtime::{execute, ExecPlan};
 /// use std::sync::Arc;
 ///
 /// let mut b = TableBuilder::new(
@@ -114,10 +114,10 @@ impl Default for PlannerConfig {
 ///
 /// // …and a run laid out by it completes bit-identically to the baseline.
 /// let base = cluster.run_baseline(&q, &table, None);
-/// let spec = StreamSpec::fitted(plan);
-/// let routed = ExecPlan::new(&cluster, &q, &table, None, &spec).unwrap();
+/// let routed = ExecPlan::new(&cluster, &q, &table, None, Arc::clone(&plan)).unwrap();
 /// let planned = execute(&cluster, &routed).unwrap();
 /// assert_eq!(base.output, planned.output);
+/// assert!(Arc::ptr_eq(planned.plan.as_ref().unwrap(), &plan), "the run records its plan");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ShardPlanner {

@@ -1,16 +1,18 @@
 //! Fixtures shared by the contract gates: one deterministic random table
 //! generator, one query per [`DbQuery`] variant, and the one execution
-//! grid (`for_each_exec_case`) the shard and compiled gates both walk — so
-//! a schema, query-shape or grid-axis change lands in exactly one place.
+//! grid (`for_each_exec_case`) the shard, compiled and planner gates all
+//! walk — so a schema, query-shape or grid-axis change lands in exactly one
+//! place.
 // Each integration test compiles `common` separately and uses its own
 // subset of these fixtures.
 #![allow(dead_code)]
 
+use cheetah_db::planner::RANGE_LOAD_FACTOR;
 use cheetah_db::{
     ChooserArm, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
-    LikePattern, ShardPartitioner, ShardPlanner, ShardSpec, Table, TableBuilder, Value,
+    LikePattern, ShardPartitioner, ShardPlan, ShardPlanner, ShardSpec, Table, TableBuilder, Value,
 };
-use cheetah_runtime::{execute, ExecPlan, ExecRun, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout};
 use cheetah_switch::hash::mix64;
 use std::sync::Arc;
 
@@ -60,38 +62,44 @@ pub fn all_seven(threshold: i64) -> Vec<DbQuery> {
     ]
 }
 
-/// The layout `planner` fits for `q` over these tables, as a spec — what
-/// the serving plane builds at second sight of a request.
+/// The layout `planner` fits for `q` over these tables — what the serving
+/// plane builds at second sight of a request.
 pub fn fitted(
     cluster: &Cluster,
     planner: &ShardPlanner,
     q: &DbQuery,
     left: &Arc<Table>,
     right: Option<&Arc<Table>>,
-) -> StreamSpec {
-    let plan = planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed);
-    StreamSpec::fitted(Arc::new(plan))
+) -> Arc<ShardPlan> {
+    Arc::new(planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed))
 }
 
-/// Route `q` under `spec` and execute it on the barrier transport — the
+/// Route `q` under `layout` and execute it on the barrier transport — the
 /// classic sharded run the shard and planner gates pin.
 pub fn run_barrier(
     cluster: &Cluster,
     q: &DbQuery,
     left: &Arc<Table>,
     right: Option<&Arc<Table>>,
-    spec: &StreamSpec,
+    layout: impl Into<ShardLayout>,
 ) -> ExecRun {
-    let plan = ExecPlan::new(cluster, q, left, right, spec).expect("routes");
+    let plan = ExecPlan::new(cluster, q, left, right, layout).expect("routes");
     execute(cluster, &plan.for_path(ExecPath::BarrierPooled)).expect("plan fits")
 }
 
-/// What the merge plane's accounting must satisfy on every run, whatever
-/// the layout: the master's time is every shard's completion plus the
-/// merge, and a streamed run with survivors framed them.
+/// What the run's accounting must satisfy, whatever the layout: the
+/// master's time is every shard's completion plus the merge, the run's
+/// wire bytes, survivors and switch arrivals are its shards' sums, and a
+/// streamed run with survivors framed them.
 pub fn assert_merge_discipline(path: ExecPath, run: &ExecRun, label: &str) {
-    let completions: f64 = run.per_shard.iter().map(|s| s.master_seconds).sum();
+    let shards = &run.per_shard;
+    let completions: f64 = shards.iter().map(|s| s.master_seconds).sum();
     assert_eq!(run.breakdown.master_seconds, completions + run.merge_seconds, "{label}");
+    let bytes: u64 = shards.iter().map(|s| s.master_wire_bytes).sum();
+    assert_eq!(run.breakdown.master_wire_bytes, bytes, "{label}");
+    let entries: u64 = shards.iter().map(|s| s.entries_to_master).sum();
+    assert_eq!(run.breakdown.entries_to_master, entries, "{label}");
+    assert_eq!(run.switch_stats.seen, shards.iter().map(|s| s.seen).sum::<u64>(), "{label}");
     if path == ExecPath::StreamedResident && run.breakdown.entries_to_master > 0 {
         assert!(run.batches > 0, "{label}: survivors must be framed");
     }
@@ -102,67 +110,106 @@ pub struct ExecCase {
     pub q: DbQuery,
     pub path: ExecPath,
     pub backend: ExecBackend,
-    /// `query × partitioner@shards × arm on <workload>`.
+    /// `query × layout × arm on <workload>`.
     pub label: String,
 }
 
 /// Walk the execution grid over one workload pair — all seven variants ×
-/// shards {1, 2, 7} × {hash, range} × ({barrier, stream} × {interpreted,
-/// compiled}, then direct) — routing each (variant, partitioner, shards)
-/// once. Every point is held to the universal contract here: output equals
-/// `run_baseline`'s, the shard count is honoured, routing loses no rows,
-/// the merge plane's accounting is self-consistent, and a streamed run
-/// with survivors framed them. `visit` adds the calling gate's own
+/// six layouts × ({barrier, stream} × {interpreted, compiled}, then
+/// direct) — routing each (variant, layout) once. The layouts are the
+/// one-shard layout (the tables themselves: its pruned points run
+/// `Cluster::run_cheetah` on them, unless both are empty — an empty unit
+/// runs nothing) once, hash and range at 2 and 7 shards,
+/// and the layout `planner` fits, which every unpinned request runs from
+/// its second sight on.
+///
+/// Every point is held to the universal contract here: output equals
+/// `run_baseline`'s, the layout's shard count is honoured, routing loses
+/// no rows, the run's accounting is its shards' ([`assert_merge_discipline`]),
+/// and the run records a plan exactly when its layout was fitted. A fitted
+/// point is also held to the planner's own facts: the shard count is the
+/// plan's, and a kept range partitioner's sampled load is within
+/// `RANGE_LOAD_FACTOR` of hash's. `visit` adds the calling gate's own
 /// assertions; the backend is the innermost axis (interpreted first), so
 /// a gate can pair the two runs of a pruned point. The direct arm runs no
 /// engine, so it is walked once per layout (its case reads `Interpreted`,
 /// like its breakdown), and held to the pass-through accounting: nothing
-/// pruned, every result row of the shards' partials seen and forwarded, nothing
-/// framed.
+/// pruned, every result row of the shards' partials seen and forwarded,
+/// nothing framed.
 pub fn for_each_exec_case(
     left: &Arc<Table>,
     right: &Arc<Table>,
     threshold: i64,
+    planner: &ShardPlanner,
     workload: &str,
     mut visit: impl FnMut(&ExecCase, &ExecRun),
 ) {
     let oracle = Cluster::default();
     for q in all_seven(threshold) {
+        let kind = q.kind();
         let right_of = q.is_binary().then_some(right);
         let base = oracle.run_baseline(&q, left, right_of.map(|r| &**r));
         let total = (left.rows() + right_of.map_or(0, |r| r.rows())) as u64;
+        let mut layouts = vec![ShardLayout::from(ShardSpec::new(1, ShardPartitioner::Hash))];
         for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
-            for shards in [1usize, 2, 7] {
-                let spec = StreamSpec::fixed(ShardSpec::new(shards, partitioner));
-                let plan = ExecPlan::new(&oracle, &q, left, right_of, &spec).expect("routes");
-                let mut point = |path: ExecPath, backend: ExecBackend| {
-                    let arm = ChooserArm { path, backend }.label();
-                    let kind = q.kind();
-                    let label =
-                        format!("{kind} × {}@{shards} × {arm} on {workload}", partitioner.name());
-                    let cluster = oracle.clone().with_backend(backend);
-                    let run = execute(&cluster, &plan.for_path(path)).expect("plan fits");
-                    assert_eq!(base.output, run.output, "{label}: diverged from baseline");
-                    assert_eq!(run.breakdown.shards as usize, shards, "{label}");
-                    assert_eq!(run.per_shard.len(), shards, "{label}");
-                    let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
-                    assert_eq!(routed, total, "{label}: rows lost in routing");
-                    assert_merge_discipline(path, &run, &label);
-                    if path == ExecPath::Direct {
-                        let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
-                        assert_eq!(stats.pruned, 0, "{label}");
-                        assert_eq!((stats.seen, stats.forwarded), (entries, entries), "{label}");
-                        assert_eq!(run.batches, 0, "{label}");
-                    }
-                    visit(&ExecCase { q: q.clone(), path, backend, label }, &run);
-                };
-                for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
-                    for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                        point(path, backend);
-                    }
-                }
-                point(ExecPath::Direct, ExecBackend::Interpreted);
+            for shards in [2, 7] {
+                layouts.push(ShardSpec::new(shards, partitioner).into());
             }
+        }
+        layouts.push(fitted(&oracle, planner, &q, left, right_of).into());
+        for layout in layouts {
+            let (name, shards, fitted_plan) = match &layout {
+                ShardLayout::Fixed(s) => {
+                    (format!("{}@{}", s.partitioner.name(), s.shards), s.shards, None)
+                }
+                ShardLayout::Fitted(plan) => {
+                    let name = format!("fitted {}@{}", plan.partitioner().name(), plan.shards());
+                    let r = &plan.report;
+                    if r.range_sample_load > RANGE_LOAD_FACTOR * r.hash_sample_load {
+                        assert_eq!(
+                            r.partitioner,
+                            ShardPartitioner::Hash,
+                            "{kind} × {name} on {workload}: range load {:.3} exceeds \
+                             {RANGE_LOAD_FACTOR}x hash load {:.3} but range was kept",
+                            r.range_sample_load,
+                            r.hash_sample_load
+                        );
+                    }
+                    (name, plan.shards(), Some(Arc::clone(plan)))
+                }
+            };
+            let plan = ExecPlan::new(&oracle, &q, left, right_of, layout).expect("routes");
+            let mut point = |path: ExecPath, backend: ExecBackend| {
+                let arm = ChooserArm { path, backend }.label();
+                let label = format!("{kind} × {name} × {arm} on {workload}");
+                let cluster = oracle.clone().with_backend(backend);
+                let run = execute(&cluster, &plan.for_path(path)).expect("plan fits");
+                assert_eq!(base.output, run.output, "{label}: diverged from baseline");
+                assert_eq!(run.breakdown.shards as usize, shards, "{label}");
+                assert_eq!(run.per_shard.len(), shards, "{label}");
+                let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
+                assert_eq!(routed, total, "{label}: rows lost in routing");
+                assert_merge_discipline(path, &run, &label);
+                let recorded = run.plan.as_ref().map(Arc::as_ptr);
+                assert_eq!(
+                    recorded,
+                    fitted_plan.as_ref().map(Arc::as_ptr),
+                    "{label}: plan recorded"
+                );
+                if path == ExecPath::Direct {
+                    let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
+                    assert_eq!(stats.pruned, 0, "{label}");
+                    assert_eq!((stats.seen, stats.forwarded), (entries, entries), "{label}");
+                    assert_eq!(run.batches, 0, "{label}");
+                }
+                visit(&ExecCase { q: q.clone(), path, backend, label }, &run);
+            };
+            for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
+                for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+                    point(path, backend);
+                }
+            }
+            point(ExecPath::Direct, ExecBackend::Interpreted);
         }
     }
 }

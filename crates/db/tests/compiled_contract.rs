@@ -3,11 +3,14 @@
 //!
 //! 1. **Bit-identity** — for **all seven** `DbQuery` variants across the
 //!    adversarial workload family ({uniform, zipf(1.0), zipf(1.5),
-//!    single-hot-key}) at shard counts {1, 2, 7}, a run on the compiled
+//!    single-hot-key}) on every layout of the grid — the planner's fitted
+//!    one included, which warm traffic runs compiled — a run on the compiled
 //!    backend produces *exactly* the interpreted oracle's output. Not
 //!    "equivalent": the kernels rebuild the same hashed state from the
 //!    same seeds, so every verdict — and therefore every survivor and
-//!    every merged row — must match.
+//!    every merged row — must match. The walk holds every run, the oracle
+//!    included, to the grid's baseline and planner facts, so it is also
+//!    the planner contract for the default planner on these tables.
 //! 2. **Deterministic pruning counters** — `seen`/`pruned`/`forwarded`
 //!    and `entries_to_master` are unchanged between backends, shard by
 //!    shard. A kernel that forwards the right rows for the wrong reasons
@@ -23,8 +26,8 @@ mod common;
 use common::{all_seven, for_each_exec_case, run_barrier};
 
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec};
-use cheetah_runtime::{ExecRun, StreamSpec};
+use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardPlanner, ShardSpec};
+use cheetah_runtime::ExecRun;
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
@@ -55,13 +58,15 @@ fn assert_backends_agree(q: &DbQuery, i: &ExecRun, c: &ExecRun, label: &str) {
 
 #[test]
 fn compiled_kernels_are_bit_identical_across_the_adversarial_family() {
+    let planner = ShardPlanner::default();
     for adv in PlannerAdversary::all() {
         let left = Arc::new(adv.table(900, 3, 0x5EED));
         let right = Arc::new(adv.table(450, 2, 0x5EED ^ 0xFACE));
         // The grid runs each point's interpreted oracle right before its
         // compiled twin: hold the former, compare when the latter lands.
         let mut oracle: Option<ExecRun> = None;
-        for_each_exec_case(&left, &right, 9_000, &adv.name(), |case, run| match case.backend {
+        let name = adv.name();
+        for_each_exec_case(&left, &right, 9_000, &planner, &name, |case, run| match case.backend {
             // The direct arm runs no engine: there is no pair to compare.
             _ if case.path == ExecPath::Direct => {}
             ExecBackend::Interpreted => oracle = Some(run.clone()),
@@ -83,8 +88,8 @@ fn compiled_backend_is_recorded_end_to_end() {
     let run = compiled.run_cheetah(&q, &t, None).unwrap();
     assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
     assert_eq!(run.breakdown.backend.label(), "compiled");
-    let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Range));
-    let sharded = run_barrier(&compiled, &q, &t, None, &spec);
+    let spec = ShardSpec::new(4, ShardPartitioner::Range);
+    let sharded = run_barrier(&compiled, &q, &t, None, spec);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Compiled);
 
     // JOIN has no kernel: asked for the compiled backend, it answers like
@@ -95,7 +100,7 @@ fn compiled_backend_is_recorded_end_to_end() {
     let run = compiled.run_cheetah(&join, &t, Some(&r)).unwrap();
     assert_eq!(run.output, want);
     assert_eq!(run.breakdown.backend, ExecBackend::Interpreted);
-    let sharded = run_barrier(&compiled, &join, &t, Some(&r), &spec);
+    let sharded = run_barrier(&compiled, &join, &t, Some(&r), spec);
     assert_eq!(sharded.output, want);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Interpreted);
 }

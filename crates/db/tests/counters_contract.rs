@@ -29,7 +29,7 @@ use cheetah_core::ShardPartitioner;
 use cheetah_db::{
     Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardPlanner, ShardSpec,
 };
-use cheetah_runtime::{execute, ExecPlan, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_workloads::SkewedTableConfig;
 use std::sync::Arc;
@@ -113,14 +113,14 @@ fn pruning_counters_match_the_golden_table_exactly() {
 
     for (family, q) in [("distinct", &distinct), ("groupby-max", &groupby), ("join", &join)] {
         let right_of = q.is_binary().then_some(&right);
-        let fixed = StreamSpec::fixed(ShardSpec::new(SHARDS, ShardPartitioner::Hash));
-        let streamed = ExecPlan::new(&cluster, q, &left, right_of, &fixed).expect("routes");
+        let fixed = ShardSpec::new(SHARDS, ShardPartitioner::Hash);
+        let streamed = ExecPlan::new(&cluster, q, &left, right_of, fixed).expect("routes");
         let barrier = streamed.for_path(ExecPath::BarrierPooled);
         let planned = common::fitted(&cluster, &ShardPlanner::default(), q, &left, right_of);
         let runs = [
             ("shards4", execute(&cluster, &barrier).expect("plan fits")),
             ("compiled", execute(&compiled, &barrier).expect("plan fits")),
-            ("planned", common::run_barrier(&cluster, q, &left, right_of, &planned)),
+            ("planned", common::run_barrier(&cluster, q, &left, right_of, planned)),
             ("streamed", execute(&cluster, &streamed).expect("plan fits")),
         ];
         for (form, run) in &runs {

@@ -33,7 +33,7 @@ use cheetah_db::{
 use cheetah_net::{
     emit_batch, explore, CheckerConfig, FabricSim, FaultProfile, RackConfig, SurvivorBatch,
 };
-use cheetah_runtime::{execute, ExecPlan, FaultSpec, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan, FaultSpec};
 use common::{all_seven, gen_table};
 use std::sync::Arc;
 
@@ -193,11 +193,11 @@ fn stream_transport_answers_all_seven_families_under_harsh_faults() {
     for (q, resends) in all_seven(4_000).into_iter().zip(resends) {
         let r = matches!(q, DbQuery::Join { .. }).then_some(&right);
         let base = cluster.run_baseline(&q, &left, r.map(|r| &**r)).output;
-        let mut spec = StreamSpec::fixed(ShardSpec::new(SHARDS, ShardPartitioner::Hash));
-        spec.batch = Some(4); // many small frames → many fault draws
-        spec.fault = Some(FaultSpec::harsh(0xFAB));
-        let plan = ExecPlan::new(&cluster, &q, &left, r, &spec).expect("routes");
-        let run = execute(&cluster, &plan).expect("streamed run");
+        let spec = ShardSpec::new(SHARDS, ShardPartitioner::Hash);
+        let plan = ExecPlan::new(&cluster, &q, &left, r, spec).expect("routes");
+        // Many small frames → many fault draws.
+        let run =
+            execute(&cluster, &plan.with_fault(FaultSpec::harsh(0xFAB, 4))).expect("streamed run");
         assert_eq!(base, run.output, "{}: harsh channel changed the answer", q.kind());
         assert_eq!(
             run.breakdown.retransmits,

@@ -4,9 +4,14 @@
 //! 1. **Correctness** — a planner-chosen run is bit-identical to the
 //!    baseline for **all seven** [`DbQuery`] variants across the
 //!    planner-adversarial workload family
-//!    ({uniform, zipf(1.0), zipf(1.5), single-hot-key}), on both
-//!    transports: the planner may change *where* rows go, never *what*
-//!    the query answers.
+//!    ({uniform, zipf(1.0), zipf(1.5), single-hot-key}), on every path and
+//!    backend — the fitted × compiled and fitted × direct points warm
+//!    traffic runs included: the planner may change *where* rows go, never
+//!    *what* the query answers. Both properties are a walk of the shared
+//!    execution grid (`for_each_exec_case`), whose fitted layout is fitted
+//!    by the planner under test; here over random tables and sample sizes
+//!    (the default planner on the fixed adversarial tables is the compiled
+//!    gate's walk of the same grid).
 //! 2. **Balance bound** — whenever the planner keeps the fitted range
 //!    partitioner, its max shard load on the sample stays within the
 //!    planner's factor (2×) of hash on the same sample;
@@ -22,15 +27,15 @@
 
 mod common;
 
-use common::{all_seven, assert_merge_discipline, fitted, run_barrier};
+use common::{fitted, for_each_exec_case, run_barrier};
 
 use cheetah_db::planner::RANGE_LOAD_FACTOR;
 use cheetah_db::value::encode_ordered_i64;
 use cheetah_db::{
-    routing_keys, Cluster, DataType, DbPredicate, DbQuery, ExecPath, IntCmp, PlannerConfig,
-    ShardPartitioner, ShardPlanner, Table, TableBuilder, Value,
+    routing_keys, Cluster, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPartitioner,
+    ShardPlanner, Table, TableBuilder, Value,
 };
-use cheetah_runtime::{execute, ExecPlan, ExecRun};
+use cheetah_runtime::ExecRun;
 use cheetah_switch::{hash::mix64, HashFn};
 use cheetah_workloads::PlannerAdversary;
 use proptest::prelude::*;
@@ -44,75 +49,16 @@ fn planned(
     right: Option<&Arc<Table>>,
     planner: &ShardPlanner,
 ) -> ExecRun {
-    run_barrier(cluster, q, left, right, &fitted(cluster, planner, q, left, right))
-}
-
-/// Assert properties 1 and 2 over the full variant grid for one
-/// workload pair.
-fn assert_planner_contract(
-    cluster: &Cluster,
-    planner: &ShardPlanner,
-    left: &Arc<Table>,
-    right: &Arc<Table>,
-    threshold: i64,
-    label: &str,
-) {
-    for q in all_seven(threshold) {
-        let right_of = q.is_binary().then_some(right);
-        let base = cluster.run_baseline(&q, left, right_of.map(|r| &**r));
-        let spec = fitted(cluster, planner, &q, left, right_of);
-        let routed = ExecPlan::new(cluster, &q, left, right_of, &spec).expect("routes");
-        let streamed = execute(cluster, &routed).expect("plan fits");
-        let planned = execute(cluster, &routed.for_path(ExecPath::BarrierPooled)).expect("fits");
-        for (run, path) in
-            [(&streamed, ExecPath::StreamedResident), (&planned, ExecPath::BarrierPooled)]
-        {
-            let label = format!("{} × planned × {} on {label}", q.kind(), path.label());
-            assert_eq!(base.output, run.output, "{label}: diverged under the planned layout");
-            assert_merge_discipline(path, run, &label);
-        }
-        let plan = planned.plan.as_ref().expect("planned run records its plan");
-        let report = &plan.report;
-        assert_eq!(planned.breakdown.shards as usize, plan.shards(), "{label}");
-        assert!(
-            planned.breakdown.plan.expect("decision recorded").is_planned(),
-            "{}: breakdown must say the layout was planned",
-            q.kind()
-        );
-        // The balance bound: a kept range plan is within the factor of
-        // hash on the same sample, or the planner chose hash.
-        if report.range_sample_load > RANGE_LOAD_FACTOR * report.hash_sample_load {
-            assert_eq!(
-                report.partitioner,
-                ShardPartitioner::Hash,
-                "{} on {label}: range load {:.3} exceeds {}x hash load {:.3} but range was kept",
-                q.kind(),
-                report.range_sample_load,
-                RANGE_LOAD_FACTOR,
-                report.hash_sample_load
-            );
-        }
-        // Routing must not lose rows, whatever the plan.
-        let routed: u64 = planned.per_shard.iter().map(|s| s.rows).sum();
-        let total = left.rows() as u64 + right_of.map_or(0, |r| r.rows() as u64);
-        assert_eq!(routed, total, "{} on {label}: rows lost in routing", q.kind());
-    }
-}
-
-#[test]
-fn planned_runs_match_baseline_across_the_adversarial_family() {
-    let cluster = Cluster::default();
-    let planner = ShardPlanner::default();
-    for adv in PlannerAdversary::all() {
-        let left = Arc::new(adv.table(900, 3, 0x5EED));
-        let right = Arc::new(adv.table(450, 2, 0x5EED ^ 0xFACE));
-        assert_planner_contract(&cluster, &planner, &left, &right, 9_000, &adv.name());
-    }
+    run_barrier(cluster, q, left, right, fitted(cluster, planner, q, left, right))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
+    /// Properties 1 and 2: a walk of the execution grid under a planner of
+    /// random sample size, whose fitted layout of every variant is run on
+    /// every path and backend and held to the planner's facts (plan
+    /// recorded, its shard count, a kept range within the load factor).
     #[test]
     fn planned_runs_match_baseline_on_random_workloads(
         seed in any::<u64>(),
@@ -121,14 +67,13 @@ proptest! {
         sample_size in 64usize..512,
     ) {
         let adv = PlannerAdversary::all()[adv_idx];
-        let cluster = Cluster::default();
         let planner = ShardPlanner::new(PlannerConfig {
             sample_size,
             ..PlannerConfig::default()
         });
         let left = Arc::new(adv.table(rows, 3, seed));
         let right = Arc::new(adv.table(rows / 2 + 1, 2, seed ^ 0xFF));
-        assert_planner_contract(&cluster, &planner, &left, &right, rows as i64 * 20, &adv.name());
+        for_each_exec_case(&left, &right, rows as i64 * 20, &planner, &adv.name(), |_, _| {});
     }
 }
 

@@ -1,7 +1,8 @@
 //! The shard equivalence gate: `Q(merge(shards(D))) = Q(D)` for **all
-//! seven** [`DbQuery`] variants, across shard counts {1, 2, 7} and both
-//! partitioners (hash and range), including empty-shard and
-//! all-rows-one-shard edge cases.
+//! seven** [`DbQuery`] variants, across the grid's layouts — the one-shard
+//! layout, hash and range at 2 and 7 shards, and the planner's fitted
+//! layout — including empty-shard, single-row and all-rows-one-shard edge
+//! cases.
 //!
 //! This is the sharded layer's analogue of the pruning contract: sharding
 //! must be invisible in the output, only visible in the breakdown. CI runs
@@ -15,9 +16,10 @@ mod common;
 use common::{for_each_exec_case, gen_table, run_barrier};
 
 use cheetah_db::{
-    Cluster, DataType, DbQuery, ShardPartitioner, ShardSpec, Table, TableBuilder, Value,
+    Cluster, DataType, DbQuery, ShardPartitioner, ShardPlanner, ShardSpec, Table, TableBuilder,
+    Value,
 };
-use cheetah_runtime::{execute, ExecPlan, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan};
 use cheetah_workloads::PlannerAdversary;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -25,26 +27,27 @@ use std::sync::Arc;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 const PARTITIONERS: [ShardPartitioner; 2] = [ShardPartitioner::Hash, ShardPartitioner::Range];
 
-/// Assert the full grid — every query, every shard count, every
-/// partitioner, both transports, both backends — against the baseline.
+/// Assert the full grid — every query, every layout, both transports,
+/// both backends, and the direct arm — against the baseline.
 fn assert_shard_contract(left: &Arc<Table>, right: &Arc<Table>, threshold: i64) {
-    for_each_exec_case(left, right, threshold, "shard grid", |_, _| {});
+    let planner = ShardPlanner::default();
+    for_each_exec_case(left, right, threshold, &planner, "shard grid", |_, _| {});
 }
 
 /// One barrier run under a hand-picked spec.
 fn sharded(q: &DbQuery, t: &Arc<Table>, spec: ShardSpec) -> cheetah_runtime::ExecRun {
-    run_barrier(&Cluster::default(), q, t, None, &StreamSpec::fixed(spec))
+    run_barrier(&Cluster::default(), q, t, None, spec)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
     fn merge_of_shards_equals_the_unsharded_query(
         seed in any::<u64>(),
-        rows in 120usize..900,
-        keys in 1u64..150,
-        partitions in 1usize..5,
+        rows in 120usize..1_200,
+        keys in 1u64..200,
+        partitions in 1usize..6,
     ) {
         let left = Arc::new(gen_table(rows, keys, partitions, seed));
         let right =
@@ -63,6 +66,13 @@ fn empty_table_every_variant_every_grid_point() {
 }
 
 #[test]
+fn single_row_tables_every_variant_every_grid_point() {
+    let left = Arc::new(gen_table(1, 1, 1, 9));
+    let right = Arc::new(gen_table(1, 1, 1, 11));
+    assert_shard_contract(&left, &right, 0);
+}
+
+#[test]
 fn fewer_rows_than_shards_leaves_empty_shards() {
     // 3 rows over 7 shards: at least four shards receive nothing and
     // must still merge cleanly.
@@ -75,9 +85,11 @@ fn fewer_rows_than_shards_leaves_empty_shards() {
 }
 
 #[test]
-fn constant_key_routes_all_rows_to_one_shard() {
-    // Key-aligned routing over a single-key table: everything lands on
-    // one shard, the rest stay empty — the all-rows-one-shard edge.
+fn constant_table_routes_all_rows_to_one_shard() {
+    // Key-aligned routing over a table whose every column is constant:
+    // everything lands on one shard, the rest stay empty — the
+    // all-rows-one-shard edge, with TOP N tied everywhere and SKYLINE over
+    // identical points stressing the dedup paths.
     let mut b = TableBuilder::new(
         "t",
         vec![
@@ -87,8 +99,8 @@ fn constant_key_routes_all_rows_to_one_shard() {
         ],
         10,
     );
-    for i in 0..300i64 {
-        b.push_row(vec![Value::Str("same".into()), Value::Int(i % 50), Value::Int(5)]);
+    for _ in 0..500 {
+        b.push_row(vec![Value::Str("same".into()), Value::Int(5), Value::Int(5)]);
     }
     let table = Arc::new(b.build());
     assert_shard_contract(&table, &table, 100);
@@ -99,7 +111,7 @@ fn constant_key_routes_all_rows_to_one_shard() {
     ] {
         let run = sharded(&q, &table, ShardSpec::new(5, ShardPartitioner::Hash));
         let nonempty: Vec<u64> = run.per_shard.iter().map(|s| s.rows).filter(|&r| r > 0).collect();
-        assert_eq!(nonempty, vec![300], "{}: keyed routing must co-locate the key", q.kind());
+        assert_eq!(nonempty, vec![500], "{}: keyed routing must co-locate the key", q.kind());
     }
 }
 
@@ -165,9 +177,9 @@ fn streamed_execution_is_deterministic_end_to_end() {
         DbQuery::GroupByMax { key_col: 0, val_col: 1 },
         DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 },
     ] {
-        let spec = StreamSpec::fixed(ShardSpec::new(4, ShardPartitioner::Hash));
+        let spec = ShardSpec::new(4, ShardPartitioner::Hash);
         let streamed = || {
-            let plan = ExecPlan::new(&cluster, &q, &t, None, &spec).expect("routes");
+            let plan = ExecPlan::new(&cluster, &q, &t, None, spec).expect("routes");
             execute(&cluster, &plan).expect("plan fits")
         };
         let (a, b) = (streamed(), streamed());

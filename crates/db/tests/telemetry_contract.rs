@@ -9,7 +9,8 @@
 //! 2. **Registry ⇄ breakdown reconciliation** — the session registry's
 //!    totals agree with [`SessionStats`] and with the
 //!    [`ExecBreakdown`]s the same requests returned: completed counts,
-//!    plan-cache hits/misses, queue times, per-shard survivor entries.
+//!    plan-cache hits/misses, queue times, per-shard survivor entries. And
+//!    the registry is bounded: no metric name is keyed by a caller's tenant.
 //! 3. **The layout policy, off the trees** — a layout is built for a key
 //!    that comes back: first sight has no `route` span and one `worker`,
 //!    second sight a `route` span and one `worker` per planned shard, the
@@ -29,7 +30,7 @@
 mod common;
 
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
-use cheetah_runtime::{execute, ExecPlan, FaultSpec, StreamSpec};
+use cheetah_runtime::{execute, ExecPlan, FaultSpec};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{Registry, Trace, TraceTree};
 use std::sync::Arc;
@@ -150,15 +151,39 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
     assert_eq!(stats.plan_hits, 3);
 
     // Every executed request observed exactly one queue and one latency
-    // sample, globally and per tenant.
+    // sample.
     assert_eq!(snap.histograms["serve.queue_seconds"].count, stats.completed);
     assert_eq!(snap.histograms["serve.latency_seconds"].count, stats.completed);
-    assert_eq!(snap.histograms["serve.tenant.alpha.latency_seconds"].count, 2);
-    assert_eq!(snap.histograms["serve.tenant.beta.latency_seconds"].count, 3);
 
     // Nothing in flight when idle.
     assert_eq!(snap.gauges["serve.queue_depth"], 0);
     assert_eq!(snap.gauges["serve.executing"], 0);
+}
+
+/// Nothing a caller sends grows the registry: the tenant rides every
+/// response and trace root, never a metric name. A thousand tenants leave
+/// the names one tenant leaves — through the caller's thread and through a
+/// driver's dequeue alike.
+#[test]
+fn a_thousand_tenants_leave_the_registry_as_one_tenant_does() {
+    let t = Arc::new(common::gen_table(8, 4, 1, 0x7E4A));
+    let q = DbQuery::Distinct { col: 0 };
+    let names = |tenant: &dyn Fn(usize) -> String| {
+        let session = Session::with_defaults();
+        for i in 0..1_000 {
+            let req = QueryRequest::new(q.clone(), Arc::clone(&t)).tenant(tenant(i));
+            if i % 2 == 0 {
+                session.run_blocking(req).unwrap();
+            } else {
+                session.submit(req).unwrap().wait().unwrap();
+            }
+        }
+        let snap = session.registry().snapshot();
+        let keys = snap.counters.keys().chain(snap.gauges.keys()).chain(snap.histograms.keys());
+        keys.cloned().collect::<Vec<_>>()
+    };
+    let one = names(&|_| "solo".into());
+    assert_eq!(names(&|i| format!("tenant-{i}")), one);
 }
 
 /// The layout policy, read off the span trees — no timer: a layout is
@@ -301,14 +326,15 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let cluster = Cluster::default();
     let t = Arc::new(common::gen_table(1_500, 60, 3, 0xBAD));
     let q = DbQuery::Distinct { col: 0 };
-    let mut spec = StreamSpec::fixed(ShardSpec::new(3, cheetah_core::ShardPartitioner::Hash));
-    spec.batch = Some(4); // many small frames → many fault draws
-    spec.fault = Some(FaultSpec::harsh(0xC0FFEE));
+    let spec = ShardSpec::new(3, cheetah_core::ShardPartitioner::Hash);
 
     let registry = Registry::new();
     let trace = Trace::new(registry.clone());
     let root = trace.span("query");
-    let plan = ExecPlan::new(&cluster, &q, &t, None, &spec).unwrap();
+    // Many small frames → many fault draws.
+    let plan = ExecPlan::new(&cluster, &q, &t, None, spec)
+        .unwrap()
+        .with_fault(FaultSpec::harsh(0xC0FFEE, 4));
     let run = {
         let _g = root.enter();
         execute(&cluster, &plan).unwrap()

@@ -12,8 +12,6 @@
 //! * [`ExecBreakdown`] — per-phase timings and byte counts of one
 //!   execution, with the link-rate completion model of Figure 8.
 
-use cheetah_core::PlanDecision;
-
 /// Wire size of one Cheetah entry-packet (Ethernet + IP + UDP + Cheetah
 /// header + values). Chosen so a 10G link carries ~10 M entries/s, the
 /// rate §7.1 reports.
@@ -29,7 +27,7 @@ pub const MAX_ENTRY_SLOTS: usize = 4;
 ///
 /// The interpreted [`Pipeline`](cheetah_switch::Pipeline) of boxed stages
 /// is the semantic oracle; the compiled backend runs the plan-time fused
-/// kernel ([`cheetah_core::CompiledProgram`]) — bit-identical verdicts,
+/// kernel (`cheetah_core::CompiledProgram`) — bit-identical verdicts,
 /// no per-entry virtual dispatch. Recorded in [`ExecBreakdown`] so every
 /// measurement says which engine produced it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,15 +80,6 @@ pub struct ExecBreakdown {
     pub passes: u8,
     /// Worker shards that executed this run (1 = unsharded).
     pub shards: u32,
-    /// Modelled master ingest latency of the survivor streams
-    /// ([`crate::MasterIngestModel`], shard fan-in included). Zero for
-    /// unsharded runs, which measure `master_seconds` directly instead.
-    pub master_ingest_seconds: f64,
-    /// How this run's sharding layout was decided: `None` for unsharded
-    /// runs, `Fixed` for a hand-picked `ShardSpec`, `Planned` when the
-    /// sample-driven shard planner chose it — so every recorded
-    /// measurement says which planning path produced it.
-    pub plan: Option<PlanDecision>,
     /// Which pruning backend ran the switch program. When a compiled run
     /// falls back to the interpreter (unsupported family), the value here
     /// is what *actually* executed, not what was requested.
@@ -120,8 +109,6 @@ impl Default for ExecBreakdown {
             entries_to_master: 0,
             passes: 0,
             shards: 1,
-            master_ingest_seconds: 0.0,
-            plan: None,
             backend: ExecBackend::default(),
             queue_seconds: 0.0,
             tenant: String::new(),

@@ -1,11 +1,15 @@
-//! What an [`ExecPlan`](crate::ExecPlan) is built from.
+//! What an [`ExecPlan`](crate::ExecPlan) is laid out under — a
+//! [`ShardLayout`] — and what its fault mode, set on the built plan
+//! ([`ExecPlan::with_fault`](crate::ExecPlan::with_fault)), carries.
 
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::ShardSpec;
 use cheetah_net::FaultProfile;
 use std::sync::Arc;
 
-/// Where the plan constructor gets its sharder.
+/// Which rows each shard streams through its switch: a hand-picked spec,
+/// or a plan the sampling planner fitted. [`ExecPlan::new`](crate::ExecPlan::new)
+/// takes either, converted by `From`.
 #[derive(Debug, Clone)]
 pub enum ShardLayout {
     /// A hand-picked spec.
@@ -16,35 +20,15 @@ pub enum ShardLayout {
     Fitted(Arc<ShardPlan>),
 }
 
-/// Everything [`ExecPlan::new`](crate::ExecPlan::new) needs beyond the
-/// query and its tables.
-#[derive(Debug, Clone)]
-pub struct StreamSpec {
-    /// Shard layout (a fixed spec or a fitted plan).
-    pub layout: ShardLayout,
-    /// Survivor-batch size in merge items; `None` reads it off the rack
-    /// ingest model's fan-in curve
-    /// ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)).
-    pub batch: Option<usize>,
-    /// Fault mode: when set, the stream transport's survivor frames reach
-    /// the merge across the seeded lossy rack of [`cheetah_net::rack`]
-    /// (simulated time). `None` folds them as the workers framed them.
-    pub fault: Option<FaultSpec>,
+impl From<ShardSpec> for ShardLayout {
+    fn from(spec: ShardSpec) -> Self {
+        ShardLayout::Fixed(spec)
+    }
 }
 
-impl StreamSpec {
-    /// Lay out under a hand-picked shard spec.
-    pub fn fixed(spec: ShardSpec) -> Self {
-        Self::over(ShardLayout::Fixed(spec))
-    }
-
-    /// Lay out under a fitted plan.
-    pub fn fitted(plan: Arc<ShardPlan>) -> Self {
-        Self::over(ShardLayout::Fitted(plan))
-    }
-
-    fn over(layout: ShardLayout) -> Self {
-        Self { layout, batch: None, fault: None }
+impl From<Arc<ShardPlan>> for ShardLayout {
+    fn from(plan: Arc<ShardPlan>) -> Self {
+        ShardLayout::Fitted(plan)
     }
 }
 
@@ -62,17 +46,22 @@ pub struct FaultSpec {
     /// Seed of the links' fault draws, so a lossy run is reproducible
     /// frame for frame — retransmit counts included.
     pub seed: u64,
+    /// Merge items per survivor frame: the unit the faults are drawn on.
+    /// A lossless run frames at the rack ingest model's fan-in curve
+    /// ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)).
+    pub batch: usize,
 }
 
 impl FaultSpec {
-    /// A lossy fabric with the given profile and seed.
-    pub fn new(profile: FaultProfile, seed: u64) -> Self {
-        Self { profile, seed }
+    /// A lossy fabric with the given profile and seed, its flows cut into
+    /// frames of `batch` merge items.
+    pub fn new(profile: FaultProfile, seed: u64, batch: usize) -> Self {
+        Self { profile, seed, batch }
     }
 
     /// The smoltcp-style harsh profile (15% drop + 15% corrupt).
-    pub fn harsh(seed: u64) -> Self {
-        Self::new(FaultProfile::harsh(), seed)
+    pub fn harsh(seed: u64, batch: usize) -> Self {
+        Self::new(FaultProfile::harsh(), seed, batch)
     }
 }
 
@@ -83,26 +72,23 @@ mod tests {
     use cheetah_db::{DataType, DbQuery, ShardPlanner, TableBuilder};
 
     #[test]
-    fn constructors_pick_the_layout_and_leave_the_transport_to_the_ingest_model() {
-        let fixed = StreamSpec::fixed(ShardSpec::new(3, ShardPartitioner::Hash));
-        assert!(matches!(fixed.layout, ShardLayout::Fixed(s) if s.shards == 3));
+    fn a_layout_is_a_spec_or_a_fitted_plan() {
+        let fixed = ShardLayout::from(ShardSpec::new(3, ShardPartitioner::Hash));
+        assert!(matches!(fixed, ShardLayout::Fixed(s) if s.shards == 3));
         let empty = TableBuilder::new("t", vec![("k".into(), DataType::Str)], 1).build();
         let q = DbQuery::Distinct { col: 0 };
         let plan = Arc::new(ShardPlanner::default().plan(&q, &empty, None, 7));
-        let fitted = StreamSpec::fitted(Arc::clone(&plan));
-        assert!(matches!(&fitted.layout, ShardLayout::Fitted(p) if Arc::ptr_eq(p, &plan)));
-        for spec in [fixed, fitted] {
-            assert!(spec.batch.is_none());
-            assert!(spec.fault.is_none(), "the carrier is lossless unless asked otherwise");
-        }
+        let fitted = ShardLayout::from(Arc::clone(&plan));
+        assert!(matches!(&fitted, ShardLayout::Fitted(p) if Arc::ptr_eq(p, &plan)));
     }
 
     #[test]
     fn fault_spec_constructors_pick_sane_knobs() {
-        let harsh = FaultSpec::harsh(7);
-        assert_eq!(harsh.seed, 7);
+        let harsh = FaultSpec::harsh(7, 4);
+        assert_eq!((harsh.seed, harsh.batch), (7, 4));
         assert!(harsh.profile.drop_prob > 0.0 && harsh.profile.corrupt_prob > 0.0);
-        let mild = FaultSpec::new(FaultProfile { drop_prob: 0.01, ..FaultProfile::lossless() }, 3);
+        let mild =
+            FaultSpec::new(FaultProfile { drop_prob: 0.01, ..FaultProfile::lossless() }, 3, 16);
         assert_eq!(mild.profile.corrupt_prob, 0.0);
     }
 }

@@ -25,14 +25,12 @@
 //!                                                └─ whole outputs ──▶ merge_shard_outputs
 //! ```
 //!
-//! The sharder is a hand-picked [`ShardSpec`](cheetah_db::ShardSpec) or a
-//! plan the sampling planner fitted
-//! ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)) —
-//! [`ShardLayout`] has those two variants and [`StreamSpec::fixed`] /
-//! [`StreamSpec::fitted`] are the two ways to ask. Adapting a layout to
-//! what a run observed happens between *sights* of a request, in the
-//! serving plane (first sight measures, second sight fits), not inside a
-//! run.
+//! A layout is one value, [`ShardLayout`]: a hand-picked
+//! [`ShardSpec`](cheetah_db::ShardSpec) or a plan the sampling planner
+//! fitted ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)), and
+//! [`ExecPlan::new`] takes either as it is. Adapting a layout to what a
+//! run observed happens between *sights* of a request, in the serving
+//! plane (first sight measures, second sight fits), not inside a run.
 //!
 //! * **Direct** — the way out: a shard job skips `spec()`, encode and
 //!   the switch and runs
@@ -55,9 +53,11 @@
 //!   [`MergeState`](cheetah_db::MergeState) in shard order. The batch size
 //!   comes off the rack ingest model's fan-in curve
 //!   ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)).
-//!   Frames are the point of the fault mode: a [`FaultSpec`] carries them
-//!   across the simulated lossy rack of `cheetah_net::rack` instead (§7.2's
-//!   go-back-N in simulated time, deterministic per seed). Unpinned
+//!   Frames are the point of the fault mode, set on a built plan like its
+//!   path ([`ExecPlan::with_fault`]): its [`FaultSpec`] cuts them at its own
+//!   frame size and carries them across the simulated lossy rack of
+//!   `cheetah_net::rack` instead (§7.2's go-back-N in simulated time,
+//!   deterministic per seed). Unpinned
 //!   requests never run it; the ledger pins it, and the two transports
 //!   tie on its workloads.
 //!
@@ -78,7 +78,7 @@ pub mod plan;
 pub mod pool;
 pub mod runtime;
 
-pub use config::{FaultSpec, ShardLayout, StreamSpec};
+pub use config::{FaultSpec, ShardLayout};
 pub use plan::ExecPlan;
 pub use pool::{WorkerPool, WorkerScratch};
 pub use runtime::{execute, ExecRun};

@@ -26,10 +26,9 @@
 //! and shard count) and [`for_path`](ExecPlan::for_path) switches the
 //! path on a clone that copies no rows.
 
-use crate::config::{FaultSpec, ShardLayout, StreamSpec};
-use cheetah_core::plan::{PlanDecision, ShardPlan};
+use crate::config::{FaultSpec, ShardLayout};
+use cheetah_core::plan::ShardPlan;
 use cheetah_db::{fixed_sharder, route_columns, routing_keys, Cluster, DbQuery, ExecPath, Table};
-use cheetah_net::{MasterIngestModel, MAX_BATCH_ITEMS};
 use std::sync::Arc;
 
 /// A routed, ready-to-run multi-shard execution: which rows land on which
@@ -56,19 +55,18 @@ pub struct ExecPlan {
     pub(crate) right_units: Option<Vec<Arc<Table>>>,
     /// Rows routed per shard, both streams, empty units included.
     pub(crate) dispatched: Vec<u64>,
-    pub(crate) decision: PlanDecision,
+    /// The fitted plan the layout was routed under; `None` under a spec.
     pub(crate) plan: Option<Arc<ShardPlan>>,
     pub(crate) path: ExecPath,
-    /// Stream transport: merge items per survivor frame.
-    pub(crate) batch: usize,
     /// Stream transport: fault mode (the simulated lossy rack), when asked for.
     pub(crate) fault: Option<FaultSpec>,
 }
 
 impl ExecPlan {
-    /// Lay out `q`'s input under `spec`. The plan comes back on the stream
-    /// transport the spec describes; [`for_path`](ExecPlan::for_path)
-    /// derives its barrier form.
+    /// Lay out `q`'s input under `layout` — a [`ShardSpec`](cheetah_db::ShardSpec)
+    /// or a fitted `Arc<ShardPlan>`. The plan comes back on the lossless
+    /// stream transport; [`for_path`](ExecPlan::for_path) derives its
+    /// other paths and [`with_fault`](ExecPlan::with_fault) its fault mode.
     ///
     /// A request its tables cannot answer — a binary query without its
     /// right table, a column outside the schema or of the wrong type — or
@@ -80,16 +78,15 @@ impl ExecPlan {
         q: &DbQuery,
         left: &Arc<Table>,
         right: Option<&Arc<Table>>,
-        spec: &StreamSpec,
+        layout: impl Into<ShardLayout>,
     ) -> cheetah_core::Result<ExecPlan> {
         q.check(left, right.map(|r| &**r))?;
         let right = right.filter(|_| q.is_binary());
         let seed = cluster.tuning.seed;
-        let (shards, plan, decision) = match &spec.layout {
-            ShardLayout::Fixed(s) => (s.shards.max(1), None, PlanDecision::Fixed(s.partitioner)),
-            ShardLayout::Fitted(plan) => {
-                (plan.shards(), Some(Arc::clone(plan)), PlanDecision::Planned(plan.partitioner()))
-            }
+        let layout = layout.into();
+        let (shards, plan) = match &layout {
+            ShardLayout::Fixed(s) => (s.shards.max(1), None),
+            ShardLayout::Fitted(plan) => (plan.shards(), Some(Arc::clone(plan))),
         };
         let (unit_query, units, right_units) = if shards == 1 {
             // A one-shard layout is the table: nothing to split, so no key
@@ -101,7 +98,7 @@ impl ExecPlan {
                 .enumerate()
                 .map(|(stream, t)| routing_keys(q, stream, t, seed))
                 .collect();
-            let sharder = match &spec.layout {
+            let sharder = match &layout {
                 ShardLayout::Fixed(s) => {
                     let slices: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
                     fixed_sharder(s, seed, &slices)
@@ -133,16 +130,9 @@ impl ExecPlan {
             units,
             right_units,
             dispatched,
-            decision,
             plan,
             path: ExecPath::StreamedResident,
-            // Clamped to what one frame can carry — a pinned batch above
-            // the 16-bit item count would otherwise panic the framing.
-            batch: spec
-                .batch
-                .unwrap_or_else(|| MasterIngestModel::default_rack().suggested_batch(shards))
-                .clamp(1, MAX_BATCH_ITEMS),
-            fault: spec.fault.clone(),
+            fault: None,
         })
     }
 
@@ -150,6 +140,15 @@ impl ExecPlan {
     /// arm. Clones `Arc` handles, never rows.
     pub fn for_path(&self, path: ExecPath) -> ExecPlan {
         ExecPlan { path, ..self.clone() }
+    }
+
+    /// The same routed layout in fault mode: on the stream transport its
+    /// survivor frames, cut at `fault.batch` merge items, cross the seeded
+    /// lossy rack before the merge folds them. The barrier and direct paths
+    /// frame nothing, so there is nothing for a fault to hit. Clones `Arc`
+    /// handles, never rows.
+    pub fn with_fault(&self, fault: FaultSpec) -> ExecPlan {
+        ExecPlan { fault: Some(fault), ..self.clone() }
     }
 
     /// Was this plan routed from exactly these tables (by identity)? A

@@ -33,6 +33,7 @@ use cheetah_db::{
 };
 use cheetah_net::{
     ExecBackend, ExecBreakdown, FabricSim, MasterIngestModel, RackConfig, SurvivorBatch,
+    MAX_BATCH_ITEMS,
 };
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Span, SpanContext};
@@ -57,7 +58,8 @@ pub struct ExecRun {
     pub merge_seconds: f64,
     /// Survivor frames the master ingested (zero off the stream transport).
     pub batches: u64,
-    /// The fitted plan, when the layout was planner-chosen.
+    /// The fitted plan the layout was routed under: `Some` exactly when
+    /// the layout was fitted, `None` under a hand-picked spec.
     pub plan: Option<Arc<ShardPlan>>,
     /// Control-plane rules of the largest per-shard program.
     pub rules: usize,
@@ -110,7 +112,17 @@ type Reports = mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>;
 /// worker-resident arena into its report.
 fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
     let path = plan.path;
-    let batch_size = plan.batch;
+    // Merge items per frame: the fault's, else the rack ingest model's
+    // fan-in curve — clamped to what one frame can carry, since a larger
+    // count would overflow the frame's 16-bit item count.
+    let batch_size = plan
+        .fault
+        .as_ref()
+        .map_or_else(
+            || MasterIngestModel::default_rack().suggested_batch(plan.shards()),
+            |f| f.batch,
+        )
+        .clamp(1, MAX_BATCH_ITEMS);
     let (report_tx, report_rx) = mpsc::channel();
     let pool = WorkerPool::global();
     // The submitting thread's span context (the session's `execute` span,
@@ -320,7 +332,6 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         acc.forwarded += r.switch.forwarded;
         acc
     });
-    let entries_per_shard: Vec<u64> = per_shard.iter().map(|s| s.entries_to_master).collect();
 
     let breakdown = ExecBreakdown {
         // Workers run concurrently; the slowest shard bounds the phase.
@@ -329,12 +340,9 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         master_seconds: per_shard.iter().map(|s| s.master_seconds).sum::<f64>() + merge_seconds,
         worker_wire_bytes: per_shard.iter().map(|s| s.worker_wire_bytes).max().unwrap_or(0),
         master_wire_bytes: per_shard.iter().map(|s| s.master_wire_bytes).sum(),
-        entries_to_master: entries_per_shard.iter().sum(),
+        entries_to_master: per_shard.iter().map(|s| s.entries_to_master).sum(),
         passes: reports.iter().map(|r| r.passes).max().unwrap_or(1),
         shards: plan.shards() as u32,
-        master_ingest_seconds: MasterIngestModel::default_rack()
-            .blocking_latency_sharded(&entries_per_shard),
-        plan: Some(plan.decision),
         // All workers clone one cluster, so any report that ran a unit
         // speaks for the run (a compiled-requested run that fell back
         // records the fallback here too).
@@ -358,7 +366,7 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StreamSpec;
+    use crate::config::ShardLayout;
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
         DataType, DbPredicate, DbQuery, IntCmp, LikePattern, ShardPlanner, ShardSpec, Table,
@@ -391,82 +399,13 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn fixed(shards: usize, partitioner: ShardPartitioner) -> StreamSpec {
-        StreamSpec::fixed(ShardSpec::new(shards, partitioner))
-    }
-
-    fn plan_of(q: &DbQuery, t: &Arc<Table>, r: Option<&Arc<Table>>, spec: &StreamSpec) -> ExecPlan {
-        ExecPlan::new(&Cluster::default(), q, t, r, spec).expect("routes")
-    }
-
-    #[test]
-    fn every_path_matches_baseline_on_a_simple_grid() {
-        // The full 7×4×{1,2,7} grid lives in the contract gates; this is
-        // the crate-local smoke version.
-        let cluster = Cluster::default();
-        let t = table(2_000, 4);
-        let queries = [
-            DbQuery::FilterCount {
-                pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 5_000 },
-            },
-            DbQuery::Distinct { col: 0 },
-            DbQuery::TopN { order_col: 1, n: 10 },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-            DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 4_000 },
-        ];
-        for q in queries {
-            let base = cluster.run_baseline(&q, &t, None);
-            for shards in [1usize, 4] {
-                let plan = plan_of(&q, &t, None, &fixed(shards, ShardPartitioner::Hash));
-                assert_eq!(plan.dispatched().iter().sum::<u64>(), 2_000, "{}", q.kind());
-                for path in PATHS {
-                    let run = execute(&cluster, &plan.for_path(path)).unwrap();
-                    let label = format!("{} @ {shards} {}", q.kind(), path.label());
-                    assert_eq!(base.output, run.output, "{label}");
-                    assert_eq!(run.breakdown.shards as usize, shards, "{label}");
-                    assert_eq!(run.per_shard.iter().map(|s| s.rows).sum::<u64>(), 2_000, "{label}");
-                    assert!(run.plan.is_none(), "fixed layouts carry no plan");
-                    match path {
-                        ExecPath::StreamedResident => assert!(run.batches > 0, "{label}"),
-                        ExecPath::BarrierPooled | ExecPath::Direct => {
-                            assert_eq!(run.batches, 0, "{label}")
-                        }
-                    }
-                    // The direct arm's switch passes its partials through.
-                    if path == ExecPath::Direct {
-                        let entries = run.breakdown.entries_to_master;
-                        assert_eq!(run.switch_stats.pruned, 0, "{label}");
-                        assert_eq!(run.switch_stats.forwarded, entries, "{label}");
-                        assert_eq!(run.breakdown.master_seconds, run.merge_seconds, "{label}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn per_shard_accounting_sums_to_the_breakdown() {
-        let cluster = Cluster::default();
-        let t = table(4_000, 4);
-        let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let plan = plan_of(&q, &t, None, &StreamSpec::fixed(ShardSpec::default()));
-        for path in PATHS {
-            let run = execute(&cluster, &plan.for_path(path)).unwrap();
-            assert_eq!(run.per_shard.len(), 4);
-            assert_eq!(
-                run.breakdown.master_wire_bytes,
-                run.per_shard.iter().map(|s| s.master_wire_bytes).sum::<u64>()
-            );
-            assert_eq!(
-                run.breakdown.entries_to_master,
-                run.per_shard.iter().map(|s| s.entries_to_master).sum::<u64>()
-            );
-            assert_eq!(run.switch_stats.seen, run.per_shard.iter().map(|s| s.seen).sum::<u64>());
-            // The master does every shard's completion, then the merge.
-            let completions: f64 = run.per_shard.iter().map(|s| s.master_seconds).sum();
-            assert_eq!(run.breakdown.master_seconds, completions + run.merge_seconds);
-            assert!(run.breakdown.master_ingest_seconds > 0.0, "master ingest must be priced");
-        }
+    fn plan_of(
+        q: &DbQuery,
+        t: &Arc<Table>,
+        r: Option<&Arc<Table>>,
+        layout: impl Into<ShardLayout>,
+    ) -> ExecPlan {
+        ExecPlan::new(&Cluster::default(), q, t, r, layout).expect("routes")
     }
 
     #[test]
@@ -477,7 +416,7 @@ mod tests {
         // must spread both over populated spans.
         let t = table(4_000, 4);
         for q in [DbQuery::TopN { order_col: 1, n: 10 }, DbQuery::Distinct { col: 0 }] {
-            let plan = plan_of(&q, &t, None, &fixed(4, ShardPartitioner::Range));
+            let plan = plan_of(&q, &t, None, ShardSpec::new(4, ShardPartitioner::Range));
             let loads = plan.dispatched();
             assert!(
                 loads.iter().filter(|&&r| r > 0).count() >= 3,
@@ -516,17 +455,17 @@ mod tests {
         let tiny = table(3, 1);
         let fitted = Arc::new(ShardPlanner::default().plan(&queries[1], &tiny, None, 7));
         assert_eq!(fitted.shards(), 1);
-        let one_shard = [
-            fixed(1, ShardPartitioner::Hash),
-            fixed(0, ShardPartitioner::Range),
-            StreamSpec::fitted(fitted),
+        let one_shard: [ShardLayout; 3] = [
+            ShardSpec::new(1, ShardPartitioner::Hash).into(),
+            ShardSpec::new(0, ShardPartitioner::Range).into(),
+            fitted.into(),
         ];
         for q in &queries {
             let right = q.is_binary().then_some(&r);
             let base = cluster.run_baseline(q, &l, right.map(|r| &**r)).output;
             let total = (l.rows() + right.map_or(0, |r| r.rows())) as u64;
-            for spec in &one_shard {
-                let plan = plan_of(q, &l, right, spec);
+            for layout in &one_shard {
+                let plan = plan_of(q, &l, right, layout.clone());
                 assert_eq!(plan.shards(), 1, "{}", q.kind());
                 assert!(Arc::ptr_eq(&plan.units[0], &l), "{}: a copy was made", q.kind());
                 let right_unit = plan.right_units.as_ref().map(|units| &units[0]);
@@ -538,7 +477,7 @@ mod tests {
                 }
             }
             // Two shards or more: fresh copies, of the columns read only.
-            let plan = plan_of(q, &l, right, &fixed(3, ShardPartitioner::Hash));
+            let plan = plan_of(q, &l, right, ShardSpec::new(3, ShardPartitioner::Hash));
             let widths = |units: &[Arc<Table>]| -> Vec<usize> {
                 units.iter().map(|t| t.fields().len()).collect()
             };
@@ -560,11 +499,10 @@ mod tests {
         let t = table(1_500, 3);
         let q = DbQuery::Distinct { col: 0 };
         let plan = Arc::new(ShardPlanner::default().plan(&q, &t, None, cluster.tuning.seed));
-        let routed = plan_of(&q, &t, None, &StreamSpec::fitted(Arc::clone(&plan)));
+        let routed = plan_of(&q, &t, None, Arc::clone(&plan));
         let run = execute(&cluster, &routed).unwrap();
         assert!(Arc::ptr_eq(run.plan.as_ref().expect("plan rides along"), &plan));
         assert_eq!(run.breakdown.shards as usize, plan.shards());
-        assert!(run.breakdown.plan.expect("decision").is_planned());
         assert_eq!(run.per_shard.iter().map(|s| s.rows).collect::<Vec<_>>(), routed.dispatched());
         assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
@@ -588,10 +526,9 @@ mod tests {
         ];
         for (q, resends) in queries {
             let base = cluster.run_baseline(&q, &t, None);
-            let mut spec = fixed(3, ShardPartitioner::Hash);
-            spec.batch = Some(4); // many small frames → many fault draws
-            spec.fault = Some(FaultSpec::harsh(0xC0FFEE));
-            let plan = plan_of(&q, &t, None, &spec);
+            // Many small frames → many fault draws.
+            let plan = plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash))
+                .with_fault(FaultSpec::harsh(0xC0FFEE, 4));
             let first = execute(&cluster, &plan).unwrap();
             let second = execute(&cluster, &plan).unwrap();
             for run in [&first, &second] {
@@ -605,7 +542,8 @@ mod tests {
         }
         // The lossless stream keeps its zero.
         let q = DbQuery::Distinct { col: 0 };
-        let run = execute(&cluster, &plan_of(&q, &t, None, &fixed(3, ShardPartitioner::Hash)));
+        let run =
+            execute(&cluster, &plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash)));
         assert_eq!(run.unwrap().breakdown.retransmits, 0);
     }
 
@@ -614,10 +552,10 @@ mod tests {
         let cluster = Cluster::default();
         let t = table(200, 1);
         let q = DbQuery::Distinct { col: 0 };
-        let mut spec = fixed(2, ShardPartitioner::Hash);
         let black_hole = FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() };
-        spec.fault = Some(FaultSpec::new(black_hole, 7));
-        let err = execute(&cluster, &plan_of(&q, &t, None, &spec)).unwrap_err();
+        let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash))
+            .with_fault(FaultSpec::new(black_hole, 7, 4));
+        let err = execute(&cluster, &plan).unwrap_err();
         assert!(
             matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, frames } if frames > 0),
             "{err}"
@@ -630,7 +568,7 @@ mod tests {
         // report never sent. Shard 0 of two reports; shard 1 is silent.
         let t = table(200, 1);
         let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &t, None, &fixed(2, ShardPartitioner::Hash));
+        let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash));
         let (report_tx, report_rx) = mpsc::channel();
         report_tx.send((0, Ok(WorkerReport::default()))).unwrap();
         drop(report_tx);
@@ -650,18 +588,17 @@ mod tests {
             .build(),
         );
         let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &empty, None, &fixed(5, ShardPartitioner::Range));
+        let plan = plan_of(&q, &empty, None, ShardSpec::new(5, ShardPartitioner::Range));
         for path in PATHS {
             let run = execute(&cluster, &plan.for_path(path)).unwrap();
             assert_eq!(run.output, QueryOutput::Values(vec![]));
             assert_eq!(run.batches, 0);
             assert_eq!(run.breakdown.entries_to_master, 0);
-            assert_eq!(run.breakdown.master_ingest_seconds, 0.0);
         }
         // Three rows over seven shards: at least four stay empty.
         let tiny = table(3, 1);
         let q = DbQuery::TopN { order_col: 1, n: 2 };
-        let plan = plan_of(&q, &tiny, None, &fixed(7, ShardPartitioner::Hash));
+        let plan = plan_of(&q, &tiny, None, ShardSpec::new(7, ShardPartitioner::Hash));
         for path in PATHS {
             let run = execute(&cluster, &plan.for_path(path)).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
@@ -669,76 +606,46 @@ mod tests {
         }
         // Same layout under harsh faults: the empty shards' zero-frame
         // flows must finish through the carrier's FIN-timer path.
-        let mut lossy = fixed(7, ShardPartitioner::Hash);
-        lossy.fault = Some(FaultSpec::harsh(0xC0FFEE));
-        let run = execute(&cluster, &plan_of(&q, &tiny, None, &lossy)).unwrap();
+        let run = execute(&cluster, &plan.with_fault(FaultSpec::harsh(0xC0FFEE, 4))).unwrap();
         assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
     }
 
     #[test]
-    fn batch_size_follows_the_ingest_model_unless_pinned() {
+    fn frames_follow_the_ingest_model_unless_a_fault_cuts_them() {
         let cluster = Cluster::default();
         let t = table(800, 2);
         let q = DbQuery::Distinct { col: 0 };
-        let spec = fixed(4, ShardPartitioner::Hash);
-        let plan = plan_of(&q, &t, None, &spec);
-        assert_eq!(plan.batch, MasterIngestModel::default_rack().suggested_batch(4));
-        let mut pinned = spec.clone();
-        pinned.batch = Some(7);
-        let plan = plan_of(&q, &t, None, &pinned);
-        assert_eq!(plan.batch, 7);
-        // 37 distinct survivors at batch 7 → ceil division worth of frames
-        // per emitting shard; at least more frames than the unpinned run.
-        let run = execute(&cluster, &plan).unwrap();
-        assert!(run.batches >= 4, "tiny batches must yield multiple frames: {}", run.batches);
-    }
-
-    #[test]
-    fn pool_reuse_is_bit_identical_across_back_to_back_variants() {
-        // The pool's scratch state (frame arenas) must never leak between
-        // queries: interleave different variants and both transports
-        // back-to-back on the same global pool and require every repeat
-        // to reproduce the baseline exactly.
-        let cluster = Cluster::default();
-        let t = table(1_500, 4);
-        let queries = [
-            DbQuery::Distinct { col: 0 },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-            DbQuery::TopN { order_col: 1, n: 10 },
-        ];
-        let plans: Vec<ExecPlan> = queries
-            .iter()
-            .map(|q| plan_of(q, &t, None, &fixed(4, ShardPartitioner::Hash)))
-            .collect();
-        for rep in 0..3 {
-            for (q, plan) in queries.iter().zip(&plans) {
-                let base = cluster.run_baseline(q, &t, None).output;
-                for path in PATHS {
-                    let run = execute(&cluster, &plan.for_path(path)).unwrap();
-                    assert_eq!(run.output, base, "{} {} rep {rep}", q.kind(), path.label());
-                }
-            }
-        }
+        let plan = plan_of(&q, &t, None, ShardSpec::new(4, ShardPartitioner::Hash));
+        // 37 distinct keys over four shards: under the model's batch each
+        // shard's survivors fit one frame…
+        assert!(MasterIngestModel::default_rack().suggested_batch(4) >= 37);
+        let lossless = execute(&cluster, &plan).unwrap();
+        assert!(lossless.batches <= 4, "one frame per shard: {}", lossless.batches);
+        // …and a fault's frames of 7 items need at least ⌈37 / 7⌉ = 6.
+        let faulty = plan.with_fault(FaultSpec::new(FaultProfile::lossless(), 3, 7));
+        let run = execute(&cluster, &faulty).unwrap();
+        assert!(run.batches >= 6, "small frames must yield many frames: {}", run.batches);
+        assert_eq!(run.output, lossless.output);
     }
 
     #[test]
     fn malformed_requests_are_typed_or_clamped_never_panics() {
         let t = table(200, 1);
         let join = DbQuery::Join { left_key: 0, right_key: 0 };
-        let spec = fixed(0, ShardPartitioner::Hash);
-        let err = ExecPlan::new(&Cluster::default(), &join, &t, None, &spec).unwrap_err();
+        let spec = ShardSpec::new(0, ShardPartitioner::Hash);
+        let err = ExecPlan::new(&Cluster::default(), &join, &t, None, spec).unwrap_err();
         assert_eq!(err, cheetah_core::Error::MissingStream { stream: 1 });
         // A column the table does not have, or cannot be ordered by.
         for (q, col) in
             [(DbQuery::Distinct { col: 9 }, 9), (DbQuery::TopN { order_col: 0, n: 3 }, 0)]
         {
-            let err = ExecPlan::new(&Cluster::default(), &q, &t, None, &spec).unwrap_err();
+            let err = ExecPlan::new(&Cluster::default(), &q, &t, None, spec).unwrap_err();
             assert_eq!(err, cheetah_core::Error::BadColumn { stream: 0, col });
         }
         // Zero shards is served as one; a right table on a unary query is
         // dropped, so the plan is over the left table alone.
         let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &t, Some(&t), &spec);
+        let plan = plan_of(&q, &t, Some(&t), spec);
         assert_eq!(plan.shards(), 1);
         assert!(plan.is_over(&t, None) && !plan.is_over(&t, Some(&t)));
         assert!(!plan.is_over(&table(200, 1), None), "identity, not equality");

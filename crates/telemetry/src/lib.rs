@@ -53,9 +53,10 @@
 //! ```
 //!
 //! Name metrics `plane.thing[.unit]` (`serve.queue_seconds`,
-//! `net.retransmits`, `serve.tenant.<tenant>.latency_seconds`): the
-//! snapshot renders in name order, so shared prefixes group related
-//! metrics together for free.
+//! `net.retransmits`, `serve.plan_cache.hits`): the snapshot renders in
+//! name order, so shared prefixes group related metrics together for
+//! free. Never put caller input (a tenant id, a query) in a name: every
+//! name is a registry entry for the life of the registry.
 //!
 //! ## Adding a span
 //!
