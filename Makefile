@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims net-deps docs ledger-check ledger gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims net-deps docs ledger-check ledger first-sight gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -154,6 +154,13 @@ telemetry-gate:
 # the pass-through identity on one @direct run per sharded family.
 counters-gate:
 	cargo test -q -p cheetah-db --test counters_contract
+
+# adhoc_cold shape by shape: a fresh Session per request against the
+# baseline over tables shaped like that workload's, every answer checked,
+# the median baseline / first-sight ratio printed per shape. A correctness
+# smoke with a printout, not a timing gate.
+first-sight:
+	cargo run --release --example first_sight
 
 # The benchmark, as BENCHMARK.json declares it: the one command, once per
 # workload. The last stdout line of each run is its JSON verdict.

@@ -255,8 +255,9 @@ impl Cluster {
 
     /// Execute the query *without* the switch: the same operator's
     /// `complete` over the identity selection
-    /// ([`Survivors::all`](crate::operators::Survivors)) — no `spec()`, no
-    /// encode, no pruning pass. Output equals
+    /// ([`Survivors::all`](crate::operators::Survivors::all), which holds
+    /// row counts and no row ids, so the completion scans its columns) —
+    /// no `spec()`, no encode, no pruning pass. Output equals
     /// [`run_baseline`](Self::run_baseline)'s exactly.
     ///
     /// The paper's claim is conditional: pruning pays when the switch

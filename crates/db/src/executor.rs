@@ -401,9 +401,10 @@ fn run_on<O: PruningOperator, E: PruneEngine>(
 }
 
 /// The direct arm ([`Cluster::run_direct`]): complete the query over the
-/// identity selection — every row, no plan, no encode, no switch — and
-/// account the run as a worker computing a partial that a pass-through
-/// switch forwards whole. What it ships is the partial's result rows
+/// identity selection — every row, held as row counts, so each completion
+/// scans its columns; no plan, no encode, no switch — and account the run
+/// as a worker computing a partial that a pass-through switch forwards
+/// whole. What it ships is the partial's result rows
 /// ([`QueryOutput::result_rows`](crate::QueryOutput::result_rows)) — or
 /// the rows it read, where those are fewer: a fan-out join's pairs
 /// outnumber its inputs, and it would ship the inputs. Those are the
@@ -436,6 +437,7 @@ pub(crate) fn complete_all<O: PruningOperator>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::Selected;
     use crate::query::{DbQuery, QueryOutput};
     use crate::table::Partition;
     use crate::testutil::{all_queries, test_table};
@@ -586,9 +588,13 @@ mod tests {
                 let parts = src.stream(s).unwrap().partitions().len();
                 assert_eq!(survivors.parts(src, s).count(), parts, "one selection per partition");
                 for (part, sel) in survivors.parts(src, s) {
-                    assert!(sel.windows(2).all(|w| w[0] < w[1]), "not ascending: {sel:?}");
-                    assert!(sel.last().is_none_or(|&r| (r as usize) < part.rows()), "out of range");
-                    handed += sel.len() as u64;
+                    let rows: Vec<usize> = sel.rows().collect();
+                    assert!(rows.windows(2).all(|w| w[0] < w[1]), "not ascending: {sel:?}");
+                    assert!(rows.last().is_none_or(|&r| r < part.rows()), "out of range");
+                    if let Selected::All(n) = sel {
+                        assert_eq!(n, part.rows(), "the identity is every row");
+                    }
+                    handed += sel.count() as u64;
                 }
             }
             QueryOutput::Count(handed)
@@ -626,6 +632,10 @@ mod tests {
         let run = cluster.execute(&having, &Tables::unary(&t)).unwrap();
         assert_eq!(run.output, QueryOutput::Count(run.breakdown.entries_to_master));
         assert!(run.breakdown.entries_to_master > run.switch_stats.forwarded);
+
+        // The direct arm hands over the identity: every row, as row counts.
+        let all = complete_all(&join, &Tables::binary(&t, &t)).unwrap();
+        assert_eq!(all.output, QueryOutput::Count(8_000));
     }
 
     #[test]

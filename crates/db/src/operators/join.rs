@@ -86,7 +86,7 @@ impl PruningOperator for JoinOp {
         // is re-hashed — for string keys, re-read — on the fewest growths.
         // A Bloom false positive finds no partner, so adds no pair.
         let key_cols = [self.left_key, self.right_key];
-        let held = |stream| survivors.parts(src, stream).map(|(_, sel)| sel.len()).sum::<usize>();
+        let held = |stream| survivors.parts(src, stream).map(|(_, sel)| sel.count()).sum::<usize>();
         let (small, large) = if held(0) <= held(1) { (0, 1) } else { (1, 0) };
         let mut build: HashMap<KeyRef<'_>, u64> = HashMap::new();
         for (part, sel) in survivors.parts(src, small) {

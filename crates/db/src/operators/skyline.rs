@@ -61,7 +61,7 @@ impl PruningOperator for SkylineOp<'_> {
         let mut pts: Vec<Vec<i64>> = Vec::with_capacity(survivors.count() as usize);
         for (part, sel) in survivors.parts(src, 0) {
             let dims = self.dims(part);
-            pts.extend(sel.iter().map(|&r| dims.iter().map(|dim| dim[r as usize]).collect()));
+            pts.extend(sel.rows().map(|r| dims.iter().map(|dim| dim[r]).collect()));
         }
         QueryOutput::points(ops::skyline_of(&pts))
     }

@@ -4,9 +4,10 @@
 //! be in the top N; the master keeps the N largest of the survivors' true
 //! order values — the exact answer — in a bounded heap, so a survivor
 //! under the running cut costs one compare and no survivor is sorted
-//! that the answer does not hold.
+//! that the answer does not hold. Over the identity selection (the direct
+//! arm) the heap reads the raw column slice, with no row ids between.
 
-use super::{encode_i64_32, PruningOperator, Survivors};
+use super::{encode_i64_32, PruningOperator, Selected, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -48,15 +49,18 @@ impl PruningOperator for TopNOp {
         // A min-heap of the `n` largest values so far; its root is the cut.
         let held = self.n.min(survivors.count() as usize);
         let mut top: BinaryHeap<Reverse<i64>> = BinaryHeap::with_capacity(held);
+        let mut offer = |v: i64| {
+            if top.len() < self.n {
+                top.push(Reverse(v));
+            } else if let Some(mut cut) = top.peek_mut().filter(|cut| v > cut.0) {
+                *cut = Reverse(v);
+            }
+        };
         for (part, sel) in survivors.parts(src, 0) {
             let col = part.column(self.col).as_int().expect("int order col");
-            for &r in sel {
-                let v = col[r as usize];
-                if top.len() < self.n {
-                    top.push(Reverse(v));
-                } else if let Some(mut cut) = top.peek_mut().filter(|cut| v > cut.0) {
-                    *cut = Reverse(v);
-                }
+            match sel {
+                Selected::All(_) => col.iter().for_each(|&v| offer(v)),
+                Selected::Rows(ids) => ids.iter().for_each(|&r| offer(col[r as usize])),
             }
         }
         QueryOutput::top_values(top.into_iter().map(|Reverse(v)| v).collect())
@@ -67,6 +71,7 @@ impl PruningOperator for TopNOp {
 mod tests {
     use super::*;
     use crate::table::TableBuilder;
+    use crate::testutil::every_row;
     use crate::value::{DataType, Value};
 
     /// One int column holding `vals`, three rows to a partition.
@@ -92,11 +97,14 @@ mod tests {
         let vals = [5, -3, 9, 9, 0, -3, 7, 9, i64::MIN, 2, i64::MAX, -3, 7, 7, 1];
         let t = column(&vals);
         let src = Tables::unary(&t);
-        let all = Survivors::all(&src, 1).unwrap();
-        // n = 0, cuts inside each run of duplicates, n = rows, n > rows.
-        for n in [0, 1, 2, 3, 4, 5, 6, 7, 9, 13, vals.len(), vals.len() + 1, 1_000, usize::MAX] {
-            let got = TopNOp::new(0, n, &tuning).complete(&src, &all);
-            assert_eq!(got, full_sort(vals.to_vec(), n), "n = {n}");
+        // Every row, as the identity (the raw column) and as row ids.
+        for every in [Survivors::all(&src, 1).unwrap(), every_row(&src, 1)] {
+            // n = 0, cuts inside each run of duplicates, n = rows, n > rows.
+            for n in [0, 1, 2, 3, 4, 5, 6, 7, 9, 13, vals.len(), vals.len() + 1, 1_000, usize::MAX]
+            {
+                let got = TopNOp::new(0, n, &tuning).complete(&src, &every);
+                assert_eq!(got, full_sort(vals.to_vec(), n), "n = {n} over {every:?}");
+            }
         }
         // A proper selection: every other row, partition by partition.
         let mut some = Survivors::none(&src, 1).unwrap();

@@ -1,6 +1,8 @@
 //! Shared fixtures for the engine/executor/operator test modules.
 
+use crate::executor::Tables;
 use crate::expr::{DbPredicate, IntCmp};
+use crate::operators::Survivors;
 use crate::query::DbQuery;
 use crate::table::{Table, TableBuilder};
 use crate::value::{DataType, Value};
@@ -27,6 +29,20 @@ pub(crate) fn test_table(rows: usize, partitions: usize) -> Table {
         b.push_row(vec![Value::Str(agent), Value::Int(revenue), Value::Int(duration)]);
     }
     b.build()
+}
+
+/// The identity selection spelled out as row ids — every row of every
+/// partition of the first `streams` streams of `src`, kept the way a
+/// pruning pass keeps what the switch forwards — so a completion can be
+/// run over both selection kinds of the same rows.
+pub(crate) fn every_row(src: &Tables<'_>, streams: usize) -> Survivors {
+    let mut kept = Survivors::none(src, streams).expect("the source carries every stream");
+    for s in 0..streams {
+        for (p, part) in src.stream(s).expect("checked above").partitions().iter().enumerate() {
+            kept.keep(s, p, &(0..part.rows() as u32).collect::<Vec<_>>());
+        }
+    }
+    kept
 }
 
 /// Every unary query shape over [`test_table`]'s schema.

@@ -28,19 +28,23 @@
 //! A layout is one value, [`ShardLayout`]: a hand-picked
 //! [`ShardSpec`](cheetah_db::ShardSpec) or a plan the sampling planner
 //! fitted ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)), and
-//! [`ExecPlan::new`] takes either as it is. Adapting a layout to what a
-//! run observed happens between *sights* of a request, in the serving
-//! plane (first sight measures, second sight fits), not inside a run.
+//! [`ExecPlan::new`] takes either as it is. Choosing a layout and an arm
+//! happens between *sights* of a request, in the serving plane, not inside
+//! a run: a key's first sight runs direct over the tables whole, its
+//! second sight fits a layout, routes it, runs it pruned and decides the
+//! arm, and later sights run what was decided. Each run executes the plan
+//! it is handed.
 //!
 //! * **Direct** — the way out: a shard job skips `spec()`, encode and
 //!   the switch and runs
 //!   [`Cluster::run_direct`](cheetah_db::Cluster::run_direct) — the
-//!   operator's own completion over every row of its unit — then hands
-//!   the output over whole, like the barrier. Same units, same pool, same
-//!   merge, same accounting tail (a pass-through switch: every result row
-//!   of the partials seen and forwarded, none pruned). The serving plane
-//!   engages it per key, where the key's first run measured that
-//!   completing every row costs less than pruning did; each job's measured
+//!   operator's own completion over every row of its unit, a scan of its
+//!   columns — then hands the output over whole, like the barrier. Same
+//!   units, same pool, same merge, same accounting tail (a pass-through
+//!   switch: every result row of the partials seen and forwarded, none
+//!   pruned). The serving plane runs it at every key's first sight, and
+//!   from then on where the key's second sight measured that completing
+//!   every row costs less than pruning did; each job's measured
 //!   [`busy_seconds`](cheetah_db::ShardStats::busy_seconds) is one side of
 //!   that comparison.
 //! * **Barrier** — each worker hands its completed output over whole;
