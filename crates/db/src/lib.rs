@@ -56,7 +56,7 @@ pub use cheetah_core::{ShardPartitioner, Sharder};
 pub use engine::{CheetahRun, CheetahTuning, Cluster, ExecBackend, ExecBreakdown, SparkRun};
 pub use executor::Tables;
 pub use expr::{DbPredicate, IntCmp, LikePattern};
-pub use master::{decompose_output, merge_shard_outputs, MergeItem, MergeState};
+pub use master::{decompose_output, frame_items, merge_shard_outputs, MergeItem, MergeState};
 pub use planner::{
     fixed_sharder, routing_keys, ChooserArm, ExecPath, PathChooser, PlannerConfig, ShardPlanner,
 };

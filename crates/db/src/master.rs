@@ -25,8 +25,8 @@
 //! The merge semantics exist in two granularities:
 //!
 //! * **batch-at-a-time** — the stream transport decomposes each shard
-//!   output into [`MergeItem`]s ([`decompose_output`]), frames them, and
-//!   the master folds the frames into a [`MergeState`]
+//!   output into [`MergeItem`]s ([`decompose_output`]), cuts them into
+//!   frames ([`frame_items`]), and folds the frames into a [`MergeState`]
 //!   ([`MergeState::ingest_survivor_batch`]): TOP N and SKYLINE *re-prune*
 //!   their running survivors per batch, DISTINCT re-normalizes, GROUP BY /
 //!   HAVING / filtered counts / JOIN pair counts fold associatively. The
@@ -43,7 +43,7 @@ use crate::ops;
 use crate::query::{DbQuery, QueryOutput};
 use crate::value::Value;
 use bytes::{BufMut, Bytes, BytesMut};
-use cheetah_net::{SurvivorBatch, WireError};
+use cheetah_net::{FrameBuilder, SurvivorBatch, WireError, MAX_BATCH_ITEMS};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Merge per-shard outputs of `q` into the global output, following the
@@ -109,18 +109,9 @@ const ITEM_KEYED_INT: u8 = 6;
 const ITEM_KEYED_STR: u8 = 7;
 
 impl MergeItem {
-    /// Serialize into the opaque item payload of a
-    /// [`SurvivorBatch`] frame.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
-        self.encode_into(&mut b);
-        b.freeze()
-    }
-
-    /// Serialize by appending to `b` — the allocation-free sibling of
-    /// [`encode`](MergeItem::encode) that the streamed runtime uses to
-    /// write items straight into a frame's shared arena
-    /// ([`FrameBuilder::push_with`](cheetah_net::FrameBuilder::push_with)).
+    /// Serialize by appending to `b` — into a frame's shared arena
+    /// ([`FrameBuilder::push_with`]), as [`frame_items`] does: no per-item
+    /// buffer.
     pub fn encode_into(&self, b: &mut BytesMut) {
         match self {
             MergeItem::Count(c) => {
@@ -159,15 +150,10 @@ impl MergeItem {
         }
     }
 
-    /// Parse an item payload back; defensive like the wire formats —
-    /// malformed payloads are typed [`WireError`]s, never panics.
-    pub fn decode(buf: Bytes) -> Result<MergeItem, WireError> {
-        Self::decode_slice(&buf)
-    }
-
-    /// [`decode`](MergeItem::decode) over a borrowed slice — the master
-    /// merge plane reads items directly out of a columnar frame's arena
-    /// without materializing per-item buffers.
+    /// Parse an item payload back, straight out of a borrowed slice (the
+    /// master reads items in place in a frame's arena); defensive like the
+    /// wire formats — malformed payloads are typed [`WireError`]s, never
+    /// panics.
     pub fn decode_slice(buf: &[u8]) -> Result<MergeItem, WireError> {
         let mut buf = buf;
         let tag = take_u8(&mut buf)?;
@@ -277,6 +263,25 @@ pub fn decompose_output(q: &DbQuery, output: QueryOutput) -> Vec<MergeItem> {
     }
 }
 
+/// Cut one shard's decomposed `items` into [`SurvivorBatch`] frames of
+/// `batch` items each (clamped to what a frame carries), numbered from
+/// sequence 0 — the stream transport's one framing. Each item is encoded
+/// once, straight into its frame's arena. No items, no frames.
+pub fn frame_items(shard: u32, items: &[MergeItem], batch: usize) -> Vec<Bytes> {
+    let mut frames = FrameBuilder::new();
+    items
+        .chunks(batch.clamp(1, MAX_BATCH_ITEMS))
+        .enumerate()
+        .map(|(seq, chunk)| {
+            frames.begin(shard, seq as u64);
+            for item in chunk {
+                frames.push_with(|b| item.encode_into(b));
+            }
+            frames.finish()
+        })
+        .collect()
+}
+
 fn mismatch(expected: &str, got: &QueryOutput) -> ! {
     panic!("shard output variant mismatch: expected {expected}, got {got:?}")
 }
@@ -371,24 +376,6 @@ impl MergeState {
         self.compact();
     }
 
-    /// Fold a whole batch of *encoded* items, reading each straight out
-    /// of a borrowed slice ([`MergeItem::decode_slice`]) — the zero-copy
-    /// path the streamed runtime drives with the item windows of a
-    /// columnar [`SurvivorBatch`]. Compacts
-    /// once at the end, like [`ingest_batch`](MergeState::ingest_batch);
-    /// a malformed item is a typed [`WireError`], with the items before
-    /// it already folded (the caller abandons the run, not the state).
-    pub fn ingest_slices<'a>(
-        &mut self,
-        slices: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Result<(), WireError> {
-        for s in slices {
-            self.ingest(MergeItem::decode_slice(s)?);
-        }
-        self.compact();
-        Ok(())
-    }
-
     /// Fold one framed [`SurvivorBatch`] *idempotently*: a frame whose
     /// `(shard, seq)` identity was already folded is counted and skipped,
     /// so a lossy channel may deliver retransmitted or duplicated frames
@@ -396,12 +383,21 @@ impl MergeState {
     /// the batch was new (and folded), `Ok(false)` for a discarded
     /// duplicate. This is the only ingest door the lossy runtime uses —
     /// the dedup lives *in* the merge plane, not in each transport.
+    ///
+    /// A new batch's items are read zero-copy out of the frame's arena
+    /// ([`MergeItem::decode_slice`]) and folded, then the state compacts
+    /// once, like [`ingest_batch`](MergeState::ingest_batch). A malformed
+    /// item is a typed [`WireError`], with the items before it already
+    /// folded (the caller abandons the run, not the state).
     pub fn ingest_survivor_batch(&mut self, batch: &SurvivorBatch) -> Result<bool, WireError> {
         if !self.seen.insert((batch.shard, batch.seq)) {
             self.duplicate_batches += 1;
             return Ok(false);
         }
-        self.ingest_slices(batch.items())?;
+        for item in batch.items() {
+            self.ingest(MergeItem::decode_slice(item)?);
+        }
+        self.compact();
         Ok(true)
     }
 
@@ -550,6 +546,13 @@ mod tests {
     // The incremental plane: codec + batch-order invariance
     // ------------------------------------------------------------------
 
+    /// One item's payload, as a frame's arena holds it.
+    fn encoded(item: &MergeItem) -> Vec<u8> {
+        let mut b = BytesMut::new();
+        item.encode_into(&mut b);
+        b.to_vec()
+    }
+
     #[test]
     fn merge_items_round_trip_through_the_codec() {
         let items = vec![
@@ -564,63 +567,68 @@ mod tests {
             MergeItem::Keyed(Value::Str("key-0".into()), 1_000_000),
         ];
         for item in items {
-            let back = MergeItem::decode(item.encode()).expect("decode back");
+            let back = MergeItem::decode_slice(&encoded(&item)).expect("decode back");
             assert_eq!(back, item);
         }
     }
 
     #[test]
     fn merge_item_decode_is_defensive() {
-        assert_eq!(MergeItem::decode(Bytes::new()), Err(WireError::Truncated));
-        assert_eq!(MergeItem::decode(Bytes::from(vec![99u8])), Err(WireError::BadType(99)));
+        assert_eq!(MergeItem::decode_slice(&[]), Err(WireError::Truncated));
+        assert_eq!(MergeItem::decode_slice(&[99u8]), Err(WireError::BadType(99)));
         // Every truncation of a valid payload errors instead of panicking.
-        let full = MergeItem::Keyed(Value::Str("hello".into()), 42).encode();
+        let full = encoded(&MergeItem::Keyed(Value::Str("hello".into()), 42));
         for len in 0..full.len() {
-            assert!(MergeItem::decode(full.slice(0..len)).is_err(), "len {len}");
+            assert!(MergeItem::decode_slice(&full[..len]).is_err(), "len {len}");
         }
         // Corruption is not misreported as truncation: invalid UTF-8 in a
         // complete string payload, and trailing bytes beyond the item,
         // are both payload errors.
-        let bad_utf8 = Bytes::from(vec![3u8, 0, 0, 0, 1, 0xFF]);
-        assert_eq!(MergeItem::decode(bad_utf8), Err(WireError::BadPayload));
-        let mut trailing = MergeItem::Top(9).encode().to_vec();
+        assert_eq!(MergeItem::decode_slice(&[3u8, 0, 0, 0, 1, 0xFF]), Err(WireError::BadPayload));
+        let mut trailing = encoded(&MergeItem::Top(9));
         trailing.push(0);
-        assert_eq!(MergeItem::decode(Bytes::from(trailing)), Err(WireError::BadPayload));
+        assert_eq!(MergeItem::decode_slice(&trailing), Err(WireError::BadPayload));
     }
 
     #[test]
-    fn encode_into_matches_encode_and_slices_fold_like_items() {
-        let items = vec![
-            MergeItem::Count(7),
-            MergeItem::Value(Value::Str("agent-λ".into())),
-            MergeItem::Top(-3),
-            MergeItem::Point(vec![1, 2, 3]),
-            MergeItem::Keyed(Value::Str("k".into()), 9),
-        ];
-        // One shared arena, encoded once…
-        let mut arena = BytesMut::with_capacity(64);
-        let mut ends = Vec::new();
-        for item in &items {
-            item.encode_into(&mut arena);
-            ends.push(arena.len());
+    fn framed_items_carry_each_encoding_once_and_fold_like_items() {
+        let items: Vec<MergeItem> = (0..7).map(MergeItem::Top).collect();
+        // ⌈7 / 3⌉ frames of this shard, numbered from zero, each holding
+        // its chunk's encodings in order.
+        let frames = frame_items(5, &items, 3);
+        assert_eq!(frames.len(), 3);
+        for (seq, (frame, chunk)) in frames.iter().zip(items.chunks(3)).enumerate() {
+            let batch = SurvivorBatch::parse(frame.clone()).expect("frame parses");
+            assert_eq!((batch.shard, batch.seq), (5, seq as u64));
+            let got: Vec<&[u8]> = batch.items().collect();
+            let want: Vec<Vec<u8>> = chunk.iter().map(encoded).collect();
+            assert_eq!(got, want.iter().map(Vec::as_slice).collect::<Vec<_>>());
         }
-        // …must contain exactly the per-item encodings back to back.
-        let concat: Vec<u8> = items.iter().flat_map(|i| i.encode().to_vec()).collect();
-        assert_eq!(&arena[..], &concat[..]);
-        // Folding the slices equals folding the decoded items.
+        // No items, no frames; a zero batch frames one item apiece.
+        assert!(frame_items(0, &[], 3).is_empty());
+        assert_eq!(frame_items(0, &items, 0).len(), items.len());
+        // Folding the frames equals folding the items.
         let q = DbQuery::TopN { order_col: 0, n: 2 };
-        let tops = [MergeItem::Top(5), MergeItem::Top(9), MergeItem::Top(1)];
         let mut by_item = MergeState::new(&q);
-        by_item.ingest_batch(tops.iter().cloned());
-        let mut by_slice = MergeState::new(&q);
-        let encoded: Vec<Bytes> = tops.iter().map(MergeItem::encode).collect();
-        by_slice.ingest_slices(encoded.iter().map(|b| &b[..])).expect("valid slices");
-        assert_eq!(by_slice.ingested(), 3);
-        assert_eq!(by_item.finish(), by_slice.finish());
-        // A malformed slice surfaces as a typed error, not a panic.
+        by_item.ingest_batch(items.iter().cloned());
+        let mut by_frame = MergeState::new(&q);
+        for f in frames {
+            let batch = SurvivorBatch::parse(f).expect("frame parses");
+            assert_eq!(by_frame.ingest_survivor_batch(&batch), Ok(true));
+        }
+        assert_eq!(by_frame.ingested(), 7);
+        assert_eq!(by_item.finish(), by_frame.finish());
+        // A malformed item surfaces as a typed error, not a panic.
         let mut st = MergeState::new(&q);
-        assert_eq!(st.ingest_slices([&[][..]]), Err(WireError::Truncated));
-        assert_eq!(st.ingest_slices([&[99u8][..]]), Err(WireError::BadType(99)));
+        for (seq, (item, err)) in
+            [(&[][..], WireError::Truncated), (&[99u8][..], WireError::BadType(99))]
+                .into_iter()
+                .enumerate()
+        {
+            let batch = SurvivorBatch::parse(cheetah_net::emit_batch(0, seq as u64, [item]))
+                .expect("frame parses");
+            assert_eq!(st.ingest_survivor_batch(&batch), Err(err));
+        }
     }
 
     #[test]
@@ -691,8 +699,8 @@ mod tests {
     // ------------------------------------------------------------------
 
     fn count_frame(shard: u32, seq: u64, counts: &[u64]) -> cheetah_net::SurvivorBatch {
-        let encoded: Vec<Bytes> = counts.iter().map(|&c| MergeItem::Count(c).encode()).collect();
-        cheetah_net::SurvivorBatch::parse(cheetah_net::emit_batch(shard, seq, encoded.iter()))
+        let items = counts.iter().map(|&c| encoded(&MergeItem::Count(c)));
+        cheetah_net::SurvivorBatch::parse(cheetah_net::emit_batch(shard, seq, items))
             .expect("frame parses")
     }
 
@@ -732,11 +740,11 @@ mod tests {
             .iter()
             .flat_map(|(shard, vals)| {
                 vals.iter().enumerate().map(move |(seq, &v)| {
-                    let item = MergeItem::Top(v).encode();
+                    let item = encoded(&MergeItem::Top(v));
                     cheetah_net::SurvivorBatch::parse(cheetah_net::emit_batch(
                         *shard,
                         seq as u64,
-                        [item.as_ref()],
+                        [item],
                     ))
                     .unwrap()
                 })

@@ -307,10 +307,10 @@ pub enum ExecPath {
     /// Workers hand their completed outputs over whole; the master merges
     /// once the last one is in.
     BarrierPooled,
-    /// Workers frame their completed outputs in survivor batches at the
-    /// end of their jobs; the master folds the frames once the last one is
-    /// in. The carrier of `ExecPlan`'s fault mode, where frames are the
-    /// point.
+    /// Workers hand their completed outputs over whole, as on the barrier;
+    /// once the last one is in, the master cuts each into survivor-batch
+    /// frames ([`frame_items`](crate::frame_items)) and folds the frames.
+    /// The carrier of `ExecPlan`'s fault mode, where frames are the point.
     StreamedResident,
     /// The unaccelerated plan: each shard job completes its unit over the
     /// identity selection ([`Cluster::run_direct`](crate::Cluster::run_direct)

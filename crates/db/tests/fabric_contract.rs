@@ -27,8 +27,8 @@ mod common;
 
 use bytes::Bytes;
 use cheetah_db::{
-    decompose_output, fixed_sharder, route_range, routing_keys, Cluster, DbQuery, MergeState,
-    QueryOutput, ShardPartitioner, ShardSpec, Table,
+    decompose_output, fixed_sharder, frame_items, route_range, routing_keys, Cluster, DbQuery,
+    MergeState, QueryOutput, ShardPartitioner, ShardSpec, Table,
 };
 use cheetah_net::{
     emit_batch, explore, CheckerConfig, FabricSim, FaultProfile, RackConfig, SurvivorBatch,
@@ -76,14 +76,8 @@ fn shard_frames(
             let rs = right_slices.as_ref().map(|v| &v[shard]);
             let out = cluster.run_baseline(q, slice, rs).output;
             let items = decompose_output(q, out);
-            let per = items.len().div_ceil(FRAMES_PER_SHARD).max(1);
-            let mut frames: Vec<Bytes> = items
-                .chunks(per)
-                .enumerate()
-                .map(|(seq, chunk)| {
-                    emit_batch(shard as u32, seq as u64, chunk.iter().map(|i| i.encode()))
-                })
-                .collect();
+            let per = items.len().div_ceil(FRAMES_PER_SHARD);
+            let mut frames = frame_items(shard as u32, &items, per);
             // Light shards still owe the flow its full frame count; an
             // empty survivor batch is a legal (and common) frame.
             while frames.len() < FRAMES_PER_SHARD {

@@ -30,9 +30,9 @@
 mod common;
 
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
-use cheetah_runtime::{execute, ExecPlan, FaultSpec};
+use cheetah_runtime::{execute, ExecPlan, FaultSpec, WorkerPool};
 use cheetah_serve::{QueryRequest, Session};
-use cheetah_telemetry::{Registry, Trace, TraceTree};
+use cheetah_telemetry::{Registry, SpanNode, Trace, TraceTree};
 use std::sync::Arc;
 
 const SHARDS: usize = 4;
@@ -44,6 +44,12 @@ fn fixture(seed: u64) -> Arc<Table> {
 /// Every span name on the root's direct child list, in exported order.
 fn child_names(tree: &TraceTree) -> Vec<&str> {
     tree.root.children.iter().map(|c| c.name.as_str()).collect()
+}
+
+/// Whether a `worker` span names the pool worker that ran its shard.
+fn on_a_pool_worker(w: &SpanNode) -> bool {
+    let thread = w.attr("thread").and_then(|t| t.parse::<usize>().ok());
+    thread.is_some_and(|t| t < WorkerPool::global().workers())
 }
 
 #[test]
@@ -88,6 +94,7 @@ fn every_path_backend_combination_yields_a_complete_span_tree() {
             assert_eq!(workers.len(), SHARDS, "{label}: one worker span per shard");
             for (i, w) in workers.iter().enumerate() {
                 assert_eq!(w.attr("shard"), Some(i.to_string().as_str()), "{label}");
+                assert!(on_a_pool_worker(w), "{label}: thread {:?}", w.attr("thread"));
             }
             assert!(exec.find("merge").is_some(), "{label}: missing merge span");
 
@@ -291,6 +298,7 @@ fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
             exec.find_all("worker", &mut workers);
             assert_eq!(workers.len(), resp.breakdown.shards as usize, "{label}");
             assert!(workers.iter().all(|w| w.attr("path") == Some(path)), "{label}");
+            assert!(workers.iter().all(|w| on_a_pool_worker(w)), "{label}");
             assert_eq!(tree.root.attr("arm"), Some(resp.arm.label().as_str()), "{label}");
         }
     }

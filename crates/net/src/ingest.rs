@@ -106,21 +106,6 @@ impl MasterIngestModel {
         self.with_shards(active.max(1)).blocking_latency(total)
     }
 
-    /// The survivor-batch size the streamed runtime should frame at,
-    /// read off the fan-in curve: with `shards` workers streaming
-    /// concurrently, the aggregate outstanding entries across all
-    /// in-flight batches should stay well inside the linear-service
-    /// regime (a small fraction of [`backlog_halving`], past which the
-    /// master's effective service rate degrades and Figure 9's
-    /// super-linear buffering kicks in). Bigger batches amortize framing,
-    /// so the result is clamped to a useful floor/ceiling.
-    ///
-    /// [`backlog_halving`]: MasterIngestModel::backlog_halving
-    pub fn suggested_batch(&self, shards: usize) -> usize {
-        let per_shard = self.backlog_halving / (256.0 * shards.max(1) as f64);
-        (per_shard as usize).clamp(32, 8192)
-    }
-
     /// The shard planner's cost query: the modelled master latency of
     /// ingesting `entries` survivors streamed concurrently by `shards`
     /// workers. This is the fan-in curve the planner walks to decide
@@ -241,26 +226,9 @@ mod tests {
         assert!(eight >= one * 0.95, "one={one}, eight={eight}");
     }
 
-    #[test]
-    fn suggested_batch_shrinks_with_fan_in_and_stays_bounded() {
-        let m = MasterIngestModel::default_rack();
-        let mut last = usize::MAX;
-        for shards in [1usize, 2, 4, 7, 16, 64, 1024] {
-            let b = m.suggested_batch(shards);
-            assert!((32..=8192).contains(&b), "batch {b} out of range");
-            assert!(b <= last, "more shards must not grow the batch: {b} > {last}");
-            last = b;
-        }
-        // Zero shards clamps to one instead of dividing by nothing.
-        assert_eq!(m.suggested_batch(0), m.suggested_batch(1));
-        // A tiny backlog budget still yields a workable batch.
-        let tight = MasterIngestModel { backlog_halving: 1.0, ..m };
-        assert_eq!(tight.suggested_batch(8), 32);
-    }
-
     // ------------------------------------------------------------------
-    // Edge coverage of the fan-in model (the shapes the streamed runtime
-    // and the planner both lean on).
+    // Edge coverage of the fan-in model (the shapes the planner leans
+    // on).
     // ------------------------------------------------------------------
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Under the barrier dataflow every shard's survivors reach the master as
 //! one completed output at the join point. The streamed runtime instead
-//! has each shard worker frame its completed output in [`SurvivorBatch`]es
-//! — checksummed and sequenced, so the §7.2 carrier can drop, resend and
+//! cuts each shard's completed output into [`SurvivorBatch`]es —
+//! checksummed and sequenced, so the §7.2 carrier can drop, resend and
 //! duplicate them — and the master's merge plane folds the frames batch
 //! by batch.
 //!
@@ -53,7 +53,7 @@ const COUNT_AT: usize = 1 + 4 + 8;
 const ARENA_LEN_AT: usize = COUNT_AT + 4;
 
 /// Hard cap on items per frame. The count field is 32-bit on the wire,
-/// but the runtime chunks batches far below this and the parser rejects
+/// but the runtime chunks batches at or below this and the parser rejects
 /// anything above it — a corrupt count can never drive a huge
 /// preallocation.
 pub const MAX_BATCH_ITEMS: usize = u16::MAX as usize;
@@ -168,11 +168,10 @@ fn end_at(ends: &Bytes, i: usize) -> usize {
 
 /// Reusable encoder of [`SurvivorBatch`] frames.
 ///
-/// A shard worker keeps one builder alive across frames (and, on a
-/// persistent worker pool, across queries): items are encoded straight
-/// into the frame's arena via [`push_with`](FrameBuilder::push_with) —
-/// no per-item buffer, no second copy — and the capacity high-water mark
-/// carries over so steady-state frames allocate once.
+/// One builder frames a whole flow: items are encoded straight into the
+/// frame's arena via [`push_with`](FrameBuilder::push_with) — no per-item
+/// buffer, no second copy — and the capacity high-water mark carries over
+/// from frame to frame, so each frame allocates once.
 #[derive(Debug, Default)]
 pub struct FrameBuilder {
     buf: BytesMut,
@@ -206,7 +205,7 @@ impl FrameBuilder {
     ///
     /// # Panics
     /// Panics if no frame is open or the frame already holds
-    /// [`MAX_BATCH_ITEMS`] — the runtime chunks batches far below that.
+    /// [`MAX_BATCH_ITEMS`] — the runtime chunks batches at or below that.
     pub fn push_with(&mut self, encode: impl FnOnce(&mut BytesMut)) {
         assert!(self.open, "push_with outside begin/finish");
         assert!(self.ends.len() < MAX_BATCH_ITEMS, "too many items to frame");

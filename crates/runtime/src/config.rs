@@ -47,8 +47,10 @@ pub struct FaultSpec {
     /// frame for frame — retransmit counts included.
     pub seed: u64,
     /// Merge items per survivor frame: the unit the faults are drawn on.
-    /// A lossless run frames at the rack ingest model's fan-in curve
-    /// ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)).
+    /// The master cuts each shard's output at this size
+    /// ([`frame_items`](cheetah_db::frame_items)); a lossless run cuts as
+    /// many items as a frame carries
+    /// ([`MAX_BATCH_ITEMS`](cheetah_net::MAX_BATCH_ITEMS)).
     pub batch: usize,
 }
 

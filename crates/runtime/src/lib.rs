@@ -14,15 +14,14 @@
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
 //!  DbQuery::check (schema, types)           units[shard]
-//!  rows ──routing_keys──▶ sharder                │ one pool job per shard
+//!  rows ──routing_keys──▶ sharder                │ one pool job per shard, the same on every path
 //!           │ route_columns, once                ▼
 //!           ▼                              Cluster::run_cheetah per unit
-//!     one unit per shard                         │
-//!                                                ├─ barrier: whole outputs ──▶ merge_shard_outputs
-//!                                                └─ stream: survivor frames ─▶ MergeState (in shard order,
-//!                                                                                or across the lossy rack)
-//!                                          or, direct: Cluster::run_direct per unit (no switch)
-//!                                                └─ whole outputs ──▶ merge_shard_outputs
+//!     one unit per shard                   (direct: Cluster::run_direct, no switch)
+//!                                                │ whole outputs
+//!                                                ├─ barrier, direct ──▶ merge_shard_outputs
+//!                                                └─ stream: frame_items ──▶ MergeState (in shard order,
+//!                                                                           or across the lossy rack)
 //! ```
 //!
 //! A layout is one value, [`ShardLayout`]: a hand-picked
@@ -50,20 +49,20 @@
 //! * **Barrier** — each worker hands its completed output over whole;
 //!   the master merges once the last worker is in. Nothing to frame: the
 //!   transport every unpinned pruned request runs.
-//! * **Stream** — each worker decomposes its completed output into
-//!   [`MergeItem`](cheetah_db::MergeItem)s and frames them in
-//!   [`SurvivorBatch`](cheetah_net::SurvivorBatch)es at the end of its job;
-//!   once the last worker is in, the master folds the frames into a
-//!   [`MergeState`](cheetah_db::MergeState) in shard order. The batch size
-//!   comes off the rack ingest model's fan-in curve
-//!   ([`suggested_batch`](cheetah_net::MasterIngestModel::suggested_batch)).
-//!   Frames are the point of the fault mode, set on a built plan like its
-//!   path ([`ExecPlan::with_fault`]): its [`FaultSpec`] cuts them at its own
+//! * **Stream** — each worker hands its completed output over whole, as
+//!   on the barrier; once the last worker is in, the master decomposes
+//!   each output into [`MergeItem`](cheetah_db::MergeItem)s, cuts them
+//!   into [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames
+//!   ([`frame_items`](cheetah_db::frame_items)) and folds the frames into
+//!   a [`MergeState`](cheetah_db::MergeState) in shard order. A lossless
+//!   run cuts as many items as a frame carries
+//!   ([`MAX_BATCH_ITEMS`](cheetah_net::MAX_BATCH_ITEMS)). Frames are the
+//!   point of the fault mode, set on a built plan like its path
+//!   ([`ExecPlan::with_fault`]): its [`FaultSpec`] cuts them at its own
 //!   frame size and carries them across the simulated lossy rack of
 //!   `cheetah_net::rack` instead (§7.2's go-back-N in simulated time,
-//!   deterministic per seed). Unpinned
-//!   requests never run it; the ledger pins it, and the two transports
-//!   tie on its workloads.
+//!   deterministic per seed). Unpinned requests never run it; the ledger
+//!   pins it, and the two transports tie on its workloads.
 //!
 //! Every transport is store-and-forward: a shard job reports once, when
 //! its unit is done, and never blocks.
@@ -84,5 +83,5 @@ pub mod runtime;
 
 pub use config::{FaultSpec, ShardLayout};
 pub use plan::ExecPlan;
-pub use pool::{WorkerPool, WorkerScratch};
+pub use pool::WorkerPool;
 pub use runtime::{execute, ExecRun};

@@ -2,19 +2,14 @@
 //!
 //! Spinning up one thread per shard per query and tearing them all down
 //! at the join is, at smoke scale (thousands of reps over a few thousand
-//! rows), a measurable slice of a multi-shard run. This module keeps
-//! thread spin-up and per-run allocation churn out of the per-query path:
-//!
-//! * [`WorkerPool`] owns long-lived worker threads fed through one
-//!   shared injector queue. Spawning a job is a channel send, not a
-//!   `pthread_create`.
-//! * Each worker owns a [`WorkerScratch`] whose arena allocations (the
-//!   [`FrameBuilder`] behind survivor-batch framing) survive from query
-//!   to query, so each frame is allocated once, at its worker's
-//!   high-water size.
+//! rows), a measurable slice of a multi-shard run. [`WorkerPool`] keeps
+//! thread spin-up out of the per-query path: it owns long-lived worker
+//! threads fed through one shared injector queue, so spawning a job is a
+//! channel send, not a `pthread_create`. A job is handed the index of the
+//! worker running it, which is all a worker owns.
 //!
 //! [`execute`](crate::execute) submits one job per shard to
-//! [`WorkerPool::global`], whichever transport its plan carries.
+//! [`WorkerPool::global`], whichever path its plan carries.
 //!
 //! The pool is deliberately dumb: no work stealing, no priorities, one
 //! `Mutex<Receiver>` that each idle worker takes in turn (the lock is
@@ -26,30 +21,12 @@
 //! the job owned (its channel's sender) drops, which is how its submitter
 //! learns, and the thread takes the next job.
 
-use cheetah_net::FrameBuilder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Per-worker reusable state, handed to every job the worker runs.
-///
-/// The point of the pool is that this outlives queries: the frame
-/// builder's arena and offset column keep their high-water-mark
-/// capacity, so a steady stream of survivor batches stops allocating
-/// after warm-up.
-pub struct WorkerScratch {
-    /// Survivor-batch frame builder; `finish()` leaves capacity behind
-    /// for the next frame.
-    pub frames: FrameBuilder,
-}
-
-impl WorkerScratch {
-    fn new() -> Self {
-        Self { frames: FrameBuilder::new() }
-    }
-}
-
-type Job = Box<dyn FnOnce(&mut WorkerScratch) + Send + 'static>;
+/// A job, called with the index of the worker that runs it.
+type Job = Box<dyn FnOnce(usize) + Send + 'static>;
 
 /// A fixed-size pool of persistent shard workers.
 ///
@@ -72,7 +49,6 @@ impl WorkerPool {
             std::thread::Builder::new()
                 .name(format!("cheetah-pool-{i}"))
                 .spawn(move || {
-                    let mut scratch = WorkerScratch::new();
                     loop {
                         // Take the next job while holding the lock, then
                         // release it for the duration of the job.
@@ -81,11 +57,8 @@ impl WorkerPool {
                             Err(_) => return, // pool dropped
                         };
                         // A panicking job is its submitter's failure, not
-                        // the pool's: the thread lives on, and the scratch
-                        // the job may have left mid-frame is rebuilt.
-                        if catch_unwind(AssertUnwindSafe(|| job(&mut scratch))).is_err() {
-                            scratch = WorkerScratch::new();
-                        }
+                        // the pool's: the thread lives on.
+                        let _ = catch_unwind(AssertUnwindSafe(|| job(i)));
                     }
                 })
                 .expect("spawn pool worker");
@@ -111,8 +84,9 @@ impl WorkerPool {
     }
 
     /// Enqueue a job. Returns immediately; the job runs on whichever
-    /// worker next goes idle.
-    pub fn spawn(&self, job: impl FnOnce(&mut WorkerScratch) + Send + 'static) {
+    /// worker next goes idle and is called with that worker's index, in
+    /// `0..workers()`.
+    pub fn spawn(&self, job: impl FnOnce(usize) + Send + 'static) {
         self.injector
             .lock()
             .expect("pool injector poisoned")
@@ -132,41 +106,34 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..16u32 {
             let tx = tx.clone();
-            pool.spawn(move |scratch| {
-                // Exercise the per-worker scratch so reuse is covered.
-                scratch.frames.begin(0, u64::from(i));
-                scratch.frames.push(&i.to_be_bytes());
-                let frame = scratch.frames.finish();
-                tx.send((i, frame.len())).ok();
+            pool.spawn(move |worker| {
+                tx.send((i, worker)).ok();
             });
         }
         drop(tx);
-        let mut got: Vec<u32> = rx.iter().map(|(i, _)| i).collect();
+        let mut got: Vec<(u32, usize)> = rx.iter().collect();
+        assert!(got.iter().all(|&(_, worker)| worker < 2), "{got:?}");
         got.sort_unstable();
-        assert_eq!(got, (0..16).collect::<Vec<_>>());
+        assert_eq!(got.iter().map(|&(i, _)| i).collect::<Vec<_>>(), (0..16).collect::<Vec<_>>());
         drop(pool); // workers exit; nothing to assert beyond not hanging
     }
 
     #[test]
-    fn a_job_after_a_panicking_job_runs_on_the_same_thread() {
+    fn a_job_after_a_panicking_job_runs_on_the_same_worker() {
         let pool = WorkerPool::new(1);
         let (tx, rx) = mpsc::channel();
-        let dropped = tx.clone();
-        pool.spawn(move |scratch| {
-            scratch.frames.begin(0, 0); // left mid-frame
-            let _held = dropped;
+        let before = tx.clone();
+        let thread = || std::thread::current().name().map(str::to_string);
+        pool.spawn(move |worker| {
+            before.send((worker, thread())).ok();
             panic!("job panics (expected by this test)");
         });
-        pool.spawn(move |scratch| {
-            // A fresh scratch: a frame begins and finishes cleanly.
-            scratch.frames.begin(0, 1);
-            scratch.frames.push(b"ok");
-            let thread = std::thread::current().name().map(str::to_string);
-            tx.send((thread, scratch.frames.finish().len())).ok();
+        pool.spawn(move |worker| {
+            tx.send((worker, thread())).ok();
         });
-        let (thread, len) = rx.recv().expect("the one worker survived the panic");
-        assert_eq!(thread.as_deref(), Some("cheetah-pool-0"));
-        assert!(len > 0);
+        let on_worker_0 = Ok((0, Some("cheetah-pool-0".to_string())));
+        assert_eq!(rx.recv(), on_worker_0, "the panicking job ran on worker 0");
+        assert_eq!(rx.recv(), on_worker_0, "the one worker survived the panic");
         assert!(rx.recv().is_err(), "the panicked job's sender dropped with it");
     }
 }

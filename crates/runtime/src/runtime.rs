@@ -6,22 +6,20 @@
 //! * one **worker job** per shard — submitted to the persistent
 //!   [`WorkerPool`], not spawned per query — runs the unchanged generic
 //!   executor ([`Cluster::run_cheetah`]) once, on its routed unit, and
-//!   reports once, when its unit is done. On the **barrier** transport the
-//!   report carries the completed output whole — as it does on the
-//!   **direct** path, whose job skips the switch altogether
+//!   reports its completed output whole, once, when its unit is done. On
+//!   the **direct** path the job skips the switch altogether
 //!   ([`Cluster::run_direct`]: the operator's completion over every row)
-//!   and is the same job in every other respect. On the **stream**
-//!   transport the job encodes the completed output into its
-//!   worker-resident [`FrameBuilder`](cheetah_net::FrameBuilder) arena and
-//!   the report carries the finished [`SurvivorBatch`] frames. A job never
-//!   blocks: its one report goes onto an unbounded channel.
+//!   and is the same job in every other respect. The job is the same on
+//!   every path, and it never blocks: its one report goes onto an
+//!   unbounded channel.
 //! * the **master merge plane** (the calling thread) folds once the last
-//!   report is in: whole outputs through [`merge_shard_outputs`], frames
+//!   report is in. Off the stream transport it folds the outputs through
+//!   [`merge_shard_outputs`]. On it, it decomposes each output and cuts it
+//!   into [`SurvivorBatch`] frames ([`frame_items`]), then folds the frames
 //!   through [`MergeState::ingest_survivor_batch`] — parsed zero-copy, in
 //!   shard order on a lossless run, or carried across the simulated §7.2
 //!   rack ([`FabricSim`], the frame binding of `cheetah_net::rack`) under a
-//!   [`FaultSpec`]: simulated time, so deterministic per
-//!   seed.
+//!   [`FaultSpec`]: simulated time, so deterministic per seed.
 
 use crate::config::FaultSpec;
 use crate::plan::ExecPlan;
@@ -29,11 +27,11 @@ use crate::pool::WorkerPool;
 use bytes::Bytes;
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
-    decompose_output, merge_shard_outputs, Cluster, ExecPath, MergeState, QueryOutput, ShardStats,
+    decompose_output, frame_items, merge_shard_outputs, Cluster, ExecPath, MergeState, QueryOutput,
+    ShardStats,
 };
 use cheetah_net::{
-    ExecBackend, ExecBreakdown, FabricSim, MasterIngestModel, RackConfig, SurvivorBatch,
-    MAX_BATCH_ITEMS,
+    ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch, MAX_BATCH_ITEMS,
 };
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Span, SpanContext};
@@ -95,34 +93,20 @@ struct WorkerReport {
     /// Pruning backend the worker's run actually executed on (`None`
     /// when the unit was empty and nothing ran).
     backend: Option<ExecBackend>,
-    /// Barrier and direct: the unit's completed output.
+    /// The unit's completed output (`None` when the unit was empty).
     output: Option<QueryOutput>,
-    /// Stream transport: the unit's survivor frames, in sequence order.
-    frames: Vec<Bytes>,
 }
 
 /// The end-of-job reports of a spawned worker plane, tagged by shard.
 type Reports = mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>;
 
 /// Submit one pool job per shard: each owns `Arc` handles onto its routed
-/// unit plus cheap clones of the cluster config and query, runs the unit
-/// (unless it is empty) through the unchanged generic executor (running
-/// the plan's unit query, which addresses the unit's columns), and — on
-/// the stream transport — frames the completed output out of its
-/// worker-resident arena into its report.
+/// unit plus a cheap clone of the cluster config, runs the unit (unless it
+/// is empty) through the unchanged generic executor (running the plan's
+/// unit query, which addresses the unit's columns), and reports the
+/// completed output whole.
 fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
     let path = plan.path;
-    // Merge items per frame: the fault's, else the rack ingest model's
-    // fan-in curve — clamped to what one frame can carry, since a larger
-    // count would overflow the frame's 16-bit item count.
-    let batch_size = plan
-        .fault
-        .as_ref()
-        .map_or_else(
-            || MasterIngestModel::default_rack().suggested_batch(plan.shards()),
-            |f| f.batch,
-        )
-        .clamp(1, MAX_BATCH_ITEMS);
     let (report_tx, report_rx) = mpsc::channel();
     let pool = WorkerPool::global();
     // The submitting thread's span context (the session's `execute` span,
@@ -135,16 +119,15 @@ fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
         let right = plan.right_units.as_ref().map(|units| Arc::clone(&units[shard]));
         let cluster = cluster.clone();
         // The unit carries only the columns the query reads, so the shard
-        // runs the query remapped onto them; what it hands the merge is
-        // decomposed under the query as asked.
+        // runs the query remapped onto them.
         let unit_q = plan.unit_query.clone();
-        let q = plan.query().clone();
         let report_tx = report_tx.clone();
         let trace_ctx = trace_ctx.clone();
-        pool.spawn(move |scratch| {
+        pool.spawn(move |worker| {
             let mut worker_span = trace_ctx.as_ref().map(|ctx| {
                 let mut s = ctx.child("worker");
                 s.attr("shard", shard);
+                s.attr("thread", worker);
                 s.attr("path", path.label());
                 s
             });
@@ -181,20 +164,7 @@ fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
                 rep.passes = b.passes;
                 rep.rules = run.rules;
                 rep.backend = Some(b.backend);
-                if path == ExecPath::StreamedResident {
-                    let items = decompose_output(&q, run.output);
-                    for (seq, chunk) in items.chunks(batch_size).enumerate() {
-                        // Encode each survivor once, straight into the
-                        // frame arena — no per-item Bytes round-trip.
-                        scratch.frames.begin(shard as u32, seq as u64);
-                        for item in chunk {
-                            scratch.frames.push_with(|b| item.encode_into(b));
-                        }
-                        rep.frames.push(scratch.frames.finish());
-                    }
-                } else {
-                    rep.output = Some(run.output);
-                }
+                rep.output = Some(run.output);
             }
             if let Some(s) = worker_span.as_mut() {
                 s.attr("rows", rep.stats.rows);
@@ -209,11 +179,11 @@ fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
     report_rx
 }
 
-/// The master merge plane: wait out every shard's report, then fold — the
-/// whole outputs off the barrier and direct reports, or the stream
-/// transport's frames, each parsed zero-copy (offsets into the frame's
-/// arena) and folded slice by slice, so decode work happens exactly once,
-/// here, per survivor.
+/// The master merge plane: wait out every shard's report, then fold the
+/// whole outputs — or, on the stream transport, cut each shard's output
+/// into frames (a fault's frame size, else as many items as a frame
+/// carries) and fold those, each parsed zero-copy (offsets into the
+/// frame's arena), so each survivor is encoded and decoded exactly once.
 fn drain_merge_plane(plan: &ExecPlan, reports: Reports) -> cheetah_core::Result<Fold> {
     let shards = plan.shards();
     // Every job reports once or unwinds, dropping its sender: the loop
@@ -236,8 +206,15 @@ fn drain_merge_plane(plan: &ExecPlan, reports: Reports) -> cheetah_core::Result<
     let q = plan.query();
     let stream = plan.path == ExecPath::StreamedResident;
     let (output, batches, retransmits) = if stream {
-        let flows: Vec<Vec<Bytes>> =
-            reports.iter_mut().map(|r| std::mem::take(&mut r.frames)).collect();
+        let batch = plan.fault.as_ref().map_or(MAX_BATCH_ITEMS, |f| f.batch);
+        let flows: Vec<Vec<Bytes>> = reports
+            .iter_mut()
+            .enumerate()
+            .map(|(shard, r)| match r.output.take() {
+                Some(out) => frame_items(shard as u32, &decompose_output(q, out), batch),
+                None => Vec::new(),
+            })
+            .collect();
         let mut state = MergeState::new(q);
         let mut batches = 0u64;
         let mut ingest = |batch: &SurvivorBatch| {
@@ -611,20 +588,26 @@ mod tests {
     }
 
     #[test]
-    fn frames_follow_the_ingest_model_unless_a_fault_cuts_them() {
+    fn a_lossless_run_frames_each_shard_once_and_a_fault_cuts_at_its_batch() {
         let cluster = Cluster::default();
         let t = table(800, 2);
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &t, None, ShardSpec::new(4, ShardPartitioner::Hash));
-        // 37 distinct keys over four shards: under the model's batch each
-        // shard's survivors fit one frame…
-        assert!(MasterIngestModel::default_rack().suggested_batch(4) >= 37);
+        // Each shard's survivors: its unit's distinct keys.
+        let items: Vec<usize> = plan
+            .units
+            .iter()
+            .map(|u| cluster.run_baseline(&plan.unit_query, u, None).output)
+            .map(|out| decompose_output(&q, out).len())
+            .collect();
+        assert!(items.iter().all(|&n| n > 0), "every shard has survivors: {items:?}");
+        // Lossless: one frame per shard with survivors…
         let lossless = execute(&cluster, &plan).unwrap();
-        assert!(lossless.batches <= 4, "one frame per shard: {}", lossless.batches);
-        // …and a fault's frames of 7 items need at least ⌈37 / 7⌉ = 6.
+        assert_eq!(lossless.batches, 4);
+        // …and a fault's frames of 7 items: Σ ⌈items_s / 7⌉.
         let faulty = plan.with_fault(FaultSpec::new(FaultProfile::lossless(), 3, 7));
         let run = execute(&cluster, &faulty).unwrap();
-        assert!(run.batches >= 6, "small frames must yield many frames: {}", run.batches);
+        assert_eq!(run.batches, items.iter().map(|n| n.div_ceil(7) as u64).sum::<u64>());
         assert_eq!(run.output, lossless.output);
     }
 

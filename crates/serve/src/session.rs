@@ -901,12 +901,11 @@ fn serve(
 /// names a pruning engine, so it asks for a pruned arm too. Otherwise a
 /// direct key runs direct, and every other runs the barrier transport on
 /// the compiled backend (the cheapest pruned point on every ledger
-/// workload). The stream transport is run only when pinned: it frames the
-/// same outputs at the end of each job, a cost the barrier does not pay,
-/// for the frames `ExecPlan`'s fault mode carries. A family without a
-/// kernel runs the interpreter whatever
-/// was asked, and the direct arm runs no engine at all; the arm says so up
-/// front.
+/// workload). The stream transport is run only when pinned: its master
+/// frames the same outputs before folding them, a cost the barrier does
+/// not pay, for the frames `ExecPlan`'s fault mode carries. A family
+/// without a kernel runs the interpreter whatever was asked, and the
+/// direct arm runs no engine at all; the arm says so up front.
 fn arm_of(req: &QueryRequest, key_direct: bool) -> ChooserArm {
     let unpinned = match req.backend {
         None if key_direct => ExecPath::Direct,

@@ -23,9 +23,10 @@
 //!   simulator;
 //! * [`runtime`] — the one multi-shard executor: a routed plan (one unit
 //!   per shard) run as contained worker-pool jobs that never block, over
-//!   a barrier transport (whole outputs) or a streaming one (survivor
-//!   frames at the end of each job, folded once every shard reported, or
-//!   carried across the lossy rack in fault mode);
+//!   a barrier transport (whole outputs) or a streaming one (the same
+//!   outputs, cut into survivor frames by the master once every shard
+//!   reported and folded in shard order, or carried across the lossy rack
+//!   in fault mode);
 //! * [`workloads`] — seeded generators for the Big Data benchmark, a
 //!   TPC-H subset, and the pruning-rate simulation streams;
 //! * [`serve`] — the multi-tenant serving plane: the
@@ -86,7 +87,7 @@ pub use cheetah_db as db;
 /// Wire format, reliability protocol, link simulator (`cheetah-net`).
 pub use cheetah_net as net;
 
-/// The streamed shard runtime (`cheetah-runtime`).
+/// The multi-shard executor (`cheetah-runtime`).
 pub use cheetah_runtime as runtime;
 
 /// Benchmark data generators (`cheetah-workloads`).
