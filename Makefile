@@ -117,7 +117,10 @@ compiled-gate:
 # containment: a column the table cannot answer for is a typed BadColumn,
 # a query with nothing to evaluate a typed BadArity on the pruned pin, the
 # direct pin and unpinned alike, a panicking shard job a typed
-# WorkerPanicked — pinned pruned, or at an unpinned key's deciding sight,
+# WorkerPanicked — pinned pruned (a one-shard job, caught on the thread
+# that served the request: its trace's one worker span says
+# thread=caller, and that thread then serves a compiled, pruned request
+# with its kernel cache intact), or at an unpinned key's deciding sight,
 # which then decides nothing — each to its own request with the pool
 # intact.
 serving-gate:
@@ -136,9 +139,11 @@ serving-gate:
 fabric-gate:
 	cargo test -q -p cheetah-db --test fabric_contract
 
-# The named CI gate: telemetry contract — every path x backend through
-# the Session yields a complete lifecycle span tree (admit/queue/plan/
-# choose/execute{worker per shard, merge}/respond), the registry's
+# The named CI gate: telemetry contract — every path x backend x {one
+# shard, four} through the Session yields a complete lifecycle span tree
+# (admit/queue/plan/choose/execute{worker per shard, merge}/respond),
+# each worker span naming its thread (caller for a one-shard plan, which
+# runs on the thread that executes it; a pool index otherwise), the registry's
 # totals reconcile with SessionStats and the returned ExecBreakdowns and
 # its names do not grow with the tenants callers send, the layout policy reads off the trees (first sight: no route span, one
 # worker; second sight: route + one worker per planned shard; third:
@@ -158,9 +163,11 @@ counters-gate:
 	cargo test -q -p cheetah-db --test counters_contract
 
 # adhoc_cold shape by shape: a fresh Session per request against the
-# baseline over tables shaped like that workload's, every answer checked,
-# the median baseline / first-sight ratio printed per shape. A correctness
-# smoke with a printout, not a timing gate.
+# baseline over tables shaped like that workload's, every answer checked
+# and every first sight's one worker span checked to have run on the
+# caller (thread=caller, not the pool), the median baseline / first-sight
+# ratio printed per shape. A correctness smoke with a printout, not a
+# timing gate.
 first-sight:
 	cargo run --release --example first_sight
 

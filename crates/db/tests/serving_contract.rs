@@ -33,6 +33,7 @@ use cheetah_db::{
     LikePattern, QueryOutput, Table, TableBuilder, Value,
 };
 use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
+use cheetah_telemetry::TraceTree;
 use std::sync::Arc;
 
 fn fixtures(seed: u64) -> (Arc<Table>, Arc<Table>) {
@@ -543,18 +544,29 @@ fn a_query_with_nothing_to_evaluate_is_refused_identically_on_every_arm() {
     }
 }
 
+/// The `thread` of each `worker` span in a request's trace.
+fn worker_threads(tree: &TraceTree) -> Vec<String> {
+    let mut workers = Vec::new();
+    tree.root.find_all("worker", &mut workers);
+    workers.iter().map(|w| w.attr("thread").unwrap_or("unnamed").to_string()).collect()
+}
+
 /// Property 3d: a shard job that panics anyway fails its own request and
 /// nothing else. No request can reach a panic any more, so the operator
 /// misconfigures the switch instead: a cluster tuned to zero stored
-/// skyline points trips the program builder's assert on a pool thread — on
-/// a pruned arm only. Sixteen requests pinned to it — twice the pool's
-/// threads — each come back as `WorkerPanicked`, to that request only.
+/// skyline points trips the program builder's assert in the shard job — on
+/// a pruned arm only. Sixteen one-shard requests pinned to it each come
+/// back as `WorkerPanicked`, to that request only, each job having
+/// unwound on the thread that served its request (the caller's through
+/// `run_blocking`, a driver's through `submit`), which then serves a
+/// compiled, pruned request with its kernel cache and scratch intact.
 /// Unpinned, the key's first sight runs direct and answers; its deciding
 /// second sight routes, runs pruned and panics, to that request alone, and
 /// decides nothing: the key stays undecided, its next sight pruned on the
 /// held layout. Every other family is served throughout — a `.shards(8)`
-/// GROUP BY answers like the baseline after each panic — and so is the
-/// panicking family on the direct arm, unpinned-key or eight shards.
+/// GROUP BY, one job on every pool thread, answers like the baseline after
+/// each panic — and so is the panicking family on the direct arm,
+/// unpinned-key or eight shards.
 #[test]
 fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
     let (t, _) = fixtures(0xB00);
@@ -568,6 +580,19 @@ fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
         for e in refused(&session, || unpinned().path(ExecPath::BarrierPooled)) {
             assert_eq!(e, WorkerPanicked { shard: 0 }, "{q:?}");
         }
+    }
+    let refusals = session.traces().recent();
+    assert_eq!(refusals.len(), 16);
+    for tree in &refusals {
+        assert_eq!(worker_threads(tree), ["caller"], "the inline job boundary caught it");
+    }
+    let groupby = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
+    for sight in ["installs its kernel", "reuses it"] {
+        let req = QueryRequest::new(groupby.clone(), Arc::clone(&t)).shards(1);
+        let resp = session.run_blocking(req.path(ExecPath::BarrierPooled)).unwrap();
+        assert_eq!(resp.output, Cluster::default().run_baseline(&groupby, &t, None).output);
+        assert_eq!(resp.breakdown.backend, ExecBackend::Compiled, "{sight}");
+        assert_eq!(worker_threads(resp.trace.as_ref().unwrap()), ["caller"], "{sight}");
     }
     assert_pool_intact(&session, &t);
 

@@ -5,7 +5,9 @@
 //!    through the session yields an exportable lifecycle tree with no
 //!    orphan or unclosed spans: `query` → {`admit`, `queue`, `plan`,
 //!    `choose`, `execute` → {one `worker` per shard, `merge`},
-//!    `respond`}.
+//!    `respond`}, on a one-shard layout and a routed one alike. Each
+//!    `worker` names the thread its job ran on: `caller` for a one-shard
+//!    plan, which runs on the thread that executes it, else a pool index.
 //! 2. **Registry ⇄ breakdown reconciliation** — the session registry's
 //!    totals agree with [`SessionStats`] and with the
 //!    [`ExecBreakdown`]s the same requests returned: completed counts,
@@ -46,10 +48,17 @@ fn child_names(tree: &TraceTree) -> Vec<&str> {
     tree.root.children.iter().map(|c| c.name.as_str()).collect()
 }
 
-/// Whether a `worker` span names the pool worker that ran its shard.
-fn on_a_pool_worker(w: &SpanNode) -> bool {
-    let thread = w.attr("thread").and_then(|t| t.parse::<usize>().ok());
-    thread.is_some_and(|t| t < WorkerPool::global().workers())
+/// Whether a `worker` span names the thread a plan of `shards` shards runs
+/// its job on: the caller's own for one shard, a pool worker's index for
+/// more.
+fn on_its_thread(w: &SpanNode, shards: usize) -> bool {
+    match w.attr("thread") {
+        Some("caller") => shards == 1,
+        thread => {
+            let worker = thread.and_then(|t| t.parse::<usize>().ok());
+            shards > 1 && worker.is_some_and(|t| t < WorkerPool::global().workers())
+        }
+    }
 }
 
 #[test]
@@ -57,17 +66,20 @@ fn every_path_backend_combination_yields_a_complete_span_tree() {
     let t = fixture(0x7E1E);
     let session = Session::with_defaults();
     for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
-        for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+        for (backend, shards) in [ExecBackend::Interpreted, ExecBackend::Compiled]
+            .into_iter()
+            .flat_map(|backend| [(backend, 1), (backend, SHARDS)])
+        {
             let resp = session
                 .run_blocking(
                     QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))
                         .tenant("contract")
                         .path(path)
                         .backend(backend)
-                        .shards(SHARDS),
+                        .shards(shards),
                 )
                 .unwrap();
-            let label = format!("{}/{}", path.label(), backend.label());
+            let label = format!("{}/{} @{shards}", path.label(), backend.label());
             let tree = resp
                 .trace
                 .as_ref()
@@ -87,14 +99,14 @@ fn every_path_backend_combination_yields_a_complete_span_tree() {
             assert_eq!(exec.attr("path"), Some(path.label()), "{label}");
             assert_eq!(exec.attr("backend"), Some(backend.label()), "{label}");
 
-            // One worker span per shard, deterministically ordered, and
-            // a merge span closing the fan-in.
+            // One worker span per shard, deterministically ordered, each
+            // on its plan's thread, and a merge span closing the fan-in.
             let mut workers = Vec::new();
             exec.find_all("worker", &mut workers);
-            assert_eq!(workers.len(), SHARDS, "{label}: one worker span per shard");
+            assert_eq!(workers.len(), shards, "{label}: one worker span per shard");
             for (i, w) in workers.iter().enumerate() {
                 assert_eq!(w.attr("shard"), Some(i.to_string().as_str()), "{label}");
-                assert!(on_a_pool_worker(w), "{label}: thread {:?}", w.attr("thread"));
+                assert!(on_its_thread(w, shards), "{label}: thread {:?}", w.attr("thread"));
             }
             assert!(exec.find("merge").is_some(), "{label}: missing merge span");
 
@@ -117,9 +129,9 @@ fn every_path_backend_combination_yields_a_complete_span_tree() {
             );
         }
     }
-    // All four trees were retained by the ring-buffer sink.
-    assert_eq!(session.traces().len(), 4);
-    assert_eq!(session.traces().pushed(), 4);
+    // All eight trees were retained by the ring-buffer sink.
+    assert_eq!(session.traces().len(), 8);
+    assert_eq!(session.traces().pushed(), 8);
 }
 
 #[test]
@@ -298,7 +310,8 @@ fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
             exec.find_all("worker", &mut workers);
             assert_eq!(workers.len(), resp.breakdown.shards as usize, "{label}");
             assert!(workers.iter().all(|w| w.attr("path") == Some(path)), "{label}");
-            assert!(workers.iter().all(|w| on_a_pool_worker(w)), "{label}");
+            let shards = workers.len();
+            assert!(workers.iter().all(|w| on_its_thread(w, shards)), "{label}");
             assert_eq!(tree.root.attr("arm"), Some(resp.arm.label().as_str()), "{label}");
         }
     }

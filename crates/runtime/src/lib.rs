@@ -5,24 +5,38 @@
 //! This crate implements it once. [`ExecPlan::new`] does all the routing
 //! (sharder → keys → one unit per shard, of the columns the query reads;
 //! a one-shard layout is the table itself, uncopied) and [`execute`] runs
-//! the routed plan on the persistent [`WorkerPool`], one job — one
+//! the routed plan, one job — one
 //! [`Cluster::run_cheetah`](cheetah_db::Cluster::run_cheetah), one
-//! installed switch program, one report — per shard; how a unit is run
-//! and how its result travels to the master is a field of the plan
+//! installed switch program, one report — per shard: on the persistent
+//! [`WorkerPool`] when there are two shards or more, and on the calling
+//! thread itself when there is one. How a unit is run and how its result
+//! travels to the master is a field of the plan
 //! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine:
 //!
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
 //!  DbQuery::check (schema, types)           units[shard]
-//!  rows ──routing_keys──▶ sharder                │ one pool job per shard, the same on every path
-//!           │ route_columns, once                ▼
-//!           ▼                              Cluster::run_cheetah per unit
-//!     one unit per shard                   (direct: Cluster::run_direct, no switch)
+//!  rows ──routing_keys──▶ sharder                │ one job per shard, the same on every path:
+//!           │ route_columns, once                │ pool jobs, or one shard on the caller
+//!           ▼                                    ▼
+//!     one unit per shard                   Cluster::run_cheetah per unit
+//!                                          (direct: Cluster::run_direct, no switch)
 //!                                                │ whole outputs
 //!                                                ├─ barrier, direct ──▶ merge_shard_outputs
+//!                                                │                      (one shard: its output, as is)
 //!                                                └─ stream: frame_items ──▶ MergeState (in shard order,
 //!                                                                           or across the lossy rack)
 //! ```
+//!
+//! A one-shard plan — every first sight, and every plan the planner fits
+//! at one shard — has nothing to run in parallel, so handing its job to
+//! the pool would only add a hand-off and a wake-up to the request. The
+//! calling thread (a session driver, or a `run_blocking` caller) runs it
+//! behind the same panic boundary a pool thread keeps, and on the barrier
+//! and direct paths its one output is the answer: no fold. Its switch
+//! kernel cache and scratch block are that thread's own thread-locals, as
+//! a pool job's are its worker's. The stream still cuts its one output
+//! into frames, so the fault mode is the same at every shard count.
 //!
 //! A layout is one value, [`ShardLayout`]: a hand-picked
 //! [`ShardSpec`](cheetah_db::ShardSpec) or a plan the sampling planner
@@ -39,7 +53,7 @@
 //!   [`Cluster::run_direct`](cheetah_db::Cluster::run_direct) — the
 //!   operator's own completion over every row of its unit, a scan of its
 //!   columns — then hands the output over whole, like the barrier. Same
-//!   units, same pool, same merge, same accounting tail (a pass-through
+//!   units, same jobs, same merge, same accounting tail (a pass-through
 //!   switch: every result row of the partials seen and forwarded, none
 //!   pruned). The serving plane runs it at every key's first sight, and
 //!   from then on where the key's second sight measured that completing
@@ -70,8 +84,9 @@
 //! A request its tables cannot answer is refused by [`ExecPlan::new`]
 //! with a typed error before anything runs, and a shard job that panics
 //! anyway fails its own [`execute`] call with
-//! [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked) — the pool
-//! thread, and every other request, carry on.
+//! [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked) — the thread
+//! that ran it (a pool worker, or the caller), and every other request,
+//! carry on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,8 +8,12 @@
 //! channel send, not a `pthread_create`. A job is handed the index of the
 //! worker running it, which is all a worker owns.
 //!
-//! [`execute`](crate::execute) submits one job per shard to
-//! [`WorkerPool::global`], whichever path its plan carries.
+//! [`execute`](crate::execute) submits one job per shard of a plan with
+//! two shards or more to [`WorkerPool::global`], whichever path the plan
+//! carries. A one-shard plan never reaches the pool: the thread that
+//! called `execute` runs its one job itself, behind the same
+//! `catch_unwind` boundary as the worker loop below, so a request with
+//! nothing to run in parallel pays no hand-off and no worker wake-up.
 //!
 //! The pool is deliberately dumb: no work stealing, no priorities, one
 //! `Mutex<Receiver>` that each idle worker takes in turn (the lock is
@@ -66,8 +70,8 @@ impl WorkerPool {
         Self { injector: Mutex::new(tx), workers }
     }
 
-    /// The process-wide pool every [`execute`](crate::execute) call routes
-    /// its shard jobs through. Sized
+    /// The process-wide pool every multi-shard [`execute`](crate::execute)
+    /// call routes its shard jobs through. Sized
     /// at `max(available_parallelism, 8)` so every shard count the
     /// bench sweeps exercises can be in flight at once.
     pub fn global() -> &'static WorkerPool {

@@ -1,24 +1,28 @@
-//! The one executor: pooled shard workers → master merge, over a routed
+//! The one executor: shard jobs → master merge, over a routed
 //! [`ExecPlan`].
 //!
 //! Two roles share a run:
 //!
-//! * one **worker job** per shard — submitted to the persistent
-//!   [`WorkerPool`], not spawned per query — runs the unchanged generic
-//!   executor ([`Cluster::run_cheetah`]) once, on its routed unit, and
-//!   reports its completed output whole, once, when its unit is done. On
-//!   the **direct** path the job skips the switch altogether
+//! * one **shard job** per shard runs the unchanged generic executor
+//!   ([`Cluster::run_cheetah`]) once, on its routed unit, and reports its
+//!   completed output whole, once, when its unit is done. On the
+//!   **direct** path the job skips the switch altogether
 //!   ([`Cluster::run_direct`]: the operator's completion over every row)
-//!   and is the same job in every other respect. The job is the same on
-//!   every path, and it never blocks: its one report goes onto an
-//!   unbounded channel.
+//!   and is the same job in every other respect. A plan of two shards or
+//!   more submits its jobs to the persistent [`WorkerPool`], not spawned
+//!   per query; each never blocks, its one report going onto an unbounded
+//!   channel. A **one-shard plan** has nothing to run in parallel, so the
+//!   calling thread runs its one job itself, behind the same panic
+//!   boundary a pool thread keeps: no pool hop, no channel.
 //! * the **master merge plane** (the calling thread) folds once the last
 //!   report is in. Off the stream transport it folds the outputs through
-//!   [`merge_shard_outputs`]. On it, it decomposes each output and cuts it
-//!   into [`SurvivorBatch`] frames ([`frame_items`]), then folds the frames
-//!   through [`MergeState::ingest_survivor_batch`] — parsed zero-copy, in
-//!   shard order on a lossless run, or carried across the simulated §7.2
-//!   rack ([`FabricSim`], the frame binding of `cheetah_net::rack`) under a
+//!   [`merge_shard_outputs`] — except a one-shard plan's one output, which
+//!   is the answer as it stands. On the stream transport, it decomposes
+//!   each output and cuts it into [`SurvivorBatch`] frames
+//!   ([`frame_items`]), then folds the frames through
+//!   [`MergeState::ingest_survivor_batch`] — parsed zero-copy, in shard
+//!   order on a lossless run, or carried across the simulated §7.2 rack
+//!   ([`FabricSim`], the frame binding of `cheetah_net::rack`) under a
 //!   [`FaultSpec`]: simulated time, so deterministic per seed.
 
 use crate::config::FaultSpec;
@@ -27,14 +31,15 @@ use crate::pool::WorkerPool;
 use bytes::Bytes;
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
-    decompose_output, frame_items, merge_shard_outputs, Cluster, ExecPath, MergeState, QueryOutput,
-    ShardStats,
+    decompose_output, frame_items, merge_shard_outputs, Cluster, DbQuery, ExecPath, MergeState,
+    QueryOutput, ShardStats, Table,
 };
 use cheetah_net::{
     ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch, MAX_BATCH_ITEMS,
 };
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Span, SpanContext};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,11 +68,11 @@ pub struct ExecRun {
     pub rules: usize,
 }
 
-/// Execute the routed `plan`'s query: prune every unit on pool workers
-/// (each with its own planned switch program) — or, on
-/// [`ExecPath::Direct`], complete every unit with no switch at all —
-/// carry the results to the master by the plan's transport, merge,
-/// account.
+/// Execute the routed `plan`'s query: prune every unit (each with its own
+/// planned switch program) — or, on [`ExecPath::Direct`], complete every
+/// unit with no switch at all — carry the results to the master by the
+/// plan's transport, merge, account. The units of a multi-shard plan run
+/// on pool workers; a one-shard plan's unit runs on the calling thread.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
 /// partitioner, path and backend — the path changes *how much* reaches
@@ -78,8 +83,12 @@ pub struct ExecRun {
 /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
 /// failure is this call's alone.
 pub fn execute(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
-    let reports = spawn_worker_plane(cluster, plan);
-    let fold = drain_merge_plane(plan, reports)?;
+    let reports = if plan.shards() == 1 {
+        vec![run_on_caller(cluster, plan)?]
+    } else {
+        await_reports(plan.shards(), spawn_worker_plane(cluster, plan))?
+    };
+    let fold = merge_plane(plan, reports)?;
     Ok(assemble(fold, plan, cluster.backend))
 }
 
@@ -97,14 +106,90 @@ struct WorkerReport {
     output: Option<QueryOutput>,
 }
 
+/// A shard job's `worker` span in the submitter's trace (none when the
+/// submitter is not traced), naming the `thread` the job runs on: a pool
+/// worker's index, or `caller`.
+fn worker_span(
+    trace_ctx: Option<&SpanContext>,
+    shard: usize,
+    thread: impl ToString,
+    path: ExecPath,
+) -> Option<Span> {
+    let mut s = trace_ctx?.child("worker");
+    s.attr("shard", shard);
+    s.attr("thread", thread);
+    s.attr("path", path.label());
+    Some(s)
+}
+
+/// One shard's job, the same wherever it runs: run its unit (unless it is
+/// empty) through the unchanged generic executor — the plan's unit query,
+/// which addresses the unit's columns — or, on the direct path, through
+/// the operator's completion, and report the completed output whole.
+fn run_shard(
+    cluster: &Cluster,
+    unit_q: &DbQuery,
+    path: ExecPath,
+    (left, right): (&Table, Option<&Table>),
+    mut span: Option<Span>,
+) -> cheetah_core::Result<WorkerReport> {
+    let mut rep = WorkerReport::default();
+    let rows = left.rows() + right.map_or(0, Table::rows);
+    // An empty unit never reaches the executor.
+    if rows > 0 {
+        let started = Instant::now();
+        let run = match path {
+            ExecPath::Direct => cluster.run_direct(unit_q, left, right),
+            _ => cluster.run_cheetah(unit_q, left, right),
+        }?;
+        let busy_seconds = started.elapsed().as_secs_f64();
+        let b = &run.breakdown;
+        rep.stats = ShardStats {
+            rows: rows as u64,
+            worker_seconds: b.worker_seconds,
+            master_seconds: b.master_seconds,
+            busy_seconds,
+            worker_wire_bytes: b.worker_wire_bytes,
+            master_wire_bytes: b.master_wire_bytes,
+            entries_to_master: b.entries_to_master,
+            seen: run.switch_stats.seen,
+            pruned: run.switch_stats.pruned,
+        };
+        rep.switch = run.switch_stats;
+        rep.passes = b.passes;
+        rep.rules = run.rules;
+        rep.backend = Some(b.backend);
+        rep.output = Some(run.output);
+    }
+    if let Some(s) = span.as_mut() {
+        s.attr("rows", rep.stats.rows);
+        s.attr("entries_to_master", rep.stats.entries_to_master);
+    }
+    Ok(rep)
+}
+
+/// A one-shard plan's job, run by the calling thread — a session driver,
+/// or a `run_blocking` caller — behind the job boundary a pool thread
+/// keeps: a panic is this call's [`WorkerPanicked`], and the thread
+/// carries on. The job never waits on the pool.
+///
+/// [`WorkerPanicked`]: cheetah_core::Error::WorkerPanicked
+fn run_on_caller(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<WorkerReport> {
+    let unit = (&*plan.units[0], plan.right_units.as_ref().map(|units| &*units[0]));
+    let job = || {
+        let span = worker_span(SpanContext::current().as_ref(), 0, "caller", plan.path);
+        run_shard(cluster, &plan.unit_query, plan.path, unit, span)
+    };
+    catch_unwind(AssertUnwindSafe(job))
+        .unwrap_or(Err(cheetah_core::Error::WorkerPanicked { shard: 0 }))
+}
+
 /// The end-of-job reports of a spawned worker plane, tagged by shard.
 type Reports = mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>;
 
 /// Submit one pool job per shard: each owns `Arc` handles onto its routed
-/// unit plus a cheap clone of the cluster config, runs the unit (unless it
-/// is empty) through the unchanged generic executor (running the plan's
-/// unit query, which addresses the unit's columns), and reports the
-/// completed output whole.
+/// unit plus a cheap clone of the cluster config and unit query, runs
+/// [`run_shard`] and sends its report.
 fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
     let path = plan.path;
     let (report_tx, report_rx) = mpsc::channel();
@@ -118,60 +203,13 @@ fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
         let left = Arc::clone(&plan.units[shard]);
         let right = plan.right_units.as_ref().map(|units| Arc::clone(&units[shard]));
         let cluster = cluster.clone();
-        // The unit carries only the columns the query reads, so the shard
-        // runs the query remapped onto them.
         let unit_q = plan.unit_query.clone();
         let report_tx = report_tx.clone();
         let trace_ctx = trace_ctx.clone();
         pool.spawn(move |worker| {
-            let mut worker_span = trace_ctx.as_ref().map(|ctx| {
-                let mut s = ctx.child("worker");
-                s.attr("shard", shard);
-                s.attr("thread", worker);
-                s.attr("path", path.label());
-                s
-            });
-            let mut rep = WorkerReport::default();
-            let rows = left.rows() + right.as_ref().map_or(0, |r| r.rows());
-            // An empty unit never reaches the executor.
-            if rows > 0 {
-                let started = Instant::now();
-                let run = match path {
-                    ExecPath::Direct => cluster.run_direct(&unit_q, &left, right.as_deref()),
-                    _ => cluster.run_cheetah(&unit_q, &left, right.as_deref()),
-                };
-                let busy_seconds = started.elapsed().as_secs_f64();
-                let run = match run {
-                    Ok(run) => run,
-                    Err(e) => {
-                        report_tx.send((shard, Err(e))).ok();
-                        return;
-                    }
-                };
-                let b = &run.breakdown;
-                rep.stats = ShardStats {
-                    rows: rows as u64,
-                    worker_seconds: b.worker_seconds,
-                    master_seconds: b.master_seconds,
-                    busy_seconds,
-                    worker_wire_bytes: b.worker_wire_bytes,
-                    master_wire_bytes: b.master_wire_bytes,
-                    entries_to_master: b.entries_to_master,
-                    seen: run.switch_stats.seen,
-                    pruned: run.switch_stats.pruned,
-                };
-                rep.switch = run.switch_stats;
-                rep.passes = b.passes;
-                rep.rules = run.rules;
-                rep.backend = Some(b.backend);
-                rep.output = Some(run.output);
-            }
-            if let Some(s) = worker_span.as_mut() {
-                s.attr("rows", rep.stats.rows);
-                s.attr("entries_to_master", rep.stats.entries_to_master);
-            }
-            drop(worker_span);
-            report_tx.send((shard, Ok(rep))).ok();
+            let span = worker_span(trace_ctx.as_ref(), shard, worker, path);
+            let rep = run_shard(&cluster, &unit_q, path, (&left, right.as_deref()), span);
+            report_tx.send((shard, rep)).ok();
         });
     }
     // The master's recv loop must end when the last worker does — the
@@ -179,26 +217,30 @@ fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
     report_rx
 }
 
-/// The master merge plane: wait out every shard's report, then fold the
-/// whole outputs — or, on the stream transport, cut each shard's output
-/// into frames (a fault's frame size, else as many items as a frame
-/// carries) and fold those, each parsed zero-copy (offsets into the
-/// frame's arena), so each survivor is encoded and decoded exactly once.
-fn drain_merge_plane(plan: &ExecPlan, reports: Reports) -> cheetah_core::Result<Fold> {
-    let shards = plan.shards();
-    // Every job reports once or unwinds, dropping its sender: the loop
-    // ends when the last job has done either, and a shard the channel
-    // closes without hearing from unwound before it could report.
+/// Wait out every pool job's report, in shard order. Every job reports
+/// once or unwinds, dropping its sender: the loop ends when the last job
+/// has done either, and a shard the channel closes without hearing from
+/// unwound before it could report.
+fn await_reports(shards: usize, reports: Reports) -> cheetah_core::Result<Vec<WorkerReport>> {
     let mut slots: Vec<Option<WorkerReport>> = (0..shards).map(|_| None).collect();
     for (shard, rep) in reports {
         slots[shard] = Some(rep?);
     }
-    let mut reports = slots
+    slots
         .into_iter()
         .enumerate()
         .map(|(shard, r)| r.ok_or(cheetah_core::Error::WorkerPanicked { shard }))
-        .collect::<cheetah_core::Result<Vec<WorkerReport>>>()?;
+        .collect()
+}
 
+/// The master merge plane: fold the shards' whole outputs — a one-shard
+/// plan's one output is the answer as it stands — or, on the stream
+/// transport, cut each shard's output into frames (a fault's frame size,
+/// else as many items as a frame carries) and fold those, each parsed
+/// zero-copy (offsets into the frame's arena), so each survivor is
+/// encoded and decoded exactly once.
+fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> cheetah_core::Result<Fold> {
+    let shards = plan.shards();
     // The merge plane runs on the submitting thread, so the session's
     // entered `execute` span (if any) is directly visible here.
     let mut merge_span = SpanContext::current().map(|tc| tc.child("merge"));
@@ -232,8 +274,14 @@ fn drain_merge_plane(plan: &ExecPlan, reports: Reports) -> cheetah_core::Result<
         };
         (state.finish(), batches, retransmits)
     } else {
-        let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
-        (merge_shard_outputs(q, outputs), 0, 0)
+        let mut outputs: Vec<QueryOutput> =
+            reports.iter_mut().filter_map(|r| r.output.take()).collect();
+        let output = if shards == 1 && outputs.len() == 1 {
+            outputs.pop().expect("one output")
+        } else {
+            merge_shard_outputs(q, outputs)
+        };
+        (output, 0, 0)
     };
     let merge_seconds = started.elapsed().as_secs_f64();
 
@@ -346,10 +394,11 @@ mod tests {
     use crate::config::ShardLayout;
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
-        DataType, DbPredicate, DbQuery, IntCmp, LikePattern, ShardPlanner, ShardSpec, Table,
+        CheetahTuning, DataType, DbPredicate, IntCmp, LikePattern, ShardPlanner, ShardSpec,
         TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
+    use cheetah_telemetry::{Registry, Trace};
 
     const PATHS: [ExecPath; 3] =
         [ExecPath::BarrierPooled, ExecPath::StreamedResident, ExecPath::Direct];
@@ -385,6 +434,27 @@ mod tests {
         ExecPlan::new(&Cluster::default(), q, t, r, layout).expect("routes")
     }
 
+    /// Execute `plan` under a fresh trace's entered root span: the run,
+    /// the `thread` of each `worker` span it traced, and its `merge` spans.
+    fn traced(
+        cluster: &Cluster,
+        plan: &ExecPlan,
+    ) -> (cheetah_core::Result<ExecRun>, Vec<String>, usize) {
+        let trace = Trace::new(Registry::new());
+        let root = trace.span("query");
+        let run = {
+            let _in_query = root.enter();
+            execute(cluster, plan)
+        };
+        root.finish();
+        let tree = trace.export().expect("every span closed");
+        let (mut workers, mut merges) = (Vec::new(), Vec::new());
+        tree.root.find_all("worker", &mut workers);
+        tree.root.find_all("merge", &mut merges);
+        let threads = workers.iter().map(|w| w.attr("thread").expect("named").to_string());
+        (run, threads.collect(), merges.len())
+    }
+
     #[test]
     fn range_routing_fits_observed_key_bounds() {
         // Encoded small ints cluster just above 2⁶³ and string fingerprints
@@ -404,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn a_one_shard_layout_is_the_tables_and_a_routed_one_carries_the_querys_columns() {
+    fn one_shard_runs_the_tables_on_the_caller_and_more_run_the_querys_columns_on_the_pool() {
         let cluster = Cluster::default();
         let l = table(1_200, 3);
         let r = table(600, 2);
@@ -449,11 +519,19 @@ mod tests {
                 assert_eq!(right_unit.map(Arc::as_ptr), right.map(Arc::as_ptr), "{}", q.kind());
                 assert_eq!(plan.dispatched(), [total], "{}", q.kind());
                 for path in PATHS {
-                    let run = execute(&cluster, &plan.for_path(path)).unwrap();
-                    assert_eq!(run.output, base, "{} {}", q.kind(), path.label());
+                    let label = format!("{} {}", q.kind(), path.label());
+                    let (run, threads, merges) = traced(&cluster, &plan.for_path(path));
+                    let output = run.unwrap().output;
+                    assert_eq!(output, base, "{label}");
+                    // One job, on the calling thread; the tree keeps its shape.
+                    assert_eq!((threads, merges), (vec!["caller".to_string()], 1), "{label}");
+                    // The fold the barrier and direct paths skip is the
+                    // identity on one output.
+                    assert_eq!(merge_shard_outputs(q, vec![output.clone()]), output, "{label}");
                 }
             }
-            // Two shards or more: fresh copies, of the columns read only.
+            // Two shards or more: fresh copies, of the columns read only,
+            // run on pool workers that each name their index.
             let plan = plan_of(q, &l, right, ShardSpec::new(3, ShardPartitioner::Hash));
             let widths = |units: &[Arc<Table>]| -> Vec<usize> {
                 units.iter().map(|t| t.fields().len()).collect()
@@ -463,10 +541,37 @@ mod tests {
             if let Some(units) = &plan.right_units {
                 assert_eq!(widths(units), [q.columns(1).len(); 3], "{}", q.kind());
             }
+            let workers = WorkerPool::global().workers();
             for path in PATHS {
-                let run = execute(&cluster, &plan.for_path(path)).unwrap();
-                assert_eq!(run.output, base, "{} {}", q.kind(), path.label());
+                let (run, threads, merges) = traced(&cluster, &plan.for_path(path));
+                assert_eq!(run.unwrap().output, base, "{} {}", q.kind(), path.label());
+                assert!(threads.iter().all(|t| t.parse::<usize>().is_ok_and(|w| w < workers)));
+                assert_eq!((threads.len(), merges), (3, 1), "{}", q.kind());
             }
+        }
+    }
+
+    #[test]
+    fn a_one_shard_job_that_panics_fails_its_own_call_and_the_caller_carries_on() {
+        // Zero stored skyline points trips the switch program builder's
+        // assert (the panic message on stderr is expected).
+        let tuning = CheetahTuning { skyline_points: 0, ..CheetahTuning::default() };
+        let broken = Cluster { tuning, ..Cluster::default() };
+        let t = table(600, 2);
+        let skyline = DbQuery::Skyline { cols: vec![2, 1] };
+        let plan = plan_of(&skyline, &t, None, ShardSpec::new(1, ShardPartitioner::Hash));
+        let (run, threads, _) = traced(&broken, &plan);
+        assert_eq!(run.err(), Some(cheetah_core::Error::WorkerPanicked { shard: 0 }));
+        assert_eq!(threads, ["caller"], "the job unwound on the calling thread");
+        // The same thread's kernel cache and scratch block serve the next
+        // compiled runs: one installs a kernel, the next reuses it.
+        let cluster = Cluster::default().with_backend(ExecBackend::Compiled);
+        let q = DbQuery::Distinct { col: 0 };
+        let plan = plan_of(&q, &t, None, ShardSpec::new(1, ShardPartitioner::Hash));
+        for _ in 0..2 {
+            let run = execute(&cluster, &plan).unwrap();
+            assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
+            assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
         }
     }
 
@@ -541,15 +646,12 @@ mod tests {
 
     #[test]
     fn a_shard_that_never_reports_is_a_typed_error_naming_it() {
-        // What a panicked job leaves behind: its sender dropped, its
+        // What a panicked pool job leaves behind: its sender dropped, its
         // report never sent. Shard 0 of two reports; shard 1 is silent.
-        let t = table(200, 1);
-        let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash));
         let (report_tx, report_rx) = mpsc::channel();
         report_tx.send((0, Ok(WorkerReport::default()))).unwrap();
         drop(report_tx);
-        let err = drain_merge_plane(&plan, report_rx).err().expect("no answer");
+        let err = await_reports(2, report_rx).err().expect("no answer");
         assert_eq!(err, cheetah_core::Error::WorkerPanicked { shard: 1 });
     }
 

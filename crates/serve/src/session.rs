@@ -67,7 +67,11 @@
 //! Drivers are dedicated threads, *not* worker-pool jobs: a pool job
 //! never blocks, and a driver blocks on the shard jobs it fans out — as a
 //! job it would hold a worker while waiting for workers. Keeping drivers
-//! off the pool means a session can never deadlock the pool it feeds.
+//! off the pool means a session can never deadlock the pool it feeds. A
+//! one-shard plan — every first sight, and every key fitted at one shard
+//! — fans nothing out: the driver (or the `run_blocking` caller) runs its
+//! one job itself, so the argument still holds, since that job waits on
+//! nothing. Its switch kernel cache is then that thread's own.
 
 use crate::error::{Error, Result};
 use crate::request::QueryRequest;
@@ -569,8 +573,9 @@ impl Session {
 
     /// Submit and wait. When the session is idle (nothing queued, a
     /// slot free) the calling thread executes the request directly —
-    /// no cross-thread handoff — so a single blocking client pays only
-    /// a mutex and one map lookup over the raw execution paths.
+    /// no cross-thread handoff, and for a one-shard plan none to the
+    /// worker pool either — so a single blocking client pays only a
+    /// mutex and one map lookup over the raw execution paths.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
         {
             let mut st = self.shared.sched.lock().expect("scheduler lock");
@@ -809,8 +814,9 @@ fn serve(
     choose_span.finish();
 
     // 3. Execute: resolve the laid-out plan, then run it on the arm's
-    // transport with the span entered so the worker pool's shard jobs and
-    // the merge plane trace themselves under it.
+    // transport with the span entered so the shard jobs (on this thread
+    // for one shard, on the worker pool for more) and the merge plane
+    // trace themselves under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", arm.path.label());
     if arm.path == ExecPath::Direct {

@@ -9,11 +9,13 @@
 //!
 //! Each request gets a fresh `Session`, so every one is a first sight; the
 //! session is built and dropped outside the timed call. Baseline and first
-//! sight alternate, request by request, and every answer is checked equal
-//! to the baseline's. It prints, per shape, the median latency of each and
-//! their ratio (baseline ÷ first sight: above 1 means first sight is
-//! faster), then the geometric mean of the six ratios. The answers are the
-//! pass signal; the ratios depend on the machine.
+//! sight alternate, request by request. Every answer is checked equal to
+//! the baseline's, and every first sight's trace is checked to hold one
+//! `worker` span, run on the calling thread (`thread=caller`) rather than
+//! handed to the worker pool. It prints, per shape, the median latency of
+//! each and their ratio (baseline ÷ first sight: above 1 means first sight
+//! is faster), then the geometric mean of the six ratios. The answers and
+//! the threads are the pass signal; the ratios depend on the machine.
 //!
 //! ```sh
 //! cargo run --release --example first_sight    # or: make first-sight
@@ -94,6 +96,11 @@ fn main() {
                 "{shape}: first sight must answer like the baseline"
             );
             assert_eq!(resp.arm.label(), "direct", "{shape}: a first sight runs direct");
+            // …on one shard, whose job ran on this thread, not the pool.
+            let mut workers = Vec::new();
+            resp.trace.as_ref().expect("trace exports").root.find_all("worker", &mut workers);
+            let threads: Vec<_> = workers.iter().map(|w| w.attr("thread")).collect();
+            assert_eq!(threads, [Some("caller")], "{shape}: one job, on the caller");
         }
         let (base, first) = (median(base_s), median(first_s));
         log_ratios += (base / first).ln();
