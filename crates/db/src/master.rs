@@ -20,67 +20,103 @@
 //!   key with the same [`Sharder`](cheetah_core::Sharder)) so every
 //!   matching pair meets inside exactly one shard.
 //!
-//! # Incremental merging
+//! # One fold, and a frame codec
 //!
-//! The merge semantics exist in two granularities:
+//! The merge semantics live in one function, [`merge_shard_outputs`]: one
+//! `match` on the query that folds whole typed partials. Every path ends
+//! in it — the barrier and direct paths with the shards' outputs, the
+//! stream with its frames.
 //!
-//! * **batch-at-a-time** — the stream transport decomposes each shard
-//!   output into [`MergeItem`]s ([`decompose_output`]), cuts them into
-//!   frames ([`frame_items`]), and folds the frames into a [`MergeState`]
-//!   ([`MergeState::ingest_survivor_batch`]): TOP N and SKYLINE *re-prune*
-//!   their running survivors per batch, DISTINCT re-normalizes, GROUP BY /
-//!   HAVING / filtered counts / JOIN pair counts fold associatively. The
-//!   fold is order-insensitive across shards and batches, and idempotent
-//!   per frame, which is what lets a lossy carrier deliver frames
-//!   reordered, resent and duplicated.
-//! * **output-at-a-time** — the barrier path's [`merge_shard_outputs`]
-//!   drives the same [`MergeState`] with every shard's complete output at
-//!   once, except GROUP BY MAX, whose whole shard maps fold map-into-map
-//!   with the same entry-wise max. The grids in the contract gates run
-//!   both paths over every family and hold them to one answer.
+//! The stream transport adds a codec around that fold, not a second one:
+//! it decomposes each shard output into [`MergeItem`]s
+//! ([`decompose_output`]) and cuts them into frames ([`frame_items`]). A
+//! [`MergeState`] dedups the frames by `(shard, seq)`, composes each new
+//! frame back into a partial of the query's output type, and hands the
+//! partials to the same fold at [`finish`](MergeState::finish). A frame
+//! is just a partial: the fold is order-insensitive across partials and
+//! each frame folds once, which is what lets a lossy carrier deliver
+//! frames reordered, resent and duplicated.
 
 use crate::ops;
 use crate::query::{DbQuery, QueryOutput};
 use crate::value::Value;
 use bytes::{BufMut, Bytes, BytesMut};
 use cheetah_net::{FrameBuilder, SurvivorBatch, WireError, MAX_BATCH_ITEMS};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Merge per-shard outputs of `q` into the global output, following the
-/// per-operator semantics above. Every element of `outputs` must be the
-/// variant `q` produces (they come from the same executor); a mismatch is
-/// a bug in the caller, not a data error, and panics.
+/// per-operator semantics above: the one place they live. Every element
+/// of `outputs` must be the variant `q` produces (they come from the same
+/// executor); a mismatch is a bug in the caller, not a data error, and
+/// panics.
 ///
-/// This is the batch plane driven to completion in one call: each output
-/// is decomposed into its [`MergeItem`]s and folded through a
-/// [`MergeState`].
-pub fn merge_shard_outputs(q: &DbQuery, outputs: Vec<QueryOutput>) -> QueryOutput {
-    // GROUP BY MAX folds whole shard maps key-union-wise. The fold is the
-    // same entry-max as [`MergeState`]'s (associative, order-insensitive),
-    // but map-into-map skips the per-item decompose/ingest machinery that
-    // only the streamed plane's framing needs.
-    if let DbQuery::GroupByMax { .. } = q {
-        let mut acc: BTreeMap<Value, i64> = BTreeMap::new();
-        for o in outputs {
-            let m = match o {
-                QueryOutput::KeyedInts(m) => m,
-                other => mismatch("KeyedInts", &other),
-            };
-            if acc.is_empty() {
-                acc = m;
-                continue;
-            }
-            for (k, v) in m {
-                acc.entry(k).and_modify(|x| *x = (*x).max(v)).or_insert(v);
-            }
+/// Every partial arrives normalized, so a single output is the answer as
+/// it stands, returned without a copy.
+pub fn merge_shard_outputs(q: &DbQuery, mut outputs: Vec<QueryOutput>) -> QueryOutput {
+    outputs.iter().for_each(|o| check_variant(q, o));
+    if outputs.len() == 1 {
+        return outputs.pop().expect("one output");
+    }
+    // Each output's payload; every variant was checked above.
+    macro_rules! parts {
+        ($variant:ident) => {
+            outputs.into_iter().map(|o| match o {
+                QueryOutput::$variant(part) => part,
+                _ => unreachable!("output variants are checked"),
+            })
+        };
+    }
+    match q {
+        DbQuery::FilterCount { .. } => QueryOutput::Count(parts!(Count).sum()),
+        DbQuery::Join { .. } => QueryOutput::JoinPairs(parts!(JoinPairs).sum()),
+        DbQuery::Distinct { .. } => QueryOutput::values(parts!(Values).flatten().collect()),
+        DbQuery::TopN { n, .. } => {
+            QueryOutput::TopValues(ops::merge_topn(parts!(TopValues).collect(), *n))
         }
-        return QueryOutput::KeyedInts(acc);
+        DbQuery::Skyline { .. } => {
+            QueryOutput::Points(ops::skyline_of(&parts!(Points).flatten().collect::<Vec<_>>()))
+        }
+        DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. } => {
+            // Each map is a sorted run: a stable sort merges the runs, then
+            // equal keys collapse. GROUP BY keeps their max. HAVING has
+            // none: key-aligned routing puts every row of a key on one
+            // shard, so its qualifying keys are disjoint, its sums global.
+            let having = matches!(q, DbQuery::HavingSum { .. });
+            let mut pairs = Vec::with_capacity(
+                outputs.iter().map(QueryOutput::cardinality).sum::<u64>() as usize,
+            );
+            pairs.extend(parts!(KeyedInts).flatten());
+            pairs.sort_by(|a: &(Value, i64), b| a.0.cmp(&b.0));
+            pairs.dedup_by(|dup, kept| {
+                if dup.0 != kept.0 {
+                    return false;
+                }
+                debug_assert!(!having, "HAVING partials share a key: not key-aligned");
+                kept.1 = kept.1.max(dup.1);
+                true
+            });
+            QueryOutput::KeyedInts(pairs.into_iter().collect())
+        }
     }
-    let mut state = MergeState::new(q);
-    for o in outputs {
-        state.ingest_batch(decompose_output(q, o));
-    }
-    state.finish()
+}
+
+/// Panic unless `output` is the variant `q` produces.
+fn check_variant(q: &DbQuery, output: &QueryOutput) {
+    let want = match q {
+        DbQuery::FilterCount { .. } => QueryOutput::Count(0),
+        DbQuery::Join { .. } => QueryOutput::JoinPairs(0),
+        DbQuery::Distinct { .. } => QueryOutput::Values(Vec::new()),
+        DbQuery::TopN { .. } => QueryOutput::TopValues(Vec::new()),
+        DbQuery::Skyline { .. } => QueryOutput::Points(Vec::new()),
+        DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. } => {
+            QueryOutput::KeyedInts(BTreeMap::new())
+        }
+    };
+    assert!(
+        std::mem::discriminant(output) == std::mem::discriminant(&want),
+        "shard output variant mismatch: {} outputs {want:?}-shaped partials, got {output:?}",
+        q.kind()
+    );
 }
 
 /// One unit of mergeable survivor state — the granularity the streamed
@@ -237,29 +273,13 @@ fn take_str(buf: &mut &[u8]) -> Result<String, WireError> {
 /// output must be the variant `q` produces; a mismatch panics, exactly
 /// like [`merge_shard_outputs`].
 pub fn decompose_output(q: &DbQuery, output: QueryOutput) -> Vec<MergeItem> {
-    match (q, output) {
-        (DbQuery::FilterCount { .. }, QueryOutput::Count(c)) => vec![MergeItem::Count(c)],
-        (DbQuery::FilterCount { .. }, other) => mismatch("Count", &other),
-        (DbQuery::Join { .. }, QueryOutput::JoinPairs(p)) => vec![MergeItem::Count(p)],
-        (DbQuery::Join { .. }, other) => mismatch("JoinPairs", &other),
-        (DbQuery::Distinct { .. }, QueryOutput::Values(v)) => {
-            v.into_iter().map(MergeItem::Value).collect()
-        }
-        (DbQuery::Distinct { .. }, other) => mismatch("Values", &other),
-        (DbQuery::TopN { .. }, QueryOutput::TopValues(v)) => {
-            v.into_iter().map(MergeItem::Top).collect()
-        }
-        (DbQuery::TopN { .. }, other) => mismatch("TopValues", &other),
-        (DbQuery::Skyline { .. }, QueryOutput::Points(p)) => {
-            p.into_iter().map(MergeItem::Point).collect()
-        }
-        (DbQuery::Skyline { .. }, other) => mismatch("Points", &other),
-        (DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. }, QueryOutput::KeyedInts(m)) => {
-            m.into_iter().map(|(k, v)| MergeItem::Keyed(k, v)).collect()
-        }
-        (DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. }, other) => {
-            mismatch("KeyedInts", &other)
-        }
+    check_variant(q, &output);
+    match output {
+        QueryOutput::Count(c) | QueryOutput::JoinPairs(c) => vec![MergeItem::Count(c)],
+        QueryOutput::Values(v) => v.into_iter().map(MergeItem::Value).collect(),
+        QueryOutput::TopValues(v) => v.into_iter().map(MergeItem::Top).collect(),
+        QueryOutput::Points(p) => p.into_iter().map(MergeItem::Point).collect(),
+        QueryOutput::KeyedInts(m) => m.into_iter().map(|(k, v)| MergeItem::Keyed(k, v)).collect(),
     }
 }
 
@@ -282,164 +302,101 @@ pub fn frame_items(shard: u32, items: &[MergeItem], batch: usize) -> Vec<Bytes> 
         .collect()
 }
 
-fn mismatch(expected: &str, got: &QueryOutput) -> ! {
-    panic!("shard output variant mismatch: expected {expected}, got {got:?}")
-}
-
-/// TOP N keeps at most this many values beyond `n` before re-pruning, so
-/// the running state stays bounded however many batches arrive.
-const TOPN_SLACK: usize = 256;
-
-/// The incremental master merge plane: per-operator survivor state that
-/// folds [`MergeItem`]s as batches arrive and yields the global
-/// [`QueryOutput`] at [`finish`](MergeState::finish).
-///
-/// The fold is associative and order-insensitive across shards and
-/// batches — re-prune (TOP N / SKYLINE / DISTINCT), key-union
-/// (GROUP BY MAX / HAVING), and count-sum (filter / JOIN) all commute —
-/// so the streamed runtime may interleave batches from different shards
-/// freely and still match the barrier merge bit for bit.
+/// The stream transport's door into the merge: the frames that arrive,
+/// each composed back into a partial of the query's output type, folded
+/// at [`finish`](MergeState::finish) by [`merge_shard_outputs`] — the
+/// barrier's own fold, so the stream may deliver frames from different
+/// shards in any order and still match the barrier merge bit for bit.
 #[derive(Debug, Clone)]
 pub struct MergeState {
-    acc: Acc,
-    ingested: u64,
+    query: DbQuery,
+    partials: Vec<QueryOutput>,
     /// `(shard, seq)` frames already folded — the paper's master-side
     /// dedup, lifted to the merge plane so retransmitted survivor batches
     /// are idempotent.
     seen: HashSet<(u32, u64)>,
-    duplicate_batches: u64,
-}
-
-#[derive(Debug, Clone)]
-enum Acc {
-    Count(u64),
-    JoinPairs(u64),
-    Values(BTreeSet<Value>),
-    Top { n: usize, vals: Vec<i64> },
-    Points(Vec<Vec<i64>>),
-    GroupMax(BTreeMap<Value, i64>),
-    Having(BTreeMap<Value, i64>),
 }
 
 impl MergeState {
     /// Fresh merge state for `q`.
     pub fn new(q: &DbQuery) -> Self {
-        let acc = match q {
-            DbQuery::FilterCount { .. } => Acc::Count(0),
-            DbQuery::Join { .. } => Acc::JoinPairs(0),
-            DbQuery::Distinct { .. } => Acc::Values(BTreeSet::new()),
-            DbQuery::TopN { n, .. } => Acc::Top { n: *n, vals: Vec::new() },
-            DbQuery::Skyline { .. } => Acc::Points(Vec::new()),
-            DbQuery::GroupByMax { .. } => Acc::GroupMax(BTreeMap::new()),
-            DbQuery::HavingSum { .. } => Acc::Having(BTreeMap::new()),
-        };
-        Self { acc, ingested: 0, seen: HashSet::new(), duplicate_batches: 0 }
-    }
-
-    /// Fold one item. The item kind must match the query's (a mismatch is
-    /// a caller bug and panics, like [`merge_shard_outputs`]).
-    pub fn ingest(&mut self, item: MergeItem) {
-        self.ingested += 1;
-        match (&mut self.acc, item) {
-            (Acc::Count(acc), MergeItem::Count(c)) => *acc += c,
-            (Acc::JoinPairs(acc), MergeItem::Count(p)) => *acc += p,
-            (Acc::Values(set), MergeItem::Value(v)) => {
-                set.insert(v);
-            }
-            (Acc::Top { n, vals }, MergeItem::Top(v)) => {
-                vals.push(v);
-                if vals.len() > *n + TOPN_SLACK {
-                    reprune_top(vals, *n);
-                }
-            }
-            (Acc::Points(pts), MergeItem::Point(p)) => pts.push(p),
-            (Acc::GroupMax(map), MergeItem::Keyed(k, v)) => {
-                map.entry(k).and_modify(|x| *x = (*x).max(v)).or_insert(v);
-            }
-            (Acc::Having(map), MergeItem::Keyed(k, v)) => {
-                // Key-aligned routing puts every row of a key on one
-                // shard, so shard-local sums (and the threshold decision)
-                // are global — later duplicates would carry the same sum.
-                map.insert(k, v);
-            }
-            (_, item) => panic!("merge item variant mismatch: {item:?} for this query"),
-        }
-    }
-
-    /// Fold a whole batch, then re-prune the running survivor state
-    /// (TOP N truncates to `n`, SKYLINE drops dominated points) so state
-    /// stays bounded by output size between batches, not by input size.
-    pub fn ingest_batch(&mut self, items: impl IntoIterator<Item = MergeItem>) {
-        for item in items {
-            self.ingest(item);
-        }
-        self.compact();
+        Self { query: q.clone(), partials: Vec::new(), seen: HashSet::new() }
     }
 
     /// Fold one framed [`SurvivorBatch`] *idempotently*: a frame whose
-    /// `(shard, seq)` identity was already folded is counted and skipped,
-    /// so a lossy channel may deliver retransmitted or duplicated frames
-    /// in any order without perturbing the merge. Returns `Ok(true)` when
-    /// the batch was new (and folded), `Ok(false)` for a discarded
-    /// duplicate. This is the only ingest door the lossy runtime uses —
-    /// the dedup lives *in* the merge plane, not in each transport.
+    /// `(shard, seq)` identity was already folded is skipped, so a lossy
+    /// channel may deliver retransmitted or duplicated frames in any order
+    /// without perturbing the merge. Returns `Ok(true)` when the batch was
+    /// new (and folded), `Ok(false)` for a discarded duplicate. This is the
+    /// only ingest door the lossy runtime uses — the dedup lives *in* the
+    /// merge plane, not in each transport.
     ///
     /// A new batch's items are read zero-copy out of the frame's arena
-    /// ([`MergeItem::decode_slice`]) and folded, then the state compacts
-    /// once, like [`ingest_batch`](MergeState::ingest_batch). A malformed
-    /// item is a typed [`WireError`], with the items before it already
-    /// folded (the caller abandons the run, not the state).
+    /// ([`MergeItem::decode_slice`]) and composed into one partial. A
+    /// malformed item, or an item of another query's kind, is a typed
+    /// [`WireError`]: the frame then folds nothing and is not marked seen.
     pub fn ingest_survivor_batch(&mut self, batch: &SurvivorBatch) -> Result<bool, WireError> {
-        if !self.seen.insert((batch.shard, batch.seq)) {
-            self.duplicate_batches += 1;
+        let id = (batch.shard, batch.seq);
+        if !self.seen.insert(id) {
             return Ok(false);
         }
-        for item in batch.items() {
-            self.ingest(MergeItem::decode_slice(item)?);
-        }
-        self.compact();
+        let partial = self.compose(batch).inspect_err(|_| {
+            self.seen.remove(&id);
+        })?;
+        self.partials.push(partial);
         Ok(true)
     }
 
-    /// Retransmitted/duplicated frames discarded by
-    /// [`ingest_survivor_batch`](MergeState::ingest_survivor_batch).
-    pub fn duplicate_batches(&self) -> u64 {
-        self.duplicate_batches
-    }
-
-    /// Items folded so far.
-    pub fn ingested(&self) -> u64 {
-        self.ingested
-    }
-
-    fn compact(&mut self) {
-        match &mut self.acc {
-            Acc::Top { n, vals } => reprune_top(vals, *n),
-            Acc::Points(pts) if !pts.is_empty() => *pts = ops::skyline_of(pts),
-            _ => {}
+    /// One frame's items as a partial of the query's output type: the
+    /// inverse of [`decompose_output`].
+    fn compose(&self, batch: &SurvivorBatch) -> Result<QueryOutput, WireError> {
+        // Every item decoded and taken as the kind this query's frames
+        // carry; any other kind refuses the frame.
+        macro_rules! take {
+            ($kind:pat => $part:expr) => {
+                batch.items().map(|item| match MergeItem::decode_slice(item)? {
+                    $kind => Ok($part),
+                    _ => Err(WireError::BadPayload),
+                })
+            };
         }
+        Ok(match &self.query {
+            DbQuery::FilterCount { .. } => {
+                QueryOutput::Count(take!(MergeItem::Count(c) => c).sum::<Result<_, _>>()?)
+            }
+            DbQuery::Join { .. } => {
+                QueryOutput::JoinPairs(take!(MergeItem::Count(c) => c).sum::<Result<_, _>>()?)
+            }
+            DbQuery::Distinct { .. } => {
+                QueryOutput::Values(gather(take!(MergeItem::Value(v) => v))?)
+            }
+            DbQuery::TopN { .. } => QueryOutput::TopValues(gather(take!(MergeItem::Top(v) => v))?),
+            DbQuery::Skyline { .. } => {
+                QueryOutput::Points(gather(take!(MergeItem::Point(p) => p))?)
+            }
+            // A frame carries a map's entries in key order, so the map
+            // builds in bulk.
+            DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. } => QueryOutput::KeyedInts(
+                gather(take!(MergeItem::Keyed(k, v) => (k, v)))?.into_iter().collect(),
+            ),
+        })
     }
 
-    /// Complete the merge: re-prune once more and emit the normalized
+    /// Complete the merge: fold the frames' partials into the normalized
     /// global output (equal to the corresponding barrier merge).
-    pub fn finish(mut self) -> QueryOutput {
-        self.compact();
-        match self.acc {
-            Acc::Count(c) => QueryOutput::Count(c),
-            Acc::JoinPairs(p) => QueryOutput::JoinPairs(p),
-            Acc::Values(set) => QueryOutput::Values(set.into_iter().collect()),
-            Acc::Top { vals, .. } => QueryOutput::top_values(vals),
-            Acc::Points(pts) => QueryOutput::points(pts),
-            Acc::GroupMax(map) | Acc::Having(map) => QueryOutput::KeyedInts(map),
-        }
+    pub fn finish(self) -> QueryOutput {
+        merge_shard_outputs(&self.query, self.partials)
     }
 }
 
-fn reprune_top(vals: &mut Vec<i64>, n: usize) {
-    if vals.len() > n {
-        vals.sort_unstable_by(|a, b| b.cmp(a));
-        vals.truncate(n);
+/// A frame's decoded parts in a vector sized for all of them up front; the
+/// first error refuses the lot.
+fn gather<T>(parts: impl Iterator<Item = Result<T, WireError>>) -> Result<Vec<T>, WireError> {
+    let mut out = Vec::with_capacity(parts.size_hint().0);
+    for part in parts {
+        out.push(part?);
     }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -449,6 +406,10 @@ mod tests {
 
     fn filter_q() -> DbQuery {
         DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 0, op: IntCmp::Lt, lit: 1 } }
+    }
+
+    fn keyed(pairs: &[(i64, i64)]) -> QueryOutput {
+        QueryOutput::KeyedInts(pairs.iter().map(|&(k, v)| (Value::Int(k), v)).collect())
     }
 
     #[test]
@@ -501,30 +462,32 @@ mod tests {
 
     #[test]
     fn groupby_key_union_takes_the_max() {
-        let m1: BTreeMap<Value, i64> =
-            [(Value::Int(1), 5), (Value::Int(2), 9)].into_iter().collect();
-        let m2: BTreeMap<Value, i64> =
-            [(Value::Int(1), 8), (Value::Int(3), 1)].into_iter().collect();
         let merged = merge_shard_outputs(
             &DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-            vec![QueryOutput::KeyedInts(m1), QueryOutput::KeyedInts(m2)],
+            vec![keyed(&[(1, 5), (2, 9)]), keyed(&[(1, 8), (3, 1)])],
         );
-        let want: BTreeMap<Value, i64> =
-            [(Value::Int(1), 8), (Value::Int(2), 9), (Value::Int(3), 1)].into_iter().collect();
-        assert_eq!(merged, QueryOutput::KeyedInts(want));
+        assert_eq!(merged, keyed(&[(1, 8), (2, 9), (3, 1)]));
     }
 
     #[test]
     fn having_unions_disjoint_key_sets() {
-        let m1: BTreeMap<Value, i64> = [(Value::Int(1), 100)].into_iter().collect();
-        let m2: BTreeMap<Value, i64> = [(Value::Int(2), 200)].into_iter().collect();
         let merged = merge_shard_outputs(
             &DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 50 },
-            vec![QueryOutput::KeyedInts(m1), QueryOutput::KeyedInts(m2)],
+            vec![keyed(&[(1, 100)]), keyed(&[(2, 200)])],
         );
-        let want: BTreeMap<Value, i64> =
-            [(Value::Int(1), 100), (Value::Int(2), 200)].into_iter().collect();
-        assert_eq!(merged, QueryOutput::KeyedInts(want));
+        assert_eq!(merged, keyed(&[(1, 100), (2, 200)]));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "HAVING partials share a key")]
+    fn having_partials_that_share_a_key_are_a_routing_bug() {
+        // Two shards both qualifying key 1: the rows of a key were split,
+        // so neither local sum is the global one.
+        let _ = merge_shard_outputs(
+            &DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 50 },
+            vec![keyed(&[(1, 100), (2, 60)]), keyed(&[(1, 70)])],
+        );
     }
 
     #[test]
@@ -534,6 +497,21 @@ mod tests {
             merge_shard_outputs(&DbQuery::Distinct { col: 0 }, vec![]),
             QueryOutput::Values(vec![])
         );
+        assert_eq!(
+            merge_shard_outputs(&DbQuery::GroupByMax { key_col: 0, val_col: 1 }, vec![]),
+            keyed(&[])
+        );
+    }
+
+    #[test]
+    fn one_output_is_the_answer_without_a_copy() {
+        let q = DbQuery::Distinct { col: 0 };
+        let o = QueryOutput::values((0..100).map(Value::Int).collect());
+        let QueryOutput::Values(vals) = &o else { unreachable!() };
+        let (buffer, want) = (vals.as_ptr(), o.clone());
+        let QueryOutput::Values(vals) = merge_shard_outputs(&q, vec![o]) else { unreachable!() };
+        assert_eq!(vals.as_ptr(), buffer, "the one output's own buffer");
+        assert_eq!(QueryOutput::Values(vals), want);
     }
 
     #[test]
@@ -543,7 +521,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // The incremental plane: codec + batch-order invariance
+    // The frame codec: items, frames, and frames folded as partials
     // ------------------------------------------------------------------
 
     /// One item's payload, as a frame's arena holds it.
@@ -551,6 +529,30 @@ mod tests {
         let mut b = BytesMut::new();
         item.encode_into(&mut b);
         b.to_vec()
+    }
+
+    /// One frame of `shard` numbered `seq`, carrying `items`.
+    fn frame(shard: u32, seq: u64, items: &[MergeItem]) -> SurvivorBatch {
+        let payloads = items.iter().map(encoded);
+        SurvivorBatch::parse(cheetah_net::emit_batch(shard, seq, payloads)).expect("frame parses")
+    }
+
+    /// `output` as the stream transport carries it: decomposed and cut
+    /// into frames of `batch` items.
+    fn frames_of(q: &DbQuery, shard: u32, output: QueryOutput, batch: usize) -> Vec<SurvivorBatch> {
+        frame_items(shard, &decompose_output(q, output), batch)
+            .into_iter()
+            .map(|f| SurvivorBatch::parse(f).expect("frame parses"))
+            .collect()
+    }
+
+    /// Fold `frames` into a fresh state, each one new.
+    fn fold<'a>(q: &DbQuery, frames: impl IntoIterator<Item = &'a SurvivorBatch>) -> QueryOutput {
+        let mut st = MergeState::new(q);
+        for f in frames {
+            assert_eq!(st.ingest_survivor_batch(f), Ok(true));
+        }
+        st.finish()
     }
 
     #[test]
@@ -591,8 +593,8 @@ mod tests {
     }
 
     #[test]
-    fn framed_items_carry_each_encoding_once_and_fold_like_items() {
-        let items: Vec<MergeItem> = (0..7).map(MergeItem::Top).collect();
+    fn framed_items_carry_each_encoding_once_and_fold_like_the_output() {
+        let items: Vec<MergeItem> = (0..7).rev().map(MergeItem::Top).collect();
         // ⌈7 / 3⌉ frames of this shard, numbered from zero, each holding
         // its chunk's encodings in order.
         let frames = frame_items(5, &items, 3);
@@ -607,17 +609,11 @@ mod tests {
         // No items, no frames; a zero batch frames one item apiece.
         assert!(frame_items(0, &[], 3).is_empty());
         assert_eq!(frame_items(0, &items, 0).len(), items.len());
-        // Folding the frames equals folding the items.
+        // Folding the three frames re-prunes the shard's values to n.
         let q = DbQuery::TopN { order_col: 0, n: 2 };
-        let mut by_item = MergeState::new(&q);
-        by_item.ingest_batch(items.iter().cloned());
-        let mut by_frame = MergeState::new(&q);
-        for f in frames {
-            let batch = SurvivorBatch::parse(f).expect("frame parses");
-            assert_eq!(by_frame.ingest_survivor_batch(&batch), Ok(true));
-        }
-        assert_eq!(by_frame.ingested(), 7);
-        assert_eq!(by_item.finish(), by_frame.finish());
+        let batches: Vec<SurvivorBatch> =
+            frames.into_iter().map(|f| SurvivorBatch::parse(f).expect("frame parses")).collect();
+        assert_eq!(fold(&q, &batches), QueryOutput::TopValues(vec![6, 5]));
         // A malformed item surfaces as a typed error, not a panic.
         let mut st = MergeState::new(&q);
         for (seq, (item, err)) in
@@ -629,79 +625,82 @@ mod tests {
                 .expect("frame parses");
             assert_eq!(st.ingest_survivor_batch(&batch), Err(err));
         }
+        assert_eq!(st.finish(), QueryOutput::TopValues(vec![]));
     }
 
     #[test]
-    fn incremental_batches_equal_the_barrier_merge_in_any_order() {
-        // Fold the same shard outputs item-by-item, in per-shard batches,
-        // and in reversed interleaved order: all must equal the one-shot
-        // barrier merge.
-        let q = DbQuery::TopN { order_col: 0, n: 3 };
-        let outputs =
-            vec![QueryOutput::top_values(vec![9, 7, 5]), QueryOutput::top_values(vec![8, 6, 4])];
-        let barrier = merge_shard_outputs(&q, outputs.clone());
-
-        let items: Vec<MergeItem> =
-            outputs.iter().flat_map(|o| decompose_output(&q, o.clone())).collect();
-        for chunk in [1usize, 2, 6] {
-            let mut fwd = MergeState::new(&q);
-            for c in items.chunks(chunk) {
-                fwd.ingest_batch(c.to_vec());
+    fn frames_fold_to_the_barrier_merge_in_any_order_at_any_size() {
+        // Two shards' outputs, merged whole and cut into frames of 1, 2 and
+        // 6 items folded in shard order and fully reversed: one answer.
+        let (top, pts) = (QueryOutput::top_values, QueryOutput::points);
+        let cases = [
+            (
+                DbQuery::TopN { order_col: 0, n: 3 },
+                [top(vec![9, 7, 5]), top(vec![8, 6])],
+                top(vec![9, 8, 7]),
+            ),
+            (
+                DbQuery::Skyline { cols: vec![0, 1] },
+                [pts(vec![vec![1, 5], vec![2, 4], vec![3, 1]]), pts(vec![vec![2, 5], vec![4, 0]])],
+                pts(vec![vec![2, 5], vec![3, 1], vec![4, 0]]),
+            ),
+            (
+                DbQuery::GroupByMax { key_col: 0, val_col: 1 },
+                [keyed(&[(1, 5), (2, 9), (4, 0)]), keyed(&[(1, 8), (3, 1), (4, 2)])],
+                keyed(&[(1, 8), (2, 9), (3, 1), (4, 2)]),
+            ),
+        ];
+        for (q, outputs, want) in cases {
+            assert_eq!(merge_shard_outputs(&q, outputs.to_vec()), want, "{}", q.kind());
+            for batch in [1usize, 2, 6] {
+                let frames: Vec<SurvivorBatch> = (0..)
+                    .zip(&outputs)
+                    .flat_map(|(shard, o)| frames_of(&q, shard, o.clone(), batch))
+                    .collect();
+                let label = format!("{} at {batch}", q.kind());
+                assert_eq!(fold(&q, &frames), want, "{label}");
+                assert_eq!(fold(&q, frames.iter().rev()), want, "{label}, reversed");
             }
-            assert_eq!(fwd.finish(), barrier, "chunk {chunk}");
-            let mut rev = MergeState::new(&q);
-            rev.ingest_batch(items.iter().rev().cloned().collect::<Vec<_>>());
-            assert_eq!(rev.finish(), barrier, "reversed, chunk {chunk}");
         }
     }
 
     #[test]
-    fn incremental_skyline_and_groupby_fold_per_batch() {
-        let q = DbQuery::Skyline { cols: vec![0, 1] };
-        let mut st = MergeState::new(&q);
-        st.ingest_batch(vec![MergeItem::Point(vec![1, 2]), MergeItem::Point(vec![2, 1])]);
-        st.ingest_batch(vec![MergeItem::Point(vec![3, 3])]);
-        assert_eq!(st.ingested(), 3);
-        assert_eq!(st.finish(), QueryOutput::Points(vec![vec![3, 3]]));
-
-        let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let mut st = MergeState::new(&q);
-        st.ingest_batch(vec![MergeItem::Keyed(Value::Int(1), 5)]);
-        st.ingest_batch(vec![
-            MergeItem::Keyed(Value::Int(1), 9),
-            MergeItem::Keyed(Value::Int(2), 1),
-        ]);
-        let want: BTreeMap<Value, i64> =
-            [(Value::Int(1), 9), (Value::Int(2), 1)].into_iter().collect();
-        assert_eq!(st.finish(), QueryOutput::KeyedInts(want));
-    }
-
-    #[test]
-    fn topn_state_stays_bounded_across_many_batches() {
+    fn topn_folds_many_frames_to_n() {
         let q = DbQuery::TopN { order_col: 0, n: 4 };
-        let mut st = MergeState::new(&q);
-        for round in 0..50i64 {
-            st.ingest_batch((0..100).map(|i| MergeItem::Top(round * 100 + i)));
-        }
-        // After every batch the state re-prunes to n.
-        assert_eq!(st.finish(), QueryOutput::TopValues(vec![4999, 4998, 4997, 4996]));
+        let frames: Vec<SurvivorBatch> = (0..50i64)
+            .map(|round| {
+                let items: Vec<MergeItem> =
+                    (0..100).map(|i| MergeItem::Top(round * 100 + i)).collect();
+                frame(0, round as u64, &items)
+            })
+            .collect();
+        assert_eq!(fold(&q, &frames), QueryOutput::TopValues(vec![4999, 4998, 4997, 4996]));
     }
 
     #[test]
-    #[should_panic(expected = "variant mismatch")]
     fn merge_state_rejects_cross_query_items() {
-        let mut st = MergeState::new(&DbQuery::Distinct { col: 0 });
-        st.ingest(MergeItem::Top(5));
+        let q = DbQuery::Distinct { col: 0 };
+        let mut st = MergeState::new(&q);
+        let good = frame(0, 0, &[MergeItem::Value(Value::Int(1)), MergeItem::Value(Value::Int(2))]);
+        assert_eq!(st.ingest_survivor_batch(&good), Ok(true));
+        let before = st.clone().finish();
+        // A TOP N item inside a DISTINCT frame: the whole frame is refused,
+        // including the well-formed item ahead of it.
+        let bad = frame(0, 1, &[MergeItem::Value(Value::Int(3)), MergeItem::Top(5)]);
+        assert_eq!(st.ingest_survivor_batch(&bad), Err(WireError::BadPayload));
+        assert_eq!(st.clone().finish(), before, "a refused frame folds nothing");
+        // Nor is it marked seen: a good frame under the same identity folds.
+        let resent = frame(0, 1, &[MergeItem::Value(Value::Int(3))]);
+        assert_eq!(st.ingest_survivor_batch(&resent), Ok(true));
+        assert_eq!(st.finish(), QueryOutput::Values((1..=3).map(Value::Int).collect()));
     }
 
     // ------------------------------------------------------------------
     // Frame-level idempotence: the merge plane's (shard, seq) dedup.
     // ------------------------------------------------------------------
 
-    fn count_frame(shard: u32, seq: u64, counts: &[u64]) -> cheetah_net::SurvivorBatch {
-        let items = counts.iter().map(|&c| encoded(&MergeItem::Count(c)));
-        cheetah_net::SurvivorBatch::parse(cheetah_net::emit_batch(shard, seq, items))
-            .expect("frame parses")
+    fn count_frame(shard: u32, seq: u64, counts: &[u64]) -> SurvivorBatch {
+        frame(shard, seq, &counts.iter().map(|&c| MergeItem::Count(c)).collect::<Vec<_>>())
     }
 
     #[test]
@@ -716,19 +715,13 @@ mod tests {
         assert_eq!(st.ingest_survivor_batch(&b0), Ok(false));
         assert_eq!(st.ingest_survivor_batch(&b1), Ok(false));
         assert_eq!(st.ingest_survivor_batch(&b0), Ok(false));
-        assert_eq!(st.duplicate_batches(), 3);
         assert_eq!(st.finish(), QueryOutput::Count(7));
     }
 
     #[test]
     fn same_seq_on_different_shards_is_not_a_duplicate() {
-        let q = filter_q();
-        let mut st = MergeState::new(&q);
-        assert_eq!(st.ingest_survivor_batch(&count_frame(0, 0, &[1])), Ok(true));
-        assert_eq!(st.ingest_survivor_batch(&count_frame(1, 0, &[2])), Ok(true));
-        assert_eq!(st.ingest_survivor_batch(&count_frame(2, 0, &[4])), Ok(true));
-        assert_eq!(st.duplicate_batches(), 0);
-        assert_eq!(st.finish(), QueryOutput::Count(7));
+        let frames = [count_frame(0, 0, &[1]), count_frame(1, 0, &[2]), count_frame(2, 0, &[4])];
+        assert_eq!(fold(&filter_q(), &frames), QueryOutput::Count(7));
     }
 
     #[test]
@@ -736,33 +729,25 @@ mod tests {
         // TOP N is the family where double-folding would actually corrupt
         // the answer if dedup failed (Count would just double).
         let q = DbQuery::TopN { order_col: 0, n: 2 };
-        let frames: Vec<cheetah_net::SurvivorBatch> = [(0u32, vec![5i64, 9]), (1u32, vec![7, 1])]
+        let frames: Vec<SurvivorBatch> = [(0u32, [5i64, 9]), (1u32, [7, 1])]
             .iter()
             .flat_map(|(shard, vals)| {
-                vals.iter().enumerate().map(move |(seq, &v)| {
-                    let item = encoded(&MergeItem::Top(v));
-                    cheetah_net::SurvivorBatch::parse(cheetah_net::emit_batch(
-                        *shard,
-                        seq as u64,
-                        [item],
-                    ))
-                    .unwrap()
-                })
+                vals.iter()
+                    .enumerate()
+                    .map(|(seq, &v)| frame(*shard, seq as u64, &[MergeItem::Top(v)]))
             })
             .collect();
-        let mut clean = MergeState::new(&q);
-        for f in &frames {
-            assert_eq!(clean.ingest_survivor_batch(f), Ok(true));
-        }
+        let clean = fold(&q, &frames);
         // Deliver reversed, with every frame duplicated twice.
         let mut lossy = MergeState::new(&q);
+        let mut discarded = 0;
         for f in frames.iter().rev() {
-            lossy.ingest_survivor_batch(f).unwrap();
-            lossy.ingest_survivor_batch(f).unwrap();
-            lossy.ingest_survivor_batch(f).unwrap();
+            for _ in 0..3 {
+                discarded += usize::from(!lossy.ingest_survivor_batch(f).unwrap());
+            }
         }
-        assert_eq!(lossy.duplicate_batches(), 2 * frames.len() as u64);
-        assert_eq!(lossy.ingested(), clean.ingested());
-        assert_eq!(lossy.finish(), clean.finish());
+        assert_eq!(discarded, 2 * frames.len());
+        assert_eq!(lossy.finish(), clean);
+        assert_eq!(clean, QueryOutput::TopValues(vec![9, 7]));
     }
 }

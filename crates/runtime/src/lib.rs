@@ -23,17 +23,19 @@
 //!                                          (direct: Cluster::run_direct, no switch)
 //!                                                │ whole outputs
 //!                                                ├─ barrier, direct ──▶ merge_shard_outputs
-//!                                                │                      (one shard: its output, as is)
 //!                                                └─ stream: frame_items ──▶ MergeState (in shard order,
 //!                                                                           or across the lossy rack)
+//!                                                           frames composed into partials ──▶ merge_shard_outputs
 //! ```
 //!
 //! A one-shard plan — every first sight, and every plan the planner fits
 //! at one shard — has nothing to run in parallel, so handing its job to
 //! the pool would only add a hand-off and a wake-up to the request. The
 //! calling thread (a session driver, or a `run_blocking` caller) runs it
-//! behind the same panic boundary a pool thread keeps, and on the barrier
-//! and direct paths its one output is the answer: no fold. Its switch
+//! behind the same panic boundary a pool thread keeps. Its one output
+//! goes through the same merge as any other's, and
+//! [`merge_shard_outputs`](cheetah_db::merge_shard_outputs) hands a lone
+//! output back as it stands: no copy, no fold. Its switch
 //! kernel cache and scratch block are that thread's own thread-locals, as
 //! a pool job's are its worker's. The stream still cuts its one output
 //! into frames, so the fault mode is the same at every shard count.
@@ -68,7 +70,9 @@
 //!   each output into [`MergeItem`](cheetah_db::MergeItem)s, cuts them
 //!   into [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames
 //!   ([`frame_items`](cheetah_db::frame_items)) and folds the frames into
-//!   a [`MergeState`](cheetah_db::MergeState) in shard order. A lossless
+//!   a [`MergeState`](cheetah_db::MergeState) in shard order, which dedups
+//!   them, composes each back into a partial and folds the partials
+//!   through the barrier's own merge. A lossless
 //!   run cuts as many items as a frame carries
 //!   ([`MAX_BATCH_ITEMS`](cheetah_net::MAX_BATCH_ITEMS)). Frames are the
 //!   point of the fault mode, set on a built plan like its path

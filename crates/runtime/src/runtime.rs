@@ -16,8 +16,8 @@
 //!   boundary a pool thread keeps: no pool hop, no channel.
 //! * the **master merge plane** (the calling thread) folds once the last
 //!   report is in. Off the stream transport it folds the outputs through
-//!   [`merge_shard_outputs`] — except a one-shard plan's one output, which
-//!   is the answer as it stands. On the stream transport, it decomposes
+//!   [`merge_shard_outputs`], which returns a lone output as it stands. On
+//!   the stream transport, it decomposes
 //!   each output and cuts it into [`SurvivorBatch`] frames
 //!   ([`frame_items`]), then folds the frames through
 //!   [`MergeState::ingest_survivor_batch`] — parsed zero-copy, in shard
@@ -233,12 +233,12 @@ fn await_reports(shards: usize, reports: Reports) -> cheetah_core::Result<Vec<Wo
         .collect()
 }
 
-/// The master merge plane: fold the shards' whole outputs — a one-shard
-/// plan's one output is the answer as it stands — or, on the stream
-/// transport, cut each shard's output into frames (a fault's frame size,
-/// else as many items as a frame carries) and fold those, each parsed
-/// zero-copy (offsets into the frame's arena), so each survivor is
-/// encoded and decoded exactly once.
+/// The master merge plane: fold the shards' whole outputs through
+/// [`merge_shard_outputs`] (which hands a lone output back as it
+/// stands), or, on the stream transport, cut each shard's output into
+/// frames (a fault's frame size, else as many items as a frame carries)
+/// and fold those, each parsed zero-copy (offsets into the frame's
+/// arena), so each survivor is encoded and decoded exactly once.
 fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> cheetah_core::Result<Fold> {
     let shards = plan.shards();
     // The merge plane runs on the submitting thread, so the session's
@@ -274,14 +274,8 @@ fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> cheetah_core:
         };
         (state.finish(), batches, retransmits)
     } else {
-        let mut outputs: Vec<QueryOutput> =
-            reports.iter_mut().filter_map(|r| r.output.take()).collect();
-        let output = if shards == 1 && outputs.len() == 1 {
-            outputs.pop().expect("one output")
-        } else {
-            merge_shard_outputs(q, outputs)
-        };
-        (output, 0, 0)
+        let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
+        (merge_shard_outputs(q, outputs), 0, 0)
     };
     let merge_seconds = started.elapsed().as_secs_f64();
 
@@ -525,8 +519,7 @@ mod tests {
                     assert_eq!(output, base, "{label}");
                     // One job, on the calling thread; the tree keeps its shape.
                     assert_eq!((threads, merges), (vec!["caller".to_string()], 1), "{label}");
-                    // The fold the barrier and direct paths skip is the
-                    // identity on one output.
+                    // The merge is the identity on one output.
                     assert_eq!(merge_shard_outputs(q, vec![output.clone()]), output, "{label}");
                 }
             }
