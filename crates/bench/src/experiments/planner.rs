@@ -12,7 +12,7 @@
 use crate::report::secs;
 use crate::{fitted_plan, run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ShardSpec};
+use cheetah_db::{Cluster, DbQuery, ShardPlanner, ShardSpec};
 use cheetah_runtime::ExecRun;
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
@@ -54,7 +54,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     let table = Arc::new(PlannerAdversary::Zipf(1.5).table(rows, 8, 0x9_1A2D));
     let right = Arc::new(PlannerAdversary::Zipf(1.5).table(rows / 2, 4, 0xB0B5));
     let cluster = Cluster::default();
-    let planner = ctx.planner();
+    let planner = ShardPlanner::default();
     let families: Vec<(&str, DbQuery)> = vec![
         ("distinct", DbQuery::Distinct { col: 0 }),
         ("groupby-max", DbQuery::GroupByMax { key_col: 0, val_col: 1 }),

@@ -14,7 +14,7 @@
 use crate::report::secs;
 use crate::{fitted_plan, run_barrier, Report, RunCtx};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ShardSpec};
+use cheetah_db::{Cluster, DbQuery, ShardPlanner, ShardSpec};
 use cheetah_net::MasterIngestModel;
 use cheetah_runtime::{ExecRun, ShardLayout};
 use cheetah_workloads::SkewedTableConfig;
@@ -70,7 +70,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             "max_shard_rows",
         ],
     );
-    let planner = ctx.planner();
+    let planner = ShardPlanner::default();
     for (name, q) in &families {
         let right_of = q.is_binary().then_some(&right);
         let single = cluster.run_cheetah(q, &table, right_of.map(|r| &**r)).expect("plan fits");
@@ -99,8 +99,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             let spec = ShardSpec::new(n, ShardPartitioner::Hash);
             record(n.to_string(), &run_under(spec.into()));
         }
-        // The planned comparison row: the planner searches the same
-        // shard range the sweep covers (RunCtx-driven).
+        // The planned comparison row: what the serving plane's planner
+        // fits for this query, over its own shard range.
         let planned = run_under(fitted_plan(&cluster, &planner, q, &table, right_of).into());
         let plan = planned.plan.as_ref().expect("planned run records its plan");
         record(format!("planned:{}@{}", plan.partitioner().name(), plan.shards()), &planned);

@@ -133,14 +133,4 @@ impl RunCtx {
     pub fn quick() -> Self {
         Self::new(Scale::Quick)
     }
-
-    /// The shard planner the sharded experiments use: candidate shard
-    /// counts bounded by this context's `--shards` axis, so a sweep and
-    /// its planned comparison row search the same space.
-    pub fn planner(&self) -> cheetah_db::ShardPlanner {
-        cheetah_db::ShardPlanner::new(cheetah_db::PlannerConfig {
-            max_shards: self.shards.iter().copied().max().unwrap_or(8),
-            ..cheetah_db::PlannerConfig::default()
-        })
-    }
 }

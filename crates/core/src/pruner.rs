@@ -25,12 +25,6 @@ impl<P: SwitchProgram> StandalonePruner<P> {
         Self { program, epoch: 0, fid: 0, stats: ProgramStats::default() }
     }
 
-    /// Wrap `program` with a specific flow id (for side-keyed programs like
-    /// JOIN where the fid distinguishes table A from table B).
-    pub fn with_fid(program: P, fid: u32) -> Self {
-        Self { program, epoch: 0, fid, stats: ProgramStats::default() }
-    }
-
     /// Offer one entry to the program and record the verdict.
     pub fn offer(&mut self, values: &[u64]) -> cheetah_switch::Result<Verdict> {
         self.epoch += 1;

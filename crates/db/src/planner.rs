@@ -60,20 +60,30 @@ pub const RANGE_LOAD_FACTOR: f64 = 2.0;
 /// one more output) charged by the shard-count model, in seconds.
 pub const PER_SHARD_OVERHEAD_SECONDS: f64 = 300e-6;
 
+/// Largest shard count the fan-in walk considers, whatever the machine.
+///
+/// The shard count is the planner's unit of work (how finely a query is
+/// cut), not its parallelism: the worker pool has one worker per core and
+/// queues a wider plan's extra jobs. So it must not follow the cores. On a
+/// 2-core box, with the shard count capped at the cores (and the pool then
+/// at eight threads; three ledger runs each), `survivor_heavy` read
+/// `speedup_p50` 2.32–2.40 → 1.74–2.20 and `peak_rss_mb` 534–536 → 626–638,
+/// and `prune_heavy` `speedup_p90` 1.73–1.81 → 1.52–1.57; capped at twice
+/// the cores, `survivor_heavy` read 1.88–1.92 and 558–573 MB.
+pub const MAX_SHARDS: usize = 16;
+
 /// Tuning of the sample-driven shard planner. The shard-count model prices
-/// the master with [`MasterIngestModel::default_rack`].
+/// the master with [`MasterIngestModel::default_rack`] over `1..=`[`MAX_SHARDS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Reservoir capacity: how many routing keys the quantile fit and
     /// the load evaluation see.
     pub sample_size: usize,
-    /// Largest worker count the fan-in walk considers.
-    pub max_shards: usize,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        Self { sample_size: 1024, max_shards: 16 }
+        Self { sample_size: 1024 }
     }
 }
 
@@ -109,7 +119,7 @@ impl Default for PlannerConfig {
 /// // The report carries every estimate the decision read…
 /// assert_eq!(plan.report.rows, 4000);
 /// assert!(plan.report.distinct_estimate > 10.0);
-/// assert!(plan.shards() >= 1 && plan.shards() <= 16);
+/// assert!(plan.shards() >= 1 && plan.shards() <= cheetah_db::planner::MAX_SHARDS);
 /// println!("{}", plan.report.reason);
 ///
 /// // …and a run laid out by it completes bit-identically to the baseline.
@@ -174,15 +184,13 @@ impl ShardPlanner {
         // share of the rows at the CWorker send rate, plus modelled
         // ingest and per-shard merge overhead.
         let ingest = MasterIngestModel::default_rack();
-        let mut curve = Vec::with_capacity(self.cfg.max_shards);
-        let mut per_count = Vec::with_capacity(self.cfg.max_shards);
-        for n in 1..=self.cfg.max_shards.max(1) {
-            let choice = partitioner_at(&stats.sample, n, seed);
-            let worker_seconds = stats.rows as f64 * choice.load / ingest.arrival_rate.max(1.0);
+        let mut curve = Vec::with_capacity(MAX_SHARDS);
+        for n in 1..=MAX_SHARDS {
+            let load = partitioner_at(&stats.sample, n, seed).load;
+            let worker_seconds = stats.rows as f64 * load / ingest.arrival_rate.max(1.0);
             let merge_seconds =
                 ingest.planning_latency(n, survivors) + n as f64 * PER_SHARD_OVERHEAD_SECONDS;
             curve.push(ShardCostPoint { shards: n, worker_seconds, merge_seconds });
-            per_count.push(choice);
         }
         let best = curve
             .iter()
@@ -190,8 +198,10 @@ impl ShardPlanner {
             .min_by(|(_, a), (_, b)| a.total().partial_cmp(&b.total()).expect("finite costs"))
             .map(|(i, _)| i)
             .expect("at least one candidate");
-        let chosen = per_count.swap_remove(best);
         let shards = best + 1;
+        // The choice is a function of the sample and the count alone, so
+        // the walk keeps only its cost and the chosen count is fitted again.
+        let chosen = partitioner_at(&stats.sample, shards, seed);
 
         // The first candidate *past the chosen count* whose modelled
         // completion rises again — where merge cost starts eating the
@@ -564,6 +574,6 @@ mod tests {
             "kept range must respect the load bound: {:?}",
             plan.report
         );
-        assert_eq!(plan.report.curve.len(), planner.cfg.max_shards);
+        assert_eq!(plan.report.curve.len(), MAX_SHARDS);
     }
 }

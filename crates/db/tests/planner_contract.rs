@@ -67,10 +67,7 @@ proptest! {
         sample_size in 64usize..512,
     ) {
         let adv = PlannerAdversary::all()[adv_idx];
-        let planner = ShardPlanner::new(PlannerConfig {
-            sample_size,
-            ..PlannerConfig::default()
-        });
+        let planner = ShardPlanner::new(PlannerConfig { sample_size });
         let left = Arc::new(adv.table(rows, 3, seed));
         let right = Arc::new(adv.table(rows / 2 + 1, 2, seed ^ 0xFF));
         for_each_exec_case(&left, &right, rows as i64 * 20, &planner, &adv.name(), |_, _| {});
@@ -145,8 +142,7 @@ fn empty_table_plans_one_shard_and_runs() {
 
 #[test]
 fn table_smaller_than_the_sample_size_is_planned_exactly() {
-    let planner =
-        ShardPlanner::new(PlannerConfig { sample_size: 4_096, ..PlannerConfig::default() });
+    let planner = ShardPlanner::new(PlannerConfig { sample_size: 4_096 });
     let t = Arc::new(PlannerAdversary::Uniform.table(60, 2, 5));
     let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &t, None, 5);
     assert_eq!(plan.report.rows, 60);

@@ -115,11 +115,6 @@ impl Link {
         }
     }
 
-    /// Convenience: a 10-gigabit link with 1 µs latency.
-    pub fn ten_gig(seed: u64) -> Self {
-        Self::new(10e9, 1_000, FaultProfile::lossless(), seed)
-    }
-
     /// Transmit a packet at `now`: the link serializes it (bytes padded
     /// with frame overhead by the caller via `wire_bytes`), applies
     /// faults, and reports every copy that arrives — zero for a drop,

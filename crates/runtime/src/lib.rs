@@ -9,8 +9,10 @@
 //! [`Cluster::run_cheetah`](cheetah_db::Cluster::run_cheetah), one
 //! installed switch program, one report — per shard: on the persistent
 //! [`WorkerPool`] when there are two shards or more, and on the calling
-//! thread itself when there is one. How a unit is run and how its result
-//! travels to the master is a field of the plan
+//! thread itself when there is one. The pool has one worker per core, and
+//! the shard count is the planner's: a plan of more shards than cores
+//! queues its extra jobs on the pool rather than time-slicing them. How a
+//! unit is run and how its result travels to the master is a field of the plan
 //! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine:
 //!
 //! ```text

@@ -1,4 +1,4 @@
-//! A persistent shard-worker pool.
+//! A persistent shard-worker pool, one worker per core.
 //!
 //! Spinning up one thread per shard per query and tearing them all down
 //! at the join is, at smoke scale (thousands of reps over a few thousand
@@ -14,6 +14,14 @@
 //! called `execute` runs its one job itself, behind the same
 //! `catch_unwind` boundary as the worker loop below, so a request with
 //! nothing to run in parallel pays no hand-off and no worker wake-up.
+//!
+//! The pool is as wide as the machine, whatever the plans it serves: the
+//! shard count is the planner's unit of work (how finely a query is cut),
+//! the cores are the parallelism. A plan of more shards than workers
+//! queues its extra jobs behind the running ones — as a Spark stage's
+//! tasks queue for an executor's cores — rather than time-slicing them on
+//! threads the machine cannot run at once, so sibling jobs do not preempt
+//! each other inside their `worker` spans.
 //!
 //! The pool is deliberately dumb: no work stealing, no priorities, one
 //! `Mutex<Receiver>` that each idle worker takes in turn (the lock is
@@ -38,15 +46,14 @@ type Job = Box<dyn FnOnce(usize) + Send + 'static>;
 /// job and exit. The [`global`](WorkerPool::global) pool is never
 /// dropped — its workers live for the process.
 pub struct WorkerPool {
-    injector: Mutex<mpsc::Sender<Job>>,
+    injector: mpsc::Sender<Job>,
     workers: usize,
 }
 
 impl WorkerPool {
-    /// A pool of `workers` persistent threads (at least one).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
+    /// A pool of `workers` persistent threads.
+    fn new(workers: usize) -> Self {
+        let (injector, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         for i in 0..workers {
             let rx = Arc::clone(&rx);
@@ -67,18 +74,16 @@ impl WorkerPool {
                 })
                 .expect("spawn pool worker");
         }
-        Self { injector: Mutex::new(tx), workers }
+        Self { injector, workers }
     }
 
     /// The process-wide pool every multi-shard [`execute`](crate::execute)
-    /// call routes its shard jobs through. Sized
-    /// at `max(available_parallelism, 8)` so every shard count the
-    /// bench sweeps exercises can be in flight at once.
+    /// call routes its shard jobs through: one worker per core the
+    /// machine reports (`available_parallelism`; one if it cannot say).
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            WorkerPool::new(cores.max(8))
+            WorkerPool::new(std::thread::available_parallelism().map_or(1, usize::from))
         })
     }
 
@@ -91,17 +96,19 @@ impl WorkerPool {
     /// worker next goes idle and is called with that worker's index, in
     /// `0..workers()`.
     pub fn spawn(&self, job: impl FnOnce(usize) + Send + 'static) {
-        self.injector
-            .lock()
-            .expect("pool injector poisoned")
-            .send(Box::new(job))
-            .expect("pool workers alive");
+        self.injector.send(Box::new(job)).expect("pool workers alive");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_global_pool_is_as_wide_as_the_machine() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(WorkerPool::global().workers(), cores);
+    }
 
     #[test]
     fn private_pool_runs_jobs_and_shuts_down_on_drop() {

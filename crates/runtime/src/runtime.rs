@@ -524,22 +524,32 @@ mod tests {
                 }
             }
             // Two shards or more: fresh copies, of the columns read only,
-            // run on pool workers that each name their index.
-            let plan = plan_of(q, &l, right, ShardSpec::new(3, ShardPartitioner::Hash));
-            let widths = |units: &[Arc<Table>]| -> Vec<usize> {
-                units.iter().map(|t| t.fields().len()).collect()
-            };
-            assert_eq!(plan.dispatched().iter().sum::<u64>(), total, "{}: both streams", q.kind());
-            assert_eq!(widths(&plan.units), [q.columns(0).len(); 3], "{}", q.kind());
-            if let Some(units) = &plan.right_units {
-                assert_eq!(widths(units), [q.columns(1).len(); 3], "{}", q.kind());
-            }
+            // run on pool workers that each name their index — and a plan
+            // wider than the pool queues its extra jobs on the same workers.
             let workers = WorkerPool::global().workers();
-            for path in PATHS {
-                let (run, threads, merges) = traced(&cluster, &plan.for_path(path));
-                assert_eq!(run.unwrap().output, base, "{} {}", q.kind(), path.label());
-                assert!(threads.iter().all(|t| t.parse::<usize>().is_ok_and(|w| w < workers)));
-                assert_eq!((threads.len(), merges), (3, 1), "{}", q.kind());
+            for shards in [3, 2 * workers + 1] {
+                let plan = plan_of(q, &l, right, ShardSpec::new(shards, ShardPartitioner::Hash));
+                let widths = |units: &[Arc<Table>]| -> Vec<usize> {
+                    units.iter().map(|t| t.fields().len()).collect()
+                };
+                let kind = format!("{} @{shards}", q.kind());
+                assert_eq!(plan.dispatched().iter().sum::<u64>(), total, "{kind}: both streams");
+                assert_eq!(widths(&plan.units), vec![q.columns(0).len(); shards], "{kind}");
+                if let Some(units) = &plan.right_units {
+                    assert_eq!(widths(units), vec![q.columns(1).len(); shards], "{kind}");
+                }
+                for path in PATHS {
+                    let label = format!("{kind} {}", path.label());
+                    let (run, threads, merges) = traced(&cluster, &plan.for_path(path));
+                    let run = run.unwrap();
+                    assert_eq!(run.output, base, "{label}");
+                    assert_eq!(run.per_shard.len(), shards, "{label}: every shard reports");
+                    assert_eq!((threads.len(), merges), (shards, 1), "{label}");
+                    let pool: std::collections::BTreeSet<usize> =
+                        threads.iter().map(|t| t.parse().expect("a pool index")).collect();
+                    assert!(pool.len() <= workers, "{label}: {pool:?}");
+                    assert!(pool.iter().all(|&w| w < workers), "{label}: {pool:?}");
+                }
             }
         }
     }

@@ -86,7 +86,7 @@ use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Knobs of one serving session. The defaults serve a small rack: a
@@ -546,7 +546,7 @@ impl Session {
     /// typed execution error). The returned [`Ticket`] is redeemed with
     /// [`Ticket::wait`].
     pub fn submit(&self, req: QueryRequest) -> Result<Ticket> {
-        let mut st = self.shared.sched.lock().expect("scheduler lock");
+        let mut st = lock(&self.shared.sched);
         if st.shutdown {
             return Err(Error::SessionClosed);
         }
@@ -578,7 +578,7 @@ impl Session {
     /// mutex and one map lookup over the raw execution paths.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
         {
-            let mut st = self.shared.sched.lock().expect("scheduler lock");
+            let mut st = lock(&self.shared.sched);
             if st.shutdown {
                 return Err(Error::SessionClosed);
             }
@@ -602,7 +602,7 @@ impl Session {
 
     /// Requests in flight right now (queued plus executing).
     pub fn in_flight(&self) -> usize {
-        let st = self.shared.sched.lock().expect("scheduler lock");
+        let st = lock(&self.shared.sched);
         st.queued + st.executing
     }
 
@@ -637,7 +637,7 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.sched.lock().expect("scheduler lock");
+            let mut st = lock(&self.shared.sched);
             st.shutdown = true;
         }
         self.shared.work.notify_all();
@@ -650,7 +650,7 @@ impl Drop for Session {
 fn driver_loop(shared: &Shared) {
     loop {
         let pending = {
-            let mut st = shared.sched.lock().expect("scheduler lock");
+            let mut st = lock(&shared.sched);
             loop {
                 if let Some(p) = pop_next(&mut st, QUANTUM_ROWS) {
                     st.executing += 1;
@@ -660,7 +660,7 @@ fn driver_loop(shared: &Shared) {
                 if st.shutdown {
                     return;
                 }
-                st = shared.work.wait(st).expect("scheduler lock");
+                st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         shared.telemetry.executing.add(1);
@@ -678,12 +678,19 @@ fn driver_loop(shared: &Shared) {
     }
 }
 
+/// Take one of the session's locks. A lock a panicking thread poisoned is
+/// taken back as it stands: neither critical section runs caller code or
+/// leaves an entry half-written, so that panic fails no other request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Account one executed request as done. No parked driver is woken: they
 /// wait for a queued request or shutdown, never for a free slot
 /// (`submit` refuses rather than blocks), so a completion changes nothing
 /// any waiter's predicate reads.
 fn close_out(shared: &Shared) {
-    shared.sched.lock().expect("scheduler lock").executing -= 1;
+    lock(&shared.sched).executing -= 1;
     shared.telemetry.executing.add(-1);
     shared.telemetry.queries.inc();
 }
@@ -774,7 +781,7 @@ fn serve(
     let mut plan_span = root.child("plan");
     let fitted = |plan| Layout::Under(ShardLayout::Fitted(plan));
     let hashed = |shards| Layout::Under(ShardSpec::new(shards, ShardPartitioner::Hash).into());
-    let held = shared.caches.lock().expect("caches lock").sight(&key, &req.left, right);
+    let held = lock(&shared.caches).sight(&key, &req.left, right);
     let (visit, layout) = match (held, req.shards) {
         (Some((plan, stage @ (Stage::Routed | Stage::Direct))), shards) => {
             let visit = Visit::Warm { pinned: shards.is_some(), direct: stage == Stage::Direct };
@@ -783,7 +790,7 @@ fn serve(
         (Some((plan, Stage::Fitting)), _) => (Visit::Racing, Layout::Held(plan)),
         (Some((_, Stage::Whole)), _) => {
             let right = right.map(|r| &**r);
-            let like = shared.caches.lock().expect("caches lock").like(&key, &req.left, right);
+            let like = lock(&shared.caches).like(&key, &req.left, right);
             match like {
                 Some(plan) => (Visit::Deciding { like: true }, fitted(plan)),
                 None => {
@@ -842,7 +849,7 @@ fn serve(
                 route_span.attr("shards", plan.shards());
                 route_span.finish();
                 let entry = Entry { plan: Arc::clone(&plan), stage: Stage::Routed };
-                shared.caches.lock().expect("caches lock").insert(key.clone(), entry, capacity);
+                lock(&shared.caches).insert(key.clone(), entry, capacity);
             }
             plan
         }
@@ -866,7 +873,7 @@ fn serve(
     // then stamp the serving fields the caller sees.
     let mut respond_span = root.child("respond");
     if visit == Visit::First {
-        let mut caches = shared.caches.lock().expect("caches lock");
+        let mut caches = lock(&shared.caches);
         if caches.get(&key, &req.left, right).is_none() {
             caches.insert(key, Entry { plan, stage: Stage::Whole }, capacity);
         }
@@ -882,7 +889,7 @@ fn serve(
         respond_span.attr("rule.busy_us", format_args!("{:.1}", busy_s * 1e6));
         respond_span.attr("rule.direct", direct);
         if direct {
-            let mut caches = shared.caches.lock().expect("caches lock");
+            let mut caches = lock(&shared.caches);
             if let Some(e) = caches.map.get_mut(&key).filter(|e| Arc::ptr_eq(&e.plan, &plan)) {
                 e.stage = Stage::Direct;
                 shared.telemetry.direct_keys.inc();
@@ -1382,5 +1389,35 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         drop(tx);
         assert_eq!(Ticket { rx }.wait().unwrap_err(), Error::SessionClosed);
+    }
+
+    #[test]
+    fn a_thread_that_panics_holding_a_session_lock_fails_no_other_request() {
+        let t = table(1_500, 3, 11);
+        let session = Session::with_defaults();
+        let q = DbQuery::Distinct { col: 0 };
+        let want = Cluster::default().run_baseline(&q, &t, None).output;
+        // One thread panics holding the caches lock, another holding the
+        // scheduler's (the panic messages on stderr are expected).
+        std::thread::scope(|scope| {
+            let caches = scope.spawn(|| {
+                let _held = session.shared.caches.lock().unwrap();
+                panic!("panics holding the caches lock (expected by this test)");
+            });
+            assert!(caches.join().is_err());
+            let sched = scope.spawn(|| {
+                let _held = session.shared.sched.lock().unwrap();
+                panic!("panics holding the scheduler lock (expected by this test)");
+            });
+            assert!(sched.join().is_err());
+        });
+        assert!(session.shared.caches.is_poisoned() && session.shared.sched.is_poisoned());
+        // Every sight of a key, on the caller's thread and on a driver's.
+        let req = || QueryRequest::new(q.clone(), Arc::clone(&t));
+        for sight in 1..=3 {
+            assert_eq!(session.run_blocking(req()).unwrap().output, want, "sight {sight}");
+            let ticket = session.submit(req()).unwrap();
+            assert_eq!(ticket.wait().unwrap().output, want, "sight {sight}");
+        }
     }
 }

@@ -127,11 +127,6 @@ impl Pipeline {
         self.by_fid.insert(fid, id.0);
     }
 
-    /// Number of installed programs.
-    pub fn program_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Hand out the next packet epoch. Exposed so tests and single-program
     /// drivers can feed programs without a full pipeline.
     pub fn next_epoch(&mut self) -> u64 {

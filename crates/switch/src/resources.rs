@@ -223,18 +223,6 @@ impl ResourceLedger {
         }
     }
 
-    /// Usage within a single stage.
-    pub fn stage_usage(&self, stage: usize) -> Result<StageUsage> {
-        self.check_stage(stage)?;
-        Ok(self.stages[stage])
-    }
-
-    /// Remaining ALUs in a stage.
-    pub fn alus_available(&self, stage: usize) -> Result<usize> {
-        self.check_stage(stage)?;
-        Ok(self.profile.alus_per_stage - self.stages[stage].alus)
-    }
-
     fn check_stage(&self, stage: usize) -> Result<()> {
         if stage >= self.profile.stages {
             return Err(SwitchError::NoSuchStage { stage, stages: self.profile.stages });
