@@ -87,11 +87,6 @@ impl ServingWorkload {
         (h % self.queries.len().max(1) as u64) as usize
     }
 
-    /// The query itself.
-    pub fn query_of(&self, tenant: usize, req: usize) -> &DbQuery {
-        &self.queries[self.query_index(tenant, req)]
-    }
-
     /// When request `req` of tenant `tenant` enters the plane, seconds
     /// from workload start. `None` in closed-loop mode (arrivals are
     /// completion-driven, not scheduled).

@@ -1,24 +1,20 @@
-//! Sample-driven shard planning: the estimators behind the adaptive
-//! shard planner.
+//! Sample-driven shard planning: the sampler behind the adaptive shard
+//! planner.
 //!
 //! Cheetah's pruning win is bounded by the *slowest* shard: a fixed range
 //! partitioner degenerates under key skew (one hot shard serializes the
 //! whole run), and a fixed shard count either wastes workers on small
 //! inputs or starves large ones. Cuttlefish-style lightweight runtime
 //! sampling is enough to pick the physical strategy adaptively — this
-//! module holds the sampling/estimation machinery, deliberately free of
-//! any cost model (the ingest-model cost query lives in `cheetah-net`,
-//! and the planner that combines both lives in `cheetah-db::planner`,
-//! because this crate sits below the link models):
+//! module holds the sampling machinery, deliberately free of any cost
+//! model (the planner that prices a shard count lives in
+//! `cheetah-db::planner`):
 //!
 //! * [`Reservoir`] — seeded Algorithm-R reservoir sampling over a routing
 //!   key stream (uniform without knowing the stream length up front);
-//! * [`DistinctSketch`] — a KMV (k-minimum-values) distinct-count sketch
-//!   over the *whole* stream, not just the sample;
 //! * [`KeySampler`] / [`KeyStats`] — one pass over the routing keys
-//!   producing the sampled quantiles, the distinct estimate, and the
-//!   top-key mass (the skew signal). Long streams are read through a
-//!   bounded stride ([`KeySampler::offer_strided`]);
+//!   producing the exact row count and the sorted sample. Long streams
+//!   are read through a bounded stride ([`KeySampler::offer_strided`]);
 //! * [`fit_boundaries`] — fitted range cut points from the sampled
 //!   quantiles, consumed by [`Sharder::fitted_range`];
 //! * [`max_load_fraction`] — evaluate a candidate sharder's worst shard
@@ -28,12 +24,11 @@
 //!   with an explicit record of *why*.
 //!
 //! Everything is deterministic in the seed: the same keys and the same
-//! seed always produce the same sample, the same estimates, and therefore
-//! the same plan — the determinism the planner regression tests pin down.
+//! seed always produce the same sample, and therefore the same plan — the
+//! determinism the planner regression tests pin down.
 
 use crate::shard::{ShardPartitioner, Sharder};
 use cheetah_switch::hash::mix64;
-use std::collections::BTreeSet;
 
 /// Seeded Algorithm-R reservoir sampler over a `u64` key stream.
 ///
@@ -83,92 +78,31 @@ impl Reservoir {
 
 const RESERVOIR_SALT: u64 = 0x5EED_0F00;
 
-/// KMV (k-minimum-values) distinct-count sketch.
-///
-/// Keeps the `k` smallest `mix64` hashes of the keys it sees; duplicates
-/// hash identically, so the set's density estimates the distinct count:
-/// with the `k`-th smallest hash at fraction `u` of the hash space, the
-/// stream carried about `(k - 1) / u` distinct keys. Exact below `k`
-/// distinct keys.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistinctSketch {
-    k: usize,
-    mins: BTreeSet<u64>,
-}
-
-impl DistinctSketch {
-    /// A sketch keeping the `k` minimum hash values.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 2, "KMV needs k >= 2");
-        Self { k, mins: BTreeSet::new() }
-    }
-
-    /// Observe one key.
-    pub fn offer(&mut self, key: u64) {
-        let h = mix64(key ^ 0xD15_71C7);
-        if self.mins.len() < self.k {
-            self.mins.insert(h);
-            return;
-        }
-        // Full: a hash at or above the k-th minimum cannot enter the
-        // sketch, so the tree is not touched for it.
-        let kth = *self.mins.last().expect("k >= 2 entries");
-        if h < kth && self.mins.insert(h) {
-            self.mins.remove(&kth);
-        }
-    }
-
-    /// Estimated distinct count (exact while fewer than `k` distinct keys
-    /// have been seen).
-    pub fn estimate(&self) -> f64 {
-        if self.mins.len() < self.k {
-            return self.mins.len() as f64;
-        }
-        let kth = *self.mins.iter().next_back().expect("k >= 2 entries");
-        let u = (kth as f64 + 1.0) / (u64::MAX as f64 + 1.0);
-        (self.k as f64 - 1.0) / u
-    }
-}
-
-/// One-pass sampler over a routing-key stream: reservoir + distinct
-/// sketch + exact row count, finished into [`KeyStats`].
+/// One-pass sampler over a routing-key stream: reservoir + exact row
+/// count, finished into [`KeyStats`].
 #[derive(Debug, Clone)]
 pub struct KeySampler {
     reservoir: Reservoir,
-    sketch: DistinctSketch,
     /// Keys the sampled streams carried — every one of them, read or not.
     rows: u64,
 }
 
-/// Default distinct-sketch size — enough for a ±10 % estimate, tiny next
-/// to any real table.
-pub const DEFAULT_SKETCH_K: usize = 256;
-
 /// Keys one [`KeySampler::offer_strided`] pass reads per reservoir slot,
 /// at most. A 1 024-key reservoir is as well filled from 16 384 evenly
-/// spaced keys as from 900 000, and the pass costs a tree probe and a
-/// `mix64` per key read.
+/// spaced keys as from 900 000, and the pass costs a key extraction and a
+/// reservoir offer per key read.
 pub const STRIDE_READS_PER_SLOT: usize = 16;
 
 impl KeySampler {
-    /// A sampler with a `sample_size` reservoir and the default sketch.
+    /// A sampler with a `sample_size` reservoir.
     pub fn new(sample_size: usize, seed: u64) -> Self {
-        Self {
-            reservoir: Reservoir::new(sample_size, seed),
-            sketch: DistinctSketch::new(DEFAULT_SKETCH_K),
-            rows: 0,
-        }
+        Self { reservoir: Reservoir::new(sample_size, seed), rows: 0 }
     }
 
     /// Observe one routing key.
     pub fn offer(&mut self, key: u64) {
         self.rows += 1;
-        self.read(key);
-    }
-
-    fn read(&mut self, key: u64) {
         self.reservoir.offer(key);
-        self.sketch.offer(key);
     }
 
     /// Observe key streams of `lens` keys through a bounded strided
@@ -188,7 +122,7 @@ impl KeySampler {
         let mut at = 0;
         for (stream, &len) in lens.iter().enumerate() {
             while at < len {
-                self.read(key_at(stream, at));
+                self.reservoir.offer(key_at(stream, at));
                 at += stride;
             }
             at -= len;
@@ -196,17 +130,11 @@ impl KeySampler {
         self.rows += total as u64;
     }
 
-    /// Finish the pass: sorted sample + estimates.
+    /// Finish the pass: the row count and the sorted sample.
     pub fn finish(self) -> KeyStats {
         let mut sample = self.reservoir.sample;
         sample.sort_unstable();
-        let top_key_mass = longest_equal_run(&sample) as f64 / sample.len().max(1) as f64;
-        KeyStats {
-            rows: self.rows,
-            distinct_estimate: self.sketch.estimate().min(self.rows as f64),
-            top_key_mass,
-            sample,
-        }
+        KeyStats { rows: self.rows, sample }
     }
 }
 
@@ -215,13 +143,6 @@ impl KeySampler {
 pub struct KeyStats {
     /// Rows (keys) the stream carried, exactly.
     pub rows: u64,
-    /// Estimated distinct routing keys among the keys *read* (KMV; exact
-    /// for small domains): the stream's own distinct count when every key
-    /// was read, a lower bound on it after a strided pass.
-    pub distinct_estimate: f64,
-    /// Fraction of the sample occupied by its most frequent key — the
-    /// skew signal. `1.0` means every sampled key is equal.
-    pub top_key_mass: f64,
     /// The sorted reservoir sample.
     pub sample: Vec<u64>,
 }
@@ -232,22 +153,6 @@ impl KeyStats {
     pub fn all_keys_equal(&self) -> bool {
         !self.sample.is_empty() && self.sample.first() == self.sample.last()
     }
-}
-
-fn longest_equal_run(sorted: &[u64]) -> usize {
-    let mut best = 0;
-    let mut run = 0;
-    let mut prev = None;
-    for &k in sorted {
-        if Some(k) == prev {
-            run += 1;
-        } else {
-            run = 1;
-            prev = Some(k);
-        }
-        best = best.max(run);
-    }
-    best
 }
 
 /// Fit `shards - 1` range cut points to the sampled quantiles: boundary
@@ -289,8 +194,8 @@ pub struct ShardCostPoint {
     /// Modelled worker (serialize) seconds: the hottest shard's share of
     /// the rows at the CWorker send rate.
     pub worker_seconds: f64,
-    /// Modelled master-side seconds: survivor-stream fan-in ingest plus
-    /// per-shard merge overhead.
+    /// Modelled master-side seconds: a fixed overhead per shard (planning
+    /// one switch program, merging one more output).
     pub merge_seconds: f64,
 }
 
@@ -311,11 +216,6 @@ pub struct PlanReport {
     pub rows: u64,
     /// Reservoir sample size actually held.
     pub sample_len: usize,
-    /// KMV distinct-key estimate over the keys the sampler read
-    /// ([`KeyStats::distinct_estimate`]).
-    pub distinct_estimate: f64,
-    /// Hottest sampled key's share of the sample.
-    pub top_key_mass: f64,
     /// Chosen worker count.
     pub shards: usize,
     /// Chosen routing family.
@@ -338,7 +238,7 @@ pub struct PlanReport {
 pub struct ShardPlan {
     /// The planned `key → shard` routing (hash, or quantile-fitted range).
     pub sharder: Sharder,
-    /// Why: every estimate and modelled cost the decision read.
+    /// Why: every sampled load and modelled cost the decision read.
     pub report: PlanReport,
 }
 
@@ -404,26 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn kmv_is_exact_for_small_domains() {
-        let mut s = DistinctSketch::new(64);
-        for k in 0..50u64 {
-            s.offer(k % 10);
-        }
-        assert_eq!(s.estimate(), 10.0);
-    }
-
-    #[test]
-    fn kmv_estimates_large_domains_within_tolerance() {
-        let mut s = DistinctSketch::new(256);
-        for k in 0..100_000u64 {
-            s.offer(k);
-        }
-        let est = s.estimate();
-        assert!((est - 100_000.0).abs() / 100_000.0 < 0.25, "estimate {est}");
-    }
-
-    #[test]
-    fn sampler_reads_skew_and_distincts() {
+    fn sampler_counts_every_row_and_samples_the_skew() {
         let mut s = KeySampler::new(512, 3);
         // 60% one hot key, 40% spread over 1000 keys.
         for i in 0..10_000u64 {
@@ -431,29 +312,22 @@ mod tests {
         }
         let stats = s.finish();
         assert_eq!(stats.rows, 10_000);
-        assert!(stats.top_key_mass > 0.45 && stats.top_key_mass < 0.75, "{}", stats.top_key_mass);
-        assert!(stats.distinct_estimate > 1_000.0, "{}", stats.distinct_estimate);
+        let hot = stats.sample.iter().filter(|&&k| k == 42).count() as f64 / 512.0;
+        assert!(hot > 0.45 && hot < 0.75, "{hot}");
         assert!(!stats.all_keys_equal());
     }
 
     #[test]
-    fn sampler_and_sketch_answer_exactly_as_before_the_fast_reject() {
-        // 100 000 keys over a 50 000-key domain: the values the sketch
-        // (insert-then-evict per key) and the sampler (cloned reservoir)
-        // produced before `offer` learnt to reject without touching the
-        // tree and `finish` to take the reservoir — bit for bit.
-        let keys = || (0..100_000u64).map(|i| mix64(i) % 50_000);
-        let mut sketch = DistinctSketch::new(DEFAULT_SKETCH_K);
+    fn the_sample_is_pinned_bit_for_bit() {
+        // 100 000 keys over a 50 000-key domain: a change to the sampler
+        // that moves one sampled key can move a plan, so the sample is
+        // pinned bit for bit.
         let mut sampler = KeySampler::new(1024, 7);
-        for k in keys() {
-            sketch.offer(k);
-            sampler.offer(k);
+        for i in 0..100_000u64 {
+            sampler.offer(mix64(i) % 50_000);
         }
-        assert_eq!(sketch.estimate().to_bits(), 0x40e4_8563_9a88_aa14, "{}", sketch.estimate());
         let stats = sampler.finish();
         assert_eq!(stats.rows, 100_000);
-        assert_eq!(stats.distinct_estimate.to_bits(), 0x40e4_8563_9a88_aa14);
-        assert_eq!(stats.top_key_mass.to_bits(), 0x3f60_0000_0000_0000);
         assert_eq!(stats.sample.len(), 1024);
         assert_eq!((stats.sample[0], stats.sample[512], stats.sample[1023]), (51, 25_565, 49_991));
         let checksum = stats.sample.iter().fold(0u64, |acc, &k| mix64(acc ^ k));
@@ -493,8 +367,6 @@ mod tests {
         let stats = s.finish();
         assert_eq!(stats.rows, 160_001, "rows are the streams', not the keys read");
         assert_eq!(stats.sample.len(), 64);
-        // Every key read was distinct, and only those are counted.
-        assert!((stats.distinct_estimate - read.len() as f64).abs() / (read.len() as f64) < 0.25);
         // No streams, or empty ones, read nothing.
         let mut none = KeySampler::new(64, 3);
         none.offer_strided(&[0, 0], |_, _| unreachable!("nothing to read"));
@@ -509,8 +381,6 @@ mod tests {
         }
         let stats = s.finish();
         assert!(stats.all_keys_equal());
-        assert_eq!(stats.top_key_mass, 1.0);
-        assert_eq!(stats.distinct_estimate, 1.0);
     }
 
     #[test]

@@ -16,29 +16,26 @@
 //! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over a bounded
 //!    strided sample of every stream's routing keys
 //!    ([`KeySampler::offer_strided`]: at most 16 keys read per reservoir
-//!    slot, extracted at the sampled rows only, so a plan costs the same
-//!    on 200 k rows as on 16 k; a request at or under the bound reads
-//!    every key), plus a KMV distinct sketch and the top-key mass. Row
-//!    counts stay exact; `distinct_estimate` counts the distinct keys
-//!    *among those read* — the table's own count under the bound, a lower
-//!    bound on it above — and stands in for the survivor volume: a plan is
-//!    fitted before any pruned run of its query has been measured.
-//! 2. **Choose the shard count** — walk the
-//!    [`MasterIngestModel::planning_latency`] fan-in curve: each
-//!    candidate count is charged the hottest shard's share of the rows
-//!    at the CWorker send rate (worker phase) plus the modelled
-//!    survivor-stream ingest and per-shard merge overhead (master
-//!    phase); stop adding shards where the modelled merge cost eats the
-//!    pruning win.
+//!    slot, extracted at the sampled rows only, so a plan reads as many
+//!    keys on 200 k rows as on 16 k; a request at or under the bound
+//!    reads every key). Row counts stay exact.
+//! 2. **Choose the shard count** — each candidate count in
+//!    `1..=`[`MAX_SHARDS`] is charged the hottest shard's share of the
+//!    rows at the CWorker send rate (worker phase) plus
+//!    [`PER_SHARD_OVERHEAD_SECONDS`] per shard (master phase); the first
+//!    minimum wins, so a tie goes to the fewer shards. No survivor
+//!    volume is priced: a plan is fitted before any pruned run of its
+//!    query exists, and the master-ingest model (§4.6) is a figure the
+//!    `fig9` and `shards` experiments report, not a decision input.
 //! 3. **Choose the partitioner** — fit range boundaries to the sampled
 //!    quantiles; keep them when the fitted plan's max sampled shard load
 //!    stays within [`RANGE_LOAD_FACTOR`] (2×) of hash on the same
 //!    sample, fall back to hash when skew concentrates.
 //!
-//! The emitted [`PlanReport`] records
-//! every estimate and modelled cost the decision read, so tests and
-//! humans audit the choice instead of trusting it. Plans are
-//! deterministic: same seed + same tables ⇒ identical [`ShardPlan`].
+//! The emitted [`PlanReport`] records every sampled load and modelled
+//! cost the decision read, so tests and humans audit the choice instead
+//! of trusting it. Plans are deterministic: same seed + same tables ⇒
+//! identical [`ShardPlan`].
 
 use crate::operators::{for_each_key, key_at};
 use crate::query::DbQuery;
@@ -48,7 +45,6 @@ use cheetah_core::plan::{
     fit_boundaries, max_load_fraction, KeySampler, KeyStats, PlanReport, ShardCostPoint, ShardPlan,
 };
 use cheetah_core::{ShardPartitioner, Sharder};
-use cheetah_net::MasterIngestModel;
 use cheetah_switch::hash::mix64;
 
 /// A fitted range is kept while its max sampled shard load stays within
@@ -60,7 +56,11 @@ pub const RANGE_LOAD_FACTOR: f64 = 2.0;
 /// one more output) charged by the shard-count model, in seconds.
 pub const PER_SHARD_OVERHEAD_SECONDS: f64 = 300e-6;
 
-/// Largest shard count the fan-in walk considers, whatever the machine.
+/// Rows per second one CWorker serializes onto its 10G uplink (§7.1): the
+/// rate the shard-count model charges the hottest shard's rows at.
+const CWORKER_ROWS_PER_SECOND: f64 = 10.0e6;
+
+/// Largest shard count the shard-count walk considers, whatever the machine.
 ///
 /// The shard count is the planner's unit of work (how finely a query is
 /// cut), not its parallelism: the worker pool has one worker per core and
@@ -72,8 +72,8 @@ pub const PER_SHARD_OVERHEAD_SECONDS: f64 = 300e-6;
 /// the cores, `survivor_heavy` read 1.88–1.92 and 558–573 MB.
 pub const MAX_SHARDS: usize = 16;
 
-/// Tuning of the sample-driven shard planner. The shard-count model prices
-/// the master with [`MasterIngestModel::default_rack`] over `1..=`[`MAX_SHARDS`].
+/// Tuning of the sample-driven shard planner. The shard-count model walks
+/// `1..=`[`MAX_SHARDS`] whatever the tuning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Reservoir capacity: how many routing keys the quantile fit and
@@ -116,9 +116,9 @@ impl Default for PlannerConfig {
 /// let planner = ShardPlanner::default();
 /// let plan = Arc::new(planner.plan(&q, &table, None, cluster.tuning.seed));
 ///
-/// // The report carries every estimate the decision read…
+/// // The report carries every number the decision read…
 /// assert_eq!(plan.report.rows, 4000);
-/// assert!(plan.report.distinct_estimate > 10.0);
+/// assert_eq!(plan.report.curve.len(), cheetah_db::planner::MAX_SHARDS);
 /// assert!(plan.shards() >= 1 && plan.shards() <= cheetah_db::planner::MAX_SHARDS);
 /// println!("{}", plan.report.reason);
 ///
@@ -170,26 +170,14 @@ impl ShardPlanner {
             );
         }
 
-        // Survivor volume for the merge model: roughly one survivor per
-        // distinct routing key among the keys read (keyed queries forward
-        // per-key champions; scans route by unique row-id hashes, making
-        // this every key read — up to the sampling bound, nothing pruned).
-        // The proxy under-prices a high-fanout JOIN, whose survivors are
-        // matching rows — but a key whose survivors flood the master is the
-        // key the serving plane's go-direct rule sends direct, and a direct
-        // key's merge is one partial per shard, which the proxy prices.
-        let survivors = (stats.distinct_estimate.round() as u64).clamp(1, stats.rows);
-
-        // Walk the fan-in curve: per candidate count, the hottest shard's
-        // share of the rows at the CWorker send rate, plus modelled
-        // ingest and per-shard merge overhead.
-        let ingest = MasterIngestModel::default_rack();
+        // Walk the candidate counts: the hottest shard's share of the rows
+        // at the CWorker send rate, plus a fixed master-side overhead per
+        // shard.
         let mut curve = Vec::with_capacity(MAX_SHARDS);
         for n in 1..=MAX_SHARDS {
             let load = partitioner_at(&stats.sample, n, seed).load;
-            let worker_seconds = stats.rows as f64 * load / ingest.arrival_rate.max(1.0);
-            let merge_seconds =
-                ingest.planning_latency(n, survivors) + n as f64 * PER_SHARD_OVERHEAD_SECONDS;
+            let worker_seconds = stats.rows as f64 * load / CWORKER_ROWS_PER_SECOND;
+            let merge_seconds = n as f64 * PER_SHARD_OVERHEAD_SECONDS;
             curve.push(ShardCostPoint { shards: n, worker_seconds, merge_seconds });
         }
         let best = curve
@@ -209,15 +197,12 @@ impl ShardPlanner {
         let turn =
             curve[best + 1..].iter().find(|p| p.total() > curve[best].total()).map(|p| p.shards);
         let reason = format!(
-            "chose {} × {}: sampled {}/{} keys, ~{:.0} distinct, top-key mass {:.2}; \
-             fitted-range sample load {:.2} vs hash {:.2} (factor {}); modelled completion \
-             {:.2} ms{}",
+            "chose {} × {}: sampled {}/{} keys; fitted-range sample load {:.2} vs hash {:.2} \
+             (factor {}); modelled completion {:.2} ms{}",
             shards,
             chosen.partitioner.name(),
             stats.sample.len(),
             stats.rows,
-            stats.distinct_estimate,
-            stats.top_key_mass,
             chosen.range_load,
             chosen.hash_load,
             RANGE_LOAD_FACTOR,
@@ -232,8 +217,6 @@ impl ShardPlanner {
             report: PlanReport {
                 rows: stats.rows,
                 sample_len: stats.sample.len(),
-                distinct_estimate: stats.distinct_estimate,
-                top_key_mass: stats.top_key_mass,
                 shards,
                 partitioner: chosen.partitioner,
                 hash_sample_load: chosen.hash_load,
@@ -247,17 +230,13 @@ impl ShardPlanner {
 
 /// The degenerate one-shard plan (empty input, single key).
 fn trivial_plan(stats: KeyStats, seed: u64, why: &str) -> ShardPlan {
-    let ingest = MasterIngestModel::default_rack();
-    let worker_seconds = stats.rows as f64 / ingest.arrival_rate.max(1.0);
-    let merge_seconds = ingest.planning_latency(1, stats.rows.min(stats.distinct_estimate as u64))
-        + PER_SHARD_OVERHEAD_SECONDS;
+    let worker_seconds = stats.rows as f64 / CWORKER_ROWS_PER_SECOND;
+    let merge_seconds = PER_SHARD_OVERHEAD_SECONDS;
     ShardPlan {
         sharder: Sharder::new(ShardPartitioner::Hash, 1, seed),
         report: PlanReport {
             rows: stats.rows,
             sample_len: stats.sample.len(),
-            distinct_estimate: stats.distinct_estimate,
-            top_key_mass: stats.top_key_mass,
             shards: 1,
             partitioner: ShardPartitioner::Hash,
             hash_sample_load: 1.0,

@@ -18,9 +18,11 @@
 //! The executor that runs a routed layout (`cheetah_runtime::execute`)
 //! prunes each shard's slice through [`Cluster::run_cheetah`], merges at
 //! the master with the per-operator semantics of
-//! [`merge_shard_outputs`](crate::master::merge_shard_outputs), and prices
-//! the concurrent survivor streams with `cheetah_net`'s master ingest
-//! model and §4.6's shard fan-in. The equivalence contract is `Q(merge(shards(D))) = Q(D)`
+//! [`merge_shard_outputs`](crate::master::merge_shard_outputs), and
+//! reports each shard's bytes and survivors ([`ShardStats`]); nothing on
+//! that path prices them (the `shards` experiment does, with
+//! `cheetah_net`'s master ingest model and §4.6's shard fan-in). The
+//! equivalence contract is `Q(merge(shards(D))) = Q(D)`
 //! for every query shape, shard count, and partitioner — enforced by the
 //! `shard_contract` test suite (a named CI gate, like the pruning
 //! contract).

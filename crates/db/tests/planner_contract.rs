@@ -1,5 +1,5 @@
 //! The planner contract gate, the third named CI tier after the pruning
-//! and shard gates. Three properties, each load-bearing:
+//! and shard gates. Five properties, each load-bearing:
 //!
 //! 1. **Correctness** — a planner-chosen run is bit-identical to the
 //!    baseline for **all seven** [`DbQuery`] variants across the
@@ -24,6 +24,11 @@
 //!    are a golden: the switch encoding of the query's key column, or a
 //!    row-id hash. A key that moves re-routes rows; that is a finding,
 //!    not a golden to refresh.
+//! 5. **Chosen plans** — the default planner's `(shards, partitioner)`
+//!    over the Big Data tables, the adversarial family and one tenant-sized
+//!    table is a golden too, the one-versus-two-shard tie on the tenant
+//!    table included (it goes to one shard, which the serving plane runs
+//!    on the calling thread).
 
 mod common;
 
@@ -37,7 +42,7 @@ use cheetah_db::{
 };
 use cheetah_runtime::ExecRun;
 use cheetah_switch::{hash::mix64, HashFn};
-use cheetah_workloads::PlannerAdversary;
+use cheetah_workloads::{BigDataConfig, PlannerAdversary, SkewedTableConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -214,6 +219,110 @@ fn skew_flips_the_partitioner_choice() {
             r.hash_sample_load
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Chosen plans
+// ---------------------------------------------------------------------
+
+/// `(shards, partitioner)` of every query the default planner plans at
+/// seed `0xC43E7A`, as `(label, shards, family)`.
+fn chosen_plans() -> Vec<(String, usize, &'static str)> {
+    type B = BigDataConfig;
+    let planner = ShardPlanner::default();
+    let seed = 0xC43E7A;
+    let mut plans = Vec::new();
+    let mut pin = |label: String, q: &DbQuery, left: &Table, right: Option<&Table>| {
+        let plan = planner.plan(q, left, right, seed);
+        plans.push((label, plan.shards(), plan.partitioner().name()));
+    };
+
+    // The seven Big Data queries, at a tenth of the ledger's tables.
+    let bd = BigDataConfig {
+        uservisits_rows: 60_000,
+        rankings_rows: 30_000,
+        url_universe: Some(120_000),
+        seed: mix64(1 ^ 0xB16_DA7A),
+        ..BigDataConfig::default()
+    };
+    let (rankings, uservisits) = (bd.rankings(), bd.uservisits());
+    let filter = DbQuery::FilterCount {
+        pred: DbPredicate::CmpInt { col: B::RANKINGS_AVG_DURATION, op: IntCmp::Lt, lit: 10 },
+    };
+    let skyline = DbQuery::Skyline { cols: vec![B::RANKINGS_PAGE_RANK, B::RANKINGS_AVG_DURATION] };
+    for q in [filter, skyline] {
+        pin(format!("bigdata {}", q.kind()), &q, &rankings, None);
+    }
+    for q in [
+        DbQuery::Distinct { col: B::UV_USER_AGENT },
+        DbQuery::TopN { order_col: B::UV_AD_REVENUE, n: 250 },
+        DbQuery::GroupByMax { key_col: B::UV_USER_AGENT, val_col: B::UV_AD_REVENUE },
+        DbQuery::HavingSum {
+            key_col: B::UV_LANGUAGE,
+            val_col: B::UV_AD_REVENUE,
+            threshold: 60_000 * 400,
+        },
+    ] {
+        pin(format!("bigdata {}", q.kind()), &q, &uservisits, None);
+    }
+    let join = DbQuery::Join { left_key: B::UV_DEST_URL, right_key: B::RANKINGS_PAGE_URL };
+    pin("bigdata join".into(), &join, &uservisits, Some(&rankings));
+
+    // The planner-adversarial family.
+    for adv in PlannerAdversary::all() {
+        let t = adv.table(20_000, 4, 0xA11CE);
+        for q in [
+            DbQuery::Distinct { col: 0 },
+            DbQuery::TopN { order_col: 1, n: 100 },
+            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
+        ] {
+            pin(format!("{} {}", adv.name(), q.kind()), &q, &t, None);
+        }
+    }
+
+    // One tenant-sized table: FILTER and TOP N tie at one versus two
+    // shards, and the tie goes to the fewer.
+    let tenant =
+        SkewedTableConfig { rows: 6_000, keys: 100, ..SkewedTableConfig::default() }.build();
+    for q in [
+        DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Lt, lit: 10_000 } },
+        DbQuery::TopN { order_col: 1, n: 100 },
+    ] {
+        pin(format!("tenant {}", q.kind()), &q, &tenant, None);
+    }
+    plans
+}
+
+/// A plan that moves re-routes rows; like the routing keys below, that is
+/// a finding, not a golden to refresh.
+#[test]
+fn the_default_planner_chooses_the_pinned_plans() {
+    let want: &[(&str, usize, &str)] = &[
+        ("bigdata filter-count", 3, "range"),
+        ("bigdata skyline", 3, "range"),
+        ("bigdata distinct", 3, "range"),
+        ("bigdata topn", 4, "range"),
+        ("bigdata groupby-max", 3, "range"),
+        ("bigdata having-sum", 4, "range"),
+        ("bigdata join", 5, "range"),
+        ("uniform distinct", 3, "range"),
+        ("uniform topn", 3, "range"),
+        ("uniform groupby-max", 3, "range"),
+        ("zipf(1) distinct", 3, "range"),
+        ("zipf(1) topn", 3, "range"),
+        ("zipf(1) groupby-max", 3, "range"),
+        ("zipf(1.5) distinct", 2, "range"),
+        ("zipf(1.5) topn", 3, "range"),
+        ("zipf(1.5) groupby-max", 2, "range"),
+        ("single-hot-key distinct", 1, "hash"),
+        ("single-hot-key topn", 3, "range"),
+        ("single-hot-key groupby-max", 1, "hash"),
+        ("tenant filter-count", 1, "range"),
+        ("tenant topn", 1, "range"),
+    ];
+    let got = chosen_plans();
+    let got: Vec<(&str, usize, &str)> = got.iter().map(|(l, n, p)| (l.as_str(), *n, *p)).collect();
+    assert_eq!(got, want);
 }
 
 // ---------------------------------------------------------------------

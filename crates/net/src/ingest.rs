@@ -105,16 +105,6 @@ impl MasterIngestModel {
         let active = per_shard_entries.iter().filter(|&&e| e > 0).count();
         self.with_shards(active.max(1)).blocking_latency(total)
     }
-
-    /// The shard planner's cost query: the modelled master latency of
-    /// ingesting `entries` survivors streamed concurrently by `shards`
-    /// workers. This is the fan-in curve the planner walks to decide
-    /// where adding a worker stops paying — the point where the raised
-    /// aggregate arrival rate only piles up master backlog (§4.6) is
-    /// where the modelled merge cost starts eating the pruning win.
-    pub fn planning_latency(&self, shards: usize, entries: u64) -> f64 {
-        self.with_shards(shards.max(1)).blocking_latency(entries)
-    }
 }
 
 #[cfg(test)]
@@ -201,34 +191,24 @@ mod tests {
         assert!(t_over > 4_000_000.0 / 80e6, "must be slower than the uncapped arrival time");
     }
 
-    #[test]
-    fn planning_latency_matches_the_sharded_fan_in_model() {
-        // The planner's cost query is exactly the fan-in latency a
-        // balanced run of the same shape would be charged.
-        let m = model(1e6);
-        assert!(
-            (m.planning_latency(4, 4_000_000) - m.blocking_latency_sharded(&[1_000_000; 4])).abs()
-                < 1e-12
-        );
-        assert_eq!(m.planning_latency(8, 0), 0.0);
-        // Zero shards clamps to one instead of dividing by nothing.
-        assert!((m.planning_latency(0, 1_000) - m.planning_latency(1, 1_000)).abs() < 1e-12);
+    /// `total` entries spread over `shards` streams as evenly as they go.
+    fn spread(total: u64, shards: usize) -> Vec<u64> {
+        let n = shards as u64;
+        (0..n).map(|i| total / n + u64::from(i < total % n)).collect()
     }
 
     #[test]
-    fn planning_latency_shows_a_fan_in_turn_for_a_slow_master() {
+    fn sharded_latency_shows_no_fan_in_gain_for_a_slow_master() {
         // A service-bound master gains nothing from fan-in: more shards
-        // never make the modelled merge faster, which is what stops the
-        // planner from adding workers indefinitely.
+        // never make the modelled ingest faster (§4.6).
         let slow = model(4e5);
-        let one = slow.planning_latency(1, 2_000_000);
-        let eight = slow.planning_latency(8, 2_000_000);
+        let one = slow.blocking_latency_sharded(&spread(2_000_000, 1));
+        let eight = slow.blocking_latency_sharded(&spread(2_000_000, 8));
         assert!(eight >= one * 0.95, "one={one}, eight={eight}");
     }
 
     // ------------------------------------------------------------------
-    // Edge coverage of the fan-in model (the shapes the planner leans
-    // on).
+    // Edge coverage of the fan-in model.
     // ------------------------------------------------------------------
 
     #[test]
@@ -249,14 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn planning_latency_is_monotone_non_increasing_in_shard_count() {
+    fn sharded_latency_is_monotone_non_increasing_in_shard_count() {
         // For a master fast enough to keep up, fan-in only helps (or
-        // saturates); the curve the planner walks must never *rise* with
-        // an extra worker at fixed total entries.
+        // saturates): the modelled latency must never *rise* with an
+        // extra worker at fixed total entries.
         let m = model(1e9);
         let mut last = f64::INFINITY;
         for shards in 1..=32usize {
-            let t = m.planning_latency(shards, 3_000_000);
+            let t = m.blocking_latency_sharded(&spread(3_000_000, shards));
             assert!(t <= last + 1e-12, "latency rose at {shards} shards: {t} > {last}");
             last = t;
         }
@@ -267,9 +247,9 @@ mod tests {
         // Beyond cap/arrival shards the aggregate rate pins at the cap:
         // every further worker sees the identical modelled latency.
         let m = model(1e9); // cap 40 M/s over 10 M/s per-shard arrivals
-        let at_cap = m.planning_latency(4, 2_000_000);
+        let at_cap = m.blocking_latency_sharded(&spread(2_000_000, 4));
         for shards in [5usize, 8, 16, 100] {
-            let t = m.planning_latency(shards, 2_000_000);
+            let t = m.blocking_latency_sharded(&spread(2_000_000, shards));
             assert!((t - at_cap).abs() < 1e-12, "{shards} shards: {t} vs {at_cap}");
         }
         assert_eq!(m.with_shards(100).arrival_rate, m.nic_cap_rate);
