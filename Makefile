@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims net-deps docs ledger-check ledger first-sight gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims net-deps docs ledger-check ledger first-sight route gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -178,6 +178,15 @@ counters-gate:
 # timing gate.
 first-sight:
 	cargo run --release --example first_sight
+
+# The program's own routing, key by key: each Big Data query that routes
+# by a string key, at the default planner's shard count, routed as the
+# plan constructor routes it (the query's columns, the key as dictionary
+# codes) beside every cell cloned; every coded cell checked against its
+# source, ns/row and the units' bytes printed. A correctness smoke with a
+# printout, not a timing gate.
+route:
+	cargo run --release --example routing
 
 # The benchmark, as BENCHMARK.json declares it: the one command, once per
 # workload. The last stdout line of each run is its JSON verdict.

@@ -58,7 +58,8 @@ pub use executor::Tables;
 pub use expr::{DbPredicate, IntCmp, LikePattern};
 pub use master::{decompose_output, frame_items, merge_shard_outputs, MergeItem, MergeState};
 pub use planner::{
-    fixed_sharder, routing_keys, ChooserArm, ExecPath, PathChooser, PlannerConfig, ShardPlanner,
+    fixed_sharder, routing_keys, unit_columns, ChooserArm, ExecPath, PathChooser, PlannerConfig,
+    ShardPlanner,
 };
 pub use query::{DbQuery, QueryOutput};
 pub use sharded::{route_columns, route_range, ShardSpec, ShardStats};

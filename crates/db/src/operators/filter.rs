@@ -11,7 +11,7 @@ use crate::executor::Tables;
 use crate::expr::{DbPredicate, IntCmp};
 use crate::ops;
 use crate::query::QueryOutput;
-use crate::table::Partition;
+use crate::table::{Column, Partition};
 use crate::value::encode_ordered_i64;
 use cheetah_core::{AtomSpec, BoolExpr, CmpOp, ExternalMode, FilterConfig, Predicate, QuerySpec};
 
@@ -111,10 +111,13 @@ fn eval_chunk(pred: &DbPredicate, part: &Partition, lo: usize, out: &mut [Hit]) 
                 IntCmp::Ne => fill(out, v, |x| *x != lit),
             }
         }
-        DbPredicate::Like { col, pattern } => {
-            let v = &part.column(*col).as_str().expect("Like on string column")[rows];
-            fill(out, v, |s| pattern.matches(s));
-        }
+        DbPredicate::Like { col, pattern } => match part.column(*col) {
+            Column::Str(v) => fill(out, &v[rows], |s| pattern.matches(s)),
+            Column::Dict { codes, dict } => {
+                fill(out, &codes[rows], |&c| pattern.matches(&dict[c as usize]));
+            }
+            Column::Int(_) => panic!("Like on string column"),
+        },
         // An empty conjunction holds everywhere, an empty disjunction
         // nowhere — as `ops::eval_predicate` reads them.
         DbPredicate::And(xs) => fold(xs, part, lo, out, 1, |o, c| *o &= c),

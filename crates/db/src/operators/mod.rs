@@ -279,6 +279,9 @@ pub(crate) fn for_each_selected_key<'t>(
         match col {
             Column::Int(v) => ids.iter().for_each(|&r| f(r as usize, KeyRef::Int(v[r as usize]))),
             Column::Str(v) => ids.iter().for_each(|&r| f(r as usize, KeyRef::Str(&v[r as usize]))),
+            Column::Dict { codes, dict } => ids.iter().for_each(|&r| {
+                f(r as usize, KeyRef::Str(&dict[codes[r as usize] as usize]));
+            }),
         }
     }
 }
@@ -311,7 +314,9 @@ fn next_ids<'c>(
 /// The switch encoding of every cell of a key column, in row order, as
 /// `(row, key)`: ints map order-preservingly; strings are 63-bit
 /// fingerprints (the CWorker cannot ship variable-length strings in a
-/// fixed header — §5 Example #8), hashed in place. The Int/Str dispatch
+/// fixed header — §5 Example #8), hashed in place; a dictionary-coded
+/// column hashes each distinct string once and reads its rows' keys by
+/// code — the same key per cell either way. The column-type dispatch
 /// happens once per partition — no per-row `Value`. Routing keys
 /// ([`routing_keys`](crate::planner::routing_keys)) are these same keys.
 pub(crate) fn for_each_key(seed: u64, col: &Column, mut f: impl FnMut(usize, u64)) {
@@ -327,6 +332,13 @@ pub(crate) fn for_each_key(seed: u64, col: &Column, mut f: impl FnMut(usize, u64
                 f(r, str_key(&h, s));
             }
         }
+        Column::Dict { codes, dict } => {
+            let h = HashFn::from_seed(seed);
+            let keys: Vec<u64> = dict.iter().map(|s| str_key(&h, s)).collect();
+            for (r, &code) in codes.iter().enumerate() {
+                f(r, keys[code as usize]);
+            }
+        }
     }
 }
 
@@ -335,7 +347,9 @@ pub(crate) fn for_each_key(seed: u64, col: &Column, mut f: impl FnMut(usize, u64
 pub(crate) fn key_at(seed: u64, col: &Column, row: usize) -> u64 {
     match col {
         Column::Int(v) => encode_ordered_i64(v[row]),
-        Column::Str(v) => str_key(&HashFn::from_seed(seed), &v[row]),
+        Column::Str(_) | Column::Dict { .. } => {
+            str_key(&HashFn::from_seed(seed), col.str_at(row).expect("a string column"))
+        }
     }
 }
 
@@ -356,7 +370,11 @@ mod tests {
     use super::*;
     use crate::engine::CheetahTuning;
     use crate::expr::{DbPredicate, IntCmp, LikePattern};
+    use crate::planner::routing_keys;
+    use crate::query::DbQuery;
+    use crate::sharded::route_columns;
     use crate::testutil::{every_row, test_table};
+    use cheetah_core::{ShardPartitioner, Sharder};
 
     #[test]
     fn every_operator_completes_alike_over_both_selection_kinds() {
@@ -380,6 +398,14 @@ mod tests {
             Box::new(JoinOp::new(0, 0, &tuning)),
         ];
         let right = test_table(700, 2);
+        // Routed units, each in both string forms: the key column coded,
+        // as the plan constructor routes it, and plain.
+        let sharder = Sharder::new(ShardPartitioner::Hash, 3, 5);
+        let units = |t: &Table, keyed| {
+            let keys = routing_keys(&DbQuery::Distinct { col: 0 }, 0, t, tuning.seed);
+            route_columns(t, &[0, 1, 2], keyed, &keys, &sharder, 0, t.rows())
+        };
+        let (plain_right, coded_right) = (units(&right, None), units(&right, Some(0)));
         // Four large partitions; three one-row partitions and an empty one.
         for left in [test_table(3_000, 4), test_table(3, 1).repartition(4)] {
             let src = Tables::binary(&left, &right);
@@ -389,6 +415,33 @@ mod tests {
                 let gathered = op.complete(&src, &every_row(&src, streams));
                 assert_eq!(scanned, gathered, "{} over {} rows", op.kind(), left.rows());
             }
+            let (plain, coded) = (units(&left, None), units(&left, Some(0)));
+            for s in 0..sharder.shards() {
+                assert!(matches!(coded[s].partitions()[0].column(0), Column::Dict { .. }));
+                let plain = Tables::binary(&plain[s], &plain_right[s]);
+                let coded = Tables::binary(&coded[s], &coded_right[s]);
+                for op in &ops {
+                    let streams = op.streams();
+                    let at = format!("{} shard {s} of {} rows", op.kind(), left.rows());
+                    // The switch sees the same slots, so it decides alike.
+                    assert_eq!(slots(&**op, &coded), slots(&**op, &plain), "{at}");
+                    let want = op.complete(&plain, &Survivors::all(&plain, streams).unwrap());
+                    let scanned = op.complete(&coded, &Survivors::all(&coded, streams).unwrap());
+                    let gathered = op.complete(&coded, &every_row(&coded, streams));
+                    assert_eq!((&scanned, &gathered), (&want, &want), "{at}");
+                }
+            }
         }
+    }
+
+    /// Every row's slots, as `op` encodes the streams of `src` it reads.
+    fn slots(op: &dyn PruningOperator, src: &Tables<'_>) -> Vec<Vec<u64>> {
+        let mut rows = Vec::new();
+        for stream in 0..op.streams() {
+            for part in src.stream(stream).unwrap().partitions() {
+                op.encode_part(stream, part, &mut |slots| rows.push(slots.to_vec()));
+            }
+        }
+        rows
     }
 }

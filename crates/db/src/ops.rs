@@ -19,8 +19,7 @@ pub fn eval_predicate(pred: &DbPredicate, part: &Partition, row: usize) -> bool 
             op.eval(v, *lit)
         }
         DbPredicate::Like { col, pattern } => {
-            let s = &part.column(*col).as_str().expect("Like on string column")[row];
-            pattern.matches(s)
+            pattern.matches(part.column(*col).str_at(row).expect("Like on string column"))
         }
         DbPredicate::And(xs) => xs.iter().all(|p| eval_predicate(p, part, row)),
         DbPredicate::Or(xs) => xs.iter().any(|p| eval_predicate(p, part, row)),
@@ -50,6 +49,11 @@ pub fn partial_distinct(col: usize, part: &Partition) -> HashSet<Value> {
         crate::table::Column::Str(v) => {
             for s in v {
                 set.insert(Value::Str(s.clone()));
+            }
+        }
+        crate::table::Column::Dict { codes, dict } => {
+            for &c in codes {
+                set.insert(Value::Str(dict[c as usize].clone()));
             }
         }
     }

@@ -403,6 +403,18 @@ pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec
     keys
 }
 
+/// The columns a routed unit of stream `stream` of `q` carries
+/// ([`DbQuery::columns`]), and the position among them of the column its
+/// [`routing_keys`] fingerprint, if any — the two arguments
+/// [`route_columns`](crate::sharded::route_columns) takes to route `q`'s
+/// units, so a string key column is routed dictionary-coded.
+pub fn unit_columns(q: &DbQuery, stream: usize) -> (Vec<usize>, Option<usize>) {
+    let cols = q.columns(stream);
+    let keyed =
+        routing_column(q, stream).map(|c| cols.binary_search(&c).expect("a column q reads"));
+    (cols, keyed)
+}
+
 /// The column stream `stream` of `q` routes by; `None` for the scans and
 /// skylines that route by a row-id hash.
 fn routing_column(q: &DbQuery, stream: usize) -> Option<usize> {

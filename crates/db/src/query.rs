@@ -342,7 +342,7 @@ mod tests {
     /// Columns `cols` of `t`, as one partition — what a routed unit holds.
     fn project(t: &Table, cols: &[usize]) -> Table {
         let one = Sharder::new(ShardPartitioner::Hash, 1, 0);
-        route_columns(t, cols, &vec![0; t.rows()], &one, 0, t.rows()).remove(0)
+        route_columns(t, cols, None, &vec![0; t.rows()], &one, 0, t.rows()).remove(0)
     }
 
     proptest! {

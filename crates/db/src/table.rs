@@ -13,6 +13,16 @@ pub enum Column {
     Int(Vec<i64>),
     /// String column.
     Str(Vec<String>),
+    /// Dictionary-coded string column: row `r` holds `dict[codes[r]]`.
+    /// What a routed unit's key column becomes when its routing keys
+    /// fingerprint it ([`route_columns`](crate::sharded::route_columns)):
+    /// each distinct string is held, and hashed, once per unit.
+    Dict {
+        /// One code per row, indexing `dict`.
+        codes: Vec<u32>,
+        /// The distinct strings, in first-seen order.
+        dict: Vec<String>,
+    },
 }
 
 impl Column {
@@ -21,6 +31,7 @@ impl Column {
         match self {
             Column::Int(v) => v.len(),
             Column::Str(v) => v.len(),
+            Column::Dict { codes, .. } => codes.len(),
         }
     }
 
@@ -33,7 +44,7 @@ impl Column {
     pub fn data_type(&self) -> DataType {
         match self {
             Column::Int(_) => DataType::Int,
-            Column::Str(_) => DataType::Str,
+            Column::Str(_) | Column::Dict { .. } => DataType::Str,
         }
     }
 
@@ -42,6 +53,17 @@ impl Column {
         match self {
             Column::Int(v) => Value::Int(v[row]),
             Column::Str(v) => Value::Str(v[row].clone()),
+            Column::Dict { codes, dict } => Value::Str(dict[codes[row] as usize].clone()),
+        }
+    }
+
+    /// The string cell at `row` of either string form, or `None` for int
+    /// columns.
+    pub fn str_at(&self, row: usize) -> Option<&str> {
+        match self {
+            Column::Str(v) => Some(&v[row]),
+            Column::Dict { codes, dict } => Some(&dict[codes[row] as usize]),
+            Column::Int(_) => None,
         }
     }
 
@@ -49,23 +71,16 @@ impl Column {
     pub fn as_int(&self) -> Option<&[i64]> {
         match self {
             Column::Int(v) => Some(v),
-            Column::Str(_) => None,
+            Column::Str(_) | Column::Dict { .. } => None,
         }
     }
 
-    /// String view, or `None` for int columns.
+    /// Plain string view, or `None` for int and dictionary-coded columns
+    /// (read those a cell at a time with [`str_at`](Self::str_at)).
     pub fn as_str(&self) -> Option<&[String]> {
         match self {
             Column::Str(v) => Some(v),
-            Column::Int(_) => None,
-        }
-    }
-
-    /// Approximate in-memory/wire size of the whole column.
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Column::Int(v) => v.len() as u64 * 8,
-            Column::Str(v) => v.iter().map(|s| 4 + s.len() as u64).sum(),
+            Column::Int(_) | Column::Dict { .. } => None,
         }
     }
 }
@@ -360,9 +375,14 @@ mod tests {
     }
 
     #[test]
-    fn column_wire_bytes() {
-        let c = Column::Str(vec!["ab".into(), "c".into()]);
-        assert_eq!(c.wire_bytes(), (4 + 2) + (4 + 1));
-        assert_eq!(Column::Int(vec![1, 2, 3]).wire_bytes(), 24);
+    fn a_dictionary_column_reads_like_its_strings() {
+        let plain = Column::Str(vec!["ab".into(), "c".into(), "ab".into()]);
+        let coded = Column::Dict { codes: vec![0, 1, 0], dict: vec!["ab".into(), "c".into()] };
+        assert_eq!((coded.len(), coded.data_type()), (3, DataType::Str));
+        for r in 0..3 {
+            assert_eq!((coded.get(r), coded.str_at(r)), (plain.get(r), plain.str_at(r)));
+        }
+        assert_eq!((coded.as_str(), coded.as_int()), (None, None));
+        assert_eq!(Column::Int(vec![1]).str_at(0), None);
     }
 }

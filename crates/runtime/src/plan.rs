@@ -7,7 +7,7 @@
 //! routing keys → one [`route_columns`] pass per stream, which leaves one
 //! unit per shard. [`execute`](crate::execute) never routes a row.
 //!
-//! Two facts about what a layout holds:
+//! Three facts about what a layout holds:
 //!
 //! * **A one-shard layout is the table.** Whenever the sharder has one
 //!   shard — a pinned count of 0 or 1, or a plan that chose 1 — there is
@@ -20,6 +20,14 @@
 //!   columns the query reads ([`DbQuery::columns`]), and the shard workers
 //!   run the query remapped onto them ([`DbQuery::remapped`]). The merge,
 //!   and [`ExecPlan::query`], keep the query as asked.
+//! * **A routed string key is codes.** The column a unit's routing keys
+//!   fingerprint, when it holds strings, is routed as a
+//!   [`Column::Dict`](cheetah_db::Column::Dict): one `u32` code per row
+//!   and each distinct string once per unit, found by the fingerprint
+//!   routing already computed ([`unit_columns`] names the column). So a
+//!   warm DISTINCT, GROUP BY, JOIN or HAVING encodes its unit by hashing
+//!   each distinct key once, not every row's string. Every other column,
+//!   and a one-shard layout, holds plain cells.
 //!
 //! A plan is resident data: its units are `Arc` handles, so the same plan
 //! runs query after query (the serving plane holds one per query, tables
@@ -28,7 +36,9 @@
 
 use crate::config::{FaultSpec, ShardLayout};
 use cheetah_core::plan::ShardPlan;
-use cheetah_db::{fixed_sharder, route_columns, routing_keys, Cluster, DbQuery, ExecPath, Table};
+use cheetah_db::{
+    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, ExecPath, Table,
+};
 use std::sync::Arc;
 
 /// A routed, ready-to-run multi-shard execution: which rows land on which
@@ -106,12 +116,13 @@ impl ExecPlan {
                 ShardLayout::Fitted(plan) => plan.sharder.clone(),
             };
             // Every unit is a fresh copy of its rows, so it carries only
-            // the columns `q` reads, and the workers run `q` remapped onto
-            // them. Both streams of a binary query are co-partitioned by
-            // the one sharder.
+            // the columns `q` reads, its string key coded by the routing
+            // keys, and the workers run `q` remapped onto them. Both
+            // streams of a binary query are co-partitioned by the one
+            // sharder.
             let route = |stream: usize, t: &Table| {
-                let cols = q.columns(stream);
-                let slices = route_columns(t, &cols, &keys[stream], &sharder, 0, t.rows());
+                let (cols, keyed) = unit_columns(q, stream);
+                let slices = route_columns(t, &cols, keyed, &keys[stream], &sharder, 0, t.rows());
                 slices.into_iter().map(Arc::new).collect::<Vec<_>>()
             };
             (q.remapped(), route(0, left), right.map(|r| route(1, r)))

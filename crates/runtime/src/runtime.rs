@@ -388,8 +388,8 @@ mod tests {
     use crate::config::ShardLayout;
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
-        CheetahTuning, DataType, DbPredicate, IntCmp, LikePattern, ShardPlanner, ShardSpec,
-        TableBuilder, Value,
+        unit_columns, CheetahTuning, Column, DataType, DbPredicate, IntCmp, LikePattern,
+        ShardPlanner, ShardSpec, TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
     use cheetah_telemetry::{Registry, Trace};
@@ -537,6 +537,20 @@ mod tests {
                 assert_eq!(widths(&plan.units), vec![q.columns(0).len(); shards], "{kind}");
                 if let Some(units) = &plan.right_units {
                     assert_eq!(widths(units), vec![q.columns(1).len(); shards], "{kind}");
+                }
+                // The string key a stream routes by is codes; every other
+                // column holds plain cells.
+                let streams = std::iter::once(&plan.units).chain(plan.right_units.as_ref());
+                for (stream, units) in streams.enumerate() {
+                    let (_, keyed) = unit_columns(q, stream);
+                    for part in units.iter().map(|u| &u.partitions()[0]) {
+                        for c in 0..part.width() {
+                            let coded = matches!(part.column(c), Column::Dict { .. });
+                            let key =
+                                keyed == Some(c) && part.column(c).data_type() == DataType::Str;
+                            assert_eq!(coded, key, "{kind}: stream {stream} column {c}");
+                        }
+                    }
                 }
                 for path in PATHS {
                     let label = format!("{kind} {}", path.label());
