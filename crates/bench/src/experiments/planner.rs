@@ -1,12 +1,14 @@
 //! Planned vs fixed-spec sweep: what sample-driven planning buys.
 //!
 //! The `shards` sweep shows the axis; this experiment shows the *choice*:
-//! on a zipf(1.5) key-skewed workload (the planner-adversarial regime
-//! where fixed range routing degenerates), every fixed `ShardSpec` in the
-//! sweep — both partitioners × the context's shard axis — is measured
-//! against the planner's single chosen plan. The bar a planner exists to
-//! clear is **never slower than the worst fixed spec in the sweep**; it is
-//! wall clock on sub-millisecond runs, so a miss is reported as a
+//! on a zipf(1.5) key-skewed workload (the planner-adversarial regime,
+//! where a hot key crowds whichever shard owns it), every fixed
+//! `ShardSpec` in the sweep — both partitioners × the context's shard
+//! axis; a fixed range cuts at the quantiles of the observed keys, as a
+//! fitted plan does — is measured against the planner's single chosen
+//! plan, whose one decision is the shard count. The bar a planner exists
+//! to clear is **never slower than the worst fixed spec in the sweep**; it
+//! is wall clock on sub-millisecond runs, so a miss is reported as a
 //! `SLOWER:` note beside the rows, not asserted — only the outputs are.
 
 use crate::report::secs;

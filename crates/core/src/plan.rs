@@ -1,25 +1,24 @@
 //! Sample-driven shard planning: the sampler behind the adaptive shard
 //! planner.
 //!
-//! Cheetah's pruning win is bounded by the *slowest* shard: a fixed range
-//! partitioner degenerates under key skew (one hot shard serializes the
-//! whole run), and a fixed shard count either wastes workers on small
-//! inputs or starves large ones. Cuttlefish-style lightweight runtime
-//! sampling is enough to pick the physical strategy adaptively — this
-//! module holds the sampling machinery, deliberately free of any cost
-//! model (the planner that prices a shard count lives in
-//! `cheetah-db::planner`):
+//! Cheetah's pruning win is bounded by the *slowest* shard: a shard that
+//! holds more of the keys than the others serializes the whole run, and a
+//! fixed shard count either wastes workers on small inputs or starves
+//! large ones. Cuttlefish-style lightweight runtime sampling is enough to
+//! pick the shard count adaptively — this module holds the sampling
+//! machinery, deliberately free of any cost model (the planner that
+//! prices a shard count lives in `cheetah-db::planner`):
 //!
 //! * [`Reservoir`] — seeded Algorithm-R reservoir sampling over a routing
 //!   key stream (uniform without knowing the stream length up front);
 //! * [`KeySampler`] / [`KeyStats`] — one pass over the routing keys
 //!   producing the exact row count and the sorted sample. Long streams
 //!   are read through a bounded stride ([`KeySampler::offer_strided`]);
-//! * [`fit_boundaries`] — fitted range cut points from the sampled
-//!   quantiles, consumed by [`Sharder::fitted_range`];
-//! * [`max_load_fraction`] — evaluate a candidate sharder's worst shard
-//!   load on the sample (the balance signal the hash-vs-range choice and
-//!   the planner contract's 2× bound are stated over);
+//! * [`fit_boundaries`] — range cut points at the sampled quantiles,
+//!   consumed by [`Sharder::fitted_range`]: the one range construction,
+//!   for fitted plans and hand-picked range specs alike;
+//! * [`max_load_fraction`] — a sharder's worst shard load on the sample
+//!   (the hottest shard's share the planner's shard-count walk prices);
 //! * [`ShardPlan`] / [`PlanReport`] — the concrete plan a planner emits,
 //!   with an explicit record of *why*.
 //!
@@ -147,28 +146,23 @@ pub struct KeyStats {
     pub sample: Vec<u64>,
 }
 
-impl KeyStats {
-    /// Do all sampled keys collapse to one value? (No partitioner can
-    /// split a single key: key-aligned routing pins it to one shard.)
-    pub fn all_keys_equal(&self) -> bool {
-        !self.sample.is_empty() && self.sample.first() == self.sample.last()
-    }
-}
-
 /// Fit `shards - 1` range cut points to the sampled quantiles: boundary
 /// `i` is the sample's `(i + 1) / shards` quantile, so each span holds
-/// roughly the same *sampled mass* (unlike equal key-space spans, which
-/// degenerate whenever the keys cluster). Feed the result to
-/// [`Sharder::fitted_range`]. The cut points are non-decreasing; a hot
-/// key wider than a span repeats its value, leaving some spans empty —
-/// which the load evaluation then sees and the planner penalizes.
+/// roughly the same *sampled mass* whatever the key domain. Feed the
+/// result to [`Sharder::fitted_range`]. The cut points are
+/// non-decreasing; a hot key wider than a span repeats its value, leaving
+/// some spans empty. An empty sample gets `shards - 1` equal cuts.
+///
+/// Of `m` sampled keys with at most `c` copies of one, a span holds at
+/// most `⌈m/n⌉ + c − 1` (its share of the indices, plus the earlier
+/// copies of its lower cut's key), while a hash sharder's busiest shard
+/// holds at least `⌈m/n⌉` (pigeonhole) and at least `c` (a key's copies
+/// land together). So the cuts never load the busiest shard twice as
+/// much as hash on the same sample: a fitted plan is always cut points.
 pub fn fit_boundaries(sorted_sample: &[u64], shards: usize) -> Vec<u64> {
     assert!(shards > 0, "need at least one shard");
-    if sorted_sample.is_empty() || shards == 1 {
-        return Vec::new();
-    }
     let m = sorted_sample.len();
-    (1..shards).map(|i| sorted_sample[(i * m / shards).min(m - 1)]).collect()
+    (1..shards).map(|i| sorted_sample.get(i * m / shards).copied().unwrap_or(0)).collect()
 }
 
 /// The worst shard's share of `keys` under `sharder` — `1.0 / shards` is
@@ -218,14 +212,8 @@ pub struct PlanReport {
     pub sample_len: usize,
     /// Chosen worker count.
     pub shards: usize,
-    /// Chosen routing family.
-    pub partitioner: ShardPartitioner,
-    /// Max shard load fraction of a *hash* sharder on the sample at the
-    /// chosen shard count.
-    pub hash_sample_load: f64,
-    /// Max shard load fraction of the *fitted range* sharder on the same
-    /// sample at the chosen shard count.
-    pub range_sample_load: f64,
+    /// Max shard load fraction of the plan's cut points on the sample.
+    pub sample_load: f64,
     /// The modelled cost curve over every candidate shard count.
     pub curve: Vec<ShardCostPoint>,
     /// Human-readable explanation of the choice.
@@ -236,9 +224,10 @@ pub struct PlanReport {
 /// report explaining it. Emitted by `cheetah_db::planner::ShardPlanner`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
-    /// The planned `key → shard` routing (hash, or quantile-fitted range).
+    /// The planned `key → shard` routing: cut points at the sampled
+    /// quantiles.
     pub sharder: Sharder,
-    /// Why: every sampled load and modelled cost the decision read.
+    /// Why: the sampled load and every modelled cost the decision read.
     pub report: PlanReport,
 }
 
@@ -250,7 +239,7 @@ impl ShardPlan {
 
     /// Planned routing family.
     pub fn partitioner(&self) -> ShardPartitioner {
-        self.report.partitioner
+        self.sharder.kind()
     }
 }
 
@@ -314,7 +303,6 @@ mod tests {
         assert_eq!(stats.rows, 10_000);
         let hot = stats.sample.iter().filter(|&&k| k == 42).count() as f64 / 512.0;
         assert!(hot > 0.45 && hot < 0.75, "{hot}");
-        assert!(!stats.all_keys_equal());
     }
 
     #[test]
@@ -374,19 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn all_equal_keys_are_detected() {
-        let mut s = KeySampler::new(64, 1);
-        for _ in 0..500 {
-            s.offer(77);
-        }
-        let stats = s.finish();
-        assert!(stats.all_keys_equal());
-    }
-
-    #[test]
     fn fitted_boundaries_balance_a_clustered_sample() {
-        // Keys clustered in [1000, 1100): equal key-space spans would
-        // serialize them; quantile cuts split them evenly.
+        // Keys clustered in [1000, 1100): quantile cuts split them evenly.
         let sample: Vec<u64> = (0..400u64).map(|i| 1_000 + i % 100).collect();
         let mut sorted = sample.clone();
         sorted.sort_unstable();
@@ -395,15 +372,11 @@ mod tests {
         let sharder = Sharder::fitted_range(bounds).unwrap();
         let load = max_load_fraction(&sample, &sharder);
         assert!(load < 0.35, "fitted load {load}");
-        // The naive equal-span sharder over the full space piles
-        // everything onto one shard.
-        let naive = Sharder::new(ShardPartitioner::Range, 4, 0);
-        assert_eq!(max_load_fraction(&sample, &naive), 1.0);
     }
 
     #[test]
     fn fitted_boundaries_degenerate_cases() {
-        assert!(fit_boundaries(&[], 4).is_empty());
+        assert_eq!(fit_boundaries(&[], 4), vec![0, 0, 0], "equal cuts keep the count");
         assert!(fit_boundaries(&[1, 2, 3], 1).is_empty());
         // All-equal sample: every cut lands on the same value.
         let bounds = fit_boundaries(&[5, 5, 5, 5], 3);
@@ -411,8 +384,38 @@ mod tests {
     }
 
     #[test]
+    fn quantile_cuts_load_the_busiest_shard_less_than_twice_hash() {
+        // Duplicate-heavy samples of `m` keys: the first `hot` tenths
+        // share one key, the rest come from `cold` distinct keys.
+        for m in [1usize, 5, 64, 333, 1024] {
+            for hot in [0, 1, 3, 5, 9, 10] {
+                for cold in [1u64, 3, 50, 10_000] {
+                    let mut sample: Vec<u64> = (0..m)
+                        .map(|i| if i * 10 < m * hot { 7 } else { mix64(i as u64) % cold })
+                        .collect();
+                    sample.sort_unstable();
+                    let c = sample.chunk_by(|a, b| a == b).map(<[u64]>::len).max().unwrap();
+                    let busiest =
+                        |s: &Sharder| (max_load_fraction(&sample, s) * m as f64).round() as usize;
+                    for n in 1..=16 {
+                        let cuts = Sharder::fitted_range(fit_boundaries(&sample, n)).unwrap();
+                        assert_eq!(cuts.shards(), n);
+                        let (range, hash) = (busiest(&cuts), busiest(&Sharder::hash(n, 0xC43E7A)));
+                        let label = format!("m={m} hot={hot}/10 cold={cold} n={n} c={c}");
+                        assert!(
+                            range < m.div_ceil(n) + c,
+                            "{label}: range {range} > ⌈m/n⌉ + c − 1"
+                        );
+                        assert!(range < 2 * hash, "{label}: range {range} vs hash {hash}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn max_load_fraction_reads_the_worst_shard() {
-        let sharder = Sharder::new(ShardPartitioner::Hash, 4, 9);
+        let sharder = Sharder::hash(4, 9);
         let one_key = vec![123u64; 100];
         assert_eq!(max_load_fraction(&one_key, &sharder), 1.0);
         let spread: Vec<u64> = (0..10_000).collect();

@@ -13,13 +13,13 @@
 //!   additionally makes keyed aggregates (GROUP BY, HAVING) and
 //!   co-partitioned JOINs mergeable by key-union / pair-count sum.
 //!
-//! Both [`Sharder`] kinds are key-aligned: the same 64-bit routing key
-//! always maps to the same shard. What differs is the *shape* of the
-//! assignment — [`ShardPartitioner::Hash`] scatters keys uniformly (good
-//! load balance, no locality) while [`ShardPartitioner::Range`] splits the
-//! key space into contiguous spans (locality and range-friendliness, but
-//! skewed inputs produce skewed shards — which is exactly what the zipf
-//! workload generators exercise).
+//! A [`Sharder`] is one of two routing functions, both key-aligned: the
+//! same 64-bit routing key always maps to the same shard. A seeded hash
+//! ([`Sharder::hash`]) scatters keys uniformly (no locality); ascending
+//! cut points ([`Sharder::fitted_range`]) keep contiguous key spans, cut
+//! at the quantiles of the keys they were fitted to
+//! ([`fit_boundaries`](crate::plan::fit_boundaries)), so each span holds
+//! about the same mass whatever the key domain.
 
 use cheetah_switch::hash::mix64;
 
@@ -28,10 +28,9 @@ use cheetah_switch::hash::mix64;
 pub enum ShardPartitioner {
     /// Uniform scatter: `shard = mix64(key ⊕ seed) mod n`.
     Hash,
-    /// Contiguous equal spans of the key domain `[lo, hi]` (the full
-    /// `u64` space by default; fit the observed bounds with
-    /// [`Sharder::range_over`] — routing keys rarely fill the space, e.g.
-    /// string fingerprints occupy only the lower 2⁶³).
+    /// Contiguous key spans cut at the quantiles of the observed routing
+    /// keys ([`Sharder::fitted_range`]): each span holds about the same
+    /// number of keys, and a key's copies stay on one shard.
     Range,
 }
 
@@ -45,50 +44,33 @@ impl ShardPartitioner {
     }
 }
 
-/// A concrete `key → shard` function: partitioner kind + shard count +
-/// hash seed.
+/// A concrete `key → shard` function: a seeded hash over a shard count,
+/// or ascending cut points.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sharder {
-    kind: ShardPartitioner,
-    shards: usize,
-    seed: u64,
-    /// Range mode only: the key domain the spans divide.
-    lo: u64,
-    hi: u64,
-    /// Fitted range mode only: ascending cut points — `boundaries[i]` is
-    /// the first key owned by shard `i + 1`. Empty means equal spans of
-    /// `[lo, hi]`.
-    boundaries: Vec<u64>,
+pub struct Sharder(Routing);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Routing {
+    /// `mix64(key ⊕ seed) mod shards`.
+    Hash { shards: usize, seed: u64 },
+    /// `cuts[i]` is the first key owned by shard `i + 1`.
+    Cuts(Vec<u64>),
 }
 
 impl Sharder {
-    /// Build a sharder over `shards` shards. Range mode divides the full
-    /// `u64` key space; prefer [`Sharder::range_over`] when the routing
-    /// keys' bounds are known.
-    pub fn new(kind: ShardPartitioner, shards: usize, seed: u64) -> Self {
+    /// A hash sharder scattering keys over `shards` shards by `seed`.
+    pub fn hash(shards: usize, seed: u64) -> Self {
         assert!(shards > 0, "need at least one shard");
-        Self { kind, shards, seed, lo: 0, hi: u64::MAX, boundaries: Vec::new() }
+        Self(Routing::Hash { shards, seed })
     }
 
-    /// A range sharder whose `shards` equal spans divide `[lo, hi]`
-    /// instead of the whole `u64` space — so observed-key domains (a
-    /// table's order column, string-fingerprint space) split into
-    /// *populated* spans rather than leaving most shards empty. Keys
-    /// outside the domain clamp to its edge shards.
-    pub fn range_over(lo: u64, hi: u64, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        assert!(lo <= hi, "empty key domain");
-        Self { kind: ShardPartitioner::Range, shards, seed: 0, lo, hi, boundaries: Vec::new() }
-    }
-
-    /// A range sharder with *fitted* (data-driven) cut points instead of
-    /// equal spans: `boundaries[i]` is the first key owned by shard
-    /// `i + 1`, so `boundaries.len() + 1` shards cover the whole key
-    /// space. The planner fits these to the sampled quantiles
-    /// ([`fit_boundaries`](crate::plan::fit_boundaries)) so each span
-    /// holds roughly equal *observed mass* — the adaptive answer to
-    /// clustered or skewed key domains. Cut points must be
-    /// non-decreasing; duplicates simply leave spans empty.
+    /// A range sharder with *fitted* (data-driven) cut points:
+    /// `boundaries[i]` is the first key owned by shard `i + 1`, so
+    /// `boundaries.len() + 1` shards cover the whole key space. Fit them
+    /// to the keys' quantiles with
+    /// [`fit_boundaries`](crate::plan::fit_boundaries), so each span holds
+    /// roughly equal *observed mass*. Cut points must be non-decreasing;
+    /// duplicates simply leave spans empty.
     ///
     /// Non-monotonic cut points (a buggy re-fit) are rejected with a
     /// typed [`Error::UnsortedShardBoundaries`](crate::Error) — the
@@ -98,43 +80,32 @@ impl Sharder {
         if let Some(i) = boundaries.windows(2).position(|w| w[0] > w[1]) {
             return Err(crate::Error::UnsortedShardBoundaries { index: i + 1 });
         }
-        Ok(Self {
-            kind: ShardPartitioner::Range,
-            shards: boundaries.len() + 1,
-            seed: 0,
-            lo: 0,
-            hi: u64::MAX,
-            boundaries,
-        })
+        Ok(Self(Routing::Cuts(boundaries)))
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards
+        match &self.0 {
+            Routing::Hash { shards, .. } => *shards,
+            Routing::Cuts(cuts) => cuts.len() + 1,
+        }
     }
 
     /// The partitioner family.
     pub fn kind(&self) -> ShardPartitioner {
-        self.kind
+        match self.0 {
+            Routing::Hash { .. } => ShardPartitioner::Hash,
+            Routing::Cuts(_) => ShardPartitioner::Range,
+        }
     }
 
     /// The shard owning `key`. Total and deterministic: every `u64` maps
     /// to exactly one shard in `0..shards`.
     pub fn shard_of(&self, key: u64) -> usize {
-        match self.kind {
-            ShardPartitioner::Hash => (mix64(key ^ self.seed) % self.shards as u64) as usize,
-            ShardPartitioner::Range if !self.boundaries.is_empty() => {
-                // Fitted cut points: the shard owning `key` is the number
-                // of boundaries at or below it.
-                self.boundaries.partition_point(|&b| b <= key)
-            }
-            ShardPartitioner::Range => {
-                let key = key.clamp(self.lo, self.hi);
-                // 128-bit arithmetic: the span can be the full 2⁶⁴ and the
-                // numerator overflows u64 for large keys.
-                let span = (self.hi - self.lo) as u128 + 1;
-                ((key - self.lo) as u128 * self.shards as u128 / span) as usize
-            }
+        match &self.0 {
+            Routing::Hash { shards, seed } => (mix64(key ^ seed) % *shards as u64) as usize,
+            // The number of cut points at or below the key.
+            Routing::Cuts(cuts) => cuts.partition_point(|&b| b <= key),
         }
     }
 }
@@ -145,11 +116,12 @@ mod tests {
 
     #[test]
     fn every_key_lands_in_range() {
-        for kind in [ShardPartitioner::Hash, ShardPartitioner::Range] {
-            for shards in [1usize, 2, 3, 7, 16] {
-                let s = Sharder::new(kind, shards, 0xC0FFEE);
+        for shards in [1usize, 2, 3, 7, 16] {
+            let cuts = (1..shards as u64).map(|i| i * (u64::MAX / shards as u64)).collect();
+            for s in [Sharder::hash(shards, 0xC0FFEE), Sharder::fitted_range(cuts).unwrap()] {
+                assert_eq!(s.shards(), shards);
                 for key in [0u64, 1, 42, u64::MAX / 2, u64::MAX - 1, u64::MAX] {
-                    assert!(s.shard_of(key) < shards, "{kind:?} n={shards} key={key}");
+                    assert!(s.shard_of(key) < shards, "{s:?} key={key}");
                 }
             }
         }
@@ -157,7 +129,8 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_key_aligned() {
-        let s = Sharder::new(ShardPartitioner::Hash, 7, 9);
+        let s = Sharder::hash(7, 9);
+        assert_eq!(s.kind(), ShardPartitioner::Hash);
         for key in 0..1_000u64 {
             assert_eq!(s.shard_of(key), s.shard_of(key));
         }
@@ -166,7 +139,7 @@ mod tests {
     #[test]
     fn hash_balances_uniform_keys() {
         let n = 8usize;
-        let s = Sharder::new(ShardPartitioner::Hash, n, 0xAB);
+        let s = Sharder::hash(n, 0xAB);
         let mut counts = vec![0u64; n];
         for key in 0..80_000u64 {
             counts[s.shard_of(key)] += 1;
@@ -175,43 +148,6 @@ mod tests {
             let f = c as f64 / 80_000.0;
             assert!((f - 1.0 / n as f64).abs() < 0.02, "shard share {f}");
         }
-    }
-
-    #[test]
-    fn range_spans_are_contiguous_and_ordered() {
-        let s = Sharder::new(ShardPartitioner::Range, 4, 0);
-        assert_eq!(s.shard_of(0), 0);
-        assert_eq!(s.shard_of(u64::MAX), 3);
-        let mut last = 0usize;
-        for i in 0..64 {
-            let key = (u64::MAX / 64) * i;
-            let shard = s.shard_of(key);
-            assert!(shard >= last, "range shards must be monotone in the key");
-            last = shard;
-        }
-    }
-
-    #[test]
-    fn range_over_balances_a_narrow_key_domain() {
-        // The whole point of fitted bounds: keys in [1000, 1999] split
-        // evenly over 4 shards instead of all landing in span 0.
-        let s = Sharder::range_over(1_000, 1_999, 4);
-        let mut counts = vec![0usize; 4];
-        for key in 1_000u64..2_000 {
-            counts[s.shard_of(key)] += 1;
-        }
-        assert_eq!(counts, vec![250, 250, 250, 250]);
-        // Out-of-domain keys clamp to the edge shards.
-        assert_eq!(s.shard_of(0), 0);
-        assert_eq!(s.shard_of(u64::MAX), 3);
-    }
-
-    #[test]
-    fn range_over_degenerate_single_key_domain() {
-        let s = Sharder::range_over(42, 42, 5);
-        assert_eq!(s.shard_of(42), 0);
-        assert_eq!(s.shard_of(41), 0);
-        assert_eq!(s.shard_of(u64::MAX), 0);
     }
 
     #[test]
@@ -258,8 +194,8 @@ mod tests {
 
     #[test]
     fn different_seeds_scatter_differently() {
-        let a = Sharder::new(ShardPartitioner::Hash, 16, 1);
-        let b = Sharder::new(ShardPartitioner::Hash, 16, 2);
+        let a = Sharder::hash(16, 1);
+        let b = Sharder::hash(16, 2);
         let diverged = (0..256u64).filter(|&k| a.shard_of(k) != b.shard_of(k)).count();
         assert!(diverged > 64, "seeds must matter: {diverged}/256 diverged");
     }
@@ -267,6 +203,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = Sharder::new(ShardPartitioner::Hash, 0, 0);
+        let _ = Sharder::hash(0, 0);
     }
 }

@@ -374,7 +374,7 @@ mod tests {
     use crate::query::DbQuery;
     use crate::sharded::route_columns;
     use crate::testutil::{every_row, test_table};
-    use cheetah_core::{ShardPartitioner, Sharder};
+    use cheetah_core::Sharder;
 
     #[test]
     fn every_operator_completes_alike_over_both_selection_kinds() {
@@ -400,7 +400,7 @@ mod tests {
         let right = test_table(700, 2);
         // Routed units, each in both string forms: the key column coded,
         // as the plan constructor routes it, and plain.
-        let sharder = Sharder::new(ShardPartitioner::Hash, 3, 5);
+        let sharder = Sharder::hash(3, 5);
         let units = |t: &Table, keyed| {
             let keys = routing_keys(&DbQuery::Distinct { col: 0 }, 0, t, tuning.seed);
             route_columns(t, &[0, 1, 2], keyed, &keys, &sharder, 0, t.rows())

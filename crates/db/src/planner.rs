@@ -1,11 +1,10 @@
-//! The adaptive shard planner: sample the routing keys, estimate skew
-//! and size, emit a concrete [`ShardPlan`].
+//! The adaptive shard planner: sample the routing keys, read their
+//! spread, emit a concrete [`ShardPlan`].
 //!
-//! The `shards` sweep shows what a fixed spec costs: under key skew a
-//! fixed range partitioner piles the hot keys onto one shard and the
-//! whole run serializes behind it, while a fixed shard count either
-//! wastes workers on small inputs or starves large ones. The planner
-//! replaces both hand-picked choices with one sampling pass over the
+//! The `shards` sweep shows what a fixed spec costs: a fixed shard count
+//! either wastes workers on small inputs or starves large ones, and under
+//! key skew the hottest shard serializes the whole run. The planner
+//! replaces the hand-picked count with one sampling pass over the
 //! per-query routing keys (the same keys every routed layout is split by —
 //! key extraction lives *here*, in one place, and the plan constructor in
 //! `cheetah-runtime` consumes it). A caller fits a plan
@@ -20,19 +19,23 @@
 //!    keys on 200 k rows as on 16 k; a request at or under the bound
 //!    reads every key). Row counts stay exact.
 //! 2. **Choose the shard count** — each candidate count in
-//!    `1..=`[`MAX_SHARDS`] is charged the hottest shard's share of the
+//!    `1..=`[`MAX_SHARDS`] is cut at the sampled quantiles
+//!    ([`fit_boundaries`]) and charged its hottest shard's share of the
 //!    rows at the CWorker send rate (worker phase) plus
 //!    [`PER_SHARD_OVERHEAD_SECONDS`] per shard (master phase); the first
 //!    minimum wins, so a tie goes to the fewer shards. No survivor
 //!    volume is priced: a plan is fitted before any pruned run of its
 //!    query exists, and the master-ingest model (§4.6) is a figure the
 //!    `fig9` and `shards` experiments report, not a decision input.
-//! 3. **Choose the partitioner** — fit range boundaries to the sampled
-//!    quantiles; keep them when the fitted plan's max sampled shard load
-//!    stays within [`RANGE_LOAD_FACTOR`] (2×) of hash on the same
-//!    sample, fall back to hash when skew concentrates.
 //!
-//! The emitted [`PlanReport`] records every sampled load and modelled
+//! The shard count is the one decision. The routing is always the
+//! quantile cut points: they never load the busiest shard twice as much
+//! as a hash would on the same sample (the bound is stated on
+//! [`fit_boundaries`]), and a count whose cuts gain nothing — no rows,
+//! or one key — costs more per extra shard, so it plans one shard, which
+//! is the table itself.
+//!
+//! The emitted [`PlanReport`] records the sampled load and every modelled
 //! cost the decision read, so tests and humans audit the choice instead
 //! of trusting it. Plans are deterministic: same seed + same tables ⇒
 //! identical [`ShardPlan`].
@@ -46,11 +49,6 @@ use cheetah_core::plan::{
 };
 use cheetah_core::{ShardPartitioner, Sharder};
 use cheetah_switch::hash::mix64;
-
-/// A fitted range is kept while its max sampled shard load stays within
-/// this factor of hash's on the same sample (the planner contract's 2×
-/// bound).
-pub const RANGE_LOAD_FACTOR: f64 = 2.0;
 
 /// Fixed per-shard master-side cost (planning one switch program, merging
 /// one more output) charged by the shard-count model, in seconds.
@@ -144,143 +142,75 @@ impl ShardPlanner {
     /// Plan the sharded execution of `q` over the given tables from a
     /// bounded strided sample of every stream's routing keys
     /// ([`KeySampler::offer_strided`]): keys are extracted at the sampled
-    /// rows only, so the cost of a plan does not grow with the tables.
+    /// rows only, so the cost of a plan does not grow with the tables. A
+    /// right table handed to a unary query is ignored, as the plan
+    /// constructor ignores it.
     pub fn plan(&self, q: &DbQuery, left: &Table, right: Option<&Table>, seed: u64) -> ShardPlan {
+        let right = right.filter(|_| q.is_binary());
         let tables: Vec<&Table> = std::iter::once(left).chain(right).collect();
         let lens: Vec<usize> = tables.iter().map(|t| t.rows()).collect();
         let mut cursors: Vec<KeyCursor<'_>> =
             tables.iter().enumerate().map(|(s, t)| KeyCursor::new(q, s, t, seed)).collect();
         let mut sampler = KeySampler::new(self.cfg.sample_size, seed);
         sampler.offer_strided(&lens, |stream, row| cursors[stream].key_at(row));
-        self.plan_from_stats(sampler.finish(), seed)
-    }
-
-    /// Steps 2 and 3: from what the sample learned to the plan.
-    fn plan_from_stats(&self, stats: KeyStats, seed: u64) -> ShardPlan {
-        if stats.rows == 0 {
-            return trivial_plan(stats, seed, "empty input: any routing is vacuous");
-        }
-        if stats.all_keys_equal() {
-            // Key-aligned routing pins a single key to one shard; extra
-            // workers would only idle and add merge overhead.
-            return trivial_plan(
-                stats,
-                seed,
-                "all sampled routing keys are equal: no partitioner can spread them",
-            );
-        }
-
-        // Walk the candidate counts: the hottest shard's share of the rows
-        // at the CWorker send rate, plus a fixed master-side overhead per
-        // shard.
-        let mut curve = Vec::with_capacity(MAX_SHARDS);
-        for n in 1..=MAX_SHARDS {
-            let load = partitioner_at(&stats.sample, n, seed).load;
-            let worker_seconds = stats.rows as f64 * load / CWORKER_ROWS_PER_SECOND;
-            let merge_seconds = n as f64 * PER_SHARD_OVERHEAD_SECONDS;
-            curve.push(ShardCostPoint { shards: n, worker_seconds, merge_seconds });
-        }
-        let best = curve
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total().partial_cmp(&b.total()).expect("finite costs"))
-            .map(|(i, _)| i)
-            .expect("at least one candidate");
-        let shards = best + 1;
-        // The choice is a function of the sample and the count alone, so
-        // the walk keeps only its cost and the chosen count is fitted again.
-        let chosen = partitioner_at(&stats.sample, shards, seed);
-
-        // The first candidate *past the chosen count* whose modelled
-        // completion rises again — where merge cost starts eating the
-        // pruning win (absent when the chosen count is the axis maximum).
-        let turn =
-            curve[best + 1..].iter().find(|p| p.total() > curve[best].total()).map(|p| p.shards);
-        let reason = format!(
-            "chose {} × {}: sampled {}/{} keys; fitted-range sample load {:.2} vs hash {:.2} \
-             (factor {}); modelled completion {:.2} ms{}",
-            shards,
-            chosen.partitioner.name(),
-            stats.sample.len(),
-            stats.rows,
-            chosen.range_load,
-            chosen.hash_load,
-            RANGE_LOAD_FACTOR,
-            curve[best].total() * 1e3,
-            match turn {
-                Some(n) => format!(", merge cost eats the win from {n} shards on"),
-                None => String::new(),
-            },
-        );
-        ShardPlan {
-            sharder: chosen.sharder,
-            report: PlanReport {
-                rows: stats.rows,
-                sample_len: stats.sample.len(),
-                shards,
-                partitioner: chosen.partitioner,
-                hash_sample_load: chosen.hash_load,
-                range_sample_load: chosen.range_load,
-                curve,
-                reason,
-            },
-        }
+        plan_from_stats(sampler.finish())
     }
 }
 
-/// The degenerate one-shard plan (empty input, single key).
-fn trivial_plan(stats: KeyStats, seed: u64, why: &str) -> ShardPlan {
-    let worker_seconds = stats.rows as f64 / CWORKER_ROWS_PER_SECOND;
-    let merge_seconds = PER_SHARD_OVERHEAD_SECONDS;
+/// Step 2: walk the candidate counts, each cut at the sampled quantiles —
+/// the hottest shard's share of the rows at the CWorker send rate, plus a
+/// fixed master-side overhead per shard.
+fn plan_from_stats(stats: KeyStats) -> ShardPlan {
+    let cut = |n| {
+        Sharder::fitted_range(fit_boundaries(&stats.sample, n))
+            .expect("fit_boundaries yields ascending cuts")
+    };
+    let curve: Vec<ShardCostPoint> = (1..=MAX_SHARDS)
+        .map(|n| {
+            let load = max_load_fraction(&stats.sample, &cut(n));
+            let worker_seconds = stats.rows as f64 * load / CWORKER_ROWS_PER_SECOND;
+            let merge_seconds = n as f64 * PER_SHARD_OVERHEAD_SECONDS;
+            ShardCostPoint { shards: n, worker_seconds, merge_seconds }
+        })
+        .collect();
+    let best = curve
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.total().partial_cmp(&b.total()).expect("finite costs"))
+        .map(|(i, _)| i)
+        .expect("at least one candidate");
+    let shards = best + 1;
+    // The walk keeps only each candidate's cost; the chosen count's cuts
+    // are a function of the sample and the count alone, so fit them again.
+    let sharder = cut(shards);
+    let sample_load = max_load_fraction(&stats.sample, &sharder);
+
+    // The first candidate *past the chosen count* whose modelled
+    // completion rises again — where merge cost starts eating the pruning
+    // win (absent when the chosen count is the axis maximum).
+    let turn = curve[best + 1..].iter().find(|p| p.total() > curve[best].total()).map(|p| p.shards);
+    let reason = format!(
+        "chose {shards} shard(s): sampled {}/{} keys; cut-point sample load {sample_load:.2}; \
+         modelled completion {:.2} ms{}",
+        stats.sample.len(),
+        stats.rows,
+        curve[best].total() * 1e3,
+        match turn {
+            Some(n) => format!(", merge cost eats the win from {n} shards on"),
+            None => String::new(),
+        },
+    );
     ShardPlan {
-        sharder: Sharder::new(ShardPartitioner::Hash, 1, seed),
+        sharder,
         report: PlanReport {
             rows: stats.rows,
             sample_len: stats.sample.len(),
-            shards: 1,
-            partitioner: ShardPartitioner::Hash,
-            hash_sample_load: 1.0,
-            range_sample_load: 1.0,
-            curve: vec![ShardCostPoint { shards: 1, worker_seconds, merge_seconds }],
-            reason: format!("chose 1 shard: {why}"),
+            shards,
+            sample_load,
+            curve,
+            reason,
         },
     }
-}
-
-/// The adaptive partitioner choice at a candidate shard count: fitted
-/// range when the sampled quantiles spread the load, hash when skew
-/// concentrates it.
-fn partitioner_at(sample: &[u64], shards: usize, seed: u64) -> PartitionerChoice {
-    let hash = Sharder::new(ShardPartitioner::Hash, shards, seed);
-    let hash_load = max_load_fraction(sample, &hash);
-    let fitted = Sharder::fitted_range(fit_boundaries(sample, shards))
-        .expect("fit_boundaries yields ascending cuts");
-    let range_load = max_load_fraction(sample, &fitted);
-    if range_load <= RANGE_LOAD_FACTOR * hash_load {
-        PartitionerChoice {
-            partitioner: ShardPartitioner::Range,
-            load: range_load,
-            hash_load,
-            range_load,
-            sharder: fitted,
-        }
-    } else {
-        PartitionerChoice {
-            partitioner: ShardPartitioner::Hash,
-            load: hash_load,
-            hash_load,
-            range_load,
-            sharder: hash,
-        }
-    }
-}
-
-struct PartitionerChoice {
-    partitioner: ShardPartitioner,
-    load: f64,
-    hash_load: f64,
-    range_load: f64,
-    sharder: Sharder,
 }
 
 // ---------------------------------------------------------------------
@@ -456,30 +386,20 @@ impl<'t> KeyCursor<'t> {
 }
 
 /// The sharder of a *hand-picked* [`ShardSpec`]. Hash scatters over the
-/// seed; Range fits its equal spans to the *observed* key bounds across
-/// **both** streams — jointly, because JOIN co-partitioning needs one set
-/// of boundaries for the two sides — so real key domains (string
-/// fingerprints fill only the lower 2⁶³; encoded small ints cluster
-/// around 2⁶³) split into populated spans instead of piling onto one
-/// shard. (The planner's *fitted* range plan goes further and cuts at the
-/// sampled quantiles.) A zero shard count is served as one shard.
+/// seed; Range cuts at the quantiles of the observed keys of **both**
+/// streams ([`fit_boundaries`]) — jointly, because JOIN co-partitioning
+/// needs one set of cut points for the two sides — exactly as a fitted
+/// plan cuts its sample. With no keys anywhere, the cuts are equal and the
+/// spec's shard count stands. A zero shard count is served as one shard.
 pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
     let shards = spec.shards.max(1);
     match spec.partitioner {
-        ShardPartitioner::Hash => Sharder::new(ShardPartitioner::Hash, shards, seed),
+        ShardPartitioner::Hash => Sharder::hash(shards, seed),
         ShardPartitioner::Range => {
-            let mut bounds: Option<(u64, u64)> = None;
-            for &k in keys.iter().flat_map(|s| s.iter()) {
-                bounds = Some(match bounds {
-                    None => (k, k),
-                    Some((lo, hi)) => (lo.min(k), hi.max(k)),
-                });
-            }
-            match bounds {
-                Some((lo, hi)) => Sharder::range_over(lo, hi, shards),
-                // No rows anywhere: any total routing works.
-                None => Sharder::new(ShardPartitioner::Range, shards, seed),
-            }
+            let mut all = keys.concat();
+            all.sort_unstable();
+            Sharder::fitted_range(fit_boundaries(&all, shards))
+                .expect("fit_boundaries yields ascending cuts")
         }
     }
 }
@@ -513,7 +433,30 @@ mod tests {
         let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &t, None, 7);
         assert_eq!(plan.shards(), 1);
         assert_eq!(plan.report.rows, 0);
-        assert!(plan.report.reason.contains("empty"), "{}", plan.report.reason);
+        assert_eq!(plan.sharder, Sharder::fitted_range(Vec::new()).unwrap(), "nothing to cut");
+        assert_eq!(plan.report.curve.len(), MAX_SHARDS, "the walk is the whole decision");
+    }
+
+    #[test]
+    fn a_right_table_handed_to_a_unary_query_is_not_sampled() {
+        // A one-column right table: a unary query routes by its left
+        // stream's column alone, so the right table must be neither
+        // counted nor indexed by that column (column 2 is not its own).
+        let l = test_table(3_000, 4);
+        let mut b = crate::table::TableBuilder::new(
+            "narrow",
+            vec![("k".into(), crate::value::DataType::Int)],
+            64,
+        );
+        for i in 0..500 {
+            b.push_row(vec![crate::value::Value::Int(i)]);
+        }
+        let r = b.build();
+        let planner = ShardPlanner::default();
+        for q in all_queries().into_iter().chain([DbQuery::Distinct { col: 2 }]) {
+            let with_right = planner.plan(&q, &l, Some(&r), 7);
+            assert_eq!(with_right, planner.plan(&q, &l, None, 7), "{}", q.kind());
+        }
     }
 
     #[test]
@@ -553,18 +496,15 @@ mod tests {
     }
 
     #[test]
-    fn spread_keys_pick_more_than_one_shard_and_a_range_fit() {
-        // TOP N routes by the (spread) order column; the fitted quantile
-        // plan balances it, so the planner keeps range and fans out.
+    fn spread_keys_pick_more_than_one_shard_cut_at_quantiles() {
+        // TOP N routes by the (spread) order column; the quantile cuts
+        // balance it, so the planner fans out.
         let t = test_table(20_000, 4);
         let planner = ShardPlanner::default();
         let plan = planner.plan(&DbQuery::TopN { order_col: 1, n: 10 }, &t, None, 3);
         assert!(plan.shards() > 1, "{}", plan.report.reason);
-        assert!(
-            plan.report.range_sample_load <= RANGE_LOAD_FACTOR * plan.report.hash_sample_load,
-            "kept range must respect the load bound: {:?}",
-            plan.report
-        );
+        assert_eq!(plan.partitioner(), ShardPartitioner::Range);
+        assert!(plan.report.sample_load < 2.0 / plan.shards() as f64, "{:?}", plan.report);
         assert_eq!(plan.report.curve.len(), MAX_SHARDS);
     }
 }

@@ -307,7 +307,7 @@ mod tests {
     use crate::expr::{IntCmp, LikePattern};
     use crate::sharded::route_columns;
     use crate::table::TableBuilder;
-    use crate::{Cluster, ShardPartitioner, Sharder};
+    use crate::{Cluster, Sharder};
     use cheetah_switch::hash::mix64;
     use proptest::prelude::*;
 
@@ -341,7 +341,7 @@ mod tests {
 
     /// Columns `cols` of `t`, as one partition — what a routed unit holds.
     fn project(t: &Table, cols: &[usize]) -> Table {
-        let one = Sharder::new(ShardPartitioner::Hash, 1, 0);
+        let one = Sharder::hash(1, 0);
         route_columns(t, cols, None, &vec![0; t.rows()], &one, 0, t.rows()).remove(0)
     }
 

@@ -260,7 +260,7 @@ mod tests {
     fn route_range_partitions_exactly_the_requested_rows() {
         let t = test_table(1_000, 4);
         let keys: Vec<u64> = (0..1_000u64).collect();
-        let sharder = Sharder::new(ShardPartitioner::Hash, 3, 9);
+        let sharder = Sharder::hash(3, 9);
         let mid = route_range(&t, &keys, &sharder, 250, 750);
         assert_eq!(mid.iter().map(Table::rows).sum::<usize>(), 500);
         let all = route_range(&t, &keys, &sharder, 0, 1_000);
@@ -274,7 +274,7 @@ mod tests {
     fn route_range_is_the_routing_loop_over_every_column() {
         let t = test_table(500, 3);
         let keys: Vec<u64> = (0..500u64).map(|k| k * 7).collect();
-        let sharder = Sharder::new(ShardPartitioner::Hash, 4, 5);
+        let sharder = Sharder::hash(4, 5);
         let full = route_range(&t, &keys, &sharder, 100, 450);
         let every: Vec<usize> = (0..t.fields().len()).collect();
         assert_eq!(full, route_columns(&t, &every, None, &keys, &sharder, 100, 450));
@@ -300,7 +300,7 @@ mod tests {
             ("three keys", fingerprints.iter().map(|k| k % 3).collect()),
             ("fingerprints", fingerprints),
         ];
-        let sharder = Sharder::new(ShardPartitioner::Hash, 4, 5);
+        let sharder = Sharder::hash(4, 5);
         for (label, keys) in &cases {
             let plain = route_range(&t, keys, &sharder, 0, t.rows());
             let coded = route_columns(&t, &[1, 0], Some(1), keys, &sharder, 0, t.rows());
@@ -333,7 +333,7 @@ mod tests {
         // Cuts that fall inside partitions (997 rows over 3, cut in 4).
         let t = test_table(997, 3);
         let keys: Vec<u64> = (0..997u64).rev().collect();
-        let sharder = Sharder::new(ShardPartitioner::Hash, 4, 1);
+        let sharder = Sharder::hash(4, 1);
         let mut covered = 0usize;
         for piece in 0..4 {
             let lo = piece * t.rows() / 4;

@@ -7,7 +7,6 @@
 // subset of these fixtures.
 #![allow(dead_code)]
 
-use cheetah_db::planner::RANGE_LOAD_FACTOR;
 use cheetah_db::{
     ChooserArm, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
     LikePattern, ShardPartitioner, ShardPlan, ShardPlanner, ShardSpec, Table, TableBuilder, Value,
@@ -126,10 +125,8 @@ pub struct ExecCase {
 /// Every point is held to the universal contract here: output equals
 /// `run_baseline`'s, the layout's shard count is honoured, routing loses
 /// no rows, the run's accounting is its shards' ([`assert_merge_discipline`]),
-/// and the run records a plan exactly when its layout was fitted. A fitted
-/// point is also held to the planner's own facts: the shard count is the
-/// plan's, and a kept range partitioner's sampled load is within
-/// `RANGE_LOAD_FACTOR` of hash's. `visit` adds the calling gate's own
+/// and the run records a plan exactly when its layout was fitted (whose
+/// shard count is the plan's). `visit` adds the calling gate's own
 /// assertions; the backend is the innermost axis (interpreted first), so
 /// a gate can pair the two runs of a pruned point. The direct arm runs no
 /// engine, so it is walked once per layout (its case reads `Interpreted`,
@@ -163,19 +160,7 @@ pub fn for_each_exec_case(
                     (format!("{}@{}", s.partitioner.name(), s.shards), s.shards, None)
                 }
                 ShardLayout::Fitted(plan) => {
-                    let name = format!("fitted {}@{}", plan.partitioner().name(), plan.shards());
-                    let r = &plan.report;
-                    if r.range_sample_load > RANGE_LOAD_FACTOR * r.hash_sample_load {
-                        assert_eq!(
-                            r.partitioner,
-                            ShardPartitioner::Hash,
-                            "{kind} × {name} on {workload}: range load {:.3} exceeds \
-                             {RANGE_LOAD_FACTOR}x hash load {:.3} but range was kept",
-                            r.range_sample_load,
-                            r.hash_sample_load
-                        );
-                    }
-                    (name, plan.shards(), Some(Arc::clone(plan)))
+                    (format!("fitted@{}", plan.shards()), plan.shards(), Some(Arc::clone(plan)))
                 }
             };
             let plan = ExecPlan::new(&oracle, &q, left, right_of, layout).expect("routes");

@@ -1,5 +1,5 @@
 //! The planner contract gate, the third named CI tier after the pruning
-//! and shard gates. Five properties, each load-bearing:
+//! and shard gates. Four properties, each load-bearing:
 //!
 //! 1. **Correctness** — a planner-chosen run is bit-identical to the
 //!    baseline for **all seven** [`DbQuery`] variants across the
@@ -7,40 +7,37 @@
 //!    ({uniform, zipf(1.0), zipf(1.5), single-hot-key}), on every path and
 //!    backend — the fitted × compiled and fitted × direct points warm
 //!    traffic runs included: the planner may change *where* rows go, never
-//!    *what* the query answers. Both properties are a walk of the shared
-//!    execution grid (`for_each_exec_case`), whose fitted layout is fitted
-//!    by the planner under test; here over random tables and sample sizes
-//!    (the default planner on the fixed adversarial tables is the compiled
+//!    *what* the query answers. This is a walk of the shared execution
+//!    grid (`for_each_exec_case`), whose fitted layout is fitted by the
+//!    planner under test; here over random tables and sample sizes (the
+//!    default planner on the fixed adversarial tables is the compiled
 //!    gate's walk of the same grid).
-//! 2. **Balance bound** — whenever the planner keeps the fitted range
-//!    partitioner, its max shard load on the sample stays within the
-//!    planner's factor (2×) of hash on the same sample;
-//!    otherwise it must have fallen back to hash.
-//! 3. **Determinism** — same seed + same tables ⇒ the identical
+//! 2. **Determinism** — same seed + same tables ⇒ the identical
 //!    [`ShardPlan`] (reservoir sampling must not smuggle in
 //!    nondeterminism), including the degenerate edges: empty table,
-//!    table smaller than the sample, all-equal keys ⇒ 1 shard.
-//! 4. **Routing keys** — the keys every layout is sampled and split by
+//!    table smaller than the sample, all-equal keys ⇒ 1 shard, which is
+//!    the table itself.
+//! 3. **Routing keys** — the keys every layout is sampled and split by
 //!    are a golden: the switch encoding of the query's key column, or a
 //!    row-id hash. A key that moves re-routes rows; that is a finding,
 //!    not a golden to refresh.
-//! 5. **Chosen plans** — the default planner's `(shards, partitioner)`
-//!    over the Big Data tables, the adversarial family and one tenant-sized
-//!    table is a golden too, the one-versus-two-shard tie on the tenant
-//!    table included (it goes to one shard, which the serving plane runs
-//!    on the calling thread).
+//! 4. **Chosen plans** — the default planner's shard count over the Big
+//!    Data tables, the adversarial family and one tenant-sized table is a
+//!    golden too, the one-versus-two-shard tie on the tenant table
+//!    included (it goes to one shard, which the serving plane runs on the
+//!    calling thread). Every fitted plan is cut at the sampled quantiles,
+//!    so the count is the whole plan.
 
 mod common;
 
 use common::{fitted, for_each_exec_case, run_barrier};
 
-use cheetah_db::planner::RANGE_LOAD_FACTOR;
 use cheetah_db::value::encode_ordered_i64;
 use cheetah_db::{
-    routing_keys, Cluster, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPartitioner,
+    routing_keys, Cluster, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPlan,
     ShardPlanner, Table, TableBuilder, Value,
 };
-use cheetah_runtime::ExecRun;
+use cheetah_runtime::{ExecPlan, ExecRun};
 use cheetah_switch::{hash::mix64, HashFn};
 use cheetah_workloads::{BigDataConfig, PlannerAdversary, SkewedTableConfig};
 use proptest::prelude::*;
@@ -60,10 +57,10 @@ fn planned(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
-    /// Properties 1 and 2: a walk of the execution grid under a planner of
-    /// random sample size, whose fitted layout of every variant is run on
-    /// every path and backend and held to the planner's facts (plan
-    /// recorded, its shard count, a kept range within the load factor).
+    /// Property 1: a walk of the execution grid under a planner of random
+    /// sample size, whose fitted layout of every variant is run on every
+    /// path and backend and held to the planner's facts (plan recorded,
+    /// its shard count).
     #[test]
     fn planned_runs_match_baseline_on_random_workloads(
         seed in any::<u64>(),
@@ -140,6 +137,7 @@ fn empty_table_plans_one_shard_and_runs() {
     let plan = planner.plan(&q, &t, None, 1);
     assert_eq!(plan.shards(), 1);
     assert_eq!(plan.report.rows, 0);
+    assert_routes_nothing(&cluster, &q, &t, plan);
     let run = planned(&cluster, &q, &t, None, &planner);
     assert_eq!(run.output, cheetah_db::QueryOutput::Values(vec![]));
     assert_eq!(run.breakdown.shards, 1);
@@ -181,60 +179,40 @@ fn all_equal_keys_collapse_to_one_shard() {
     ] {
         let plan = planner.plan(&q, &t, None, cluster.tuning.seed);
         assert_eq!(plan.shards(), 1, "{}: single key must not fan out", q.kind());
-        assert!(plan.report.reason.contains("equal"), "{}", plan.report.reason);
+        assert_routes_nothing(&cluster, &q, &t, plan);
         let run = planned(&cluster, &q, &t, None, &planner);
         assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
-    // The single-hot-key adversary hits the same rule through the
+    // The single-hot-key adversary reaches the same count through the
     // workload family.
-    let adv = PlannerAdversary::SingleHotKey.table(300, 2, 11);
-    let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &adv, None, 1);
+    let adv = Arc::new(PlannerAdversary::SingleHotKey.table(300, 2, 11));
+    let q = DbQuery::Distinct { col: 0 };
+    let plan = planner.plan(&q, &adv, None, 1);
     assert_eq!(plan.shards(), 1);
+    assert_routes_nothing(&cluster, &q, &adv, plan);
 }
 
-#[test]
-fn skew_flips_the_partitioner_choice() {
-    // Uniform keys: fitted range is balanced on the sample, so it is
-    // kept. A hard-skewed column can push range past the load bound,
-    // where hash must win — either way, the decision rule is the bound.
-    let planner = ShardPlanner::default();
-    let uniform = PlannerAdversary::Uniform.table(8_000, 4, 21);
-    let plan = planner.plan(&DbQuery::TopN { order_col: 1, n: 16 }, &uniform, None, 21);
-    assert_eq!(
-        plan.report.partitioner,
-        ShardPartitioner::Range,
-        "spread order values should keep the fitted range: {}",
-        plan.report.reason
-    );
-    for adv in PlannerAdversary::all() {
-        let t = adv.table(6_000, 4, 33);
-        let p = planner.plan(&DbQuery::GroupByMax { key_col: 0, val_col: 1 }, &t, None, 33);
-        let r = &p.report;
-        assert!(
-            r.range_sample_load <= RANGE_LOAD_FACTOR * r.hash_sample_load
-                || r.partitioner == ShardPartitioner::Hash,
-            "{}: unbalanced range kept ({:.3} vs hash {:.3})",
-            adv.name(),
-            r.range_sample_load,
-            r.hash_sample_load
-        );
-    }
+/// A one-shard plan lays out the table whole: one unit holding every row
+/// (the runtime's one-shard test asserts that unit is the caller's
+/// `Arc<Table>` itself).
+fn assert_routes_nothing(cluster: &Cluster, q: &DbQuery, t: &Arc<Table>, plan: ShardPlan) {
+    let layout = ExecPlan::new(cluster, q, t, None, Arc::new(plan)).expect("routes");
+    assert_eq!(layout.dispatched(), [t.rows() as u64], "{}", q.kind());
 }
 
 // ---------------------------------------------------------------------
 // Chosen plans
 // ---------------------------------------------------------------------
 
-/// `(shards, partitioner)` of every query the default planner plans at
-/// seed `0xC43E7A`, as `(label, shards, family)`.
-fn chosen_plans() -> Vec<(String, usize, &'static str)> {
+/// The shard count of every query the default planner plans at seed
+/// `0xC43E7A`, as `(label, shards)`.
+fn chosen_plans() -> Vec<(String, usize)> {
     type B = BigDataConfig;
     let planner = ShardPlanner::default();
     let seed = 0xC43E7A;
     let mut plans = Vec::new();
     let mut pin = |label: String, q: &DbQuery, left: &Table, right: Option<&Table>| {
-        let plan = planner.plan(q, left, right, seed);
-        plans.push((label, plan.shards(), plan.partitioner().name()));
+        plans.push((label, planner.plan(q, left, right, seed).shards()));
     };
 
     // The seven Big Data queries, at a tenth of the ledger's tables.
@@ -297,31 +275,31 @@ fn chosen_plans() -> Vec<(String, usize, &'static str)> {
 /// a finding, not a golden to refresh.
 #[test]
 fn the_default_planner_chooses_the_pinned_plans() {
-    let want: &[(&str, usize, &str)] = &[
-        ("bigdata filter-count", 3, "range"),
-        ("bigdata skyline", 3, "range"),
-        ("bigdata distinct", 3, "range"),
-        ("bigdata topn", 4, "range"),
-        ("bigdata groupby-max", 3, "range"),
-        ("bigdata having-sum", 4, "range"),
-        ("bigdata join", 5, "range"),
-        ("uniform distinct", 3, "range"),
-        ("uniform topn", 3, "range"),
-        ("uniform groupby-max", 3, "range"),
-        ("zipf(1) distinct", 3, "range"),
-        ("zipf(1) topn", 3, "range"),
-        ("zipf(1) groupby-max", 3, "range"),
-        ("zipf(1.5) distinct", 2, "range"),
-        ("zipf(1.5) topn", 3, "range"),
-        ("zipf(1.5) groupby-max", 2, "range"),
-        ("single-hot-key distinct", 1, "hash"),
-        ("single-hot-key topn", 3, "range"),
-        ("single-hot-key groupby-max", 1, "hash"),
-        ("tenant filter-count", 1, "range"),
-        ("tenant topn", 1, "range"),
+    let want: &[(&str, usize)] = &[
+        ("bigdata filter-count", 3),
+        ("bigdata skyline", 3),
+        ("bigdata distinct", 3),
+        ("bigdata topn", 4),
+        ("bigdata groupby-max", 3),
+        ("bigdata having-sum", 4),
+        ("bigdata join", 5),
+        ("uniform distinct", 3),
+        ("uniform topn", 3),
+        ("uniform groupby-max", 3),
+        ("zipf(1) distinct", 3),
+        ("zipf(1) topn", 3),
+        ("zipf(1) groupby-max", 3),
+        ("zipf(1.5) distinct", 2),
+        ("zipf(1.5) topn", 3),
+        ("zipf(1.5) groupby-max", 2),
+        ("single-hot-key distinct", 1),
+        ("single-hot-key topn", 3),
+        ("single-hot-key groupby-max", 1),
+        ("tenant filter-count", 1),
+        ("tenant topn", 1),
     ];
     let got = chosen_plans();
-    let got: Vec<(&str, usize, &str)> = got.iter().map(|(l, n, p)| (l.as_str(), *n, *p)).collect();
+    let got: Vec<(&str, usize)> = got.iter().map(|(l, n)| (l.as_str(), *n)).collect();
     assert_eq!(got, want);
 }
 

@@ -491,16 +491,28 @@ mod tests {
             DbQuery::Join { left_key: 0, right_key: 0 },
             DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 },
         ];
-        // A fitted plan that chose one shard (three rows are not worth a
-        // second), handed back over the full tables as the serving plane would.
-        let tiny = table(3, 1);
-        let fitted = Arc::new(ShardPlanner::default().plan(&queries[1], &tiny, None, 7));
-        assert_eq!(fitted.shards(), 1);
-        let one_shard: [ShardLayout; 3] = [
+        // Fitted plans that chose one shard — three rows are not worth a
+        // second, no rows or one key gain nothing from one — handed back
+        // over the full tables as the serving plane would.
+        let mut one_key = TableBuilder::new("one-key", vec![("key".into(), DataType::Str)], 64);
+        for _ in 0..500 {
+            one_key.push_row(vec![Value::Str("same".into())]);
+        }
+        let fitted: Vec<ShardLayout> = [table(3, 1), table(0, 1), Arc::new(one_key.build())]
+            .iter()
+            .map(|t| {
+                let plan = ShardPlanner::default().plan(&queries[1], t, None, 7);
+                assert_eq!(plan.shards(), 1, "{} rows", t.rows());
+                Arc::new(plan).into()
+            })
+            .collect();
+        let one_shard: Vec<ShardLayout> = [
             ShardSpec::new(1, ShardPartitioner::Hash).into(),
             ShardSpec::new(0, ShardPartitioner::Range).into(),
-            fitted.into(),
-        ];
+        ]
+        .into_iter()
+        .chain(fitted)
+        .collect();
         for q in &queries {
             let right = q.is_binary().then_some(&r);
             let base = cluster.run_baseline(q, &l, right.map(|r| &**r)).output;
