@@ -62,6 +62,6 @@ pub use planner::{
     ShardPlanner,
 };
 pub use query::{DbQuery, QueryOutput};
-pub use sharded::{route_columns, route_range, ShardSpec, ShardStats};
+pub use sharded::{route_columns, route_range, RouteStream, ShardSpec, ShardStats};
 pub use table::{Column, Partition, Table, TableBuilder};
 pub use value::{DataType, Value};

@@ -4,7 +4,7 @@
 //! the master re-fetches the true column values of the survivors and
 //! normalizes (duplicates from matrix evictions collapse there).
 
-use super::{for_each_key, for_each_selected_key, KeyRef, PruningOperator, Survivors};
+use super::{for_each_key, for_each_selected_group, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -41,12 +41,19 @@ impl PruningOperator for DistinctOp {
 
     fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
         // Matrix evictions let a key through more than once: dedup on the
-        // borrowed cells, own one `Value` per distinct key.
+        // borrowed cells (a coded key by a hit flag per code first), own
+        // one `Value` per distinct key.
         let mut seen: HashSet<KeyRef<'_>> = HashSet::new();
         for (part, sel) in survivors.parts(src, 0) {
-            for_each_selected_key(part.column(self.col), sel, |_, k| {
-                seen.insert(k);
-            });
+            for_each_selected_group(
+                part.column(self.col),
+                sel,
+                |_| (),
+                |(), ()| (),
+                |k, ()| {
+                    seen.insert(k);
+                },
+            );
         }
         QueryOutput::values(seen.into_iter().map(KeyRef::to_value).collect())
     }

@@ -5,7 +5,7 @@
 //! by true key value (fingerprint collisions only reduce pruning).
 
 use super::{
-    encode_i64_32, for_each_key, for_each_selected_key, KeyRef, PruningOperator, Survivors,
+    encode_i64_32, for_each_key, for_each_selected_group, KeyRef, PruningOperator, Survivors,
 };
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
@@ -60,14 +60,21 @@ impl PruningOperator for GroupByMaxOp {
     }
 
     fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
-        // Aggregate by *borrowed* key: the owned `Value` keys — one per
-        // group, not per survivor — only materialize in the final map.
+        // Aggregate by *borrowed* key (a coded key by code first): the
+        // owned `Value` keys — one per group, not per survivor — only
+        // materialize in the final map.
         let mut best: HashMap<KeyRef<'_>, i64> = HashMap::new();
         for (part, sel) in survivors.parts(src, 0) {
             let vals = part.column(self.val_col).as_int().expect("int agg col");
-            for_each_selected_key(part.column(self.key_col), sel, |r, k| {
-                best.entry(k).and_modify(|m| *m = (*m).max(vals[r])).or_insert(vals[r]);
-            });
+            for_each_selected_group(
+                part.column(self.key_col),
+                sel,
+                |r| vals[r],
+                i64::max,
+                |k, v| {
+                    best.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
+                },
+            );
         }
         QueryOutput::KeyedInts(best.into_iter().map(|(k, v)| (k.to_value(), v)).collect())
     }

@@ -18,9 +18,10 @@ use super::{for_each_key, for_each_selected_key, KeyRef, PruningOperator, Surviv
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
-use crate::table::Partition;
+use crate::table::{Column, Partition};
 use cheetah_core::{BloomKind, JoinConfig, JoinMode, PassPlan, QuerySpec};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The JOIN operator.
 pub struct JoinOp {
@@ -88,6 +89,22 @@ impl PruningOperator for JoinOp {
         let key_cols = [self.left_key, self.right_key];
         let held = |stream| survivors.parts(src, stream).map(|(_, sel)| sel.count()).sum::<usize>();
         let (small, large) = if held(0) <= held(1) { (0, 1) } else { (1, 0) };
+        if let Some(dict) = shared_dict(src, survivors, key_cols) {
+            // Both streams code their key against one dictionary, which
+            // holds each string once: the build is a count per code, the
+            // probe an index, and no string is read.
+            let mut counts = vec![0u64; dict.len()];
+            for (part, sel) in survivors.parts(src, small) {
+                let codes = codes(part.column(key_cols[small]));
+                sel.rows().for_each(|r| counts[codes[r] as usize] += 1);
+            }
+            let mut pairs = 0u64;
+            for (part, sel) in survivors.parts(src, large) {
+                let codes = codes(part.column(key_cols[large]));
+                sel.rows().for_each(|r| pairs += counts[codes[r] as usize]);
+            }
+            return QueryOutput::JoinPairs(pairs);
+        }
         let mut build: HashMap<KeyRef<'_>, u64> = HashMap::new();
         for (part, sel) in survivors.parts(src, small) {
             for_each_selected_key(part.column(key_cols[small]), sel, |_, k| {
@@ -102,6 +119,32 @@ impl PruningOperator for JoinOp {
         }
         QueryOutput::JoinPairs(pairs)
     }
+}
+
+/// A coded key column's codes.
+fn codes(col: &Column) -> &[u32] {
+    match col {
+        Column::Dict { codes, .. } => codes,
+        _ => unreachable!("shared_dict found every key column coded"),
+    }
+}
+
+/// The one dictionary every partition of both streams holds its key
+/// column against, if there is one: what routing both streams together
+/// leaves in a shard ([`route_columns`](crate::sharded::route_columns)).
+/// Plain keys, or dictionaries coded apart, give `None`.
+fn shared_dict<'t>(
+    src: &Tables<'t>,
+    survivors: &Survivors,
+    key_cols: [usize; 2],
+) -> Option<&'t Arc<[String]>> {
+    let mut cols =
+        (0..2).flat_map(|s| survivors.parts(src, s).map(move |(part, _)| part.column(key_cols[s])));
+    let Some(Column::Dict { dict: first, .. }) = cols.next() else {
+        return None;
+    };
+    cols.all(|col| matches!(col, Column::Dict { dict, .. } if Arc::ptr_eq(dict, first)))
+        .then_some(first)
 }
 
 #[cfg(test)]

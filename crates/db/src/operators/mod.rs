@@ -34,6 +34,17 @@
 //! [`Selected::All`]: every row of the partition, held as its row count
 //! and no row ids, so a completion over it scans the raw columns.
 //!
+//! The keyed completions (DISTINCT, GROUP BY, HAVING, JOIN) read their
+//! key column by its form. A plain column's selected cells are hashed and
+//! compared as borrowed keys (`for_each_selected_key`). A
+//! dictionary-coded key — what routing leaves in a multi-shard unit — is
+//! read by code: DISTINCT, GROUP BY and HAVING fold the selected rows into
+//! a dense per-code array (a hit flag, the max, the sum, each beside
+//! presence) and touch one string per code the selection holds
+//! (`for_each_selected_group`); a JOIN whose two streams code their keys
+//! against one shared dictionary counts one side's codes and probes them
+//! with the other's, and reads no string at all.
+//!
 //! Completion is a function of a row selection and nothing else, so
 //! `complete` over the identity is the unaccelerated plan: it answers the
 //! query with no `spec()`, no encode and no switch. That is the whole of
@@ -286,6 +297,41 @@ pub(crate) fn for_each_selected_key<'t>(
     }
 }
 
+/// The selected rows of key column `col` folded per key: a row
+/// contributes `value(row)`, `combine` folds two contributions to one key,
+/// and `f` receives `(key, contribution)` to fold into the completion's
+/// map — possibly several times for one key, so it folds, never
+/// overwrites.
+///
+/// A dictionary-coded column is folded by code before any string is read:
+/// the selected rows accumulate into a dense per-code array holding
+/// presence and the aggregate, then each code the selection touched
+/// reaches `f` once, as its dictionary string. A code no selected row
+/// holds reaches `f` not at all, so a key is never reported with an
+/// aggregate no row gave it. A plain column hands `f` every selected row,
+/// through [`for_each_selected_key`]'s loop.
+pub(crate) fn for_each_selected_group<'t, A: Copy>(
+    col: &'t Column,
+    selection: Selected<'_>,
+    value: impl Fn(usize) -> A,
+    combine: impl Fn(A, A) -> A,
+    mut f: impl FnMut(KeyRef<'t>, A),
+) {
+    let Column::Dict { codes, dict } = col else {
+        return for_each_selected_key(col, selection, |r, k| f(k, value(r)));
+    };
+    let mut dense: Vec<Option<A>> = vec![None; dict.len()];
+    selection.rows().for_each(|r| {
+        let (slot, v) = (&mut dense[codes[r] as usize], value(r));
+        *slot = Some(slot.map_or(v, |acc| combine(acc, v)));
+    });
+    for (s, acc) in dict.iter().zip(dense) {
+        if let Some(acc) = acc {
+            f(KeyRef::Str(s), acc);
+        }
+    }
+}
+
 /// Row ids the identity lends [`for_each_selected_key`] at a time.
 const ID_CHUNK: usize = 1024;
 
@@ -372,7 +418,7 @@ mod tests {
     use crate::expr::{DbPredicate, IntCmp, LikePattern};
     use crate::planner::routing_keys;
     use crate::query::DbQuery;
-    use crate::sharded::route_columns;
+    use crate::sharded::{route_columns, RouteStream};
     use crate::testutil::{every_row, test_table};
     use cheetah_core::Sharder;
 
@@ -387,7 +433,7 @@ mod tests {
             ]),
         ]);
         let dims = [1, 2];
-        let ops: [Box<dyn PruningOperator>; 7] = [
+        let ops: [Box<dyn PruningOperator>; 8] = [
             Box::new(FilterOp::new(&pred)),
             Box::new(DistinctOp::new(0, &tuning)),
             Box::new(TopNOp::new(1, 25, &tuning)),
@@ -395,19 +441,32 @@ mod tests {
             Box::new(SkylineOp::new(&dims, &tuning)),
             // Near the mean per-key sum, so some keys pass and some do not.
             Box::new(HavingSumOp::new(0, 1, 300_000, &tuning)),
+            // Below every sum, so every key a selected row holds passes —
+            // and a key no selected row holds must not pass with a sum of 0.
+            // (Only the switch refuses a negative threshold; completion
+            // over a selection is signed.)
+            Box::new(HavingSumOp::new(0, 1, -1, &tuning)),
             Box::new(JoinOp::new(0, 0, &tuning)),
         ];
         let right = test_table(700, 2);
-        // Routed units, each in both string forms: the key column coded,
-        // as the plan constructor routes it, and plain.
         let sharder = Sharder::hash(3, 5);
-        let units = |t: &Table, keyed| {
-            let keys = routing_keys(&DbQuery::Distinct { col: 0 }, 0, t, tuning.seed);
-            route_columns(t, &[0, 1, 2], keyed, &keys, &sharder, 0, t.rows())
+        // Routed units in both string forms: plain, and coded as the plan
+        // constructor routes them — the key column of both streams coded
+        // against one dictionary per shard.
+        let route = |left: &Table, keyed| {
+            let keys = |t| routing_keys(&DbQuery::Distinct { col: 0 }, 0, t, tuning.seed);
+            let (lk, rk, cols) = (keys(left), keys(&right), [0, 1, 2]);
+            let streams = [
+                RouteStream { table: left, cols: &cols, keyed, keys: &lk, rows: 0..left.rows() },
+                RouteStream { table: &right, cols: &cols, keyed, keys: &rk, rows: 0..right.rows() },
+            ];
+            route_columns(&streams, &sharder)
         };
-        let (plain_right, coded_right) = (units(&right, None), units(&right, Some(0)));
-        // Four large partitions; three one-row partitions and an empty one.
-        for left in [test_table(3_000, 4), test_table(3, 1).repartition(4)] {
+        let mut skipped = 0;
+        // Four large partitions; a few rows per shard, so a sparse
+        // selection skips strings its shard's dictionary holds; three
+        // one-row partitions and an empty one.
+        for left in [test_table(3_000, 4), test_table(60, 2), test_table(3, 1).repartition(4)] {
             let src = Tables::binary(&left, &right);
             for op in &ops {
                 let streams = op.streams();
@@ -415,11 +474,18 @@ mod tests {
                 let gathered = op.complete(&src, &every_row(&src, streams));
                 assert_eq!(scanned, gathered, "{} over {} rows", op.kind(), left.rows());
             }
-            let (plain, coded) = (units(&left, None), units(&left, Some(0)));
+            let (plain, coded) = (route(&left, None), route(&left, Some(0)));
             for s in 0..sharder.shards() {
-                assert!(matches!(coded[s].partitions()[0].column(0), Column::Dict { .. }));
-                let plain = Tables::binary(&plain[s], &plain_right[s]);
-                let coded = Tables::binary(&coded[s], &coded_right[s]);
+                let (Column::Dict { dict, .. }, Column::Dict { dict: right_dict, .. }) =
+                    (coded[0][s].partitions()[0].column(0), coded[1][s].partitions()[0].column(0))
+                else {
+                    panic!("the key column of both streams is coded");
+                };
+                assert!(std::sync::Arc::ptr_eq(dict, right_dict), "one dictionary per shard");
+                let plain = Tables::binary(&plain[0][s], &plain[1][s]);
+                let coded = Tables::binary(&coded[0][s], &coded[1][s]);
+                let sparse = every_third_row(&coded, 2);
+                skipped += dict.len() - selected_keys(&coded, &sparse).len();
                 for op in &ops {
                     let streams = op.streams();
                     let at = format!("{} shard {s} of {} rows", op.kind(), left.rows());
@@ -429,9 +495,36 @@ mod tests {
                     let scanned = op.complete(&coded, &Survivors::all(&coded, streams).unwrap());
                     let gathered = op.complete(&coded, &every_row(&coded, streams));
                     assert_eq!((&scanned, &gathered), (&want, &want), "{at}");
+                    let want = op.complete(&plain, &every_third_row(&plain, streams));
+                    let sparse = op.complete(&coded, &every_third_row(&coded, streams));
+                    assert_eq!(sparse, want, "{at}, every third row");
                 }
             }
         }
+        assert!(skipped > 0, "the sparse selection skips some dictionary strings");
+    }
+
+    /// Rows `0, 3, 6, …` of every partition of the first `streams` streams
+    /// of `src`, kept the way a pruning pass keeps what the switch forwards.
+    fn every_third_row(src: &Tables<'_>, streams: usize) -> Survivors {
+        let mut kept = Survivors::none(src, streams).unwrap();
+        for s in 0..streams {
+            for (p, part) in src.stream(s).unwrap().partitions().iter().enumerate() {
+                kept.keep(s, p, &(0..part.rows() as u32).step_by(3).collect::<Vec<_>>());
+            }
+        }
+        kept
+    }
+
+    /// The distinct left-stream keys (column 0) `survivors` selects.
+    fn selected_keys(src: &Tables<'_>, survivors: &Survivors) -> std::collections::HashSet<Value> {
+        let mut keys = std::collections::HashSet::new();
+        for (part, sel) in survivors.parts(src, 0) {
+            for_each_selected_key(part.column(0), sel, |_, k| {
+                keys.insert(k.to_value());
+            });
+        }
+        keys
     }
 
     /// Every row's slots, as `op` encodes the streams of `src` it reads.

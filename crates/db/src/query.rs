@@ -305,7 +305,7 @@ impl QueryOutput {
 mod tests {
     use super::*;
     use crate::expr::{IntCmp, LikePattern};
-    use crate::sharded::route_columns;
+    use crate::sharded::{route_columns, RouteStream};
     use crate::table::TableBuilder;
     use crate::{Cluster, Sharder};
     use cheetah_switch::hash::mix64;
@@ -341,8 +341,9 @@ mod tests {
 
     /// Columns `cols` of `t`, as one partition — what a routed unit holds.
     fn project(t: &Table, cols: &[usize]) -> Table {
-        let one = Sharder::hash(1, 0);
-        route_columns(t, cols, None, &vec![0; t.rows()], &one, 0, t.rows()).remove(0)
+        let (one, keys) = (Sharder::hash(1, 0), vec![0; t.rows()]);
+        let stream = RouteStream { table: t, cols, keyed: None, keys: &keys, rows: 0..t.rows() };
+        route_columns(&[stream], &one).remove(0).remove(0)
     }
 
     proptest! {

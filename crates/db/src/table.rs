@@ -5,6 +5,7 @@
 //! mirroring Spark's task-per-partition execution.
 
 use crate::value::{DataType, Value};
+use std::sync::Arc;
 
 /// One column of a partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,13 +16,17 @@ pub enum Column {
     Str(Vec<String>),
     /// Dictionary-coded string column: row `r` holds `dict[codes[r]]`.
     /// What a routed unit's key column becomes when its routing keys
-    /// fingerprint it ([`route_columns`](crate::sharded::route_columns)):
-    /// each distinct string is held, and hashed, once per unit.
+    /// fingerprint it ([`route_columns`](crate::sharded::route_columns)).
+    /// The dictionary is one per shard, holds each distinct string once,
+    /// and is shared by `Arc` between the units of every stream routed
+    /// together — both sides of a JOIN — so an equal string has one code
+    /// on both, and a completion can fold, count and probe by code
+    /// without reading a string.
     Dict {
         /// One code per row, indexing `dict`.
         codes: Vec<u32>,
-        /// The distinct strings, in first-seen order.
-        dict: Vec<String>,
+        /// The shard's distinct strings, each once, in first-seen order.
+        dict: Arc<[String]>,
     },
 }
 
@@ -377,7 +382,8 @@ mod tests {
     #[test]
     fn a_dictionary_column_reads_like_its_strings() {
         let plain = Column::Str(vec!["ab".into(), "c".into(), "ab".into()]);
-        let coded = Column::Dict { codes: vec![0, 1, 0], dict: vec!["ab".into(), "c".into()] };
+        let dict: Arc<[String]> = Arc::from(["ab".to_string(), "c".to_string()]);
+        let coded = Column::Dict { codes: vec![0, 1, 0], dict };
         assert_eq!((coded.len(), coded.data_type()), (3, DataType::Str));
         for r in 0..3 {
             assert_eq!((coded.get(r), coded.str_at(r)), (plain.get(r), plain.str_at(r)));

@@ -4,8 +4,8 @@
 //! Everything layout-shaped about a multi-shard run is decided here, once,
 //! by [`ExecPlan::new`]: the request is checked against its tables'
 //! schemas ([`DbQuery::check`]), then sharder (hand-picked or fitted) →
-//! routing keys → one [`route_columns`] pass per stream, which leaves one
-//! unit per shard. [`execute`](crate::execute) never routes a row.
+//! routing keys → one [`route_columns`] pass over the query's streams,
+//! which leaves one unit per shard and stream. [`execute`](crate::execute) never routes a row.
 //!
 //! Three facts about what a layout holds:
 //!
@@ -23,11 +23,17 @@
 //! * **A routed string key is codes.** The column a unit's routing keys
 //!   fingerprint, when it holds strings, is routed as a
 //!   [`Column::Dict`](cheetah_db::Column::Dict): one `u32` code per row
-//!   and each distinct string once per unit, found by the fingerprint
-//!   routing already computed ([`unit_columns`] names the column). So a
-//!   warm DISTINCT, GROUP BY, JOIN or HAVING encodes its unit by hashing
-//!   each distinct key once, not every row's string. Every other column,
-//!   and a one-shard layout, holds plain cells.
+//!   into one dictionary per shard, each distinct string once, found by
+//!   the fingerprint routing already computed ([`unit_columns`] names the
+//!   column). Both streams of a binary query are routed in one pass, so a
+//!   shard's two units share that dictionary by `Arc` and an equal string
+//!   has one code on both sides. A warm DISTINCT, GROUP BY, JOIN or HAVING
+//!   then encodes its unit by hashing each distinct key once, not every
+//!   row's string, and completes by code: the unary shapes fold their
+//!   selected rows into a dense per-code array and read one string per
+//!   touched code; a JOIN counts one side's codes and probes them with the
+//!   other's, and reads no string. Every other column, and a one-shard
+//!   layout, holds plain cells.
 //!
 //! A plan is resident data: its units are `Arc` handles, so the same plan
 //! runs query after query (the serving plane holds one per query, tables
@@ -37,7 +43,8 @@
 use crate::config::{FaultSpec, ShardLayout};
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
-    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, ExecPath, Table,
+    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, ExecPath,
+    RouteStream, Table,
 };
 use std::sync::Arc;
 
@@ -118,14 +125,27 @@ impl ExecPlan {
             // Every unit is a fresh copy of its rows, so it carries only
             // the columns `q` reads, its string key coded by the routing
             // keys, and the workers run `q` remapped onto them. Both
-            // streams of a binary query are co-partitioned by the one
-            // sharder.
-            let route = |stream: usize, t: &Table| {
-                let (cols, keyed) = unit_columns(q, stream);
-                let slices = route_columns(t, &cols, keyed, &keys[stream], &sharder, 0, t.rows());
-                slices.into_iter().map(Arc::new).collect::<Vec<_>>()
-            };
-            (q.remapped(), route(0, left), right.map(|r| route(1, r)))
+            // streams of a binary query go through one routing pass:
+            // co-partitioned by the one sharder, their keys coded against
+            // one dictionary per shard.
+            let cols: Vec<_> = (0..keys.len()).map(|stream| unit_columns(q, stream)).collect();
+            let streams: Vec<RouteStream<'_>> = std::iter::once(left)
+                .chain(right)
+                .zip(&cols)
+                .zip(&keys)
+                .map(|((t, (cols, keyed)), keys)| RouteStream {
+                    table: t,
+                    cols,
+                    keyed: *keyed,
+                    keys,
+                    rows: 0..t.rows(),
+                })
+                .collect();
+            let mut routed = route_columns(&streams, &sharder)
+                .into_iter()
+                .map(|slices| slices.into_iter().map(Arc::new).collect::<Vec<_>>());
+            let units = routed.next().expect("the left stream is routed");
+            (q.remapped(), units, routed.next())
         };
         let dispatched = (0..shards)
             .map(|s| {

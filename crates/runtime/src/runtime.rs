@@ -551,18 +551,29 @@ mod tests {
                     assert_eq!(widths(units), vec![q.columns(1).len(); shards], "{kind}");
                 }
                 // The string key a stream routes by is codes; every other
-                // column holds plain cells.
+                // column holds plain cells. The two streams of a binary plan
+                // code their keys against one dictionary per shard.
+                let mut dicts: Vec<Vec<Arc<[String]>>> = vec![Vec::new(); shards];
                 let streams = std::iter::once(&plan.units).chain(plan.right_units.as_ref());
                 for (stream, units) in streams.enumerate() {
                     let (_, keyed) = unit_columns(q, stream);
-                    for part in units.iter().map(|u| &u.partitions()[0]) {
+                    for (s, part) in units.iter().map(|u| &u.partitions()[0]).enumerate() {
                         for c in 0..part.width() {
                             let coded = matches!(part.column(c), Column::Dict { .. });
                             let key =
                                 keyed == Some(c) && part.column(c).data_type() == DataType::Str;
                             assert_eq!(coded, key, "{kind}: stream {stream} column {c}");
+                            if let Column::Dict { dict, .. } = part.column(c) {
+                                dicts[s].push(Arc::clone(dict));
+                            }
                         }
                     }
+                }
+                for (s, dicts) in dicts.iter().enumerate().filter(|_| q.is_binary()) {
+                    let [left, right] = &dicts[..] else {
+                        panic!("{kind} shard {s}: both streams' string keys are coded");
+                    };
+                    assert!(Arc::ptr_eq(left, right), "{kind} shard {s}: one dictionary");
                 }
                 for path in PATHS {
                     let label = format!("{kind} {}", path.label());

@@ -3,17 +3,22 @@
 //!
 //! `ExecPlan::new` routes only the columns a query reads, and the column
 //! its routing keys fingerprint, when that holds strings, as dictionary
-//! codes (`Column::Dict`) — both named by `unit_columns`. For each Big
+//! codes (`Column::Dict`) — both named by `unit_columns`. A query's streams
+//! go through one `route_columns` pass, so a JOIN's two key columns are
+//! coded against one dictionary per shard, shared by `Arc`. For each Big
 //! Data query that routes by a string key — DISTINCT and GROUP BY over
 //! `userAgent`, HAVING over `languageCode`, JOIN over `destURL` and
 //! `pageURL` — this example routes exactly those columns at the default
 //! planner's shard count in two forms: every cell cloned (no keyed
-//! column), and coded, as the plan constructor routes them. It prints,
-//! per stream, each form's median ns per row (the two alternate, over
-//! several repeats) and the bytes the units' cells hold. Every coded
-//! unit's cells are checked equal to the cloned unit's, shard by shard
-//! and in row order; that check is the pass signal, and the timings
-//! depend on the machine.
+//! column), and coded, as the plan constructor routes them. For the JOIN
+//! it adds a third: each stream coded apart, a dictionary per stream and
+//! shard. It prints each form's median ns per row over every stream's rows
+//! (the forms alternate, over several repeats) and the bytes the units'
+//! cells hold, a shared dictionary counted once. Every coded unit's cells
+//! are checked equal to the cloned unit's, shard by shard and in row
+//! order, and every shared dictionary is checked to hold each string
+//! once; those checks are the pass signal, and the timings depend on the
+//! machine.
 //!
 //! The tables are shaped like the `prune_heavy` and `survivor_heavy`
 //! benchmark workloads': 600 000 visits and 300 000 ranked pages.
@@ -23,9 +28,11 @@
 //! ```
 
 use cheetah::db::{
-    route_columns, routing_keys, unit_columns, Cluster, Column, DbQuery, ShardPlanner, Table,
+    route_columns, routing_keys, unit_columns, Cluster, Column, DbQuery, RouteStream, ShardPlanner,
+    Table,
 };
 use cheetah::workloads::BigDataConfig;
+use std::collections::HashSet;
 use std::time::Instant;
 
 const VISITS: usize = 600_000;
@@ -37,25 +44,29 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Bytes a column's cells hold: eight per int, a `String` header plus its
-/// buffer per string, four per code. Allocator overhead is not counted.
-fn cell_bytes(col: &Column) -> usize {
+/// Bytes the cells of `units` hold: eight per int, a `String` header plus
+/// its buffer per string, four per code, and each dictionary once however
+/// many units share it. Allocator overhead is not counted.
+fn megabytes<'a>(units: impl IntoIterator<Item = &'a Table>) -> f64 {
     let strings = |v: &[String]| -> usize {
         v.iter().map(|s| std::mem::size_of::<String>() + s.capacity()).sum()
     };
-    match col {
-        Column::Int(v) => v.len() * 8,
-        Column::Str(v) => strings(v),
-        Column::Dict { codes, dict } => codes.len() * 4 + strings(dict),
+    let mut dicts = HashSet::new();
+    let mut bytes = 0;
+    for unit in units {
+        let p = &unit.partitions()[0];
+        for col in (0..p.width()).map(|c| p.column(c)) {
+            bytes += match col {
+                Column::Int(v) => v.len() * 8,
+                Column::Str(v) => strings(v),
+                Column::Dict { codes, dict } => {
+                    let fresh = dicts.insert(dict.as_ptr());
+                    codes.len() * 4 + if fresh { strings(dict) } else { 0 }
+                }
+            };
+        }
     }
-}
-
-fn megabytes(units: &[Table]) -> f64 {
-    let part_bytes = |u: &Table| {
-        let p = &u.partitions()[0];
-        (0..p.width()).map(|c| cell_bytes(p.column(c))).sum::<usize>()
-    };
-    units.iter().map(part_bytes).sum::<usize>() as f64 / 1e6
+    bytes as f64 / 1e6
 }
 
 /// Do the two columns hold the same cells, in the same order?
@@ -96,46 +107,104 @@ fn main() {
         rankings.rows()
     );
     println!(
-        "{:<12} {:<12} {:>6} {:>11} {:>11} {:>9} {:>9}",
+        "{:<12} {:<20} {:>6} {:>11} {:>11} {:>9} {:>9}",
         "query", "key", "shards", "clone ns/r", "coded ns/r", "clone MB", "coded MB"
     );
     for (name, q, right) in &queries {
         let plan = ShardPlanner::default().plan(q, &visits, *right, seed);
-        for (stream, t) in std::iter::once(&visits).chain(*right).enumerate() {
-            let (cols, keyed) = unit_columns(q, stream);
-            let key = keyed.expect("each query here routes by a key column");
-            let keys = routing_keys(q, stream, t, seed);
-            // [cloned, coded]: each form's timings and its last units.
-            let mut ns: [Vec<f64>; 2] = Default::default();
-            let mut units: [Vec<Table>; 2] = Default::default();
-            for _ in 0..REPEATS {
-                for (form, keyed) in [None, Some(key)].into_iter().enumerate() {
-                    let t0 = Instant::now();
-                    let routed = route_columns(t, &cols, keyed, &keys, &plan.sharder, 0, t.rows());
-                    ns[form].push(t0.elapsed().as_secs_f64() * 1e9 / t.rows() as f64);
-                    units[form] = routed;
-                }
+        let tables: Vec<&Table> = std::iter::once(&visits).chain(*right).collect();
+        let cols: Vec<_> = (0..tables.len()).map(|stream| unit_columns(q, stream)).collect();
+        let key: Vec<usize> =
+            cols.iter().map(|(_, k)| k.expect("each query here routes by a key column")).collect();
+        let keys: Vec<Vec<u64>> =
+            tables.iter().enumerate().map(|(stream, t)| routing_keys(q, stream, t, seed)).collect();
+        // Each stream as the plan constructor routes it: coded, or with
+        // `code` false every cell cloned.
+        let streams = |code: bool| -> Vec<RouteStream<'_>> {
+            (0..tables.len())
+                .map(|s| RouteStream {
+                    table: tables[s],
+                    cols: &cols[s].0,
+                    keyed: Some(key[s]).filter(|_| code),
+                    keys: &keys[s],
+                    rows: 0..tables[s].rows(),
+                })
+                .collect()
+        };
+        let (cloning, coding) = (streams(false), streams(true));
+        // The forms: every cell cloned; coded in one pass, as the plan
+        // constructor routes; and, for the JOIN, each stream coded apart.
+        let cloned_form = || route_columns(&cloning, &plan.sharder);
+        let coded_form = || route_columns(&coding, &plan.sharder);
+        let apart_form = || -> Vec<Vec<Table>> {
+            let apart = |s| route_columns(std::slice::from_ref(s), &plan.sharder).remove(0);
+            coding.iter().map(apart).collect()
+        };
+        let mut forms: Vec<&dyn Fn() -> Vec<Vec<Table>>> = vec![&cloned_form, &coded_form];
+        if right.is_some() {
+            forms.push(&apart_form);
+        }
+        // Each form's timings and its last units, `[stream][shard]`.
+        let rows: usize = tables.iter().map(|t| t.rows()).sum();
+        let mut ns: [Vec<f64>; 3] = Default::default();
+        let mut units: [Vec<Vec<Table>>; 3] = Default::default();
+        for _ in 0..REPEATS {
+            for (form, route) in forms.iter().enumerate() {
+                let t0 = Instant::now();
+                let routed = route();
+                ns[form].push(t0.elapsed().as_secs_f64() * 1e9 / rows as f64);
+                units[form] = routed;
             }
-            let [cloned, coded] = &units;
-            for (s, (a, b)) in cloned.iter().zip(coded).enumerate() {
-                let (a, b) = (&a.partitions()[0], &b.partitions()[0]);
-                assert!(matches!(b.column(key), Column::Dict { .. }), "{name}: the key is coded");
+        }
+        let [cloned, coded, apart] = &units;
+        for s in 0..plan.shards() {
+            let mut shared = HashSet::new();
+            for (stream, (cols, _)) in cols.iter().enumerate() {
+                let (a, b) =
+                    (&cloned[stream][s].partitions()[0], &coded[stream][s].partitions()[0]);
+                let at = format!("{name} stream {stream} shard {s}");
+                let Column::Dict { dict, .. } = b.column(key[stream]) else {
+                    panic!("{at}: the key is coded");
+                };
+                shared.insert(dict.as_ptr());
+                let held: HashSet<&String> = dict.iter().collect();
+                assert_eq!(held.len(), dict.len(), "{at}: each string once in its dictionary");
                 for c in 0..cols.len() {
-                    let at = format!("{name} stream {stream} shard {s} column {c}");
-                    assert!(same_cells(a.column(c), b.column(c)), "{at}: a cell differs");
+                    assert!(
+                        same_cells(a.column(c), b.column(c)),
+                        "{at} column {c}: a cell differs"
+                    );
                 }
             }
-            let [cloned_ns, coded_ns] = ns;
+            assert_eq!(shared.len(), 1, "{name} shard {s}: the streams share one dictionary");
+        }
+        let median_of = |form: usize| median(ns[form].clone());
+        let key_names: Vec<&str> =
+            (0..tables.len()).map(|s| tables[s].fields()[cols[s].0[key[s]]].0.as_str()).collect();
+        println!(
+            "{name:<12} {:<20} {:>6} {:>11.1} {:>11.1} {:>9.1} {:>9.1}",
+            key_names.join("+"),
+            plan.shards(),
+            median_of(0),
+            median_of(1),
+            megabytes(cloned.iter().flatten()),
+            megabytes(coded.iter().flatten())
+        );
+        if !apart.is_empty() {
             println!(
-                "{name:<12} {:<12} {:>6} {:>11.1} {:>11.1} {:>9.1} {:>9.1}",
-                t.fields()[cols[key]].0,
+                "{:<12} {:<20} {:>6} {:>11} {:>11.1} {:>9} {:>9.1}",
+                format!("{name} apart"),
+                "(a dict per stream)",
                 plan.shards(),
-                median(cloned_ns),
-                median(coded_ns),
-                megabytes(cloned),
-                megabytes(coded)
+                "",
+                median_of(2),
+                "",
+                megabytes(apart.iter().flatten())
             );
         }
     }
-    println!("\nevery coded unit decoded to the cells it was routed from");
+    println!(
+        "\nevery coded unit decoded to the cells it was routed from, \
+         and each shard's streams shared one dictionary"
+    );
 }
