@@ -1,8 +1,7 @@
 //! One module per paper artifact, plus the design-choice ablations and
-//! the sharded-execution sweep.
+//! the repository's own report-only experiments.
 
 pub mod ablations;
-pub mod crossover;
 pub mod fabric;
 pub mod fig10;
 pub mod fig11;
@@ -12,7 +11,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod planner;
 pub mod serving;
 pub mod shards;
 pub mod table2;
@@ -38,8 +36,6 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
         ("fig12_13", fig12_13::run),
         ("ablations", ablations::run),
         ("shards", shards::run),
-        ("planner", planner::run),
-        ("crossover", crossover::run),
         ("serving", serving::run),
         ("fabric", fabric::run),
     ]
@@ -53,21 +49,8 @@ mod tests {
     fn registry_covers_every_artifact() {
         let ids: Vec<&str> = all().iter().map(|(id, _)| *id).collect();
         for want in [
-            "table2",
-            "table3",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12_13",
-            "shards",
-            "planner",
-            "crossover",
-            "serving",
-            "fabric",
+            "table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+            "fig12_13", "shards", "serving", "fabric",
         ] {
             assert!(ids.contains(&want), "missing experiment {want}");
         }

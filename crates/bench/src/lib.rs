@@ -19,8 +19,11 @@
 //! | [`experiments::fig12_13`] | Figs. 12/13 — server vs switch-CPU processing |
 //!
 //! Beyond the paper's artifacts, [`experiments`] carries the repository's
-//! own report-only sweeps (`ablations`, `shards`, `planner`, `crossover`,
-//! `serving`, `fabric`). They print what they
+//! own report-only sweeps (`ablations`, `shards`, `serving`, `fabric`).
+//! [`experiments::shards`] is the one shard sweep: the seven Big Data
+//! queries over the `--shards` axis, each layout's pruned and direct wall
+//! clock beside the Figure 8 and §4.6 models and the planner's choice
+//! (`make sweep` runs it at full scale). They print what they
 //! measured and assert only outputs: wall clock is *gated* in one place,
 //! the `cheetah-ledger` benchmark package, and nowhere in this crate.
 //!
@@ -39,8 +42,8 @@ pub use report::Report;
 pub use workload::{ArrivalMode, ServingWorkload, TenantSpec};
 
 /// The skewed table pair (`rows` left rows over 4 partitions, `rows / 2`
-/// right rows over 2, 200 zipf keys each) the `crossover` and `serving`
-/// experiments and the `--trace` demo run on.
+/// right rows over 2, 200 zipf keys each) the `serving` experiment and the
+/// `--trace` demo run on.
 pub fn skewed_tables(
     rows: usize,
     seed: u64,
@@ -63,32 +66,6 @@ pub fn skewed_tables(
         seed: seed ^ 0xFACE,
     };
     (left.build().into(), right.build().into())
-}
-
-/// Route `q` under `layout` and execute it on the barrier transport — the
-/// classic sharded run.
-pub fn run_barrier(
-    cluster: &cheetah_db::Cluster,
-    q: &cheetah_db::DbQuery,
-    left: &std::sync::Arc<cheetah_db::Table>,
-    right: Option<&std::sync::Arc<cheetah_db::Table>>,
-    layout: impl Into<cheetah_runtime::ShardLayout>,
-) -> cheetah_runtime::ExecRun {
-    let plan = cheetah_runtime::ExecPlan::new(cluster, q, left, right, layout).expect("routes");
-    cheetah_runtime::execute(cluster, &plan.for_path(cheetah_db::ExecPath::BarrierPooled))
-        .expect("plan fits")
-}
-
-/// The layout `planner` fits for `q` over these tables — what the serving
-/// plane builds at second sight of a request.
-pub fn fitted_plan(
-    cluster: &cheetah_db::Cluster,
-    planner: &cheetah_db::ShardPlanner,
-    q: &cheetah_db::DbQuery,
-    left: &std::sync::Arc<cheetah_db::Table>,
-    right: Option<&std::sync::Arc<cheetah_db::Table>>,
-) -> std::sync::Arc<cheetah_db::ShardPlan> {
-    std::sync::Arc::new(planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed))
 }
 
 /// Experiment scale.

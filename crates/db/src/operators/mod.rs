@@ -62,11 +62,18 @@
 //!    query by walking [`Survivors::parts`]. Pick the [`PassPlan`]
 //!    matching the algorithm's pass structure; `streams()`/`flow_id()`
 //!    only matter for binary queries.
-//! 3. Dispatch to it from
-//!    [`Cluster::run_cheetah`](crate::Cluster::run_cheetah) (or call
-//!    `Cluster::execute` directly for operators outside [`DbQuery`]).
-//!
-//! That is the whole surface: the eighth query type is a one-file PR.
+//! 3. Add its [`DbQuery`] variant, and give the variant its case in
+//!    `DbQuery`'s `kind`, `is_binary`, `has_kernel`, `columns`, `check`,
+//!    `remapped` and `merge_routing_agnostic` (`query.rs`).
+//! 4. Build the operator from the variant in `with_operator!`, and price
+//!    its software stack in `spark_overhead_factor` (`engine.rs`).
+//! 5. Name the column its rows are routed by, or none for a row-id hash,
+//!    in `routing_column` (`planner.rs`).
+//! 6. Fold its shard outputs in `merge_shard_outputs`, name the output
+//!    variant it produces in `check_variant`, and cut that output into
+//!    merge items in `decompose_output` (`master.rs`).
+//! 7. Answer it without the switch in `baseline.rs`: the reference every
+//!    gate compares the pruned and direct runs against.
 //!
 //! [`CheetahTuning`]: crate::engine::CheetahTuning
 //! [`DbQuery`]: crate::query::DbQuery

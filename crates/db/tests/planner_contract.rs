@@ -207,7 +207,6 @@ fn assert_routes_nothing(cluster: &Cluster, q: &DbQuery, t: &Arc<Table>, plan: S
 /// The shard count of every query the default planner plans at seed
 /// `0xC43E7A`, as `(label, shards)`.
 fn chosen_plans() -> Vec<(String, usize)> {
-    type B = BigDataConfig;
     let planner = ShardPlanner::default();
     let seed = 0xC43E7A;
     let mut plans = Vec::new();
@@ -224,27 +223,9 @@ fn chosen_plans() -> Vec<(String, usize)> {
         ..BigDataConfig::default()
     };
     let (rankings, uservisits) = (bd.rankings(), bd.uservisits());
-    let filter = DbQuery::FilterCount {
-        pred: DbPredicate::CmpInt { col: B::RANKINGS_AVG_DURATION, op: IntCmp::Lt, lit: 10 },
-    };
-    let skyline = DbQuery::Skyline { cols: vec![B::RANKINGS_PAGE_RANK, B::RANKINGS_AVG_DURATION] };
-    for q in [filter, skyline] {
-        pin(format!("bigdata {}", q.kind()), &q, &rankings, None);
+    for (q, left, right) in bd.queries(&rankings, &uservisits) {
+        pin(format!("bigdata {}", q.kind()), &q, left, right);
     }
-    for q in [
-        DbQuery::Distinct { col: B::UV_USER_AGENT },
-        DbQuery::TopN { order_col: B::UV_AD_REVENUE, n: 250 },
-        DbQuery::GroupByMax { key_col: B::UV_USER_AGENT, val_col: B::UV_AD_REVENUE },
-        DbQuery::HavingSum {
-            key_col: B::UV_LANGUAGE,
-            val_col: B::UV_AD_REVENUE,
-            threshold: 60_000 * 400,
-        },
-    ] {
-        pin(format!("bigdata {}", q.kind()), &q, &uservisits, None);
-    }
-    let join = DbQuery::Join { left_key: B::UV_DEST_URL, right_key: B::RANKINGS_PAGE_URL };
-    pin("bigdata join".into(), &join, &uservisits, Some(&rankings));
 
     // The planner-adversarial family.
     for adv in PlannerAdversary::all() {
@@ -277,12 +258,12 @@ fn chosen_plans() -> Vec<(String, usize)> {
 fn the_default_planner_chooses_the_pinned_plans() {
     let want: &[(&str, usize)] = &[
         ("bigdata filter-count", 3),
-        ("bigdata skyline", 3),
         ("bigdata distinct", 3),
+        ("bigdata skyline", 3),
         ("bigdata topn", 4),
         ("bigdata groupby-max", 3),
-        ("bigdata having-sum", 4),
         ("bigdata join", 5),
+        ("bigdata having-sum", 4),
         ("uniform distinct", 3),
         ("uniform topn", 3),
         ("uniform groupby-max", 3),

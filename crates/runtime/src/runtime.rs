@@ -64,8 +64,6 @@ pub struct ExecRun {
     /// The fitted plan the layout was routed under: `Some` exactly when
     /// the layout was fitted, `None` under a hand-picked spec.
     pub plan: Option<Arc<ShardPlan>>,
-    /// Control-plane rules of the largest per-shard program.
-    pub rules: usize,
 }
 
 /// Execute the routed `plan`'s query: prune every unit (each with its own
@@ -98,7 +96,6 @@ struct WorkerReport {
     stats: ShardStats,
     switch: ProgramStats,
     passes: u8,
-    rules: usize,
     /// Pruning backend the worker's run actually executed on (`None`
     /// when the unit was empty and nothing ran).
     backend: Option<ExecBackend>,
@@ -157,7 +154,6 @@ fn run_shard(
         };
         rep.switch = run.switch_stats;
         rep.passes = b.passes;
-        rep.rules = run.rules;
         rep.backend = Some(b.backend);
         rep.output = Some(run.output);
     }
@@ -369,7 +365,6 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         retransmits,
         ..ExecBreakdown::default()
     };
-    let rules = reports.iter().map(|r| r.rules).max().unwrap_or(0);
     ExecRun {
         output,
         breakdown,
@@ -378,7 +373,6 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         merge_seconds,
         batches,
         plan: plan.plan.clone(),
-        rules,
     }
 }
 

@@ -12,7 +12,7 @@
 //!   realistic selectivity.
 
 use crate::zipf::Zipf;
-use cheetah_db::{DataType, Table, TableBuilder, Value};
+use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, Table, TableBuilder, Value};
 use cheetah_switch::hash::mix64;
 
 /// Rankings schema: column name / type pairs, in order.
@@ -89,6 +89,53 @@ impl BigDataConfig {
     pub const UV_LANGUAGE: usize = 6;
     /// `duration` column index in UserVisits.
     pub const UV_DURATION: usize = 8;
+
+    /// The benchmark's seven queries (Appendix B) in the paper's order,
+    /// each as `(query, left, right)`: the table it scans and, for the
+    /// join, the table it probes. `rankings` and `uservisits` are this
+    /// configuration's two tables, as `Table`s or handles to them. The
+    /// HAVING threshold is `uservisits_rows × 400`, so only the head of
+    /// the zipfian languages qualifies (the paper's query asks for more
+    /// than $1M of revenue).
+    pub fn queries<'t, T>(
+        &self,
+        rankings: &'t T,
+        uservisits: &'t T,
+    ) -> [(DbQuery, &'t T, Option<&'t T>); 7] {
+        let filter =
+            DbPredicate::CmpInt { col: Self::RANKINGS_AVG_DURATION, op: IntCmp::Lt, lit: 10 };
+        [
+            (DbQuery::FilterCount { pred: filter }, rankings, None),
+            (DbQuery::Distinct { col: Self::UV_USER_AGENT }, uservisits, None),
+            (
+                DbQuery::Skyline {
+                    cols: vec![Self::RANKINGS_PAGE_RANK, Self::RANKINGS_AVG_DURATION],
+                },
+                rankings,
+                None,
+            ),
+            (DbQuery::TopN { order_col: Self::UV_AD_REVENUE, n: 250 }, uservisits, None),
+            (
+                DbQuery::GroupByMax { key_col: Self::UV_USER_AGENT, val_col: Self::UV_AD_REVENUE },
+                uservisits,
+                None,
+            ),
+            (
+                DbQuery::Join { left_key: Self::UV_DEST_URL, right_key: Self::RANKINGS_PAGE_URL },
+                uservisits,
+                Some(rankings),
+            ),
+            (
+                DbQuery::HavingSum {
+                    key_col: Self::UV_LANGUAGE,
+                    val_col: Self::UV_AD_REVENUE,
+                    threshold: self.uservisits_rows as i64 * 400,
+                },
+                uservisits,
+                None,
+            ),
+        ]
+    }
 
     /// Generate the Rankings table.
     pub fn rankings(&self) -> Table {
@@ -284,6 +331,21 @@ mod tests {
             .filter(|u| urls.contains(u))
             .count();
         assert!(matching > 7_000, "destURLs should mostly hit rankings: {matching}");
+    }
+
+    #[test]
+    fn the_seven_queries_read_their_own_tables() {
+        let cfg = small();
+        let (r, v) = (cfg.rankings(), cfg.uservisits());
+        let queries = cfg.queries(&r, &v);
+        let kinds: Vec<&str> = queries.iter().map(|(q, ..)| q.kind()).collect();
+        assert_eq!(
+            kinds,
+            ["filter-count", "distinct", "skyline", "topn", "groupby-max", "join", "having-sum"]
+        );
+        for (q, left, right) in &queries {
+            assert!(q.check(left, *right).is_ok(), "{}", q.kind());
+        }
     }
 
     #[test]

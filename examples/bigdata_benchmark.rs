@@ -11,12 +11,23 @@
 //! cargo run --release --example bigdata_benchmark -- 500000  # uservisits rows
 //! ```
 
-use cheetah::db::{Cluster, DbPredicate, DbQuery, ExecPath, IntCmp};
+use cheetah::db::{Cluster, ExecPath};
 use cheetah::serve::{QueryRequest, Session, SessionConfig};
 use cheetah::workloads::bigdata::BigDataConfig;
 use std::sync::Arc;
 
 const LINK_GBPS: f64 = 10.0;
+
+/// The seven queries' names, in `BigDataConfig::queries`' order.
+const NAMES: [&str; 7] = [
+    "1: filter count (avgDuration < 10)",
+    "2: distinct userAgent",
+    "3: skyline pageRank, avgDuration",
+    "4: top 250 by adRevenue",
+    "5: max adRevenue per userAgent",
+    "6: join uservisits.destURL = rankings.pageURL",
+    "7: languages with SUM(adRevenue) > threshold",
+];
 
 fn main() {
     let rows: usize =
@@ -38,75 +49,12 @@ fn main() {
     let cluster = Cluster::default();
     let session = Session::new(cluster.clone(), SessionConfig::default());
 
-    let queries = vec![
-        (
-            "1: filter count (avgDuration < 10)",
-            DbQuery::FilterCount {
-                pred: DbPredicate::CmpInt {
-                    col: BigDataConfig::RANKINGS_AVG_DURATION,
-                    op: IntCmp::Lt,
-                    lit: 10,
-                },
-            },
-            &rankings,
-            None,
-        ),
-        (
-            "2: distinct userAgent",
-            DbQuery::Distinct { col: BigDataConfig::UV_USER_AGENT },
-            &uservisits,
-            None,
-        ),
-        (
-            "3: skyline pageRank, avgDuration",
-            DbQuery::Skyline {
-                cols: vec![BigDataConfig::RANKINGS_PAGE_RANK, BigDataConfig::RANKINGS_AVG_DURATION],
-            },
-            &rankings,
-            None,
-        ),
-        (
-            "4: top 250 by adRevenue",
-            DbQuery::TopN { order_col: BigDataConfig::UV_AD_REVENUE, n: 250 },
-            &uservisits,
-            None,
-        ),
-        (
-            "5: max adRevenue per userAgent",
-            DbQuery::GroupByMax {
-                key_col: BigDataConfig::UV_USER_AGENT,
-                val_col: BigDataConfig::UV_AD_REVENUE,
-            },
-            &uservisits,
-            None,
-        ),
-        (
-            "6: join uservisits.destURL = rankings.pageURL",
-            DbQuery::Join {
-                left_key: BigDataConfig::UV_DEST_URL,
-                right_key: BigDataConfig::RANKINGS_PAGE_URL,
-            },
-            &uservisits,
-            Some(&rankings),
-        ),
-        (
-            "7: languages with SUM(adRevenue) > threshold",
-            DbQuery::HavingSum {
-                key_col: BigDataConfig::UV_LANGUAGE,
-                val_col: BigDataConfig::UV_AD_REVENUE,
-                threshold: rows as i64 * 400,
-            },
-            &uservisits,
-            None,
-        ),
-    ];
-
     println!(
         "{:<48} {:>9} {:>9} {:>8} {:>8} {:>9}",
         "query", "spark", "cheetah", "speedup", "pruned%", "survivors"
     );
     println!("{}", "-".repeat(96));
-    for (name, q, left, right) in queries {
+    for (name, (q, left, right)) in NAMES.into_iter().zip(bd.queries(&rankings, &uservisits)) {
         let base = cluster.run_baseline(&q, left, right.map(|r| &**r));
         // Pinned to the pruned arm: unpinned, a query's first sight runs
         // direct, and this table is about what the switch prunes.
