@@ -23,10 +23,11 @@
 //! `counters_contract` test.
 
 use cheetah_bench::experiments;
-use cheetah_bench::{skewed_tables, RunCtx, Scale};
+use cheetah_bench::{RunCtx, Scale};
 use cheetah_db::DbQuery;
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{export_jsonl, render};
+use cheetah_workloads::SkewedTableConfig;
 use std::io::Write;
 
 fn main() {
@@ -128,11 +129,19 @@ fn main() {
 /// lifecycle span tree, the JSON-lines export, and the registry
 /// snapshot the same request fed.
 fn run_trace_mode() {
-    let (table, _) = skewed_tables(6_000, 42);
+    let table = SkewedTableConfig {
+        rows: 6_000,
+        partitions: 4,
+        partition_skew: 0.6,
+        keys: 200,
+        key_skew: 1.0,
+        seed: 42,
+    }
+    .build();
     let session = Session::with_defaults();
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
     let resp = session
-        .run_blocking(QueryRequest::new(q, table).tenant("demo").shards(4))
+        .run_blocking(QueryRequest::new(q, table.into()).tenant("demo").shards(4))
         .expect("plan fits");
     let tree = resp.trace.expect("the session traces every request");
     println!("lifecycle span tree (arm {}):", resp.arm.label());

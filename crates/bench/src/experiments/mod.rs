@@ -11,7 +11,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod serving;
 pub mod shards;
 pub mod table2;
 pub mod table3;
@@ -36,7 +35,6 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
         ("fig12_13", fig12_13::run),
         ("ablations", ablations::run),
         ("shards", shards::run),
-        ("serving", serving::run),
         ("fabric", fabric::run),
     ]
 }
@@ -50,7 +48,7 @@ mod tests {
         let ids: Vec<&str> = all().iter().map(|(id, _)| *id).collect();
         for want in [
             "table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12_13", "shards", "serving", "fabric",
+            "fig12_13", "shards", "fabric",
         ] {
             assert!(ids.contains(&want), "missing experiment {want}");
         }

@@ -19,7 +19,7 @@
 //! | [`experiments::fig12_13`] | Figs. 12/13 — server vs switch-CPU processing |
 //!
 //! Beyond the paper's artifacts, [`experiments`] carries the repository's
-//! own report-only sweeps (`ablations`, `shards`, `serving`, `fabric`).
+//! own report-only sweeps (`ablations`, `shards`, `fabric`).
 //! [`experiments::shards`] is the one shard sweep: the seven Big Data
 //! queries over the `--shards` axis, each layout's pruned and direct wall
 //! clock beside the Figure 8 and §4.6 models and the planner's choice
@@ -36,37 +36,8 @@
 
 pub mod experiments;
 pub mod report;
-pub mod workload;
 
 pub use report::Report;
-pub use workload::{ArrivalMode, ServingWorkload, TenantSpec};
-
-/// The skewed table pair (`rows` left rows over 4 partitions, `rows / 2`
-/// right rows over 2, 200 zipf keys each) the `serving` experiment and the
-/// `--trace` demo run on.
-pub fn skewed_tables(
-    rows: usize,
-    seed: u64,
-) -> (std::sync::Arc<cheetah_db::Table>, std::sync::Arc<cheetah_db::Table>) {
-    use cheetah_workloads::SkewedTableConfig;
-    let left = SkewedTableConfig {
-        rows,
-        partitions: 4,
-        partition_skew: 0.6,
-        keys: 200,
-        key_skew: 1.0,
-        seed,
-    };
-    let right = SkewedTableConfig {
-        rows: rows / 2,
-        partitions: 2,
-        partition_skew: 0.4,
-        keys: 200,
-        key_skew: 0.8,
-        seed: seed ^ 0xFACE,
-    };
-    (left.build().into(), right.build().into())
-}
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

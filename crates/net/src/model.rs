@@ -91,8 +91,7 @@ pub struct ExecBreakdown {
     /// queue → worker → network → master.
     pub queue_seconds: f64,
     /// Tenant id of the serving-session request that produced this run.
-    /// Empty for direct runs (and for JSON baselines recorded before the
-    /// serving plane existed).
+    /// Empty for direct (non-session) runs.
     pub tenant: String,
     /// Survivor-batch frames the workers retransmitted under a faulty
     /// channel (go-back-N resends). Zero on every lossless path.

@@ -1,8 +1,9 @@
 //! A persistent shard-worker pool, one worker per core.
 //!
 //! Spinning up one thread per shard per query and tearing them all down
-//! at the join is, at smoke scale (thousands of reps over a few thousand
-//! rows), a measurable slice of a multi-shard run. [`WorkerPool`] keeps
+//! at the join is a measurable slice of a multi-shard run over a few
+//! thousand rows (the ledger's `pool.dispatch_us` times what replaces
+//! it: eight no-op jobs through the pool). [`WorkerPool`] keeps
 //! thread spin-up out of the per-query path: it owns long-lived worker
 //! threads fed through one shared injector queue, so spawning a job is a
 //! channel send, not a `pthread_create`. A job is handed the index of the

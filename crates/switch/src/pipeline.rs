@@ -154,7 +154,8 @@ impl Pipeline {
     /// Semantically identical to calling [`process`](Self::process) per
     /// packet — same epochs, same verdicts, same stats — just without
     /// the per-packet hash lookup and branchy bookkeeping, which is what
-    /// the executor's entry loops spend their time on at smoke scale.
+    /// the executor's interpreted entry loops would otherwise spend their
+    /// time on (the ledger's `shard_exec.*.interp_ns_per_row`).
     pub fn process_run<'v>(
         &mut self,
         fid: u32,

@@ -520,6 +520,39 @@ mod tests {
             assert!(q <= exact * ratio * 1.0001, "quantile {q} beyond one bucket of {exact}");
         }
         assert!((snap.mean() - 0.050_05).abs() < 1e-9);
+
+        // A heavy tail: 4 000 values, log-uniform-ish over 100us..1s,
+        // seeded by the splitmix64 finalizer (`cheetah_switch::hash::mix64`,
+        // inlined: this crate depends on nothing). p50 and p99 against the
+        // exact nearest rank `ceil(q * n)`, the rule the bucket walk applies.
+        let mut samples = Vec::new();
+        let mut x = 0x5E21u64;
+        for _ in 0..4_000 {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x = z ^ (z >> 31);
+            let u = (x % 10_000) as f64 / 10_000.0;
+            samples.push(1e-4 * 10f64.powf(4.0 * u.powi(2)));
+        }
+        let tail = reg.histogram("tail");
+        for &s in &samples {
+            tail.observe(s);
+        }
+        let snap = tail.snapshot();
+        let mut sorted = samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        for (q, got) in [(0.50, snap.p50), (0.99, snap.p99)] {
+            let exact = sorted[(q * sorted.len() as f64).ceil() as usize - 1];
+            assert!(got >= exact * (1.0 - 1e-9), "p{q}: {got} below exact {exact}");
+            assert!(
+                got <= exact * ratio * (1.0 + 1e-9),
+                "p{q}: {got} beyond one bucket of {exact}"
+            );
+        }
+        assert_eq!(snap.count, 4_000);
+        let exact_mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        assert!((snap.mean() - exact_mean).abs() < 1e-12, "mean is exact, not bucketed");
     }
 
     #[test]
