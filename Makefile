@@ -54,12 +54,14 @@ net-deps:
 # experiment asking its question again over other tables), and one
 # multi-tenant harness (the ledger's `tenants_small`, its properties
 # gated by `serving_contract`: no `serving` experiment, workload
-# generator or wall-clock fairness test beside them).
+# generator or wall-clock fairness test beside them), and one go-direct
+# verdict: the deciding sight measures the layout's work direct against
+# its pruned run (no extrapolation from survivors).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -164,8 +166,9 @@ fabric-gate:
 # worker; second sight: route + one worker per planned shard; third:
 # neither route nor planner; a pinned shard count routes at first
 # sight), so does the arm policy (first sight runs direct; the second
-# sight's respond span carries the go-direct rule's inputs and verdict,
-# execute and worker spans the path that ran), and a traced faulty-channel
+# sight's respond span holds a rule span with the work it compared, the
+# verdict and the measuring run's worker spans, execute and its worker
+# spans the path that answered), and a traced faulty-channel
 # run attributes its go-back-N resends (an exact count) to the owning
 # registry, equal to the breakdown's count.
 telemetry-gate:

@@ -235,8 +235,8 @@ pub enum ExecPath {
     /// identity selection ([`Cluster::run_direct`](crate::Cluster::run_direct)
     /// — no `spec()`, no encode, no switch) and hands the whole output to
     /// the same barrier merge. The serving plane engages it per
-    /// (shape, tables) key, where the key's own first run measured that
-    /// completing every row costs less than pruning did.
+    /// (shape, tables) key, where the key's deciding sight measured it
+    /// doing less work than pruning on the key's layout.
     Direct,
 }
 
@@ -280,7 +280,7 @@ impl ChooserArm {
 /// backends and the transports tied within noise on every ledger
 /// workload, the points no longer differ by enough for an online selector
 /// to find, only to lose to. (Whether a key is pruned at all is the
-/// serving plane's measured break-even, not a point of this grid:
+/// serving plane's measured comparison, not a point of this grid:
 /// [`ExecPath::Direct`].)
 pub struct PathChooser;
 

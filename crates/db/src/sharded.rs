@@ -73,8 +73,9 @@ pub struct ShardStats {
     /// Wall seconds the shard's job spent running its unit, measured
     /// around the one executor call: plan + encode + prune + complete on a
     /// pruned path, the operator alone on the direct one. One thread's
-    /// work — what the serving plane's go-direct rule weighs completion
-    /// against.
+    /// work, none of the time the job waited for a pool worker: summed over
+    /// the shards, what the serving plane's deciding sight compares between
+    /// the arms.
     pub busy_seconds: f64,
     /// Bytes the shard's busiest worker put on its uplink.
     pub worker_wire_bytes: u64,

@@ -19,9 +19,11 @@
 //!    third neither `route` nor a planner call; a pinned shard count
 //!    routes at first sight.
 //!    And the arm policy beside it: first sight runs `direct`, the second
-//!    sight's `respond` span carries the go-direct rule's inputs and
-//!    verdict (`rule.*`), `execute` and every `worker` span the path that
-//!    ran, the registry the keys decided direct and the requests run so.
+//!    sight's `respond` span holds a `rule` span with the work its verdict
+//!    compared and the verdict (`rule.*`), over the measuring run's own
+//!    `worker` spans; `execute` and every `worker` span under it the path
+//!    that answered, the registry the keys decided direct and the requests
+//!    run so.
 //! 4. **Fabric attribution** — a traced faulty-channel run lands its
 //!    go-back-N resend count in the owning registry's
 //!    `net.retransmits`, equal to the breakdown's field.
@@ -208,22 +210,29 @@ fn a_thousand_tenants_leave_the_registry_as_one_tenant_does() {
 /// The layout policy, read off the span trees — no timer: a layout is
 /// built only for a key that comes back. First sight routes nothing and
 /// runs the table whole on one worker; second sight fits a plan and
-/// routes under it, one worker per planned shard; from the third on
-/// nothing is planned or routed. A pinned shard count is a layout asked
-/// for by name: it is routed at first sight.
+/// routes under it, one worker per planned shard — for the run that
+/// answers, and for the measuring run under its `rule` span; from the
+/// third on nothing is planned or routed. A pinned shard count is a layout
+/// asked for by name: it is routed at first sight.
 #[test]
 fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     // 20 000 spread order values: the planner fans TOP N out.
     let t = Arc::new(common::gen_table(20_000, 90, 4, 0x51647));
     let session = Session::with_defaults();
     let q = DbQuery::TopN { order_col: 1, n: 10 };
+    let workers_under = |node: Option<&SpanNode>| {
+        let mut workers = Vec::new();
+        if let Some(node) = node {
+            node.find_all("worker", &mut workers);
+        }
+        workers.len()
+    };
     let ask = |req: QueryRequest| {
         let resp = session.run_blocking(req).unwrap();
         let tree = resp.trace.clone().expect("trace exports");
-        let mut workers = Vec::new();
-        tree.root.find_all("worker", &mut workers);
+        let workers = workers_under(tree.root.find("execute"));
         let routed = tree.root.find("route").map(|r| r.attr("shards").unwrap().to_string());
-        (resp, routed, workers.len())
+        (resp, routed, workers)
     };
     let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
 
@@ -237,6 +246,8 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     assert!(shards >= 2, "fixture must make the planner fan out, chose {shards}");
     assert_eq!(routed, Some(shards.to_string()), "second sight routes under the fitted plan");
     assert_eq!(workers, shards, "one worker per planned shard");
+    let rule = second.trace.as_ref().and_then(|t| t.root.find("rule"));
+    assert_eq!(workers_under(rule), shards, "…and for the measuring run");
     assert_eq!(session.stats().plan_misses, 1);
 
     for _ in 0..2 {
@@ -254,48 +265,57 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
 }
 
 /// The trace says why a key runs where it runs. First sight runs direct
-/// and decides nothing; the second sight's `respond` span carries what the
-/// go-direct rule read on that pruned run and what it decided — the rule
-/// re-evaluates from the traced figures — and nothing re-decides later;
-/// `execute` and every `worker` span name the path that ran; the registry
-/// counts the keys decided direct and the requests that ran so.
+/// and decides nothing; the second sight's `respond` span holds a `rule`
+/// span: the work its verdict compared — the pruned run that answered and
+/// the direct run — and the verdict, which re-evaluates from them; the
+/// measuring run's `worker` spans sit under it, on the direct path, and
+/// nothing re-decides later; `execute` and every `worker` span under it name the
+/// path that answered; the registry counts the keys decided direct and the
+/// requests that ran so.
 #[test]
 fn the_trace_carries_the_rules_inputs_and_verdict_and_the_path_that_ran() {
     let session = Session::with_defaults();
-    // A TOP N that prunes nothing goes direct; a 10-key DISTINCT over
-    // 100 000 rows stays pruned (25–50× from break-even either build).
+    // A TOP N that prunes nothing goes direct; a DISTINCT over an int
+    // column of 500 values in 200 000 rows stays pruned — the fixtures of
+    // `serving_contract`'s properties 1e and 1f, whose docs give the
+    // measured margins.
     let small = Arc::new(common::gen_table(400, 40, 3, 0xD12EC7));
-    let keyed = Arc::new(common::gen_table(100_000, 10, 4, 0x9127));
+    let keyed = Arc::new(common::gen_table(200_000, 10, 4, 0x9127));
     for (q, t, direct) in [
         (DbQuery::TopN { order_col: 1, n: 25 }, &small, true),
-        (DbQuery::Distinct { col: 0 }, &keyed, false),
+        (DbQuery::Distinct { col: 2 }, &keyed, false),
     ] {
         for sight in 1..=3 {
             let resp = session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(t))).unwrap();
             let tree = resp.trace.as_ref().expect("trace exports");
             let respond = tree.root.find("respond").expect("lifecycle span");
             let label = format!("{} sight {sight}", q.kind());
+            let mut rules = Vec::new();
+            tree.root.find_all("rule", &mut rules);
             if sight == 2 {
+                let rule = respond.find("rule").unwrap_or_else(|| panic!("{label}: no rule span"));
+                assert_eq!(rules.len(), 1, "{label}");
                 let figure = |key: &str| -> f64 {
-                    respond
-                        .attr(key)
-                        .unwrap_or_else(|| panic!("{label}: no {key}"))
-                        .parse()
-                        .unwrap()
+                    let value = rule.attr(key).unwrap_or_else(|| panic!("{label}: no {key}"));
+                    value.parse().unwrap()
                 };
-                let (rows, survivors) = (figure("rule.rows"), figure("rule.survivors"));
-                let (complete_us, busy_us) = (figure("rule.complete_us"), figure("rule.busy_us"));
-                assert_eq!(rows, t.rows() as f64, "{label}");
-                assert_eq!(survivors, resp.breakdown.entries_to_master as f64, "{label}");
-                assert!(complete_us > 0.0 && complete_us <= busy_us, "{label}");
-                // The verdict is the rule over the figures beside it.
-                assert_eq!(complete_us * rows < busy_us * survivors, direct, "{label}");
-                assert_eq!(respond.attr("rule.direct"), Some(direct.to_string().as_str()));
+                let (pruned_us, direct_us) = (figure("rule.pruned_us"), figure("rule.direct_us"));
+                assert!(pruned_us > 0.0 && direct_us > 0.0, "{label}");
+                // The verdict is the direct run doing less work.
+                assert_eq!(direct_us < pruned_us, direct, "{label}: {pruned_us} / {direct_us}");
+                assert_eq!(rule.attr("rule.direct"), Some(direct.to_string().as_str()));
+                // The measuring run's shard jobs, under the rule, direct.
+                let mut workers = Vec::new();
+                rule.find_all("worker", &mut workers);
+                assert_eq!(workers.len(), resp.breakdown.shards as usize, "{label}");
+                assert!(workers.iter().all(|w| w.attr("path") == Some("direct")), "{label}");
             } else {
-                let rule: Vec<_> =
-                    respond.attrs.iter().filter(|(k, _)| k.starts_with("rule.")).collect();
-                assert!(rule.is_empty(), "{label}: a decision is written once, got {rule:?}");
+                assert!(rules.is_empty(), "{label}: a decision is written once");
             }
+            assert!(
+                respond.attrs.iter().all(|(k, _)| !k.starts_with("rule.")),
+                "{label}: the verdict is the rule span's"
+            );
             // First sight runs direct; the second, which decides, pruned.
             let path = match sight {
                 1 => "direct",

@@ -60,10 +60,10 @@
 //!   units, same jobs, same merge, same accounting tail (a pass-through
 //!   switch: every result row of the partials seen and forwarded, none
 //!   pruned). The serving plane runs it at every key's first sight, and
-//!   from then on where the key's second sight measured that completing
-//!   every row costs less than pruning did; each job's measured
-//!   [`busy_seconds`](cheetah_db::ShardStats::busy_seconds) is one side of
-//!   that comparison.
+//!   from then on where the key's second sight, which runs the routed
+//!   layout both ways, measured less work on it than on the pruned arm:
+//!   each job's [`busy_seconds`](cheetah_db::ShardStats::busy_seconds)
+//!   summed, plus the merge — no time spent waiting for a pool worker.
 //! * **Barrier** — each worker hands its completed output over whole;
 //!   the master merges once the last worker is in. Nothing to frame: the
 //!   transport every unpinned pruned request runs.

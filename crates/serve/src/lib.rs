@@ -28,9 +28,11 @@
 //!    says: `direct` (the operator's completion over every row — no
 //!    switch program) at first sight; pruned, on the barrier transport
 //!    and the compiled backend (the interpreter where the family has no
-//!    kernel), at the second, whose run decides the key direct or pruned
-//!    by one measured break-even; that verdict from then on. Nothing is
-//!    learned: one rule, evaluated once per key.
+//!    kernel), at the second, which answers and then runs the same layout
+//!    direct: the key goes direct iff that run did less work (its jobs'
+//!    busy time plus the merge, no time queued for a worker); that verdict
+//!    from then on. Nothing is learned: one measured comparison, made once
+//!    per key.
 //!
 //! Every arm produces bit-identical output — the serving plane
 //! inherits the repo-wide invariant `Q(A_Q(D)) = Q(D)` — so admission

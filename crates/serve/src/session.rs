@@ -20,10 +20,10 @@
 //!        │                  │   whole ──▶ second sight: a held plan for this query
 //!        │                  │             over same-named tables of like size, else
 //!        │                  │             the planner; route the query's columns and
-//!        │                  │             hold the layout, undecided; run it pruned,
-//!        │                  │             and *decide* from that run: the key goes
-//!        │                  │             direct iff completing every row would have
-//!        │                  │             cost less work than pruning did
+//!        │                  │             hold the layout, undecided; run it pruned to
+//!        │                  │             answer, then *decide* by running it direct:
+//!        │                  │             the key goes direct iff that run did less
+//!        │                  │             work (its jobs' busy time, plus the merge)
 //!        │                  │   routed ─▶ warm: the layout, the plan it carries and
 //!        └────────┬────────┘   the verdict (a pinned shard count is routed at first sight)
 //!                 ▼
@@ -49,13 +49,18 @@
 //! The paper's claim is conditional — pruning pays when the switch
 //! removes work the master would otherwise do — and here the switch is
 //! software on the same cores, so its per-entry cost is on the clock. The
-//! second sight runs pruned, on the layout the key will keep, and so holds
-//! everything the break-even needs (`goes_direct`): the rows it read, the
-//! survivors it delivered, the seconds completion took over those
-//! survivors and the seconds the jobs were busy. Work against work,
-//! summed over the shards, so core and shard counts divide out. The
-//! decision is written once, on the key's entry; every later sight runs
-//! the layout on the arm decided.
+//! second sight runs pruned, on the layout the key will keep, and answers;
+//! then, under a `rule` span, it runs the same layout direct, the
+//! unaccelerated plan, and compares the two runs' work
+//! ([`ExecRun::work_seconds`](cheetah_runtime::ExecRun::work_seconds):
+//! each shard job timed from when a worker takes it up, plus the merge).
+//! The key goes direct iff the direct run did less. A job's wait for a
+//! pool worker is on neither clock, so a pool busy with other requests'
+//! jobs cannot decide a verdict. Nothing is extrapolated, so whatever a
+//! row costs on either arm — a coded scan, a sparse selection — is what
+//! the verdict weighs. The decision is written once, on the key's entry;
+//! every later sight runs the layout on the arm decided, and a sight that
+//! finds the layout while it is being measured runs it pruned, undecided.
 //!
 //! The entry is all the session knows about its key — layout, fitted
 //! plan, decision — in one map under one lock, so a layout
@@ -277,9 +282,9 @@ impl Key {
 ///   fitted shard plan it carries ([`ExecPlan::shard_plan`]) — a held
 ///   plan for this query over same-named tables of like size
 ///   ([`Caches::like`]), else the planner's. It is held before it runs,
-///   undecided, and that run — pruned, on the layout the key keeps — takes
-///   the key's one arm decision. Every further request runs it, on either
-///   transport.
+///   undecided, and that sight — pruned, then direct, on the layout the
+///   key keeps — takes the key's one arm decision. Every further
+///   request runs it, on either transport.
 ///
 /// A key that pins a shard count is routed at first sight, under no plan,
 /// and stays undecided: no sight of it decides.
@@ -297,9 +302,9 @@ enum Stage {
     /// racing sights run it whole meanwhile, so nothing is fitted or routed
     /// twice.
     Fitting,
-    /// Routed and run pruned: undecided until the deciding run writes
-    /// `Direct` — and left here by a verdict for pruning, a deciding run
-    /// pinned direct (it measured no pruned run) or one that failed.
+    /// Routed and run pruned: undecided until the deciding sight's verdict
+    /// writes `Direct` — and left here by a verdict for pruning, a deciding
+    /// run pinned direct (it measured no pruned run) or one that failed.
     Routed,
     /// Routed, and decided direct.
     Direct,
@@ -350,20 +355,6 @@ impl Visit {
 enum Layout {
     Held(Arc<ExecPlan>),
     Under(ShardLayout),
-}
-
-/// The go-direct rule: would completing *every* row have cost less work
-/// than pruning did? A deciding run over `rows` rows kept its jobs busy
-/// for `busy_s` seconds in all, `complete_s` of them completing the
-/// `survivors` rows the switch let through; at that measured cost per
-/// completed row the identity selection costs `complete_s × rows ÷
-/// survivors`, and the key goes direct iff that is under `busy_s` —
-/// equivalently, iff survivors ÷ rows exceeds completion's share of the
-/// run. Nothing survived: pruning removed all of completion's work, stay
-/// pruned. Everything survived: direct whenever anything but completion
-/// took time.
-fn goes_direct(rows: u64, survivors: u64, complete_s: f64, busy_s: f64) -> bool {
-    complete_s * (rows as f64) < busy_s * (survivors as f64)
 }
 
 /// The session's one map. Every entry pins its source tables, and a
@@ -860,34 +851,42 @@ fn serve(
         let _in_exec = exec_span.enter();
         cheetah_runtime::execute(&cluster, &plan.for_path(arm.path))?
     };
-    let (output, per_shard, mut breakdown, switch_stats) =
-        (run.output, run.per_shard, run.breakdown, run.switch_stats);
+    let work_s = run.work_seconds();
+    let (output, mut breakdown, switch_stats) = (run.output, run.breakdown, run.switch_stats);
     exec_span.attr("shards", breakdown.shards);
     exec_span.finish();
 
     // 4. Respond: at first sight, note the key seen (unless a racing
     // request already has); at its deciding sight, take the key's one
-    // decision from what this pruned run measured — a run pinned direct
-    // pruned nothing, so it measured nothing the rule can read, and the
-    // key stays pruned — and write it only on the layout it was taken on;
-    // then stamp the serving fields the caller sees.
-    let mut respond_span = root.child("respond");
+    // decision by running the same layout direct and comparing the two
+    // runs' work — a run pinned direct measured no pruned run, so it
+    // decides nothing and the key stays pruned — and write it only on the
+    // layout it was taken on; then stamp the serving fields the caller sees.
+    let respond_span = root.child("respond");
     if visit == Visit::First {
         let mut caches = lock(&shared.caches);
         if caches.get(&key, &req.left, right).is_none() {
             caches.insert(key, Entry { plan, stage: Stage::Whole }, capacity);
         }
     } else if matches!(visit, Visit::Deciding { .. }) && arm.path != ExecPath::Direct {
-        let survivors = breakdown.entries_to_master;
-        let rows: u64 = per_shard.iter().map(|s| s.rows).sum();
-        let complete_s: f64 = per_shard.iter().map(|s| s.master_seconds).sum();
-        let busy_s: f64 = per_shard.iter().map(|s| s.busy_seconds).sum();
-        let direct = goes_direct(rows, survivors, complete_s, busy_s);
-        respond_span.attr("rule.rows", rows);
-        respond_span.attr("rule.survivors", survivors);
-        respond_span.attr("rule.complete_us", format_args!("{:.1}", complete_s * 1e6));
-        respond_span.attr("rule.busy_us", format_args!("{:.1}", busy_s * 1e6));
-        respond_span.attr("rule.direct", direct);
+        let mut rule_span = respond_span.child("rule");
+        // The measuring run, or `None` if it failed (the key then stays
+        // pruned). It must answer as the run that responded did.
+        let direct_s = {
+            let _in_rule = rule_span.enter();
+            let run = cheetah_runtime::execute(&cluster, &plan.for_path(ExecPath::Direct)).ok();
+            run.map(|run| {
+                debug_assert_eq!(run.output, output, "the direct run answered otherwise");
+                run.work_seconds()
+            })
+        };
+        let direct = direct_s.is_some_and(|direct_s| direct_s < work_s);
+        rule_span.attr("rule.pruned_us", format_args!("{:.1}", work_s * 1e6));
+        if let Some(direct_s) = direct_s {
+            rule_span.attr("rule.direct_us", format_args!("{:.1}", direct_s * 1e6));
+        }
+        rule_span.attr("rule.direct", direct);
+        rule_span.finish();
         if direct {
             let mut caches = lock(&shared.caches);
             if let Some(e) = caches.map.get_mut(&key).filter(|e| Arc::ptr_eq(&e.plan, &plan)) {
@@ -996,33 +995,37 @@ mod tests {
         // Unpinned: the arm is a function of the request *and of its key's
         // stage* — direct at first sight, pruned at the second (which
         // measures and decides), the verdict from the third on; nothing is
-        // re-decided, no warm-up plays. The self-join prunes nothing (every
-        // key has a partner), so it goes direct — after a deciding sight on
-        // the interpreter: JOIN has no kernel, and the arm and the
-        // breakdown both say what ran. DISTINCT's verdict is timed (37 keys
-        // over 1 500 rows: about 5× from break-even), so its later sights
-        // are held to the verdict its second sight traced; the outcome of
-        // the rule for a DISTINCT the switch wins on is pinned far from
-        // break-even (10 keys over 100 000 rows) by `serving_contract`'s
-        // `a_key_the_switch_prunes_well_stays_pruned_…`.
+        // re-decided, no warm-up plays. Both verdicts are measured on small
+        // tables, so each key's later sights are held to the verdict its
+        // second sight traced; the self-join, which has no kernel, decides on
+        // the interpreter, and the arm and the breakdown both say what ran.
+        // The outcomes are pinned on fixtures farther from break-even by
+        // `serving_contract`: a key that prunes nothing goes direct, with a
+        // kernel (TOP N) or without one (a larger self-join), and one the
+        // switch wins on stays pruned.
         let join = DbQuery::Join { left_key: 0, right_key: 0 };
         let join = || QueryRequest::new(join.clone(), Arc::clone(&t)).with_right(Arc::clone(&t));
-        let mut decided = None;
+        let verdict = |resp: &QueryResponse| {
+            let rule = resp.trace.as_ref().and_then(|t| t.root.find("rule"));
+            rule.and_then(|r| r.attr("rule.direct")).map(|v| v == "true")
+        };
+        let (mut distinct_decided, mut join_decided) = (None, None);
         for sight in 1..=3 {
             let resp = session.run_blocking(distinct()).unwrap();
-            let direct = sight == 1 || (sight > 2 && decided == Some(true));
+            let direct = sight == 1 || (sight > 2 && distinct_decided == Some(true));
             let want = if direct { "direct" } else { "pooled/compiled" };
             assert_eq!(resp.arm.label(), want, "sight {sight}");
             let ran = if direct { ExecBackend::Interpreted } else { ExecBackend::Compiled };
             assert_eq!(resp.breakdown.backend, ran);
-            let respond = resp.trace.as_ref().and_then(|t| t.root.find("respond"));
-            let rule = respond.and_then(|r| r.attr("rule.direct")).map(|v| v == "true");
-            assert_eq!(rule.is_some(), sight == 2, "sight {sight}: decided once");
-            decided = decided.or(rule);
+            assert_eq!(verdict(&resp).is_some(), sight == 2, "sight {sight}: decided once");
+            distinct_decided = distinct_decided.or(verdict(&resp));
             let resp = session.run_blocking(join()).unwrap();
-            let want = if sight == 2 { "pooled/interp" } else { "direct" };
+            let direct = sight == 1 || (sight > 2 && join_decided == Some(true));
+            let want = if direct { "direct" } else { "pooled/interp" };
             assert_eq!(resp.arm.label(), want, "sight {sight}");
             assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
+            assert_eq!(verdict(&resp).is_some(), sight == 2, "sight {sight}: decided once");
+            join_decided = join_decided.or(verdict(&resp));
         }
         // A pin to the compiled backend cannot conjure a kernel either —
         // and, naming a pruning engine, it asks for a pruned arm.
@@ -1044,38 +1047,6 @@ mod tests {
         assert_eq!(arm_of(&distinct(), true).label(), "direct");
         assert_eq!(arm_of(&distinct(), false).label(), "pooled/compiled");
         assert_eq!(arm_of(&distinct().path(ExecPath::Direct), false).label(), "direct");
-    }
-
-    #[test]
-    fn the_rule_goes_direct_where_completing_every_row_costs_less_than_pruning_did() {
-        // Pruned one-shard runs of the seven Big Data shapes (600 k-row
-        // UserVisits, 300 k-row Rankings, fresh process, µs — PR 21's first
-        // sights): what the rule read and decided; beside each, how far
-        // from break-even that was and what a warm pinned A/B on the routed
-        // layout then measured, direct ms vs pruned ms (CHANGES.md, PR 21).
-        for (shape, rows, survivors, complete_us, busy_us, direct) in [
-            ("filter-count", 300_000, 22_505, 386.0, 4_555.0, false), // 0.89×; 1.1 vs 2.9
-            ("distinct", 600_000, 500, 173.0, 25_095.0, false),       // 0.12×; 13.6 vs 6.9
-            ("skyline", 300_000, 173, 32.0, 13_237.0, false),         // 0.24×; 8.7 vs 7.8
-            ("topn", 600_000, 73_290, 594.0, 9_214.0, true),          // 1.9×; 0.95 vs 8.35
-            ("groupby-max", 600_000, 3_025, 911.0, 31_449.0, false),  // 0.17×; 10.0 vs 8.1
-            ("join", 900_000, 598_527, 135_778.0, 246_301.0, true),   // 1.2×; 33.1 vs 53.8
-            ("having-sum", 600_000, 287_396, 21_252.0, 84_664.0, true), // 1.9×; 8.8 vs 20.5
-        ] {
-            let decided = goes_direct(rows, survivors, complete_us * 1e-6, busy_us * 1e-6);
-            assert_eq!(decided, direct, "{shape}");
-        }
-        // Nothing survived: pruning removed all of completion's work.
-        assert!(!goes_direct(1_000, 0, 0.0, 1e-3));
-        assert!(!goes_direct(1_000, 0, 1e-6, 1e-3));
-        // Everything survived: direct whenever anything but completion
-        // took time, and not when nothing else did.
-        assert!(goes_direct(1_000, 1_000, 0.9e-3, 1e-3));
-        assert!(!goes_direct(1_000, 1_000, 1e-3, 1e-3));
-        // An empty table decides nothing.
-        assert!(!goes_direct(0, 0, 0.0, 0.0));
-        // Scale-free: work against work, so rows and seconds divide out.
-        assert_eq!(goes_direct(10, 5, 1.0, 3.0), goes_direct(10_000, 5_000, 1e-3, 3e-3));
     }
 
     #[test]
@@ -1191,7 +1162,9 @@ mod tests {
             // claiming the key's fit, racing that claim (run whole), or
             // finding the layout it held before running (run pruned,
             // undecided, or on its verdict) — one of them fits, routes and
-            // decides, and all answer.
+            // decides, and all answer. Its measuring run keeps the key
+            // routed and undecided a while longer: every sight that found
+            // the layout then ran pruned, never direct ahead of the verdict.
             let gate = Barrier::new(8);
             let ask = || {
                 gate.wait();
@@ -1201,15 +1174,40 @@ mod tests {
                 let racers: Vec<_> = (0..8).map(|_| scope.spawn(ask)).collect();
                 racers.into_iter().map(|r| r.join().expect("racer thread")).collect::<Vec<_>>()
             });
-            let sights: Vec<_> = sights.into_iter().flatten().map(|r| r.unwrap()).collect();
-            assert!(sights.iter().all(|resp| resp.output == want), "round {round}");
-            let routes = sights.iter().filter(|resp| has_route_span(resp)).count();
-            let rule = |resp: &QueryResponse| {
-                let respond = resp.trace.as_ref().expect("trace exports").root.find("respond");
-                respond.expect("lifecycle span").attr("rule.direct").is_some()
-            };
-            let verdicts = sights.iter().filter(|resp| rule(resp)).count();
-            assert_eq!((routes, verdicts), (1, 1), "round {round}");
+            let sights: Vec<_> = sights.into_iter().map(|pair| pair.map(Result::unwrap)).collect();
+            let tree = |resp: &QueryResponse| resp.trace.clone().expect("trace exports").root;
+            let trees: Vec<_> = sights.iter().map(|pair| pair.each_ref().map(tree)).collect();
+            let (mut routes, mut rules) = (0, Vec::new());
+            for (pair, trees) in sights.iter().zip(&trees) {
+                for (resp, tree) in pair.iter().zip(trees) {
+                    assert_eq!(resp.output, want, "round {round}");
+                    routes += usize::from(has_route_span(resp));
+                    tree.find_all("rule", &mut rules);
+                }
+            }
+            assert_eq!((routes, rules.len()), (1, 1), "round {round}: one route, one rule span");
+            let direct = rules[0].attr("rule.direct") == Some("true");
+            let verdict = if direct { "direct" } else { "pooled/compiled" };
+            for (pair, trees) in sights.iter().zip(&trees) {
+                let arms = pair.each_ref().map(|resp| resp.arm.label());
+                let cache = trees.each_ref().map(|t| t.find("plan").and_then(|p| p.attr("cache")));
+                for (arm, cache) in arms.iter().zip(cache) {
+                    match cache {
+                        // Raced the claim: the tables whole, direct.
+                        Some("whole") => assert_eq!(arm, "direct", "round {round}"),
+                        // Found the routed layout: pruned while it was
+                        // undecided, else the verdict's arm.
+                        _ => assert!(arm == "pooled/compiled" || arm == verdict, "round {round}"),
+                    }
+                }
+                // A racer that decided, or found the key decided direct,
+                // runs the verdict from then on.
+                let decided = trees[0].find("rule").is_some()
+                    || cache[0] == Some("hit") && arms[0] == "direct";
+                if decided {
+                    assert_eq!(arms[1], verdict, "round {round}: the verdict holds once written");
+                }
+            }
             assert_eq!(session.stats().plan_misses, 1, "round {round}: one fit");
             let caches = session.shared.caches.lock().unwrap();
             assert_eq!((caches.map.len(), caches.order.len()), (1, 1), "round {round}");
