@@ -54,14 +54,16 @@ net-deps:
 # experiment asking its question again over other tables), and one
 # multi-tenant harness (the ledger's `tenants_small`, its properties
 # gated by `serving_contract`: no `serving` experiment, workload
-# generator or wall-clock fairness test beside them), and one go-direct
+# generator or wall-clock fairness test beside them), one go-direct
 # verdict: the deciding sight measures the layout's work direct against
-# its pruned run (no extrapolation from survivors).
+# its pruned run (no extrapolation from survivors), and one way into the
+# session: `run_blocking`, on the caller's thread (no submit queue,
+# ticket, per-tenant scheduler, driver thread or closed-session error).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -119,13 +121,13 @@ compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract
 
 # The named CI gate: serving-plane contract — concurrent multi-tenant
-# requests through the Session front door bit-identical to sequential
-# baselines, no starvation under a flooding co-tenant, typed
-# Error::Overloaded past the in-flight bound, the layout lifecycle of a
+# requests through the Session front door, each on its caller's thread,
+# bit-identical to sequential baselines, typed Error::Overloaded at the
+# in-flight bound (counted, not timed), the layout lifecycle of a
 # repeated shape (first sight runs the tables whole, second sight plans
 # and routes, later ones run the held layout under the plan it carries)
 # never changing results, a layout never outliving its plan, a right
-# table attached to a unary query ignored by the key and the cost, the arm
+# table attached to a unary query ignored by the key, the arm
 # lifecycle (every family's first sight runs direct; its second runs pruned
 # on the routed layout and decides; a key whose second sight pruned
 # nothing runs direct from its third; a key the switch prunes well stays

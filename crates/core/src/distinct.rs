@@ -414,7 +414,10 @@ mod tests {
     #[test]
     fn opt_prunes_all_duplicates() {
         let mut opt = DistinctOpt::default();
-        let stats = crate::pruner::run_opt(&mut opt, (0..100u64).map(|i| vec![i % 10]));
+        let mut stats = cheetah_switch::ProgramStats::default();
+        for i in 0..100u64 {
+            stats.record(opt.offer_opt(&[i % 10]));
+        }
         assert_eq!(stats.forwarded, 10);
         assert_eq!(stats.pruned, 90);
     }

@@ -93,24 +93,6 @@ pub enum Error {
     },
 }
 
-impl Error {
-    /// The underlying switch error, if this is one.
-    pub fn as_switch(&self) -> Option<&SwitchError> {
-        match self {
-            Error::Switch(e) => Some(e),
-            Error::ValueSlotOverflow { .. }
-            | Error::MissingStream { .. }
-            | Error::UnsortedShardBoundaries { .. }
-            | Error::FabricStalled { .. }
-            | Error::EncodedRowMismatch { .. }
-            | Error::NoKernel { .. }
-            | Error::BadColumn { .. }
-            | Error::BadArity { .. }
-            | Error::WorkerPanicked { .. } => None,
-        }
-    }
-}
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -177,7 +159,7 @@ mod tests {
     fn switch_errors_convert_and_display_through() {
         let e: Error = SwitchError::UnsupportedOp { op: "multiply" }.into();
         assert!(e.to_string().contains("multiply"));
-        assert!(matches!(e.as_switch(), Some(SwitchError::UnsupportedOp { .. })));
+        assert!(matches!(e, Error::Switch(SwitchError::UnsupportedOp { .. })));
     }
 
     #[test]
@@ -185,42 +167,36 @@ mod tests {
         let e = Error::ValueSlotOverflow { got: 9, max: 4 };
         let s = e.to_string();
         assert!(s.contains('9') && s.contains('4'), "{s}");
-        assert!(e.as_switch().is_none());
     }
 
     #[test]
     fn missing_stream_is_informative() {
         let e = Error::MissingStream { stream: 1 };
         assert!(e.to_string().contains("stream 1"), "{e}");
-        assert!(e.as_switch().is_none());
     }
 
     #[test]
     fn unsorted_boundaries_is_informative() {
         let e = Error::UnsortedShardBoundaries { index: 3 };
         assert!(e.to_string().contains("cut 3"), "{e}");
-        assert!(e.as_switch().is_none());
     }
 
     #[test]
     fn fabric_stall_is_informative() {
         let e = Error::FabricStalled { delivered: 2, frames: 9 };
         assert!(e.to_string().contains("2 of 9"), "{e}");
-        assert!(e.as_switch().is_none());
     }
 
     #[test]
     fn encoded_row_mismatch_is_informative() {
         let e = Error::EncodedRowMismatch { rows: 10, encoded: 9 };
         assert!(e.to_string().contains("9 rows of a 10-row"), "{e}");
-        assert!(e.as_switch().is_none());
     }
 
     #[test]
     fn no_kernel_is_informative() {
         let e = Error::NoKernel { family: "join" };
         assert!(e.to_string().contains("join"), "{e}");
-        assert!(e.as_switch().is_none());
     }
 
     #[test]
@@ -231,7 +207,6 @@ mod tests {
         assert!(e.to_string().contains("shard 3"), "{e}");
         let e = Error::BadArity { family: "skyline", got: 0, max: 4 };
         assert!(e.to_string().contains("skyline query over 0 terms"), "{e}");
-        assert!(e.as_switch().is_none());
     }
 
     #[test]

@@ -39,18 +39,6 @@ impl FingerprintSpec {
     pub fn apply(&self, key: u64) -> u64 {
         self.hash.fingerprint(key, self.bits)
     }
-
-    /// Fingerprint a byte string (multi-column keys serialized by the
-    /// CWorker).
-    #[inline]
-    pub fn apply_bytes(&self, key: &[u8]) -> u64 {
-        let h = self.hash.hash_bytes(key);
-        if self.bits >= 64 {
-            h
-        } else {
-            h >> (64 - self.bits)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +78,6 @@ mod tests {
         let a = FingerprintSpec::new(32, 99);
         let b = FingerprintSpec::new(32, 99);
         assert_eq!(a.apply(12345), b.apply(12345));
-        assert_eq!(a.apply_bytes(b"chrome/1.0"), b.apply_bytes(b"chrome/1.0"));
     }
 
     #[test]

@@ -200,22 +200,6 @@ impl SecondPassFilter {
     pub fn new() -> Self {
         Self { table: ExactTable::new("having-pass2") }
     }
-
-    /// Install the requested key set.
-    pub fn install_keys(&mut self, keys: impl IntoIterator<Item = u64>) -> usize {
-        let mut n = 0;
-        for k in keys {
-            if self.table.install(k, ()) {
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Number of installed keys (control-plane rules).
-    pub fn key_count(&self) -> usize {
-        self.table.rule_count()
-    }
 }
 
 impl Default for SecondPassFilter {
@@ -421,8 +405,10 @@ mod tests {
     #[test]
     fn second_pass_filter_forwards_requested_keys_only() {
         let mut f = StandalonePruner::new(SecondPassFilter::new());
-        f.program_mut().install_keys([10, 20, 30]);
-        assert_eq!(f.program().key_count(), 3);
+        for k in [10, 20, 30] {
+            f.program_mut().table.install(k, ());
+        }
+        assert_eq!(f.program().table.rule_count(), 3);
         assert_eq!(f.offer(&[10]).unwrap(), Verdict::Forward);
         assert_eq!(f.offer(&[11]).unwrap(), Verdict::Prune);
         f.program_mut().control(&ControlMsg::Clear).unwrap();
@@ -469,7 +455,9 @@ mod tests {
         }
         // Partial second pass: master aggregates exactly over candidates.
         let mut pass2 = SecondPassFilter::new();
-        pass2.install_keys(candidates.iter().copied());
+        for &k in &candidates {
+            pass2.table.install(k, ());
+        }
         let mut f = StandalonePruner::new(pass2);
         let mut exact: HashMap<u64, u64> = HashMap::new();
         for &(k, v) in &entries {

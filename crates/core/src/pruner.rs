@@ -106,15 +106,6 @@ pub trait OptPruner {
     fn offer_opt(&mut self, values: &[u64]) -> Verdict;
 }
 
-/// Statistics helper for running an [`OptPruner`] over a stream.
-pub fn run_opt<O: OptPruner>(opt: &mut O, stream: impl Iterator<Item = Vec<u64>>) -> ProgramStats {
-    let mut stats = ProgramStats::default();
-    for values in stream {
-        stats.record(opt.offer_opt(&values));
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,17 +161,5 @@ mod tests {
         p.offer(&[0]).unwrap();
         let es = &p.program().0;
         assert!(es.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn run_opt_counts() {
-        struct AlwaysPrune;
-        impl OptPruner for AlwaysPrune {
-            fn offer_opt(&mut self, _v: &[u64]) -> Verdict {
-                Verdict::Prune
-            }
-        }
-        let stats = run_opt(&mut AlwaysPrune, (0..5u64).map(|v| vec![v]));
-        assert_eq!(stats.pruned, 5);
     }
 }

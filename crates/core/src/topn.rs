@@ -159,12 +159,6 @@ impl TopNRandConfig {
         Self { rows: 4096, cols: 4, seed: 0x709 }
     }
 
-    /// Size the matrix per Theorem 2 for a given `d`, returning `None` when
-    /// `d` is too small for the target `(N, δ)`.
-    pub fn for_rows(rows: usize, n: usize, delta: f64, seed: u64) -> Option<Self> {
-        analysis::topn_columns_for(rows, n, delta).map(|cols| Self { rows, cols, seed })
-    }
-
     /// Space-and-pruning-optimal `(d, w)` per §5's Lambert-W optimization.
     pub fn optimal(n: usize, delta: f64, seed: u64) -> Self {
         let (rows, cols) = analysis::topn_optimize_dw(n, delta);
@@ -487,9 +481,9 @@ mod tests {
     fn rand_config_from_theorem2() {
         // The theorem's ceiling gives 17 (raw 16.4; the paper's prose says
         // 16) — see the analysis tests.
-        let cfg = TopNRandConfig::for_rows(600, 1000, 1e-4, 1).unwrap();
-        assert!(cfg.cols == 16 || cfg.cols == 17, "got {}", cfg.cols);
-        assert!(TopNRandConfig::for_rows(10, 1000, 1e-4, 1).is_none());
+        let cols = analysis::topn_columns_for(600, 1000, 1e-4).unwrap();
+        assert!(cols == 16 || cols == 17, "got {cols}");
+        assert!(analysis::topn_columns_for(10, 1000, 1e-4).is_none());
     }
 
     #[test]

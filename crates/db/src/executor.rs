@@ -51,8 +51,8 @@ struct InstalledProgram {
 thread_local! {
     /// The thread's last compiled program, kept warm between runs. The
     /// threads that run shard jobs are persistent — pool workers, and for
-    /// a one-shard plan the thread that executes it (a session driver, or
-    /// a blocking caller) — so across a run's repetitions each re-executes
+    /// a one-shard plan the thread that executes it (for a session, the
+    /// `run_blocking` caller) — so across a run's repetitions each re-executes
     /// the *same* spec against the *same* profile.
     /// Planning is deterministic, so the ledger verdict and usage are
     /// unchanged on a repeat — and the kernel re-arms with

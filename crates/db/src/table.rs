@@ -148,11 +148,6 @@ impl Table {
         &self.fields
     }
 
-    /// Index of a named column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|(n, _)| n == name)
-    }
-
     /// The partitions.
     pub fn partitions(&self) -> &[Partition] {
         &self.partitions
@@ -336,8 +331,7 @@ mod tests {
     #[test]
     fn column_lookup_and_fetch() {
         let t = sample();
-        assert_eq!(t.column_index("price"), Some(1));
-        assert_eq!(t.column_index("nope"), None);
+        assert_eq!(t.fields()[1].0, "price");
         assert_eq!(t.fetch(1, 0), vec![Value::Str("Fries".into()), Value::Int(2)]);
     }
 

@@ -72,12 +72,6 @@ pub fn encode_ordered_i64(v: i64) -> u64 {
     (v as u64) ^ (1u64 << 63)
 }
 
-/// Inverse of [`encode_ordered_i64`].
-#[inline]
-pub fn decode_ordered_i64(u: u64) -> i64 {
-    (u ^ (1u64 << 63)) as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,13 +83,6 @@ mod tests {
             for &b in &samples {
                 assert_eq!(a < b, encode_ordered_i64(a) < encode_ordered_i64(b), "{a} vs {b}");
             }
-        }
-    }
-
-    #[test]
-    fn ordered_encoding_roundtrips() {
-        for &v in &[i64::MIN, -1, 0, 7, i64::MAX] {
-            assert_eq!(decode_ordered_i64(encode_ordered_i64(v)), v);
         }
     }
 

@@ -2,15 +2,13 @@
 //! *when* answers arrive — never *what* they say — and must degrade by
 //! typed rejection, not by collapse.
 //!
-//! Three properties, mirroring the tentpole's promises:
+//! Two properties, each request served on its caller's thread:
 //!
-//! 1. **Concurrent bit-identity** — N tenants submitting a mixed bag of
-//!    query variants concurrently get results bit-identical to
+//! 1. **Concurrent bit-identity** — N tenant threads sending a mixed bag
+//!    of query variants concurrently get results bit-identical to
 //!    sequential single-query baseline runs.
-//! 2. **No starvation** — a 1-request tenant completes while a flooding
-//!    tenant keeps the queue saturated.
-//! 3. **Typed overload** — past the in-flight bound, `submit` returns
-//!    `Error::Overloaded` immediately instead of growing memory.
+//! 2. **Typed overload** — past the in-flight bound, `run_blocking`
+//!    returns `Error::Overloaded` immediately instead of growing memory.
 //!
 //! Under property 1 sit the layout lifecycle of a repeated query (first
 //! sight runs the tables whole, second sight plans and routes, later ones
@@ -19,7 +17,7 @@
 //! query ignores, and the arm lifecycle (first sight runs direct, every
 //! family; the second runs pruned on the layout the key keeps, and decides
 //! direct or pruned; pins run what they name and decide nothing, except
-//! that a pruned pin at the deciding sight measures it). Under property 3
+//! that a pruned pin at the deciding sight measures it). Under property 2
 //! sits containment: a request its tables cannot answer or that gives the
 //! switch nothing to evaluate is refused before any arm runs, identically
 //! on each; a shard job that panics anyway fails alone and typed — no
@@ -34,7 +32,7 @@ use cheetah_db::{
 };
 use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use cheetah_telemetry::TraceTree;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn fixtures(seed: u64) -> (Arc<Table>, Arc<Table>) {
     let left = Arc::new(common::gen_table(4_000, 120, 4, seed));
@@ -51,8 +49,9 @@ fn request(q: &DbQuery, left: &Arc<Table>, right: &Arc<Table>, tenant: &str) -> 
     }
 }
 
-/// Property 1: four tenants, every query variant, submitted all at once
-/// — each response must equal the sequential baseline bit for bit.
+/// Property 1: four tenant threads, started together, each sending every
+/// query variant — each response must equal the sequential baseline bit
+/// for bit.
 #[test]
 fn concurrent_tenants_get_bit_identical_results() {
     let cluster = Cluster::default();
@@ -70,32 +69,33 @@ fn concurrent_tenants_get_bit_identical_results() {
 
     let session = Session::new(cluster, SessionConfig::default());
     let tenants = ["alpha", "beta", "gamma", "delta"];
-    // Fan everything out before redeeming a single ticket, so the
-    // session genuinely holds concurrent work from every tenant.
-    let mut tickets = Vec::new();
-    for (t_idx, tenant) in tenants.iter().enumerate() {
-        for (q_idx, q) in queries.iter().enumerate() {
-            let ticket = session
-                .submit(request(q, &left, &right, tenant))
-                .expect("default capacity admits this burst");
-            tickets.push((t_idx, q_idx, ticket));
+    let gate = Barrier::new(tenants.len());
+    std::thread::scope(|scope| {
+        for tenant in tenants {
+            let (session, gate, queries, baselines) = (&session, &gate, &queries, &baselines);
+            let (left, right) = (&left, &right);
+            scope.spawn(move || {
+                gate.wait();
+                for (q, baseline) in queries.iter().zip(baselines) {
+                    let resp = session
+                        .run_blocking(request(q, left, right, tenant))
+                        .expect("default capacity admits four callers");
+                    assert_eq!(
+                        &resp.output,
+                        baseline,
+                        "tenant {tenant} query {} diverged from the sequential baseline",
+                        q.kind()
+                    );
+                    assert_eq!(resp.breakdown.tenant, tenant);
+                    assert!(resp.breakdown.queue_seconds >= 0.0);
+                }
+            });
         }
-    }
-    for (t_idx, q_idx, ticket) in tickets {
-        let resp = ticket.wait().expect("admitted requests complete");
-        assert_eq!(
-            resp.output,
-            baselines[q_idx],
-            "tenant {} query {} diverged from the sequential baseline",
-            tenants[t_idx],
-            queries[q_idx].kind()
-        );
-        assert_eq!(resp.breakdown.tenant, tenants[t_idx]);
-        assert!(resp.breakdown.queue_seconds >= 0.0);
-    }
+    });
     let stats = session.stats();
     assert_eq!(stats.completed, (tenants.len() * queries.len()) as u64);
     assert_eq!(stats.rejected, 0);
+    assert_eq!(session.in_flight(), 0);
 }
 
 /// Property 1b: a query that keeps coming back is run whole at first
@@ -177,9 +177,6 @@ fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
     }
     let stats = session.stats();
     assert_eq!((stats.plan_misses, stats.plan_hits), (1, 4));
-    // The queued path too: a driver thread must survive the request.
-    let ticket = session.submit(plain().with_right(narrow)).unwrap();
-    assert_eq!(ticket.wait().unwrap().output, baseline);
 }
 
 /// The arm a response reports, and the verdict its `rule` span traced
@@ -398,92 +395,63 @@ fn pins_at_first_sight_run_what_they_name_and_decide_nothing() {
     }
 }
 
-/// Property 2: a flooding tenant saturating the queue must not keep a
-/// 1-request tenant from completing.
-#[test]
-fn light_tenant_completes_under_flood() {
-    let (left, right) = fixtures(0xF100D);
-    let session = Session::new(
-        Cluster::default(),
-        // One driver makes the ordering fully scheduler-determined.
-        SessionConfig { drivers: 1, max_in_flight: 512, ..SessionConfig::default() },
-    );
-    let q = DbQuery::Distinct { col: 0 };
-
-    // 64 flood requests first, then the light tenant's single one.
-    let flood_tickets: Vec<_> =
-        (0..64).map(|_| session.submit(request(&q, &left, &right, "flood")).unwrap()).collect();
-    let light_ticket = session.submit(request(&q, &left, &right, "light")).unwrap();
-
-    // The light tenant's request completes even though 64 flood
-    // requests were queued ahead of it — DRR must interleave, so
-    // waiting on the light ticket alone (before draining any flood
-    // ticket) must return after a handful of flood services, not all 64.
-    let light = light_ticket.wait().expect("light tenant completes");
-    assert_eq!(light.breakdown.tenant, "light");
-    let completed_at_light = session.stats().completed;
-    assert!(
-        completed_at_light <= 32,
-        "light tenant waited for {completed_at_light} completions — starved behind the flood"
-    );
-
-    let mut flood_done = 0u64;
-    for t in flood_tickets {
-        t.wait().expect("flood requests also complete");
-        flood_done += 1;
-    }
-    assert_eq!(flood_done, 64);
-}
-
-/// Property 3: past the in-flight bound the session rejects with the
-/// typed error, immediately, and keeps serving what it admitted.
+/// Property 2: at the in-flight bound the session refuses with the typed
+/// error, immediately, counts each refusal, and serves what it admitted.
+/// Counted, not timed: a bound of zero refuses every call, and eight
+/// callers started together against a bound of one each either answer or
+/// are refused, however they interleave.
 #[test]
 fn overload_is_a_typed_rejection_not_memory_growth() {
     let (left, right) = fixtures(0x0F10);
-    let capacity = 4usize;
-    let session = Session::new(
-        Cluster::default(),
-        SessionConfig { max_in_flight: capacity, drivers: 1, ..SessionConfig::default() },
-    );
     let q = DbQuery::Distinct { col: 0 };
+    let want = Cluster::default().run_baseline(&q, &left, None).output;
+    let bounded = |capacity| {
+        let cfg = SessionConfig { max_in_flight: capacity, ..SessionConfig::default() };
+        Session::new(Cluster::default(), cfg)
+    };
 
-    let mut admitted = Vec::new();
-    let mut rejections = 0usize;
-    for i in 0..256 {
-        match session.submit(request(&q, &left, &right, &format!("t{}", i % 8))) {
-            Ok(ticket) => admitted.push(ticket),
-            Err(Error::Overloaded { in_flight, capacity: cap }) => {
-                assert_eq!(cap, capacity);
-                assert!(in_flight >= capacity, "rejection below the bound");
-                rejections += 1;
-            }
-            Err(e) => panic!("overload must be Error::Overloaded, got {e}"),
+    let closed = bounded(0);
+    for i in 0..8 {
+        match closed.run_blocking(request(&q, &left, &right, &format!("t{i}"))) {
+            Err(Error::Overloaded { in_flight: 0, capacity: 0 }) => {}
+            other => panic!("a bound of zero must refuse, got {other:?}"),
         }
-        // The queue can never hold more than the bound.
-        assert!(session.in_flight() <= capacity);
     }
-    assert!(
-        rejections >= 256 - capacity * 8,
-        "a 256-burst at capacity {capacity} must shed most of its load, shed {rejections}"
-    );
-    for t in admitted {
-        t.wait().expect("admitted requests still complete under overload");
-    }
-    assert_eq!(session.stats().rejected, rejections as u64);
+    assert_eq!(closed.stats().rejected, 8);
+    assert_eq!((closed.stats().completed, closed.in_flight()), (0, 0));
+
+    let session = bounded(1);
+    let gate = Barrier::new(8);
+    std::thread::scope(|scope| {
+        for i in 0..8 {
+            let (session, gate, want) = (&session, &gate, &want);
+            let req = request(&q, &left, &right, &format!("t{i}"));
+            scope.spawn(move || {
+                gate.wait();
+                match session.run_blocking(req) {
+                    Ok(resp) => assert_eq!(&resp.output, want),
+                    Err(Error::Overloaded { capacity: 1, .. }) => {}
+                    Err(e) => panic!("overload must be Error::Overloaded, got {e}"),
+                }
+            });
+        }
+    });
+    let stats = session.stats();
+    assert_eq!(stats.completed + stats.rejected, 8);
+    assert!(stats.completed >= 1, "the first caller through the gate is admitted");
+    assert_eq!(session.in_flight(), 0);
 }
 
-/// Send `req()` both ways — the caller's thread (`run_blocking`) and a
-/// driver thread (`submit` + `wait`) — and hand back the two refusals, each
-/// leaving nothing in flight.
-fn refused(session: &Session, req: impl Fn() -> QueryRequest) -> [cheetah_core::Error; 2] {
-    let q = req().query().clone();
-    [session.run_blocking(req()), session.submit(req()).expect("admitted").wait()].map(|resp| {
-        assert_eq!(session.in_flight(), 0, "{q:?}: a refused request leaked its slot");
-        match resp {
-            Err(Error::Exec(e)) => e,
-            other => panic!("{q:?}: expected a typed execution error, got {other:?}"),
-        }
-    })
+/// Send `req` and hand back its typed execution error, checking that the
+/// refusal left nothing in flight.
+fn refused(session: &Session, req: QueryRequest) -> cheetah_core::Error {
+    let q = req.query().clone();
+    let resp = session.run_blocking(req);
+    assert_eq!(session.in_flight(), 0, "{q:?}: a refused request leaked its slot");
+    match resp {
+        Err(Error::Exec(e)) => e,
+        other => panic!("{q:?}: expected a typed execution error, got {other:?}"),
+    }
 }
 
 /// A well-formed request pinned to eight shards — one job on every thread
@@ -497,7 +465,7 @@ fn assert_pool_intact(session: &Session, t: &Arc<Table>) {
     assert_eq!(session.in_flight(), 0);
 }
 
-/// Property 3b: a request that names a column its table does not have, or
+/// Property 2b: a request that names a column its table does not have, or
 /// one of the wrong type, used to index out of bounds on a pool thread —
 /// the thread gone for the process, the caller panicked, the slot leaked.
 /// It is refused before anything runs, as a typed `BadColumn`.
@@ -516,16 +484,15 @@ fn a_column_the_table_cannot_answer_for_is_a_typed_refusal() {
         (DbQuery::FilterCount { pred: cmp }, 0),
         (DbQuery::FilterCount { pred: like }, 1),
     ] {
-        for e in refused(&session, || QueryRequest::new(q.clone(), Arc::clone(&t))) {
-            assert_eq!(e, BadColumn { stream: 0, col }, "{q:?}");
-        }
+        let e = refused(&session, QueryRequest::new(q.clone(), Arc::clone(&t)));
+        assert_eq!(e, BadColumn { stream: 0, col }, "{q:?}");
         // The same session answers the next well-formed request.
         assert_pool_intact(&session, &t);
     }
     assert_eq!(session.stats().rejected, 0, "refused by the schema, not by admission");
 }
 
-/// Property 3c: a query with nothing to evaluate — no skyline dimension,
+/// Property 2c: a query with nothing to evaluate — no skyline dimension,
 /// no atom anywhere in its predicate — or with more atoms than the filter
 /// program enumerates used to trip a configuration assert inside `spec()`
 /// on a pool thread. The direct arm never calls `spec()`, so the same
@@ -552,17 +519,9 @@ fn a_query_with_nothing_to_evaluate_is_refused_identically_on_every_arm() {
             ("direct", req().path(ExecPath::Direct)),
             ("unpinned", req()),
         ] {
-            match session.run_blocking(req) {
-                Err(Error::Exec(e)) => assert_eq!(e, want, "{q:?} on the {arm} arm"),
-                other => panic!("{q:?} on the {arm} arm: expected a typed refusal, got {other:?}"),
-            }
-            assert_eq!(session.in_flight(), 0, "{q:?}: a refused request leaked its slot");
+            assert_eq!(refused(&session, req), want, "{q:?} on the {arm} arm");
         }
-        // A driver thread refuses it the same way…
-        for e in refused(&session, req) {
-            assert_eq!(e, want, "{q:?}");
-        }
-        // …and the same session answers the next well-formed request.
+        // The same session answers the next well-formed request.
         assert_pool_intact(&session, &t);
     }
     // The bounds have an inside: sixteen atoms, and an empty conjunct
@@ -587,15 +546,14 @@ fn worker_threads(tree: &TraceTree) -> Vec<String> {
     workers.iter().map(|w| w.attr("thread").unwrap_or("unnamed").to_string()).collect()
 }
 
-/// Property 3d: a shard job that panics anyway fails its own request and
+/// Property 2d: a shard job that panics anyway fails its own request and
 /// nothing else. No request can reach a panic any more, so the operator
 /// misconfigures the switch instead: a cluster tuned to zero stored
 /// skyline points trips the program builder's assert in the shard job — on
 /// a pruned arm only. Sixteen one-shard requests pinned to it each come
 /// back as `WorkerPanicked`, to that request only, each job having
-/// unwound on the thread that served its request (the caller's through
-/// `run_blocking`, a driver's through `submit`), which then serves a
-/// compiled, pruned request with its kernel cache and scratch intact.
+/// unwound on the thread that served its request, its caller's, which
+/// then serves a compiled, pruned request with its kernel cache and scratch intact.
 /// Unpinned, the key's first sight runs direct and answers; its deciding
 /// second sight routes, runs pruned and panics, to that request alone, and
 /// decides nothing: the key stays undecided, its next sight pruned on the
@@ -612,10 +570,9 @@ fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
     let q = DbQuery::Skyline { cols: vec![1, 2] };
     let want = Cluster::default().run_baseline(&q, &t, None).output;
     let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
-    for _ in 0..8 {
-        for e in refused(&session, || unpinned().path(ExecPath::BarrierPooled)) {
-            assert_eq!(e, WorkerPanicked { shard: 0 }, "{q:?}");
-        }
+    for _ in 0..16 {
+        let e = refused(&session, unpinned().path(ExecPath::BarrierPooled));
+        assert_eq!(e, WorkerPanicked { shard: 0 }, "{q:?}");
     }
     let refusals = session.traces().recent();
     assert_eq!(refusals.len(), 16);

@@ -84,10 +84,10 @@ pub struct ExecBreakdown {
     /// falls back to the interpreter (unsupported family), the value here
     /// is what *actually* executed, not what was requested.
     pub backend: ExecBackend,
-    /// Wall time the request waited in a serving session's admission
-    /// queue before a driver started executing it — read from the
-    /// lifecycle trace's `queue` span, which *is* the queue clock. Zero
-    /// for direct (non-session) runs, so serving latency decomposes as
+    /// Wall time between a serving session admitting the request and
+    /// starting its work — read from the lifecycle trace's `queue` span,
+    /// near zero since the caller's thread starts at once. Zero for
+    /// direct (non-session) runs, so serving latency decomposes as
     /// queue → worker → network → master.
     pub queue_seconds: f64,
     /// Tenant id of the serving-session request that produced this run.

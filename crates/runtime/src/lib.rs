@@ -33,7 +33,7 @@
 //! A one-shard plan — every first sight, and every plan the planner fits
 //! at one shard — has nothing to run in parallel, so handing its job to
 //! the pool would only add a hand-off and a wake-up to the request. The
-//! calling thread (a session driver, or a `run_blocking` caller) runs it
+//! calling thread (for a session, the `run_blocking` caller) runs it
 //! behind the same panic boundary a pool thread keeps. Its one output
 //! goes through the same merge as any other's, and
 //! [`merge_shard_outputs`](cheetah_db::merge_shard_outputs) hands a lone

@@ -175,8 +175,8 @@ fn run_shard(
     Ok(rep)
 }
 
-/// A one-shard plan's job, run by the calling thread — a session driver,
-/// or a `run_blocking` caller — behind the job boundary a pool thread
+/// A one-shard plan's job, run by the calling thread — for a session, the
+/// `run_blocking` caller — behind the job boundary a pool thread
 /// keeps: a panic is this call's [`WorkerPanicked`], and the thread
 /// carries on. The job never waits on the pool.
 ///

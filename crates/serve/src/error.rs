@@ -10,22 +10,19 @@ use std::fmt;
 /// `Result` specialised to serving-plane errors.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Everything that can go wrong between `submit` and a response.
+/// Everything that can go wrong between a call to `run_blocking` and its
+/// response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// Admission control turned the request away: the session already
-    /// holds `capacity` in-flight requests (queued plus executing).
-    /// This is back-pressure, not failure — the request was never
-    /// enqueued and holds no session memory.
+    /// executes `capacity` requests. This is back-pressure, not failure —
+    /// the request never ran and holds no session memory.
     Overloaded {
         /// Requests in flight when admission was refused.
         in_flight: usize,
         /// The session's configured in-flight bound.
         capacity: usize,
     },
-    /// The session is shutting down (or its driver dropped the request
-    /// mid-shutdown); no result will ever arrive for this submission.
-    SessionClosed,
     /// The execution layer itself failed; carries the engine's typed
     /// error unchanged.
     Exec(cheetah_core::Error),
@@ -38,7 +35,6 @@ impl fmt::Display for Error {
                 f,
                 "session overloaded: {in_flight} requests in flight at capacity {capacity}"
             ),
-            Error::SessionClosed => write!(f, "session closed before the request completed"),
             Error::Exec(e) => write!(f, "execution failed: {e}"),
         }
     }
@@ -76,11 +72,5 @@ mod tests {
         let e = Error::from(cheetah_core::Error::MissingStream { stream: 1 });
         assert!(e.source().is_some());
         assert_eq!(e, Error::Exec(cheetah_core::Error::MissingStream { stream: 1 }));
-    }
-
-    #[test]
-    fn closed_session_has_no_source() {
-        use std::error::Error as _;
-        assert!(Error::SessionClosed.source().is_none());
     }
 }

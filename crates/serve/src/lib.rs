@@ -9,22 +9,20 @@
 //! transport runs, on which backend, over which shard layout, is the
 //! session's business.
 //!
-//! The pipeline behind [`Session::submit`]:
+//! The pipeline behind [`Session::run_blocking`], all on the caller's
+//! thread:
 //!
 //! 1. **Admission** — a bounded in-flight gate; past capacity the
 //!    request is refused *immediately* with [`Error::Overloaded`]
 //!    (shed load, don't buffer it into memory growth).
-//! 2. **Fair scheduling** — deficit round-robin over per-tenant
-//!    queues, costed in input rows, so a flooding tenant cannot starve
-//!    a light one.
-//! 3. **Layout, for what comes back** — the session holds one entry
+//! 2. **Layout, for what comes back** — the session holds one entry
 //!    per (query, tables) key. First sight runs the tables whole on one
 //!    shard: no planner, no copy. A key that returns is routed, once,
 //!    under a plan already held for this query over same-named tables
 //!    of like size ([`StatsFingerprint::within`]), else one the
 //!    [`ShardPlanner`](cheetah_db::ShardPlanner) fits; from then on the
 //!    entry's layout, and the plan it carries, is all a request consults.
-//! 4. **The arm** — what the request pins, else what its key's stage
+//! 3. **The arm** — what the request pins, else what its key's stage
 //!    says: `direct` (the operator's completion over every row — no
 //!    switch program) at first sight; pruned, on the barrier transport
 //!    and the compiled backend (the interpreter where the family has no
@@ -35,9 +33,9 @@
 //!    per key.
 //!
 //! Every arm produces bit-identical output — the serving plane
-//! inherits the repo-wide invariant `Q(A_Q(D)) = Q(D)` — so admission
-//! order, tenancy, and the arm affect *when* an answer arrives,
-//! never *what* it says.
+//! inherits the repo-wide invariant `Q(A_Q(D)) = Q(D)` — so concurrency,
+//! tenancy, and the arm affect *when* an answer arrives, never *what* it
+//! says.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,4 +46,4 @@ pub mod session;
 
 pub use error::{Error, Result};
 pub use request::QueryRequest;
-pub use session::{QueryResponse, Session, SessionConfig, SessionStats, StatsFingerprint, Ticket};
+pub use session::{QueryResponse, Session, SessionConfig, SessionStats, StatsFingerprint};

@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, table)
 ///     .tenant("analytics")
 ///     .shards(4);
-/// assert_eq!(req.tenant_id(), "analytics");
+/// assert!(req.right().is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
@@ -55,8 +55,8 @@ impl QueryRequest {
 
     /// Attach the right-hand stream of a binary query (JOIN). A unary
     /// query reads one table, so it drops the handle here — once, before
-    /// the session's key, the planner or the scheduler's cost can see a
-    /// table the query never reads.
+    /// the session's key or the planner can see a table the query never
+    /// reads.
     pub fn with_right(mut self, right: Arc<Table>) -> Self {
         if self.query.is_binary() {
             self.right = Some(right);
@@ -64,8 +64,8 @@ impl QueryRequest {
         self
     }
 
-    /// Tag the request with a tenant id — the unit of fair scheduling
-    /// and of per-tenant accounting in the response breakdown.
+    /// Tag the request with a tenant id — the unit of per-tenant
+    /// accounting in the response breakdown and the trace.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
         self.tenant = tenant.into();
         self
@@ -110,17 +110,6 @@ impl QueryRequest {
     pub fn right(&self) -> Option<&Arc<Table>> {
         self.right.as_ref()
     }
-
-    /// The tenant this request is accounted to.
-    pub fn tenant_id(&self) -> &str {
-        &self.tenant
-    }
-
-    /// Input rows across the streams the query reads — the fair
-    /// scheduler's cost unit.
-    pub(crate) fn cost_rows(&self) -> u64 {
-        (self.left.rows() + self.right.as_ref().map_or(0, |r| r.rows())) as u64
-    }
 }
 
 #[cfg(test)]
@@ -139,32 +128,24 @@ mod tests {
     #[test]
     fn builder_defaults_and_overrides() {
         let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, tiny(3));
-        assert_eq!(req.tenant_id(), "default");
+        assert_eq!(req.tenant, "default");
         assert!(req.path.is_none() && req.backend.is_none() && req.shards.is_none());
         let req = req
             .tenant("acme")
             .path(ExecPath::StreamedResident)
             .backend(ExecBackend::Compiled)
             .shards(0);
-        assert_eq!(req.tenant_id(), "acme");
+        assert_eq!(req.tenant, "acme");
         assert_eq!(req.path, Some(ExecPath::StreamedResident));
         assert_eq!(req.backend, Some(ExecBackend::Compiled));
         assert_eq!(req.shards, Some(1), "zero shards clamps to one");
     }
 
     #[test]
-    fn cost_counts_both_streams() {
-        let req = QueryRequest::new(DbQuery::Join { left_key: 0, right_key: 0 }, tiny(5))
-            .with_right(tiny(7));
-        assert_eq!(req.cost_rows(), 12);
-    }
-
-    #[test]
     fn a_unary_query_keeps_no_right_table() {
-        // A tenant is charged for the rows its query reads, and nothing
-        // downstream is handed a table to index with the query's columns.
+        // Nothing downstream is handed a table to index with the query's
+        // columns.
         let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, tiny(5)).with_right(tiny(7));
         assert!(req.right().is_none());
-        assert_eq!(req.cost_rows(), 5);
     }
 }

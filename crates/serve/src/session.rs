@@ -1,18 +1,15 @@
-//! The front door: admission, fair scheduling, and a layout built only
-//! for what comes back, for a stream of concurrent [`QueryRequest`]s.
+//! The front door: admission and a layout built only for what comes
+//! back, for concurrent [`QueryRequest`]s, each served on its caller's
+//! thread.
 //!
 //! ```text
 //!            QueryRequest
-//!                 │ submit / run_blocking
+//!                 │ run_blocking
 //!                 ▼
 //!        ┌─────────────────┐   in-flight ≥ capacity
 //!        │  admission gate  │──────────────────────▶ Error::Overloaded
 //!        └────────┬────────┘
-//!                 ▼
-//!        ┌─────────────────┐
-//!        │ per-tenant DRR   │   deficit round-robin over tenant queues
-//!        └────────┬────────┘
-//!                 ▼ driver thread
+//!                 ▼ the caller's thread
 //!        ┌─────────────────┐   what is held for (query, tables)?
 //!        │  one entry per   │   absent ─▶ first sight: the tables run whole on one
 //!        │       key        │             shard, direct — no spec, no encode, no
@@ -69,14 +66,8 @@
 //! the merge (`Q(merge(shards(D))) = Q(D)`), so staleness costs balance,
 //! not answers, and a row-count tolerance is an acceptable test for it.
 //!
-//! Drivers are dedicated threads, *not* worker-pool jobs: a pool job
-//! never blocks, and a driver blocks on the shard jobs it fans out — as a
-//! job it would hold a worker while waiting for workers. Keeping drivers
-//! off the pool means a session can never deadlock the pool it feeds. A
-//! one-shard plan — every first sight, and every key fitted at one shard
-//! — fans nothing out: the driver (or the `run_blocking` caller) runs its
-//! one job itself, so the argument still holds, since that job waits on
-//! nothing. Its switch kernel cache is then that thread's own.
+//! A request runs on its caller's thread and never on a pool worker, so a
+//! session cannot deadlock the pool it feeds.
 
 use crate::error::{Error, Result};
 use crate::request::QueryRequest;
@@ -90,26 +81,21 @@ use cheetah_runtime::{ExecPlan, ShardLayout};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Knobs of one serving session. The defaults serve a small rack: a
-/// few driver threads and a few hundred requests in flight.
+/// Knobs of one serving session. The defaults serve a small rack: a few
+/// hundred requests in flight.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
-    /// Admission bound: queued plus executing requests. One more is
-    /// refused with [`Error::Overloaded`].
+    /// Admission bound: requests executing at once. One more is refused
+    /// with [`Error::Overloaded`].
     pub max_in_flight: usize,
-    /// Dedicated driver threads draining the tenant queues.
-    pub drivers: usize,
     /// Keys the session holds an entry for — a layout, and the plan it was
     /// routed under — before evicting the oldest insertion.
     pub plan_cache_capacity: usize,
 }
 
-/// Deficit round-robin quantum, in input rows per turn.
-const QUANTUM_ROWS: u64 = 8_192;
 /// Row-count drift (fractional) beyond which a held plan is never reused
 /// for another table.
 const STATS_TOLERANCE: f64 = 0.35;
@@ -119,7 +105,7 @@ const TRACE_CAPACITY: usize = 64;
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        Self { max_in_flight: 256, drivers: 2, plan_cache_capacity: 128 }
+        Self { max_in_flight: 256, plan_cache_capacity: 128 }
     }
 }
 
@@ -154,21 +140,6 @@ pub struct QueryResponse {
     pub trace: Option<TraceTree>,
 }
 
-/// A pending response: returned by [`Session::submit`], redeemed with
-/// [`Ticket::wait`].
-#[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<QueryResponse>>,
-}
-
-impl Ticket {
-    /// Block until the request completes. A session torn down before
-    /// the request ran yields [`Error::SessionClosed`].
-    pub fn wait(self) -> Result<QueryResponse> {
-        self.rx.recv().unwrap_or(Err(Error::SessionClosed))
-    }
-}
-
 /// Counters a session exposes for reporting and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
@@ -193,32 +164,6 @@ impl SessionStats {
             self.plan_hits as f64 / total as f64
         }
     }
-}
-
-struct Pending {
-    req: QueryRequest,
-    tx: mpsc::Sender<Result<QueryResponse>>,
-    /// The request's lifecycle trace root, opened at admission.
-    root: Span,
-    /// The open `queue` span: its lifetime *is* the queue time. The
-    /// driver reads `elapsed_s()` at dequeue and stamps the value into
-    /// the breakdown, so `ExecBreakdown::queue_seconds` is a view over
-    /// this span rather than separately-threaded bookkeeping.
-    queue: Span,
-}
-
-#[derive(Default)]
-struct SchedState {
-    /// Per-tenant FIFO queues. A tenant key exists iff its queue is
-    /// non-empty — mirrored exactly by `active`.
-    queues: HashMap<String, VecDeque<Pending>>,
-    /// Round-robin rotation over tenants with queued work.
-    active: VecDeque<String>,
-    /// Deficit counters (rows) for tenants with queued work.
-    deficit: HashMap<String, u64>,
-    queued: usize,
-    executing: usize,
-    shutdown: bool,
 }
 
 /// The table statistics a plan was fitted against. Tables are immutable,
@@ -439,13 +384,11 @@ struct Telemetry {
     /// requests that ran on it: first sights, pinned or decided.
     direct_keys: Counter,
     direct_requests: Counter,
-    /// `serve.queue_depth` — requests queued right now.
-    queue_depth: Gauge,
     /// `serve.executing` — requests executing right now.
     executing: Gauge,
-    /// `serve.queue_seconds` — per-request queue time.
+    /// `serve.queue_seconds` — per-request time from admission to start.
     queue_seconds: Histogram,
-    /// `serve.latency_seconds` — per-request queue + execution time.
+    /// `serve.latency_seconds` — per-request admission-to-response time.
     latency_seconds: Histogram,
 }
 
@@ -460,7 +403,6 @@ impl Telemetry {
             plan_misses: registry.counter("serve.plan_cache.misses"),
             direct_keys: registry.counter("serve.direct.keys"),
             direct_requests: registry.counter("serve.direct.requests"),
-            queue_depth: registry.gauge("serve.queue_depth"),
             executing: registry.gauge("serve.executing"),
             queue_seconds: registry.histogram("serve.queue_seconds"),
             latency_seconds: registry.histogram("serve.latency_seconds"),
@@ -469,8 +411,8 @@ impl Telemetry {
     }
 
     /// Open the lifecycle trace for one admitted request: the `query`
-    /// root with a closed `admit` child and the still-open `queue`
-    /// child whose lifetime measures time-to-dispatch.
+    /// root with a closed `admit` child and the still-open `queue` child,
+    /// whose lifetime is the gap between admission and the start of work.
     fn begin(&self, req: &QueryRequest, in_flight: usize) -> (Span, Span) {
         let trace = Trace::new(self.registry.clone());
         let mut root = trace.span("query");
@@ -485,44 +427,29 @@ impl Telemetry {
     }
 }
 
-struct Shared {
+/// The serving plane's front door. See the [module docs](self) for the
+/// request lifecycle; see [`QueryRequest`] for what a request carries.
+/// It owns no thread: share it by reference across the threads that call
+/// [`run_blocking`](Self::run_blocking).
+pub struct Session {
     cluster: Cluster,
     cfg: SessionConfig,
-    sched: Mutex<SchedState>,
-    work: Condvar,
+    /// Requests executing right now: the admission gate's one count.
+    in_flight: AtomicUsize,
     caches: Mutex<Caches>,
     telemetry: Telemetry,
-}
-
-/// The serving plane's front door. See the [module docs](self) for the
-/// request lifecycle; see [`QueryRequest`] for what a submission
-/// carries.
-///
-/// Dropping the session drains already-admitted requests, then joins
-/// its driver threads.
-pub struct Session {
-    shared: Arc<Shared>,
-    drivers: Vec<JoinHandle<()>>,
 }
 
 impl Session {
     /// A session executing on `cluster` with the given knobs.
     pub fn new(cluster: Cluster, cfg: SessionConfig) -> Self {
-        let shared = Arc::new(Shared {
+        Session {
             cluster,
-            cfg: cfg.clone(),
-            sched: Mutex::new(SchedState::default()),
-            work: Condvar::new(),
+            cfg,
+            in_flight: AtomicUsize::new(0),
             caches: Mutex::default(),
             telemetry: Telemetry::new(),
-        });
-        let drivers = (0..cfg.drivers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || driver_loop(&shared))
-            })
-            .collect();
-        Session { shared, drivers }
+        }
     }
 
     /// A session over a default [`Cluster`] with default knobs.
@@ -530,71 +457,43 @@ impl Session {
         Session::new(Cluster::default(), SessionConfig::default())
     }
 
-    /// Admit a request, or refuse it right now.
+    /// Admit a request and serve it on the calling thread, or refuse it
+    /// right now.
     ///
-    /// Admission is the only place the session says no for load
-    /// reasons: past this gate the request *will* execute (or report a
-    /// typed execution error). The returned [`Ticket`] is redeemed with
-    /// [`Ticket::wait`].
-    pub fn submit(&self, req: QueryRequest) -> Result<Ticket> {
-        let mut st = lock(&self.shared.sched);
-        if st.shutdown {
-            return Err(Error::SessionClosed);
-        }
-        let in_flight = st.queued + st.executing;
-        if in_flight >= self.shared.cfg.max_in_flight {
-            self.shared.telemetry.rejected.inc();
-            return Err(Error::Overloaded { in_flight, capacity: self.shared.cfg.max_in_flight });
-        }
-        let (tx, rx) = mpsc::channel();
-        let tenant = req.tenant.clone();
-        let newly_active = !st.queues.contains_key(&tenant);
-        let (root, queue) = self.shared.telemetry.begin(&req, in_flight);
-        st.queues.entry(tenant.clone()).or_default().push_back(Pending { req, tx, root, queue });
-        if newly_active {
-            st.active.push_back(tenant.clone());
-            st.deficit.insert(tenant, 0);
-        }
-        st.queued += 1;
-        self.shared.telemetry.queue_depth.set(st.queued as i64);
-        drop(st);
-        self.shared.work.notify_one();
-        Ok(Ticket { rx })
-    }
-
-    /// Submit and wait. When the session is idle (nothing queued, a
-    /// slot free) the calling thread executes the request directly —
-    /// no cross-thread handoff, and for a one-shard plan none to the
-    /// worker pool either — so a single blocking client pays only a
-    /// mutex and one map lookup over the raw execution paths.
+    /// Admission is the only place the session says no for load reasons:
+    /// with [`SessionConfig::max_in_flight`] requests executing, the call
+    /// returns [`Error::Overloaded`] at once. Past this gate the request
+    /// *will* execute (or report a typed execution error), with no
+    /// cross-thread handoff — and for a one-shard plan none to the worker
+    /// pool either.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
-        {
-            let mut st = lock(&self.shared.sched);
-            if st.shutdown {
-                return Err(Error::SessionClosed);
+        let capacity = self.cfg.max_in_flight;
+        let admitted = self
+            .in_flight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n < capacity).then_some(n + 1));
+        let in_flight = match admitted {
+            Ok(before) => before,
+            Err(in_flight) => {
+                self.telemetry.rejected.inc();
+                return Err(Error::Overloaded { in_flight, capacity });
             }
-            if st.queued == 0 && st.executing < self.shared.cfg.max_in_flight {
-                st.executing += 1;
-                let in_flight = st.queued + st.executing - 1;
-                drop(st);
-                self.shared.telemetry.executing.add(1);
-                // The idle fast path still traces the full lifecycle;
-                // its queue span just closes (honestly) near-instantly.
-                let (root, queue) = self.shared.telemetry.begin(&req, in_flight);
-                let queue_seconds = queue.elapsed_s();
-                queue.finish();
-                let result = execute(&self.shared, &req, queue_seconds, root);
-                close_out(&self.shared);
-                return result;
-            }
-        }
-        self.submit(req)?.wait()
+        };
+        self.telemetry.executing.add(1);
+        // Nothing waits between admission and work, so the queue span
+        // closes (honestly) near-instantly.
+        let (root, queue) = self.telemetry.begin(&req, in_flight);
+        let queue_seconds = queue.elapsed_s();
+        queue.finish();
+        let result = execute(self, &req, queue_seconds, root);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.telemetry.executing.add(-1);
+        self.telemetry.queries.inc();
+        result
     }
 
-    /// Requests in flight right now (queued plus executing).
+    /// Requests executing right now.
     pub fn in_flight(&self) -> usize {
-        let st = lock(&self.shared.sched);
-        st.queued + st.executing
+        self.in_flight.load(Ordering::SeqCst)
     }
 
     /// The session's metrics registry: queue/latency histograms,
@@ -603,19 +502,19 @@ impl Session {
     /// callers send (the tenant rides each response and trace). Snapshot it
     /// ([`Registry::snapshot`]) for a deterministic, name-ordered view.
     pub fn registry(&self) -> &Registry {
-        &self.shared.telemetry.registry
+        &self.telemetry.registry
     }
 
     /// The ring buffer of the 64 most recently completed query traces.
     /// Each entry is the full lifecycle span tree of one request.
     pub fn traces(&self) -> &TraceSink {
-        &self.shared.telemetry.sink
+        &self.telemetry.sink
     }
 
     /// Admission, completion, and held-plan counters — read off the
     /// registry's `serve.*` counters.
     pub fn stats(&self) -> SessionStats {
-        let t = &self.shared.telemetry;
+        let t = &self.telemetry;
         SessionStats {
             completed: t.queries.get(),
             rejected: t.rejected.get(),
@@ -625,119 +524,37 @@ impl Session {
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.sched);
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for d in self.drivers.drain(..) {
-            let _ = d.join();
-        }
-    }
-}
-
-fn driver_loop(shared: &Shared) {
-    loop {
-        let pending = {
-            let mut st = lock(&shared.sched);
-            loop {
-                if let Some(p) = pop_next(&mut st, QUANTUM_ROWS) {
-                    st.executing += 1;
-                    shared.telemetry.queue_depth.set(st.queued as i64);
-                    break p;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        shared.telemetry.executing.add(1);
-        let Pending { req, tx, root, queue } = pending;
-        // The queue span is the queue clock: the breakdown field and the
-        // exported span read the same measurement.
-        let queue_seconds = queue.elapsed_s();
-        queue.finish();
-        let result = execute(shared, &req, queue_seconds, root);
-        // Account *before* waking the waiter, so a redeemed ticket is
-        // always reflected in the session counters.
-        close_out(shared);
-        // A dropped Ticket just means nobody is waiting; fine.
-        let _ = tx.send(result);
-    }
-}
-
-/// Take one of the session's locks. A lock a panicking thread poisoned is
-/// taken back as it stands: neither critical section runs caller code or
-/// leaves an entry half-written, so that panic fails no other request.
+/// Take the session's lock. A lock a panicking thread poisoned is taken
+/// back as it stands: its critical sections run no caller code and leave
+/// no entry half-written, so that panic fails no other request.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Account one executed request as done. No parked driver is woken: they
-/// wait for a queued request or shutdown, never for a free slot
-/// (`submit` refuses rather than blocks), so a completion changes nothing
-/// any waiter's predicate reads.
-fn close_out(shared: &Shared) {
-    lock(&shared.sched).executing -= 1;
-    shared.telemetry.executing.add(-1);
-    shared.telemetry.queries.inc();
-}
-
-/// Deficit round-robin: the front tenant spends deficit to dequeue; a
-/// tenant that cannot afford its head request earns a quantum and goes
-/// to the back of the rotation. Tenants leave the rotation the moment
-/// their queue drains, so an idle tenant costs nothing and a returning
-/// tenant starts with a zero deficit.
-fn pop_next(st: &mut SchedState, quantum: u64) -> Option<Pending> {
-    loop {
-        let tenant = st.active.front()?.clone();
-        let queue = st.queues.get_mut(&tenant).expect("active tenant has a queue");
-        let cost = queue.front().expect("active queue non-empty").req.cost_rows().max(1);
-        let deficit = st.deficit.entry(tenant.clone()).or_insert(0);
-        if *deficit >= cost {
-            *deficit -= cost;
-            let p = queue.pop_front().expect("checked non-empty");
-            st.queued -= 1;
-            if queue.is_empty() {
-                st.queues.remove(&tenant);
-                st.deficit.remove(&tenant);
-                st.active.pop_front();
-            }
-            return Some(p);
-        }
-        *deficit += quantum;
-        st.active.rotate_left(1);
-    }
 }
 
 /// Serve one admitted request and close out its trace — on *both* arms:
 /// a request that fails with a typed error still exports its span tree
 /// (root attr `error`) and still counts in `serve.latency_seconds`, so
 /// the trace plane and the latency histogram account for every request
-/// `serve.queries` does. Runs on a driver thread (or the caller's, via
-/// the `run_blocking` fast path); never holds the scheduler lock.
+/// `serve.queries` does. Runs on the caller's thread.
 fn execute(
-    shared: &Shared,
+    session: &Session,
     req: &QueryRequest,
     queue_seconds: f64,
     mut root: Span,
 ) -> Result<QueryResponse> {
-    let mut result = serve(shared, req, queue_seconds, &mut root);
+    let mut result = serve(session, req, queue_seconds, &mut root);
     if let Err(e) = &result {
         root.attr("error", e);
     }
     // The root span opened at admission, so its age is queue + execute —
     // exactly the client-observed latency.
     let latency = root.elapsed_s();
-    shared.telemetry.latency_seconds.observe(latency);
+    session.telemetry.latency_seconds.observe(latency);
     let trace = root.trace().clone();
     root.finish();
     let trace = trace.export().ok();
     if let Some(tree) = &trace {
-        shared.telemetry.sink.push(tree.clone());
+        session.telemetry.sink.push(tree.clone());
     }
     if let Ok(resp) = &mut result {
         resp.trace = trace;
@@ -756,14 +573,14 @@ fn execute(
 /// shard plan, route, run it pruned and decide; a routed layout — run it
 /// on the arm decided.
 fn serve(
-    shared: &Shared,
+    session: &Session,
     req: &QueryRequest,
     queue_seconds: f64,
     root: &mut Span,
 ) -> Result<QueryResponse> {
-    shared.telemetry.queue_seconds.observe(queue_seconds);
+    session.telemetry.queue_seconds.observe(queue_seconds);
     let right = req.right.as_ref();
-    let (key, capacity) = (Key::of(req), shared.cfg.plan_cache_capacity);
+    let (key, capacity) = (Key::of(req), session.cfg.plan_cache_capacity);
 
     // 1. The layout, by what the session holds for the key: routed,
     // whole or nothing. Only the second sight that claims a whole key —
@@ -772,7 +589,7 @@ fn serve(
     let mut plan_span = root.child("plan");
     let fitted = |plan| Layout::Under(ShardLayout::Fitted(plan));
     let hashed = |shards| Layout::Under(ShardSpec::new(shards, ShardPartitioner::Hash).into());
-    let held = lock(&shared.caches).sight(&key, &req.left, right);
+    let held = lock(&session.caches).sight(&key, &req.left, right);
     let (visit, layout) = match (held, req.shards) {
         (Some((plan, stage @ (Stage::Routed | Stage::Direct))), shards) => {
             let visit = Visit::Warm { pinned: shards.is_some(), direct: stage == Stage::Direct };
@@ -781,13 +598,13 @@ fn serve(
         (Some((plan, Stage::Fitting)), _) => (Visit::Racing, Layout::Held(plan)),
         (Some((_, Stage::Whole)), _) => {
             let right = right.map(|r| &**r);
-            let like = lock(&shared.caches).like(&key, &req.left, right);
+            let like = lock(&session.caches).like(&key, &req.left, right);
             match like {
                 Some(plan) => (Visit::Deciding { like: true }, fitted(plan)),
                 None => {
                     // Fitted with no lock held: the claim keeps racing
                     // sights off the key's fit.
-                    let seed = shared.cluster.tuning.seed;
+                    let seed = session.cluster.tuning.seed;
                     let plan = ShardPlanner::default().plan(&req.query, &req.left, right, seed);
                     (Visit::Deciding { like: false }, fitted(Arc::new(plan)))
                 }
@@ -798,9 +615,9 @@ fn serve(
     };
     plan_span.attr("cache", visit.label());
     if visit.plan_cached() {
-        shared.telemetry.plan_hits.inc();
+        session.telemetry.plan_hits.inc();
     } else if visit == (Visit::Deciding { like: false }) {
-        shared.telemetry.plan_misses.inc();
+        session.telemetry.plan_misses.inc();
     }
     plan_span.finish();
 
@@ -818,7 +635,7 @@ fn serve(
     let mut exec_span = root.child("execute");
     exec_span.attr("path", arm.path.label());
     if arm.path == ExecPath::Direct {
-        shared.telemetry.direct_requests.inc();
+        session.telemetry.direct_requests.inc();
     } else {
         exec_span.attr("backend", arm.backend.label());
     }
@@ -835,18 +652,18 @@ fn serve(
             // first sight checked the request against these very tables.)
             let route_span = (visit != Visit::First).then(|| exec_span.child("route"));
             let plan =
-                Arc::new(ExecPlan::new(&shared.cluster, &req.query, &req.left, right, layout)?);
+                Arc::new(ExecPlan::new(&session.cluster, &req.query, &req.left, right, layout)?);
             if let Some(mut route_span) = route_span {
                 route_span.attr("shards", plan.shards());
                 route_span.finish();
                 let entry = Entry { plan: Arc::clone(&plan), stage: Stage::Routed };
-                lock(&shared.caches).insert(key.clone(), entry, capacity);
+                lock(&session.caches).insert(key.clone(), entry, capacity);
             }
             plan
         }
     };
 
-    let cluster = shared.cluster.clone().with_backend(arm.backend);
+    let cluster = session.cluster.clone().with_backend(arm.backend);
     let run = {
         let _in_exec = exec_span.enter();
         cheetah_runtime::execute(&cluster, &plan.for_path(arm.path))?
@@ -864,7 +681,7 @@ fn serve(
     // layout it was taken on; then stamp the serving fields the caller sees.
     let respond_span = root.child("respond");
     if visit == Visit::First {
-        let mut caches = lock(&shared.caches);
+        let mut caches = lock(&session.caches);
         if caches.get(&key, &req.left, right).is_none() {
             caches.insert(key, Entry { plan, stage: Stage::Whole }, capacity);
         }
@@ -888,10 +705,10 @@ fn serve(
         rule_span.attr("rule.direct", direct);
         rule_span.finish();
         if direct {
-            let mut caches = lock(&shared.caches);
+            let mut caches = lock(&session.caches);
             if let Some(e) = caches.map.get_mut(&key).filter(|e| Arc::ptr_eq(&e.plan, &plan)) {
                 e.stage = Stage::Direct;
-                shared.telemetry.direct_keys.inc();
+                session.telemetry.direct_keys.inc();
             }
         }
     }
@@ -962,7 +779,7 @@ mod tests {
 
     /// The fitted plan the session holds for `req`'s key, if any.
     fn held_plan(session: &Session, req: &QueryRequest) -> Option<Arc<ShardPlan>> {
-        let caches = session.shared.caches.lock().unwrap();
+        let caches = session.caches.lock().unwrap();
         caches.map.get(&Key::of(req)).and_then(|e| e.plan.shard_plan().cloned())
     }
 
@@ -1062,7 +879,7 @@ mod tests {
         };
         let session = Session::with_defaults();
         let q = DbQuery::Join { left_key: 0, right_key: 0 };
-        let seed = session.shared.cluster.tuning.seed;
+        let seed = session.cluster.tuning.seed;
         // What the planner fits for these tables with nothing measured.
         let blind = |l: &Table, r: &Table| ShardPlanner::default().plan(&q, l, Some(r), seed);
         // First and second sight of a fresh pair of tables named `l` and
@@ -1157,8 +974,7 @@ mod tests {
             let session = Session::new(cluster.clone(), SessionConfig::default());
             assert_eq!(session.run_blocking(req()).unwrap().output, want, "round {round}");
             // Eight threads, each sending the key's second and third sight
-            // on its own thread (`run_blocking`'s fast path needs only an
-            // empty queue), all started together. However they interleave —
+            // on its own thread, all started together. However they interleave —
             // claiming the key's fit, racing that claim (run whole), or
             // finding the layout it held before running (run pruned,
             // undecided, or on its verdict) — one of them fits, routes and
@@ -1209,7 +1025,7 @@ mod tests {
                 }
             }
             assert_eq!(session.stats().plan_misses, 1, "round {round}: one fit");
-            let caches = session.shared.caches.lock().unwrap();
+            let caches = session.caches.lock().unwrap();
             assert_eq!((caches.map.len(), caches.order.len()), (1, 1), "round {round}");
             let entry = caches.map.values().next().expect("one entry");
             assert!(entry.plan.shard_plan().is_some(), "round {round}");
@@ -1254,7 +1070,7 @@ mod tests {
             // Once routed, a key is never whole again: one route per key.
             assert_eq!(routes, 2, "round {round}");
             {
-                let caches = session.shared.caches.lock().unwrap();
+                let caches = session.caches.lock().unwrap();
                 assert_eq!((caches.map.len(), caches.order.len()), (2, 2), "round {round}");
                 assert!(caches.map.values().all(|e| {
                     matches!(e.stage, Stage::Routed | Stage::Direct)
@@ -1299,7 +1115,7 @@ mod tests {
         assert!(routed(&resp), "a different table never hits the first one's entry");
         assert_eq!(resp.output, cluster.run_baseline(&q, &second, None).output);
         assert_ne!(resp.output, want, "fixture tables must differ for the test to bite");
-        assert_eq!(session.shared.caches.lock().unwrap().map.len(), 2);
+        assert_eq!(session.caches.lock().unwrap().map.len(), 2);
     }
 
     #[test]
@@ -1324,69 +1140,10 @@ mod tests {
             first.get_or_insert_with(|| (Arc::downgrade(&t), Arc::downgrade(&plan)));
         }
         assert_eq!(session.stats().plan_misses, 3);
-        assert_eq!(session.shared.caches.lock().unwrap().map.len(), 2);
+        assert_eq!(session.caches.lock().unwrap().map.len(), 2);
         let (table, plan) = first.unwrap();
         assert!(table.upgrade().is_none(), "the evicted entry must free its table");
         assert!(plan.upgrade().is_none(), "…and the plan that governed only it");
-    }
-
-    #[test]
-    fn drr_alternates_tenants_rather_than_draining_one() {
-        // Two tenants with equal-cost requests: deficit round-robin
-        // must interleave them 1:1 regardless of arrival order.
-        let mut st = SchedState::default();
-        let t = table(100, 1, 1);
-        let (tx, _rx) = mpsc::channel();
-        let telemetry = Telemetry::new();
-        for tenant in ["flood", "flood", "flood", "light", "flood"] {
-            let req =
-                QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t)).tenant(tenant);
-            let newly = !st.queues.contains_key(tenant);
-            let (root, queue) = telemetry.begin(&req, 0);
-            st.queues.entry(tenant.to_string()).or_default().push_back(Pending {
-                req,
-                tx: tx.clone(),
-                root,
-                queue,
-            });
-            if newly {
-                st.active.push_back(tenant.to_string());
-                st.deficit.insert(tenant.to_string(), 0);
-            }
-            st.queued += 1;
-        }
-        // Quantum = one request's cost: each tenant affords exactly one
-        // dequeue per rotation turn.
-        let order: Vec<String> =
-            std::iter::from_fn(|| pop_next(&mut st, 100)).map(|p| p.req.tenant.clone()).collect();
-        assert_eq!(st.queued, 0);
-        let light_pos = order.iter().position(|t| t == "light").unwrap();
-        assert!(
-            light_pos <= 1,
-            "light tenant served within one flood request, got order {order:?}"
-        );
-    }
-
-    #[test]
-    fn closing_the_session_drains_what_it_admitted() {
-        // One driver and a queue of admitted requests, then the session
-        // dropped at once: the drop drains the queue before it joins the
-        // driver, so every ticket answers.
-        let t = table(2_000, 4, 2);
-        let cfg = SessionConfig { drivers: 1, ..SessionConfig::default() };
-        let session = Session::new(Cluster::default(), cfg);
-        let q = DbQuery::Distinct { col: 0 };
-        let want = Cluster::default().run_baseline(&q, &t, None).output;
-        let ask = || session.submit(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap();
-        let tickets: Vec<Ticket> = (0..8).map(|_| ask()).collect();
-        drop(session);
-        for ticket in tickets {
-            assert_eq!(ticket.wait().unwrap().output, want);
-        }
-        // A ticket whose request can no longer run is a typed close.
-        let (tx, rx) = mpsc::channel();
-        drop(tx);
-        assert_eq!(Ticket { rx }.wait().unwrap_err(), Error::SessionClosed);
     }
 
     #[test]
@@ -1395,27 +1152,20 @@ mod tests {
         let session = Session::with_defaults();
         let q = DbQuery::Distinct { col: 0 };
         let want = Cluster::default().run_baseline(&q, &t, None).output;
-        // One thread panics holding the caches lock, another holding the
-        // scheduler's (the panic messages on stderr are expected).
+        // One thread panics holding the caches lock (the panic message on
+        // stderr is expected).
         std::thread::scope(|scope| {
             let caches = scope.spawn(|| {
-                let _held = session.shared.caches.lock().unwrap();
+                let _held = session.caches.lock().unwrap();
                 panic!("panics holding the caches lock (expected by this test)");
             });
             assert!(caches.join().is_err());
-            let sched = scope.spawn(|| {
-                let _held = session.shared.sched.lock().unwrap();
-                panic!("panics holding the scheduler lock (expected by this test)");
-            });
-            assert!(sched.join().is_err());
         });
-        assert!(session.shared.caches.is_poisoned() && session.shared.sched.is_poisoned());
-        // Every sight of a key, on the caller's thread and on a driver's.
+        assert!(session.caches.is_poisoned());
+        // Every sight of a key.
         let req = || QueryRequest::new(q.clone(), Arc::clone(&t));
         for sight in 1..=3 {
             assert_eq!(session.run_blocking(req()).unwrap().output, want, "sight {sight}");
-            let ticket = session.submit(req()).unwrap();
-            assert_eq!(ticket.wait().unwrap().output, want, "sight {sight}");
         }
     }
 }

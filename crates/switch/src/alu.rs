@@ -66,24 +66,6 @@ impl AluOp {
     }
 }
 
-/// Unsigned comparison as the hardware predicate unit computes it.
-#[inline]
-pub fn cmp_gt(a: u64, b: u64) -> bool {
-    a > b
-}
-
-/// Unsigned comparison (≥).
-#[inline]
-pub fn cmp_ge(a: u64, b: u64) -> bool {
-    a >= b
-}
-
-/// Equality predicate.
-#[inline]
-pub fn cmp_eq(a: u64, b: u64) -> bool {
-    a == b
-}
-
 /// A power-of-two multiply expressed as the shift the hardware would use.
 ///
 /// The deterministic TOP-N algorithm sets its thresholds to `t_i = 2^i · t0`
@@ -130,9 +112,6 @@ mod tests {
         assert_eq!(AluOp::Eq.eval(7, 8), 0);
         assert_eq!(AluOp::Gt.eval(8, 7), 1);
         assert_eq!(AluOp::Lt.eval(7, 8), 1);
-        assert!(cmp_gt(2, 1) && !cmp_gt(1, 1));
-        assert!(cmp_ge(1, 1));
-        assert!(cmp_eq(3, 3));
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl SwitchProfile {
         }
     }
 
-    /// Total SRAM bits across all stages.
-    pub fn total_sram_bits(&self) -> u64 {
-        self.sram_bits_per_stage * self.stages as u64
-    }
-
     /// Per-packet pipeline latency as a `Duration`.
     pub fn latency(&self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.latency_ns)
@@ -102,13 +97,18 @@ impl SwitchProfile {
 mod tests {
     use super::*;
 
+    /// Total SRAM bits across all stages.
+    fn total_sram_bits(p: &SwitchProfile) -> u64 {
+        p.sram_bits_per_stage * p.stages as u64
+    }
+
     #[test]
     fn tofino1_matches_paper_envelope() {
         let p = SwitchProfile::tofino1();
         // §2.2: 12–60 stages.
         assert!(p.stages >= 12 && p.stages <= 60);
         // §2.2: under 100 MB of SRAM.
-        assert!(p.total_sram_bits() < 100 * 1024 * 1024 * 8);
+        assert!(total_sram_bits(&p) < 100 * 1024 * 1024 * 8);
         // §2.2: 100K–300K TCAM entries.
         assert!(p.tcam_entries >= 100_000 && p.tcam_entries <= 300_000);
         // Table 3: sub-microsecond latency.
@@ -121,14 +121,14 @@ mod tests {
         let t2 = SwitchProfile::tofino2();
         assert!(t2.stages > t1.stages);
         assert!(t2.throughput_tbps > t1.throughput_tbps);
-        assert!(t2.total_sram_bits() > t1.total_sram_bits());
+        assert!(total_sram_bits(&t2) > total_sram_bits(&t1));
     }
 
     #[test]
     fn tiny_is_tiny() {
         let p = SwitchProfile::tiny();
         assert!(p.stages < SwitchProfile::tofino1().stages);
-        assert!(p.total_sram_bits() < 1024 * 1024);
+        assert!(total_sram_bits(&p) < 1024 * 1024);
     }
 
     #[test]

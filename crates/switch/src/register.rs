@@ -113,20 +113,6 @@ impl RegisterArray {
             .ok_or(SwitchError::IndexOutOfBounds { index, depth: self.cells.len() })
     }
 
-    /// Control-plane snapshot of all cells.
-    pub fn control_read_all(&self) -> &[u64] {
-        &self.cells
-    }
-
-    /// Control-plane write (rule/parameter installation).
-    pub fn control_write(&mut self, index: usize, value: u64) -> Result<()> {
-        let depth = self.cells.len();
-        let cell =
-            self.cells.get_mut(index).ok_or(SwitchError::IndexOutOfBounds { index, depth })?;
-        *cell = value & self.mask;
-        Ok(())
-    }
-
     /// Control-plane reset of every cell to zero (switch reboot / new query).
     pub fn control_clear(&mut self) {
         self.cells.fill(0);
@@ -202,10 +188,9 @@ mod tests {
     fn control_ops_bypass_epoch_discipline() {
         let mut r = array(2, 64);
         r.rmw(1, 0, |_| 10).unwrap();
-        r.control_write(1, 20).unwrap();
-        assert_eq!(r.control_read_all(), &[10, 20]);
+        assert_eq!(r.cells, [10, 0]);
         r.control_clear();
-        assert_eq!(r.control_read_all(), &[0, 0]);
+        assert_eq!(r.cells, [0, 0]);
         // Clear resets the epoch discipline too.
         r.rmw(1, 0, |_| 1).unwrap();
     }

@@ -161,24 +161,6 @@ impl ResourceLedger {
         Ok(RegisterArray::with_ports(stage, depth, width_bits, ports))
     }
 
-    /// Like [`register_array`](Self::register_array) but shares an
-    /// already-allocated ALU: some algorithms (marked `*` in Table 2) assume
-    /// same-stage ALUs can access the same memory space, so several logical
-    /// columns share one physical stage. Only the SRAM is charged.
-    pub fn register_array_shared_alu(
-        &mut self,
-        stage: usize,
-        depth: usize,
-        width_bits: u32,
-    ) -> Result<RegisterArray> {
-        if width_bits == 0 || width_bits > self.profile.max_register_width {
-            return Err(SwitchError::BadWidth { width: width_bits });
-        }
-        self.check_stage(stage)?;
-        self.alloc_sram_bits(stage, depth as u64 * u64::from(width_bits))?;
-        Ok(RegisterArray::new(stage, depth, width_bits))
-    }
-
     /// Find the first run of `n` contiguous stages, starting at or after
     /// `from`, in which every stage still has at least `alus` ALUs and
     /// `sram_bits` SRAM available. Returns the first stage of the run.
@@ -305,15 +287,6 @@ mod tests {
             l.register_array(0, 1024, 64),
             Err(SwitchError::SramExhausted { stage: 0, .. })
         ));
-    }
-
-    #[test]
-    fn shared_alu_variant_charges_no_alu() {
-        let mut l = tiny_ledger();
-        let _a = l.register_array(0, 4, 64).unwrap();
-        let _b = l.register_array_shared_alu(0, 4, 64).unwrap();
-        assert_eq!(l.usage().alus, 1);
-        assert_eq!(l.usage().sram_bits, 2 * 4 * 64);
     }
 
     #[test]

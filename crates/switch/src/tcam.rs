@@ -46,11 +46,6 @@ impl<A: Clone> TernaryTable<A> {
         self.sorted = false;
     }
 
-    /// Number of installed entries (what the TCAM budget charges).
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Remove all entries.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -113,7 +108,7 @@ mod tests {
     #[test]
     fn msb_finder_32() {
         let mut t = TernaryTable::<()>::msb_finder(32).unwrap();
-        assert_eq!(t.entry_count(), 32);
+        assert_eq!(t.entries.len(), 32);
         assert_eq!(t.lookup(1), Some(&0));
         assert_eq!(t.lookup(0b1000), Some(&3));
         assert_eq!(t.lookup(0xFFFF_FFFF), Some(&31));
@@ -123,7 +118,7 @@ mod tests {
     #[test]
     fn msb_finder_64() {
         let mut t = TernaryTable::<()>::msb_finder(64).unwrap();
-        assert_eq!(t.entry_count(), 64);
+        assert_eq!(t.entries.len(), 64);
         for bit in 0..64u32 {
             let key = 1u64 << bit;
             assert_eq!(t.lookup(key), Some(&bit));
@@ -153,7 +148,7 @@ mod tests {
         let mut t = TernaryTable::new("t");
         t.install(TcamEntry { value: 0, mask: 0, priority: 0, action: 1u8 });
         t.clear();
-        assert_eq!(t.entry_count(), 0);
+        assert_eq!(t.entries.len(), 0);
         assert_eq!(t.lookup(0), None);
     }
 }

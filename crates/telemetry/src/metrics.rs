@@ -423,10 +423,10 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(reg.counter("serve.queries").get(), 5);
-        let g = reg.gauge("serve.queue_depth");
+        let g = reg.gauge("serve.executing");
         g.set(7);
         g.add(-3);
-        assert_eq!(reg.gauge("serve.queue_depth").get(), 4);
+        assert_eq!(reg.gauge("serve.executing").get(), 4);
     }
 
     #[test]

@@ -87,8 +87,6 @@ impl BigDataConfig {
     pub const UV_USER_AGENT: usize = 4;
     /// `languageCode` column index in UserVisits.
     pub const UV_LANGUAGE: usize = 6;
-    /// `duration` column index in UserVisits.
-    pub const UV_DURATION: usize = 8;
 
     /// The benchmark's seven queries (Appendix B) in the paper's order,
     /// each as `(query, left, right)`: the table it scans and, for the
@@ -249,7 +247,7 @@ mod tests {
         assert_eq!(t.rows(), 5_000);
         assert_eq!(t.partitions().len(), 4);
         assert_eq!(t.fields().len(), 3);
-        assert_eq!(t.column_index("pageRank"), Some(1));
+        assert_eq!(t.fields()[1].0, "pageRank");
     }
 
     #[test]

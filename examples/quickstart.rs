@@ -62,8 +62,8 @@ fn main() {
     let cluster = Cluster::default();
     let products = Arc::new(products());
     let ratings = Arc::new(ratings());
-    // The serving plane's front door: requests go through admission, the
-    // fair scheduler, and the session's held layouts; the baseline below
+    // The serving plane's front door: requests go through admission and
+    // the session's held layouts, on this thread; the baseline below
     // stays on the engine directly — it is the ground truth the plane is
     // checked against. Each request pins the pruned arm: unpinned, a
     // query's first sight runs direct, with no switch to show.

@@ -31,8 +31,8 @@
 //!   TPC-H subset, and the pruning-rate simulation streams;
 //! * [`serve`] — the multi-tenant serving plane: the
 //!   [`QueryRequest`](serve::QueryRequest)/[`Session`](serve::Session)
-//!   front door with admission control, per-tenant fair scheduling, one
-//!   held layout (and its fitted plan) per (query, tables) key, and a
+//!   front door with admission control, each request served on its
+//!   caller's thread, one held layout (and its fitted plan) per (query, tables) key, and a
 //!   pinnable (transport × backend) execution grid;
 //! * [`telemetry`] — lock-light always-on observability: a metrics
 //!   registry (atomic counters/gauges, log-bucketed histograms) and
