@@ -13,8 +13,6 @@
 //! the announcements. The master then drives a **partial second pass**: it
 //! requests the full entry set of the candidate keys (a superset of the
 //! true output), computes exact aggregates, and discards false positives.
-//! The [`SecondPassFilter`] program implements the key-set filter for that
-//! pass.
 //!
 //! `HAVING SUM(x) < c` is future work in the paper and is rejected by the
 //! planner here as well.
@@ -26,8 +24,8 @@
 use crate::distinct::{DistinctConfig, DistinctPruner, EvictionPolicy};
 use crate::pruner::OptPruner;
 use cheetah_switch::{
-    ControlMsg, ExactTable, HashFamily, HashFn, PacketRef, RegisterArray, ResourceLedger,
-    SwitchProgram, UsageSummary, Verdict,
+    ControlMsg, HashFamily, HashFn, PacketRef, RegisterArray, ResourceLedger, SwitchProgram,
+    UsageSummary, Verdict,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -182,45 +180,6 @@ impl SwitchProgram for HavingPruner {
             _ => {
                 self.dedup.control(msg)?;
             }
-        }
-        Ok(())
-    }
-}
-
-/// Pass-2 filter: forwards only entries whose key was requested by the
-/// master. Usable on the switch (match-action table over keys) or inside
-/// the CWorker.
-#[derive(Debug)]
-pub struct SecondPassFilter {
-    table: ExactTable<()>,
-}
-
-impl SecondPassFilter {
-    /// Empty filter (forwards nothing until keys are installed).
-    pub fn new() -> Self {
-        Self { table: ExactTable::new("having-pass2") }
-    }
-}
-
-impl Default for SecondPassFilter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SwitchProgram for SecondPassFilter {
-    fn name(&self) -> &'static str {
-        "having-pass2"
-    }
-
-    fn on_packet(&mut self, pkt: PacketRef<'_>) -> cheetah_switch::Result<Verdict> {
-        let key = pkt.value(0)?;
-        Ok(if self.table.lookup_exact(key).is_some() { Verdict::Forward } else { Verdict::Prune })
-    }
-
-    fn control(&mut self, msg: &ControlMsg) -> cheetah_switch::Result<()> {
-        if matches!(msg, ControlMsg::Clear) {
-            self.table.clear();
         }
         Ok(())
     }
@@ -403,19 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn second_pass_filter_forwards_requested_keys_only() {
-        let mut f = StandalonePruner::new(SecondPassFilter::new());
-        for k in [10, 20, 30] {
-            f.program_mut().table.install(k, ());
-        }
-        assert_eq!(f.program().table.rule_count(), 3);
-        assert_eq!(f.offer(&[10]).unwrap(), Verdict::Forward);
-        assert_eq!(f.offer(&[11]).unwrap(), Verdict::Prune);
-        f.program_mut().control(&ControlMsg::Clear).unwrap();
-        assert_eq!(f.offer(&[10]).unwrap(), Verdict::Prune);
-    }
-
-    #[test]
     fn opt_forwards_one_entry_per_qualifying_key() {
         let mut opt = HavingOpt::new(HavingAgg::Sum, 100);
         let mut fwd = 0;
@@ -428,52 +374,5 @@ mod tests {
             }
         }
         assert_eq!(fwd, 5, "each key crosses once");
-    }
-
-    #[test]
-    fn end_to_end_second_pass_produces_exact_output() {
-        // Pass 1 announces candidates; pass 2 + master aggregation must
-        // produce exactly the true HAVING output.
-        let threshold = 500u64;
-        let mut p = build(threshold, 128);
-        let entries: Vec<(u64, u64)> = {
-            let mut x = 77u64;
-            (0..20_000)
-                .map(|_| {
-                    x = mix64(x);
-                    let k = x % 100;
-                    x = mix64(x);
-                    (k, x % 15)
-                })
-                .collect()
-        };
-        let mut candidates = HashSet::new();
-        for &(k, v) in &entries {
-            if p.offer(&[k, v]).unwrap() == Verdict::Forward {
-                candidates.insert(k);
-            }
-        }
-        // Partial second pass: master aggregates exactly over candidates.
-        let mut pass2 = SecondPassFilter::new();
-        for &k in &candidates {
-            pass2.table.install(k, ());
-        }
-        let mut f = StandalonePruner::new(pass2);
-        let mut exact: HashMap<u64, u64> = HashMap::new();
-        for &(k, v) in &entries {
-            if f.offer(&[k, v]).unwrap() == Verdict::Forward {
-                *exact.entry(k).or_insert(0) += v;
-            }
-        }
-        let output: HashSet<u64> =
-            exact.iter().filter(|&(_, &s)| s > threshold).map(|(&k, _)| k).collect();
-        // Ground truth.
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for &(k, v) in &entries {
-            *truth.entry(k).or_insert(0) += v;
-        }
-        let want: HashSet<u64> =
-            truth.iter().filter(|&(_, &s)| s > threshold).map(|(&k, _)| k).collect();
-        assert_eq!(output, want);
     }
 }

@@ -61,7 +61,7 @@ pub use error::Error;
 pub use filter::{AtomSpec, BoolExpr, CmpOp, ExternalMode, FilterConfig, FilterPruner, Predicate};
 pub use fingerprint::FingerprintSpec;
 pub use groupby::{AggKind, GroupByConfig, GroupByOpt, GroupByPruner};
-pub use having::{HavingAgg, HavingConfig, HavingOpt, HavingPruner, SecondPassFilter};
+pub use having::{HavingAgg, HavingConfig, HavingOpt, HavingPruner};
 pub use hierarchy::MultiSwitch;
 pub use join::{BloomKind, JoinConfig, JoinMode, JoinOpt, JoinPruner, JoinSide};
 pub use operator::PassPlan;

@@ -4,7 +4,7 @@
 //! the master re-fetches the true column values of the survivors and
 //! normalizes (duplicates from matrix evictions collapse there).
 
-use super::{for_each_key, for_each_selected_group, KeyRef, PruningOperator, Survivors};
+use super::{for_each_group, for_each_key, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -36,7 +36,7 @@ impl PruningOperator for DistinctOp {
     }
 
     fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
-        for_each_key(self.seed, part.column(self.col), |_, k| sink(&[k]));
+        for_each_key(self.seed, part.coded(self.col), |_, k| sink(&[k]));
     }
 
     fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
@@ -44,17 +44,17 @@ impl PruningOperator for DistinctOp {
         // borrowed cells (a coded key by a hit flag per code first), own
         // one `Value` per distinct key.
         let mut seen: HashSet<KeyRef<'_>> = HashSet::new();
-        for (part, sel) in survivors.parts(src, 0) {
-            for_each_selected_group(
-                part.column(self.col),
-                sel,
-                |_| (),
-                |(), ()| (),
-                |k, ()| {
-                    seen.insert(k);
-                },
-            );
-        }
+        for_each_group(
+            src,
+            survivors,
+            0,
+            self.col,
+            |_| |_| (),
+            |(), ()| (),
+            |k, ()| {
+                seen.insert(k);
+            },
+        );
         QueryOutput::values(seen.into_iter().map(KeyRef::to_value).collect())
     }
 }

@@ -4,7 +4,9 @@
 //! external atoms (LIKE) are tautology-substituted there and re-checked by
 //! the master, which evaluates the *full* predicate on the survivors: row
 //! by row through a pruned selection, a column at a time over the
-//! identity (the direct arm).
+//! identity (the direct arm). A scan reads a string column as the
+//! operators see it ([`Partition::coded`]): a coded column's LIKE matches
+//! its dictionary's strings, read by code.
 
 use super::{PruningOperator, Selected, Survivors};
 use crate::executor::Tables;
@@ -111,7 +113,7 @@ fn eval_chunk(pred: &DbPredicate, part: &Partition, lo: usize, out: &mut [Hit]) 
                 IntCmp::Ne => fill(out, v, |x| *x != lit),
             }
         }
-        DbPredicate::Like { col, pattern } => match part.column(*col) {
+        DbPredicate::Like { col, pattern } => match part.coded(*col) {
             Column::Str(v) => fill(out, &v[rows], |s| pattern.matches(s)),
             Column::Dict { codes, dict } => {
                 fill(out, &codes[rows], |&c| pattern.matches(&dict[c as usize]));

@@ -4,9 +4,7 @@
 //! their group's maximum; the master re-aggregates the survivors exactly
 //! by true key value (fingerprint collisions only reduce pruning).
 
-use super::{
-    encode_i64_32, for_each_key, for_each_selected_group, KeyRef, PruningOperator, Survivors,
-};
+use super::{encode_i64_32, for_each_group, for_each_key, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -54,28 +52,23 @@ impl PruningOperator for GroupByMaxOp {
 
     fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
         let vals = part.column(self.val_col).as_int().expect("int agg col");
-        for_each_key(self.seed, part.column(self.key_col), |r, k| {
+        for_each_key(self.seed, part.coded(self.key_col), |r, k| {
             sink(&[k, encode_i64_32(vals[r])])
         });
     }
 
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+    fn complete<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> QueryOutput {
         // Aggregate by *borrowed* key (a coded key by code first): the
         // owned `Value` keys — one per group, not per survivor — only
         // materialize in the final map.
         let mut best: HashMap<KeyRef<'_>, i64> = HashMap::new();
-        for (part, sel) in survivors.parts(src, 0) {
+        let vals = |part: &'t Partition| {
             let vals = part.column(self.val_col).as_int().expect("int agg col");
-            for_each_selected_group(
-                part.column(self.key_col),
-                sel,
-                |r| vals[r],
-                i64::max,
-                |k, v| {
-                    best.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
-                },
-            );
-        }
+            move |r| vals[r]
+        };
+        for_each_group(src, survivors, 0, self.key_col, vals, i64::max, |k, v| {
+            best.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
+        });
         QueryOutput::KeyedInts(best.into_iter().map(|(k, v)| (k.to_value(), v)).collect())
     }
 }

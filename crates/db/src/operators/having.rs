@@ -8,7 +8,7 @@
 //! them exactly by true key value and applies the threshold — sketch
 //! overestimates only add candidates, never wrong sums.
 
-use super::{for_each_key, for_each_selected_group, KeyRef, PruningOperator, Survivors};
+use super::{for_each_group, for_each_key, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -69,28 +69,21 @@ impl PruningOperator for HavingSumOp {
 
     fn encode_part(&self, _stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
         let vals = part.column(self.val_col).as_int().expect("int sum col");
-        for_each_key(self.seed, part.column(self.key_col), |r, k| {
-            sink(&[k, vals[r].max(0) as u64])
-        });
+        for_each_key(self.seed, part.coded(self.key_col), |r, k| sink(&[k, vals[r].max(0) as u64]));
     }
 
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+    fn complete<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> QueryOutput {
         // Exact sums by true (borrowed) key (a coded key by code first);
         // an owned `Value` only for the keys that clear the threshold.
         let mut sums: HashMap<KeyRef<'_>, i64> = HashMap::new();
-        for (part, sel) in survivors.parts(src, 0) {
+        let sum = |a: i64, b: i64| a + b;
+        let vals = |part: &'t Partition| {
             let vals = part.column(self.val_col).as_int().expect("int sum col");
-            let sum = |a: i64, b: i64| a + b;
-            for_each_selected_group(
-                part.column(self.key_col),
-                sel,
-                |r| vals[r],
-                sum,
-                |k, v| {
-                    *sums.entry(k).or_insert(0) += v;
-                },
-            );
-        }
+            move |r| vals[r]
+        };
+        for_each_group(src, survivors, 0, self.key_col, vals, sum, |k, v| {
+            *sums.entry(k).or_insert(0) += v;
+        });
         let over = sums.into_iter().filter(|(_, s)| *s > self.threshold);
         QueryOutput::KeyedInts(over.map(|(k, s)| (k.to_value(), s)).collect())
     }

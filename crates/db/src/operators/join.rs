@@ -14,14 +14,13 @@
 //! The master runs an exact hash join on the survivors' true key values —
 //! Bloom false positives contribute no pairs.
 
-use super::{for_each_key, for_each_selected_key, KeyRef, PruningOperator, Survivors};
+use super::{for_each_group, for_each_key, one_dict, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
 use crate::table::{Column, Partition};
 use cheetah_core::{BloomKind, JoinConfig, JoinMode, PassPlan, QuerySpec};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The JOIN operator.
 pub struct JoinOp {
@@ -77,46 +76,49 @@ impl PruningOperator for JoinOp {
 
     fn encode_part(&self, stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
         let key_col = if stream == 0 { self.left_key } else { self.right_key };
-        for_each_key(self.seed, part.column(key_col), |_, k| sink(&[k]));
+        for_each_key(self.seed, part.coded(key_col), |_, k| sink(&[k]));
     }
 
     fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
         // One build over the true keys of the side with fewer survivors,
-        // one probe per survivor of the other (pair counts are symmetric):
-        // the map every probe lands in is the smaller one, and a key held
-        // is re-hashed — for string keys, re-read — on the fewest growths.
-        // A Bloom false positive finds no partner, so adds no pair.
+        // one probe per key of the other (pair counts are symmetric): the
+        // map every probe lands in is the smaller one, and a key held is
+        // re-hashed — for string keys, re-read — on the fewest growths. A
+        // Bloom false positive finds no partner, so adds no pair.
         let key_cols = [self.left_key, self.right_key];
         let held = |stream| survivors.parts(src, stream).map(|(_, sel)| sel.count()).sum::<usize>();
         let (small, large) = if held(0) <= held(1) { (0, 1) } else { (1, 0) };
-        if let Some(dict) = shared_dict(src, survivors, key_cols) {
+        let keys =
+            |stream| survivors.parts(src, stream).map(move |(p, _)| p.coded(key_cols[stream]));
+        if let Some(dict) = one_dict(keys(0).chain(keys(1))) {
             // Both streams code their key against one dictionary, which
             // holds each string once: the build is a count per code, the
             // probe an index, and no string is read.
             let mut counts = vec![0u64; dict.len()];
             for (part, sel) in survivors.parts(src, small) {
-                let codes = codes(part.column(key_cols[small]));
+                let codes = codes(part.coded(key_cols[small]));
                 sel.rows().for_each(|r| counts[codes[r] as usize] += 1);
             }
             let mut pairs = 0u64;
             for (part, sel) in survivors.parts(src, large) {
-                let codes = codes(part.column(key_cols[large]));
+                let codes = codes(part.coded(key_cols[large]));
                 sel.rows().for_each(|r| pairs += counts[codes[r] as usize]);
             }
             return QueryOutput::JoinPairs(pairs);
         }
+        // Otherwise each side is counted per key — a coded side by code
+        // first, so the build hashes one string per code its selection
+        // touches and the probe one per code the other side's touches.
+        // A plain side hashes every selected row, counted once.
+        let (one, count) = (|_: &Partition| |_| 1u64, |a: u64, b: u64| a + b);
         let mut build: HashMap<KeyRef<'_>, u64> = HashMap::new();
-        for (part, sel) in survivors.parts(src, small) {
-            for_each_selected_key(part.column(key_cols[small]), sel, |_, k| {
-                *build.entry(k).or_insert(0) += 1;
-            });
-        }
+        for_each_group(src, survivors, small, key_cols[small], one, count, |k, n| {
+            *build.entry(k).or_insert(0) += n;
+        });
         let mut pairs = 0u64;
-        for (part, sel) in survivors.parts(src, large) {
-            for_each_selected_key(part.column(key_cols[large]), sel, |_, k| {
-                pairs += build.get(&k).copied().unwrap_or(0);
-            });
-        }
+        for_each_group(src, survivors, large, key_cols[large], one, count, |k, n| {
+            pairs += build.get(&k).map_or(0, |&c| c * n);
+        });
         QueryOutput::JoinPairs(pairs)
     }
 }
@@ -125,26 +127,8 @@ impl PruningOperator for JoinOp {
 fn codes(col: &Column) -> &[u32] {
     match col {
         Column::Dict { codes, .. } => codes,
-        _ => unreachable!("shared_dict found every key column coded"),
+        _ => unreachable!("one_dict found every key column coded"),
     }
-}
-
-/// The one dictionary every partition of both streams holds its key
-/// column against, if there is one: what routing both streams together
-/// leaves in a shard ([`route_columns`](crate::sharded::route_columns)).
-/// Plain keys, or dictionaries coded apart, give `None`.
-fn shared_dict<'t>(
-    src: &Tables<'t>,
-    survivors: &Survivors,
-    key_cols: [usize; 2],
-) -> Option<&'t Arc<[String]>> {
-    let mut cols =
-        (0..2).flat_map(|s| survivors.parts(src, s).map(move |(part, _)| part.column(key_cols[s])));
-    let Some(Column::Dict { dict: first, .. }) = cols.next() else {
-        return None;
-    };
-    cols.all(|col| matches!(col, Column::Dict { dict, .. } if Arc::ptr_eq(dict, first)))
-        .then_some(first)
 }
 
 #[cfg(test)]

@@ -35,15 +35,21 @@
 //! and no row ids, so a completion over it scans the raw columns.
 //!
 //! The keyed completions (DISTINCT, GROUP BY, HAVING, JOIN) read their
-//! key column by its form. A plain column's selected cells are hashed and
-//! compared as borrowed keys (`for_each_selected_key`). A
-//! dictionary-coded key — what routing leaves in a multi-shard unit — is
-//! read by code: DISTINCT, GROUP BY and HAVING fold the selected rows into
-//! a dense per-code array (a hit flag, the max, the sum, each beside
-//! presence) and touch one string per code the selection holds
-//! (`for_each_selected_group`); a JOIN whose two streams code their keys
-//! against one shared dictionary counts one side's codes and probes them
-//! with the other's, and reads no string at all.
+//! key column as the operators see it ([`Partition::coded`]): the codes a
+//! repeating string column was given at load, or what routing left in a
+//! unit, else the plain cells. A plain column's selected cells are hashed
+//! and compared as borrowed keys (`for_each_selected_key`). A
+//! dictionary-coded key is read by code: where every partition of a
+//! stream holds its key against one dictionary — a loaded table's, or a
+//! routed unit's — DISTINCT, GROUP BY and HAVING fold the selected rows of
+//! all of them into one dense per-code array (a hit flag, the max, the
+//! sum, each beside presence) and touch one string per code the selection
+//! holds (`for_each_group`). A JOIN whose two streams share one
+//! dictionary — what routing both streams together leaves in a shard —
+//! counts one side's codes and probes them with the other's, and reads no
+//! string at all; across two dictionaries it counts each side by code and
+//! matches the codes either side touched by their strings, one hash per
+//! touched string.
 //!
 //! Completion is a function of a row selection and nothing else, so
 //! `complete` over the identity is the unaccelerated plan: it answers the
@@ -100,6 +106,7 @@ use crate::table::{Column, Partition, Table};
 use crate::value::{encode_ordered_i64, Value};
 use cheetah_core::{PassPlan, QuerySpec};
 use cheetah_switch::HashFn;
+use std::sync::Arc;
 
 /// The per-query contract of the Cheetah dataflow: name the switch
 /// program, encode a partition's rows into packet value slots, complete
@@ -304,39 +311,68 @@ pub(crate) fn for_each_selected_key<'t>(
     }
 }
 
-/// The selected rows of key column `col` folded per key: a row
-/// contributes `value(row)`, `combine` folds two contributions to one key,
+/// The selected rows of stream `stream` folded per key of its key column
+/// `key_col`, across partitions: `value(part)` gives a partition's
+/// per-row contribution, `combine` folds two contributions to one key,
 /// and `f` receives `(key, contribution)` to fold into the completion's
 /// map — possibly several times for one key, so it folds, never
 /// overwrites.
 ///
-/// A dictionary-coded column is folded by code before any string is read:
-/// the selected rows accumulate into a dense per-code array holding
-/// presence and the aggregate, then each code the selection touched
-/// reaches `f` once, as its dictionary string. A code no selected row
-/// holds reaches `f` not at all, so a key is never reported with an
-/// aggregate no row gave it. A plain column hands `f` every selected row,
-/// through [`for_each_selected_key`]'s loop.
-pub(crate) fn for_each_selected_group<'t, A: Copy>(
-    col: &'t Column,
-    selection: Selected<'_>,
-    value: impl Fn(usize) -> A,
+/// Where every partition holds the key against one dictionary
+/// ([`one_dict`]), the selected rows of all of them are folded by code
+/// into one dense per-code array holding presence and the aggregate before
+/// any string is read; then each code the selection touched reaches `f`
+/// once, as its dictionary string. A code no selected row holds reaches
+/// `f` not at all, so a key is never reported with an aggregate no row
+/// gave it. Otherwise `f` receives every selected row, through
+/// [`for_each_selected_key`]'s loop.
+pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
+    src: &Tables<'t>,
+    survivors: &Survivors,
+    stream: usize,
+    key_col: usize,
+    value: impl Fn(&'t Partition) -> V,
     combine: impl Fn(A, A) -> A,
     mut f: impl FnMut(KeyRef<'t>, A),
 ) {
-    let Column::Dict { codes, dict } = col else {
-        return for_each_selected_key(col, selection, |r, k| f(k, value(r)));
+    let parts = || survivors.parts(src, stream);
+    let Some(dict) = one_dict(parts().map(|(part, _)| part.coded(key_col))) else {
+        for (part, sel) in parts() {
+            let value = value(part);
+            for_each_selected_key(part.coded(key_col), sel, |r, k| f(k, value(r)));
+        }
+        return;
     };
     let mut dense: Vec<Option<A>> = vec![None; dict.len()];
-    selection.rows().for_each(|r| {
-        let (slot, v) = (&mut dense[codes[r] as usize], value(r));
-        *slot = Some(slot.map_or(v, |acc| combine(acc, v)));
-    });
+    for (part, sel) in parts() {
+        let Column::Dict { codes, .. } = part.coded(key_col) else {
+            unreachable!("one_dict found every key column coded")
+        };
+        let value = value(part);
+        sel.rows().for_each(|r| {
+            let (slot, v) = (&mut dense[codes[r] as usize], value(r));
+            *slot = Some(slot.map_or(v, |acc| combine(acc, v)));
+        });
+    }
     for (s, acc) in dict.iter().zip(dense) {
         if let Some(acc) = acc {
             f(KeyRef::Str(s), acc);
         }
     }
+}
+
+/// The one dictionary every column of `cols` is coded against, if there
+/// is one: a loaded table's coded column, a routed unit's key, or both
+/// streams of a JOIN routed together. Plain columns, dictionaries coded
+/// apart, or no columns give `None`.
+pub(crate) fn one_dict<'t>(
+    mut cols: impl Iterator<Item = &'t Column>,
+) -> Option<&'t Arc<[String]>> {
+    let Some(Column::Dict { dict: first, .. }) = cols.next() else {
+        return None;
+    };
+    cols.all(|col| matches!(col, Column::Dict { dict, .. } if Arc::ptr_eq(dict, first)))
+        .then_some(first)
 }
 
 /// Row ids the identity lends [`for_each_selected_key`] at a time.
@@ -368,9 +404,10 @@ fn next_ids<'c>(
 /// `(row, key)`: ints map order-preservingly; strings are 63-bit
 /// fingerprints (the CWorker cannot ship variable-length strings in a
 /// fixed header — §5 Example #8), hashed in place; a dictionary-coded
-/// column hashes each distinct string once and reads its rows' keys by
-/// code — the same key per cell either way. The column-type dispatch
-/// happens once per partition — no per-row `Value`. Routing keys
+/// column hashes each string its rows hold once, on the first row that
+/// holds it, and reads the other rows' keys by code — the same key per
+/// cell either way. The column-type dispatch happens once per partition
+/// — no per-row `Value`. Routing keys
 /// ([`routing_keys`](crate::planner::routing_keys)) are these same keys.
 pub(crate) fn for_each_key(seed: u64, col: &Column, mut f: impl FnMut(usize, u64)) {
     match col {
@@ -386,10 +423,17 @@ pub(crate) fn for_each_key(seed: u64, col: &Column, mut f: impl FnMut(usize, u64
             }
         }
         Column::Dict { codes, dict } => {
+            // A key is 63 bits, so `u64::MAX` marks a code not yet hashed:
+            // a dictionary shared with rows elsewhere costs this partition
+            // only the strings it holds.
             let h = HashFn::from_seed(seed);
-            let keys: Vec<u64> = dict.iter().map(|s| str_key(&h, s)).collect();
+            let mut keys = vec![u64::MAX; dict.len()];
             for (r, &code) in codes.iter().enumerate() {
-                f(r, keys[code as usize]);
+                let key = &mut keys[code as usize];
+                if *key == u64::MAX {
+                    *key = str_key(&h, &dict[code as usize]);
+                }
+                f(r, *key);
             }
         }
     }
@@ -459,7 +503,7 @@ mod tests {
         let sharder = Sharder::hash(3, 5);
         // Routed units in both string forms: plain, and coded as the plan
         // constructor routes them — the key column of both streams coded
-        // against one dictionary per shard.
+        // against one dictionary per shard, whatever the load rule coded.
         let route = |left: &Table, keyed| {
             let keys = |t| routing_keys(&DbQuery::Distinct { col: 0 }, 0, t, tuning.seed);
             let (lk, rk, cols) = (keys(left), keys(&right), [0, 1, 2]);
@@ -470,16 +514,32 @@ mod tests {
             route_columns(&streams, &sharder)
         };
         let mut skipped = 0;
-        // Four large partitions; a few rows per shard, so a sparse
-        // selection skips strings its shard's dictionary holds; three
-        // one-row partitions and an empty one.
-        for left in [test_table(3_000, 4), test_table(60, 2), test_table(3, 1).repartition(4)] {
-            let src = Tables::binary(&left, &right);
+        // Four large partitions, coded at load; three partitions a few
+        // rows per shard, coded too, so a sparse selection skips strings
+        // its dictionary holds; 60 rows over two partitions, left plain by
+        // the rule; three one-row partitions and an empty one.
+        let lefts = [test_table(3_000, 4), test_table(400, 3), test_table(60, 2)];
+        for left in lefts.into_iter().chain([test_table(3, 1).repartition(4)]) {
+            let (plain_left, plain_right) = (left.plain(), right.plain());
+            // The stored partitions as loaded, and the same cells plain: the
+            // JOIN over two dictionaries, one, and none.
+            let stored = [
+                Tables::binary(&plain_left, &plain_right),
+                Tables::binary(&left, &right),
+                Tables::binary(&left, &plain_right),
+            ];
             for op in &ops {
                 let streams = op.streams();
-                let scanned = op.complete(&src, &Survivors::all(&src, streams).unwrap());
-                let gathered = op.complete(&src, &every_row(&src, streams));
-                assert_eq!(scanned, gathered, "{} over {} rows", op.kind(), left.rows());
+                let at = format!("{} over {} rows", op.kind(), left.rows());
+                let want = op.complete(&stored[0], &Survivors::all(&stored[0], streams).unwrap());
+                let sparse = op.complete(&stored[0], &every_third_row(&stored[0], streams));
+                for (form, src) in stored.iter().enumerate() {
+                    let scanned = op.complete(src, &Survivors::all(src, streams).unwrap());
+                    let gathered = op.complete(src, &every_row(src, streams));
+                    assert_eq!((&scanned, &gathered), (&want, &want), "{at}, stored form {form}");
+                    let thirds = op.complete(src, &every_third_row(src, streams));
+                    assert_eq!(thirds, sparse, "{at}, stored form {form}, every third row");
+                }
             }
             let (plain, coded) = (route(&left, None), route(&left, Some(0)));
             for s in 0..sharder.shards() {
@@ -488,7 +548,7 @@ mod tests {
                 else {
                     panic!("the key column of both streams is coded");
                 };
-                assert!(std::sync::Arc::ptr_eq(dict, right_dict), "one dictionary per shard");
+                assert!(Arc::ptr_eq(dict, right_dict), "one dictionary per shard");
                 let plain = Tables::binary(&plain[0][s], &plain[1][s]);
                 let coded = Tables::binary(&coded[0][s], &coded[1][s]);
                 let sparse = every_third_row(&coded, 2);

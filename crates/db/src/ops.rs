@@ -5,6 +5,13 @@
 //! experiments time these functions, so they are written the way a vanilla
 //! engine would: tight loops over columnar data, partial aggregation at the
 //! workers, merge at the master.
+//!
+//! They read a partition's cells as loaded ([`Partition::column`]): string
+//! keys as plain strings, by design. A loaded table also codes its
+//! repeating string columns ([`Partition::coded`]), and the operators fold,
+//! count and probe by those codes; the baseline does not use that storage
+//! advantage, so a ratio of the two measures it too. Report raw latency
+//! beside every such ratio.
 
 use crate::expr::DbPredicate;
 use crate::table::Partition;

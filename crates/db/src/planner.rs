@@ -313,8 +313,9 @@ impl PathChooser {
 /// Keyed queries route by their group/join key so each key lives on one
 /// shard (exact key-union and co-partitioned-join merges) — the key the
 /// operator encodes for the switch, so routing shares the operator's walk
-/// (`for_each_key`: one Int/Str dispatch per partition, strings hashed
-/// in place). TOP N routes by the order column through the same walk's
+/// (`for_each_key` over [`Partition::coded`]: one dispatch per
+/// partition, plain strings hashed in place, a column coded at load hashed
+/// once per string its partition holds). TOP N routes by the order column through the same walk's
 /// order-preserving int arm, so range sharding splits the value space.
 /// Scans and skylines route by a row-id hash (pure load balance — their
 /// merges are routing-agnostic).
@@ -328,7 +329,7 @@ pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec
     };
     let mut keys = Vec::with_capacity(table.rows());
     for p in table.partitions() {
-        for_each_key(seed, p.column(col), |_, k| keys.push(k));
+        for_each_key(seed, p.coded(col), |_, k| keys.push(k));
     }
     keys
 }

@@ -149,7 +149,10 @@ pub struct RouteStream<'a> {
 /// routing key, confirmed by one string compare, and a string whose key an
 /// earlier, different string holds is found by its bytes — and cloned
 /// only when it is new to its shard. Every other column is copied cell for
-/// cell.
+/// cell. Routing reads each column as loaded ([`Partition::column`]):
+/// strings plain, whatever codes the load rule kept beside them
+/// ([`Partition::coded`]), so a shard's dictionary is sized to the strings
+/// the shard holds.
 ///
 /// A stream's [`rows`](RouteStream::rows) serve a caller that replays a
 /// head of a table (the plan constructor routes every row) — one routing
@@ -214,8 +217,8 @@ pub fn route_columns(streams: &[RouteStream<'_>], sharder: &Sharder) -> Vec<Vec<
                                         .map(|&r| coder.code(keys[r as usize], &src[r as usize])),
                                 );
                             }
-                            // Routing reads loaded tables, whose strings are
-                            // plain: a coded unit is never routed again.
+                            // Routing reads a loaded table's cells as loaded,
+                            // strings plain: a unit is never routed again.
                             _ => unreachable!("partition column type drifted from the schema"),
                         }
                     }
@@ -251,7 +254,8 @@ pub fn route_columns(streams: &[RouteStream<'_>], sharder: &Sharder) -> Vec<Vec<
 }
 
 /// One shard's dictionary under construction: its distinct strings, and
-/// the code of each, looked up by its routing key.
+/// the code of each, looked up by its routing key. It codes every string
+/// key routing moves, whether or not its table coded the column at load.
 ///
 /// Every stream routed to the shard codes through the one `Coder`, and
 /// the dictionary holds each string once: a string new to the shard is

@@ -3,8 +3,17 @@
 //! A [`Table`] is a schema plus a list of [`Partition`]s; each partition is
 //! a set of equal-length columns. One worker owns one (or more) partitions,
 //! mirroring Spark's task-per-partition execution.
+//!
+//! A string column that repeats is also coded once, at load
+//! ([`TableBuilder::build`]): one dictionary for the whole table, and per
+//! partition one `u32` code per row, kept beside the plain strings
+//! ([`Partition::coded`]). The baseline reads the plain strings; the
+//! operators read the codes.
 
 use crate::value::{DataType, Value};
+use cheetah_switch::hash::mix64;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One column of a partition.
@@ -15,17 +24,21 @@ pub enum Column {
     /// String column.
     Str(Vec<String>),
     /// Dictionary-coded string column: row `r` holds `dict[codes[r]]`.
-    /// What a routed unit's key column becomes when its routing keys
-    /// fingerprint it ([`route_columns`](crate::sharded::route_columns)).
-    /// The dictionary is one per shard, holds each distinct string once,
-    /// and is shared by `Arc` between the units of every stream routed
-    /// together — both sides of a JOIN — so an equal string has one code
-    /// on both, and a completion can fold, count and probe by code
-    /// without reading a string.
+    /// The dictionary holds each distinct string once, in first-seen
+    /// order, and is shared by `Arc`, so a completion can fold, count and
+    /// probe by code without reading a string. Two places make one:
+    ///
+    /// * [`TableBuilder::build`] codes a repeating string column of a
+    ///   loaded table, one dictionary for the whole table, and keeps the
+    ///   codes beside the plain strings ([`Partition::coded`]);
+    /// * [`route_columns`](crate::sharded::route_columns) routes a unit's
+    ///   key column as codes against one dictionary per shard, holding the
+    ///   strings the shard holds and shared by the units of every stream
+    ///   routed together — both sides of a JOIN.
     Dict {
         /// One code per row, indexing `dict`.
         codes: Vec<u32>,
-        /// The shard's distinct strings, each once, in first-seen order.
+        /// The distinct strings, each once, in first-seen order.
         dict: Arc<[String]>,
     },
 }
@@ -94,18 +107,25 @@ impl Column {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     columns: Vec<Column>,
+    /// Per column, its codes where the table coded it at load: a
+    /// [`Column::Dict`] over the table's one dictionary for that column.
+    /// Empty — no allocation — where nothing is coded, as in a routed
+    /// unit: one small allocation per partition moved where the allocator
+    /// placed a layout's units, and a warm TOP N over them read 5–12 %
+    /// slower.
+    coded: Vec<Option<Column>>,
     rows: usize,
 }
 
 impl Partition {
-    /// Build from columns (all must have equal length).
+    /// Build from columns (all must have equal length). Nothing is coded.
     pub fn new(columns: Vec<Column>) -> Self {
         let rows = columns.first().map_or(0, Column::len);
         assert!(
             columns.iter().all(|c| c.len() == rows),
             "all columns of a partition must have the same length"
         );
-        Self { columns, rows }
+        Self { coded: Vec::new(), columns, rows }
     }
 
     /// Number of rows.
@@ -113,9 +133,16 @@ impl Partition {
         self.rows
     }
 
-    /// Column accessor.
+    /// Column accessor: the cells as loaded, strings plain.
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
+    }
+
+    /// Column `i` as the operators read it: the [`Column::Dict`] its table
+    /// coded at load, if it did, else [`column`](Self::column). The two
+    /// hold the same cells.
+    pub fn coded(&self, i: usize) -> &Column {
+        self.coded.get(i).and_then(Option::as_ref).unwrap_or(&self.columns[i])
     }
 
     /// Number of columns.
@@ -179,54 +206,165 @@ impl Table {
     }
 
     /// Re-split the same rows into `n` balanced partitions (Figure 6
-    /// varies the partition count over a fixed dataset).
+    /// varies the partition count over a fixed dataset). The rows keep
+    /// their order, so the load rule samples the same cells and codes the
+    /// same columns, with the same dictionaries.
     pub fn repartition(&self, n: usize) -> Table {
         assert!(n > 0, "need at least one partition");
-        let total = self.rows();
-        let per = total.div_ceil(n);
-        // Gather row-major, then rebuild columns per chunk. This is a setup
-        // path, not a measured path, so clarity over speed.
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(total);
+        let per = self.rows().div_ceil(n).max(1);
+        // A setup path, not a measured path: clarity over speed.
+        let mut b = TableBuilder::new(self.name.clone(), self.fields.clone(), per);
         for p in &self.partitions {
             for r in 0..p.rows() {
-                rows.push(p.row(r));
+                b.push_row(p.row(r));
             }
         }
-        let mut partitions = Vec::with_capacity(n);
-        for chunk in rows.chunks(per.max(1)) {
-            let mut cols: Vec<Column> = self
-                .fields
-                .iter()
-                .map(|(_, t)| match t {
-                    DataType::Int => Column::Int(Vec::with_capacity(chunk.len())),
-                    DataType::Str => Column::Str(Vec::with_capacity(chunk.len())),
-                })
-                .collect();
-            for row in chunk {
-                for (c, v) in cols.iter_mut().zip(row) {
-                    match (c, v) {
-                        (Column::Int(vec), Value::Int(x)) => vec.push(*x),
-                        (Column::Str(vec), Value::Str(s)) => vec.push(s.clone()),
-                        _ => panic!("row value type does not match schema"),
-                    }
-                }
-            }
-            partitions.push(Partition::new(cols));
+        // Degenerate tiny tables: pad with empty partitions.
+        if !b.current[0].is_empty() {
+            b.cut();
         }
-        while partitions.len() < n {
-            // Degenerate tiny tables: pad with empty partitions.
-            let cols = self
-                .fields
-                .iter()
-                .map(|(_, t)| match t {
-                    DataType::Int => Column::Int(Vec::new()),
-                    DataType::Str => Column::Str(Vec::new()),
-                })
-                .collect();
-            partitions.push(Partition::new(cols));
+        while b.partitions.len() < n {
+            b.cut();
         }
-        Table { name: self.name.clone(), fields: self.fields.clone(), partitions }
+        b.build()
     }
+
+    /// Is string column `col` coded at load ([`Partition::coded`])?
+    pub fn is_coded(&self, col: usize) -> bool {
+        self.partitions.iter().all(|p| p.coded.get(col).is_some_and(Option::is_some))
+    }
+
+    /// The load rule's sample of string column `col`: the distinct
+    /// strings among the cells it reads, and how many cells it reads. The
+    /// column is coded iff the first is at most half the second.
+    pub fn sample_repeats(&self, col: usize) -> (usize, usize) {
+        sample_repeats(&self.partitions, col)
+    }
+
+    /// The table over `partitions`, each repeating string column coded:
+    /// the load rule.
+    fn code_repeats(
+        name: String,
+        fields: Vec<(String, DataType)>,
+        mut partitions: Vec<Partition>,
+    ) -> Self {
+        for (c, (_, ty)) in fields.iter().enumerate() {
+            let (distinct, cells) = match ty {
+                DataType::Str => sample_repeats(&partitions, c),
+                DataType::Int => continue,
+            };
+            if 2 * distinct <= cells {
+                code_column(&mut partitions, c);
+            }
+        }
+        Table { name, fields, partitions }
+    }
+}
+
+/// Cells of a string column the load rule reads at most: a strided sample,
+/// so a table's size does not move the cost of deciding.
+///
+/// The rule is to code a column iff the sample holds at most half as many
+/// distinct strings as cells. Measured on the Big Data tables (600 000
+/// visits, 300 000 ranked pages): `pageURL`, `sourceIP` and `destURL` are
+/// near-unique and stay plain; `userAgent`, `countryCode`, `languageCode`
+/// and `searchWord` repeat and are coded. A near-unique column would pay
+/// a map lookup per row and save nothing: routed coded, `pageURL` read 177
+/// → 251 ns/row.
+pub const CODING_SAMPLE: usize = 4096;
+
+/// [`Table::sample_repeats`] over `parts`: every `step`-th row of string
+/// column `c`, the step chosen so at most [`CODING_SAMPLE`] cells are read.
+fn sample_repeats(parts: &[Partition], c: usize) -> (usize, usize) {
+    let total: usize = parts.iter().map(Partition::rows).sum();
+    let step = total.div_ceil(CODING_SAMPLE).max(1);
+    let mut seen: HashSet<&str, BuildHasherDefault<StrHasher>> = HashSet::default();
+    let (mut cells, mut next, mut base) = (0, 0, 0);
+    for p in parts {
+        let col = &p.columns[c];
+        while next < base + p.rows() {
+            seen.insert(col.str_at(next - base).expect("a string column"));
+            (cells, next) = (cells + 1, next + step);
+        }
+        base += p.rows();
+    }
+    (seen.len(), cells)
+}
+
+/// Code string column `c` of every partition against one dictionary: its
+/// distinct strings in first-seen order, each once, shared by `Arc`.
+fn code_column(parts: &mut [Partition], c: usize) {
+    let mut dict: Vec<String> = Vec::new();
+    let mut codes: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
+    let mut index: HashMap<&str, u32, BuildHasherDefault<StrHasher>> = HashMap::default();
+    for p in parts.iter() {
+        let cells = p.columns[c].as_str().expect("a loaded string column is plain");
+        // `get`, then `insert` for a new string: most rows repeat one, and
+        // a lookup does less than the entry API, which reserves first.
+        codes.push(
+            cells
+                .iter()
+                .map(|s| match index.get(s.as_str()) {
+                    Some(&code) => code,
+                    None => {
+                        dict.push(s.clone());
+                        let code = u32::try_from(dict.len() - 1).expect("fewer than 2^32 strings");
+                        index.insert(s, code);
+                        code
+                    }
+                })
+                .collect(),
+        );
+    }
+    let dict: Arc<[String]> = dict.into();
+    for (p, codes) in parts.iter_mut().zip(codes) {
+        p.coded.resize(p.columns.len(), None);
+        p.coded[c] = Some(Column::Dict { codes, dict: Arc::clone(&dict) });
+    }
+}
+
+/// The load coder's string hash: a word at a time, the last word read
+/// overlapping the one before it, so no byte is copied, then one mix. On
+/// the `adhoc_cold` key column (8-byte strings) its map codes a row in
+/// 11–18 ns against SipHash's 28–33 ns (2-core Xeon VM).
+#[derive(Default)]
+struct StrHasher(u64);
+
+impl StrHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for StrHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let n = bytes.len();
+        let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+        let half = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
+        match n {
+            8.. => {
+                (0..n - 8).step_by(8).for_each(|i| self.add(word(i)));
+                self.add(word(n - 8));
+            }
+            4..8 => self.add(u64::from(half(0)) | u64::from(half(n - 4)) << 32),
+            1..4 => {
+                self.add(u64::from_le_bytes([bytes[0], bytes[n / 2], bytes[n - 1], 0, 0, 0, 0, 0]))
+            }
+            0 => {}
+        }
+        self.add(n as u64);
+    }
+
+    /// `str`'s hash ends with a `0xff` byte; the length already delimits it.
+    #[inline]
+    fn write_u8(&mut self, _: u8) {}
 }
 
 /// Row-oriented builder used by the workload generators.
@@ -258,16 +396,18 @@ impl TableBuilder {
         Self { name: name.into(), fields, current, partitions: Vec::new(), rows_per_partition }
     }
 
-    /// Append one row.
-    pub fn push_row(&mut self, row: Vec<Value>) {
-        assert_eq!(row.len(), self.fields.len(), "row arity mismatch");
-        for (c, v) in self.current.iter_mut().zip(row) {
-            match (c, v) {
+    /// Append one row: one value per field, in schema order. An array
+    /// serves as well as a `Vec`, and allocates nothing.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
+        let mut row = row.into_iter();
+        for c in &mut self.current {
+            match (c, row.next().expect("row arity mismatch")) {
                 (Column::Int(vec), Value::Int(x)) => vec.push(x),
                 (Column::Str(vec), Value::Str(s)) => vec.push(s),
                 _ => panic!("row value type does not match schema"),
             }
         }
+        assert!(row.next().is_none(), "row arity mismatch");
         if self.current[0].len() >= self.rows_per_partition {
             self.cut();
         }
@@ -295,18 +435,31 @@ impl TableBuilder {
         self.partitions.push(Partition::new(full));
     }
 
-    /// Finish the table.
+    /// Finish the table, coding each string column that repeats
+    /// ([`CODING_SAMPLE`] states the rule).
     pub fn build(mut self) -> Table {
         if !self.current[0].is_empty() || self.partitions.is_empty() {
             self.cut();
         }
-        Table { name: self.name, fields: self.fields, partitions: self.partitions }
+        Table::code_repeats(self.name, self.fields, self.partitions)
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// The same partitions with nothing coded: the cells as the table
+    /// held them before the load rule.
+    pub(crate) fn plain(&self) -> Table {
+        let mut t = self.clone();
+        t.partitions.iter_mut().for_each(|p| p.coded.clear());
+        t
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn sample() -> Table {
         let mut b = TableBuilder::new(
@@ -371,6 +524,107 @@ mod tests {
         let t = b.build();
         assert_eq!(t.rows(), 0);
         assert_eq!(t.partitions().len(), 1);
+    }
+
+    /// `rows` rows over partitions of `per` rows: a string column cycling
+    /// through `distinct` strings, and an int column.
+    fn cycling(rows: usize, distinct: usize, per: usize) -> Table {
+        let fields = vec![("s".into(), DataType::Str), ("n".into(), DataType::Int)];
+        let mut b = TableBuilder::new("cycling", fields, per);
+        for r in 0..rows {
+            b.push_row(vec![Value::Str(format!("s{}", r % distinct)), Value::Int(r as i64)]);
+        }
+        b.build()
+    }
+
+    /// Every partition's codes read as its plain cells, against one
+    /// dictionary shared by `Arc` that holds each string once.
+    fn assert_codes_read_as_cells(t: &Table) {
+        let Column::Dict { dict: first, .. } = t.partitions()[0].coded(0) else {
+            panic!("column 0 is coded");
+        };
+        assert_eq!(first.iter().collect::<HashSet<_>>().len(), first.len(), "each string once");
+        for p in t.partitions() {
+            let Column::Dict { dict, codes } = p.coded(0) else { panic!("every partition") };
+            assert!(Arc::ptr_eq(dict, first), "one dictionary for the table");
+            assert_eq!(codes.len(), p.rows());
+            for r in 0..p.rows() {
+                assert_eq!(p.coded(0).str_at(r), p.column(0).str_at(r));
+            }
+            assert!(matches!(p.column(0), Column::Str(_)), "the plain cells stay");
+            assert_eq!(p.coded(1), p.column(1), "an int column is never coded");
+        }
+    }
+
+    #[test]
+    fn the_load_rule_codes_a_column_iff_its_sample_is_at_most_half_distinct() {
+        // At most 4 096 rows, every cell is sampled: the cut is exact.
+        for (distinct, coded) in [(2_000, true), (2_001, false), (1, true)] {
+            let t = cycling(4_000, distinct, 1_000);
+            assert_eq!(t.sample_repeats(0), (distinct, 4_000));
+            assert_eq!(t.is_coded(0), coded, "{distinct} distinct of 4 000");
+            if coded {
+                assert_codes_read_as_cells(&t);
+            } else {
+                assert!(t.partitions().iter().all(|p| p.coded(0) == p.column(0)));
+            }
+        }
+        // Past it, a strided sample of at most `CODING_SAMPLE` cells.
+        let t = cycling(100_003, 7, 30_000);
+        let (distinct, cells) = t.sample_repeats(0);
+        assert_eq!(cells, 100_003usize.div_ceil(100_003usize.div_ceil(CODING_SAMPLE)));
+        assert!(cells <= CODING_SAMPLE && distinct <= 7);
+        assert_codes_read_as_cells(&t);
+        // One row is one distinct string of one: left plain.
+        assert!(!cycling(1, 1, 1).is_coded(0));
+    }
+
+    #[test]
+    fn repartitioning_keeps_the_codes() {
+        let t = cycling(5_000, 300, 700);
+        assert!(t.is_coded(0));
+        let Column::Dict { dict, .. } = t.partitions()[0].coded(0) else { unreachable!() };
+        for n in [1, 3, 8, 6_000] {
+            let r = t.repartition(n);
+            assert_eq!(r.partitions().len(), n);
+            assert!(r.is_coded(0), "{n} partitions");
+            assert_codes_read_as_cells(&r);
+            let Column::Dict { dict: again, .. } = r.partitions()[0].coded(0) else {
+                unreachable!()
+            };
+            assert_eq!(again, dict, "{n} partitions: the same strings, in the same order");
+        }
+        // Empty partitions hold no codes, against the one dictionary.
+        let padded = cycling(4, 1, 1).repartition(6);
+        assert_codes_read_as_cells(&padded);
+        assert_eq!(padded.partitions()[5].rows(), 0);
+    }
+
+    fn two_fields() -> Vec<(String, DataType)> {
+        vec![("s".into(), DataType::Str), ("n".into(), DataType::Int)]
+    }
+
+    #[test]
+    fn a_row_is_pushed_from_an_array_or_a_vec() {
+        let mut b = TableBuilder::new("t", two_fields(), 8);
+        b.push_row([Value::Str("a".into()), Value::Int(1)]);
+        b.push_row(vec![Value::Str("b".into()), Value::Int(2)]);
+        let t = b.build();
+        assert_eq!(t.fetch(0, 0), vec![Value::Str("a".into()), Value::Int(1)]);
+        assert_eq!(t.fetch(0, 1), vec![Value::Str("b".into()), Value::Int(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity mismatch")]
+    fn a_row_longer_than_the_schema_is_refused() {
+        let mut b = TableBuilder::new("t", two_fields(), 8);
+        b.push_row([Value::Str("a".into()), Value::Int(1), Value::Int(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity mismatch")]
+    fn a_row_shorter_than_the_schema_is_refused() {
+        TableBuilder::new("t", two_fields(), 8).push_row([Value::Str("a".into())]);
     }
 
     #[test]

@@ -32,8 +32,11 @@
 //!   row's string, and completes by code: the unary shapes fold their
 //!   selected rows into a dense per-code array and read one string per
 //!   touched code; a JOIN counts one side's codes and probes them with the
-//!   other's, and reads no string. Every other column, and a one-shard
-//!   layout, holds plain cells.
+//!   other's, and reads no string. Every other column holds plain cells.
+//!   Routing reads a table's cells as loaded, so a shard's dictionary
+//!   holds only the strings the shard does, whatever the load rule coded.
+//!   A one-shard layout is the caller's table, whose repeating string
+//!   columns the load rule coded (`Partition::coded`).
 //!
 //! A plan is resident data: its units are `Arc` handles, so the same plan
 //! runs query after query (the serving plane holds one per query, tables

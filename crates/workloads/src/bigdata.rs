@@ -163,7 +163,7 @@ impl BigDataConfig {
             n.div_ceil(self.partitions).max(1),
         );
         for (url, rank, duration) in rows {
-            b.push_row(vec![Value::Str(url), Value::Int(rank), Value::Int(duration)]);
+            b.push_row([Value::Str(url), Value::Int(rank), Value::Int(duration)]);
         }
         b.build()
     }
@@ -181,6 +181,14 @@ impl BigDataConfig {
             USERVISITS_SCHEMA.iter().map(|(n, t)| ((*n).to_string(), *t)).collect(),
             n.div_ceil(self.partitions).max(1),
         );
+        // Each repeating value's string is formatted once; a row clones it.
+        let names = |prefix: &str, n: usize| -> Vec<String> {
+            (0..n).map(|k| format!("{prefix}{k}")).collect()
+        };
+        let agent_names = names("agent/", agents.universe());
+        let country_names = names("C", 60);
+        let lang_names = names("lang-", langs.universe());
+        let word_names = names("w", words.universe());
         let mut x = self.seed ^ 0x7157;
         for _ in 0..n {
             x = mix64(x);
@@ -200,14 +208,14 @@ impl BigDataConfig {
             let base = (x % 1_000) as i64;
             x = mix64(x);
             let revenue = if x % 100 < 2 { base * 500 } else { base };
-            let agent = format!("agent/{}", agents.sample());
+            let agent = agent_names[agents.sample()].clone();
             x = mix64(x);
-            let country = format!("C{}", x % 60);
-            let lang = format!("lang-{}", langs.sample());
-            let word = format!("w{}", words.sample());
+            let country = country_names[(x % 60) as usize].clone();
+            let lang = lang_names[langs.sample()].clone();
+            let word = word_names[words.sample()].clone();
             x = mix64(x);
             let duration = (x % 100) as i64 + 1;
-            b.push_row(vec![
+            b.push_row([
                 Value::Str(ip),
                 Value::Str(dest),
                 Value::Int(visit_date),

@@ -89,15 +89,17 @@ impl SkewedTableConfig {
             // automatic cadence unreachable.
             self.rows.max(1) + 1,
         );
+        // Each key's string is formatted once; a row clones it.
+        let names: Vec<String> = (0..keys.universe()).map(|k| format!("key-{k}")).collect();
         let mut x = self.seed | 1;
         for (pi, &size) in sizes.iter().enumerate() {
             for _ in 0..size {
-                let key = format!("key-{}", keys.sample());
+                let key = names[keys.sample()].clone();
                 x = mix64(x);
                 let value = (x % 100_000) as i64;
                 x = mix64(x);
                 let weight = (x % 1_000) as i64;
-                b.push_row(vec![Value::Str(key), Value::Int(value), Value::Int(weight)]);
+                b.push_row([Value::Str(key), Value::Int(value), Value::Int(weight)]);
             }
             // Close every partition except the last; build() closes that
             // one (and guarantees at least one partition overall).

@@ -7,6 +7,15 @@
 //! `adhoc_cold` benchmark workload — two zipf-skewed tables of 200 000 and
 //! 100 000 rows over 5 000 keys — against `Cluster::run_baseline`.
 //!
+//! It first prints the storage it runs on: for each table, each string
+//! column, whether the load rule coded it and the distinct strings among
+//! the cells it sampled, and what `TableBuilder::build` cost per row (the
+//! table's rows pushed into a fresh builder, only the build timed). The
+//! four string-keyed shapes — DISTINCT, GROUP BY, JOIN, HAVING — are
+//! checked to read a coded key: every partition of every table they read
+//! holds the key column as dictionary codes (`Partition::coded`), which is
+//! what the operators complete by. The baseline reads the plain strings.
+//!
 //! Each request gets a fresh `Session`, so every one is a first sight; the
 //! session is built and dropped outside the timed call. Baseline and first
 //! sight alternate, request by request. Every answer is checked equal to
@@ -21,7 +30,7 @@
 //! cargo run --release --example first_sight    # or: make first-sight
 //! ```
 
-use cheetah::db::{Cluster, DbPredicate, DbQuery, IntCmp, Table};
+use cheetah::db::{Cluster, Column, DataType, DbPredicate, DbQuery, IntCmp, Table, TableBuilder};
 use cheetah::serve::{QueryRequest, Session, SessionConfig};
 use cheetah::workloads::SkewedTableConfig;
 use std::sync::Arc;
@@ -36,6 +45,45 @@ const REQUESTS: usize = 25;
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
+}
+
+/// `t`'s rows pushed into a fresh builder, partition by partition, and the
+/// nanoseconds per row its `build` took — the load rule's sample and
+/// coding, and nothing of generating or pushing the rows.
+fn build_ns_per_row(t: &Table) -> f64 {
+    let (mut best, parts) = (f64::INFINITY, t.partitions());
+    for _ in 0..5 {
+        let mut b = TableBuilder::new(t.name(), t.fields().to_vec(), usize::MAX);
+        for (i, p) in parts.iter().enumerate() {
+            (0..p.rows()).for_each(|r| b.push_row(p.row(r)));
+            if i + 1 < parts.len() {
+                b.cut_partition();
+            }
+        }
+        let t0 = Instant::now();
+        let rebuilt = b.build();
+        best = best.min(t0.elapsed().as_secs_f64());
+        assert_eq!(&rebuilt, t, "a build is a function of its rows");
+    }
+    best * 1e9 / t.rows() as f64
+}
+
+/// Print which string columns of `t` the load rule coded, with the
+/// distinct strings among the cells it sampled, and the build's cost.
+fn print_storage(label: &str, t: &Table) {
+    println!(
+        "{label}: {} rows, {} partitions, build {:.1} ns/row",
+        t.rows(),
+        t.partitions().len(),
+        build_ns_per_row(t)
+    );
+    for (c, (name, ty)) in t.fields().iter().enumerate() {
+        if *ty == DataType::Str {
+            let (distinct, cells) = t.sample_repeats(c);
+            let coded = if t.is_coded(c) { "coded" } else { "plain" };
+            println!("  {name:<8} {coded}: {distinct} distinct of {cells} sampled");
+        }
+    }
 }
 
 fn main() {
@@ -63,6 +111,32 @@ fn main() {
         ("join", DbQuery::Join { left_key: 0, right_key: 0 }, Some(&right)),
         ("having-sum", DbQuery::HavingSum { key_col: 0, val_col: 2, threshold }, None),
     ];
+
+    println!("storage the first sights run on\n");
+    print_storage("left", &left);
+    print_storage("right", &right);
+    println!();
+    // The string-keyed shapes read their key as codes: the load rule coded
+    // it in every partition of every table they read.
+    let mut string_keyed = 0;
+    for (shape, q, right) in &shapes {
+        let keys: Vec<(&Arc<Table>, usize)> = match q {
+            DbQuery::Distinct { col } => vec![(&left, *col)],
+            DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => {
+                vec![(&left, *key_col)]
+            }
+            DbQuery::Join { left_key, right_key } => {
+                vec![(&left, *left_key), (right.expect("a JOIN has a right table"), *right_key)]
+            }
+            _ => continue,
+        };
+        for (t, key) in keys {
+            let coded = t.partitions().iter().all(|p| matches!(p.coded(key), Column::Dict { .. }));
+            assert!(coded, "{shape}: every table it reads holds its key as codes");
+        }
+        string_keyed += 1;
+    }
+    assert_eq!(string_keyed, 4, "DISTINCT, GROUP BY, JOIN and HAVING read codes");
 
     let cluster = Cluster::default();
     println!(
