@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims net-deps docs ledger-check ledger first-sight route sweep gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims net-deps docs ledger-check ledger sweep gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -60,12 +60,15 @@ net-deps:
 # session: `run_blocking`, on the caller's thread (no submit queue,
 # ticket, per-tenant scheduler, driver thread or closed-session error),
 # and one HAVING second pass: the executor's candidate-key pass (no
-# key-set filter program beside it that no caller builds).
+# key-set filter program beside it that no caller builds), and one
+# stopwatch per question: the ledger's adhoc_cold breaks first sight
+# down by shape and the sweep times the program's route (no example
+# harness re-timing either, and no public API only its own test calls).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -184,29 +187,12 @@ telemetry-gate:
 counters-gate:
 	cargo test -q -p cheetah-db --test counters_contract
 
-# adhoc_cold shape by shape: a fresh Session per request against the
-# baseline over tables shaped like that workload's, every answer checked
-# and every first sight's one worker span checked to have run on the
-# caller (thread=caller, not the pool), the median baseline / first-sight
-# ratio printed per shape. A correctness smoke with a printout, not a
-# timing gate.
-first-sight:
-	cargo run --release --example first_sight
-
-# The program's own routing, key by key: each Big Data query that routes
-# by a string key, at the default planner's shard count, routed as the
-# plan constructor routes it (the query's columns, the key as dictionary
-# codes) beside every cell cloned; every coded cell checked against its
-# source, ns/row and the units' bytes printed. A correctness smoke with a
-# printout, not a timing gate.
-route:
-	cargo run --release --example routing
-
 # The shard sweep README's "Why parallelism pays" table is read from:
 # the seven Big Data queries over the benchmark's tables, every layout of
-# the 1..=16 shard axis, pruned and direct wall clock beside the Figure 8
-# and ingest models (~20 s on 2 cores). A report, not a gate: outputs
-# are asserted, walls are printed.
+# the 1..=16 shard axis, the program's route (ExecPlan::new, ns per input
+# row) and pruned and direct wall clock beside the Figure 8 and ingest
+# models (~30 s on 2 cores). A report, not a gate: outputs are asserted,
+# clocks are printed.
 sweep:
 	cargo run --release -p cheetah-bench --bin cheetah-experiments -- shards --full --shards 1,2,4,8,16
 

@@ -162,17 +162,6 @@ impl DbPredicate {
             DbPredicate::Or(xs) => DbPredicate::Or(xs.iter().map(|x| x.remapped(cols)).collect()),
         }
     }
-
-    /// Does the predicate contain any non-switch-evaluable atom?
-    pub fn has_external_atoms(&self) -> bool {
-        match self {
-            DbPredicate::CmpInt { .. } => false,
-            DbPredicate::Like { .. } => true,
-            DbPredicate::And(xs) | DbPredicate::Or(xs) => {
-                xs.iter().any(DbPredicate::has_external_atoms)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn predicate_columns_and_externals() {
+    fn predicate_columns_and_remapping() {
         let p = DbPredicate::Or(vec![
             DbPredicate::CmpInt { col: 2, op: IntCmp::Gt, lit: 5 },
             DbPredicate::And(vec![
@@ -247,9 +236,6 @@ mod tests {
             p.typed_columns(),
             vec![(2, DataType::Int), (1, DataType::Int), (0, DataType::Str)]
         );
-        assert!(p.has_external_atoms());
         assert_eq!(p.remapped(&[0, 1, 2]), p, "a full-width projection moves nothing");
-        let q = DbPredicate::CmpInt { col: 0, op: IntCmp::Lt, lit: 10 };
-        assert!(!q.has_external_atoms());
     }
 }

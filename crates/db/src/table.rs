@@ -234,13 +234,6 @@ impl Table {
         self.partitions.iter().all(|p| p.coded.get(col).is_some_and(Option::is_some))
     }
 
-    /// The load rule's sample of string column `col`: the distinct
-    /// strings among the cells it reads, and how many cells it reads. The
-    /// column is coded iff the first is at most half the second.
-    pub fn sample_repeats(&self, col: usize) -> (usize, usize) {
-        sample_repeats(&self.partitions, col)
-    }
-
     /// The table over `partitions`, each repeating string column coded:
     /// the load rule.
     fn code_repeats(
@@ -268,13 +261,16 @@ impl Table {
 /// distinct strings as cells. Measured on the Big Data tables (600 000
 /// visits, 300 000 ranked pages): `pageURL`, `sourceIP` and `destURL` are
 /// near-unique and stay plain; `userAgent`, `countryCode`, `languageCode`
-/// and `searchWord` repeat and are coded. A near-unique column would pay
-/// a map lookup per row and save nothing: routed coded, `pageURL` read 177
-/// → 251 ns/row.
+/// and `searchWord` repeat and are coded (the workloads crate's
+/// `coded_at_load` test holds its generators to these verdicts). A
+/// near-unique column would pay a map lookup per row and save nothing:
+/// routed coded, `pageURL` read 177 → 251 ns/row.
 pub const CODING_SAMPLE: usize = 4096;
 
-/// [`Table::sample_repeats`] over `parts`: every `step`-th row of string
-/// column `c`, the step chosen so at most [`CODING_SAMPLE`] cells are read.
+/// The load rule's sample of string column `c` over `parts`: the distinct
+/// strings among the cells it reads, and how many cells it reads (every
+/// `step`-th row, the step chosen so at most [`CODING_SAMPLE`] are read).
+/// The column is coded iff the first is at most half the second.
 fn sample_repeats(parts: &[Partition], c: usize) -> (usize, usize) {
     let total: usize = parts.iter().map(Partition::rows).sum();
     let step = total.div_ceil(CODING_SAMPLE).max(1);
@@ -561,7 +557,7 @@ mod tests {
         // At most 4 096 rows, every cell is sampled: the cut is exact.
         for (distinct, coded) in [(2_000, true), (2_001, false), (1, true)] {
             let t = cycling(4_000, distinct, 1_000);
-            assert_eq!(t.sample_repeats(0), (distinct, 4_000));
+            assert_eq!(sample_repeats(t.partitions(), 0), (distinct, 4_000));
             assert_eq!(t.is_coded(0), coded, "{distinct} distinct of 4 000");
             if coded {
                 assert_codes_read_as_cells(&t);
@@ -571,7 +567,7 @@ mod tests {
         }
         // Past it, a strided sample of at most `CODING_SAMPLE` cells.
         let t = cycling(100_003, 7, 30_000);
-        let (distinct, cells) = t.sample_repeats(0);
+        let (distinct, cells) = sample_repeats(t.partitions(), 0);
         assert_eq!(cells, 100_003usize.div_ceil(100_003usize.div_ceil(CODING_SAMPLE)));
         assert!(cells <= CODING_SAMPLE && distinct <= 7);
         assert_codes_read_as_cells(&t);

@@ -7,6 +7,7 @@
 //! exactly what they want (benchmark harnesses, A/B comparisons,
 //! regression gates).
 
+use cheetah_db::planner::MAX_SHARDS;
 use cheetah_db::{DbQuery, ExecBackend, ExecPath, Table};
 use std::sync::Arc;
 
@@ -90,9 +91,12 @@ impl QueryRequest {
     }
 
     /// Pin the shard count (hash-routed) instead of consulting the
-    /// planner. `0` is clamped to 1.
+    /// planner. The count is clamped to `1..=`[`MAX_SHARDS`], the axis the
+    /// planner walks: each shard costs routing scratch and a pool job, so
+    /// a larger count is cut to the axis's end here, before anything is
+    /// routed.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
+        self.shards = Some(shards.clamp(1, MAX_SHARDS));
         self
     }
 
@@ -139,6 +143,8 @@ mod tests {
         assert_eq!(req.path, Some(ExecPath::StreamedResident));
         assert_eq!(req.backend, Some(ExecBackend::Compiled));
         assert_eq!(req.shards, Some(1), "zero shards clamps to one");
+        let req = req.shards(usize::MAX);
+        assert_eq!(req.shards, Some(MAX_SHARDS), "past the planner's axis clamps to its end");
     }
 
     #[test]

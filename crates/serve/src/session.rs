@@ -867,6 +867,19 @@ mod tests {
     }
 
     #[test]
+    fn a_pinned_shard_count_past_the_planners_axis_runs_at_its_end() {
+        // A thousand shards would be a thousand units of scratch and pool
+        // jobs over forty rows; the pin is cut to the planner's axis.
+        let t = table(40, 1, 7);
+        let q = DbQuery::Distinct { col: 0 };
+        let want = Cluster::default().run_baseline(&q, &t, None).output;
+        let session = Session::with_defaults();
+        let resp = session.run_blocking(QueryRequest::new(q, t).shards(1_000)).unwrap();
+        assert_eq!(resp.breakdown.shards as usize, cheetah_db::planner::MAX_SHARDS);
+        assert_eq!(resp.output, want);
+    }
+
+    #[test]
     fn a_sibling_table_runs_under_the_held_plan_and_a_drifted_one_gets_its_own_fit() {
         // A high-fanout join: eight keys, every row matches.
         let fanout = |name: &str, rows: i64| {
