@@ -63,12 +63,16 @@ net-deps:
 # key-set filter program beside it that no caller builds), and one
 # stopwatch per question: the ledger's adhoc_cold breaks first sight
 # down by shape and the sweep times the program's route (no example
-# harness re-timing either, and no public API only its own test calls).
+# harness re-timing either, and no public API only its own test calls),
+# and one survivor transport: the path is an argument of each run, not a
+# field of the plan (no per-path plan clone, no plan record on the run),
+# and fault mode is the plan's, on any path (no lossless framing and no
+# stream path, not even as a name).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -95,19 +99,19 @@ pruning-gate:
 
 # The named CI gate: shard equivalence across all seven query variants x
 # the grid's layouts (the one-shard layout, hash and range at 2 and 7
-# shards, and the planner's fitted layout) x (both transports x both
+# shards, and the planner's fitted layout) x (the barrier on both
 # backends, and the direct arm once per layout: pass-through accounting,
 # nothing pruned), with the merge plane's accounting held at every point
 # (the master's time is the shards' completions plus the merge; bytes,
-# survivors and switch arrivals are the shards' sums; a streamed run with
-# survivors framed them; a plan recorded exactly when the layout was
-# fitted) and streamed execution deterministic end to end.
+# survivors and switch arrivals are the shards' sums; a lossless run
+# frames nothing; a plan recorded exactly when the layout was fitted) and
+# sharded execution deterministic end to end.
 shard-gate:
 	cargo test -q -p cheetah-db --test shard_contract
 
 # The named CI gate: planner contract — a walk of the shared execution
 # grid under a planner of random sample size, so every fitted point (all
-# seven variants x both transports x both backends, and the direct arm)
+# seven variants x the barrier on both backends, and the direct arm)
 # is bit-identical to baseline on random adversarial-family tables, with
 # its plan recorded and its shard count the plan's (the default planner
 # on the fixed adversarial tables is the compiled gate's walk); plans
@@ -120,8 +124,8 @@ planner-gate:
 # JOIN and HAVING run the interpreter on either backend and must say
 # so) bit-identical to the interpreted oracle across all seven variants
 # x the adversarial workload family x the grid's layouts (the fitted one
-# included) x both transports, with deterministic pruning counters
-# unchanged shard by shard.
+# included), with deterministic pruning counters unchanged shard by
+# shard.
 compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract
 
@@ -155,16 +159,16 @@ serving-gate:
 # frames (one drop + one duplication budget, 10 380 schedules, bounded
 # at 20 000 and asserted un-truncated) into the merge plane for all
 # seven query variants, the simulated fabric answers exactly and
-# bit-identically per seed at 15% drop + 15% corruption, and the
-# stream transport's fault mode — the frames each shard job ends with,
-# carried by the same carrier (cheetah_net::rack) in simulated time —
-# survives the same profile with its go-back-N resends, exact per
-# family, reported in the breakdown.
+# bit-identically per seed at 15% drop + 15% corruption, and a plan's
+# fault mode — each shard's finished output cut into frames by the
+# master and carried by the same carrier (cheetah_net::rack) in simulated
+# time, whatever path ran — survives the same profile with its go-back-N
+# resends, exact per family, reported in the breakdown.
 fabric-gate:
 	cargo test -q -p cheetah-db --test fabric_contract
 
-# The named CI gate: telemetry contract — every path x backend x {one
-# shard, four} through the Session yields a complete lifecycle span tree
+# The named CI gate: telemetry contract — every backend x {one shard,
+# four} through the Session yields a complete lifecycle span tree
 # (admit/queue/plan/choose/execute{worker per shard, merge}/respond),
 # each worker span naming its thread (caller for a one-shard plan, which
 # runs on the thread that executes it; a pool index otherwise), the registry's
@@ -182,8 +186,9 @@ telemetry-gate:
 	cargo test -q -p cheetah-db --test telemetry_contract
 
 # The named CI gate: pruning counters — entries pruned, entries to the
-# master and the executing backend, exact on all 20 fixed-seed rows, and
-# the pass-through identity on one @direct run per sharded family.
+# master and the executing backend, exact on all 20 fixed-seed rows (a
+# backend or a lossy rack moves none), and the pass-through identity on
+# one @direct run per sharded family.
 counters-gate:
 	cargo test -q -p cheetah-db --test counters_contract
 

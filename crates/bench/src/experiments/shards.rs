@@ -49,11 +49,10 @@ fn best_of(
     reps: usize,
     want: &QueryOutput,
 ) -> (ExecRun, f64) {
-    let plan = plan.for_path(path);
     let mut best: Option<(ExecRun, f64)> = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let run = execute(cluster, &plan).expect("plan fits");
+        let run = execute(cluster, plan, path).expect("plan fits");
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(
             &run.output,
@@ -177,7 +176,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             modelled.push((layout.shards(), completion));
             pruned.push((label.clone(), pruned_wall));
             direct.push((label, direct_wall));
-            if run.plan.is_some() {
+            if layout.shard_plan().is_some() {
                 planned_run = Some(run);
             }
         }

@@ -265,7 +265,8 @@ pub struct TopNOpt {
 impl TopNOpt {
     /// OPT for `TOP n`.
     pub fn new(n: usize) -> Self {
-        Self { n, heap: BinaryHeap::with_capacity(n + 1) }
+        // The heap grows with the stream, so `n` may exceed any stream.
+        Self { n, heap: BinaryHeap::new() }
     }
 }
 

@@ -318,4 +318,21 @@ mod tests {
         let chee = cluster.run_cheetah(&q, &t, None).unwrap();
         assert!(chee.breakdown.worker_seconds < calibrated.breakdown.worker_seconds);
     }
+
+    #[test]
+    fn a_top_n_past_the_rows_is_every_value_descending_on_both_sides() {
+        // The baseline reserved `n` heap slots before reading a row: this
+        // `n` aborted the process, and `usize::MAX` overflowed.
+        let cluster = Cluster::default();
+        let t = test_table(10, 3);
+        let mut every: Vec<i64> =
+            t.partitions().iter().flat_map(|p| p.column(1).as_int().unwrap().to_vec()).collect();
+        every.sort_unstable_by(|a, b| b.cmp(a));
+        for n in [1 << 40, usize::MAX] {
+            let q = DbQuery::TopN { order_col: 1, n };
+            let base = cluster.run_baseline(&q, &t, None).output;
+            assert_eq!(base, QueryOutput::TopValues(every.clone()), "n = {n}");
+            assert_eq!(cluster.run_cheetah(&q, &t, None).unwrap().output, base, "n = {n}");
+        }
+    }
 }

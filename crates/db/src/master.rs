@@ -24,10 +24,10 @@
 //!
 //! The merge semantics live in one function, [`merge_shard_outputs`]: one
 //! `match` on the query that folds whole typed partials. Every path ends
-//! in it — the barrier and direct paths with the shards' outputs, the
-//! stream with its frames.
+//! in it — a lossless run with the shards' outputs, a run in fault mode
+//! with its frames.
 //!
-//! The stream transport adds a codec around that fold, not a second one:
+//! Fault mode adds a codec around that fold, not a second one:
 //! it decomposes each shard output into [`MergeItem`]s
 //! ([`decompose_output`]) and cuts them into frames ([`frame_items`]). A
 //! [`MergeState`] dedups the frames by `(shard, seq)`, composes each new
@@ -119,8 +119,8 @@ fn check_variant(q: &DbQuery, output: &QueryOutput) {
     );
 }
 
-/// One unit of mergeable survivor state — the granularity the streamed
-/// runtime ships between a shard worker and the master merge plane.
+/// One unit of mergeable survivor state — the granularity a run in fault
+/// mode frames between a shard's output and the master merge plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeItem {
     /// A partial count (filtered rows, or JOIN pairs — the owning
@@ -285,7 +285,7 @@ pub fn decompose_output(q: &DbQuery, output: QueryOutput) -> Vec<MergeItem> {
 
 /// Cut one shard's decomposed `items` into [`SurvivorBatch`] frames of
 /// `batch` items each (clamped to what a frame carries), numbered from
-/// sequence 0 — the stream transport's one framing. Each item is encoded
+/// sequence 0 — fault mode's one framing. Each item is encoded
 /// once, straight into its frame's arena. No items, no frames.
 pub fn frame_items(shard: u32, items: &[MergeItem], batch: usize) -> Vec<Bytes> {
     let mut frames = FrameBuilder::new();
@@ -302,11 +302,11 @@ pub fn frame_items(shard: u32, items: &[MergeItem], batch: usize) -> Vec<Bytes> 
         .collect()
 }
 
-/// The stream transport's door into the merge: the frames that arrive,
-/// each composed back into a partial of the query's output type, folded
-/// at [`finish`](MergeState::finish) by [`merge_shard_outputs`] — the
-/// barrier's own fold, so the stream may deliver frames from different
-/// shards in any order and still match the barrier merge bit for bit.
+/// Fault mode's door into the merge: the frames that arrive, each
+/// composed back into a partial of the query's output type, folded at
+/// [`finish`](MergeState::finish) by [`merge_shard_outputs`] — the
+/// lossless run's own fold, so a lossy rack may deliver frames from
+/// different shards in any order and still match that fold bit for bit.
 #[derive(Debug, Clone)]
 pub struct MergeState {
     query: DbQuery,
@@ -537,7 +537,7 @@ mod tests {
         SurvivorBatch::parse(cheetah_net::emit_batch(shard, seq, payloads)).expect("frame parses")
     }
 
-    /// `output` as the stream transport carries it: decomposed and cut
+    /// `output` as fault mode carries it: decomposed and cut
     /// into frames of `batch` items.
     fn frames_of(q: &DbQuery, shard: u32, output: QueryOutput, batch: usize) -> Vec<SurvivorBatch> {
         frame_items(shard, &decompose_output(q, output), batch)

@@ -70,7 +70,10 @@ pub fn partial_distinct(col: usize, part: &Partition) -> HashSet<Value> {
 /// Worker partial: the `n` largest values of an int column, descending.
 pub fn partial_topn(col: usize, n: usize, part: &Partition) -> Vec<i64> {
     let vals = part.column(col).as_int().expect("TopN on int column");
-    let mut heap: BinaryHeap<std::cmp::Reverse<i64>> = BinaryHeap::with_capacity(n + 1);
+    // Bounded by the rows as well as by `n`: a TOP N larger than the
+    // partition keeps every row, and reserves no more.
+    let mut heap: BinaryHeap<std::cmp::Reverse<i64>> =
+        BinaryHeap::with_capacity(n.min(vals.len()) + 1);
     for &v in vals {
         if heap.len() < n {
             heap.push(std::cmp::Reverse(v));

@@ -75,7 +75,8 @@ pub const MAX_SHARDS: usize = 16;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Reservoir capacity: how many routing keys the quantile fit and
-    /// the load evaluation see.
+    /// the load evaluation see. Zero is taken as one: a plan needs at
+    /// least one sampled key.
     pub sample_size: usize,
 }
 
@@ -94,7 +95,7 @@ impl Default for PlannerConfig {
 /// a concrete plan whose report explains the choice:
 ///
 /// ```
-/// use cheetah_db::{Cluster, DataType, DbQuery, ShardPlanner, TableBuilder, Value};
+/// use cheetah_db::{Cluster, DataType, DbQuery, ExecPath, ShardPlanner, TableBuilder, Value};
 /// use cheetah_runtime::{execute, ExecPlan};
 /// use std::sync::Arc;
 ///
@@ -123,9 +124,9 @@ impl Default for PlannerConfig {
 /// // …and a run laid out by it completes bit-identically to the baseline.
 /// let base = cluster.run_baseline(&q, &table, None);
 /// let routed = ExecPlan::new(&cluster, &q, &table, None, Arc::clone(&plan)).unwrap();
-/// let planned = execute(&cluster, &routed).unwrap();
+/// assert!(Arc::ptr_eq(routed.shard_plan().unwrap(), &plan), "the layout records its plan");
+/// let planned = execute(&cluster, &routed, ExecPath::BarrierPooled).unwrap();
 /// assert_eq!(base.output, planned.output);
-/// assert!(Arc::ptr_eq(planned.plan.as_ref().unwrap(), &plan), "the run records its plan");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ShardPlanner {
@@ -151,7 +152,7 @@ impl ShardPlanner {
         let lens: Vec<usize> = tables.iter().map(|t| t.rows()).collect();
         let mut cursors: Vec<KeyCursor<'_>> =
             tables.iter().enumerate().map(|(s, t)| KeyCursor::new(q, s, t, seed)).collect();
-        let mut sampler = KeySampler::new(self.cfg.sample_size, seed);
+        let mut sampler = KeySampler::new(self.cfg.sample_size.max(1), seed);
         sampler.offer_strided(&lens, |stream, row| cursors[stream].key_at(row));
         plan_from_stats(sampler.finish())
     }
@@ -218,19 +219,15 @@ fn plan_from_stats(stats: KeyStats) -> ShardPlan {
 // that engages neither.
 // ---------------------------------------------------------------------
 
-/// How a shard's unit is run and how its result reaches the master. The
-/// one executor (`cheetah_runtime::execute`) reads the choice off its
-/// plan.
+/// How a shard's unit is run: pruned at its switch, or direct. The one
+/// executor (`cheetah_runtime::execute`) takes it as an argument of each
+/// run; every path hands the master whole outputs (cut into frames only
+/// when the plan is in fault mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// Workers hand their completed outputs over whole; the master merges
-    /// once the last one is in.
+    /// Each shard is pruned at its switch; workers hand their completed
+    /// outputs over whole and the master merges once the last one is in.
     BarrierPooled,
-    /// Workers hand their completed outputs over whole, as on the barrier;
-    /// once the last one is in, the master cuts each into survivor-batch
-    /// frames ([`frame_items`](crate::frame_items)) and folds the frames.
-    /// The carrier of `ExecPlan`'s fault mode, where frames are the point.
-    StreamedResident,
     /// The unaccelerated plan: each shard job completes its unit over the
     /// identity selection ([`Cluster::run_direct`](crate::Cluster::run_direct)
     /// — no `spec()`, no encode, no switch) and hands the whole output to
@@ -245,7 +242,6 @@ impl ExecPath {
     pub fn label(self) -> &'static str {
         match self {
             ExecPath::BarrierPooled => "pooled",
-            ExecPath::StreamedResident => "streamed",
             ExecPath::Direct => "direct",
         }
     }
@@ -274,18 +270,17 @@ impl ChooserArm {
     }
 }
 
-/// The pinnable (transport × backend) grid of the pruned arms. Nothing is
-/// learned here: a request runs the point it pins, and unpinned traffic
-/// runs pooled + compiled — with one encode → prune loop under both
-/// backends and the transports tied within noise on every ledger
-/// workload, the points no longer differ by enough for an online selector
-/// to find, only to lose to. (Whether a key is pruned at all is the
-/// serving plane's measured comparison, not a point of this grid:
-/// [`ExecPath::Direct`].)
+/// The pinnable backends of the pruned arm, in the four-slot order the
+/// frozen benchmark reports. Nothing is learned here: a request runs the
+/// backend it pins, and unpinned traffic runs pooled + compiled. (Whether
+/// a key is pruned at all is the serving plane's measured comparison, not
+/// a point of this grid: [`ExecPath::Direct`].)
 pub struct PathChooser;
 
 impl PathChooser {
-    /// The four (path × backend) points, in report order.
+    /// The pruned arms, in report order. There is one survivor transport,
+    /// so the last two slots repeat the first two: they are kept only for
+    /// the frozen report's four-arm order (ROADMAP item 6).
     pub const ARMS: [ChooserArm; 4] = [
         ChooserArm {
             path: ExecPath::BarrierPooled,
@@ -293,13 +288,10 @@ impl PathChooser {
         },
         ChooserArm { path: ExecPath::BarrierPooled, backend: cheetah_net::ExecBackend::Compiled },
         ChooserArm {
-            path: ExecPath::StreamedResident,
+            path: ExecPath::BarrierPooled,
             backend: cheetah_net::ExecBackend::Interpreted,
         },
-        ChooserArm {
-            path: ExecPath::StreamedResident,
-            backend: cheetah_net::ExecBackend::Compiled,
-        },
+        ChooserArm { path: ExecPath::BarrierPooled, backend: cheetah_net::ExecBackend::Compiled },
     ];
 }
 
@@ -457,6 +449,19 @@ mod tests {
         for q in all_queries().into_iter().chain([DbQuery::Distinct { col: 2 }]) {
             let with_right = planner.plan(&q, &l, Some(&r), 7);
             assert_eq!(with_right, planner.plan(&q, &l, None, 7), "{}", q.kind());
+        }
+    }
+
+    #[test]
+    fn a_zero_size_sample_plans_as_a_one_size_one() {
+        let t = test_table(3_000, 4);
+        let zero = ShardPlanner::new(PlannerConfig { sample_size: 0 });
+        let one = ShardPlanner::new(PlannerConfig { sample_size: 1 });
+        for q in all_queries() {
+            let right = q.is_binary().then_some(&t);
+            let plan = zero.plan(&q, &t, right, 7);
+            assert_eq!(plan, one.plan(&q, &t, right, 7), "{}", q.kind());
+            assert_eq!(plan.report.sample_len, 1, "{}", q.kind());
         }
     }
 

@@ -83,14 +83,14 @@ pub fn run_barrier(
     layout: impl Into<ShardLayout>,
 ) -> ExecRun {
     let plan = ExecPlan::new(cluster, q, left, right, layout).expect("routes");
-    execute(cluster, &plan.for_path(ExecPath::BarrierPooled)).expect("plan fits")
+    execute(cluster, &plan, ExecPath::BarrierPooled).expect("plan fits")
 }
 
-/// What the run's accounting must satisfy, whatever the layout: the
-/// master's time is every shard's completion plus the merge, the run's
-/// wire bytes, survivors and switch arrivals are its shards' sums, and a
-/// streamed run with survivors framed them.
-pub fn assert_merge_discipline(path: ExecPath, run: &ExecRun, label: &str) {
+/// What a lossless run's accounting must satisfy, whatever the layout and
+/// path: the master's time is every shard's completion plus the merge, the
+/// run's wire bytes, survivors and switch arrivals are its shards' sums,
+/// and nothing was framed.
+pub fn assert_merge_discipline(run: &ExecRun, label: &str) {
     let shards = &run.per_shard;
     let completions: f64 = shards.iter().map(|s| s.master_seconds).sum();
     assert_eq!(run.breakdown.master_seconds, completions + run.merge_seconds, "{label}");
@@ -99,9 +99,7 @@ pub fn assert_merge_discipline(path: ExecPath, run: &ExecRun, label: &str) {
     let entries: u64 = shards.iter().map(|s| s.entries_to_master).sum();
     assert_eq!(run.breakdown.entries_to_master, entries, "{label}");
     assert_eq!(run.switch_stats.seen, shards.iter().map(|s| s.seen).sum::<u64>(), "{label}");
-    if path == ExecPath::StreamedResident && run.breakdown.entries_to_master > 0 {
-        assert!(run.batches > 0, "{label}: survivors must be framed");
-    }
+    assert_eq!(run.batches, 0, "{label}: a lossless run frames nothing");
 }
 
 /// One point of the execution grid.
@@ -114,8 +112,8 @@ pub struct ExecCase {
 }
 
 /// Walk the execution grid over one workload pair — all seven variants ×
-/// six layouts × ({barrier, stream} × {interpreted, compiled}, then
-/// direct) — routing each (variant, layout) once. The layouts are the
+/// six layouts × (the barrier × {interpreted, compiled}, then direct) —
+/// routing each (variant, layout) once. The layouts are the
 /// one-shard layout (the tables themselves: its pruned points run
 /// `Cluster::run_cheetah` on them, unless both are empty — an empty unit
 /// runs nothing) once, hash and range at 2 and 7 shards,
@@ -125,14 +123,13 @@ pub struct ExecCase {
 /// Every point is held to the universal contract here: output equals
 /// `run_baseline`'s, the layout's shard count is honoured, routing loses
 /// no rows, the run's accounting is its shards' ([`assert_merge_discipline`]),
-/// and the run records a plan exactly when its layout was fitted (whose
+/// and the routed layout records a plan exactly when it was fitted (whose
 /// shard count is the plan's). `visit` adds the calling gate's own
 /// assertions; the backend is the innermost axis (interpreted first), so
 /// a gate can pair the two runs of a pruned point. The direct arm runs no
 /// engine, so it is walked once per layout (its case reads `Interpreted`,
 /// like its breakdown), and held to the pass-through accounting: nothing
-/// pruned, every result row of the shards' partials seen and forwarded,
-/// nothing framed.
+/// pruned, every result row of the shards' partials seen and forwarded.
 pub fn for_each_exec_case(
     left: &Arc<Table>,
     right: &Arc<Table>,
@@ -164,35 +161,32 @@ pub fn for_each_exec_case(
                 }
             };
             let plan = ExecPlan::new(&oracle, &q, left, right_of, layout).expect("routes");
+            let recorded = plan.shard_plan().map(Arc::as_ptr);
+            assert_eq!(
+                recorded,
+                fitted_plan.as_ref().map(Arc::as_ptr),
+                "{kind} × {name} on {workload}: plan recorded"
+            );
             let mut point = |path: ExecPath, backend: ExecBackend| {
                 let arm = ChooserArm { path, backend }.label();
                 let label = format!("{kind} × {name} × {arm} on {workload}");
                 let cluster = oracle.clone().with_backend(backend);
-                let run = execute(&cluster, &plan.for_path(path)).expect("plan fits");
+                let run = execute(&cluster, &plan, path).expect("plan fits");
                 assert_eq!(base.output, run.output, "{label}: diverged from baseline");
                 assert_eq!(run.breakdown.shards as usize, shards, "{label}");
                 assert_eq!(run.per_shard.len(), shards, "{label}");
                 let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
                 assert_eq!(routed, total, "{label}: rows lost in routing");
-                assert_merge_discipline(path, &run, &label);
-                let recorded = run.plan.as_ref().map(Arc::as_ptr);
-                assert_eq!(
-                    recorded,
-                    fitted_plan.as_ref().map(Arc::as_ptr),
-                    "{label}: plan recorded"
-                );
+                assert_merge_discipline(&run, &label);
                 if path == ExecPath::Direct {
                     let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
                     assert_eq!(stats.pruned, 0, "{label}");
                     assert_eq!((stats.seen, stats.forwarded), (entries, entries), "{label}");
-                    assert_eq!(run.batches, 0, "{label}");
                 }
                 visit(&ExecCase { q: q.clone(), path, backend, label }, &run);
             };
-            for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
-                for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                    point(path, backend);
-                }
+            for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+                point(ExecPath::BarrierPooled, backend);
             }
             point(ExecPath::Direct, ExecBackend::Interpreted);
         }

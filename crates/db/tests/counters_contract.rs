@@ -15,11 +15,12 @@
 //! (`@shards4` = fixed hash layout on the barrier transport,
 //! `@compiled` = the same plan asked to run the fused kernels — JOIN has
 //! none, so its row reads `INTERP` — `@planned` = the
-//! sampling planner's layout, `@streamed` = the `@shards4` plan on the
-//! stream transport); and one pinned request through the [`Session`]
-//! front door. Neither a backend nor a transport may move a counter: the
-//! one changes how the switch program is executed, the other *when*
-//! survivors arrive — never what the switch prunes. Beside the golden
+//! sampling planner's layout, `@faulty` = the `@shards4` plan in fault
+//! mode, its survivors framed across a harsh lossy rack); and one pinned
+//! request through the [`Session`] front door. Neither a backend nor a
+//! lossy fabric may move a counter: the one changes how the switch program
+//! is executed, the other how survivors reach the master — never what the
+//! switch prunes. Beside the golden
 //! rows, each sharded family runs once `@direct` — no switch program — and
 //! is held to the pass-through identity instead of a golden figure.
 
@@ -29,7 +30,7 @@ use cheetah_core::ShardPartitioner;
 use cheetah_db::{
     Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardPlanner, ShardSpec,
 };
-use cheetah_runtime::{execute, ExecPlan};
+use cheetah_runtime::{execute, ExecPlan, FaultSpec};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_workloads::SkewedTableConfig;
 use std::sync::Arc;
@@ -52,15 +53,15 @@ const GOLDEN: [Row; 20] = [
     ("distinct@shards4", 5801, 199, INTERP),
     ("distinct@compiled", 5801, 199, COMPILED),
     ("distinct@planned", 5801, 199, INTERP),
-    ("distinct@streamed", 5801, 199, INTERP),
+    ("distinct@faulty", 5801, 199, INTERP),
     ("groupby-max@shards4", 5357, 643, INTERP),
     ("groupby-max@compiled", 5357, 643, COMPILED),
     ("groupby-max@planned", 5357, 643, INTERP),
-    ("groupby-max@streamed", 5357, 643, INTERP),
+    ("groupby-max@faulty", 5357, 643, INTERP),
     ("join@shards4", 9002, 8998, INTERP),
     ("join@compiled", 9002, 8998, INTERP),
     ("join@planned", 9002, 8998, INTERP),
-    ("join@streamed", 9002, 8998, INTERP),
+    ("join@faulty", 9002, 8998, INTERP),
     ("burst@serving", 5801, 199, INTERP),
 ];
 
@@ -114,14 +115,15 @@ fn pruning_counters_match_the_golden_table_exactly() {
     for (family, q) in [("distinct", &distinct), ("groupby-max", &groupby), ("join", &join)] {
         let right_of = q.is_binary().then_some(&right);
         let fixed = ShardSpec::new(SHARDS, ShardPartitioner::Hash);
-        let streamed = ExecPlan::new(&cluster, q, &left, right_of, fixed).expect("routes");
-        let barrier = streamed.for_path(ExecPath::BarrierPooled);
+        let plan = ExecPlan::new(&cluster, q, &left, right_of, fixed).expect("routes");
+        let faulty = plan.with_fault(FaultSpec::harsh(0xC0FFEE, 64));
         let planned = common::fitted(&cluster, &ShardPlanner::default(), q, &left, right_of);
+        let barrier = ExecPath::BarrierPooled;
         let runs = [
-            ("shards4", execute(&cluster, &barrier).expect("plan fits")),
-            ("compiled", execute(&compiled, &barrier).expect("plan fits")),
+            ("shards4", execute(&cluster, &plan, barrier).expect("plan fits")),
+            ("compiled", execute(&compiled, &plan, barrier).expect("plan fits")),
             ("planned", common::run_barrier(&cluster, q, &left, right_of, planned)),
-            ("streamed", execute(&cluster, &streamed).expect("plan fits")),
+            ("faulty", execute(&cluster, &faulty, barrier).expect("plan fits")),
         ];
         for (form, run) in &runs {
             let b = &run.breakdown;
@@ -133,7 +135,7 @@ fn pruning_counters_match_the_golden_table_exactly() {
         // switch let through — but an identity, asserted: a pass-through
         // switch sees and forwards exactly the partials' result rows,
         // shard by shard, prunes nothing, and no engine is named.
-        let direct = execute(&compiled, &streamed.for_path(ExecPath::Direct)).expect("runs");
+        let direct = execute(&compiled, &plan, ExecPath::Direct).expect("runs");
         assert_eq!(direct.output, runs[0].1.output, "{family}@direct");
         let (stats, b) = (direct.switch_stats, &direct.breakdown);
         assert_eq!((stats.pruned, b.backend), (0, INTERP), "{family}@direct");
@@ -168,13 +170,13 @@ fn pruning_counters_match_the_golden_table_exactly() {
         assert_eq!((name.as_str(), *pruned, *to_master, *backend), *want);
     }
     // Asking for the fused kernels never changes what is pruned, and
-    // neither does the transport the survivors travel by.
+    // neither does a lossy rack between the shards and the master.
     for family in ["distinct", "groupby-max", "join"] {
         let row = |form: &str| {
             let name = format!("{family}@{form}");
             GOLDEN.iter().find(|r| r.0 == name).map(|r| (r.1, r.2)).expect("row present")
         };
         assert_eq!(row("compiled"), row("shards4"), "{family}");
-        assert_eq!(row("streamed"), row("shards4"), "{family}");
+        assert_eq!(row("faulty"), row("shards4"), "{family}");
     }
 }

@@ -1,5 +1,5 @@
 //! The fabric gate: the merge plane is invariant under every delivery
-//! order a lossy fabric can produce, and the full streamed stack
+//! order a lossy fabric can produce, and the full stack in fault mode
 //! survives a genuinely harsh channel.
 //!
 //! Three layers, weakest assumption first:
@@ -19,7 +19,7 @@
 //!    [`FaultProfile::harsh`], with the §7.2 reliability machines doing
 //!    the recovery. Same seed ⇒ bit-identical report (retransmit counts
 //!    included); the merged output still equals the baseline.
-//! 3. **Stream transport** — `execute` over a faulty plan at 15% drop + 15%
+//! 3. **Fault mode** — `execute` over a faulty plan at 15% drop + 15%
 //!    corruption + duplication answers every family exactly, and the
 //!    go-back-N resends are visible in `ExecBreakdown::retransmits`.
 
@@ -28,7 +28,7 @@ mod common;
 use bytes::Bytes;
 use cheetah_db::{
     decompose_output, fixed_sharder, frame_items, route_range, routing_keys, Cluster, DbQuery,
-    MergeState, QueryOutput, ShardPartitioner, ShardSpec, Table,
+    ExecPath, MergeState, QueryOutput, ShardPartitioner, ShardSpec, Table,
 };
 use cheetah_net::{
     emit_batch, explore, CheckerConfig, FabricSim, FaultProfile, RackConfig, SurvivorBatch,
@@ -176,7 +176,7 @@ fn harsh_fabric_delivers_exactly_and_is_seed_deterministic() {
 }
 
 #[test]
-fn stream_transport_answers_all_seven_families_under_harsh_faults() {
+fn fault_mode_answers_all_seven_families_under_harsh_faults() {
     let cluster = Cluster::default();
     let left = Arc::new(gen_table(600, 23, 3, 47));
     let right = Arc::new(gen_table(240, 23, 2, 53));
@@ -190,8 +190,8 @@ fn stream_transport_answers_all_seven_families_under_harsh_faults() {
         let spec = ShardSpec::new(SHARDS, ShardPartitioner::Hash);
         let plan = ExecPlan::new(&cluster, &q, &left, r, spec).expect("routes");
         // Many small frames → many fault draws.
-        let run =
-            execute(&cluster, &plan.with_fault(FaultSpec::harsh(0xFAB, 4))).expect("streamed run");
+        let faulty = plan.with_fault(FaultSpec::harsh(0xFAB, 4));
+        let run = execute(&cluster, &faulty, ExecPath::BarrierPooled).expect("faulty run");
         assert_eq!(base, run.output, "{}: harsh channel changed the answer", q.kind());
         assert_eq!(
             run.breakdown.retransmits,

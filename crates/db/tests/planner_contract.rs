@@ -108,10 +108,12 @@ fn planned_execution_is_deterministic_end_to_end() {
     let planner = ShardPlanner::default();
     let t = Arc::new(PlannerAdversary::Zipf(1.2).table(1_500, 3, 77));
     let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 };
-    let a = planned(&cluster, &q, &t, None, &planner);
-    let b = planned(&cluster, &q, &t, None, &planner);
+    let fit = || fitted(&cluster, &planner, &q, &t, None);
+    let (plan_a, plan_b) = (fit(), fit());
+    assert_eq!(plan_a, plan_b);
+    let a = run_barrier(&cluster, &q, &t, None, plan_a);
+    let b = run_barrier(&cluster, &q, &t, None, plan_b);
     assert_eq!(a.output, b.output);
-    assert_eq!(a.plan, b.plan);
     let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
     let rows_b: Vec<u64> = b.per_shard.iter().map(|s| s.rows).collect();
     assert_eq!(rows_a, rows_b, "shard assignment must be deterministic");

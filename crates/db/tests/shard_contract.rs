@@ -19,7 +19,6 @@ use cheetah_db::{
     Cluster, DataType, DbQuery, ShardPartitioner, ShardPlanner, ShardSpec, Table, TableBuilder,
     Value,
 };
-use cheetah_runtime::{execute, ExecPlan};
 use cheetah_workloads::PlannerAdversary;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -27,8 +26,8 @@ use std::sync::Arc;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 const PARTITIONERS: [ShardPartitioner; 2] = [ShardPartitioner::Hash, ShardPartitioner::Range];
 
-/// Assert the full grid — every query, every layout, both transports,
-/// both backends, and the direct arm — against the baseline.
+/// Assert the full grid — every query, every layout, the barrier on both
+/// backends, and the direct arm — against the baseline.
 fn assert_shard_contract(left: &Arc<Table>, right: &Arc<Table>, threshold: i64) {
     let planner = ShardPlanner::default();
     for_each_exec_case(left, right, threshold, &planner, "shard grid", |_, _| {});
@@ -169,8 +168,7 @@ fn having_sum_spanning_threshold_only_globally_is_not_lost() {
 }
 
 #[test]
-fn streamed_execution_is_deterministic_end_to_end() {
-    let cluster = Cluster::default();
+fn sharded_execution_is_deterministic_end_to_end() {
     let t = Arc::new(PlannerAdversary::Zipf(1.2).table(1_500, 3, 77));
     for q in [
         DbQuery::Distinct { col: 0 },
@@ -178,11 +176,7 @@ fn streamed_execution_is_deterministic_end_to_end() {
         DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 },
     ] {
         let spec = ShardSpec::new(4, ShardPartitioner::Hash);
-        let streamed = || {
-            let plan = ExecPlan::new(&cluster, &q, &t, None, spec).expect("routes");
-            execute(&cluster, &plan).expect("plan fits")
-        };
-        let (a, b) = (streamed(), streamed());
+        let (a, b) = (sharded(&q, &t, spec), sharded(&q, &t, spec));
         assert_eq!(a.output, b.output, "{}", q.kind());
         let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
         let rows_b: Vec<u64> = b.per_shard.iter().map(|s| s.rows).collect();

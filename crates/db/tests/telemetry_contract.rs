@@ -1,7 +1,7 @@
 //! Telemetry contract gate: observability must be *complete* and
 //! *reconciled*, not decorative.
 //!
-//! 1. **Complete span trees** — every (path × backend) combination
+//! 1. **Complete span trees** — every backend of the pruned path
 //!    through the session yields an exportable lifecycle tree with no
 //!    orphan or unclosed spans: `query` → {`admit`, `queue`, `plan`,
 //!    `choose`, `execute` → {one `worker` per shard, `merge`},
@@ -64,76 +64,75 @@ fn on_its_thread(w: &SpanNode, shards: usize) -> bool {
 }
 
 #[test]
-fn every_path_backend_combination_yields_a_complete_span_tree() {
+fn every_backend_yields_a_complete_span_tree() {
     let t = fixture(0x7E1E);
     let session = Session::with_defaults();
-    for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
-        for (backend, shards) in [ExecBackend::Interpreted, ExecBackend::Compiled]
-            .into_iter()
-            .flat_map(|backend| [(backend, 1), (backend, SHARDS)])
-        {
-            let resp = session
-                .run_blocking(
-                    QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))
-                        .tenant("contract")
-                        .path(path)
-                        .backend(backend)
-                        .shards(shards),
-                )
-                .unwrap();
-            let label = format!("{}/{} @{shards}", path.label(), backend.label());
-            let tree = resp
-                .trace
-                .as_ref()
-                .unwrap_or_else(|| panic!("{label}: response carries no exported trace"));
+    let path = ExecPath::BarrierPooled;
+    for (backend, shards) in [ExecBackend::Interpreted, ExecBackend::Compiled]
+        .into_iter()
+        .flat_map(|backend| [(backend, 1), (backend, SHARDS)])
+    {
+        let resp = session
+            .run_blocking(
+                QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))
+                    .tenant("contract")
+                    .path(path)
+                    .backend(backend)
+                    .shards(shards),
+            )
+            .unwrap();
+        let label = format!("{}/{} @{shards}", path.label(), backend.label());
+        let tree = resp
+            .trace
+            .as_ref()
+            .unwrap_or_else(|| panic!("{label}: response carries no exported trace"));
 
-            // The lifecycle children, all present under the one root.
-            assert_eq!(tree.root.name, "query", "{label}");
-            assert_eq!(tree.root.attr("tenant"), Some("contract"), "{label}");
-            for required in ["admit", "queue", "plan", "choose", "execute", "respond"] {
-                assert!(
-                    child_names(tree).contains(&required),
-                    "{label}: missing `{required}` child; got {:?}",
-                    child_names(tree)
-                );
-            }
-            let exec = tree.root.find("execute").expect("checked above");
-            assert_eq!(exec.attr("path"), Some(path.label()), "{label}");
-            assert_eq!(exec.attr("backend"), Some(backend.label()), "{label}");
-
-            // One worker span per shard, deterministically ordered, each
-            // on its plan's thread, and a merge span closing the fan-in.
-            let mut workers = Vec::new();
-            exec.find_all("worker", &mut workers);
-            assert_eq!(workers.len(), shards, "{label}: one worker span per shard");
-            for (i, w) in workers.iter().enumerate() {
-                assert_eq!(w.attr("shard"), Some(i.to_string().as_str()), "{label}");
-                assert!(on_its_thread(w, shards), "{label}: thread {:?}", w.attr("thread"));
-            }
-            assert!(exec.find("merge").is_some(), "{label}: missing merge span");
-
-            // The per-shard survivor counts the workers traced must sum
-            // to exactly what the breakdown reports: the breakdown is a
-            // view over the span tree, not a parallel ledger.
-            let traced: u64 = workers
-                .iter()
-                .map(|w| w.attr("entries_to_master").unwrap().parse::<u64>().unwrap())
-                .sum();
-            assert_eq!(traced, resp.breakdown.entries_to_master, "{label}");
-
-            // The breakdown's queue time is the queue span's clock.
-            let queue = tree.root.find("queue").expect("checked above");
+        // The lifecycle children, all present under the one root.
+        assert_eq!(tree.root.name, "query", "{label}");
+        assert_eq!(tree.root.attr("tenant"), Some("contract"), "{label}");
+        for required in ["admit", "queue", "plan", "choose", "execute", "respond"] {
             assert!(
-                (queue.duration_s() - resp.breakdown.queue_seconds).abs() < 1e-3,
-                "{label}: queue span {:.6}s vs breakdown {:.6}s",
-                queue.duration_s(),
-                resp.breakdown.queue_seconds
+                child_names(tree).contains(&required),
+                "{label}: missing `{required}` child; got {:?}",
+                child_names(tree)
             );
         }
+        let exec = tree.root.find("execute").expect("checked above");
+        assert_eq!(exec.attr("path"), Some(path.label()), "{label}");
+        assert_eq!(exec.attr("backend"), Some(backend.label()), "{label}");
+
+        // One worker span per shard, deterministically ordered, each
+        // on its plan's thread, and a merge span closing the fan-in.
+        let mut workers = Vec::new();
+        exec.find_all("worker", &mut workers);
+        assert_eq!(workers.len(), shards, "{label}: one worker span per shard");
+        for (i, w) in workers.iter().enumerate() {
+            assert_eq!(w.attr("shard"), Some(i.to_string().as_str()), "{label}");
+            assert!(on_its_thread(w, shards), "{label}: thread {:?}", w.attr("thread"));
+        }
+        assert!(exec.find("merge").is_some(), "{label}: missing merge span");
+
+        // The per-shard survivor counts the workers traced must sum
+        // to exactly what the breakdown reports: the breakdown is a
+        // view over the span tree, not a parallel ledger.
+        let traced: u64 = workers
+            .iter()
+            .map(|w| w.attr("entries_to_master").unwrap().parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(traced, resp.breakdown.entries_to_master, "{label}");
+
+        // The breakdown's queue time is the queue span's clock.
+        let queue = tree.root.find("queue").expect("checked above");
+        assert!(
+            (queue.duration_s() - resp.breakdown.queue_seconds).abs() < 1e-3,
+            "{label}: queue span {:.6}s vs breakdown {:.6}s",
+            queue.duration_s(),
+            resp.breakdown.queue_seconds
+        );
     }
-    // All eight trees were retained by the ring-buffer sink.
-    assert_eq!(session.traces().len(), 8);
-    assert_eq!(session.traces().pushed(), 8);
+    // All four trees were retained by the ring-buffer sink.
+    assert_eq!(session.traces().len(), 4);
+    assert_eq!(session.traces().pushed(), 4);
 }
 
 #[test]
@@ -372,7 +371,7 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
         .with_fault(FaultSpec::harsh(0xC0FFEE, 4));
     let run = {
         let _g = root.enter();
-        execute(&cluster, &plan).unwrap()
+        execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap()
     };
     root.finish();
     // The carrier's resend count is a pure function of the frames and the
@@ -400,7 +399,7 @@ fn lossless_runs_trace_no_stream_spans_and_zero_retransmits() {
     let resp = session
         .run_blocking(
             QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))
-                .path(ExecPath::StreamedResident)
+                .path(ExecPath::BarrierPooled)
                 .shards(SHARDS),
         )
         .unwrap();

@@ -2,7 +2,7 @@
 //! seeded lossy fabric.
 //!
 //! [`crate::transfer`] carries the paper's *entry-level* channel (one
-//! value tuple per packet). The streamed shard runtime, though, ships
+//! value tuple per packet). The shard runtime's fault mode, though, ships
 //! survivors in columnar [`SurvivorBatch`] frames; `FabricSim` hands
 //! those frames to the same carrier, [`crate::rack`], which owns the
 //! topology, the fault injection and the §7.2 roles.
@@ -42,7 +42,7 @@ impl FabricSim {
     /// Build a simulation over per-worker frame streams. Stream `w` is
     /// shard `w`'s flow: each frame must parse as a [`SurvivorBatch`]
     /// with `shard == w` and `seq` equal to its position in the stream —
-    /// the invariant the streamed runtime's framing already upholds.
+    /// the invariant the runtime's fault-mode framing already upholds.
     ///
     /// # Panics
     /// Panics if a stream violates that invariant (a harness bug, not a

@@ -19,7 +19,7 @@
 //!   only by the payload it carries;
 //! * [`transfer`] — binds the rack to the entry packets of [`wire`],
 //!   with the switch running any pruning function;
-//! * [`fabric`] — binds the rack to the streamed runtime's
+//! * [`fabric`] — binds the rack to the fault-mode runtime's
 //!   [`SurvivorBatch`] frames, handing each new frame to a master-side
 //!   sink (the merge plane);
 //! * [`checker`] — a dslab-mp-style bounded model checker that
@@ -32,7 +32,7 @@
 //! * [`ingest`] — the Figure 9 master-ingest queueing model, including
 //!   §4.6's shard fan-in (concurrent survivor streams sharing the master
 //!   downlink);
-//! * [`stream`] — the survivor-batch frame the streamed shard runtime
+//! * [`stream`] — the survivor-batch frame the shard runtime's fault mode
 //!   moves between workers and the master merge plane (a columnar arena
 //!   of opaque merge units plus an offset column, one checksum per
 //!   frame, parsed zero-copy).

@@ -19,8 +19,8 @@
 //! The loop that drives them exists once, here. What rides it is a
 //! [`Payload`]: [`crate::transfer`] binds the entry packets of
 //! [`crate::wire`] (the switch prunes), [`crate::fabric`] binds the
-//! [`SurvivorBatch`](crate::stream::SurvivorBatch) frames of the streamed
-//! runtime (already pruned, so the switch only sequences). Everything is
+//! [`SurvivorBatch`](crate::stream::SurvivorBatch) frames of the runtime's
+//! fault mode (already pruned, so the switch only sequences). Everything is
 //! seeded: the same config and payload reproduce the same [`RackReport`]
 //! bit for bit, retransmit counts included — which is what keeps a lossy
 //! CI failure reproducible.

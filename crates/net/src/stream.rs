@@ -1,7 +1,7 @@
-//! Survivor-batch framing for the streamed shard runtime.
+//! Survivor-batch framing for the shard runtime's fault mode.
 //!
-//! Under the barrier dataflow every shard's survivors reach the master as
-//! one completed output at the join point. The streamed runtime instead
+//! On a lossless run every shard's survivors reach the master as one
+//! completed output at the join point. In fault mode the runtime
 //! cuts each shard's completed output into [`SurvivorBatch`]es —
 //! checksummed and sequenced, so the §7.2 carrier can drop, resend and
 //! duplicate them — and the master's merge plane folds the frames batch

@@ -32,13 +32,13 @@ impl From<Arc<ShardPlan>> for ShardLayout {
     }
 }
 
-/// The stream transport's fault mode: each shard's finished survivor
-/// frames cross the simulated §7.2 rack of [`cheetah_net::rack`] — seeded
-/// lossy links (drops, single-octet corruption, duplication, reordering),
-/// go-back-N workers, a sequencing switch and a deduping master — before
-/// the merge sees them, so the run only completes once every frame has
-/// actually been merged. Window and retransmission timeout are the
-/// carrier's, in simulated time.
+/// A plan's fault mode, whatever path runs it: each shard's finished
+/// output is cut into survivor frames that cross the simulated §7.2 rack
+/// of [`cheetah_net::rack`] — seeded lossy links (drops, single-octet
+/// corruption, duplication, reordering), go-back-N workers, a sequencing
+/// switch and a deduping master — before the merge sees them, so the run
+/// only completes once every frame has actually been merged. Window and
+/// retransmission timeout are the carrier's, in simulated time.
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
     /// Fault probabilities applied to every link of the rack.
@@ -48,9 +48,8 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Merge items per survivor frame: the unit the faults are drawn on.
     /// The master cuts each shard's output at this size
-    /// ([`frame_items`](cheetah_db::frame_items)); a lossless run cuts as
-    /// many items as a frame carries
-    /// ([`MAX_BATCH_ITEMS`](cheetah_net::MAX_BATCH_ITEMS)).
+    /// ([`frame_items`](cheetah_db::frame_items)); a lossless run frames
+    /// nothing.
     pub batch: usize,
 }
 

@@ -1,4 +1,4 @@
-//! # cheetah-runtime — one plan, one executor, two transports, one way out
+//! # cheetah-runtime — one plan, one executor, one transport, one way out
 //!
 //! Cheetah's dataflow (§2) is one thing: route rows to shard workers,
 //! prune each shard at its switch, merge the survivors at the master.
@@ -12,8 +12,9 @@
 //! thread itself when there is one. The pool has one worker per core, and
 //! the shard count is the planner's: a plan of more shards than cores
 //! queues its extra jobs on the pool rather than time-slicing them. How a
-//! unit is run and how its result travels to the master is a field of the plan
-//! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine:
+//! unit is run is an argument of the run
+//! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine; whether its
+//! result crosses a lossy rack to the master is the plan's fault mode:
 //!
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
@@ -23,10 +24,9 @@
 //!           ▼                                    ▼
 //!     one unit per shard                   Cluster::run_cheetah per unit
 //!                                          (direct: Cluster::run_direct, no switch)
-//!                                                │ whole outputs
-//!                                                ├─ barrier, direct ──▶ merge_shard_outputs
-//!                                                └─ stream: frame_items ──▶ MergeState (in shard order,
-//!                                                                           or across the lossy rack)
+//!                                                │ whole outputs, on every path
+//!                                                ├─ lossless ──▶ merge_shard_outputs
+//!                                                └─ fault mode: frame_items ──▶ lossy rack ──▶ MergeState
 //!                                                           frames composed into partials ──▶ merge_shard_outputs
 //! ```
 //!
@@ -39,8 +39,8 @@
 //! [`merge_shard_outputs`](cheetah_db::merge_shard_outputs) hands a lone
 //! output back as it stands: no copy, no fold. Its switch
 //! kernel cache and scratch block are that thread's own thread-locals, as
-//! a pool job's are its worker's. The stream still cuts its one output
-//! into frames, so the fault mode is the same at every shard count.
+//! a pool job's are its worker's. Fault mode still cuts its one output
+//! into frames, so it is the same at every shard count.
 //!
 //! A layout is one value, [`ShardLayout`]: a hand-picked
 //! [`ShardSpec`](cheetah_db::ShardSpec) or a plan the sampling planner
@@ -50,7 +50,7 @@
 //! a run: a key's first sight runs direct over the tables whole, its
 //! second sight fits a layout, routes it, runs it pruned and decides the
 //! arm, and later sights run what was decided. Each run executes the plan
-//! it is handed.
+//! it is handed, on the path it is handed.
 //!
 //! * **Direct** — the way out: a shard job skips `spec()`, encode and
 //!   the switch and runs
@@ -64,28 +64,24 @@
 //!   layout both ways, measured less work on it than on the pruned arm:
 //!   each job's [`busy_seconds`](cheetah_db::ShardStats::busy_seconds)
 //!   summed, plus the merge — no time spent waiting for a pool worker.
-//! * **Barrier** — each worker hands its completed output over whole;
-//!   the master merges once the last worker is in. Nothing to frame: the
-//!   transport every unpinned pruned request runs.
-//! * **Stream** — each worker hands its completed output over whole, as
-//!   on the barrier; once the last worker is in, the master decomposes
-//!   each output into [`MergeItem`](cheetah_db::MergeItem)s, cuts them
-//!   into [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames
-//!   ([`frame_items`](cheetah_db::frame_items)) and folds the frames into
-//!   a [`MergeState`](cheetah_db::MergeState) in shard order, which dedups
-//!   them, composes each back into a partial and folds the partials
-//!   through the barrier's own merge. A lossless
-//!   run cuts as many items as a frame carries
-//!   ([`MAX_BATCH_ITEMS`](cheetah_net::MAX_BATCH_ITEMS)). Frames are the
-//!   point of the fault mode, set on a built plan like its path
-//!   ([`ExecPlan::with_fault`]): its [`FaultSpec`] cuts them at its own
-//!   frame size and carries them across the simulated lossy rack of
-//!   `cheetah_net::rack` instead (§7.2's go-back-N in simulated time,
-//!   deterministic per seed). Unpinned requests never run it; the ledger
-//!   pins it, and the two transports tie on its workloads.
+//! * **Pruned** — each shard job runs its unit through its switch and
+//!   hands its completed output over whole; the master merges once the
+//!   last worker is in. The barrier transport: every pruned request runs
+//!   it.
 //!
-//! Every transport is store-and-forward: a shard job reports once, when
-//! its unit is done, and never blocks.
+//! Fault mode is a property of the plan, not of a path, and rides any run:
+//! a plan built with [`ExecPlan::with_fault`] has its master decompose
+//! each shard's output into [`MergeItem`](cheetah_db::MergeItem)s, cut them
+//! into [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames of the
+//! [`FaultSpec`]'s size ([`frame_items`](cheetah_db::frame_items)) and
+//! carry them across the simulated lossy rack of `cheetah_net::rack`
+//! (§7.2's go-back-N in simulated time, deterministic per seed) into a
+//! [`MergeState`](cheetah_db::MergeState), which dedups them, composes
+//! each back into a partial and folds the partials through the lossless
+//! run's own merge. A lossless run frames nothing.
+//!
+//! Every run is store-and-forward: a shard job reports once, when its
+//! unit is done, and never blocks.
 //!
 //! A request its tables cannot answer is refused by [`ExecPlan::new`]
 //! with a typed error before anything runs, and a shard job that panics

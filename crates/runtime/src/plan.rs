@@ -1,5 +1,6 @@
-//! The one plan representation: a laid-out input plus the path it runs
-//! by — a survivor transport, or the direct arm.
+//! The one plan representation: a laid-out input, and the rack its
+//! survivors cross. Which path runs it — pruned or direct — is an argument
+//! of each run ([`execute`](crate::execute)), not part of the plan.
 //!
 //! Everything layout-shaped about a multi-shard run is decided here, once,
 //! by [`ExecPlan::new`]: the request is checked against its tables'
@@ -39,22 +40,22 @@
 //!   columns the load rule coded (`Partition::coded`).
 //!
 //! A plan is resident data: its units are `Arc` handles, so the same plan
-//! runs query after query (the serving plane holds one per query, tables
-//! and shard count) and [`for_path`](ExecPlan::for_path) switches the
-//! path on a clone that copies no rows.
+//! runs query after query, on whichever path each run names (the serving
+//! plane holds one per query, tables and shard count, and runs it as it
+//! is), and [`with_fault`](ExecPlan::with_fault) puts it on a lossy rack
+//! with a clone that copies no rows.
 
 use crate::config::{FaultSpec, ShardLayout};
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
-    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, ExecPath,
-    RouteStream, Table,
+    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, RouteStream, Table,
 };
 use std::sync::Arc;
 
 /// A routed, ready-to-run multi-shard execution: which rows land on which
-/// shard, how the layout was decided, and which path ([`ExecPath`]) runs
-/// it — pruned, with the survivors carried to the master by one of two
-/// transports, or direct.
+/// shard, how the layout was decided, and whether the survivors cross a
+/// lossy rack on their way to the master. Any path runs it
+/// ([`execute`](crate::execute)).
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     /// The query the layout was routed for — the only one it can run.
@@ -76,17 +77,15 @@ pub struct ExecPlan {
     /// Rows routed per shard, both streams, empty units included.
     pub(crate) dispatched: Vec<u64>,
     /// The fitted plan the layout was routed under; `None` under a spec.
-    pub(crate) plan: Option<Arc<ShardPlan>>,
-    pub(crate) path: ExecPath,
-    /// Stream transport: fault mode (the simulated lossy rack), when asked for.
+    plan: Option<Arc<ShardPlan>>,
+    /// Fault mode (the simulated lossy rack), when asked for.
     pub(crate) fault: Option<FaultSpec>,
 }
 
 impl ExecPlan {
     /// Lay out `q`'s input under `layout` — a [`ShardSpec`](cheetah_db::ShardSpec)
-    /// or a fitted `Arc<ShardPlan>`. The plan comes back on the lossless
-    /// stream transport; [`for_path`](ExecPlan::for_path) derives its
-    /// other paths and [`with_fault`](ExecPlan::with_fault) its fault mode.
+    /// or a fitted `Arc<ShardPlan>`. The plan comes back lossless;
+    /// [`with_fault`](ExecPlan::with_fault) derives its fault mode.
     ///
     /// A request its tables cannot answer — a binary query without its
     /// right table, a column outside the schema or of the wrong type — or
@@ -165,22 +164,14 @@ impl ExecPlan {
             right_units,
             dispatched,
             plan,
-            path: ExecPath::StreamedResident,
             fault: None,
         })
     }
 
-    /// The same routed layout on `path` — either transport, or the direct
-    /// arm. Clones `Arc` handles, never rows.
-    pub fn for_path(&self, path: ExecPath) -> ExecPlan {
-        ExecPlan { path, ..self.clone() }
-    }
-
-    /// The same routed layout in fault mode: on the stream transport its
-    /// survivor frames, cut at `fault.batch` merge items, cross the seeded
-    /// lossy rack before the merge folds them. The barrier and direct paths
-    /// frame nothing, so there is nothing for a fault to hit. Clones `Arc`
-    /// handles, never rows.
+    /// The same routed layout in fault mode: whatever path runs it, each
+    /// shard's output is cut into survivor frames of `fault.batch` merge
+    /// items, which cross the seeded lossy rack before the merge folds
+    /// them. Clones `Arc` handles, never rows.
     pub fn with_fault(&self, fault: FaultSpec) -> ExecPlan {
         ExecPlan { fault: Some(fault), ..self.clone() }
     }

@@ -15,28 +15,24 @@
 //!   calling thread runs its one job itself, behind the same panic
 //!   boundary a pool thread keeps: no pool hop, no channel.
 //! * the **master merge plane** (the calling thread) folds once the last
-//!   report is in. Off the stream transport it folds the outputs through
-//!   [`merge_shard_outputs`], which returns a lone output as it stands. On
-//!   the stream transport, it decomposes
-//!   each output and cuts it into [`SurvivorBatch`] frames
-//!   ([`frame_items`]), then folds the frames through
-//!   [`MergeState::ingest_survivor_batch`] — parsed zero-copy, in shard
-//!   order on a lossless run, or carried across the simulated §7.2 rack
-//!   ([`FabricSim`], the frame binding of `cheetah_net::rack`) under a
-//!   [`FaultSpec`]: simulated time, so deterministic per seed.
+//!   report is in. A lossless run folds the outputs through
+//!   [`merge_shard_outputs`], which returns a lone output as it stands,
+//!   whatever path ran. A plan in fault mode ([`FaultSpec`]) decomposes
+//!   each output, cuts it into [`SurvivorBatch`] frames ([`frame_items`]),
+//!   carries them across the simulated §7.2 rack ([`FabricSim`], the frame
+//!   binding of `cheetah_net::rack`) — simulated time, so deterministic per
+//!   seed — and folds each frame the rack delivers through
+//!   [`MergeState::ingest_survivor_batch`].
 
 use crate::config::FaultSpec;
 use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
 use bytes::Bytes;
-use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
     decompose_output, frame_items, merge_shard_outputs, Cluster, DbQuery, ExecPath, MergeState,
     QueryOutput, ShardStats, Table,
 };
-use cheetah_net::{
-    ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch, MAX_BATCH_ITEMS,
-};
+use cheetah_net::{ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Span, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,7 +44,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ExecRun {
     /// Merged, normalized query output — equal to the baseline's on
-    /// either transport.
+    /// every path.
     pub output: QueryOutput,
     /// Phase breakdown.
     pub breakdown: ExecBreakdown,
@@ -59,11 +55,9 @@ pub struct ExecRun {
     /// Merge-plane work: the fold of every shard's output or frames, after
     /// the last worker reported.
     pub merge_seconds: f64,
-    /// Survivor frames the master ingested (zero off the stream transport).
+    /// Survivor frames the master ingested (zero unless the plan is in
+    /// fault mode).
     pub batches: u64,
-    /// The fitted plan the layout was routed under: `Some` exactly when
-    /// the layout was fitted, `None` under a hand-picked spec.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl ExecRun {
@@ -77,25 +71,31 @@ impl ExecRun {
     }
 }
 
-/// Execute the routed `plan`'s query: prune every unit (each with its own
-/// planned switch program) — or, on [`ExecPath::Direct`], complete every
-/// unit with no switch at all — carry the results to the master by the
-/// plan's transport, merge, account. The units of a multi-shard plan run
-/// on pool workers; a one-shard plan's unit runs on the calling thread.
+/// Execute the routed `plan`'s query on `path`: prune every unit (each
+/// with its own planned switch program) — or, on [`ExecPath::Direct`],
+/// complete every unit with no switch at all — carry the results to the
+/// master (across the plan's lossy rack in fault mode), merge, account.
+/// Every path but [`ExecPath::Direct`] prunes. The units of a multi-shard
+/// plan run on pool workers; a one-shard plan's unit runs on the calling
+/// thread.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
 /// partitioner, path and backend — the path changes *how much* reaches
-/// the master and in what form, never *what* the query answers. A fault
-/// profile the carrier cannot finish under (every frame dropped, say) is
-/// a typed [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard
-/// job that panics is a typed
+/// the master, never *what* the query answers. A fault profile the
+/// carrier cannot finish under (every frame dropped, say) is a typed
+/// [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard job
+/// that panics is a typed
 /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
 /// failure is this call's alone.
-pub fn execute(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<ExecRun> {
+pub fn execute(
+    cluster: &Cluster,
+    plan: &ExecPlan,
+    path: ExecPath,
+) -> cheetah_core::Result<ExecRun> {
     let reports = if plan.shards() == 1 {
-        vec![run_on_caller(cluster, plan)?]
+        vec![run_on_caller(cluster, plan, path)?]
     } else {
-        await_reports(plan.shards(), spawn_worker_plane(cluster, plan))?
+        await_reports(plan.shards(), spawn_worker_plane(cluster, plan, path))?
     };
     let fold = merge_plane(plan, reports)?;
     Ok(assemble(fold, plan, cluster.backend))
@@ -181,11 +181,15 @@ fn run_shard(
 /// carries on. The job never waits on the pool.
 ///
 /// [`WorkerPanicked`]: cheetah_core::Error::WorkerPanicked
-fn run_on_caller(cluster: &Cluster, plan: &ExecPlan) -> cheetah_core::Result<WorkerReport> {
+fn run_on_caller(
+    cluster: &Cluster,
+    plan: &ExecPlan,
+    path: ExecPath,
+) -> cheetah_core::Result<WorkerReport> {
     let unit = (&*plan.units[0], plan.right_units.as_ref().map(|units| &*units[0]));
     let job = || {
-        let span = worker_span(SpanContext::current().as_ref(), 0, "caller", plan.path);
-        run_shard(cluster, &plan.unit_query, plan.path, unit, span)
+        let span = worker_span(SpanContext::current().as_ref(), 0, "caller", path);
+        run_shard(cluster, &plan.unit_query, path, unit, span)
     };
     catch_unwind(AssertUnwindSafe(job))
         .unwrap_or(Err(cheetah_core::Error::WorkerPanicked { shard: 0 }))
@@ -197,8 +201,7 @@ type Reports = mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>;
 /// Submit one pool job per shard: each owns `Arc` handles onto its routed
 /// unit plus a cheap clone of the cluster config and unit query, runs
 /// [`run_shard`] and sends its report.
-fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan) -> Reports {
-    let path = plan.path;
+fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan, path: ExecPath) -> Reports {
     let (report_tx, report_rx) = mpsc::channel();
     let pool = WorkerPool::global();
     // The submitting thread's span context (the session's `execute` span,
@@ -242,10 +245,9 @@ fn await_reports(shards: usize, reports: Reports) -> cheetah_core::Result<Vec<Wo
 
 /// The master merge plane: fold the shards' whole outputs through
 /// [`merge_shard_outputs`] (which hands a lone output back as it
-/// stands), or, on the stream transport, cut each shard's output into
-/// frames (a fault's frame size, else as many items as a frame carries)
-/// and fold those, each parsed zero-copy (offsets into the frame's
-/// arena), so each survivor is encoded and decoded exactly once.
+/// stands), or, in fault mode, cut each shard's output into frames of the
+/// fault's size, carry them across the lossy rack and fold each frame it
+/// delivers, parsed zero-copy (offsets into the frame's arena).
 fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> cheetah_core::Result<Fold> {
     let shards = plan.shards();
     // The merge plane runs on the submitting thread, so the session's
@@ -253,42 +255,35 @@ fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> cheetah_core:
     let mut merge_span = SpanContext::current().map(|tc| tc.child("merge"));
     let started = Instant::now();
     let q = plan.query();
-    let stream = plan.path == ExecPath::StreamedResident;
-    let (output, batches, retransmits) = if stream {
-        let batch = plan.fault.as_ref().map_or(MAX_BATCH_ITEMS, |f| f.batch);
-        let flows: Vec<Vec<Bytes>> = reports
-            .iter_mut()
-            .enumerate()
-            .map(|(shard, r)| match r.output.take() {
-                Some(out) => frame_items(shard as u32, &decompose_output(q, out), batch),
-                None => Vec::new(),
-            })
-            .collect();
-        let mut state = MergeState::new(q);
-        let mut batches = 0u64;
-        let mut ingest = |batch: &SurvivorBatch| {
-            batches += 1;
-            state.ingest_survivor_batch(batch).expect("merge item round-trips");
-        };
-        let retransmits = match &plan.fault {
-            None => {
-                for frame in flows.into_iter().flatten() {
-                    ingest(&SurvivorBatch::parse(frame).expect("in-memory survivor frame parses"));
-                }
-                0
-            }
-            Some(fault) => carry_across_rack(fault, flows, merge_span.as_ref(), ingest)?,
-        };
-        (state.finish(), batches, retransmits)
-    } else {
-        let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
-        (merge_shard_outputs(q, outputs), 0, 0)
+    let (output, batches, retransmits) = match &plan.fault {
+        Some(fault) => {
+            let flows: Vec<Vec<Bytes>> = reports
+                .iter_mut()
+                .enumerate()
+                .map(|(shard, r)| match r.output.take() {
+                    Some(out) => frame_items(shard as u32, &decompose_output(q, out), fault.batch),
+                    None => Vec::new(),
+                })
+                .collect();
+            let mut state = MergeState::new(q);
+            let mut batches = 0u64;
+            let ingest = |batch: &SurvivorBatch| {
+                batches += 1;
+                state.ingest_survivor_batch(batch).expect("merge item round-trips");
+            };
+            let retransmits = carry_across_rack(fault, flows, merge_span.as_ref(), ingest)?;
+            (state.finish(), batches, retransmits)
+        }
+        None => {
+            let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
+            (merge_shard_outputs(q, outputs), 0, 0)
+        }
     };
     let merge_seconds = started.elapsed().as_secs_f64();
 
     if let Some(s) = merge_span.as_mut() {
         s.attr("shards", shards);
-        if stream {
+        if plan.fault.is_some() {
             s.attr("batches", batches);
         }
     }
@@ -376,15 +371,7 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         retransmits,
         ..ExecBreakdown::default()
     };
-    ExecRun {
-        output,
-        breakdown,
-        switch_stats,
-        per_shard,
-        merge_seconds,
-        batches,
-        plan: plan.plan.clone(),
-    }
+    ExecRun { output, breakdown, switch_stats, per_shard, merge_seconds, batches }
 }
 
 #[cfg(test)]
@@ -400,8 +387,7 @@ mod tests {
     use cheetah_telemetry::{Registry, Trace};
     use std::time::Duration;
 
-    const PATHS: [ExecPath; 3] =
-        [ExecPath::BarrierPooled, ExecPath::StreamedResident, ExecPath::Direct];
+    const PATHS: [ExecPath; 2] = [ExecPath::BarrierPooled, ExecPath::Direct];
 
     fn table(rows: usize, parts: usize) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -434,17 +420,19 @@ mod tests {
         ExecPlan::new(&Cluster::default(), q, t, r, layout).expect("routes")
     }
 
-    /// Execute `plan` under a fresh trace's entered root span: the run,
-    /// the `thread` of each `worker` span it traced, and its `merge` spans.
+    /// Execute `plan` on `path` under a fresh trace's entered root span:
+    /// the run, the `thread` of each `worker` span it traced, and its
+    /// `merge` spans.
     fn traced(
         cluster: &Cluster,
         plan: &ExecPlan,
+        path: ExecPath,
     ) -> (cheetah_core::Result<ExecRun>, Vec<String>, usize) {
         let trace = Trace::new(Registry::new());
         let root = trace.span("query");
         let run = {
             let _in_query = root.enter();
-            execute(cluster, plan)
+            execute(cluster, plan, path)
         };
         root.finish();
         let tree = trace.export().expect("every span closed");
@@ -532,7 +520,7 @@ mod tests {
                 assert_eq!(plan.dispatched(), [total], "{}", q.kind());
                 for path in PATHS {
                     let label = format!("{} {}", q.kind(), path.label());
-                    let (run, threads, merges) = traced(&cluster, &plan.for_path(path));
+                    let (run, threads, merges) = traced(&cluster, &plan, path);
                     let output = run.unwrap().output;
                     assert_eq!(output, base, "{label}");
                     // One job, on the calling thread; the tree keeps its shape.
@@ -583,7 +571,7 @@ mod tests {
                 }
                 for path in PATHS {
                     let label = format!("{kind} {}", path.label());
-                    let (run, threads, merges) = traced(&cluster, &plan.for_path(path));
+                    let (run, threads, merges) = traced(&cluster, &plan, path);
                     let run = run.unwrap();
                     assert_eq!(run.output, base, "{label}");
                     assert_eq!(run.per_shard.len(), shards, "{label}: every shard reports");
@@ -606,7 +594,7 @@ mod tests {
         let t = table(600, 2);
         let skyline = DbQuery::Skyline { cols: vec![2, 1] };
         let plan = plan_of(&skyline, &t, None, ShardSpec::new(1, ShardPartitioner::Hash));
-        let (run, threads, _) = traced(&broken, &plan);
+        let (run, threads, _) = traced(&broken, &plan, ExecPath::BarrierPooled);
         assert_eq!(run.err(), Some(cheetah_core::Error::WorkerPanicked { shard: 0 }));
         assert_eq!(threads, ["caller"], "the job unwound on the calling thread");
         // The same thread's kernel cache and scratch block serve the next
@@ -615,7 +603,7 @@ mod tests {
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &t, None, ShardSpec::new(1, ShardPartitioner::Hash));
         for _ in 0..2 {
-            let run = execute(&cluster, &plan).unwrap();
+            let run = execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
             assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
         }
@@ -642,7 +630,7 @@ mod tests {
         }
         held.iter().take(pool.workers()).for_each(drop);
         let started = Instant::now();
-        let run = execute(&cluster, &plan).unwrap();
+        let run = execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap();
         let wall = started.elapsed().as_secs_f64();
         assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
         let busy: f64 = run.per_shard.iter().map(|s| s.busy_seconds).sum();
@@ -660,20 +648,25 @@ mod tests {
         let q = DbQuery::Distinct { col: 0 };
         let plan = Arc::new(ShardPlanner::default().plan(&q, &t, None, cluster.tuning.seed));
         let routed = plan_of(&q, &t, None, Arc::clone(&plan));
-        let run = execute(&cluster, &routed).unwrap();
-        assert!(Arc::ptr_eq(run.plan.as_ref().expect("plan rides along"), &plan));
+        assert!(Arc::ptr_eq(routed.shard_plan().expect("plan rides along"), &plan));
+        let spec = ShardSpec::new(3, ShardPartitioner::Hash);
+        assert!(plan_of(&q, &t, None, spec).shard_plan().is_none(), "a spec fits nothing");
+        let run = execute(&cluster, &routed, ExecPath::BarrierPooled).unwrap();
         assert_eq!(run.breakdown.shards as usize, plan.shards());
         assert_eq!(run.per_shard.iter().map(|s| s.rows).collect::<Vec<_>>(), routed.dispatched());
         assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
 
     #[test]
-    fn harsh_faulty_channel_still_answers_exactly_and_the_plan_reuses_cleanly() {
+    fn harsh_faulty_channel_still_answers_exactly_on_every_path_and_the_plan_reuses_cleanly() {
         // 15% drop + 15% corruption + duplication on every survivor
         // frame: the §7.2 machinery (go-back-N resends, switch
         // sequencing, merge-plane dedup) must still deliver the
         // baseline answer, the resends must show up in the breakdown,
         // and a second run of the same plan replays the same lossy flow.
+        // Fault mode is the plan's: the pruned path and the direct one
+        // compute the same shard outputs, so they frame, lose and resend
+        // the same.
         let cluster = Cluster::default();
         let t = table(1_500, 3);
         // The carrier's resend count per family: a pure function of the
@@ -687,24 +680,27 @@ mod tests {
         for (q, resends) in queries {
             let base = cluster.run_baseline(&q, &t, None);
             // Many small frames → many fault draws.
-            let plan = plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash))
-                .with_fault(FaultSpec::harsh(0xC0FFEE, 4));
-            let first = execute(&cluster, &plan).unwrap();
-            let second = execute(&cluster, &plan).unwrap();
-            for run in [&first, &second] {
-                assert_eq!(base.output, run.output, "{} under harsh faults", q.kind());
-                assert_eq!(run.breakdown.retransmits, resends, "{}", q.kind());
+            let lossless = plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash));
+            let plan = lossless.with_fault(FaultSpec::harsh(0xC0FFEE, 4));
+            let mut batches = Vec::new();
+            for path in PATHS {
+                let label = format!("{} {}", q.kind(), path.label());
+                let first = execute(&cluster, &plan, path).unwrap();
+                let second = execute(&cluster, &plan, path).unwrap();
+                for run in [&first, &second] {
+                    assert_eq!(base.output, run.output, "{label} under harsh faults");
+                    assert_eq!(run.breakdown.retransmits, resends, "{label}");
+                    assert_eq!(run.batches, first.batches, "{label}");
+                }
+                batches.push(first.batches);
+                // The lossless plan crosses no rack: nothing framed, nothing
+                // resent.
+                let run = execute(&cluster, &lossless, path).unwrap();
+                assert_eq!((run.breakdown.retransmits, run.batches), (0, 0), "{label}");
+                assert_eq!(base.output, run.output, "{label}");
             }
-            // The barrier transport sends no frames, so it has none to lose.
-            let barrier = execute(&cluster, &plan.for_path(ExecPath::BarrierPooled)).unwrap();
-            assert_eq!(barrier.breakdown.retransmits, 0);
-            assert_eq!(base.output, barrier.output);
+            assert!(batches[0] > 0 && batches.iter().all(|&b| b == batches[0]), "{batches:?}");
         }
-        // The lossless stream keeps its zero.
-        let q = DbQuery::Distinct { col: 0 };
-        let run =
-            execute(&cluster, &plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash)));
-        assert_eq!(run.unwrap().breakdown.retransmits, 0);
     }
 
     #[test]
@@ -715,7 +711,7 @@ mod tests {
         let black_hole = FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() };
         let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash))
             .with_fault(FaultSpec::new(black_hole, 7, 4));
-        let err = execute(&cluster, &plan).unwrap_err();
+        let err = execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap_err();
         assert!(
             matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, frames } if frames > 0),
             "{err}"
@@ -747,7 +743,7 @@ mod tests {
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &empty, None, ShardSpec::new(5, ShardPartitioner::Range));
         for path in PATHS {
-            let run = execute(&cluster, &plan.for_path(path)).unwrap();
+            let run = execute(&cluster, &plan, path).unwrap();
             assert_eq!(run.output, QueryOutput::Values(vec![]));
             assert_eq!(run.batches, 0);
             assert_eq!(run.breakdown.entries_to_master, 0);
@@ -757,18 +753,19 @@ mod tests {
         let q = DbQuery::TopN { order_col: 1, n: 2 };
         let plan = plan_of(&q, &tiny, None, ShardSpec::new(7, ShardPartitioner::Hash));
         for path in PATHS {
-            let run = execute(&cluster, &plan.for_path(path)).unwrap();
+            let run = execute(&cluster, &plan, path).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
             assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
         }
         // Same layout under harsh faults: the empty shards' zero-frame
         // flows must finish through the carrier's FIN-timer path.
-        let run = execute(&cluster, &plan.with_fault(FaultSpec::harsh(0xC0FFEE, 4))).unwrap();
+        let faulty = plan.with_fault(FaultSpec::harsh(0xC0FFEE, 4));
+        let run = execute(&cluster, &faulty, ExecPath::BarrierPooled).unwrap();
         assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
     }
 
     #[test]
-    fn a_lossless_run_frames_each_shard_once_and_a_fault_cuts_at_its_batch() {
+    fn a_fault_cuts_each_shards_output_at_its_batch() {
         let cluster = Cluster::default();
         let t = table(800, 2);
         let q = DbQuery::Distinct { col: 0 };
@@ -781,14 +778,11 @@ mod tests {
             .map(|out| decompose_output(&q, out).len())
             .collect();
         assert!(items.iter().all(|&n| n > 0), "every shard has survivors: {items:?}");
-        // Lossless: one frame per shard with survivors…
-        let lossless = execute(&cluster, &plan).unwrap();
-        assert_eq!(lossless.batches, 4);
-        // …and a fault's frames of 7 items: Σ ⌈items_s / 7⌉.
+        // A fault's frames of 7 items: Σ ⌈items_s / 7⌉.
         let faulty = plan.with_fault(FaultSpec::new(FaultProfile::lossless(), 3, 7));
-        let run = execute(&cluster, &faulty).unwrap();
+        let run = execute(&cluster, &faulty, ExecPath::BarrierPooled).unwrap();
         assert_eq!(run.batches, items.iter().map(|n| n.div_ceil(7) as u64).sum::<u64>());
-        assert_eq!(run.output, lossless.output);
+        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! deployment story implies — a switch-accelerated database serves
 //! *many tenants at once* — and it is the **one** public way in: callers
 //! build a [`QueryRequest`] and hand it to a [`Session`]; which
-//! transport runs, on which backend, over which shard layout, is the
+//! path runs, on which backend, over which shard layout, is the
 //! session's business.
 //!
 //! The pipeline behind [`Session::run_blocking`], all on the caller's

@@ -72,11 +72,9 @@ impl QueryRequest {
         self
     }
 
-    /// Pin the execution path. Unpinned requests run direct or
-    /// barrier-pooled, by their key's sight and verdict; streamed-resident
-    /// runs only when pinned: each shard frames its completed output, and
-    /// the master folds the frames once every shard is done (the form the
-    /// fault mode of `cheetah_runtime::ExecPlan` carries).
+    /// Pin the execution path: pruned on the barrier transport, or direct.
+    /// Unpinned requests run one or the other by their key's sight and
+    /// verdict.
     pub fn path(mut self, path: ExecPath) -> Self {
         self.path = Some(path);
         self
@@ -134,13 +132,10 @@ mod tests {
         let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, tiny(3));
         assert_eq!(req.tenant, "default");
         assert!(req.path.is_none() && req.backend.is_none() && req.shards.is_none());
-        let req = req
-            .tenant("acme")
-            .path(ExecPath::StreamedResident)
-            .backend(ExecBackend::Compiled)
-            .shards(0);
+        let req =
+            req.tenant("acme").path(ExecPath::Direct).backend(ExecBackend::Compiled).shards(0);
         assert_eq!(req.tenant, "acme");
-        assert_eq!(req.path, Some(ExecPath::StreamedResident));
+        assert_eq!(req.path, Some(ExecPath::Direct));
         assert_eq!(req.backend, Some(ExecBackend::Compiled));
         assert_eq!(req.shards, Some(1), "zero shards clamps to one");
         let req = req.shards(usize::MAX);

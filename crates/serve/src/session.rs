@@ -229,7 +229,7 @@ impl Key {
 ///   ([`Caches::like`]), else the planner's. It is held before it runs,
 ///   undecided, and that sight — pruned, then direct, on the layout the
 ///   key keeps — takes the key's one arm decision. Every further
-///   request runs it, on either transport.
+///   request runs it, on either path.
 ///
 /// A key that pins a shard count is routed at first sight, under no plan,
 /// and stays undecided: no sight of it decides.
@@ -562,7 +562,7 @@ fn execute(
     result
 }
 
-/// Resolve plan → arm → layout, execute on the chosen transport, and
+/// Resolve plan → arm → layout, execute on the chosen path, and
 /// stamp the serving fields. The response's `trace` is filled in by the
 /// caller once the root span has closed.
 ///
@@ -629,7 +629,7 @@ fn serve(
     choose_span.finish();
 
     // 3. Execute: resolve the laid-out plan, then run it on the arm's
-    // transport with the span entered so the shard jobs (on this thread
+    // path with the span entered so the shard jobs (on this thread
     // for one shard, on the worker pool for more) and the merge plane
     // trace themselves under it.
     let mut exec_span = root.child("execute");
@@ -643,7 +643,7 @@ fn serve(
     let plan = match layout {
         Layout::Held(plan) => plan,
         Layout::Under(layout) => {
-            // The session lays out once: both transports run off the same
+            // The session lays out once: both paths run off the same
             // resident units. First sight's one shard is the tables
             // themselves — there is nothing to route, and nothing to hold
             // until the run has answered. A routed layout is held before
@@ -666,7 +666,7 @@ fn serve(
     let cluster = session.cluster.clone().with_backend(arm.backend);
     let run = {
         let _in_exec = exec_span.enter();
-        cheetah_runtime::execute(&cluster, &plan.for_path(arm.path))?
+        cheetah_runtime::execute(&cluster, &plan, arm.path)?
     };
     let work_s = run.work_seconds();
     let (output, mut breakdown, switch_stats) = (run.output, run.breakdown, run.switch_stats);
@@ -691,7 +691,7 @@ fn serve(
         // pruned). It must answer as the run that responded did.
         let direct_s = {
             let _in_rule = rule_span.enter();
-            let run = cheetah_runtime::execute(&cluster, &plan.for_path(ExecPath::Direct)).ok();
+            let run = cheetah_runtime::execute(&cluster, &plan, ExecPath::Direct).ok();
             run.map(|run| {
                 debug_assert_eq!(run.output, output, "the direct run answered otherwise");
                 run.work_seconds()
@@ -730,11 +730,9 @@ fn serve(
 /// names a pruning engine, so it asks for a pruned arm too. Otherwise a
 /// direct key runs direct, and every other runs the barrier transport on
 /// the compiled backend (the cheapest pruned point on every ledger
-/// workload). The stream transport is run only when pinned: its master
-/// frames the same outputs before folding them, a cost the barrier does
-/// not pay, for the frames `ExecPlan`'s fault mode carries. A family
-/// without a kernel runs the interpreter whatever was asked, and the
-/// direct arm runs no engine at all; the arm says so up front.
+/// workload). A family without a kernel runs the interpreter whatever was
+/// asked, and the direct arm runs no engine at all; the arm says so up
+/// front.
 fn arm_of(req: &QueryRequest, key_direct: bool) -> ChooserArm {
     let unpinned = match req.backend {
         None if key_direct => ExecPath::Direct,
@@ -792,15 +790,14 @@ mod tests {
         let t = table(1_500, 3, 5);
         let session = Session::with_defaults();
         let distinct = || QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
-        for path in [ExecPath::BarrierPooled, ExecPath::StreamedResident] {
-            for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                let resp =
-                    session.run_blocking(distinct().path(path).backend(backend).shards(4)).unwrap();
-                assert_eq!(resp.arm, ChooserArm { path, backend });
-                assert_eq!(resp.breakdown.shards, 4);
-                assert_eq!(resp.breakdown.backend, backend);
-                assert!(!resp.plan_cached, "pinned shards never consult the plan cache");
-            }
+        let path = ExecPath::BarrierPooled;
+        for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+            let resp =
+                session.run_blocking(distinct().path(path).backend(backend).shards(4)).unwrap();
+            assert_eq!(resp.arm, ChooserArm { path, backend });
+            assert_eq!(resp.breakdown.shards, 4);
+            assert_eq!(resp.breakdown.backend, backend);
+            assert!(!resp.plan_cached, "pinned shards never consult the plan cache");
         }
         // The direct arm runs no engine, whatever backend rides along.
         let resp = session.run_blocking(distinct().path(ExecPath::Direct).shards(4)).unwrap();
@@ -851,8 +848,6 @@ mod tests {
         assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
 
         // The whole function: pins first, then the key's decision.
-        let streamed = distinct().path(ExecPath::StreamedResident);
-        assert_eq!(arm_of(&streamed, true).label(), "streamed/compiled");
         assert_eq!(
             arm_of(&distinct().backend(ExecBackend::Interpreted), true).label(),
             "pooled/interp"

@@ -51,19 +51,9 @@ impl<A: Clone> ExactTable<A> {
         self.default_action = None;
     }
 
-    /// Number of installed rules (excludes the default action).
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Look up a key; falls back to the default action on a miss.
     pub fn lookup(&self, key: u64) -> Option<&A> {
         self.rules.get(&key).or(self.default_action.as_ref())
-    }
-
-    /// Look up a key, ignoring the default action.
-    pub fn lookup_exact(&self, key: u64) -> Option<&A> {
-        self.rules.get(&key)
     }
 
     /// Control-plane time to install the current rule set, given the
@@ -93,21 +83,20 @@ mod tests {
         t.install(1, 1);
         assert_eq!(t.lookup(1), Some(&1));
         assert_eq!(t.lookup(2), Some(&9));
-        assert_eq!(t.lookup_exact(2), None);
     }
 
     #[test]
-    fn rule_count_and_clear() {
+    fn remove_and_clear_drop_rules() {
         let mut t = ExactTable::new("t");
         for k in 0..15u64 {
             t.install(k, k as u8);
         }
-        assert_eq!(t.rule_count(), 15);
-        t.remove(3);
-        assert_eq!(t.rule_count(), 14);
+        assert_eq!(t.rules.len(), 15);
+        assert!(t.remove(3) && !t.remove(3));
+        assert_eq!((t.rules.len(), t.lookup(3)), (14, None));
+        t.set_default(0);
         t.clear();
-        assert_eq!(t.rule_count(), 0);
-        assert_eq!(t.lookup(0), None);
+        assert_eq!((t.rules.len(), t.lookup(0)), (0, None));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   │  ├─ route
 //!   │  ├─ worker       shard=0   (one per shard, pool threads)
 //!   │  ├─ worker       shard=1
-//!   │  ├─ stream       retransmits=N   (streamed path)
+//!   │  ├─ stream       retransmits=N   (fault mode)
 //!   │  └─ merge
 //!   └─ respond
 //!   ```

@@ -22,22 +22,20 @@
 //!   (the switch ACKs what it prunes) over a fault-injected link
 //!   simulator;
 //! * [`runtime`] — the one multi-shard executor: a routed plan (one unit
-//!   per shard) run as contained worker-pool jobs that never block, over
-//!   a barrier transport (whole outputs) or a streaming one (the same
-//!   outputs, cut into survivor frames by the master once every shard
-//!   reported and folded in shard order, or carried across the lossy rack
-//!   in fault mode);
+//!   per shard) run as contained worker-pool jobs that never block, pruned
+//!   or direct, each shard handing the master its output whole (in fault
+//!   mode, cut into survivor frames and carried across the lossy rack);
 //! * [`workloads`] — seeded generators for the Big Data benchmark, a
 //!   TPC-H subset, and the pruning-rate simulation streams;
 //! * [`serve`] — the multi-tenant serving plane: the
 //!   [`QueryRequest`](serve::QueryRequest)/[`Session`](serve::Session)
 //!   front door with admission control, each request served on its
 //!   caller's thread, one held layout (and its fitted plan) per (query, tables) key, and a
-//!   pinnable (transport × backend) execution grid;
+//!   pinnable (path × backend) execution grid;
 //! * [`telemetry`] — lock-light always-on observability: a metrics
 //!   registry (atomic counters/gauges, log-bucketed histograms) and
 //!   per-query lifecycle span traces, carried through the session, the
-//!   worker pool, the streamed runtime, and the fabric retransmit path.
+//!   worker pool, the runtime's merge plane, and the fabric retransmit path.
 //!
 //! ## Quickstart
 //!
@@ -58,7 +56,7 @@
 //! let table = Arc::new(b.build());
 //!
 //! // SELECT DISTINCT seller — the Spark-like baseline vs the serving
-//! // plane's switch-pruned path (the session picks transport and backend).
+//! // plane's switch-pruned path (the session picks path and backend).
 //! let cluster = Cluster::default();
 //! let q = DbQuery::Distinct { col: 0 };
 //! let spark = cluster.run_baseline(&q, &table, None);
