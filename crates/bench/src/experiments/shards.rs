@@ -14,8 +14,8 @@
 //! arms of the last routed plan (resident workers hold their slices):
 //!
 //! * **pruned** — the barrier transport on the compiled backend, which is
-//!   what unpinned traffic runs on a key decided pruned (JOIN and HAVING
-//!   have no kernel and run the interpreter either way);
+//!   what unpinned traffic runs on a key decided pruned (TOP N, JOIN and
+//!   HAVING have no kernel and run the interpreter either way);
 //! * **direct** — no switch program, the operator's completion over every
 //!   row: the unaccelerated plan, kept as a candidate at every point.
 //!

@@ -19,15 +19,19 @@
 //! counts.
 //!
 //! **Kernels exist for single-pass families only** — filter, DISTINCT,
-//! TOP N, GROUP BY, SKYLINE. The executor's encode → prune loop is shared
-//! by both backends, so a kernel is worth its lines only for what it saves
-//! *per entry* over the interpreter. JOIN and HAVING are bound by encoding
-//! and completion, not by the prune step (their kernels measured 0.84–1.6×
-//! the interpreter, losing as often as winning):
+//! GROUP BY, SKYLINE, and the deterministic TOP N (`TopNDet`, which no
+//! query path plans: only the benchmark's kernel stage compiles it). The
+//! executor's encode → prune loop is shared by both backends, so a kernel
+//! is worth its lines only for what it saves *per entry* over the
+//! interpreter. JOIN and HAVING are bound by encoding and completion, not
+//! by the prune step (their kernels measured 0.84–1.6× the interpreter,
+//! losing as often as winning), and the randomized TOP N the query path
+//! plans (`TopNRand`) measured 0.74–1.12×:
 //! [`CompiledProgram::compile`] answers
 //! [`Error::NoKernel`](crate::Error::NoKernel)
 //! for them and the executor runs the interpreter, which is why programs
-//! here have no phases.
+//! here have no phases. `compile` is the one list of which family has a
+//! kernel.
 //!
 //! # Adding a compiled kernel for a new query family
 //!
@@ -45,7 +49,7 @@
 //!    *statement by statement* (including conservative fallbacks like
 //!    "forward when uncacheable").
 //! 3. Add a variant to the private `Kernel` enum, construct it in
-//!    [`CompiledProgram::compile`], and wire `run`/`clear`.
+//!    [`CompiledProgram::compile`], and wire `run`/`reset`.
 //! 4. Extend the oracle tests at the bottom of this file with a randomized
 //!    stream comparing the kernel against a `StandalonePruner` of the
 //!    interpreted program, and add the family to the `compiled_contract`
@@ -57,7 +61,7 @@ use crate::fingerprint::FingerprintSpec;
 use crate::groupby::{AggKind, GroupByConfig};
 use crate::planner::QuerySpec;
 use crate::skyline::{SkylineConfig, SkylinePolicy};
-use crate::topn::{TopNDetConfig, TopNRandConfig};
+use crate::topn::TopNDetConfig;
 use cheetah_switch::alu::mul_pow2;
 use cheetah_switch::error::SwitchError;
 use cheetah_switch::{ApproxLog, HashFamily, HashFn, ProgramStats, Verdict};
@@ -108,24 +112,23 @@ enum Kernel {
     Filter(FilterKernel),
     Distinct(DistinctKernel),
     TopNDet(TopNDetKernel),
-    TopNRand(TopNRandKernel),
     GroupBy(GroupByKernel),
     Skyline(SkylineKernel),
 }
 
 impl CompiledProgram {
     /// Compile `spec` into its family's fused kernel, or
-    /// [`Error::NoKernel`](crate::Error::NoKernel) for the multi-pass
-    /// families (JOIN, HAVING), which run on the interpreter.
+    /// [`Error::NoKernel`](crate::Error::NoKernel) for the families that
+    /// run on the interpreter: the multi-pass ones (JOIN, HAVING) and the
+    /// randomized TOP N, whose kernel never paid for itself.
     pub fn compile(spec: &QuerySpec) -> crate::Result<Self> {
         let kernel = match spec {
             QuerySpec::Filter(c) => Kernel::Filter(FilterKernel::new(c)),
             QuerySpec::Distinct(c) => Kernel::Distinct(DistinctKernel::new(*c)),
             QuerySpec::TopNDet(c) => Kernel::TopNDet(TopNDetKernel::new(*c)),
-            QuerySpec::TopNRand(c) => Kernel::TopNRand(TopNRandKernel::new(*c)),
             QuerySpec::GroupBy(c) => Kernel::GroupBy(GroupByKernel::new(*c)),
             QuerySpec::Skyline(c) => Kernel::Skyline(SkylineKernel::new(*c)),
-            QuerySpec::Join(_) | QuerySpec::Having(_) => {
+            QuerySpec::TopNRand(_) | QuerySpec::Join(_) | QuerySpec::Having(_) => {
                 return Err(crate::Error::NoKernel { family: spec.kind() })
             }
         };
@@ -151,31 +154,8 @@ impl CompiledProgram {
             Kernel::Filter(k) => k.run(entries, &mut emit),
             Kernel::Distinct(k) => k.run(entries, &mut emit),
             Kernel::TopNDet(k) => k.run(entries, &mut emit),
-            Kernel::TopNRand(k) => k.run(entries, &mut emit),
             Kernel::GroupBy(k) => k.run(entries, &mut emit),
             Kernel::Skyline(k) => k.run(entries, &mut emit),
-        }
-    }
-
-    /// Reset all kernel state (registers, pointers) — the compiled
-    /// analogue of `ControlMsg::Clear`. Statistics are kept.
-    pub fn clear(&mut self) {
-        match &mut self.kernel {
-            Kernel::Filter(_) => {}
-            Kernel::Distinct(k) => k.clear(),
-            Kernel::TopNDet(k) => {
-                k.packed = 0;
-                k.counters.fill(0);
-            }
-            Kernel::TopNRand(k) => {
-                k.cells.fill(0);
-                k.arrival = 0;
-            }
-            Kernel::GroupBy(k) => k.clear(),
-            Kernel::Skyline(k) => {
-                k.scores.fill(0);
-                k.dims_cells.fill(0);
-            }
         }
     }
 
@@ -185,16 +165,28 @@ impl CompiledProgram {
     }
 
     /// Return the program to its freshly-compiled state: kernel registers
-    /// cleared *and* statistics zeroed. A reset program is
-    /// indistinguishable from one just built by [`compile`] — the
-    /// install-once, stream-many lifecycle of a real switch program, which
-    /// lets a worker amortize the kernel's register allocation across
-    /// every shard and repetition it executes.
+    /// cleared (the compiled analogue of `ControlMsg::Clear`) *and*
+    /// statistics zeroed. A reset program is indistinguishable from one
+    /// just built by [`compile`] — the install-once, stream-many lifecycle
+    /// of a real switch program, which lets a worker amortize the kernel's
+    /// register allocation across every shard and repetition it executes.
     ///
     /// [`compile`]: CompiledProgram::compile
     pub fn reset(&mut self) {
-        self.clear();
         self.stats = ProgramStats::default();
+        match &mut self.kernel {
+            Kernel::Filter(_) => {}
+            Kernel::Distinct(k) => k.clear(),
+            Kernel::TopNDet(k) => {
+                k.packed = 0;
+                k.counters.fill(0);
+            }
+            Kernel::GroupBy(k) => k.clear(),
+            Kernel::Skyline(k) => {
+                k.scores.fill(0);
+                k.dims_cells.fill(0);
+            }
+        }
     }
 }
 
@@ -452,58 +444,6 @@ impl TopNDetKernel {
                 }
             }
             emit(i, if v < cut { Verdict::Prune } else { Verdict::Forward });
-        }
-        Ok(())
-    }
-}
-
-#[derive(Debug)]
-struct TopNRandKernel {
-    rows: usize,
-    cols: usize,
-    row_rng: HashFn,
-    arrival: u64,
-    /// Row-major `rows × cols` rolling-minimum matrix.
-    cells: Vec<u64>,
-}
-
-impl TopNRandKernel {
-    fn new(cfg: TopNRandConfig) -> Self {
-        assert!(cfg.rows > 0 && cfg.cols > 0, "matrix validated at plan time");
-        Self {
-            rows: cfg.rows,
-            cols: cfg.cols,
-            row_rng: HashFn::from_seed(cfg.seed),
-            arrival: 0,
-            cells: vec![0; cfg.rows * cfg.cols],
-        }
-    }
-
-    fn run<'v>(
-        &mut self,
-        entries: impl Iterator<Item = &'v [u64]>,
-        emit: &mut impl FnMut(usize, Verdict),
-    ) -> cheetah_switch::Result<()> {
-        for (i, values) in entries.enumerate() {
-            let v = value_at(values, 0)?;
-            self.arrival += 1;
-            let row = self.row_rng.index(self.arrival, self.rows);
-            let base = row * self.cols;
-            let biased = v.saturating_add(1);
-            let mut carry = biased;
-            let mut inserted = false;
-            let mut last_old = 0u64;
-            for cell in &mut self.cells[base..base + self.cols] {
-                let old = *cell;
-                last_old = old;
-                if carry > old {
-                    *cell = carry;
-                    inserted = true;
-                    carry = old;
-                }
-            }
-            let fwd = inserted || biased == last_old;
-            emit(i, if fwd { Verdict::Forward } else { Verdict::Prune });
         }
         Ok(())
     }
@@ -814,12 +754,9 @@ mod tests {
     }
 
     #[test]
-    fn topn_kernels_match_oracle() {
+    fn topn_det_kernel_matches_oracle() {
         let det = QuerySpec::TopNDet(TopNDetConfig { n: 40, w: 4 });
-        let rand = QuerySpec::TopNRand(TopNRandConfig { rows: 128, cols: 4, seed: 0x7 });
-        let stream = unary_stream(8_000, u64::MAX, u64::MAX, 0x70);
-        assert_oracle_parity(&det, &stream);
-        assert_oracle_parity(&rand, &stream);
+        assert_oracle_parity(&det, &unary_stream(8_000, u64::MAX, u64::MAX, 0x70));
     }
 
     #[test]
@@ -857,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_kernel_state() {
+    fn reset_clears_kernel_state_and_statistics() {
         let spec = QuerySpec::Distinct(DistinctConfig {
             rows: 8,
             cols: 2,
@@ -870,11 +807,12 @@ mod tests {
         let mut verdicts = Vec::new();
         k.offer_run(0, entries.iter().map(|v| v.as_slice()), |_, v| verdicts.push(v)).unwrap();
         assert_eq!(verdicts, vec![Verdict::Forward, Verdict::Prune]);
-        k.clear();
+        k.reset();
+        assert_eq!(k.stats(), ProgramStats::default(), "reset must zero the statistics");
         verdicts.clear();
         k.offer_run(0, entries.iter().take(1).map(|v| v.as_slice()), |_, v| verdicts.push(v))
             .unwrap();
-        assert_eq!(verdicts, vec![Verdict::Forward], "clear must reset the cache");
+        assert_eq!(verdicts, vec![Verdict::Forward], "reset must clear the cache");
     }
 
     #[test]
@@ -892,7 +830,8 @@ mod tests {
     }
 
     #[test]
-    fn multi_pass_families_have_no_kernel_and_kernels_have_no_phases() {
+    fn interpreter_only_families_have_no_kernel_and_kernels_have_no_phases() {
+        let rand = QuerySpec::TopNRand(crate::TopNRandConfig { rows: 128, cols: 4, seed: 0x7 });
         let join = QuerySpec::Join(crate::JoinConfig::paper_default());
         let having = QuerySpec::Having(crate::HavingConfig {
             cm_rows: 3,
@@ -903,9 +842,9 @@ mod tests {
             dedup_cols: 2,
             seed: 1,
         });
-        for spec in [join, having] {
+        for (spec, family) in [(rand, "topn-rand"), (join, "join"), (having, "having")] {
             let err = CompiledProgram::compile(&spec).unwrap_err();
-            assert_eq!(err, crate::Error::NoKernel { family: spec.kind() });
+            assert_eq!(err, crate::Error::NoKernel { family });
         }
         let spec = QuerySpec::TopNDet(TopNDetConfig { n: 4, w: 2 });
         let mut k = CompiledProgram::compile(&spec).unwrap();

@@ -7,7 +7,7 @@
 //! 5/6/8 experiments time these loops — while transfer sizes feed the
 //! byte-level model in `cheetah-net`.
 
-use crate::engine::{Cluster, ExecBreakdown, SparkRun};
+use crate::engine::{Cluster, ExecBreakdown, SparkRun, BASELINE_COMPRESSION};
 use crate::ops;
 use crate::query::{DbQuery, QueryOutput};
 use crate::table::{Partition, Table};
@@ -153,7 +153,7 @@ impl Cluster {
         raw_bytes: u64,
         entries: u64,
     ) -> SparkRun {
-        let compressed = (raw_bytes as f64 * self.baseline_compression) as u64;
+        let compressed = (raw_bytes as f64 * BASELINE_COMPRESSION) as u64;
         SparkRun {
             output,
             breakdown: ExecBreakdown {

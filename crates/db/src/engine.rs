@@ -117,16 +117,6 @@ impl Default for CheetahTuning {
 pub struct Cluster {
     /// Switch model used by the Cheetah path.
     pub profile: SwitchProfile,
-    /// Compression factor applied to baseline transfers (§7.1: Spark
-    /// compresses and packs entries; Cheetah cannot).
-    pub baseline_compression: f64,
-    /// Per-row software overhead of the *Spark* baseline, in nanoseconds,
-    /// scaled per query class by [`spark_overhead_factor`]. Our operators are
-    /// tight Rust loops; Spark's measured row rates are 10–100× slower
-    /// (the paper's own Figure 5: 31.7M rows ≈ 8–10 s on five 2-core
-    /// workers ⇒ ~1 µs/row for hash aggregation). Set to 0 to compare
-    /// against the raw Rust engine instead of a Spark-like baseline.
-    pub spark_row_overhead_ns: f64,
     /// Switch-side tuning.
     pub tuning: CheetahTuning,
     /// Which pruning backend the Cheetah path runs: the interpreted
@@ -141,16 +131,27 @@ impl Default for Cluster {
     fn default() -> Self {
         Self {
             profile: SwitchProfile::tofino2(),
-            baseline_compression: 0.5,
-            spark_row_overhead_ns: 1_000.0,
             tuning: CheetahTuning::default(),
             backend: ExecBackend::Interpreted,
         }
     }
 }
 
+/// Compression factor applied to the baseline's transfers (§7.1: Spark
+/// compresses and packs entries; Cheetah cannot).
+pub const BASELINE_COMPRESSION: f64 = 0.5;
+
+/// Per-row software overhead of the *Spark* baseline, in nanoseconds,
+/// scaled per query class by [`spark_overhead_factor`] and charged by
+/// [`Cluster::run_baseline`]. Our operators are tight Rust loops; Spark's
+/// measured row rates are 10–100× slower (the paper's own Figure 5: 31.7M
+/// rows ≈ 8–10 s on five 2-core workers ⇒ ~1 µs/row for hash
+/// aggregation). [`Cluster::run_baseline_measured`] is the raw Rust engine
+/// without it.
+pub const SPARK_ROW_OVERHEAD_NS: f64 = 1_000.0;
+
 /// Relative per-row cost of Spark's software stack per query class, as a
-/// fraction of [`Cluster::spark_row_overhead_ns`]. Whole-stage codegen
+/// fraction of [`SPARK_ROW_OVERHEAD_NS`]. Whole-stage codegen
 /// makes simple scans far cheaper per row than hash aggregation; dominance
 /// checks are the most expensive (§8.3 makes the same ordering argument).
 pub fn spark_overhead_factor(q: &DbQuery) -> f64 {
@@ -224,7 +225,7 @@ impl Cluster {
                 .map(|r| r.partitions().iter().map(Partition::rows).max().unwrap_or(0))
                 .unwrap_or(0);
         run.breakdown.worker_seconds +=
-            max_rows as f64 * self.spark_row_overhead_ns * spark_overhead_factor(q) * 1e-9;
+            max_rows as f64 * SPARK_ROW_OVERHEAD_NS * spark_overhead_factor(q) * 1e-9;
         run
     }
 
@@ -303,17 +304,21 @@ mod tests {
     #[test]
     fn spark_overhead_calibration_is_applied() {
         let q = DbQuery::Distinct { col: 0 };
-        let t = test_table(2_000, 2);
-        let mut cluster = Cluster { spark_row_overhead_ns: 0.0, ..Cluster::default() };
-        let raw = cluster.run_baseline(&q, &t, None);
-        // An exaggerated 10 µs/row calibration: the 10 ms it adds to the
-        // busiest worker dwarfs any scheduler noise from the rest of the
+        // 10 000 rows on the busiest worker × 1 µs: the 10 ms the
+        // calibration adds dwarfs any scheduler noise from the rest of the
         // (thread-heavy) test suite running concurrently.
-        cluster.spark_row_overhead_ns = 10_000.0;
+        let t = test_table(20_000, 2);
+        let cluster = Cluster::default();
+        let raw = cluster.run_baseline_measured(&q, &t, None);
         let calibrated = cluster.run_baseline(&q, &t, None);
-        // 1000 rows per partition × 10 µs = 10 ms extra on the busiest worker.
+        assert_eq!(calibrated.output, raw.output);
+        let charged = 10_000.0 * SPARK_ROW_OVERHEAD_NS * spark_overhead_factor(&q) * 1e-9;
+        assert!(calibrated.breakdown.worker_seconds >= charged, "calibration missing");
         let delta = calibrated.breakdown.worker_seconds - raw.breakdown.worker_seconds;
-        assert!(delta > 5e-3, "calibration missing: {delta}");
+        assert!(delta > charged / 2.0, "calibration missing: {delta}");
+        // Only the clock is calibrated: the transfer is the same compressed one.
+        let (cb, rb) = (&calibrated.breakdown, &raw.breakdown);
+        assert_eq!(cb.master_wire_bytes, rb.master_wire_bytes);
         // The Cheetah path is never calibrated — it measures real work.
         let chee = cluster.run_cheetah(&q, &t, None).unwrap();
         assert!(chee.breakdown.worker_seconds < calibrated.breakdown.worker_seconds);

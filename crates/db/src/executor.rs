@@ -122,7 +122,7 @@ impl<'a> Tables<'a> {
 /// The interpreted oracle behind the [`PruneEngine`] seam: a
 /// [`StandalonePruner`]-wrapped [`Pipeline`] plus the program handle its
 /// control messages address. The compiled twin is
-/// [`CompiledProgram`]; `run_passes` is generic over both, so the
+/// [`CompiledProgram`]; `run_on` is generic over both, so the
 /// four-arm pass logic exists exactly once.
 struct InterpretedEngine {
     pruner: StandalonePruner<Pipeline>,

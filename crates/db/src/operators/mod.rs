@@ -69,8 +69,9 @@
 //!    matching the algorithm's pass structure; `streams()`/`flow_id()`
 //!    only matter for binary queries.
 //! 3. Add its [`DbQuery`] variant, and give the variant its case in
-//!    `DbQuery`'s `kind`, `is_binary`, `has_kernel`, `columns`, `check`,
-//!    `remapped` and `merge_routing_agnostic` (`query.rs`).
+//!    `DbQuery`'s `kind`, `is_binary`, `columns`, `check`, `remapped` and
+//!    `merge_routing_agnostic` (`query.rs`). Whether its switch program
+//!    has a compiled kernel is `CompiledProgram::compile`'s to say.
 //! 4. Build the operator from the variant in `with_operator!`, and price
 //!    its software stack in `spark_overhead_factor` (`engine.rs`).
 //! 5. Name the column its rows are routed by, or none for a row-id hash,

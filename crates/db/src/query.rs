@@ -89,14 +89,6 @@ impl DbQuery {
         matches!(self, DbQuery::Join { .. })
     }
 
-    /// Does the family's switch program have a compiled kernel
-    /// ([`cheetah_core::CompiledProgram`])? Kernels exist for the
-    /// single-pass families only; JOIN and HAVING run the interpreter on
-    /// either backend, and their breakdowns say so.
-    pub fn has_kernel(&self) -> bool {
-        !matches!(self, DbQuery::Join { .. } | DbQuery::HavingSum { .. })
-    }
-
     /// The columns of stream `stream` the query reads — to encode, to
     /// route by, or to complete from — ascending and deduplicated. Every
     /// other column of the table is dead weight to a shard that runs only

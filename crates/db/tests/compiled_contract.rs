@@ -17,8 +17,8 @@
 //!    (different prune pattern, same survivors after dedup) fails here.
 //! 3. **Honest attribution** — the breakdown of a compiled run records
 //!    `ExecBackend::Compiled` where the family has a kernel (filter,
-//!    DISTINCT, TOP N, GROUP BY, SKYLINE) and `Interpreted` where it has
-//!    none (JOIN, HAVING); the oracle records `Interpreted`. The counters
+//!    DISTINCT, GROUP BY, SKYLINE) and `Interpreted` where it has none
+//!    (TOP N, JOIN, HAVING); the oracle records `Interpreted`. The counters
 //!    gate (`counters_contract`) pins this field row by row.
 
 mod common;
@@ -30,6 +30,10 @@ use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardPlanner, ShardSpe
 use cheetah_runtime::ExecRun;
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
+
+/// The families whose switch program has no compiled kernel: asked for
+/// the compiled backend, they run the interpreter.
+const INTERPRETER_ONLY: [&str; 3] = ["topn", "join", "having-sum"];
 
 /// One grid point run on both backends: assert counter identity (the grid
 /// itself already held both outputs to the baseline).
@@ -52,7 +56,8 @@ fn assert_backends_agree(q: &DbQuery, i: &ExecRun, c: &ExecRun, label: &str) {
         assert_eq!(is_.master_wire_bytes, cs.master_wire_bytes, "bytes diverged: {ctx}");
     }
     assert_eq!(i.breakdown.backend, ExecBackend::Interpreted, "{label}");
-    let ran = if q.has_kernel() { ExecBackend::Compiled } else { ExecBackend::Interpreted };
+    let interp = INTERPRETER_ONLY.contains(&q.kind());
+    let ran = if interp { ExecBackend::Interpreted } else { ExecBackend::Compiled };
     assert_eq!(c.breakdown.backend, ran, "{label}");
 }
 

@@ -24,9 +24,9 @@
 //!    entry's layout, and the plan it carries, is all a request consults.
 //! 3. **The arm** — what the request pins, else what its key's stage
 //!    says: `direct` (the operator's completion over every row — no
-//!    switch program) at first sight; pruned, on the barrier transport
-//!    and the compiled backend (the interpreter where the family has no
-//!    kernel), at the second, which answers and then runs the same layout
+//!    switch program) at first sight; pruned, on the barrier and the
+//!    compiled backend (the interpreter where the family has no kernel —
+//!    the response reports the engine that ran), at the second, which answers and then runs the same layout
 //!    direct: the key goes direct iff that run did less work (its jobs'
 //!    busy time plus the merge, no time queued for a worker); that verdict
 //!    from then on. Nothing is learned: one measured comparison, made once

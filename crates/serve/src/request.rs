@@ -82,7 +82,8 @@ impl QueryRequest {
 
     /// Pin the pruning backend (interpreted oracle or compiled kernel).
     /// Unpinned requests run compiled. Either way a family without a
-    /// kernel (JOIN, HAVING) runs the interpreter, and the response says so.
+    /// kernel (TOP N, JOIN, HAVING) runs the interpreter, and the response
+    /// says so.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = Some(backend);
         self

@@ -123,9 +123,11 @@ pub struct QueryResponse {
     pub breakdown: ExecBreakdown,
     /// Switch-side pruning counters.
     pub switch_stats: ProgramStats,
-    /// The (path, backend) arm that executed the request — the backend
-    /// is the one that ran ([`ExecBreakdown::backend`]), not the one
-    /// asked for, where the two differ.
+    /// The (path, backend) arm that executed the request: the path it
+    /// ran on, and the engine the run recorded
+    /// ([`ExecBreakdown::backend`]) — the interpreter for a family with
+    /// no compiled kernel, whatever backend was asked for. The `choose`
+    /// span keeps the arm that was chosen.
     pub arm: ChooserArm,
     /// Whether the request ran under a shard plan the session already
     /// held. Always `false` for a request that pinned a shard count, and
@@ -624,8 +626,8 @@ fn serve(
     // 2. The arm: the request's pins, else what the key's stage says.
     // Nothing is learned here and nothing re-decided.
     let mut choose_span = root.child("choose");
-    let arm = arm_of(req, visit.key_direct());
-    choose_span.attr("arm", arm.label());
+    let chosen = arm_of(req, visit.key_direct());
+    choose_span.attr("arm", chosen.label());
     choose_span.finish();
 
     // 3. Execute: resolve the laid-out plan, then run it on the arm's
@@ -633,11 +635,9 @@ fn serve(
     // for one shard, on the worker pool for more) and the merge plane
     // trace themselves under it.
     let mut exec_span = root.child("execute");
-    exec_span.attr("path", arm.path.label());
-    if arm.path == ExecPath::Direct {
+    exec_span.attr("path", chosen.path.label());
+    if chosen.path == ExecPath::Direct {
         session.telemetry.direct_requests.inc();
-    } else {
-        exec_span.attr("backend", arm.backend.label());
     }
 
     let plan = match layout {
@@ -663,13 +663,19 @@ fn serve(
         }
     };
 
-    let cluster = session.cluster.clone().with_backend(arm.backend);
+    let cluster = session.cluster.clone().with_backend(chosen.backend);
     let run = {
         let _in_exec = exec_span.enter();
-        cheetah_runtime::execute(&cluster, &plan, arm.path)?
+        cheetah_runtime::execute(&cluster, &plan, chosen.path)?
     };
     let work_s = run.work_seconds();
     let (output, mut breakdown, switch_stats) = (run.output, run.breakdown, run.switch_stats);
+    // The engine the run recorded — the interpreter, for a family with
+    // no kernel, whatever was chosen.
+    let arm = ChooserArm { backend: breakdown.backend, ..chosen };
+    if arm.path != ExecPath::Direct {
+        exec_span.attr("backend", arm.backend.label());
+    }
     exec_span.attr("shards", breakdown.shards);
     exec_span.finish();
 
@@ -722,27 +728,26 @@ fn serve(
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
 }
 
-/// The arm a request runs on: a function of the request and of what its
-/// key runs unpinned (`key_direct`: direct while the key is whole and once
-/// its deciding sight decided so; pruned at that sight and whenever it is
-/// routed and undecided). Path pins are honoured — `.path(BarrierPooled)`
-/// overrides a direct key, `.path(Direct)` a pruned one — and a backend pin
-/// names a pruning engine, so it asks for a pruned arm too. Otherwise a
-/// direct key runs direct, and every other runs the barrier transport on
-/// the compiled backend (the cheapest pruned point on every ledger
-/// workload). A family without a kernel runs the interpreter whatever was
-/// asked, and the direct arm runs no engine at all; the arm says so up
-/// front.
+/// The arm chosen for a request: a function of the request and of what
+/// its key runs unpinned (`key_direct`: direct while the key is whole and
+/// once its deciding sight decided so; pruned at that sight and whenever
+/// it is routed and undecided). Path pins are honoured —
+/// `.path(BarrierPooled)` overrides a direct key, `.path(Direct)` a pruned
+/// one — and a backend pin names a pruning engine, so it asks for a pruned
+/// arm too. Otherwise a direct key runs direct, and every other runs the
+/// barrier on the compiled backend (the cheapest pruned point on every
+/// ledger workload). The direct arm runs no engine, so it reads
+/// `Interpreted`. This is what was asked for; the response reports what
+/// ran, which for a family with no kernel is the interpreter.
 fn arm_of(req: &QueryRequest, key_direct: bool) -> ChooserArm {
     let unpinned = match req.backend {
         None if key_direct => ExecPath::Direct,
         _ => ExecPath::BarrierPooled,
     };
     let path = req.path.unwrap_or(unpinned);
-    let backend = match req.backend.unwrap_or(ExecBackend::Compiled) {
-        _ if path == ExecPath::Direct => ExecBackend::Interpreted,
-        ExecBackend::Compiled if !req.query.has_kernel() => ExecBackend::Interpreted,
-        backend => backend,
+    let backend = match path {
+        ExecPath::Direct => ExecBackend::Interpreted,
+        _ => req.backend.unwrap_or(ExecBackend::Compiled),
     };
     ChooserArm { path, backend }
 }
@@ -815,8 +820,8 @@ mod tests {
         // the interpreter, and the arm and the breakdown both say what ran.
         // The outcomes are pinned on fixtures farther from break-even by
         // `serving_contract`: a key that prunes nothing goes direct, with a
-        // kernel (TOP N) or without one (a larger self-join), and one the
-        // switch wins on stays pruned.
+        // kernel (a FILTER every row passes) or without one (a larger
+        // self-join), and one the switch wins on stays pruned.
         let join = DbQuery::Join { left_key: 0, right_key: 0 };
         let join = || QueryRequest::new(join.clone(), Arc::clone(&t)).with_right(Arc::clone(&t));
         let verdict = |resp: &QueryResponse| {
@@ -859,6 +864,48 @@ mod tests {
         assert_eq!(arm_of(&distinct(), true).label(), "direct");
         assert_eq!(arm_of(&distinct(), false).label(), "pooled/compiled");
         assert_eq!(arm_of(&distinct().path(ExecPath::Direct), false).label(), "direct");
+    }
+
+    #[test]
+    fn a_response_reports_the_engine_its_run_recorded() {
+        // Under a compiled pin every family answers like the baseline, and
+        // its arm names the engine the run recorded: the kernel where
+        // `CompiledProgram::compile` has one, else the interpreter. The
+        // `choose` span keeps the arm chosen; `execute` and the root say
+        // what ran, as the response does.
+        use ExecBackend::{Compiled, Interpreted};
+        let t = table(1_500, 3, 11);
+        let cluster = Cluster::default();
+        let session = Session::new(cluster.clone(), SessionConfig::default());
+        let pred = DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 9_000 };
+        for (q, ran) in [
+            (DbQuery::FilterCount { pred }, Compiled),
+            (DbQuery::Distinct { col: 0 }, Compiled),
+            (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, Compiled),
+            (DbQuery::Skyline { cols: vec![1, 2] }, Compiled),
+            (DbQuery::TopN { order_col: 1, n: 17 }, Interpreted),
+            (DbQuery::Join { left_key: 0, right_key: 0 }, Interpreted),
+            (DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 100_000 }, Interpreted),
+        ] {
+            let kind = q.kind();
+            let right = q.is_binary().then(|| Arc::clone(&t));
+            let want = cluster.run_baseline(&q, &t, right.as_deref()).output;
+            let mut req = QueryRequest::new(q, Arc::clone(&t)).backend(Compiled);
+            if let Some(right) = right {
+                req = req.with_right(right);
+            }
+            let resp = session.run_blocking(req).unwrap();
+            assert_eq!(resp.output, want, "{kind}");
+            let arm = ChooserArm { path: ExecPath::BarrierPooled, backend: ran };
+            assert_eq!(resp.arm, arm, "{kind}");
+            assert_eq!(resp.arm.backend, resp.breakdown.backend, "{kind}");
+            let root = &resp.trace.as_ref().expect("trace exports").root;
+            let exec = root.find("execute").expect("lifecycle span");
+            assert_eq!(exec.attr("backend"), Some(ran.label()), "{kind}");
+            assert_eq!(root.attr("arm"), Some(arm.label().as_str()), "{kind}");
+            let choose = root.find("choose").expect("lifecycle span");
+            assert_eq!(choose.attr("arm"), Some("pooled/compiled"), "{kind}: the arm chosen");
+        }
     }
 
     #[test]
