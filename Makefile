@@ -88,51 +88,63 @@ docs:
 
 # All eight named gates below in one invocation: one link of the db
 # crate's dev profile, eight test binaries, each still failing by name.
+# Their properties share one generated gate (crates/db/tests/common): a
+# case drawn whole from one u64 seed, the grid (7 families x 6 layouts x
+# 3 arms) walked first once per block (as drawn, over the edge tables,
+# over each planner adversary), then random draws, every case held to one
+# universal check; a failing case is shrunk by halving its rows, keys,
+# partitions, shards and frame size and printed with its seed.
 gates:
 	cargo test -q -p cheetah-db --test pruning_contract --test shard_contract --test planner_contract --test compiled_contract --test serving_contract --test fabric_contract --test telemetry_contract --test counters_contract
 
-# The named CI gate: pruning contract — Q(A_Q(D)) = Q(D) where the grid
-# does not vary it: both JOIN pass structures, invariance under
-# repartitioning, JOIN keys of different types, and the empty table (an
-# empty unit never reaches the executor). All seven variants through the
-# generic executor are the grid's one-shard points (walked by the shard,
-# compiled and planner gates).
+# The named CI gate: pruning contract — Q(A_Q(D)) = Q(D) on every
+# generated case, whatever the storage: coded and plain copies of a table
+# answer alike on the same layout and arm (both JOIN pass structures,
+# 1-5 partitions, empty tables and JOINs across key types are axes of the
+# case), and a JOIN whose Bloom filter prunes nothing is told apart by key
+# type at the master.
 pruning-gate:
 	cargo test -q -p cheetah-db --test pruning_contract
 
-# The named CI gate: shard equivalence across all seven query variants x
-# the grid's layouts (the one-shard layout, hash and range at 2 and 7
-# shards, and the planner's fitted layout) x (the barrier on both
-# backends, and the direct arm once per layout: pass-through accounting,
-# nothing pruned), with the merge plane's accounting held at every point
-# (the master's time is the shards' completions plus the merge; bytes,
-# survivors and switch arrivals are the shards' sums; a lossless run
-# frames nothing; a plan recorded exactly when the layout was fitted) and
-# sharded execution deterministic end to end.
+# The named CI gate: shard equivalence on every generated case — all
+# seven query variants x the grid's layouts (the one-shard layout, hash
+# and range at 2 and 7 shards, and a planner's fitted layout) x (the
+# barrier on both backends, and the direct arm: pass-through accounting,
+# nothing pruned), the grid walked as drawn and again over each edge
+# table (0, 1 and 3 rows, and 500 rows of one key and constant ints),
+# full-range ints included,
+# with the merge plane's accounting held at every point (the master's
+# time is the shards' completions plus the merge; bytes, survivors and
+# switch arrivals are the shards' sums; a lossless run frames nothing; a
+# plan recorded exactly when the layout was fitted), a HAVING key that
+# spans the threshold only globally kept, and sharded execution
+# deterministic end to end.
 shard-gate:
 	cargo test -q -p cheetah-db --test shard_contract
 
-# The named CI gate: planner contract — a walk of the shared execution
-# grid under a planner of random sample size, so every fitted point (all
-# seven variants x the barrier on both backends, and the direct arm)
-# is bit-identical to baseline on random adversarial-family tables, with
-# its plan recorded and its shard count the plan's (the default planner
-# on the fixed adversarial tables is the compiled gate's walk); plans
-# deterministic, and the default planner's shard counts a golden.
+# The named CI gate: planner contract — the generated cases, the grid
+# walked over each planner adversary, their fitted points fitted by a
+# planner of random sample size: every point bit-identical to baseline,
+# its plan recorded and its shard count the plan's, an empty table or one
+# key planned to one shard; a plan fitted again over the rebuilt tables
+# the same plan, routing alike; the default planner's shard counts and
+# the routing keys goldens.
 planner-gate:
 	cargo test -q -p cheetah-db --test planner_contract
 
 # The named CI gate: compiled contract — the plan-time fused kernels
 # (four families have one: filter, DISTINCT, GROUP BY, SKYLINE; TOP N,
 # JOIN and HAVING run the interpreter on either backend and must say
-# so) bit-identical to the interpreted oracle across all seven variants
-# x the adversarial workload family x the grid's layouts (the fitted one
-# included), with deterministic pruning counters unchanged shard by
-# shard.
+# so) bit-identical to the interpreted oracle on every generated case's
+# routed layout (the fitted one included; the grid walked over each
+# planner adversary), with deterministic pruning
+# counters unchanged shard by shard.
 compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract
 
-# The named CI gate: serving-plane contract — concurrent multi-tenant
+# The named CI gate: serving-plane contract — every generated case's
+# first, deciding, warm or pinned sight through the Session answering
+# like the baseline on the arm and layout the lifecycle names; concurrent multi-tenant
 # requests through the Session front door, each on its caller's thread,
 # bit-identical to sequential baselines, typed Error::Overloaded at the
 # in-flight bound (counted, not timed), the layout lifecycle of a
@@ -166,12 +178,13 @@ serving-gate:
 # fault mode — each shard's finished output cut into frames by the
 # master and carried by the same carrier (cheetah_net::rack) in simulated
 # time, whatever path ran — survives the same profile with its go-back-N
-# resends, exact per family, reported in the breakdown.
+# resends, exact on every generated case (as its lossless run answers)
+# and a golden per family, reported in the breakdown.
 fabric-gate:
 	cargo test -q -p cheetah-db --test fabric_contract
 
-# The named CI gate: telemetry contract — every backend x {one shard,
-# four} through the Session yields a complete lifecycle span tree
+# The named CI gate: telemetry contract — every sight of every generated
+# case through the Session yields a complete lifecycle span tree
 # (admit/queue/plan/choose/execute{worker per shard, merge}/respond),
 # each worker span naming its thread (caller for a one-shard plan, which
 # runs on the thread that executes it; a pool index otherwise), the registry's

@@ -60,7 +60,8 @@ use crate::filter::{AtomSpec, CmpOp, ExternalMode, FilterConfig};
 use crate::fingerprint::FingerprintSpec;
 use crate::groupby::{AggKind, GroupByConfig};
 use crate::planner::QuerySpec;
-use crate::skyline::{SkylineConfig, SkylinePolicy};
+use crate::pruner::covered;
+use crate::skyline::{covers, SkylineConfig, SkylinePolicy};
 use crate::topn::TopNDetConfig;
 use cheetah_switch::alu::mul_pow2;
 use cheetah_switch::error::SwitchError;
@@ -536,8 +537,8 @@ impl GroupByKernel {
             let verdict = match matched {
                 Some(best) => {
                     let prunable = match self.agg {
-                        AggKind::Max => v <= best,
-                        AggKind::Min => v >= best,
+                        AggKind::Max => covered(v, best),
+                        AggKind::Min => covered(best, v),
                     };
                     if prunable {
                         Verdict::Prune
@@ -632,7 +633,7 @@ impl SkylineKernel {
                     if carry_h == 0 {
                         break; // displaced an empty slot
                     }
-                } else if !stored_mine && !prune_mark && dominated(x, slot_dims) {
+                } else if !stored_mine && !prune_mark && covers(slot_dims, x) {
                     prune_mark = true;
                 }
             }
@@ -640,12 +641,6 @@ impl SkylineKernel {
         }
         Ok(())
     }
-}
-
-/// `x` dominated by `y` (maximization): every coordinate of `x` is ≤ `y`'s.
-#[inline]
-fn dominated(x: &[u64], y: &[u64]) -> bool {
-    x.iter().zip(y).all(|(a, b)| a <= b)
 }
 
 #[cfg(test)]
@@ -791,6 +786,30 @@ mod tests {
                 .collect();
             assert_oracle_parity(&spec, &stream);
         }
+    }
+
+    #[test]
+    fn kernels_forward_a_tie_at_a_clamped_edge_and_prune_one_inside() {
+        use Verdict::{Forward as F, Prune as P};
+        let top = u64::from(u32::MAX);
+        let verdicts = |spec: &QuerySpec, stream: &[Vec<u64>]| {
+            assert_oracle_parity(spec, stream);
+            let mut kernel = CompiledProgram::compile(spec).unwrap();
+            let mut out = Vec::new();
+            kernel.offer_run(0, stream.iter().map(Vec::as_slice), |_, v| out.push(v)).unwrap();
+            out
+        };
+        for agg in [AggKind::Max, AggKind::Min] {
+            let cfg = GroupByConfig { rows: 32, cols: 4, agg, key_bits: 31, seed: 0x6B };
+            let stream: Vec<Vec<u64>> =
+                [[1, 0], [1, 0], [2, top], [2, top], [3, 40], [3, 40]].map(Vec::from).into();
+            let want = [F, F, F, F, F, P];
+            assert_eq!(verdicts(&QuerySpec::GroupBy(cfg), &stream), want, "{agg:?}");
+        }
+        let cfg = SkylineConfig { dims: 2, points: 4, policy: SkylinePolicy::Sum, packed: true };
+        let stream: Vec<Vec<u64>> =
+            [[top, 9], [top, 5], [top - 1, 5], [20, 20], [20, 20]].map(Vec::from).into();
+        assert_eq!(verdicts(&QuerySpec::Skyline(cfg), &stream), [F, F, P, F, P]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! `k` is found whose stored value is at least `v` — the stored value
 //! always corresponds to a previously *forwarded* entry of the same key,
 //! so the master already holds a witness at least as large and pruning is
-//! safe. Keys that find every probe occupied stay uncached and are always
+//! safe. Values are 32 bits wide; a tie at a clamped edge (`0` or
+//! `u32::MAX`) is no witness and forwards. Keys that find every probe occupied stay uncached and are always
 //! forwarded (under-pruning, never incorrectness).
 //!
 //! Keys are 31-bit fingerprints (the benchmark groups by strings like
@@ -21,7 +22,7 @@
 //! exact-key width of your data or Theorem 4 to size fingerprints when the
 //! deterministic guarantee is required.
 
-use crate::pruner::OptPruner;
+use crate::pruner::{covered, OptPruner};
 use cheetah_switch::{
     ControlMsg, HashFn, PacketRef, RegisterArray, ResourceLedger, SwitchProgram, UsageSummary,
     Verdict,
@@ -177,10 +178,10 @@ impl SwitchProgram for GroupByPruner {
         match matched {
             Some(best) => {
                 // The stored aggregate witnesses a previously forwarded
-                // entry of this key: prune anything it dominates.
+                // entry of this key: prune anything it provably dominates.
                 let prunable = match self.cfg.agg {
-                    AggKind::Max => v <= best,
-                    AggKind::Min => v >= best,
+                    AggKind::Max => covered(v, best),
+                    AggKind::Min => covered(best, v),
                 };
                 Ok(if prunable { Verdict::Prune } else { Verdict::Forward })
             }
@@ -353,8 +354,23 @@ mod tests {
     fn values_clamped_to_32_bits() {
         let mut p = build(8, 2, AggKind::Max);
         p.offer(&[1, u64::from(u32::MAX) + 5]).unwrap();
-        // Clamped to u32::MAX; an actual u32::MAX afterwards ties → prune.
-        assert_eq!(p.offer(&[1, u64::from(u32::MAX)]).unwrap(), Verdict::Prune);
+        // Clamped to u32::MAX, where one register value stands for every
+        // wider one: a tie there is no witness, so it forwards.
+        assert_eq!(p.offer(&[1, u64::from(u32::MAX)]).unwrap(), Verdict::Forward);
+        assert_eq!(p.offer(&[1, 7]).unwrap(), Verdict::Prune, "below the edge is proof");
+    }
+
+    #[test]
+    fn a_tie_prunes_inside_the_window_and_forwards_at_a_clamped_edge() {
+        for agg in [AggKind::Max, AggKind::Min] {
+            let mut p = build(8, 2, agg);
+            for (k, v) in [(1, 0), (2, u64::from(u32::MAX)), (3, 40)] {
+                assert_eq!(p.offer(&[k, v]).unwrap(), Verdict::Forward, "{agg:?} first");
+            }
+            assert_eq!(p.offer(&[1, 0]).unwrap(), Verdict::Forward, "{agg:?} tie at 0");
+            assert_eq!(p.offer(&[2, u64::from(u32::MAX)]).unwrap(), Verdict::Forward, "{agg:?}");
+            assert_eq!(p.offer(&[3, 40]).unwrap(), Verdict::Prune, "{agg:?} tie inside");
+        }
     }
 
     #[test]

@@ -10,6 +10,17 @@
 
 use cheetah_switch::{PacketRef, ProgramStats, SwitchProgram, Verdict};
 
+/// `v` is provably no better than `best` (`≤` in the window): strictly
+/// below it, or equal to it inside the 32-bit window. Aggregate and
+/// dimension registers hold 32-bit values, and a CWorker clamps a wider
+/// value to an edge, `0` or `u32::MAX`, so at an edge one encoded value
+/// stands for many and a tie proves nothing: it forwards. The edge test
+/// runs only on a tie.
+#[inline]
+pub(crate) fn covered(v: u64, best: u64) -> bool {
+    v < best || (v == best && v != 0 && v != u64::from(u32::MAX))
+}
+
 /// Wraps one program with an epoch source and counters.
 #[derive(Debug)]
 pub struct StandalonePruner<P> {

@@ -13,7 +13,9 @@
 //! * a point that is *not* stored is checked for dominance against each
 //!   stored point it passes, and pruned at the end of the pipeline if any
 //!   dominated it (dominance ⇒ the stored point was forwarded earlier, so
-//!   the master holds a witness).
+//!   the master holds a witness). Coordinates are 32 bits wide, and a
+//!   coordinate tied at a clamped edge (`0` or `u32::MAX`) proves nothing,
+//!   so it does not dominate.
 //!
 //! Projections: `SUM` (cheap, biased toward large-range dimensions) and the
 //! **Approximate Product Heuristic** (`APH`): `Π x_i` ordered via
@@ -22,7 +24,7 @@
 //! `Baseline` policy (store the first `w` points, never replace) matches
 //! Figure 10b's third curve.
 
-use crate::pruner::OptPruner;
+use crate::pruner::{covered, OptPruner};
 use cheetah_switch::{
     ApproxLog, ControlMsg, PacketRef, RegisterArray, ResourceLedger, SwitchProgram, UsageSummary,
     Verdict,
@@ -178,6 +180,14 @@ fn dominated(x: &[u64], y: &[u64]) -> bool {
     x.iter().zip(y).all(|(a, b)| a <= b)
 }
 
+/// The switch's dominance: `x` is provably dominated by stored `y`, every
+/// coordinate [`covered`] — `≤`, except that a tie at a clamped edge
+/// proves nothing.
+#[inline]
+pub(crate) fn covers(y: &[u64], x: &[u64]) -> bool {
+    x.iter().zip(y).all(|(&a, &b)| covered(a, b))
+}
+
 impl SwitchProgram for SkylinePruner {
     fn name(&self) -> &'static str {
         "skyline"
@@ -232,7 +242,7 @@ impl SwitchProgram for SkylinePruner {
                 for reg in slot.dims.iter_mut() {
                     stored.push(reg.read(pkt.epoch, 0)?);
                 }
-                if dominated(&x, &stored) {
+                if covers(&stored, &x) {
                     prune_mark = true; // dropped at the end of the pipeline
                 }
             }
@@ -400,8 +410,23 @@ mod tests {
     fn zero_point_handled() {
         let mut p = build(cfg(SkylinePolicy::Sum, 2));
         assert_eq!(p.offer(&[0, 0]).unwrap(), Verdict::Forward, "first point always survives");
-        assert_eq!(p.offer(&[0, 0]).unwrap(), Verdict::Prune, "duplicate zero dominated");
+        assert_eq!(
+            p.offer(&[0, 0]).unwrap(),
+            Verdict::Forward,
+            "a tie at the 0 edge proves nothing"
+        );
         assert_eq!(p.offer(&[1, 0]).unwrap(), Verdict::Forward);
+    }
+
+    #[test]
+    fn a_tie_dominates_inside_the_window_and_not_at_a_clamped_edge() {
+        let top = u64::from(u32::MAX);
+        let mut p = build(cfg(SkylinePolicy::Sum, 4));
+        assert_eq!(p.offer(&[top, 9]).unwrap(), Verdict::Forward);
+        assert_eq!(p.offer(&[top, 5]).unwrap(), Verdict::Forward, "tied at u32::MAX");
+        assert_eq!(p.offer(&[top - 1, 5]).unwrap(), Verdict::Prune, "below the edge is proof");
+        assert_eq!(p.offer(&[20, 20]).unwrap(), Verdict::Forward);
+        assert_eq!(p.offer(&[20, 20]).unwrap(), Verdict::Prune, "a tie inside the window");
     }
 
     #[test]

@@ -136,9 +136,9 @@ impl Cluster {
                     partials.iter().flat_map(|m| m.keys().map(|k| k.wire_bytes() + 8)).sum();
                 let t0 = Instant::now();
                 let sums = ops::merge_sums(partials);
-                let out = QueryOutput::KeyedInts(
-                    sums.into_iter().filter(|(_, s)| s > threshold).collect(),
-                );
+                let over = sums.into_iter().filter(|(_, s)| *s > i128::from(*threshold));
+                let out =
+                    QueryOutput::KeyedInts(over.map(|(k, s)| (k, ops::clamp_sum(s))).collect());
                 let mt = t0.elapsed().as_secs_f64();
                 self.baseline_run(out, wt, mt, bytes, entries)
             }

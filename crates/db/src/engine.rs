@@ -324,6 +324,53 @@ mod tests {
         assert!(chee.breakdown.worker_seconds < calibrated.breakdown.worker_seconds);
     }
 
+    /// Values at and around the edges of `i64` and of the switch's 32-bit
+    /// window, where `encode_i64_32` saturates: GROUP BY MAX and SKYLINE
+    /// answer like the baseline on both engines and the direct arm, and a
+    /// HAVING sum past `i64::MAX` is exact, reported clamped, on every arm.
+    #[test]
+    fn every_arm_answers_exactly_at_each_boundary_value() {
+        use crate::table::TableBuilder;
+        use crate::value::{DataType, Value};
+        let edges = [i64::MIN, i64::MIN + 1, -(1 << 31) - 1, -(1 << 31) + 1];
+        let edges = edges.into_iter().chain([(1 << 31) - 1, (1 << 31) + 1, i64::MAX]);
+        for edge in edges {
+            let int = |f: &str| (f.to_string(), DataType::Int);
+            let mut t =
+                TableBuilder::new("t", vec![("k".into(), DataType::Str), int("a"), int("b")], 64);
+            let mut pair = TableBuilder::new("pair", vec![int("a"), int("b")], 64);
+            for i in 0..200 {
+                // 200 distinct values beside the edge, rising row by row.
+                let a =
+                    if edge < 0 { edge.saturating_add(i) } else { edge.saturating_sub(199 - i) };
+                t.push_row([
+                    Value::Str(format!("k{}", i % 7)),
+                    Value::Int(a),
+                    Value::Int(i64::MAX),
+                ]);
+                pair.push_row([Value::Int(a), Value::Int(edge)]);
+            }
+            let (t, pair) = (t.build(), pair.build());
+            let queries = [
+                (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, &t),
+                (DbQuery::Skyline { cols: vec![1, 2] }, &t),
+                (DbQuery::Skyline { cols: vec![0, 1] }, &pair),
+                (DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 0 }, &t),
+                (DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: i64::MAX - 1 }, &t),
+            ];
+            for (q, table) in queries {
+                let want = Cluster::default().run_baseline(&q, table, None).output;
+                for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+                    let cluster = Cluster::default().with_backend(backend);
+                    let pruned = cluster.run_cheetah(&q, table, None).unwrap().output;
+                    assert_eq!(pruned, want, "{q:?} at {edge}, {}", backend.label());
+                }
+                let direct = Cluster::default().run_direct(&q, table, None).unwrap().output;
+                assert_eq!(direct, want, "{q:?} at {edge}, direct");
+            }
+        }
+    }
+
     #[test]
     fn a_top_n_past_the_rows_is_every_value_descending_on_both_sides() {
         // The baseline reserved `n` heap slots before reading a row: this

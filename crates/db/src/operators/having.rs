@@ -11,10 +11,20 @@
 use super::{for_each_group, for_each_key, KeyRef, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
+use crate::ops::clamp_sum;
 use crate::query::QueryOutput;
 use crate::table::Partition;
 use cheetah_core::{planner, HavingAgg, HavingConfig, PassPlan, QuerySpec};
 use std::collections::HashMap;
+
+/// The refusal of `HAVING SUM > c` with `c < 0`. The sketch sums clamped
+/// non-negative values against an unsigned threshold, so a key whose true
+/// (negative) sum exceeds `c` would estimate 0 ≤ 0 and never be announced
+/// — a silent contract violation. It is refused, typed, instead.
+pub(crate) fn negative_threshold() -> cheetah_core::Error {
+    let op = "HAVING SUM > c with negative c (sketch sums are unsigned)";
+    cheetah_switch::SwitchError::UnsupportedOp { op }.into()
+}
 
 /// The HAVING-SUM operator.
 pub struct HavingSumOp {
@@ -41,21 +51,13 @@ impl PruningOperator for HavingSumOp {
     fn spec(&self) -> cheetah_core::Result<QuerySpec> {
         // `SUM < c` is future work in the paper; the planner rejects it.
         planner::validate_having_direction(false)?;
-        // The sketch sums clamped non-negative values against an unsigned
-        // threshold, so `c < 0` cannot be decided on the switch: a key
-        // whose true (negative) sum exceeds `c` would estimate 0 ≤ 0 and
-        // never be announced — a silent contract violation. Reject it
-        // loudly instead.
-        if self.threshold < 0 {
-            return Err(cheetah_switch::SwitchError::UnsupportedOp {
-                op: "HAVING SUM > c with negative c (sketch sums are unsigned)",
-            }
-            .into());
-        }
+        // `DbQuery::check` refuses `c < 0` before either arm runs; this
+        // refuses it again for a caller of the one-slice executor.
+        let threshold = u64::try_from(self.threshold).map_err(|_| negative_threshold())?;
         Ok(QuerySpec::Having(HavingConfig {
             cm_rows: 3,
             cm_counters: self.counters,
-            threshold: self.threshold as u64,
+            threshold,
             agg: HavingAgg::Sum,
             dedup_rows: 1024,
             dedup_cols: 2,
@@ -73,19 +75,21 @@ impl PruningOperator for HavingSumOp {
     }
 
     fn complete<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> QueryOutput {
-        // Exact sums by true (borrowed) key (a coded key by code first);
-        // an owned `Value` only for the keys that clear the threshold.
-        let mut sums: HashMap<KeyRef<'_>, i64> = HashMap::new();
-        let sum = |a: i64, b: i64| a + b;
+        // Exact `i128` sums by true (borrowed) key (a coded key by code
+        // first): no sum of `i64` cells overflows them. An owned `Value`
+        // only for the keys that clear the threshold, each sum reported
+        // clamped to `i64`.
+        let mut sums: HashMap<KeyRef<'_>, i128> = HashMap::new();
+        let sum = |a: i128, b: i128| a + b;
         let vals = |part: &'t Partition| {
             let vals = part.column(self.val_col).as_int().expect("int sum col");
-            move |r| vals[r]
+            move |r| i128::from(vals[r])
         };
         for_each_group(src, survivors, 0, self.key_col, vals, sum, |k, v| {
             *sums.entry(k).or_insert(0) += v;
         });
-        let over = sums.into_iter().filter(|(_, s)| *s > self.threshold);
-        QueryOutput::KeyedInts(over.map(|(k, s)| (k.to_value(), s)).collect())
+        let over = sums.into_iter().filter(|(_, s)| *s > i128::from(self.threshold));
+        QueryOutput::KeyedInts(over.map(|(k, s)| (k.to_value(), clamp_sum(s))).collect())
     }
 }
 

@@ -96,6 +96,7 @@ mod topn;
 pub use distinct::DistinctOp;
 pub use filter::{filter_config_of, FilterOp};
 pub use groupby::GroupByMaxOp;
+pub(crate) use having::negative_threshold;
 pub use having::HavingSumOp;
 pub use join::JoinOp;
 pub use skyline::SkylineOp;
@@ -457,8 +458,11 @@ fn str_key(h: &HashFn, s: &str) -> u64 {
 }
 
 /// Clamped order-preserving 32-bit encoding for aggregate/order columns
-/// (register cells hold 32-bit values; saturation only ever *reduces*
-/// pruning, never correctness — saturated values tie and ties forward).
+/// (register cells hold 32-bit values). A value outside `[-2^31, 2^31)`
+/// saturates to the edge `0` or `u32::MAX`, where many values tie; the
+/// switch programs forward every tie at an edge (TOP N forwards all ties;
+/// GROUP BY and SKYLINE prune a tie only inside the window), so
+/// saturation costs pruning, never correctness.
 pub(crate) fn encode_i64_32(v: i64) -> u64 {
     (v.saturating_add(1 << 31).clamp(0, u32::MAX as i64)) as u64
 }

@@ -123,26 +123,36 @@ pub fn merge_groupby_max(partials: Vec<HashMap<Value, i64>>) -> HashMap<Value, i
     out
 }
 
-/// Worker partial: per-key sum of an int column.
-pub fn partial_sum_by_key(key_col: usize, val_col: usize, part: &Partition) -> HashMap<Value, i64> {
+/// Worker partial: per-key sum of an int column, in `i128`, so no sum of
+/// `i64` cells overflows.
+pub fn partial_sum_by_key(
+    key_col: usize,
+    val_col: usize,
+    part: &Partition,
+) -> HashMap<Value, i128> {
     let vals = part.column(val_col).as_int().expect("aggregate on int column");
-    let mut out: HashMap<Value, i64> = HashMap::new();
+    let mut out: HashMap<Value, i128> = HashMap::new();
     for (row, &v) in vals.iter().enumerate() {
         let k = part.column(key_col).get(row);
-        *out.entry(k).or_insert(0) += v;
+        *out.entry(k).or_insert(0) += i128::from(v);
     }
     out
 }
 
 /// Master merge for per-key sums.
-pub fn merge_sums(partials: Vec<HashMap<Value, i64>>) -> HashMap<Value, i64> {
-    let mut out: HashMap<Value, i64> = HashMap::new();
+pub fn merge_sums(partials: Vec<HashMap<Value, i128>>) -> HashMap<Value, i128> {
+    let mut out: HashMap<Value, i128> = HashMap::new();
     for p in partials {
         for (k, v) in p {
             *out.entry(k).or_insert(0) += v;
         }
     }
     out
+}
+
+/// An exact `i128` sum as the `i64` a result reports: clamped to range.
+pub fn clamp_sum(s: i128) -> i64 {
+    s.clamp(i64::MIN.into(), i64::MAX.into()) as i64
 }
 
 /// `x` dominated by `y` under maximization (all coordinates ≤).
@@ -269,10 +279,15 @@ mod tests {
 
     #[test]
     fn sums_merge() {
-        let a = HashMap::from([(Value::Int(1), 5i64)]);
-        let b = HashMap::from([(Value::Int(1), 9i64), (Value::Int(3), 1)]);
+        let a = HashMap::from([(Value::Int(1), 5i128)]);
+        let b = HashMap::from([(Value::Int(1), 9i128), (Value::Int(3), 1)]);
         let m = merge_sums(vec![a, b]);
         assert_eq!(m[&Value::Int(1)], 14);
+        // Past `i64` and back: exact in `i128`, reported clamped.
+        let max = i128::from(i64::MAX);
+        let m = merge_sums(vec![HashMap::from([(Value::Int(1), max)]); 2]);
+        assert_eq!((m[&Value::Int(1)], clamp_sum(m[&Value::Int(1)])), (2 * max, i64::MAX));
+        assert_eq!(clamp_sum(-2 * max), i64::MIN);
     }
 
     #[test]

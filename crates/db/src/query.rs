@@ -126,11 +126,17 @@ impl DbQuery {
     /// [`BadArity`](cheetah_core::Error::BadArity), where the program
     /// builders assert — over at most an entry's slots of distinct `Int`
     /// columns ([`ValueSlotOverflow`](cheetah_core::Error::ValueSlotOverflow),
-    /// as the encode loop reports it). The direct arm never builds that
+    /// as the encode loop reports it); and a HAVING threshold the unsigned
+    /// sketch can decide, `c ≥ 0` (else the typed
+    /// [`UnsupportedOp`](cheetah_switch::SwitchError::UnsupportedOp) its
+    /// program refuses with). The direct arm never builds that
     /// program, so this is where both arms learn that a request is not
     /// one — identically, before either runs.
     pub fn check(&self, left: &Table, right: Option<&Table>) -> cheetah_core::Result<()> {
         self.check_arity()?;
+        if matches!(self, DbQuery::HavingSum { threshold, .. } if *threshold < 0) {
+            return Err(crate::operators::negative_threshold());
+        }
         // (stream, column, the type it is read as — `None`: either).
         let key = |stream, col: &usize| (stream, *col, None);
         let int = |col: &usize| (0, *col, Some(DataType::Int));
@@ -435,6 +441,15 @@ mod tests {
         }
         let narrow = project(&t, &[0]);
         assert_eq!(DbQuery::Distinct { col: 3 }.check(&t, Some(&narrow)), Ok(()));
+    }
+
+    #[test]
+    fn check_refuses_a_negative_having_threshold_before_the_tables() {
+        let t = wide_table(4, 2, 1, 7); // (Int, Str, Int, Str, Int)
+        let having = |threshold| DbQuery::HavingSum { key_col: 1, val_col: 9, threshold };
+        assert_eq!(having(-1).check(&t, None), Err(crate::operators::negative_threshold()));
+        let bad = cheetah_core::Error::BadColumn { stream: 0, col: 9 };
+        assert_eq!(having(0).check(&t, None), Err(bad), "c = 0 is decidable");
     }
 
     #[test]

@@ -1,43 +1,120 @@
-//! Fixtures shared by the contract gates: one deterministic random table
-//! generator, one query per [`DbQuery`] variant, and the one execution
-//! grid (`for_each_exec_case`) the shard, compiled and planner gates all
-//! walk — so a schema, query-shape or grid-axis change lands in exactly one
-//! place.
+//! The one generated gate the contract files share: a [`Case`] drawn whole
+//! from one `u64` seed, the universal check every case is held to
+//! ([`check`]), the halving shrinker a failing case is reduced by, and the
+//! walk ([`for_each_case`]) that enumerates the grid first and then draws
+//! at random — so a schema, query-shape or axis change lands in exactly one
+//! place. The fixtures beside it (`gen_table`, `all_seven`, …) feed the
+//! goldens and scenarios, which stay hand-written.
 // Each integration test compiles `common` separately and uses its own
 // subset of these fixtures.
 #![allow(dead_code)]
 
+use cheetah_core::JoinMode;
 use cheetah_db::{
-    ChooserArm, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
-    LikePattern, ShardPartitioner, ShardPlan, ShardPlanner, ShardSpec, Table, TableBuilder, Value,
+    ChooserArm, Cluster, Column, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
+    LikePattern, Partition, PlannerConfig, QueryOutput, ShardPartitioner, ShardPlan, ShardPlanner,
+    ShardSpec, Table, TableBuilder, Value,
 };
-use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, FaultSpec, ShardLayout, WorkerPool};
+use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use cheetah_switch::hash::mix64;
+use cheetah_telemetry::SpanNode;
+use cheetah_workloads::PlannerAdversary;
+use proptest::strategy::halvings;
+use proptest::test_runner::{run_one, Config, TestRng};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Deterministic random table: `rows` rows, `keys` distinct string keys,
 /// two int columns with ranges derived from the seed.
 pub fn gen_table(rows: usize, keys: u64, partitions: usize, seed: u64) -> Table {
-    let mut b = TableBuilder::new(
-        "t",
-        vec![
-            ("key".into(), DataType::Str),
-            ("a".into(), DataType::Int),
-            ("b".into(), DataType::Int),
-        ],
-        rows.div_ceil(partitions).max(1),
-    );
+    draw_table(rows, keys, partitions, seed, Ints::Narrow, [false; 2])
+}
+
+/// How a generated table draws its int columns.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Ints {
+    /// `a` in `0..10 000`, `b` in `0..500`: inside the switch's 32-bit
+    /// window, as every fixture draws.
+    Narrow,
+    /// The full `i64` range, half the cells at the edges [`EDGES`].
+    Wide,
+    /// Every cell 5: with one key, a constant table.
+    Constant,
+}
+
+/// The values a wide draw favours: the ends of `i64` and the cells just
+/// inside and outside the switch's 32-bit window.
+pub const EDGES: [i64; 7] = [
+    i64::MIN,
+    i64::MIN + 1,
+    -(1 << 31) - 1,
+    -(1 << 31) + 1,
+    (1 << 31) - 1,
+    (1 << 31) + 1,
+    i64::MAX,
+];
+
+fn int_cell(ints: Ints, x: u64, narrow: u64) -> i64 {
+    match ints {
+        Ints::Narrow => (x % narrow) as i64,
+        Ints::Constant => 5,
+        Ints::Wide => match x % 4 {
+            0 | 1 => EDGES[(x >> 2) as usize % EDGES.len()],
+            2 => x as i64,
+            _ => ((x >> 2) % narrow) as i64 - narrow as i64 / 2,
+        },
+    }
+}
+
+/// `key, a, b` over `partitions`: the key `key-<n>` (or, `int_key`, the
+/// int `n`) for `n` below `keys`, the ints per `ints`; `holes`, an empty
+/// partition before the rows and one after.
+fn draw_table(
+    rows: usize,
+    keys: u64,
+    partitions: usize,
+    seed: u64,
+    ints: Ints,
+    [int_key, holes]: [bool; 2],
+) -> Table {
+    let key_type = if int_key { DataType::Int } else { DataType::Str };
+    let fields =
+        vec![("key".into(), key_type), ("a".into(), DataType::Int), ("b".into(), DataType::Int)];
+    let mut b = TableBuilder::new("t", fields, rows.div_ceil(partitions).max(1));
+    if holes {
+        b.cut_partition();
+    }
     let mut x = seed | 1;
     for _ in 0..rows {
         x = mix64(x);
-        let k = format!("key-{}", x % keys.max(1));
+        let n = x % keys.max(1);
+        let k = if int_key { Value::Int(n as i64) } else { Value::Str(format!("key-{n}")) };
         x = mix64(x);
-        let a = (x % 10_000) as i64;
+        let a = int_cell(ints, x, 10_000);
         x = mix64(x);
-        let bb = (x % 500) as i64;
-        b.push_row(vec![Value::Str(k), Value::Int(a), Value::Int(bb)]);
+        let bb = int_cell(ints, x, 500);
+        b.push_row(vec![k, Value::Int(a), Value::Int(bb)]);
+    }
+    if holes {
+        b.cut_partition();
+        b.cut_partition();
     }
     b.build()
+}
+
+/// `t`'s rows as one partition, nothing coded: the same cells as the
+/// table held before the load rule coded its repeating strings.
+pub fn plain(t: &Table) -> Table {
+    let column = |c: usize| {
+        let cols = t.partitions().iter().map(move |p| p.column(c));
+        match t.fields()[c].1 {
+            DataType::Int => Column::Int(cols.flat_map(|c| c.as_int().unwrap()).copied().collect()),
+            DataType::Str => Column::Str(cols.flat_map(|c| c.as_str().unwrap()).cloned().collect()),
+        }
+    };
+    let cols = (0..t.fields().len()).map(column).collect();
+    Table::from_partition(t.name(), t.fields().to_vec(), Partition::new(cols))
 }
 
 /// One query per [`DbQuery`] variant — all seven shapes.
@@ -61,6 +138,10 @@ pub fn all_seven(threshold: i64) -> Vec<DbQuery> {
     ]
 }
 
+/// The families whose switch program has no compiled kernel: asked for
+/// the compiled backend, they run the interpreter and say so.
+pub const INTERPRETER_ONLY: [&str; 3] = ["topn", "join", "having-sum"];
+
 /// The layout `planner` fits for `q` over these tables — what the serving
 /// plane builds at second sight of a request.
 pub fn fitted(
@@ -73,8 +154,7 @@ pub fn fitted(
     Arc::new(planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed))
 }
 
-/// Route `q` under `layout` and execute it on the barrier transport — the
-/// classic sharded run the shard and planner gates pin.
+/// Route `q` under `layout` and execute it on the barrier transport.
 pub fn run_barrier(
     cluster: &Cluster,
     q: &DbQuery,
@@ -102,93 +182,630 @@ pub fn assert_merge_discipline(run: &ExecRun, label: &str) {
     assert_eq!(run.batches, 0, "{label}: a lossless run frames nothing");
 }
 
-/// One point of the execution grid.
-pub struct ExecCase {
-    pub q: DbQuery,
-    pub path: ExecPath,
-    pub backend: ExecBackend,
-    /// `query × layout × arm on <workload>`.
-    pub label: String,
-}
-
-/// Walk the execution grid over one workload pair — all seven variants ×
-/// six layouts × (the barrier × {interpreted, compiled}, then direct) —
-/// routing each (variant, layout) once. The layouts are the
-/// one-shard layout (the tables themselves: its pruned points run
-/// `Cluster::run_cheetah` on them, unless both are empty — an empty unit
-/// runs nothing) once, hash and range at 2 and 7 shards,
-/// and the layout `planner` fits, which every unpinned request runs from
-/// its second sight on.
-///
-/// Every point is held to the universal contract here: output equals
-/// `run_baseline`'s, the layout's shard count is honoured, routing loses
-/// no rows, the run's accounting is its shards' ([`assert_merge_discipline`]),
-/// and the routed layout records a plan exactly when it was fitted (whose
-/// shard count is the plan's). `visit` adds the calling gate's own
-/// assertions; the backend is the innermost axis (interpreted first), so
-/// a gate can pair the two runs of a pruned point. The direct arm runs no
-/// engine, so it is walked once per layout (its case reads `Interpreted`,
-/// like its breakdown), and held to the pass-through accounting: nothing
-/// pruned, every result row of the shards' partials seen and forwarded.
-pub fn for_each_exec_case(
-    left: &Arc<Table>,
-    right: &Arc<Table>,
-    threshold: i64,
-    planner: &ShardPlanner,
-    workload: &str,
-    mut visit: impl FnMut(&ExecCase, &ExecRun),
-) {
-    let oracle = Cluster::default();
-    for q in all_seven(threshold) {
-        let kind = q.kind();
-        let right_of = q.is_binary().then_some(right);
-        let base = oracle.run_baseline(&q, left, right_of.map(|r| &**r));
-        let total = (left.rows() + right_of.map_or(0, |r| r.rows())) as u64;
-        let mut layouts = vec![ShardLayout::from(ShardSpec::new(1, ShardPartitioner::Hash))];
-        for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
-            for shards in [2, 7] {
-                layouts.push(ShardSpec::new(shards, partitioner).into());
-            }
-        }
-        layouts.push(fitted(&oracle, planner, &q, left, right_of).into());
-        for layout in layouts {
-            let (name, shards, fitted_plan) = match &layout {
-                ShardLayout::Fixed(s) => {
-                    (format!("{}@{}", s.partitioner.name(), s.shards), s.shards, None)
-                }
-                ShardLayout::Fitted(plan) => {
-                    (format!("fitted@{}", plan.shards()), plan.shards(), Some(Arc::clone(plan)))
-                }
-            };
-            let plan = ExecPlan::new(&oracle, &q, left, right_of, layout).expect("routes");
-            let recorded = plan.shard_plan().map(Arc::as_ptr);
-            assert_eq!(
-                recorded,
-                fitted_plan.as_ref().map(Arc::as_ptr),
-                "{kind} × {name} on {workload}: plan recorded"
-            );
-            let mut point = |path: ExecPath, backend: ExecBackend| {
-                let arm = ChooserArm { path, backend }.label();
-                let label = format!("{kind} × {name} × {arm} on {workload}");
-                let cluster = oracle.clone().with_backend(backend);
-                let run = execute(&cluster, &plan, path).expect("plan fits");
-                assert_eq!(base.output, run.output, "{label}: diverged from baseline");
-                assert_eq!(run.breakdown.shards as usize, shards, "{label}");
-                assert_eq!(run.per_shard.len(), shards, "{label}");
-                let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
-                assert_eq!(routed, total, "{label}: rows lost in routing");
-                assert_merge_discipline(&run, &label);
-                if path == ExecPath::Direct {
-                    let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
-                    assert_eq!(stats.pruned, 0, "{label}");
-                    assert_eq!((stats.seen, stats.forwarded), (entries, entries), "{label}");
-                }
-                visit(&ExecCase { q: q.clone(), path, backend, label }, &run);
-            };
-            for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                point(ExecPath::BarrierPooled, backend);
-            }
-            point(ExecPath::Direct, ExecBackend::Interpreted);
+/// Whether a `worker` span names the thread a plan of `shards` shards runs
+/// its job on: the caller's own for one shard, a pool worker's index else.
+pub fn on_its_thread(w: &SpanNode, shards: usize) -> bool {
+    match w.attr("thread") {
+        Some("caller") => shards == 1,
+        thread => {
+            let worker = thread.and_then(|t| t.parse::<usize>().ok());
+            shards > 1 && worker.is_some_and(|t| t < WorkerPool::global().workers())
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The case
+// ---------------------------------------------------------------------
+
+/// Which tables a case reads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Source {
+    /// [`draw_table`]'s rows: the left table, and a right one of half the
+    /// rows over twice the keys.
+    Gen,
+    /// `PlannerAdversary::all()[i]` at the case's rows.
+    Adversary(usize),
+}
+
+/// The layout a case routes under: a hand-picked spec (one shard is the
+/// tables themselves), or what a planner of this sample size fits.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Layout {
+    Spec(ShardPartitioner, usize),
+    Fitted { sample_size: usize },
+}
+
+use ShardPartitioner::{Hash, Range};
+
+/// The grid's layouts, in walk order (a fitted one is sized by the draw).
+const GRID_LAYOUTS: [Layout; 5] = [
+    Layout::Spec(Hash, 1),
+    Layout::Spec(Hash, 2),
+    Layout::Spec(Hash, 7),
+    Layout::Spec(Range, 2),
+    Layout::Spec(Range, 7),
+];
+
+/// The grid's arms: the barrier on either backend, then direct.
+pub const ARMS: [ChooserArm; 3] = [
+    ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Interpreted },
+    ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Compiled },
+    ChooserArm { path: ExecPath::Direct, backend: ExecBackend::Interpreted },
+];
+
+/// How a serving case is sent to a fresh session.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Visit {
+    /// Unpinned, once: the tables whole, direct.
+    First,
+    /// Unpinned, twice: the second sight fits, routes, runs pruned, decides.
+    Deciding,
+    /// Unpinned, three times: the third runs the verdict's arm, warm.
+    Warm,
+    /// Pinned to the case's arm and shard count, twice.
+    Pinned,
+}
+
+/// Which gate draws: what a case may vary beyond the common axes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Gate {
+    /// `ExecPlan::new` under the case's layout, `execute` on its arm.
+    Exec,
+    /// The same in fault mode.
+    Fault,
+    /// A session [`Visit`].
+    Serve,
+}
+
+/// The unpinned visits the serving gate's grid walks for every family.
+const UNPINNED: [Visit; 3] = [Visit::First, Visit::Deciding, Visit::Warm];
+
+impl Gate {
+    /// Its grid's points: per family, every layout × arm, and for the
+    /// serving gate, which pins those, the [`UNPINNED`] visits first.
+    pub fn grid(self) -> u32 {
+        let unpinned = if self == Gate::Serve { UNPINNED.len() } else { 0 };
+        (7 * (unpinned + 6 * ARMS.len())) as u32
+    }
+}
+
+/// One generated case, drawn whole from `seed` ([`Case::draw`]); its
+/// `Debug` is the struct literal to paste into a test that calls
+/// [`check`] to rerun it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Case {
+    pub seed: u64,
+    /// Index into [`all_seven`].
+    pub family: usize,
+    pub source: Source,
+    pub rows: usize,
+    pub keys: u64,
+    pub partitions: usize,
+    /// The left and right tables loaded as built (repeating strings coded
+    /// at load), else the same rows [`plain`].
+    pub coded: [bool; 2],
+    /// Generated tables with an empty partition before and after the rows.
+    pub holes: bool,
+    pub ints: Ints,
+    /// The right table's key is an int column (a JOIN across key types).
+    pub right_int_key: bool,
+    pub threshold: i64,
+    pub layout: Layout,
+    /// Index into [`ARMS`].
+    pub arm: usize,
+    pub join_mode: JoinMode,
+    /// Fault mode's frame size, if the plan runs in fault mode.
+    pub fault: Option<usize>,
+    /// How a serving case visits a session; `None`, routed and executed.
+    pub visit: Option<Visit>,
+}
+
+impl Case {
+    /// The case `seed` names for `gate`.
+    pub fn draw(seed: u64, gate: Gate) -> Case {
+        Case::draw_at(seed, gate, None)
+    }
+
+    /// The case `seed` names for `gate`, on the grid's `layout`th layout
+    /// (`5`: fitted) if one is named.
+    fn draw_at(seed: u64, gate: Gate, layout: Option<usize>) -> Case {
+        let mut rng = TestRng::from_seed(seed);
+        let mut next = |bound: u64| rng.below(bound);
+        let pick = next(6) as usize;
+        let layout = match layout.unwrap_or(pick) {
+            5 => Layout::Fitted { sample_size: [64 + next(448) as usize, 1024][next(2) as usize] },
+            i => GRID_LAYOUTS[i],
+        };
+        // A few thousand rows are what the planner first fans out over.
+        let rows = match next(8) {
+            0 => next(4),
+            1 if matches!(layout, Layout::Fitted { .. }) => 6_000 + next(4_000),
+            _ => 4 + next(700),
+        } as usize;
+        Case {
+            seed,
+            family: next(7) as usize,
+            source: if next(4) == 0 { Source::Adversary(next(4) as usize) } else { Source::Gen },
+            rows,
+            keys: if next(8) == 0 { 1 } else { 1 + next(250) },
+            partitions: 1 + next(5) as usize,
+            coded: [next(4) != 0, next(4) != 0],
+            holes: next(4) == 0,
+            ints: [Ints::Narrow, Ints::Narrow, Ints::Wide, Ints::Wide, Ints::Constant]
+                [next(5) as usize],
+            right_int_key: next(8) == 0,
+            threshold: match next(8) {
+                0 => -1 - next(1_000) as i64,
+                1 => i64::MAX - next(3) as i64,
+                2 => 1 << 31,
+                _ => rows as i64 * next(40) as i64,
+            },
+            layout,
+            arm: next(3) as usize,
+            join_mode: [JoinMode::TwoPass, JoinMode::SmallTableFirst][next(2) as usize],
+            fault: (gate == Gate::Fault).then(|| 1 + next(16) as usize),
+            visit: (gate == Gate::Serve).then(|| match next(4) {
+                3 => Visit::Pinned,
+                v => UNPINNED[v as usize],
+            }),
+        }
+    }
+
+    /// Point `i` of `gate`'s grid ([`Gate::grid`]): family, then (on the
+    /// serving gate, after the unpinned visits, pinned) layout × arm, the
+    /// arm innermost; every other axis drawn from `seed`.
+    pub fn grid(i: u32, seed: u64, gate: Gate) -> Case {
+        let per_family = gate.grid() as usize / 7;
+        let (family, j) = (i as usize / per_family, i as usize % per_family);
+        let unpinned = per_family - 6 * ARMS.len();
+        if j < unpinned {
+            return Case { family, visit: Some(UNPINNED[j]), ..Case::draw(seed, gate) };
+        }
+        let (layout, arm) = ((j - unpinned) / ARMS.len(), (j - unpinned) % ARMS.len());
+        let base = Case::draw_at(seed, gate, Some(layout));
+        Case { family, arm, visit: base.visit.map(|_| Visit::Pinned), ..base }
+    }
+
+    /// Simpler cases to try in place of a failing one: rows, keys,
+    /// partitions, shards and the frame size each halved toward its least.
+    pub fn shrink(&self) -> Vec<Case> {
+        let halve = |v: usize, least: usize| halvings(least as i128, v as i128);
+        let mut out = Vec::new();
+        for rows in halve(self.rows, 0) {
+            out.push(Case { rows: rows as usize, ..self.clone() });
+        }
+        for keys in halvings(1, self.keys as i128) {
+            out.push(Case { keys: keys as u64, ..self.clone() });
+        }
+        for partitions in halve(self.partitions, 1) {
+            out.push(Case { partitions: partitions as usize, ..self.clone() });
+        }
+        let layouts: Vec<Layout> = match self.layout {
+            Layout::Spec(p, n) => {
+                halve(n, 1).iter().map(|&n| Layout::Spec(p, n as usize)).collect()
+            }
+            Layout::Fitted { .. } => vec![Layout::Spec(Hash, 1), Layout::Spec(Hash, 2)],
+        };
+        out.extend(layouts.into_iter().map(|layout| Case { layout, ..self.clone() }));
+        if let Some(batch) = self.fault {
+            for b in halve(batch, 1) {
+                out.push(Case { fault: Some(b as usize), ..self.clone() });
+            }
+        }
+        out
+    }
+
+    pub fn query(&self) -> DbQuery {
+        all_seven(self.threshold).swap_remove(self.family)
+    }
+
+    /// The left and right tables (for a unary query, which reads no right
+    /// table, a one-column right table that a session request attaches on
+    /// every other sight: to every cache, the request without it).
+    pub fn tables(&self) -> (Arc<Table>, Arc<Table>) {
+        let (rows, keys, parts, seed) = (self.rows, self.keys, self.partitions, self.seed);
+        let table = |rows, keys, parts, seed, side: usize, int_key| {
+            let t = match self.source {
+                Source::Gen => {
+                    draw_table(rows, keys, parts, seed, self.ints, [int_key, self.holes])
+                }
+                Source::Adversary(i) => PlannerAdversary::all()[i].table(rows, parts, seed),
+            };
+            Arc::new(if self.coded[side] { t } else { plain(&t) })
+        };
+        let left = table(rows, keys, parts, seed, 0, false);
+        if !self.query().is_binary() {
+            // One int column: a query that read it as the left table would
+            // index past it.
+            let mut narrow = TableBuilder::new("narrow", vec![("only".into(), DataType::Int)], 8);
+            narrow.push_row([Value::Int(1)]);
+            return (left, Arc::new(narrow.build()));
+        }
+        let right_keys = keys.saturating_mul(2);
+        (left, table(rows.div_ceil(2), right_keys, 2, seed ^ 0xFF, 1, self.right_int_key))
+    }
+
+    pub fn cluster(&self) -> Cluster {
+        let mut cluster = Cluster::default();
+        cluster.tuning.join_mode = self.join_mode;
+        cluster
+    }
+
+    /// Does every row of the left table hold the one key?
+    fn one_key(&self) -> bool {
+        match self.source {
+            Source::Gen => self.keys == 1,
+            Source::Adversary(i) => PlannerAdversary::all()[i] == PlannerAdversary::SingleHotKey,
+        }
+    }
+}
+
+/// What one block of a gate's walk fixes in each grid point's case.
+pub type Pin = fn(&mut Case);
+
+/// The grid as drawn.
+pub const DRAWN: Pin = |_| {};
+
+/// The grid over no row at all.
+pub const EMPTY: Pin = |c| c.rows = 0;
+
+/// The grid over keys that repeat — at most a quarter as many as rows —
+/// so a generated table's key column is coded at load.
+pub const REPEATING: Pin = |c| c.keys = c.keys.min(c.rows as u64 / 4 + 1);
+
+/// The grid as drawn, then over each edge table: no row, one row, three
+/// rows (fewer than seven shards), and 500 rows of one key and constant
+/// ints (TOP N tied everywhere, SKYLINE over one point, the key on one
+/// shard).
+pub const EDGE_TABLES: [Pin; 5] = [
+    DRAWN,
+    EMPTY,
+    |c| c.rows = 1,
+    |c| c.rows = 3,
+    |c| (c.source, c.rows, c.keys, c.ints) = (Source::Gen, 500, 1, Ints::Constant),
+];
+
+/// The grid over each planner adversary: uniform, zipf(1.0), zipf(1.5),
+/// single-hot-key.
+pub const ADVERSARIES: [Pin; 4] = [
+    |c| c.source = Source::Adversary(0),
+    |c| c.source = Source::Adversary(1),
+    |c| c.source = Source::Adversary(2),
+    |c| c.source = Source::Adversary(3),
+];
+
+/// What a case ran, for a gate's own property on top of [`check`].
+pub struct Ran {
+    pub q: DbQuery,
+    pub cluster: Cluster,
+    pub left: Arc<Table>,
+    pub right: Arc<Table>,
+    pub want: QueryOutput,
+    /// A routed case the request check admitted: its routed layout and
+    /// its run on the case's arm.
+    pub exec: Option<(ExecPlan, ExecRun)>,
+}
+
+/// The universal check. Every case answers like `run_baseline`, or is
+/// refused as `DbQuery::check` refuses it, identically on every arm and
+/// sight. A routed case honours the layout's shard count, loses no row in
+/// routing, keeps the merge discipline (lossless), records a plan exactly
+/// when the layout was fitted, co-locates a keyed family's one key, shows
+/// pass-through accounting on the direct arm and the JOIN pass structure
+/// the cluster asks for on a pruned one, and in fault mode answers as the
+/// lossless run of the same plan does, with the same counters. A session
+/// visit holds every sight to the lifecycle and its trace to completeness.
+pub fn check(case: &Case) -> Ran {
+    let (q, cluster) = (case.query(), case.cluster());
+    let (left, right, want) = drawn(case, &q, &cluster);
+    let right_of = q.is_binary().then_some(&right);
+    let refusal = q.check(&left, right_of.map(|r| &**r)).err();
+    let mut ran = Ran { q, cluster, left, right, want, exec: None };
+    match case.visit {
+        None => ran.exec = check_plan(case, &ran, refusal),
+        Some(visit) => check_session(case, visit, &ran, refusal),
+    }
+    ran
+}
+
+thread_local! {
+    /// The last two cases' tables and baseline answer, by the case with
+    /// its arm cleared: a grid point's arms share one draw, and a twin
+    /// alternates with its case.
+    static DRAWN_TABLES: RefCell<Vec<(Case, Drawn)>> = const { RefCell::new(Vec::new()) };
+}
+
+type Drawn = (Arc<Table>, Arc<Table>, QueryOutput);
+
+/// `case`'s tables and `run_baseline`'s answer over them.
+fn drawn(case: &Case, q: &DbQuery, cluster: &Cluster) -> Drawn {
+    let key = Case { arm: 0, ..case.clone() };
+    let held = DRAWN_TABLES.with_borrow(|memo| memo.iter().find(|(k, _)| *k == key).cloned());
+    if let Some((_, drawn)) = held {
+        return drawn;
+    }
+    let (left, right) = case.tables();
+    let right_of = q.is_binary().then_some(&*right);
+    let want = cluster.run_baseline(q, &left, right_of).output;
+    let drawn = (left, right, want);
+    DRAWN_TABLES.with_borrow_mut(|memo| {
+        memo.insert(0, (key, drawn.clone()));
+        memo.truncate(2);
+    });
+    drawn
+}
+
+fn check_plan(
+    case: &Case,
+    ran: &Ran,
+    refusal: Option<cheetah_core::Error>,
+) -> Option<(ExecPlan, ExecRun)> {
+    let Ran { q, cluster, left, right, want, .. } = ran;
+    let right_of = q.is_binary().then_some(right);
+    let (layout, fit): (ShardLayout, _) = match case.layout {
+        Layout::Spec(partitioner, n) => (ShardSpec::new(n, partitioner).into(), None),
+        Layout::Fitted { sample_size } => {
+            let planner = ShardPlanner::new(PlannerConfig { sample_size });
+            let plan = fitted(cluster, &planner, q, left, right_of);
+            (ShardLayout::Fitted(Arc::clone(&plan)), Some((plan, sample_size)))
+        }
+    };
+    let plan = match ExecPlan::new(cluster, q, left, right_of, layout) {
+        Ok(plan) => plan,
+        Err(e) => {
+            assert_eq!(Some(e), refusal, "refused as the request check refuses");
+            return None;
+        }
+    };
+    assert_eq!(refusal, None, "the request check refused what routed");
+    let shards = plan.shards();
+    let recorded = plan.shard_plan().map(Arc::as_ptr);
+    assert_eq!(recorded, fit.as_ref().map(|(fit, _)| Arc::as_ptr(fit)), "plan recorded");
+    if let Some((fit, sample_size)) = &fit {
+        assert_eq!(shards, fit.shards(), "the plan's shard count");
+        let rows = left.rows();
+        if !q.is_binary() {
+            let report = (fit.report.rows, fit.report.sample_len);
+            assert_eq!(report, (rows as u64, rows.min(*sample_size)), "rows, sample");
+        }
+        if !q.is_binary() && (rows == 0 || (case.one_key() && keyed(q))) {
+            assert_eq!(plan.dispatched(), [rows as u64], "one key, or none: one shard, whole");
+        }
+    }
+    let arm = ARMS[case.arm];
+    let faulty = case.fault.map(|batch| plan.with_fault(FaultSpec::harsh(case.seed, batch)));
+    let on = faulty.as_ref().unwrap_or(&plan);
+    let run = execute(&cluster.clone().with_backend(arm.backend), on, arm.path).expect("plan fits");
+    assert_eq!(&run.output, want, "diverged from baseline");
+    assert_eq!((run.breakdown.shards as usize, run.per_shard.len()), (shards, shards));
+    let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
+    assert_eq!(routed as usize, left.rows() + right_of.map_or(0, |r| r.rows()), "rows lost");
+    if case.one_key() && keyed(q) {
+        let nonempty = run.per_shard.iter().filter(|s| s.rows > 0).count();
+        assert!(nonempty <= 1, "keyed routing co-locates the one key: {nonempty} shards");
+    }
+    if shards == 1 && left.rows() == 0 && arm.path != ExecPath::Direct && faulty.is_none() {
+        // An empty unit never reaches the executor: run it there directly.
+        // (A right table is empty exactly when the left one is.)
+        let cluster = cluster.clone().with_backend(arm.backend);
+        let direct = cluster.run_cheetah(q, left, right_of.map(|r| &**r)).expect("plan fits");
+        assert_eq!(&direct.output, want, "the executor over an empty input");
+    }
+    if arm.path == ExecPath::Direct {
+        let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
+        assert_eq!(stats.pruned, 0, "direct prunes nothing");
+        assert_eq!((stats.seen, stats.forwarded), (entries, entries), "pass-through");
+    } else if q.is_binary() && left.rows() > 0 && right.rows() > 0 && shards == 1 {
+        let passes = if case.join_mode == JoinMode::TwoPass { 2 } else { 1 };
+        assert_eq!(run.breakdown.passes, passes, "the JOIN pass structure");
+    }
+    if faulty.is_some() {
+        let lossless =
+            execute(&cluster.clone().with_backend(arm.backend), &plan, arm.path).unwrap();
+        assert_eq!(run.output, lossless.output, "fault mode answers like the lossless run");
+        assert_eq!(run.switch_stats.pruned, lossless.switch_stats.pruned, "a lossy rack prunes");
+        let entries = |r: &ExecRun| r.breakdown.entries_to_master;
+        assert_eq!(entries(&run), entries(&lossless), "a lossy rack moves no survivor");
+    } else {
+        assert_merge_discipline(&run, "lossless");
+    }
+    Some((plan, run))
+}
+
+/// A family whose rows route by the key column.
+fn keyed(q: &DbQuery) -> bool {
+    matches!(q, DbQuery::Distinct { .. } | DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. })
+}
+
+fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_core::Error>) {
+    let Ran { q, cluster, left, right, want, .. } = ran;
+    let session = Session::new(cluster.clone(), SessionConfig::default());
+    let arm = ARMS[case.arm];
+    // A pin names the arm (a backend only where an engine runs) and the
+    // spec's shard count, or one shard for a fitted layout.
+    let shards = match case.layout {
+        Layout::Spec(_, n) => n,
+        Layout::Fitted { .. } => 1,
+    };
+    let request = |sight: u64| {
+        // A tenant per sight: the key is the query and the tables alone.
+        let mut req = QueryRequest::new(q.clone(), Arc::clone(left)).tenant(format!("t{sight}"));
+        if q.is_binary() || sight % 2 == 1 {
+            req = req.with_right(Arc::clone(right));
+        }
+        match (visit, arm.path) {
+            (Visit::Pinned, ExecPath::Direct) => req.path(arm.path).shards(shards),
+            (Visit::Pinned, _) => req.path(arm.path).shards(shards).backend(arm.backend),
+            _ => req,
+        }
+    };
+    let sights: u64 = match visit {
+        Visit::First => 1,
+        Visit::Deciding | Visit::Pinned => 2,
+        _ => 3,
+    };
+    let mut verdict = None;
+    for sight in 1..=sights {
+        let label = format!("sight {sight}");
+        let resp = session.run_blocking(request(sight));
+        assert_eq!(session.in_flight(), 0, "{label}: a slot leaked");
+        let resp = match (resp, &refusal) {
+            (Err(Error::Exec(e)), Some(refused)) => {
+                assert_eq!(&e, refused, "{label}: refused as the request check refuses");
+                let root = session.traces().last().expect("a refusal exports its tree").root;
+                let error = Error::Exec(e).to_string();
+                assert_eq!(root.attr("error"), Some(error.as_str()), "{label}: traced");
+                continue;
+            }
+            (resp, _) => resp.unwrap_or_else(|e| panic!("{label}: {e}")),
+        };
+        assert_eq!(&resp.output, want, "{label}: diverged from baseline");
+        let tree = resp.trace.as_ref().expect("trace exports");
+        let route = tree.root.find("route").is_some();
+        let rule = tree.root.find("respond").and_then(|r| r.find("rule"));
+        let decided = rule.and_then(|r| r.attr("rule.direct")).map(|d| d == "true");
+        let pruned = ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Compiled };
+        let pruned_arm = engine(ran, pruned).label();
+        let (want_arm, want_route, want_rule) = match (visit, sight) {
+            (Visit::Pinned, _) => (engine(ran, arm).label(), sight == 1, false),
+            (_, 1) => ("direct".to_string(), false, false),
+            (_, 2) => (pruned_arm.clone(), true, true),
+            (_, _) if verdict == Some(true) => ("direct".to_string(), false, false),
+            _ => (pruned_arm.clone(), false, false),
+        };
+        assert_eq!(resp.arm.label(), want_arm, "{label}: the arm");
+        assert_eq!((route, decided.is_some()), (want_route, want_rule), "{label}: route, rule");
+        let cache = match (visit, sight) {
+            (Visit::Pinned, _) => "pinned",
+            (_, 1) => "first-sight",
+            (_, 2) => "miss",
+            _ => "hit",
+        };
+        let plan = tree.root.find("plan").and_then(|p| p.attr("cache"));
+        assert_eq!((plan, resp.plan_cached), (Some(cache), cache == "hit"), "{label}");
+        if let Some(rule) = rule {
+            let mut workers = Vec::new();
+            rule.find_all("worker", &mut workers);
+            assert_eq!(workers.len(), resp.breakdown.shards as usize, "{label}: measured");
+            assert!(workers.iter().all(|w| w.attr("path") == Some("direct")), "{label}");
+            verdict = decided;
+        }
+        if visit != Visit::Pinned && sight == 1 {
+            assert_eq!((resp.breakdown.shards, resp.switch_stats.pruned), (1, 0), "{label}: whole");
+        }
+        assert_complete_tree(&resp, &format!("t{sight}"), &label);
+    }
+    // The registry reconciles with the session's stats, and every request,
+    // refused or not, exported its tree and counted its latency.
+    let (stats, snap) = (session.stats(), session.registry().snapshot());
+    let traces = session.traces();
+    assert_eq!((traces.pushed(), traces.len() as u64), (sights, sights), "every tree exported");
+    assert_eq!(snap.counters["serve.queries"], sights);
+    assert_eq!(snap.histograms["serve.latency_seconds"].count, sights);
+    assert_eq!(snap.counters["serve.plan_cache.hits"], stats.plan_hits);
+    assert_eq!(snap.counters["serve.plan_cache.misses"], stats.plan_misses);
+    assert_eq!(snap.gauges["serve.executing"], 0);
+    assert!(!snap.counters.contains_key("net.retransmits"), "a lossless session resends nothing");
+    if refusal.is_none() {
+        let unpinned = visit != Visit::Pinned;
+        let fits = (unpinned && sights >= 2, unpinned && sights >= 3);
+        assert_eq!((stats.plan_misses, stats.plan_hits), (fits.0 as u64, fits.1 as u64));
+        assert_eq!(
+            (stats.completed, snap.histograms["serve.queue_seconds"].count),
+            (sights, sights)
+        );
+    }
+}
+
+/// The arm a response reports for `arm`: the engine that ran — the
+/// interpreter where the family has no kernel, and none (so
+/// `Interpreted`) on the direct arm or over tables with no row.
+fn engine(ran: &Ran, arm: ChooserArm) -> ChooserArm {
+    let rows = ran.left.rows() + if ran.q.is_binary() { ran.right.rows() } else { 0 };
+    let interp = INTERPRETER_ONLY.contains(&ran.q.kind()) || rows == 0;
+    match arm.path {
+        ExecPath::BarrierPooled if !interp => arm,
+        _ => ChooserArm { backend: ExecBackend::Interpreted, ..arm },
+    }
+}
+
+/// A response's span tree is complete and agrees with its breakdown: the
+/// lifecycle children under one `query` root, one `worker` per shard in
+/// shard order on its plan's thread, a `merge` span, the workers' traced
+/// survivors summing to the breakdown's, and the queue span the
+/// breakdown's queue time.
+pub fn assert_complete_tree(resp: &QueryResponse, tenant: &str, label: &str) {
+    let tree = resp.trace.as_ref().expect("trace exports");
+    assert_eq!((tree.root.name.as_str(), tree.root.attr("tenant")), ("query", Some(tenant)));
+    assert_eq!(resp.breakdown.tenant, tenant, "{label}");
+    let children: Vec<&str> = tree.root.children.iter().map(|c| c.name.as_str()).collect();
+    for required in ["admit", "queue", "plan", "choose", "execute", "respond"] {
+        assert!(children.contains(&required), "{label}: no `{required}` in {children:?}");
+    }
+    let exec = tree.root.find("execute").expect("checked above");
+    assert_eq!(exec.attr("path"), Some(resp.arm.path.label()), "{label}");
+    let engine = exec.attr("backend");
+    assert_eq!(engine, (resp.arm.path != ExecPath::Direct).then(|| resp.arm.backend.label()));
+    let mut workers = Vec::new();
+    exec.find_all("worker", &mut workers);
+    let shards = resp.breakdown.shards as usize;
+    assert_eq!(workers.len(), shards, "{label}: one worker span per shard");
+    for (i, w) in workers.iter().enumerate() {
+        assert_eq!(w.attr("shard"), Some(i.to_string().as_str()), "{label}");
+        assert!(on_its_thread(w, shards), "{label}: thread {:?}", w.attr("thread"));
+    }
+    assert!(exec.find("merge").is_some(), "{label}: no merge span");
+    let entries = |w: &&SpanNode| w.attr("entries_to_master").unwrap().parse::<u64>().unwrap();
+    let traced: u64 = workers.iter().map(entries).sum();
+    assert_eq!(traced, resp.breakdown.entries_to_master, "{label}");
+    let queue = tree.root.find("queue").expect("checked above");
+    assert!((queue.duration_s() - resp.breakdown.queue_seconds).abs() < 1e-3, "{label}");
+    let mut streams = Vec::new();
+    tree.root.find_all("stream", &mut streams);
+    assert!(streams.is_empty() && resp.breakdown.retransmits == 0, "{label}: lossless");
+}
+
+/// Walk `gate`'s cases for the test `name`: its grid ([`Gate::grid`])
+/// once per block, each point fixed by the block's [`Pin`], then `random`
+/// random draws; every case seeded by its index. Every case is held to
+/// [`check`] and then to the gate's own `property`; a failure is shrunk
+/// and reported with its minimal case, the seed in it. The walk is split
+/// over the machine's cores, a grid point's arms kept on one — except a
+/// serving walk: a session's arm verdict compares measured run times, and
+/// the timed scenarios beside the walk must not lose their core to it.
+pub fn for_each_case(
+    name: &str,
+    gate: Gate,
+    blocks: &[Pin],
+    random: u32,
+    property: impl Fn(&Case, &Ran) + Sync,
+) {
+    let (grid, arms) = (gate.grid(), ARMS.len() as u32);
+    let cases = grid * blocks.len() as u32 + random;
+    let walk = |i: u32| {
+        let case = match blocks.get((i / grid) as usize) {
+            Some(pin) => {
+                // A grid point's arms (or a family's unpinned visits) share
+                // one draw, so they read the same tables.
+                let seed = TestRng::for_case(name, i / arms).next_u64();
+                let mut case = Case::grid(i % grid, seed, gate);
+                pin(&mut case);
+                case
+            }
+            None => Case::draw(TestRng::for_case(name, i).next_u64(), gate),
+        };
+        let property = |case: Case| property(&case, &check(&case));
+        run_one(&Config::default(), name, i, case, Case::shrink, property);
+    };
+    let cores = match gate {
+        Gate::Serve => 1,
+        _ => std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u32,
+    };
+    std::thread::scope(|scope| {
+        for core in 0..cores {
+            let walk = &walk;
+            scope.spawn(move || (0..cases).filter(|i| i / arms % cores == core).for_each(walk));
+        }
+    });
 }

@@ -1,16 +1,15 @@
 //! The compiled contract gate, the named CI tier for the plan-time fused
 //! kernels. What it pins down:
 //!
-//! 1. **Bit-identity** — for **all seven** `DbQuery` variants across the
-//!    adversarial workload family ({uniform, zipf(1.0), zipf(1.5),
-//!    single-hot-key}) on every layout of the grid — the planner's fitted
-//!    one included, which warm traffic runs compiled — a run on the compiled
-//!    backend produces *exactly* the interpreted oracle's output. Not
+//! 1. **Bit-identity** — for every generated case on a pruned arm (all
+//!    seven `DbQuery` variants, the grid's layouts, the fitted one
+//!    included, over generated and adversarial tables — {uniform,
+//!    zipf(1.0), zipf(1.5), single-hot-key}), a run on the other backend
+//!    of the same routed layout produces *exactly* the same output. Not
 //!    "equivalent": the kernels rebuild the same hashed state from the
 //!    same seeds, so every verdict — and therefore every survivor and
-//!    every merged row — must match. The walk holds every run, the oracle
-//!    included, to the grid's baseline and planner facts, so it is also
-//!    the planner contract for the default planner on these tables.
+//!    every merged row — must match. Every case is first held to
+//!    `common::check`, the baseline's answer included.
 //! 2. **Deterministic pruning counters** — `seen`/`pruned`/`forwarded`
 //!    and `entries_to_master` are unchanged between backends, shard by
 //!    shard. A kernel that forwards the right rows for the wrong reasons
@@ -18,69 +17,63 @@
 //! 3. **Honest attribution** — the breakdown of a compiled run records
 //!    `ExecBackend::Compiled` where the family has a kernel (filter,
 //!    DISTINCT, GROUP BY, SKYLINE) and `Interpreted` where it has none
-//!    (TOP N, JOIN, HAVING); the oracle records `Interpreted`. The counters
+//!    (TOP N, JOIN, HAVING), or where no unit held a row, so no engine ran;
+//!    the oracle records `Interpreted`. The counters
 //!    gate (`counters_contract`) pins this field row by row.
 
 mod common;
 
-use common::{all_seven, for_each_exec_case, run_barrier};
+use common::{all_seven, for_each_case, run_barrier, Gate, ADVERSARIES, INTERPRETER_ONLY};
 
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardPlanner, ShardSpec};
-use cheetah_runtime::ExecRun;
+use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec};
+use cheetah_runtime::{execute, ExecRun};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
-/// The families whose switch program has no compiled kernel: asked for
-/// the compiled backend, they run the interpreter.
-const INTERPRETER_ONLY: [&str; 3] = ["topn", "join", "having-sum"];
-
-/// One grid point run on both backends: assert counter identity (the grid
-/// itself already held both outputs to the baseline).
-fn assert_backends_agree(q: &DbQuery, i: &ExecRun, c: &ExecRun, label: &str) {
-    assert_eq!(i.output, c.output, "output diverged: {label}");
-    assert_eq!(i.switch_stats, c.switch_stats, "counters diverged: {label}");
-    assert_eq!(
-        i.breakdown.entries_to_master, c.breakdown.entries_to_master,
-        "survivor count diverged: {label}"
-    );
+/// One routed layout run on both backends: assert output and counter
+/// identity, shard by shard, and which engine each run says ran.
+fn assert_backends_agree(q: &DbQuery, i: &ExecRun, c: &ExecRun) {
+    assert_eq!(i.output, c.output, "output diverged");
+    assert_eq!(i.switch_stats, c.switch_stats, "counters diverged");
+    assert_eq!(i.breakdown.entries_to_master, c.breakdown.entries_to_master, "survivors");
     // Shard by shard, not just in aggregate: a kernel that prunes the
     // right total from the wrong shards still fails. Only the
     // deterministic fields — ShardStats also carries wall-clock seconds.
+    assert_eq!(i.per_shard.len(), c.per_shard.len());
     for (s, (is_, cs)) in i.per_shard.iter().zip(&c.per_shard).enumerate() {
-        let ctx = format!("shard {s} of {label}");
-        assert_eq!(is_.rows, cs.rows, "rows diverged: {ctx}");
-        assert_eq!(is_.seen, cs.seen, "seen diverged: {ctx}");
-        assert_eq!(is_.pruned, cs.pruned, "pruned diverged: {ctx}");
-        assert_eq!(is_.entries_to_master, cs.entries_to_master, "survivors diverged: {ctx}");
-        assert_eq!(is_.master_wire_bytes, cs.master_wire_bytes, "bytes diverged: {ctx}");
+        let fields = |x: &cheetah_db::ShardStats| {
+            (x.rows, x.seen, x.pruned, x.entries_to_master, x.master_wire_bytes)
+        };
+        assert_eq!(fields(is_), fields(cs), "shard {s}: rows, seen, pruned, survivors, bytes");
     }
-    assert_eq!(i.breakdown.backend, ExecBackend::Interpreted, "{label}");
-    let interp = INTERPRETER_ONLY.contains(&q.kind());
+    assert_eq!(i.breakdown.backend, ExecBackend::Interpreted);
+    // With every unit empty no engine ran at all.
+    let idle = c.per_shard.iter().all(|s| s.rows == 0);
+    let interp = idle || INTERPRETER_ONLY.contains(&q.kind());
     let ran = if interp { ExecBackend::Interpreted } else { ExecBackend::Compiled };
-    assert_eq!(c.breakdown.backend, ran, "{label}");
+    assert_eq!(c.breakdown.backend, ran);
 }
 
 #[test]
-fn compiled_kernels_are_bit_identical_across_the_adversarial_family() {
-    let planner = ShardPlanner::default();
-    for adv in PlannerAdversary::all() {
-        let left = Arc::new(adv.table(900, 3, 0x5EED));
-        let right = Arc::new(adv.table(450, 2, 0x5EED ^ 0xFACE));
-        // The grid runs each point's interpreted oracle right before its
-        // compiled twin: hold the former, compare when the latter lands.
-        let mut oracle: Option<ExecRun> = None;
-        let name = adv.name();
-        for_each_exec_case(&left, &right, 9_000, &planner, &name, |case, run| match case.backend {
-            // The direct arm runs no engine: there is no pair to compare.
-            _ if case.path == ExecPath::Direct => {}
-            ExecBackend::Interpreted => oracle = Some(run.clone()),
-            ExecBackend::Compiled => {
-                let i = oracle.take().expect("the oracle runs first");
-                assert_backends_agree(&case.q, &i, run, &case.label);
-            }
-        });
-    }
+fn compiled_kernels_are_bit_identical_to_the_interpreter() {
+    for_each_case("compiled_contract", Gate::Exec, &ADVERSARIES, 30, |case, ran| {
+        // The direct arm runs no engine: there is no pair to compare.
+        let Some((plan, run)) = &ran.exec else { return };
+        let arm = common::ARMS[case.arm];
+        if arm.path == ExecPath::Direct {
+            return;
+        }
+        let other = match arm.backend {
+            ExecBackend::Interpreted => ExecBackend::Compiled,
+            ExecBackend::Compiled => ExecBackend::Interpreted,
+        };
+        let twin = execute(&ran.cluster.clone().with_backend(other), plan, arm.path).unwrap();
+        match arm.backend {
+            ExecBackend::Interpreted => assert_backends_agree(&ran.q, run, &twin),
+            ExecBackend::Compiled => assert_backends_agree(&ran.q, &twin, run),
+        }
+    });
 }
 
 #[test]

@@ -20,8 +20,9 @@
 //!    the recovery. Same seed ⇒ bit-identical report (retransmit counts
 //!    included); the merged output still equals the baseline.
 //! 3. **Fault mode** — `execute` over a faulty plan at 15% drop + 15%
-//!    corruption + duplication answers every family exactly, and the
-//!    go-back-N resends are visible in `ExecBreakdown::retransmits`.
+//!    corruption + duplication answers every generated case exactly, as
+//!    its lossless run does, and the go-back-N resends are visible in
+//!    `ExecBreakdown::retransmits` (a golden per family).
 
 mod common;
 
@@ -173,6 +174,15 @@ fn harsh_fabric_delivers_exactly_and_is_seed_deterministic() {
         assert_eq!(out_a, expected, "{}: lossy fabric changed the answer", q.kind());
         assert_eq!(out_a, out_b);
     }
+}
+
+/// Fault mode, generated: every case's plan in fault mode — any family,
+/// layout, arm and frame size, over generated and adversarial tables —
+/// answers as its lossless run does, with the same pruning counters and
+/// survivors (`common::check`).
+#[test]
+fn fault_mode_answers_like_the_lossless_run() {
+    common::for_each_case("fabric_contract", common::Gate::Fault, &[common::DRAWN], 0, |_, _| {});
 }
 
 #[test]

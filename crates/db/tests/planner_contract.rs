@@ -1,22 +1,21 @@
 //! The planner contract gate, the third named CI tier after the pruning
 //! and shard gates. Four properties, each load-bearing:
 //!
-//! 1. **Correctness** — a planner-chosen run is bit-identical to the
-//!    baseline for **all seven** [`DbQuery`] variants across the
-//!    planner-adversarial workload family
-//!    ({uniform, zipf(1.0), zipf(1.5), single-hot-key}), on every path and
-//!    backend — the fitted × compiled and fitted × direct points warm
-//!    traffic runs included: the planner may change *where* rows go, never
-//!    *what* the query answers. This is a walk of the shared execution
-//!    grid (`for_each_exec_case`), whose fitted layout is fitted by the
-//!    planner under test; here over random tables and sample sizes (the
-//!    default planner on the fixed adversarial tables is the compiled
-//!    gate's walk of the same grid).
+//! 1. **Correctness** — every generated case (`common::for_each_case`:
+//!    the grid, whose fitted points are fitted by a planner of random
+//!    sample size, then random draws over generated tables and the
+//!    planner-adversarial family {uniform, zipf(1.0), zipf(1.5),
+//!    single-hot-key}) answers like the baseline on every path and
+//!    backend: the planner may change *where* rows go, never *what* the
+//!    query answers. `common::check` holds a fitted layout to the
+//!    planner's facts: its plan recorded, its shard count the plan's, the
+//!    sample the whole table when the table is smaller than it, and an
+//!    empty table or one key planned to one shard, which is the table
+//!    itself.
 //! 2. **Determinism** — same seed + same tables ⇒ the identical
-//!    [`ShardPlan`] (reservoir sampling must not smuggle in
-//!    nondeterminism), including the degenerate edges: empty table,
-//!    table smaller than the sample, all-equal keys ⇒ 1 shard, which is
-//!    the table itself.
+//!    [`ShardPlan`] and the identical shard assignment, the tables rebuilt
+//!    from the same draw included (reservoir sampling must not smuggle in
+//!    nondeterminism).
 //! 3. **Routing keys** — the keys every layout is sampled and split by
 //!    are a golden: the switch encoding of the query's key column, or a
 //!    row-id hash. A key that moves re-routes rows; that is a finding,
@@ -30,176 +29,34 @@
 
 mod common;
 
-use common::{fitted, for_each_exec_case, run_barrier};
+use common::{fitted, for_each_case, Gate, Layout, ADVERSARIES};
 
 use cheetah_db::value::encode_ordered_i64;
 use cheetah_db::{
-    routing_keys, Cluster, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPlan,
-    ShardPlanner, Table, TableBuilder, Value,
+    routing_keys, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPlanner, Table,
+    TableBuilder, Value,
 };
-use cheetah_runtime::{ExecPlan, ExecRun};
+use cheetah_runtime::ExecPlan;
 use cheetah_switch::{hash::mix64, HashFn};
 use cheetah_workloads::{BigDataConfig, PlannerAdversary, SkewedTableConfig};
-use proptest::prelude::*;
-use std::sync::Arc;
 
-/// One barrier run under the planner's chosen layout.
-fn planned(
-    cluster: &Cluster,
-    q: &DbQuery,
-    left: &Arc<Table>,
-    right: Option<&Arc<Table>>,
-    planner: &ShardPlanner,
-) -> ExecRun {
-    run_barrier(cluster, q, left, right, fitted(cluster, planner, q, left, right))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
-
-    /// Property 1: a walk of the execution grid under a planner of random
-    /// sample size, whose fitted layout of every variant is run on every
-    /// path and backend and held to the planner's facts (plan recorded,
-    /// its shard count).
-    #[test]
-    fn planned_runs_match_baseline_on_random_workloads(
-        seed in any::<u64>(),
-        rows in 100usize..700,
-        adv_idx in 0usize..4,
-        sample_size in 64usize..512,
-    ) {
-        let adv = PlannerAdversary::all()[adv_idx];
+/// Properties 1 and 2: every case held to `common::check`; a fitted one
+/// fitted again, over the tables rebuilt from the case, gives the plan
+/// its layout recorded, and routes every row where that layout did.
+#[test]
+fn planned_runs_match_baseline_and_plans_are_deterministic() {
+    for_each_case("planner_contract", Gate::Exec, &ADVERSARIES, 30, |case, ran| {
+        let (Layout::Fitted { sample_size }, Some((plan, _))) = (case.layout, &ran.exec) else {
+            return;
+        };
+        let (left, right) = case.tables();
+        let right = ran.q.is_binary().then_some(&right);
         let planner = ShardPlanner::new(PlannerConfig { sample_size });
-        let left = Arc::new(adv.table(rows, 3, seed));
-        let right = Arc::new(adv.table(rows / 2 + 1, 2, seed ^ 0xFF));
-        for_each_exec_case(&left, &right, rows as i64 * 20, &planner, &adv.name(), |_, _| {});
-    }
-}
-
-// ---------------------------------------------------------------------
-// Determinism and edge cases
-// ---------------------------------------------------------------------
-
-#[test]
-fn same_seed_and_tables_give_the_identical_plan() {
-    let planner = ShardPlanner::default();
-    for adv in PlannerAdversary::all() {
-        let t = adv.table(2_000, 4, 0xA11CE);
-        for q in [
-            DbQuery::Distinct { col: 0 },
-            DbQuery::TopN { order_col: 1, n: 8 },
-            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-        ] {
-            let a = planner.plan(&q, &t, None, 0xC43E7A);
-            let b = planner.plan(&q, &t, None, 0xC43E7A);
-            assert_eq!(a, b, "{}: nondeterministic plan for {}", adv.name(), q.kind());
-            // Rebuilding the same table from the same config must not
-            // perturb the plan either.
-            let rebuilt = adv.table(2_000, 4, 0xA11CE);
-            let c = planner.plan(&q, &rebuilt, None, 0xC43E7A);
-            assert_eq!(a, c, "{}: plan depends on more than (seed, data)", adv.name());
-        }
-    }
-}
-
-#[test]
-fn planned_execution_is_deterministic_end_to_end() {
-    let cluster = Cluster::default();
-    let planner = ShardPlanner::default();
-    let t = Arc::new(PlannerAdversary::Zipf(1.2).table(1_500, 3, 77));
-    let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 };
-    let fit = || fitted(&cluster, &planner, &q, &t, None);
-    let (plan_a, plan_b) = (fit(), fit());
-    assert_eq!(plan_a, plan_b);
-    let a = run_barrier(&cluster, &q, &t, None, plan_a);
-    let b = run_barrier(&cluster, &q, &t, None, plan_b);
-    assert_eq!(a.output, b.output);
-    let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
-    let rows_b: Vec<u64> = b.per_shard.iter().map(|s| s.rows).collect();
-    assert_eq!(rows_a, rows_b, "shard assignment must be deterministic");
-}
-
-#[test]
-fn empty_table_plans_one_shard_and_runs() {
-    let cluster = Cluster::default();
-    let planner = ShardPlanner::default();
-    let t = Arc::new(
-        TableBuilder::new(
-            "empty",
-            vec![
-                ("key".into(), DataType::Str),
-                ("a".into(), DataType::Int),
-                ("b".into(), DataType::Int),
-            ],
-            8,
-        )
-        .build(),
-    );
-    let q = DbQuery::Distinct { col: 0 };
-    let plan = planner.plan(&q, &t, None, 1);
-    assert_eq!(plan.shards(), 1);
-    assert_eq!(plan.report.rows, 0);
-    assert_routes_nothing(&cluster, &q, &t, plan);
-    let run = planned(&cluster, &q, &t, None, &planner);
-    assert_eq!(run.output, cheetah_db::QueryOutput::Values(vec![]));
-    assert_eq!(run.breakdown.shards, 1);
-}
-
-#[test]
-fn table_smaller_than_the_sample_size_is_planned_exactly() {
-    let planner = ShardPlanner::new(PlannerConfig { sample_size: 4_096 });
-    let t = Arc::new(PlannerAdversary::Uniform.table(60, 2, 5));
-    let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &t, None, 5);
-    assert_eq!(plan.report.rows, 60);
-    assert_eq!(plan.report.sample_len, 60, "small tables are sampled in full");
-    let cluster = Cluster::default();
-    let run = planned(&cluster, &DbQuery::Distinct { col: 0 }, &t, None, &planner);
-    assert_eq!(run.output, cluster.run_baseline(&DbQuery::Distinct { col: 0 }, &t, None).output);
-}
-
-#[test]
-fn all_equal_keys_collapse_to_one_shard() {
-    let mut b = TableBuilder::new(
-        "hot",
-        vec![
-            ("key".into(), DataType::Str),
-            ("a".into(), DataType::Int),
-            ("b".into(), DataType::Int),
-        ],
-        50,
-    );
-    for i in 0..400i64 {
-        b.push_row(vec![Value::Str("same".into()), Value::Int(i % 9), Value::Int(3)]);
-    }
-    let t = Arc::new(b.build());
-    let planner = ShardPlanner::default();
-    let cluster = Cluster::default();
-    for q in [
-        DbQuery::Distinct { col: 0 },
-        DbQuery::GroupByMax { key_col: 0, val_col: 1 },
-        DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 100 },
-    ] {
-        let plan = planner.plan(&q, &t, None, cluster.tuning.seed);
-        assert_eq!(plan.shards(), 1, "{}: single key must not fan out", q.kind());
-        assert_routes_nothing(&cluster, &q, &t, plan);
-        let run = planned(&cluster, &q, &t, None, &planner);
-        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
-    }
-    // The single-hot-key adversary reaches the same count through the
-    // workload family.
-    let adv = Arc::new(PlannerAdversary::SingleHotKey.table(300, 2, 11));
-    let q = DbQuery::Distinct { col: 0 };
-    let plan = planner.plan(&q, &adv, None, 1);
-    assert_eq!(plan.shards(), 1);
-    assert_routes_nothing(&cluster, &q, &adv, plan);
-}
-
-/// A one-shard plan lays out the table whole: one unit holding every row
-/// (the runtime's one-shard test asserts that unit is the caller's
-/// `Arc<Table>` itself).
-fn assert_routes_nothing(cluster: &Cluster, q: &DbQuery, t: &Arc<Table>, plan: ShardPlan) {
-    let layout = ExecPlan::new(cluster, q, t, None, Arc::new(plan)).expect("routes");
-    assert_eq!(layout.dispatched(), [t.rows() as u64], "{}", q.kind());
+        let again = fitted(&ran.cluster, &planner, &ran.q, &left, right);
+        assert_eq!(Some(&again), plan.shard_plan(), "the plan depends on (seed, data) alone");
+        let routed = ExecPlan::new(&ran.cluster, &ran.q, &left, right, again).expect("routes");
+        assert_eq!(routed.dispatched(), plan.dispatched(), "the shard assignment is deterministic");
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -49,6 +49,22 @@ fn request(q: &DbQuery, left: &Arc<Table>, right: &Arc<Table>, tenant: &str) -> 
     }
 }
 
+/// Property 1, generated: every sight of every case — first (the tables
+/// whole, direct), deciding (fitted, routed, pruned, measured), warm (the
+/// verdict's arm, no route) and pinned (the arm and shard count named) —
+/// answers like the baseline, over every family, generated and adversarial
+/// tables, coded and plain keys and full-range ints, or is refused as the
+/// request check refuses it, identically on every sight. A unary query's
+/// request carries a one-column right table on every other sight, which
+/// the session must ignore (property 1c). `common::check`
+/// holds each response to the arm and layout lifecycle, the plan span's
+/// cache verdict, a complete span tree and a registry that reconciles with
+/// the session's stats.
+#[test]
+fn every_sight_answers_like_the_baseline() {
+    common::for_each_case("serving_contract", common::Gate::Serve, &[common::DRAWN], 0, |_, _| {});
+}
+
 /// Property 1: four tenant threads, started together, each sending every
 /// query variant — each response must equal the sequential baseline bit
 /// for bit.
@@ -108,17 +124,14 @@ fn plan_cache_reuse_preserves_results() {
     let (left, right) = fixtures(0xCAFE);
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
     let baseline = cluster.run_baseline(&q, &left, None).output;
-
     let session = Session::new(cluster, SessionConfig::default());
     for round in 0..8 {
         let resp = session.run_blocking(request(&q, &left, &right, "repeat")).unwrap();
-        assert_eq!(resp.output, baseline, "round {round}");
-        assert_eq!(resp.plan_cached, round > 1, "round {round}");
+        assert_eq!((&resp.output, resp.plan_cached), (&baseline, round > 1), "round {round}");
     }
     // First sight consults neither the planner nor its cache.
     let stats = session.stats();
-    assert_eq!(stats.plan_misses, 1);
-    assert_eq!(stats.plan_hits, 6);
+    assert_eq!((stats.plan_misses, stats.plan_hits), (1, 6));
 }
 
 /// Property 1b′: a layout cannot outlive its plan. Layouts and plans used
@@ -163,7 +176,6 @@ fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
     let narrow = Arc::new(b.build());
     let q = DbQuery::Distinct { col: 2 };
     let baseline = cluster.run_baseline(&q, &left, None).output;
-
     let session = Session::new(cluster, SessionConfig::default());
     let plain = || QueryRequest::new(q.clone(), Arc::clone(&left));
     // Alternate the two spellings: were the ignored table part of the
@@ -172,8 +184,7 @@ fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
     for round in 0..6 {
         let req = if round % 2 == 0 { plain().with_right(Arc::clone(&narrow)) } else { plain() };
         let resp = session.run_blocking(req).unwrap();
-        assert_eq!(resp.output, baseline, "round {round}");
-        assert_eq!(resp.plan_cached, round > 1, "round {round}");
+        assert_eq!((&resp.output, resp.plan_cached), (&baseline, round > 1), "round {round}");
     }
     let stats = session.stats();
     assert_eq!((stats.plan_misses, stats.plan_hits), (1, 4));
@@ -190,10 +201,6 @@ fn arm_and_verdict(resp: &QueryResponse) -> (String, Option<String>) {
 fn routed(resp: &QueryResponse) -> bool {
     resp.trace.as_ref().expect("trace exports").root.find("route").is_some()
 }
-
-/// The families whose switch program has no compiled kernel: their pruned
-/// runs report the interpreter.
-const INTERPRETER_ONLY: [&str; 3] = ["topn", "join", "having-sum"];
 
 /// A FILTER every row passes (column `a` is never negative): the switch
 /// prunes nothing, and the family has a kernel.
@@ -228,7 +235,7 @@ fn every_family_runs_direct_at_first_sight_and_decides_at_the_second() {
         assert_eq!(first.output, want, "{kind}");
 
         let second = ask();
-        let interp = INTERPRETER_ONLY.contains(&kind);
+        let interp = common::INTERPRETER_ONLY.contains(&kind);
         let pruned = if interp { "pooled/interp" } else { "pooled/compiled" };
         let (arm, verdict) = arm_and_verdict(&second);
         assert_eq!(arm, pruned, "{kind}: the deciding sight runs pruned");

@@ -1,13 +1,14 @@
 //! Telemetry contract gate: observability must be *complete* and
 //! *reconciled*, not decorative.
 //!
-//! 1. **Complete span trees** — every backend of the pruned path
-//!    through the session yields an exportable lifecycle tree with no
-//!    orphan or unclosed spans: `query` → {`admit`, `queue`, `plan`,
-//!    `choose`, `execute` → {one `worker` per shard, `merge`},
-//!    `respond`}, on a one-shard layout and a routed one alike. Each
-//!    `worker` names the thread its job ran on: `caller` for a one-shard
-//!    plan, which runs on the thread that executes it, else a pool index.
+//! 1. **Complete span trees** — every request of every generated case
+//!    through the session, on every arm, yields an exportable lifecycle
+//!    tree with no orphan or unclosed spans: `query` → {`admit`, `queue`,
+//!    `plan`, `choose`, `execute` → {one `worker` per shard, `merge`},
+//!    `respond`}, on a one-shard layout and a routed one alike, and no
+//!    `stream` span on a lossless run. Each `worker` names the thread its
+//!    job ran on: `caller` for a one-shard plan, which runs on the thread
+//!    that executes it, else a pool index.
 //! 2. **Registry ⇄ breakdown reconciliation** — the session registry's
 //!    totals agree with [`SessionStats`] and with the
 //!    [`ExecBreakdown`]s the same requests returned: completed counts,
@@ -33,10 +34,12 @@
 
 mod common;
 
+use common::{on_its_thread, Gate};
+
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
-use cheetah_runtime::{execute, ExecPlan, FaultSpec, WorkerPool};
+use cheetah_runtime::{execute, ExecPlan, FaultSpec};
 use cheetah_serve::{QueryRequest, Session};
-use cheetah_telemetry::{Registry, SpanNode, Trace, TraceTree};
+use cheetah_telemetry::{Registry, SpanNode, Trace};
 use std::sync::Arc;
 
 const SHARDS: usize = 4;
@@ -45,104 +48,52 @@ fn fixture(seed: u64) -> Arc<Table> {
     Arc::new(common::gen_table(3_000, 90, 4, seed))
 }
 
-/// Every span name on the root's direct child list, in exported order.
-fn child_names(tree: &TraceTree) -> Vec<&str> {
-    tree.root.children.iter().map(|c| c.name.as_str()).collect()
+/// Properties 1 and 2, generated: every sight of every case through the
+/// session — first, deciding, warm and pinned to every arm at 1, 2 and 7
+/// shards — exports a complete tree, its workers on their plan's threads,
+/// its survivors and queue time the breakdown's, its `plan` span's cache
+/// verdict the lifecycle's, no `stream` span on a lossless run, and the
+/// registry's totals reconcile with `SessionStats` (`common::check`).
+#[test]
+fn every_request_exports_a_complete_tree_and_the_registry_reconciles() {
+    common::for_each_case("telemetry_contract", Gate::Serve, &[common::DRAWN], 0, |_, _| {});
 }
 
-/// Whether a `worker` span names the thread a plan of `shards` shards runs
-/// its job on: the caller's own for one shard, a pool worker's index for
-/// more.
-fn on_its_thread(w: &SpanNode, shards: usize) -> bool {
-    match w.attr("thread") {
-        Some("caller") => shards == 1,
-        thread => {
-            let worker = thread.and_then(|t| t.parse::<usize>().ok());
-            shards > 1 && worker.is_some_and(|t| t < WorkerPool::global().workers())
-        }
-    }
-}
-
+/// Property 1 on the pruned path, by name: each backend at one shard and
+/// at four exports a complete tree (`common::assert_complete_tree`) whose
+/// `execute` span names the path and backend asked for, and the ring
+/// buffer keeps all four.
 #[test]
 fn every_backend_yields_a_complete_span_tree() {
     let t = fixture(0x7E1E);
     let session = Session::with_defaults();
     let path = ExecPath::BarrierPooled;
-    for (backend, shards) in [ExecBackend::Interpreted, ExecBackend::Compiled]
-        .into_iter()
-        .flat_map(|backend| [(backend, 1), (backend, SHARDS)])
-    {
-        let resp = session
-            .run_blocking(
-                QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))
-                    .tenant("contract")
-                    .path(path)
-                    .backend(backend)
-                    .shards(shards),
-            )
-            .unwrap();
-        let label = format!("{}/{} @{shards}", path.label(), backend.label());
-        let tree = resp
-            .trace
-            .as_ref()
-            .unwrap_or_else(|| panic!("{label}: response carries no exported trace"));
-
-        // The lifecycle children, all present under the one root.
-        assert_eq!(tree.root.name, "query", "{label}");
-        assert_eq!(tree.root.attr("tenant"), Some("contract"), "{label}");
-        for required in ["admit", "queue", "plan", "choose", "execute", "respond"] {
-            assert!(
-                child_names(tree).contains(&required),
-                "{label}: missing `{required}` child; got {:?}",
-                child_names(tree)
-            );
+    for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
+        for shards in [1, SHARDS] {
+            let q = DbQuery::Distinct { col: 0 };
+            let req = QueryRequest::new(q, Arc::clone(&t)).tenant("contract");
+            let resp = session.run_blocking(req.path(path).backend(backend).shards(shards));
+            let resp = resp.unwrap();
+            let label = format!("{}/{} @{shards}", path.label(), backend.label());
+            common::assert_complete_tree(&resp, "contract", &label);
+            let exec = resp.trace.as_ref().unwrap().root.find("execute").unwrap();
+            let named = (exec.attr("path"), exec.attr("backend"));
+            assert_eq!(named, (Some(path.label()), Some(backend.label())), "{label}");
+            assert_eq!(resp.breakdown.shards as usize, shards, "{label}");
         }
-        let exec = tree.root.find("execute").expect("checked above");
-        assert_eq!(exec.attr("path"), Some(path.label()), "{label}");
-        assert_eq!(exec.attr("backend"), Some(backend.label()), "{label}");
-
-        // One worker span per shard, deterministically ordered, each
-        // on its plan's thread, and a merge span closing the fan-in.
-        let mut workers = Vec::new();
-        exec.find_all("worker", &mut workers);
-        assert_eq!(workers.len(), shards, "{label}: one worker span per shard");
-        for (i, w) in workers.iter().enumerate() {
-            assert_eq!(w.attr("shard"), Some(i.to_string().as_str()), "{label}");
-            assert!(on_its_thread(w, shards), "{label}: thread {:?}", w.attr("thread"));
-        }
-        assert!(exec.find("merge").is_some(), "{label}: missing merge span");
-
-        // The per-shard survivor counts the workers traced must sum
-        // to exactly what the breakdown reports: the breakdown is a
-        // view over the span tree, not a parallel ledger.
-        let traced: u64 = workers
-            .iter()
-            .map(|w| w.attr("entries_to_master").unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(traced, resp.breakdown.entries_to_master, "{label}");
-
-        // The breakdown's queue time is the queue span's clock.
-        let queue = tree.root.find("queue").expect("checked above");
-        assert!(
-            (queue.duration_s() - resp.breakdown.queue_seconds).abs() < 1e-3,
-            "{label}: queue span {:.6}s vs breakdown {:.6}s",
-            queue.duration_s(),
-            resp.breakdown.queue_seconds
-        );
     }
-    // All four trees were retained by the ring-buffer sink.
-    assert_eq!(session.traces().len(), 4);
-    assert_eq!(session.traces().pushed(), 4);
+    assert_eq!((session.traces().len(), session.traces().pushed()), (4, 4));
 }
 
+/// Property 2 by name: first sight, second sight, then the warm path —
+/// the `plan` span says which (only the second consults the planner; from
+/// the third on the plan is the one the held layout carries), whatever the
+/// tenant — and the registry's totals reconcile with the session's stats.
 #[test]
 fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
     let t = fixture(0xCAFE);
     let session = Session::with_defaults();
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-    // First sight, second sight, then the warm path: the `plan` span says
-    // which: only the second consults the planner, and from the third on
-    // the plan is the one the held layout carries.
     for (tenant, cache) in [
         ("alpha", "first-sight"),
         ("alpha", "miss"),
@@ -150,33 +101,36 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
         ("beta", "hit"),
         ("beta", "hit"),
     ] {
-        let resp = session
-            .run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t)).tenant(tenant))
-            .unwrap();
-        let tree = resp.trace.as_ref().unwrap();
-        assert_eq!(tree.root.find("plan").unwrap().attr("cache"), Some(cache));
-        assert_eq!(resp.plan_cached, cache == "hit");
-        for required in ["admit", "queue", "plan", "choose", "execute", "respond"] {
-            assert!(child_names(tree).contains(&required), "{cache}: missing `{required}`");
-        }
+        let req = QueryRequest::new(q.clone(), Arc::clone(&t)).tenant(tenant);
+        let resp = session.run_blocking(req).unwrap();
+        let plan = resp.trace.as_ref().unwrap().root.find("plan").unwrap();
+        assert_eq!((plan.attr("cache"), resp.plan_cached), (Some(cache), cache == "hit"));
+        common::assert_complete_tree(&resp, tenant, cache);
     }
-
-    // Registry totals must reconcile with the session's own stats.
-    let stats = session.stats();
-    let snap = session.registry().snapshot();
+    let (stats, snap) = (session.stats(), session.registry().snapshot());
     assert_eq!(snap.counters["serve.queries"], stats.completed);
     assert_eq!(snap.counters["serve.plan_cache.hits"], stats.plan_hits);
     assert_eq!(snap.counters["serve.plan_cache.misses"], stats.plan_misses);
-    assert_eq!(stats.plan_misses, 1);
-    assert_eq!(stats.plan_hits, 3);
-
-    // Every executed request observed exactly one queue and one latency
-    // sample.
+    assert_eq!((stats.plan_misses, stats.plan_hits), (1, 3));
+    // One queue and one latency sample per executed request; none in flight.
     assert_eq!(snap.histograms["serve.queue_seconds"].count, stats.completed);
     assert_eq!(snap.histograms["serve.latency_seconds"].count, stats.completed);
-
-    // Nothing in flight when idle.
     assert_eq!(snap.gauges["serve.executing"], 0);
+}
+
+/// Property 4's other side: a lossless routed run fabricates no `stream`
+/// span, resends nothing and leaves no `net.retransmits` counter.
+#[test]
+fn lossless_runs_trace_no_stream_spans_and_zero_retransmits() {
+    let t = fixture(0x11CE);
+    let session = Session::with_defaults();
+    let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
+    let resp = session.run_blocking(req.path(ExecPath::BarrierPooled).shards(SHARDS)).unwrap();
+    let mut streams = Vec::new();
+    resp.trace.as_ref().unwrap().root.find_all("stream", &mut streams);
+    assert!(streams.is_empty(), "lossless channels must not fabricate stream spans");
+    assert_eq!((resp.breakdown.retransmits, resp.breakdown.shards), (0, SHARDS as u32));
+    assert!(!session.registry().snapshot().counters.contains_key("net.retransmits"));
 }
 
 /// Nothing a caller sends grows the registry: the tenant rides every
@@ -390,24 +344,4 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let traced: u64 =
         streams.iter().map(|s| s.attr("retransmits").unwrap().parse::<u64>().unwrap()).sum();
     assert_eq!(traced, run.breakdown.retransmits);
-}
-
-#[test]
-fn lossless_runs_trace_no_stream_spans_and_zero_retransmits() {
-    let t = fixture(0x11CE);
-    let session = Session::with_defaults();
-    let resp = session
-        .run_blocking(
-            QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t))
-                .path(ExecPath::BarrierPooled)
-                .shards(SHARDS),
-        )
-        .unwrap();
-    let tree = resp.trace.as_ref().unwrap();
-    let mut streams = Vec::new();
-    tree.root.find_all("stream", &mut streams);
-    assert!(streams.is_empty(), "lossless channels must not fabricate stream spans");
-    assert_eq!(resp.breakdown.retransmits, 0);
-    let snap = session.registry().snapshot();
-    assert!(!snap.counters.contains_key("net.retransmits"));
 }

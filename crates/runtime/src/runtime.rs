@@ -98,7 +98,7 @@ pub fn execute(
         await_reports(plan.shards(), spawn_worker_plane(cluster, plan, path))?
     };
     let fold = merge_plane(plan, reports)?;
-    Ok(assemble(fold, plan, cluster.backend))
+    Ok(assemble(fold, plan))
 }
 
 /// What a shard worker hands back when its unit is done.
@@ -344,7 +344,7 @@ struct Fold {
 }
 
 /// Turn the raw fold into the run's accounting.
-fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
+fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
     let Fold { output, reports, merge_seconds, batches, retransmits } = fold;
     let per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
     let switch_stats = reports.iter().fold(ProgramStats::default(), |mut acc, r| {
@@ -366,8 +366,9 @@ fn assemble(fold: Fold, plan: &ExecPlan, requested: ExecBackend) -> ExecRun {
         shards: plan.shards() as u32,
         // All workers clone one cluster, so any report that ran a unit
         // speaks for the run (a compiled-requested run that fell back
-        // records the fallback here too).
-        backend: reports.iter().find_map(|r| r.backend).unwrap_or(requested),
+        // records the fallback here too). With every unit empty no engine
+        // ran, and the run reads `Interpreted`, as the direct arm does.
+        backend: reports.iter().find_map(|r| r.backend).unwrap_or(ExecBackend::Interpreted),
         retransmits,
         ..ExecBreakdown::default()
     };

@@ -780,6 +780,26 @@ mod tests {
         Arc::new(b.build())
     }
 
+    /// A HAVING the switch cannot decide (`c < 0`) is refused by the
+    /// request check before either arm runs, so every sight of it fails
+    /// alike, typed, and the key is never held: no sight answers direct
+    /// and then fails pruned for ever after.
+    #[test]
+    fn a_negative_having_threshold_fails_every_sight_alike_and_holds_nothing() {
+        let t = table(300, 2, 9);
+        let session = Session::with_defaults();
+        let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: -1 };
+        let errors: Vec<Error> = (0..3)
+            .map(|_| {
+                session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&t))).unwrap_err()
+            })
+            .collect();
+        let Error::Exec(first) = &errors[0] else { panic!("a typed refusal: {:?}", errors[0]) };
+        assert!(first.to_string().contains("negative c"), "{first}");
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+        assert!(session.caches.lock().unwrap().map.is_empty(), "no entry is held");
+    }
+
     /// The fitted plan the session holds for `req`'s key, if any.
     fn held_plan(session: &Session, req: &QueryRequest) -> Option<Arc<ShardPlan>> {
         let caches = session.caches.lock().unwrap();
