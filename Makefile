@@ -34,14 +34,13 @@ net-deps:
 # exists before the second sight fits), one way survivors travel: at
 # the end of each shard job, never over a live channel (no NIC-paced
 # depth, overlap timeline or per-request concurrency re-pricing, and no
-# ingest model riding a layout), one shard job on every path (the
-# master cuts the stream's frames: no per-worker frame arena, no
-# model-derived batch size, no second slice-fold door), one layout value (a spec or a fitted
-# plan, no wrapper around it and no record of it beside `ExecRun::plan`;
-# fault mode and its frame size are set on the built plan), one merge
-# fold (merge_shard_outputs folds whole partials; a survivor frame is
-# composed into one: no per-item accumulator beside it, no GROUP BY
-# special case, no one-output branch in the runtime), one worker per
+# ingest model riding a layout), one shard job on every path (no
+# per-worker frame arena, no model-derived batch size, no second
+# slice-fold door), one layout value (a spec or a fitted plan, no wrapper
+# around it and no record of it beside `ExecRun::plan`), one merge fold
+# (merge_shard_outputs folds whole partials, fault mode's too: no
+# per-item accumulator beside it, no GROUP BY special case, no
+# one-output branch in the runtime), one worker per
 # core (the pool is the machine's width; the shard count is the
 # planner's: no floor under the pool, no settable width, no lock around
 # its injector, no shard-count knob), one shard-count price (the
@@ -66,8 +65,14 @@ net-deps:
 # harness re-timing either, and no public API only its own test calls),
 # and one survivor transport: the path is an argument of each run, not a
 # field of the plan (no per-path plan clone, no plan record on the run),
-# and fault mode is the plan's, on any path (no lossless framing and no
-# stream path, not even as a name), and one list of kernels:
+# and no stream path, not even as a name), one §7.2 binding: fault mode
+# is the cluster's (a fault profile and a seed), and each shard job
+# carries the rows it read through TransferSim, the switch replaying its
+# verdicts and ACKing what it prunes (no frame carrier, no payload trait
+# over the rack's one packet type, no frame cutter,
+# no fault spec or frame size, no frame-size case axis in the generated
+# gate, and no merge-routing predicate left over from the presplit
+# path), and one list of kernels:
 # CompiledProgram::compile (no per-query kernel predicate beside it, no
 # randomized TOP N kernel that never paid, and no Spark-calibration
 # field on the cluster that no caller sets).
@@ -75,7 +80,7 @@ net-deps:
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -93,7 +98,7 @@ docs:
 # 3 arms) walked first once per block (as drawn, over the edge tables,
 # over each planner adversary), then random draws, every case held to one
 # universal check; a failing case is shrunk by halving its rows, keys,
-# partitions, shards and frame size and printed with its seed.
+# partitions and shards and printed with its seed.
 gates:
 	cargo test -q -p cheetah-db --test pruning_contract --test shard_contract --test planner_contract --test compiled_contract --test serving_contract --test fabric_contract --test telemetry_contract --test counters_contract
 
@@ -115,7 +120,7 @@ pruning-gate:
 # full-range ints included,
 # with the merge plane's accounting held at every point (the master's
 # time is the shards' completions plus the merge; bytes, survivors and
-# switch arrivals are the shards' sums; a lossless run frames nothing; a
+# switch arrivals are the shards' sums; a lossless run carries nothing; a
 # plan recorded exactly when the layout was fitted), a HAVING key that
 # spans the threshold only globally kept, and sharded execution
 # deterministic end to end.
@@ -170,16 +175,18 @@ serving-gate:
 	cargo test -q -p cheetah-db --test serving_contract
 
 # The named CI gate: lossy-fabric contract — the bounded model checker
-# exhaustively replays every delivery schedule of 2 shards x 3 survivor
-# frames (one drop + one duplication budget, 10 380 schedules, bounded
-# at 20 000 and asserted un-truncated) into the merge plane for all
-# seven query variants, the simulated fabric answers exactly and
-# bit-identically per seed at 15% drop + 15% corruption, and a plan's
-# fault mode — each shard's finished output cut into frames by the
-# master and carried by the same carrier (cheetah_net::rack) in simulated
-# time, whatever path ran — survives the same profile with its go-back-N
-# resends, exact on every generated case (as its lossless run answers)
-# and a golden per family, reported in the breakdown.
+# exhaustively explores every entry schedule of 2 flows x 3 entries
+# through the §7.2 roles (the switch forwarding what the shard program
+# kept and ACKing the rest; one drop, one duplication and one lost
+# switch-ACK budget: 10 380 to 55 145 schedules per family, bounded at
+# 60 000 and asserted un-truncated), and for all seven query variants
+# every delivered set lies between the kept rows and all rows and
+# completes to the baseline; and fault mode — each shard job carrying
+# every row it read across the rack (cheetah_net::rack, TransferSim) in
+# simulated time, whatever path ran — answers every generated case at
+# 15% drop + 15% corruption as its lossless run does (the same switch
+# counters, a switch ACK per pruned row, a resend count its seed
+# repeats), with a golden resend count per family in the breakdown.
 fabric-gate:
 	cargo test -q -p cheetah-db --test fabric_contract
 
@@ -195,16 +202,17 @@ fabric-gate:
 # sight), so does the arm policy (first sight runs direct; the second
 # sight's respond span holds a rule span with the work it compared, the
 # verdict and the measuring run's worker spans, execute and its worker
-# spans the path that answered), and a traced faulty-channel
-# run attributes its go-back-N resends (an exact count) to the owning
-# registry, equal to the breakdown's count.
+# spans the path that answered), and a traced run in fault mode
+# attributes its go-back-N resends (an exact count) to the owning
+# registry, equal to the breakdown's count and to its worker spans'.
 telemetry-gate:
 	cargo test -q -p cheetah-db --test telemetry_contract
 
 # The named CI gate: pruning counters — entries pruned, entries to the
 # master and the executing backend, exact on all 20 fixed-seed rows (a
-# backend or a lossy rack moves none), and the pass-through identity on
-# one @direct run per sharded family.
+# backend moves none; a lossy rack moves no prune, and delivers at least
+# the survivors), and the pass-through identity on one @direct run per
+# sharded family.
 counters-gate:
 	cargo test -q -p cheetah-db --test counters_contract
 

@@ -39,14 +39,14 @@ pub enum Error {
         /// Index of the first cut point below its predecessor.
         index: usize,
     },
-    /// A fault-mode run's simulated fabric reached its time limit with
-    /// flows unfinished — a fault profile so hostile (every frame
+    /// A fault-mode run's simulated rack reached its time limit with
+    /// flows unfinished — a fault profile so hostile (every entry
     /// dropped, say) that go-back-N never gets the data across.
     FabricStalled {
-        /// Frames the master had accepted when time ran out.
+        /// Entries the master had accepted when time ran out.
         delivered: u64,
-        /// Frames the shard flows held in total.
-        frames: u64,
+        /// Entries the shard job's flows held in total.
+        entries: u64,
     },
     /// An operator's `encode_part` did not call its sink exactly once per
     /// row of the partition it was asked to encode.
@@ -106,8 +106,8 @@ impl fmt::Display for Error {
             Error::UnsortedShardBoundaries { index } => {
                 write!(f, "fitted shard boundaries are not ascending at cut {index}")
             }
-            Error::FabricStalled { delivered, frames } => {
-                write!(f, "faulty fabric hit its time limit with {delivered} of {frames} frames delivered")
+            Error::FabricStalled { delivered, entries } => {
+                write!(f, "faulty rack hit its time limit with {delivered} of {entries} entries delivered")
             }
             Error::EncodedRowMismatch { rows, encoded } => {
                 write!(f, "operator encoded {encoded} rows of a {rows}-row partition")
@@ -183,8 +183,8 @@ mod tests {
 
     #[test]
     fn fabric_stall_is_informative() {
-        let e = Error::FabricStalled { delivered: 2, frames: 9 };
-        assert!(e.to_string().contains("2 of 9"), "{e}");
+        let e = Error::FabricStalled { delivered: 2, entries: 9 };
+        assert!(e.to_string().contains("2 of 9 entries"), "{e}");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * **Cheetah** ([`executor`](crate::executor)): workers only *serialize*
 //!   the queried columns into entry-per-packet streams (§7.1), the switch
 //!   prunes at line rate, and the master completes the query on the
-//!   survivors. The per-query specifics live in small
-//!   [`PruningOperator`](crate::operators::PruningOperator) impls under
-//!   [`operators`](crate::operators); everything else is generic.
+//!   survivors. The per-query specifics live in small [`PruningOperator`]
+//!   impls under [`operators`](crate::operators); everything else is
+//!   generic.
 //!
 //! Phase timings are measured on real work with `Instant`; transfer times
 //! are modelled from byte counts and link rates by `cheetah-net`'s
@@ -23,13 +23,14 @@
 
 use crate::executor::Tables;
 use crate::operators::{
-    DistinctOp, FilterOp, GroupByMaxOp, HavingSumOp, JoinOp, SkylineOp, TopNOp,
+    DistinctOp, FilterOp, GroupByMaxOp, HavingSumOp, JoinOp, PruningOperator, SkylineOp, TopNOp,
 };
 use crate::query::{DbQuery, QueryOutput};
 use crate::table::{Partition, Table};
 use cheetah_core::{
     BloomKind, DistinctConfig, EvictionPolicy, JoinMode, SkylinePolicy, TopNRandConfig,
 };
+use cheetah_net::FaultProfile;
 use cheetah_switch::{ProgramStats, SwitchProfile};
 
 // Byte accounting lives in the layer that owns link modelling; re-exported
@@ -125,6 +126,13 @@ pub struct Cluster {
     /// cluster into its shard workers, setting this once routes every
     /// shard's entry loop through the chosen engine.
     pub backend: ExecBackend,
+    /// Fault mode (§7.2): the fault profile of a simulated lossy rack and
+    /// the seed of its draws. A run in fault mode carries every row it read
+    /// across that rack, after its pruning passes and before the master
+    /// completes, and completes over what was delivered. `None`, the
+    /// default, carries nothing. Set once, like the backend, it rides
+    /// every shard job of every path.
+    pub fault: Option<(FaultProfile, u64)>,
 }
 
 impl Default for Cluster {
@@ -133,6 +141,7 @@ impl Default for Cluster {
             profile: SwitchProfile::tofino2(),
             tuning: CheetahTuning::default(),
             backend: ExecBackend::Interpreted,
+            fault: None,
         }
     }
 }
@@ -165,9 +174,9 @@ pub fn spark_overhead_factor(q: &DbQuery) -> f64 {
     }
 }
 
-/// Build `$q`'s [`PruningOperator`](crate::operators::PruningOperator)
-/// as `$op` and evaluate `$body` with it — the one place a query shape
-/// picks its operator impl, statically, for both arms.
+/// Build `$q`'s [`PruningOperator`] as `$op` and evaluate `$body` with
+/// it — the one place a query shape picks its operator impl, statically,
+/// for both arms (and for [`Cluster::lend_operator`]).
 macro_rules! with_operator {
     ($cluster:expr, $q:expr, |$op:ident| $body:expr) => {{
         let tuning = &$cluster.tuning;
@@ -211,6 +220,13 @@ impl Cluster {
         self
     }
 
+    /// This cluster in fault mode: every run carries its rows across a
+    /// rack whose links fail per `profile`, drawn from `seed`.
+    pub fn with_fault(mut self, profile: FaultProfile, seed: u64) -> Self {
+        self.fault = Some((profile, seed));
+        self
+    }
+
     // ------------------------------------------------------------------
     // Baseline path (measured operators live in `crate::baseline`)
     // ------------------------------------------------------------------
@@ -239,11 +255,13 @@ impl Cluster {
     ///
     /// Every query shape goes through the same generic executor
     /// ([`Cluster::execute`]); `with_operator!` only picks the
-    /// [`PruningOperator`](crate::operators::PruningOperator) impl.
+    /// [`PruningOperator`] impl.
     ///
     /// This is the one-slice executor: `cheetah_runtime::execute` calls it
     /// (or [`run_direct`](Self::run_direct)) once per routed unit on every
-    /// shard worker.
+    /// shard worker. In fault mode ([`Cluster::fault`]) the run carries
+    /// every row it read across the lossy rack after its pruning passes,
+    /// and completes over the rows delivered.
     pub fn run_cheetah(
         &self,
         q: &DbQuery,
@@ -272,7 +290,9 @@ impl Cluster {
     /// result rows of its output
     /// ([`QueryOutput::result_rows`](crate::QueryOutput::result_rows); a
     /// fan-out join ships its input rows instead, being fewer), every one
-    /// of them seen and forwarded, none pruned.
+    /// of them seen and forwarded, none pruned. In fault mode every row it
+    /// read crosses the lossy rack first, forwarded whole, and reaches the
+    /// master.
     pub fn run_direct(
         &self,
         q: &DbQuery,
@@ -280,7 +300,15 @@ impl Cluster {
         right: Option<&Table>,
     ) -> cheetah_core::Result<CheetahRun> {
         let t = Tables { left, right };
-        with_operator!(self, q, |op| crate::executor::complete_all(&op, &t))
+        with_operator!(self, q, |op| crate::executor::complete_all(&op, &t, self.fault))
+    }
+
+    /// Build `q`'s operator as every run does and lend it to `f`: for a
+    /// caller that drives [`Cluster::execute`] with the engine's own
+    /// operator wrapped — instrumented, say — rather than through
+    /// [`run_cheetah`](Self::run_cheetah).
+    pub fn lend_operator<R>(&self, q: &DbQuery, f: impl FnOnce(&dyn PruningOperator) -> R) -> R {
+        with_operator!(self, q, |op| f(&op))
     }
 }
 

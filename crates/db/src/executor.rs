@@ -21,6 +21,11 @@
 //!    [`PruningOperator::complete`], reading the true values of the
 //!    selected rows straight from the tables (late materialization).
 //!
+//! In fault mode ([`Cluster::fault`]) one step sits between 2 and 3: every
+//! row the run read crosses the simulated lossy rack as an entry packet,
+//! through a switch that replays the run's verdicts and ACKs what it
+//! prunes (§7.2), and the master completes over what was delivered.
+//!
 //! Worker and master phases are measured on real work; transfer volumes
 //! feed `cheetah-net`'s [`ExecBreakdown`] byte model.
 
@@ -30,7 +35,10 @@ use crate::table::Table;
 use cheetah_core::{
     planner, CompiledProgram, Error, PassPlan, PruneEngine, QuerySpec, StandalonePruner,
 };
-use cheetah_net::{ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES, MAX_ENTRY_SLOTS};
+use cheetah_net::{
+    ExecBackend, ExecBreakdown, FaultProfile, RackConfig, RackReport, TransferSim,
+    ENTRY_WIRE_BYTES, MAX_ENTRY_SLOTS,
+};
 use cheetah_switch::{
     ControlMsg, Pipeline, ProgramId, ProgramStats, SwitchError, SwitchProfile, UsageSummary,
     Verdict,
@@ -187,12 +195,13 @@ impl Cluster {
                 let Some(kernel) = kernel else {
                     let pruner = StandalonePruner::new(pipeline);
                     let mut engine = InterpretedEngine { pruner, program };
-                    return run_on(&mut engine, ExecBackend::Interpreted, op, tables, usage.rules);
+                    let backend = ExecBackend::Interpreted;
+                    return run_on(&mut engine, backend, op, tables, usage.rules, self.fault);
                 };
                 (usage, kernel)
             }
         };
-        let run = run_on(&mut kernel, ExecBackend::Compiled, op, tables, usage.rules)?;
+        let run = run_on(&mut kernel, ExecBackend::Compiled, op, tables, usage.rules, self.fault)?;
         // Park the kernel for this thread's next run of (spec, profile).
         let installed =
             InstalledProgram { spec, profile: self.profile.clone(), usage, engine: kernel };
@@ -299,8 +308,9 @@ fn keep_forwarded(
 
 /// The one encode → prune loop, then the master: stream the source
 /// through `engine`, pass by pass, per the operator's [`PassPlan`], and
-/// complete the unchanged query on the survivors. Every pass re-encodes
-/// its partitions into the one scratch block — as the paper's workers
+/// complete the unchanged query on the survivors — in fault mode, on what
+/// the rack delivered of them ([`carry`]). Every pass re-encodes its
+/// partitions into the one scratch block — as the paper's workers
 /// re-stream their data per pass — so a run holds a block and its
 /// survivors' row ids, never a materialized stream.
 fn run_on<O: PruningOperator, E: PruneEngine>(
@@ -309,6 +319,7 @@ fn run_on<O: PruningOperator, E: PruneEngine>(
     op: &O,
     tables: &Tables<'_>,
     rules: usize,
+    fault: Option<(FaultProfile, u64)>,
 ) -> cheetah_core::Result<CheetahRun> {
     // Shaping the selections is the arity check: an operator with more
     // streams than the source carries is refused before any row is encoded.
@@ -376,6 +387,10 @@ fn run_on<O: PruningOperator, E: PruneEngine>(
     }
     let Workers { block, worker_seconds, max_worker_entries, .. } = w;
     SCRATCH.with(|s| *s.borrow_mut() = block);
+    let (survivors, rack) = match fault {
+        Some(fault) => carry(op, tables, &survivors, fault)?,
+        None => (survivors, RackReport::default()),
+    };
 
     // Master: complete the unchanged query on the survivors.
     let t0 = Instant::now();
@@ -394,12 +409,85 @@ fn run_on<O: PruningOperator, E: PruneEngine>(
             entries_to_master: survivor_count,
             passes,
             backend,
+            retransmits: rack.retransmissions,
+            switch_acks: rack.switch_acks,
             // One unsharded run: no plan, no modelled ingest.
             ..ExecBreakdown::default()
         },
         switch_stats: engine.stats(),
         rules,
     })
+}
+
+/// Fault mode (§7.2): carry every row of every stream `op` read across the
+/// seeded lossy rack of `cheetah_net::rack` ([`TransferSim`]), and return
+/// what reached the master — the selection it completes over — beside the
+/// rack's report.
+///
+/// Each (stream, partition) is one flow and each row one entry packet of
+/// the slots the operator's own
+/// [`encode_part`](PruningOperator::encode_part) gives it. The switch
+/// forwards an in-order entry iff `kept` selected its row and ACKs the
+/// rest: it replays the verdicts the run reached, in sequence order, so
+/// over the identity selection (the direct arm) it forwards every entry.
+/// The master's delivered sequence numbers are a superset of `kept` — a
+/// pruned entry whose ACK was lost comes through stale — so completing
+/// over them answers exactly.
+///
+/// What the rack judges is each stream's *final* selection, a modelling
+/// choice for the two multi-pass families. HAVING's rows are carried as
+/// their pass-1 encodings (the one encoding a row has), and the switch
+/// forwards the announced keys' rows — what pass 2 re-streams, past the
+/// switch. A JOIN's streams are each carried once, with the selection of
+/// their pruning pass: a filter-building pass ends at the switch.
+fn carry<O: PruningOperator>(
+    op: &O,
+    tables: &Tables<'_>,
+    kept: &Survivors,
+    (faults, seed): (FaultProfile, u64),
+) -> cheetah_core::Result<(Survivors, RackReport)> {
+    // The workers' own encode loop, on a clock of its own: the rows cross
+    // the rack in the pass the run already timed.
+    let mut w =
+        Workers { op, tables, block: Block::default(), worker_seconds: 0.0, max_worker_entries: 0 };
+    let (mut flows, mut forwards, mut at) = (Vec::new(), Vec::new(), Vec::new());
+    for s in 0..op.streams() {
+        let first = flows.len();
+        for (pi, (part, sel)) in kept.parts(tables, s).enumerate() {
+            let mut forward = vec![false; part.rows()];
+            sel.rows().for_each(|r| forward[r] = true);
+            flows.push(Vec::new());
+            forwards.push(forward);
+            at.push((s, pi));
+        }
+        w.each_block(s, |pi, Block { buf, offsets, .. }| {
+            flows[first + pi] = offsets.windows(2).map(|o| buf[o[0]..o[1]].to_vec()).collect();
+            Ok(0.0)
+        })?;
+    }
+    let entries = flows.iter().map(|f| f.len() as u64).sum();
+    // Entry `seq` of flow `fid` is row `seq − 1` of its partition.
+    let replay = |fid: u32, seq: u64, _: &[u64]| {
+        if forwards[fid as usize][(seq - 1) as usize] {
+            Verdict::Forward
+        } else {
+            Verdict::Prune
+        }
+    };
+    let cfg = RackConfig { faults, seed, ..RackConfig::default() };
+    let carried = TransferSim::new(cfg, flows, replay).run();
+    if !carried.rack.completed {
+        return Err(Error::FabricStalled { delivered: carried.rack.delivered_units, entries });
+    }
+    let mut delivered = Survivors::none(tables, op.streams())?;
+    for (fid, (s, pi)) in at.into_iter().enumerate() {
+        let seqs = carried.delivered.get(&(fid as u32));
+        let mut rows: Vec<u32> =
+            seqs.into_iter().flatten().map(|(&seq, _)| seq as u32 - 1).collect();
+        rows.sort_unstable();
+        delivered.keep(s, pi, &rows);
+    }
+    Ok((delivered, carried.rack))
 }
 
 /// The direct arm ([`Cluster::run_direct`]): complete the query over the
@@ -412,26 +500,39 @@ fn run_on<O: PruningOperator, E: PruneEngine>(
 /// outnumber its inputs, and it would ship the inputs. Those are the
 /// entries seen, forwarded and delivered; every counter is a function of
 /// the data, so it is finite, bounded by the input and repeats exactly.
+/// In fault mode every row read crosses the rack ([`carry`]), forwarded
+/// whole, and those are the entries delivered; the pass-through counters
+/// stay the partial's.
 pub(crate) fn complete_all<O: PruningOperator>(
     op: &O,
     tables: &Tables<'_>,
+    fault: Option<(FaultProfile, u64)>,
 ) -> cheetah_core::Result<CheetahRun> {
-    let t0 = Instant::now();
     let all = Survivors::all(tables, op.streams())?;
-    let output = op.complete(tables, &all);
+    let rows = all.count();
+    // The rack runs on a clock of its own, as on the pruned arm.
+    let (selection, rack) = match fault {
+        Some(fault) => carry(op, tables, &all, fault)?,
+        None => (all, RackReport::default()),
+    };
+    let t0 = Instant::now();
+    let output = op.complete(tables, &selection);
     let worker_seconds = t0.elapsed().as_secs_f64();
-    let entries = output.result_rows().min(all.count());
+    let shipped = output.result_rows().min(rows);
+    let entries = fault.map_or(shipped, |_| selection.count());
     Ok(CheetahRun {
         output,
         breakdown: ExecBreakdown {
             worker_seconds,
-            worker_wire_bytes: entries * ENTRY_WIRE_BYTES,
+            worker_wire_bytes: shipped * ENTRY_WIRE_BYTES,
             master_wire_bytes: entries * ENTRY_WIRE_BYTES,
             entries_to_master: entries,
             passes: 1,
+            retransmits: rack.retransmissions,
+            switch_acks: rack.switch_acks,
             ..ExecBreakdown::default()
         },
-        switch_stats: ProgramStats { seen: entries, pruned: 0, forwarded: entries },
+        switch_stats: ProgramStats { seen: shipped, pruned: 0, forwarded: shipped },
         rules: 0,
     })
 }
@@ -636,7 +737,7 @@ mod tests {
         assert!(run.breakdown.entries_to_master > run.switch_stats.forwarded);
 
         // The direct arm hands over the identity: every row, as row counts.
-        let all = complete_all(&join, &Tables::binary(&t, &t)).unwrap();
+        let all = complete_all(&join, &Tables::binary(&t, &t), None).unwrap();
         assert_eq!(all.output, QueryOutput::Count(8_000));
     }
 

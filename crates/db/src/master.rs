@@ -20,28 +20,24 @@
 //!   key with the same [`Sharder`](cheetah_core::Sharder)) so every
 //!   matching pair meets inside exactly one shard.
 //!
-//! # One fold, and a frame codec
+//! # One fold, and a frame codec the frozen ledger keeps
 //!
 //! The merge semantics live in one function, [`merge_shard_outputs`]: one
 //! `match` on the query that folds whole typed partials. Every path ends
-//! in it — a lossless run with the shards' outputs, a run in fault mode
-//! with its frames.
+//! in it, fault mode included: a faulty run carries rows, not partials,
+//! and merges its shards' outputs like a lossless one.
 //!
-//! Fault mode adds a codec around that fold, not a second one:
-//! it decomposes each shard output into [`MergeItem`]s
-//! ([`decompose_output`]) and cuts them into frames ([`frame_items`]). A
-//! [`MergeState`] dedups the frames by `(shard, seq)`, composes each new
-//! frame back into a partial of the query's output type, and hands the
-//! partials to the same fold at [`finish`](MergeState::finish). A frame
-//! is just a partial: the fold is order-insensitive across partials and
-//! each frame folds once, which is what lets a lossy carrier deliver
-//! frames reordered, resent and duplicated.
+//! The frame codec beside it — [`MergeItem`], [`decompose_output`] and
+//! [`MergeState`], which dedups survivor frames by `(shard, seq)` and
+//! composes each back into a partial for the same fold — serves no
+//! product path. It stays only because the frozen benchmark ledger
+//! (`cheetah-ledger`) times it; it goes once the ledger stops naming it.
 
 use crate::ops;
 use crate::query::{DbQuery, QueryOutput};
 use crate::value::Value;
-use bytes::{BufMut, Bytes, BytesMut};
-use cheetah_net::{FrameBuilder, SurvivorBatch, WireError, MAX_BATCH_ITEMS};
+use bytes::{BufMut, BytesMut};
+use cheetah_net::{SurvivorBatch, WireError};
 use std::collections::{BTreeMap, HashSet};
 
 /// Merge per-shard outputs of `q` into the global output, following the
@@ -119,8 +115,8 @@ fn check_variant(q: &DbQuery, output: &QueryOutput) {
     );
 }
 
-/// One unit of mergeable survivor state — the granularity a run in fault
-/// mode frames between a shard's output and the master merge plane.
+/// One unit of mergeable survivor state — what a survivor frame carries
+/// between a shard's output and the master merge plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeItem {
     /// A partial count (filtered rows, or JOIN pairs — the owning
@@ -146,8 +142,8 @@ const ITEM_KEYED_STR: u8 = 7;
 
 impl MergeItem {
     /// Serialize by appending to `b` — into a frame's shared arena
-    /// ([`FrameBuilder::push_with`]), as [`frame_items`] does: no per-item
-    /// buffer.
+    /// ([`FrameBuilder::push_with`](cheetah_net::FrameBuilder::push_with)):
+    /// no per-item buffer.
     pub fn encode_into(&self, b: &mut BytesMut) {
         match self {
             MergeItem::Count(c) => {
@@ -283,30 +279,12 @@ pub fn decompose_output(q: &DbQuery, output: QueryOutput) -> Vec<MergeItem> {
     }
 }
 
-/// Cut one shard's decomposed `items` into [`SurvivorBatch`] frames of
-/// `batch` items each (clamped to what a frame carries), numbered from
-/// sequence 0 — fault mode's one framing. Each item is encoded
-/// once, straight into its frame's arena. No items, no frames.
-pub fn frame_items(shard: u32, items: &[MergeItem], batch: usize) -> Vec<Bytes> {
-    let mut frames = FrameBuilder::new();
-    items
-        .chunks(batch.clamp(1, MAX_BATCH_ITEMS))
-        .enumerate()
-        .map(|(seq, chunk)| {
-            frames.begin(shard, seq as u64);
-            for item in chunk {
-                frames.push_with(|b| item.encode_into(b));
-            }
-            frames.finish()
-        })
-        .collect()
-}
-
-/// Fault mode's door into the merge: the frames that arrive, each
-/// composed back into a partial of the query's output type, folded at
-/// [`finish`](MergeState::finish) by [`merge_shard_outputs`] — the
-/// lossless run's own fold, so a lossy rack may deliver frames from
-/// different shards in any order and still match that fold bit for bit.
+/// A door into the merge for survivor frames: the frames that arrive,
+/// each composed back into a partial of the query's output type, folded
+/// at [`finish`](MergeState::finish) by [`merge_shard_outputs`] — the
+/// lossless run's own fold, so frames from different shards may arrive in
+/// any order and still match that fold bit for bit. Kept only for the
+/// frozen ledger, which times it.
 #[derive(Debug, Clone)]
 pub struct MergeState {
     query: DbQuery,
@@ -327,9 +305,7 @@ impl MergeState {
     /// `(shard, seq)` identity was already folded is skipped, so a lossy
     /// channel may deliver retransmitted or duplicated frames in any order
     /// without perturbing the merge. Returns `Ok(true)` when the batch was
-    /// new (and folded), `Ok(false)` for a discarded duplicate. This is the
-    /// only ingest door the lossy runtime uses — the dedup lives *in* the
-    /// merge plane, not in each transport.
+    /// new (and folded), `Ok(false)` for a discarded duplicate.
     ///
     /// A new batch's items are read zero-copy out of the frame's arena
     /// ([`MergeItem::decode_slice`]) and composed into one partial. A
@@ -537,13 +513,11 @@ mod tests {
         SurvivorBatch::parse(cheetah_net::emit_batch(shard, seq, payloads)).expect("frame parses")
     }
 
-    /// `output` as fault mode carries it: decomposed and cut
-    /// into frames of `batch` items.
+    /// `output` decomposed and cut into frames of `batch` items, numbered
+    /// from zero.
     fn frames_of(q: &DbQuery, shard: u32, output: QueryOutput, batch: usize) -> Vec<SurvivorBatch> {
-        frame_items(shard, &decompose_output(q, output), batch)
-            .into_iter()
-            .map(|f| SurvivorBatch::parse(f).expect("frame parses"))
-            .collect()
+        let items = decompose_output(q, output);
+        (0..).zip(items.chunks(batch)).map(|(seq, chunk)| frame(shard, seq, chunk)).collect()
     }
 
     /// Fold `frames` into a fresh state, each one new.
@@ -593,26 +567,11 @@ mod tests {
     }
 
     #[test]
-    fn framed_items_carry_each_encoding_once_and_fold_like_the_output() {
-        let items: Vec<MergeItem> = (0..7).rev().map(MergeItem::Top).collect();
-        // ⌈7 / 3⌉ frames of this shard, numbered from zero, each holding
-        // its chunk's encodings in order.
-        let frames = frame_items(5, &items, 3);
-        assert_eq!(frames.len(), 3);
-        for (seq, (frame, chunk)) in frames.iter().zip(items.chunks(3)).enumerate() {
-            let batch = SurvivorBatch::parse(frame.clone()).expect("frame parses");
-            assert_eq!((batch.shard, batch.seq), (5, seq as u64));
-            let got: Vec<&[u8]> = batch.items().collect();
-            let want: Vec<Vec<u8>> = chunk.iter().map(encoded).collect();
-            assert_eq!(got, want.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        }
-        // No items, no frames; a zero batch frames one item apiece.
-        assert!(frame_items(0, &[], 3).is_empty());
-        assert_eq!(frame_items(0, &items, 0).len(), items.len());
-        // Folding the three frames re-prunes the shard's values to n.
+    fn frames_fold_like_the_output_and_refuse_malformed_items() {
+        // Three frames of one shard's values fold, re-pruned to n.
         let q = DbQuery::TopN { order_col: 0, n: 2 };
-        let batches: Vec<SurvivorBatch> =
-            frames.into_iter().map(|f| SurvivorBatch::parse(f).expect("frame parses")).collect();
+        let batches = frames_of(&q, 5, QueryOutput::TopValues((0..7).rev().collect()), 3);
+        assert_eq!(batches.len(), 3);
         assert_eq!(fold(&q, &batches), QueryOutput::TopValues(vec![6, 5]));
         // A malformed item surfaces as a typed error, not a panic.
         let mut st = MergeState::new(&q);

@@ -221,8 +221,7 @@ fn plan_from_stats(stats: KeyStats) -> ShardPlan {
 
 /// How a shard's unit is run: pruned at its switch, or direct. The one
 /// executor (`cheetah_runtime::execute`) takes it as an argument of each
-/// run; every path hands the master whole outputs (cut into frames only
-/// when the plan is in fault mode).
+/// run; every path hands the master whole outputs, in fault mode too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
     /// Each shard is pruned at its switch; workers hand their completed

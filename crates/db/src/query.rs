@@ -212,27 +212,6 @@ impl DbQuery {
             },
         }
     }
-
-    /// Is the master merge correct under *any* deterministic assignment
-    /// of rows to shard runs?
-    ///
-    /// A fact about the merge algebra ([`crate::master`]): re-prune merges
-    /// (TOP N, SKYLINE, DISTINCT), count sums, and GROUP BY MAX (max of
-    /// maxes over any cover of the rows) are; HAVING needs every row of a
-    /// key inside one shard run for its local sum + threshold to be
-    /// global, and JOIN needs both streams co-partitioned into the same
-    /// runs. For the five agnostic families any split of a table — its own
-    /// partitions, say — is a valid set of units, with no key read.
-    pub fn merge_routing_agnostic(&self) -> bool {
-        match self {
-            DbQuery::FilterCount { .. }
-            | DbQuery::Distinct { .. }
-            | DbQuery::TopN { .. }
-            | DbQuery::Skyline { .. }
-            | DbQuery::GroupByMax { .. } => true,
-            DbQuery::HavingSum { .. } | DbQuery::Join { .. } => false,
-        }
-    }
 }
 
 /// Normalized query output, comparable with `==` across execution paths.
@@ -476,17 +455,6 @@ mod tests {
         assert_eq!(DbQuery::Distinct { col: 0 }.kind(), "distinct");
         assert!(DbQuery::Join { left_key: 0, right_key: 0 }.is_binary());
         assert!(!DbQuery::Distinct { col: 0 }.is_binary());
-    }
-
-    #[test]
-    fn routing_agnosticism_splits_the_families_as_documented() {
-        assert!(DbQuery::Distinct { col: 0 }.merge_routing_agnostic());
-        assert!(DbQuery::TopN { order_col: 0, n: 3 }.merge_routing_agnostic());
-        assert!(DbQuery::GroupByMax { key_col: 0, val_col: 1 }.merge_routing_agnostic());
-        assert!(
-            !DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 0 }.merge_routing_agnostic()
-        );
-        assert!(!DbQuery::Join { left_key: 0, right_key: 0 }.merge_routing_agnostic());
     }
 
     #[test]

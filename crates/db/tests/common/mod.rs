@@ -15,7 +15,8 @@ use cheetah_db::{
     LikePattern, Partition, PlannerConfig, QueryOutput, ShardPartitioner, ShardPlan, ShardPlanner,
     ShardSpec, Table, TableBuilder, Value,
 };
-use cheetah_runtime::{execute, ExecPlan, ExecRun, FaultSpec, ShardLayout, WorkerPool};
+use cheetah_net::FaultProfile;
+use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout, WorkerPool};
 use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use cheetah_switch::hash::mix64;
 use cheetah_telemetry::SpanNode;
@@ -169,7 +170,7 @@ pub fn run_barrier(
 /// What a lossless run's accounting must satisfy, whatever the layout and
 /// path: the master's time is every shard's completion plus the merge, the
 /// run's wire bytes, survivors and switch arrivals are its shards' sums,
-/// and nothing was framed.
+/// and nothing crossed a rack.
 pub fn assert_merge_discipline(run: &ExecRun, label: &str) {
     let shards = &run.per_shard;
     let completions: f64 = shards.iter().map(|s| s.master_seconds).sum();
@@ -179,7 +180,8 @@ pub fn assert_merge_discipline(run: &ExecRun, label: &str) {
     let entries: u64 = shards.iter().map(|s| s.entries_to_master).sum();
     assert_eq!(run.breakdown.entries_to_master, entries, "{label}");
     assert_eq!(run.switch_stats.seen, shards.iter().map(|s| s.seen).sum::<u64>(), "{label}");
-    assert_eq!(run.batches, 0, "{label}: a lossless run frames nothing");
+    let rack = (run.breakdown.retransmits, run.breakdown.switch_acks);
+    assert_eq!(rack, (0, 0), "{label}: a lossless run carries nothing");
 }
 
 /// Whether a `worker` span names the thread a plan of `shards` shards runs
@@ -252,7 +254,7 @@ pub enum Visit {
 pub enum Gate {
     /// `ExecPlan::new` under the case's layout, `execute` on its arm.
     Exec,
-    /// The same in fault mode.
+    /// The same in fault mode, at [`FaultProfile::harsh`].
     Fault,
     /// A session [`Visit`].
     Serve,
@@ -295,8 +297,8 @@ pub struct Case {
     /// Index into [`ARMS`].
     pub arm: usize,
     pub join_mode: JoinMode,
-    /// Fault mode's frame size, if the plan runs in fault mode.
-    pub fault: Option<usize>,
+    /// Whether the run is in fault mode, seeded by [`Case::seed`].
+    pub fault: bool,
     /// How a serving case visits a session; `None`, routed and executed.
     pub visit: Option<Visit>,
 }
@@ -344,7 +346,7 @@ impl Case {
             layout,
             arm: next(3) as usize,
             join_mode: [JoinMode::TwoPass, JoinMode::SmallTableFirst][next(2) as usize],
-            fault: (gate == Gate::Fault).then(|| 1 + next(16) as usize),
+            fault: gate == Gate::Fault,
             visit: (gate == Gate::Serve).then(|| match next(4) {
                 3 => Visit::Pinned,
                 v => UNPINNED[v as usize],
@@ -368,7 +370,7 @@ impl Case {
     }
 
     /// Simpler cases to try in place of a failing one: rows, keys,
-    /// partitions, shards and the frame size each halved toward its least.
+    /// partitions and shards each halved toward its least.
     pub fn shrink(&self) -> Vec<Case> {
         let halve = |v: usize, least: usize| halvings(least as i128, v as i128);
         let mut out = Vec::new();
@@ -388,11 +390,6 @@ impl Case {
             Layout::Fitted { .. } => vec![Layout::Spec(Hash, 1), Layout::Spec(Hash, 2)],
         };
         out.extend(layouts.into_iter().map(|layout| Case { layout, ..self.clone() }));
-        if let Some(batch) = self.fault {
-            for b in halve(batch, 1) {
-                out.push(Case { fault: Some(b as usize), ..self.clone() });
-            }
-        }
         out
     }
 
@@ -494,8 +491,11 @@ pub struct Ran {
 /// when the layout was fitted, co-locates a keyed family's one key, shows
 /// pass-through accounting on the direct arm and the JOIN pass structure
 /// the cluster asks for on a pruned one, and in fault mode answers as the
-/// lossless run of the same plan does, with the same counters. A session
-/// visit holds every sight to the lifecycle and its trace to completeness.
+/// lossless run of the same plan does, with the same switch counters and
+/// passes, a delivered set between its survivors and every row read, a
+/// switch ACK for every row its program did not keep, and a resend count
+/// its seed repeats. A session visit holds every sight to the lifecycle
+/// and its trace to completeness.
 pub fn check(case: &Case) -> Ran {
     let (q, cluster) = (case.query(), case.cluster());
     let (left, right, want) = drawn(case, &q, &cluster);
@@ -574,9 +574,10 @@ fn check_plan(
         }
     }
     let arm = ARMS[case.arm];
-    let faulty = case.fault.map(|batch| plan.with_fault(FaultSpec::harsh(case.seed, batch)));
-    let on = faulty.as_ref().unwrap_or(&plan);
-    let run = execute(&cluster.clone().with_backend(arm.backend), on, arm.path).expect("plan fits");
+    let lossless = cluster.clone().with_backend(arm.backend);
+    let faulty = lossless.clone().with_fault(FaultProfile::harsh(), case.seed);
+    let on = if case.fault { &faulty } else { &lossless };
+    let run = execute(on, &plan, arm.path).expect("plan fits");
     assert_eq!(&run.output, want, "diverged from baseline");
     assert_eq!((run.breakdown.shards as usize, run.per_shard.len()), (shards, shards));
     let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
@@ -585,31 +586,45 @@ fn check_plan(
         let nonempty = run.per_shard.iter().filter(|s| s.rows > 0).count();
         assert!(nonempty <= 1, "keyed routing co-locates the one key: {nonempty} shards");
     }
-    if shards == 1 && left.rows() == 0 && arm.path != ExecPath::Direct && faulty.is_none() {
+    if shards == 1 && left.rows() == 0 && arm.path != ExecPath::Direct && !case.fault {
         // An empty unit never reaches the executor: run it there directly.
         // (A right table is empty exactly when the left one is.)
-        let cluster = cluster.clone().with_backend(arm.backend);
-        let direct = cluster.run_cheetah(q, left, right_of.map(|r| &**r)).expect("plan fits");
+        let direct = lossless.run_cheetah(q, left, right_of.map(|r| &**r)).expect("plan fits");
         assert_eq!(&direct.output, want, "the executor over an empty input");
     }
+    // The direct arm's switch passes every row through; in fault mode the
+    // master holds whatever the rack delivered, so only a lossless run
+    // holds it to exactly the rows seen.
     if arm.path == ExecPath::Direct {
         let (stats, entries) = (run.switch_stats, run.breakdown.entries_to_master);
         assert_eq!(stats.pruned, 0, "direct prunes nothing");
-        assert_eq!((stats.seen, stats.forwarded), (entries, entries), "pass-through");
+        assert_eq!(stats.seen, stats.forwarded, "pass-through");
+        if !case.fault {
+            assert_eq!(entries, stats.seen, "pass-through to the master");
+        }
     } else if q.is_binary() && left.rows() > 0 && right.rows() > 0 && shards == 1 {
         let passes = if case.join_mode == JoinMode::TwoPass { 2 } else { 1 };
         assert_eq!(run.breakdown.passes, passes, "the JOIN pass structure");
     }
-    if faulty.is_some() {
-        let lossless =
-            execute(&cluster.clone().with_backend(arm.backend), &plan, arm.path).unwrap();
-        assert_eq!(run.output, lossless.output, "fault mode answers like the lossless run");
-        assert_eq!(run.switch_stats.pruned, lossless.switch_stats.pruned, "a lossy rack prunes");
-        let entries = |r: &ExecRun| r.breakdown.entries_to_master;
-        assert_eq!(entries(&run), entries(&lossless), "a lossy rack moves no survivor");
-    } else {
-        assert_merge_discipline(&run, "lossless");
+    if case.fault {
+        let clean = execute(&lossless, &plan, arm.path).unwrap();
+        assert_eq!(run.output, clean.output, "fault mode answers like the lossless run");
+        assert_eq!(run.switch_stats, clean.switch_stats, "a lossy rack moves no counter");
+        assert_eq!(run.breakdown.passes, clean.breakdown.passes, "a lossy rack adds no pass");
+        // The switch forwards what the program kept — every row, on the
+        // direct arm — and ACKs the rest; the master holds at least that.
+        let rows = (left.rows() + right_of.map_or(0, |r| r.rows())) as u64;
+        let kept =
+            if arm.path == ExecPath::Direct { rows } else { clean.breakdown.entries_to_master };
+        let b = &run.breakdown;
+        assert_eq!(b.switch_acks, rows - kept, "the switch ACKs what the program pruned");
+        let delivered = b.entries_to_master;
+        assert!((clean.breakdown.entries_to_master..=rows).contains(&delivered), "{delivered}");
+        let again = execute(on, &plan, arm.path).unwrap().breakdown.retransmits;
+        assert_eq!(again, b.retransmits, "the seed repeats its resends");
+        return Some((plan, run));
     }
+    assert_merge_discipline(&run, "lossless");
     Some((plan, run))
 }
 
@@ -761,9 +776,8 @@ pub fn assert_complete_tree(resp: &QueryResponse, tenant: &str, label: &str) {
     assert_eq!(traced, resp.breakdown.entries_to_master, "{label}");
     let queue = tree.root.find("queue").expect("checked above");
     assert!((queue.duration_s() - resp.breakdown.queue_seconds).abs() < 1e-3, "{label}");
-    let mut streams = Vec::new();
-    tree.root.find_all("stream", &mut streams);
-    assert!(streams.is_empty() && resp.breakdown.retransmits == 0, "{label}: lossless");
+    let carried = workers.iter().any(|w| w.attr("retransmits").is_some());
+    assert!(!carried && resp.breakdown.retransmits == 0, "{label}: lossless");
 }
 
 /// Walk `gate`'s cases for the test `name`: its grid ([`Gate::grid`])

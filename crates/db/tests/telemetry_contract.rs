@@ -6,7 +6,7 @@
 //!    tree with no orphan or unclosed spans: `query` → {`admit`, `queue`,
 //!    `plan`, `choose`, `execute` → {one `worker` per shard, `merge`},
 //!    `respond`}, on a one-shard layout and a routed one alike, and no
-//!    `stream` span on a lossless run. Each `worker` names the thread its
+//!    rack counters on a lossless run's `worker`. Each `worker` names the thread its
 //!    job ran on: `caller` for a one-shard plan, which runs on the thread
 //!    that executes it, else a pool index.
 //! 2. **Registry ⇄ breakdown reconciliation** — the session registry's
@@ -25,9 +25,10 @@
 //!    `worker` spans; `execute` and every `worker` span under it the path
 //!    that answered, the registry the keys decided direct and the requests
 //!    run so.
-//! 4. **Fabric attribution** — a traced faulty-channel run lands its
+//! 4. **Fabric attribution** — a traced run in fault mode lands its
 //!    go-back-N resend count in the owning registry's
-//!    `net.retransmits`, equal to the breakdown's field.
+//!    `net.retransmits`, equal to the breakdown's field, and each shard's
+//!    `worker` span carries its rack's resends and switch ACKs.
 //! 5. **Errors are traced too** — a request that fails with a typed
 //!    error still exports its tree (root attr `error`) and still counts
 //!    in `serve.latency_seconds`.
@@ -37,7 +38,8 @@ mod common;
 use common::{on_its_thread, Gate};
 
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
-use cheetah_runtime::{execute, ExecPlan, FaultSpec};
+use cheetah_net::FaultProfile;
+use cheetah_runtime::{execute, ExecPlan};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{Registry, SpanNode, Trace};
 use std::sync::Arc;
@@ -118,17 +120,19 @@ fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
     assert_eq!(snap.gauges["serve.executing"], 0);
 }
 
-/// Property 4's other side: a lossless routed run fabricates no `stream`
-/// span, resends nothing and leaves no `net.retransmits` counter.
+/// Property 4's other side: a lossless routed run puts no rack counters on
+/// its `worker` spans, resends nothing and leaves no `net.retransmits`
+/// counter.
 #[test]
-fn lossless_runs_trace_no_stream_spans_and_zero_retransmits() {
+fn lossless_runs_trace_no_rack_counters_and_zero_retransmits() {
     let t = fixture(0x11CE);
     let session = Session::with_defaults();
     let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
     let resp = session.run_blocking(req.path(ExecPath::BarrierPooled).shards(SHARDS)).unwrap();
-    let mut streams = Vec::new();
-    resp.trace.as_ref().unwrap().root.find_all("stream", &mut streams);
-    assert!(streams.is_empty(), "lossless channels must not fabricate stream spans");
+    let mut workers = Vec::new();
+    resp.trace.as_ref().unwrap().root.find_all("worker", &mut workers);
+    assert_eq!(workers.len(), SHARDS);
+    assert!(workers.iter().all(|w| w.attr("retransmits").is_none()), "nothing carried");
     assert_eq!((resp.breakdown.retransmits, resp.breakdown.shards), (0, SHARDS as u32));
     assert!(!session.registry().snapshot().counters.contains_key("net.retransmits"));
 }
@@ -319,29 +323,29 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let registry = Registry::new();
     let trace = Trace::new(registry.clone());
     let root = trace.span("query");
-    // Many small frames → many fault draws.
-    let plan = ExecPlan::new(&cluster, &q, &t, None, spec)
-        .unwrap()
-        .with_fault(FaultSpec::harsh(0xC0FFEE, 4));
+    let plan = ExecPlan::new(&cluster, &q, &t, None, spec).unwrap();
+    let faulty = cluster.with_fault(FaultProfile::harsh(), 0xC0FFEE);
     let run = {
         let _g = root.enter();
-        execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap()
+        execute(&faulty, &plan, ExecPath::BarrierPooled).unwrap()
     };
     root.finish();
-    // The carrier's resend count is a pure function of the frames and the
-    // seed.
-    assert_eq!(run.breakdown.retransmits, 67, "harsh channel must force resends");
+    // The carrier's resend count is a pure function of the rows, their
+    // verdicts and the seed.
+    assert_eq!(run.breakdown.retransmits, 78_769, "harsh channel must force resends");
     let snap = registry.snapshot();
     assert_eq!(
         snap.counters["net.retransmits"], run.breakdown.retransmits,
         "registry counter must equal the breakdown's retransmit total"
     );
-    // The master-side merge span carries one stream child per shard flow.
+    // Each shard's worker span carries its own rack's counters.
     let tree = trace.export().unwrap();
-    let mut streams = Vec::new();
-    tree.root.find_all("stream", &mut streams);
-    assert_eq!(streams.len(), 3, "one stream span per shard flow");
-    let traced: u64 =
-        streams.iter().map(|s| s.attr("retransmits").unwrap().parse::<u64>().unwrap()).sum();
-    assert_eq!(traced, run.breakdown.retransmits);
+    let mut workers = Vec::new();
+    tree.root.find_all("worker", &mut workers);
+    assert_eq!(workers.len(), 3, "one worker span per shard");
+    let traced = |attr: &str| -> u64 {
+        workers.iter().map(|w| w.attr(attr).unwrap().parse::<u64>().unwrap()).sum()
+    };
+    assert_eq!(traced("retransmits"), run.breakdown.retransmits);
+    assert_eq!(traced("switch_acks"), run.breakdown.switch_acks);
 }

@@ -15,16 +15,17 @@
 //!   go-back-N window, the master's dedup;
 //! * [`rack`] — the one §7.2 carrier: a deterministic discrete-event
 //!   simulation of the full rack (`W` workers → switch → master) that
-//!   owns the links, the event loop and the three roles, parameterised
-//!   only by the payload it carries;
-//! * [`transfer`] — binds the rack to the entry packets of [`wire`],
-//!   with the switch running any pruning function;
-//! * [`fabric`] — binds the rack to the fault-mode runtime's
-//!   [`SurvivorBatch`] frames, handing each new frame to a master-side
-//!   sink (the merge plane);
+//!   owns the links, the event loop and the three roles, carrying the
+//!   entry packets of [`wire`];
+//! * [`transfer`] — the rack's public face: it encodes each flow's
+//!   entries once, and the switch runs any pruning function over them
+//!   (by flow, sequence number and values), ACKing what it prunes. The query engine's fault mode carries every row a
+//!   shard job read through it, the switch replaying the job's own
+//!   pruning verdicts;
 //! * [`checker`] — a dslab-mp-style bounded model checker that
-//!   exhaustively enumerates delivery schedules (orders, drops,
-//!   duplicates) of small frame sets for the merge-plane contract gate;
+//!   exhaustively enumerates the entry schedules the §7.2 roles allow
+//!   (orders, drops of forwarded entries, duplicates, and a pruned entry
+//!   forwarded stale once its switch ACK is lost) for the fabric gate;
 //! * [`model`] — byte-level transfer accounting for the query engine: an
 //!   entry-packet's modelled wire size and value-slot budget
 //!   ([`MAX_ENTRY_SLOTS`]), and the phase/transfer breakdown with the
@@ -32,10 +33,11 @@
 //! * [`ingest`] — the Figure 9 master-ingest queueing model, including
 //!   §4.6's shard fan-in (concurrent survivor streams sharing the master
 //!   downlink);
-//! * [`stream`] — the survivor-batch frame the shard runtime's fault mode
-//!   moves between workers and the master merge plane (a columnar arena
-//!   of opaque merge units plus an offset column, one checksum per
-//!   frame, parsed zero-copy).
+//! * [`stream`] — the survivor-batch frame (a columnar arena of opaque
+//!   merge units plus an offset column, one checksum per frame, parsed
+//!   zero-copy). No product path carries it any more: it stays only
+//!   because the frozen benchmark ledger (`cheetah-ledger`) times its
+//!   encode and parse.
 //!
 //! Not modelled: real sockets/DPDK (everything is simulated time), IP
 //! fragmentation, and congestion control (the paper's channel is a
@@ -46,7 +48,6 @@
 
 pub mod channel;
 pub mod checker;
-pub mod fabric;
 pub mod ingest;
 pub mod model;
 pub mod rack;
@@ -57,7 +58,6 @@ pub mod wire;
 
 pub use channel::{Arrival, FaultProfile, Link, SimRng, SimTime};
 pub use checker::{explore, CheckerConfig, Delivery, DeliveryKind, ExploreStats};
-pub use fabric::{bdp_window, FabricSim};
 pub use ingest::MasterIngestModel;
 pub use model::{ExecBackend, ExecBreakdown, ENTRY_WIRE_BYTES, MAX_ENTRY_SLOTS};
 pub use rack::{RackConfig, RackReport};

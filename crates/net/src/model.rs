@@ -93,9 +93,12 @@ pub struct ExecBreakdown {
     /// Tenant id of the serving-session request that produced this run.
     /// Empty for direct (non-session) runs.
     pub tenant: String,
-    /// Survivor-batch frames the workers retransmitted under a faulty
-    /// channel (go-back-N resends). Zero on every lossless path.
+    /// Entries the workers retransmitted across a faulty rack (go-back-N
+    /// resends). Zero on every lossless path.
     pub retransmits: u64,
+    /// Entries the rack's switch pruned and ACKed (§7.2) — every carried
+    /// entry the shard program did not keep. Zero on every lossless path.
+    pub switch_acks: u64,
 }
 
 impl Default for ExecBreakdown {
@@ -112,6 +115,7 @@ impl Default for ExecBreakdown {
             queue_seconds: 0.0,
             tenant: String::new(),
             retransmits: 0,
+            switch_acks: 0,
         }
     }
 }

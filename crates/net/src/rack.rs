@@ -9,29 +9,32 @@
 //! * **workers** run a go-back-N [`WorkerFlow`] window over their flow,
 //!   retransmit the unacked window on timeout, and close with a FIN
 //!   handshake once everything is acknowledged;
-//! * **the switch** verifies each unit (as a real switch verifies the
+//! * **the switch** verifies each entry (as a real switch verifies the
 //!   FCS), sequences it with a [`SwitchFlow`] — process `Y = X+1`,
-//!   forward `Y ≤ X` unprocessed, drop `Y > X+1` — and ACKs what it
+//!   forward `Y ≤ X` unprocessed, drop `Y > X+1` — asks the pruning
+//!   function for a verdict on each entry it processes, and ACKs what it
 //!   prunes;
 //! * **the master** dedups by sequence with a [`MasterFlow`], ACKs every
-//!   valid unit and FIN, and keeps each *new* unit.
+//!   valid entry and FIN, and keeps each *new* entry.
 //!
-//! The loop that drives them exists once, here. What rides it is a
-//! [`Payload`]: [`crate::transfer`] binds the entry packets of
-//! [`crate::wire`] (the switch prunes), [`crate::fabric`] binds the
-//! [`SurvivorBatch`](crate::stream::SurvivorBatch) frames of the runtime's
-//! fault mode (already pruned, so the switch only sequences). Everything is
-//! seeded: the same config and payload reproduce the same [`RackReport`]
-//! bit for bit, retransmit counts included — which is what keeps a lossy
-//! CI failure reproducible.
+//! The loop that drives them exists once, here; what rides it is always
+//! the entry packets of [`crate::wire`] ([`DataPacket`]), and
+//! [`crate::transfer`] is its public face. Everything is seeded: the same
+//! config, entries and verdicts reproduce the same [`RackReport`] bit for
+//! bit, retransmit counts included — which is what keeps a lossy CI
+//! failure reproducible.
 
 use crate::channel::{Arrival, FaultProfile, Link, SimTime};
 use crate::reliability::{MasterFlow, SwitchAction, SwitchFlow, WorkerFlow};
-use crate::wire::{AckPacket, AckSource, Packet};
+use crate::wire::{AckPacket, AckSource, DataPacket, Packet};
 use bytes::Bytes;
 use cheetah_switch::Verdict;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+
+/// The send window when a config pins none: entries are small and
+/// uniform, so a constant 64 in flight.
+pub const DEFAULT_WINDOW: u64 = 64;
 
 /// Configuration of a rack run.
 #[derive(Debug, Clone)]
@@ -44,8 +47,7 @@ pub struct RackConfig {
     pub latency_ns: SimTime,
     /// Fault profile applied to every link.
     pub faults: FaultProfile,
-    /// Worker send window in data units. `None` takes the payload's own
-    /// default ([`Payload::default_window`]).
+    /// Worker send window in data units. `None` takes [`DEFAULT_WINDOW`].
     pub window: Option<u64>,
     /// Retransmission timeout in nanoseconds.
     pub rto_ns: SimTime,
@@ -90,48 +92,21 @@ pub struct RackReport {
     /// Duplicates the master discarded (retransmit overlap plus
     /// link-level duplication).
     pub duplicates: u64,
-    /// Unique data frames the master accepted and delivered.
-    pub delivered_frames: u64,
+    /// Unique data units the master accepted and delivered.
+    pub delivered_units: u64,
     /// Unique payload bits delivered per simulated second.
     pub goodput_bps: f64,
     /// Did the run complete before `max_ns`?
     pub completed: bool,
 }
 
-/// What a rack run carries: one binding of the carrier to a data unit.
-/// Worker `w` owns flow id `w`; sequence numbers count from 1.
-pub trait Payload {
-    /// A data unit as the switch and master see it, parsed.
-    type Unit;
+/// The entries that reached the master, per flow: `fid → seq → values`.
+pub type Delivered = HashMap<u32, HashMap<u64, Vec<u64>>>;
 
-    /// Units in each worker's flow.
-    fn flows(&self) -> Vec<u64>;
-
-    /// The send window when the config pins none.
-    fn default_window(&self, cfg: &RackConfig) -> u64;
-
-    /// The bytes worker `w` puts on its uplink for sequence `seq`.
-    fn emit(&self, w: usize, seq: u64) -> Bytes;
-
-    /// Recognise arriving bytes as the data unit `(fid, seq)`. `None` is
-    /// anything else: a protocol packet, or corruption.
-    fn parse(&self, bytes: &Bytes) -> Option<(u32, u64, Self::Unit)>;
-
-    /// The switch's verdict on an in-order unit: prune (the switch ACKs
-    /// it) or forward to the master. Payloads that are pruned already
-    /// keep the default.
-    fn verdict(&mut self, _fid: u32, _unit: &Self::Unit) -> Verdict {
-        Verdict::Forward
-    }
-
-    /// The master's delivery of a unit it has not seen before.
-    fn deliver(&mut self, fid: u32, seq: u64, unit: Self::Unit);
-}
-
-/// Bytes a payload occupies on the wire: 42 bytes of Ethernet/IP/UDP
+/// Bytes an emitted packet occupies on the wire: 42 bytes of Ethernet/IP/UDP
 /// encapsulation, padded to the 64-byte minimum frame — the convention of
 /// [`Packet::wire_bytes`].
-pub fn wire_bytes(payload: &Bytes) -> u64 {
+fn wire_bytes(payload: &Bytes) -> u64 {
     (payload.len() as u64 + 42).max(64)
 }
 
@@ -177,13 +152,21 @@ impl Ord for HeapItem {
     }
 }
 
-/// Carry `payload` across the rack to completion (or the time limit).
-pub fn run<P: Payload>(cfg: &RackConfig, payload: &mut P) -> RackReport {
-    let window = cfg.window.unwrap_or_else(|| payload.default_window(cfg));
-    let mut rack = Rack::new(cfg, &payload.flows(), window);
+/// Carry `packets` across the rack to completion (or the time limit):
+/// worker `w` sends `packets[w]`, the emitted [`DataPacket`]s of flow `w`
+/// with sequence numbers counting from 1. The switch asks `verdict` for
+/// `(fid, seq, values)` of each entry it processes — once per entry, in
+/// sequence order — and prunes (ACKs) or forwards it.
+pub fn run<F: FnMut(u32, u64, &[u64]) -> Verdict>(
+    cfg: &RackConfig,
+    packets: &[Vec<Bytes>],
+    mut verdict: F,
+) -> (RackReport, Delivered) {
+    let window = cfg.window.unwrap_or(DEFAULT_WINDOW);
+    let mut rack = Rack::new(cfg, packets, window);
     for w in 0..rack.workers.len() {
         let seqs = rack.workers[w].sendable();
-        rack.send_units(w, seqs, payload);
+        rack.send_units(w, seqs);
     }
     while let Some(Reverse(item)) = rack.heap.pop() {
         rack.now = item.at;
@@ -191,10 +174,10 @@ pub fn run<P: Payload>(cfg: &RackConfig, payload: &mut P) -> RackReport {
             break;
         }
         match item.event {
-            Event::Rx(Hop::Up(_), bytes) => rack.switch_rx(bytes, payload),
-            Event::Rx(Hop::Down, bytes) => rack.master_rx(bytes, payload),
-            Event::Rx(Hop::Back(w), bytes) => rack.worker_rx(w, bytes, payload),
-            Event::Timer(w, epoch) => rack.on_timer(w, epoch, payload),
+            Event::Rx(Hop::Up(_), bytes) => rack.switch_rx(bytes, &mut verdict),
+            Event::Rx(Hop::Down, bytes) => rack.master_rx(bytes),
+            Event::Rx(Hop::Back(w), bytes) => rack.worker_rx(w, bytes),
+            Event::Timer(w, epoch) => rack.on_timer(w, epoch),
         }
         if rack.report.completed {
             break;
@@ -202,7 +185,7 @@ pub fn run<P: Payload>(cfg: &RackConfig, payload: &mut P) -> RackReport {
     }
     let sim_seconds = rack.now as f64 / 1e9;
     let flow_retransmissions: Vec<u64> = rack.workers.iter().map(|w| w.retransmissions).collect();
-    RackReport {
+    let report = RackReport {
         sim_seconds,
         retransmissions: flow_retransmissions.iter().sum(),
         flow_retransmissions,
@@ -213,12 +196,15 @@ pub fn run<P: Payload>(cfg: &RackConfig, payload: &mut P) -> RackReport {
             0.0
         },
         ..rack.report
-    }
+    };
+    (report, rack.delivered)
 }
 
 /// The state of one run: links, role state machines, the event heap.
 struct Rack<'c> {
     cfg: &'c RackConfig,
+    /// Each worker's emitted entries, by sequence number − 1.
+    packets: &'c [Vec<Bytes>],
     uplinks: Vec<Link>,
     downlink: Link,
     backlinks: Vec<Link>,
@@ -230,24 +216,28 @@ struct Rack<'c> {
     heap: BinaryHeap<Reverse<HeapItem>>,
     tie: u64,
     now: SimTime,
-    /// Payload bytes of the unique units delivered so far.
+    /// Bytes of the unique entries delivered so far.
     delivered_bytes: u64,
+    delivered: Delivered,
     /// The counters bumped as events are handled; `run` fills in the rest.
     report: RackReport,
 }
 
 impl<'c> Rack<'c> {
-    fn new(cfg: &'c RackConfig, flows: &[u64], window: u64) -> Self {
-        let n = flows.len();
+    fn new(cfg: &'c RackConfig, packets: &'c [Vec<Bytes>], window: u64) -> Self {
+        let n = packets.len();
         let link = |rate, seed| Link::new(rate, cfg.latency_ns, cfg.faults, seed);
         Self {
             cfg,
+            packets,
             uplinks: (0..n as u64).map(|w| link(cfg.uplink_bps, cfg.seed ^ (w << 8))).collect(),
             downlink: link(cfg.downlink_bps, cfg.seed ^ 0xD0_117),
             backlinks: (0..n as u64)
                 .map(|w| link(cfg.downlink_bps, cfg.seed ^ 0xACC ^ (w << 16)))
                 .collect(),
-            workers: (0..n).map(|w| WorkerFlow::new(w as u32, flows[w], window)).collect(),
+            workers: (0..n)
+                .map(|w| WorkerFlow::new(w as u32, packets[w].len() as u64, window))
+                .collect(),
             switches: vec![SwitchFlow::new(); n],
             masters: (0..n).map(|_| MasterFlow::default()).collect(),
             fin_sent: vec![false; n],
@@ -256,6 +246,7 @@ impl<'c> Rack<'c> {
             tie: 0,
             now: 0,
             delivered_bytes: 0,
+            delivered: HashMap::new(),
             report: RackReport::default(),
         }
     }
@@ -280,9 +271,9 @@ impl<'c> Rack<'c> {
     }
 
     /// Worker `w` transmits `seqs` and (re)arms its retransmission timer.
-    fn send_units<P: Payload>(&mut self, w: usize, seqs: Vec<u64>, payload: &P) {
+    fn send_units(&mut self, w: usize, seqs: Vec<u64>) {
         for seq in seqs {
-            self.send(Hop::Up(w), payload.emit(w, seq));
+            self.send(Hop::Up(w), self.packets[w][(seq - 1) as usize].clone());
         }
         self.arm(w);
     }
@@ -302,22 +293,26 @@ impl<'c> Rack<'c> {
         self.send(Hop::Back(w), Packet::Ack(AckPacket { fid: w as u32, seq, source }).emit());
     }
 
-    fn switch_rx<P: Payload>(&mut self, bytes: Bytes, payload: &mut P) {
-        let Some((fid, seq, unit)) = payload.parse(&bytes) else {
-            // Not a data unit: FINs pass through unmodified, the rest is
-            // corruption.
-            match Packet::parse(bytes.clone()) {
-                Ok(Packet::Fin { .. }) => self.send(Hop::Down, bytes),
-                _ => self.report.malformed += 1,
+    fn switch_rx<F: FnMut(u32, u64, &[u64]) -> Verdict>(&mut self, bytes: Bytes, verdict: &mut F) {
+        // Not an entry: FINs pass through unmodified, the rest is
+        // corruption.
+        let DataPacket { fid, seq, values } = match Packet::parse(bytes.clone()) {
+            Ok(Packet::Data(d)) => d,
+            Ok(Packet::Fin { .. }) => {
+                self.send(Hop::Down, bytes);
+                return;
             }
-            return;
+            _ => {
+                self.report.malformed += 1;
+                return;
+            }
         };
         let w = fid as usize;
         if w >= self.workers.len() {
             return;
         }
         match self.switches[w].classify(seq) {
-            SwitchAction::Process => match payload.verdict(fid, &unit) {
+            SwitchAction::Process => match verdict(fid, seq, &values) {
                 Verdict::Prune => {
                     self.report.switch_acks += 1;
                     self.ack(w, seq, AckSource::SwitchPruned);
@@ -332,40 +327,42 @@ impl<'c> Rack<'c> {
         }
     }
 
-    fn master_rx<P: Payload>(&mut self, bytes: Bytes, payload: &mut P) {
-        let Some((fid, seq, unit)) = payload.parse(&bytes) else {
-            match Packet::parse(bytes) {
-                Ok(Packet::Fin { fid, .. }) => {
-                    if let Some(master) = self.masters.get_mut(fid as usize) {
-                        master.fin_seen = true;
-                        self.send(Hop::Back(fid as usize), Packet::FinAck { fid }.emit());
-                    }
+    fn master_rx(&mut self, bytes: Bytes) {
+        let DataPacket { fid, seq, values } = match Packet::parse(bytes.clone()) {
+            Ok(Packet::Data(d)) => d,
+            Ok(Packet::Fin { fid, .. }) => {
+                if let Some(master) = self.masters.get_mut(fid as usize) {
+                    master.fin_seen = true;
+                    self.send(Hop::Back(fid as usize), Packet::FinAck { fid }.emit());
                 }
-                // Corrupted past the switch: no ACK, the retransmit
-                // arrives as ForwardStale.
-                _ => self.report.malformed += 1,
+                return;
             }
-            return;
+            // Corrupted past the switch: no ACK, the retransmit arrives
+            // as ForwardStale.
+            _ => {
+                self.report.malformed += 1;
+                return;
+            }
         };
         let w = fid as usize;
         if w >= self.workers.len() {
             return;
         }
         if self.masters[w].on_data(seq) {
-            self.report.delivered_frames += 1;
+            self.report.delivered_units += 1;
             self.delivered_bytes += bytes.len() as u64;
-            payload.deliver(fid, seq, unit);
+            self.delivered.entry(fid).or_default().insert(seq, values);
         }
         self.ack(w, seq, AckSource::Master);
     }
 
-    fn worker_rx<P: Payload>(&mut self, w: usize, bytes: Bytes, payload: &P) {
+    fn worker_rx(&mut self, w: usize, bytes: Bytes) {
         match Packet::parse(bytes) {
             Ok(Packet::Ack(a)) if a.fid as usize == w => {
                 if self.workers[w].on_ack(a.seq) {
                     // Window advanced: send fresh units.
                     let seqs = self.workers[w].sendable();
-                    self.send_units(w, seqs, payload);
+                    self.send_units(w, seqs);
                 }
                 if self.workers[w].all_acked() && !self.fin_sent[w] {
                     self.send_fin(w);
@@ -380,7 +377,7 @@ impl<'c> Rack<'c> {
         }
     }
 
-    fn on_timer<P: Payload>(&mut self, w: usize, epoch: u64, payload: &P) {
+    fn on_timer(&mut self, w: usize, epoch: u64) {
         if self.fin_acked[w] || epoch != self.workers[w].timer_epoch {
             return; // stale timer
         }
@@ -390,7 +387,7 @@ impl<'c> Rack<'c> {
             self.send_fin(w);
         } else {
             let seqs = self.workers[w].on_timeout();
-            self.send_units(w, seqs, payload);
+            self.send_units(w, seqs);
         }
     }
 }

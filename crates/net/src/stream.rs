@@ -1,11 +1,13 @@
-//! Survivor-batch framing for the shard runtime's fault mode.
+//! Survivor-batch framing: a shard's completed output cut into
+//! [`SurvivorBatch`]es — checksummed and sequenced, so a lossy carrier
+//! could drop, resend and duplicate them — for a merge plane that folds
+//! the frames batch by batch.
 //!
-//! On a lossless run every shard's survivors reach the master as one
-//! completed output at the join point. In fault mode the runtime
-//! cuts each shard's completed output into [`SurvivorBatch`]es —
-//! checksummed and sequenced, so the §7.2 carrier can drop, resend and
-//! duplicate them — and the master's merge plane folds the frames batch
-//! by batch.
+//! No product path carries these frames: fault mode carries entry
+//! packets ([`crate::transfer`]), and every shard's survivors reach the
+//! master as one completed output. The codec stays only because the
+//! frozen benchmark ledger (`cheetah-ledger`) times its encode and parse;
+//! it goes once the ledger stops naming it.
 //!
 //! # Wire layout (columnar, zero-copy)
 //!

@@ -1,10 +1,14 @@
-//! The entry-level binding of the rack: workers → switch → master, one
-//! value tuple per packet.
+//! The rack's public face: workers → switch → master, one value tuple
+//! per packet.
 //!
 //! [`crate::rack`] owns the discrete-event loop and the §7.2 roles; this
-//! module hands it the paper's entry packets ([`DataPacket`], Figure 4).
-//! The switch runs an arbitrary pruning function over every in-order
-//! entry and ACKs what it prunes; the master stores what it is sent.
+//! module encodes the paper's entry packets ([`DataPacket`], Figure 4)
+//! once and hands them to it. The switch runs an arbitrary pruning
+//! function over every in-order entry, by flow, sequence number and
+//! values, and ACKs what it prunes; the master stores what it is sent. The
+//! query engine's fault mode rides it: a shard job's rows are its
+//! entries, and the pruning function replays, by sequence number, the
+//! verdicts the job's switch program reached.
 //!
 //! The headline property (tested here and in the integration suite): under
 //! any loss pattern, the entries the master ends up with are a **superset
@@ -12,11 +16,10 @@
 //! pruning contract, yields exactly the same query output as a lossless
 //! run.
 
-use crate::rack::{self, Payload, RackConfig, RackReport};
+use crate::rack::{self, Delivered, RackConfig, RackReport};
 use crate::wire::{DataPacket, Packet};
 use bytes::Bytes;
 use cheetah_switch::Verdict;
-use std::collections::HashMap;
 
 /// Outcome of a transfer: the carrier's report plus what the master
 /// stored.
@@ -25,7 +28,7 @@ pub struct TransferReport {
     /// The carrier's counters and completion time.
     pub rack: RackReport,
     /// Entries that reached the master, per flow: `fid → seq → values`.
-    pub delivered: HashMap<u32, HashMap<u64, Vec<u64>>>,
+    pub delivered: Delivered,
 }
 
 impl TransferReport {
@@ -38,57 +41,31 @@ impl TransferReport {
 /// The simulator.
 pub struct TransferSim<F> {
     cfg: RackConfig,
-    /// One stream of pre-encoded entries per worker; worker `w` owns flow
-    /// id `w`.
-    streams: Vec<Vec<Vec<u64>>>,
-    /// The switch's pruning function: `(fid, values) → verdict`.
+    /// One stream of entry packets per worker, each encoded once however
+    /// often it is resent; worker `w` owns flow id `w`.
+    packets: Vec<Vec<Bytes>>,
+    /// The switch's pruning function: `(fid, seq, values) → verdict`,
+    /// asked once per entry, in sequence order.
     pruner: F,
-    delivered: HashMap<u32, HashMap<u64, Vec<u64>>>,
 }
 
-impl<F: FnMut(u32, &[u64]) -> Verdict> TransferSim<F> {
+impl<F: FnMut(u32, u64, &[u64]) -> Verdict> TransferSim<F> {
     /// Build a simulation over per-worker entry streams.
     pub fn new(cfg: RackConfig, streams: Vec<Vec<Vec<u64>>>, pruner: F) -> Self {
-        Self { cfg, streams, pruner, delivered: HashMap::new() }
+        let packets = (0..)
+            .zip(streams)
+            .map(|(fid, entries)| {
+                let data = |(seq, values)| Packet::Data(DataPacket { fid, seq, values }).emit();
+                (1..).zip(entries).map(data).collect()
+            })
+            .collect();
+        Self { cfg, packets, pruner }
     }
 
     /// Run to completion (or the time limit).
-    pub fn run(mut self) -> TransferReport {
-        let rack = rack::run(&self.cfg.clone(), &mut self);
-        TransferReport { rack, delivered: self.delivered }
-    }
-}
-
-impl<F: FnMut(u32, &[u64]) -> Verdict> Payload for TransferSim<F> {
-    type Unit = Vec<u64>;
-
-    fn flows(&self) -> Vec<u64> {
-        self.streams.iter().map(|s| s.len() as u64).collect()
-    }
-
-    /// Entries are small and uniform: a constant 64 in flight.
-    fn default_window(&self, _: &RackConfig) -> u64 {
-        64
-    }
-
-    fn emit(&self, w: usize, seq: u64) -> Bytes {
-        let values = self.streams[w][(seq - 1) as usize].clone();
-        Packet::Data(DataPacket { fid: w as u32, seq, values }).emit()
-    }
-
-    fn parse(&self, bytes: &Bytes) -> Option<(u32, u64, Vec<u64>)> {
-        match Packet::parse(bytes.clone()) {
-            Ok(Packet::Data(d)) => Some((d.fid, d.seq, d.values)),
-            _ => None,
-        }
-    }
-
-    fn verdict(&mut self, fid: u32, values: &Vec<u64>) -> Verdict {
-        (self.pruner)(fid, values)
-    }
-
-    fn deliver(&mut self, fid: u32, seq: u64, values: Vec<u64>) {
-        self.delivered.entry(fid).or_default().insert(seq, values);
+    pub fn run(self) -> TransferReport {
+        let (rack, delivered) = rack::run(&self.cfg, &self.packets, self.pruner);
+        TransferReport { rack, delivered }
     }
 }
 
@@ -105,7 +82,8 @@ mod tests {
 
     #[test]
     fn lossless_transfer_delivers_everything_unpruned() {
-        let sim = TransferSim::new(RackConfig::default(), streams(3, 200), |_, _| Verdict::Forward);
+        let sim =
+            TransferSim::new(RackConfig::default(), streams(3, 200), |_, _, _| Verdict::Forward);
         let report = sim.run();
         assert!(report.rack.completed);
         assert_eq!(report.delivered_unique(), 600);
@@ -116,7 +94,7 @@ mod tests {
     #[test]
     fn pruned_entries_are_acked_not_delivered() {
         // Prune odd values.
-        let sim = TransferSim::new(RackConfig::default(), streams(2, 100), |_, v| {
+        let sim = TransferSim::new(RackConfig::default(), streams(2, 100), |_, _, v| {
             if v[0] % 2 == 1 {
                 Verdict::Prune
             } else {
@@ -148,7 +126,7 @@ mod tests {
             ..Default::default()
         };
         let total = 150u64;
-        let sim = TransferSim::new(cfg, streams(2, total), |_, v| {
+        let sim = TransferSim::new(cfg, streams(2, total), |_, _, v| {
             if v[0] % 3 == 0 {
                 Verdict::Prune
             } else {
@@ -196,7 +174,7 @@ mod tests {
             rto_ns: 100_000,
             ..Default::default()
         };
-        let sim = TransferSim::new(cfg, streams(1, 300), |_, _| Verdict::Prune);
+        let sim = TransferSim::new(cfg, streams(1, 300), |_, _, _| Verdict::Prune);
         let report = sim.run();
         assert!(report.rack.completed);
         // Everything was pruned, yet some entries reached the master via
@@ -213,7 +191,7 @@ mod tests {
             window: Some(32),
             ..Default::default()
         };
-        let sim = TransferSim::new(cfg, streams(1, 400), |_, _| Verdict::Forward);
+        let sim = TransferSim::new(cfg, streams(1, 400), |_, _, _| Verdict::Forward);
         let report = sim.run();
         assert!(report.rack.completed);
         assert!(report.rack.dropped_ahead > 0, "windowed sending over loss must create gaps");
@@ -227,7 +205,7 @@ mod tests {
             rto_ns: 100_000,
             ..Default::default()
         };
-        let sim = TransferSim::new(cfg, streams(1, 200), |_, _| Verdict::Forward);
+        let sim = TransferSim::new(cfg, streams(1, 200), |_, _, _| Verdict::Forward);
         let report = sim.run();
         assert!(report.rack.completed);
         assert!(report.rack.malformed > 0, "corrupted packets must be caught by checksums");
@@ -237,7 +215,7 @@ mod tests {
     #[test]
     fn faster_downlink_does_not_change_delivery() {
         let cfg = RackConfig { downlink_bps: 20e9, ..RackConfig::default() };
-        let sim = TransferSim::new(cfg, streams(2, 100), |_, _| Verdict::Forward);
+        let sim = TransferSim::new(cfg, streams(2, 100), |_, _, _| Verdict::Forward);
         let report = sim.run();
         assert_eq!(report.delivered_unique(), 200);
     }
@@ -251,7 +229,10 @@ mod tests {
                 window: Some(1024),
                 ..Default::default()
             };
-            TransferSim::new(cfg, streams(1, 2_000), |_, _| Verdict::Prune).run().rack.sim_seconds
+            TransferSim::new(cfg, streams(1, 2_000), |_, _, _| Verdict::Prune)
+                .run()
+                .rack
+                .sim_seconds
         };
         let slow = run(1e9);
         let fast = run(10e9);
@@ -260,7 +241,8 @@ mod tests {
 
     #[test]
     fn empty_streams_complete_immediately() {
-        let sim = TransferSim::new(RackConfig::default(), streams(2, 0), |_, _| Verdict::Forward);
+        let sim =
+            TransferSim::new(RackConfig::default(), streams(2, 0), |_, _, _| Verdict::Forward);
         let report = sim.run();
         // Workers with nothing to send: all_acked() is true from the
         // start, but FINs only go out on ACK receipt — the timer path

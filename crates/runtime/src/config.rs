@@ -1,10 +1,8 @@
-//! What an [`ExecPlan`](crate::ExecPlan) is laid out under — a
-//! [`ShardLayout`] — and what its fault mode, set on the built plan
-//! ([`ExecPlan::with_fault`](crate::ExecPlan::with_fault)), carries.
+//! What an [`ExecPlan`](crate::ExecPlan) is laid out under: a
+//! [`ShardLayout`].
 
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::ShardSpec;
-use cheetah_net::FaultProfile;
 use std::sync::Arc;
 
 /// Which rows each shard streams through its switch: a hand-picked spec,
@@ -32,40 +30,6 @@ impl From<Arc<ShardPlan>> for ShardLayout {
     }
 }
 
-/// A plan's fault mode, whatever path runs it: each shard's finished
-/// output is cut into survivor frames that cross the simulated §7.2 rack
-/// of [`cheetah_net::rack`] — seeded lossy links (drops, single-octet
-/// corruption, duplication, reordering), go-back-N workers, a sequencing
-/// switch and a deduping master — before the merge sees them, so the run
-/// only completes once every frame has actually been merged. Window and
-/// retransmission timeout are the carrier's, in simulated time.
-#[derive(Debug, Clone)]
-pub struct FaultSpec {
-    /// Fault probabilities applied to every link of the rack.
-    pub profile: FaultProfile,
-    /// Seed of the links' fault draws, so a lossy run is reproducible
-    /// frame for frame — retransmit counts included.
-    pub seed: u64,
-    /// Merge items per survivor frame: the unit the faults are drawn on.
-    /// The master cuts each shard's output at this size
-    /// ([`frame_items`](cheetah_db::frame_items)); a lossless run frames
-    /// nothing.
-    pub batch: usize,
-}
-
-impl FaultSpec {
-    /// A lossy fabric with the given profile and seed, its flows cut into
-    /// frames of `batch` merge items.
-    pub fn new(profile: FaultProfile, seed: u64, batch: usize) -> Self {
-        Self { profile, seed, batch }
-    }
-
-    /// The smoltcp-style harsh profile (15% drop + 15% corrupt).
-    pub fn harsh(seed: u64, batch: usize) -> Self {
-        Self::new(FaultProfile::harsh(), seed, batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,15 +45,5 @@ mod tests {
         let plan = Arc::new(ShardPlanner::default().plan(&q, &empty, None, 7));
         let fitted = ShardLayout::from(Arc::clone(&plan));
         assert!(matches!(&fitted, ShardLayout::Fitted(p) if Arc::ptr_eq(p, &plan)));
-    }
-
-    #[test]
-    fn fault_spec_constructors_pick_sane_knobs() {
-        let harsh = FaultSpec::harsh(7, 4);
-        assert_eq!((harsh.seed, harsh.batch), (7, 4));
-        assert!(harsh.profile.drop_prob > 0.0 && harsh.profile.corrupt_prob > 0.0);
-        let mild =
-            FaultSpec::new(FaultProfile { drop_prob: 0.01, ..FaultProfile::lossless() }, 3, 16);
-        assert_eq!(mild.profile.corrupt_prob, 0.0);
     }
 }

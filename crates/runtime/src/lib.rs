@@ -14,7 +14,8 @@
 //! queues its extra jobs on the pool rather than time-slicing them. How a
 //! unit is run is an argument of the run
 //! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine; whether its
-//! result crosses a lossy rack to the master is the plan's fault mode:
+//! rows cross a lossy rack on their way to the master is the cluster's
+//! fault mode ([`Cluster::fault`](cheetah_db::Cluster::fault)):
 //!
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
@@ -22,12 +23,16 @@
 //!  rows ──routing_keys──▶ sharder                │ one job per shard, the same on every path:
 //!           │ route_columns, once                │ pool jobs, or one shard on the caller
 //!           ▼                                    ▼
-//!     one unit per shard                   Cluster::run_cheetah per unit
+//!     one unit per shard                   Cluster::run_cheetah per unit: encode ─▶ prune passes
 //!                                          (direct: Cluster::run_direct, no switch)
-//!                                                │ whole outputs, on every path
-//!                                                ├─ lossless ──▶ merge_shard_outputs
-//!                                                └─ fault mode: frame_items ──▶ lossy rack ──▶ MergeState
-//!                                                           frames composed into partials ──▶ merge_shard_outputs
+//!                                                │ fault mode only: every row read, one entry each,
+//!                                                │ across the lossy rack (the switch replays the
+//!                                                │ verdicts and ACKs what it prunes); the master's
+//!                                                │ delivered rows are the selection
+//!                                                ▼
+//!                                          complete ─▶ whole outputs, on every path
+//!                                                ▼
+//!                                          merge_shard_outputs
 //! ```
 //!
 //! A one-shard plan — every first sight, and every plan the planner fits
@@ -39,8 +44,8 @@
 //! [`merge_shard_outputs`](cheetah_db::merge_shard_outputs) hands a lone
 //! output back as it stands: no copy, no fold. Its switch
 //! kernel cache and scratch block are that thread's own thread-locals, as
-//! a pool job's are its worker's. Fault mode still cuts its one output
-//! into frames, so it is the same at every shard count.
+//! a pool job's are its worker's. Fault mode carries its rows across a
+//! rack all the same, so it is the same at every shard count.
 //!
 //! A layout is one value, [`ShardLayout`]: a hand-picked
 //! [`ShardSpec`](cheetah_db::ShardSpec) or a plan the sampling planner
@@ -69,16 +74,18 @@
 //!   last worker is in. The barrier transport: every pruned request runs
 //!   it.
 //!
-//! Fault mode is a property of the plan, not of a path, and rides any run:
-//! a plan built with [`ExecPlan::with_fault`] has its master decompose
-//! each shard's output into [`MergeItem`](cheetah_db::MergeItem)s, cut them
-//! into [`SurvivorBatch`](cheetah_net::SurvivorBatch) frames of the
-//! [`FaultSpec`]'s size ([`frame_items`](cheetah_db::frame_items)) and
-//! carry them across the simulated lossy rack of `cheetah_net::rack`
-//! (§7.2's go-back-N in simulated time, deterministic per seed) into a
-//! [`MergeState`](cheetah_db::MergeState), which dedups them, composes
-//! each back into a partial and folds the partials through the lossless
-//! run's own merge. A lossless run frames nothing.
+//! Fault mode is a property of the cluster, like its backend, not of a
+//! path or a plan, and rides any run: a cluster built with
+//! [`Cluster::with_fault`](cheetah_db::Cluster::with_fault) (a
+//! [`FaultProfile`](cheetah_net::FaultProfile) and a seed) has each shard
+//! job carry every row it read across the simulated lossy rack of
+//! `cheetah_net::rack` ([`TransferSim`](cheetah_net::TransferSim): §7.2's
+//! go-back-N in simulated time, deterministic per seed) after its pruning
+//! passes — one entry packet per row, one flow per stream and partition,
+//! the switch forwarding exactly what the job's program kept and ACKing
+//! the rest. The master completes over the rows delivered, a superset of
+//! the survivors, and the outputs merge as a lossless run's do. A lossless
+//! run carries nothing.
 //!
 //! Every run is store-and-forward: a shard job reports once, when its
 //! unit is done, and never blocks.
@@ -98,7 +105,7 @@ pub mod plan;
 pub mod pool;
 pub mod runtime;
 
-pub use config::{FaultSpec, ShardLayout};
+pub use config::ShardLayout;
 pub use plan::ExecPlan;
 pub use pool::WorkerPool;
 pub use runtime::{execute, ExecRun};

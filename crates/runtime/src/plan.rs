@@ -1,6 +1,8 @@
-//! The one plan representation: a laid-out input, and the rack its
-//! survivors cross. Which path runs it — pruned or direct — is an argument
-//! of each run ([`execute`](crate::execute)), not part of the plan.
+//! The one plan representation: a laid-out input. Which path runs it —
+//! pruned or direct — is an argument of each run
+//! ([`execute`](crate::execute)), and whether its rows cross a lossy rack
+//! is the cluster's fault mode ([`Cluster::fault`]); neither is part of
+//! the plan.
 //!
 //! Everything layout-shaped about a multi-shard run is decided here, once,
 //! by [`ExecPlan::new`]: the request is checked against its tables'
@@ -42,10 +44,9 @@
 //! A plan is resident data: its units are `Arc` handles, so the same plan
 //! runs query after query, on whichever path each run names (the serving
 //! plane holds one per query, tables and shard count, and runs it as it
-//! is), and [`with_fault`](ExecPlan::with_fault) puts it on a lossy rack
-//! with a clone that copies no rows.
+//! is).
 
-use crate::config::{FaultSpec, ShardLayout};
+use crate::config::ShardLayout;
 use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
     fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, RouteStream, Table,
@@ -53,8 +54,7 @@ use cheetah_db::{
 use std::sync::Arc;
 
 /// A routed, ready-to-run multi-shard execution: which rows land on which
-/// shard, how the layout was decided, and whether the survivors cross a
-/// lossy rack on their way to the master. Any path runs it
+/// shard, and how the layout was decided. Any path runs it
 /// ([`execute`](crate::execute)).
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
@@ -78,14 +78,11 @@ pub struct ExecPlan {
     pub(crate) dispatched: Vec<u64>,
     /// The fitted plan the layout was routed under; `None` under a spec.
     plan: Option<Arc<ShardPlan>>,
-    /// Fault mode (the simulated lossy rack), when asked for.
-    pub(crate) fault: Option<FaultSpec>,
 }
 
 impl ExecPlan {
     /// Lay out `q`'s input under `layout` — a [`ShardSpec`](cheetah_db::ShardSpec)
-    /// or a fitted `Arc<ShardPlan>`. The plan comes back lossless;
-    /// [`with_fault`](ExecPlan::with_fault) derives its fault mode.
+    /// or a fitted `Arc<ShardPlan>`.
     ///
     /// A request its tables cannot answer — a binary query without its
     /// right table, a column outside the schema or of the wrong type — or
@@ -164,16 +161,7 @@ impl ExecPlan {
             right_units,
             dispatched,
             plan,
-            fault: None,
         })
-    }
-
-    /// The same routed layout in fault mode: whatever path runs it, each
-    /// shard's output is cut into survivor frames of `fault.batch` merge
-    /// items, which cross the seeded lossy rack before the merge folds
-    /// them. Clones `Arc` handles, never rows.
-    pub fn with_fault(&self, fault: FaultSpec) -> ExecPlan {
-        ExecPlan { fault: Some(fault), ..self.clone() }
     }
 
     /// Was this plan routed from exactly these tables (by identity)? A

@@ -13,26 +13,18 @@
 //!   per query; each never blocks, its one report going onto an unbounded
 //!   channel. A **one-shard plan** has nothing to run in parallel, so the
 //!   calling thread runs its one job itself, behind the same panic
-//!   boundary a pool thread keeps: no pool hop, no channel.
+//!   boundary a pool thread keeps: no pool hop, no channel. In fault mode
+//!   ([`Cluster::fault`]) each job carries the rows it read across its own
+//!   simulated §7.2 rack before it completes, and reports the rack's
+//!   resends and switch ACKs with its output.
 //! * the **master merge plane** (the calling thread) folds once the last
-//!   report is in. A lossless run folds the outputs through
-//!   [`merge_shard_outputs`], which returns a lone output as it stands,
-//!   whatever path ran. A plan in fault mode ([`FaultSpec`]) decomposes
-//!   each output, cuts it into [`SurvivorBatch`] frames ([`frame_items`]),
-//!   carries them across the simulated §7.2 rack ([`FabricSim`], the frame
-//!   binding of `cheetah_net::rack`) — simulated time, so deterministic per
-//!   seed — and folds each frame the rack delivers through
-//!   [`MergeState::ingest_survivor_batch`].
+//!   report is in, through [`merge_shard_outputs`], which returns a lone
+//!   output as it stands, whatever path ran, lossless or not.
 
-use crate::config::FaultSpec;
 use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
-use bytes::Bytes;
-use cheetah_db::{
-    decompose_output, frame_items, merge_shard_outputs, Cluster, DbQuery, ExecPath, MergeState,
-    QueryOutput, ShardStats, Table,
-};
-use cheetah_net::{ExecBackend, ExecBreakdown, FabricSim, RackConfig, SurvivorBatch};
+use cheetah_db::{merge_shard_outputs, Cluster, DbQuery, ExecPath, QueryOutput, ShardStats, Table};
+use cheetah_net::{ExecBackend, ExecBreakdown};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Span, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,12 +44,9 @@ pub struct ExecRun {
     pub switch_stats: ProgramStats,
     /// Per-shard accounting (the §4.6 skew story).
     pub per_shard: Vec<ShardStats>,
-    /// Merge-plane work: the fold of every shard's output or frames, after
-    /// the last worker reported.
+    /// Merge-plane work: the fold of every shard's output, after the last
+    /// worker reported.
     pub merge_seconds: f64,
-    /// Survivor frames the master ingested (zero unless the plan is in
-    /// fault mode).
-    pub batches: u64,
 }
 
 impl ExecRun {
@@ -74,15 +63,15 @@ impl ExecRun {
 /// Execute the routed `plan`'s query on `path`: prune every unit (each
 /// with its own planned switch program) — or, on [`ExecPath::Direct`],
 /// complete every unit with no switch at all — carry the results to the
-/// master (across the plan's lossy rack in fault mode), merge, account.
-/// Every path but [`ExecPath::Direct`] prunes. The units of a multi-shard
-/// plan run on pool workers; a one-shard plan's unit runs on the calling
-/// thread.
+/// master (each job's rows across a lossy rack first, in the cluster's
+/// fault mode), merge, account. Every path but [`ExecPath::Direct`]
+/// prunes. The units of a multi-shard plan run on pool workers; a
+/// one-shard plan's unit runs on the calling thread.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
 /// partitioner, path and backend — the path changes *how much* reaches
 /// the master, never *what* the query answers. A fault profile the
-/// carrier cannot finish under (every frame dropped, say) is a typed
+/// carrier cannot finish under (every entry dropped, say) is a typed
 /// [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard job
 /// that panics is a typed
 /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
@@ -97,7 +86,7 @@ pub fn execute(
     } else {
         await_reports(plan.shards(), spawn_worker_plane(cluster, plan, path))?
     };
-    let fold = merge_plane(plan, reports)?;
+    let fold = merge_plane(plan, reports);
     Ok(assemble(fold, plan))
 }
 
@@ -110,6 +99,9 @@ struct WorkerReport {
     /// Pruning backend the worker's run actually executed on (`None`
     /// when the unit was empty and nothing ran).
     backend: Option<ExecBackend>,
+    /// Fault mode's go-back-N resends and switch ACKs on the job's rack.
+    retransmits: u64,
+    switch_acks: u64,
     /// The unit's completed output (`None` when the unit was empty).
     output: Option<QueryOutput>,
 }
@@ -166,11 +158,19 @@ fn run_shard(
         rep.switch = run.switch_stats;
         rep.passes = b.passes;
         rep.backend = Some(b.backend);
+        (rep.retransmits, rep.switch_acks) = (b.retransmits, b.switch_acks);
         rep.output = Some(run.output);
     }
     if let Some(s) = span.as_mut() {
         s.attr("rows", rep.stats.rows);
         s.attr("entries_to_master", rep.stats.entries_to_master);
+        if cluster.fault.is_some() {
+            // The rack's recovery work lands in the owning registry,
+            // attributed via the trace.
+            s.attr("retransmits", rep.retransmits);
+            s.attr("switch_acks", rep.switch_acks);
+            s.trace().registry().counter("net.retransmits").add(rep.retransmits);
+        }
     }
     Ok(rep)
 }
@@ -244,93 +244,19 @@ fn await_reports(shards: usize, reports: Reports) -> cheetah_core::Result<Vec<Wo
 }
 
 /// The master merge plane: fold the shards' whole outputs through
-/// [`merge_shard_outputs`] (which hands a lone output back as it
-/// stands), or, in fault mode, cut each shard's output into frames of the
-/// fault's size, carry them across the lossy rack and fold each frame it
-/// delivers, parsed zero-copy (offsets into the frame's arena).
-fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> cheetah_core::Result<Fold> {
-    let shards = plan.shards();
+/// [`merge_shard_outputs`], which hands a lone output back as it stands.
+fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> Fold {
     // The merge plane runs on the submitting thread, so the session's
     // entered `execute` span (if any) is directly visible here.
     let mut merge_span = SpanContext::current().map(|tc| tc.child("merge"));
     let started = Instant::now();
-    let q = plan.query();
-    let (output, batches, retransmits) = match &plan.fault {
-        Some(fault) => {
-            let flows: Vec<Vec<Bytes>> = reports
-                .iter_mut()
-                .enumerate()
-                .map(|(shard, r)| match r.output.take() {
-                    Some(out) => frame_items(shard as u32, &decompose_output(q, out), fault.batch),
-                    None => Vec::new(),
-                })
-                .collect();
-            let mut state = MergeState::new(q);
-            let mut batches = 0u64;
-            let ingest = |batch: &SurvivorBatch| {
-                batches += 1;
-                state.ingest_survivor_batch(batch).expect("merge item round-trips");
-            };
-            let retransmits = carry_across_rack(fault, flows, merge_span.as_ref(), ingest)?;
-            (state.finish(), batches, retransmits)
-        }
-        None => {
-            let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
-            (merge_shard_outputs(q, outputs), 0, 0)
-        }
-    };
+    let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
+    let output = merge_shard_outputs(plan.query(), outputs);
     let merge_seconds = started.elapsed().as_secs_f64();
-
     if let Some(s) = merge_span.as_mut() {
-        s.attr("shards", shards);
-        if plan.fault.is_some() {
-            s.attr("batches", batches);
-        }
+        s.attr("shards", plan.shards());
     }
-    drop(merge_span);
-
-    Ok(Fold { output, reports, merge_seconds, batches, retransmits })
-}
-
-/// Fault mode: the shards' finished flows cross the simulated §7.2 rack
-/// (go-back-N workers, a sequencing switch, a deduping master that hands
-/// each new frame to `ingest`) — in simulated time, so a lossy run never
-/// sleeps on a timeout and its resend count, returned, is a pure function
-/// of (plan, seed). One `stream` span per flow lands under `merge_span`.
-fn carry_across_rack(
-    fault: &FaultSpec,
-    flows: Vec<Vec<Bytes>>,
-    merge_span: Option<&Span>,
-    ingest: impl FnMut(&SurvivorBatch),
-) -> cheetah_core::Result<u64> {
-    let frames = flows.iter().map(|f| f.len() as u64).sum();
-    let mut stream_spans: Vec<Span> = flows
-        .iter()
-        .enumerate()
-        .filter_map(|(shard, flow)| {
-            let mut s = merge_span?.child("stream");
-            s.attr("shard", shard);
-            s.attr("frames", flow.len());
-            Some(s)
-        })
-        .collect();
-    let cfg = RackConfig { faults: fault.profile, seed: fault.seed, ..RackConfig::default() };
-    let carried = FabricSim::new(cfg, flows).run(ingest);
-    if !carried.completed {
-        return Err(cheetah_core::Error::FabricStalled {
-            delivered: carried.delivered_frames,
-            frames,
-        });
-    }
-    for (s, resent) in stream_spans.iter_mut().zip(&carried.flow_retransmissions) {
-        s.attr("retransmits", resent);
-    }
-    if let Some(tc) = SpanContext::current() {
-        // The fabric's recovery work lands in the owning session's
-        // registry, attributed via the trace.
-        tc.trace().registry().counter("net.retransmits").add(carried.retransmissions);
-    }
-    Ok(carried.retransmissions)
+    Fold { output, reports, merge_seconds }
 }
 
 /// Everything the worker and merge planes produced, before accounting.
@@ -338,14 +264,11 @@ struct Fold {
     output: QueryOutput,
     reports: Vec<WorkerReport>,
     merge_seconds: f64,
-    batches: u64,
-    /// Go-back-N resends the carrier needed (zero when lossless).
-    retransmits: u64,
 }
 
 /// Turn the raw fold into the run's accounting.
 fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
-    let Fold { output, reports, merge_seconds, batches, retransmits } = fold;
+    let Fold { output, reports, merge_seconds } = fold;
     let per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
     let switch_stats = reports.iter().fold(ProgramStats::default(), |mut acc, r| {
         acc.seen += r.switch.seen;
@@ -369,10 +292,11 @@ fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
         // records the fallback here too). With every unit empty no engine
         // ran, and the run reads `Interpreted`, as the direct arm does.
         backend: reports.iter().find_map(|r| r.backend).unwrap_or(ExecBackend::Interpreted),
-        retransmits,
+        retransmits: reports.iter().map(|r| r.retransmits).sum(),
+        switch_acks: reports.iter().map(|r| r.switch_acks).sum(),
         ..ExecBreakdown::default()
     };
-    ExecRun { output, breakdown, switch_stats, per_shard, merge_seconds, batches }
+    ExecRun { output, breakdown, switch_stats, per_shard, merge_seconds }
 }
 
 #[cfg(test)]
@@ -660,61 +584,67 @@ mod tests {
 
     #[test]
     fn harsh_faulty_channel_still_answers_exactly_on_every_path_and_the_plan_reuses_cleanly() {
-        // 15% drop + 15% corruption + duplication on every survivor
-        // frame: the §7.2 machinery (go-back-N resends, switch
-        // sequencing, merge-plane dedup) must still deliver the
-        // baseline answer, the resends must show up in the breakdown,
-        // and a second run of the same plan replays the same lossy flow.
-        // Fault mode is the plan's: the pruned path and the direct one
-        // compute the same shard outputs, so they frame, lose and resend
-        // the same.
+        // 15% drop + 15% corruption + duplication on every entry: the §7.2
+        // machinery (go-back-N resends, switch sequencing and prune-ACKs,
+        // master dedup) must still deliver the baseline answer, the resends
+        // must show up in the breakdown, and a second run of the same plan
+        // replays the same lossy flow. Each shard job carries every row it
+        // read: the pruned path's switch ACKs what its program pruned, the
+        // direct path's forwards every row.
         let cluster = Cluster::default();
+        let faulty = cluster.clone().with_fault(FaultProfile::harsh(), 0xC0FFEE);
         let t = table(1_500, 3);
-        // The carrier's resend count per family: a pure function of the
-        // frames and the seed, so any change to what the workers frame or
-        // how the rack carries it shows here.
+        // The carrier's resend count per family and path: a pure function
+        // of the rows, the verdicts and the seed, so any change to what the
+        // jobs carry or how the rack carries it shows here.
         let queries = [
-            (DbQuery::Distinct { col: 0 }, 38),
-            (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, 38),
-            (DbQuery::TopN { order_col: 1, n: 10 }, 29),
+            (DbQuery::Distinct { col: 0 }, [80_621, 82_239]),
+            (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, [79_355, 83_556]),
+            (DbQuery::TopN { order_col: 1, n: 10 }, [81_732, 81_732]),
         ];
         for (q, resends) in queries {
             let base = cluster.run_baseline(&q, &t, None);
-            // Many small frames → many fault draws.
-            let lossless = plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash));
-            let plan = lossless.with_fault(FaultSpec::harsh(0xC0FFEE, 4));
-            let mut batches = Vec::new();
-            for path in PATHS {
+            let plan = plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash));
+            for (path, resends) in PATHS.into_iter().zip(resends) {
                 let label = format!("{} {}", q.kind(), path.label());
-                let first = execute(&cluster, &plan, path).unwrap();
-                let second = execute(&cluster, &plan, path).unwrap();
+                let lossless = execute(&cluster, &plan, path).unwrap();
+                assert_eq!(base.output, lossless.output, "{label}");
+                let b = &lossless.breakdown;
+                assert_eq!((b.retransmits, b.switch_acks), (0, 0), "{label}: nothing carried");
+                let first = execute(&faulty, &plan, path).unwrap();
+                let second = execute(&faulty, &plan, path).unwrap();
                 for run in [&first, &second] {
                     assert_eq!(base.output, run.output, "{label} under harsh faults");
                     assert_eq!(run.breakdown.retransmits, resends, "{label}");
-                    assert_eq!(run.batches, first.batches, "{label}");
+                    assert_eq!(run.switch_stats, lossless.switch_stats, "{label}");
+                    // The switch ACKs every row its program did not keep;
+                    // the master holds at least what it kept, at most all.
+                    let kept = match path {
+                        ExecPath::Direct => t.rows() as u64,
+                        _ => b.entries_to_master,
+                    };
+                    let acks = run.breakdown.switch_acks;
+                    assert_eq!(acks, t.rows() as u64 - kept, "{label}");
+                    let delivered = run.breakdown.entries_to_master;
+                    assert!((kept..=t.rows() as u64).contains(&delivered), "{label}");
                 }
-                batches.push(first.batches);
-                // The lossless plan crosses no rack: nothing framed, nothing
-                // resent.
-                let run = execute(&cluster, &lossless, path).unwrap();
-                assert_eq!((run.breakdown.retransmits, run.batches), (0, 0), "{label}");
-                assert_eq!(base.output, run.output, "{label}");
             }
-            assert!(batches[0] > 0 && batches.iter().all(|&b| b == batches[0]), "{batches:?}");
         }
     }
 
     #[test]
     fn a_fabric_that_drops_everything_is_a_typed_error_not_a_panic() {
+        // A few rows: each one costs the carrier 60 000 timeouts of resends
+        // before its 120 s of simulated time run out.
         let cluster = Cluster::default();
-        let t = table(200, 1);
+        let t = table(4, 1);
         let q = DbQuery::Distinct { col: 0 };
         let black_hole = FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() };
-        let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash))
-            .with_fault(FaultSpec::new(black_hole, 7, 4));
-        let err = execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap_err();
+        let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash));
+        let err = execute(&cluster.with_fault(black_hole, 7), &plan, ExecPath::BarrierPooled)
+            .unwrap_err();
         assert!(
-            matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, frames } if frames > 0),
+            matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, entries } if entries > 0),
             "{err}"
         );
     }
@@ -746,7 +676,6 @@ mod tests {
         for path in PATHS {
             let run = execute(&cluster, &plan, path).unwrap();
             assert_eq!(run.output, QueryOutput::Values(vec![]));
-            assert_eq!(run.batches, 0);
             assert_eq!(run.breakdown.entries_to_master, 0);
         }
         // Three rows over seven shards: at least four stay empty.
@@ -758,32 +687,11 @@ mod tests {
             assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
             assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
         }
-        // Same layout under harsh faults: the empty shards' zero-frame
-        // flows must finish through the carrier's FIN-timer path.
-        let faulty = plan.with_fault(FaultSpec::harsh(0xC0FFEE, 4));
-        let run = execute(&cluster, &faulty, ExecPath::BarrierPooled).unwrap();
+        // Same layout under harsh faults: empty shards carry nothing, and
+        // the others' flows finish through the carrier.
+        let faulty = cluster.clone().with_fault(FaultProfile::harsh(), 0xC0FFEE);
+        let run = execute(&faulty, &plan, ExecPath::BarrierPooled).unwrap();
         assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
-    }
-
-    #[test]
-    fn a_fault_cuts_each_shards_output_at_its_batch() {
-        let cluster = Cluster::default();
-        let t = table(800, 2);
-        let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &t, None, ShardSpec::new(4, ShardPartitioner::Hash));
-        // Each shard's survivors: its unit's distinct keys.
-        let items: Vec<usize> = plan
-            .units
-            .iter()
-            .map(|u| cluster.run_baseline(&plan.unit_query, u, None).output)
-            .map(|out| decompose_output(&q, out).len())
-            .collect();
-        assert!(items.iter().all(|&n| n > 0), "every shard has survivors: {items:?}");
-        // A fault's frames of 7 items: Σ ⌈items_s / 7⌉.
-        let faulty = plan.with_fault(FaultSpec::new(FaultProfile::lossless(), 3, 7));
-        let run = execute(&cluster, &faulty, ExecPath::BarrierPooled).unwrap();
-        assert_eq!(run.batches, items.iter().map(|n| n.div_ceil(7) as u64).sum::<u64>());
-        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //!   ├─ choose          arm=pooled/compiled
 //!   ├─ execute         path=.. backend=..
 //!   │  ├─ route
-//!   │  ├─ worker       shard=0   (one per shard, pool threads)
-//!   │  ├─ worker       shard=1
-//!   │  ├─ stream       retransmits=N   (fault mode)
+//!   │  ├─ worker       shard=0   (one per shard, pool threads;
+//!   │  ├─ worker       shard=1    in fault mode, retransmits=N switch_acks=M)
 //!   │  └─ merge
 //!   └─ respond
 //!   ```

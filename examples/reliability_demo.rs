@@ -67,7 +67,7 @@ fn main() {
     println!(
         "transfer: {workers} workers × {per_worker} entries, {drop_pct}% drop, {corrupt_pct}% corrupt\n"
     );
-    let report = TransferSim::new(cfg, streams, move |fid, values| {
+    let report = TransferSim::new(cfg, streams, move |fid, _, values| {
         epoch += 1;
         pruner
             .on_packet(PacketRef { epoch, fid, values })

@@ -24,7 +24,8 @@
 //! * [`runtime`] — the one multi-shard executor: a routed plan (one unit
 //!   per shard) run as contained worker-pool jobs that never block, pruned
 //!   or direct, each shard handing the master its output whole (in fault
-//!   mode, cut into survivor frames and carried across the lossy rack);
+//!   mode, after carrying the rows it read across the lossy rack, the
+//!   switch ACKing what it prunes);
 //! * [`workloads`] — seeded generators for the Big Data benchmark, a
 //!   TPC-H subset, and the pruning-rate simulation streams;
 //! * [`serve`] — the multi-tenant serving plane: the

@@ -35,7 +35,7 @@ fn transfer<P: SwitchProgram>(
     mut program: P,
 ) -> cheetah::net::TransferReport {
     let mut epoch = 0u64;
-    TransferSim::new(cfg, streams, move |fid, values| {
+    TransferSim::new(cfg, streams, move |fid, _, values| {
         epoch += 1;
         program.on_packet(PacketRef { epoch, fid, values }).expect("model violation")
     })
