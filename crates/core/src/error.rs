@@ -39,11 +39,13 @@ pub enum Error {
         /// Index of the first cut point below its predecessor.
         index: usize,
     },
-    /// A fault-mode run's simulated rack reached its time limit with
-    /// flows unfinished — a fault profile so hostile (every entry
-    /// dropped, say) that go-back-N never gets the data across.
+    /// A fault-mode run's simulated rack ended with flows unfinished — a
+    /// flow timed out time after time with no ACK moving its window, or
+    /// the simulated time limit ran out: a fault profile so hostile
+    /// (every entry dropped, say) that go-back-N never gets the data
+    /// across.
     FabricStalled {
-        /// Entries the master had accepted when time ran out.
+        /// Entries the master had accepted when the run ended.
         delivered: u64,
         /// Entries the shard job's flows held in total.
         entries: u64,

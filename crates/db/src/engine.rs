@@ -174,6 +174,24 @@ pub fn spark_overhead_factor(q: &DbQuery) -> f64 {
     }
 }
 
+/// `run`, a measured baseline run of `q` over these tables, charged the
+/// calibrated Spark software overhead: [`SPARK_ROW_OVERHEAD_NS`] scaled by
+/// [`spark_overhead_factor`] per row of the busiest worker (partitions
+/// are processed one task per worker), added to its `worker_seconds`.
+/// Nothing else of the run changes.
+pub(crate) fn spark_calibrated(
+    q: &DbQuery,
+    left: &Table,
+    right: Option<&Table>,
+    mut run: SparkRun,
+) -> SparkRun {
+    let busiest = |t: &Table| t.partitions().iter().map(Partition::rows).max().unwrap_or(0);
+    let max_rows = busiest(left) + right.map_or(0, busiest);
+    run.breakdown.worker_seconds +=
+        max_rows as f64 * SPARK_ROW_OVERHEAD_NS * spark_overhead_factor(q) * 1e-9;
+    run
+}
+
 /// Build `$q`'s [`PruningOperator`] as `$op` and evaluate `$body` with
 /// it — the one place a query shape picks its operator impl, statically,
 /// for both arms (and for [`Cluster::lend_operator`]).
@@ -231,18 +249,12 @@ impl Cluster {
     // Baseline path (measured operators live in `crate::baseline`)
     // ------------------------------------------------------------------
 
-    /// Execute the query the way vanilla Spark would.
+    /// Execute the query the way vanilla Spark would: the measured run,
+    /// charged the calibrated Spark software overhead of
+    /// [`SPARK_ROW_OVERHEAD_NS`] × [`spark_overhead_factor`] per row of
+    /// its busiest worker.
     pub fn run_baseline(&self, q: &DbQuery, left: &Table, right: Option<&Table>) -> SparkRun {
-        let mut run = self.run_baseline_measured(q, left, right);
-        // Charge the calibrated Spark software overhead to the busiest
-        // worker (partitions are processed one task per worker).
-        let max_rows = left.partitions().iter().map(Partition::rows).max().unwrap_or(0)
-            + right
-                .map(|r| r.partitions().iter().map(Partition::rows).max().unwrap_or(0))
-                .unwrap_or(0);
-        run.breakdown.worker_seconds +=
-            max_rows as f64 * SPARK_ROW_OVERHEAD_NS * spark_overhead_factor(q) * 1e-9;
-        run
+        spark_calibrated(q, left, right, self.run_baseline_measured(q, left, right))
     }
 
     // ------------------------------------------------------------------
@@ -332,21 +344,30 @@ mod tests {
     #[test]
     fn spark_overhead_calibration_is_applied() {
         let q = DbQuery::Distinct { col: 0 };
-        // 10 000 rows on the busiest worker × 1 µs: the 10 ms the
-        // calibration adds dwarfs any scheduler noise from the rest of the
-        // (thread-heavy) test suite running concurrently.
+        // 10 000 rows on the busiest worker × 1 µs.
         let t = test_table(20_000, 2);
         let cluster = Cluster::default();
+        // One measured run, calibrated: the charge is exact, not a
+        // difference between two separately timed runs.
         let raw = cluster.run_baseline_measured(&q, &t, None);
+        let calibrated = spark_calibrated(&q, &t, None, raw.clone());
+        let charged = 10_000.0 * SPARK_ROW_OVERHEAD_NS * spark_overhead_factor(&q) * 1e-9;
+        assert_eq!(calibrated.breakdown.worker_seconds, raw.breakdown.worker_seconds + charged);
+        // Only the clock is calibrated: the output and the transfer are
+        // the measured run's.
+        assert_eq!(calibrated.output, raw.output);
+        let mut unclocked = calibrated.breakdown.clone();
+        unclocked.worker_seconds = raw.breakdown.worker_seconds;
+        assert_eq!(unclocked, raw.breakdown);
+        // A JOIN charges both sides' busiest partitions.
+        let join = DbQuery::Join { left_key: 0, right_key: 0 };
+        let both = spark_calibrated(&join, &t, Some(&t), raw.clone());
+        let sides = 20_000.0 * SPARK_ROW_OVERHEAD_NS * spark_overhead_factor(&join) * 1e-9;
+        assert_eq!(both.breakdown.worker_seconds, raw.breakdown.worker_seconds + sides);
+        // `run_baseline` is a measured run, calibrated.
         let calibrated = cluster.run_baseline(&q, &t, None);
         assert_eq!(calibrated.output, raw.output);
-        let charged = 10_000.0 * SPARK_ROW_OVERHEAD_NS * spark_overhead_factor(&q) * 1e-9;
         assert!(calibrated.breakdown.worker_seconds >= charged, "calibration missing");
-        let delta = calibrated.breakdown.worker_seconds - raw.breakdown.worker_seconds;
-        assert!(delta > charged / 2.0, "calibration missing: {delta}");
-        // Only the clock is calibrated: the transfer is the same compressed one.
-        let (cb, rb) = (&calibrated.breakdown, &raw.breakdown);
-        assert_eq!(cb.master_wire_bytes, rb.master_wire_bytes);
         // The Cheetah path is never calibrated — it measures real work.
         let chee = cluster.run_cheetah(&q, &t, None).unwrap();
         assert!(chee.breakdown.worker_seconds < calibrated.breakdown.worker_seconds);

@@ -480,11 +480,8 @@ fn carry<O: PruningOperator>(
         return Err(Error::FabricStalled { delivered: carried.rack.delivered_units, entries });
     }
     let mut delivered = Survivors::none(tables, op.streams())?;
-    for (fid, (s, pi)) in at.into_iter().enumerate() {
-        let seqs = carried.delivered.get(&(fid as u32));
-        let mut rows: Vec<u32> =
-            seqs.into_iter().flatten().map(|(&seq, _)| seq as u32 - 1).collect();
-        rows.sort_unstable();
+    for ((s, pi), seqs) in at.into_iter().zip(&carried.delivered) {
+        let rows: Vec<u32> = seqs.iter().map(|&seq| seq as u32 - 1).collect();
         delivered.keep(s, pi, &rows);
     }
     Ok((delivered, carried.rack))

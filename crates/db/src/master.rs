@@ -69,9 +69,13 @@ pub fn merge_shard_outputs(q: &DbQuery, mut outputs: Vec<QueryOutput>) -> QueryO
         DbQuery::TopN { n, .. } => {
             QueryOutput::TopValues(ops::merge_topn(parts!(TopValues).collect(), *n))
         }
-        DbQuery::Skyline { .. } => {
-            QueryOutput::Points(ops::skyline_of(&parts!(Points).flatten().collect::<Vec<_>>()))
-        }
+        DbQuery::Skyline { cols } => ops::with_dims!(cols.len(), D => {
+            let mut window = ops::SkylineWindow::<D>::default();
+            for p in parts!(Points).flatten() {
+                window.offer(p[..].try_into().expect("a point has the query's dimensions"));
+            }
+            QueryOutput::Points(window.into_points())
+        }),
         DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. } => {
             // Each map is a sorted run: a stable sort merges the runs, then
             // equal keys collapse. GROUP BY keeps their max. HAVING has

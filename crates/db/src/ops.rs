@@ -176,6 +176,76 @@ pub fn skyline_of(points: &[Vec<i64>]) -> Vec<Vec<i64>> {
     out
 }
 
+/// The skyline of points offered one at a time, `D` dimensions each: the
+/// block-nested loop of [`skyline_of`] over one flat `Vec<[i64; D]>`, so
+/// a point offered costs no allocation. A point is dropped if a held
+/// point dominates or equals it; else it is held, and evicts what it
+/// dominates. SKYLINE's completion and its master merge both fold into
+/// one, with `D` fixed once per call by the dimension count.
+#[derive(Debug)]
+pub(crate) struct SkylineWindow<const D: usize> {
+    points: Vec<[i64; D]>,
+}
+
+impl<const D: usize> Default for SkylineWindow<D> {
+    fn default() -> Self {
+        Self { points: Vec::new() }
+    }
+}
+
+impl<const D: usize> SkylineWindow<D> {
+    /// Offer one point.
+    #[inline]
+    pub(crate) fn offer(&mut self, p: [i64; D]) {
+        let covers = |x: &[i64; D], y: &[i64; D]| (0..D).all(|i| x[i] <= y[i]);
+        if self.points.iter().any(|q| covers(&p, q)) {
+            return;
+        }
+        self.points.retain(|q| !covers(q, &p));
+        self.points.push(p);
+    }
+
+    /// The skyline, sorted and free of duplicates: the normal form of
+    /// [`QueryOutput::Points`](crate::QueryOutput::Points), one `Vec` per
+    /// point kept.
+    pub(crate) fn into_points(mut self) -> Vec<Vec<i64>> {
+        self.points.sort_unstable();
+        self.points.iter().map(|p| p.to_vec()).collect()
+    }
+}
+
+/// Evaluate `$body` with the `usize` const `$D` bound to `$dims`, a
+/// SKYLINE's dimension count, so a [`SkylineWindow`] is picked once per
+/// call. [`DbQuery::check`](crate::DbQuery::check) refuses a SKYLINE
+/// outside `1..=MAX_ENTRY_SLOTS` (4) before anything runs; past that, any
+/// other count is a caller's bug and panics.
+macro_rules! with_dims {
+    ($dims:expr, $D:ident => $body:expr) => {
+        match $dims {
+            1 => {
+                const $D: usize = 1;
+                $body
+            }
+            2 => {
+                const $D: usize = 2;
+                $body
+            }
+            3 => {
+                const $D: usize = 3;
+                $body
+            }
+            4 => {
+                const $D: usize = 4;
+                $body
+            }
+            d => unreachable!("a checked SKYLINE has 1..=4 dimensions, not {d}"),
+        }
+    };
+}
+pub(crate) use with_dims;
+// `with_dims!` covers every dimension count an entry's slots carry.
+const _: () = assert!(cheetah_net::MAX_ENTRY_SLOTS == 4);
+
 /// Worker partial: local skyline of a partition's dimension columns.
 pub fn partial_skyline(cols: &[usize], part: &Partition) -> Vec<Vec<i64>> {
     let dims: Vec<&[i64]> =
@@ -209,6 +279,7 @@ pub fn hash_join_pairs(left: &[Value], right: &[Value]) -> u64 {
 mod tests {
     use super::*;
     use crate::expr::{IntCmp, LikePattern};
+    use crate::query::QueryOutput;
     use crate::table::{Column, Partition};
 
     fn ratings() -> Partition {
@@ -307,6 +378,93 @@ mod tests {
     fn skyline_handles_duplicates_and_dominance_chains() {
         let pts = vec![vec![1, 1], vec![2, 2], vec![2, 2], vec![3, 3]];
         assert_eq!(skyline_of(&pts), vec![vec![3, 3]]);
+    }
+
+    /// The window's skyline of `points`, all of `d` dimensions.
+    fn window_of(d: usize, points: &[Vec<i64>]) -> Vec<Vec<i64>> {
+        with_dims!(d, D => {
+            let mut window = SkylineWindow::<D>::default();
+            points.iter().for_each(|p| window.offer(p[..].try_into().unwrap()));
+            window.into_points()
+        })
+    }
+
+    /// The next draw of a splitmix64 stream.
+    fn draw(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A coordinate over the whole `i64` range: an edge of it, or anything.
+    fn full_range(x: &mut u64) -> i64 {
+        const EDGES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        match draw(x) % 2 {
+            0 => EDGES[(draw(x) % EDGES.len() as u64) as usize],
+            _ => draw(x) as i64,
+        }
+    }
+
+    #[test]
+    fn the_window_answers_like_skyline_of_at_the_edges() {
+        for d in 1..=4 {
+            assert_eq!(window_of(d, &[]), Vec::<Vec<i64>>::new(), "empty, {d} dims");
+            for edge in [i64::MIN, 0, i64::MAX] {
+                let one = vec![vec![edge; d]];
+                assert_eq!(window_of(d, &one), one, "one point, {d} dims");
+                let same = vec![vec![edge; d]; 5];
+                assert_eq!(window_of(d, &same), one, "all equal, {d} dims");
+            }
+            // A chain that ends at the top of the range, and its reverse.
+            let mut chain: Vec<Vec<i64>> =
+                [i64::MIN, -1, 0, i64::MAX].iter().map(|&v| vec![v; d]).collect();
+            assert_eq!(window_of(d, &chain), vec![vec![i64::MAX; d]], "{d} dims");
+            chain.reverse();
+            assert_eq!(window_of(d, &chain), vec![vec![i64::MAX; d]], "{d} dims");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Over 1–4 dimensions, duplicate-heavy, full-range and all-equal
+        /// draws of up to 80 points (none and one included): the window
+        /// answers like `skyline_of`, and merging its partials over any
+        /// split of the points answers like the whole set's skyline.
+        #[test]
+        fn the_window_and_its_merge_answer_like_skyline_of(
+            seed in proptest::prelude::any::<u64>(),
+            d in 1usize..5,
+            n in 0usize..81,
+            kind in 0u8..3,
+            shards in 1usize..6,
+        ) {
+            let mut x = seed;
+            let equal: Vec<i64> = (0..d).map(|_| full_range(&mut x)).collect();
+            let points: Vec<Vec<i64>> = (0..n)
+                .map(|_| match kind {
+                    0 => (0..d).map(|_| (draw(&mut x) % 3) as i64).collect(),
+                    1 => (0..d).map(|_| full_range(&mut x)).collect(),
+                    _ => equal.clone(),
+                })
+                .collect();
+            let want = skyline_of(&points);
+            proptest::prop_assert_eq!(window_of(d, &points), want.clone());
+            let mut split = vec![Vec::new(); shards];
+            for p in &points {
+                split[(draw(&mut x) % shards as u64) as usize].push(p.clone());
+            }
+            let partials =
+                split.iter().map(|s| QueryOutput::Points(window_of(d, s))).collect();
+            let q = crate::DbQuery::Skyline { cols: (0..d).collect() };
+            let merged = crate::merge_shard_outputs(&q, partials);
+            proptest::prop_assert_eq!(merged, QueryOutput::Points(want));
+        }
     }
 
     #[test]

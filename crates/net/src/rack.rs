@@ -15,7 +15,12 @@
 //!   function for a verdict on each entry it processes, and ACKs what it
 //!   prunes;
 //! * **the master** dedups by sequence with a [`MasterFlow`], ACKs every
-//!   valid entry and FIN, and keeps each *new* entry.
+//!   valid entry and FIN, and keeps each *new* entry's sequence number.
+//!
+//! A run ends when every flow's FIN is acknowledged, when a flow has
+//! timed out [`STALL_TIMEOUTS`] times in a row with no ACK moving its
+//! window (a fabric that delivers nothing), or at the config's simulated
+//! time limit; the last two leave [`RackReport::completed`] false.
 //!
 //! The loop that drives them exists once, here; what rides it is always
 //! the entry packets of [`crate::wire`] ([`DataPacket`]), and
@@ -30,11 +35,21 @@ use crate::wire::{AckPacket, AckSource, DataPacket, Packet};
 use bytes::Bytes;
 use cheetah_switch::Verdict;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// The send window when a config pins none: entries are small and
 /// uniform, so a constant 64 in flight.
 pub const DEFAULT_WINDOW: u64 = 64;
+
+/// Consecutive retransmission timeouts after which a flow with no ACK
+/// progress in between ends the run, incomplete. Under
+/// [`FaultProfile::harsh`] a timeout resends the window's base, whose ACK
+/// crosses at most three links that each pass it with probability
+/// 0.85 × 0.85, so it comes back at least three times in eight: 64
+/// misses in a row (a chance below 10⁻¹²) is a fabric that delivers
+/// nothing, not bad luck. A black hole then costs each flow 63 resends
+/// of its window, not the `max_ns / rto_ns` timeouts of the time limit.
+pub const STALL_TIMEOUTS: u32 = 64;
 
 /// Configuration of a rack run.
 #[derive(Debug, Clone)]
@@ -51,7 +66,8 @@ pub struct RackConfig {
     pub window: Option<u64>,
     /// Retransmission timeout in nanoseconds.
     pub rto_ns: SimTime,
-    /// Simulation time limit (safety stop).
+    /// Simulation time limit (safety stop; a black hole stops sooner, at
+    /// [`STALL_TIMEOUTS`]).
     pub max_ns: SimTime,
     /// RNG seed (drives every link's fault draws).
     pub seed: u64,
@@ -100,8 +116,11 @@ pub struct RackReport {
     pub completed: bool,
 }
 
-/// The entries that reached the master, per flow: `fid → seq → values`.
-pub type Delivered = HashMap<u32, HashMap<u64, Vec<u64>>>;
+/// The entries that reached the master: per flow (worker `w`'s flow id is
+/// `w`), the sequence numbers it accepted, ascending, each once. The
+/// values are the sender's: entry `seq` of flow `w` is `packets[w][seq −
+/// 1]`.
+pub type Delivered = Vec<Vec<u64>>;
 
 /// Bytes an emitted packet occupies on the wire: 42 bytes of Ethernet/IP/UDP
 /// encapsulation, padded to the 64-byte minimum frame — the convention of
@@ -152,7 +171,7 @@ impl Ord for HeapItem {
     }
 }
 
-/// Carry `packets` across the rack to completion (or the time limit):
+/// Carry `packets` across the rack to completion (or a stall, or the time limit):
 /// worker `w` sends `packets[w]`, the emitted [`DataPacket`]s of flow `w`
 /// with sequence numbers counting from 1. The switch asks `verdict` for
 /// `(fid, seq, values)` of each entry it processes — once per entry, in
@@ -179,7 +198,7 @@ pub fn run<F: FnMut(u32, u64, &[u64]) -> Verdict>(
             Event::Rx(Hop::Back(w), bytes) => rack.worker_rx(w, bytes),
             Event::Timer(w, epoch) => rack.on_timer(w, epoch),
         }
-        if rack.report.completed {
+        if rack.report.completed || rack.stalled {
             break;
         }
     }
@@ -197,7 +216,7 @@ pub fn run<F: FnMut(u32, u64, &[u64]) -> Verdict>(
         },
         ..rack.report
     };
-    (report, rack.delivered)
+    (report, rack.masters.iter().map(MasterFlow::sequences).collect())
 }
 
 /// The state of one run: links, role state machines, the event heap.
@@ -213,12 +232,15 @@ struct Rack<'c> {
     masters: Vec<MasterFlow>,
     fin_sent: Vec<bool>,
     fin_acked: Vec<bool>,
+    /// Per worker: timeouts in a row since its window last moved.
+    misses: Vec<u32>,
+    /// Has a flow reached [`STALL_TIMEOUTS`]?
+    stalled: bool,
     heap: BinaryHeap<Reverse<HeapItem>>,
     tie: u64,
     now: SimTime,
     /// Bytes of the unique entries delivered so far.
     delivered_bytes: u64,
-    delivered: Delivered,
     /// The counters bumped as events are handled; `run` fills in the rest.
     report: RackReport,
 }
@@ -242,11 +264,12 @@ impl<'c> Rack<'c> {
             masters: (0..n).map(|_| MasterFlow::default()).collect(),
             fin_sent: vec![false; n],
             fin_acked: vec![false; n],
+            misses: vec![0; n],
+            stalled: false,
             heap: BinaryHeap::new(),
             tie: 0,
             now: 0,
             delivered_bytes: 0,
-            delivered: HashMap::new(),
             report: RackReport::default(),
         }
     }
@@ -328,7 +351,7 @@ impl<'c> Rack<'c> {
     }
 
     fn master_rx(&mut self, bytes: Bytes) {
-        let DataPacket { fid, seq, values } = match Packet::parse(bytes.clone()) {
+        let DataPacket { fid, seq, .. } = match Packet::parse(bytes.clone()) {
             Ok(Packet::Data(d)) => d,
             Ok(Packet::Fin { fid, .. }) => {
                 if let Some(master) = self.masters.get_mut(fid as usize) {
@@ -351,7 +374,6 @@ impl<'c> Rack<'c> {
         if self.masters[w].on_data(seq) {
             self.report.delivered_units += 1;
             self.delivered_bytes += bytes.len() as u64;
-            self.delivered.entry(fid).or_default().insert(seq, values);
         }
         self.ack(w, seq, AckSource::Master);
     }
@@ -360,6 +382,7 @@ impl<'c> Rack<'c> {
         match Packet::parse(bytes) {
             Ok(Packet::Ack(a)) if a.fid as usize == w => {
                 if self.workers[w].on_ack(a.seq) {
+                    self.misses[w] = 0;
                     // Window advanced: send fresh units.
                     let seqs = self.workers[w].sendable();
                     self.send_units(w, seqs);
@@ -380,6 +403,11 @@ impl<'c> Rack<'c> {
     fn on_timer(&mut self, w: usize, epoch: u64) {
         if self.fin_acked[w] || epoch != self.workers[w].timer_epoch {
             return; // stale timer
+        }
+        self.misses[w] += 1;
+        if self.misses[w] == STALL_TIMEOUTS {
+            self.stalled = true;
+            return;
         }
         if self.workers[w].all_acked() {
             // Data done but FIN unacked: (re)send the FIN. This also

@@ -183,6 +183,13 @@ impl MasterFlow {
     pub fn has(&self, seq: u64) -> bool {
         self.delivered.contains(&seq)
     }
+
+    /// Every sequence delivered, ascending.
+    pub(crate) fn sequences(&self) -> Vec<u64> {
+        let mut seqs: Vec<u64> = self.delivered.iter().copied().collect();
+        seqs.sort_unstable();
+        seqs
+    }
 }
 
 #[cfg(test)]

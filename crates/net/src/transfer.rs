@@ -21,20 +21,22 @@ use crate::wire::{DataPacket, Packet};
 use bytes::Bytes;
 use cheetah_switch::Verdict;
 
-/// Outcome of a transfer: the carrier's report plus what the master
-/// stored.
+/// Outcome of a transfer: the carrier's report plus which entries reached
+/// the master.
 #[derive(Debug)]
 pub struct TransferReport {
     /// The carrier's counters and completion time.
     pub rack: RackReport,
-    /// Entries that reached the master, per flow: `fid → seq → values`.
+    /// Entries that reached the master: per flow, the sequence numbers
+    /// accepted, ascending. Entry `seq` of flow `fid` holds the values the
+    /// sender passed at `streams[fid][seq − 1]`; the report keeps no copy.
     pub delivered: Delivered,
 }
 
 impl TransferReport {
     /// Unique entries delivered across all flows.
     pub fn delivered_unique(&self) -> u64 {
-        self.delivered.values().map(|m| m.len() as u64).sum()
+        self.delivered.iter().map(|seqs| seqs.len() as u64).sum()
     }
 }
 
@@ -62,7 +64,7 @@ impl<F: FnMut(u32, u64, &[u64]) -> Verdict> TransferSim<F> {
         Self { cfg, packets, pruner }
     }
 
-    /// Run to completion (or the time limit).
+    /// Run to completion (or a stall, or the time limit).
     pub fn run(self) -> TransferReport {
         let (rack, delivered) = rack::run(&self.cfg, &self.packets, self.pruner);
         TransferReport { rack, delivered }
@@ -105,9 +107,11 @@ mod tests {
         assert!(report.rack.completed);
         assert_eq!(report.rack.switch_acks, 100);
         assert_eq!(report.delivered_unique(), 100);
-        for (fid, entries) in &report.delivered {
-            for values in entries.values() {
-                assert_eq!(values[0] % 2, 0, "odd value delivered for flow {fid}");
+        let sent = streams(2, 100);
+        for (fid, seqs) in report.delivered.iter().enumerate() {
+            for &seq in seqs {
+                let value = sent[fid][seq as usize - 1][0];
+                assert_eq!(value % 2, 0, "odd value delivered for flow {fid}");
             }
         }
     }
@@ -153,9 +157,11 @@ mod tests {
         );
         // Every non-pruned entry value must be present; pruned entries MAY
         // also appear (stale retransmission after a lost switch-ACK).
+        let sent = streams(2, total);
         for w in 0..2u64 {
-            let flow = &report.delivered[&(w as u32)];
-            let got: HashSet<u64> = flow.values().map(|v| v[0]).collect();
+            let flow = &report.delivered[w as usize];
+            let got: HashSet<u64> =
+                flow.iter().map(|&seq| sent[w as usize][seq as usize - 1][0]).collect();
             for i in 0..total {
                 let value = w << 32 | i;
                 if value % 3 != 0 {
@@ -237,6 +243,29 @@ mod tests {
         let slow = run(1e9);
         let fast = run(10e9);
         assert!(slow > fast * 3.0, "slow {slow}, fast {fast}");
+    }
+
+    #[test]
+    fn a_black_hole_stalls_after_a_fixed_number_of_timeouts() {
+        // Nothing ever arrives, so no ACK moves a window: each flow resends
+        // its whole window on each of its first `STALL_TIMEOUTS − 1`
+        // timeouts, and flow 0's next timeout ends the run.
+        let cfg = RackConfig {
+            faults: FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() },
+            ..RackConfig::default()
+        };
+        let mut flows = streams(3, 500);
+        flows[2].truncate(10);
+        let report = TransferSim::new(cfg, flows, |_, _, _| Verdict::Forward).run();
+        assert!(!report.rack.completed);
+        assert_eq!(report.delivered_unique(), 0);
+        let resends = u64::from(crate::rack::STALL_TIMEOUTS - 1);
+        assert_eq!(
+            report.rack.flow_retransmissions,
+            vec![resends * 64, resends * 64, resends * 10]
+        );
+        let rto = RackConfig::default().rto_ns as f64 / 1e9;
+        assert_eq!(report.rack.sim_seconds, f64::from(crate::rack::STALL_TIMEOUTS) * rto);
     }
 
     #[test]

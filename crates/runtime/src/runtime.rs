@@ -634,17 +634,20 @@ mod tests {
 
     #[test]
     fn a_fabric_that_drops_everything_is_a_typed_error_not_a_panic() {
-        // A few rows: each one costs the carrier 60 000 timeouts of resends
-        // before its 120 s of simulated time run out.
+        // No ACK ever moves a window, so the rack gives up after
+        // `STALL_TIMEOUTS` timeouts of a flow: 63 resends of each flow's
+        // window of at most 64 entries, however many rows a shard carries
+        // (the rack's own test pins that count), not 120 s of simulated
+        // time's worth.
         let cluster = Cluster::default();
-        let t = table(4, 1);
+        let t = table(20_000, 8);
         let q = DbQuery::Distinct { col: 0 };
         let black_hole = FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() };
         let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash));
         let err = execute(&cluster.with_fault(black_hole, 7), &plan, ExecPath::BarrierPooled)
             .unwrap_err();
         assert!(
-            matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, entries } if entries > 0),
+            matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, entries } if entries > 1_000),
             "{err}"
         );
     }

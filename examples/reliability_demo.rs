@@ -67,7 +67,7 @@ fn main() {
     println!(
         "transfer: {workers} workers × {per_worker} entries, {drop_pct}% drop, {corrupt_pct}% corrupt\n"
     );
-    let report = TransferSim::new(cfg, streams, move |fid, _, values| {
+    let report = TransferSim::new(cfg, streams.clone(), move |fid, _, values| {
         epoch += 1;
         pruner
             .on_packet(PacketRef { epoch, fid, values })
@@ -86,9 +86,12 @@ fn main() {
     println!("  master dedups        : {}", report.rack.duplicates);
 
     // The master completes the DISTINCT query from whatever arrived —
-    // any superset of the unpruned entries yields the same output.
-    let master_distinct: HashSet<u64> =
-        report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
+    // any superset of the unpruned entries yields the same output. The
+    // report names the entries by sequence number; their values are the
+    // ones each worker sent.
+    let master_distinct: HashSet<u64> = (report.delivered.iter().zip(&streams))
+        .flat_map(|(seqs, sent)| seqs.iter().map(|&seq| sent[seq as usize - 1][0]))
+        .collect();
     assert_eq!(master_distinct, ground_truth, "DISTINCT output must survive the losses");
     println!(
         "\nmaster DISTINCT output: {} values — identical to the lossless ground truth ✓",

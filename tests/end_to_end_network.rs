@@ -10,7 +10,7 @@ use cheetah::algorithms::{
     AggKind, DistinctConfig, DistinctPruner, EvictionPolicy, GroupByConfig, GroupByPruner,
     TopNRandConfig, TopNRandPruner,
 };
-use cheetah::net::{FaultProfile, RackConfig, TransferSim};
+use cheetah::net::{FaultProfile, RackConfig, TransferReport, TransferSim};
 use cheetah::switch::hash::mix64;
 use cheetah::switch::{PacketRef, ResourceLedger, SwitchProfile, SwitchProgram};
 use std::collections::{HashMap, HashSet};
@@ -28,12 +28,22 @@ fn lossy(seed: u64) -> RackConfig {
     }
 }
 
+/// The values of every entry the master received, read from `streams`
+/// as sent (the report keeps sequence numbers only).
+fn delivered_values<'s>(
+    report: &'s TransferReport,
+    streams: &'s [Vec<Vec<u64>>],
+) -> impl Iterator<Item = &'s Vec<u64>> {
+    let flows = report.delivered.iter().zip(streams);
+    flows.flat_map(|(seqs, sent)| seqs.iter().map(move |&seq| &sent[seq as usize - 1]))
+}
+
 /// Drive a program through the transfer sim.
 fn transfer<P: SwitchProgram>(
     cfg: RackConfig,
     streams: Vec<Vec<Vec<u64>>>,
     mut program: P,
-) -> cheetah::net::TransferReport {
+) -> TransferReport {
     let mut epoch = 0u64;
     TransferSim::new(cfg, streams, move |fid, _, values| {
         epoch += 1;
@@ -69,10 +79,9 @@ fn distinct_over_lossy_network_is_exact() {
         &mut ledger(),
     )
     .unwrap();
-    let report = transfer(lossy(0xE2E1), streams, program);
+    let report = transfer(lossy(0xE2E1), streams.clone(), program);
     assert!(report.rack.completed);
-    let got: HashSet<u64> =
-        report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
+    let got: HashSet<u64> = delivered_values(&report, &streams).map(|v| v[0]).collect();
     assert_eq!(got, truth, "DISTINCT output diverged under loss");
     assert!(report.rack.retransmissions > 0, "the loss must actually have been exercised");
 }
@@ -105,11 +114,11 @@ fn groupby_max_over_lossy_network_is_exact() {
         &mut ledger(),
     )
     .unwrap();
-    let report = transfer(lossy(0xE2E2), streams, program);
+    let report = transfer(lossy(0xE2E2), streams.clone(), program);
     assert!(report.rack.completed);
     // Master-side completion: MAX over whatever was delivered.
     let mut got: HashMap<u64, u64> = HashMap::new();
-    for v in report.delivered.values().flat_map(|m| m.values()) {
+    for v in delivered_values(&report, &streams) {
         let e = got.entry(v[0]).or_insert(0);
         *e = (*e).max(v[1]);
     }
@@ -138,10 +147,9 @@ fn topn_over_lossy_network_keeps_the_top() {
     let program =
         TopNRandPruner::build(TopNRandConfig { rows: 512, cols: 8, seed: 6 }, &mut ledger())
             .unwrap();
-    let report = transfer(lossy(0xE2E3), streams, program);
+    let report = transfer(lossy(0xE2E3), streams.clone(), program);
     assert!(report.rack.completed);
-    let mut got: Vec<u64> =
-        report.delivered.values().flat_map(|m| m.values().map(|v| v[0])).collect();
+    let mut got: Vec<u64> = delivered_values(&report, &streams).map(|v| v[0]).collect();
     got.sort_unstable_by(|a, b| b.cmp(a));
     got.truncate(n);
     assert_eq!(got, truth, "TOP N diverged under loss");
