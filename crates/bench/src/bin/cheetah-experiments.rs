@@ -24,7 +24,7 @@
 
 use cheetah_bench::experiments;
 use cheetah_bench::{RunCtx, Scale};
-use cheetah_db::DbQuery;
+use cheetah_db::{DbQuery, ExecPath};
 use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{export_jsonl, render};
 use cheetah_workloads::SkewedTableConfig;
@@ -127,7 +127,9 @@ fn main() {
 /// The `--trace` demo: push one query through the `Session` front door
 /// and show all three faces of its telemetry — the pretty-printed
 /// lifecycle span tree, the JSON-lines export, and the registry
-/// snapshot the same request fed.
+/// snapshot the same request fed. The request pins four shards and the
+/// pruned arm, so the tree shows a switch program's shard jobs whatever
+/// arm an unpinned sight of the key would run.
 fn run_trace_mode() {
     let table = SkewedTableConfig {
         rows: 6_000,
@@ -141,7 +143,12 @@ fn run_trace_mode() {
     let session = Session::with_defaults();
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
     let resp = session
-        .run_blocking(QueryRequest::new(q, table.into()).tenant("demo").shards(4))
+        .run_blocking(
+            QueryRequest::new(q, table.into())
+                .tenant("demo")
+                .shards(4)
+                .path(ExecPath::BarrierPooled),
+        )
         .expect("plan fits");
     let tree = resp.trace.expect("the session traces every request");
     println!("lifecycle span tree (arm {}):", resp.arm.label());

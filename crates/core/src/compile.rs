@@ -62,8 +62,7 @@ use crate::groupby::{AggKind, GroupByConfig};
 use crate::planner::QuerySpec;
 use crate::pruner::covered;
 use crate::skyline::{covers, SkylineConfig, SkylinePolicy};
-use crate::topn::TopNDetConfig;
-use cheetah_switch::alu::mul_pow2;
+use crate::topn::{mul_pow2, TopNDetConfig};
 use cheetah_switch::error::SwitchError;
 use cheetah_switch::{ApproxLog, HashFamily, HashFn, ProgramStats, Verdict};
 

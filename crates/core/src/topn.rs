@@ -21,7 +21,6 @@
 
 use crate::analysis;
 use crate::pruner::OptPruner;
-use cheetah_switch::alu::mul_pow2;
 use cheetah_switch::{
     ControlMsg, HashFn, PacketRef, RegisterArray, ResourceLedger, SwitchProgram, UsageSummary,
     Verdict,
@@ -42,6 +41,21 @@ impl TopNDetConfig {
     pub fn paper_default() -> Self {
         Self { n: 250, w: 4 }
     }
+}
+
+/// A power-of-two multiply expressed as the shift the hardware would use:
+/// the thresholds are `t_i = 2^i · t0` precisely because this is the only
+/// "multiplication" a switch can do. It saturates instead of losing high
+/// bits.
+#[inline]
+pub(crate) fn mul_pow2(a: u64, exp: u32) -> u64 {
+    if a == 0 {
+        return 0;
+    }
+    if exp >= 64 || a.leading_zeros() < exp {
+        return u64::MAX;
+    }
+    a << exp
 }
 
 /// Deterministic TOP N pruning program.
@@ -294,6 +308,14 @@ mod tests {
     use crate::pruner::StandalonePruner;
     use cheetah_switch::hash::mix64;
     use cheetah_switch::SwitchProfile;
+
+    #[test]
+    fn mul_pow2_saturates_instead_of_overflowing() {
+        assert_eq!(mul_pow2(3, 2), 12);
+        assert_eq!(mul_pow2(1, 63), 1 << 63);
+        assert_eq!(mul_pow2(2, 63), u64::MAX);
+        assert_eq!(mul_pow2(1, 64), u64::MAX);
+    }
 
     fn build_det(n: usize, w: usize) -> StandalonePruner<TopNDetPruner> {
         let mut ledger = ResourceLedger::new(SwitchProfile::tofino1());

@@ -44,7 +44,7 @@
 //! | [`table`] | exact-match match-action tables |
 //! | [`tcam`] | ternary match tables |
 //! | [`hash`] | seeded hash family and fingerprints |
-//! | [`alu`] | the permitted stateless ALU operations |
+//! | — | the ALU op set: add, subtract, min/max, bitwise ops, shifts, compare — no multiply, divide, log or float |
 //! | [`aph`] | approximate log / product projection (Appendix D) |
 //! | [`pipeline`] | [`SwitchProgram`] trait, [`Pipeline`], verdicts |
 //! | [`counters`] | per-program statistics |
@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alu;
 pub mod aph;
 pub mod control;
 pub mod counters;
@@ -67,7 +66,6 @@ pub mod resources;
 pub mod table;
 pub mod tcam;
 
-pub use alu::AluOp;
 pub use aph::{ApproxLog, ProjectionKind};
 pub use control::{ControlPlane, DrainModel, SwitchCpuModel};
 pub use counters::ProgramStats;
