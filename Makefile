@@ -1,7 +1,7 @@
 # Convenience aliases mirroring the CI jobs, so "it failed in CI" is
 # always reproducible with one local command.
 
-.PHONY: build test lint no-shims net-deps docs ledger-check ledger sweep gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
+.PHONY: build test lint no-shims net-deps docs ledger-check ledger sweep census gates pruning-gate shard-gate planner-gate compiled-gate serving-gate fabric-gate telemetry-gate counters-gate
 
 build:
 	cargo build --release
@@ -53,9 +53,11 @@ net-deps:
 # experiment asking its question again over other tables), and one
 # multi-tenant harness (the ledger's `tenants_small`, its properties
 # gated by `serving_contract`: no `serving` experiment, workload
-# generator or wall-clock fairness test beside them), one go-direct
-# verdict: the deciding sight measures the layout's work direct against
-# its pruned run (no extrapolation from survivors), and one way into the
+# generator or wall-clock fairness test beside them), no go-direct
+# verdict: the arm is the request's alone, direct unless a pin asks for
+# the switch, as the checked-in arm census licenses (no deciding sight,
+# measuring run, decided stage, verdict span or counter, and no per-job
+# busy clock or run work sum that only a verdict read), and one way into the
 # session: `run_blocking`, on the caller's thread (no submit queue,
 # ticket, per-tenant scheduler, driver thread or closed-session error),
 # and one HAVING second pass: the executor's candidate-key pass (no
@@ -83,7 +85,7 @@ net-deps:
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us)|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -151,7 +153,7 @@ compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract
 
 # The named CI gate: serving-plane contract — every generated case's
-# first, deciding, warm or pinned sight through the Session answering
+# first, second, warm or pinned sight through the Session answering
 # like the baseline on the arm and layout the lifecycle names; concurrent multi-tenant
 # requests through the Session front door, each on its caller's thread,
 # bit-identical to sequential baselines, typed Error::Overloaded at the
@@ -159,20 +161,19 @@ compiled-gate:
 # repeated shape (first sight runs the tables whole, second sight plans
 # and routes, later ones run the held layout under the plan it carries)
 # never changing results, a layout never outliving its plan, a right
-# table attached to a unary query ignored by the key, the arm
-# lifecycle (every family's first sight runs direct; its second runs pruned
-# on the routed layout and decides; a key whose second sight pruned
-# nothing runs direct from its third; a key the switch prunes well stays
-# pooled + compiled; pins run what they name and override the verdict per
-# request), and
+# table attached to a unary query ignored by the key, the arm (every
+# unpinned sight of every family runs direct, no switch run and nothing
+# decided; a path, backend or shard pin runs pruned on the held layout,
+# for that request alone, and the next unpinned sight runs direct on it
+# with no re-route; a pin at first sight runs what it names), and
 # containment: a column the table cannot answer for is a typed BadColumn,
 # a query with nothing to evaluate a typed BadArity on the pruned pin, the
 # direct pin and unpinned alike, a panicking shard job a typed
 # WorkerPanicked — pinned pruned (a one-shard job, caught on the thread
 # that served the request: its trace's one worker span says
 # thread=caller, and that thread then serves a compiled, pruned request
-# with its kernel cache intact), or at an unpinned key's deciding sight,
-# which then decides nothing — each to its own request with the pool
+# with its kernel cache intact), or pinned pruned on an unpinned key's
+# held layout, which stays held — each to its own request with the pool
 # intact.
 serving-gate:
 	cargo test -q -p cheetah-db --test serving_contract
@@ -202,10 +203,9 @@ fabric-gate:
 # its names do not grow with the tenants callers send, the layout policy reads off the trees (first sight: no route span, one
 # worker; second sight: route + one worker per planned shard; third:
 # neither route nor planner; a pinned shard count routes at first
-# sight), so does the arm policy (first sight runs direct; the second
-# sight's respond span holds a rule span with the work it compared, the
-# verdict and the measuring run's worker spans, execute and its worker
-# spans the path that answered), and a traced run in fault mode
+# sight), so does the arm policy (every unpinned sight runs direct and no
+# trace holds a rule span; execute and its worker spans name the path
+# that answered), and a traced run in fault mode
 # attributes its go-back-N resends (an exact count) to the owning
 # registry, equal to the breakdown's count and to its worker spans'.
 telemetry-gate:
@@ -227,6 +227,15 @@ counters-gate:
 # clocks are printed.
 sweep:
 	cargo run --release -p cheetah-bench --bin cheetah-experiments -- shards --full --shards 1,2,4,8,16
+
+# The arm census: every key of the four benchmark workloads (seed 1, the
+# benchmark's tables) held routed in a Session, then 11 pairs of batches
+# pinned direct and pinned pruned on that layout, each batch's CPU read
+# from /proc/self/task/*/schedstat. Three processes, one after another
+# (~50 s on 2 cores). A report, not a gate: answers are asserted, clocks
+# are printed.
+census:
+	for i in 1 2 3; do cargo run --release -q -p cheetah-bench --bin cheetah-experiments -- census --full || exit 1; done
 
 # The benchmark, as BENCHMARK.json declares it: the one command, once per
 # workload. The last stdout line of each run is its JSON verdict.

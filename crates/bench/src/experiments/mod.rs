@@ -2,6 +2,7 @@
 //! the repository's own report-only experiments.
 
 pub mod ablations;
+pub mod census;
 pub mod fabric;
 pub mod fig10;
 pub mod fig11;
@@ -36,6 +37,7 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
         ("ablations", ablations::run),
         ("shards", shards::run),
         ("fabric", fabric::run),
+        ("census", census::run),
     ]
 }
 
@@ -48,7 +50,7 @@ mod tests {
         let ids: Vec<&str> = all().iter().map(|(id, _)| *id).collect();
         for want in [
             "table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12_13", "shards", "fabric",
+            "fig12_13", "shards", "fabric", "census",
         ] {
             assert!(ids.contains(&want), "missing experiment {want}");
         }

@@ -14,10 +14,11 @@
 //! arms of the last routed plan (resident workers hold their slices):
 //!
 //! * **pruned** — the barrier transport on the compiled backend, which is
-//!   what unpinned traffic runs on a key decided pruned (TOP N, JOIN and
-//!   HAVING have no kernel and run the interpreter either way);
+//!   what a request pinned to the pruned arm runs with no backend pinned
+//!   (TOP N, JOIN and HAVING have no kernel and run the interpreter either
+//!   way);
 //! * **direct** — no switch program, the operator's completion over every
-//!   row: the unaccelerated plan, kept as a candidate at every point.
+//!   row: the unaccelerated plan, and what every unpinned request runs.
 //!
 //! Beside both clocks each row prints the Figure 8 stacked-phase model,
 //! whose worker phase is the slowest shard's (a core per shard), and the

@@ -230,9 +230,8 @@ pub enum ExecPath {
     /// The unaccelerated plan: each shard job completes its unit over the
     /// identity selection ([`Cluster::run_direct`](crate::Cluster::run_direct)
     /// — no `spec()`, no encode, no switch) and hands the whole output to
-    /// the same barrier merge. The serving plane engages it per
-    /// (shape, tables) key, where the key's deciding sight measured it
-    /// doing less work than pruning on the key's layout.
+    /// the same barrier merge. The serving plane runs it for every request
+    /// that pins no pruned arm.
     Direct,
 }
 

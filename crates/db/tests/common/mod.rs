@@ -241,9 +241,9 @@ pub const ARMS: [ChooserArm; 3] = [
 pub enum Visit {
     /// Unpinned, once: the tables whole, direct.
     First,
-    /// Unpinned, twice: the second sight fits, routes, runs pruned, decides.
-    Deciding,
-    /// Unpinned, three times: the third runs the verdict's arm, warm.
+    /// Unpinned, twice: the second sight fits, routes and runs direct.
+    Routing,
+    /// Unpinned, three times: the third runs the held layout direct, warm.
     Warm,
     /// Pinned to the case's arm and shard count, twice.
     Pinned,
@@ -261,7 +261,7 @@ pub enum Gate {
 }
 
 /// The unpinned visits the serving gate's grid walks for every family.
-const UNPINNED: [Visit; 3] = [Visit::First, Visit::Deciding, Visit::Warm];
+const UNPINNED: [Visit; 3] = [Visit::First, Visit::Routing, Visit::Warm];
 
 impl Gate {
     /// Its grid's points: per family, every layout × arm, and for the
@@ -657,10 +657,10 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
     };
     let sights: u64 = match visit {
         Visit::First => 1,
-        Visit::Deciding | Visit::Pinned => 2,
+        Visit::Routing | Visit::Pinned => 2,
         _ => 3,
     };
-    let mut verdict = None;
+    let mut held = None;
     for sight in 1..=sights {
         let label = format!("sight {sight}");
         let resp = session.run_blocking(request(sight));
@@ -677,20 +677,16 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         };
         assert_eq!(&resp.output, want, "{label}: diverged from baseline");
         let tree = resp.trace.as_ref().expect("trace exports");
+        // The arm is the request's: a pin's, else direct at every sight,
+        // with no switch run and nothing decided.
         let route = tree.root.find("route").is_some();
-        let rule = tree.root.find("respond").and_then(|r| r.find("rule"));
-        let decided = rule.and_then(|r| r.attr("rule.direct")).map(|d| d == "true");
-        let pruned = ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Compiled };
-        let pruned_arm = engine(ran, pruned).label();
-        let (want_arm, want_route, want_rule) = match (visit, sight) {
-            (Visit::Pinned, _) => (engine(ran, arm).label(), sight == 1, false),
-            (_, 1) => ("direct".to_string(), false, false),
-            (_, 2) => (pruned_arm.clone(), true, true),
-            (_, _) if verdict == Some(true) => ("direct".to_string(), false, false),
-            _ => (pruned_arm.clone(), false, false),
+        let (want_arm, want_route) = match visit {
+            Visit::Pinned => (engine(ran, arm).label(), sight == 1),
+            _ => ("direct".to_string(), sight == 2),
         };
         assert_eq!(resp.arm.label(), want_arm, "{label}: the arm");
-        assert_eq!((route, decided.is_some()), (want_route, want_rule), "{label}: route, rule");
+        assert_eq!(route, want_route, "{label}: routed");
+        assert!(tree.root.find("rule").is_none(), "{label}: nothing decides");
         let cache = match (visit, sight) {
             (Visit::Pinned, _) => "pinned",
             (_, 1) => "first-sight",
@@ -699,15 +695,15 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         };
         let plan = tree.root.find("plan").and_then(|p| p.attr("cache"));
         assert_eq!((plan, resp.plan_cached), (Some(cache), cache == "hit"), "{label}");
-        if let Some(rule) = rule {
-            let mut workers = Vec::new();
-            rule.find_all("worker", &mut workers);
-            assert_eq!(workers.len(), resp.breakdown.shards as usize, "{label}: measured");
-            assert!(workers.iter().all(|w| w.attr("path") == Some("direct")), "{label}");
-            verdict = decided;
-        }
-        if visit != Visit::Pinned && sight == 1 {
-            assert_eq!((resp.breakdown.shards, resp.switch_stats.pruned), (1, 0), "{label}: whole");
+        if visit != Visit::Pinned {
+            let stats = resp.switch_stats;
+            assert_eq!((stats.seen, stats.pruned), (stats.forwarded, 0), "{label}: no switch");
+            let shards = resp.breakdown.shards;
+            if sight == 1 {
+                assert_eq!(shards, 1, "{label}: whole");
+            } else {
+                assert_eq!(*held.get_or_insert(shards), shards, "{label}: the routed layout");
+            }
         }
         assert_complete_tree(&resp, &format!("t{sight}"), &label);
     }
@@ -785,9 +781,7 @@ pub fn assert_complete_tree(resp: &QueryResponse, tenant: &str, label: &str) {
 /// random draws; every case seeded by its index. Every case is held to
 /// [`check`] and then to the gate's own `property`; a failure is shrunk
 /// and reported with its minimal case, the seed in it. The walk is split
-/// over the machine's cores, a grid point's arms kept on one — except a
-/// serving walk: a session's arm verdict compares measured run times, and
-/// the timed scenarios beside the walk must not lose their core to it.
+/// over the machine's cores, a grid point's arms kept on one.
 pub fn for_each_case(
     name: &str,
     gate: Gate,
@@ -812,10 +806,7 @@ pub fn for_each_case(
         let property = |case: Case| property(&case, &check(&case));
         run_one(&Config::default(), name, i, case, Case::shrink, property);
     };
-    let cores = match gate {
-        Gate::Serve => 1,
-        _ => std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u32,
-    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u32;
     std::thread::scope(|scope| {
         for core in 0..cores {
             let walk = &walk;

@@ -14,10 +14,10 @@
 //! sight runs the tables whole, second sight plans and routes, later ones
 //! run the held layout under the plan it carries — every layout answers
 //! alike, and no layout outlives its plan) and the right table a unary
-//! query ignores, and the arm lifecycle (first sight runs direct, every
-//! family; the second runs pruned on the layout the key keeps, and decides
-//! direct or pruned; pins run what they name and decide nothing, except
-//! that a pruned pin at the deciding sight measures it). Under property 2
+//! query ignores, and the arm, which is the request's own (every unpinned
+//! sight of every family runs direct, on whatever layout its key holds;
+//! a path, backend or shard pin runs pruned on it, for that request
+//! alone). Under property 2
 //! sits containment: a request its tables cannot answer or that gives the
 //! switch nothing to evaluate is refused before any arm runs, identically
 //! on each; a shard job that panics anyway fails alone and typed — no
@@ -50,8 +50,8 @@ fn request(q: &DbQuery, left: &Arc<Table>, right: &Arc<Table>, tenant: &str) -> 
 }
 
 /// Property 1, generated: every sight of every case — first (the tables
-/// whole, direct), deciding (fitted, routed, pruned, measured), warm (the
-/// verdict's arm, no route) and pinned (the arm and shard count named) —
+/// whole, direct), second (fitted, routed, direct), warm (direct, no
+/// route) and pinned (the arm and shard count named) —
 /// answers like the baseline, over every family, generated and adversarial
 /// tables, coded and plain keys and full-range ints, or is refused as the
 /// request check refuses it, identically on every sight. A unary query's
@@ -190,12 +190,10 @@ fn a_right_table_on_a_unary_query_is_ignored_everywhere() {
     assert_eq!((stats.plan_misses, stats.plan_hits), (1, 4));
 }
 
-/// The arm a response reports, and the verdict its `rule` span traced
-/// (`None` except at a key's deciding sight: a decision is taken once).
-fn arm_and_verdict(resp: &QueryResponse) -> (String, Option<String>) {
-    let root = &resp.trace.as_ref().expect("trace exports").root;
-    let rule = root.find("respond").expect("lifecycle span").find("rule");
-    (resp.arm.label(), rule.and_then(|r| r.attr("rule.direct")).map(str::to_string))
+/// Whether a response's trace holds a `rule` span: nothing decides a
+/// key's arm, so none may.
+fn decided(resp: &QueryResponse) -> bool {
+    resp.trace.as_ref().expect("trace exports").root.find("rule").is_some()
 }
 
 fn routed(resp: &QueryResponse) -> bool {
@@ -208,187 +206,114 @@ fn every_row_passes() -> DbQuery {
     DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Ge, lit: 0 } }
 }
 
-/// Property 1d: a key seen once pays for a scan, not for a switch program.
-/// For every family over a multi-partition table the unpinned first sight
-/// runs `direct` over the tables whole — one `worker`, no `route`, nothing
-/// pruned, no verdict — and answers like the baseline. The second sight
-/// routes and runs pruned (`pooled/compiled`; `pooled/interp` for the
-/// families with no kernel) and carries the verdict; the third runs the
-/// verdict and decides nothing.
+/// Property 1d: an unpinned request never runs the switch. For every
+/// family over a multi-partition table every unpinned sight runs `direct`
+/// — the first over the tables whole (one `worker`, no `route`), the
+/// second on the layout it routes, later ones on that held layout — with
+/// nothing pruned, a pass-through switch, no `rule` span, and the
+/// baseline's answer.
 #[test]
-fn every_family_runs_direct_at_first_sight_and_decides_at_the_second() {
+fn every_unpinned_sight_of_every_family_runs_direct() {
     let cluster = Cluster::default();
     let (left, right) = fixtures(0xF125);
     let session = Session::new(cluster.clone(), SessionConfig::default());
-    for q in common::all_seven(400_000) {
+    let families = common::all_seven(400_000);
+    for q in &families {
         let kind = q.kind();
-        let want = cluster.run_baseline(&q, &left, q.is_binary().then_some(&*right)).output;
-        let ask = || session.run_blocking(request(&q, &left, &right, "t")).unwrap();
-
-        let first = ask();
-        let mut workers = Vec::new();
-        first.trace.as_ref().expect("trace exports").root.find_all("worker", &mut workers);
-        assert_eq!((first.arm.label().as_str(), workers.len()), ("direct", 1), "{kind}");
-        assert!(!routed(&first), "{kind}: first sight routes nothing");
-        assert_eq!(first.switch_stats.pruned, 0, "{kind}: no switch ran");
-        assert_eq!(arm_and_verdict(&first).1, None, "{kind}: first sight decides nothing");
-        assert_eq!(first.output, want, "{kind}");
-
-        let second = ask();
-        let interp = common::INTERPRETER_ONLY.contains(&kind);
-        let pruned = if interp { "pooled/interp" } else { "pooled/compiled" };
-        let (arm, verdict) = arm_and_verdict(&second);
-        assert_eq!(arm, pruned, "{kind}: the deciding sight runs pruned");
-        assert!(routed(&second) && verdict.is_some(), "{kind}: …on its layout, and decides");
-        assert_eq!(second.output, want, "{kind}");
-
-        let third = ask();
-        let decided = if verdict.as_deref() == Some("true") { "direct" } else { pruned };
-        assert_eq!(arm_and_verdict(&third), (decided.to_string(), None), "{kind}");
-        assert!(!routed(&third), "{kind}");
-        assert_eq!(third.output, want, "{kind}");
-    }
-}
-
-/// Property 1e: win or get out of the way. A FILTER every row passes
-/// prunes nothing, though its family has a kernel, so its second sight — a
-/// pruned run on the routed layout, then a direct one — decides the key
-/// direct, and from the third sight on the key runs with no switch at
-/// all, as it did at the first. The verdict compares the two runs'
-/// measured work, so it rests on a margin: pruned 1.24–1.92 ms against
-/// direct 0.08–0.25 ms (5.2–17.7×) over eight runs of the whole file in
-/// the debug profile, and 23–28× over six in release. Every sight, on
-/// either arm and either layout, answers like the baseline.
-#[test]
-fn a_key_whose_second_sight_pruned_nothing_runs_direct_from_the_third() {
-    let cluster = Cluster::default();
-    let t = Arc::new(common::gen_table(4_000, 40, 3, 0xD12EC7));
-    let q = every_row_passes();
-    let want = cluster.run_baseline(&q, &t, None).output;
-    let session = Session::new(cluster, SessionConfig::default());
-    let ask = |req: QueryRequest| session.run_blocking(req).unwrap();
-    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
-    for sight in 1..=4 {
-        let resp = ask(unpinned());
-        assert_eq!(resp.output, want, "sight {sight}");
-        let (arm, verdict) = arm_and_verdict(&resp);
-        match sight {
-            2 => {
-                assert_eq!((arm.as_str(), verdict.as_deref()), ("pooled/compiled", Some("true")));
-                assert_eq!(resp.switch_stats.pruned, 0, "fixture: nothing prunes");
-                assert_eq!(resp.breakdown.entries_to_master, 4_000);
-            }
-            _ => {
-                assert_eq!((arm.as_str(), verdict), ("direct", None), "sight {sight}");
-                // A pass-through switch: the partials' items, all forwarded.
-                let stats = resp.switch_stats;
-                assert_eq!((stats.seen, stats.pruned), (stats.forwarded, 0), "sight {sight}");
-                assert_eq!(stats.forwarded, resp.breakdown.entries_to_master, "sight {sight}");
+        let want = cluster.run_baseline(q, &left, q.is_binary().then_some(&*right)).output;
+        let mut layout = None;
+        for sight in 1..=4 {
+            let resp = session.run_blocking(request(q, &left, &right, "t")).unwrap();
+            let label = format!("{kind} sight {sight}");
+            assert_eq!(resp.output, want, "{label}");
+            assert_eq!(resp.arm.label(), "direct", "{label}");
+            assert!(!decided(&resp), "{label}: nothing decides");
+            let stats = resp.switch_stats;
+            assert_eq!((stats.seen, stats.pruned), (stats.forwarded, 0), "{label}: pass-through");
+            assert_eq!(stats.forwarded, resp.breakdown.entries_to_master, "{label}");
+            assert_eq!(routed(&resp), sight == 2, "{label}: routed once, at second sight");
+            let shards = resp.breakdown.shards;
+            if sight == 1 {
+                let mut workers = Vec::new();
+                resp.trace.as_ref().expect("trace exports").root.find_all("worker", &mut workers);
+                assert_eq!((shards, workers.len()), (1, 1), "{label}: the tables whole");
+            } else {
+                assert_eq!(*layout.get_or_insert(shards), shards, "{label}: the held layout");
             }
         }
     }
-    // A path pin overrides the key's decision, for that request only…
-    let pruned = ask(unpinned().path(ExecPath::BarrierPooled));
-    assert_eq!(pruned.arm.label(), "pooled/compiled");
-    assert_eq!(pruned.output, want);
-    assert_eq!(pruned.switch_stats.seen, 4_000, "the switch saw every row");
-    // …and so does a backend pin, which names a pruning engine.
-    let interp = ask(unpinned().backend(ExecBackend::Interpreted));
-    assert_eq!((interp.arm.label().as_str(), interp.output == want), ("pooled/interp", true));
-    assert_eq!(ask(unpinned()).arm.label(), "direct");
     let snap = session.registry().snapshot();
-    assert_eq!(snap.counters["serve.direct.keys"], 1);
-    assert_eq!(snap.counters["serve.direct.requests"], 4);
+    assert_eq!(snap.counters["serve.direct.requests"], 4 * families.len() as u64);
+    let direct: Vec<_> = snap.counters.keys().filter(|n| n.starts_with("serve.direct.")).collect();
+    assert_eq!(direct, ["serve.direct.requests"], "no counter of keys decided direct");
 }
 
-/// Property 1e, with no kernel: JOIN's deciding sight runs the
-/// interpreter (`pooled/interp`), and a self-join prunes nothing — every
-/// key finds its own rows, so every row of both streams reaches the
-/// master — so that key decides direct as well and runs direct from the
-/// third sight on. The verdict compares measured work, far from
-/// break-even here: 20 000 rows over 40 keys read pruned 29–43 ms against
-/// direct 0.9–1.2 ms, five runs in this test's debug profile.
+/// Property 1e: a request asks for the switch by pinning it, and the pin
+/// is that request's alone. Once a key's second sight has routed its
+/// layout, a path pin, or a backend pin (which names a pruning engine),
+/// runs pruned on that held layout — the same shard count, no re-route,
+/// the switch seeing every row — and the next unpinned sight runs direct
+/// on the same layout again. A shard pin is a layout of its own, routed at
+/// its first sight and run pruned from then on; a direct path pin beside it
+/// runs that layout direct. Over a FILTER every row passes (a kernel, and
+/// nothing pruned), a self-join (no kernel: the interpreter) and a
+/// DISTINCT the switch prunes well, every sight answers like the baseline.
 #[test]
-fn a_key_with_no_kernel_that_prunes_nothing_decides_direct_as_well() {
+fn a_pin_runs_pruned_on_the_held_layout_and_the_next_unpinned_sight_runs_it_direct() {
     let cluster = Cluster::default();
     let t = Arc::new(common::gen_table(20_000, 40, 4, 0x5E1F));
-    let q = DbQuery::Join { left_key: 0, right_key: 0 };
-    let want = cluster.run_baseline(&q, &t, Some(&t)).output;
-    let session = Session::new(cluster, SessionConfig::default());
-    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t)).with_right(Arc::clone(&t));
-    for sight in 1..=3 {
-        let resp = session.run_blocking(unpinned()).unwrap();
-        assert_eq!(resp.output, want, "sight {sight}");
-        let (arm, verdict) = arm_and_verdict(&resp);
-        if sight == 2 {
-            assert_eq!((arm.as_str(), verdict.as_deref()), ("pooled/interp", Some("true")));
-            let rows = 2 * t.rows() as u64;
-            assert_eq!(resp.breakdown.entries_to_master, rows, "fixture: every row survives");
-        } else {
-            assert_eq!((arm.as_str(), verdict), ("direct", None), "sight {sight}");
+    let join = DbQuery::Join { left_key: 0, right_key: 0 };
+    for q in [every_row_passes(), join, DbQuery::Distinct { col: 2 }] {
+        let kind = q.kind();
+        let want = cluster.run_baseline(&q, &t, q.is_binary().then_some(&*t)).output;
+        let session = Session::new(cluster.clone(), SessionConfig::default());
+        let ask = |req: QueryRequest| {
+            let resp = session.run_blocking(req).unwrap();
+            assert_eq!(resp.output, want, "{kind}");
+            assert!(!decided(&resp), "{kind}: nothing decides");
+            resp
+        };
+        let unpinned = || request(&q, &t, &t, "t");
+        ask(unpinned());
+        let second = ask(unpinned());
+        let shards = second.breakdown.shards;
+        assert!(routed(&second) && shards >= 2, "{kind}: second sight routes, {shards} shards");
+        let interp = common::INTERPRETER_ONLY.contains(&kind);
+        let engine = |arm: &str| if interp { "pooled/interp".to_string() } else { arm.into() };
+        for (pinned, arm) in [
+            (unpinned().path(ExecPath::BarrierPooled), engine("pooled/compiled")),
+            (unpinned().backend(ExecBackend::Interpreted), "pooled/interp".to_string()),
+            (unpinned().backend(ExecBackend::Compiled), engine("pooled/compiled")),
+        ] {
+            let resp = ask(pinned);
+            assert_eq!(resp.arm.label(), arm, "{kind}");
+            assert_eq!((resp.breakdown.shards, routed(&resp)), (shards, false), "{kind}: held");
+            let rows = t.rows() as u64 * if q.is_binary() { 2 } else { 1 };
+            let seen = resp.switch_stats.seen;
+            assert!(seen >= rows, "{kind}: the switch saw every row ({seen} of {rows})");
+            let next = ask(unpinned());
+            assert_eq!(next.arm.label(), "direct", "{kind}: the pin was that request's");
+            assert_eq!((next.breakdown.shards, routed(&next)), (shards, false), "{kind}: held");
+            assert!(next.plan_cached, "{kind}");
         }
+        let by_shards = || unpinned().shards(3);
+        for sight in 1..=2 {
+            let resp = ask(by_shards());
+            assert_eq!(resp.arm.label(), engine("pooled/compiled"), "{kind}: shard pin {sight}");
+            assert_eq!((resp.breakdown.shards, routed(&resp)), (3, sight == 1), "{kind}");
+        }
+        let direct = ask(by_shards().path(ExecPath::Direct));
+        assert_eq!(direct.arm.label(), "direct", "{kind}");
+        assert_eq!((direct.breakdown.shards, routed(&direct)), (3, false), "{kind}: held");
+        assert_eq!(session.stats().plan_misses, 1, "{kind}: one fit");
     }
-    assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 1);
 }
 
-/// Property 1f: …and a key the switch wins on stays pruned. A DISTINCT
-/// over an int column of 500 values in 200 000 rows: the switch lets
-/// about 500 survivors per shard through, while the direct arm hashes
-/// every row, so its deciding second sight measures more work direct
-/// than pruned, and every later sight runs pooled + compiled. The margin
-/// is this test's debug profile's: direct did 1.7–3.3× the pruned run's
-/// work over sixteen runs of the whole file. In release it is 0.6–1.6×
-/// over eight, so there this key can decide either way. A direct pin is
-/// honoured at the deciding sight — but measures no pruned run, so it
-/// decides nothing and the key stays pruned.
+/// Property 1f: pins at first sight run what they name, over the tables
+/// whole, and leave the key where an unpinned first sight would: seen. Its
+/// next unpinned sight is its second, which routes and runs direct.
 #[test]
-fn a_key_the_switch_prunes_well_stays_pruned_and_a_direct_pin_decides_nothing() {
-    let cluster = Cluster::default();
-    let t = Arc::new(common::gen_table(200_000, 10, 4, 0x9127));
-    let q = DbQuery::Distinct { col: 2 };
-    let want = cluster.run_baseline(&q, &t, None).output;
-    let session = Session::new(cluster.clone(), SessionConfig::default());
-    let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
-    for sight in 1..=4 {
-        let resp = session.run_blocking(unpinned()).unwrap();
-        assert_eq!(resp.output, want, "sight {sight}");
-        let (arm, verdict) = arm_and_verdict(&resp);
-        let want_arm = if sight == 1 { "direct" } else { "pooled/compiled" };
-        assert_eq!(arm, want_arm, "sight {sight}");
-        assert_eq!(verdict.as_deref(), (sight == 2).then_some("false"), "sight {sight}");
-    }
-    assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 0);
-
-    // A fresh session, the deciding sight pinned direct: it routes and runs
-    // direct on the routed layout; the key is left undecided-for-direct, so
-    // unpinned sights of it run pruned.
-    let session = Session::new(cluster, SessionConfig::default());
-    let first = session.run_blocking(unpinned()).unwrap();
-    assert_eq!((first.arm.label().as_str(), first.breakdown.shards), ("direct", 1));
-    let pinned = unpinned().path(ExecPath::Direct);
-    let second = session.run_blocking(pinned.clone()).unwrap();
-    assert_eq!((second.arm.label().as_str(), second.output == want), ("direct", true));
-    assert!(routed(&second), "the deciding sight routes, pinned or not");
-    assert_eq!(arm_and_verdict(&second).1, None, "a direct run measures nothing for the rule");
-    let third = session.run_blocking(unpinned()).unwrap();
-    assert_eq!(arm_and_verdict(&third), ("pooled/compiled".to_string(), None));
-    assert_eq!(third.output, want);
-    // The pin keeps working on the routed layout second sight built.
-    let fourth = session.run_blocking(pinned).unwrap();
-    assert_eq!((fourth.arm.label().as_str(), fourth.output == want), ("direct", true));
-    assert_eq!(fourth.breakdown.shards, second.breakdown.shards);
-    assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 0);
-}
-
-/// Property 1g: pins at first sight run what they name. A pruned pin — a
-/// backend, or the barrier path — runs the tables whole, pruned, and
-/// measures nothing the lifecycle needs: the key stays undecided, and its
-/// next unpinned sight routes and decides — direct, on 1e's fixture
-/// (8.5–80× over 24 such sights in the debug profile, ≥ 13× in release).
-/// A direct pin runs what an unpinned first sight runs anyway, and leaves
-/// the key the same.
-#[test]
-fn pins_at_first_sight_run_what_they_name_and_decide_nothing() {
+fn pins_at_first_sight_run_what_they_name_and_the_key_routes_at_its_second() {
     let cluster = Cluster::default();
     let t = Arc::new(common::gen_table(4_000, 40, 3, 0xD12EC7));
     let q = every_row_passes();
@@ -401,17 +326,15 @@ fn pins_at_first_sight_run_what_they_name_and_decide_nothing() {
     ] {
         let session = Session::new(cluster.clone(), SessionConfig::default());
         let first = session.run_blocking(pinned).unwrap();
-        assert_eq!(arm_and_verdict(&first), (arm.to_string(), None), "{arm}");
+        assert_eq!((first.arm.label().as_str(), decided(&first)), (arm, false), "{arm}");
         assert_eq!((first.breakdown.shards, routed(&first)), (1, false), "{arm}: whole");
         let seen = if arm == "direct" { first.breakdown.entries_to_master } else { 4_000 };
         assert_eq!(first.switch_stats.seen, seen, "{arm}");
         assert_eq!(first.output, want, "{arm}");
-        // Undecided: the next unpinned sight is the key's second.
         let second = session.run_blocking(unpinned()).unwrap();
-        let verdict = arm_and_verdict(&second);
-        assert_eq!(verdict, ("pooled/compiled".to_string(), Some("true".to_string())), "{arm}");
-        assert!(routed(&second) && second.output == want, "{arm}");
-        assert_eq!(session.run_blocking(unpinned()).unwrap().arm.label(), "direct", "{arm}");
+        assert_eq!(second.arm.label(), "direct", "{arm}");
+        assert!(routed(&second) && second.output == want, "{arm}: the key's second sight");
+        assert!(!decided(&second), "{arm}");
     }
 }
 
@@ -574,13 +497,14 @@ fn worker_threads(tree: &TraceTree) -> Vec<String> {
 /// back as `WorkerPanicked`, to that request only, each job having
 /// unwound on the thread that served its request, its caller's, which
 /// then serves a compiled, pruned request with its kernel cache and scratch intact.
-/// Unpinned, the key's first sight runs direct and answers; its deciding
-/// second sight routes, runs pruned and panics, to that request alone, and
-/// decides nothing: the key stays undecided, its next sight pruned on the
-/// held layout. Every other family is served throughout — a `.shards(8)`
+/// Unpinned, the key runs direct and answers at every sight — the first
+/// over the tables whole, the second on the layout it routes, the third on
+/// that held layout — and a pruned pin on the held layout panics, to that
+/// request alone, and leaves the layout held: the next unpinned sight
+/// answers on it. Every other family is served throughout — a `.shards(8)`
 /// GROUP BY, one job on every pool thread, answers like the baseline after
-/// each panic — and so is the panicking family on the direct arm,
-/// unpinned-key or eight shards.
+/// each panic — and so is the panicking family on the direct arm, eight
+/// shards pinned.
 #[test]
 fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
     let (t, _) = fixtures(0xB00);
@@ -609,23 +533,23 @@ fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
     }
     assert_pool_intact(&session, &t);
 
-    assert_eq!(session.run_blocking(unpinned()).unwrap().output, want, "first sight: direct");
-    for sight in ["deciding", "undecided"] {
-        match session.run_blocking(unpinned()) {
-            Err(Error::Exec(WorkerPanicked { .. })) => {}
-            other => panic!("{sight} sight: expected WorkerPanicked, got {other:?}"),
-        }
-        assert_eq!(session.in_flight(), 0, "{sight} sight leaked its slot");
-        let tree = session.traces().last().expect("a failed request exports its tree");
-        let choose = tree.root.find("choose").expect("lifecycle span");
-        assert_eq!(choose.attr("arm"), Some("pooled/compiled"), "{sight} sight runs pruned");
-        let routes = tree.root.find("route").is_some();
-        assert_eq!(routes, sight == "deciding", "{sight} sight: routed once, then held");
+    for sight in 1..=3 {
+        let resp = session.run_blocking(unpinned()).unwrap();
+        assert_eq!((resp.arm.label().as_str(), resp.output == want), ("direct", true), "{sight}");
+        assert_eq!(routed(&resp), sight == 2, "sight {sight}: routed once, then held");
     }
-    assert_eq!(session.registry().snapshot().counters["serve.direct.keys"], 0);
+    match session.run_blocking(unpinned().path(ExecPath::BarrierPooled)) {
+        Err(Error::Exec(WorkerPanicked { .. })) => {}
+        other => panic!("a pruned pin: expected WorkerPanicked, got {other:?}"),
+    }
+    assert_eq!(session.in_flight(), 0, "the pruned pin leaked its slot");
+    let tree = session.traces().last().expect("a failed request exports its tree");
+    let choose = tree.root.find("choose").expect("lifecycle span");
+    assert_eq!(choose.attr("arm"), Some("pooled/compiled"), "the pin runs pruned");
+    assert!(tree.root.find("route").is_none(), "…on the held layout");
     assert_pool_intact(&session, &t);
-    let direct = unpinned().path(ExecPath::Direct);
-    assert_eq!(session.run_blocking(direct).unwrap().output, want);
+    let after = session.run_blocking(unpinned()).unwrap();
+    assert_eq!((after.output == want, routed(&after)), (true, false), "the layout is held");
     // Eight shards of the panicking family itself: a layout of its own,
     // pinned direct because any pruned arm of this cluster panics.
     let eight = session.run_blocking(unpinned().shards(8).path(ExecPath::Direct)).unwrap();

@@ -51,11 +51,10 @@
 //! [`ShardSpec`](cheetah_db::ShardSpec) or a plan the sampling planner
 //! fitted ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)), and
 //! [`ExecPlan::new`] takes either as it is. Choosing a layout and an arm
-//! happens between *sights* of a request, in the serving plane, not inside
-//! a run: a key's first sight runs direct over the tables whole, its
-//! second sight fits a layout, routes it, runs it pruned and decides the
-//! arm, and later sights run what was decided. Each run executes the plan
-//! it is handed, on the path it is handed.
+//! happens in the serving plane, not inside a run: a key's first sight
+//! runs the tables whole, its second sight fits a layout and routes it,
+//! and later sights run that layout; the arm is the request's own. Each
+//! run executes the plan it is handed, on the path it is handed.
 //!
 //! * **Direct** — the way out: a shard job skips `spec()`, encode and
 //!   the switch and runs
@@ -64,11 +63,10 @@
 //!   columns — then hands the output over whole, like the barrier. Same
 //!   units, same jobs, same merge, same accounting tail (a pass-through
 //!   switch: every result row of the partials seen and forwarded, none
-//!   pruned). The serving plane runs it at every key's first sight, and
-//!   from then on where the key's second sight, which runs the routed
-//!   layout both ways, measured less work on it than on the pruned arm:
-//!   each job's [`busy_seconds`](cheetah_db::ShardStats::busy_seconds)
-//!   summed, plus the merge — no time spent waiting for a pool worker.
+//!   pruned). The serving plane runs it for every request that pins no
+//!   pruned arm: on every key the benchmark sends, the arm census
+//!   (`cheetah-experiments census`) measured it using less CPU than the
+//!   pruned arm on the same routed layout.
 //! * **Pruned** — each shard job runs its unit through its switch and
 //!   hands its completed output over whole; the master merges once the
 //!   last worker is in. The barrier transport: every pruned request runs

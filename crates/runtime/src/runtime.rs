@@ -49,17 +49,6 @@ pub struct ExecRun {
     pub merge_seconds: f64,
 }
 
-impl ExecRun {
-    /// The run's work: every shard job's
-    /// [`busy_seconds`](ShardStats::busy_seconds) plus the merge. A job's
-    /// clock starts when a worker takes it up, so the time it queued for a
-    /// pool worker, behind other calls' jobs, is no part of it. This is
-    /// what the serving plane compares, arm against arm, on one layout.
-    pub fn work_seconds(&self) -> f64 {
-        self.per_shard.iter().map(|s| s.busy_seconds).sum::<f64>() + self.merge_seconds
-    }
-}
-
 /// Execute the routed `plan`'s query on `path`: prune every unit (each
 /// with its own planned switch program) — or, on [`ExecPath::Direct`],
 /// complete every unit with no switch at all — carry the results to the
@@ -137,18 +126,15 @@ fn run_shard(
     let rows = left.rows() + right.map_or(0, Table::rows);
     // An empty unit never reaches the executor.
     if rows > 0 {
-        let started = Instant::now();
         let run = match path {
             ExecPath::Direct => cluster.run_direct(unit_q, left, right),
             _ => cluster.run_cheetah(unit_q, left, right),
         }?;
-        let busy_seconds = started.elapsed().as_secs_f64();
         let b = &run.breakdown;
         rep.stats = ShardStats {
             rows: rows as u64,
             worker_seconds: b.worker_seconds,
             master_seconds: b.master_seconds,
-            busy_seconds,
             worker_wire_bytes: b.worker_wire_bytes,
             master_wire_bytes: b.master_wire_bytes,
             entries_to_master: b.entries_to_master,
@@ -310,7 +296,6 @@ mod tests {
     };
     use cheetah_net::FaultProfile;
     use cheetah_telemetry::{Registry, Trace};
-    use std::time::Duration;
 
     const PATHS: [ExecPath; 2] = [ExecPath::BarrierPooled, ExecPath::Direct];
 
@@ -532,38 +517,6 @@ mod tests {
             assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
             assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
         }
-    }
-
-    #[test]
-    fn a_runs_work_leaves_out_the_time_its_jobs_queued_for_a_pool_worker() {
-        // Every pool worker is held by another submitter's job, so this
-        // run's shard jobs queue behind them: its wall takes the hold in,
-        // its work does not.
-        let hold = Duration::from_millis(300);
-        let cluster = Cluster::default();
-        let t = table(1_000, 2);
-        let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash));
-        let pool = WorkerPool::global();
-        let (held_tx, held) = mpsc::channel();
-        for _ in 0..pool.workers() {
-            let held_tx = held_tx.clone();
-            pool.spawn(move |_| {
-                held_tx.send(()).ok();
-                std::thread::sleep(hold);
-            });
-        }
-        held.iter().take(pool.workers()).for_each(drop);
-        let started = Instant::now();
-        let run = execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap();
-        let wall = started.elapsed().as_secs_f64();
-        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
-        let busy: f64 = run.per_shard.iter().map(|s| s.busy_seconds).sum();
-        assert!(busy > 0.0, "the jobs ran");
-        assert_eq!(run.work_seconds(), busy + run.merge_seconds);
-        let hold = hold.as_secs_f64();
-        assert!(wall > hold * 2.0 / 3.0, "queued behind the hold: {wall} s");
-        assert!(run.work_seconds() < hold / 3.0, "work {} s", run.work_seconds());
     }
 
     #[test]

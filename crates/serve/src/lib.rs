@@ -22,15 +22,14 @@
 //!    of like size ([`StatsFingerprint::within`]), else one the
 //!    [`ShardPlanner`](cheetah_db::ShardPlanner) fits; from then on the
 //!    entry's layout, and the plan it carries, is all a request consults.
-//! 3. **The arm** — what the request pins, else what its key's stage
-//!    says: `direct` (the operator's completion over every row — no
-//!    switch program) at first sight; pruned, on the barrier and the
-//!    compiled backend (the interpreter where the family has no kernel —
-//!    the response reports the engine that ran), at the second, which answers and then runs the same layout
-//!    direct: the key goes direct iff that run did less work (its jobs'
-//!    busy time plus the merge, no time queued for a worker); that verdict
-//!    from then on. Nothing is learned: one measured comparison, made once
-//!    per key.
+//! 3. **The arm** — the request's alone: a path pin names its path; a
+//!    backend or shard pin asks for the pruned arm, the barrier on the
+//!    pinned backend or else the compiled one (the interpreter where the
+//!    family has no kernel — the response reports the engine that ran);
+//!    anything else runs `direct`, the operator's completion over every
+//!    row with no switch program, at every sight. The arm census
+//!    (`cheetah-experiments census`) is why: on every key the benchmark
+//!    sends, the pruned arm used more CPU than the direct one.
 //!
 //! Every arm produces bit-identical output — the serving plane
 //! inherits the repo-wide invariant `Q(A_Q(D)) = Q(D)` — so concurrency,

@@ -73,24 +73,26 @@ impl QueryRequest {
     }
 
     /// Pin the execution path: pruned on the barrier transport, or direct.
-    /// Unpinned requests run one or the other by their key's sight and
-    /// verdict.
+    /// A request that pins no path runs pruned if it pins a backend or a
+    /// shard count, and direct otherwise.
     pub fn path(mut self, path: ExecPath) -> Self {
         self.path = Some(path);
         self
     }
 
-    /// Pin the pruning backend (interpreted oracle or compiled kernel).
-    /// Unpinned requests run compiled. Either way a family without a
-    /// kernel (TOP N, JOIN, HAVING) runs the interpreter, and the response
-    /// says so.
+    /// Pin the pruning backend (interpreted oracle or compiled kernel),
+    /// which asks for the pruned arm unless the path is pinned direct. A
+    /// pruned request that pins no backend runs compiled. Either way a
+    /// family without a kernel (TOP N, JOIN, HAVING) runs the interpreter,
+    /// and the response says so.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = Some(backend);
         self
     }
 
     /// Pin the shard count (hash-routed) instead of consulting the
-    /// planner. The count is clamped to `1..=`[`MAX_SHARDS`], the axis the
+    /// planner; like a backend pin, it asks for the pruned arm unless the
+    /// path is pinned direct. The count is clamped to `1..=`[`MAX_SHARDS`], the axis the
     /// planner walks: each shard costs routing scratch and a pool job, so
     /// a larger count is cut to the axis's end here, before anything is
     /// routed.

@@ -12,22 +12,19 @@
 //!                 ▼ the caller's thread
 //!        ┌─────────────────┐   what is held for (query, tables)?
 //!        │  one entry per   │   absent ─▶ first sight: the tables run whole on one
-//!        │       key        │             shard, direct — no spec, no encode, no
-//!        │                  │             planner, no copy; the key is noted seen
+//!        │       key        │             shard — no planner, no copy; the key is
+//!        │                  │             noted seen
 //!        │                  │   whole ──▶ second sight: a held plan for this query
 //!        │                  │             over same-named tables of like size, else
 //!        │                  │             the planner; route the query's columns and
-//!        │                  │             hold the layout, undecided; run it pruned to
-//!        │                  │             answer, then *decide* by running it direct:
-//!        │                  │             the key goes direct iff that run did less
-//!        │                  │             work (its jobs' busy time, plus the merge)
-//!        │                  │   routed ─▶ warm: the layout, the plan it carries and
-//!        └────────┬────────┘   the verdict (a pinned shard count is routed at first sight)
+//!        │                  │             hold the layout
+//!        │                  │   routed ─▶ warm: the layout and the plan it carries
+//!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
-//!        ┌─────────────────┐   the request's pins; else `direct` — no spec, no
-//!        │       arm        │   encode, no switch — at first sight and for a key
-//!        │                  │   decided so, else pooled + compiled (interpreted
-//!        └────────┬────────┘   where the family has no kernel)
+//!        ┌─────────────────┐   the request's pins: a path pin's path; a backend or
+//!        │       arm        │   shard pin, pooled + the pinned backend, else
+//!        │                  │   compiled (interpreted where the family has no
+//!        └────────┬────────┘   kernel); unpinned, `direct` — no spec, no encode, no switch
 //!                 ▼
 //!        ExecPlan ─▶ execute ──▶ QueryResponse (+ queue/tenant breakdown)
 //! ```
@@ -36,35 +33,31 @@
 //! columns the query reads copied into per-shard units — that only a
 //! repeat of the same query over the same tables pays back, and the
 //! session can observe exactly that: whether it has run this query over
-//! these tables before. A switch program is the same kind of investment:
-//! a spec, a kernel and a register matrix, every row encoded and judged.
-//! So the first run of a key costs what the query costs — the operator's
-//! own completion over every row, the unaccelerated plan — and invests in
-//! nothing.
+//! these tables before. So the first run of a key runs the tables as they
+//! are and invests in nothing; the second fits a plan, routes the key's
+//! layout and holds it; every later one runs that layout.
 //!
-//! The second run is where the accelerator earns its place or loses it.
-//! The paper's claim is conditional — pruning pays when the switch
-//! removes work the master would otherwise do — and here the switch is
-//! software on the same cores, so its per-entry cost is on the clock. The
-//! second sight runs pruned, on the layout the key will keep, and answers;
-//! then, under a `rule` span, it runs the same layout direct, the
-//! unaccelerated plan, and compares the two runs' work
-//! ([`ExecRun::work_seconds`](cheetah_runtime::ExecRun::work_seconds):
-//! each shard job timed from when a worker takes it up, plus the merge).
-//! The key goes direct iff the direct run did less. A job's wait for a
-//! pool worker is on neither clock, so a pool busy with other requests'
-//! jobs cannot decide a verdict. Nothing is extrapolated, so whatever a
-//! row costs on either arm — a coded scan, a sparse selection — is what
-//! the verdict weighs. The decision is written once, on the key's entry;
-//! every later sight runs the layout on the arm decided, and a sight that
-//! finds the layout while it is being measured runs it pruned, undecided.
+//! A switch program is an investment too — a spec, a kernel and a
+//! register matrix, every row encoded and judged — and the paper's claim
+//! for it is conditional: pruning pays when the switch removes work the
+//! master would otherwise do. Here the switch is software on the same
+//! cores, so its per-entry cost is on the clock, and the arm census
+//! (`cheetah-experiments census`) measures the condition on every key the
+//! benchmark sends: pinned direct and pinned pruned batches on the key's
+//! routed layout, by the CPU each used. On every key, in each of three
+//! processes, the pruned arm used more — 2.6× to 48× the direct arm's CPU
+//! on a 2-core box (README, "Win or get out of the way"). So the arm
+//! is a function of the request alone: unpinned, it runs direct at every
+//! sight, on whatever layout the key holds; a request asks for the switch
+//! by pinning it — a path, or a backend or a shard count, which only a
+//! pruned run reads.
 //!
-//! The entry is all the session knows about its key — layout, fitted
-//! plan, decision — in one map under one lock, so a layout
-//! cannot outlive the plan it was routed under. Routing another table
-//! under a held plan is correctness-free: every total routing preserves
-//! the merge (`Q(merge(shards(D))) = Q(D)`), so staleness costs balance,
-//! not answers, and a row-count tolerance is an acceptable test for it.
+//! The entry is all the session knows about its key — layout and fitted
+//! plan — in one map under one lock, so a layout cannot outlive the plan
+//! it was routed under. Routing another table under a held plan is
+//! correctness-free: every total routing preserves the merge
+//! (`Q(merge(shards(D))) = Q(D)`), so staleness costs balance, not
+//! answers, and a row-count tolerance is an acceptable test for it.
 //!
 //! A request runs on its caller's thread and never on a pool worker, so a
 //! session cannot deadlock the pool it feeds.
@@ -221,20 +214,17 @@ impl Key {
 /// Everything the session holds for one key. A key that keeps coming
 /// back moves absent → whole → routed:
 ///
-/// * **whole** — first sight ran the tables themselves, direct, on one
-///   shard (no spec, no encode, no planner, no copy); `plan` is that
-///   one-shard layout, and the entry records only that the key was seen;
+/// * **whole** — first sight ran the tables themselves on one shard (no
+///   planner, no copy); `plan` is that one-shard layout, and the entry
+///   records only that the key was seen;
 /// * **routed** — second sight invested: `plan`'s units are fresh
 ///   per-shard copies of the columns the query reads, laid out under the
 ///   fitted shard plan it carries ([`ExecPlan::shard_plan`]) — a held
 ///   plan for this query over same-named tables of like size
 ///   ([`Caches::like`]), else the planner's. It is held before it runs,
-///   undecided, and that sight — pruned, then direct, on the layout the
-///   key keeps — takes the key's one arm decision. Every further
-///   request runs it, on either path.
+///   and every further request runs it, on whichever arm it asks for.
 ///
-/// A key that pins a shard count is routed at first sight, under no plan,
-/// and stays undecided: no sight of it decides.
+/// A key that pins a shard count is routed at first sight, under no plan.
 struct Entry {
     plan: Arc<ExecPlan>,
     stage: Stage,
@@ -243,35 +233,31 @@ struct Entry {
 /// Where a held key stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
-    /// Seen once: sights run `plan`, the tables whole, direct.
+    /// Seen once: sights run `plan`, the tables whole.
     Whole,
     /// Whole, and one second sight has claimed the key's fit and route:
     /// racing sights run it whole meanwhile, so nothing is fitted or routed
     /// twice.
     Fitting,
-    /// Routed and run pruned: undecided until the deciding sight's verdict
-    /// writes `Direct` — and left here by a verdict for pruning, a deciding
-    /// run pinned direct (it measured no pruned run) or one that failed.
+    /// Routed: sights run `plan`, the key's routed layout.
     Routed,
-    /// Routed, and decided direct.
-    Direct,
 }
 
 /// Which visit of its key a request is, by what the session held for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Visit {
-    /// Nothing held, unpinned: run the tables whole, direct; note the key
-    /// seen.
+    /// Nothing held, no shard count pinned: run the tables whole; note the
+    /// key seen.
     First,
-    /// Nothing held, a shard count pinned: route, hold undecided.
+    /// Nothing held, a shard count pinned: route, hold.
     Pinned,
     /// The whole key claimed: route under a held like plan (`like`) or the
-    /// planner's, run pruned, decide.
-    Deciding { like: bool },
-    /// The whole key claimed by another: run it whole, direct.
+    /// planner's, and hold.
+    Routing { like: bool },
+    /// The whole key claimed by another: run it whole.
     Racing,
-    /// Routed: run the held layout on the key's verdict (none if pinned).
-    Warm { pinned: bool, direct: bool },
+    /// Routed: run the held layout.
+    Warm { pinned: bool },
 }
 
 impl Visit {
@@ -280,21 +266,15 @@ impl Visit {
         match self {
             Visit::First => "first-sight",
             Visit::Racing => "whole",
-            Visit::Deciding { like: false } => "miss",
-            Visit::Pinned | Visit::Warm { pinned: true, .. } => "pinned",
-            Visit::Deciding { like: true } | Visit::Warm { pinned: false, .. } => "hit",
+            Visit::Routing { like: false } => "miss",
+            Visit::Pinned | Visit::Warm { pinned: true } => "pinned",
+            Visit::Routing { like: true } | Visit::Warm { pinned: false } => "hit",
         }
     }
 
     /// Whether the request ran under a shard plan the session already held.
     fn plan_cached(self) -> bool {
-        matches!(self, Visit::Deciding { like: true } | Visit::Warm { pinned: false, .. })
-    }
-
-    /// What the key runs unpinned: direct while it is whole and once decided
-    /// so, pruned while it is routed and undecided.
-    fn key_direct(self) -> bool {
-        matches!(self, Visit::First | Visit::Racing | Visit::Warm { direct: true, .. })
+        matches!(self, Visit::Routing { like: true } | Visit::Warm { pinned: false })
     }
 }
 
@@ -322,7 +302,7 @@ impl Caches {
     }
 
     /// What [`get`](Self::get) finds, as it was — and a whole key found is
-    /// claimed ([`Stage::Fitting`]): the caller is its deciding sight.
+    /// claimed ([`Stage::Fitting`]): the caller is the sight that routes it.
     fn sight(
         &mut self,
         key: &Key,
@@ -381,10 +361,8 @@ struct Telemetry {
     /// counters are what [`SessionStats`] reports.
     plan_hits: Counter,
     plan_misses: Counter,
-    /// `serve.direct.keys` — (query, tables) keys whose deciding second
-    /// sight decided for the direct arm; `serve.direct.requests` —
-    /// requests that ran on it: first sights, pinned or decided.
-    direct_keys: Counter,
+    /// `serve.direct.requests` — requests that ran the direct arm: every
+    /// unpinned one, and those pinned to it.
     direct_requests: Counter,
     /// `serve.executing` — requests executing right now.
     executing: Gauge,
@@ -403,7 +381,6 @@ impl Telemetry {
             rejected: registry.counter("serve.rejected"),
             plan_hits: registry.counter("serve.plan_cache.hits"),
             plan_misses: registry.counter("serve.plan_cache.misses"),
-            direct_keys: registry.counter("serve.direct.keys"),
             direct_requests: registry.counter("serve.direct.requests"),
             executing: registry.gauge("serve.executing"),
             queue_seconds: registry.histogram("serve.queue_seconds"),
@@ -568,12 +545,11 @@ fn execute(
 /// stamp the serving fields. The response's `trace` is filled in by the
 /// caller once the root span has closed.
 ///
-/// A layout — and a switch program — is an investment only a key that
-/// comes back repays, so what an unpinned request does depends on what
-/// the session holds for its key: nothing — run the tables whole, on one
-/// shard, direct, and note the key seen; the whole layout — find or fit a
-/// shard plan, route, run it pruned and decide; a routed layout — run it
-/// on the arm decided.
+/// A layout is an investment only a key that comes back repays, so which
+/// layout a request runs depends on what the session holds for its key:
+/// nothing — run the tables whole, on one shard, and note the key seen;
+/// the whole layout — find or fit a shard plan, route and hold; a routed
+/// layout — run it. The arm is the request's alone ([`arm_of`]).
 fn serve(
     session: &Session,
     req: &QueryRequest,
@@ -585,30 +561,28 @@ fn serve(
     let (key, capacity) = (Key::of(req), session.cfg.plan_cache_capacity);
 
     // 1. The layout, by what the session holds for the key: routed,
-    // whole or nothing. Only the second sight that claims a whole key —
-    // its deciding sight — fits a plan, and only with no like plan held
-    // does it consult the planner.
+    // whole or nothing. Only the second sight that claims a whole key fits
+    // a plan, and only with no like plan held does it consult the planner.
     let mut plan_span = root.child("plan");
     let fitted = |plan| Layout::Under(ShardLayout::Fitted(plan));
     let hashed = |shards| Layout::Under(ShardSpec::new(shards, ShardPartitioner::Hash).into());
     let held = lock(&session.caches).sight(&key, &req.left, right);
     let (visit, layout) = match (held, req.shards) {
-        (Some((plan, stage @ (Stage::Routed | Stage::Direct))), shards) => {
-            let visit = Visit::Warm { pinned: shards.is_some(), direct: stage == Stage::Direct };
-            (visit, Layout::Held(plan))
+        (Some((plan, Stage::Routed)), shards) => {
+            (Visit::Warm { pinned: shards.is_some() }, Layout::Held(plan))
         }
         (Some((plan, Stage::Fitting)), _) => (Visit::Racing, Layout::Held(plan)),
         (Some((_, Stage::Whole)), _) => {
             let right = right.map(|r| &**r);
             let like = lock(&session.caches).like(&key, &req.left, right);
             match like {
-                Some(plan) => (Visit::Deciding { like: true }, fitted(plan)),
+                Some(plan) => (Visit::Routing { like: true }, fitted(plan)),
                 None => {
                     // Fitted with no lock held: the claim keeps racing
                     // sights off the key's fit.
                     let seed = session.cluster.tuning.seed;
                     let plan = ShardPlanner::default().plan(&req.query, &req.left, right, seed);
-                    (Visit::Deciding { like: false }, fitted(Arc::new(plan)))
+                    (Visit::Routing { like: false }, fitted(Arc::new(plan)))
                 }
             }
         }
@@ -618,15 +592,14 @@ fn serve(
     plan_span.attr("cache", visit.label());
     if visit.plan_cached() {
         session.telemetry.plan_hits.inc();
-    } else if visit == (Visit::Deciding { like: false }) {
+    } else if visit == (Visit::Routing { like: false }) {
         session.telemetry.plan_misses.inc();
     }
     plan_span.finish();
 
-    // 2. The arm: the request's pins, else what the key's stage says.
-    // Nothing is learned here and nothing re-decided.
+    // 2. The arm: the request's pins, else direct. Nothing is learned.
     let mut choose_span = root.child("choose");
-    let chosen = arm_of(req, visit.key_direct());
+    let chosen = arm_of(req);
     choose_span.attr("arm", chosen.label());
     choose_span.finish();
 
@@ -647,9 +620,9 @@ fn serve(
             // resident units. First sight's one shard is the tables
             // themselves — there is nothing to route, and nothing to hold
             // until the run has answered. A routed layout is held before
-            // it runs, undecided, so a racing sight runs it pruned rather
-            // than route it again. (A deciding sight cannot fail here:
-            // first sight checked the request against these very tables.)
+            // it runs, so a racing sight runs it rather than route it
+            // again. (A second sight cannot fail here: first sight checked
+            // the request against these very tables.)
             let route_span = (visit != Visit::First).then(|| exec_span.child("route"));
             let plan =
                 Arc::new(ExecPlan::new(&session.cluster, &req.query, &req.left, right, layout)?);
@@ -668,7 +641,6 @@ fn serve(
         let _in_exec = exec_span.enter();
         cheetah_runtime::execute(&cluster, &plan, chosen.path)?
     };
-    let work_s = run.work_seconds();
     let (output, mut breakdown, switch_stats) = (run.output, run.breakdown, run.switch_stats);
     // The engine the run recorded — the interpreter, for a family with
     // no kernel, whatever was chosen.
@@ -680,42 +652,12 @@ fn serve(
     exec_span.finish();
 
     // 4. Respond: at first sight, note the key seen (unless a racing
-    // request already has); at its deciding sight, take the key's one
-    // decision by running the same layout direct and comparing the two
-    // runs' work — a run pinned direct measured no pruned run, so it
-    // decides nothing and the key stays pruned — and write it only on the
-    // layout it was taken on; then stamp the serving fields the caller sees.
+    // request already has); then stamp the serving fields the caller sees.
     let respond_span = root.child("respond");
     if visit == Visit::First {
         let mut caches = lock(&session.caches);
         if caches.get(&key, &req.left, right).is_none() {
             caches.insert(key, Entry { plan, stage: Stage::Whole }, capacity);
-        }
-    } else if matches!(visit, Visit::Deciding { .. }) && arm.path != ExecPath::Direct {
-        let mut rule_span = respond_span.child("rule");
-        // The measuring run, or `None` if it failed (the key then stays
-        // pruned). It must answer as the run that responded did.
-        let direct_s = {
-            let _in_rule = rule_span.enter();
-            let run = cheetah_runtime::execute(&cluster, &plan, ExecPath::Direct).ok();
-            run.map(|run| {
-                debug_assert_eq!(run.output, output, "the direct run answered otherwise");
-                run.work_seconds()
-            })
-        };
-        let direct = direct_s.is_some_and(|direct_s| direct_s < work_s);
-        rule_span.attr("rule.pruned_us", format_args!("{:.1}", work_s * 1e6));
-        if let Some(direct_s) = direct_s {
-            rule_span.attr("rule.direct_us", format_args!("{:.1}", direct_s * 1e6));
-        }
-        rule_span.attr("rule.direct", direct);
-        rule_span.finish();
-        if direct {
-            let mut caches = lock(&session.caches);
-            if let Some(e) = caches.map.get_mut(&key).filter(|e| Arc::ptr_eq(&e.plan, &plan)) {
-                e.stage = Stage::Direct;
-                session.telemetry.direct_keys.inc();
-            }
         }
     }
     breakdown.queue_seconds = queue_seconds;
@@ -728,22 +670,19 @@ fn serve(
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
 }
 
-/// The arm chosen for a request: a function of the request and of what
-/// its key runs unpinned (`key_direct`: direct while the key is whole and
-/// once its deciding sight decided so; pruned at that sight and whenever
-/// it is routed and undecided). Path pins are honoured —
-/// `.path(BarrierPooled)` overrides a direct key, `.path(Direct)` a pruned
-/// one — and a backend pin names a pruning engine, so it asks for a pruned
-/// arm too. Otherwise a direct key runs direct, and every other runs the
-/// barrier on the compiled backend (the cheapest pruned point on every
-/// ledger workload). The direct arm runs no engine, so it reads
-/// `Interpreted`. This is what was asked for; the response reports what
-/// ran, which for a family with no kernel is the interpreter.
-fn arm_of(req: &QueryRequest, key_direct: bool) -> ChooserArm {
-    let unpinned = match req.backend {
-        None if key_direct => ExecPath::Direct,
-        _ => ExecPath::BarrierPooled,
-    };
+/// The arm chosen for a request: a function of the request alone. A path
+/// pin names its path. A backend pin names a pruning engine and a shard
+/// pin a layout of the request's own, and either asks for the pruned arm:
+/// the barrier, on the pinned backend or else the compiled one (the
+/// cheapest pruned point on every benchmark workload). Anything else runs
+/// direct: on every key the benchmark sends, the arm census measured the
+/// switch using more CPU than it saves (see the [module docs](self)). The
+/// direct arm runs no engine, so it reads `Interpreted`. This is what was
+/// asked for; the response reports what ran, which for a family with no
+/// kernel is the interpreter.
+fn arm_of(req: &QueryRequest) -> ChooserArm {
+    let pruned = req.backend.is_some() || req.shards.is_some();
+    let unpinned = if pruned { ExecPath::BarrierPooled } else { ExecPath::Direct };
     let path = req.path.unwrap_or(unpinned);
     let backend = match path {
         ExecPath::Direct => ExecBackend::Interpreted,
@@ -828,43 +767,23 @@ mod tests {
         let resp = session.run_blocking(distinct().path(ExecPath::Direct).shards(4)).unwrap();
         assert_eq!((resp.arm.label().as_str(), resp.breakdown.shards), ("direct", 4));
         assert_eq!(resp.switch_stats.pruned, 0);
-        let pinned_both = distinct().path(ExecPath::Direct).backend(ExecBackend::Compiled);
-        assert_eq!(arm_of(&pinned_both, false).label(), "direct");
 
-        // Unpinned: the arm is a function of the request *and of its key's
-        // stage* — direct at first sight, pruned at the second (which
-        // measures and decides), the verdict from the third on; nothing is
-        // re-decided, no warm-up plays. Both verdicts are measured on small
-        // tables, so each key's later sights are held to the verdict its
-        // second sight traced; the self-join, which has no kernel, decides on
-        // the interpreter, and the arm and the breakdown both say what ran.
-        // The outcomes are pinned on fixtures farther from break-even by
-        // `serving_contract`: a key that prunes nothing goes direct, with a
-        // kernel (a FILTER every row passes) or without one (a larger
-        // self-join), and one the switch wins on stays pruned.
+        // Unpinned, the arm is direct at every sight — whole at the first,
+        // on the routed layout from the second — with nothing measured or
+        // decided: no `rule` span. The self-join, which has no kernel, runs
+        // direct like the rest.
         let join = DbQuery::Join { left_key: 0, right_key: 0 };
         let join = || QueryRequest::new(join.clone(), Arc::clone(&t)).with_right(Arc::clone(&t));
-        let verdict = |resp: &QueryResponse| {
-            let rule = resp.trace.as_ref().and_then(|t| t.root.find("rule"));
-            rule.and_then(|r| r.attr("rule.direct")).map(|v| v == "true")
-        };
-        let (mut distinct_decided, mut join_decided) = (None, None);
         for sight in 1..=3 {
-            let resp = session.run_blocking(distinct()).unwrap();
-            let direct = sight == 1 || (sight > 2 && distinct_decided == Some(true));
-            let want = if direct { "direct" } else { "pooled/compiled" };
-            assert_eq!(resp.arm.label(), want, "sight {sight}");
-            let ran = if direct { ExecBackend::Interpreted } else { ExecBackend::Compiled };
-            assert_eq!(resp.breakdown.backend, ran);
-            assert_eq!(verdict(&resp).is_some(), sight == 2, "sight {sight}: decided once");
-            distinct_decided = distinct_decided.or(verdict(&resp));
-            let resp = session.run_blocking(join()).unwrap();
-            let direct = sight == 1 || (sight > 2 && join_decided == Some(true));
-            let want = if direct { "direct" } else { "pooled/interp" };
-            assert_eq!(resp.arm.label(), want, "sight {sight}");
-            assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
-            assert_eq!(verdict(&resp).is_some(), sight == 2, "sight {sight}: decided once");
-            join_decided = join_decided.or(verdict(&resp));
+            for req in [distinct(), join()] {
+                let resp = session.run_blocking(req).unwrap();
+                assert_eq!(resp.arm.label(), "direct", "sight {sight}");
+                assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
+                assert_eq!(resp.switch_stats.pruned, 0, "sight {sight}: no switch ran");
+                let tree = resp.trace.as_ref().expect("trace exports");
+                assert!(tree.root.find("rule").is_none(), "sight {sight}: nothing decides");
+                assert_eq!(has_route_span(&resp), sight == 2, "sight {sight}: routed once");
+            }
         }
         // A pin to the compiled backend cannot conjure a kernel either —
         // and, naming a pruning engine, it asks for a pruned arm.
@@ -872,18 +791,20 @@ mod tests {
         assert_eq!(resp.arm.label(), "pooled/interp");
         assert_eq!(resp.breakdown.backend, ExecBackend::Interpreted);
 
-        // The whole function: pins first, then the key's decision.
-        assert_eq!(
-            arm_of(&distinct().backend(ExecBackend::Interpreted), true).label(),
-            "pooled/interp"
-        );
-        assert_eq!(
-            arm_of(&distinct().path(ExecPath::BarrierPooled), true).label(),
-            "pooled/compiled"
-        );
-        assert_eq!(arm_of(&distinct(), true).label(), "direct");
-        assert_eq!(arm_of(&distinct(), false).label(), "pooled/compiled");
-        assert_eq!(arm_of(&distinct().path(ExecPath::Direct), false).label(), "direct");
+        // The whole function: a path pin's path; a backend or shard pin
+        // asks for pruning, on the pinned backend or else the compiled one;
+        // else direct.
+        for (req, arm) in [
+            (distinct(), "direct"),
+            (distinct().path(ExecPath::BarrierPooled), "pooled/compiled"),
+            (distinct().backend(ExecBackend::Interpreted), "pooled/interp"),
+            (distinct().shards(4), "pooled/compiled"),
+            (distinct().shards(4).backend(ExecBackend::Interpreted), "pooled/interp"),
+            (distinct().shards(4).path(ExecPath::Direct), "direct"),
+            (distinct().path(ExecPath::Direct).backend(ExecBackend::Compiled), "direct"),
+        ] {
+            assert_eq!(arm_of(&req).label(), arm, "{req:?}");
+        }
     }
 
     #[test]
@@ -1039,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn racing_sights_fit_route_and_decide_a_key_once() {
+    fn racing_second_sights_make_one_fit_and_one_route() {
         let cluster = Cluster::default();
         let t = table(4_000, 4, 17);
         let q = DbQuery::Distinct { col: 0 };
@@ -1049,13 +970,11 @@ mod tests {
             let session = Session::new(cluster.clone(), SessionConfig::default());
             assert_eq!(session.run_blocking(req()).unwrap().output, want, "round {round}");
             // Eight threads, each sending the key's second and third sight
-            // on its own thread, all started together. However they interleave —
-            // claiming the key's fit, racing that claim (run whole), or
-            // finding the layout it held before running (run pruned,
-            // undecided, or on its verdict) — one of them fits, routes and
-            // decides, and all answer. Its measuring run keeps the key
-            // routed and undecided a while longer: every sight that found
-            // the layout then ran pruned, never direct ahead of the verdict.
+            // on its own thread, all started together. However they
+            // interleave — claiming the key's fit, racing that claim (run
+            // whole) or finding the layout it held — one of them fits and
+            // routes, every one runs direct and answers, and none decides
+            // anything.
             let gate = Barrier::new(8);
             let ask = || {
                 gate.wait();
@@ -1065,46 +984,20 @@ mod tests {
                 let racers: Vec<_> = (0..8).map(|_| scope.spawn(ask)).collect();
                 racers.into_iter().map(|r| r.join().expect("racer thread")).collect::<Vec<_>>()
             });
-            let sights: Vec<_> = sights.into_iter().map(|pair| pair.map(Result::unwrap)).collect();
-            let tree = |resp: &QueryResponse| resp.trace.clone().expect("trace exports").root;
-            let trees: Vec<_> = sights.iter().map(|pair| pair.each_ref().map(tree)).collect();
-            let (mut routes, mut rules) = (0, Vec::new());
-            for (pair, trees) in sights.iter().zip(&trees) {
-                for (resp, tree) in pair.iter().zip(trees) {
-                    assert_eq!(resp.output, want, "round {round}");
-                    routes += usize::from(has_route_span(resp));
-                    tree.find_all("rule", &mut rules);
-                }
+            let (mut routes, mut rules) = (0, 0);
+            for resp in sights.into_iter().flatten().map(Result::unwrap) {
+                assert_eq!((&resp.output, resp.arm.label().as_str()), (&want, "direct"), "{round}");
+                routes += usize::from(has_route_span(&resp));
+                rules +=
+                    usize::from(resp.trace.expect("trace exports").root.find("rule").is_some());
             }
-            assert_eq!((routes, rules.len()), (1, 1), "round {round}: one route, one rule span");
-            let direct = rules[0].attr("rule.direct") == Some("true");
-            let verdict = if direct { "direct" } else { "pooled/compiled" };
-            for (pair, trees) in sights.iter().zip(&trees) {
-                let arms = pair.each_ref().map(|resp| resp.arm.label());
-                let cache = trees.each_ref().map(|t| t.find("plan").and_then(|p| p.attr("cache")));
-                for (arm, cache) in arms.iter().zip(cache) {
-                    match cache {
-                        // Raced the claim: the tables whole, direct.
-                        Some("whole") => assert_eq!(arm, "direct", "round {round}"),
-                        // Found the routed layout: pruned while it was
-                        // undecided, else the verdict's arm.
-                        _ => assert!(arm == "pooled/compiled" || arm == verdict, "round {round}"),
-                    }
-                }
-                // A racer that decided, or found the key decided direct,
-                // runs the verdict from then on.
-                let decided = trees[0].find("rule").is_some()
-                    || cache[0] == Some("hit") && arms[0] == "direct";
-                if decided {
-                    assert_eq!(arms[1], verdict, "round {round}: the verdict holds once written");
-                }
-            }
+            assert_eq!((routes, rules), (1, 0), "round {round}: one route, no rule span");
             assert_eq!(session.stats().plan_misses, 1, "round {round}: one fit");
             let caches = session.caches.lock().unwrap();
             assert_eq!((caches.map.len(), caches.order.len()), (1, 1), "round {round}");
             let entry = caches.map.values().next().expect("one entry");
             assert!(entry.plan.shard_plan().is_some(), "round {round}");
-            assert!(matches!(entry.stage, Stage::Routed | Stage::Direct), "round {round}");
+            assert_eq!(entry.stage, Stage::Routed, "round {round}");
         }
     }
 
@@ -1147,10 +1040,8 @@ mod tests {
             {
                 let caches = session.caches.lock().unwrap();
                 assert_eq!((caches.map.len(), caches.order.len()), (2, 2), "round {round}");
-                assert!(caches.map.values().all(|e| {
-                    matches!(e.stage, Stage::Routed | Stage::Direct)
-                        && e.plan.shard_plan().is_some()
-                }));
+                let routed = |e: &Entry| e.stage == Stage::Routed && e.plan.shard_plan().is_some();
+                assert!(caches.map.values().all(routed));
             }
             // A third sight may have raced its key's fit and run whole; a
             // sight sent once the racers are done finds every key warm.

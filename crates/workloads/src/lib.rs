@@ -16,7 +16,9 @@
 //! * [`zipf`] — a seeded Zipf sampler (no external RNG dependency, so
 //!   every experiment is reproducible from one `u64`);
 //! * [`skew`] — zipf-skewed *partition* generators for the sharded
-//!   execution experiments (unbalanced worker loads, hot keys).
+//!   execution experiments (unbalanced worker loads, hot keys);
+//! * [`benchmark`] — the benchmark's four workloads as data: the tables,
+//!   configs, seeds and queries of every key each one sends.
 //!
 //! Everything is deterministic in the seed. The pruning-rate results of
 //! the paper depend on distributional properties (distinct counts, skew,
@@ -26,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod benchmark;
 pub mod bigdata;
 pub mod skew;
 pub mod streams;

@@ -56,8 +56,8 @@ fn main() {
     println!("{}", "-".repeat(96));
     for (name, (q, left, right)) in NAMES.into_iter().zip(bd.queries(&rankings, &uservisits)) {
         let base = cluster.run_baseline(&q, left, right.map(|r| &**r));
-        // Pinned to the pruned arm: unpinned, a query's first sight runs
-        // direct, and this table is about what the switch prunes.
+        // Pinned to the pruned arm: unpinned, a query runs direct, and
+        // this table is about what the switch prunes.
         let mut req =
             QueryRequest::new(q, Arc::clone(left)).tenant("bigdata").path(ExecPath::BarrierPooled);
         if let Some(r) = right {

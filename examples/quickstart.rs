@@ -66,7 +66,7 @@ fn main() {
     // the session's held layouts, on this thread; the baseline below
     // stays on the engine directly — it is the ground truth the plane is
     // checked against. Each request pins the pruned arm: unpinned, a
-    // query's first sight runs direct, with no switch to show.
+    // query runs direct at every sight, with no switch to show.
     let session = Session::new(cluster.clone(), SessionConfig::default());
     let pruned = |q: &DbQuery, table: &Arc<Table>| {
         QueryRequest::new(q.clone(), Arc::clone(table))
