@@ -269,10 +269,12 @@ impl ChooserArm {
 }
 
 /// The pinnable backends of the pruned arm, in the four-slot order the
-/// frozen benchmark reports. Nothing is learned here: a request runs the
-/// backend it pins, and unpinned traffic runs pooled + compiled. (Whether
-/// a key is pruned at all is the serving plane's measured comparison, not
-/// a point of this grid: [`ExecPath::Direct`].)
+/// frozen benchmark reports. Nothing is learned here: a request pinned to
+/// the pruned arm runs the backend it pins, else compiled. Whether a
+/// request is pruned at all is a function of the request, not a point of
+/// this grid: unpinned traffic runs [`ExecPath::Direct`], and a path,
+/// backend or shard-count pin asks for the switch (the serving plane's
+/// `arm_of`).
 pub struct PathChooser;
 
 impl PathChooser {

@@ -22,6 +22,9 @@
 //!    of like size ([`StatsFingerprint::within`]), else one the
 //!    [`ShardPlanner`](cheetah_db::ShardPlanner) fits; from then on the
 //!    entry's layout, and the plan it carries, is all a request consults.
+//!    Each of those decisions is one critical section of the crate's
+//!    private `lifecycle` module (a sight, then a settle), explored over
+//!    every interleaving of racing requests by that module's checker.
 //! 3. **The arm** — the request's alone: a path pin names its path; a
 //!    backend or shard pin asks for the pruned arm, the barrier on the
 //!    pinned backend or else the compiled one (the interpreter where the
@@ -40,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+mod lifecycle;
 pub mod request;
 pub mod session;
 

@@ -10,14 +10,15 @@
 //!        │  admission gate  │──────────────────────▶ Error::Overloaded
 //!        └────────┬────────┘
 //!                 ▼ the caller's thread
-//!        ┌─────────────────┐   what is held for (query, tables)?
+//!        ┌─────────────────┐   what is held for (query, tables)? (lifecycle.rs)
 //!        │  one entry per   │   absent ─▶ first sight: the tables run whole on one
-//!        │       key        │             shard — no planner, no copy; the key is
-//!        │                  │             noted seen
-//!        │                  │   whole ──▶ second sight: a held plan for this query
-//!        │                  │             over same-named tables of like size, else
-//!        │                  │             the planner; route the query's columns and
-//!        │                  │             hold the layout
+//!        │  key: a sight,   │             shard — no planner, no copy; settle notes
+//!        │  then a settle   │             the key seen
+//!        │                  │   whole ──▶ second sight claims the key's fit: a held
+//!        │                  │             plan for this query over same-named tables
+//!        │                  │             of like size, else the planner; route the
+//!        │                  │             query's columns; settle holds the layout
+//!        │                  │             while the claim stands
 //!        │                  │   routed ─▶ warm: the layout and the plan it carries
 //!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
@@ -52,6 +53,15 @@
 //! by pinning it — a path, or a backend or a shard count, which only a
 //! pruned run reads.
 //!
+//! Every decision about a key lives in `lifecycle.rs`: a sight reads what
+//! is held and claims a whole key's fit, and a settle holds what the sight
+//! earned. Each is one critical section under the session's one lock, and
+//! neither takes a lock, reads a clock, opens a span or does I/O; `serve`
+//! performs what they ask for between them (fit, route, run). The
+//! lifecycle's checker explores every interleaving of racing requests
+//! over those very functions: 2 keys × 3 sights, a one-entry map and an
+//! in-flight bound of 2.
+//!
 //! The entry is all the session knows about its key — layout and fitted
 //! plan — in one map under one lock, so a layout cannot outlive the plan
 //! it was routed under. Routing another table under a held plan is
@@ -63,17 +73,16 @@
 //! session cannot deadlock the pool it feeds.
 
 use crate::error::{Error, Result};
+use crate::lifecycle::{admit, Action, Caches, Key, Visit};
 use crate::request::QueryRequest;
-use cheetah_core::plan::ShardPlan;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    ChooserArm, Cluster, DbQuery, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, ShardPlanner,
+    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, ShardPlanner,
     ShardSpec, Table,
 };
 use cheetah_runtime::{ExecPlan, ShardLayout};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -89,9 +98,6 @@ pub struct SessionConfig {
     pub plan_cache_capacity: usize,
 }
 
-/// Row-count drift (fractional) beyond which a held plan is never reused
-/// for another table.
-const STATS_TOLERANCE: f64 = 0.35;
 /// Finished query traces the session's ring-buffer sink retains (oldest
 /// evicted first).
 const TRACE_CAPACITY: usize = 64;
@@ -142,7 +148,9 @@ pub struct SessionStats {
     pub completed: u64,
     /// Requests refused at admission.
     pub rejected: u64,
-    /// Unpinned requests that ran under a plan the session already held.
+    /// Requests that pin no shard count and ran under a plan the session
+    /// already held: a warm sight (whatever path or backend it pins), or a
+    /// second sight that found a like plan.
     pub plan_hits: u64,
     /// Second sights that went on to fit a plan. First sights consult no
     /// plan, so they are neither.
@@ -152,12 +160,7 @@ pub struct SessionStats {
 impl SessionStats {
     /// Held-plan fraction (0.0 before any planner-path request).
     pub fn plan_hit_rate(&self) -> f64 {
-        let total = self.plan_hits + self.plan_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_hits as f64 / total as f64
-        }
+        self.plan_hits as f64 / (self.plan_hits + self.plan_misses).max(1) as f64
     }
 }
 
@@ -183,167 +186,6 @@ impl StatsFingerprint {
     pub fn within(self, other: Self, tolerance: f64) -> bool {
         let like = |a: u64, b: u64| a.max(b) as f64 <= a.min(b) as f64 * (1.0 + tolerance);
         like(self.left_rows, other.left_rows) && like(self.right_rows, other.right_rows)
-    }
-}
-
-/// What a request is, to the session: the query, the tables it reads (by
-/// address) and the shard count it pins (0: none). Addresses stand in for
-/// content identity — tables are immutable, so a rebuilt table is a new
-/// allocation — and cannot be reused while the key is held: its entry's
-/// plan holds `Arc` clones of the tables. Every lookup is confirmed with
-/// [`ExecPlan::is_over`] all the same.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    query: Arc<DbQuery>,
-    left: usize,
-    right: usize,
-    shards: usize,
-}
-
-impl Key {
-    fn of(req: &QueryRequest) -> Self {
-        Key {
-            query: Arc::clone(&req.query),
-            left: Arc::as_ptr(&req.left) as usize,
-            right: req.right.as_ref().map_or(0, |r| Arc::as_ptr(r) as usize),
-            shards: req.shards.unwrap_or(0),
-        }
-    }
-}
-
-/// Everything the session holds for one key. A key that keeps coming
-/// back moves absent → whole → routed:
-///
-/// * **whole** — first sight ran the tables themselves on one shard (no
-///   planner, no copy); `plan` is that one-shard layout, and the entry
-///   records only that the key was seen;
-/// * **routed** — second sight invested: `plan`'s units are fresh
-///   per-shard copies of the columns the query reads, laid out under the
-///   fitted shard plan it carries ([`ExecPlan::shard_plan`]) — a held
-///   plan for this query over same-named tables of like size
-///   ([`Caches::like`]), else the planner's. It is held before it runs,
-///   and every further request runs it, on whichever arm it asks for.
-///
-/// A key that pins a shard count is routed at first sight, under no plan.
-struct Entry {
-    plan: Arc<ExecPlan>,
-    stage: Stage,
-}
-
-/// Where a held key stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    /// Seen once: sights run `plan`, the tables whole.
-    Whole,
-    /// Whole, and one second sight has claimed the key's fit and route:
-    /// racing sights run it whole meanwhile, so nothing is fitted or routed
-    /// twice.
-    Fitting,
-    /// Routed: sights run `plan`, the key's routed layout.
-    Routed,
-}
-
-/// Which visit of its key a request is, by what the session held for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Visit {
-    /// Nothing held, no shard count pinned: run the tables whole; note the
-    /// key seen.
-    First,
-    /// Nothing held, a shard count pinned: route, hold.
-    Pinned,
-    /// The whole key claimed: route under a held like plan (`like`) or the
-    /// planner's, and hold.
-    Routing { like: bool },
-    /// The whole key claimed by another: run it whole.
-    Racing,
-    /// Routed: run the held layout.
-    Warm { pinned: bool },
-}
-
-impl Visit {
-    /// The `plan` span's `cache` attribute.
-    fn label(self) -> &'static str {
-        match self {
-            Visit::First => "first-sight",
-            Visit::Racing => "whole",
-            Visit::Routing { like: false } => "miss",
-            Visit::Pinned | Visit::Warm { pinned: true } => "pinned",
-            Visit::Routing { like: true } | Visit::Warm { pinned: false } => "hit",
-        }
-    }
-
-    /// Whether the request ran under a shard plan the session already held.
-    fn plan_cached(self) -> bool {
-        matches!(self, Visit::Routing { like: true } | Visit::Warm { pinned: false })
-    }
-}
-
-/// What a request runs: a held plan, or one to lay out.
-enum Layout {
-    Held(Arc<ExecPlan>),
-    Under(ShardLayout),
-}
-
-/// The session's one map. Every entry pins its source tables, and a
-/// routed one a copy of the columns its query reads, so it is bounded
-/// ([`SessionConfig::plan_cache_capacity`]): `order` is the keys of `map`
-/// in insertion order and the oldest goes first, which costs the warm path
-/// no bookkeeping.
-#[derive(Default)]
-struct Caches {
-    map: HashMap<Key, Entry>,
-    order: VecDeque<Key>,
-}
-
-impl Caches {
-    /// The entry for `key`, confirmed to be over exactly these tables.
-    fn get(&self, key: &Key, left: &Arc<Table>, right: Option<&Arc<Table>>) -> Option<&Entry> {
-        self.map.get(key).filter(|e| e.plan.is_over(left, right))
-    }
-
-    /// What [`get`](Self::get) finds, as it was — and a whole key found is
-    /// claimed ([`Stage::Fitting`]): the caller is the sight that routes it.
-    fn sight(
-        &mut self,
-        key: &Key,
-        left: &Arc<Table>,
-        right: Option<&Arc<Table>>,
-    ) -> Option<(Arc<ExecPlan>, Stage)> {
-        let e = self.map.get_mut(key).filter(|e| e.plan.is_over(left, right))?;
-        let seen = (Arc::clone(&e.plan), e.stage);
-        if e.stage == Stage::Whole {
-            e.stage = Stage::Fitting;
-        }
-        Some(seen)
-    }
-
-    /// The fitted plan of the oldest routed entry for an equal query over
-    /// same-named tables with both row counts within [`STATS_TOLERANCE`]
-    /// of these (a whole or pinned entry carries none). Consulted at
-    /// second sight only, so a tenant's table is planned once for all of
-    /// its same-sized siblings.
-    fn like(&self, key: &Key, left: &Table, right: Option<&Table>) -> Option<Arc<ShardPlan>> {
-        let stats = StatsFingerprint::of(left, right);
-        self.order.iter().filter(|k| k.query == key.query).find_map(|k| {
-            let e = &self.map[k];
-            let (l, r) = e.plan.tables();
-            let alike = l.name() == left.name()
-                && r.map(Table::name) == right.map(Table::name)
-                && StatsFingerprint::of(l, r).within(stats, STATS_TOLERANCE);
-            e.plan.shard_plan().filter(|_| alike).cloned()
-        })
-    }
-
-    /// Hold `entry` for `key`, and at most `capacity` entries; a key moving
-    /// from whole to routed keeps its place in the eviction order.
-    fn insert(&mut self, key: Key, entry: Entry, capacity: usize) {
-        if self.map.insert(key.clone(), entry).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > capacity.max(1) {
-                let oldest = self.order.pop_front().expect("just pushed");
-                self.map.remove(&oldest);
-            }
-        }
     }
 }
 
@@ -397,10 +239,7 @@ impl Telemetry {
         let mut root = trace.span("query");
         root.attr("tenant", &req.tenant);
         root.attr("query", req.query.kind());
-        {
-            let mut admit = root.child("admit");
-            admit.attr("in_flight", in_flight);
-        }
+        root.child("admit").attr("in_flight", in_flight);
         let queue = root.child("queue");
         (root, queue)
     }
@@ -447,16 +286,12 @@ impl Session {
     /// pool either.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
         let capacity = self.cfg.max_in_flight;
-        let admitted = self
-            .in_flight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n < capacity).then_some(n + 1));
-        let in_flight = match admitted {
-            Ok(before) => before,
-            Err(in_flight) => {
-                self.telemetry.rejected.inc();
-                return Err(Error::Overloaded { in_flight, capacity });
-            }
-        };
+        let admitted =
+            self.in_flight.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| admit(n, capacity));
+        let in_flight = admitted.map_err(|in_flight| {
+            self.telemetry.rejected.inc();
+            Error::Overloaded { in_flight, capacity }
+        })?;
         self.telemetry.executing.add(1);
         // Nothing waits between admission and work, so the queue span
         // closes (honestly) near-instantly.
@@ -549,7 +384,10 @@ fn execute(
 /// layout a request runs depends on what the session holds for its key:
 /// nothing — run the tables whole, on one shard, and note the key seen;
 /// the whole layout — find or fit a shard plan, route and hold; a routed
-/// layout — run it. The arm is the request's alone ([`arm_of`]).
+/// layout — run it. Each of those decisions is one critical section of
+/// the [`lifecycle`](crate::lifecycle) (`sight`, then `settle`); this
+/// function performs what they ask for. The arm is the request's alone
+/// ([`arm_of`]).
 fn serve(
     session: &Session,
     req: &QueryRequest,
@@ -561,34 +399,16 @@ fn serve(
     let (key, capacity) = (Key::of(req), session.cfg.plan_cache_capacity);
 
     // 1. The layout, by what the session holds for the key: routed,
-    // whole or nothing. Only the second sight that claims a whole key fits
-    // a plan, and only with no like plan held does it consult the planner.
+    // whole or nothing. Only the sight that claims a whole key with no
+    // like plan held consults the planner — with no lock held: the claim
+    // keeps racing sights off the key's fit.
     let mut plan_span = root.child("plan");
-    let fitted = |plan| Layout::Under(ShardLayout::Fitted(plan));
-    let hashed = |shards| Layout::Under(ShardSpec::new(shards, ShardPartitioner::Hash).into());
-    let held = lock(&session.caches).sight(&key, &req.left, right);
-    let (visit, layout) = match (held, req.shards) {
-        (Some((plan, Stage::Routed)), shards) => {
-            (Visit::Warm { pinned: shards.is_some() }, Layout::Held(plan))
-        }
-        (Some((plan, Stage::Fitting)), _) => (Visit::Racing, Layout::Held(plan)),
-        (Some((_, Stage::Whole)), _) => {
-            let right = right.map(|r| &**r);
-            let like = lock(&session.caches).like(&key, &req.left, right);
-            match like {
-                Some(plan) => (Visit::Routing { like: true }, fitted(plan)),
-                None => {
-                    // Fitted with no lock held: the claim keeps racing
-                    // sights off the key's fit.
-                    let seed = session.cluster.tuning.seed;
-                    let plan = ShardPlanner::default().plan(&req.query, &req.left, right, seed);
-                    (Visit::Routing { like: false }, fitted(Arc::new(plan)))
-                }
-            }
-        }
-        (None, Some(shards)) => (Visit::Pinned, hashed(shards)),
-        (None, None) => (Visit::First, hashed(1)),
-    };
+    let (visit, mut action) = lock(&session.caches).sight(&key, &req.left, right);
+    if let Action::Route { layout: layout @ None, .. } = &mut action {
+        let (right, seed) = (right.map(|r| &**r), session.cluster.tuning.seed);
+        let plan = ShardPlanner::default().plan(&req.query, &req.left, right, seed);
+        *layout = Some(ShardLayout::Fitted(Arc::new(plan)));
+    }
     plan_span.attr("cache", visit.label());
     if visit.plan_cached() {
         session.telemetry.plan_hits.inc();
@@ -613,29 +433,25 @@ fn serve(
         session.telemetry.direct_requests.inc();
     }
 
-    let plan = match layout {
-        Layout::Held(plan) => plan,
-        Layout::Under(layout) => {
-            // The session lays out once: both paths run off the same
-            // resident units. First sight's one shard is the tables
-            // themselves — there is nothing to route, and nothing to hold
-            // until the run has answered. A routed layout is held before
-            // it runs, so a racing sight runs it rather than route it
-            // again. (A second sight cannot fail here: first sight checked
-            // the request against these very tables.)
-            let route_span = (visit != Visit::First).then(|| exec_span.child("route"));
-            let plan =
-                Arc::new(ExecPlan::new(&session.cluster, &req.query, &req.left, right, layout)?);
-            if let Some(mut route_span) = route_span {
-                route_span.attr("shards", plan.shards());
-                route_span.finish();
-                let entry = Entry { plan: Arc::clone(&plan), stage: Stage::Routed };
-                lock(&session.caches).insert(key.clone(), entry, capacity);
-            }
+    // The session lays out once: both paths run off the same resident
+    // units. First sight's one shard is the tables themselves — there is
+    // nothing to route, and nothing to hold until the run has answered. A
+    // routed layout is held before it runs, so a racing sight runs it
+    // rather than route it again. (A second sight cannot fail here: first
+    // sight checked the request against these very tables.)
+    let lay = |layout| ExecPlan::new(&session.cluster, &req.query, &req.left, right, layout);
+    let plan = match action {
+        Action::Run(plan) => plan,
+        Action::Whole => Arc::new(lay(ShardSpec::new(1, ShardPartitioner::Hash).into())?),
+        Action::Route { claim, layout } => {
+            let mut route_span = exec_span.child("route");
+            let plan = Arc::new(lay(layout.expect("fitted in the plan phase"))?);
+            route_span.attr("shards", plan.shards());
+            route_span.finish();
+            lock(&session.caches).settle(&key, claim.as_ref(), &plan, capacity);
             plan
         }
     };
-
     let cluster = session.cluster.clone().with_backend(chosen.backend);
     let run = {
         let _in_exec = exec_span.enter();
@@ -655,10 +471,7 @@ fn serve(
     // request already has); then stamp the serving fields the caller sees.
     let respond_span = root.child("respond");
     if visit == Visit::First {
-        let mut caches = lock(&session.caches);
-        if caches.get(&key, &req.left, right).is_none() {
-            caches.insert(key, Entry { plan, stage: Stage::Whole }, capacity);
-        }
+        lock(&session.caches).settle(&key, None, &plan, capacity);
     }
     breakdown.queue_seconds = queue_seconds;
     breakdown.tenant = req.tenant.clone();
@@ -694,7 +507,9 @@ fn arm_of(req: &QueryRequest) -> ChooserArm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_db::{DataType, DbPredicate, IntCmp, LikePattern, TableBuilder, Value};
+    use crate::lifecycle::{Entry, Stage, STATS_TOLERANCE};
+    use cheetah_core::plan::ShardPlan;
+    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, LikePattern, TableBuilder, Value};
     use std::sync::Barrier;
 
     fn table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
