@@ -82,12 +82,15 @@ net-deps:
 # table; `mul_pow2`, the one shift the TOP N ladder uses, lives in
 # cheetah_core::topn), and one place that decides a key's lifecycle
 # (lifecycle.rs: sight and settle over the one map, no layout enum beside
-# them in the session).
+# them in the session), and one way to run a plan's shards: the caller
+# claims them off one counter beside at most cores - 1 pool helpers (no
+# one-shard path on the caller, no per-shard pool job, no wait that
+# infers a panic from a closed channel).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)|run_on_caller|spawn_worker_plane|await_reports" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -177,7 +180,8 @@ compiled-gate:
 # that served the request: its trace's one worker span says
 # thread=caller, and that thread then serves a compiled, pruned request
 # with its kernel cache intact), or pinned pruned on an unpinned key's
-# held layout, which stays held — each to its own request with the pool
+# held layout, which stays held (its shards claimed by the caller and at
+# most cores - 1 pool helpers) — each to its own request with the pool
 # intact. Then the lifecycle checker (crates/serve/src/lifecycle.rs):
 # every interleaving of racing requests over the session's own sight and
 # settle — 2 keys x 3 sights, a one-entry map, an in-flight bound of 2,
@@ -207,8 +211,10 @@ fabric-gate:
 # The named CI gate: telemetry contract — every sight of every generated
 # case through the Session yields a complete lifecycle span tree
 # (admit/queue/plan/choose/execute{worker per shard, merge}/respond),
-# each worker span naming its thread (caller for a one-shard plan, which
-# runs on the thread that executes it; a pool index otherwise), the registry's
+# each run's worker spans naming at most min(shards, workers) threads,
+# each caller (the thread that executes it) or a pool helper's index, a
+# one-shard run's the caller (the run submits at most min(shards,
+# workers) - 1 helper jobs), the registry's
 # totals reconcile with SessionStats and the returned ExecBreakdowns and
 # its names do not grow with the tenants callers send, the layout policy reads off the trees (first sight: no route span, one
 # worker; second sight: route + one worker per planned shard; third:

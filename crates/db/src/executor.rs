@@ -58,10 +58,10 @@ struct InstalledProgram {
 
 thread_local! {
     /// The thread's last compiled program, kept warm between runs. The
-    /// threads that run shard jobs are persistent — pool workers, and for
-    /// a one-shard plan the thread that executes it (for a session, the
-    /// `run_blocking` caller) — so across a run's repetitions each re-executes
-    /// the *same* spec against the *same* profile.
+    /// threads that run shard jobs are persistent — the thread that
+    /// executes a plan (for a session, the `run_blocking` caller) and the
+    /// pool workers that help it — so across a run's repetitions each
+    /// re-executes the *same* spec against the *same* profile.
     /// Planning is deterministic, so the ledger verdict and usage are
     /// unchanged on a repeat — and the kernel re-arms with
     /// [`CompiledProgram::reset`]. This is the install-once, stream-many

@@ -61,8 +61,9 @@ const CWORKER_ROWS_PER_SECOND: f64 = 10.0e6;
 /// Largest shard count the shard-count walk considers, whatever the machine.
 ///
 /// The shard count is the planner's unit of work (how finely a query is
-/// cut), not its parallelism: the worker pool has one worker per core and
-/// queues a wider plan's extra jobs. So it must not follow the cores. On a
+/// cut), not its parallelism: a run works its shards on at most one thread
+/// per core, the caller beside the pool's helpers, so a wider plan's extra
+/// shards wait their turn. So it must not follow the cores. On a
 /// 2-core box, with the shard count capped at the cores (and the pool then
 /// at eight threads; three ledger runs each), `survivor_heavy` read
 /// `speedup_p50` 2.32–2.40 → 1.74–2.20 and `peak_rss_mb` 534–536 → 626–638,

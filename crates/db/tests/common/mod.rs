@@ -24,6 +24,7 @@ use cheetah_workloads::PlannerAdversary;
 use proptest::strategy::halvings;
 use proptest::test_runner::{run_one, Config, TestRng};
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Deterministic random table: `rows` rows, `keys` distinct string keys,
@@ -184,16 +185,18 @@ pub fn assert_merge_discipline(run: &ExecRun, label: &str) {
     assert_eq!(rack, (0, 0), "{label}: a lossless run carries nothing");
 }
 
-/// Whether a `worker` span names the thread a plan of `shards` shards runs
-/// its job on: the caller's own for one shard, a pool worker's index else.
-pub fn on_its_thread(w: &SpanNode, shards: usize) -> bool {
-    match w.attr("thread") {
-        Some("caller") => shards == 1,
-        thread => {
-            let worker = thread.and_then(|t| t.parse::<usize>().ok());
-            shards > 1 && worker.is_some_and(|t| t < WorkerPool::global().workers())
-        }
-    }
+/// Whether a run's `worker` spans name the threads a plan of `shards`
+/// shards runs on: the caller beside at most `min(shards, workers) − 1`
+/// pool helpers, so at most `min(shards, workers)` distinct threads, each
+/// `caller` or a pool worker's index; a one-shard run's on the caller.
+pub fn on_their_threads(spans: &[&SpanNode], shards: usize) -> bool {
+    let workers = WorkerPool::global().workers();
+    let threads: Option<BTreeSet<&str>> = spans.iter().map(|w| w.attr("thread")).collect();
+    let Some(threads) = threads else { return false };
+    let helper = |t: &str| t.parse::<usize>().is_ok_and(|w| w < workers);
+    let named = threads.iter().all(|&t| t == "caller" || helper(t));
+    let one_on_the_caller = shards > 1 || threads == BTreeSet::from(["caller"]);
+    named && threads.len() <= shards.min(workers) && one_on_the_caller
 }
 
 // ---------------------------------------------------------------------
@@ -764,8 +767,9 @@ pub fn assert_complete_tree(resp: &QueryResponse, tenant: &str, label: &str) {
     assert_eq!(workers.len(), shards, "{label}: one worker span per shard");
     for (i, w) in workers.iter().enumerate() {
         assert_eq!(w.attr("shard"), Some(i.to_string().as_str()), "{label}");
-        assert!(on_its_thread(w, shards), "{label}: thread {:?}", w.attr("thread"));
     }
+    let threads: Vec<_> = workers.iter().map(|w| w.attr("thread")).collect();
+    assert!(on_their_threads(&workers, shards), "{label}: threads {threads:?}");
     assert!(exec.find("merge").is_some(), "{label}: no merge span");
     let entries = |w: &&SpanNode| w.attr("entries_to_master").unwrap().parse::<u64>().unwrap();
     let traced: u64 = workers.iter().map(entries).sum();

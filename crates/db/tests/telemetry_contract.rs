@@ -33,7 +33,7 @@
 
 mod common;
 
-use common::{on_its_thread, Gate};
+use common::{on_their_threads, Gate};
 
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
 use cheetah_net::FaultProfile;
@@ -251,7 +251,7 @@ fn the_trace_carries_the_path_that_ran_and_no_decision() {
             assert_eq!(workers.len(), resp.breakdown.shards as usize, "{label}");
             assert!(workers.iter().all(|w| w.attr("path") == Some(path)), "{label}");
             let shards = workers.len();
-            assert!(workers.iter().all(|w| on_its_thread(w, shards)), "{label}");
+            assert!(on_their_threads(&workers, shards), "{label}");
             assert_eq!(tree.root.attr("arm"), Some(resp.arm.label().as_str()), "{label}");
         }
     }

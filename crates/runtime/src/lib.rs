@@ -7,11 +7,13 @@
 //! a one-shard layout is the table itself, uncopied) and [`execute`] runs
 //! the routed plan, one job — one
 //! [`Cluster::run_cheetah`](cheetah_db::Cluster::run_cheetah), one
-//! installed switch program, one report — per shard: on the persistent
-//! [`WorkerPool`] when there are two shards or more, and on the calling
-//! thread itself when there is one. The pool has one worker per core, and
-//! the shard count is the planner's: a plan of more shards than cores
-//! queues its extra jobs on the pool rather than time-slicing them. How a
+//! installed switch program, one report — per shard. The calling thread
+//! claims and runs shards off one counter, beside
+//! `min(shards, workers) − 1` helper jobs on the persistent [`WorkerPool`]
+//! that claim from the same counter; a one-shard plan submits none. The
+//! pool has one worker per core, and the shard count is the planner's: a
+//! run of more shards than cores works them on at most one thread per
+//! core, the caller counting as one, rather than time-slicing them. How a
 //! unit is run is an argument of the run
 //! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine; whether its
 //! rows cross a lossy rack on their way to the master is the cluster's
@@ -21,7 +23,7 @@
 //!  ExecPlan::new  (once per layout)            execute  (per query)
 //!  DbQuery::check (schema, types)           units[shard]
 //!  rows ──routing_keys──▶ sharder                │ one job per shard, the same on every path:
-//!           │ route_columns, once                │ pool jobs, or one shard on the caller
+//!           │ route_columns, once                │ the caller + ≤ cores − 1 pool helpers, one counter
 //!           ▼                                    ▼
 //!     one unit per shard                   Cluster::run_cheetah per unit: encode ─▶ prune passes
 //!                                          (direct: Cluster::run_direct, no switch)
@@ -36,15 +38,15 @@
 //! ```
 //!
 //! A one-shard plan — every first sight, and every plan the planner fits
-//! at one shard — has nothing to run in parallel, so handing its job to
-//! the pool would only add a hand-off and a wake-up to the request. The
-//! calling thread (for a session, the `run_blocking` caller) runs it
-//! behind the same panic boundary a pool thread keeps. Its one output
+//! at one shard — has nothing to run in parallel, so its run submits no
+//! helper: the calling thread (for a session, the `run_blocking` caller)
+//! claims its one shard, behind the same per-shard panic boundary every
+//! shard keeps, and there is no second code path for it. Its one output
 //! goes through the same merge as any other's, and
 //! [`merge_shard_outputs`](cheetah_db::merge_shard_outputs) hands a lone
 //! output back as it stands: no copy, no fold. Its switch
 //! kernel cache and scratch block are that thread's own thread-locals, as
-//! a pool job's are its worker's. Fault mode carries its rows across a
+//! a helper's are its pool worker's. Fault mode carries its rows across a
 //! rack all the same, so it is the same at every shard count.
 //!
 //! A layout is one value, [`ShardLayout`]: a hand-picked
@@ -86,7 +88,8 @@
 //! run carries nothing.
 //!
 //! Every run is store-and-forward: a shard job reports once, when its
-//! unit is done, and never blocks.
+//! unit is done, and never blocks. The caller waits only for shards a
+//! running helper claimed, so a run never waits for a free pool worker.
 //!
 //! A request its tables cannot answer is refused by [`ExecPlan::new`]
 //! with a typed error before anything runs, and a shard job that panics

@@ -9,30 +9,34 @@
 //! channel send, not a `pthread_create`. A job is handed the index of the
 //! worker running it, which is all a worker owns.
 //!
-//! [`execute`](crate::execute) submits one job per shard of a plan with
-//! two shards or more to [`WorkerPool::global`], whichever path the plan
-//! carries. A one-shard plan never reaches the pool: the thread that
-//! called `execute` runs its one job itself, behind the same
-//! `catch_unwind` boundary as the worker loop below, so a request with
+//! [`execute`](crate::execute) submits `min(shards, workers) − 1` helper
+//! jobs to [`WorkerPool::global`] per run, whichever path the plan
+//! carries, and the thread that called it works the run's shards beside
+//! them: every one of them claims shards off one counter until none are
+//! left. A one-shard plan never reaches the pool, so a request with
 //! nothing to run in parallel pays no hand-off and no worker wake-up.
 //!
 //! The pool is as wide as the machine, whatever the plans it serves: the
 //! shard count is the planner's unit of work (how finely a query is cut),
-//! the cores are the parallelism. A plan of more shards than workers
-//! queues its extra jobs behind the running ones — as a Spark stage's
-//! tasks queue for an executor's cores — rather than time-slicing them on
-//! threads the machine cannot run at once, so sibling jobs do not preempt
-//! each other inside their `worker` spans.
+//! the cores are the parallelism. A run of more shards than cores works
+//! them off its counter on at most one thread per core, the caller
+//! counting as one — as a Spark stage's tasks queue for an executor's
+//! cores — rather than time-slicing them on threads the machine cannot
+//! run at once, so sibling shards do not preempt each other inside their
+//! `worker` spans.
 //!
 //! The pool is deliberately dumb: no work stealing, no priorities, one
 //! `Mutex<Receiver>` that each idle worker takes in turn (the lock is
 //! released while a job runs, so jobs distribute to whichever worker is
 //! free). Jobs must not depend on *which* worker runs them, and a job
-//! never blocks: it computes, sends its one result on an unbounded
-//! channel and returns, so the pool cannot deadlock even at one worker.
-//! A job that panics unwinds to the worker loop and no further: whatever
-//! the job owned (its channel's sender) drops, which is how its submitter
-//! learns, and the thread takes the next job.
+//! never waits on a job still queued: a helper computes, sends each
+//! result on an unbounded channel and returns, and a run's caller waits
+//! only for shards a running helper claimed, so the pool cannot deadlock
+//! even at one worker, even when every worker is inside an `execute`.
+//! A helper catches each shard's panic itself and reports it; a job that
+//! panics anyway unwinds to the worker loop and no further: whatever the
+//! job owned (its channel's sender) drops, and the thread takes the next
+//! job.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -79,7 +83,7 @@ impl WorkerPool {
     }
 
     /// The process-wide pool every multi-shard [`execute`](crate::execute)
-    /// call routes its shard jobs through: one worker per core the
+    /// call submits its helper jobs to: one worker per core the
     /// machine reports (`available_parallelism`; one if it cannot say).
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();

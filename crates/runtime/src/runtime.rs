@@ -8,28 +8,36 @@
 //!   completed output whole, once, when its unit is done. On the
 //!   **direct** path the job skips the switch altogether
 //!   ([`Cluster::run_direct`]: the operator's completion over every row)
-//!   and is the same job in every other respect. A plan of two shards or
-//!   more submits its jobs to the persistent [`WorkerPool`], not spawned
-//!   per query; each never blocks, its one report going onto an unbounded
-//!   channel. A **one-shard plan** has nothing to run in parallel, so the
-//!   calling thread runs its one job itself, behind the same panic
-//!   boundary a pool thread keeps: no pool hop, no channel. In fault mode
-//!   ([`Cluster::fault`]) each job carries the rows it read across its own
-//!   simulated §7.2 rack before it completes, and reports the rack's
-//!   resends and switch ACKs with its output.
+//!   and is the same job in every other respect. A run's shards sit
+//!   behind one atomic counter. The calling thread claims and runs shards
+//!   until none are left, beside `min(shards, workers) − 1` helper jobs
+//!   on the persistent [`WorkerPool`] that claim from the same counter, so
+//!   a run uses at most one thread per core, the caller counting as one,
+//!   and a one-shard run submits no helper. Each claimed shard runs
+//!   behind its own panic boundary and reports its output or
+//!   [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked). In fault
+//!   mode ([`Cluster::fault`]) each job carries the rows it read across
+//!   its own simulated §7.2 rack before it completes, and reports the
+//!   rack's resends and switch ACKs with its output.
 //! * the **master merge plane** (the calling thread) folds once the last
 //!   report is in, through [`merge_shard_outputs`], which returns a lone
 //!   output as it stands, whatever path ran, lossless or not.
+//!
+//! The caller waits only for shards a running helper claimed: a helper
+//! still queued when the shards run out claims nothing. So a run needs no
+//! free pool worker to finish, and `execute` may be called from inside a
+//! pool job, every worker busy.
 
 use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
+use cheetah_core::{Error, Result};
 use cheetah_db::{merge_shard_outputs, Cluster, DbQuery, ExecPath, QueryOutput, ShardStats, Table};
 use cheetah_net::{ExecBackend, ExecBreakdown};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Span, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Result of executing an [`ExecPlan`].
@@ -54,8 +62,9 @@ pub struct ExecRun {
 /// complete every unit with no switch at all — carry the results to the
 /// master (each job's rows across a lossy rack first, in the cluster's
 /// fault mode), merge, account. Every path but [`ExecPath::Direct`]
-/// prunes. The units of a multi-shard plan run on pool workers; a
-/// one-shard plan's unit runs on the calling thread.
+/// prunes. The calling thread runs units itself, beside at most
+/// `min(shards, workers) − 1` pool helpers; a one-shard plan's unit runs
+/// on the calling thread, with no pool job at all.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
 /// partitioner, path and backend — the path changes *how much* reaches
@@ -65,17 +74,8 @@ pub struct ExecRun {
 /// that panics is a typed
 /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
 /// failure is this call's alone.
-pub fn execute(
-    cluster: &Cluster,
-    plan: &ExecPlan,
-    path: ExecPath,
-) -> cheetah_core::Result<ExecRun> {
-    let reports = if plan.shards() == 1 {
-        vec![run_on_caller(cluster, plan, path)?]
-    } else {
-        await_reports(plan.shards(), spawn_worker_plane(cluster, plan, path))?
-    };
-    let fold = merge_plane(plan, reports);
+pub fn execute(cluster: &Cluster, plan: &ExecPlan, path: ExecPath) -> Result<ExecRun> {
+    let fold = merge_plane(plan, run_shards(cluster, plan, path)?);
     Ok(assemble(fold, plan))
 }
 
@@ -121,7 +121,7 @@ fn run_shard(
     path: ExecPath,
     (left, right): (&Table, Option<&Table>),
     mut span: Option<Span>,
-) -> cheetah_core::Result<WorkerReport> {
+) -> Result<WorkerReport> {
     let mut rep = WorkerReport::default();
     let rows = left.rows() + right.map_or(0, Table::rows);
     // An empty unit never reaches the executor.
@@ -161,72 +161,83 @@ fn run_shard(
     Ok(rep)
 }
 
-/// A one-shard plan's job, run by the calling thread — for a session, the
-/// `run_blocking` caller — behind the job boundary a pool thread
-/// keeps: a panic is this call's [`WorkerPanicked`], and the thread
-/// carries on. The job never waits on the pool.
-///
-/// [`WorkerPanicked`]: cheetah_core::Error::WorkerPanicked
-fn run_on_caller(
-    cluster: &Cluster,
-    plan: &ExecPlan,
+/// A shard's report, tagged by the shard it ran.
+type Report = (usize, Result<WorkerReport>);
+
+/// What every thread working one run shares: the run's own copy of the
+/// cluster and plan, and the counter its shards are claimed from.
+struct Run {
+    cluster: Cluster,
+    plan: ExecPlan,
     path: ExecPath,
-) -> cheetah_core::Result<WorkerReport> {
-    let unit = (&*plan.units[0], plan.right_units.as_ref().map(|units| &*units[0]));
-    let job = || {
-        let span = worker_span(SpanContext::current().as_ref(), 0, "caller", path);
-        run_shard(cluster, &plan.unit_query, path, unit, span)
-    };
-    catch_unwind(AssertUnwindSafe(job))
-        .unwrap_or(Err(cheetah_core::Error::WorkerPanicked { shard: 0 }))
+    /// The submitting thread's span context (the session's `execute` span,
+    /// when one is entered), so each shard's `worker` span lands in the
+    /// query's trace whichever thread runs it.
+    trace_ctx: Option<SpanContext>,
+    /// The next shard to claim; at `plan.shards()` or past it, none is left.
+    next: AtomicUsize,
 }
 
-/// The end-of-job reports of a spawned worker plane, tagged by shard.
-type Reports = mpsc::Receiver<(usize, cheetah_core::Result<WorkerReport>)>;
+impl Run {
+    /// Claim and run shards until none are left, each behind its own panic
+    /// boundary: a shard that panics reports
+    /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
+    /// thread claims on. `thread` names this thread in the `worker` spans.
+    fn work(&self, thread: impl ToString + Copy, mut report: impl FnMut(Report)) {
+        loop {
+            // A claim publishes nothing: the run was shared before any
+            // helper was submitted, and reports travel over the channel.
+            let shard = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(left) = self.plan.units.get(shard) else { return };
+            let unit = (&**left, self.plan.right_units.as_ref().map(|u| &*u[shard]));
+            let job = || {
+                let span = worker_span(self.trace_ctx.as_ref(), shard, thread, self.path);
+                run_shard(&self.cluster, &self.plan.unit_query, self.path, unit, span)
+            };
+            let rep =
+                catch_unwind(AssertUnwindSafe(job)).unwrap_or(Err(Error::WorkerPanicked { shard }));
+            report((shard, rep));
+        }
+    }
+}
 
-/// Submit one pool job per shard: each owns `Arc` handles onto its routed
-/// unit plus a cheap clone of the cluster config and unit query, runs
-/// [`run_shard`] and sends its report.
-fn spawn_worker_plane(cluster: &Cluster, plan: &ExecPlan, path: ExecPath) -> Reports {
-    let (report_tx, report_rx) = mpsc::channel();
+/// Run every shard of `plan`, in shard order: the calling thread claims
+/// and runs shards beside `min(shards, workers) − 1` helper jobs on the
+/// global [`WorkerPool`], which claim from the same counter and report
+/// over a channel. A one-shard run submits no helper. A helper still
+/// queued when the shards run out claims nothing, so the caller waits
+/// only for shards a running helper claimed, never on a free worker.
+fn run_shards(cluster: &Cluster, plan: &ExecPlan, path: ExecPath) -> Result<Vec<WorkerReport>> {
+    let shards = plan.shards();
+    let (cluster, plan, trace_ctx) = (cluster.clone(), plan.clone(), SpanContext::current());
+    let run = Arc::new(Run { cluster, plan, path, trace_ctx, next: 0.into() });
     let pool = WorkerPool::global();
-    // The submitting thread's span context (the session's `execute` span,
-    // when one is entered) rides into each job, so per-shard `worker`
-    // spans land in the query's trace even though they run on pool
-    // threads.
-    let trace_ctx = SpanContext::current();
-    for shard in 0..plan.shards() {
-        let left = Arc::clone(&plan.units[shard]);
-        let right = plan.right_units.as_ref().map(|units| Arc::clone(&units[shard]));
-        let cluster = cluster.clone();
-        let unit_q = plan.unit_query.clone();
-        let report_tx = report_tx.clone();
-        let trace_ctx = trace_ctx.clone();
-        pool.spawn(move |worker| {
-            let span = worker_span(trace_ctx.as_ref(), shard, worker, path);
-            let rep = run_shard(&cluster, &unit_q, path, (&left, right.as_deref()), span);
-            report_tx.send((shard, rep)).ok();
-        });
+    let (report_tx, reports) = mpsc::channel();
+    for _ in 1..shards.min(pool.workers()) {
+        let (run, report_tx) = (Arc::clone(&run), report_tx.clone());
+        pool.spawn(move |worker| run.work(worker, |rep| drop(report_tx.send(rep))));
     }
-    // The master's recv loop must end when the last worker does — the
-    // only live senders are the ones captured by the jobs.
-    report_rx
+    drop(report_tx);
+    let mut slots: Vec<_> = (0..shards).map(|_| None).collect();
+    run.work("caller", |(shard, rep)| slots[shard] = Some(rep));
+    await_helpers(slots, reports)
 }
 
-/// Wait out every pool job's report, in shard order. Every job reports
-/// once or unwinds, dropping its sender: the loop ends when the last job
-/// has done either, and a shard the channel closes without hearing from
-/// unwound before it could report.
-fn await_reports(shards: usize, reports: Reports) -> cheetah_core::Result<Vec<WorkerReport>> {
-    let mut slots: Vec<Option<WorkerReport>> = (0..shards).map(|_| None).collect();
-    for (shard, rep) in reports {
-        slots[shard] = Some(rep?);
+/// Fill the slots the caller left empty — the shards helpers claimed —
+/// from the helpers' reports. Every claimed shard reports, a panic
+/// included; a shard whose helper stopped without reporting (the channel
+/// closed first) is [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked),
+/// never a panic on the caller's thread.
+fn await_helpers(
+    mut slots: Vec<Option<Result<WorkerReport>>>,
+    reports: mpsc::Receiver<Report>,
+) -> Result<Vec<WorkerReport>> {
+    let claimed = slots.iter().filter(|s| s.is_none()).count();
+    for (shard, rep) in reports.iter().take(claimed) {
+        slots[shard] = Some(rep);
     }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(shard, r)| r.ok_or(cheetah_core::Error::WorkerPanicked { shard }))
-        .collect()
+    let silent = |(shard, r): (usize, Option<_>)| r.unwrap_or(Err(Error::WorkerPanicked { shard }));
+    slots.into_iter().enumerate().map(silent).collect()
 }
 
 /// The master merge plane: fold the shards' whole outputs through
@@ -273,8 +284,8 @@ fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
         entries_to_master: per_shard.iter().map(|s| s.entries_to_master).sum(),
         passes: reports.iter().map(|r| r.passes).max().unwrap_or(1),
         shards: plan.shards() as u32,
-        // All workers clone one cluster, so any report that ran a unit
-        // speaks for the run (a compiled-requested run that fell back
+        // Every shard runs on the run's one cluster, so any report that
+        // ran a unit speaks for the run (a compiled-requested run that fell back
         // records the fallback here too). With every unit empty no engine
         // ran, and the run reads `Interpreted`, as the direct arm does.
         backend: reports.iter().find_map(|r| r.backend).unwrap_or(ExecBackend::Interpreted),
@@ -372,7 +383,8 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_runs_the_tables_on_the_caller_and_more_run_the_querys_columns_on_the_pool() {
+    fn one_shard_runs_the_tables_on_the_caller_and_more_run_the_querys_columns_beside_pool_helpers()
+    {
         let cluster = Cluster::default();
         let l = table(1_200, 3);
         let r = table(600, 2);
@@ -440,8 +452,9 @@ mod tests {
                 }
             }
             // Two shards or more: fresh copies, of the columns read only,
-            // run on pool workers that each name their index — and a plan
-            // wider than the pool queues its extra jobs on the same workers.
+            // run by the caller beside at most `workers − 1` pool helpers,
+            // each naming its index — a plan wider than the pool is worked
+            // off the same counter by the same threads.
             let workers = WorkerPool::global().workers();
             for shards in [3, 2 * workers + 1] {
                 let plan = plan_of(q, &l, right, ShardSpec::new(shards, ShardPartitioner::Hash));
@@ -486,10 +499,14 @@ mod tests {
                     assert_eq!(run.output, base, "{label}");
                     assert_eq!(run.per_shard.len(), shards, "{label}: every shard reports");
                     assert_eq!((threads.len(), merges), (shards, 1), "{label}");
-                    let pool: std::collections::BTreeSet<usize> =
-                        threads.iter().map(|t| t.parse().expect("a pool index")).collect();
-                    assert!(pool.len() <= workers, "{label}: {pool:?}");
-                    assert!(pool.iter().all(|&w| w < workers), "{label}: {pool:?}");
+                    let named: std::collections::BTreeSet<&str> =
+                        threads.iter().map(String::as_str).collect();
+                    assert!(named.len() <= shards.min(workers), "{label}: {named:?}");
+                    let helper = |t: &str| t.parse::<usize>().is_ok_and(|w| w < workers);
+                    assert!(
+                        named.iter().all(|&t| t == "caller" || helper(t)),
+                        "{label}: {named:?}"
+                    );
                 }
             }
         }
@@ -607,13 +624,43 @@ mod tests {
 
     #[test]
     fn a_shard_that_never_reports_is_a_typed_error_naming_it() {
-        // What a panicked pool job leaves behind: its sender dropped, its
-        // report never sent. Shard 0 of two reports; shard 1 is silent.
-        let (report_tx, report_rx) = mpsc::channel();
+        // The caller ran shard 2; helpers claimed shards 0 and 1. Shard 0's
+        // helper reports; shard 1's stopped without reporting, its sender
+        // dropped. The caller's wait names shard 1 rather than panicking.
+        let (report_tx, reports) = mpsc::channel();
         report_tx.send((0, Ok(WorkerReport::default()))).unwrap();
         drop(report_tx);
-        let err = await_reports(2, report_rx).err().expect("no answer");
+        let slots = vec![None, None, Some(Ok(WorkerReport::default()))];
+        let err = await_helpers(slots, reports).err().expect("no answer");
         assert_eq!(err, cheetah_core::Error::WorkerPanicked { shard: 1 });
+    }
+
+    #[test]
+    fn execute_progresses_with_every_pool_worker_busy() {
+        // Every pool worker is inside a job that runs a 4-shard `execute`.
+        // Each run's caller works its own shards, and a helper it queued
+        // behind the busy workers finds nothing left to claim, so every
+        // run finishes: `execute` needs no free worker.
+        let pool = WorkerPool::global();
+        let workers = pool.workers();
+        let t = table(2_000, 4);
+        let q = DbQuery::Distinct { col: 0 };
+        let base = Cluster::default().run_baseline(&q, &t, None).output;
+        let plan = Arc::new(plan_of(&q, &t, None, ShardSpec::new(4, ShardPartitioner::Hash)));
+        let all_busy = Arc::new(std::sync::Barrier::new(workers));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..workers {
+            let (plan, all_busy, tx) = (Arc::clone(&plan), Arc::clone(&all_busy), tx.clone());
+            pool.spawn(move |_| {
+                all_busy.wait();
+                let run = execute(&Cluster::default(), &plan, ExecPath::BarrierPooled);
+                tx.send(run.map(|run| run.output)).ok();
+            });
+        }
+        for _ in 0..workers {
+            let output = rx.recv_timeout(std::time::Duration::from_secs(30));
+            assert_eq!(output.expect("a run finished with every worker busy").unwrap(), base);
+        }
     }
 
     #[test]

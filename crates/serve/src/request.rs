@@ -93,7 +93,7 @@ impl QueryRequest {
     /// Pin the shard count (hash-routed) instead of consulting the
     /// planner; like a backend pin, it asks for the pruned arm unless the
     /// path is pinned direct. The count is clamped to `1..=`[`MAX_SHARDS`], the axis the
-    /// planner walks: each shard costs routing scratch and a pool job, so
+    /// planner walks: each shard costs routing scratch and a claimed job, so
     /// a larger count is cut to the axis's end here, before anything is
     /// routed.
     pub fn shards(mut self, shards: usize) -> Self {

@@ -69,8 +69,10 @@
 //! (`Q(merge(shards(D))) = Q(D)`), so staleness costs balance, not
 //! answers, and a row-count tolerance is an acceptable test for it.
 //!
-//! A request runs on its caller's thread and never on a pool worker, so a
-//! session cannot deadlock the pool it feeds.
+//! A request runs on its caller's thread, and that thread works its own
+//! run's shards beside at most `cores − 1` pool helpers. `execute` never
+//! waits for a free pool worker, so a session cannot deadlock the pool it
+//! feeds, even when its caller is itself a pool job.
 
 use crate::error::{Error, Result};
 use crate::lifecycle::{admit, Action, Caches, Key, Visit};
@@ -282,8 +284,9 @@ impl Session {
     /// with [`SessionConfig::max_in_flight`] requests executing, the call
     /// returns [`Error::Overloaded`] at once. Past this gate the request
     /// *will* execute (or report a typed execution error), with no
-    /// cross-thread handoff — and for a one-shard plan none to the worker
-    /// pool either.
+    /// cross-thread handoff: this thread runs the plan's shards itself,
+    /// beside at most `min(shards, workers) − 1` pool helpers, and a
+    /// one-shard plan touches no pool worker at all.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
         let capacity = self.cfg.max_in_flight;
         let admitted =
@@ -424,9 +427,9 @@ fn serve(
     choose_span.finish();
 
     // 3. Execute: resolve the laid-out plan, then run it on the arm's
-    // path with the span entered so the shard jobs (on this thread
-    // for one shard, on the worker pool for more) and the merge plane
-    // trace themselves under it.
+    // path with the span entered so the shard jobs (on this thread, and
+    // on pool helpers beside it for more than one shard) and the merge
+    // plane trace themselves under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", chosen.path.label());
     if chosen.path == ExecPath::Direct {
