@@ -7,7 +7,9 @@
 //! §4.6 analysis). The seven Big Data queries run over the benchmark's
 //! own table generator ([`BigDataConfig`]; its tables at `--full`). Per
 //! family every layout — one shard, hash and range at each count of the
-//! `--shards` axis above one, and the default planner's fit — is routed
+//! `--shards` axis above one, the layout the serving plane holds for a
+//! returning unpinned key (`served:range@N`: its rows over the cores,
+//! [`cheetah_serve::units`]), and the default planner's fit — is routed
 //! through [`ExecPlan::new`], the program's route, on its own clock (best
 //! of the reps, per row of both streams' input; a one-shard layout is the
 //! caller's table and copies nothing), and [`execute`] is timed on two
@@ -32,7 +34,7 @@ use crate::{Report, RunCtx};
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{Cluster, ExecBackend, ExecPath, QueryOutput, ShardPlanner, ShardSpec};
 use cheetah_net::MasterIngestModel;
-use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout, WorkerPool};
 use cheetah_workloads::BigDataConfig;
 use std::sync::Arc;
 use std::time::Instant;
@@ -138,6 +140,9 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 layouts.push((label, ShardSpec::new(n, partitioner).into()));
             }
         }
+        let served = cheetah_serve::units(rows_in, WorkerPool::global().workers());
+        let served_spec = ShardSpec::new(served, ShardPartitioner::Range);
+        layouts.push((format!("served:range@{served}"), served_spec.into()));
         layouts.push((planned_label.clone(), Arc::clone(&plan).into()));
 
         // (shards, seconds) per layout for the first wins; (label, wall)
@@ -237,6 +242,13 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
          queues its extra shards inside the walls",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
+    r.note(format!(
+        "served:range@N = what the serving plane holds for a returning unpinned key: both \
+         streams' rows over {} per unit, at most two units per pool worker ({} here), cut at the \
+         quantiles of its routing keys; its direct wall is what such a key's warm requests run",
+        cheetah_serve::ROWS_PER_UNIT,
+        WorkerPool::global().workers()
+    ));
     r.note("a planned pruned wall above the worst fixed layout's prints a SLOWER note");
     vec![r]
 }
@@ -258,14 +270,17 @@ mod tests {
         ["filter-count", "distinct", "skyline", "topn", "groupby-max", "join", "having-sum"];
 
     #[test]
-    fn a_row_per_family_and_layout_plus_one_planned_row() {
+    fn a_row_per_family_and_layout_plus_one_served_and_one_planned_row() {
         let r = sweep();
-        // 7 families × (one shard, hash@4, range@4, planned).
-        assert_eq!(r.rows.len(), 7 * 4);
+        // 7 families × (one shard, hash@4, range@4, served, planned).
+        assert_eq!(r.rows.len(), 7 * 5);
         for family in FAMILIES {
             let rows: Vec<_> = r.rows.iter().filter(|row| row[0] == family).collect();
-            assert_eq!(rows.len(), 4, "{family}");
-            assert_eq!(rows.iter().filter(|row| row[1].starts_with("planned:")).count(), 1);
+            assert_eq!(rows.len(), 5, "{family}");
+            for prefix in ["served:range@", "planned:"] {
+                let n = rows.iter().filter(|row| row[1].starts_with(prefix)).count();
+                assert_eq!(n, 1, "{family}: {prefix}");
+            }
             // Both models and both walls on every row.
             assert!(rows.iter().all(|row| row[3..9].iter().all(|c| !c.is_empty())), "{rows:?}");
         }
@@ -286,6 +301,7 @@ mod tests {
         for row in &sweep().rows {
             assert!(
                 ["whole@1", "hash@4", "range@4"].contains(&row[1].as_str())
+                    || row[1].starts_with("served:range@")
                     || row[1].starts_with("planned:"),
                 "{row:?}"
             );

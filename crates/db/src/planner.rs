@@ -9,8 +9,10 @@
 //! key extraction lives *here*, in one place, and the plan constructor in
 //! `cheetah-runtime` consumes it). A caller fits a plan
 //! ([`ShardPlanner::plan`]) and hands it to the plan constructor as a
-//! fitted layout — there is one way to fit, whether the plan is used at
-//! once or held on a layout the serving plane keeps:
+//! fitted layout — there is one way to fit. The model prices a pruned
+//! shard, so the serving plane, whose unpinned requests run direct, fits
+//! nothing; the gates, the `shards` sweep and the benchmark's layer pass
+//! do:
 //!
 //! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over a bounded
 //!    strided sample of every stream's routing keys
@@ -51,24 +53,29 @@ use cheetah_core::{ShardPartitioner, Sharder};
 use cheetah_switch::hash::mix64;
 
 /// Fixed per-shard master-side cost (planning one switch program, merging
-/// one more output) charged by the shard-count model, in seconds.
+/// one more output) charged by the shard-count model, in seconds. It
+/// prices a pruned shard's merge; no layout the serving plane holds reads
+/// it (a returning unpinned key runs direct, on its rows over the cores).
 pub const PER_SHARD_OVERHEAD_SECONDS: f64 = 300e-6;
 
 /// Rows per second one CWorker serializes onto its 10G uplink (§7.1): the
 /// rate the shard-count model charges the hottest shard's rows at.
 const CWORKER_ROWS_PER_SECOND: f64 = 10.0e6;
 
-/// Largest shard count the shard-count walk considers, whatever the machine.
+/// Largest shard count the shard-count walk considers, and the most a
+/// request may pin (`QueryRequest::shards`), whatever the machine.
 ///
-/// The shard count is the planner's unit of work (how finely a query is
-/// cut), not its parallelism: a run works its shards on at most one thread
-/// per core, the caller beside the pool's helpers, so a wider plan's extra
-/// shards wait their turn. So it must not follow the cores. On a
-/// 2-core box, with the shard count capped at the cores (and the pool then
-/// at eight threads; three ledger runs each), `survivor_heavy` read
-/// `speedup_p50` 2.32–2.40 → 1.74–2.20 and `peak_rss_mb` 534–536 → 626–638,
-/// and `prune_heavy` `speedup_p90` 1.73–1.81 → 1.52–1.57; capped at twice
-/// the cores, `survivor_heavy` read 1.88–1.92 and 558–573 MB.
+/// It bounds the planner's walk and pinned counts only. The layout the
+/// serving plane holds for a returning unpinned key follows the cores
+/// instead: a run works its shards on at most one thread per core, so
+/// that layout is the key's rows over `cheetah_serve::ROWS_PER_UNIT`, at
+/// most two units per pool worker. On a 2-core box (ten alternating
+/// ledger pairs, `--seed 1 --seconds 20 --trace 0`, medians with IQRs),
+/// that layout against the planner's fits (6–16 shards on the Big Data
+/// keys) read `survivor_heavy` `speedup_p50` 19.39 (19.03–19.76) → 22.65
+/// (22.31–23.15), better in 10 of 10 pairs, and `prune_heavy` 17.19
+/// (16.98–17.35) → 16.97 (16.82–17.03), better in 3 of 10, inside its
+/// bound; a fixed 16 units had taken `prune_heavy` 16.9 → 15.7.
 pub const MAX_SHARDS: usize = 16;
 
 /// Tuning of the sample-driven shard planner. The shard-count model walks

@@ -17,7 +17,7 @@ use cheetah_db::{
 };
 use cheetah_net::FaultProfile;
 use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout, WorkerPool};
-use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
+use cheetah_serve::{units, Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use cheetah_switch::hash::mix64;
 use cheetah_telemetry::SpanNode;
 use cheetah_workloads::PlannerAdversary;
@@ -244,7 +244,8 @@ pub const ARMS: [ChooserArm; 3] = [
 pub enum Visit {
     /// Unpinned, once: the tables whole, direct.
     First,
-    /// Unpinned, twice: the second sight fits, routes and runs direct.
+    /// Unpinned, twice: the second sight routes its rows over the cores
+    /// and runs direct.
     Routing,
     /// Unpinned, three times: the third runs the held layout direct, warm.
     Warm,
@@ -663,7 +664,9 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         Visit::Routing | Visit::Pinned => 2,
         _ => 3,
     };
-    let mut held = None;
+    // A returning unpinned key holds its rows over the cores.
+    let rows = left.rows() + if q.is_binary() { right.rows() } else { 0 };
+    let served = units(rows, WorkerPool::global().workers()) as u32;
     for sight in 1..=sights {
         let label = format!("sight {sight}");
         let resp = session.run_blocking(request(sight));
@@ -701,12 +704,8 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         if visit != Visit::Pinned {
             let stats = resp.switch_stats;
             assert_eq!((stats.seen, stats.pruned), (stats.forwarded, 0), "{label}: no switch");
-            let shards = resp.breakdown.shards;
-            if sight == 1 {
-                assert_eq!(shards, 1, "{label}: whole");
-            } else {
-                assert_eq!(*held.get_or_insert(shards), shards, "{label}: the routed layout");
-            }
+            let held = if sight == 1 { 1 } else { served };
+            assert_eq!(resp.breakdown.shards, held, "{label}: whole, then the rows over the cores");
         }
         assert_complete_tree(&resp, &format!("t{sight}"), &label);
     }

@@ -11,13 +11,13 @@
 //!    returns `Error::Overloaded` immediately instead of growing memory.
 //!
 //! Under property 1 sit the layout lifecycle of a repeated query (first
-//! sight runs the tables whole, second sight plans and routes, later ones
-//! run the held layout under the plan it carries — every layout answers
-//! alike, and no layout outlives its plan) and the right table a unary
+//! sight runs the tables whole, second sight routes the key's rows over
+//! the cores, later ones run the held layout — every layout answers alike,
+//! and a held layout is never routed twice) and the right table a unary
 //! query ignores, and the arm, which is the request's own (every unpinned
-//! sight of every family runs direct, on whatever layout its key holds;
-//! a path, backend or shard pin runs pruned on it, for that request
-//! alone). Under property 2
+//! sight of every family runs direct, on whatever layout its key holds —
+//! for every family, a layout of several units; a path, backend or shard
+//! pin runs pruned on it, for that request alone). Under property 2
 //! sits containment: a request its tables cannot answer or that gives the
 //! switch nothing to evaluate is refused before any arm runs, identically
 //! on each; a shard job that panics anyway fails alone and typed — no
@@ -30,7 +30,8 @@ use cheetah_db::{
     CheetahTuning, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
     LikePattern, QueryOutput, Table, TableBuilder, Value,
 };
-use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
+use cheetah_runtime::WorkerPool;
+use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig, ROWS_PER_UNIT};
 use cheetah_telemetry::TraceTree;
 use std::sync::{Arc, Barrier};
 
@@ -50,8 +51,8 @@ fn request(q: &DbQuery, left: &Arc<Table>, right: &Arc<Table>, tenant: &str) -> 
 }
 
 /// Property 1, generated: every sight of every case — first (the tables
-/// whole, direct), second (fitted, routed, direct), warm (direct, no
-/// route) and pinned (the arm and shard count named) —
+/// whole, direct), second (routed over the cores, direct), warm (direct,
+/// no route) and pinned (the arm and shard count named) —
 /// answers like the baseline, over every family, generated and adversarial
 /// tables, coded and plain keys and full-range ints, or is refused as the
 /// request check refuses it, identically on every sight. A unary query's
@@ -115,9 +116,9 @@ fn concurrent_tenants_get_bit_identical_results() {
 }
 
 /// Property 1b: a query that keeps coming back is run whole at first
-/// sight, planned at the second, and served from the held layout — under
-/// the plan it carries — from the third on, and every one of those layouts
-/// must keep producing baseline-identical output.
+/// sight, routed at the second, and served from the held layout from the
+/// third on, and every one of those layouts must keep producing
+/// baseline-identical output.
 #[test]
 fn plan_cache_reuse_preserves_results() {
     let cluster = Cluster::default();
@@ -129,19 +130,17 @@ fn plan_cache_reuse_preserves_results() {
         let resp = session.run_blocking(request(&q, &left, &right, "repeat")).unwrap();
         assert_eq!((&resp.output, resp.plan_cached), (&baseline, round > 1), "round {round}");
     }
-    // First sight consults neither the planner nor its cache.
+    // First sight is neither a warm nor a routing sight.
     let stats = session.stats();
     assert_eq!((stats.plan_misses, stats.plan_hits), (1, 6));
 }
 
-/// Property 1b′: a layout cannot outlive its plan. Layouts and plans used
-/// to live in two caches that evicted differently (insertion order vs
-/// least recently looked up), so at capacity 2 the sequence A A B B A C C B
-/// left B's routed layout held and B's plan evicted: B's third sight
-/// missed, re-fitted blind and re-routed every column it reads. Held on
-/// one entry, they leave together or not at all.
+/// Property 1b′: eviction takes the oldest key, and a held layout is
+/// never routed twice. At capacity 2 the sequence A A B B A C C B evicts
+/// A for C, so B's third sight finds its layout held: no route, and one
+/// routing sight per query in all.
 #[test]
-fn a_held_layout_keeps_the_plan_it_was_routed_under() {
+fn an_evicted_neighbour_leaves_a_held_layout_warm() {
     let cluster = Cluster::default();
     let (left, right) = fixtures(0xB0B);
     let [a, b, c] = [
@@ -157,8 +156,8 @@ fn a_held_layout_keeps_the_plan_it_was_routed_under() {
         ask(q);
     }
     let third = ask(&b);
-    assert!(third.plan_cached, "B's layout is held, so the plan it was routed under is");
-    assert_eq!(session.stats().plan_misses, 3, "one fit per query, none twice");
+    assert!(third.plan_cached, "B's layout is held");
+    assert_eq!(session.stats().plan_misses, 3, "one route per query, none twice");
     assert!(third.trace.as_ref().expect("trace exports").root.find("route").is_none());
     assert_eq!(third.output, baseline);
 }
@@ -207,21 +206,25 @@ fn every_row_passes() -> DbQuery {
 }
 
 /// Property 1d: an unpinned request never runs the switch. For every
-/// family over a multi-partition table every unpinned sight runs `direct`
-/// — the first over the tables whole (one `worker`, no `route`), the
-/// second on the layout it routes, later ones on that held layout — with
-/// nothing pruned, a pass-through switch, no `rule` span, and the
-/// baseline's answer.
+/// family over multi-partition tables past two units' rows every unpinned
+/// sight runs `direct` — the first over the tables whole (one `worker`, no
+/// `route`), the second on the layout it routes (its rows over the cores:
+/// several units), later ones on that held layout — with nothing pruned,
+/// a pass-through switch, no `rule` span, and the baseline's answer.
 #[test]
 fn every_unpinned_sight_of_every_family_runs_direct() {
     let cluster = Cluster::default();
-    let (left, right) = fixtures(0xF125);
+    let left = Arc::new(common::gen_table(2 * ROWS_PER_UNIT + 1_000, 120, 4, 0xF125));
+    let right = Arc::new(common::gen_table(ROWS_PER_UNIT, 120, 3, 0xF125 ^ 0xFACE));
+    let workers = WorkerPool::global().workers();
     let session = Session::new(cluster.clone(), SessionConfig::default());
     let families = common::all_seven(400_000);
     for q in &families {
         let kind = q.kind();
         let want = cluster.run_baseline(q, &left, q.is_binary().then_some(&*right)).output;
-        let mut layout = None;
+        let rows = left.rows() + if q.is_binary() { right.rows() } else { 0 };
+        let units = cheetah_serve::units(rows, workers);
+        assert!(units >= 2, "{kind}: {rows} rows make a layout of several units");
         for sight in 1..=4 {
             let resp = session.run_blocking(request(q, &left, &right, "t")).unwrap();
             let label = format!("{kind} sight {sight}");
@@ -238,7 +241,7 @@ fn every_unpinned_sight_of_every_family_runs_direct() {
                 resp.trace.as_ref().expect("trace exports").root.find_all("worker", &mut workers);
                 assert_eq!((shards, workers.len()), (1, 1), "{label}: the tables whole");
             } else {
-                assert_eq!(*layout.get_or_insert(shards), shards, "{label}: the held layout");
+                assert_eq!(shards as usize, units, "{label}: the rows over the cores");
             }
         }
     }
@@ -253,15 +256,16 @@ fn every_unpinned_sight_of_every_family_runs_direct() {
 /// layout, a path pin, or a backend pin (which names a pruning engine),
 /// runs pruned on that held layout — the same shard count, no re-route,
 /// the switch seeing every row — and the next unpinned sight runs direct
-/// on the same layout again. A shard pin is a layout of its own, routed at
-/// its first sight and run pruned from then on; a direct path pin beside it
-/// runs that layout direct. Over a FILTER every row passes (a kernel, and
+/// on the same layout again (its rows over the cores: several units). A
+/// shard pin is a layout of its own, routed at its first sight and run
+/// pruned from then on; a direct path pin beside it runs that layout
+/// direct. Over a FILTER every row passes (a kernel, and
 /// nothing pruned), a self-join (no kernel: the interpreter) and a
 /// DISTINCT the switch prunes well, every sight answers like the baseline.
 #[test]
 fn a_pin_runs_pruned_on_the_held_layout_and_the_next_unpinned_sight_runs_it_direct() {
     let cluster = Cluster::default();
-    let t = Arc::new(common::gen_table(20_000, 40, 4, 0x5E1F));
+    let t = Arc::new(common::gen_table(2 * ROWS_PER_UNIT, 40, 4, 0x5E1F));
     let join = DbQuery::Join { left_key: 0, right_key: 0 };
     for q in [every_row_passes(), join, DbQuery::Distinct { col: 2 }] {
         let kind = q.kind();
@@ -305,7 +309,7 @@ fn a_pin_runs_pruned_on_the_held_layout_and_the_next_unpinned_sight_runs_it_dire
         let direct = ask(by_shards().path(ExecPath::Direct));
         assert_eq!(direct.arm.label(), "direct", "{kind}");
         assert_eq!((direct.breakdown.shards, routed(&direct)), (3, false), "{kind}: held");
-        assert_eq!(session.stats().plan_misses, 1, "{kind}: one fit");
+        assert_eq!(session.stats().plan_misses, 1, "{kind}: one routing sight");
     }
 }
 

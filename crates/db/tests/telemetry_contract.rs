@@ -16,9 +16,9 @@
 //!    the registry is bounded: no metric name is keyed by a caller's tenant.
 //! 3. **The layout policy, off the trees** — a layout is built for a key
 //!    that comes back: first sight has no `route` span and one `worker`,
-//!    second sight a `route` span and one `worker` per planned shard, the
-//!    third neither `route` nor a planner call; a pinned shard count
-//!    routes at first sight.
+//!    second sight a `route` span and one `worker` per unit of its rows
+//!    over the cores, the third no `route`; a pinned shard count routes at
+//!    first sight.
 //!    And the arm policy beside it: every unpinned sight runs `direct`
 //!    and no trace holds a `rule` span; `execute` and every `worker` span
 //!    under it name the path that answered, and the registry counts the
@@ -37,8 +37,9 @@ use common::{on_their_threads, Gate};
 
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
 use cheetah_net::FaultProfile;
+use cheetah_runtime::WorkerPool;
 use cheetah_runtime::{execute, ExecPlan};
-use cheetah_serve::{QueryRequest, Session};
+use cheetah_serve::{QueryRequest, Session, ROWS_PER_UNIT};
 use cheetah_telemetry::{Registry, SpanNode, Trace};
 use std::sync::Arc;
 
@@ -86,11 +87,11 @@ fn every_backend_yields_a_complete_span_tree() {
 }
 
 /// Property 2 by name: first sight, second sight, then the warm path —
-/// the `plan` span says which (only the second consults the planner; from
-/// the third on the plan is the one the held layout carries), whatever the
-/// tenant — and the registry's totals reconcile with the session's stats.
+/// the `plan` span says which (the second routes the layout; from the
+/// third on the layout is held), whatever the tenant — and the registry's
+/// totals reconcile with the session's stats.
 #[test]
-fn planner_path_traces_cache_misses_then_hits_and_registry_reconciles() {
+fn plan_spans_trace_the_routing_sight_then_hits_and_registry_reconciles() {
     let t = fixture(0xCAFE);
     let session = Session::with_defaults();
     let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
@@ -158,14 +159,15 @@ fn a_thousand_tenants_leave_the_registry_as_one_tenant_does() {
 
 /// The layout policy, read off the span trees — no timer: a layout is
 /// built only for a key that comes back. First sight routes nothing and
-/// runs the table whole on one worker; second sight fits a plan and
-/// routes under it, one worker per planned shard, and runs it once; from
-/// the third on nothing is planned or routed. A pinned shard count is a
+/// runs the table whole on one worker; second sight routes its rows over
+/// the cores, one worker per unit, and runs it once; from the third on
+/// nothing is routed. A pinned shard count is a
 /// layout asked for by name: it is routed at first sight.
 #[test]
 fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
-    // 20 000 spread order values: the planner fans TOP N out.
-    let t = Arc::new(common::gen_table(20_000, 90, 4, 0x51647));
+    // Two units' rows and more: TOP N is laid out over several units.
+    let t = Arc::new(common::gen_table(2 * ROWS_PER_UNIT + 1_000, 90, 4, 0x51647));
+    let units = cheetah_serve::units(t.rows(), WorkerPool::global().workers());
     let session = Session::with_defaults();
     let q = DbQuery::TopN { order_col: 1, n: 10 };
     let workers_under = |node: Option<&SpanNode>| {
@@ -191,9 +193,9 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
 
     let (second, routed, workers) = ask(unpinned());
     let shards = second.breakdown.shards as usize;
-    assert!(shards >= 2, "fixture must make the planner fan out, chose {shards}");
-    assert_eq!(routed, Some(shards.to_string()), "second sight routes under the fitted plan");
-    assert_eq!(workers, shards, "one worker per planned shard");
+    assert!(shards >= 2 && shards == units, "the rows over the cores: {shards} of {units}");
+    assert_eq!(routed, Some(shards.to_string()), "second sight routes");
+    assert_eq!(workers, shards, "one worker per unit");
     let mut all_workers = Vec::new();
     second.trace.as_ref().expect("trace exports").root.find_all("worker", &mut all_workers);
     assert_eq!(all_workers.len(), shards, "…and no other run: nothing measures or decides");
@@ -204,7 +206,7 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
         assert_eq!((routed, workers), (None, shards), "warm: the routed layout, reused");
         assert!(warm.plan_cached);
     }
-    assert_eq!(session.stats().plan_misses, 1, "the planner ran once, at second sight");
+    assert_eq!(session.stats().plan_misses, 1, "routed once, at second sight");
 
     let (pinned, routed, workers) = ask(unpinned().shards(SHARDS));
     assert_eq!((routed, workers), (Some(SHARDS.to_string()), SHARDS), "pinned: routed at once");

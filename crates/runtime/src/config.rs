@@ -13,8 +13,8 @@ pub enum ShardLayout {
     /// A hand-picked spec.
     Fixed(ShardSpec),
     /// A plan the sampling planner fitted
-    /// ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)) — just
-    /// now, or earlier and kept on a layout the serving plane holds.
+    /// ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)). The
+    /// serving plane fits none: it lays a returning key out by a spec.
     Fitted(Arc<ShardPlan>),
 }
 

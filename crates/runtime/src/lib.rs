@@ -54,9 +54,10 @@
 //! fitted ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)), and
 //! [`ExecPlan::new`] takes either as it is. Choosing a layout and an arm
 //! happens in the serving plane, not inside a run: a key's first sight
-//! runs the tables whole, its second sight fits a layout and routes it,
-//! and later sights run that layout; the arm is the request's own. Each
-//! run executes the plan it is handed, on the path it is handed.
+//! runs the tables whole, its second sight routes its rows over the cores
+//! (a range spec), and later sights run that layout; the arm is the
+//! request's own. Each run executes the plan it is handed, on the path it
+//! is handed.
 //!
 //! * **Direct** — the way out: a shard job skips `spec()`, encode and
 //!   the switch and runs

@@ -17,14 +17,14 @@
 //!    (shed load, don't buffer it into memory growth).
 //! 2. **Layout, for what comes back** — the session holds one entry
 //!    per (query, tables) key. First sight runs the tables whole on one
-//!    shard: no planner, no copy. A key that returns is routed, once,
-//!    under a plan already held for this query over same-named tables
-//!    of like size ([`StatsFingerprint::within`]), else one the
-//!    [`ShardPlanner`](cheetah_db::ShardPlanner) fits; from then on the
-//!    entry's layout, and the plan it carries, is all a request consults.
-//!    Each of those decisions is one critical section of the crate's
-//!    private `lifecycle` module (a sight, then a settle), explored over
-//!    every interleaving of racing requests by that module's checker.
+//!    shard: no copy. A key that returns is routed, once, its rows laid
+//!    out over the cores: [`units`] of [`ROWS_PER_UNIT`] rows, at most two
+//!    per pool worker, cut at the quantiles of its routing keys (one unit
+//!    is the caller's tables); from then on the entry's layout is all a
+//!    request consults. Nothing is fitted. Each of those decisions is one
+//!    critical section of the crate's `lifecycle` module (a sight, then a
+//!    settle), explored over every interleaving of racing requests by that
+//!    module's checker.
 //! 3. **The arm** — the request's alone: a path pin names its path; a
 //!    backend or shard pin asks for the pruned arm, the barrier on the
 //!    pinned backend or else the compiled one (the interpreter where the
@@ -48,5 +48,6 @@ pub mod request;
 pub mod session;
 
 pub use error::{Error, Result};
+pub use lifecycle::{units, ROWS_PER_UNIT};
 pub use request::QueryRequest;
 pub use session::{QueryResponse, Session, SessionConfig, SessionStats, StatsFingerprint};

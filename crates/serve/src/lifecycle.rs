@@ -3,36 +3,58 @@
 //!
 //! ```text
 //!             first sight: run whole,          second sight: claim
-//!             then hold it (settle)            the key's fit (sight)
-//!   absent ─────────────────────────▶ whole ─────────────────────▶ fitting
-//!    ▲  │                                                           │ the claimer fits and
-//!    │  │ a pinned shard count: routed at first sight               │ routes, then holds its
-//!    │  └────────────────────────────────────────────────────────┐  │ layout while its claim
-//!    │                                                           ▼  ▼ stands (settle)
+//!             then hold it (settle)            the key's route (sight)
+//!   absent ─────────────────────────▶ whole ─────────────────────▶ routing
+//!    ▲  │                                                           │ the claimer routes its
+//!    │  │ a pinned shard count: routed at first sight               │ rows over the cores,
+//!    │  └────────────────────────────────────────────────────────┐  │ then holds the layout
+//!    │                                                           ▼  ▼ while its claim stands
 //!    └───────── evicted, oldest first, from any stage ───────── routed ◀─┐
 //!                                                                  └─────┘ warm sights run it
 //! ```
 //!
 //! [`Caches::sight`] is one critical section: it reads what is held for the
-//! key, claims a whole key's fit and looks up a like plan, and says what
-//! the request does ([`Action`]). [`Caches::settle`] is the other: it holds
-//! what the sight earned. Neither takes a lock, reads a clock, opens a span
-//! or does I/O; the session calls each under its one mutex and performs
-//! the action between them, with no lock held: fit, route, run. The
-//! module's checker explores every interleaving of racing requests over
-//! these very functions.
+//! key, claims a whole key's route and names its layout ([`units`]), and
+//! says what the request does ([`Action`]). [`Caches::settle`] is the
+//! other: it holds what the sight earned. Neither takes a lock, reads a
+//! clock, opens a span or does I/O; the session calls each under its one
+//! mutex and performs the action between them, with no lock held: route,
+//! run. The module's checker explores every interleaving of racing
+//! requests over these very functions.
 
 use crate::request::QueryRequest;
-use crate::session::StatsFingerprint;
-use cheetah_core::{plan::ShardPlan, ShardPartitioner};
+use cheetah_core::ShardPartitioner;
 use cheetah_db::{DbQuery, ShardSpec, Table};
-use cheetah_runtime::{ExecPlan, ShardLayout};
+use cheetah_runtime::ExecPlan;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Row-count drift (fractional) beyond which a held plan is never reused
-/// for another table.
-pub(crate) const STATS_TOLERANCE: f64 = 0.35;
+/// Rows per unit of a returning key's layout ([`units`]).
+///
+/// Placed between the benchmark's 6 000-row tenant tables and its
+/// 300 000-row Rankings table by ledger pairs on a 2-core box (`--seed 1
+/// --seconds 20 --trace 0`, against layouts the shard planner fitted):
+/// with this gate the tenant tables hold one unit and `tenants_small`
+/// held its `speedup_p50` (8.1–8.4 → 8.0–8.8, 3 pairs), where cut into
+/// two units they fell to 6.6, `speedup_p90` 6.1 → 3.6 and `setup_s`
+/// 0.017 → 0.025 s; the Big Data tables hold `2 × workers` units, and
+/// `survivor_heavy` rose 14.59–15.66 → 16.34–17.23 and `prune_heavy`
+/// 16.76–17.40 → 17.42–17.93 (5 pairs each). Ten alternating pairs of the
+/// rule against those fits then read `tenants_small` 8.30 → 8.21,
+/// `survivor_heavy` 19.39 → 22.65 (10 of 10) and `prune_heavy` 17.19 →
+/// 16.97 (medians).
+pub const ROWS_PER_UNIT: usize = 65_536;
+
+/// The unit count of a returning key's layout: the rows of both its
+/// streams over [`ROWS_PER_UNIT`], at least one and at most two per pool
+/// worker. A run works its units on at most one thread per core, and more
+/// units than threads let the run's claim counter balance a slow thread's
+/// share: at one unit per worker, `survivor_heavy`'s JOIN p50 read
+/// 1.46–1.49 → 1.86–2.05 ms, and a fixed 16 units took `prune_heavy`'s
+/// `speedup_p50` 16.9 → 15.7.
+pub fn units(rows: usize, workers: usize) -> usize {
+    (rows / ROWS_PER_UNIT).min(2 * workers).max(1)
+}
 
 /// Admit one more request past `in_flight` executing, if under `bound`:
 /// the count after it.
@@ -69,16 +91,15 @@ impl Key {
 /// back moves absent → whole → routed:
 ///
 /// * **whole** — first sight ran the tables themselves on one shard (no
-///   planner, no copy); `plan` is that one-shard layout, and the entry
-///   records only that the key was seen;
-/// * **routed** — second sight invested: `plan`'s units are fresh
-///   per-shard copies of the columns the query reads, laid out under the
-///   fitted shard plan it carries ([`ExecPlan::shard_plan`]) — a held
-///   plan for this query over same-named tables of like size, else the
-///   planner's. It is held before it runs, and every further request runs
-///   it, on whichever arm it asks for.
+///   copy); `plan` is that one-shard layout, and the entry records only
+///   that the key was seen;
+/// * **routed** — second sight invested: `plan` is the key's rows laid out
+///   over the cores ([`units`]) — above one unit, fresh per-shard copies
+///   of the columns the query reads, cut at the quantiles of its routing
+///   keys; at one, the caller's tables. It is held before it runs, and
+///   every further request runs it, on whichever arm it asks for.
 ///
-/// A key that pins a shard count is routed at first sight, under no plan.
+/// A key that pins a shard count is routed at first sight, by hash.
 pub(crate) struct Entry {
     pub(crate) plan: Arc<ExecPlan>,
     pub(crate) stage: Stage,
@@ -89,10 +110,9 @@ pub(crate) struct Entry {
 pub(crate) enum Stage {
     /// Seen once: sights run `plan`, the tables whole.
     Whole,
-    /// Whole, and one second sight has claimed the key's fit and route:
-    /// racing sights run it whole meanwhile, so nothing is fitted or routed
-    /// twice.
-    Fitting,
+    /// Whole, and one second sight has claimed the key's route: racing
+    /// sights run it whole meanwhile, so nothing is routed twice.
+    Routing,
     /// Routed: sights run `plan`, the key's routed layout.
     Routed,
 }
@@ -105,9 +125,8 @@ pub(crate) enum Visit {
     First,
     /// Nothing held, a shard count pinned: route, hold.
     Pinned,
-    /// The whole key claimed: route under a held like plan (`like`) or the
-    /// planner's, and hold.
-    Routing { like: bool },
+    /// The whole key claimed: route its rows over the cores, and hold.
+    Routing,
     /// The whole key claimed by another: run it whole.
     Racing,
     /// Routed: run the held layout.
@@ -120,31 +139,31 @@ impl Visit {
         match self {
             Visit::First => "first-sight",
             Visit::Racing => "whole",
-            Visit::Routing { like: false } => "miss",
+            Visit::Routing => "miss",
             Visit::Pinned | Visit::Warm { pinned: true } => "pinned",
-            Visit::Routing { like: true } | Visit::Warm { pinned: false } => "hit",
+            Visit::Warm { pinned: false } => "hit",
         }
     }
 
-    /// Whether the request ran under a shard plan the session already held.
+    /// Whether the request ran a layout the session already held for its
+    /// unpinned key.
     pub(crate) fn plan_cached(self) -> bool {
-        matches!(self, Visit::Routing { like: true } | Visit::Warm { pinned: false })
+        self == Visit::Warm { pinned: false }
     }
 }
 
 /// What a sight tells its request to do.
 pub(crate) enum Action {
     /// Run this held layout: the key's routed one, or — racing the sight
-    /// that claimed its fit — the tables whole.
+    /// that claimed its route — the tables whole.
     Run(Arc<ExecPlan>),
     /// Nothing held: run the tables whole on one shard, then hold them.
     Whole,
     /// Route under `layout`, hold the routed layout ([`Caches::settle`]
     /// with `claim`), then run it: at first sight of a pinned shard count,
     /// its hash layout (no claim); at the sight that claimed the whole
-    /// entry `claim`, a like plan — none if no like plan is held: the
-    /// request fits one first.
-    Route { claim: Option<Arc<ExecPlan>>, layout: Option<ShardLayout> },
+    /// entry `claim`, the key's rows over the cores.
+    Route { claim: Option<Arc<ExecPlan>>, layout: ShardSpec },
 }
 
 /// The session's one map. Every entry pins its source tables, and a
@@ -161,55 +180,42 @@ pub(crate) struct Caches {
 impl Caches {
     /// Which visit of `key` this is, over exactly these tables, and what
     /// the request does: run what is held, run the tables whole, or route.
-    /// A whole key found is claimed ([`Stage::Fitting`]): this sight is
-    /// the one that fits and routes it, under a like plan if one is held.
+    /// A whole key found is claimed ([`Stage::Routing`]): this sight routes
+    /// it, into [`units`] of its rows over `workers`, cut at the quantiles
+    /// of its routing keys (both streams' jointly, so a JOIN stays
+    /// co-partitioned).
     pub(crate) fn sight(
         &mut self,
         key: &Key,
         left: &Arc<Table>,
         right: Option<&Arc<Table>>,
+        workers: usize,
     ) -> (Visit, Action) {
-        let pinned = key.shards != 0;
         let Some(e) = self.map.get_mut(key).filter(|e| e.plan.is_over(left, right)) else {
-            let layout = Some(ShardSpec::new(key.shards, ShardPartitioner::Hash).into());
-            let pin = (Visit::Pinned, Action::Route { claim: None, layout });
-            return if pinned { pin } else { (Visit::First, Action::Whole) };
+            if key.shards == 0 {
+                return (Visit::First, Action::Whole);
+            }
+            let layout = ShardSpec::new(key.shards, ShardPartitioner::Hash);
+            return (Visit::Pinned, Action::Route { claim: None, layout });
         };
         let plan = Arc::clone(&e.plan);
         match e.stage {
-            Stage::Routed => (Visit::Warm { pinned }, Action::Run(plan)),
-            Stage::Fitting => (Visit::Racing, Action::Run(plan)),
+            Stage::Routed => (Visit::Warm { pinned: key.shards != 0 }, Action::Run(plan)),
+            Stage::Routing => (Visit::Racing, Action::Run(plan)),
             Stage::Whole => {
-                e.stage = Stage::Fitting;
-                let like = self.like(key, left, right.map(|r| &**r));
-                let visit = Visit::Routing { like: like.is_some() };
-                (visit, Action::Route { claim: Some(plan), layout: like.map(ShardLayout::Fitted) })
+                e.stage = Stage::Routing;
+                let rows = left.rows() + right.map_or(0, |r| r.rows());
+                let layout = ShardSpec::new(units(rows, workers), ShardPartitioner::Range);
+                (Visit::Routing, Action::Route { claim: Some(plan), layout })
             }
         }
-    }
-
-    /// The fitted plan of the oldest routed entry for an equal query over
-    /// same-named tables with both row counts within [`STATS_TOLERANCE`]
-    /// of these (a whole or pinned entry carries none). Consulted at
-    /// second sight only, so a tenant's table is planned once for all of
-    /// its same-sized siblings.
-    fn like(&self, key: &Key, left: &Table, right: Option<&Table>) -> Option<Arc<ShardPlan>> {
-        let stats = StatsFingerprint::of(left, right);
-        self.order.iter().filter(|k| k.query == key.query).find_map(|k| {
-            let e = &self.map[k];
-            let (l, r) = e.plan.tables();
-            let alike = l.name() == left.name()
-                && r.map(Table::name) == right.map(Table::name)
-                && StatsFingerprint::of(l, r).within(stats, STATS_TOLERANCE);
-            e.plan.shard_plan().filter(|_| alike).cloned()
-        })
     }
 
     /// Hold what a sight earned, `plan`, and at most `capacity` entries. A
     /// sight that found nothing (`claim` none) holds its layout if the key
     /// is still absent: whole, or routed at a pinned shard count. A routing
     /// sight holds its routed layout only while its claim stands — the
-    /// entry is still the whole one it claimed, fitting — and keeps its
+    /// entry is still the whole one it claimed, routing — and keeps its
     /// place in the eviction order. A stale claim (the key evicted since,
     /// and perhaps seen and claimed afresh) holds nothing: the request
     /// answers on its own layout.
@@ -222,7 +228,7 @@ impl Caches {
     ) {
         let entry = |stage| Entry { plan: Arc::clone(plan), stage };
         match (claim, self.map.get_mut(key)) {
-            (Some(claim), Some(e)) if e.stage == Stage::Fitting && Arc::ptr_eq(&e.plan, claim) => {
+            (Some(claim), Some(e)) if e.stage == Stage::Routing && Arc::ptr_eq(&e.plan, claim) => {
                 *e = entry(Stage::Routed);
             }
             (None, None) => {
@@ -246,12 +252,12 @@ mod tests {
     //! own code, not a model of it — in the dslab-mp style of
     //! `cheetah_net::checker`. A request is its critical sections: admit,
     //! sight, settle (when its sight earned something to hold) and
-    //! complete. The gaps between them — fit, route, run — are where other
+    //! complete. The gaps between them — route, run — are where other
     //! requests interleave. Distinct states are visited once, so the search
     //! is exhaustive over states rather than over schedules.
 
     use super::*;
-    use cheetah_db::{Cluster, DataType, ShardPlanner, TableBuilder, Value};
+    use cheetah_db::{Cluster, DataType, TableBuilder, Value};
     use std::collections::HashSet;
 
     /// The configuration of record: 2 keys × 3 racing sights, cache
@@ -259,6 +265,8 @@ mod tests {
     const SIGHTS: [usize; 2] = [3, 3];
     const CAPACITY: usize = 1;
     const BOUND: usize = 2;
+    /// The pool width each sight lays a returning key out over.
+    const WORKERS: usize = 2;
     /// Safety valve: a search past this many states is cut, and says so.
     const MAX_STATES: usize = 200_000;
 
@@ -270,8 +278,8 @@ mod tests {
         /// Admitted: its sight is next.
         Admitted,
         /// Told to hold what it lays out — whole, or routed under the
-        /// claim (an index into [`World::plans`]): it runs or fits and
-        /// routes, then settles.
+        /// claim (an index into [`World::plans`]): it runs or routes,
+        /// then settles.
         Holding { claim: Option<usize> },
         /// Nothing (more) to hold: it runs or responds, then completes.
         Finishing,
@@ -294,9 +302,8 @@ mod tests {
     }
 
     impl World {
-        /// `sights[k]` requests of key `k`, each over its own table: equal
-        /// queries over same-named tables of one size, so a routed key's
-        /// plan is like the other's.
+        /// `sights[k]` requests of key `k`, each key one query over its own
+        /// table, each request's routed layout the one its sight names.
         fn new(sights: &[usize], capacity: usize, bound: usize) -> Self {
             let cluster = Cluster::default();
             let q = DbQuery::Distinct { col: 0 };
@@ -310,15 +317,15 @@ mod tests {
             let keys = tables.iter().map(|t| Key::of(&QueryRequest::new(q.clone(), t.clone())));
             let requests: Vec<usize> =
                 sights.iter().enumerate().flat_map(|(k, &n)| vec![k; n]).collect();
-            let lay = |t: &Arc<Table>, layout: ShardLayout| {
+            let lay = |t: &Arc<Table>, layout: ShardSpec| {
                 Arc::new(ExecPlan::new(&cluster, &q, t, None, layout).expect("lays out"))
             };
             let whole = requests
                 .iter()
-                .map(|&k| lay(&tables[k], ShardSpec::new(1, ShardPartitioner::Hash).into()));
+                .map(|&k| lay(&tables[k], ShardSpec::new(1, ShardPartitioner::Hash)));
             let routed = requests.iter().map(|&k| {
-                let plan = ShardPlanner::default().plan(&q, &tables[k], None, cluster.tuning.seed);
-                lay(&tables[k], ShardLayout::Fitted(Arc::new(plan)))
+                let units = units(tables[k].rows(), WORKERS);
+                lay(&tables[k], ShardSpec::new(units, ShardPartitioner::Range))
             });
             let plans = whole.collect::<Vec<_>>().into_iter().chain(routed).collect();
             World { keys: keys.collect(), tables, requests, plans, capacity, bound }
@@ -391,15 +398,17 @@ mod tests {
                     }
                     None => Phase::Done { admitted: false },
                 },
-                Phase::Admitted => match next.caches.sight(&w.keys[k], &w.tables[k], None).1 {
-                    Action::Run(_) => Phase::Finishing,
-                    Action::Whole => Phase::Holding { claim: None },
-                    Action::Route { claim: Some(claim), .. } => {
-                        next.claims[k] += 1;
-                        Phase::Holding { claim: Some(w.id(&claim)) }
+                Phase::Admitted => {
+                    match next.caches.sight(&w.keys[k], &w.tables[k], None, WORKERS).1 {
+                        Action::Run(_) => Phase::Finishing,
+                        Action::Whole => Phase::Holding { claim: None },
+                        Action::Route { claim: Some(claim), .. } => {
+                            next.claims[k] += 1;
+                            Phase::Holding { claim: Some(w.id(&claim)) }
+                        }
+                        Action::Route { claim: None, .. } => return Err("an unpinned pin".into()),
                     }
-                    Action::Route { claim: None, .. } => return Err("an unpinned pin".into()),
-                },
+                }
                 Phase::Holding { claim } => {
                     let own = &w.plans[if claim.is_some() { w.routed(r) } else { r }];
                     let claim = claim.map(|c| &w.plans[c]);
@@ -426,7 +435,7 @@ mod tests {
                     }
                     (Some(_), None) | (None, Some(_)) => (self.claims[k], self.holds[k]) = (0, 0),
                     (Some((p0, s0)), Some((p1, s1))) => {
-                        let routed = s0 == Stage::Fitting && s1 == Stage::Routed;
+                        let routed = s0 == Stage::Routing && s1 == Stage::Routed;
                         if rank(s1) < rank(s0) || (p1 != p0 && !routed) {
                             return Err(format!("key {k} moved {s0:?} → {s1:?} while held"));
                         }
@@ -459,12 +468,12 @@ mod tests {
         }
 
         /// The invariants once every request is done: no entry is left
-        /// fitting, and every admitted request completed exactly once — the
+        /// routing, and every admitted request completed exactly once — the
         /// in-flight count each admission raised is back at 0 (a second
         /// completion would have taken it below).
         fn check_end(&self) -> std::result::Result<(), String> {
-            if let Some(e) = self.caches.map.values().find(|e| e.stage == Stage::Fitting) {
-                return Err(format!("an entry of {} shards left fitting", e.plan.shards()));
+            if let Some(e) = self.caches.map.values().find(|e| e.stage == Stage::Routing) {
+                return Err(format!("an entry of {} shards left routing", e.plan.shards()));
             }
             if self.in_flight != 0 {
                 return Err(format!("{} in flight once every request is done", self.in_flight));
@@ -553,8 +562,11 @@ mod tests {
         // Each configuration at in-flight bound 2, with the distinct states
         // and end states it visits: the one of record; one key seen four
         // times, so that a residency evicted under its claimer is seen and
-        // claimed afresh; and a cache that holds both keys, so a second
-        // sight routes under its sibling's plan.
+        // claimed afresh; and a cache that holds both keys at once. A state
+        // names each layout by its index, never by how it was laid out, so
+        // these counts are those of the sessions that fitted a plan at the
+        // second sight or borrowed a held key's: the layout a routing sight
+        // lays out was never part of a state.
         for (sights, capacity, states, ends) in
             [(SIGHTS, CAPACITY, 56_773, 324), ([4, 2], 1, 56_073, 314), (SIGHTS, 2, 77_869, 678)]
         {

@@ -12,14 +12,13 @@
 //!                 ▼ the caller's thread
 //!        ┌─────────────────┐   what is held for (query, tables)? (lifecycle.rs)
 //!        │  one entry per   │   absent ─▶ first sight: the tables run whole on one
-//!        │  key: a sight,   │             shard — no planner, no copy; settle notes
-//!        │  then a settle   │             the key seen
-//!        │                  │   whole ──▶ second sight claims the key's fit: a held
-//!        │                  │             plan for this query over same-named tables
-//!        │                  │             of like size, else the planner; route the
-//!        │                  │             query's columns; settle holds the layout
-//!        │                  │             while the claim stands
-//!        │                  │   routed ─▶ warm: the layout and the plan it carries
+//!        │  key: a sight,   │             shard — no copy; settle notes the key seen
+//!        │  then a settle   │   whole ──▶ second sight claims the key's route: its
+//!        │                  │             rows over the cores, one unit per
+//!        │                  │             ROWS_PER_UNIT rows, at most two per
+//!        │                  │             worker; settle holds the layout while
+//!        │                  │             the claim stands
+//!        │                  │   routed ─▶ warm: a layout the session already held
 //!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
 //!        ┌─────────────────┐   the request's pins: a path pin's path; a backend or
@@ -30,13 +29,18 @@
 //!        ExecPlan ─▶ execute ──▶ QueryResponse (+ queue/tenant breakdown)
 //! ```
 //!
-//! A routed layout is an investment — a plan fitted, every row of the
-//! columns the query reads copied into per-shard units — that only a
-//! repeat of the same query over the same tables pays back, and the
-//! session can observe exactly that: whether it has run this query over
-//! these tables before. So the first run of a key runs the tables as they
-//! are and invests in nothing; the second fits a plan, routes the key's
-//! layout and holds it; every later one runs that layout.
+//! A routed layout is an investment — every row of the columns the query
+//! reads copied into per-shard units — that only a repeat of the same
+//! query over the same tables pays back, and the session can observe
+//! exactly that: whether it has run this query over these tables before.
+//! So the first run of a key runs the tables as they are and invests in
+//! nothing; the second routes the key's layout and holds it; every later
+//! one runs that layout. The layout is the rows over the cores: a run
+//! works its units on at most one thread per core, so the unit count is
+//! the key's rows over `ROWS_PER_UNIT` (a key under two units' rows holds
+//! the caller's tables, copying nothing), at most two per pool worker,
+//! cut at the quantiles of its routing keys. Nothing is fitted: the shard
+//! planner prices a pruned shard, and no unpinned request runs pruned.
 //!
 //! A switch program is an investment too — a spec, a kernel and a
 //! register matrix, every row encoded and judged — and the paper's claim
@@ -54,20 +58,18 @@
 //! pruned run reads.
 //!
 //! Every decision about a key lives in `lifecycle.rs`: a sight reads what
-//! is held and claims a whole key's fit, and a settle holds what the sight
-//! earned. Each is one critical section under the session's one lock, and
-//! neither takes a lock, reads a clock, opens a span or does I/O; `serve`
-//! performs what they ask for between them (fit, route, run). The
-//! lifecycle's checker explores every interleaving of racing requests
-//! over those very functions: 2 keys × 3 sights, a one-entry map and an
-//! in-flight bound of 2.
+//! is held, claims a whole key's route and names its layout, and a settle
+//! holds what the sight earned. Each is one critical section under the
+//! session's one lock, and neither takes a lock, reads a clock, opens a
+//! span or does I/O; `serve` performs what they ask for between them
+//! (route, run). The lifecycle's checker explores every interleaving of
+//! racing requests over those very functions: 2 keys × 3 sights, a
+//! one-entry map and an in-flight bound of 2.
 //!
-//! The entry is all the session knows about its key — layout and fitted
-//! plan — in one map under one lock, so a layout cannot outlive the plan
-//! it was routed under. Routing another table under a held plan is
-//! correctness-free: every total routing preserves the merge
-//! (`Q(merge(shards(D))) = Q(D)`), so staleness costs balance, not
-//! answers, and a row-count tolerance is an acceptable test for it.
+//! The entry is all the session knows about its key, in one map under
+//! one lock. Every total routing preserves the merge
+//! (`Q(merge(shards(D))) = Q(D)`), so a layout's unit count costs
+//! balance, never answers.
 //!
 //! A request runs on its caller's thread, and that thread works its own
 //! run's shards beside at most `cores − 1` pool helpers. `execute` never
@@ -79,10 +81,9 @@ use crate::lifecycle::{admit, Action, Caches, Key, Visit};
 use crate::request::QueryRequest;
 use cheetah_core::ShardPartitioner;
 use cheetah_db::{
-    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, ShardPlanner,
-    ShardSpec, Table,
+    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, ShardSpec, Table,
 };
-use cheetah_runtime::{ExecPlan, ShardLayout};
+use cheetah_runtime::{ExecPlan, WorkerPool};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -95,8 +96,8 @@ pub struct SessionConfig {
     /// Admission bound: requests executing at once. One more is refused
     /// with [`Error::Overloaded`].
     pub max_in_flight: usize,
-    /// Keys the session holds an entry for — a layout, and the plan it was
-    /// routed under — before evicting the oldest insertion.
+    /// Keys the session holds an entry for — the key's layout — before
+    /// evicting the oldest insertion.
     pub plan_cache_capacity: usize,
 }
 
@@ -130,11 +131,11 @@ pub struct QueryResponse {
     /// no compiled kernel, whatever backend was asked for. The `choose`
     /// span keeps the arm that was chosen.
     pub arm: ChooserArm,
-    /// Whether the request ran under a shard plan the session already
-    /// held. Always `false` for a request that pinned a shard count, and
-    /// at first sight of a (query, tables) key — which runs the tables
-    /// whole and consults no plan; `false` once more at a second sight
-    /// that had to fit one (and at one that raced it, running whole).
+    /// Whether the request ran a layout the session already held for its
+    /// (query, tables) key. Always `false` for a request that pinned a
+    /// shard count, at first sight of a key — which runs the tables whole
+    /// — and at the second sight, which routes the layout (and at one that
+    /// raced it, running whole).
     pub plan_cached: bool,
     /// The query's lifecycle span tree
     /// (`admit → queue → plan → choose → execute{…} → respond`), when it
@@ -150,25 +151,25 @@ pub struct SessionStats {
     pub completed: u64,
     /// Requests refused at admission.
     pub rejected: u64,
-    /// Requests that pin no shard count and ran under a plan the session
-    /// already held: a warm sight (whatever path or backend it pins), or a
-    /// second sight that found a like plan.
+    /// Requests that pin no shard count and ran a layout the session
+    /// already held: warm sights (whatever path or backend they pin).
     pub plan_hits: u64,
-    /// Second sights that went on to fit a plan. First sights consult no
-    /// plan, so they are neither.
+    /// Second sights that routed their key's layout. First sights hold
+    /// nothing routed yet, so they are neither.
     pub plan_misses: u64,
 }
 
 impl SessionStats {
-    /// Held-plan fraction (0.0 before any planner-path request).
+    /// Held-layout fraction of warm and routing sights (0.0 before any).
     pub fn plan_hit_rate(&self) -> f64 {
         self.plan_hits as f64 / (self.plan_hits + self.plan_misses).max(1) as f64
     }
 }
 
-/// The table statistics a plan was fitted against. Tables are immutable,
-/// so "the stats moved" means the caller swapped in a rebuilt table; row
-/// counts are the signal the planner's cost model actually reads.
+/// The row counts of a request's tables: what a returning key's layout is
+/// sized by. The serving plane reads the tables themselves; the type is
+/// kept for the benchmark's `plan_cache.fingerprint_us` stage, which
+/// times it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsFingerprint {
     /// Left-stream row count.
@@ -181,13 +182,6 @@ impl StatsFingerprint {
     /// Fingerprint the inputs of a request.
     pub fn of(left: &Table, right: Option<&Table>) -> Self {
         Self { left_rows: left.rows() as u64, right_rows: right.map_or(0, |r| r.rows() as u64) }
-    }
-
-    /// Do both streams' row counts agree within a factor of
-    /// `1 + tolerance`? An empty stream is like only another empty one.
-    pub fn within(self, other: Self, tolerance: f64) -> bool {
-        let like = |a: u64, b: u64| a.max(b) as f64 <= a.min(b) as f64 * (1.0 + tolerance);
-        like(self.left_rows, other.left_rows) && like(self.right_rows, other.right_rows)
     }
 }
 
@@ -328,7 +322,7 @@ impl Session {
         &self.telemetry.sink
     }
 
-    /// Admission, completion, and held-plan counters — read off the
+    /// Admission, completion, and held-layout counters — read off the
     /// registry's `serve.*` counters.
     pub fn stats(&self) -> SessionStats {
         let t = &self.telemetry;
@@ -386,7 +380,7 @@ fn execute(
 /// A layout is an investment only a key that comes back repays, so which
 /// layout a request runs depends on what the session holds for its key:
 /// nothing — run the tables whole, on one shard, and note the key seen;
-/// the whole layout — find or fit a shard plan, route and hold; a routed
+/// the whole layout — route its rows over the cores and hold; a routed
 /// layout — run it. Each of those decisions is one critical section of
 /// the [`lifecycle`](crate::lifecycle) (`sight`, then `settle`); this
 /// function performs what they ask for. The arm is the request's alone
@@ -402,20 +396,15 @@ fn serve(
     let (key, capacity) = (Key::of(req), session.cfg.plan_cache_capacity);
 
     // 1. The layout, by what the session holds for the key: routed,
-    // whole or nothing. Only the sight that claims a whole key with no
-    // like plan held consults the planner — with no lock held: the claim
-    // keeps racing sights off the key's fit.
+    // whole or nothing; the sight that claims a whole key names its
+    // routed layout.
     let mut plan_span = root.child("plan");
-    let (visit, mut action) = lock(&session.caches).sight(&key, &req.left, right);
-    if let Action::Route { layout: layout @ None, .. } = &mut action {
-        let (right, seed) = (right.map(|r| &**r), session.cluster.tuning.seed);
-        let plan = ShardPlanner::default().plan(&req.query, &req.left, right, seed);
-        *layout = Some(ShardLayout::Fitted(Arc::new(plan)));
-    }
+    let workers = WorkerPool::global().workers();
+    let (visit, action) = lock(&session.caches).sight(&key, &req.left, right, workers);
     plan_span.attr("cache", visit.label());
     if visit.plan_cached() {
         session.telemetry.plan_hits.inc();
-    } else if visit == (Visit::Routing { like: false }) {
+    } else if visit == Visit::Routing {
         session.telemetry.plan_misses.inc();
     }
     plan_span.finish();
@@ -445,10 +434,10 @@ fn serve(
     let lay = |layout| ExecPlan::new(&session.cluster, &req.query, &req.left, right, layout);
     let plan = match action {
         Action::Run(plan) => plan,
-        Action::Whole => Arc::new(lay(ShardSpec::new(1, ShardPartitioner::Hash).into())?),
+        Action::Whole => Arc::new(lay(ShardSpec::new(1, ShardPartitioner::Hash))?),
         Action::Route { claim, layout } => {
             let mut route_span = exec_span.child("route");
-            let plan = Arc::new(lay(layout.expect("fitted in the plan phase"))?);
+            let plan = Arc::new(lay(layout)?);
             route_span.attr("shards", plan.shards());
             route_span.finish();
             lock(&session.caches).settle(&key, claim.as_ref(), &plan, capacity);
@@ -510,8 +499,7 @@ fn arm_of(req: &QueryRequest) -> ChooserArm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::{Entry, Stage, STATS_TOLERANCE};
-    use cheetah_core::plan::ShardPlan;
+    use crate::lifecycle::{Entry, Stage, ROWS_PER_UNIT};
     use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, LikePattern, TableBuilder, Value};
     use std::sync::Barrier;
 
@@ -537,6 +525,22 @@ mod tests {
         Arc::new(b.build())
     }
 
+    /// One query of each family over [`table`]'s columns: the four with a
+    /// compiled kernel, then TOP N, JOIN and HAVING.
+    fn families() -> [DbQuery; 7] {
+        [
+            DbQuery::FilterCount {
+                pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 9_000 },
+            },
+            DbQuery::Distinct { col: 0 },
+            DbQuery::GroupByMax { key_col: 0, val_col: 1 },
+            DbQuery::Skyline { cols: vec![1, 2] },
+            DbQuery::TopN { order_col: 1, n: 17 },
+            DbQuery::Join { left_key: 0, right_key: 0 },
+            DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 100_000 },
+        ]
+    }
+
     /// A HAVING the switch cannot decide (`c < 0`) is refused by the
     /// request check before either arm runs, so every sight of it fails
     /// alike, typed, and the key is never held: no sight answers direct
@@ -557,10 +561,10 @@ mod tests {
         assert!(session.caches.lock().unwrap().map.is_empty(), "no entry is held");
     }
 
-    /// The fitted plan the session holds for `req`'s key, if any.
-    fn held_plan(session: &Session, req: &QueryRequest) -> Option<Arc<ShardPlan>> {
+    /// The layout the session holds for `req`'s key, if any.
+    fn held(session: &Session, req: &QueryRequest) -> Option<Arc<ExecPlan>> {
         let caches = session.caches.lock().unwrap();
-        caches.map.get(&Key::of(req)).and_then(|e| e.plan.shard_plan().cloned())
+        caches.map.get(&Key::of(req)).map(|e| Arc::clone(&e.plan))
     }
 
     fn has_route_span(resp: &QueryResponse) -> bool {
@@ -636,16 +640,9 @@ mod tests {
         let t = table(1_500, 3, 11);
         let cluster = Cluster::default();
         let session = Session::new(cluster.clone(), SessionConfig::default());
-        let pred = DbPredicate::CmpInt { col: 1, op: IntCmp::Gt, lit: 9_000 };
-        for (q, ran) in [
-            (DbQuery::FilterCount { pred }, Compiled),
-            (DbQuery::Distinct { col: 0 }, Compiled),
-            (DbQuery::GroupByMax { key_col: 0, val_col: 1 }, Compiled),
-            (DbQuery::Skyline { cols: vec![1, 2] }, Compiled),
-            (DbQuery::TopN { order_col: 1, n: 17 }, Interpreted),
-            (DbQuery::Join { left_key: 0, right_key: 0 }, Interpreted),
-            (DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 100_000 }, Interpreted),
-        ] {
+        let engines =
+            [Compiled, Compiled, Compiled, Compiled, Interpreted, Interpreted, Interpreted];
+        for (q, ran) in families().into_iter().zip(engines) {
             let kind = q.kind();
             let right = q.is_binary().then(|| Arc::clone(&t));
             let want = cluster.run_baseline(&q, &t, right.as_deref()).output;
@@ -681,70 +678,43 @@ mod tests {
     }
 
     #[test]
-    fn a_sibling_table_runs_under_the_held_plan_and_a_drifted_one_gets_its_own_fit() {
-        // A high-fanout join: eight keys, every row matches.
-        let fanout = |name: &str, rows: i64| {
-            let fields = vec![("k".into(), DataType::Int), ("v".into(), DataType::Int)];
-            let mut b = TableBuilder::new(name, fields, 1_000);
-            for i in 0..rows {
-                b.push_row(vec![Value::Int(i % 8), Value::Int(i)]);
-            }
-            Arc::new(b.build())
-        };
-        let session = Session::with_defaults();
-        let q = DbQuery::Join { left_key: 0, right_key: 0 };
-        let seed = session.cluster.tuning.seed;
-        // What the planner fits for these tables with nothing measured.
-        let blind = |l: &Table, r: &Table| ShardPlanner::default().plan(&q, l, Some(r), seed);
-        // First and second sight of a fresh pair of tables named `l` and
-        // `r`: whether the second ran under a plan already held, the plan
-        // now held, and whether it is the one fitted for these tables.
-        let two_sights = |rows| {
-            let (l, r) = (fanout("l", rows), fanout("r", rows));
-            let req = || QueryRequest::new(q.clone(), Arc::clone(&l)).with_right(Arc::clone(&r));
-            let first = session.run_blocking(req()).unwrap();
-            assert!(!first.plan_cached, "{rows} rows: first sight consults no plan");
-            assert!(held_plan(&session, &req()).is_none(), "{rows} rows: …and fits none");
-            let second = session.run_blocking(req()).unwrap();
-            assert_eq!(second.output, first.output);
-            let plan = held_plan(&session, &req()).expect("second sight routes under a plan");
-            let own = *plan == blind(&l, &r);
-            (second.plan_cached, plan, own)
-        };
-        // Nothing held: second sight fits — blind, since no pruned run of
-        // the key has been measured before it (first sight ran direct).
-        let (cached, plan, own) = two_sights(3_000);
-        assert!(!cached && session.stats().plan_misses == 1, "nothing held: second sight fits");
-        assert!(own, "priced from the sampled keys alone");
-        // Same query, same names, same sizes, other tables: the plan held
-        // for the first pair is the plan the second pair is routed under.
-        let (cached, sibling, _) = two_sights(3_000);
-        assert!(cached && Arc::ptr_eq(&sibling, &plan));
-        assert_eq!(session.stats().plan_misses, 1);
-        // Twice the rows is past the tolerance, so a fit of its own, from
-        // the drifted tables.
-        let (cached, drifted, own) = two_sights(6_000);
-        assert!(!cached && session.stats().plan_misses == 2);
-        assert!(own && drifted.report.rows == 2 * plan.report.rows);
-    }
-
-    #[test]
-    fn a_plan_is_never_reused_after_either_stream_moves_beyond_tolerance() {
-        let fp = |left_rows, right_rows| StatsFingerprint { left_rows, right_rows };
-        let tol = STATS_TOLERANCE;
-        for rows in [100u64, 999, 6_000, 123_456, 10_000_000] {
-            let grown = (rows as f64 * (1.0 + tol) * 1.001).ceil() as u64;
-            let shrunk = (rows as f64 / (1.0 + tol) / 1.001).floor() as u64;
-            for (moved, near) in [(grown, rows + rows / 4), (shrunk, rows - rows / 5)] {
-                assert!(!fp(rows, 0).within(fp(moved, 0), tol), "{rows} -> {moved} rows, left");
-                assert!(!fp(7, rows).within(fp(7, moved), tol), "{rows} -> {moved} rows, right");
-                assert!(fp(rows, rows).within(fp(near, near), tol), "{rows} -> {near} rows");
-                assert!(fp(near, 0).within(fp(rows, 0), tol), "{near} -> {rows} rows");
-            }
+    fn a_returning_keys_layout_is_its_rows_over_the_cores() {
+        let cluster = Cluster::default();
+        let session = Session::new(cluster.clone(), SessionConfig::default());
+        let workers = WorkerPool::global().workers();
+        // Under ROWS_PER_UNIT rows, one unit: the caller's table itself. Its
+        // references are the caller's, the layout's source and the one
+        // unit; a copied unit would hold none.
+        let small = table(ROWS_PER_UNIT - 1, 2, 3);
+        let q = DbQuery::Distinct { col: 0 };
+        for _sight in 1..=2 {
+            session.run_blocking(QueryRequest::new(q.clone(), Arc::clone(&small))).unwrap();
         }
-        // An empty stream is like another empty stream and nothing else.
-        assert!(fp(0, 0).within(fp(0, 0), tol));
-        assert!(!fp(0, 0).within(fp(1, 0), tol) && !fp(5, 1).within(fp(5, 0), tol));
+        let req = QueryRequest::new(q.clone(), Arc::clone(&small));
+        let layout = held(&session, &req).expect("the second sight holds a layout");
+        drop(req);
+        assert_eq!((layout.shards(), layout.shard_plan().is_none()), (1, true));
+        assert_eq!(Arc::strong_count(&small), 3, "the one unit is the caller's table");
+
+        // Past two units' rows, rows / ROWS_PER_UNIT units, at most two per
+        // worker, both streams counted, fitting nothing; every family
+        // answers like the baseline from it, routed and then warm.
+        let big = table(2 * ROWS_PER_UNIT + 1_000, 4, 5);
+        for q in families() {
+            let kind = q.kind();
+            let want = cluster.run_baseline(&q, &big, q.is_binary().then_some(&*big)).output;
+            // A unary query's request keeps no right table.
+            let req =
+                || QueryRequest::new(q.clone(), Arc::clone(&big)).with_right(Arc::clone(&big));
+            for sight in 1..=3 {
+                assert_eq!(session.run_blocking(req()).unwrap().output, want, "{kind} {sight}");
+            }
+            let rows = big.rows() * if q.is_binary() { 2 } else { 1 };
+            let layout = held(&session, &req()).expect("held");
+            let units = (rows / ROWS_PER_UNIT).clamp(1, 2 * workers);
+            assert_eq!((layout.shards(), units > 1), (units, true), "{kind}");
+            assert!(layout.shard_plan().is_none(), "{kind}: nothing fitted");
+        }
     }
 
     #[test]
@@ -778,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn racing_second_sights_make_one_fit_and_one_route() {
+    fn racing_second_sights_make_one_route() {
         let cluster = Cluster::default();
         let t = table(4_000, 4, 17);
         let q = DbQuery::Distinct { col: 0 };
@@ -789,10 +759,9 @@ mod tests {
             assert_eq!(session.run_blocking(req()).unwrap().output, want, "round {round}");
             // Eight threads, each sending the key's second and third sight
             // on its own thread, all started together. However they
-            // interleave — claiming the key's fit, racing that claim (run
-            // whole) or finding the layout it held — one of them fits and
-            // routes, every one runs direct and answers, and none decides
-            // anything.
+            // interleave — claiming the key's route, racing that claim (run
+            // whole) or finding the layout it held — one of them routes,
+            // every one runs direct and answers, and none decides anything.
             let gate = Barrier::new(8);
             let ask = || {
                 gate.wait();
@@ -810,20 +779,19 @@ mod tests {
                     usize::from(resp.trace.expect("trace exports").root.find("rule").is_some());
             }
             assert_eq!((routes, rules), (1, 0), "round {round}: one route, no rule span");
-            assert_eq!(session.stats().plan_misses, 1, "round {round}: one fit");
+            assert_eq!(session.stats().plan_misses, 1, "round {round}: one routing sight");
             let caches = session.caches.lock().unwrap();
             assert_eq!((caches.map.len(), caches.order.len()), (1, 1), "round {round}");
             let entry = caches.map.values().next().expect("one entry");
-            assert!(entry.plan.shard_plan().is_some(), "round {round}");
             assert_eq!(entry.stage, Stage::Routed, "round {round}");
         }
     }
 
     #[test]
     fn racing_sights_all_answer_and_leave_one_warm_entry_per_key() {
-        // Two same-named, same-sized tables under one query: sibling keys,
-        // so first sights race for their entry, and second sights for the
-        // one plan as well as for their key's fit.
+        // Two same-named, same-sized tables under one query: two keys,
+        // whose first sights race for their entry and whose second sights
+        // race for their key's route.
         let cluster = Cluster::default();
         let tables = [table(4_000, 4, 17), table(4_000, 4, 71)];
         let q = DbQuery::Distinct { col: 0 };
@@ -834,9 +802,9 @@ mod tests {
             // Each sight starts together, each request on its caller's
             // thread. However first sights interleave (all finding the key
             // absent, or some another's whole entry), and the sights after
-            // them (claiming the fit, finding a sibling's plan, racing the
-            // claim, or the key already routed), all answer, and once every
-            // racer is done every key is routed.
+            // them (claiming the route, racing the claim, or the key
+            // already routed), all answer, and once every racer is done
+            // every key is routed.
             let gate = Barrier::new(8);
             let ask = |racer: usize| {
                 gate.wait();
@@ -858,10 +826,9 @@ mod tests {
             {
                 let caches = session.caches.lock().unwrap();
                 assert_eq!((caches.map.len(), caches.order.len()), (2, 2), "round {round}");
-                let routed = |e: &Entry| e.stage == Stage::Routed && e.plan.shard_plan().is_some();
-                assert!(caches.map.values().all(routed));
+                assert!(caches.map.values().all(|e: &Entry| e.stage == Stage::Routed));
             }
-            // A third sight may have raced its key's fit and run whole; a
+            // A third sight may have raced its key's route and run whole; a
             // sight sent once the racers are done finds every key warm.
             for (i, want) in want.iter().enumerate() {
                 let warm = session.run_blocking(req(i)).unwrap();
@@ -904,10 +871,8 @@ mod tests {
 
     #[test]
     fn layout_cache_is_bounded_and_evicting_a_key_frees_its_plan_and_its_table() {
-        // Every entry pins its source tables, a routed copy of their rows
-        // and the plan it was routed under: a session that keeps seeing
-        // rebuilt tables must not grow without limit. Each table is twice
-        // the last, so each is fitted a plan of its own.
+        // Every entry pins its source tables and its layout: a session that
+        // keeps seeing rebuilt tables must not grow without limit.
         let cluster = Cluster::default();
         let cfg = SessionConfig { plan_cache_capacity: 2, ..SessionConfig::default() };
         let session = Session::new(cluster.clone(), cfg);
@@ -920,14 +885,14 @@ mod tests {
                 let resp = session.run_blocking(req()).unwrap();
                 assert_eq!(resp.output, cluster.run_baseline(&q, &t, None).output);
             }
-            let plan = held_plan(&session, &req()).expect("routed under a fitted plan");
-            first.get_or_insert_with(|| (Arc::downgrade(&t), Arc::downgrade(&plan)));
+            let layout = held(&session, &req()).expect("routed at second sight");
+            first.get_or_insert_with(|| (Arc::downgrade(&t), Arc::downgrade(&layout)));
         }
         assert_eq!(session.stats().plan_misses, 3);
         assert_eq!(session.caches.lock().unwrap().map.len(), 2);
-        let (table, plan) = first.unwrap();
+        let (table, layout) = first.unwrap();
         assert!(table.upgrade().is_none(), "the evicted entry must free its table");
-        assert!(plan.upgrade().is_none(), "…and the plan that governed only it");
+        assert!(layout.upgrade().is_none(), "…and its layout");
     }
 
     #[test]
