@@ -25,29 +25,27 @@ net-deps:
 # encoder (PruningOperator::encode_part) under one encode -> prune loop,
 # one survivor representation (row selections: no entry type, no
 # per-row key encoder beside the operators' walk), no arm selector, and
-# one round, one way to fit a layout (no input rounds, mid-run
+# one round, one way to lay a layout out (no input rounds, mid-run
 # supervisor, planner-in-the-constructor layout or calibration probe),
-# and one map in the session: an entry per key, the fitted plan on the
-# layout it governs (no second cache, shape string or stamp to keep them
-# coherent, and no option that had one value everywhere), no measured
-# survivor hint for the planner (first sight runs direct: no pruned count
-# exists before the second sight fits), one way survivors travel: at
+# and one map in the session: an entry per key, its layout (no second
+# cache, shape string or stamp to keep them coherent, and no option
+# that had one value everywhere), no measured survivor hint for a
+# planner, one way survivors travel: at
 # the end of each shard job, never over a live channel (no NIC-paced
 # depth, overlap timeline or per-request concurrency re-pricing, and no
 # ingest model riding a layout), one shard job on every path (no
 # per-worker frame arena, no model-derived batch size, no second
-# slice-fold door), one layout value (a spec or a fitted plan, no wrapper
-# around it and no record of it beside `ExecRun::plan`), one merge fold
+# slice-fold door), one layout value (a spec: no fitted plan, no wrapper
+# around it and no record of it on a layout), one merge fold
 # (merge_shard_outputs folds whole partials, fault mode's too: no
 # per-item accumulator beside it, no GROUP BY special case, no
 # one-output branch in the runtime), one worker per
-# core (the pool is the machine's width; the shard count is the
-# planner's: no floor under the pool, no settable width, no lock around
-# its injector, no shard-count knob), one shard-count price (the
-# hottest shard's rows and a per-shard overhead: no survivor estimate,
-# no rack-ingest query), one planner decision (the shard count: a fitted
-# plan is always quantile cut points, with no hash fallback, no
-# one-shard special case and no equal-span range sharder beside them),
+# core (the pool is the machine's width: no floor under the pool, no
+# settable width, no lock around its injector, no shard-count knob), one
+# shard-count rule (cheetah_db::planner::units: rows over the cores, a
+# JOIN's floor; no pruned-shard cost walk or key sampler, no survivor
+# estimate, no rack-ingest query), range layouts always quantile cut
+# points (no equal-span range sharder beside them),
 # no breakdown field nothing reads, no metric name keyed by a caller's
 # tenant, one shard sweep (`shards`: no planner or crossover
 # experiment asking its question again over other tables), and one
@@ -93,7 +91,7 @@ net-deps:
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|ShardLayout::Planned|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)|run_on_caller|spawn_worker_plane|await_reports|STATS_TOLERANCE|Routing \{ like|StatsFingerprint::within|fn like\(" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)|run_on_caller|spawn_worker_plane|await_reports|STATS_TOLERANCE|Routing \{ like|StatsFingerprint::within|fn like\(|ShardLayout|shard_plan\(|PlanReport|ShardCostPoint|KeySampler|KeyStats|Reservoir|max_load_fraction|STRIDE_READS_PER_SLOT|KeyCursor|fn key_at|PER_SHARD_OVERHEAD_SECONDS|CWORKER_ROWS_PER_SECOND|sample_size|Layout::Fitted|cheetah_serve::(units|ROWS_PER_UNIT)" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -110,7 +108,7 @@ docs:
 # Their properties share one generated gate (crates/db/tests/common): a
 # case drawn whole from one u64 seed, the grid (7 families x 6 layouts x
 # 3 arms) walked first once per block (as drawn, over the edge tables,
-# over each planner adversary), then random draws, every case held to one
+# over each routing adversary), then random draws, every case held to one
 # universal check; a failing case is shrunk by halving its rows, keys,
 # partitions and shards and printed with its seed.
 gates:
@@ -128,7 +126,8 @@ pruning-gate:
 
 # The named CI gate: shard equivalence on every generated case — all
 # seven query variants x the grid's layouts (the one-shard layout, hash
-# and range at 2 and 7 shards, and a planner's fitted layout) x (the
+# and range at 2 and 7 shards, and the served layout: the one
+# shard-count rule's range spec) x (the
 # barrier on both backends, and the direct arm: pass-through accounting,
 # nothing pruned), the grid walked as drawn and again over each edge
 # table (0, 1 and 3 rows, and 500 rows of one key and constant ints),
@@ -136,19 +135,19 @@ pruning-gate:
 # with the merge plane's accounting held at every point (the master's
 # time is the shards' completions plus the merge; bytes, survivors and
 # switch arrivals are the shards' sums; a lossless run carries nothing; a
-# plan recorded exactly when the layout was fitted), a HAVING key that
+# served layout at the rule's count), a HAVING key that
 # spans the threshold only globally kept, and sharded execution
 # deterministic end to end.
 shard-gate:
 	cargo test -q -p cheetah-db --test shard_contract
 
-# The named CI gate: planner contract — the generated cases, the grid
-# walked over each planner adversary, their fitted points fitted by a
-# planner of random sample size: every point bit-identical to baseline,
-# its plan recorded and its shard count the plan's, an empty table or one
-# key planned to one shard; a plan fitted again over the rebuilt tables
-# the same plan, routing alike; the default planner's shard counts and
-# the routing keys goldens.
+# The named CI gate: planner contract — the one shard-count rule and the
+# routing keys: the generated cases, the grid walked over each routing
+# adversary (no planner of random sample size: its served point is the
+# rule's range spec, and no fitted plan is recorded on a layout), every
+# point bit-identical to baseline, a served point at the rule's count;
+# every layout routed again over the rebuilt tables routing alike; the
+# rule's shard counts and the routing keys goldens.
 planner-gate:
 	cargo test -q -p cheetah-db --test planner_contract
 
@@ -156,8 +155,8 @@ planner-gate:
 # (four families have one: filter, DISTINCT, GROUP BY, SKYLINE; TOP N,
 # JOIN and HAVING run the interpreter on either backend and must say
 # so) bit-identical to the interpreted oracle on every generated case's
-# routed layout (the fitted one included; the grid walked over each
-# planner adversary), with deterministic pruning
+# routed layout (the served one included; the grid walked over each
+# routing adversary), with deterministic pruning
 # counters unchanged shard by shard.
 compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract

@@ -7,13 +7,13 @@
 //! §4.6 analysis). The seven Big Data queries run over the benchmark's
 //! own table generator ([`BigDataConfig`]; its tables at `--full`). Per
 //! family every layout — one shard, hash and range at each count of the
-//! `--shards` axis above one, the layout the serving plane holds for a
-//! returning unpinned key (`served:range@N`: its rows over the cores,
-//! [`cheetah_serve::units`]), and the default planner's fit — is routed
-//! through [`ExecPlan::new`], the program's route, on its own clock (best
-//! of the reps, per row of both streams' input; a one-shard layout is the
-//! caller's table and copies nothing), and [`execute`] is timed on two
-//! arms of the last routed plan (resident workers hold their slices):
+//! `--shards` axis above one, and the layout the serving plane holds for a
+//! returning unpinned key (`served:range@N`: the one shard-count rule,
+//! [`units`]) — is routed through [`ExecPlan::new`], the program's route,
+//! on its own clock (best of the reps, per row of both streams' input; a
+//! one-shard layout is the caller's table and copies nothing), and
+//! [`execute`] is timed on two arms of the last routed plan (resident
+//! workers hold their slices):
 //!
 //! * **pruned** — the barrier transport on the compiled backend, which is
 //!   what a request pinned to the pruned arm runs with no backend pinned
@@ -32,9 +32,10 @@
 use crate::report::secs;
 use crate::{Report, RunCtx};
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, ExecBackend, ExecPath, QueryOutput, ShardPlanner, ShardSpec};
+use cheetah_db::planner::{units, ROWS_PER_UNIT};
+use cheetah_db::{Cluster, ExecBackend, ExecPath, QueryOutput, ShardSpec};
 use cheetah_net::MasterIngestModel;
-use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout, WorkerPool};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, WorkerPool};
 use cheetah_workloads::BigDataConfig;
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,10 +79,10 @@ fn find_crossover(points: &[(usize, f64)]) -> Option<usize> {
     points.iter().filter(|&&(n, s)| n > 1 && s < single).map(|&(n, _)| n).min()
 }
 
-/// The worst fixed layout `(label, wall)`, when the planned layout's
-/// `planned` wall exceeds it.
-fn slower_than_worst(planned: f64, fixed: &[(String, f64)]) -> Option<&(String, f64)> {
-    fixed.iter().max_by(|a, b| a.1.total_cmp(&b.1)).filter(|(_, worst)| planned > *worst)
+/// The worst fixed layout `(label, wall)`, when the served layout's
+/// `served` wall exceeds it.
+fn slower_than_worst(served: f64, fixed: &[(String, f64)]) -> Option<&(String, f64)> {
+    fixed.iter().max_by(|a, b| a.1.total_cmp(&b.1)).filter(|(_, worst)| served > *worst)
 }
 
 /// The fastest of `(label, wall)` points, as `label (wall)`.
@@ -107,7 +108,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     };
     let (rankings, uservisits) = (Arc::new(bd.rankings()), Arc::new(bd.uservisits()));
     let cluster = Cluster::default().with_backend(ExecBackend::Compiled);
-    let planner = ShardPlanner::default();
+    let workers = WorkerPool::global().workers();
 
     let mut r = Report::new(
         "shards",
@@ -130,32 +131,26 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         let name = q.kind();
         let want = cluster.run_baseline(&q, left, right.map(|t| &**t)).output;
         let rows_in = left.rows() + right.map_or(0, |t| t.rows());
-        let plan = Arc::new(planner.plan(&q, left, right.map(|t| &**t), cluster.tuning.seed));
-        let planned_label = format!("planned:{}@{}", plan.partitioner().name(), plan.shards());
-        let mut layouts: Vec<(String, ShardLayout)> =
-            vec![("whole@1".into(), ShardSpec::new(1, ShardPartitioner::Hash).into())];
+        let mut layouts = vec![("whole@1".to_string(), ShardSpec::new(1, ShardPartitioner::Hash))];
         for &n in ctx.shards.iter().filter(|&&n| n > 1) {
             for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
                 let label = format!("{}@{n}", partitioner.name());
-                layouts.push((label, ShardSpec::new(n, partitioner).into()));
+                layouts.push((label, ShardSpec::new(n, partitioner)));
             }
         }
-        let served = cheetah_serve::units(rows_in, WorkerPool::global().workers());
-        let served_spec = ShardSpec::new(served, ShardPartitioner::Range);
-        layouts.push((format!("served:range@{served}"), served_spec.into()));
-        layouts.push((planned_label.clone(), Arc::clone(&plan).into()));
+        let served = units(&q, left, right.map(|t| &**t), workers);
+        let served_label = format!("served:range@{served}");
+        layouts.push((served_label.clone(), ShardSpec::new(served, ShardPartitioner::Range)));
 
         // (shards, seconds) per layout for the first wins; (label, wall)
         // per layout for the fastest and the SLOWER rule.
         let (mut modelled, mut pruned, mut direct) = (Vec::new(), Vec::new(), Vec::new());
-        let mut planned_run = None;
-        for (label, layout) in layouts {
+        for (label, spec) in layouts {
             // The program's route, best of reps by wall; the last plan runs.
             let (mut routed, mut route_wall) = (None, f64::INFINITY);
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let plan =
-                    ExecPlan::new(&cluster, &q, left, right, layout.clone()).expect("routes");
+                let plan = ExecPlan::new(&cluster, &q, left, right, spec).expect("routes");
                 route_wall = route_wall.min(t0.elapsed().as_secs_f64());
                 routed = Some(plan);
             }
@@ -182,9 +177,6 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             modelled.push((layout.shards(), completion));
             pruned.push((label.clone(), pruned_wall));
             direct.push((label, direct_wall));
-            if layout.shard_plan().is_some() {
-                planned_run = Some(run);
-            }
         }
 
         let walls = |points: &[(String, f64)]| -> Vec<(usize, f64)> {
@@ -199,24 +191,15 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
             fastest(&pruned),
             fastest(&direct),
         ));
-        let (_, planned_wall) = pruned.last().expect("the planned layout runs last");
-        let fixed = &pruned[..pruned.len() - 1];
-        if let Some((worst, worst_wall)) = slower_than_worst(*planned_wall, fixed) {
+        // The served layout runs last, and unpinned traffic runs it direct.
+        let (_, served_wall) = direct.last().expect("the served layout runs last");
+        let fixed = &direct[..direct.len() - 1];
+        if let Some((worst, worst_wall)) = slower_than_worst(*served_wall, fixed) {
             r.note(format!(
-                "SLOWER: {name} {planned_label} pruned wall {:.2}× the worst fixed layout {worst}",
-                planned_wall / worst_wall
+                "SLOWER: {name} {served_label} direct wall {:.2}× the worst fixed layout {worst}",
+                served_wall / worst_wall
             ));
         }
-        // How far the planner's constants sit from this machine: it prices
-        // the worker and master phases, so the measured side is their sum.
-        let planned_run = planned_run.expect("the planned layout records its plan");
-        let measured = planned_run.breakdown.worker_seconds + planned_run.breakdown.master_seconds;
-        r.note(format!(
-            "{name}: planner chose {planned_label} — {}; modelled-vs-measured gap {:.3} ms with \
-             the default constants",
-            plan.report.reason,
-            (plan.report.curve[plan.shards() - 1].total() - measured).abs() * 1e3,
-        ));
     }
     r.note(format!(
         "uservisits {} rows, rankings {} rows (the benchmark's BigDataConfig); best of {reps} \
@@ -244,12 +227,12 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     ));
     r.note(format!(
         "served:range@N = what the serving plane holds for a returning unpinned key: both \
-         streams' rows over {} per unit, at most two units per pool worker ({} here), cut at the \
-         quantiles of its routing keys; its direct wall is what such a key's warm requests run",
-        cheetah_serve::ROWS_PER_UNIT,
-        WorkerPool::global().workers()
+         streams' rows over {ROWS_PER_UNIT} per unit, at most two units per pool worker \
+         ({workers} here), at least two for a JOIN on a string key the load rule left plain, cut \
+         at the quantiles of its routing keys; its direct wall is what such a key's warm \
+         requests run",
     ));
-    r.note("a planned pruned wall above the worst fixed layout's prints a SLOWER note");
+    r.note("a served direct wall above the worst fixed layout's prints a SLOWER note");
     vec![r]
 }
 
@@ -270,17 +253,15 @@ mod tests {
         ["filter-count", "distinct", "skyline", "topn", "groupby-max", "join", "having-sum"];
 
     #[test]
-    fn a_row_per_family_and_layout_plus_one_served_and_one_planned_row() {
+    fn a_row_per_family_and_layout_plus_one_served_row() {
         let r = sweep();
-        // 7 families × (one shard, hash@4, range@4, served, planned).
-        assert_eq!(r.rows.len(), 7 * 5);
+        // 7 families × (one shard, hash@4, range@4, served).
+        assert_eq!(r.rows.len(), 7 * 4);
         for family in FAMILIES {
             let rows: Vec<_> = r.rows.iter().filter(|row| row[0] == family).collect();
-            assert_eq!(rows.len(), 5, "{family}");
-            for prefix in ["served:range@", "planned:"] {
-                let n = rows.iter().filter(|row| row[1].starts_with(prefix)).count();
-                assert_eq!(n, 1, "{family}: {prefix}");
-            }
+            assert_eq!(rows.len(), 4, "{family}");
+            let served = rows.iter().filter(|row| row[1].starts_with("served:range@")).count();
+            assert_eq!(served, 1, "{family}");
             // Both models and both walls on every row.
             assert!(rows.iter().all(|row| row[3..9].iter().all(|c| !c.is_empty())), "{rows:?}");
         }
@@ -301,8 +282,7 @@ mod tests {
         for row in &sweep().rows {
             assert!(
                 ["whole@1", "hash@4", "range@4"].contains(&row[1].as_str())
-                    || row[1].starts_with("served:range@")
-                    || row[1].starts_with("planned:"),
+                    || row[1].starts_with("served:range@"),
                 "{row:?}"
             );
         }
@@ -318,15 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn every_family_notes_the_planners_choice_the_model_gap_and_its_first_wins() {
+    fn every_family_notes_its_first_wins() {
         let notes = &sweep().notes;
         for family in FAMILIES {
             let prefix = format!("{family}: ");
             let count = |what: &str| {
                 notes.iter().filter(|n| n.starts_with(&prefix) && n.contains(what)).count()
             };
-            assert_eq!(count("planner chose"), 1, "{family}: {notes:?}");
-            assert_eq!(count("modelled-vs-measured gap"), 1, "{family}: {notes:?}");
             assert_eq!(count("first win over one shard"), 1, "{family}: {notes:?}");
         }
     }
@@ -340,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn slower_compares_the_planned_wall_with_the_worst_fixed_wall() {
+    fn slower_compares_the_served_wall_with_the_worst_fixed_wall() {
         let fixed: Vec<(String, f64)> = [("whole@1", 2.0), ("hash@4", 3.0), ("range@4", 1.0)]
             .map(|(l, w)| (l.into(), w))
             .into();

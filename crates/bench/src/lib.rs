@@ -21,8 +21,8 @@
 //! Beyond the paper's artifacts, [`experiments`] carries the repository's
 //! own report-only sweeps (`ablations`, `shards`, `fabric`).
 //! [`experiments::shards`] is the one shard sweep: the seven Big Data
-//! queries over the `--shards` axis, each layout's pruned and direct wall
-//! clock beside the Figure 8 and §4.6 models and the planner's choice
+//! queries over the `--shards` axis and the served layout, each layout's
+//! pruned and direct wall clock beside the Figure 8 and §4.6 models
 //! (`make sweep` runs it at full scale). They print what they
 //! measured and assert only outputs: wall clock is *gated* in one place,
 //! the `cheetah-ledger` benchmark package, and nowhere in this crate.

@@ -47,7 +47,6 @@ pub mod having;
 pub mod hierarchy;
 pub mod join;
 pub mod operator;
-pub mod plan;
 pub mod planner;
 pub mod pruner;
 pub mod shard;
@@ -65,10 +64,9 @@ pub use having::{HavingAgg, HavingConfig, HavingOpt, HavingPruner};
 pub use hierarchy::MultiSwitch;
 pub use join::{BloomKind, JoinConfig, JoinMode, JoinOpt, JoinPruner, JoinSide};
 pub use operator::PassPlan;
-pub use plan::{KeySampler, KeyStats, PlanReport, ShardPlan};
 pub use planner::{plan, PackedQueries, Plan, QuerySpec};
 pub use pruner::{OptPruner, StandalonePruner};
-pub use shard::{ShardPartitioner, Sharder};
+pub use shard::{fit_boundaries, ShardPartitioner, Sharder};
 pub use skyline::{SkylineConfig, SkylineOpt, SkylinePolicy, SkylinePruner};
 pub use topn::{TopNDetConfig, TopNDetPruner, TopNOpt, TopNRandConfig, TopNRandPruner};
 

@@ -17,9 +17,8 @@
 //! same 64-bit routing key always maps to the same shard. A seeded hash
 //! ([`Sharder::hash`]) scatters keys uniformly (no locality); ascending
 //! cut points ([`Sharder::fitted_range`]) keep contiguous key spans, cut
-//! at the quantiles of the keys they were fitted to
-//! ([`fit_boundaries`](crate::plan::fit_boundaries)), so each span holds
-//! about the same mass whatever the key domain.
+//! at the quantiles of the keys they were fitted to ([`fit_boundaries`]),
+//! so each span holds about the same mass whatever the key domain.
 
 use cheetah_switch::hash::mix64;
 
@@ -67,8 +66,7 @@ impl Sharder {
     /// A range sharder with *fitted* (data-driven) cut points:
     /// `boundaries[i]` is the first key owned by shard `i + 1`, so
     /// `boundaries.len() + 1` shards cover the whole key space. Fit them
-    /// to the keys' quantiles with
-    /// [`fit_boundaries`](crate::plan::fit_boundaries), so each span holds
+    /// to the keys' quantiles with [`fit_boundaries`], so each span holds
     /// roughly equal *observed mass*. Cut points must be non-decreasing;
     /// duplicates simply leave spans empty.
     ///
@@ -110,9 +108,83 @@ impl Sharder {
     }
 }
 
+/// Fit `shards - 1` range cut points to the quantiles of `sorted_keys`:
+/// boundary `i` is the keys' `(i + 1) / shards` quantile, so each span
+/// holds roughly the same *mass* whatever the key domain. Feed the result
+/// to [`Sharder::fitted_range`]. The cut points are non-decreasing; a hot
+/// key wider than a span repeats its value, leaving some spans empty. No
+/// keys get `shards - 1` equal cuts.
+///
+/// Of `m` keys with at most `c` copies of one, a span holds at most
+/// `⌈m/n⌉ + c − 1` (its share of the indices, plus the earlier copies of
+/// its lower cut's key), while a hash sharder's busiest shard holds at
+/// least `⌈m/n⌉` (pigeonhole) and at least `c` (a key's copies land
+/// together). So the cuts never load the busiest shard twice as much as
+/// hash on the same keys.
+pub fn fit_boundaries(sorted_keys: &[u64], shards: usize) -> Vec<u64> {
+    assert!(shards > 0, "need at least one shard");
+    let m = sorted_keys.len();
+    (1..shards).map(|i| sorted_keys.get(i * m / shards).copied().unwrap_or(0)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The busiest shard's key count under `sharder`.
+    fn busiest(keys: &[u64], sharder: &Sharder) -> usize {
+        let mut counts = vec![0; sharder.shards()];
+        keys.iter().for_each(|&k| counts[sharder.shard_of(k)] += 1);
+        counts.into_iter().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn fitted_boundaries_balance_a_clustered_sample() {
+        // Keys clustered in [1000, 1100): quantile cuts split them evenly.
+        let mut keys: Vec<u64> = (0..400u64).map(|i| 1_000 + i % 100).collect();
+        keys.sort_unstable();
+        let bounds = fit_boundaries(&keys, 4);
+        assert_eq!(bounds.len(), 3);
+        let busiest = busiest(&keys, &Sharder::fitted_range(bounds).unwrap());
+        assert!(busiest < 140, "fitted load {busiest} of 400");
+    }
+
+    #[test]
+    fn fitted_boundaries_degenerate_cases() {
+        assert_eq!(fit_boundaries(&[], 4), vec![0, 0, 0], "equal cuts keep the count");
+        assert!(fit_boundaries(&[1, 2, 3], 1).is_empty());
+        // All-equal keys: every cut lands on the same value.
+        assert_eq!(fit_boundaries(&[5, 5, 5, 5], 3), vec![5, 5]);
+    }
+
+    #[test]
+    fn quantile_cuts_load_the_busiest_shard_less_than_twice_hash() {
+        // Duplicate-heavy key sets of `m` keys: the first `hot` tenths
+        // share one key, the rest come from `cold` distinct keys.
+        for m in [1usize, 5, 64, 333, 1024] {
+            for hot in [0, 1, 3, 5, 9, 10] {
+                for cold in [1u64, 3, 50, 10_000] {
+                    let mut keys: Vec<u64> = (0..m)
+                        .map(|i| if i * 10 < m * hot { 7 } else { mix64(i as u64) % cold })
+                        .collect();
+                    keys.sort_unstable();
+                    let c = keys.chunk_by(|a, b| a == b).map(<[u64]>::len).max().unwrap();
+                    for n in 1..=16 {
+                        let cuts = Sharder::fitted_range(fit_boundaries(&keys, n)).unwrap();
+                        assert_eq!(cuts.shards(), n);
+                        let range = busiest(&keys, &cuts);
+                        let hash = busiest(&keys, &Sharder::hash(n, 0xC43E7A));
+                        let label = format!("m={m} hot={hot}/10 cold={cold} n={n} c={c}");
+                        assert!(
+                            range < m.div_ceil(n) + c,
+                            "{label}: range {range} > ⌈m/n⌉ + c − 1"
+                        );
+                        assert!(range < 2 * hash, "{label}: range {range} vs hash {hash}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn every_key_lands_in_range() {

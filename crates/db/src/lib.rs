@@ -51,15 +51,14 @@ pub mod value;
 #[cfg(test)]
 mod testutil;
 
-pub use cheetah_core::plan::{PlanReport, ShardPlan};
 pub use cheetah_core::{ShardPartitioner, Sharder};
 pub use engine::{CheetahRun, CheetahTuning, Cluster, ExecBackend, ExecBreakdown, SparkRun};
 pub use executor::Tables;
 pub use expr::{DbPredicate, IntCmp, LikePattern};
 pub use master::{decompose_output, merge_shard_outputs, MergeItem, MergeState};
 pub use planner::{
-    fixed_sharder, routing_keys, unit_columns, ChooserArm, ExecPath, PathChooser, PlannerConfig,
-    ShardPlanner,
+    fixed_sharder, routing_keys, unit_columns, units, ChooserArm, ExecPath, PathChooser,
+    PlannerConfig, ShardPlan, ShardPlanner,
 };
 pub use query::{DbQuery, QueryOutput};
 pub use sharded::{route_columns, route_range, RouteStream, ShardSpec, ShardStats};

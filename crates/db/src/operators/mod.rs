@@ -441,17 +441,6 @@ pub(crate) fn for_each_key(seed: u64, col: &Column, mut f: impl FnMut(usize, u64
     }
 }
 
-/// [`for_each_key`]'s key for the one cell at `row` — for the planner's
-/// strided sample, which reads a few thousand cells of a column, not all.
-pub(crate) fn key_at(seed: u64, col: &Column, row: usize) -> u64 {
-    match col {
-        Column::Int(v) => encode_ordered_i64(v[row]),
-        Column::Str(_) | Column::Dict { .. } => {
-            str_key(&HashFn::from_seed(seed), col.str_at(row).expect("a string column"))
-        }
-    }
-}
-
 #[inline]
 fn str_key(h: &HashFn, s: &str) -> u64 {
     h.hash_bytes(s.as_bytes()) >> 1

@@ -1,224 +1,137 @@
-//! The adaptive shard planner: sample the routing keys, read their
-//! spread, emit a concrete [`ShardPlan`].
+//! How many shards, and which rows go to each: the one shard-count rule
+//! ([`units`]) and the routing keys every layout is split by
+//! ([`routing_keys`]).
 //!
-//! The `shards` sweep shows what a fixed spec costs: a fixed shard count
-//! either wastes workers on small inputs or starves large ones, and under
-//! key skew the hottest shard serializes the whole run. The planner
-//! replaces the hand-picked count with one sampling pass over the
-//! per-query routing keys (the same keys every routed layout is split by —
-//! key extraction lives *here*, in one place, and the plan constructor in
-//! `cheetah-runtime` consumes it). A caller fits a plan
-//! ([`ShardPlanner::plan`]) and hands it to the plan constructor as a
-//! fitted layout — there is one way to fit. The model prices a pruned
-//! shard, so the serving plane, whose unpinned requests run direct, fits
-//! nothing; the gates, the `shards` sweep and the benchmark's layer pass
-//! do:
-//!
-//! 1. **Sample** — a seeded reservoir ([`KeySampler`]) over a bounded
-//!    strided sample of every stream's routing keys
-//!    ([`KeySampler::offer_strided`]: at most 16 keys read per reservoir
-//!    slot, extracted at the sampled rows only, so a plan reads as many
-//!    keys on 200 k rows as on 16 k; a request at or under the bound
-//!    reads every key). Row counts stay exact.
-//! 2. **Choose the shard count** — each candidate count in
-//!    `1..=`[`MAX_SHARDS`] is cut at the sampled quantiles
-//!    ([`fit_boundaries`]) and charged its hottest shard's share of the
-//!    rows at the CWorker send rate (worker phase) plus
-//!    [`PER_SHARD_OVERHEAD_SECONDS`] per shard (master phase); the first
-//!    minimum wins, so a tie goes to the fewer shards. No survivor
-//!    volume is priced: a plan is fitted before any pruned run of its
-//!    query exists, and the master-ingest model (§4.6) is a figure the
-//!    `fig9` and `shards` experiments report, not a decision input.
-//!
-//! The shard count is the one decision. The routing is always the
-//! quantile cut points: they never load the busiest shard twice as much
-//! as a hash would on the same sample (the bound is stated on
-//! [`fit_boundaries`]), and a count whose cuts gain nothing — no rows,
-//! or one key — costs more per extra shard, so it plans one shard, which
-//! is the table itself.
-//!
-//! The emitted [`PlanReport`] records the sampled load and every modelled
-//! cost the decision read, so tests and humans audit the choice instead
-//! of trusting it. Plans are deterministic: same seed + same tables ⇒
-//! identical [`ShardPlan`].
+//! A shard count has one source outside a pin: [`units`], a query's rows
+//! over [`ROWS_PER_UNIT`], at least one unit and at most two per pool
+//! worker, with a floor of two for a JOIN whose string key the load rule
+//! left plain. Cores are a resource a run allocates: a run works its units
+//! on at most one thread per core, so the count follows the cores, not a
+//! cost model. There is no sampler and no price per shard. The serving
+//! plane lays a returning unpinned key out by this rule
+//! (`ShardSpec::new(units, Range)`), and the generated gates and the
+//! `shards` sweep run that very spec. A range spec is cut at the quantiles
+//! of every routing key of both streams ([`fixed_sharder`]); a pin
+//! (`QueryRequest::shards`) is hash-routed at its own count, up to
+//! [`MAX_SHARDS`].
 
-use crate::operators::{for_each_key, key_at};
+use crate::operators::for_each_key;
 use crate::query::DbQuery;
 use crate::sharded::ShardSpec;
-use crate::table::{Partition, Table};
-use cheetah_core::plan::{
-    fit_boundaries, max_load_fraction, KeySampler, KeyStats, PlanReport, ShardCostPoint, ShardPlan,
-};
-use cheetah_core::{ShardPartitioner, Sharder};
+use crate::table::Table;
+use crate::value::DataType;
+use cheetah_core::{fit_boundaries, ShardPartitioner, Sharder};
 use cheetah_switch::hash::mix64;
 
-/// Fixed per-shard master-side cost (planning one switch program, merging
-/// one more output) charged by the shard-count model, in seconds. It
-/// prices a pruned shard's merge; no layout the serving plane holds reads
-/// it (a returning unpinned key runs direct, on its rows over the cores).
-pub const PER_SHARD_OVERHEAD_SECONDS: f64 = 300e-6;
-
-/// Rows per second one CWorker serializes onto its 10G uplink (§7.1): the
-/// rate the shard-count model charges the hottest shard's rows at.
-const CWORKER_ROWS_PER_SECOND: f64 = 10.0e6;
-
-/// Largest shard count the shard-count walk considers, and the most a
-/// request may pin (`QueryRequest::shards`), whatever the machine.
+/// The most shards a request may pin (`QueryRequest::shards`), whatever
+/// the machine. It bounds pins only: [`units`] follows the cores.
 ///
-/// It bounds the planner's walk and pinned counts only. The layout the
-/// serving plane holds for a returning unpinned key follows the cores
-/// instead: a run works its shards on at most one thread per core, so
-/// that layout is the key's rows over `cheetah_serve::ROWS_PER_UNIT`, at
-/// most two units per pool worker. On a 2-core box (ten alternating
-/// ledger pairs, `--seed 1 --seconds 20 --trace 0`, medians with IQRs),
-/// that layout against the planner's fits (6–16 shards on the Big Data
+/// On a 2-core box (ten alternating ledger pairs, `--seed 1 --seconds 20
+/// --trace 0`, medians with IQRs), the served layout against the fits of
+/// the sampling planner this rule replaced (6–16 shards on the Big Data
 /// keys) read `survivor_heavy` `speedup_p50` 19.39 (19.03–19.76) → 22.65
 /// (22.31–23.15), better in 10 of 10 pairs, and `prune_heavy` 17.19
 /// (16.98–17.35) → 16.97 (16.82–17.03), better in 3 of 10, inside its
 /// bound; a fixed 16 units had taken `prune_heavy` 16.9 → 15.7.
 pub const MAX_SHARDS: usize = 16;
 
-/// Tuning of the sample-driven shard planner. The shard-count model walks
-/// `1..=`[`MAX_SHARDS`] whatever the tuning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannerConfig {
-    /// Reservoir capacity: how many routing keys the quantile fit and
-    /// the load evaluation see. Zero is taken as one: a plan needs at
-    /// least one sampled key.
-    pub sample_size: usize,
-}
+/// Rows per unit of a served layout ([`units`]).
+///
+/// Placed between the benchmark's 6 000-row tenant tables and its
+/// 300 000-row Rankings table by ledger pairs on a 2-core box (`--seed 1
+/// --seconds 20 --trace 0`, against layouts a sampling planner fitted):
+/// with this gate the tenant tables hold one unit and `tenants_small`
+/// held its `speedup_p50` (8.1–8.4 → 8.0–8.8, 3 pairs), where cut into
+/// two units they fell to 6.6, `speedup_p90` 6.1 → 3.6 and `setup_s`
+/// 0.017 → 0.025 s; the Big Data tables hold `2 × workers` units, and
+/// `survivor_heavy` rose 14.59–15.66 → 16.34–17.23 and `prune_heavy`
+/// 16.76–17.40 → 17.42–17.93 (5 pairs each). Ten alternating pairs of the
+/// rule against those fits then read `tenants_small` 8.30 → 8.21,
+/// `survivor_heavy` 19.39 → 22.65 (10 of 10) and `prune_heavy` 17.19 →
+/// 16.97 (medians).
+pub const ROWS_PER_UNIT: usize = 65_536;
 
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self { sample_size: 1024 }
+/// The shard count of `q`'s served layout over these tables: the rows of
+/// the streams `q` reads over [`ROWS_PER_UNIT`], at least one and at most
+/// two per pool worker. A run works its units on at most one thread per
+/// core, and more units than threads let the run's claim counter balance
+/// a slow thread's share: at one unit per worker, `survivor_heavy`'s JOIN
+/// p50 read 1.46–1.49 → 1.86–2.05 ms, and a fixed 16 units took
+/// `prune_heavy`'s `speedup_p50` 16.9 → 15.7.
+///
+/// A JOIN whose string key the load rule left plain on either side
+/// ([`Table::is_coded`]: a near-unique key, such as URLs) gets at least
+/// two units, so routing codes the key per unit and the JOIN counts and
+/// probes codes: a 20 000 / 10 000-row URL JOIN read its direct wall at
+/// 2.60–3.17 ms held as one unit, the caller's tables, against 59.7–69.4
+/// µs routed into two or three units (the quick `shards` sweep, 2 cores).
+/// A right table handed to a unary query is not counted.
+pub fn units(q: &DbQuery, left: &Table, right: Option<&Table>, workers: usize) -> usize {
+    let right = right.filter(|_| q.is_binary());
+    let rows = left.rows() + right.map_or(0, Table::rows);
+    let units = (rows / ROWS_PER_UNIT).min(2 * workers).max(1);
+    let plain = |t: &Table, col: usize| {
+        t.fields().get(col).is_some_and(|(_, ty)| *ty == DataType::Str) && !t.is_coded(col)
+    };
+    match (q, right) {
+        (DbQuery::Join { left_key, right_key }, Some(right))
+            if plain(left, *left_key) || plain(right, *right_key) =>
+        {
+            units.max(2)
+        }
+        _ => units,
     }
 }
 
-/// The sample-driven shard planner.
-///
-/// # Worked example
-///
-/// A skewed table: 4000 rows, 90 % of them under ten hot keys. The
-/// planner samples the GROUP BY routing keys, reads the skew, and picks
-/// a concrete plan whose report explains the choice:
-///
-/// ```
-/// use cheetah_db::{Cluster, DataType, DbQuery, ExecPath, ShardPlanner, TableBuilder, Value};
-/// use cheetah_runtime::{execute, ExecPlan};
-/// use std::sync::Arc;
-///
-/// let mut b = TableBuilder::new(
-///     "visits",
-///     vec![("agent".into(), DataType::Str), ("ms".into(), DataType::Int)],
-///     500,
-/// );
-/// for i in 0..4000i64 {
-///     let agent = if i % 10 < 9 { format!("hot-{}", i % 10) } else { format!("cold-{i}") };
-///     b.push_row(vec![Value::Str(agent), Value::Int(i % 997)]);
-/// }
-/// let table = Arc::new(b.build());
-///
-/// let cluster = Cluster::default();
-/// let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-/// let planner = ShardPlanner::default();
-/// let plan = Arc::new(planner.plan(&q, &table, None, cluster.tuning.seed));
-///
-/// // The report carries every number the decision read…
-/// assert_eq!(plan.report.rows, 4000);
-/// assert_eq!(plan.report.curve.len(), cheetah_db::planner::MAX_SHARDS);
-/// assert!(plan.shards() >= 1 && plan.shards() <= cheetah_db::planner::MAX_SHARDS);
-/// println!("{}", plan.report.reason);
-///
-/// // …and a run laid out by it completes bit-identically to the baseline.
-/// let base = cluster.run_baseline(&q, &table, None);
-/// let routed = ExecPlan::new(&cluster, &q, &table, None, Arc::clone(&plan)).unwrap();
-/// assert!(Arc::ptr_eq(routed.shard_plan().unwrap(), &plan), "the layout records its plan");
-/// let planned = execute(&cluster, &routed, ExecPath::BarrierPooled).unwrap();
-/// assert_eq!(base.output, planned.output);
-/// ```
+/// Kept only because the frozen benchmark's layer pass constructs it
+/// (`ShardPlanner::new(PlannerConfig::default())`): the planner has
+/// nothing to tune.
 #[derive(Debug, Clone, Default)]
-pub struct ShardPlanner {
-    /// The planner's tuning.
-    pub cfg: PlannerConfig,
+pub struct PlannerConfig {}
+
+/// The served layout as a sharder, kept only because the frozen
+/// benchmark's layer pass times [`plan`](Self::plan) and routes by its
+/// result (its `planner.*` stages), as `StatsFingerprint` is kept for its
+/// `plan_cache.fingerprint_us` stage. Nothing else calls it.
+#[derive(Debug)]
+pub struct ShardPlanner;
+
+/// What [`ShardPlanner::plan`] returns: the served layout's sharder.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardPlan {
+    /// The `key → shard` routing: [`units`] range spans, cut at the
+    /// quantiles of every routing key.
+    pub sharder: Sharder,
+}
+
+impl ShardPlan {
+    /// The shard count.
+    pub fn shards(&self) -> usize {
+        self.sharder.shards()
+    }
 }
 
 impl ShardPlanner {
-    /// A planner with the given tuning.
-    pub fn new(cfg: PlannerConfig) -> Self {
-        Self { cfg }
+    /// The planner; it has nothing to tune.
+    pub fn new(_: PlannerConfig) -> Self {
+        ShardPlanner
     }
 
-    /// Plan the sharded execution of `q` over the given tables from a
-    /// bounded strided sample of every stream's routing keys
-    /// ([`KeySampler::offer_strided`]): keys are extracted at the sampled
-    /// rows only, so the cost of a plan does not grow with the tables. A
-    /// right table handed to a unary query is ignored, as the plan
-    /// constructor ignores it.
+    /// The sharder of the layout the serving plane holds for a returning
+    /// unpinned `q` over these tables: [`fixed_sharder`] of a range spec
+    /// at [`units`], over every routing key of both streams, with one
+    /// worker per core (the global pool's width).
     pub fn plan(&self, q: &DbQuery, left: &Table, right: Option<&Table>, seed: u64) -> ShardPlan {
         let right = right.filter(|_| q.is_binary());
-        let tables: Vec<&Table> = std::iter::once(left).chain(right).collect();
-        let lens: Vec<usize> = tables.iter().map(|t| t.rows()).collect();
-        let mut cursors: Vec<KeyCursor<'_>> =
-            tables.iter().enumerate().map(|(s, t)| KeyCursor::new(q, s, t, seed)).collect();
-        let mut sampler = KeySampler::new(self.cfg.sample_size.max(1), seed);
-        sampler.offer_strided(&lens, |stream, row| cursors[stream].key_at(row));
-        plan_from_stats(sampler.finish())
-    }
-}
-
-/// Step 2: walk the candidate counts, each cut at the sampled quantiles —
-/// the hottest shard's share of the rows at the CWorker send rate, plus a
-/// fixed master-side overhead per shard.
-fn plan_from_stats(stats: KeyStats) -> ShardPlan {
-    let cut = |n| {
-        Sharder::fitted_range(fit_boundaries(&stats.sample, n))
-            .expect("fit_boundaries yields ascending cuts")
-    };
-    let curve: Vec<ShardCostPoint> = (1..=MAX_SHARDS)
-        .map(|n| {
-            let load = max_load_fraction(&stats.sample, &cut(n));
-            let worker_seconds = stats.rows as f64 * load / CWORKER_ROWS_PER_SECOND;
-            let merge_seconds = n as f64 * PER_SHARD_OVERHEAD_SECONDS;
-            ShardCostPoint { shards: n, worker_seconds, merge_seconds }
-        })
-        .collect();
-    let best = curve
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.total().partial_cmp(&b.total()).expect("finite costs"))
-        .map(|(i, _)| i)
-        .expect("at least one candidate");
-    let shards = best + 1;
-    // The walk keeps only each candidate's cost; the chosen count's cuts
-    // are a function of the sample and the count alone, so fit them again.
-    let sharder = cut(shards);
-    let sample_load = max_load_fraction(&stats.sample, &sharder);
-
-    // The first candidate *past the chosen count* whose modelled
-    // completion rises again — where merge cost starts eating the pruning
-    // win (absent when the chosen count is the axis maximum).
-    let turn = curve[best + 1..].iter().find(|p| p.total() > curve[best].total()).map(|p| p.shards);
-    let reason = format!(
-        "chose {shards} shard(s): sampled {}/{} keys; cut-point sample load {sample_load:.2}; \
-         modelled completion {:.2} ms{}",
-        stats.sample.len(),
-        stats.rows,
-        curve[best].total() * 1e3,
-        match turn {
-            Some(n) => format!(", merge cost eats the win from {n} shards on"),
-            None => String::new(),
-        },
-    );
-    ShardPlan {
-        sharder,
-        report: PlanReport {
-            rows: stats.rows,
-            sample_len: stats.sample.len(),
-            shards,
-            sample_load,
-            curve,
-            reason,
-        },
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        let spec = ShardSpec::new(units(q, left, right, workers), ShardPartitioner::Range);
+        let keys: Vec<Vec<u64>> = std::iter::once(left)
+            .chain(right)
+            .enumerate()
+            .map(|(stream, t)| routing_keys(q, stream, t, seed))
+            .collect();
+        let keys: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
+        ShardPlan { sharder: fixed_sharder(&spec, seed, &keys) }
     }
 }
 
@@ -305,7 +218,7 @@ impl PathChooser {
 
 // ---------------------------------------------------------------------
 // Routing-key extraction: the one home for "which key does this row
-// route by" (the sharded layer and the planner both consume it).
+// route by".
 // ---------------------------------------------------------------------
 
 /// Every row's routing key for stream `stream`, in row order.
@@ -313,16 +226,17 @@ impl PathChooser {
 /// Keyed queries route by their group/join key so each key lives on one
 /// shard (exact key-union and co-partitioned-join merges) — the key the
 /// operator encodes for the switch, so routing shares the operator's walk
-/// (`for_each_key` over [`Partition::coded`]: one dispatch per
+/// (`for_each_key` over
+/// [`Partition::coded`](crate::table::Partition::coded): one dispatch per
 /// partition, plain strings hashed in place, a column coded at load hashed
-/// once per string its partition holds). TOP N routes by the order column through the same walk's
-/// order-preserving int arm, so range sharding splits the value space.
-/// Scans and skylines route by a row-id hash (pure load balance — their
-/// merges are routing-agnostic).
+/// once per string its partition holds). TOP N routes by the order column
+/// through the same walk's order-preserving int arm, so range sharding
+/// splits the value space. Scans and skylines route by a row-id hash (pure
+/// load balance — their merges are routing-agnostic).
 ///
-/// Public because the plan constructor in `cheetah-runtime` and the
-/// planner here must route and sample by the *same* keys for the
-/// per-operator merge semantics to hold.
+/// Public because the plan constructor in `cheetah-runtime` routes by
+/// these keys, and every stream of a query must be split by the *same*
+/// keys for the per-operator merge semantics to hold.
 pub fn routing_keys(q: &DbQuery, stream: usize, table: &Table, seed: u64) -> Vec<u64> {
     let Some(col) = routing_column(q, stream) else {
         return (0..table.rows() as u64).map(|row| mix64(row ^ seed)).collect();
@@ -359,39 +273,12 @@ fn routing_column(q: &DbQuery, stream: usize) -> Option<usize> {
     }
 }
 
-/// [`routing_keys`] at chosen rows only: the key of one stream's row
-/// `row` (a global row index), for rows asked in ascending order — what
-/// the planner's strided sample reads instead of a key per row.
-struct KeyCursor<'t> {
-    parts: &'t [Partition],
-    col: Option<usize>,
-    seed: u64,
-    /// The partition the last row asked for lay in, and its first row.
-    part: usize,
-    base: usize,
-}
-
-impl<'t> KeyCursor<'t> {
-    fn new(q: &DbQuery, stream: usize, table: &'t Table, seed: u64) -> Self {
-        Self { parts: table.partitions(), col: routing_column(q, stream), seed, part: 0, base: 0 }
-    }
-
-    fn key_at(&mut self, row: usize) -> u64 {
-        let Some(col) = self.col else { return mix64(row as u64 ^ self.seed) };
-        while row >= self.base + self.parts[self.part].rows() {
-            self.base += self.parts[self.part].rows();
-            self.part += 1;
-        }
-        key_at(self.seed, self.parts[self.part].column(col), row - self.base)
-    }
-}
-
-/// The sharder of a *hand-picked* [`ShardSpec`]. Hash scatters over the
-/// seed; Range cuts at the quantiles of the observed keys of **both**
-/// streams ([`fit_boundaries`]) — jointly, because JOIN co-partitioning
-/// needs one set of cut points for the two sides — exactly as a fitted
-/// plan cuts its sample. With no keys anywhere, the cuts are equal and the
-/// spec's shard count stands. A zero shard count is served as one shard.
+/// The sharder of a [`ShardSpec`]. Hash scatters over the seed; Range
+/// cuts at the quantiles of the keys of **both** streams
+/// ([`fit_boundaries`]) — jointly, because JOIN co-partitioning needs one
+/// set of cut points for the two sides. With no keys anywhere, the cuts
+/// are equal and the spec's shard count stands. A zero shard count is
+/// served as one shard.
 pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
     let shards = spec.shards.max(1);
     match spec.partitioner {
@@ -408,117 +295,71 @@ pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableBuilder;
     use crate::testutil::{all_queries, test_table};
+    use crate::value::Value;
 
-    #[test]
-    fn plans_are_deterministic_in_seed_and_data() {
-        let t = test_table(3_000, 4);
-        let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
-        let planner = ShardPlanner::default();
-        let a = planner.plan(&q, &t, None, 0xC43E7A);
-        let b = planner.plan(&q, &t, None, 0xC43E7A);
-        assert_eq!(a, b, "same seed + same tables must give the identical plan");
-        let c = planner.plan(&q, &t, None, 0xC43E7A ^ 1);
-        assert_eq!(c.report.rows, a.report.rows, "size estimates are seed-independent");
-    }
-
-    #[test]
-    fn empty_table_plans_one_shard() {
-        let t = crate::table::TableBuilder::new(
-            "empty",
-            vec![("agent".into(), crate::value::DataType::Str)],
-            8,
-        )
-        .build();
-        let planner = ShardPlanner::default();
-        let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &t, None, 7);
-        assert_eq!(plan.shards(), 1);
-        assert_eq!(plan.report.rows, 0);
-        assert_eq!(plan.sharder, Sharder::fitted_range(Vec::new()).unwrap(), "nothing to cut");
-        assert_eq!(plan.report.curve.len(), MAX_SHARDS, "the walk is the whole decision");
-    }
-
-    #[test]
-    fn a_right_table_handed_to_a_unary_query_is_not_sampled() {
-        // A one-column right table: a unary query routes by its left
-        // stream's column alone, so the right table must be neither
-        // counted nor indexed by that column (column 2 is not its own).
-        let l = test_table(3_000, 4);
-        let mut b = crate::table::TableBuilder::new(
-            "narrow",
-            vec![("k".into(), crate::value::DataType::Int)],
-            64,
-        );
-        for i in 0..500 {
-            b.push_row(vec![crate::value::Value::Int(i)]);
+    /// `rows` rows of one string key column: `distinct` keys (a plain
+    /// column past half distinct, coded at load under it) and an int.
+    fn keyed(rows: usize, distinct: usize) -> Table {
+        let fields = vec![("k".into(), DataType::Str), ("n".into(), DataType::Int)];
+        let mut b = TableBuilder::new("t", fields, 4_096);
+        for i in 0..rows {
+            b.push_row([Value::Str(format!("k{}", i % distinct.max(1))), Value::Int(i as i64)]);
         }
-        let r = b.build();
-        let planner = ShardPlanner::default();
-        for q in all_queries().into_iter().chain([DbQuery::Distinct { col: 2 }]) {
-            let with_right = planner.plan(&q, &l, Some(&r), 7);
-            assert_eq!(with_right, planner.plan(&q, &l, None, 7), "{}", q.kind());
+        b.build()
+    }
+
+    #[test]
+    fn the_shard_count_rule_at_its_edges() {
+        const R: usize = ROWS_PER_UNIT;
+        let distinct = DbQuery::Distinct { col: 0 };
+        let join = DbQuery::Join { left_key: 0, right_key: 0 };
+        let int_join = DbQuery::Join { left_key: 1, right_key: 1 };
+        let (coded, plain) = (keyed(3_000, 30), keyed(3_000, 3_000));
+        assert!(coded.is_coded(0) && !plain.is_coded(0), "fixture: the load rule");
+        let empty = keyed(0, 1);
+        let (under, two, wide) = (keyed(R - 1, 30), keyed(2 * R, 30), keyed(5 * R, 30));
+        for (label, q, left, right, workers, want) in [
+            ("no row", &distinct, &empty, None, 2, 1),
+            ("one row under a unit", &distinct, &under, None, 2, 1),
+            ("two units' rows", &distinct, &two, None, 2, 2),
+            ("past two per worker", &distinct, &wide, None, 2, 4),
+            ("past two per worker, one worker", &distinct, &wide, None, 1, 2),
+            ("a unary query's right table", &distinct, &under, Some(&two), 2, 1),
+            ("both streams counted", &join, &two, Some(&two), 8, 4),
+            ("join, keys coded", &join, &coded, Some(&coded), 2, 1),
+            ("join, left key plain", &join, &plain, Some(&coded), 2, 2),
+            ("join, right key plain", &join, &coded, Some(&plain), 2, 2),
+            ("join, plain and past the floor", &join, &wide, Some(&plain), 2, 4),
+            ("join, int keys", &int_join, &plain, Some(&plain), 2, 1),
+        ] {
+            assert_eq!(units(q, left, right, workers), want, "{label}");
         }
     }
 
     #[test]
-    fn a_zero_size_sample_plans_as_a_one_size_one() {
-        let t = test_table(3_000, 4);
-        let zero = ShardPlanner::new(PlannerConfig { sample_size: 0 });
-        let one = ShardPlanner::new(PlannerConfig { sample_size: 1 });
+    fn the_planner_plans_the_served_layout() {
+        // What the frozen benchmark times is the served spec's sharder over
+        // every routing key, and its shard count is the rule's.
+        let (l, r) = (test_table(3_000, 4), test_table(1_000, 2));
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        let planner = ShardPlanner::new(PlannerConfig::default());
         for q in all_queries() {
-            let right = q.is_binary().then_some(&t);
-            let plan = zero.plan(&q, &t, right, 7);
-            assert_eq!(plan, one.plan(&q, &t, right, 7), "{}", q.kind());
-            assert_eq!(plan.report.sample_len, 1, "{}", q.kind());
-        }
-    }
-
-    #[test]
-    fn table_smaller_than_the_sample_is_sampled_exactly() {
-        let t = test_table(50, 1);
-        let planner = ShardPlanner::default();
-        let plan = planner.plan(&DbQuery::Distinct { col: 0 }, &t, None, 7);
-        assert_eq!(plan.report.rows, 50);
-        assert_eq!(plan.report.sample_len, 50, "reservoir must hold every key");
-    }
-
-    #[test]
-    fn a_table_over_the_bound_is_sampled_at_the_keys_routing_splits_by() {
-        // 40 000 + 20 000 rows against a bound of 16 × 1 024 reads: stride
-        // 4. Extracting keys at the sampled rows only (the planner's
-        // cursor) must read exactly what every routed layout is split by
-        // (`routing_keys`) — string fingerprints, ordered ints and row-id
-        // hashes, and a second stream whose first sampled row is not its
-        // row 0.
-        let (l, r) = (test_table(40_000, 7), test_table(20_000, 3));
-        let planner = ShardPlanner::default();
-        let seed = 0xC43E7A;
-        for q in all_queries().into_iter().chain([DbQuery::Join { left_key: 0, right_key: 1 }]) {
             let right = q.is_binary().then_some(&r);
-            for (stream, t) in std::iter::once(&l).chain(right).enumerate() {
-                let keys = routing_keys(&q, stream, t, seed);
-                let mut cursor = KeyCursor::new(&q, stream, t, seed);
-                for row in (stream..t.rows()).step_by(4) {
-                    assert_eq!(cursor.key_at(row), keys[row], "{} stream {stream}", q.kind());
-                }
-            }
-            let plan = planner.plan(&q, &l, right, seed);
-            let rows = l.rows() + right.map_or(0, Table::rows);
-            assert_eq!(plan.report.rows, rows as u64, "{}: rows stay exact", q.kind());
-            assert_eq!(plan.report.sample_len, planner.cfg.sample_size, "{}", q.kind());
+            let plan = planner.plan(&q, &l, right, 7);
+            let served = units(&q, &l, right, workers);
+            assert_eq!(plan.shards(), served, "{}", q.kind());
+            let keys: Vec<Vec<u64>> = std::iter::once(&l)
+                .chain(right)
+                .enumerate()
+                .map(|(s, t)| routing_keys(&q, s, t, 7))
+                .collect();
+            let keys: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
+            let spec = ShardSpec::new(served, ShardPartitioner::Range);
+            assert_eq!(plan.sharder, fixed_sharder(&spec, 7, &keys), "{}", q.kind());
+            let with_right = planner.plan(&q, &l, Some(&r), 7);
+            assert_eq!(plan, with_right, "{}: a right table a unary query ignores", q.kind());
         }
-    }
-
-    #[test]
-    fn spread_keys_pick_more_than_one_shard_cut_at_quantiles() {
-        // TOP N routes by the (spread) order column; the quantile cuts
-        // balance it, so the planner fans out.
-        let t = test_table(20_000, 4);
-        let planner = ShardPlanner::default();
-        let plan = planner.plan(&DbQuery::TopN { order_col: 1, n: 10 }, &t, None, 3);
-        assert!(plan.shards() > 1, "{}", plan.report.reason);
-        assert_eq!(plan.partitioner(), ShardPartitioner::Range);
-        assert!(plan.report.sample_load < 2.0 / plan.shards() as f64, "{:?}", plan.report);
-        assert_eq!(plan.report.curve.len(), MAX_SHARDS);
     }
 }

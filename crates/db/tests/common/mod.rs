@@ -11,13 +11,13 @@
 
 use cheetah_core::JoinMode;
 use cheetah_db::{
-    ChooserArm, Cluster, Column, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
-    LikePattern, Partition, PlannerConfig, QueryOutput, ShardPartitioner, ShardPlan, ShardPlanner,
-    ShardSpec, Table, TableBuilder, Value,
+    units, ChooserArm, Cluster, Column, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath,
+    IntCmp, LikePattern, Partition, QueryOutput, ShardPartitioner, ShardSpec, Table, TableBuilder,
+    Value,
 };
 use cheetah_net::FaultProfile;
-use cheetah_runtime::{execute, ExecPlan, ExecRun, ShardLayout, WorkerPool};
-use cheetah_serve::{units, Error, QueryRequest, QueryResponse, Session, SessionConfig};
+use cheetah_runtime::{execute, ExecPlan, ExecRun, WorkerPool};
+use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use cheetah_switch::hash::mix64;
 use cheetah_telemetry::SpanNode;
 use cheetah_workloads::PlannerAdversary;
@@ -144,27 +144,22 @@ pub fn all_seven(threshold: i64) -> Vec<DbQuery> {
 /// the compiled backend, they run the interpreter and say so.
 pub const INTERPRETER_ONLY: [&str; 3] = ["topn", "join", "having-sum"];
 
-/// The layout `planner` fits for `q` over these tables — what the serving
-/// plane builds at second sight of a request.
-pub fn fitted(
-    cluster: &Cluster,
-    planner: &ShardPlanner,
-    q: &DbQuery,
-    left: &Arc<Table>,
-    right: Option<&Arc<Table>>,
-) -> Arc<ShardPlan> {
-    Arc::new(planner.plan(q, left, right.map(|r| &**r), cluster.tuning.seed))
+/// The layout the serving plane holds for a returning unpinned `q` over
+/// these tables: the one shard-count rule's range spec.
+pub fn served(q: &DbQuery, left: &Table, right: Option<&Table>) -> ShardSpec {
+    let units = units(q, left, right, WorkerPool::global().workers());
+    ShardSpec::new(units, ShardPartitioner::Range)
 }
 
-/// Route `q` under `layout` and execute it on the barrier transport.
+/// Route `q` under `spec` and execute it on the barrier transport.
 pub fn run_barrier(
     cluster: &Cluster,
     q: &DbQuery,
     left: &Arc<Table>,
     right: Option<&Arc<Table>>,
-    layout: impl Into<ShardLayout>,
+    spec: ShardSpec,
 ) -> ExecRun {
-    let plan = ExecPlan::new(cluster, q, left, right, layout).expect("routes");
+    let plan = ExecPlan::new(cluster, q, left, right, spec).expect("routes");
     execute(cluster, &plan, ExecPath::BarrierPooled).expect("plan fits")
 }
 
@@ -214,16 +209,17 @@ pub enum Source {
 }
 
 /// The layout a case routes under: a hand-picked spec (one shard is the
-/// tables themselves), or what a planner of this sample size fits.
+/// tables themselves), or the one the serving plane would hold for it
+/// ([`served`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Layout {
     Spec(ShardPartitioner, usize),
-    Fitted { sample_size: usize },
+    Served,
 }
 
 use ShardPartitioner::{Hash, Range};
 
-/// The grid's layouts, in walk order (a fitted one is sized by the draw).
+/// The grid's layouts, in walk order, before [`Layout::Served`].
 const GRID_LAYOUTS: [Layout; 5] = [
     Layout::Spec(Hash, 1),
     Layout::Spec(Hash, 2),
@@ -314,19 +310,14 @@ impl Case {
     }
 
     /// The case `seed` names for `gate`, on the grid's `layout`th layout
-    /// (`5`: fitted) if one is named.
+    /// (`5`: served) if one is named.
     fn draw_at(seed: u64, gate: Gate, layout: Option<usize>) -> Case {
         let mut rng = TestRng::from_seed(seed);
         let mut next = |bound: u64| rng.below(bound);
         let pick = next(6) as usize;
-        let layout = match layout.unwrap_or(pick) {
-            5 => Layout::Fitted { sample_size: [64 + next(448) as usize, 1024][next(2) as usize] },
-            i => GRID_LAYOUTS[i],
-        };
-        // A few thousand rows are what the planner first fans out over.
+        let layout = GRID_LAYOUTS.get(layout.unwrap_or(pick)).copied().unwrap_or(Layout::Served);
         let rows = match next(8) {
             0 => next(4),
-            1 if matches!(layout, Layout::Fitted { .. }) => 6_000 + next(4_000),
             _ => 4 + next(700),
         } as usize;
         Case {
@@ -391,7 +382,7 @@ impl Case {
             Layout::Spec(p, n) => {
                 halve(n, 1).iter().map(|&n| Layout::Spec(p, n as usize)).collect()
             }
-            Layout::Fitted { .. } => vec![Layout::Spec(Hash, 1), Layout::Spec(Hash, 2)],
+            Layout::Served => vec![Layout::Spec(Range, 1), Layout::Spec(Range, 2)],
         };
         out.extend(layouts.into_iter().map(|layout| Case { layout, ..self.clone() }));
         out
@@ -399,6 +390,14 @@ impl Case {
 
     pub fn query(&self) -> DbQuery {
         all_seven(self.threshold).swap_remove(self.family)
+    }
+
+    /// The spec the case's layout names over these tables.
+    pub fn spec(&self, q: &DbQuery, left: &Table, right: Option<&Table>) -> ShardSpec {
+        match self.layout {
+            Layout::Spec(partitioner, n) => ShardSpec::new(n, partitioner),
+            Layout::Served => served(q, left, right),
+        }
     }
 
     /// The left and right tables (for a unary query, which reads no right
@@ -467,7 +466,7 @@ pub const EDGE_TABLES: [Pin; 5] = [
     |c| (c.source, c.rows, c.keys, c.ints) = (Source::Gen, 500, 1, Ints::Constant),
 ];
 
-/// The grid over each planner adversary: uniform, zipf(1.0), zipf(1.5),
+/// The grid over each routing adversary: uniform, zipf(1.0), zipf(1.5),
 /// single-hot-key.
 pub const ADVERSARIES: [Pin; 4] = [
     |c| c.source = Source::Adversary(0),
@@ -490,9 +489,9 @@ pub struct Ran {
 
 /// The universal check. Every case answers like `run_baseline`, or is
 /// refused as `DbQuery::check` refuses it, identically on every arm and
-/// sight. A routed case honours the layout's shard count, loses no row in
-/// routing, keeps the merge discipline (lossless), records a plan exactly
-/// when the layout was fitted, co-locates a keyed family's one key, shows
+/// sight. A routed case honours the layout's shard count (a served one the
+/// rule's), loses no row in routing, keeps the merge discipline
+/// (lossless), co-locates a keyed family's one key, shows
 /// pass-through accounting on the direct arm and the JOIN pass structure
 /// the cluster asks for on a pruned one, and in fault mode answers as the
 /// lossless run of the same plan does, with the same switch counters and
@@ -547,15 +546,8 @@ fn check_plan(
 ) -> Option<(ExecPlan, ExecRun)> {
     let Ran { q, cluster, left, right, want, .. } = ran;
     let right_of = q.is_binary().then_some(right);
-    let (layout, fit): (ShardLayout, _) = match case.layout {
-        Layout::Spec(partitioner, n) => (ShardSpec::new(n, partitioner).into(), None),
-        Layout::Fitted { sample_size } => {
-            let planner = ShardPlanner::new(PlannerConfig { sample_size });
-            let plan = fitted(cluster, &planner, q, left, right_of);
-            (ShardLayout::Fitted(Arc::clone(&plan)), Some((plan, sample_size)))
-        }
-    };
-    let plan = match ExecPlan::new(cluster, q, left, right_of, layout) {
+    let spec = case.spec(q, left, right_of.map(|r| &**r));
+    let plan = match ExecPlan::new(cluster, q, left, right_of, spec) {
         Ok(plan) => plan,
         Err(e) => {
             assert_eq!(Some(e), refusal, "refused as the request check refuses");
@@ -564,19 +556,7 @@ fn check_plan(
     };
     assert_eq!(refusal, None, "the request check refused what routed");
     let shards = plan.shards();
-    let recorded = plan.shard_plan().map(Arc::as_ptr);
-    assert_eq!(recorded, fit.as_ref().map(|(fit, _)| Arc::as_ptr(fit)), "plan recorded");
-    if let Some((fit, sample_size)) = &fit {
-        assert_eq!(shards, fit.shards(), "the plan's shard count");
-        let rows = left.rows();
-        if !q.is_binary() {
-            let report = (fit.report.rows, fit.report.sample_len);
-            assert_eq!(report, (rows as u64, rows.min(*sample_size)), "rows, sample");
-        }
-        if !q.is_binary() && (rows == 0 || (case.one_key() && keyed(q))) {
-            assert_eq!(plan.dispatched(), [rows as u64], "one key, or none: one shard, whole");
-        }
-    }
+    assert_eq!(shards, spec.shards.max(1), "the layout's shard count");
     let arm = ARMS[case.arm];
     let lossless = cluster.clone().with_backend(arm.backend);
     let faulty = lossless.clone().with_fault(FaultProfile::harsh(), case.seed);
@@ -642,11 +622,8 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
     let session = Session::new(cluster.clone(), SessionConfig::default());
     let arm = ARMS[case.arm];
     // A pin names the arm (a backend only where an engine runs) and the
-    // spec's shard count, or one shard for a fitted layout.
-    let shards = match case.layout {
-        Layout::Spec(_, n) => n,
-        Layout::Fitted { .. } => 1,
-    };
+    // layout's shard count.
+    let shards = case.spec(q, left, q.is_binary().then_some(&**right)).shards;
     let request = |sight: u64| {
         // A tenant per sight: the key is the query and the tables alone.
         let mut req = QueryRequest::new(q.clone(), Arc::clone(left)).tenant(format!("t{sight}"));
@@ -665,8 +642,7 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         _ => 3,
     };
     // A returning unpinned key holds its rows over the cores.
-    let rows = left.rows() + if q.is_binary() { right.rows() } else { 0 };
-    let served = units(rows, WorkerPool::global().workers()) as u32;
+    let served = served(q, left, q.is_binary().then_some(&**right)).shards as u32;
     for sight in 1..=sights {
         let label = format!("sight {sight}");
         let resp = session.run_blocking(request(sight));

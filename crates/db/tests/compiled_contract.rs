@@ -2,7 +2,7 @@
 //! kernels. What it pins down:
 //!
 //! 1. **Bit-identity** — for every generated case on a pruned arm (all
-//!    seven `DbQuery` variants, the grid's layouts, the fitted one
+//!    seven `DbQuery` variants, the grid's layouts, the served one
 //!    included, over generated and adversarial tables — {uniform,
 //!    zipf(1.0), zipf(1.5), single-hot-key}), a run on the other backend
 //!    of the same routed layout produces *exactly* the same output. Not

@@ -1,76 +1,65 @@
 //! The planner contract gate, the third named CI tier after the pruning
-//! and shard gates. Four properties, each load-bearing:
+//! and shard gates: the one shard-count rule (`cheetah_db::planner::units`)
+//! and the routing keys every layout is split by. Four properties, each
+//! load-bearing:
 //!
 //! 1. **Correctness** — every generated case (`common::for_each_case`:
-//!    the grid, whose fitted points are fitted by a planner of random
-//!    sample size, then random draws over generated tables and the
-//!    planner-adversarial family {uniform, zipf(1.0), zipf(1.5),
-//!    single-hot-key}) answers like the baseline on every path and
-//!    backend: the planner may change *where* rows go, never *what* the
-//!    query answers. `common::check` holds a fitted layout to the
-//!    planner's facts: its plan recorded, its shard count the plan's, the
-//!    sample the whole table when the table is smaller than it, and an
-//!    empty table or one key planned to one shard, which is the table
-//!    itself.
-//! 2. **Determinism** — same seed + same tables ⇒ the identical
-//!    [`ShardPlan`] and the identical shard assignment, the tables rebuilt
-//!    from the same draw included (reservoir sampling must not smuggle in
-//!    nondeterminism).
-//! 3. **Routing keys** — the keys every layout is sampled and split by
-//!    are a golden: the switch encoding of the query's key column, or a
-//!    row-id hash. A key that moves re-routes rows; that is a finding,
-//!    not a golden to refresh.
-//! 4. **Chosen plans** — the default planner's shard count over the Big
-//!    Data tables, the adversarial family and one tenant-sized table is a
-//!    golden too, the one-versus-two-shard tie on the tenant table
-//!    included (it goes to one shard, which the serving plane runs on the
-//!    calling thread). Every fitted plan is cut at the sampled quantiles,
-//!    so the count is the whole plan.
+//!    the grid walked over each routing adversary {uniform, zipf(1.0),
+//!    zipf(1.5), single-hot-key}, then random draws) answers like the
+//!    baseline on every path and backend, the grid's served point — the
+//!    layout the serving plane would hold — included: a layout may change
+//!    *where* rows go, never *what* the query answers. `common::check`
+//!    holds a served case to the rule's count.
+//! 2. **Determinism** — the same layout over the tables rebuilt from the
+//!    same draw routes every row to the same shard.
+//! 3. **Routing keys** — the keys every layout is split by are a golden:
+//!    the switch encoding of the query's key column, or a row-id hash. A
+//!    key that moves re-routes rows; that is a finding, not a golden to
+//!    refresh.
+//! 4. **Chosen counts** — the rule's shard count over the Big Data tables
+//!    at a tenth of the benchmark's rows, the adversarial family and one
+//!    tenant-sized table is a golden too: all one unit but the JOIN, whose
+//!    plain URL keys take the floor of two.
 
 mod common;
 
-use common::{fitted, for_each_case, Gate, Layout, ADVERSARIES};
+use common::{for_each_case, Gate, ADVERSARIES};
 
 use cheetah_db::value::encode_ordered_i64;
 use cheetah_db::{
-    routing_keys, DataType, DbPredicate, DbQuery, IntCmp, PlannerConfig, ShardPlanner, Table,
-    TableBuilder, Value,
+    routing_keys, units, DataType, DbPredicate, DbQuery, IntCmp, Table, TableBuilder, Value,
 };
 use cheetah_runtime::ExecPlan;
 use cheetah_switch::{hash::mix64, HashFn};
 use cheetah_workloads::{BigDataConfig, PlannerAdversary, SkewedTableConfig};
 
-/// Properties 1 and 2: every case held to `common::check`; a fitted one
-/// fitted again, over the tables rebuilt from the case, gives the plan
-/// its layout recorded, and routes every row where that layout did.
+/// Properties 1 and 2: every case held to `common::check`; its layout
+/// routed again over the tables rebuilt from the case routes every row
+/// where the first routing did.
 #[test]
-fn planned_runs_match_baseline_and_plans_are_deterministic() {
+fn routed_runs_match_baseline_and_layouts_are_deterministic() {
     for_each_case("planner_contract", Gate::Exec, &ADVERSARIES, 30, |case, ran| {
-        let (Layout::Fitted { sample_size }, Some((plan, _))) = (case.layout, &ran.exec) else {
-            return;
-        };
+        let Some((plan, _)) = &ran.exec else { return };
         let (left, right) = case.tables();
         let right = ran.q.is_binary().then_some(&right);
-        let planner = ShardPlanner::new(PlannerConfig { sample_size });
-        let again = fitted(&ran.cluster, &planner, &ran.q, &left, right);
-        assert_eq!(Some(&again), plan.shard_plan(), "the plan depends on (seed, data) alone");
-        let routed = ExecPlan::new(&ran.cluster, &ran.q, &left, right, again).expect("routes");
+        let spec = case.spec(&ran.q, &left, right.map(|r| &**r));
+        let routed = ExecPlan::new(&ran.cluster, &ran.q, &left, right, spec).expect("routes");
         assert_eq!(routed.dispatched(), plan.dispatched(), "the shard assignment is deterministic");
     });
 }
 
 // ---------------------------------------------------------------------
-// Chosen plans
+// Chosen counts
 // ---------------------------------------------------------------------
 
-/// The shard count of every query the default planner plans at seed
-/// `0xC43E7A`, as `(label, shards)`.
-fn chosen_plans() -> Vec<(String, usize)> {
-    let planner = ShardPlanner::default();
-    let seed = 0xC43E7A;
-    let mut plans = Vec::new();
+/// The pool width the golden is read at: the benchmark's 2-core box.
+const WORKERS: usize = 2;
+
+/// The rule's shard count for every query below, as `(label, shards)`.
+fn chosen_counts() -> Vec<(String, usize)> {
+    let mut counts = Vec::new();
     let mut pin = |label: String, q: &DbQuery, left: &Table, right: Option<&Table>| {
-        plans.push((label, planner.plan(q, left, right, seed).shards()));
+        counts.push((label, units(q, left, right, WORKERS)));
     };
 
     // The seven Big Data queries, at a tenth of the ledger's tables.
@@ -86,7 +75,7 @@ fn chosen_plans() -> Vec<(String, usize)> {
         pin(format!("bigdata {}", q.kind()), &q, left, right);
     }
 
-    // The planner-adversarial family.
+    // The routing-adversarial family.
     for adv in PlannerAdversary::all() {
         let t = adv.table(20_000, 4, 0xA11CE);
         for q in [
@@ -98,8 +87,7 @@ fn chosen_plans() -> Vec<(String, usize)> {
         }
     }
 
-    // One tenant-sized table: FILTER and TOP N tie at one versus two
-    // shards, and the tie goes to the fewer.
+    // One tenant-sized table.
     let tenant =
         SkewedTableConfig { rows: 6_000, keys: 100, ..SkewedTableConfig::default() }.build();
     for q in [
@@ -108,37 +96,37 @@ fn chosen_plans() -> Vec<(String, usize)> {
     ] {
         pin(format!("tenant {}", q.kind()), &q, &tenant, None);
     }
-    plans
+    counts
 }
 
-/// A plan that moves re-routes rows; like the routing keys below, that is
-/// a finding, not a golden to refresh.
+/// A count that moves re-lays rows out; like the routing keys below, that
+/// is a finding, not a golden to refresh.
 #[test]
-fn the_default_planner_chooses_the_pinned_plans() {
+fn the_shard_count_rule_chooses_the_pinned_counts() {
     let want: &[(&str, usize)] = &[
-        ("bigdata filter-count", 3),
-        ("bigdata distinct", 3),
-        ("bigdata skyline", 3),
-        ("bigdata topn", 4),
-        ("bigdata groupby-max", 3),
-        ("bigdata join", 5),
-        ("bigdata having-sum", 4),
-        ("uniform distinct", 3),
-        ("uniform topn", 3),
-        ("uniform groupby-max", 3),
-        ("zipf(1) distinct", 3),
-        ("zipf(1) topn", 3),
-        ("zipf(1) groupby-max", 3),
-        ("zipf(1.5) distinct", 2),
-        ("zipf(1.5) topn", 3),
-        ("zipf(1.5) groupby-max", 2),
+        ("bigdata filter-count", 1),
+        ("bigdata distinct", 1),
+        ("bigdata skyline", 1),
+        ("bigdata topn", 1),
+        ("bigdata groupby-max", 1),
+        ("bigdata join", 2),
+        ("bigdata having-sum", 1),
+        ("uniform distinct", 1),
+        ("uniform topn", 1),
+        ("uniform groupby-max", 1),
+        ("zipf(1) distinct", 1),
+        ("zipf(1) topn", 1),
+        ("zipf(1) groupby-max", 1),
+        ("zipf(1.5) distinct", 1),
+        ("zipf(1.5) topn", 1),
+        ("zipf(1.5) groupby-max", 1),
         ("single-hot-key distinct", 1),
-        ("single-hot-key topn", 3),
+        ("single-hot-key topn", 1),
         ("single-hot-key groupby-max", 1),
         ("tenant filter-count", 1),
         ("tenant topn", 1),
     ];
-    let got = chosen_plans();
+    let got = chosen_counts();
     let got: Vec<(&str, usize)> = got.iter().map(|(l, n)| (l.as_str(), *n)).collect();
     assert_eq!(got, want);
 }

@@ -26,12 +26,13 @@
 mod common;
 
 use cheetah_core::Error::{BadArity, BadColumn, WorkerPanicked};
+use cheetah_db::planner::{units, ROWS_PER_UNIT};
 use cheetah_db::{
     CheetahTuning, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
     LikePattern, QueryOutput, Table, TableBuilder, Value,
 };
 use cheetah_runtime::WorkerPool;
-use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig, ROWS_PER_UNIT};
+use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use cheetah_telemetry::TraceTree;
 use std::sync::{Arc, Barrier};
 
@@ -222,9 +223,8 @@ fn every_unpinned_sight_of_every_family_runs_direct() {
     for q in &families {
         let kind = q.kind();
         let want = cluster.run_baseline(q, &left, q.is_binary().then_some(&*right)).output;
-        let rows = left.rows() + if q.is_binary() { right.rows() } else { 0 };
-        let units = cheetah_serve::units(rows, workers);
-        assert!(units >= 2, "{kind}: {rows} rows make a layout of several units");
+        let units = units(q, &left, q.is_binary().then_some(&*right), workers);
+        assert!(units >= 2, "{kind}: a layout of several units");
         for sight in 1..=4 {
             let resp = session.run_blocking(request(q, &left, &right, "t")).unwrap();
             let label = format!("{kind} sight {sight}");

@@ -1,15 +1,16 @@
 //! The shard equivalence gate: `Q(merge(shards(D))) = Q(D)` for **all
 //! seven** [`DbQuery`] variants, across the grid's layouts — the one-shard
-//! layout, hash and range at 2 and 7 shards, and a planner's fitted layout
-//! — on the barrier (both backends) and the direct arm.
+//! layout, hash and range at 2 and 7 shards, and the layout the serving
+//! plane would hold (the one shard-count rule's range spec) — on the
+//! barrier (both backends) and the direct arm.
 //!
 //! The cases are generated (`common::for_each_case`): the grid's 126
 //! points first, then random draws, each over tables drawn from its seed —
 //! 0, 1 and fewer rows than shards included, one key, constant ints, and
 //! ints over the whole `i64` range. Every case is held to `common::check`
 //! (the baseline's answer, the layout honoured, no row lost in routing,
-//! the merge discipline, a plan recorded exactly when fitted, the one key
-//! co-located, pass-through accounting on the direct arm). CI runs this
+//! the merge discipline, the one key co-located, pass-through accounting
+//! on the direct arm). CI runs this
 //! file as an explicitly named step
 //! (`cargo test -q -p cheetah-db --test shard_contract`), so a broken
 //! router, merge rule, or partitioner fails loudly even if nothing else

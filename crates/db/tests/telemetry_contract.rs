@@ -35,11 +35,12 @@ mod common;
 
 use common::{on_their_threads, Gate};
 
+use cheetah_db::planner::{units, ROWS_PER_UNIT};
 use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
 use cheetah_net::FaultProfile;
 use cheetah_runtime::WorkerPool;
 use cheetah_runtime::{execute, ExecPlan};
-use cheetah_serve::{QueryRequest, Session, ROWS_PER_UNIT};
+use cheetah_serve::{QueryRequest, Session};
 use cheetah_telemetry::{Registry, SpanNode, Trace};
 use std::sync::Arc;
 
@@ -167,9 +168,9 @@ fn a_thousand_tenants_leave_the_registry_as_one_tenant_does() {
 fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     // Two units' rows and more: TOP N is laid out over several units.
     let t = Arc::new(common::gen_table(2 * ROWS_PER_UNIT + 1_000, 90, 4, 0x51647));
-    let units = cheetah_serve::units(t.rows(), WorkerPool::global().workers());
-    let session = Session::with_defaults();
     let q = DbQuery::TopN { order_col: 1, n: 10 };
+    let units = units(&q, &t, None, WorkerPool::global().workers());
+    let session = Session::with_defaults();
     let workers_under = |node: Option<&SpanNode>| {
         let mut workers = Vec::new();
         if let Some(node) = node {

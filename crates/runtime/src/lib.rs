@@ -11,7 +11,7 @@
 //! claims and runs shards off one counter, beside
 //! `min(shards, workers) − 1` helper jobs on the persistent [`WorkerPool`]
 //! that claim from the same counter; a one-shard plan submits none. The
-//! pool has one worker per core, and the shard count is the planner's: a
+//! pool has one worker per core, and the shard count is the layout's: a
 //! run of more shards than cores works them on at most one thread per
 //! core, the caller counting as one, rather than time-slicing them. How a
 //! unit is run is an argument of the run
@@ -37,8 +37,8 @@
 //!                                          merge_shard_outputs
 //! ```
 //!
-//! A one-shard plan — every first sight, and every plan the planner fits
-//! at one shard — has nothing to run in parallel, so its run submits no
+//! A one-shard plan — every first sight, and every key served as one unit
+//! — has nothing to run in parallel, so its run submits no
 //! helper: the calling thread (for a session, the `run_blocking` caller)
 //! claims its one shard, behind the same per-shard panic boundary every
 //! shard keeps, and there is no second code path for it. Its one output
@@ -49,14 +49,13 @@
 //! a helper's are its pool worker's. Fault mode carries its rows across a
 //! rack all the same, so it is the same at every shard count.
 //!
-//! A layout is one value, [`ShardLayout`]: a hand-picked
-//! [`ShardSpec`](cheetah_db::ShardSpec) or a plan the sampling planner
-//! fitted ([`ShardPlanner::plan`](cheetah_db::ShardPlanner::plan)), and
-//! [`ExecPlan::new`] takes either as it is. Choosing a layout and an arm
-//! happens in the serving plane, not inside a run: a key's first sight
-//! runs the tables whole, its second sight routes its rows over the cores
-//! (a range spec), and later sights run that layout; the arm is the
-//! request's own. Each run executes the plan it is handed, on the path it
+//! A layout is one value, a [`ShardSpec`](cheetah_db::ShardSpec), and
+//! [`ExecPlan::new`] takes it as it is. Its shard count is a pin's, or the
+//! one rule's ([`cheetah_db::planner::units`]: the rows over the cores).
+//! Choosing a layout and an arm happens in the serving plane, not inside a
+//! run: a key's first sight runs the tables whole, its second sight routes
+//! its rows over the cores (a range spec at that rule's count), and later
+//! sights run that layout; the arm is the request's own. Each run executes the plan it is handed, on the path it
 //! is handed.
 //!
 //! * **Direct** — the way out: a shard job skips `spec()`, encode and
@@ -102,12 +101,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod plan;
 pub mod pool;
 pub mod runtime;
 
-pub use config::ShardLayout;
 pub use plan::ExecPlan;
 pub use pool::WorkerPool;
 pub use runtime::{execute, ExecRun};

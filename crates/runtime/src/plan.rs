@@ -6,14 +6,15 @@
 //!
 //! Everything layout-shaped about a multi-shard run is decided here, once,
 //! by [`ExecPlan::new`]: the request is checked against its tables'
-//! schemas ([`DbQuery::check`]), then sharder (hand-picked or fitted) →
-//! routing keys → one [`route_columns`] pass over the query's streams,
-//! which leaves one unit per shard and stream. [`execute`](crate::execute) never routes a row.
+//! schemas ([`DbQuery::check`]), then routing keys → the spec's sharder
+//! ([`fixed_sharder`]) → one [`route_columns`] pass over the query's
+//! streams, which leaves one unit per shard and stream.
+//! [`execute`](crate::execute) never routes a row.
 //!
 //! Three facts about what a layout holds:
 //!
-//! * **A one-shard layout is the table.** Whenever the sharder has one
-//!   shard — a pinned count of 0 or 1, or a plan that chose 1 — there is
+//! * **A one-shard layout is the table.** Whenever the spec has one
+//!   shard — a pinned count of 0 or 1, or one served unit — there is
 //!   nothing to split: no key is extracted, no cell copied, the single
 //!   unit *is* the `Arc` the caller handed in. It runs through the same
 //!   [`execute`](crate::execute) as any other plan.
@@ -46,16 +47,14 @@
 //! plane holds one per query, tables and shard count, and runs it as it
 //! is).
 
-use crate::config::ShardLayout;
-use cheetah_core::plan::ShardPlan;
 use cheetah_db::{
-    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, RouteStream, Table,
+    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, RouteStream,
+    ShardSpec, Table,
 };
 use std::sync::Arc;
 
 /// A routed, ready-to-run multi-shard execution: which rows land on which
-/// shard, and how the layout was decided. Any path runs it
-/// ([`execute`](crate::execute)).
+/// shard. Any path runs it ([`execute`](crate::execute)).
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     /// The query the layout was routed for — the only one it can run.
@@ -76,13 +75,11 @@ pub struct ExecPlan {
     pub(crate) right_units: Option<Vec<Arc<Table>>>,
     /// Rows routed per shard, both streams, empty units included.
     pub(crate) dispatched: Vec<u64>,
-    /// The fitted plan the layout was routed under; `None` under a spec.
-    plan: Option<Arc<ShardPlan>>,
 }
 
 impl ExecPlan {
-    /// Lay out `q`'s input under `layout` — a [`ShardSpec`](cheetah_db::ShardSpec)
-    /// or a fitted `Arc<ShardPlan>`.
+    /// Lay out `q`'s input under `spec`: a pinned count, a sweep's axis
+    /// point, or the served rule's ([`cheetah_db::planner::units`]).
     ///
     /// A request its tables cannot answer — a binary query without its
     /// right table, a column outside the schema or of the wrong type — or
@@ -94,16 +91,12 @@ impl ExecPlan {
         q: &DbQuery,
         left: &Arc<Table>,
         right: Option<&Arc<Table>>,
-        layout: impl Into<ShardLayout>,
+        spec: ShardSpec,
     ) -> cheetah_core::Result<ExecPlan> {
         q.check(left, right.map(|r| &**r))?;
         let right = right.filter(|_| q.is_binary());
         let seed = cluster.tuning.seed;
-        let layout = layout.into();
-        let (shards, plan) = match &layout {
-            ShardLayout::Fixed(s) => (s.shards.max(1), None),
-            ShardLayout::Fitted(plan) => (plan.shards(), Some(Arc::clone(plan))),
-        };
+        let shards = spec.shards.max(1);
         let (unit_query, units, right_units) = if shards == 1 {
             // A one-shard layout is the table: nothing to split, so no key
             // is read and no cell copied.
@@ -114,13 +107,8 @@ impl ExecPlan {
                 .enumerate()
                 .map(|(stream, t)| routing_keys(q, stream, t, seed))
                 .collect();
-            let sharder = match &layout {
-                ShardLayout::Fixed(s) => {
-                    let slices: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
-                    fixed_sharder(s, seed, &slices)
-                }
-                ShardLayout::Fitted(plan) => plan.sharder.clone(),
-            };
+            let slices: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
+            let sharder = fixed_sharder(&spec, seed, &slices);
             // Every unit is a fresh copy of its rows, so it carries only
             // the columns `q` reads, its string key coded by the routing
             // keys, and the workers run `q` remapped onto them. Both
@@ -160,7 +148,6 @@ impl ExecPlan {
             units,
             right_units,
             dispatched,
-            plan,
         })
     }
 
@@ -174,13 +161,6 @@ impl ExecPlan {
     /// The tables this plan was routed from.
     pub fn tables(&self) -> (&Table, Option<&Table>) {
         (&self.left, self.right.as_deref())
-    }
-
-    /// The fitted shard plan the layout was routed under — `None` under a
-    /// hand-picked spec. A cache of `ExecPlan`s is thereby a cache of
-    /// fitted plans too.
-    pub fn shard_plan(&self) -> Option<&Arc<ShardPlan>> {
-        self.plan.as_ref()
     }
 
     /// The query this plan was routed for.

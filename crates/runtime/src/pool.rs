@@ -17,7 +17,7 @@
 //! nothing to run in parallel pays no hand-off and no worker wake-up.
 //!
 //! The pool is as wide as the machine, whatever the plans it serves: the
-//! shard count is the planner's unit of work (how finely a query is cut),
+//! shard count is a layout's unit of work (how finely a query is cut),
 //! the cores are the parallelism. A run of more shards than cores works
 //! them off its counter on at most one thread per core, the caller
 //! counting as one — as a Spark stage's tasks queue for an executor's

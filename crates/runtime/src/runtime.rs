@@ -299,11 +299,10 @@ fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ShardLayout;
     use cheetah_core::ShardPartitioner;
     use cheetah_db::{
-        unit_columns, CheetahTuning, Column, DataType, DbPredicate, IntCmp, LikePattern,
-        ShardPlanner, ShardSpec, TableBuilder, Value,
+        unit_columns, units, CheetahTuning, Column, DataType, DbPredicate, IntCmp, LikePattern,
+        ShardSpec, TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
     use cheetah_telemetry::{Registry, Trace};
@@ -332,13 +331,8 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn plan_of(
-        q: &DbQuery,
-        t: &Arc<Table>,
-        r: Option<&Arc<Table>>,
-        layout: impl Into<ShardLayout>,
-    ) -> ExecPlan {
-        ExecPlan::new(&Cluster::default(), q, t, r, layout).expect("routes")
+    fn plan_of(q: &DbQuery, t: &Arc<Table>, r: Option<&Arc<Table>>, spec: ShardSpec) -> ExecPlan {
+        ExecPlan::new(&Cluster::default(), q, t, r, spec).expect("routes")
     }
 
     /// Execute `plan` on `path` under a fresh trace's entered root span:
@@ -407,34 +401,19 @@ mod tests {
             DbQuery::Join { left_key: 0, right_key: 0 },
             DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 2_000 },
         ];
-        // Fitted plans that chose one shard — three rows are not worth a
-        // second, no rows or one key gain nothing from one — handed back
-        // over the full tables as the serving plane would.
-        let mut one_key = TableBuilder::new("one-key", vec![("key".into(), DataType::Str)], 64);
-        for _ in 0..500 {
-            one_key.push_row(vec![Value::Str("same".into())]);
-        }
-        let fitted: Vec<ShardLayout> = [table(3, 1), table(0, 1), Arc::new(one_key.build())]
-            .iter()
-            .map(|t| {
-                let plan = ShardPlanner::default().plan(&queries[1], t, None, 7);
-                assert_eq!(plan.shards(), 1, "{} rows", t.rows());
-                Arc::new(plan).into()
-            })
-            .collect();
-        let one_shard: Vec<ShardLayout> = [
-            ShardSpec::new(1, ShardPartitioner::Hash).into(),
-            ShardSpec::new(0, ShardPartitioner::Range).into(),
-        ]
-        .into_iter()
-        .chain(fitted)
-        .collect();
+        let workers = WorkerPool::global().workers();
         for q in &queries {
             let right = q.is_binary().then_some(&r);
             let base = cluster.run_baseline(q, &l, right.map(|r| &**r)).output;
             let total = (l.rows() + right.map_or(0, |r| r.rows())) as u64;
-            for layout in &one_shard {
-                let plan = plan_of(q, &l, right, layout.clone());
+            // A pin of one shard or none, and the one unit these tables are
+            // served as (both are far under a unit's rows, key coded).
+            let served = units(q, &l, right.map(|r| &**r), workers);
+            let one_shard = [(1, ShardPartitioner::Hash), (0, ShardPartitioner::Range)]
+                .into_iter()
+                .chain([(served, ShardPartitioner::Range)]);
+            for (shards, partitioner) in one_shard {
+                let plan = plan_of(q, &l, right, ShardSpec::new(shards, partitioner));
                 assert_eq!(plan.shards(), 1, "{}", q.kind());
                 assert!(Arc::ptr_eq(&plan.units[0], &l), "{}: a copy was made", q.kind());
                 let right_unit = plan.right_units.as_ref().map(|units| &units[0]);
@@ -455,7 +434,6 @@ mod tests {
             // run by the caller beside at most `workers − 1` pool helpers,
             // each naming its index — a plan wider than the pool is worked
             // off the same counter by the same threads.
-            let workers = WorkerPool::global().workers();
             for shards in [3, 2 * workers + 1] {
                 let plan = plan_of(q, &l, right, ShardSpec::new(shards, ShardPartitioner::Hash));
                 let widths = |units: &[Arc<Table>]| -> Vec<usize> {
@@ -513,6 +491,39 @@ mod tests {
     }
 
     #[test]
+    fn a_served_join_on_plain_string_keys_routes_codes() {
+        // Near-unique URLs the load rule leaves plain, far under two units'
+        // rows: the served layout still takes two units or more, whose
+        // routed keys are codes against one dictionary per shard, and the
+        // direct JOIN over them answers like the baseline.
+        let urls = |rows: usize, step: usize| {
+            let mut b = TableBuilder::new("urls", vec![("url".into(), DataType::Str)], 4_096);
+            for i in 0..rows {
+                b.push_row([Value::Str(format!("http://x/{}", i * step % 30_011))]);
+            }
+            Arc::new(b.build())
+        };
+        let (l, r) = (urls(20_000, 1), urls(10_000, 3));
+        assert!(!l.is_coded(0) && !r.is_coded(0), "fixture: the load rule leaves them plain");
+        let q = DbQuery::Join { left_key: 0, right_key: 0 };
+        let served = units(&q, &l, Some(&r), WorkerPool::global().workers());
+        assert!(served >= 2, "{served} units");
+        let plan = plan_of(&q, &l, Some(&r), ShardSpec::new(served, ShardPartitioner::Range));
+        let right_units = plan.right_units.as_ref().expect("a binary plan");
+        for (left, right) in plan.units.iter().zip(right_units) {
+            let [Column::Dict { dict: a, .. }, Column::Dict { dict: b, .. }] =
+                [left, right].map(|u| u.partitions()[0].column(0))
+            else {
+                panic!("both streams' keys are codes");
+            };
+            assert!(Arc::ptr_eq(a, b), "one dictionary per shard");
+        }
+        let cluster = Cluster::default();
+        let run = execute(&cluster, &plan, ExecPath::Direct).unwrap();
+        assert_eq!(run.output, cluster.run_baseline(&q, &l, Some(&*r)).output);
+    }
+
+    #[test]
     fn a_one_shard_job_that_panics_fails_its_own_call_and_the_caller_carries_on() {
         // Zero stored skyline points trips the switch program builder's
         // assert (the panic message on stderr is expected).
@@ -534,22 +545,6 @@ mod tests {
             assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
             assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
         }
-    }
-
-    #[test]
-    fn a_fitted_layout_records_its_plan() {
-        let cluster = Cluster::default();
-        let t = table(1_500, 3);
-        let q = DbQuery::Distinct { col: 0 };
-        let plan = Arc::new(ShardPlanner::default().plan(&q, &t, None, cluster.tuning.seed));
-        let routed = plan_of(&q, &t, None, Arc::clone(&plan));
-        assert!(Arc::ptr_eq(routed.shard_plan().expect("plan rides along"), &plan));
-        let spec = ShardSpec::new(3, ShardPartitioner::Hash);
-        assert!(plan_of(&q, &t, None, spec).shard_plan().is_none(), "a spec fits nothing");
-        let run = execute(&cluster, &routed, ExecPath::BarrierPooled).unwrap();
-        assert_eq!(run.breakdown.shards as usize, plan.shards());
-        assert_eq!(run.per_shard.iter().map(|s| s.rows).collect::<Vec<_>>(), routed.dispatched());
-        assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
     }
 
     #[test]

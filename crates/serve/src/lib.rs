@@ -18,10 +18,11 @@
 //! 2. **Layout, for what comes back** — the session holds one entry
 //!    per (query, tables) key. First sight runs the tables whole on one
 //!    shard: no copy. A key that returns is routed, once, its rows laid
-//!    out over the cores: [`units`] of [`ROWS_PER_UNIT`] rows, at most two
-//!    per pool worker, cut at the quantiles of its routing keys (one unit
-//!    is the caller's tables); from then on the entry's layout is all a
-//!    request consults. Nothing is fitted. Each of those decisions is one
+//!    out over the cores by the one shard-count rule
+//!    ([`cheetah_db::planner::units`]: a unit per `ROWS_PER_UNIT` rows, at
+//!    most two per pool worker), cut at the quantiles of its routing keys
+//!    (one unit is the caller's tables); from then on the entry's layout
+//!    is all a request consults. Each of those decisions is one
 //!    critical section of the crate's `lifecycle` module (a sight, then a
 //!    settle), explored over every interleaving of racing requests by that
 //!    module's checker.
@@ -48,6 +49,5 @@ pub mod request;
 pub mod session;
 
 pub use error::{Error, Result};
-pub use lifecycle::{units, ROWS_PER_UNIT};
 pub use request::QueryRequest;
 pub use session::{QueryResponse, Session, SessionConfig, SessionStats, StatsFingerprint};

@@ -14,47 +14,20 @@
 //! ```
 //!
 //! [`Caches::sight`] is one critical section: it reads what is held for the
-//! key, claims a whole key's route and names its layout ([`units`]), and
-//! says what the request does ([`Action`]). [`Caches::settle`] is the
-//! other: it holds what the sight earned. Neither takes a lock, reads a
-//! clock, opens a span or does I/O; the session calls each under its one
-//! mutex and performs the action between them, with no lock held: route,
-//! run. The module's checker explores every interleaving of racing
-//! requests over these very functions.
+//! key, claims a whole key's route and names its layout ([`units`]: the one
+//! shard-count rule), and says what the request does ([`Action`]).
+//! [`Caches::settle`] is the other: it holds what the sight earned.
+//! Neither takes a lock, reads a clock, opens a span or does I/O; the
+//! session calls each under its one mutex and performs the action between
+//! them, with no lock held: route, run. The module's checker explores
+//! every interleaving of racing requests over these very functions.
 
 use crate::request::QueryRequest;
 use cheetah_core::ShardPartitioner;
-use cheetah_db::{DbQuery, ShardSpec, Table};
+use cheetah_db::{units, DbQuery, ShardSpec, Table};
 use cheetah_runtime::ExecPlan;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Rows per unit of a returning key's layout ([`units`]).
-///
-/// Placed between the benchmark's 6 000-row tenant tables and its
-/// 300 000-row Rankings table by ledger pairs on a 2-core box (`--seed 1
-/// --seconds 20 --trace 0`, against layouts the shard planner fitted):
-/// with this gate the tenant tables hold one unit and `tenants_small`
-/// held its `speedup_p50` (8.1–8.4 → 8.0–8.8, 3 pairs), where cut into
-/// two units they fell to 6.6, `speedup_p90` 6.1 → 3.6 and `setup_s`
-/// 0.017 → 0.025 s; the Big Data tables hold `2 × workers` units, and
-/// `survivor_heavy` rose 14.59–15.66 → 16.34–17.23 and `prune_heavy`
-/// 16.76–17.40 → 17.42–17.93 (5 pairs each). Ten alternating pairs of the
-/// rule against those fits then read `tenants_small` 8.30 → 8.21,
-/// `survivor_heavy` 19.39 → 22.65 (10 of 10) and `prune_heavy` 17.19 →
-/// 16.97 (medians).
-pub const ROWS_PER_UNIT: usize = 65_536;
-
-/// The unit count of a returning key's layout: the rows of both its
-/// streams over [`ROWS_PER_UNIT`], at least one and at most two per pool
-/// worker. A run works its units on at most one thread per core, and more
-/// units than threads let the run's claim counter balance a slow thread's
-/// share: at one unit per worker, `survivor_heavy`'s JOIN p50 read
-/// 1.46–1.49 → 1.86–2.05 ms, and a fixed 16 units took `prune_heavy`'s
-/// `speedup_p50` 16.9 → 15.7.
-pub fn units(rows: usize, workers: usize) -> usize {
-    (rows / ROWS_PER_UNIT).min(2 * workers).max(1)
-}
 
 /// Admit one more request past `in_flight` executing, if under `bound`:
 /// the count after it.
@@ -204,8 +177,8 @@ impl Caches {
             Stage::Routing => (Visit::Racing, Action::Run(plan)),
             Stage::Whole => {
                 e.stage = Stage::Routing;
-                let rows = left.rows() + right.map_or(0, |r| r.rows());
-                let layout = ShardSpec::new(units(rows, workers), ShardPartitioner::Range);
+                let units = units(&key.query, left, right.map(|r| &**r), workers);
+                let layout = ShardSpec::new(units, ShardPartitioner::Range);
                 (Visit::Routing, Action::Route { claim: Some(plan), layout })
             }
         }
@@ -324,7 +297,7 @@ mod tests {
                 .iter()
                 .map(|&k| lay(&tables[k], ShardSpec::new(1, ShardPartitioner::Hash)));
             let routed = requests.iter().map(|&k| {
-                let units = units(tables[k].rows(), WORKERS);
+                let units = units(&q, &tables[k], None, WORKERS);
                 lay(&tables[k], ShardSpec::new(units, ShardPartitioner::Range))
             });
             let plans = whole.collect::<Vec<_>>().into_iter().chain(routed).collect();

@@ -56,8 +56,8 @@ impl QueryRequest {
 
     /// Attach the right-hand stream of a binary query (JOIN). A unary
     /// query reads one table, so it drops the handle here — once, before
-    /// the session's key or the planner can see a table the query never
-    /// reads.
+    /// the session's key or the shard-count rule can see a table the query
+    /// never reads.
     pub fn with_right(mut self, right: Arc<Table>) -> Self {
         if self.query.is_binary() {
             self.right = Some(right);
@@ -90,12 +90,11 @@ impl QueryRequest {
         self
     }
 
-    /// Pin the shard count (hash-routed) instead of consulting the
-    /// planner; like a backend pin, it asks for the pruned arm unless the
-    /// path is pinned direct. The count is clamped to `1..=`[`MAX_SHARDS`], the axis the
-    /// planner walks: each shard costs routing scratch and a claimed job, so
-    /// a larger count is cut to the axis's end here, before anything is
-    /// routed.
+    /// Pin the shard count (hash-routed) instead of the served rule's;
+    /// like a backend pin, it asks for the pruned arm unless the path is
+    /// pinned direct. The count is clamped to `1..=`[`MAX_SHARDS`]: each
+    /// shard costs routing scratch and a claimed job, so a larger count is
+    /// cut here, before anything is routed.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.clamp(1, MAX_SHARDS));
         self
@@ -142,7 +141,7 @@ mod tests {
         assert_eq!(req.backend, Some(ExecBackend::Compiled));
         assert_eq!(req.shards, Some(1), "zero shards clamps to one");
         let req = req.shards(usize::MAX);
-        assert_eq!(req.shards, Some(MAX_SHARDS), "past the planner's axis clamps to its end");
+        assert_eq!(req.shards, Some(MAX_SHARDS), "past MAX_SHARDS clamps to it");
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!        │  one entry per   │   absent ─▶ first sight: the tables run whole on one
 //!        │  key: a sight,   │             shard — no copy; settle notes the key seen
 //!        │  then a settle   │   whole ──▶ second sight claims the key's route: its
-//!        │                  │             rows over the cores, one unit per
-//!        │                  │             ROWS_PER_UNIT rows, at most two per
-//!        │                  │             worker; settle holds the layout while
-//!        │                  │             the claim stands
+//!        │                  │             rows over the cores (planner::units:
+//!        │                  │             one unit per ROWS_PER_UNIT rows, at
+//!        │                  │             most two per worker); settle holds the
+//!        │                  │             layout while the claim stands
 //!        │                  │   routed ─▶ warm: a layout the session already held
 //!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
@@ -35,12 +35,13 @@
 //! exactly that: whether it has run this query over these tables before.
 //! So the first run of a key runs the tables as they are and invests in
 //! nothing; the second routes the key's layout and holds it; every later
-//! one runs that layout. The layout is the rows over the cores: a run
-//! works its units on at most one thread per core, so the unit count is
-//! the key's rows over `ROWS_PER_UNIT` (a key under two units' rows holds
-//! the caller's tables, copying nothing), at most two per pool worker,
-//! cut at the quantiles of its routing keys. Nothing is fitted: the shard
-//! planner prices a pruned shard, and no unpinned request runs pruned.
+//! one runs that layout. The layout is the rows over the cores, by the one
+//! shard-count rule (`cheetah_db::planner::units`): a run works its units
+//! on at most one thread per core, so the unit count is the key's rows over
+//! `ROWS_PER_UNIT` (a key under two units' rows holds the caller's tables,
+//! copying nothing), at most two per pool worker, and at least two for a
+//! JOIN whose string key the load rule left plain, so routing codes it.
+//! The units are cut at the quantiles of the key's routing keys.
 //!
 //! A switch program is an investment too — a spec, a kernel and a
 //! register matrix, every row encoded and judged — and the paper's claim
@@ -499,7 +500,8 @@ fn arm_of(req: &QueryRequest) -> ChooserArm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::{Entry, Stage, ROWS_PER_UNIT};
+    use crate::lifecycle::{Entry, Stage};
+    use cheetah_db::planner::ROWS_PER_UNIT;
     use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, LikePattern, TableBuilder, Value};
     use std::sync::Barrier;
 
@@ -665,9 +667,9 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_shard_count_past_the_planners_axis_runs_at_its_end() {
+    fn a_pinned_shard_count_past_the_cap_runs_at_the_cap() {
         // A thousand shards would be a thousand units of scratch and pool
-        // jobs over forty rows; the pin is cut to the planner's axis.
+        // jobs over forty rows; the pin is cut to `MAX_SHARDS`.
         let t = table(40, 1, 7);
         let q = DbQuery::Distinct { col: 0 };
         let want = Cluster::default().run_baseline(&q, &t, None).output;
@@ -693,12 +695,12 @@ mod tests {
         let req = QueryRequest::new(q.clone(), Arc::clone(&small));
         let layout = held(&session, &req).expect("the second sight holds a layout");
         drop(req);
-        assert_eq!((layout.shards(), layout.shard_plan().is_none()), (1, true));
+        assert_eq!(layout.shards(), 1);
         assert_eq!(Arc::strong_count(&small), 3, "the one unit is the caller's table");
 
         // Past two units' rows, rows / ROWS_PER_UNIT units, at most two per
-        // worker, both streams counted, fitting nothing; every family
-        // answers like the baseline from it, routed and then warm.
+        // worker, both streams counted; every family answers like the
+        // baseline from it, routed and then warm.
         let big = table(2 * ROWS_PER_UNIT + 1_000, 4, 5);
         for q in families() {
             let kind = q.kind();
@@ -713,8 +715,36 @@ mod tests {
             let layout = held(&session, &req()).expect("held");
             let units = (rows / ROWS_PER_UNIT).clamp(1, 2 * workers);
             assert_eq!((layout.shards(), units > 1), (units, true), "{kind}");
-            assert!(layout.shard_plan().is_none(), "{kind}: nothing fitted");
         }
+    }
+
+    #[test]
+    fn a_returning_join_on_a_plain_string_key_is_held_as_several_units() {
+        // 20 000 / 10 000 rows of near-unique URLs: far under two units'
+        // rows, and too distinct for the load rule to code. Held as one
+        // unit, every warm sight would JOIN the caller's plain strings; the
+        // served layout is at least two units, whose keys routing codes
+        // (the runtime's `a_served_join_on_plain_string_keys_routes_codes`).
+        let urls = |rows: usize, step: usize| {
+            let fields = vec![("url".into(), DataType::Str), ("n".into(), DataType::Int)];
+            let mut b = TableBuilder::new("urls", fields, 4_096);
+            for i in 0..rows {
+                b.push_row([Value::Str(format!("http://x/{}", i * step % 30_011)), Value::Int(1)]);
+            }
+            Arc::new(b.build())
+        };
+        let (left, right) = (urls(20_000, 1), urls(10_000, 3));
+        assert!(!left.is_coded(0) && !right.is_coded(0), "fixture: the load rule leaves them");
+        let q = DbQuery::Join { left_key: 0, right_key: 0 };
+        let cluster = Cluster::default();
+        let want = cluster.run_baseline(&q, &left, Some(&*right)).output;
+        let session = Session::new(cluster, SessionConfig::default());
+        let req = || QueryRequest::new(q.clone(), Arc::clone(&left)).with_right(Arc::clone(&right));
+        for sight in 1..=3 {
+            assert_eq!(session.run_blocking(req()).unwrap().output, want, "sight {sight}");
+        }
+        let layout = held(&session, &req()).expect("held");
+        assert!(layout.shards() >= 2, "{} units", layout.shards());
     }
 
     #[test]

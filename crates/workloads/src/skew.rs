@@ -16,8 +16,8 @@
 //!   zipf-skewed and whose key column is itself zipf-distributed, so both
 //!   shard-load skew and key skew are exercised at once;
 //! * [`PlannerAdversary`] — the named key-distribution family
-//!   (uniform / zipf(1.0) / zipf(1.5) / single-hot-key) the shard
-//!   planner's contract suite sweeps.
+//!   (uniform / zipf(1.0) / zipf(1.5) / single-hot-key) the routing
+//!   contract suites sweep.
 
 use crate::zipf::Zipf;
 use cheetah_db::{DataType, Table, TableBuilder, Value};
@@ -111,19 +111,20 @@ impl SkewedTableConfig {
     }
 }
 
-/// The planner-adversarial workload family: key distributions chosen to
-/// stress each of the shard planner's decision rules. All four share the
-/// [`SkewedTableConfig`] schema (`key: Str, value: Int, weight: Int`) so
-/// any query of the contract suites runs over any of them.
+/// The routing-adversarial workload family: key distributions chosen to
+/// stress key-aligned routing and the quantile cuts of a range layout. All
+/// four share the [`SkewedTableConfig`] schema (`key: Str, value: Int,
+/// weight: Int`) so any query of the contract suites runs over any of
+/// them.
 ///
-/// * [`Uniform`](PlannerAdversary::Uniform) — flat keys: the planner
-///   should fan out and a fitted range plan should balance;
+/// * [`Uniform`](PlannerAdversary::Uniform) — flat keys: range cuts
+///   should balance;
 /// * [`Zipf`](PlannerAdversary::Zipf) — tunable head mass: `1.0` is the
 ///   classic web skew, `1.5` concentrates hard enough that naive range
 ///   routing serializes;
 /// * [`SingleHotKey`](PlannerAdversary::SingleHotKey) — one key holds
-///   every row: key-aligned routing cannot spread it, so the planner must
-///   collapse to one shard for keyed queries.
+///   every row: key-aligned routing cannot spread it, so a keyed query's
+///   rows all land on one shard whatever the count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlannerAdversary {
     /// Uniform keys (zipf exponent 0).
@@ -135,7 +136,7 @@ pub enum PlannerAdversary {
 }
 
 impl PlannerAdversary {
-    /// The four-member family the planner contract suite sweeps.
+    /// The four-member family the routing contract suites sweep.
     pub fn all() -> [PlannerAdversary; 4] {
         [
             PlannerAdversary::Uniform,
@@ -218,8 +219,8 @@ mod tests {
             let t = adv.table(1_200, 3, 9);
             assert_eq!(t.rows(), 1_200, "{}", adv.name());
             assert_eq!(t.partitions().len(), 3);
-            // Same build is the same table — the determinism the
-            // planner's regression tests lean on.
+            // Same build is the same table — the determinism the routing
+            // goldens lean on.
             assert_eq!(t, adv.table(1_200, 3, 9));
         }
     }

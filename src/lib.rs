@@ -31,7 +31,7 @@
 //! * [`serve`] — the multi-tenant serving plane: the
 //!   [`QueryRequest`](serve::QueryRequest)/[`Session`](serve::Session)
 //!   front door with admission control, each request served on its
-//!   caller's thread, one held layout (and its fitted plan) per (query, tables) key, and a
+//!   caller's thread, one held layout per (query, tables) key, and a
 //!   pinnable (path × backend) execution grid;
 //! * [`telemetry`] — lock-light always-on observability: a metrics
 //!   registry (atomic counters/gauges, log-bucketed histograms) and
