@@ -44,8 +44,10 @@ net-deps:
 # settable width, no lock around its injector, no shard-count knob), one
 # shard-count rule (cheetah_db::planner::units: rows over the cores, a
 # JOIN's floor; no pruned-shard cost walk or key sampler, no survivor
-# estimate, no rack-ingest query), range layouts always quantile cut
-# points (no equal-span range sharder beside them),
+# estimate, no rack-ingest query), one routing function: every layout
+# is hash-routed, so a layout is its shard count (no range partitioner,
+# quantile fit, cut-point check or sort of the routing keys, and no
+# served range row in the sweep),
 # no breakdown field nothing reads, no metric name keyed by a caller's
 # tenant, one shard sweep (`shards`: no planner or crossover
 # experiment asking its question again over other tables), and one
@@ -91,7 +93,7 @@ net-deps:
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)|run_on_caller|spawn_worker_plane|await_reports|STATS_TOLERANCE|Routing \{ like|StatsFingerprint::within|fn like\(|ShardLayout|shard_plan\(|PlanReport|ShardCostPoint|KeySampler|KeyStats|Reservoir|max_load_fraction|STRIDE_READS_PER_SLOT|KeyCursor|fn key_at|PER_SHARD_OVERHEAD_SECONDS|CWORKER_ROWS_PER_SECOND|sample_size|Layout::Fitted|cheetah_serve::(units|ROWS_PER_UNIT)" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)|run_on_caller|spawn_worker_plane|await_reports|STATS_TOLERANCE|Routing \{ like|StatsFingerprint::within|fn like\(|ShardLayout|shard_plan\(|PlanReport|ShardCostPoint|KeySampler|KeyStats|Reservoir|max_load_fraction|STRIDE_READS_PER_SLOT|KeyCursor|fn key_at|PER_SHARD_OVERHEAD_SECONDS|CWORKER_ROWS_PER_SECOND|sample_size|Layout::Fitted|cheetah_serve::(units|ROWS_PER_UNIT)|fitted_range|fit_boundaries|Routing::Cuts|ShardPartitioner::Range|UnsortedShardBoundaries|served:range" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -106,8 +108,9 @@ docs:
 # test binaries (one link of its dev profile, each still failing by
 # name), then the serving gate's lifecycle checker in cheetah-serve.
 # Their properties share one generated gate (crates/db/tests/common): a
-# case drawn whole from one u64 seed, the grid (7 families x 6 layouts x
-# 3 arms) walked first once per block (as drawn, over the edge tables,
+# case drawn whole from one u64 seed, the grid (7 families x 4 layouts x
+# 3 arms; the layouts one shard, hash@2, hash@7 and the served count)
+# walked first once per block (as drawn, over the edge tables,
 # over each routing adversary), then random draws, every case held to one
 # universal check; a failing case is shrunk by halving its rows, keys,
 # partitions and shards and printed with its seed.
@@ -125,9 +128,9 @@ pruning-gate:
 	cargo test -q -p cheetah-db --test pruning_contract
 
 # The named CI gate: shard equivalence on every generated case — all
-# seven query variants x the grid's layouts (the one-shard layout, hash
-# and range at 2 and 7 shards, and the served layout: the one
-# shard-count rule's range spec) x (the
+# seven query variants x the grid's layouts (the one-shard layout, 2 and
+# 7 shards, and the served layout: the one shard-count rule's count;
+# every layout hash-routed) x (the
 # barrier on both backends, and the direct arm: pass-through accounting,
 # nothing pruned), the grid walked as drawn and again over each edge
 # table (0, 1 and 3 rows, and 500 rows of one key and constant ints),
@@ -144,7 +147,8 @@ shard-gate:
 # The named CI gate: planner contract — the one shard-count rule and the
 # routing keys: the generated cases, the grid walked over each routing
 # adversary (no planner of random sample size: its served point is the
-# rule's range spec, and no fitted plan is recorded on a layout), every
+# rule's count, hash-routed like every layout, and no fitted plan is
+# recorded on a layout), every
 # point bit-identical to baseline, a served point at the rule's count;
 # every layout routed again over the rebuilt tables routing alike; the
 # rule's shard counts and the routing keys goldens.
@@ -155,8 +159,8 @@ planner-gate:
 # (four families have one: filter, DISTINCT, GROUP BY, SKYLINE; TOP N,
 # JOIN and HAVING run the interpreter on either backend and must say
 # so) bit-identical to the interpreted oracle on every generated case's
-# routed layout (the served one included; the grid walked over each
-# routing adversary), with deterministic pruning
+# routed layout (the grid's one shard, hash@2, hash@7 and the served
+# count; the grid walked over each routing adversary), with deterministic pruning
 # counters unchanged shard by shard.
 compiled-gate:
 	cargo test -q -p cheetah-db --test compiled_contract
@@ -172,7 +176,9 @@ compiled-gate:
 # results, a held layout never routed twice, a right table attached to a
 # unary query ignored by the key, the arm (every unpinned sight of every
 # family runs direct — over tables past two units' rows, on a layout of
-# several units — no switch run and nothing decided; a path, backend or
+# several units — no switch run and nothing decided, and a pin at the
+# held layout's unit count routing every row to the shard the held
+# layout did: one routing function; a path, backend or
 # shard pin runs pruned on the held layout,
 # for that request alone, and the next unpinned sight runs direct on it
 # with no re-route; a pin at first sight runs what it names), and

@@ -6,9 +6,9 @@
 //! shrinks the slowest worker while the master merges more streams (the
 //! §4.6 analysis). The seven Big Data queries run over the benchmark's
 //! own table generator ([`BigDataConfig`]; its tables at `--full`). Per
-//! family every layout — one shard, hash and range at each count of the
+//! family every layout — one shard, the hash at each count of the
 //! `--shards` axis above one, and the layout the serving plane holds for a
-//! returning unpinned key (`served:range@N`: the one shard-count rule,
+//! returning unpinned key (`served:hash@N`: the one shard-count rule,
 //! [`units`]) — is routed through [`ExecPlan::new`], the program's route,
 //! on its own clock (best of the reps, per row of both streams' input; a
 //! one-shard layout is the caller's table and copies nothing), and
@@ -31,9 +31,8 @@
 
 use crate::report::secs;
 use crate::{Report, RunCtx};
-use cheetah_core::ShardPartitioner;
 use cheetah_db::planner::{units, ROWS_PER_UNIT};
-use cheetah_db::{Cluster, ExecBackend, ExecPath, QueryOutput, ShardSpec};
+use cheetah_db::{Cluster, ExecBackend, ExecPath, QueryOutput};
 use cheetah_net::MasterIngestModel;
 use cheetah_runtime::{execute, ExecPlan, ExecRun, WorkerPool};
 use cheetah_workloads::BigDataConfig;
@@ -131,26 +130,21 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         let name = q.kind();
         let want = cluster.run_baseline(&q, left, right.map(|t| &**t)).output;
         let rows_in = left.rows() + right.map_or(0, |t| t.rows());
-        let mut layouts = vec![("whole@1".to_string(), ShardSpec::new(1, ShardPartitioner::Hash))];
-        for &n in ctx.shards.iter().filter(|&&n| n > 1) {
-            for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
-                let label = format!("{}@{n}", partitioner.name());
-                layouts.push((label, ShardSpec::new(n, partitioner)));
-            }
-        }
+        let mut layouts = vec![("whole@1".to_string(), 1)];
+        layouts.extend(ctx.shards.iter().filter(|&&n| n > 1).map(|&n| (format!("hash@{n}"), n)));
         let served = units(&q, left, right.map(|t| &**t), workers);
-        let served_label = format!("served:range@{served}");
-        layouts.push((served_label.clone(), ShardSpec::new(served, ShardPartitioner::Range)));
+        let served_label = format!("served:hash@{served}");
+        layouts.push((served_label.clone(), served));
 
         // (shards, seconds) per layout for the first wins; (label, wall)
         // per layout for the fastest and the SLOWER rule.
         let (mut modelled, mut pruned, mut direct) = (Vec::new(), Vec::new(), Vec::new());
-        for (label, spec) in layouts {
+        for (label, shards) in layouts {
             // The program's route, best of reps by wall; the last plan runs.
             let (mut routed, mut route_wall) = (None, f64::INFINITY);
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let plan = ExecPlan::new(&cluster, &q, left, right, spec).expect("routes");
+                let plan = ExecPlan::new(&cluster, &q, left, right, shards).expect("routes");
                 route_wall = route_wall.min(t0.elapsed().as_secs_f64());
                 routed = Some(plan);
             }
@@ -226,10 +220,10 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     r.note(format!(
-        "served:range@N = what the serving plane holds for a returning unpinned key: both \
+        "served:hash@N = what the serving plane holds for a returning unpinned key: both \
          streams' rows over {ROWS_PER_UNIT} per unit, at most two units per pool worker \
-         ({workers} here), at least two for a JOIN on a string key the load rule left plain, cut \
-         at the quantiles of its routing keys; its direct wall is what such a key's warm \
+         ({workers} here), at least two for a JOIN on a string key the load rule left plain, \
+         hash-routed as a pin of that count is; its direct wall is what such a key's warm \
          requests run",
     ));
     r.note("a served direct wall above the worst fixed layout's prints a SLOWER note");
@@ -255,12 +249,12 @@ mod tests {
     #[test]
     fn a_row_per_family_and_layout_plus_one_served_row() {
         let r = sweep();
-        // 7 families × (one shard, hash@4, range@4, served).
-        assert_eq!(r.rows.len(), 7 * 4);
+        // 7 families × (one shard, hash@4, served).
+        assert_eq!(r.rows.len(), 7 * 3);
         for family in FAMILIES {
             let rows: Vec<_> = r.rows.iter().filter(|row| row[0] == family).collect();
-            assert_eq!(rows.len(), 4, "{family}");
-            let served = rows.iter().filter(|row| row[1].starts_with("served:range@")).count();
+            assert_eq!(rows.len(), 3, "{family}");
+            let served = rows.iter().filter(|row| row[1].starts_with("served:hash@")).count();
             assert_eq!(served, 1, "{family}");
             // Both models and both walls on every row.
             assert!(rows.iter().all(|row| row[3..9].iter().all(|c| !c.is_empty())), "{rows:?}");
@@ -281,8 +275,8 @@ mod tests {
     fn the_shard_axis_is_honoured() {
         for row in &sweep().rows {
             assert!(
-                ["whole@1", "hash@4", "range@4"].contains(&row[1].as_str())
-                    || row[1].starts_with("served:range@"),
+                ["whole@1", "hash@4"].contains(&row[1].as_str())
+                    || row[1].starts_with("served:hash@"),
                 "{row:?}"
             );
         }
@@ -319,7 +313,7 @@ mod tests {
 
     #[test]
     fn slower_compares_the_served_wall_with_the_worst_fixed_wall() {
-        let fixed: Vec<(String, f64)> = [("whole@1", 2.0), ("hash@4", 3.0), ("range@4", 1.0)]
+        let fixed: Vec<(String, f64)> = [("whole@1", 2.0), ("hash@4", 3.0), ("hash@16", 1.0)]
             .map(|(l, w)| (l.into(), w))
             .into();
         assert_eq!(slower_than_worst(3.5, &fixed), Some(&("hash@4".to_string(), 3.0)));

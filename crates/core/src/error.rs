@@ -32,13 +32,6 @@ pub enum Error {
         /// The out-of-range stream index.
         stream: usize,
     },
-    /// A fitted range plan supplied non-monotonic shard cut points — a
-    /// buggy re-fit would otherwise route keys to the wrong span
-    /// (`partition_point` assumes sorted boundaries).
-    UnsortedShardBoundaries {
-        /// Index of the first cut point below its predecessor.
-        index: usize,
-    },
     /// A fault-mode run's simulated rack ended with flows unfinished — a
     /// flow timed out time after time with no ACK moving its window, or
     /// the simulated time limit ran out: a fault profile so hostile
@@ -105,9 +98,6 @@ impl fmt::Display for Error {
             Error::MissingStream { stream } => {
                 write!(f, "execution plan references input stream {stream}, which the source does not carry")
             }
-            Error::UnsortedShardBoundaries { index } => {
-                write!(f, "fitted shard boundaries are not ascending at cut {index}")
-            }
             Error::FabricStalled { delivered, entries } => {
                 write!(f, "faulty rack hit its time limit with {delivered} of {entries} entries delivered")
             }
@@ -136,7 +126,6 @@ impl std::error::Error for Error {
             Error::Switch(e) => Some(e),
             Error::ValueSlotOverflow { .. }
             | Error::MissingStream { .. }
-            | Error::UnsortedShardBoundaries { .. }
             | Error::FabricStalled { .. }
             | Error::EncodedRowMismatch { .. }
             | Error::NoKernel { .. }
@@ -175,12 +164,6 @@ mod tests {
     fn missing_stream_is_informative() {
         let e = Error::MissingStream { stream: 1 };
         assert!(e.to_string().contains("stream 1"), "{e}");
-    }
-
-    #[test]
-    fn unsorted_boundaries_is_informative() {
-        let e = Error::UnsortedShardBoundaries { index: 3 };
-        assert!(e.to_string().contains("cut 3"), "{e}");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use join::{BloomKind, JoinConfig, JoinMode, JoinOpt, JoinPruner, JoinSide};
 pub use operator::PassPlan;
 pub use planner::{plan, PackedQueries, Plan, QuerySpec};
 pub use pruner::{OptPruner, StandalonePruner};
-pub use shard::{fit_boundaries, ShardPartitioner, Sharder};
+pub use shard::{ShardPartitioner, Sharder};
 pub use skyline::{SkylineConfig, SkylineOpt, SkylinePolicy, SkylinePruner};
 pub use topn::{TopNDetConfig, TopNDetPruner, TopNOpt, TopNRandConfig, TopNRandPruner};
 

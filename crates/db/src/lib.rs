@@ -15,7 +15,7 @@
 //!   the query on the survivors — producing bit-identical output to the
 //!   baseline path,
 //! * a **shard layout layer** ([`sharded`]) that routes rows to N worker
-//!   shards (hash/range partitioners from `cheetah-core`) and a master
+//!   shards (the seeded hash sharder from `cheetah-core`) and a master
 //!   merge plane ([`master`]) with per-operator semantics;
 //!   `cheetah-runtime` runs the generic executor per shard in parallel —
 //!   each with its own switch program — between the two, preserving
@@ -58,9 +58,9 @@ pub use expr::{DbPredicate, IntCmp, LikePattern};
 pub use master::{decompose_output, merge_shard_outputs, MergeItem, MergeState};
 pub use planner::{
     fixed_sharder, routing_keys, unit_columns, units, ChooserArm, ExecPath, PathChooser,
-    PlannerConfig, ShardPlan, ShardPlanner,
+    PlannerConfig, ShardPlan, ShardPlanner, ShardSpec,
 };
 pub use query::{DbQuery, QueryOutput};
-pub use sharded::{route_columns, route_range, RouteStream, ShardSpec, ShardStats};
+pub use sharded::{route_columns, route_range, RouteStream, ShardStats};
 pub use table::{Column, Partition, Table, TableBuilder};
 pub use value::{DataType, Value};

@@ -7,20 +7,21 @@
 //! worker, with a floor of two for a JOIN whose string key the load rule
 //! left plain. Cores are a resource a run allocates: a run works its units
 //! on at most one thread per core, so the count follows the cores, not a
-//! cost model. There is no sampler and no price per shard. The serving
-//! plane lays a returning unpinned key out by this rule
-//! (`ShardSpec::new(units, Range)`), and the generated gates and the
-//! `shards` sweep run that very spec. A range spec is cut at the quantiles
-//! of every routing key of both streams ([`fixed_sharder`]); a pin
-//! (`QueryRequest::shards`) is hash-routed at its own count, up to
-//! [`MAX_SHARDS`].
+//! cost model. There is no sampler and no price per shard.
+//!
+//! Every layout is routed by one function, the seeded hash over its shard
+//! count (`Sharder::hash`), so a layout is its shard count: a pin
+//! (`QueryRequest::shards`, up to [`MAX_SHARDS`]) names it, and the
+//! serving plane lays a returning unpinned key out at [`units`] shards,
+//! the count the generated gates and the `shards` sweep run too. Nothing
+//! is fitted to the keys. [`ShardSpec`], [`fixed_sharder`] and
+//! [`ShardPlanner`] are kept only for the frozen ledger.
 
 use crate::operators::for_each_key;
 use crate::query::DbQuery;
-use crate::sharded::ShardSpec;
 use crate::table::Table;
 use crate::value::DataType;
-use cheetah_core::{fit_boundaries, ShardPartitioner, Sharder};
+use cheetah_core::{ShardPartitioner, Sharder};
 use cheetah_switch::hash::mix64;
 
 /// The most shards a request may pin (`QueryRequest::shards`), whatever
@@ -83,15 +84,38 @@ pub fn units(q: &DbQuery, left: &Table, right: Option<&Table>, workers: usize) -
     }
 }
 
-/// Kept only because the frozen benchmark's layer pass constructs it
+/// A shard count, kept only for the frozen ledger, which builds one for
+/// [`fixed_sharder`]: a layout is its shard count, and the one routing
+/// family is the hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec {
+    /// Worker shard count.
+    pub shards: usize,
+}
+
+impl ShardSpec {
+    /// `shards` workers, routed by the hash.
+    pub fn new(shards: usize, _: ShardPartitioner) -> Self {
+        Self { shards }
+    }
+}
+
+/// The hash sharder of a [`ShardSpec`]'s count (zero served as one
+/// shard), kept only for the frozen ledger, which hands it routing keys
+/// it does not read.
+pub fn fixed_sharder(spec: &ShardSpec, seed: u64, _keys: &[&[u64]]) -> Sharder {
+    Sharder::hash(spec.shards.max(1), seed)
+}
+
+/// Kept only for the frozen ledger, whose layer pass constructs it
 /// (`ShardPlanner::new(PlannerConfig::default())`): the planner has
 /// nothing to tune.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerConfig {}
 
-/// The served layout as a sharder, kept only because the frozen
-/// benchmark's layer pass times [`plan`](Self::plan) and routes by its
-/// result (its `planner.*` stages), as `StatsFingerprint` is kept for its
+/// The served layout as a sharder, kept only for the frozen ledger, whose
+/// layer pass times [`plan`](Self::plan) and routes by its result (its
+/// `planner.*` stages), as `StatsFingerprint` is kept for its
 /// `plan_cache.fingerprint_us` stage. Nothing else calls it.
 #[derive(Debug)]
 pub struct ShardPlanner;
@@ -99,8 +123,7 @@ pub struct ShardPlanner;
 /// What [`ShardPlanner::plan`] returns: the served layout's sharder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
-    /// The `key → shard` routing: [`units`] range spans, cut at the
-    /// quantiles of every routing key.
+    /// The `key → shard` routing: the hash over [`units`] shards.
     pub sharder: Sharder,
 }
 
@@ -118,20 +141,11 @@ impl ShardPlanner {
     }
 
     /// The sharder of the layout the serving plane holds for a returning
-    /// unpinned `q` over these tables: [`fixed_sharder`] of a range spec
-    /// at [`units`], over every routing key of both streams, with one
-    /// worker per core (the global pool's width).
+    /// unpinned `q` over these tables: the hash over [`units`] shards,
+    /// with one worker per core (the global pool's width).
     pub fn plan(&self, q: &DbQuery, left: &Table, right: Option<&Table>, seed: u64) -> ShardPlan {
-        let right = right.filter(|_| q.is_binary());
         let workers = std::thread::available_parallelism().map_or(1, usize::from);
-        let spec = ShardSpec::new(units(q, left, right, workers), ShardPartitioner::Range);
-        let keys: Vec<Vec<u64>> = std::iter::once(left)
-            .chain(right)
-            .enumerate()
-            .map(|(stream, t)| routing_keys(q, stream, t, seed))
-            .collect();
-        let keys: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
-        ShardPlan { sharder: fixed_sharder(&spec, seed, &keys) }
+        ShardPlan { sharder: Sharder::hash(units(q, left, right, workers), seed) }
     }
 }
 
@@ -229,10 +243,9 @@ impl PathChooser {
 /// (`for_each_key` over
 /// [`Partition::coded`](crate::table::Partition::coded): one dispatch per
 /// partition, plain strings hashed in place, a column coded at load hashed
-/// once per string its partition holds). TOP N routes by the order column
-/// through the same walk's order-preserving int arm, so range sharding
-/// splits the value space. Scans and skylines route by a row-id hash (pure
-/// load balance — their merges are routing-agnostic).
+/// once per string its partition holds). TOP N routes by its order column
+/// through the same walk's int arm. Scans and skylines route by a row-id
+/// hash (pure load balance — their merges are routing-agnostic).
 ///
 /// Public because the plan constructor in `cheetah-runtime` routes by
 /// these keys, and every stream of a query must be split by the *same*
@@ -270,25 +283,6 @@ fn routing_column(q: &DbQuery, stream: usize) -> Option<usize> {
         DbQuery::GroupByMax { key_col, .. } | DbQuery::HavingSum { key_col, .. } => Some(*key_col),
         DbQuery::Join { left_key, .. } if stream == 0 => Some(*left_key),
         DbQuery::Join { right_key, .. } => Some(*right_key),
-    }
-}
-
-/// The sharder of a [`ShardSpec`]. Hash scatters over the seed; Range
-/// cuts at the quantiles of the keys of **both** streams
-/// ([`fit_boundaries`]) — jointly, because JOIN co-partitioning needs one
-/// set of cut points for the two sides. With no keys anywhere, the cuts
-/// are equal and the spec's shard count stands. A zero shard count is
-/// served as one shard.
-pub fn fixed_sharder(spec: &ShardSpec, seed: u64, keys: &[&[u64]]) -> Sharder {
-    let shards = spec.shards.max(1);
-    match spec.partitioner {
-        ShardPartitioner::Hash => Sharder::hash(shards, seed),
-        ShardPartitioner::Range => {
-            let mut all = keys.concat();
-            all.sort_unstable();
-            Sharder::fitted_range(fit_boundaries(&all, shards))
-                .expect("fit_boundaries yields ascending cuts")
-        }
     }
 }
 
@@ -340,8 +334,8 @@ mod tests {
 
     #[test]
     fn the_planner_plans_the_served_layout() {
-        // What the frozen benchmark times is the served spec's sharder over
-        // every routing key, and its shard count is the rule's.
+        // What the frozen benchmark times is the served layout's sharder:
+        // the hash over the rule's shard count.
         let (l, r) = (test_table(3_000, 4), test_table(1_000, 2));
         let workers = std::thread::available_parallelism().map_or(1, usize::from);
         let planner = ShardPlanner::new(PlannerConfig::default());
@@ -349,15 +343,9 @@ mod tests {
             let right = q.is_binary().then_some(&r);
             let plan = planner.plan(&q, &l, right, 7);
             let served = units(&q, &l, right, workers);
-            assert_eq!(plan.shards(), served, "{}", q.kind());
-            let keys: Vec<Vec<u64>> = std::iter::once(&l)
-                .chain(right)
-                .enumerate()
-                .map(|(s, t)| routing_keys(&q, s, t, 7))
-                .collect();
-            let keys: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
-            let spec = ShardSpec::new(served, ShardPartitioner::Range);
-            assert_eq!(plan.sharder, fixed_sharder(&spec, 7, &keys), "{}", q.kind());
+            assert_eq!(plan.sharder, Sharder::hash(served, 7), "{}", q.kind());
+            let spec = ShardSpec::new(served, ShardPartitioner::Hash);
+            assert_eq!(plan.sharder, fixed_sharder(&spec, 7, &[]), "{}", q.kind());
             let with_right = planner.plan(&q, &l, Some(&r), 7);
             assert_eq!(plan, with_right, "{}: a right table a unary query ignores", q.kind());
         }

@@ -5,14 +5,13 @@
 //! its switch, and the master completes the query from the pruned union.
 //! This module owns the pieces of that layout every caller shares:
 //!
-//! * [`ShardSpec`] — a hand-picked shard count and routing family
-//!   ([`ShardPartitioner`]);
 //! * [`route_columns`] — the one routing loop: the chosen columns of a
 //!   range of rows of each stream ([`RouteStream`]) split into per-shard
-//!   sub-tables by one [`Sharder`] over per-query routing keys (the
-//!   group/join key for keyed queries, which makes keyed merges exact; the
-//!   order column for TOP N; a row-id hash for scans and skylines), a
-//!   string key coded against one dictionary per shard.
+//!   sub-tables by one [`Sharder`] (the seeded hash over the layout's
+//!   shard count, the one routing function) over per-query routing keys
+//!   (the group/join key for keyed queries, which makes keyed merges
+//!   exact; the order column for TOP N; a row-id hash for scans and
+//!   skylines), a string key coded against one dictionary per shard.
 //!   [`route_range`] is that loop over one stream's every column;
 //! * [`ShardStats`] — the per-shard byte/entry accounting of a run.
 //!
@@ -24,7 +23,7 @@
 //! that path prices them (the `shards` experiment does, with
 //! `cheetah_net`'s master ingest model and §4.6's shard fan-in). The
 //! equivalence contract is `Q(merge(shards(D))) = Q(D)`
-//! for every query shape, shard count, and partitioner — enforced by the
+//! for every query shape and shard count — enforced by the
 //! `shard_contract` test suite (a named CI gate, like the pruning
 //! contract).
 //!
@@ -32,34 +31,12 @@
 
 use crate::table::{Column, Partition, Table};
 use crate::value::DataType;
-use cheetah_core::{ShardPartitioner, Sharder};
+use cheetah_core::Sharder;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// How to shard a query's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Worker shard count.
-    pub shards: usize,
-    /// Row-routing family.
-    pub partitioner: ShardPartitioner,
-}
-
-impl ShardSpec {
-    /// `shards` workers with the given partitioner.
-    pub fn new(shards: usize, partitioner: ShardPartitioner) -> Self {
-        Self { shards, partitioner }
-    }
-}
-
-impl Default for ShardSpec {
-    fn default() -> Self {
-        Self::new(4, ShardPartitioner::Hash)
-    }
-}
 
 /// Per-shard observability of one multi-shard run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

@@ -12,8 +12,7 @@
 use cheetah_core::JoinMode;
 use cheetah_db::{
     units, ChooserArm, Cluster, Column, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath,
-    IntCmp, LikePattern, Partition, QueryOutput, ShardPartitioner, ShardSpec, Table, TableBuilder,
-    Value,
+    IntCmp, LikePattern, Partition, QueryOutput, Table, TableBuilder, Value,
 };
 use cheetah_net::FaultProfile;
 use cheetah_runtime::{execute, ExecPlan, ExecRun, WorkerPool};
@@ -144,22 +143,21 @@ pub fn all_seven(threshold: i64) -> Vec<DbQuery> {
 /// the compiled backend, they run the interpreter and say so.
 pub const INTERPRETER_ONLY: [&str; 3] = ["topn", "join", "having-sum"];
 
-/// The layout the serving plane holds for a returning unpinned `q` over
-/// these tables: the one shard-count rule's range spec.
-pub fn served(q: &DbQuery, left: &Table, right: Option<&Table>) -> ShardSpec {
-    let units = units(q, left, right, WorkerPool::global().workers());
-    ShardSpec::new(units, ShardPartitioner::Range)
+/// The shard count the serving plane holds a returning unpinned `q` over
+/// these tables at: the one shard-count rule's.
+pub fn served(q: &DbQuery, left: &Table, right: Option<&Table>) -> usize {
+    units(q, left, right, WorkerPool::global().workers())
 }
 
-/// Route `q` under `spec` and execute it on the barrier transport.
+/// Route `q` over `shards` shards and execute it on the barrier transport.
 pub fn run_barrier(
     cluster: &Cluster,
     q: &DbQuery,
     left: &Arc<Table>,
     right: Option<&Arc<Table>>,
-    spec: ShardSpec,
+    shards: usize,
 ) -> ExecRun {
-    let plan = ExecPlan::new(cluster, q, left, right, spec).expect("routes");
+    let plan = ExecPlan::new(cluster, q, left, right, shards).expect("routes");
     execute(cluster, &plan, ExecPath::BarrierPooled).expect("plan fits")
 }
 
@@ -208,25 +206,17 @@ pub enum Source {
     Adversary(usize),
 }
 
-/// The layout a case routes under: a hand-picked spec (one shard is the
-/// tables themselves), or the one the serving plane would hold for it
-/// ([`served`]).
+/// The layout a case routes under: a hand-picked shard count (one shard
+/// is the tables themselves), or the one the serving plane would hold for
+/// it ([`served`]). Every layout is hash-routed, so a layout is its count.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Layout {
-    Spec(ShardPartitioner, usize),
+    Shards(usize),
     Served,
 }
 
-use ShardPartitioner::{Hash, Range};
-
 /// The grid's layouts, in walk order, before [`Layout::Served`].
-const GRID_LAYOUTS: [Layout; 5] = [
-    Layout::Spec(Hash, 1),
-    Layout::Spec(Hash, 2),
-    Layout::Spec(Hash, 7),
-    Layout::Spec(Range, 2),
-    Layout::Spec(Range, 7),
-];
+const GRID_LAYOUTS: [Layout; 3] = [Layout::Shards(1), Layout::Shards(2), Layout::Shards(7)];
 
 /// The grid's arms: the barrier on either backend, then direct.
 pub const ARMS: [ChooserArm; 3] = [
@@ -268,7 +258,7 @@ impl Gate {
     /// serving gate, which pins those, the [`UNPINNED`] visits first.
     pub fn grid(self) -> u32 {
         let unpinned = if self == Gate::Serve { UNPINNED.len() } else { 0 };
-        (7 * (unpinned + 6 * ARMS.len())) as u32
+        (7 * (unpinned + (GRID_LAYOUTS.len() + 1) * ARMS.len())) as u32
     }
 }
 
@@ -310,11 +300,11 @@ impl Case {
     }
 
     /// The case `seed` names for `gate`, on the grid's `layout`th layout
-    /// (`5`: served) if one is named.
+    /// (past [`GRID_LAYOUTS`]: served) if one is named.
     fn draw_at(seed: u64, gate: Gate, layout: Option<usize>) -> Case {
         let mut rng = TestRng::from_seed(seed);
         let mut next = |bound: u64| rng.below(bound);
-        let pick = next(6) as usize;
+        let pick = next(GRID_LAYOUTS.len() as u64 + 1) as usize;
         let layout = GRID_LAYOUTS.get(layout.unwrap_or(pick)).copied().unwrap_or(Layout::Served);
         let rows = match next(8) {
             0 => next(4),
@@ -355,7 +345,7 @@ impl Case {
     pub fn grid(i: u32, seed: u64, gate: Gate) -> Case {
         let per_family = gate.grid() as usize / 7;
         let (family, j) = (i as usize / per_family, i as usize % per_family);
-        let unpinned = per_family - 6 * ARMS.len();
+        let unpinned = per_family - (GRID_LAYOUTS.len() + 1) * ARMS.len();
         if j < unpinned {
             return Case { family, visit: Some(UNPINNED[j]), ..Case::draw(seed, gate) };
         }
@@ -379,10 +369,8 @@ impl Case {
             out.push(Case { partitions: partitions as usize, ..self.clone() });
         }
         let layouts: Vec<Layout> = match self.layout {
-            Layout::Spec(p, n) => {
-                halve(n, 1).iter().map(|&n| Layout::Spec(p, n as usize)).collect()
-            }
-            Layout::Served => vec![Layout::Spec(Range, 1), Layout::Spec(Range, 2)],
+            Layout::Shards(n) => halve(n, 1).iter().map(|&n| Layout::Shards(n as usize)).collect(),
+            Layout::Served => vec![Layout::Shards(1), Layout::Shards(2)],
         };
         out.extend(layouts.into_iter().map(|layout| Case { layout, ..self.clone() }));
         out
@@ -392,10 +380,10 @@ impl Case {
         all_seven(self.threshold).swap_remove(self.family)
     }
 
-    /// The spec the case's layout names over these tables.
-    pub fn spec(&self, q: &DbQuery, left: &Table, right: Option<&Table>) -> ShardSpec {
+    /// The shard count the case's layout names over these tables.
+    pub fn shards(&self, q: &DbQuery, left: &Table, right: Option<&Table>) -> usize {
         match self.layout {
-            Layout::Spec(partitioner, n) => ShardSpec::new(n, partitioner),
+            Layout::Shards(n) => n,
             Layout::Served => served(q, left, right),
         }
     }
@@ -546,8 +534,8 @@ fn check_plan(
 ) -> Option<(ExecPlan, ExecRun)> {
     let Ran { q, cluster, left, right, want, .. } = ran;
     let right_of = q.is_binary().then_some(right);
-    let spec = case.spec(q, left, right_of.map(|r| &**r));
-    let plan = match ExecPlan::new(cluster, q, left, right_of, spec) {
+    let layout = case.shards(q, left, right_of.map(|r| &**r));
+    let plan = match ExecPlan::new(cluster, q, left, right_of, layout) {
         Ok(plan) => plan,
         Err(e) => {
             assert_eq!(Some(e), refusal, "refused as the request check refuses");
@@ -556,7 +544,7 @@ fn check_plan(
     };
     assert_eq!(refusal, None, "the request check refused what routed");
     let shards = plan.shards();
-    assert_eq!(shards, spec.shards.max(1), "the layout's shard count");
+    assert_eq!(shards, layout.max(1), "the layout's shard count");
     let arm = ARMS[case.arm];
     let lossless = cluster.clone().with_backend(arm.backend);
     let faulty = lossless.clone().with_fault(FaultProfile::harsh(), case.seed);
@@ -623,7 +611,7 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
     let arm = ARMS[case.arm];
     // A pin names the arm (a backend only where an engine runs) and the
     // layout's shard count.
-    let shards = case.spec(q, left, q.is_binary().then_some(&**right)).shards;
+    let shards = case.shards(q, left, q.is_binary().then_some(&**right));
     let request = |sight: u64| {
         // A tenant per sight: the key is the query and the tables alone.
         let mut req = QueryRequest::new(q.clone(), Arc::clone(left)).tenant(format!("t{sight}"));
@@ -642,7 +630,7 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         _ => 3,
     };
     // A returning unpinned key holds its rows over the cores.
-    let served = served(q, left, q.is_binary().then_some(&**right)).shards as u32;
+    let served = served(q, left, q.is_binary().then_some(&**right)) as u32;
     for sight in 1..=sights {
         let label = format!("sight {sight}");
         let resp = session.run_blocking(request(sight));

@@ -25,8 +25,7 @@ mod common;
 
 use common::{all_seven, for_each_case, run_barrier, Gate, ADVERSARIES, INTERPRETER_ONLY};
 
-use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec};
+use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath};
 use cheetah_runtime::{execute, ExecRun};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
@@ -86,8 +85,7 @@ fn compiled_backend_is_recorded_end_to_end() {
     let run = compiled.run_cheetah(&q, &t, None).unwrap();
     assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
     assert_eq!(run.breakdown.backend.label(), "compiled");
-    let spec = ShardSpec::new(4, ShardPartitioner::Range);
-    let sharded = run_barrier(&compiled, &q, &t, None, spec);
+    let sharded = run_barrier(&compiled, &q, &t, None, 4);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Compiled);
 
     // JOIN has no kernel: asked for the compiled backend, it answers like
@@ -98,7 +96,7 @@ fn compiled_backend_is_recorded_end_to_end() {
     let run = compiled.run_cheetah(&join, &t, Some(&r)).unwrap();
     assert_eq!(run.output, want);
     assert_eq!(run.breakdown.backend, ExecBackend::Interpreted);
-    let sharded = run_barrier(&compiled, &join, &t, Some(&r), spec);
+    let sharded = run_barrier(&compiled, &join, &t, Some(&r), 4);
     assert_eq!(sharded.output, want);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Interpreted);
 }

@@ -28,8 +28,7 @@
 
 mod common;
 
-use cheetah_core::ShardPartitioner;
-use cheetah_db::{Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp, ShardSpec};
+use cheetah_db::{Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp};
 use cheetah_net::FaultProfile;
 use cheetah_runtime::{execute, ExecPlan};
 use cheetah_serve::{QueryRequest, Session};
@@ -112,12 +111,11 @@ fn pruning_counters_match_the_golden_table_exactly() {
 
     for (family, q) in [("distinct", &distinct), ("groupby-max", &groupby), ("join", &join)] {
         let right_of = q.is_binary().then_some(&right);
-        let fixed = ShardSpec::new(SHARDS, ShardPartitioner::Hash);
-        let plan = ExecPlan::new(&cluster, q, &left, right_of, fixed).expect("routes");
+        let plan = ExecPlan::new(&cluster, q, &left, right_of, SHARDS).expect("routes");
         let faulty = cluster.clone().with_fault(FaultProfile::harsh(), 0xC0FFEE);
         // The layout the serving plane holds for these tables is one unit,
         // the tables themselves: its row would repeat the unsharded one.
-        assert_eq!(common::served(q, &left, right_of.map(|r| &**r)).shards, 1, "{family}");
+        assert_eq!(common::served(q, &left, right_of.map(|r| &**r)), 1, "{family}");
         let barrier = ExecPath::BarrierPooled;
         let runs = [
             ("shards4", execute(&cluster, &plan, barrier).expect("plan fits")),

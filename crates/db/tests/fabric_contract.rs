@@ -26,8 +26,8 @@ mod common;
 use cheetah_core::{PassPlan, QuerySpec};
 use cheetah_db::operators::{PruningOperator, Survivors};
 use cheetah_db::{
-    Cluster, DataType, DbQuery, ExecPath, Partition, QueryOutput, ShardPartitioner, ShardSpec,
-    Table, TableBuilder, Tables, Value,
+    Cluster, DataType, DbQuery, ExecPath, Partition, QueryOutput, Table, TableBuilder, Tables,
+    Value,
 };
 use cheetah_net::{explore, CheckerConfig, DeliveryKind, FaultProfile, MasterFlow};
 use cheetah_runtime::{execute, ExecPlan};
@@ -233,8 +233,7 @@ fn fault_mode_answers_all_seven_families_under_harsh_faults() {
     for (q, resends) in all_seven(4_000).into_iter().zip(resends) {
         let r = matches!(q, DbQuery::Join { .. }).then_some(&right);
         let base = cluster.run_baseline(&q, &left, r.map(|r| &**r)).output;
-        let spec = ShardSpec::new(2, ShardPartitioner::Hash);
-        let plan = ExecPlan::new(&cluster, &q, &left, r, spec).expect("routes");
+        let plan = ExecPlan::new(&cluster, &q, &left, r, 2).expect("routes");
         let run = execute(&faulty, &plan, ExecPath::BarrierPooled).expect("faulty run");
         assert_eq!(base, run.output, "{}: harsh channel changed the answer", q.kind());
         assert_eq!(

@@ -42,8 +42,8 @@ fn routed_runs_match_baseline_and_layouts_are_deterministic() {
         let Some((plan, _)) = &ran.exec else { return };
         let (left, right) = case.tables();
         let right = ran.q.is_binary().then_some(&right);
-        let spec = case.spec(&ran.q, &left, right.map(|r| &**r));
-        let routed = ExecPlan::new(&ran.cluster, &ran.q, &left, right, spec).expect("routes");
+        let shards = case.shards(&ran.q, &left, right.map(|r| &**r));
+        let routed = ExecPlan::new(&ran.cluster, &ran.q, &left, right, shards).expect("routes");
         assert_eq!(routed.dispatched(), plan.dispatched(), "the shard assignment is deterministic");
     });
 }

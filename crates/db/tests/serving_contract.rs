@@ -33,7 +33,8 @@ use cheetah_db::{
 };
 use cheetah_runtime::WorkerPool;
 use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
-use cheetah_telemetry::TraceTree;
+use cheetah_telemetry::{SpanNode, TraceTree};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 
 fn fixtures(seed: u64) -> (Arc<Table>, Arc<Table>) {
@@ -206,12 +207,23 @@ fn every_row_passes() -> DbQuery {
     DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 1, op: IntCmp::Ge, lit: 0 } }
 }
 
+/// The `rows` each `worker` span of a response's trace reports, by its
+/// `shard`.
+fn rows_by_shard(resp: &QueryResponse) -> BTreeMap<String, String> {
+    let mut workers = Vec::new();
+    resp.trace.as_ref().expect("trace exports").root.find_all("worker", &mut workers);
+    let attr = |w: &SpanNode, key| w.attr(key).expect("a worker attribute").to_string();
+    workers.iter().map(|w| (attr(w, "shard"), attr(w, "rows"))).collect()
+}
+
 /// Property 1d: an unpinned request never runs the switch. For every
 /// family over multi-partition tables past two units' rows every unpinned
 /// sight runs `direct` — the first over the tables whole (one `worker`, no
 /// `route`), the second on the layout it routes (its rows over the cores:
 /// several units), later ones on that held layout — with nothing pruned,
-/// a pass-through switch, no `rule` span, and the baseline's answer.
+/// a pass-through switch, no `rule` span, and the baseline's answer. There
+/// is one routing function: a request pinned to the held layout's unit
+/// count routes every row to the shard the held layout put it on.
 #[test]
 fn every_unpinned_sight_of_every_family_runs_direct() {
     let cluster = Cluster::default();
@@ -225,6 +237,7 @@ fn every_unpinned_sight_of_every_family_runs_direct() {
         let want = cluster.run_baseline(q, &left, q.is_binary().then_some(&*right)).output;
         let units = units(q, &left, q.is_binary().then_some(&*right), workers);
         assert!(units >= 2, "{kind}: a layout of several units");
+        let mut held = BTreeMap::new();
         for sight in 1..=4 {
             let resp = session.run_blocking(request(q, &left, &right, "t")).unwrap();
             let label = format!("{kind} sight {sight}");
@@ -243,7 +256,11 @@ fn every_unpinned_sight_of_every_family_runs_direct() {
             } else {
                 assert_eq!(shards as usize, units, "{label}: the rows over the cores");
             }
+            held = rows_by_shard(&resp);
         }
+        let pinned = session.run_blocking(request(q, &left, &right, "t").shards(units)).unwrap();
+        assert_eq!(pinned.output, want, "{kind} pinned");
+        assert_eq!(rows_by_shard(&pinned), held, "{kind}: the pin routes as the held layout");
     }
     let snap = session.registry().snapshot();
     assert_eq!(snap.counters["serve.direct.requests"], 4 * families.len() as u64);

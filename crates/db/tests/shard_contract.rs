@@ -1,10 +1,10 @@
 //! The shard equivalence gate: `Q(merge(shards(D))) = Q(D)` for **all
 //! seven** [`DbQuery`] variants, across the grid's layouts — the one-shard
-//! layout, hash and range at 2 and 7 shards, and the layout the serving
-//! plane would hold (the one shard-count rule's range spec) — on the
+//! layout, 2 and 7 shards, and the layout the serving plane would hold
+//! (the one shard-count rule's count), every one hash-routed — on the
 //! barrier (both backends) and the direct arm.
 //!
-//! The cases are generated (`common::for_each_case`): the grid's 126
+//! The cases are generated (`common::for_each_case`): the grid's 84
 //! points first, then random draws, each over tables drawn from its seed —
 //! 0, 1 and fewer rows than shards included, one key, constant ints, and
 //! ints over the whole `i64` range. Every case is held to `common::check`
@@ -13,16 +13,13 @@
 //! on the direct arm). CI runs this
 //! file as an explicitly named step
 //! (`cargo test -q -p cheetah-db --test shard_contract`), so a broken
-//! router, merge rule, or partitioner fails loudly even if nothing else
-//! notices.
+//! router or merge rule fails loudly even if nothing else notices.
 
 mod common;
 
 use common::{for_each_case, run_barrier, Gate, EDGE_TABLES};
 
-use cheetah_db::{
-    Cluster, DataType, DbQuery, ShardPartitioner, ShardSpec, Table, TableBuilder, Value,
-};
+use cheetah_db::{Cluster, DataType, DbQuery, Table, TableBuilder, Value};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
@@ -31,9 +28,9 @@ fn merge_of_shards_equals_the_unsharded_query() {
     for_each_case("shard_contract", Gate::Exec, &EDGE_TABLES, 100, |_, _| {});
 }
 
-/// One barrier run under a hand-picked spec.
-fn sharded(q: &DbQuery, t: &Arc<Table>, spec: ShardSpec) -> cheetah_runtime::ExecRun {
-    run_barrier(&Cluster::default(), q, t, None, spec)
+/// One barrier run at a hand-picked shard count.
+fn sharded(q: &DbQuery, t: &Arc<Table>, shards: usize) -> cheetah_runtime::ExecRun {
+    run_barrier(&Cluster::default(), q, t, None, shards)
 }
 
 #[test]
@@ -63,16 +60,9 @@ fn having_sum_spanning_threshold_only_globally_is_not_lost() {
     let cluster = Cluster::default();
     let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 1_000 };
     let base = cluster.run_baseline(&q, &table, None);
-    for partitioner in [ShardPartitioner::Hash, ShardPartitioner::Range] {
-        for shards in [1, 2, 7] {
-            let run = sharded(&q, &table, ShardSpec::new(shards, partitioner));
-            assert_eq!(
-                base.output,
-                run.output,
-                "threshold-spanning key lost at {shards} shards ({})",
-                partitioner.name()
-            );
-        }
+    for shards in [1, 2, 7] {
+        let run = sharded(&q, &table, shards);
+        assert_eq!(base.output, run.output, "threshold-spanning key lost at {shards} shards");
     }
 }
 
@@ -84,8 +74,7 @@ fn sharded_execution_is_deterministic_end_to_end() {
         DbQuery::GroupByMax { key_col: 0, val_col: 1 },
         DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 10_000 },
     ] {
-        let spec = ShardSpec::new(4, ShardPartitioner::Hash);
-        let (a, b) = (sharded(&q, &t, spec), sharded(&q, &t, spec));
+        let (a, b) = (sharded(&q, &t, 4), sharded(&q, &t, 4));
         assert_eq!(a.output, b.output, "{}", q.kind());
         let rows_a: Vec<u64> = a.per_shard.iter().map(|s| s.rows).collect();
         let rows_b: Vec<u64> = b.per_shard.iter().map(|s| s.rows).collect();

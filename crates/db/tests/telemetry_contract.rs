@@ -36,7 +36,7 @@ mod common;
 use common::{on_their_threads, Gate};
 
 use cheetah_db::planner::{units, ROWS_PER_UNIT};
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, ShardSpec, Table};
+use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, Table};
 use cheetah_net::FaultProfile;
 use cheetah_runtime::WorkerPool;
 use cheetah_runtime::{execute, ExecPlan};
@@ -291,12 +291,11 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let cluster = Cluster::default();
     let t = Arc::new(common::gen_table(1_500, 60, 3, 0xBAD));
     let q = DbQuery::Distinct { col: 0 };
-    let spec = ShardSpec::new(3, cheetah_core::ShardPartitioner::Hash);
 
     let registry = Registry::new();
     let trace = Trace::new(registry.clone());
     let root = trace.span("query");
-    let plan = ExecPlan::new(&cluster, &q, &t, None, spec).unwrap();
+    let plan = ExecPlan::new(&cluster, &q, &t, None, 3).unwrap();
     let faulty = cluster.with_fault(FaultProfile::harsh(), 0xC0FFEE);
     let run = {
         let _g = root.enter();

@@ -49,12 +49,12 @@
 //! a helper's are its pool worker's. Fault mode carries its rows across a
 //! rack all the same, so it is the same at every shard count.
 //!
-//! A layout is one value, a [`ShardSpec`](cheetah_db::ShardSpec), and
-//! [`ExecPlan::new`] takes it as it is. Its shard count is a pin's, or the
-//! one rule's ([`cheetah_db::planner::units`]: the rows over the cores).
+//! A layout is its shard count, and [`ExecPlan::new`] takes it as it is:
+//! a pin's, or the one rule's ([`cheetah_db::planner::units`]: the rows
+//! over the cores), routed by the one seeded hash.
 //! Choosing a layout and an arm happens in the serving plane, not inside a
 //! run: a key's first sight runs the tables whole, its second sight routes
-//! its rows over the cores (a range spec at that rule's count), and later
+//! its rows over the cores (at that rule's count), and later
 //! sights run that layout; the arm is the request's own. Each run executes the plan it is handed, on the path it
 //! is handed.
 //!

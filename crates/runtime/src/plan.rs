@@ -6,14 +6,16 @@
 //!
 //! Everything layout-shaped about a multi-shard run is decided here, once,
 //! by [`ExecPlan::new`]: the request is checked against its tables'
-//! schemas ([`DbQuery::check`]), then routing keys → the spec's sharder
-//! ([`fixed_sharder`]) → one [`route_columns`] pass over the query's
-//! streams, which leaves one unit per shard and stream.
-//! [`execute`](crate::execute) never routes a row.
+//! schemas ([`DbQuery::check`]), then routing keys → one
+//! [`route_columns`] pass over the query's streams by the seeded hash over
+//! the shard count ([`Sharder::hash`]), which leaves one unit per shard
+//! and stream. A layout is its shard count: the hash is the one routing
+//! function, fitted to nothing. [`execute`](crate::execute) never routes
+//! a row.
 //!
 //! Three facts about what a layout holds:
 //!
-//! * **A one-shard layout is the table.** Whenever the spec has one
+//! * **A one-shard layout is the table.** Whenever the layout has one
 //!   shard — a pinned count of 0 or 1, or one served unit — there is
 //!   nothing to split: no key is extracted, no cell copied, the single
 //!   unit *is* the `Arc` the caller handed in. It runs through the same
@@ -48,8 +50,7 @@
 //! is).
 
 use cheetah_db::{
-    fixed_sharder, route_columns, routing_keys, unit_columns, Cluster, DbQuery, RouteStream,
-    ShardSpec, Table,
+    route_columns, routing_keys, unit_columns, Cluster, DbQuery, RouteStream, Sharder, Table,
 };
 use std::sync::Arc;
 
@@ -78,8 +79,9 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Lay out `q`'s input under `spec`: a pinned count, a sweep's axis
-    /// point, or the served rule's ([`cheetah_db::planner::units`]).
+    /// Lay out `q`'s input over `shards` shards (0 is served as one): a
+    /// pinned count, a sweep's axis point, or the served rule's
+    /// ([`cheetah_db::planner::units`]), routed by the seeded hash.
     ///
     /// A request its tables cannot answer — a binary query without its
     /// right table, a column outside the schema or of the wrong type — or
@@ -91,12 +93,12 @@ impl ExecPlan {
         q: &DbQuery,
         left: &Arc<Table>,
         right: Option<&Arc<Table>>,
-        spec: ShardSpec,
+        shards: usize,
     ) -> cheetah_core::Result<ExecPlan> {
         q.check(left, right.map(|r| &**r))?;
         let right = right.filter(|_| q.is_binary());
         let seed = cluster.tuning.seed;
-        let shards = spec.shards.max(1);
+        let shards = shards.max(1);
         let (unit_query, units, right_units) = if shards == 1 {
             // A one-shard layout is the table: nothing to split, so no key
             // is read and no cell copied.
@@ -107,8 +109,7 @@ impl ExecPlan {
                 .enumerate()
                 .map(|(stream, t)| routing_keys(q, stream, t, seed))
                 .collect();
-            let slices: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
-            let sharder = fixed_sharder(&spec, seed, &slices);
+            let sharder = Sharder::hash(shards, seed);
             // Every unit is a fresh copy of its rows, so it carries only
             // the columns `q` reads, its string key coded by the routing
             // keys, and the workers run `q` remapped onto them. Both

@@ -299,10 +299,9 @@ fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheetah_core::ShardPartitioner;
     use cheetah_db::{
         unit_columns, units, CheetahTuning, Column, DataType, DbPredicate, IntCmp, LikePattern,
-        ShardSpec, TableBuilder, Value,
+        TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
     use cheetah_telemetry::{Registry, Trace};
@@ -331,8 +330,8 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn plan_of(q: &DbQuery, t: &Arc<Table>, r: Option<&Arc<Table>>, spec: ShardSpec) -> ExecPlan {
-        ExecPlan::new(&Cluster::default(), q, t, r, spec).expect("routes")
+    fn plan_of(q: &DbQuery, t: &Arc<Table>, r: Option<&Arc<Table>>, shards: usize) -> ExecPlan {
+        ExecPlan::new(&Cluster::default(), q, t, r, shards).expect("routes")
     }
 
     /// Execute `plan` on `path` under a fresh trace's entered root span:
@@ -356,24 +355,6 @@ mod tests {
         tree.root.find_all("merge", &mut merges);
         let threads = workers.iter().map(|w| w.attr("thread").expect("named").to_string());
         (run, threads.collect(), merges.len())
-    }
-
-    #[test]
-    fn range_routing_fits_observed_key_bounds() {
-        // Encoded small ints cluster just above 2⁶³ and string fingerprints
-        // fill only the lower half of the u64 space; a naive full-space
-        // range split would put every row on one shard. Fitted bounds
-        // must spread both over populated spans.
-        let t = table(4_000, 4);
-        for q in [DbQuery::TopN { order_col: 1, n: 10 }, DbQuery::Distinct { col: 0 }] {
-            let plan = plan_of(&q, &t, None, ShardSpec::new(4, ShardPartitioner::Range));
-            let loads = plan.dispatched();
-            assert!(
-                loads.iter().filter(|&&r| r > 0).count() >= 3,
-                "{}: range spans must be populated: {loads:?}",
-                q.kind()
-            );
-        }
     }
 
     #[test]
@@ -409,11 +390,8 @@ mod tests {
             // A pin of one shard or none, and the one unit these tables are
             // served as (both are far under a unit's rows, key coded).
             let served = units(q, &l, right.map(|r| &**r), workers);
-            let one_shard = [(1, ShardPartitioner::Hash), (0, ShardPartitioner::Range)]
-                .into_iter()
-                .chain([(served, ShardPartitioner::Range)]);
-            for (shards, partitioner) in one_shard {
-                let plan = plan_of(q, &l, right, ShardSpec::new(shards, partitioner));
+            for shards in [1, 0, served] {
+                let plan = plan_of(q, &l, right, shards);
                 assert_eq!(plan.shards(), 1, "{}", q.kind());
                 assert!(Arc::ptr_eq(&plan.units[0], &l), "{}: a copy was made", q.kind());
                 let right_unit = plan.right_units.as_ref().map(|units| &units[0]);
@@ -435,7 +413,7 @@ mod tests {
             // each naming its index — a plan wider than the pool is worked
             // off the same counter by the same threads.
             for shards in [3, 2 * workers + 1] {
-                let plan = plan_of(q, &l, right, ShardSpec::new(shards, ShardPartitioner::Hash));
+                let plan = plan_of(q, &l, right, shards);
                 let widths = |units: &[Arc<Table>]| -> Vec<usize> {
                     units.iter().map(|t| t.fields().len()).collect()
                 };
@@ -508,7 +486,7 @@ mod tests {
         let q = DbQuery::Join { left_key: 0, right_key: 0 };
         let served = units(&q, &l, Some(&r), WorkerPool::global().workers());
         assert!(served >= 2, "{served} units");
-        let plan = plan_of(&q, &l, Some(&r), ShardSpec::new(served, ShardPartitioner::Range));
+        let plan = plan_of(&q, &l, Some(&r), served);
         let right_units = plan.right_units.as_ref().expect("a binary plan");
         for (left, right) in plan.units.iter().zip(right_units) {
             let [Column::Dict { dict: a, .. }, Column::Dict { dict: b, .. }] =
@@ -531,7 +509,7 @@ mod tests {
         let broken = Cluster { tuning, ..Cluster::default() };
         let t = table(600, 2);
         let skyline = DbQuery::Skyline { cols: vec![2, 1] };
-        let plan = plan_of(&skyline, &t, None, ShardSpec::new(1, ShardPartitioner::Hash));
+        let plan = plan_of(&skyline, &t, None, 1);
         let (run, threads, _) = traced(&broken, &plan, ExecPath::BarrierPooled);
         assert_eq!(run.err(), Some(cheetah_core::Error::WorkerPanicked { shard: 0 }));
         assert_eq!(threads, ["caller"], "the job unwound on the calling thread");
@@ -539,7 +517,7 @@ mod tests {
         // compiled runs: one installs a kernel, the next reuses it.
         let cluster = Cluster::default().with_backend(ExecBackend::Compiled);
         let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &t, None, ShardSpec::new(1, ShardPartitioner::Hash));
+        let plan = plan_of(&q, &t, None, 1);
         for _ in 0..2 {
             let run = execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
@@ -569,7 +547,7 @@ mod tests {
         ];
         for (q, resends) in queries {
             let base = cluster.run_baseline(&q, &t, None);
-            let plan = plan_of(&q, &t, None, ShardSpec::new(3, ShardPartitioner::Hash));
+            let plan = plan_of(&q, &t, None, 3);
             for (path, resends) in PATHS.into_iter().zip(resends) {
                 let label = format!("{} {}", q.kind(), path.label());
                 let lossless = execute(&cluster, &plan, path).unwrap();
@@ -608,7 +586,7 @@ mod tests {
         let t = table(20_000, 8);
         let q = DbQuery::Distinct { col: 0 };
         let black_hole = FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() };
-        let plan = plan_of(&q, &t, None, ShardSpec::new(2, ShardPartitioner::Hash));
+        let plan = plan_of(&q, &t, None, 2);
         let err = execute(&cluster.with_fault(black_hole, 7), &plan, ExecPath::BarrierPooled)
             .unwrap_err();
         assert!(
@@ -641,7 +619,7 @@ mod tests {
         let t = table(2_000, 4);
         let q = DbQuery::Distinct { col: 0 };
         let base = Cluster::default().run_baseline(&q, &t, None).output;
-        let plan = Arc::new(plan_of(&q, &t, None, ShardSpec::new(4, ShardPartitioner::Hash)));
+        let plan = Arc::new(plan_of(&q, &t, None, 4));
         let all_busy = Arc::new(std::sync::Barrier::new(workers));
         let (tx, rx) = mpsc::channel();
         for _ in 0..workers {
@@ -670,7 +648,7 @@ mod tests {
             .build(),
         );
         let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &empty, None, ShardSpec::new(5, ShardPartitioner::Range));
+        let plan = plan_of(&q, &empty, None, 5);
         for path in PATHS {
             let run = execute(&cluster, &plan, path).unwrap();
             assert_eq!(run.output, QueryOutput::Values(vec![]));
@@ -679,7 +657,7 @@ mod tests {
         // Three rows over seven shards: at least four stay empty.
         let tiny = table(3, 1);
         let q = DbQuery::TopN { order_col: 1, n: 2 };
-        let plan = plan_of(&q, &tiny, None, ShardSpec::new(7, ShardPartitioner::Hash));
+        let plan = plan_of(&q, &tiny, None, 7);
         for path in PATHS {
             let run = execute(&cluster, &plan, path).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
@@ -696,20 +674,19 @@ mod tests {
     fn malformed_requests_are_typed_or_clamped_never_panics() {
         let t = table(200, 1);
         let join = DbQuery::Join { left_key: 0, right_key: 0 };
-        let spec = ShardSpec::new(0, ShardPartitioner::Hash);
-        let err = ExecPlan::new(&Cluster::default(), &join, &t, None, spec).unwrap_err();
+        let err = ExecPlan::new(&Cluster::default(), &join, &t, None, 0).unwrap_err();
         assert_eq!(err, cheetah_core::Error::MissingStream { stream: 1 });
         // A column the table does not have, or cannot be ordered by.
         for (q, col) in
             [(DbQuery::Distinct { col: 9 }, 9), (DbQuery::TopN { order_col: 0, n: 3 }, 0)]
         {
-            let err = ExecPlan::new(&Cluster::default(), &q, &t, None, spec).unwrap_err();
+            let err = ExecPlan::new(&Cluster::default(), &q, &t, None, 0).unwrap_err();
             assert_eq!(err, cheetah_core::Error::BadColumn { stream: 0, col });
         }
         // Zero shards is served as one; a right table on a unary query is
         // dropped, so the plan is over the left table alone.
         let q = DbQuery::Distinct { col: 0 };
-        let plan = plan_of(&q, &t, Some(&t), spec);
+        let plan = plan_of(&q, &t, Some(&t), 0);
         assert_eq!(plan.shards(), 1);
         assert!(plan.is_over(&t, None) && !plan.is_over(&t, Some(&t)));
         assert!(!plan.is_over(&table(200, 1), None), "identity, not equality");

@@ -20,7 +20,7 @@
 //!    shard: no copy. A key that returns is routed, once, its rows laid
 //!    out over the cores by the one shard-count rule
 //!    ([`cheetah_db::planner::units`]: a unit per `ROWS_PER_UNIT` rows, at
-//!    most two per pool worker), cut at the quantiles of its routing keys
+//!    most two per pool worker), hash-routed as a pin of that count is
 //!    (one unit is the caller's tables); from then on the entry's layout
 //!    is all a request consults. Each of those decisions is one
 //!    critical section of the crate's `lifecycle` module (a sight, then a

@@ -23,8 +23,7 @@
 //! every interleaving of racing requests over these very functions.
 
 use crate::request::QueryRequest;
-use cheetah_core::ShardPartitioner;
-use cheetah_db::{units, DbQuery, ShardSpec, Table};
+use cheetah_db::{units, DbQuery, Table};
 use cheetah_runtime::ExecPlan;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -68,11 +67,11 @@ impl Key {
 ///   that the key was seen;
 /// * **routed** — second sight invested: `plan` is the key's rows laid out
 ///   over the cores ([`units`]) — above one unit, fresh per-shard copies
-///   of the columns the query reads, cut at the quantiles of its routing
-///   keys; at one, the caller's tables. It is held before it runs, and
+///   of the columns the query reads, hash-routed as a pin of that count
+///   is; at one, the caller's tables. It is held before it runs, and
 ///   every further request runs it, on whichever arm it asks for.
 ///
-/// A key that pins a shard count is routed at first sight, by hash.
+/// A key that pins a shard count is routed at first sight.
 pub(crate) struct Entry {
     pub(crate) plan: Arc<ExecPlan>,
     pub(crate) stage: Stage,
@@ -132,11 +131,11 @@ pub(crate) enum Action {
     Run(Arc<ExecPlan>),
     /// Nothing held: run the tables whole on one shard, then hold them.
     Whole,
-    /// Route under `layout`, hold the routed layout ([`Caches::settle`]
-    /// with `claim`), then run it: at first sight of a pinned shard count,
-    /// its hash layout (no claim); at the sight that claimed the whole
-    /// entry `claim`, the key's rows over the cores.
-    Route { claim: Option<Arc<ExecPlan>>, layout: ShardSpec },
+    /// Route over `shards` shards, hold the routed layout
+    /// ([`Caches::settle`] with `claim`), then run it: at first sight of a
+    /// pinned shard count, that count (no claim); at the sight that
+    /// claimed the whole entry `claim`, the key's rows over the cores.
+    Route { claim: Option<Arc<ExecPlan>>, shards: usize },
 }
 
 /// The session's one map. Every entry pins its source tables, and a
@@ -154,9 +153,7 @@ impl Caches {
     /// Which visit of `key` this is, over exactly these tables, and what
     /// the request does: run what is held, run the tables whole, or route.
     /// A whole key found is claimed ([`Stage::Routing`]): this sight routes
-    /// it, into [`units`] of its rows over `workers`, cut at the quantiles
-    /// of its routing keys (both streams' jointly, so a JOIN stays
-    /// co-partitioned).
+    /// it, into [`units`] of its rows over `workers`.
     pub(crate) fn sight(
         &mut self,
         key: &Key,
@@ -168,8 +165,7 @@ impl Caches {
             if key.shards == 0 {
                 return (Visit::First, Action::Whole);
             }
-            let layout = ShardSpec::new(key.shards, ShardPartitioner::Hash);
-            return (Visit::Pinned, Action::Route { claim: None, layout });
+            return (Visit::Pinned, Action::Route { claim: None, shards: key.shards });
         };
         let plan = Arc::clone(&e.plan);
         match e.stage {
@@ -177,9 +173,8 @@ impl Caches {
             Stage::Routing => (Visit::Racing, Action::Run(plan)),
             Stage::Whole => {
                 e.stage = Stage::Routing;
-                let units = units(&key.query, left, right.map(|r| &**r), workers);
-                let layout = ShardSpec::new(units, ShardPartitioner::Range);
-                (Visit::Routing, Action::Route { claim: Some(plan), layout })
+                let shards = units(&key.query, left, right.map(|r| &**r), workers);
+                (Visit::Routing, Action::Route { claim: Some(plan), shards })
             }
         }
     }
@@ -290,16 +285,12 @@ mod tests {
             let keys = tables.iter().map(|t| Key::of(&QueryRequest::new(q.clone(), t.clone())));
             let requests: Vec<usize> =
                 sights.iter().enumerate().flat_map(|(k, &n)| vec![k; n]).collect();
-            let lay = |t: &Arc<Table>, layout: ShardSpec| {
-                Arc::new(ExecPlan::new(&cluster, &q, t, None, layout).expect("lays out"))
+            let lay = |t: &Arc<Table>, shards| {
+                Arc::new(ExecPlan::new(&cluster, &q, t, None, shards).expect("lays out"))
             };
-            let whole = requests
-                .iter()
-                .map(|&k| lay(&tables[k], ShardSpec::new(1, ShardPartitioner::Hash)));
-            let routed = requests.iter().map(|&k| {
-                let units = units(&q, &tables[k], None, WORKERS);
-                lay(&tables[k], ShardSpec::new(units, ShardPartitioner::Range))
-            });
+            let whole = requests.iter().map(|&k| lay(&tables[k], 1));
+            let routed =
+                requests.iter().map(|&k| lay(&tables[k], units(&q, &tables[k], None, WORKERS)));
             let plans = whole.collect::<Vec<_>>().into_iter().chain(routed).collect();
             World { keys: keys.collect(), tables, requests, plans, capacity, bound }
         }

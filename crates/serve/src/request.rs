@@ -90,11 +90,12 @@ impl QueryRequest {
         self
     }
 
-    /// Pin the shard count (hash-routed) instead of the served rule's;
-    /// like a backend pin, it asks for the pruned arm unless the path is
-    /// pinned direct. The count is clamped to `1..=`[`MAX_SHARDS`]: each
-    /// shard costs routing scratch and a claimed job, so a larger count is
-    /// cut here, before anything is routed.
+    /// Pin the shard count instead of the served rule's: the layout is
+    /// routed as a returning key's is, by the one seeded hash, at this
+    /// count. Like a backend pin, it asks for the pruned arm unless the
+    /// path is pinned direct. The count is clamped to
+    /// `1..=`[`MAX_SHARDS`]: each shard costs routing scratch and a claimed
+    /// job, so a larger count is cut here, before anything is routed.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.clamp(1, MAX_SHARDS));
         self

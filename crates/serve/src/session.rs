@@ -14,10 +14,10 @@
 //!        │  one entry per   │   absent ─▶ first sight: the tables run whole on one
 //!        │  key: a sight,   │             shard — no copy; settle notes the key seen
 //!        │  then a settle   │   whole ──▶ second sight claims the key's route: its
-//!        │                  │             rows over the cores (planner::units:
-//!        │                  │             one unit per ROWS_PER_UNIT rows, at
-//!        │                  │             most two per worker); settle holds the
-//!        │                  │             layout while the claim stands
+//!        │                  │             rows hashed over the cores (planner::
+//!        │                  │             units: one unit per ROWS_PER_UNIT rows,
+//!        │                  │             at most two per worker); settle holds
+//!        │                  │             the layout while the claim stands
 //!        │                  │   routed ─▶ warm: a layout the session already held
 //!        └────────┬────────┘   (a pinned shard count is routed at first sight)
 //!                 ▼
@@ -41,7 +41,8 @@
 //! `ROWS_PER_UNIT` (a key under two units' rows holds the caller's tables,
 //! copying nothing), at most two per pool worker, and at least two for a
 //! JOIN whose string key the load rule left plain, so routing codes it.
-//! The units are cut at the quantiles of the key's routing keys.
+//! The units are routed as a pin of that count is, by the one seeded hash
+//! over the key's routing keys: a layout is its shard count.
 //!
 //! A switch program is an investment too — a spec, a kernel and a
 //! register matrix, every row encoded and judged — and the paper's claim
@@ -80,10 +81,7 @@
 use crate::error::{Error, Result};
 use crate::lifecycle::{admit, Action, Caches, Key, Visit};
 use crate::request::QueryRequest;
-use cheetah_core::ShardPartitioner;
-use cheetah_db::{
-    ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, ShardSpec, Table,
-};
+use cheetah_db::{ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, Table};
 use cheetah_runtime::{ExecPlan, WorkerPool};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
@@ -432,13 +430,13 @@ fn serve(
     // routed layout is held before it runs, so a racing sight runs it
     // rather than route it again. (A second sight cannot fail here: first
     // sight checked the request against these very tables.)
-    let lay = |layout| ExecPlan::new(&session.cluster, &req.query, &req.left, right, layout);
+    let lay = |shards| ExecPlan::new(&session.cluster, &req.query, &req.left, right, shards);
     let plan = match action {
         Action::Run(plan) => plan,
-        Action::Whole => Arc::new(lay(ShardSpec::new(1, ShardPartitioner::Hash))?),
-        Action::Route { claim, layout } => {
+        Action::Whole => Arc::new(lay(1)?),
+        Action::Route { claim, shards } => {
             let mut route_span = exec_span.child("route");
-            let plan = Arc::new(lay(layout)?);
+            let plan = Arc::new(lay(shards)?);
             route_span.attr("shards", plan.shards());
             route_span.finish();
             lock(&session.caches).settle(&key, claim.as_ref(), &plan, capacity);

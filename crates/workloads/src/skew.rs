@@ -112,16 +112,16 @@ impl SkewedTableConfig {
 }
 
 /// The routing-adversarial workload family: key distributions chosen to
-/// stress key-aligned routing and the quantile cuts of a range layout. All
+/// stress key-aligned hash routing and the merges it feeds. All
 /// four share the [`SkewedTableConfig`] schema (`key: Str, value: Int,
 /// weight: Int`) so any query of the contract suites runs over any of
 /// them.
 ///
-/// * [`Uniform`](PlannerAdversary::Uniform) — flat keys: range cuts
+/// * [`Uniform`](PlannerAdversary::Uniform) — flat keys: the hash
 ///   should balance;
 /// * [`Zipf`](PlannerAdversary::Zipf) — tunable head mass: `1.0` is the
-///   classic web skew, `1.5` concentrates hard enough that naive range
-///   routing serializes;
+///   classic web skew, `1.5` concentrates hard enough that a key's
+///   copies, which key-aligned routing keeps together, load one shard;
 /// * [`SingleHotKey`](PlannerAdversary::SingleHotKey) — one key holds
 ///   every row: key-aligned routing cannot spread it, so a keyed query's
 ///   rows all land on one shard whatever the count.
