@@ -638,9 +638,9 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         let resp = match (resp, &refusal) {
             (Err(Error::Exec(e)), Some(refused)) => {
                 assert_eq!(&e, refused, "{label}: refused as the request check refuses");
-                let root = session.traces().last().expect("a refusal exports its tree").root;
+                let tree = session.traces().last().expect("a refusal exports its tree");
                 let error = Error::Exec(e).to_string();
-                assert_eq!(root.attr("error"), Some(error.as_str()), "{label}: traced");
+                assert_eq!(tree.root.attr("error"), Some(error.as_str()), "{label}: traced");
                 continue;
             }
             (resp, _) => resp.unwrap_or_else(|e| panic!("{label}: {e}")),

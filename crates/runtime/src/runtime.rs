@@ -67,8 +67,8 @@ pub struct ExecRun {
 /// on the calling thread, with no pool job at all.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
-/// partitioner, path and backend — the path changes *how much* reaches
-/// the master, never *what* the query answers. A fault profile the
+/// path and backend — the path changes *how much* reaches the master,
+/// never *what* the query answers. A fault profile the
 /// carrier cannot finish under (every entry dropped, say) is a typed
 /// [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard job
 /// that panics is a typed

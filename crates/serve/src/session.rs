@@ -138,9 +138,8 @@ pub struct QueryResponse {
     pub plan_cached: bool,
     /// The query's lifecycle span tree
     /// (`admit → queue → plan → choose → execute{…} → respond`), when it
-    /// exported cleanly. The same tree is retained in
-    /// [`Session::traces`].
-    pub trace: Option<TraceTree>,
+    /// exported cleanly: one tree, shared with [`Session::traces`].
+    pub trace: Option<Arc<TraceTree>>,
 }
 
 /// Counters a session exposes for reporting and tests.
@@ -316,7 +315,8 @@ impl Session {
     }
 
     /// The ring buffer of the 64 most recently completed query traces.
-    /// Each entry is the full lifecycle span tree of one request.
+    /// Each entry is the full lifecycle span tree of one request: the
+    /// same tree its response carries, not a copy.
     pub fn traces(&self) -> &TraceSink {
         &self.telemetry.sink
     }
@@ -362,9 +362,9 @@ fn execute(
     session.telemetry.latency_seconds.observe(latency);
     let trace = root.trace().clone();
     root.finish();
-    let trace = trace.export().ok();
+    let trace = trace.export().ok().map(Arc::new);
     if let Some(tree) = &trace {
-        session.telemetry.sink.push(tree.clone());
+        session.telemetry.sink.push(Arc::clone(tree));
     }
     if let Ok(resp) = &mut result {
         resp.trace = trace;
@@ -559,6 +559,28 @@ mod tests {
         assert!(first.to_string().contains("negative c"), "{first}");
         assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
         assert!(session.caches.lock().unwrap().map.is_empty(), "no entry is held");
+    }
+
+    /// The response and the sink hold one tree, not two copies. The sink
+    /// keeps the newest [`TRACE_CAPACITY`] trees, counts every push, and
+    /// a failed request pushes its tree too.
+    #[test]
+    fn the_response_and_the_sink_share_one_tree_and_the_sink_is_bounded() {
+        let t = table(300, 2, 3);
+        let session = Session::with_defaults();
+        let traces = session.traces();
+        let pushes = TRACE_CAPACITY + 5;
+        for i in 0..pushes {
+            let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
+            let tree = session.run_blocking(req).unwrap().trace.expect("trace exports");
+            assert!(Arc::ptr_eq(&tree, &traces.last().expect("pushed")), "request {i}");
+        }
+        assert_eq!((traces.len(), traces.pushed()), (TRACE_CAPACITY, pushes as u64));
+        let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: -1 };
+        let error = session.run_blocking(QueryRequest::new(q, Arc::clone(&t))).unwrap_err();
+        assert_eq!((traces.len(), traces.pushed()), (TRACE_CAPACITY, pushes as u64 + 1));
+        let root = &traces.last().expect("a failed request pushes its tree").root;
+        assert_eq!(root.attr("error"), Some(error.to_string().as_str()));
     }
 
     /// The layout the session holds for `req`'s key, if any.

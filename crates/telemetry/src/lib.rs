@@ -23,13 +23,16 @@
 //!   ├─ choose          arm=pooled/compiled
 //!   ├─ execute         path=.. backend=..
 //!   │  ├─ route
-//!   │  ├─ worker       shard=0   (one per shard, pool threads;
-//!   │  ├─ worker       shard=1    in fault mode, retransmits=N switch_acks=M)
+//!   │  ├─ worker       shard=0 thread=caller  (one per shard, run on the
+//!   │  ├─ worker       shard=1 thread=0        caller or a pool helper;
+//!   │  │                                       in fault mode, retransmits=N
+//!   │  │                                       switch_acks=M)
 //!   │  └─ merge
 //!   └─ respond
 //!   ```
 //!
-//!   Finished traces land in a ring-buffer [`TraceSink`], export as
+//!   Each finished trace is one tree, shared (an `Arc`) by the
+//!   response and a ring-buffer [`TraceSink`]; trees export as
 //!   JSON-lines ([`export_jsonl`]), and pretty-print ([`render`]) via
 //!   the bench CLI's `--trace` flag.
 //!
@@ -98,6 +101,4 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HIST_MIN, HIST_SUB_BUCKETS,
 };
 pub use sink::{export_jsonl, render, TraceSink};
-pub use span::{
-    ContextGuard, Span, SpanContext, SpanNode, SpanRecord, Trace, TraceError, TraceTree,
-};
+pub use span::{ContextGuard, Span, SpanContext, SpanNode, Trace, TraceError, TraceTree};

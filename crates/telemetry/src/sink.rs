@@ -8,8 +8,9 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// A bounded, thread-safe ring buffer of the most recent finished
-/// traces. The session pushes one tree per completed query; when full,
-/// the oldest falls out — observability never grows without bound.
+/// traces. The session pushes one tree per completed query, the same
+/// `Arc` its response carries; when full, the oldest falls out —
+/// observability never grows without bound.
 #[derive(Clone, Debug)]
 pub struct TraceSink {
     inner: Arc<Mutex<SinkState>>,
@@ -18,7 +19,7 @@ pub struct TraceSink {
 #[derive(Debug)]
 struct SinkState {
     cap: usize,
-    ring: VecDeque<TraceTree>,
+    ring: VecDeque<Arc<TraceTree>>,
     pushed: u64,
 }
 
@@ -36,7 +37,7 @@ impl TraceSink {
     }
 
     /// Record one finished trace.
-    pub fn push(&self, tree: TraceTree) {
+    pub fn push(&self, tree: Arc<TraceTree>) {
         let mut st = self.inner.lock().unwrap();
         st.pushed += 1;
         if st.cap == 0 {
@@ -49,12 +50,12 @@ impl TraceSink {
     }
 
     /// The retained traces, oldest first.
-    pub fn recent(&self) -> Vec<TraceTree> {
+    pub fn recent(&self) -> Vec<Arc<TraceTree>> {
         self.inner.lock().unwrap().ring.iter().cloned().collect()
     }
 
     /// The most recent trace, if any.
-    pub fn last(&self) -> Option<TraceTree> {
+    pub fn last(&self) -> Option<Arc<TraceTree>> {
         self.inner.lock().unwrap().ring.back().cloned()
     }
 
@@ -184,7 +185,7 @@ mod tests {
     fn ring_buffer_evicts_oldest() {
         let sink = TraceSink::new(2);
         for _ in 0..3 {
-            sink.push(sample_tree());
+            sink.push(Arc::new(sample_tree()));
         }
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.pushed(), 3);

@@ -4,9 +4,9 @@
 //! A [`Trace`] is created per query; [`Span`]s open under it (or under
 //! a parent span), carry `key=value` attributes, and record themselves
 //! into the trace when they finish (explicitly or on drop). Crossing a
-//! thread boundary — the worker pool, the streamed merge plane — is a
-//! [`SpanContext`] clone captured into the job closure; the receiving
-//! thread opens children under it.
+//! thread boundary — the worker pool — is a [`SpanContext`] clone
+//! captured into the job closure; the receiving thread opens children
+//! under it.
 //!
 //! Finished traces freeze into a [`TraceTree`] whose child ordering is
 //! deterministic (sorted by name and attributes, not completion order),
@@ -16,40 +16,19 @@
 use crate::metrics::Registry;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-/// One finished span as recorded inside a [`Trace`].
-#[derive(Clone, Debug)]
-pub struct SpanRecord {
-    /// Trace-unique span id (allocation order, not export order).
-    pub id: u64,
-    /// Parent span id, `None` for the root.
-    pub parent: Option<u64>,
-    /// Span name (`"execute"`, `"worker"`, ...).
-    pub name: String,
-    /// Seconds since the trace epoch at which the span opened.
-    pub start_s: f64,
-    /// Seconds since the trace epoch at which the span closed.
-    pub end_s: f64,
-    /// `key=value` attributes, in insertion order.
-    pub attrs: Vec<(String, String)>,
-}
-
-#[derive(Debug, Default)]
-struct TraceState {
-    records: Vec<SpanRecord>,
-    next_id: u64,
-}
 
 #[derive(Debug)]
 struct TraceInner {
     epoch: Instant,
     registry: Registry,
-    state: Mutex<TraceState>,
-    /// Spans opened so far; completeness means every one of these has
-    /// landed in `records`.
+    /// The next span id, and so the number of spans opened: ids are
+    /// dense, `0..opened`, and a parent's id is below its children's.
     opened: AtomicU64,
+    /// Each finished span: its id, its parent's id and its node
+    /// (children empty), in finishing order.
+    finished: Mutex<Vec<(u64, Option<u64>, SpanNode)>>,
 }
 
 /// The lifecycle trace of one query. Clones share state; the trace
@@ -67,8 +46,8 @@ impl Trace {
             inner: Arc::new(TraceInner {
                 epoch: Instant::now(),
                 registry,
-                state: Mutex::new(TraceState::default()),
                 opened: AtomicU64::new(0),
+                finished: Mutex::default(),
             }),
         }
     }
@@ -84,21 +63,17 @@ impl Trace {
     }
 
     fn open(&self, name: &str, parent: Option<u64>) -> Span {
-        let id = {
-            let mut st = self.inner.state.lock().unwrap();
-            let id = st.next_id;
-            st.next_id += 1;
-            id
-        };
-        self.inner.opened.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now();
         Span {
             trace: self.clone(),
-            id,
+            id: self.inner.opened.fetch_add(1, Ordering::Relaxed),
             parent,
-            name: name.to_string(),
-            attrs: Vec::new(),
-            start: Instant::now(),
-            finished: false,
+            node: SpanNode {
+                name: name.to_string(),
+                start_s: self.seconds_since_epoch(start),
+                ..SpanNode::default()
+            },
+            start,
         }
     }
 
@@ -109,25 +84,59 @@ impl Trace {
 
     /// Number of spans that have finished recording.
     pub fn closed(&self) -> u64 {
-        self.inner.state.lock().unwrap().records.len() as u64
+        self.finished().len() as u64
     }
 
     /// Freeze into a deterministic [`TraceTree`].
     ///
-    /// Fails when spans are still open, when more than one root exists,
-    /// or when a parent id does not resolve — the conditions the
-    /// `telemetry_contract` gate calls an orphan or unclosed span.
+    /// Fails when spans are still open or when there is not exactly one
+    /// root. Once every span has closed every parent id resolves: a
+    /// parent opens before its children, in the same trace.
     pub fn export(&self) -> Result<TraceTree, TraceError> {
-        let st = self.inner.state.lock().unwrap();
-        let opened = self.inner.opened.load(Ordering::Relaxed);
-        if st.records.len() as u64 != opened {
-            return Err(TraceError::UnclosedSpans { opened, closed: st.records.len() as u64 });
+        let finished = self.finished();
+        // Read under the lock, so every finished span's id is below it: a
+        // span pushes under this lock after its `fetch_add`, and the
+        // lock's release and acquire order that add before this load.
+        let opened = self.opened();
+        if finished.len() as u64 != opened {
+            return Err(TraceError::UnclosedSpans { opened, closed: finished.len() as u64 });
         }
-        TraceTree::build(&st.records)
+        // Ids are dense, so each span has a slot; a parent's id is below
+        // its children's, so one pass from the last id down hands each
+        // node, its children already gathered, to its parent's slot.
+        let mut slots: Vec<Option<(Option<u64>, SpanNode)>> = vec![None; finished.len()];
+        for (id, parent, node) in finished.iter() {
+            slots[*id as usize] = Some((*parent, node.clone()));
+        }
+        drop(finished);
+        let mut roots = Vec::new();
+        for id in (0..slots.len()).rev() {
+            let (parent, mut node) = slots[id].take().expect("every opened id has closed");
+            // Gathered newest first; the sort falls back to opening order.
+            node.children.reverse();
+            node.children.sort_by(|a, b| {
+                (&a.name, &a.attrs).cmp(&(&b.name, &b.attrs)).then(a.start_s.total_cmp(&b.start_s))
+            });
+            match parent {
+                None => roots.push(node),
+                Some(p) => {
+                    let (_, up) =
+                        slots[p as usize].as_mut().expect("a parent's id is below its child's");
+                    up.children.push(node);
+                }
+            }
+        }
+        match <[SpanNode; 1]>::try_from(roots) {
+            Ok([root]) => Ok(TraceTree { root }),
+            Err(roots) => Err(TraceError::BadRootCount(roots.len())),
+        }
     }
 
-    fn record(&self, rec: SpanRecord) {
-        self.inner.state.lock().unwrap().records.push(rec);
+    /// The finished spans. A lock a panicking thread poisoned is taken
+    /// back as it stands: each push leaves the list whole, and a span's
+    /// drop must not panic.
+    fn finished(&self) -> MutexGuard<'_, Vec<(u64, Option<u64>, SpanNode)>> {
+        self.inner.finished.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn seconds_since_epoch(&self, t: Instant) -> f64 {
@@ -145,11 +154,6 @@ pub enum TraceError {
         /// Spans that finished recording.
         closed: u64,
     },
-    /// A span's parent id is not in the trace.
-    OrphanSpan {
-        /// The orphaned span's name.
-        name: String,
-    },
     /// Zero or multiple roots.
     BadRootCount(
         /// Number of parentless spans found.
@@ -162,9 +166,6 @@ impl std::fmt::Display for TraceError {
         match self {
             TraceError::UnclosedSpans { opened, closed } => {
                 write!(f, "{} spans opened but only {} closed", opened, closed)
-            }
-            TraceError::OrphanSpan { name } => {
-                write!(f, "span {name:?} references a parent not in the trace")
             }
             TraceError::BadRootCount(n) => write!(f, "expected exactly one root span, found {n}"),
         }
@@ -180,16 +181,15 @@ pub struct Span {
     trace: Trace,
     id: u64,
     parent: Option<u64>,
-    name: String,
-    attrs: Vec<(String, String)>,
+    /// What this span records when it finishes (children empty).
+    node: SpanNode,
     start: Instant,
-    finished: bool,
 }
 
 impl Span {
     /// Attach a `key=value` attribute.
     pub fn attr(&mut self, key: &str, value: impl ToString) {
-        self.attrs.push((key.to_string(), value.to_string()));
+        self.node.attrs.push((key.to_string(), value.to_string()));
     }
 
     /// Open a child span under this one.
@@ -224,30 +224,16 @@ impl Span {
     }
 
     /// Close the span now (otherwise drop does it).
-    pub fn finish(mut self) {
-        self.finish_inner();
-    }
-
-    fn finish_inner(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let rec = SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: std::mem::take(&mut self.name),
-            start_s: self.trace.seconds_since_epoch(self.start),
-            end_s: self.trace.seconds_since_epoch(Instant::now()),
-            attrs: std::mem::take(&mut self.attrs),
-        };
-        self.trace.record(rec);
+    pub fn finish(self) {
+        drop(self);
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.finish_inner();
+        let mut node = std::mem::take(&mut self.node);
+        node.end_s = self.trace.seconds_since_epoch(Instant::now());
+        self.trace.finished().push((self.id, self.parent, node));
     }
 }
 
@@ -296,7 +282,7 @@ impl Drop for ContextGuard {
 }
 
 /// One node of a frozen [`TraceTree`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanNode {
     /// Span name.
     pub name: String,
@@ -339,90 +325,17 @@ impl SpanNode {
             c.find_all(name, out);
         }
     }
-
-    fn sort_key(&self) -> (&str, &Vec<(String, String)>) {
-        (&self.name, &self.attrs)
-    }
 }
 
 /// A finished, validated, deterministically ordered span tree for one
-/// query.
-#[derive(Clone, Debug)]
+/// query. Not `Clone`: holders share one tree through an `Arc`.
+#[derive(Debug)]
 pub struct TraceTree {
     /// The root span (the query's whole lifecycle).
     pub root: SpanNode,
 }
 
 impl TraceTree {
-    fn build(records: &[SpanRecord]) -> Result<TraceTree, TraceError> {
-        let mut roots: Vec<SpanNode> = Vec::new();
-        // Assemble bottom-up: repeatedly fold leaves into their parents.
-        // Small trees (tens of spans) make the O(n²) walk irrelevant.
-        let mut nodes: Vec<(Option<u64>, u64, SpanNode)> = records
-            .iter()
-            .map(|r| {
-                (
-                    r.parent,
-                    r.id,
-                    SpanNode {
-                        name: r.name.clone(),
-                        attrs: r.attrs.clone(),
-                        start_s: r.start_s,
-                        end_s: r.end_s,
-                        children: Vec::new(),
-                    },
-                )
-            })
-            .collect();
-        let ids: std::collections::BTreeSet<u64> = nodes.iter().map(|(_, id, _)| *id).collect();
-        for (parent, _, node) in &nodes {
-            if let Some(p) = parent {
-                if !ids.contains(p) {
-                    return Err(TraceError::OrphanSpan { name: node.name.clone() });
-                }
-            }
-        }
-        while !nodes.is_empty() {
-            let child_counts: std::collections::BTreeMap<u64, usize> =
-                nodes.iter().fold(Default::default(), |mut m, (p, _, _)| {
-                    if let Some(p) = p {
-                        *m.entry(*p).or_default() += 1;
-                    }
-                    m
-                });
-            let (leaves, rest): (Vec<_>, Vec<_>) =
-                nodes.into_iter().partition(|(_, id, _)| !child_counts.contains_key(id));
-            nodes = rest;
-            for (parent, _, mut node) in leaves {
-                node.children.sort_by(|a, b| {
-                    a.sort_key().cmp(&b.sort_key()).then(
-                        a.start_s.partial_cmp(&b.start_s).unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                });
-                match parent {
-                    None => roots.push(node),
-                    Some(p) => {
-                        let slot = nodes
-                            .iter_mut()
-                            .find(|(_, id, _)| *id == p)
-                            .expect("parent ids were validated above");
-                        slot.2.children.push(node);
-                    }
-                }
-            }
-        }
-        if roots.len() != 1 {
-            return Err(TraceError::BadRootCount(roots.len()));
-        }
-        let mut root = roots.pop().expect("length checked");
-        root.children.sort_by(|a, b| {
-            a.sort_key()
-                .cmp(&b.sort_key())
-                .then(a.start_s.partial_cmp(&b.start_s).unwrap_or(std::cmp::Ordering::Equal))
-        });
-        Ok(TraceTree { root })
-    }
-
     /// Total number of spans in the tree.
     pub fn span_count(&self) -> usize {
         fn count(n: &SpanNode) -> usize {

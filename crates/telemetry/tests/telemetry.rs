@@ -1,7 +1,8 @@
 //! Crate-level contracts: histogram merge commutativity under arbitrary
-//! cross-thread interleavings, and span-tree export determinism.
+//! cross-thread interleavings, span-tree export determinism, and export
+//! against a tree built directly from the spans' shape.
 
-use cheetah_telemetry::{export_jsonl, Registry, Trace};
+use cheetah_telemetry::{export_jsonl, Registry, Span, SpanNode, Trace, TraceTree};
 use proptest::prelude::*;
 
 proptest! {
@@ -58,6 +59,56 @@ proptest! {
         prop_assert_eq!(h.count(), xs.len() as u64);
         let exact: f64 = xs.iter().sum();
         prop_assert!((h.sum() - exact).abs() <= 1e-9 * (1.0 + exact.abs()));
+    }
+
+    // A trace of any shape exports the tree its shape describes, whatever
+    // order its spans finish in. Span `i`'s parent is a span opened before
+    // it (span 0 is the root); names and attributes repeat, so siblings
+    // tie on both and fall back to opening order.
+    #[test]
+    fn export_builds_the_drawn_tree(
+        spans in prop::collection::vec((any::<u64>(), 0usize..3, 0usize..3, any::<u64>()), 1..41),
+    ) {
+        // (parent, name, shard attribute) of each span, in opening order.
+        let names = ["plan", "worker", "merge"];
+        let shape: Vec<(Option<usize>, &str, usize)> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, n, a, _))| ((i > 0).then(|| p as usize % i), names[n], a))
+            .collect();
+        let trace = Trace::new(Registry::new());
+        let mut open: Vec<Option<Span>> = Vec::new();
+        for &(parent, name, shard) in &shape {
+            let mut span = match parent {
+                None => trace.span(name),
+                Some(p) => open[p].as_ref().expect("still open").child(name),
+            };
+            span.attr("shard", shard);
+            open.push(Some(span));
+        }
+        let mut finish_order: Vec<usize> = (0..spans.len()).collect();
+        finish_order.sort_by_key(|&i| (spans[i].3, i));
+        for i in finish_order {
+            open[i].take().expect("finished once").finish();
+        }
+        let tree = trace.export().expect("every span closed under one root");
+        prop_assert_eq!(trace.opened(), spans.len() as u64);
+        prop_assert_eq!(tree.span_count() as u64, trace.opened());
+
+        fn node(i: usize, shape: &[(Option<usize>, &str, usize)]) -> SpanNode {
+            let attrs = |j: usize| vec![("shard".to_string(), shape[j].2.to_string())];
+            let mut kids: Vec<usize> =
+                (0..shape.len()).filter(|&j| shape[j].0 == Some(i)).collect();
+            kids.sort_by_key(|&j| (shape[j].1, attrs(j), j));
+            SpanNode {
+                name: shape[i].1.to_string(),
+                attrs: attrs(i),
+                children: kids.into_iter().map(|j| node(j, shape)).collect(),
+                ..SpanNode::default()
+            }
+        }
+        let want = TraceTree { root: node(0, &shape) };
+        prop_assert_eq!(export_jsonl(&tree, true), export_jsonl(&want, true));
     }
 }
 
