@@ -91,12 +91,17 @@ net-deps:
 # sight), and one span representation, one tree per request (a finished
 # span is its SpanNode beside its ids: no record type beside it and no
 # orphan error nothing can raise; the response and the trace sink share
-# one exported tree).
+# one exported tree), and pins never enter the session's map: a pinned
+# shard count is a layout of its own, routed per request and never held,
+# so one enum says what a sight found (no visit enum beside an action
+# enum, no pinned warm visit) and a key holds its tables (no plan check
+# of the tables it was routed from), and no public API only its own
+# tests call (no histogram merge, no row fetch by entry id).
 # Fail if a deleted twin, shim, run type, harness flag, baseline file,
 # do-nothing vendored stub, multi-pass kernel, bandit, entry type,
 # supervisor, gate, cache or option is named anywhere again.
 no-shims:
-	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)|run_on_caller|spawn_worker_plane|await_reports|STATS_TOLERANCE|Routing \{ like|StatsFingerprint::within|fn like\(|ShardLayout|shard_plan\(|PlanReport|ShardCostPoint|KeySampler|KeyStats|Reservoir|max_load_fraction|STRIDE_READS_PER_SLOT|KeyCursor|fn key_at|PER_SHARD_OVERHEAD_SECONDS|CWORKER_ROWS_PER_SECOND|sample_size|Layout::Fitted|cheetah_serve::(units|ROWS_PER_UNIT)|fitted_range|fit_boundaries|Routing::Cuts|ShardPartitioner::Range|UnsortedShardBoundaries|served:range|SpanRecord|OrphanSpan" \
+	@! grep -rnE "run_cheetah_(sharded|routed|planned|pooled|pooled_routed|presplit|streamed|streamed_resident)|plan_stream|PooledExecution|StreamedExecution|finish_sharded|ShardedRun|StreamedRun|from_units|smoke-(json|baseline|seed|[a-z]+-tolerance|compiled-speedup)|crossover-(json|baseline|tolerance)|(SMOKE|CROSSOVER)_[A-Z_]*(OUT|BASELINE|TOLERANCE|SPEEDUP)|SmokeReport|SmokeFamily|CrossoverReport|bench_baseline|crossover_baseline|BENCH_(smoke|crossover)|criterion(::|_group|_main| *=)|vendor/(criterion|serde)|use serde|serde *=|derive\([^)]*(Serialize|Deserialize)|TransferConfig|FabricConfig|stream_lossy|fn encode\(&self, src|serialize_streams|run_fused_single|max_worker_entries_of|JoinKernel|HavingKernel|KernelFilter|pick_arm|PathChooser::(new|with_registry)|ArmState|experiments::chooser|Encoded::new|<Encoded>|PacketEntry|stream_part|fn route_key|fn encode_key|RuntimeSupervisor|ReplanEvent|supervisor_sample|imbalance_factor|plan_from_keys|StreamSpec::planned|\.calibrate\(|Calibration|replan_events|runtime[-_]gate|runtime_contract|PlanCache|CachedPlan|plan_cache::|fn shape_key|Sight::(Whole|Routed)|stats_tolerance|quantum_rows|trace_capacity|channel_depth|survivor_hint|suggested_depth|overlap_seconds|merge_events|with_concurrency|concurrent_latency|batch_wire_bytes|experiments::runtime|StreamSpec|PlanDecision|master_ingest_seconds|breakdown\.plan|serve\.tenant\.|WorkerScratch|suggested_batch|ingest_slices|scratch\.frames|ingest_batch|TOPN_SLACK|reprune_top|duplicate_batches|Acc::GroupMax|max_shards|ctx\.planner\(\)|cores\.max\(8\)|Mutex<mpsc::Sender|DistinctSketch|distinct_estimate|top_key_mass|planning_latency|longest_equal_run|DEFAULT_SKETCH_K|RANGE_LOAD_FACTOR|hash_sample_load|range_sample_load|trivial_plan|all_keys_equal|range_over|PartitionerChoice|experiments::(planner|crossover|serving)|ServingWorkload|TenantSpec|ArrivalMode|fairness_ratio|skewed_tables|goes_direct|rule\.(rows|survivors|complete_us|busy_us|direct|pruned_us)|Stage::Direct|key_direct|serve\.direct\.keys|\bwork_seconds|\bbusy_seconds|Session::submit|\.submit\(|Ticket|SessionClosed|SchedState|pop_next|driver_loop|QUANTUM_ROWS|cost_rows|serve\.queue_depth|drivers:|SecondPassFilter|\.sample_repeats\(|has_external_atoms|make (first-sight|route)\b|examples/(first_sight|routing)|--example (first_sight|routing)|for_path|run\.plan\b|(\.|fn )(lookup_exact|rule_count)\b|StreamedResident|has_kernel|TopNRandKernel|Kernel::TopNRand|baseline_compression|spark_row_overhead_ns|FabricSim|bdp_window|frame_items|FaultSpec|merge_routing_agnostic|fault: Option<usize>|trait Payload|rack::Payload|AluOp|switch::alu|Layout::(Held|Under)|run_on_caller|spawn_worker_plane|await_reports|STATS_TOLERANCE|Routing \{ like|StatsFingerprint::within|fn like\(|ShardLayout|shard_plan\(|PlanReport|ShardCostPoint|KeySampler|KeyStats|Reservoir|max_load_fraction|STRIDE_READS_PER_SLOT|KeyCursor|fn key_at|PER_SHARD_OVERHEAD_SECONDS|CWORKER_ROWS_PER_SECOND|sample_size|Layout::Fitted|cheetah_serve::(units|ROWS_PER_UNIT)|fitted_range|fit_boundaries|Routing::Cuts|ShardPartitioner::Range|UnsortedShardBoundaries|served:range|SpanRecord|OrphanSpan|\bVisit::|\bAction::|Warm \{ pinned|fn is_over|merge_from|fn fetch\(" \
 		crates src tests examples vendor Cargo.toml README.md .github .gitignore .claude
 
 # The benchmark package is not a workspace member, so nothing above
@@ -181,10 +186,11 @@ compiled-gate:
 # family runs direct — over tables past two units' rows, on a layout of
 # several units — no switch run and nothing decided, and a pin at the
 # held layout's unit count routing every row to the shard the held
-# layout did: one routing function; a path, backend or
-# shard pin runs pruned on the held layout,
-# for that request alone, and the next unpinned sight runs direct on it
-# with no re-route; a pin at first sight runs what it names), and
+# layout did: one routing function; a path or backend pin runs pruned
+# on the held layout, for that request alone, a shard pin on a layout of
+# its own, routed per request and never held, and the next unpinned
+# sight runs direct on the held layout with no re-route; a pin at first
+# sight runs what it names), and
 # containment: a column the table cannot answer for is a typed BadColumn,
 # a query with nothing to evaluate a typed BadArity on the pruned pin, the
 # direct pin and unpinned alike, a panicking shard job a typed
@@ -197,9 +203,10 @@ compiled-gate:
 # intact. Then the lifecycle checker (crates/serve/src/lifecycle.rs):
 # every interleaving of racing requests over the session's own sight and
 # settle — 2 keys x 3 sights, a one-entry map, an in-flight bound of 2,
-# and two neighbouring configurations — exhausted (56 773, 56 073 and
-# 77 869 distinct states, asserted un-truncated), plus the stale-claim
-# schedules by name.
+# two neighbouring configurations, and one where a refused request
+# retries once and a pinned request's steps leave the map and its order
+# as they were — exhausted (56 773, 56 073, 77 869 and 110 716 distinct
+# states, asserted un-truncated), plus the stale-claim schedules by name.
 serving-gate:
 	cargo test -q -p cheetah-db --test serving_contract
 	cargo test -q -p cheetah-serve lifecycle
@@ -230,7 +237,7 @@ fabric-gate:
 # totals reconcile with SessionStats and the returned ExecBreakdowns and
 # its names do not grow with the tenants callers send, the layout policy reads off the trees (first sight: no route span, one
 # worker; second sight: route + one worker per unit of its rows over the
-# cores; third: no route; a pinned shard count routes at first
+# cores; third: no route; a pinned shard count routes at every
 # sight), so does the arm policy (every unpinned sight runs direct and no
 # trace holds a rule span; execute and its worker spans name the path
 # that answered), and a traced run in fault mode

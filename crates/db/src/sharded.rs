@@ -122,7 +122,8 @@ pub struct RouteStream<'a> {
 /// cell. Routing reads each column as loaded ([`Partition::column`]):
 /// strings plain, whatever codes the load rule kept beside them
 /// ([`Partition::coded`]), so a shard's dictionary is sized to the strings
-/// the shard holds.
+/// the shard holds; a column loaded as codes ([`Table::from_partition`]
+/// of a [`Column::Dict`]) is read through its dictionary.
 ///
 /// A stream's [`rows`](RouteStream::rows) serve a caller that replays a
 /// head of a table (the plan constructor routes every row) — one routing
@@ -176,19 +177,20 @@ pub fn route_columns(streams: &[RouteStream<'_>], sharder: &Sharder) -> Vec<Vec<
                             (Column::Int(dst), Column::Int(src)) => {
                                 dst.extend(list.iter().map(|&r| src[r as usize]));
                             }
-                            (Column::Str(dst), Column::Str(src)) => {
-                                dst.extend(list.iter().map(|&r| src[r as usize].clone()));
+                            // A string source holds plain cells or, in a
+                            // table built from a coded partition, codes into
+                            // a dictionary: either reads as its strings.
+                            (Column::Str(dst), src) => {
+                                dst.extend(list.iter().map(|&r| cell(src, r).to_owned()));
                             }
-                            (Column::Dict { codes, .. }, Column::Str(src)) => {
+                            (Column::Dict { codes, .. }, src) => {
                                 let coder = &mut coders[s];
                                 coder.by_key.reserve(list.len());
                                 codes.extend(
                                     list.iter()
-                                        .map(|&r| coder.code(keys[r as usize], &src[r as usize])),
+                                        .map(|&r| coder.code(keys[r as usize], cell(src, r))),
                                 );
                             }
-                            // Routing reads a loaded table's cells as loaded,
-                            // strings plain: a unit is never routed again.
                             _ => unreachable!("partition column type drifted from the schema"),
                         }
                     }
@@ -221,6 +223,11 @@ pub fn route_columns(streams: &[RouteStream<'_>], sharder: &Sharder) -> Vec<Vec<
                 .collect()
         })
         .collect()
+}
+
+/// String cell `r` of a routed column, plain or coded.
+fn cell(col: &Column, r: u32) -> &str {
+    col.str_at(r as usize).expect("partition column type drifted from the schema")
 }
 
 /// One shard's dictionary under construction: its distinct strings, and
@@ -314,6 +321,29 @@ mod tests {
     ) -> Vec<Table> {
         let stream = RouteStream { table: t, cols, keyed, keys, rows: 0..t.rows() };
         route_columns(&[stream], sharder).remove(0)
+    }
+
+    /// A table built from a coded partition holds its strings as codes:
+    /// routing reads them through its dictionary, keyed or carried, into
+    /// the units a plain copy of the same rows routes to.
+    #[test]
+    fn a_coded_source_routes_as_its_plain_cells() {
+        let plain = test_table(600, 1);
+        let p = &plain.partitions()[0];
+        let dict: Vec<String> = (0..50).map(|i| format!("agent-{i}")).collect();
+        let code = |r| dict.iter().position(|a| p.column(0).str_at(r) == Some(a)).unwrap();
+        let codes = (0..plain.rows()).map(|r| code(r) as u32).collect();
+        let cols = vec![Column::Dict { codes, dict: dict.into() }, p.column(1).clone()];
+        let fields = plain.fields()[..2].to_vec();
+        let coded = Table::from_partition("t", fields, Partition::new(cols));
+        let q = DbQuery::Distinct { col: 0 };
+        let keys = crate::planner::routing_keys(&q, 0, &plain, 7);
+        assert_eq!(crate::planner::routing_keys(&q, 0, &coded, 7), keys);
+        let sharder = Sharder::hash(3, 7);
+        for keyed in [None, Some(0)] {
+            let routed = route_one(&coded, &[0, 1], keyed, &keys, &sharder);
+            assert_eq!(routed, route_one(&plain, &[0, 1], keyed, &keys, &sharder), "{keyed:?}");
+        }
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl Table {
         self.partitions.iter().map(Partition::rows).sum()
     }
 
-    /// Fetch one row by (partition, row) entry id.
-    pub fn fetch(&self, partition: usize, row: usize) -> Vec<Value> {
-        self.partitions[partition].row(row)
-    }
-
     /// Build a table from one ready-made partition. The routing fast path
     /// assembles shard slices column-wise and hands them over whole, so it
     /// never pays the row builder's per-cell [`Value`] boxing.
@@ -481,7 +476,7 @@ mod tests {
     fn column_lookup_and_fetch() {
         let t = sample();
         assert_eq!(t.fields()[1].0, "price");
-        assert_eq!(t.fetch(1, 0), vec![Value::Str("Fries".into()), Value::Int(2)]);
+        assert_eq!(t.partitions()[1].row(0), vec![Value::Str("Fries".into()), Value::Int(2)]);
     }
 
     #[test]
@@ -495,13 +490,13 @@ mod tests {
             let mut all: Vec<Vec<Value>> = Vec::new();
             for (pi, p) in r.partitions().iter().enumerate() {
                 for ri in 0..p.rows() {
-                    all.push(r.fetch(pi, ri));
+                    all.push(r.partitions()[pi].row(ri));
                 }
             }
             all.sort();
             let mut want: Vec<Vec<Value>> = (0..2)
                 .flat_map(|pi| (0..t.partitions()[pi].rows()).map(move |ri| (pi, ri)))
-                .map(|(pi, ri)| t.fetch(pi, ri))
+                .map(|(pi, ri)| t.partitions()[pi].row(ri))
                 .collect();
             want.sort();
             assert_eq!(all, want);
@@ -606,8 +601,8 @@ mod tests {
         b.push_row([Value::Str("a".into()), Value::Int(1)]);
         b.push_row(vec![Value::Str("b".into()), Value::Int(2)]);
         let t = b.build();
-        assert_eq!(t.fetch(0, 0), vec![Value::Str("a".into()), Value::Int(1)]);
-        assert_eq!(t.fetch(0, 1), vec![Value::Str("b".into()), Value::Int(2)]);
+        assert_eq!(t.partitions()[0].row(0), vec![Value::Str("a".into()), Value::Int(1)]);
+        assert_eq!(t.partitions()[0].row(1), vec![Value::Str("b".into()), Value::Int(2)]);
     }
 
     #[test]

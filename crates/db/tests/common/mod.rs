@@ -225,9 +225,9 @@ pub const ARMS: [ChooserArm; 3] = [
     ChooserArm { path: ExecPath::Direct, backend: ExecBackend::Interpreted },
 ];
 
-/// How a serving case is sent to a fresh session.
+/// The sights a serving case sends a fresh session.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Visit {
+pub enum Visits {
     /// Unpinned, once: the tables whole, direct.
     First,
     /// Unpinned, twice: the second sight routes its rows over the cores
@@ -235,7 +235,8 @@ pub enum Visit {
     Routing,
     /// Unpinned, three times: the third runs the held layout direct, warm.
     Warm,
-    /// Pinned to the case's arm and shard count, twice.
+    /// Pinned to the case's arm and shard count, twice: each routes a
+    /// layout of its own.
     Pinned,
 }
 
@@ -246,12 +247,12 @@ pub enum Gate {
     Exec,
     /// The same in fault mode, at [`FaultProfile::harsh`].
     Fault,
-    /// A session [`Visit`].
+    /// A session's [`Visits`].
     Serve,
 }
 
 /// The unpinned visits the serving gate's grid walks for every family.
-const UNPINNED: [Visit; 3] = [Visit::First, Visit::Routing, Visit::Warm];
+const UNPINNED: [Visits; 3] = [Visits::First, Visits::Routing, Visits::Warm];
 
 impl Gate {
     /// Its grid's points: per family, every layout × arm, and for the
@@ -290,7 +291,7 @@ pub struct Case {
     /// Whether the run is in fault mode, seeded by [`Case::seed`].
     pub fault: bool,
     /// How a serving case visits a session; `None`, routed and executed.
-    pub visit: Option<Visit>,
+    pub visits: Option<Visits>,
 }
 
 impl Case {
@@ -332,8 +333,8 @@ impl Case {
             arm: next(3) as usize,
             join_mode: [JoinMode::TwoPass, JoinMode::SmallTableFirst][next(2) as usize],
             fault: gate == Gate::Fault,
-            visit: (gate == Gate::Serve).then(|| match next(4) {
-                3 => Visit::Pinned,
+            visits: (gate == Gate::Serve).then(|| match next(4) {
+                3 => Visits::Pinned,
                 v => UNPINNED[v as usize],
             }),
         }
@@ -347,11 +348,11 @@ impl Case {
         let (family, j) = (i as usize / per_family, i as usize % per_family);
         let unpinned = per_family - (GRID_LAYOUTS.len() + 1) * ARMS.len();
         if j < unpinned {
-            return Case { family, visit: Some(UNPINNED[j]), ..Case::draw(seed, gate) };
+            return Case { family, visits: Some(UNPINNED[j]), ..Case::draw(seed, gate) };
         }
         let (layout, arm) = ((j - unpinned) / ARMS.len(), (j - unpinned) % ARMS.len());
         let base = Case::draw_at(seed, gate, Some(layout));
-        Case { family, arm, visit: base.visit.map(|_| Visit::Pinned), ..base }
+        Case { family, arm, visits: base.visits.map(|_| Visits::Pinned), ..base }
     }
 
     /// Simpler cases to try in place of a failing one: rows, keys,
@@ -493,9 +494,9 @@ pub fn check(case: &Case) -> Ran {
     let right_of = q.is_binary().then_some(&right);
     let refusal = q.check(&left, right_of.map(|r| &**r)).err();
     let mut ran = Ran { q, cluster, left, right, want, exec: None };
-    match case.visit {
+    match case.visits {
         None => ran.exec = check_plan(case, &ran, refusal),
-        Some(visit) => check_session(case, visit, &ran, refusal),
+        Some(visits) => check_session(case, visits, &ran, refusal),
     }
     ran
 }
@@ -605,7 +606,7 @@ fn keyed(q: &DbQuery) -> bool {
     matches!(q, DbQuery::Distinct { .. } | DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. })
 }
 
-fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_core::Error>) {
+fn check_session(case: &Case, visits: Visits, ran: &Ran, refusal: Option<cheetah_core::Error>) {
     let Ran { q, cluster, left, right, want, .. } = ran;
     let session = Session::new(cluster.clone(), SessionConfig::default());
     let arm = ARMS[case.arm];
@@ -618,15 +619,15 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         if q.is_binary() || sight % 2 == 1 {
             req = req.with_right(Arc::clone(right));
         }
-        match (visit, arm.path) {
-            (Visit::Pinned, ExecPath::Direct) => req.path(arm.path).shards(shards),
-            (Visit::Pinned, _) => req.path(arm.path).shards(shards).backend(arm.backend),
+        match (visits, arm.path) {
+            (Visits::Pinned, ExecPath::Direct) => req.path(arm.path).shards(shards),
+            (Visits::Pinned, _) => req.path(arm.path).shards(shards).backend(arm.backend),
             _ => req,
         }
     };
-    let sights: u64 = match visit {
-        Visit::First => 1,
-        Visit::Routing | Visit::Pinned => 2,
+    let sights: u64 = match visits {
+        Visits::First => 1,
+        Visits::Routing | Visits::Pinned => 2,
         _ => 3,
     };
     // A returning unpinned key holds its rows over the cores.
@@ -648,24 +649,25 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
         assert_eq!(&resp.output, want, "{label}: diverged from baseline");
         let tree = resp.trace.as_ref().expect("trace exports");
         // The arm is the request's: a pin's, else direct at every sight,
-        // with no switch run and nothing decided.
+        // with no switch run and nothing decided. A pin's layout is its
+        // own, routed at every sight; an unpinned key routes at its second.
         let route = tree.root.find("route").is_some();
-        let (want_arm, want_route) = match visit {
-            Visit::Pinned => (engine(ran, arm).label(), sight == 1),
+        let (want_arm, want_route) = match visits {
+            Visits::Pinned => (engine(ran, arm).label(), true),
             _ => ("direct".to_string(), sight == 2),
         };
         assert_eq!(resp.arm.label(), want_arm, "{label}: the arm");
         assert_eq!(route, want_route, "{label}: routed");
         assert!(tree.root.find("rule").is_none(), "{label}: nothing decides");
-        let cache = match (visit, sight) {
-            (Visit::Pinned, _) => "pinned",
+        let cache = match (visits, sight) {
+            (Visits::Pinned, _) => "pinned",
             (_, 1) => "first-sight",
             (_, 2) => "miss",
             _ => "hit",
         };
         let plan = tree.root.find("plan").and_then(|p| p.attr("cache"));
         assert_eq!((plan, resp.plan_cached), (Some(cache), cache == "hit"), "{label}");
-        if visit != Visit::Pinned {
+        if visits != Visits::Pinned {
             let stats = resp.switch_stats;
             assert_eq!((stats.seen, stats.pruned), (stats.forwarded, 0), "{label}: no switch");
             let held = if sight == 1 { 1 } else { served };
@@ -685,7 +687,7 @@ fn check_session(case: &Case, visit: Visit, ran: &Ran, refusal: Option<cheetah_c
     assert_eq!(snap.gauges["serve.executing"], 0);
     assert!(!snap.counters.contains_key("net.retransmits"), "a lossless session resends nothing");
     if refusal.is_none() {
-        let unpinned = visit != Visit::Pinned;
+        let unpinned = visits != Visits::Pinned;
         let fits = (unpinned && sights >= 2, unpinned && sights >= 3);
         assert_eq!((stats.plan_misses, stats.plan_hits), (fits.0 as u64, fits.1 as u64));
         assert_eq!(

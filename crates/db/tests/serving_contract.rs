@@ -16,8 +16,9 @@
 //! and a held layout is never routed twice) and the right table a unary
 //! query ignores, and the arm, which is the request's own (every unpinned
 //! sight of every family runs direct, on whatever layout its key holds —
-//! for every family, a layout of several units; a path, backend or shard
-//! pin runs pruned on it, for that request alone). Under property 2
+//! for every family, a layout of several units; a path or backend pin
+//! runs pruned on it, for that request alone, and a shard pin on a layout
+//! of its own, routed per request and never held). Under property 2
 //! sits containment: a request its tables cannot answer or that gives the
 //! switch nothing to evaluate is refused before any arm runs, identically
 //! on each; a shard job that panics anyway fails alone and typed — no
@@ -274,9 +275,9 @@ fn every_unpinned_sight_of_every_family_runs_direct() {
 /// runs pruned on that held layout — the same shard count, no re-route,
 /// the switch seeing every row — and the next unpinned sight runs direct
 /// on the same layout again (its rows over the cores: several units). A
-/// shard pin is a layout of its own, routed at its first sight and run
-/// pruned from then on; a direct path pin beside it runs that layout
-/// direct. Over a FILTER every row passes (a kernel, and
+/// shard pin is a layout of its own, routed per request and never held,
+/// run pruned, or direct beside a direct path pin; the key's held layout
+/// stays as it was. Over a FILTER every row passes (a kernel, and
 /// nothing pruned), a self-join (no kernel: the interpreter) and a
 /// DISTINCT the switch prunes well, every sight answers like the baseline.
 #[test]
@@ -321,11 +322,13 @@ fn a_pin_runs_pruned_on_the_held_layout_and_the_next_unpinned_sight_runs_it_dire
         for sight in 1..=2 {
             let resp = ask(by_shards());
             assert_eq!(resp.arm.label(), engine("pooled/compiled"), "{kind}: shard pin {sight}");
-            assert_eq!((resp.breakdown.shards, routed(&resp)), (3, sight == 1), "{kind}");
+            assert_eq!((resp.breakdown.shards, routed(&resp)), (3, true), "{kind}: its own");
         }
         let direct = ask(by_shards().path(ExecPath::Direct));
         assert_eq!(direct.arm.label(), "direct", "{kind}");
-        assert_eq!((direct.breakdown.shards, routed(&direct)), (3, false), "{kind}: held");
+        assert_eq!((direct.breakdown.shards, routed(&direct)), (3, true), "{kind}: its own");
+        let next = ask(unpinned());
+        assert_eq!((next.breakdown.shards, routed(&next)), (shards, false), "{kind}: held");
         assert_eq!(session.stats().plan_misses, 1, "{kind}: one routing sight");
     }
 }

@@ -17,8 +17,8 @@
 //! 3. **The layout policy, off the trees** — a layout is built for a key
 //!    that comes back: first sight has no `route` span and one `worker`,
 //!    second sight a `route` span and one `worker` per unit of its rows
-//!    over the cores, the third no `route`; a pinned shard count routes at
-//!    first sight.
+//!    over the cores, the third no `route`; a pinned shard count routes a
+//!    layout of its own at every sight, and holds none.
 //!    And the arm policy beside it: every unpinned sight runs `direct`
 //!    and no trace holds a `rule` span; `execute` and every `worker` span
 //!    under it name the path that answered, and the registry counts the
@@ -163,7 +163,7 @@ fn a_thousand_tenants_leave_the_registry_as_one_tenant_does() {
 /// runs the table whole on one worker; second sight routes its rows over
 /// the cores, one worker per unit, and runs it once; from the third on
 /// nothing is routed. A pinned shard count is a
-/// layout asked for by name: it is routed at first sight.
+/// layout of its own, routed per request and never held.
 #[test]
 fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     // Two units' rows and more: TOP N is laid out over several units.
@@ -209,9 +209,16 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     }
     assert_eq!(session.stats().plan_misses, 1, "routed once, at second sight");
 
-    let (pinned, routed, workers) = ask(unpinned().shards(SHARDS));
-    assert_eq!((routed, workers), (Some(SHARDS.to_string()), SHARDS), "pinned: routed at once");
-    for resp in [&first, &second, &pinned] {
+    let mut answers = vec![second];
+    for _ in 0..2 {
+        let (pinned, routed, workers) = ask(unpinned().shards(SHARDS));
+        assert_eq!((routed, workers), (Some(SHARDS.to_string()), SHARDS), "pinned: routed");
+        answers.push(pinned);
+    }
+    let (warm, routed, workers) = ask(unpinned());
+    assert_eq!((routed, workers), (None, shards), "the held layout is as it was");
+    answers.push(warm);
+    for resp in &answers {
         assert_eq!(resp.output, first.output);
     }
 }

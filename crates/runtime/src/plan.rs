@@ -46,8 +46,7 @@
 //!
 //! A plan is resident data: its units are `Arc` handles, so the same plan
 //! runs query after query, on whichever path each run names (the serving
-//! plane holds one per query, tables and shard count, and runs it as it
-//! is).
+//! plane holds one per returning query and tables, and runs it as it is).
 
 use cheetah_db::{
     route_columns, routing_keys, unit_columns, Cluster, DbQuery, RouteStream, Sharder, Table,
@@ -64,10 +63,6 @@ pub struct ExecPlan {
     /// (remapped onto the routed columns; `query` itself where the units
     /// are the tables). The merge keeps `query`.
     pub(crate) unit_query: DbQuery,
-    /// The tables the units were routed from. Held so a cache keyed on
-    /// their addresses can never see an address reused by another table.
-    left: Arc<Table>,
-    right: Option<Arc<Table>>,
     /// `units[shard]` — the left-stream slice that shard prunes. At least
     /// one shard.
     pub(crate) units: Vec<Arc<Table>>,
@@ -141,27 +136,7 @@ impl ExecPlan {
                 (units[s].rows() + right_rows) as u64
             })
             .collect();
-        Ok(ExecPlan {
-            query: q.clone(),
-            unit_query,
-            left: Arc::clone(left),
-            right: right.cloned(),
-            units,
-            right_units,
-            dispatched,
-        })
-    }
-
-    /// Was this plan routed from exactly these tables (by identity)? A
-    /// unary plan holds no right table.
-    pub fn is_over(&self, left: &Arc<Table>, right: Option<&Arc<Table>>) -> bool {
-        Arc::ptr_eq(&self.left, left)
-            && self.right.as_ref().map(Arc::as_ptr) == right.map(Arc::as_ptr)
-    }
-
-    /// The tables this plan was routed from.
-    pub fn tables(&self) -> (&Table, Option<&Table>) {
-        (&self.left, self.right.as_deref())
+        Ok(ExecPlan { query: q.clone(), unit_query, units, right_units, dispatched })
     }
 
     /// The query this plan was routed for.

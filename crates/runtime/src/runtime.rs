@@ -684,11 +684,10 @@ mod tests {
             assert_eq!(err, cheetah_core::Error::BadColumn { stream: 0, col });
         }
         // Zero shards is served as one; a right table on a unary query is
-        // dropped, so the plan is over the left table alone.
+        // dropped, so the plan's one unit is the left table itself.
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &t, Some(&t), 0);
         assert_eq!(plan.shards(), 1);
-        assert!(plan.is_over(&t, None) && !plan.is_over(&t, Some(&t)));
-        assert!(!plan.is_over(&table(200, 1), None), "identity, not equality");
+        assert!(Arc::ptr_eq(&plan.units[0], &t) && plan.right_units.is_none());
     }
 }

@@ -5,27 +5,30 @@
 //!             first sight: run whole,          second sight: claim
 //!             then hold it (settle)            the key's route (sight)
 //!   absent ─────────────────────────▶ whole ─────────────────────▶ routing
-//!    ▲  │                                                           │ the claimer routes its
-//!    │  │ a pinned shard count: routed at first sight               │ rows over the cores,
-//!    │  └────────────────────────────────────────────────────────┐  │ then holds the layout
-//!    │                                                           ▼  ▼ while its claim stands
-//!    └───────── evicted, oldest first, from any stage ───────── routed ◀─┐
-//!                                                                  └─────┘ warm sights run it
+//!    ▲                                                              │ the claimer routes its
+//!    │                                                              │ rows over the cores,
+//!    │                                                              ▼ then holds the layout
+//!    └───────── evicted, oldest first, from any stage ───────── routed ◀─┐  while its claim
+//!                                                                  └─────┘  stands; warm
+//!                                                                           sights run it
+//!   a pinned shard count: a layout of its own, routed per request, never held
 //! ```
 //!
 //! [`Caches::sight`] is one critical section: it reads what is held for the
 //! key, claims a whole key's route and names its layout ([`units`]: the one
-//! shard-count rule), and says what the request does ([`Action`]).
-//! [`Caches::settle`] is the other: it holds what the sight earned.
-//! Neither takes a lock, reads a clock, opens a span or does I/O; the
-//! session calls each under its one mutex and performs the action between
-//! them, with no lock held: route, run. The module's checker explores
-//! every interleaving of racing requests over these very functions.
+//! shard-count rule), and says what the request does ([`Sight`]); a pin
+//! reads nothing. [`Caches::settle`] is the other: it holds what the sight
+//! earned. Neither takes a lock, reads a clock, opens a span or does I/O;
+//! the session calls each under its one mutex and performs the sight
+//! between them, with no lock held: route, run. The module's checker
+//! explores every interleaving of racing requests over these very
+//! functions.
 
 use crate::request::QueryRequest;
 use cheetah_db::{units, DbQuery, Table};
 use cheetah_runtime::ExecPlan;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Admit one more request past `in_flight` executing, if under `bound`:
@@ -34,28 +37,40 @@ pub(crate) fn admit(in_flight: usize, bound: usize) -> Option<usize> {
     (in_flight < bound).then_some(in_flight + 1)
 }
 
-/// What a request is, to the session: the query, the tables it reads (by
-/// address) and the shard count it pins (0: none). Addresses stand in for
-/// content identity — tables are immutable, so a rebuilt table is a new
-/// allocation — and cannot be reused while the key is held: its entry's
-/// plan holds `Arc` clones of the tables. A sight confirms what it finds
-/// with [`ExecPlan::is_over`] all the same.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// What a request is, to the session: the query and the tables it reads,
+/// compared by address. Addresses stand in for content identity — tables
+/// are immutable, so a rebuilt table is a new allocation — and the key
+/// holds the tables, so no other table can take their address while it is
+/// held.
+#[derive(Debug, Clone)]
 pub(crate) struct Key {
     query: Arc<DbQuery>,
-    left: usize,
-    right: usize,
-    shards: usize,
+    left: Arc<Table>,
+    right: Option<Arc<Table>>,
 }
 
 impl Key {
     pub(crate) fn of(req: &QueryRequest) -> Self {
-        Key {
-            query: Arc::clone(&req.query),
-            left: Arc::as_ptr(&req.left) as usize,
-            right: req.right.as_ref().map_or(0, |r| Arc::as_ptr(r) as usize),
-            shards: req.shards.unwrap_or(0),
-        }
+        Key { query: Arc::clone(&req.query), left: Arc::clone(&req.left), right: req.right.clone() }
+    }
+
+    fn addresses(&self) -> (*const Table, Option<*const Table>) {
+        (Arc::as_ptr(&self.left), self.right.as_ref().map(Arc::as_ptr))
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.query == other.query && self.addresses() == other.addresses()
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.query.hash(state);
+        self.addresses().hash(state);
     }
 }
 
@@ -68,10 +83,8 @@ impl Key {
 /// * **routed** — second sight invested: `plan` is the key's rows laid out
 ///   over the cores ([`units`]) — above one unit, fresh per-shard copies
 ///   of the columns the query reads, hash-routed as a pin of that count
-///   is; at one, the caller's tables. It is held before it runs, and
-///   every further request runs it, on whichever arm it asks for.
-///
-/// A key that pins a shard count is routed at first sight.
+///   is; at one, the caller's tables. Every further request runs it, on
+///   whichever arm it asks for.
 pub(crate) struct Entry {
     pub(crate) plan: Arc<ExecPlan>,
     pub(crate) stage: Stage,
@@ -89,57 +102,44 @@ pub(crate) enum Stage {
     Routed,
 }
 
-/// Which visit of its key a request is, by what the session held for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Visit {
-    /// Nothing held, no shard count pinned: run the tables whole; note the
-    /// key seen.
+/// What a sight found for its request, and so what the request does.
+pub(crate) enum Sight {
+    /// Nothing held: run the tables whole on one shard, then hold them
+    /// ([`Caches::settle`] with no claim).
     First,
-    /// Nothing held, a shard count pinned: route, hold.
-    Pinned,
-    /// The whole key claimed: route its rows over the cores, and hold.
-    Routing,
+    /// A pinned shard count: route a layout of the request's own over this
+    /// many shards and run it. Nothing is read or held.
+    Pinned(usize),
+    /// The whole key claimed: route its rows over `shards`, hold the
+    /// routed layout ([`Caches::settle`] with `claim`), then run it.
+    Routing { claim: Arc<ExecPlan>, shards: usize },
     /// The whole key claimed by another: run it whole.
-    Racing,
+    Racing(Arc<ExecPlan>),
     /// Routed: run the held layout.
-    Warm { pinned: bool },
+    Warm(Arc<ExecPlan>),
 }
 
-impl Visit {
+impl Sight {
     /// The `plan` span's `cache` attribute.
-    pub(crate) fn label(self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
-            Visit::First => "first-sight",
-            Visit::Racing => "whole",
-            Visit::Routing => "miss",
-            Visit::Pinned | Visit::Warm { pinned: true } => "pinned",
-            Visit::Warm { pinned: false } => "hit",
+            Sight::First => "first-sight",
+            Sight::Pinned(_) => "pinned",
+            Sight::Routing { .. } => "miss",
+            Sight::Racing(_) => "whole",
+            Sight::Warm(_) => "hit",
         }
     }
 
-    /// Whether the request ran a layout the session already held for its
-    /// unpinned key.
-    pub(crate) fn plan_cached(self) -> bool {
-        self == Visit::Warm { pinned: false }
+    /// Whether the request runs a layout the session already held for its
+    /// key.
+    pub(crate) fn plan_cached(&self) -> bool {
+        matches!(self, Sight::Warm(_))
     }
 }
 
-/// What a sight tells its request to do.
-pub(crate) enum Action {
-    /// Run this held layout: the key's routed one, or — racing the sight
-    /// that claimed its route — the tables whole.
-    Run(Arc<ExecPlan>),
-    /// Nothing held: run the tables whole on one shard, then hold them.
-    Whole,
-    /// Route over `shards` shards, hold the routed layout
-    /// ([`Caches::settle`] with `claim`), then run it: at first sight of a
-    /// pinned shard count, that count (no claim); at the sight that
-    /// claimed the whole entry `claim`, the key's rows over the cores.
-    Route { claim: Option<Arc<ExecPlan>>, shards: usize },
-}
-
-/// The session's one map. Every entry pins its source tables, and a
-/// routed one a copy of the columns its query reads, so it is bounded
+/// The session's one map. Every entry pins its key's tables, and a routed
+/// one a copy of the columns its query reads, so it is bounded
 /// (`SessionConfig::plan_cache_capacity`): `order` is the keys of `map`
 /// in insertion order and the oldest goes first, which costs the warm path
 /// no bookkeeping.
@@ -150,43 +150,35 @@ pub(crate) struct Caches {
 }
 
 impl Caches {
-    /// Which visit of `key` this is, over exactly these tables, and what
-    /// the request does: run what is held, run the tables whole, or route.
-    /// A whole key found is claimed ([`Stage::Routing`]): this sight routes
-    /// it, into [`units`] of its rows over `workers`.
-    pub(crate) fn sight(
-        &mut self,
-        key: &Key,
-        left: &Arc<Table>,
-        right: Option<&Arc<Table>>,
-        workers: usize,
-    ) -> (Visit, Action) {
-        let Some(e) = self.map.get_mut(key).filter(|e| e.plan.is_over(left, right)) else {
-            if key.shards == 0 {
-                return (Visit::First, Action::Whole);
-            }
-            return (Visit::Pinned, Action::Route { claim: None, shards: key.shards });
-        };
+    /// What the session holds for `key` and what the request does: route
+    /// the `pin`ned count if any, without reading the map; else run what is
+    /// held, or the tables whole. A whole key found is claimed
+    /// ([`Stage::Routing`]): this sight routes it, into [`units`] of its
+    /// rows over `workers`.
+    pub(crate) fn sight(&mut self, key: &Key, pin: Option<usize>, workers: usize) -> Sight {
+        if let Some(shards) = pin {
+            return Sight::Pinned(shards);
+        }
+        let Some(e) = self.map.get_mut(key) else { return Sight::First };
         let plan = Arc::clone(&e.plan);
         match e.stage {
-            Stage::Routed => (Visit::Warm { pinned: key.shards != 0 }, Action::Run(plan)),
-            Stage::Routing => (Visit::Racing, Action::Run(plan)),
+            Stage::Routed => Sight::Warm(plan),
+            Stage::Routing => Sight::Racing(plan),
             Stage::Whole => {
                 e.stage = Stage::Routing;
-                let shards = units(&key.query, left, right.map(|r| &**r), workers);
-                (Visit::Routing, Action::Route { claim: Some(plan), shards })
+                let shards = units(&key.query, &key.left, key.right.as_deref(), workers);
+                Sight::Routing { claim: plan, shards }
             }
         }
     }
 
     /// Hold what a sight earned, `plan`, and at most `capacity` entries. A
-    /// sight that found nothing (`claim` none) holds its layout if the key
-    /// is still absent: whole, or routed at a pinned shard count. A routing
-    /// sight holds its routed layout only while its claim stands — the
-    /// entry is still the whole one it claimed, routing — and keeps its
-    /// place in the eviction order. A stale claim (the key evicted since,
-    /// and perhaps seen and claimed afresh) holds nothing: the request
-    /// answers on its own layout.
+    /// first sight (`claim` none) holds its whole layout if the key is
+    /// still absent. A routing sight holds its routed layout only while its
+    /// claim stands — the entry is still the whole one it claimed, routing
+    /// — and keeps its place in the eviction order. A stale claim (the key
+    /// evicted since, and perhaps seen and claimed afresh) holds nothing:
+    /// the request answers on its own layout.
     pub(crate) fn settle(
         &mut self,
         key: &Key,
@@ -200,8 +192,7 @@ impl Caches {
                 *e = entry(Stage::Routed);
             }
             (None, None) => {
-                let stage = if key.shards == 0 { Stage::Whole } else { Stage::Routed };
-                self.map.insert(key.clone(), entry(stage));
+                self.map.insert(key.clone(), entry(Stage::Whole));
                 self.order.push_back(key.clone());
                 if self.order.len() > capacity.max(1) {
                     let oldest = self.order.pop_front().expect("just pushed");
@@ -218,11 +209,12 @@ mod tests {
     //! The lifecycle checker: every interleaving of racing requests over
     //! [`admit`], [`Caches::sight`] and [`Caches::settle`] — the session's
     //! own code, not a model of it — in the dslab-mp style of
-    //! `cheetah_net::checker`. A request is its critical sections: admit,
-    //! sight, settle (when its sight earned something to hold) and
-    //! complete. The gaps between them — route, run — are where other
-    //! requests interleave. Distinct states are visited once, so the search
-    //! is exhaustive over states rather than over schedules.
+    //! `cheetah_net::checker`. A request is its critical sections: admit
+    //! (once more after a refusal, where the world retries), sight, settle
+    //! (when its sight earned something to hold) and complete. The gaps
+    //! between them — route, run — are where other requests interleave.
+    //! Distinct states are visited once, so the search is exhaustive over
+    //! states rather than over schedules.
 
     use super::*;
     use cheetah_db::{Cluster, DataType, TableBuilder, Value};
@@ -241,8 +233,9 @@ mod tests {
     /// Which step a request takes next.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Phase {
-        /// Before the admission gate.
-        Arriving,
+        /// Before the admission gate; `retry`: refused, it arrives once
+        /// more.
+        Arriving { retry: bool },
         /// Admitted: its sight is next.
         Admitted,
         /// Told to hold what it lays out — whole, or routed under the
@@ -255,23 +248,29 @@ mod tests {
         Done { admitted: bool },
     }
 
-    /// What never changes while the checker explores: the keys, their
-    /// tables, and the layouts each request lays out when its turn comes
-    /// — its own allocations, as a request's are.
+    /// What never changes while the checker explores: the keys (each
+    /// holding its table), the layouts each request lays out when its turn
+    /// comes — its own allocations, as a request's are — and the pins and
+    /// retries it sends.
     struct World {
         keys: Vec<Key>,
-        tables: Vec<Arc<Table>>,
         /// The key of each request.
         requests: Vec<usize>,
         /// Each request's whole layout, then each request's routed one.
         plans: Vec<Arc<ExecPlan>>,
+        /// The shard count each request pins, if any: its layout is its
+        /// own, so no state names it.
+        pins: Vec<Option<usize>>,
+        /// Whether a request refused at admission retries, once.
+        retry: bool,
         capacity: usize,
         bound: usize,
     }
 
     impl World {
         /// `sights[k]` requests of key `k`, each key one query over its own
-        /// table, each request's routed layout the one its sight names.
+        /// table, each request's routed layout the one its sight names;
+        /// none pinned, none retrying.
         fn new(sights: &[usize], capacity: usize, bound: usize) -> Self {
             let cluster = Cluster::default();
             let q = DbQuery::Distinct { col: 0 };
@@ -292,7 +291,9 @@ mod tests {
             let routed =
                 requests.iter().map(|&k| lay(&tables[k], units(&q, &tables[k], None, WORKERS)));
             let plans = whole.collect::<Vec<_>>().into_iter().chain(routed).collect();
-            World { keys: keys.collect(), tables, requests, plans, capacity, bound }
+            let pins = vec![None; requests.len()];
+            let keys = keys.collect();
+            World { keys, requests, plans, pins, retry: false, capacity, bound }
         }
 
         /// The index of request `r`'s routed layout in [`World::plans`]
@@ -323,7 +324,7 @@ mod tests {
             State {
                 caches: Caches::default(),
                 in_flight: 0,
-                phases: vec![Phase::Arriving; w.requests.len()],
+                phases: vec![Phase::Arriving { retry: w.retry }; w.requests.len()],
                 claims: vec![0; w.keys.len()],
                 holds: vec![0; w.keys.len()],
             }
@@ -349,30 +350,43 @@ mod tests {
             self.caches.map.get(&w.keys[k]).map(|e| (w.id(&e.plan), e.stage))
         }
 
+        /// The map in eviction order: each key held, its plan's index and
+        /// its stage (an entry out of the order is left out; [`check`]
+        /// refuses that state).
+        ///
+        /// [`check`]: State::check
+        fn held(&self, w: &World) -> Vec<[u8; 3]> {
+            let k = |key: &Key| w.keys.iter().position(|k| k == key).expect("a world key");
+            let held = self.caches.order.iter().map(k);
+            held.filter_map(|k| self.entry(w, k).map(|(p, s)| [k as u8, p as u8, s as u8]))
+                .collect()
+        }
+
         /// Request `r`'s next critical section, run on the session's code,
         /// and the invariants over the step it made.
         fn step(&self, w: &World, r: usize) -> std::result::Result<State, String> {
             let mut next = self.fork();
             let k = w.requests[r];
             next.phases[r] = match self.phases[r] {
-                Phase::Arriving => match admit(self.in_flight, w.bound) {
+                Phase::Arriving { retry } => match admit(self.in_flight, w.bound) {
                     Some(n) => {
                         next.in_flight = n;
                         Phase::Admitted
                     }
+                    None if retry => Phase::Arriving { retry: false },
                     None => Phase::Done { admitted: false },
                 },
-                Phase::Admitted => {
-                    match next.caches.sight(&w.keys[k], &w.tables[k], None, WORKERS).1 {
-                        Action::Run(_) => Phase::Finishing,
-                        Action::Whole => Phase::Holding { claim: None },
-                        Action::Route { claim: Some(claim), .. } => {
-                            next.claims[k] += 1;
-                            Phase::Holding { claim: Some(w.id(&claim)) }
-                        }
-                        Action::Route { claim: None, .. } => return Err("an unpinned pin".into()),
+                Phase::Admitted => match next.caches.sight(&w.keys[k], w.pins[r], WORKERS) {
+                    Sight::Pinned(n) if w.pins[r] == Some(n) => Phase::Finishing,
+                    Sight::Pinned(_) => return Err(format!("request {r} pinned another count")),
+                    _ if w.pins[r].is_some() => return Err(format!("pinned request {r} read")),
+                    Sight::Warm(_) | Sight::Racing(_) => Phase::Finishing,
+                    Sight::First => Phase::Holding { claim: None },
+                    Sight::Routing { claim, .. } => {
+                        next.claims[k] += 1;
+                        Phase::Holding { claim: Some(w.id(&claim)) }
                     }
-                }
+                },
                 Phase::Holding { claim } => {
                     let own = &w.plans[if claim.is_some() { w.routed(r) } else { r }];
                     let claim = claim.map(|c| &w.plans[c]);
@@ -385,6 +399,9 @@ mod tests {
                 }
                 Phase::Done { .. } => unreachable!("a done request takes no step"),
             };
+            if w.pins[r].is_some() && next.held(w) != self.held(w) {
+                return Err(format!("pinned request {r} moved the map"));
+            }
             next.check(self, w)?;
             Ok(next)
         }
@@ -451,18 +468,14 @@ mod tests {
             let mut out = vec![self.in_flight as u8];
             for phase in &self.phases {
                 out.extend(match *phase {
-                    Phase::Arriving => [0, 0],
+                    Phase::Arriving { retry } => [0, u8::from(retry)],
                     Phase::Admitted => [1, 0],
                     Phase::Holding { claim } => [2, claim.map_or(u8::MAX, |c| c as u8)],
                     Phase::Finishing => [3, 0],
                     Phase::Done { admitted } => [4, u8::from(admitted)],
                 });
             }
-            for key in &self.caches.order {
-                let k = w.keys.iter().position(|k| k == key).expect("a world key");
-                let (plan, stage) = self.entry(w, k).expect("checked: order is the map's");
-                out.extend([k as u8, plan as u8, stage as u8]);
-            }
+            out.extend(self.held(w).concat());
             out.extend(self.claims.iter().chain(&self.holds));
             out
         }
@@ -534,14 +547,30 @@ mod tests {
         for (sights, capacity, states, ends) in
             [(SIGHTS, CAPACITY, 56_773, 324), ([4, 2], 1, 56_073, 314), (SIGHTS, 2, 77_869, 678)]
         {
-            let w = World::new(&sights, capacity, BOUND);
-            let (mut seen, mut found) = (HashSet::new(), Explored::default());
-            let start = State::new(&w);
-            explore(&w, &start, &mut seen, &mut found, &mut Vec::new()).unwrap();
-            assert!(!found.truncated, "{sights:?} @ {capacity}: the search must be exhaustive");
+            let found = exhaust(&World::new(&sights, capacity, BOUND));
             let want = Explored { states, ends, truncated: false };
             assert_eq!(found, want, "{sights:?} @ {capacity}");
         }
+    }
+
+    /// The configuration of record, where a refused request retries once
+    /// and key 0's second request pins a shard count: whatever is held for
+    /// its key, the pinned request's steps leave the map and its order as
+    /// they were ([`State::step`]), and every other request's lifecycle
+    /// holds as without it.
+    #[test]
+    fn lifecycle_checker_retries_a_refusal_and_keeps_a_pin_out_of_the_map() {
+        let mut w = World::new(&SIGHTS, CAPACITY, BOUND);
+        (w.pins[1], w.retry) = (Some(3), true);
+        assert_eq!(exhaust(&w), Explored { states: 110_716, ends: 253, truncated: false });
+    }
+
+    /// Every state reachable from the start of `w`, each checked; what the
+    /// search covered.
+    fn exhaust(w: &World) -> Explored {
+        let (mut seen, mut found) = (HashSet::new(), Explored::default());
+        explore(w, &State::new(w), &mut seen, &mut found, &mut Vec::new()).unwrap();
+        found
     }
 
     /// A claim that went stale holds nothing: the key it claimed was

@@ -19,7 +19,8 @@
 //!        │                  │             at most two per worker); settle holds
 //!        │                  │             the layout while the claim stands
 //!        │                  │   routed ─▶ warm: a layout the session already held
-//!        └────────┬────────┘   (a pinned shard count is routed at first sight)
+//!        └────────┬────────┘   (a pinned shard count: a layout of its own, routed
+//!                 │             per request, never held; the map is not read)
 //!                 ▼
 //!        ┌─────────────────┐   the request's pins: a path pin's path; a backend or
 //!        │       arm        │   shard pin, pooled + the pinned backend, else
@@ -79,7 +80,7 @@
 //! feeds, even when its caller is itself a pool job.
 
 use crate::error::{Error, Result};
-use crate::lifecycle::{admit, Action, Caches, Key, Visit};
+use crate::lifecycle::{admit, Caches, Key, Sight};
 use crate::request::QueryRequest;
 use cheetah_db::{ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, Table};
 use cheetah_runtime::{ExecPlan, WorkerPool};
@@ -132,9 +133,10 @@ pub struct QueryResponse {
     pub arm: ChooserArm,
     /// Whether the request ran a layout the session already held for its
     /// (query, tables) key. Always `false` for a request that pinned a
-    /// shard count, at first sight of a key — which runs the tables whole
-    /// — and at the second sight, which routes the layout (and at one that
-    /// raced it, running whole).
+    /// shard count — a layout of its own, routed per request, never held
+    /// —, at first sight of a key — which runs the tables whole — and at
+    /// the second sight, which routes the layout (and at one that raced
+    /// it, running whole).
     pub plan_cached: bool,
     /// The query's lifecycle span tree
     /// (`admit → queue → plan → choose → execute{…} → respond`), when it
@@ -149,8 +151,8 @@ pub struct SessionStats {
     pub completed: u64,
     /// Requests refused at admission.
     pub rejected: u64,
-    /// Requests that pin no shard count and ran a layout the session
-    /// already held: warm sights (whatever path or backend they pin).
+    /// Warm sights: requests that ran a layout the session already held
+    /// (whatever path or backend they pin; a shard pin holds nothing).
     pub plan_hits: u64,
     /// Second sights that routed their key's layout. First sights hold
     /// nothing routed yet, so they are neither.
@@ -380,7 +382,8 @@ fn execute(
 /// layout a request runs depends on what the session holds for its key:
 /// nothing — run the tables whole, on one shard, and note the key seen;
 /// the whole layout — route its rows over the cores and hold; a routed
-/// layout — run it. Each of those decisions is one critical section of
+/// layout — run it. A pinned shard count routes a layout of its own and
+/// holds nothing. Each of those decisions is one critical section of
 /// the [`lifecycle`](crate::lifecycle) (`sight`, then `settle`); this
 /// function performs what they ask for. The arm is the request's alone
 /// ([`arm_of`]).
@@ -391,19 +394,18 @@ fn serve(
     root: &mut Span,
 ) -> Result<QueryResponse> {
     session.telemetry.queue_seconds.observe(queue_seconds);
-    let right = req.right.as_ref();
     let (key, capacity) = (Key::of(req), session.cfg.plan_cache_capacity);
 
-    // 1. The layout, by what the session holds for the key: routed,
-    // whole or nothing; the sight that claims a whole key names its
-    // routed layout.
+    // 1. The layout: a pin's own, else by what the session holds for the
+    // key: routed, whole or nothing; the sight that claims a whole key
+    // names its routed layout.
     let mut plan_span = root.child("plan");
     let workers = WorkerPool::global().workers();
-    let (visit, action) = lock(&session.caches).sight(&key, &req.left, right, workers);
-    plan_span.attr("cache", visit.label());
-    if visit.plan_cached() {
+    let sight = lock(&session.caches).sight(&key, req.shards, workers);
+    plan_span.attr("cache", sight.label());
+    if sight.plan_cached() {
         session.telemetry.plan_hits.inc();
-    } else if visit == Visit::Routing {
+    } else if matches!(sight, Sight::Routing { .. }) {
         session.telemetry.plan_misses.inc();
     }
     plan_span.finish();
@@ -429,20 +431,24 @@ fn serve(
     // nothing to route, and nothing to hold until the run has answered. A
     // routed layout is held before it runs, so a racing sight runs it
     // rather than route it again. (A second sight cannot fail here: first
-    // sight checked the request against these very tables.)
+    // sight checked the request against these very tables.) A pin's layout
+    // is its own: routed for this request, held by nobody.
+    let right = req.right.as_ref();
     let lay = |shards| ExecPlan::new(&session.cluster, &req.query, &req.left, right, shards);
-    let plan = match action {
-        Action::Run(plan) => plan,
-        Action::Whole => Arc::new(lay(1)?),
-        Action::Route { claim, shards } => {
+    let plan = match &sight {
+        Sight::Warm(plan) | Sight::Racing(plan) => Arc::clone(plan),
+        Sight::First => Arc::new(lay(1)?),
+        Sight::Pinned(shards) | Sight::Routing { shards, .. } => {
             let mut route_span = exec_span.child("route");
-            let plan = Arc::new(lay(shards)?);
+            let plan = Arc::new(lay(*shards)?);
             route_span.attr("shards", plan.shards());
             route_span.finish();
-            lock(&session.caches).settle(&key, claim.as_ref(), &plan, capacity);
             plan
         }
     };
+    if let Sight::Routing { claim, .. } = &sight {
+        lock(&session.caches).settle(&key, Some(claim), &plan, capacity);
+    }
     let cluster = session.cluster.clone().with_backend(chosen.backend);
     let run = {
         let _in_exec = exec_span.enter();
@@ -461,14 +467,14 @@ fn serve(
     // 4. Respond: at first sight, note the key seen (unless a racing
     // request already has); then stamp the serving fields the caller sees.
     let respond_span = root.child("respond");
-    if visit == Visit::First {
+    if matches!(sight, Sight::First) {
         lock(&session.caches).settle(&key, None, &plan, capacity);
     }
     breakdown.queue_seconds = queue_seconds;
     breakdown.tenant = req.tenant.clone();
     respond_span.finish();
 
-    let plan_cached = visit.plan_cached();
+    let plan_cached = sight.plan_cached();
     root.attr("arm", arm.label());
     root.attr("plan_cached", plan_cached);
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
@@ -500,7 +506,9 @@ mod tests {
     use super::*;
     use crate::lifecycle::{Entry, Stage};
     use cheetah_db::planner::ROWS_PER_UNIT;
-    use cheetah_db::{DataType, DbPredicate, DbQuery, IntCmp, LikePattern, TableBuilder, Value};
+    use cheetah_db::{
+        Column, DataType, DbPredicate, DbQuery, IntCmp, LikePattern, Partition, TableBuilder, Value,
+    };
     use std::sync::Barrier;
 
     fn table(rows: usize, parts: usize, seed: u64) -> Arc<Table> {
@@ -705,8 +713,9 @@ mod tests {
         let session = Session::new(cluster.clone(), SessionConfig::default());
         let workers = WorkerPool::global().workers();
         // Under ROWS_PER_UNIT rows, one unit: the caller's table itself. Its
-        // references are the caller's, the layout's source and the one
-        // unit; a copied unit would hold none.
+        // references are the caller's, the held key's two (in the map and
+        // in the eviction order) and the one unit; a copied unit would hold
+        // none.
         let small = table(ROWS_PER_UNIT - 1, 2, 3);
         let q = DbQuery::Distinct { col: 0 };
         for _sight in 1..=2 {
@@ -716,7 +725,7 @@ mod tests {
         let layout = held(&session, &req).expect("the second sight holds a layout");
         drop(req);
         assert_eq!(layout.shards(), 1);
-        assert_eq!(Arc::strong_count(&small), 3, "the one unit is the caller's table");
+        assert_eq!(Arc::strong_count(&small), 4, "the one unit is the caller's table");
 
         // Past two units' rows, rows / ROWS_PER_UNIT units, at most two per
         // worker, both streams counted; every family answers like the
@@ -735,6 +744,29 @@ mod tests {
             let layout = held(&session, &req()).expect("held");
             let units = (rows / ROWS_PER_UNIT).clamp(1, 2 * workers);
             assert_eq!((layout.shards(), units > 1), (units, true), "{kind}");
+        }
+    }
+
+    /// A table built from a coded partition holds its string column as
+    /// codes into a dictionary, and routing reads them through it: every
+    /// sight, and a shard pin, answers like the baseline and leaves nothing
+    /// in flight.
+    #[test]
+    fn a_table_loaded_as_codes_answers_at_every_sight_and_under_a_pin() {
+        let rows = 3 * ROWS_PER_UNIT;
+        let dict: Arc<[String]> = (0..97).map(|i| format!("k{i}")).collect();
+        let codes = (0..rows).map(|r| (r * 31 % 97) as u32).collect();
+        let cols = vec![Column::Dict { codes, dict }, Column::Int((0..rows as i64).collect())];
+        let fields = vec![("k".into(), DataType::Str), ("n".into(), DataType::Int)];
+        let t = Arc::new(Table::from_partition("coded", fields, Partition::new(cols)));
+        let q = DbQuery::Distinct { col: 0 };
+        let want = Cluster::default().run_baseline(&q, &t, None).output;
+        let session = Session::with_defaults();
+        let req = || QueryRequest::new(q.clone(), Arc::clone(&t));
+        for (sight, req) in [(1, req()), (2, req()), (3, req()), (4, req().shards(3))] {
+            let resp = session.run_blocking(req).unwrap_or_else(|e| panic!("sight {sight}: {e}"));
+            assert_eq!(resp.output, want, "sight {sight}");
+            assert_eq!(session.in_flight(), 0, "sight {sight}");
         }
     }
 
@@ -768,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn a_key_is_the_query_the_tables_it_reads_and_the_pinned_shard_count() {
+    fn a_key_is_the_query_and_the_tables_it_reads() {
         let (t, other) = (table(10, 1, 1), table(10, 1, 2));
         let req = |q: DbQuery| QueryRequest::new(q, Arc::clone(&t));
         let gt = |col, lit| DbQuery::FilterCount {
@@ -787,9 +819,8 @@ mod tests {
         ] {
             assert_ne!(Key::of(&req(a.clone())), Key::of(&req(b)), "{a:?}");
         }
-        let pinned = |shards| Key::of(&req(top(5)).shards(shards));
-        assert_ne!(pinned(2), pinned(3));
-        assert_ne!(pinned(1), Key::of(&req(top(5))), "a pinned single shard is still a pin");
+        // A pinned shard count is no part of the key: a pin never reads the map.
+        assert_eq!(Key::of(&req(top(5)).shards(3)), Key::of(&req(top(5))));
         assert_ne!(Key::of(&req(top(5))), Key::of(&QueryRequest::new(top(5), Arc::clone(&other))));
         // A unary query reads one table, whatever rides along; JOIN reads two.
         assert_eq!(Key::of(&req(top(5)).with_right(Arc::clone(&other))), Key::of(&req(top(5))));
@@ -888,34 +919,74 @@ mod tests {
         }
     }
 
+    /// Pins never enter the map: a session serving only `.shards(n)`
+    /// requests holds nothing, and routes a layout of the request's own at
+    /// every sight, whatever arm it pins.
+    #[test]
+    fn a_pin_routes_its_own_layout_at_every_sight_and_holds_nothing() {
+        let t = table(1_500, 3, 5);
+        let q = DbQuery::Distinct { col: 0 };
+        let want = Cluster::default().run_baseline(&q, &t, None).output;
+        let session = Session::with_defaults();
+        for shards in [1, 4, 1, 4] {
+            for path in [ExecPath::BarrierPooled, ExecPath::Direct] {
+                let req = QueryRequest::new(q.clone(), Arc::clone(&t)).shards(shards).path(path);
+                let resp = session.run_blocking(req).unwrap();
+                assert_eq!((&resp.output, resp.breakdown.shards as usize), (&want, shards));
+                let tree = resp.trace.as_ref().expect("trace exports");
+                let route = tree.root.find("route").and_then(|r| r.attr("shards"));
+                assert_eq!(route, Some(shards.to_string().as_str()), "a route at every sight");
+                let plan = tree.root.find("plan").and_then(|p| p.attr("cache"));
+                assert_eq!((plan, resp.plan_cached), (Some("pinned"), false));
+            }
+        }
+        let caches = session.caches.lock().unwrap();
+        assert!(caches.map.is_empty() && caches.order.is_empty(), "no entry is held");
+        assert_eq!((session.stats().plan_hits, session.stats().plan_misses), (0, 0));
+    }
+
     #[test]
     fn layout_cache_retains_its_tables_so_addresses_are_never_reused() {
-        // The layout cache is keyed on table addresses and pinned-shard
-        // entries are never invalidated, so an entry must keep its source
-        // table alive: a freed address could be handed to a *different*
-        // table, which would then be served the old table's shards.
+        // The map is keyed on table addresses, so a held key must keep its
+        // tables alive: a freed address could be handed to a *different*
+        // table, which would then be served the old table's layout. A
+        // self-JOIN on near-unique strings is held as several units, fresh
+        // copies of its columns, so only the key holds the table.
+        let urls = |rows: usize, seed: usize| {
+            let fields = vec![("url".into(), DataType::Str), ("n".into(), DataType::Int)];
+            let mut b = TableBuilder::new("urls", fields, 256);
+            for i in 0..rows {
+                b.push_row([Value::Str(format!("http://x/{}", i * seed % 1_009)), Value::Int(1)]);
+            }
+            Arc::new(b.build())
+        };
         let cluster = Cluster::default();
         let session = Session::new(cluster.clone(), SessionConfig::default());
-        let q = DbQuery::Distinct { col: 1 };
-        let pinned = |t: &Arc<Table>| QueryRequest::new(q.clone(), Arc::clone(t)).shards(4);
-        let routed = has_route_span;
+        let q = DbQuery::Join { left_key: 0, right_key: 0 };
+        let req =
+            |t: &Arc<Table>| QueryRequest::new(q.clone(), Arc::clone(t)).with_right(t.clone());
+        let baseline = |t: &Table| cluster.run_baseline(&q, t, Some(t)).output;
 
-        let first = table(1_000, 2, 3);
-        let want = cluster.run_baseline(&q, &first, None).output;
-        let resp = session.run_blocking(pinned(&first)).unwrap();
-        assert!(routed(&resp), "first sight routes");
-        assert_eq!(resp.output, want);
-        assert!(!routed(&session.run_blocking(pinned(&first)).unwrap()), "repeat hits the cache");
+        let first = urls(1_000, 7);
+        let want = baseline(&first);
+        for sight in 1..=3 {
+            let resp = session.run_blocking(req(&first)).unwrap();
+            assert_eq!((resp.output == want, has_route_span(&resp)), (true, sight == 2));
+        }
+        let layout = held(&session, &req(&first)).expect("routed at second sight");
+        assert!(layout.shards() >= 2, "copied units: {} of them", layout.shards());
         let held = Arc::downgrade(&first);
         drop(first);
-        assert!(held.upgrade().is_some(), "the cached plan must retain its source table");
+        assert!(held.upgrade().is_some(), "the held key must retain its table");
 
         // A second, different table: its own entry, its own answer.
-        let second = table(700, 2, 99);
-        let resp = session.run_blocking(pinned(&second)).unwrap();
-        assert!(routed(&resp), "a different table never hits the first one's entry");
-        assert_eq!(resp.output, cluster.run_baseline(&q, &second, None).output);
-        assert_ne!(resp.output, want, "fixture tables must differ for the test to bite");
+        let second = urls(700, 13);
+        for sight in 1..=2 {
+            let resp = session.run_blocking(req(&second)).unwrap();
+            assert_eq!(has_route_span(&resp), sight == 2, "never the first table's entry");
+            assert_eq!(resp.output, baseline(&second));
+            assert_ne!(resp.output, want, "fixture tables must differ for the test to bite");
+        }
         assert_eq!(session.caches.lock().unwrap().map.len(), 2);
     }
 

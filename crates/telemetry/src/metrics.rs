@@ -137,19 +137,6 @@ impl HistogramCore {
         fetch_f64(&self.max_bits, |m| m.max(v));
     }
 
-    fn merge_from(&self, other: &HistogramCore) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        let osum = f64::from_bits(other.sum_bits.load(Ordering::Relaxed));
-        let omin = f64::from_bits(other.min_bits.load(Ordering::Relaxed));
-        let omax = f64::from_bits(other.max_bits.load(Ordering::Relaxed));
-        fetch_f64(&self.sum_bits, |s| s + osum);
-        fetch_f64(&self.min_bits, |m| m.min(omin));
-        fetch_f64(&self.max_bits, |m| m.max(omax));
-    }
-
     fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
         let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
@@ -236,12 +223,6 @@ impl Histogram {
     /// Record one observation (seconds, bytes, rows — unit-agnostic).
     pub fn observe(&self, v: f64) {
         self.0.observe(v);
-    }
-
-    /// Fold every observation of `other` into `self` (bucket-wise sums;
-    /// commutative and associative up to float rounding of `sum`).
-    pub fn merge_from(&self, other: &Histogram) {
-        self.0.merge_from(&other.0);
     }
 
     /// A point-in-time view: exact count/sum/min/max, bucketed quantiles.
@@ -553,23 +534,6 @@ mod tests {
         assert_eq!(snap.count, 4_000);
         let exact_mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((snap.mean() - exact_mean).abs() < 1e-12, "mean is exact, not bucketed");
-    }
-
-    #[test]
-    fn merge_accumulates_both_sides() {
-        let reg = Registry::new();
-        let a = reg.histogram("a");
-        let b = reg.histogram("b");
-        for i in 1..=10 {
-            a.observe(i as f64);
-        }
-        b.observe(100.0);
-        a.merge_from(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.count, 11);
-        assert_eq!(snap.sum, 155.0);
-        assert_eq!(snap.max, 100.0);
-        assert_eq!(snap.min, 1.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Crate-level contracts: histogram merge commutativity under arbitrary
+//! Crate-level contracts: lossless histogram observation under arbitrary
 //! cross-thread interleavings, span-tree export determinism, and export
 //! against a tree built directly from the spans' shape.
 
@@ -7,36 +7,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    // Merging histograms is commutative: fold(a) ⊕ b == fold(b) ⊕ a for
-    // everything except float rounding of the exact sum.
-    #[test]
-    fn histogram_merge_is_commutative(
-        xs in prop::collection::vec(1e-9f64..10.0, 0..64),
-        ys in prop::collection::vec(1e-9f64..10.0, 0..64),
-    ) {
-        let reg = Registry::new();
-        let (a1, b1) = (reg.histogram("a1"), reg.histogram("b1"));
-        let (a2, b2) = (reg.histogram("a2"), reg.histogram("b2"));
-        for &x in &xs {
-            a1.observe(x);
-            a2.observe(x);
-        }
-        for &y in &ys {
-            b1.observe(y);
-            b2.observe(y);
-        }
-        a1.merge_from(&b1); // a ⊕ b
-        b2.merge_from(&a2); // b ⊕ a
-        let (ab, ba) = (a1.snapshot(), b2.snapshot());
-        prop_assert_eq!(ab.count, ba.count);
-        prop_assert_eq!(ab.min, ba.min);
-        prop_assert_eq!(ab.max, ba.max);
-        prop_assert_eq!(ab.p50, ba.p50);
-        prop_assert_eq!(ab.p90, ba.p90);
-        prop_assert_eq!(ab.p99, ba.p99);
-        prop_assert!((ab.sum - ba.sum).abs() <= 1e-9 * (1.0 + ab.sum.abs()));
-    }
 
     // Merging from several threads into one shared histogram loses
     // nothing: exact count and sum survive any interleaving.
