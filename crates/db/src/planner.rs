@@ -195,10 +195,12 @@ pub struct ChooserArm {
 impl ChooserArm {
     /// `"pooled/compiled"`-style label for reports and assertions;
     /// `"direct"` for the arm with no engine.
-    pub fn label(self) -> String {
-        match self.path {
-            ExecPath::Direct => self.path.label().to_string(),
-            path => format!("{}/{}", path.label(), self.backend.label()),
+    pub fn label(self) -> &'static str {
+        use cheetah_net::ExecBackend::{Compiled, Interpreted};
+        match (self.path, self.backend) {
+            (ExecPath::Direct, _) => "direct",
+            (ExecPath::BarrierPooled, Interpreted) => "pooled/interp",
+            (ExecPath::BarrierPooled, Compiled) => "pooled/compiled",
         }
     }
 }

@@ -18,7 +18,7 @@ use cheetah_net::FaultProfile;
 use cheetah_runtime::{execute, ExecPlan, ExecRun, WorkerPool};
 use cheetah_serve::{Error, QueryRequest, QueryResponse, Session, SessionConfig};
 use cheetah_switch::hash::mix64;
-use cheetah_telemetry::SpanNode;
+use cheetah_telemetry::{export_jsonl, SpanNode};
 use cheetah_workloads::PlannerAdversary;
 use proptest::strategy::halvings;
 use proptest::test_runner::{run_one, Config, TestRng};
@@ -648,13 +648,17 @@ fn check_session(case: &Case, visits: Visits, ran: &Ran, refusal: Option<cheetah
         };
         assert_eq!(&resp.output, want, "{label}: diverged from baseline");
         let tree = resp.trace.as_ref().expect("trace exports");
+        // The sink keeps this request's records: read there, they build
+        // the tree the response built, timestamps and all.
+        let sunk = session.traces().last().expect("the sink keeps every trace");
+        assert_eq!(export_jsonl(&sunk, false), export_jsonl(tree, false), "{label}: the sink's");
         // The arm is the request's: a pin's, else direct at every sight,
         // with no switch run and nothing decided. A pin's layout is its
         // own, routed at every sight; an unpinned key routes at its second.
         let route = tree.root.find("route").is_some();
         let (want_arm, want_route) = match visits {
             Visits::Pinned => (engine(ran, arm).label(), true),
-            _ => ("direct".to_string(), sight == 2),
+            _ => ("direct", sight == 2),
         };
         assert_eq!(resp.arm.label(), want_arm, "{label}: the arm");
         assert_eq!(route, want_route, "{label}: routed");

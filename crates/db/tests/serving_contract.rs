@@ -350,7 +350,7 @@ fn pins_at_first_sight_run_what_they_name_and_the_key_routes_at_its_second() {
     ] {
         let session = Session::new(cluster.clone(), SessionConfig::default());
         let first = session.run_blocking(pinned).unwrap();
-        assert_eq!((first.arm.label().as_str(), decided(&first)), (arm, false), "{arm}");
+        assert_eq!((first.arm.label(), decided(&first)), (arm, false), "{arm}");
         assert_eq!((first.breakdown.shards, routed(&first)), (1, false), "{arm}: whole");
         let seen = if arm == "direct" { first.breakdown.entries_to_master } else { 4_000 };
         assert_eq!(first.switch_stats.seen, seen, "{arm}");
@@ -559,7 +559,7 @@ fn a_panicking_shard_job_fails_its_own_request_and_nothing_else() {
 
     for sight in 1..=3 {
         let resp = session.run_blocking(unpinned()).unwrap();
-        assert_eq!((resp.arm.label().as_str(), resp.output == want), ("direct", true), "{sight}");
+        assert_eq!((resp.arm.label(), resp.output == want), ("direct", true), "{sight}");
         assert_eq!(routed(&resp), sight == 2, "sight {sight}: routed once, then held");
     }
     match session.run_blocking(unpinned().path(ExecPath::BarrierPooled)) {

@@ -262,7 +262,7 @@ fn the_trace_carries_the_path_that_ran_and_no_decision() {
             assert!(workers.iter().all(|w| w.attr("path") == Some(path)), "{label}");
             let shards = workers.len();
             assert!(on_their_threads(&workers, shards), "{label}");
-            assert_eq!(tree.root.attr("arm"), Some(resp.arm.label().as_str()), "{label}");
+            assert_eq!(tree.root.attr("arm"), Some(resp.arm.label()), "{label}");
         }
     }
     let snap = session.registry().snapshot();

@@ -34,7 +34,7 @@ use cheetah_core::{Error, Result};
 use cheetah_db::{merge_shard_outputs, Cluster, DbQuery, ExecPath, QueryOutput, ShardStats, Table};
 use cheetah_net::{ExecBackend, ExecBreakdown};
 use cheetah_switch::ProgramStats;
-use cheetah_telemetry::{Span, SpanContext};
+use cheetah_telemetry::{AttrValue, Span, SpanContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -101,7 +101,7 @@ struct WorkerReport {
 fn worker_span(
     trace_ctx: Option<&SpanContext>,
     shard: usize,
-    thread: impl ToString,
+    thread: impl Into<AttrValue>,
     path: ExecPath,
 ) -> Option<Span> {
     let mut s = trace_ctx?.child("worker");
@@ -183,7 +183,7 @@ impl Run {
     /// boundary: a shard that panics reports
     /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
     /// thread claims on. `thread` names this thread in the `worker` spans.
-    fn work(&self, thread: impl ToString + Copy, mut report: impl FnMut(Report)) {
+    fn work(&self, thread: impl Into<AttrValue> + Copy, mut report: impl FnMut(Report)) {
         loop {
             // A claim publishes nothing: the run was shared before any
             // helper was submitted, and reports travel over the channel.

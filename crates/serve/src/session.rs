@@ -85,7 +85,7 @@ use crate::request::QueryRequest;
 use cheetah_db::{ChooserArm, Cluster, ExecBackend, ExecBreakdown, ExecPath, QueryOutput, Table};
 use cheetah_runtime::{ExecPlan, WorkerPool};
 use cheetah_switch::ProgramStats;
-use cheetah_telemetry::{Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink, TraceTree};
+use cheetah_telemetry::{ClosedTrace, Counter, Gauge, Histogram, Registry, Span, Trace, TraceSink};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -139,9 +139,10 @@ pub struct QueryResponse {
     /// it, running whole).
     pub plan_cached: bool,
     /// The query's lifecycle span tree
-    /// (`admit → queue → plan → choose → execute{…} → respond`), when it
-    /// exported cleanly: one tree, shared with [`Session::traces`].
-    pub trace: Option<Arc<TraceTree>>,
+    /// (`admit → queue → plan → choose → execute{…} → respond`), when its
+    /// trace closed cleanly: the records [`Session::traces`] keeps, read
+    /// through a tree this response builds on first read (`trace.root`).
+    pub trace: Option<ClosedTrace>,
 }
 
 /// Counters a session exposes for reporting and tests.
@@ -233,7 +234,7 @@ impl Telemetry {
     fn begin(&self, req: &QueryRequest, in_flight: usize) -> (Span, Span) {
         let trace = Trace::new(self.registry.clone());
         let mut root = trace.span("query");
-        root.attr("tenant", &req.tenant);
+        root.attr("tenant", req.tenant.clone());
         root.attr("query", req.query.kind());
         root.child("admit").attr("in_flight", in_flight);
         let queue = root.child("queue");
@@ -282,6 +283,21 @@ impl Session {
     /// beside at most `min(shards, workers) − 1` pool helpers, and a
     /// one-shard plan touches no pool worker at all.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
+        let slot = self.admit_slot()?;
+        // Nothing waits between admission and work, so the queue span
+        // closes (honestly) near-instantly.
+        let (root, queue) = self.telemetry.begin(&req, slot.in_flight);
+        let queue_seconds = queue.elapsed_s();
+        queue.finish();
+        let result = execute(self, &req, queue_seconds, root);
+        self.telemetry.queries.inc();
+        drop(slot);
+        result
+    }
+
+    /// Take an in-flight slot, or refuse: [`Error::Overloaded`] with
+    /// [`SessionConfig::max_in_flight`] requests executing.
+    fn admit_slot(&self) -> Result<Slot<'_>> {
         let capacity = self.cfg.max_in_flight;
         let admitted =
             self.in_flight.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| admit(n, capacity));
@@ -290,16 +306,7 @@ impl Session {
             Error::Overloaded { in_flight, capacity }
         })?;
         self.telemetry.executing.add(1);
-        // Nothing waits between admission and work, so the queue span
-        // closes (honestly) near-instantly.
-        let (root, queue) = self.telemetry.begin(&req, in_flight);
-        let queue_seconds = queue.elapsed_s();
-        queue.finish();
-        let result = execute(self, &req, queue_seconds, root);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.telemetry.executing.add(-1);
-        self.telemetry.queries.inc();
-        result
+        Ok(Slot { session: self, in_flight })
     }
 
     /// Requests executing right now.
@@ -317,8 +324,9 @@ impl Session {
     }
 
     /// The ring buffer of the 64 most recently completed query traces.
-    /// Each entry is the full lifecycle span tree of one request: the
-    /// same tree its response carries, not a copy.
+    /// Each entry is one request's closed trace: the flat records its
+    /// response reads, shared, not a copy. A reader built from the sink
+    /// builds its own tree of the full lifecycle when first read.
     pub fn traces(&self) -> &TraceSink {
         &self.telemetry.sink
     }
@@ -336,6 +344,22 @@ impl Session {
     }
 }
 
+/// An admitted request's in-flight slot. Dropping it gives the slot back
+/// and lowers `serve.executing`, so a panic on the caller's thread past
+/// admission releases it too.
+struct Slot<'a> {
+    session: &'a Session,
+    /// Requests in flight when this one was admitted.
+    in_flight: usize,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.session.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.session.telemetry.executing.add(-1);
+    }
+}
+
 /// Take the session's lock. A lock a panicking thread poisoned is taken
 /// back as it stands: its critical sections run no caller code and leave
 /// no entry half-written, so that panic fails no other request.
@@ -344,10 +368,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Serve one admitted request and close out its trace — on *both* arms:
-/// a request that fails with a typed error still exports its span tree
-/// (root attr `error`) and still counts in `serve.latency_seconds`, so
-/// the trace plane and the latency histogram account for every request
-/// `serve.queries` does. Runs on the caller's thread.
+/// a request that fails with a typed error still closes its trace into
+/// the sink (root attr `error`) and still counts in
+/// `serve.latency_seconds`, so the trace plane and the latency histogram
+/// account for every request `serve.queries` does. Closing checks and
+/// moves the records; no tree is built here. Runs on the caller's thread.
 fn execute(
     session: &Session,
     req: &QueryRequest,
@@ -356,7 +381,7 @@ fn execute(
 ) -> Result<QueryResponse> {
     let mut result = serve(session, req, queue_seconds, &mut root);
     if let Err(e) = &result {
-        root.attr("error", e);
+        root.attr("error", e.to_string());
     }
     // The root span opened at admission, so its age is queue + execute —
     // exactly the client-observed latency.
@@ -364,9 +389,9 @@ fn execute(
     session.telemetry.latency_seconds.observe(latency);
     let trace = root.trace().clone();
     root.finish();
-    let trace = trace.export().ok().map(Arc::new);
-    if let Some(tree) = &trace {
-        session.telemetry.sink.push(Arc::clone(tree));
+    let trace = trace.close().ok();
+    if let Some(closed) = &trace {
+        session.telemetry.sink.push(closed);
     }
     if let Ok(resp) = &mut result {
         resp.trace = trace;
@@ -569,19 +594,19 @@ mod tests {
         assert!(session.caches.lock().unwrap().map.is_empty(), "no entry is held");
     }
 
-    /// The response and the sink hold one tree, not two copies. The sink
-    /// keeps the newest [`TRACE_CAPACITY`] trees, counts every push, and
-    /// a failed request pushes its tree too.
+    /// The response and the sink share one record set, not two copies.
+    /// The sink keeps the newest [`TRACE_CAPACITY`] traces, counts every
+    /// push, and a failed request pushes its trace too.
     #[test]
-    fn the_response_and_the_sink_share_one_tree_and_the_sink_is_bounded() {
+    fn the_response_and_the_sink_share_one_record_set_and_the_sink_is_bounded() {
         let t = table(300, 2, 3);
         let session = Session::with_defaults();
         let traces = session.traces();
         let pushes = TRACE_CAPACITY + 5;
         for i in 0..pushes {
             let req = QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
-            let tree = session.run_blocking(req).unwrap().trace.expect("trace exports");
-            assert!(Arc::ptr_eq(&tree, &traces.last().expect("pushed")), "request {i}");
+            let trace = session.run_blocking(req).unwrap().trace.expect("trace closes");
+            assert!(trace == traces.last().expect("pushed"), "request {i}");
         }
         assert_eq!((traces.len(), traces.pushed()), (TRACE_CAPACITY, pushes as u64));
         let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: -1 };
@@ -617,7 +642,7 @@ mod tests {
         }
         // The direct arm runs no engine, whatever backend rides along.
         let resp = session.run_blocking(distinct().path(ExecPath::Direct).shards(4)).unwrap();
-        assert_eq!((resp.arm.label().as_str(), resp.breakdown.shards), ("direct", 4));
+        assert_eq!((resp.arm.label(), resp.breakdown.shards), ("direct", 4));
         assert_eq!(resp.switch_stats.pruned, 0);
 
         // Unpinned, the arm is direct at every sight — whole at the first,
@@ -688,7 +713,7 @@ mod tests {
             let root = &resp.trace.as_ref().expect("trace exports").root;
             let exec = root.find("execute").expect("lifecycle span");
             assert_eq!(exec.attr("backend"), Some(ran.label()), "{kind}");
-            assert_eq!(root.attr("arm"), Some(arm.label().as_str()), "{kind}");
+            assert_eq!(root.attr("arm"), Some(arm.label()), "{kind}");
             let choose = root.find("choose").expect("lifecycle span");
             assert_eq!(choose.attr("arm"), Some("pooled/compiled"), "{kind}: the arm chosen");
         }
@@ -854,7 +879,7 @@ mod tests {
             });
             let (mut routes, mut rules) = (0, 0);
             for resp in sights.into_iter().flatten().map(Result::unwrap) {
-                assert_eq!((&resp.output, resp.arm.label().as_str()), (&want, "direct"), "{round}");
+                assert_eq!((&resp.output, resp.arm.label()), (&want, "direct"), "{round}");
                 routes += usize::from(has_route_span(&resp));
                 rules +=
                     usize::from(resp.trace.expect("trace exports").root.find("rule").is_some());
@@ -1014,6 +1039,27 @@ mod tests {
         let (table, layout) = first.unwrap();
         assert!(table.upgrade().is_none(), "the evicted entry must free its table");
         assert!(layout.upgrade().is_none(), "…and its layout");
+    }
+
+    /// A panic on the caller's thread between admission and completion
+    /// unwinds through the admitted slot, which gives the slot back.
+    #[test]
+    fn a_panic_past_admission_gives_its_slot_back() {
+        let session = Session::new(
+            Cluster::default(),
+            SessionConfig { max_in_flight: 1, ..SessionConfig::default() },
+        );
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = session.admit_slot().expect("a free slot");
+            assert_eq!(session.in_flight(), 1);
+            panic!("panics past admission (expected by this test)");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(session.in_flight(), 0);
+        assert_eq!(session.registry().snapshot().gauges["serve.executing"], 0);
+        // The one slot serves the next request.
+        let t = table(100, 1, 5);
+        session.run_blocking(QueryRequest::new(DbQuery::Distinct { col: 0 }, t)).unwrap();
     }
 
     #[test]

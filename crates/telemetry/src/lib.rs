@@ -31,10 +31,12 @@
 //!   └─ respond
 //!   ```
 //!
-//!   Each finished trace is one tree, shared (an `Arc`) by the
-//!   response and a ring-buffer [`TraceSink`]; trees export as
-//!   JSON-lines ([`export_jsonl`]), and pretty-print ([`render`]) via
-//!   the bench CLI's `--trace` flag.
+//!   A finished trace is two flat buffers, its spans' records and their
+//!   attributes, closed into one `Arc` ([`Trace::close`]) that the
+//!   response's [`ClosedTrace`] and a ring-buffer [`TraceSink`] share.
+//!   The tree is built when someone reads it, by that reader; trees
+//!   export as JSON-lines ([`export_jsonl`]), and pretty-print
+//!   ([`render`]) via the bench CLI's `--trace` flag.
 //!
 //! ## Adding a metric
 //!
@@ -63,28 +65,34 @@
 //! ## Adding a span
 //!
 //! Open children from the nearest span you have; to cross a thread
-//! boundary, capture a [`SpanContext`] into the closure:
+//! boundary, capture a [`SpanContext`] into the closure. Span names and
+//! attribute keys are `&'static str`; a value is an [`AttrValue`] — a
+//! static string, an integer or a bool, kept as it is, and an owned
+//! `String` only for text the caller supplies (a tenant, an error):
 //!
 //! ```
 //! use cheetah_telemetry::{Registry, Trace};
 //! let trace = Trace::new(Registry::new());
 //! let mut root = trace.span("query");
-//! root.attr("tenant", "analytics");
+//! root.attr("tenant", String::from("analytics"));
 //! let ctx = root.context();                 // Send + Clone
 //! std::thread::spawn(move || {
 //!     let mut w = ctx.child("worker");      // child on another thread
-//!     w.attr("shard", 0);
+//!     w.attr("shard", 0usize);
 //! }).join().unwrap();
 //! root.finish();
-//! let tree = trace.export().unwrap();       // refuses unclosed spans
-//! assert_eq!(tree.span_count(), 2);
+//! let closed = trace.close().unwrap();      // refuses unclosed spans
+//! assert_eq!(closed.span_count(), 2);       // the tree, built on this read
 //! ```
 //!
 //! Spans record themselves on drop, so early returns can't leak an
 //! unclosed span. Export is deterministic: siblings sort by
 //! `(name, attrs, start)`, not by racy completion order, so the same
 //! seeded workload exports the same tree every run (modulo timestamps —
-//! zero them with `export_jsonl(&tree, true)` to compare).
+//! zero them with `export_jsonl(&tree, true)` to compare). Closing
+//! costs the checks and one move; the tree (a `String` per name, key and
+//! value) is built only by a reader, and [`Trace::export`] builds the
+//! same one at once.
 //!
 //! For code that can't thread a handle through (the worker pool's
 //! spawn path), [`Span::enter`] pushes the span onto a thread-local
@@ -101,4 +109,6 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HIST_MIN, HIST_SUB_BUCKETS,
 };
 pub use sink::{export_jsonl, render, TraceSink};
-pub use span::{ContextGuard, Span, SpanContext, SpanNode, Trace, TraceError, TraceTree};
+pub use span::{
+    AttrValue, ClosedTrace, ContextGuard, Span, SpanContext, SpanNode, Trace, TraceError, TraceTree,
+};

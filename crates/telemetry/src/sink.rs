@@ -1,15 +1,16 @@
-//! Where finished traces go: a bounded ring buffer of recent
-//! [`TraceTree`]s, a JSON-lines exporter, and the human renderer behind
-//! the bench CLI's `--trace` flag.
+//! Where finished traces go: a bounded ring buffer of recent traces'
+//! records, a JSON-lines exporter, and the human renderer behind the
+//! bench CLI's `--trace` flag.
 
-use crate::span::{SpanNode, TraceTree};
+use crate::span::{ClosedTrace, Records, SpanNode, TraceTree};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// A bounded, thread-safe ring buffer of the most recent finished
-/// traces. The session pushes one tree per completed query, the same
-/// `Arc` its response carries; when full, the oldest falls out —
+/// A bounded, thread-safe ring buffer of the most recent closed traces.
+/// The session pushes one per completed query: the records its response
+/// reads, shared, never a copy, and no tree — a reader builds its own
+/// ([`ClosedTrace`]). When full, the oldest record set falls out —
 /// observability never grows without bound.
 #[derive(Clone, Debug)]
 pub struct TraceSink {
@@ -19,7 +20,7 @@ pub struct TraceSink {
 #[derive(Debug)]
 struct SinkState {
     cap: usize,
-    ring: VecDeque<Arc<TraceTree>>,
+    ring: VecDeque<Arc<Records>>,
     pushed: u64,
 }
 
@@ -36,42 +37,51 @@ impl TraceSink {
         }
     }
 
-    /// Record one finished trace.
-    pub fn push(&self, tree: Arc<TraceTree>) {
-        let mut st = self.inner.lock().unwrap();
-        st.pushed += 1;
-        if st.cap == 0 {
-            return;
-        }
-        if st.ring.len() == st.cap {
-            st.ring.pop_front();
-        }
-        st.ring.push_back(tree);
+    /// Record one closed trace: keep its records.
+    pub fn push(&self, trace: &ClosedTrace) {
+        let evicted = {
+            let mut st = self.state();
+            st.pushed += 1;
+            if st.cap == 0 {
+                return;
+            }
+            let evicted = if st.ring.len() == st.cap { st.ring.pop_front() } else { None };
+            st.ring.push_back(Arc::clone(&trace.records));
+            evicted
+        };
+        // Freed outside the lock, so no other push waits on it.
+        drop(evicted);
     }
 
-    /// The retained traces, oldest first.
-    pub fn recent(&self) -> Vec<Arc<TraceTree>> {
-        self.inner.lock().unwrap().ring.iter().cloned().collect()
+    /// Readers of the retained traces, oldest first.
+    pub fn recent(&self) -> Vec<ClosedTrace> {
+        self.state().ring.iter().cloned().map(ClosedTrace::of).collect()
     }
 
-    /// The most recent trace, if any.
-    pub fn last(&self) -> Option<Arc<TraceTree>> {
-        self.inner.lock().unwrap().ring.back().cloned()
+    /// A reader of the most recent trace, if any.
+    pub fn last(&self) -> Option<ClosedTrace> {
+        self.state().ring.back().cloned().map(ClosedTrace::of)
     }
 
     /// Total traces ever pushed (including any that fell out).
     pub fn pushed(&self) -> u64 {
-        self.inner.lock().unwrap().pushed
+        self.state().pushed
     }
 
     /// Retained trace count.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().ring.len()
+        self.state().ring.len()
     }
 
     /// `true` when nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The ring. A lock a panicking thread poisoned is taken back as it
+    /// stands: every update leaves the ring and its count whole.
+    fn state(&self) -> MutexGuard<'_, SinkState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -168,27 +178,54 @@ mod tests {
     use crate::metrics::Registry;
     use crate::span::Trace;
 
-    fn sample_tree() -> TraceTree {
+    fn sample_trace() -> Trace {
         let trace = Trace::new(Registry::new());
         let mut root = trace.span("query");
         root.attr("tenant", "t\"quoted\"");
         {
             let mut w = root.child("worker");
-            w.attr("shard", 1);
+            w.attr("shard", 1usize);
         }
         root.child("merge").finish();
         root.finish();
-        trace.export().unwrap()
+        trace
     }
 
+    fn sample_tree() -> TraceTree {
+        sample_trace().export().unwrap()
+    }
+
+    /// The sink and the pusher share one record set; the sink keeps the
+    /// newest `cap` and counts every push.
     #[test]
     fn ring_buffer_evicts_oldest() {
         let sink = TraceSink::new(2);
-        for _ in 0..3 {
-            sink.push(Arc::new(sample_tree()));
+        let pushed: Vec<ClosedTrace> = (0..3).map(|_| sample_trace().close().unwrap()).collect();
+        for trace in &pushed {
+            sink.push(trace);
         }
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.pushed(), 3);
+        assert_eq!(sink.recent(), pushed[1..], "the oldest fell out; the rest are shared");
+        assert!(sink.last() == Some(pushed[2].clone()));
+        assert_eq!(export_jsonl(&sink.last().unwrap(), false), export_jsonl(&pushed[2], false));
+    }
+
+    /// A thread that panics holding the sink's lock fails no later push
+    /// or read.
+    #[test]
+    fn a_poisoned_sink_keeps_serving() {
+        let sink = TraceSink::new(1);
+        std::thread::scope(|scope| {
+            let held = scope.spawn(|| {
+                let _held = sink.inner.lock().unwrap();
+                panic!("panics holding the sink lock (expected by this test)");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(sink.inner.is_poisoned());
+        sink.push(&sample_trace().close().unwrap());
+        assert_eq!((sink.len(), sink.pushed(), sink.recent().len()), (1, 1, 1));
         assert!(sink.last().is_some());
     }
 

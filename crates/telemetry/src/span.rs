@@ -1,5 +1,5 @@
-//! The tracing half of the telemetry plane: per-query spans that
-//! assemble into one lifecycle tree per request.
+//! The tracing half of the telemetry plane: per-query spans, recorded
+//! flat and assembled into one lifecycle tree per request when it is read.
 //!
 //! A [`Trace`] is created per query; [`Span`]s open under it (or under
 //! a parent span), carry `key=value` attributes, and record themselves
@@ -8,16 +8,174 @@
 //! captured into the job closure; the receiving thread opens children
 //! under it.
 //!
-//! Finished traces freeze into a [`TraceTree`] whose child ordering is
-//! deterministic (sorted by name and attributes, not completion order),
-//! so two runs of the same seeded workload export byte-identical trees
-//! modulo timestamps.
+//! A span's name and attribute keys are `&'static str`, and a value is an
+//! [`AttrValue`]: a static string, an integer or a bool copied as it is,
+//! an owned string only where the text is the caller's (a tenant, an
+//! error). A finished span appends one flat record — ids, name, clock and
+//! a range of the trace's attribute buffer — under the trace's lock, so a
+//! trace holds two buffers however many spans it has.
+//!
+//! [`Trace::close`] checks those records and moves them into one `Arc`: a
+//! [`ClosedTrace`], which builds its [`TraceTree`] on first read. The
+//! tree's child ordering is deterministic (sorted by name and attributes,
+//! not completion order), so two runs of the same seeded workload build
+//! byte-identical trees modulo timestamps. [`Trace::export`] builds the
+//! same tree at once.
 
 use crate::metrics::Registry;
 use std::cell::RefCell;
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
+
+/// A span attribute's value. Its [`Display`](fmt::Display) is the text
+/// the built tree holds, exactly what `to_string()` of the source value
+/// gives.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AttrValue {
+    /// A static string: a label, a name.
+    Str(&'static str),
+    /// An unsigned integer: a count, an index, a shard.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// Text only known at run time (a tenant, an error).
+    Owned(String),
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::Str(s) => f.write_str(s),
+            AttrValue::U64(n) => write!(f, "{n}"),
+            AttrValue::Bool(b) => write!(f, "{b}"),
+            AttrValue::Owned(s) => f.write_str(s),
+        }
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(s: &'static str) -> Self {
+        AttrValue::Str(s)
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> Self {
+        AttrValue::Owned(s)
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> Self {
+        AttrValue::U64(n)
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(n: u32) -> Self {
+        AttrValue::U64(n.into())
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(n: usize) -> Self {
+        AttrValue::U64(n as u64)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(b: bool) -> Self {
+        AttrValue::Bool(b)
+    }
+}
+
+/// One finished span, flat: its ids, its name, its clock and where its
+/// attributes sit in the trace's attribute buffer.
+#[derive(Debug)]
+struct Finished {
+    id: u64,
+    parent: Option<u64>,
+    name: &'static str,
+    start_s: f64,
+    end_s: f64,
+    attrs: Range<usize>,
+}
+
+/// A trace's records: every finished span, in finishing order, and one
+/// buffer of all their attributes.
+#[derive(Debug, Default)]
+pub(crate) struct Records {
+    spans: Vec<Finished>,
+    attrs: Vec<(&'static str, AttrValue)>,
+}
+
+impl Records {
+    /// Records sized for one request's lifecycle trace (about a dozen
+    /// spans and twenty attributes), so a served request's rarely grow.
+    /// Each buffer stays under a kilobyte: a standalone probe recorded a
+    /// request's trace slower with buffers past it.
+    fn for_one_request() -> Self {
+        Records { spans: Vec::with_capacity(12), attrs: Vec::with_capacity(20) }
+    }
+
+    /// Whether these are a whole tree: every one of the `opened` spans
+    /// finished, under exactly one root. Ids are dense, `0..opened`, and a
+    /// parent opens before its children in the same trace, so once every
+    /// span has closed every parent id resolves.
+    fn check(&self, opened: u64) -> Result<(), TraceError> {
+        let closed = self.spans.len() as u64;
+        if closed != opened {
+            return Err(TraceError::UnclosedSpans { opened, closed });
+        }
+        match self.spans.iter().filter(|s| s.parent.is_none()).count() {
+            1 => Ok(()),
+            roots => Err(TraceError::BadRootCount(roots)),
+        }
+    }
+
+    /// The deterministic tree of records that passed [`check`](Self::check).
+    fn build(&self) -> TraceTree {
+        // Ids are dense, so each span has a slot; a parent's id is below
+        // its children's, so one pass from the last id down hands each
+        // node, its children already gathered, to its parent's slot.
+        let mut slots: Vec<Option<(Option<u64>, SpanNode)>> = vec![None; self.spans.len()];
+        for s in &self.spans {
+            let attrs = self.attrs[s.attrs.clone()]
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            let node = SpanNode {
+                name: s.name.to_string(),
+                attrs,
+                start_s: s.start_s,
+                end_s: s.end_s,
+                children: Vec::new(),
+            };
+            slots[s.id as usize] = Some((s.parent, node));
+        }
+        let mut root = None;
+        for id in (0..slots.len()).rev() {
+            let (parent, mut node) = slots[id].take().expect("every opened id has closed");
+            // Gathered newest first; the sort falls back to opening order.
+            node.children.reverse();
+            node.children.sort_by(|a, b| {
+                (&a.name, &a.attrs).cmp(&(&b.name, &b.attrs)).then(a.start_s.total_cmp(&b.start_s))
+            });
+            match parent {
+                None => root = Some(node),
+                Some(p) => {
+                    let (_, up) =
+                        slots[p as usize].as_mut().expect("a parent's id is below its child's");
+                    up.children.push(node);
+                }
+            }
+        }
+        TraceTree { root: root.expect("checked: exactly one root") }
+    }
+}
 
 #[derive(Debug)]
 struct TraceInner {
@@ -26,9 +184,8 @@ struct TraceInner {
     /// The next span id, and so the number of spans opened: ids are
     /// dense, `0..opened`, and a parent's id is below its children's.
     opened: AtomicU64,
-    /// Each finished span: its id, its parent's id and its node
-    /// (children empty), in finishing order.
-    finished: Mutex<Vec<(u64, Option<u64>, SpanNode)>>,
+    /// What the finished spans recorded.
+    records: Mutex<Records>,
 }
 
 /// The lifecycle trace of one query. Clones share state; the trace
@@ -47,7 +204,7 @@ impl Trace {
                 epoch: Instant::now(),
                 registry,
                 opened: AtomicU64::new(0),
-                finished: Mutex::default(),
+                records: Mutex::new(Records::for_one_request()),
             }),
         }
     }
@@ -58,22 +215,18 @@ impl Trace {
     }
 
     /// Open a root-level span (no parent).
-    pub fn span(&self, name: &str) -> Span {
+    pub fn span(&self, name: &'static str) -> Span {
         self.open(name, None)
     }
 
-    fn open(&self, name: &str, parent: Option<u64>) -> Span {
-        let start = Instant::now();
+    fn open(&self, name: &'static str, parent: Option<u64>) -> Span {
         Span {
             trace: self.clone(),
             id: self.inner.opened.fetch_add(1, Ordering::Relaxed),
             parent,
-            node: SpanNode {
-                name: name.to_string(),
-                start_s: self.seconds_since_epoch(start),
-                ..SpanNode::default()
-            },
-            start,
+            name,
+            attrs: Vec::new(),
+            start: Instant::now(),
         }
     }
 
@@ -84,63 +237,90 @@ impl Trace {
 
     /// Number of spans that have finished recording.
     pub fn closed(&self) -> u64 {
-        self.finished().len() as u64
+        self.records().spans.len() as u64
     }
 
-    /// Freeze into a deterministic [`TraceTree`].
+    /// Build the deterministic [`TraceTree`] now, leaving the records in
+    /// place.
     ///
     /// Fails when spans are still open or when there is not exactly one
-    /// root. Once every span has closed every parent id resolves: a
-    /// parent opens before its children, in the same trace.
+    /// root.
     pub fn export(&self) -> Result<TraceTree, TraceError> {
-        let finished = self.finished();
-        // Read under the lock, so every finished span's id is below it: a
-        // span pushes under this lock after its `fetch_add`, and the
-        // lock's release and acquire order that add before this load.
-        let opened = self.opened();
-        if finished.len() as u64 != opened {
-            return Err(TraceError::UnclosedSpans { opened, closed: finished.len() as u64 });
-        }
-        // Ids are dense, so each span has a slot; a parent's id is below
-        // its children's, so one pass from the last id down hands each
-        // node, its children already gathered, to its parent's slot.
-        let mut slots: Vec<Option<(Option<u64>, SpanNode)>> = vec![None; finished.len()];
-        for (id, parent, node) in finished.iter() {
-            slots[*id as usize] = Some((*parent, node.clone()));
-        }
-        drop(finished);
-        let mut roots = Vec::new();
-        for id in (0..slots.len()).rev() {
-            let (parent, mut node) = slots[id].take().expect("every opened id has closed");
-            // Gathered newest first; the sort falls back to opening order.
-            node.children.reverse();
-            node.children.sort_by(|a, b| {
-                (&a.name, &a.attrs).cmp(&(&b.name, &b.attrs)).then(a.start_s.total_cmp(&b.start_s))
-            });
-            match parent {
-                None => roots.push(node),
-                Some(p) => {
-                    let (_, up) =
-                        slots[p as usize].as_mut().expect("a parent's id is below its child's");
-                    up.children.push(node);
-                }
-            }
-        }
-        match <[SpanNode; 1]>::try_from(roots) {
-            Ok([root]) => Ok(TraceTree { root }),
-            Err(roots) => Err(TraceError::BadRootCount(roots.len())),
-        }
+        Ok(self.checked()?.build())
     }
 
-    /// The finished spans. A lock a panicking thread poisoned is taken
-    /// back as it stands: each push leaves the list whole, and a span's
-    /// drop must not panic.
-    fn finished(&self) -> MutexGuard<'_, Vec<(u64, Option<u64>, SpanNode)>> {
-        self.inner.finished.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Check the records as [`export`](Self::export) does, then move them
+    /// out of the trace into a [`ClosedTrace`], which builds the tree when
+    /// it is first read. Other handles to this trace then hold no records.
+    pub fn close(self) -> Result<ClosedTrace, TraceError> {
+        let mut records = self.checked()?;
+        Ok(ClosedTrace::of(Arc::new(std::mem::take(&mut *records))))
+    }
+
+    /// The records, locked, once they [`check`](Records::check) out. The
+    /// opened count is read under the lock, so every finished span's id is
+    /// below it: a span records under this lock after its `fetch_add`, and
+    /// the lock's release and acquire order that add before this load.
+    fn checked(&self) -> Result<MutexGuard<'_, Records>, TraceError> {
+        let records = self.records();
+        records.check(self.opened())?;
+        Ok(records)
+    }
+
+    /// The finished spans' records. A lock a panicking thread poisoned is
+    /// taken back as it stands: each span's append leaves the records
+    /// whole, and a span's drop must not panic.
+    fn records(&self) -> MutexGuard<'_, Records> {
+        self.inner.records.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn seconds_since_epoch(&self, t: Instant) -> f64 {
         t.saturating_duration_since(self.inner.epoch).as_secs_f64()
+    }
+}
+
+/// A closed trace: its records, shared, and the tree built from them the
+/// first time it is read (through `Deref`, so `closed.root` reads the
+/// tree). Clones share the records and build their own tree. Two closed
+/// traces are equal when they read the same records: a trace closes once,
+/// so that is when they are the same trace.
+pub struct ClosedTrace {
+    pub(crate) records: Arc<Records>,
+    tree: OnceLock<TraceTree>,
+}
+
+impl ClosedTrace {
+    pub(crate) fn of(records: Arc<Records>) -> Self {
+        ClosedTrace { records, tree: OnceLock::new() }
+    }
+}
+
+impl Deref for ClosedTrace {
+    type Target = TraceTree;
+
+    fn deref(&self) -> &TraceTree {
+        self.tree.get_or_init(|| self.records.build())
+    }
+}
+
+impl Clone for ClosedTrace {
+    fn clone(&self) -> Self {
+        ClosedTrace::of(Arc::clone(&self.records))
+    }
+}
+
+impl PartialEq for ClosedTrace {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.records, &other.records)
+    }
+}
+
+impl fmt::Debug for ClosedTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClosedTrace")
+            .field("spans", &self.records.spans.len())
+            .field("built", &self.tree.get().is_some())
+            .finish()
     }
 }
 
@@ -161,8 +341,8 @@ pub enum TraceError {
     ),
 }
 
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::UnclosedSpans { opened, closed } => {
                 write!(f, "{} spans opened but only {} closed", opened, closed)
@@ -181,19 +361,19 @@ pub struct Span {
     trace: Trace,
     id: u64,
     parent: Option<u64>,
-    /// What this span records when it finishes (children empty).
-    node: SpanNode,
+    name: &'static str,
+    attrs: Vec<(&'static str, AttrValue)>,
     start: Instant,
 }
 
 impl Span {
     /// Attach a `key=value` attribute.
-    pub fn attr(&mut self, key: &str, value: impl ToString) {
-        self.node.attrs.push((key.to_string(), value.to_string()));
+    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
+        self.attrs.push((key, value.into()));
     }
 
     /// Open a child span under this one.
-    pub fn child(&self, name: &str) -> Span {
+    pub fn child(&self, name: &'static str) -> Span {
         self.trace.open(name, Some(self.id))
     }
 
@@ -231,9 +411,15 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let mut node = std::mem::take(&mut self.node);
-        node.end_s = self.trace.seconds_since_epoch(Instant::now());
-        self.trace.finished().push((self.id, self.parent, node));
+        let trace = &self.trace;
+        let (start_s, end_s) =
+            (trace.seconds_since_epoch(self.start), trace.seconds_since_epoch(Instant::now()));
+        let mut records = trace.records();
+        let from = records.attrs.len();
+        records.attrs.append(&mut self.attrs);
+        let attrs = from..records.attrs.len();
+        let (id, parent, name) = (self.id, self.parent, self.name);
+        records.spans.push(Finished { id, parent, name, start_s, end_s, attrs });
     }
 }
 
@@ -253,7 +439,7 @@ impl SpanContext {
     }
 
     /// Open a child span under the context's span.
-    pub fn child(&self, name: &str) -> Span {
+    pub fn child(&self, name: &'static str) -> Span {
         self.trace.open(name, Some(self.span))
     }
 
@@ -328,7 +514,8 @@ impl SpanNode {
 }
 
 /// A finished, validated, deterministically ordered span tree for one
-/// query. Not `Clone`: holders share one tree through an `Arc`.
+/// query. Not `Clone`: it is built from a trace's records, by
+/// [`Trace::export`] or on a [`ClosedTrace`]'s first read.
 #[derive(Debug)]
 pub struct TraceTree {
     /// The root span (the query's whole lifecycle).
@@ -367,6 +554,46 @@ mod tests {
         assert_eq!(tree.span_count(), 2);
     }
 
+    /// What a closed trace builds on first read is what export builds,
+    /// and the records stay shared by every clone of it.
+    #[test]
+    fn a_closed_trace_builds_the_exported_tree_when_read() {
+        let trace = Trace::new(Registry::new());
+        {
+            let mut root = trace.span("query");
+            root.attr("tenant", "t0".to_string());
+            root.child("plan").attr("cache", "hit");
+            root.child("worker").attr("shard", 3usize);
+        }
+        let eager = trace.export().unwrap();
+        let closed = trace.clone().close().unwrap();
+        assert_eq!(trace.closed(), 0, "the records moved out");
+        let lazy = closed.clone();
+        assert!(lazy == closed && lazy.tree.get().is_none(), "a clone shares, unbuilt");
+        assert_eq!(format!("{:?}", lazy.root), format!("{:?}", eager.root));
+        assert!(lazy.tree.get().is_some() && closed.tree.get().is_none(), "built on read");
+    }
+
+    /// Every value an attribute takes displays as its source's
+    /// `to_string()`, so the trees read as they did when attributes were
+    /// stored as strings.
+    #[test]
+    fn attr_values_display_as_their_source() {
+        let cases: [(AttrValue, String); 8] = [
+            (0u64.into(), 0u64.to_string()),
+            (u64::MAX.into(), u64::MAX.to_string()),
+            (usize::MAX.into(), usize::MAX.to_string()),
+            (7u32.into(), 7u32.to_string()),
+            (true.into(), true.to_string()),
+            (false.into(), false.to_string()),
+            ("pooled/compiled".into(), "pooled/compiled".to_string()),
+            ("tenant-ß→✓".to_string().into(), "tenant-ß→✓".to_string()),
+        ];
+        for (value, source) in cases {
+            assert_eq!(value.to_string(), source, "{value:?}");
+        }
+    }
+
     #[test]
     fn unclosed_span_blocks_export() {
         let trace = Trace::new(Registry::new());
@@ -381,6 +608,7 @@ mod tests {
             }
             other => panic!("expected UnclosedSpans, got {other:?}"),
         }
+        assert_eq!(trace.clone().close().err(), trace.export().err(), "close checks alike");
     }
 
     #[test]
@@ -392,6 +620,7 @@ mod tests {
             Err(TraceError::BadRootCount(2)) => {}
             other => panic!("expected BadRootCount(2), got {other:?}"),
         }
+        assert_eq!(trace.close().err(), Some(TraceError::BadRootCount(2)));
     }
 
     #[test]
@@ -399,7 +628,7 @@ mod tests {
         let trace = Trace::new(Registry::new());
         let root = trace.span("query");
         let ctx = root.context();
-        let handles: Vec<_> = (0..4)
+        let handles: Vec<_> = (0..4usize)
             .map(|i| {
                 let ctx = ctx.clone();
                 std::thread::spawn(move || {

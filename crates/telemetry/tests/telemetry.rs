@@ -1,6 +1,7 @@
 //! Crate-level contracts: lossless histogram observation under arbitrary
-//! cross-thread interleavings, span-tree export determinism, and export
-//! against a tree built directly from the spans' shape.
+//! cross-thread interleavings, span-tree export determinism, and export —
+//! eager, and built on a closed trace's first read — against a tree built
+//! directly from the spans' shape.
 
 use cheetah_telemetry::{export_jsonl, Registry, Span, SpanNode, Trace, TraceTree};
 use proptest::prelude::*;
@@ -79,6 +80,9 @@ proptest! {
         }
         let want = TraceTree { root: node(0, &shape) };
         prop_assert_eq!(export_jsonl(&tree, true), export_jsonl(&want, true));
+        // Closed, the same records build the same tree when first read.
+        let closed = trace.close().expect("closes as it exported");
+        prop_assert_eq!(export_jsonl(&closed, true), export_jsonl(&tree, true));
     }
 }
 
