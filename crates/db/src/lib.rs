@@ -62,5 +62,5 @@ pub use planner::{
 };
 pub use query::{DbQuery, QueryOutput};
 pub use sharded::{route_columns, route_range, RouteStream, ShardStats};
-pub use table::{Column, Partition, Table, TableBuilder};
+pub use table::{Column, Dictionary, Partition, Table, TableBuilder};
 pub use value::{DataType, Value};

@@ -4,13 +4,12 @@
 //! the master re-fetches the true column values of the survivors and
 //! normalizes (duplicates from matrix evictions collapse there).
 
-use super::{for_each_group, for_each_key, KeyRef, PruningOperator, Survivors};
+use super::{for_each_group, for_each_key, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
 use crate::table::Partition;
 use cheetah_core::{DistinctConfig, QuerySpec};
-use std::collections::HashSet;
 
 /// The DISTINCT operator.
 pub struct DistinctOp {
@@ -40,21 +39,12 @@ impl PruningOperator for DistinctOp {
     }
 
     fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
-        // Matrix evictions let a key through more than once: dedup on the
-        // borrowed cells (a coded key by a hit flag per code first), own
-        // one `Value` per distinct key.
-        let mut seen: HashSet<KeyRef<'_>> = HashSet::new();
-        for_each_group(
-            src,
-            survivors,
-            0,
-            self.col,
-            |_| |_| (),
-            |(), ()| (),
-            |k, ()| {
-                seen.insert(k);
-            },
-        );
-        QueryOutput::values(seen.into_iter().map(KeyRef::to_value).collect())
+        // Matrix evictions let a key through more than once: each distinct
+        // key reaches the walk once (a coded key by a hit flag per code,
+        // in order), and owns one `Value`.
+        let mut keys = Vec::new();
+        let (unit, nothing) = (|_| |_| (), |(), ()| ());
+        for_each_group(src, survivors, 0, self.col, unit, nothing, |k, ()| keys.push(k.to_value()));
+        QueryOutput::values(keys)
     }
 }

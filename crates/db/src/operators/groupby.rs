@@ -4,13 +4,12 @@
 //! their group's maximum; the master re-aggregates the survivors exactly
 //! by true key value (fingerprint collisions only reduce pruning).
 
-use super::{encode_i64_32, for_each_group, for_each_key, KeyRef, PruningOperator, Survivors};
+use super::{encode_i64_32, for_each_group, for_each_key, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
 use crate::table::Partition;
 use cheetah_core::{AggKind, GroupByConfig, QuerySpec};
-use std::collections::HashMap;
 
 /// The GROUP BY (MAX) operator.
 pub struct GroupByMaxOp {
@@ -58,17 +57,16 @@ impl PruningOperator for GroupByMaxOp {
     }
 
     fn complete<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> QueryOutput {
-        // Aggregate by *borrowed* key (a coded key by code first): the
-        // owned `Value` keys — one per group, not per survivor — only
-        // materialize in the final map.
-        let mut best: HashMap<KeyRef<'_>, i64> = HashMap::new();
+        // Aggregate by *borrowed* key (a coded key by code, handed over in
+        // order): an owned `Value` key per group, not per survivor.
+        let mut best = Vec::new();
         let vals = |part: &'t Partition| {
             let vals = part.column(self.val_col).as_int().expect("int agg col");
             move |r| vals[r]
         };
         for_each_group(src, survivors, 0, self.key_col, vals, i64::max, |k, v| {
-            best.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
+            best.push((k.to_value(), v));
         });
-        QueryOutput::KeyedInts(best.into_iter().map(|(k, v)| (k.to_value(), v)).collect())
+        QueryOutput::KeyedInts(best.into_iter().collect())
     }
 }

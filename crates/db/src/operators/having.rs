@@ -8,14 +8,13 @@
 //! them exactly by true key value and applies the threshold — sketch
 //! overestimates only add candidates, never wrong sums.
 
-use super::{for_each_group, for_each_key, KeyRef, PruningOperator, Survivors};
+use super::{for_each_group, for_each_key, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::ops::clamp_sum;
 use crate::query::QueryOutput;
 use crate::table::Partition;
 use cheetah_core::{planner, HavingAgg, HavingConfig, PassPlan, QuerySpec};
-use std::collections::HashMap;
 
 /// The refusal of `HAVING SUM > c` with `c < 0`. The sketch sums clamped
 /// non-negative values against an unsigned threshold, so a key whose true
@@ -75,21 +74,22 @@ impl PruningOperator for HavingSumOp {
     }
 
     fn complete<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> QueryOutput {
-        // Exact `i128` sums by true (borrowed) key (a coded key by code
-        // first): no sum of `i64` cells overflows them. An owned `Value`
-        // only for the keys that clear the threshold, each sum reported
-        // clamped to `i64`.
-        let mut sums: HashMap<KeyRef<'_>, i128> = HashMap::new();
+        // Exact `i128` sums by true (borrowed) key (a coded key by code,
+        // handed over in order): no sum of `i64` cells overflows them. An
+        // owned `Value` only for the keys that clear the threshold, each
+        // sum reported clamped to `i64`.
+        let mut over = Vec::new();
         let sum = |a: i128, b: i128| a + b;
         let vals = |part: &'t Partition| {
             let vals = part.column(self.val_col).as_int().expect("int sum col");
             move |r| i128::from(vals[r])
         };
-        for_each_group(src, survivors, 0, self.key_col, vals, sum, |k, v| {
-            *sums.entry(k).or_insert(0) += v;
+        for_each_group(src, survivors, 0, self.key_col, vals, sum, |k, s| {
+            if s > i128::from(self.threshold) {
+                over.push((k.to_value(), clamp_sum(s)));
+            }
         });
-        let over = sums.into_iter().filter(|(_, s)| *s > i128::from(self.threshold));
-        QueryOutput::KeyedInts(over.map(|(k, s)| (k.to_value(), clamp_sum(s))).collect())
+        QueryOutput::KeyedInts(over.into_iter().collect())
     }
 }
 

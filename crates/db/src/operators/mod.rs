@@ -43,13 +43,16 @@
 //! stream holds its key against one dictionary — a loaded table's, or a
 //! routed unit's — DISTINCT, GROUP BY and HAVING fold the selected rows of
 //! all of them into one dense per-code array (a hit flag, the max, the
-//! sum, each beside presence) and touch one string per code the selection
-//! holds (`for_each_group`). A JOIN whose two streams share one
-//! dictionary — what routing both streams together leaves in a shard —
-//! counts one side's codes and probes them with the other's, and reads no
-//! string at all; across two dictionaries it counts each side by code and
-//! matches the codes either side touched by their strings, one hash per
-//! touched string.
+//! sum, each beside presence), then walk it in the dictionary's rank
+//! order, touching one string per code the selection holds
+//! (`for_each_group`): each key arrives once and in order, so they push
+//! their answer into a `Vec` and build no hash map. A JOIN whose two
+//! streams share one dictionary — what routing both streams together
+//! leaves in a shard — counts one side's codes and probes them with the
+//! other's, and reads no string at all; across two dictionaries it counts
+//! each side by code (in code order: a JOIN never ranks) and matches the
+//! codes either side touched by their strings, one hash per touched
+//! string.
 //!
 //! Completion is a function of a row selection and nothing else, so
 //! `complete` over the identity is the unaccelerated plan: it answers the
@@ -104,10 +107,11 @@ pub use topn::TopNOp;
 
 use crate::executor::Tables;
 use crate::query::QueryOutput;
-use crate::table::{Column, Partition, Table};
+use crate::table::{Column, Dictionary, Partition, Table};
 use crate::value::{encode_ordered_i64, Value};
 use cheetah_core::{PassPlan, QuerySpec};
 use cheetah_switch::HashFn;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The per-query contract of the Cheetah dataflow: name the switch
@@ -316,18 +320,20 @@ pub(crate) fn for_each_selected_key<'t>(
 /// The selected rows of stream `stream` folded per key of its key column
 /// `key_col`, across partitions: `value(part)` gives a partition's
 /// per-row contribution, `combine` folds two contributions to one key,
-/// and `f` receives `(key, contribution)` to fold into the completion's
-/// map — possibly several times for one key, so it folds, never
-/// overwrites.
+/// and `f` receives `(key, fold)` exactly once per key a selected row
+/// holds — so a completion pushes what it receives and keeps no map.
 ///
 /// Where every partition holds the key against one dictionary
 /// ([`one_dict`]), the selected rows of all of them are folded by code
 /// into one dense per-code array holding presence and the aggregate before
-/// any string is read; then each code the selection touched reaches `f`
-/// once, as its dictionary string. A code no selected row holds reaches
-/// `f` not at all, so a key is never reported with an aggregate no row
-/// gave it. Otherwise `f` receives every selected row, through
-/// [`for_each_selected_key`]'s loop.
+/// any string is read; then the array is walked in the dictionary's rank
+/// ([`Dictionary::rank`]), so the keys reach `f` in ascending [`Value`]
+/// order, each as its dictionary string. A code no selected row holds
+/// reaches `f` not at all, so a key is never reported with an aggregate no
+/// row gave it. Otherwise — plain strings, ints, or dictionaries coded
+/// apart — every selected row is folded into one map by its borrowed key,
+/// through [`for_each_selected_key`]'s loop, and each key reaches `f`
+/// once, in no set order.
 pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
     src: &Tables<'t>,
     survivors: &Survivors,
@@ -339,10 +345,15 @@ pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
 ) {
     let parts = || survivors.parts(src, stream);
     let Some(dict) = one_dict(parts().map(|(part, _)| part.coded(key_col))) else {
+        let mut groups: HashMap<KeyRef<'t>, A> = HashMap::new();
         for (part, sel) in parts() {
             let value = value(part);
-            for_each_selected_key(part.coded(key_col), sel, |r, k| f(k, value(r)));
+            for_each_selected_key(part.coded(key_col), sel, |r, k| {
+                let v = value(r);
+                groups.entry(k).and_modify(|acc| *acc = combine(*acc, v)).or_insert(v);
+            });
         }
+        groups.into_iter().for_each(|(k, acc)| f(k, acc));
         return;
     };
     let mut dense: Vec<Option<A>> = vec![None; dict.len()];
@@ -356,9 +367,9 @@ pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
             *slot = Some(slot.map_or(v, |acc| combine(acc, v)));
         });
     }
-    for (s, acc) in dict.iter().zip(dense) {
-        if let Some(acc) = acc {
-            f(KeyRef::Str(s), acc);
+    for &code in dict.rank() {
+        if let Some(acc) = dense[code as usize] {
+            f(KeyRef::Str(&dict[code as usize]), acc);
         }
     }
 }
@@ -369,7 +380,7 @@ pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
 /// apart, or no columns give `None`.
 pub(crate) fn one_dict<'t>(
     mut cols: impl Iterator<Item = &'t Column>,
-) -> Option<&'t Arc<[String]>> {
+) -> Option<&'t Arc<Dictionary>> {
     let Some(Column::Dict { dict: first, .. }) = cols.next() else {
         return None;
     };
@@ -459,12 +470,14 @@ pub(crate) fn encode_i64_32(v: i64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CheetahTuning;
+    use crate::engine::{CheetahTuning, Cluster};
     use crate::expr::{DbPredicate, IntCmp, LikePattern};
-    use crate::planner::routing_keys;
+    use crate::planner::{routing_keys, unit_columns};
     use crate::query::DbQuery;
     use crate::sharded::{route_columns, RouteStream};
+    use crate::table::TableBuilder;
     use crate::testutil::{every_row, test_table};
+    use crate::value::DataType;
     use cheetah_core::Sharder;
 
     #[test]
@@ -563,6 +576,143 @@ mod tests {
             }
         }
         assert!(skipped > 0, "the sparse selection skips some dictionary strings");
+    }
+
+    #[test]
+    fn each_selected_key_reaches_a_group_walk_once_and_in_order_over_one_dictionary() {
+        let left = test_table(3_000, 4);
+        let right = test_table(700, 2);
+        assert!(left.is_coded(0) && right.is_coded(0), "fixture: coded at load");
+        let plain = left.plain();
+        let keys = |t| routing_keys(&DbQuery::Distinct { col: 0 }, 0, t, 7);
+        let (lk, rk, cols) = (keys(&left), keys(&right), [0, 1, 2]);
+        let routed = route_columns(
+            &[
+                RouteStream {
+                    table: &left,
+                    cols: &cols,
+                    keyed: Some(0),
+                    keys: &lk,
+                    rows: 0..3_000,
+                },
+                RouteStream { table: &right, cols: &cols, keyed: Some(0), keys: &rk, rows: 0..700 },
+            ],
+            &Sharder::hash(3, 5),
+        );
+        // (form, tables, stream, key column): an int key, a plain string,
+        // a string coded at load, and both streams of each routed shard.
+        let mut forms = vec![
+            ("int", Tables::unary(&left), 0, 1),
+            ("plain", Tables::unary(&plain), 0, 0),
+            ("load-coded", Tables::unary(&left), 0, 0),
+        ];
+        for (left, right) in routed[0].iter().zip(&routed[1]) {
+            let shard = Tables::binary(left, right);
+            forms.extend([("route-coded", shard, 0, 0), ("route-coded", shard, 1, 0)]);
+        }
+        // Per row: a count of one, and the row's duration.
+        fn durations(part: &Partition) -> impl Fn(usize) -> (u64, i64) + '_ {
+            let d = part.column(2).as_int().expect("an int column");
+            move |r| (1, d[r])
+        }
+        for (form, src, stream, key_col) in forms {
+            let streams = stream + 1;
+            let selections = [
+                ("every row", Survivors::all(&src, streams).unwrap()),
+                ("every third row", every_third_row(&src, streams)),
+                ("no row", Survivors::none(&src, streams).unwrap()),
+            ];
+            for (which, survivors) in selections {
+                let at = format!("{form} stream {stream}, {which}");
+                let mut got: Vec<(Value, (u64, i64))> = Vec::new();
+                let add = |a: (u64, i64), b: (u64, i64)| (a.0 + b.0, a.1 + b.1);
+                for_each_group(&src, &survivors, stream, key_col, durations, add, |k, acc| {
+                    got.push((k.to_value(), acc));
+                });
+                // The reference: every selected row, one at a time.
+                let mut want: std::collections::BTreeMap<Value, (u64, i64)> = Default::default();
+                for (part, sel) in survivors.parts(&src, stream) {
+                    let d = part.column(2).as_int().unwrap();
+                    for r in sel.rows() {
+                        let acc = want.entry(part.coded(key_col).get(r)).or_default();
+                        *acc = add(*acc, (1, d[r]));
+                    }
+                }
+                let once: std::collections::HashSet<&Value> = got.iter().map(|(k, _)| k).collect();
+                assert_eq!(once.len(), got.len(), "{at}: each key once");
+                assert_eq!(got.iter().cloned().collect::<std::collections::BTreeMap<_, _>>(), want);
+                assert!(got.iter().all(|(_, (rows, _))| *rows > 0), "{at}: no untouched code");
+                let coded = survivors.parts(&src, stream).map(|(p, _)| p.coded(key_col));
+                if let Some(dict) = one_dict(coded) {
+                    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{at}: ascending");
+                    assert!(got.len() <= dict.len(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_grouping_answer_ranks_a_dictionary() {
+        // Near-unique URLs the load rule leaves plain, a JOIN's key routed
+        // over three units: each shard codes both sides against one
+        // dictionary, which the JOIN counts and probes by code, direct and
+        // pruned, and never ranks.
+        let urls = |rows: usize, step: usize| {
+            let mut b = TableBuilder::new("urls", vec![("url".into(), DataType::Str)], 1_024);
+            for i in 0..rows {
+                b.push_row([Value::Str(format!("http://x/{}", i * step % 7_001))]);
+            }
+            b.build()
+        };
+        let (l, r) = (urls(6_000, 1), urls(3_000, 3));
+        assert!(!l.is_coded(0) && !r.is_coded(0), "fixture: the load rule leaves them plain");
+        let q = DbQuery::Join { left_key: 0, right_key: 0 };
+        let cluster = Cluster::default();
+        let (lk, rk) = (routing_keys(&q, 0, &l, 1), routing_keys(&q, 1, &r, 1));
+        let ((lcols, lkeyed), (rcols, rkeyed)) = (unit_columns(&q, 0), unit_columns(&q, 1));
+        let units = route_columns(
+            &[
+                RouteStream { table: &l, cols: &lcols, keyed: lkeyed, keys: &lk, rows: 0..6_000 },
+                RouteStream { table: &r, cols: &rcols, keyed: rkeyed, keys: &rk, rows: 0..3_000 },
+            ],
+            &Sharder::hash(3, 1),
+        );
+        let QueryOutput::JoinPairs(want) = cluster.run_baseline(&q, &l, Some(&r)).output else {
+            panic!("a join counts pairs")
+        };
+        let (mut direct_pairs, unit_q) = (0, q.remapped());
+        let dict_of = |unit: &Table| match unit.partitions()[0].column(0) {
+            Column::Dict { dict, .. } => Arc::clone(dict),
+            _ => panic!("a routed string key is coded"),
+        };
+        for (s, (left, right)) in units[0].iter().zip(&units[1]).enumerate() {
+            let direct = cluster.run_direct(&unit_q, left, Some(right)).unwrap().output;
+            let pruned = cluster.run_cheetah(&unit_q, left, Some(right)).unwrap().output;
+            assert_eq!(direct, pruned, "shard {s}");
+            let QueryOutput::JoinPairs(pairs) = direct else { panic!("a join counts pairs") };
+            direct_pairs += pairs;
+            let dict = dict_of(left);
+            assert!(Arc::ptr_eq(&dict, &dict_of(right)), "shard {s}: one dictionary");
+            assert!(!dict.is_ranked(), "shard {s}: a join ranks nothing");
+        }
+        assert_eq!(direct_pairs, want);
+        // A grouping answer over a shard ranks its dictionary.
+        let distinct = DbQuery::Distinct { col: 0 };
+        cluster.run_direct(&distinct, &units[0][0], None).unwrap();
+        assert!(dict_of(&units[0][0]).is_ranked());
+        // DISTINCT over one loaded table from two clusters: the first
+        // ranks the table's dictionary, and the second reads that rank.
+        let t = test_table(3_000, 4);
+        let Column::Dict { dict, .. } = t.partitions()[0].coded(0) else {
+            panic!("fixture: coded at load")
+        };
+        assert!(!dict.is_ranked(), "loading ranks nothing");
+        let first = Cluster::default().run_direct(&distinct, &t, None).unwrap().output;
+        assert!(dict.is_ranked());
+        let rank = dict.rank().as_ptr();
+        let second = Cluster::default().run_direct(&distinct, &t, None).unwrap().output;
+        assert_eq!(first, second);
+        assert!(std::ptr::eq(rank, dict.rank().as_ptr()), "ranked once");
     }
 
     /// Rows `0, 3, 6, …` of every partition of the first `streams` streams

@@ -29,7 +29,7 @@
 //!
 //! [`Cluster::run_cheetah`]: crate::engine::Cluster::run_cheetah
 
-use crate::table::{Column, Partition, Table};
+use crate::table::{Column, Dictionary, Partition, Table};
 use crate::value::DataType;
 use cheetah_core::Sharder;
 use std::collections::hash_map::Entry;
@@ -148,7 +148,7 @@ pub fn route_columns(streams: &[RouteStream<'_>], sharder: &Sharder) -> Vec<Vec<
                 .map(|(i, &c)| match table.fields()[c].1 {
                     DataType::Int => Column::Int(Vec::new()),
                     DataType::Str if keyed == Some(i) => {
-                        Column::Dict { codes: Vec::new(), dict: Arc::from([]) }
+                        Column::Dict { codes: Vec::new(), dict: Arc::default() }
                     }
                     DataType::Str => Column::Str(Vec::new()),
                 })
@@ -203,7 +203,8 @@ pub fn route_columns(streams: &[RouteStream<'_>], sharder: &Sharder) -> Vec<Vec<
         }
         routed.push(out);
     }
-    let dicts: Vec<Arc<[String]>> = coders.into_iter().map(|c| c.dict.into()).collect();
+    let dicts: Vec<Arc<Dictionary>> =
+        coders.into_iter().map(|c| Arc::new(Dictionary::from(c.dict))).collect();
     streams
         .iter()
         .zip(routed)
@@ -249,6 +250,10 @@ struct Coder {
     /// Strings whose routing key an earlier, different string holds.
     collided: HashMap<String, u32>,
     /// The distinct strings, in first-seen order: code `c` is `dict[c]`.
+    /// The shard's [`Dictionary`] takes them as they are and sorts them
+    /// into its rank only when a completion groups by it (DISTINCT, GROUP
+    /// BY, HAVING): a JOIN's units share it, count and probe by code, and
+    /// never rank it.
     dict: Vec<String>,
 }
 
@@ -333,7 +338,7 @@ mod tests {
         let dict: Vec<String> = (0..50).map(|i| format!("agent-{i}")).collect();
         let code = |r| dict.iter().position(|a| p.column(0).str_at(r) == Some(a)).unwrap();
         let codes = (0..plain.rows()).map(|r| code(r) as u32).collect();
-        let cols = vec![Column::Dict { codes, dict: dict.into() }, p.column(1).clone()];
+        let cols = vec![Column::Dict { codes, dict: Arc::new(dict.into()) }, p.column(1).clone()];
         let fields = plain.fields()[..2].to_vec();
         let coded = Table::from_partition("t", fields, Partition::new(cols));
         let q = DbQuery::Distinct { col: 0 };

@@ -13,8 +13,10 @@
 use crate::value::{DataType, Value};
 use cheetah_switch::hash::mix64;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// One column of a partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,9 +26,11 @@ pub enum Column {
     /// String column.
     Str(Vec<String>),
     /// Dictionary-coded string column: row `r` holds `dict[codes[r]]`.
-    /// The dictionary holds each distinct string once, in first-seen
-    /// order, and is shared by `Arc`, so a completion can fold, count and
-    /// probe by code without reading a string. Two places make one:
+    /// The [`Dictionary`] holds each distinct string once, in first-seen
+    /// order, beside its rank (the codes in [`Value`] order, sorted on
+    /// first use), and is shared by `Arc`, so a completion can fold, count
+    /// and probe by code without reading a string, and answer in order
+    /// without sorting. Two places make one:
     ///
     /// * [`TableBuilder::build`] codes a repeating string column of a
     ///   loaded table, one dictionary for the whole table, and keeps the
@@ -38,9 +42,73 @@ pub enum Column {
     Dict {
         /// One code per row, indexing `dict`.
         codes: Vec<u32>,
-        /// The distinct strings, each once, in first-seen order.
-        dict: Arc<[String]>,
+        /// The distinct strings, each once, in first-seen order, and their
+        /// rank.
+        dict: Arc<Dictionary>,
     },
+}
+
+/// The strings a [`Column::Dict`] codes against, each once, in first-seen
+/// order — code `c` is `dict[c]` — and their rank: the codes listed in
+/// [`Value`] order (byte order of the strings). DISTINCT, GROUP BY and
+/// HAVING walk their per-code fold in rank order, so they hand their
+/// answer over sorted and build no hash map to dedup or group it.
+///
+/// The rank is computed on first use and kept for the dictionary's life,
+/// so loading and routing never sort: a routed shard's dictionary that
+/// only a JOIN reads is never ranked, and a loaded table's is ranked once
+/// for every request that reads it. It derefs to the strings; equality
+/// and `Debug` read the strings alone.
+#[derive(Default)]
+pub struct Dictionary {
+    strings: Box<[String]>,
+    rank: OnceLock<Box<[u32]>>,
+}
+
+impl Dictionary {
+    /// The codes in ascending [`Value`] order of their strings, sorted on
+    /// the first call and kept.
+    pub(crate) fn rank(&self) -> &[u32] {
+        self.rank.get_or_init(|| {
+            let n = u32::try_from(self.strings.len()).expect("fewer than 2^32 strings");
+            let mut rank: Vec<u32> = (0..n).collect();
+            // Each string is held once, so no two codes tie.
+            rank.sort_unstable_by_key(|&c| self.strings[c as usize].as_str());
+            rank.into()
+        })
+    }
+
+    /// Has [`rank`](Self::rank) been computed?
+    #[cfg(test)]
+    pub(crate) fn is_ranked(&self) -> bool {
+        self.rank.get().is_some()
+    }
+}
+
+impl Deref for Dictionary {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        &self.strings
+    }
+}
+
+impl From<Vec<String>> for Dictionary {
+    fn from(strings: Vec<String>) -> Self {
+        Self { strings: strings.into(), rank: OnceLock::new() }
+    }
+}
+
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Self) -> bool {
+        self.strings == other.strings
+    }
+}
+
+impl fmt::Debug for Dictionary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.strings.fmt(f)
+    }
 }
 
 impl Column {
@@ -283,7 +351,8 @@ fn sample_repeats(parts: &[Partition], c: usize) -> (usize, usize) {
 }
 
 /// Code string column `c` of every partition against one dictionary: its
-/// distinct strings in first-seen order, each once, shared by `Arc`.
+/// distinct strings in first-seen order, each once, shared by `Arc` (its
+/// rank is left to the first keyed answer that reads it).
 fn code_column(parts: &mut [Partition], c: usize) {
     let mut dict: Vec<String> = Vec::new();
     let mut codes: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
@@ -307,7 +376,7 @@ fn code_column(parts: &mut [Partition], c: usize) {
                 .collect(),
         );
     }
-    let dict: Arc<[String]> = dict.into();
+    let dict = Arc::new(Dictionary::from(dict));
     for (p, codes) in parts.iter_mut().zip(codes) {
         p.coded.resize(p.columns.len(), None);
         p.coded[c] = Some(Column::Dict { codes, dict: Arc::clone(&dict) });
@@ -618,10 +687,68 @@ mod tests {
         TableBuilder::new("t", two_fields(), 8).push_row([Value::Str("a".into())]);
     }
 
+    /// The strings `dict`'s rank lists, in its order.
+    fn ranked(dict: &Dictionary) -> Vec<Value> {
+        dict.rank().iter().map(|&c| Value::Str(dict[c as usize].clone())).collect()
+    }
+
+    /// `dict`'s strings as `Value`s, sorted.
+    fn sorted(dict: &Dictionary) -> Vec<Value> {
+        let mut values: Vec<Value> = dict.iter().cloned().map(Value::Str).collect();
+        values.sort();
+        values
+    }
+
+    #[test]
+    fn the_rank_lists_the_codes_in_value_order() {
+        let edges = [
+            // The empty string, prefix pairs, and byte order against case.
+            &["ab", "", "a", "b", "Z", "aB", "z", "abc", "A"][..],
+            // Non-ASCII: accents, German sharp s, CJK, an emoji, beside the
+            // ASCII letters they sort after.
+            &["é", "e", "ß", "s", "中文", "中", "日本", "🦀", "ÿ", "f", "é!"],
+            // No strings, and one.
+            &[],
+            &["only"],
+        ];
+        for strings in edges {
+            let dict = Dictionary::from(strings.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+            assert!(!dict.is_ranked(), "{strings:?}: built unranked");
+            assert_eq!(ranked(&dict), sorted(&dict), "{strings:?}");
+            assert!(dict.is_ranked(), "{strings:?}: kept");
+        }
+        // A loaded table whose rows repeat a few strings thousands of
+        // times, in an order that is not theirs: coded at load, ranked
+        // only when asked, and in `Value` order.
+        let few = ["zeta", "", "Alpha", "alpha", "ß", "al"];
+        let mut b = TableBuilder::new("few", vec![("s".into(), DataType::Str)], 1_000);
+        for r in 0..12_000 {
+            b.push_row([Value::Str(few[r * 7 % few.len()].to_string())]);
+        }
+        let t = b.build();
+        let Column::Dict { dict, .. } = t.partitions()[0].coded(0) else {
+            panic!("a repeating column is coded")
+        };
+        assert_eq!(dict.len(), few.len());
+        assert!(!dict.is_ranked(), "loading does not rank");
+        assert_eq!(ranked(dict), sorted(dict));
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_rank() {
+        let strings = || vec!["b".to_string(), "a".to_string()];
+        let (ranked, fresh) = (Dictionary::from(strings()), Dictionary::from(strings()));
+        ranked.rank();
+        assert_eq!(ranked, fresh);
+        assert_eq!(format!("{ranked:?}"), format!("{fresh:?}"));
+        assert_eq!(format!("{fresh:?}"), format!("{:?}", strings()));
+        assert_ne!(fresh, Dictionary::from(vec!["a".to_string(), "b".to_string()]));
+    }
+
     #[test]
     fn a_dictionary_column_reads_like_its_strings() {
         let plain = Column::Str(vec!["ab".into(), "c".into(), "ab".into()]);
-        let dict: Arc<[String]> = Arc::from(["ab".to_string(), "c".to_string()]);
+        let dict = Arc::new(Dictionary::from(vec!["ab".to_string(), "c".to_string()]));
         let coded = Column::Dict { codes: vec![0, 1, 0], dict };
         assert_eq!((coded.len(), coded.data_type()), (3, DataType::Str));
         for r in 0..3 {

@@ -36,9 +36,10 @@
 //!   has one code on both sides. A warm DISTINCT, GROUP BY, JOIN or HAVING
 //!   then encodes its unit by hashing each distinct key once, not every
 //!   row's string, and completes by code: the unary shapes fold their
-//!   selected rows into a dense per-code array and read one string per
-//!   touched code; a JOIN counts one side's codes and probes them with the
-//!   other's, and reads no string. Every other column holds plain cells.
+//!   selected rows into a dense per-code array and walk it in the shard
+//!   dictionary's rank, reading one string per touched code, in order; a
+//!   JOIN counts one side's codes and probes them with the other's, reads
+//!   no string and never ranks. Every other column holds plain cells.
 //!   Routing reads a table's cells as loaded, so a shard's dictionary
 //!   holds only the strings the shard does, whatever the load rule coded.
 //!   A one-shard layout is the caller's table, whose repeating string

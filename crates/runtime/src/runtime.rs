@@ -300,8 +300,8 @@ fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
 mod tests {
     use super::*;
     use cheetah_db::{
-        unit_columns, units, CheetahTuning, Column, DataType, DbPredicate, IntCmp, LikePattern,
-        TableBuilder, Value,
+        unit_columns, units, CheetahTuning, Column, DataType, DbPredicate, Dictionary, IntCmp,
+        LikePattern, TableBuilder, Value,
     };
     use cheetah_net::FaultProfile;
     use cheetah_telemetry::{Registry, Trace};
@@ -426,7 +426,7 @@ mod tests {
                 // The string key a stream routes by is codes; every other
                 // column holds plain cells. The two streams of a binary plan
                 // code their keys against one dictionary per shard.
-                let mut dicts: Vec<Vec<Arc<[String]>>> = vec![Vec::new(); shards];
+                let mut dicts: Vec<Vec<Arc<Dictionary>>> = vec![Vec::new(); shards];
                 let streams = std::iter::once(&plan.units).chain(plan.right_units.as_ref());
                 for (stream, units) in streams.enumerate() {
                     let (_, keyed) = unit_columns(q, stream);

@@ -532,7 +532,8 @@ mod tests {
     use crate::lifecycle::{Entry, Stage};
     use cheetah_db::planner::ROWS_PER_UNIT;
     use cheetah_db::{
-        Column, DataType, DbPredicate, DbQuery, IntCmp, LikePattern, Partition, TableBuilder, Value,
+        Column, DataType, DbPredicate, DbQuery, Dictionary, IntCmp, LikePattern, Partition,
+        TableBuilder, Value,
     };
     use std::sync::Barrier;
 
@@ -779,7 +780,8 @@ mod tests {
     #[test]
     fn a_table_loaded_as_codes_answers_at_every_sight_and_under_a_pin() {
         let rows = 3 * ROWS_PER_UNIT;
-        let dict: Arc<[String]> = (0..97).map(|i| format!("k{i}")).collect();
+        let dict: Vec<String> = (0..97).map(|i| format!("k{i}")).collect();
+        let dict = Arc::new(Dictionary::from(dict));
         let codes = (0..rows).map(|r| (r * 31 % 97) as u32).collect();
         let cols = vec![Column::Dict { codes, dict }, Column::Int((0..rows as i64).collect())];
         let fields = vec![("k".into(), DataType::Str), ("n".into(), DataType::Int)];
