@@ -15,7 +15,7 @@
 
 use crate::report::secs;
 use crate::{Report, RunCtx};
-use cheetah_db::{Cluster, DbQuery, Table};
+use cheetah_db::{Cluster, DbQuery, ExecBackend, Table};
 use cheetah_workloads::bigdata::BigDataConfig;
 use cheetah_workloads::tpch::TpchConfig;
 
@@ -45,7 +45,8 @@ fn run_pair(
     let mut pruned_pct = 0.0;
     for _ in 0..3 {
         let base = cluster.run_baseline(&q, left, right);
-        let chee = cluster.run_cheetah(&q, left, right).expect("cheetah plan");
+        let chee =
+            cluster.run_cheetah(&q, left, right, ExecBackend::Interpreted).expect("cheetah plan");
         assert_eq!(base.output, chee.output, "{name}: pruning changed the output");
         spark = spark.min(base.breakdown.completion_seconds(LINK_GBPS));
         cheetah = cheetah.min(chee.breakdown.completion_seconds(LINK_GBPS));

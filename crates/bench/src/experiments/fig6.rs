@@ -8,7 +8,7 @@
 
 use crate::report::secs;
 use crate::{Report, RunCtx, Scale};
-use cheetah_db::{Cluster, DbQuery};
+use cheetah_db::{Cluster, DbQuery, ExecBackend};
 use cheetah_workloads::bigdata::BigDataConfig;
 
 const LINK_GBPS: f64 = 10.0;
@@ -23,7 +23,7 @@ fn best_of_3(cluster: &Cluster, q: &DbQuery, t: &cheetah_db::Table) -> (f64, f64
     let mut c = f64::INFINITY;
     for _ in 0..3 {
         let base = cluster.run_baseline(q, t, None);
-        let chee = cluster.run_cheetah(q, t, None).expect("plan");
+        let chee = cluster.run_cheetah(q, t, None, ExecBackend::Interpreted).expect("plan");
         assert_eq!(base.output, chee.output);
         s = s.min(base.breakdown.completion_seconds(LINK_GBPS));
         c = c.min(chee.breakdown.completion_seconds(LINK_GBPS));

@@ -8,7 +8,7 @@
 
 use crate::report::secs;
 use crate::{Report, RunCtx};
-use cheetah_db::{Cluster, DbQuery};
+use cheetah_db::{Cluster, DbQuery, ExecBackend};
 use cheetah_workloads::bigdata::BigDataConfig;
 
 /// Build the figure.
@@ -35,7 +35,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
     );
     for (name, q) in queries {
         let base = cluster.run_baseline(&q, &table, None);
-        let chee = cluster.run_cheetah(&q, &table, None).expect("plan");
+        let chee = cluster.run_cheetah(&q, &table, None, ExecBackend::Interpreted).expect("plan");
         assert_eq!(base.output, chee.output);
         for (system, b, gbps) in [
             ("Spark 10G", &base.breakdown, 10.0),

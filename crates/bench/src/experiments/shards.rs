@@ -32,7 +32,7 @@
 use crate::report::secs;
 use crate::{Report, RunCtx};
 use cheetah_db::planner::{units, ROWS_PER_UNIT};
-use cheetah_db::{Cluster, ExecBackend, ExecPath, QueryOutput};
+use cheetah_db::{ChooserArm, Cluster, ExecBackend, ExecPath, QueryOutput};
 use cheetah_net::MasterIngestModel;
 use cheetah_runtime::{execute, ExecPlan, ExecRun, WorkerPool};
 use cheetah_workloads::BigDataConfig;
@@ -43,26 +43,34 @@ use std::time::Instant;
 /// paper's 10G rack fabric.
 const LINK_GBPS: f64 = 10.0;
 
-/// Run `plan` on `path` `reps` times, asserting every output equal to
+/// The pruned arm the sweep times: the barrier, on the compiled kernels
+/// where the family has one.
+const PRUNED: ChooserArm =
+    ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Compiled };
+
+/// The direct arm: no switch, so no engine.
+const DIRECT: ChooserArm = ChooserArm { path: ExecPath::Direct, backend: ExecBackend::Interpreted };
+
+/// Run `plan` on `arm` `reps` times, asserting every output equal to
 /// `want`; the fastest run by wall, with its wall.
 fn best_of(
     cluster: &Cluster,
-    plan: &ExecPlan,
-    path: ExecPath,
+    plan: &Arc<ExecPlan>,
+    arm: ChooserArm,
     reps: usize,
     want: &QueryOutput,
 ) -> (ExecRun, f64) {
     let mut best: Option<(ExecRun, f64)> = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let run = execute(cluster, plan, path).expect("plan fits");
+        let run = execute(cluster, plan, arm, None).expect("plan fits");
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(
             &run.output,
             want,
             "{} {}: diverged from the baseline",
             plan.query().kind(),
-            path.label()
+            arm.label()
         );
         if best.as_ref().is_none_or(|(_, w)| wall < *w) {
             best = Some((run, wall));
@@ -106,7 +114,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
         ..BigDataConfig::default()
     };
     let (rankings, uservisits) = (Arc::new(bd.rankings()), Arc::new(bd.uservisits()));
-    let cluster = Cluster::default().with_backend(ExecBackend::Compiled);
+    let cluster = Cluster::default();
     let workers = WorkerPool::global().workers();
 
     let mut r = Report::new(
@@ -148,10 +156,9 @@ pub fn run(ctx: &RunCtx) -> Vec<Report> {
                 route_wall = route_wall.min(t0.elapsed().as_secs_f64());
                 routed = Some(plan);
             }
-            let layout = routed.expect("at least one rep");
-            let (run, pruned_wall) =
-                best_of(&cluster, &layout, ExecPath::BarrierPooled, reps, &want);
-            let (_, direct_wall) = best_of(&cluster, &layout, ExecPath::Direct, reps, &want);
+            let layout = Arc::new(routed.expect("at least one rep"));
+            let (run, pruned_wall) = best_of(&cluster, &layout, PRUNED, reps, &want);
+            let (_, direct_wall) = best_of(&cluster, &layout, DIRECT, reps, &want);
             let b = &run.breakdown;
             let entries: Vec<u64> = run.per_shard.iter().map(|s| s.entries_to_master).collect();
             let completion = b.completion_seconds(LINK_GBPS);

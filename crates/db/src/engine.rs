@@ -114,35 +114,26 @@ impl Default for CheetahTuning {
 }
 
 /// A cluster: workers own partitions; one master; one switch in between.
+/// It describes the rack only: which engine prunes a run (its
+/// [`ExecBackend`]) is an argument of that run.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     /// Switch model used by the Cheetah path.
     pub profile: SwitchProfile,
     /// Switch-side tuning.
     pub tuning: CheetahTuning,
-    /// Which pruning backend the Cheetah path runs: the interpreted
-    /// pipeline (default, the oracle) or the plan-time fused kernels of
-    /// [`cheetah_core::CompiledProgram`]. Because the executor clones the
-    /// cluster into its shard workers, setting this once routes every
-    /// shard's entry loop through the chosen engine.
-    pub backend: ExecBackend,
     /// Fault mode (§7.2): the fault profile of a simulated lossy rack and
     /// the seed of its draws. A run in fault mode carries every row it read
     /// across that rack, after its pruning passes and before the master
     /// completes, and completes over what was delivered. `None`, the
-    /// default, carries nothing. Set once, like the backend, it rides
-    /// every shard job of every path.
+    /// default, carries nothing. Set once, it rides every shard job of
+    /// every path.
     pub fault: Option<(FaultProfile, u64)>,
 }
 
 impl Default for Cluster {
     fn default() -> Self {
-        Self {
-            profile: SwitchProfile::tofino2(),
-            tuning: CheetahTuning::default(),
-            backend: ExecBackend::Interpreted,
-            fault: None,
-        }
+        Self { profile: SwitchProfile::tofino2(), tuning: CheetahTuning::default(), fault: None }
     }
 }
 
@@ -232,12 +223,6 @@ macro_rules! with_operator {
 }
 
 impl Cluster {
-    /// This cluster with the Cheetah path pinned to `backend`.
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// This cluster in fault mode: every run carries its rows across a
     /// rack whose links fail per `profile`, drawn from `seed`.
     pub fn with_fault(mut self, profile: FaultProfile, seed: u64) -> Self {
@@ -261,8 +246,10 @@ impl Cluster {
     // Cheetah path
     // ------------------------------------------------------------------
 
-    /// Execute the query through the switch-pruned path. Output is
-    /// guaranteed equal to [`run_baseline`](Self::run_baseline)'s (up to
+    /// Execute the query through the switch-pruned path, its entries
+    /// judged by `backend`: the interpreted pipeline (the oracle) or the
+    /// plan-time fused kernels of [`cheetah_core::CompiledProgram`]. Output
+    /// is guaranteed equal to [`run_baseline`](Self::run_baseline)'s (up to
     /// the probabilistic fingerprint caveats documented per algorithm).
     ///
     /// Every query shape goes through the same generic executor
@@ -279,9 +266,10 @@ impl Cluster {
         q: &DbQuery,
         left: &Table,
         right: Option<&Table>,
+        backend: ExecBackend,
     ) -> cheetah_core::Result<CheetahRun> {
         let t = Tables { left, right };
-        with_operator!(self, q, |op| self.execute(&op, &t))
+        with_operator!(self, q, |op| self.execute(&op, &t, backend))
     }
 
     /// Execute the query *without* the switch: the same operator's
@@ -369,7 +357,7 @@ mod tests {
         assert_eq!(calibrated.output, raw.output);
         assert!(calibrated.breakdown.worker_seconds >= charged, "calibration missing");
         // The Cheetah path is never calibrated — it measures real work.
-        let chee = cluster.run_cheetah(&q, &t, None).unwrap();
+        let chee = cluster.run_cheetah(&q, &t, None, ExecBackend::Interpreted).unwrap();
         assert!(chee.breakdown.worker_seconds < calibrated.breakdown.worker_seconds);
     }
 
@@ -410,8 +398,8 @@ mod tests {
             for (q, table) in queries {
                 let want = Cluster::default().run_baseline(&q, table, None).output;
                 for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-                    let cluster = Cluster::default().with_backend(backend);
-                    let pruned = cluster.run_cheetah(&q, table, None).unwrap().output;
+                    let pruned =
+                        Cluster::default().run_cheetah(&q, table, None, backend).unwrap().output;
                     assert_eq!(pruned, want, "{q:?} at {edge}, {}", backend.label());
                 }
                 let direct = Cluster::default().run_direct(&q, table, None).unwrap().output;
@@ -433,7 +421,8 @@ mod tests {
             let q = DbQuery::TopN { order_col: 1, n };
             let base = cluster.run_baseline(&q, &t, None).output;
             assert_eq!(base, QueryOutput::TopValues(every.clone()), "n = {n}");
-            assert_eq!(cluster.run_cheetah(&q, &t, None).unwrap().output, base, "n = {n}");
+            let pruned = cluster.run_cheetah(&q, &t, None, ExecBackend::Interpreted).unwrap();
+            assert_eq!(pruned.output, base, "n = {n}");
         }
     }
 }

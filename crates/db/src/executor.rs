@@ -157,14 +157,17 @@ impl PruneEngine for InterpretedEngine {
 }
 
 impl Cluster {
-    /// Drive any [`PruningOperator`] through the full Cheetah dataflow.
+    /// Drive any [`PruningOperator`] through the full Cheetah dataflow, its
+    /// entries judged by `backend`.
     ///
     /// This is the seam that makes the next query type a one-file change:
     /// implement the operator, call `execute`.
-    pub fn execute<O>(&self, op: &O, tables: &Tables<'_>) -> cheetah_core::Result<CheetahRun>
-    where
-        O: PruningOperator,
-    {
+    pub fn execute<O: PruningOperator>(
+        &self,
+        op: &O,
+        tables: &Tables<'_>,
+        backend: ExecBackend,
+    ) -> cheetah_core::Result<CheetahRun> {
         // Plan the switch program. The interpreted plan is the
         // resource-validation oracle (ledger, rules, install time) even
         // when a compiled kernel will run the entries — but planning is
@@ -173,11 +176,9 @@ impl Cluster {
         // instead of re-planning per repetition.
         let spec = op.spec()?;
         let hit = |p: &mut InstalledProgram| p.spec == spec && p.profile == self.profile;
-        let installed = match self.backend {
-            ExecBackend::Compiled => COMPILED_CACHE.with(|c| c.borrow_mut().take_if(hit)),
-            ExecBackend::Interpreted => None,
-        };
-        let (usage, mut kernel) = match installed {
+        let compiled = backend == ExecBackend::Compiled;
+        let installed = compiled.then(|| COMPILED_CACHE.with(|c| c.borrow_mut().take_if(hit)));
+        let (usage, mut kernel) = match installed.flatten() {
             Some(mut installed) => {
                 installed.engine.reset();
                 (installed.usage, installed.engine)
@@ -188,11 +189,8 @@ impl Cluster {
                 // Kernels exist for single-pass families only: JOIN and
                 // HAVING run the interpreter whatever was asked for, and
                 // `breakdown.backend` records what ran.
-                let kernel = match self.backend {
-                    ExecBackend::Compiled => CompiledProgram::compile(&spec).ok(),
-                    ExecBackend::Interpreted => None,
-                };
-                let Some(kernel) = kernel else {
+                let kernel = compiled.then(|| CompiledProgram::compile(&spec).ok());
+                let Some(kernel) = kernel.flatten() else {
                     let pruner = StandalonePruner::new(pipeline);
                     let mut engine = InterpretedEngine { pruner, program };
                     let backend = ExecBackend::Interpreted;
@@ -272,7 +270,9 @@ impl<O: PruningOperator> Workers<'_, '_, O> {
     /// One switch pass over stream `s`: every block goes through `engine`
     /// as one run of the stream's flow (one flow lookup per partition, not
     /// per entry), then to `forwarded` with the forwarded rows listed.
-    /// The switch prunes at line rate: its time is nobody's phase.
+    /// No [`ExecBreakdown`] phase holds the simulated switch's CPU time (a
+    /// real switch prunes at line rate), but that time is on the wall
+    /// clock and in the process CPU the arm census reads.
     fn offer<E: PruneEngine>(
         &mut self,
         engine: &mut E,
@@ -542,6 +542,8 @@ mod tests {
     use crate::table::Partition;
     use crate::testutil::{all_queries, test_table};
 
+    const INTERP: ExecBackend = ExecBackend::Interpreted;
+
     #[test]
     fn cheetah_output_equals_baseline_for_every_query() {
         // THE correctness contract: Q(A_Q(D)) = Q(D).
@@ -549,7 +551,7 @@ mod tests {
         let t = test_table(5_000, 4);
         for q in all_queries() {
             let base = cluster.run_baseline(&q, &t, None);
-            let chee = cluster.run_cheetah(&q, &t, None).unwrap();
+            let chee = cluster.run_cheetah(&q, &t, None, INTERP).unwrap();
             assert_eq!(base.output, chee.output, "mismatch for {}", q.kind());
         }
     }
@@ -558,7 +560,7 @@ mod tests {
     fn switch_prunes_a_meaningful_fraction() {
         let cluster = Cluster::default();
         let t = test_table(20_000, 4);
-        let chee = cluster.run_cheetah(&DbQuery::Distinct { col: 0 }, &t, None).unwrap();
+        let chee = cluster.run_cheetah(&DbQuery::Distinct { col: 0 }, &t, None, INTERP).unwrap();
         // 50 distinct agents over 20k rows: pruning should be massive.
         assert!(
             chee.switch_stats.pruned_fraction() > 0.95,
@@ -574,7 +576,7 @@ mod tests {
         let t = test_table(20_000, 4);
         let q = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
         let base = cluster.run_baseline(&q, &t, None);
-        let chee = cluster.run_cheetah(&q, &t, None).unwrap();
+        let chee = cluster.run_cheetah(&q, &t, None, INTERP).unwrap();
         // Cheetah streams everything uncompressed through the switch…
         assert!(chee.breakdown.worker_wire_bytes > base.breakdown.worker_wire_bytes);
         // …but the master sees a pruned stream.
@@ -586,7 +588,7 @@ mod tests {
         let cluster = Cluster::default();
         let t = test_table(1_000, 2);
         for q in all_queries() {
-            let chee = cluster.run_cheetah(&q, &t, None).unwrap();
+            let chee = cluster.run_cheetah(&q, &t, None, INTERP).unwrap();
             assert!(chee.rules <= 30, "{}: {} rules", q.kind(), chee.rules);
         }
     }
@@ -631,7 +633,7 @@ mod tests {
     fn on_both_backends(op: &MalformedOp) -> cheetah_core::Result<QueryOutput> {
         let t = test_table(10, 1);
         let [interp, compiled] = [ExecBackend::Interpreted, ExecBackend::Compiled].map(|b| {
-            let run = Cluster::default().with_backend(b).execute(op, &Tables::unary(&t));
+            let run = Cluster::default().execute(op, &Tables::unary(&t), b);
             run.map(|r| r.output)
         });
         assert_eq!(interp, compiled);
@@ -711,7 +713,7 @@ mod tests {
         let single = Probe(crate::operators::DistinctOp::new(0, tuning));
         assert_eq!((single.0.streams(), single.0.flow_id(0)), (1, 0));
         assert_eq!(single.0.pass_plan(), PassPlan::Single);
-        let run = cluster.execute(&single, &Tables::unary(&t)).unwrap();
+        let run = cluster.execute(&single, &Tables::unary(&t), INTERP).unwrap();
         assert_eq!(run.output, QueryOutput::Count(run.breakdown.entries_to_master));
         assert_eq!(run.output, QueryOutput::Count(run.switch_stats.forwarded));
         assert!((50..4_000).contains(&run.breakdown.entries_to_master), "pruned, not emptied");
@@ -721,7 +723,7 @@ mod tests {
         let join = Probe(crate::operators::JoinOp::new(0, 0, tuning));
         assert_eq!((join.0.streams(), join.0.flow_id(0), join.0.flow_id(1)), (2, 0, 1));
         assert_eq!(join.0.pass_plan(), PassPlan::BuildThenPrune);
-        let run = cluster.execute(&join, &Tables::binary(&t, &t)).unwrap();
+        let run = cluster.execute(&join, &Tables::binary(&t, &t), INTERP).unwrap();
         assert_eq!(run.output, QueryOutput::Count(run.breakdown.entries_to_master));
         assert_eq!(run.breakdown.entries_to_master, 8_000, "self-join: every key has a partner");
 
@@ -729,7 +731,7 @@ mod tests {
         // forwarded (one announcement per key).
         let having = Probe(crate::operators::HavingSumOp::new(0, 1, 50_000, tuning));
         assert_eq!(having.0.pass_plan(), PassPlan::CandidateKeys { key_slot: 0 });
-        let run = cluster.execute(&having, &Tables::unary(&t)).unwrap();
+        let run = cluster.execute(&having, &Tables::unary(&t), INTERP).unwrap();
         assert_eq!(run.output, QueryOutput::Count(run.breakdown.entries_to_master));
         assert!(run.breakdown.entries_to_master > run.switch_stats.forwarded);
 
@@ -756,7 +758,7 @@ mod tests {
         let cluster = Cluster::default();
         let t = test_table(10, 1);
         let op = crate::operators::JoinOp::new(0, 0, &cluster.tuning);
-        let err = cluster.execute(&op, &Tables::unary(&t)).unwrap_err();
+        let err = cluster.execute(&op, &Tables::unary(&t), INTERP).unwrap_err();
         assert_eq!(err, Error::MissingStream { stream: 1 });
     }
 

@@ -205,7 +205,7 @@ fn lower_pred(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Cluster;
+    use crate::engine::{Cluster, ExecBackend};
     use crate::expr::LikePattern;
     use crate::query::DbQuery;
     use crate::table::{Table, TableBuilder};
@@ -352,7 +352,7 @@ mod tests {
             ]),
         };
         let base = cluster.run_baseline(&q, &t, None);
-        let chee = cluster.run_cheetah(&q, &t, None).unwrap();
+        let chee = cluster.run_cheetah(&q, &t, None, ExecBackend::Interpreted).unwrap();
         assert_eq!(base.output, chee.output);
     }
 }

@@ -95,7 +95,7 @@ impl PruningOperator for HavingSumOp {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::Cluster;
+    use crate::engine::{Cluster, ExecBackend};
     use crate::query::DbQuery;
     use crate::testutil::test_table;
     use cheetah_core::Error;
@@ -109,7 +109,7 @@ mod tests {
         let cluster = Cluster::default();
         let t = test_table(200, 2);
         let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: -100 };
-        let err = cluster.run_cheetah(&q, &t, None).unwrap_err();
+        let err = cluster.run_cheetah(&q, &t, None, ExecBackend::Interpreted).unwrap_err();
         assert!(
             matches!(err, Error::Switch(SwitchError::UnsupportedOp { .. })),
             "unexpected error: {err:?}"
@@ -125,7 +125,7 @@ mod tests {
         let t = test_table(500, 2);
         let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 0 };
         let base = cluster.run_baseline(&q, &t, None);
-        let chee = cluster.run_cheetah(&q, &t, None).unwrap();
+        let chee = cluster.run_cheetah(&q, &t, None, ExecBackend::Interpreted).unwrap();
         assert_eq!(base.output, chee.output);
     }
 }

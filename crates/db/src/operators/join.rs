@@ -174,7 +174,7 @@ fn codes(col: &Column) -> &[u32] {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::Cluster;
+    use crate::engine::{Cluster, ExecBackend};
     use crate::query::{DbQuery, QueryOutput};
     use crate::testutil::test_table;
 
@@ -185,7 +185,7 @@ mod tests {
         let r = test_table(2_000, 2);
         let q = DbQuery::Join { left_key: 0, right_key: 0 };
         let base = cluster.run_baseline(&q, &l, Some(&r));
-        let chee = cluster.run_cheetah(&q, &l, Some(&r)).unwrap();
+        let chee = cluster.run_cheetah(&q, &l, Some(&r), ExecBackend::Interpreted).unwrap();
         assert_eq!(base.output, chee.output);
         assert!(matches!(base.output, QueryOutput::JoinPairs(p) if p > 0));
     }
@@ -197,9 +197,11 @@ mod tests {
         let large = test_table(5_000, 4);
         let q = DbQuery::Join { left_key: 0, right_key: 0 };
         let base = cluster.run_baseline(&q, &small, Some(&large));
-        let two_pass = cluster.run_cheetah(&q, &small, Some(&large)).unwrap();
+        let two_pass =
+            cluster.run_cheetah(&q, &small, Some(&large), ExecBackend::Interpreted).unwrap();
         cluster.tuning.join_mode = cheetah_core::JoinMode::SmallTableFirst;
-        let small_first = cluster.run_cheetah(&q, &small, Some(&large)).unwrap();
+        let small_first =
+            cluster.run_cheetah(&q, &small, Some(&large), ExecBackend::Interpreted).unwrap();
         assert_eq!(base.output, two_pass.output);
         assert_eq!(base.output, small_first.output);
         // The optimization halves the wire passes.

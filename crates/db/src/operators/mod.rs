@@ -470,7 +470,7 @@ pub(crate) fn encode_i64_32(v: i64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CheetahTuning, Cluster};
+    use crate::engine::{CheetahTuning, Cluster, ExecBackend};
     use crate::expr::{DbPredicate, IntCmp, LikePattern};
     use crate::planner::{routing_keys, unit_columns};
     use crate::query::DbQuery;
@@ -687,7 +687,10 @@ mod tests {
         };
         for (s, (left, right)) in units[0].iter().zip(&units[1]).enumerate() {
             let direct = cluster.run_direct(&unit_q, left, Some(right)).unwrap().output;
-            let pruned = cluster.run_cheetah(&unit_q, left, Some(right)).unwrap().output;
+            let pruned = cluster
+                .run_cheetah(&unit_q, left, Some(right), ExecBackend::Interpreted)
+                .unwrap()
+                .output;
             assert_eq!(direct, pruned, "shard {s}");
             let QueryOutput::JoinPairs(pairs) = direct else { panic!("a join counts pairs") };
             direct_pairs += pairs;

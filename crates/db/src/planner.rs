@@ -155,8 +155,9 @@ impl ShardPlanner {
 // ---------------------------------------------------------------------
 
 /// How a shard's unit is run: pruned at its switch, or direct. The one
-/// executor (`cheetah_runtime::execute`) takes it as an argument of each
-/// run; every path hands the master whole outputs, in fault mode too.
+/// executor (`cheetah_runtime::execute`) takes it, in the run's
+/// [`ChooserArm`], as an argument of each run; every path hands the master
+/// whole outputs, in fault mode too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
     /// Each shard is pruned at its switch; workers hand their completed
@@ -181,7 +182,8 @@ impl ExecPath {
 }
 
 /// The arm a request ran on: an execution path and, where a switch
-/// program ran, the engine that ran it. Under [`ExecPath::Direct`] no
+/// program ran, the engine that ran it. It is also what a run is asked to
+/// run on: `cheetah_runtime::execute` takes one as an argument. Under [`ExecPath::Direct`] no
 /// engine runs: the field reads [`Interpreted`](cheetah_net::ExecBackend)
 /// (as a baseline run's breakdown does) and the label leaves it out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -284,7 +284,7 @@ mod tests {
     use crate::expr::{IntCmp, LikePattern};
     use crate::sharded::{route_columns, RouteStream};
     use crate::table::TableBuilder;
-    use crate::{Cluster, Sharder};
+    use crate::{Cluster, ExecBackend, Sharder};
     use cheetah_switch::hash::mix64;
     use proptest::prelude::*;
 
@@ -368,7 +368,7 @@ mod tests {
                 let got = cluster.run_baseline(&q.remapped(), &narrow, narrow_right.as_ref());
                 prop_assert_eq!(&want, &got.output, "{} (seed {})", q.kind(), seed);
                 // The switch path too: same slots, same survivors' values.
-                let pruned = cluster.run_cheetah(&q.remapped(), &narrow, narrow_right.as_ref());
+                let pruned = cluster.run_cheetah(&q.remapped(), &narrow, narrow_right.as_ref(), ExecBackend::Interpreted);
                 prop_assert_eq!(&want, &pruned.expect("plan fits").output, "{}", q.kind());
             }
         }

@@ -149,16 +149,19 @@ pub fn served(q: &DbQuery, left: &Table, right: Option<&Table>) -> usize {
     units(q, left, right, WorkerPool::global().workers())
 }
 
-/// Route `q` over `shards` shards and execute it on the barrier transport.
+/// Route `q` over `shards` shards and execute it on the barrier transport,
+/// pruned by `backend`.
 pub fn run_barrier(
     cluster: &Cluster,
+    backend: ExecBackend,
     q: &DbQuery,
     left: &Arc<Table>,
     right: Option<&Arc<Table>>,
     shards: usize,
 ) -> ExecRun {
-    let plan = ExecPlan::new(cluster, q, left, right, shards).expect("routes");
-    execute(cluster, &plan, ExecPath::BarrierPooled).expect("plan fits")
+    let plan = Arc::new(ExecPlan::new(cluster, q, left, right, shards).expect("routes"));
+    let arm = ChooserArm { path: ExecPath::BarrierPooled, backend };
+    execute(cluster, &plan, arm, None).expect("plan fits")
 }
 
 /// What a lossless run's accounting must satisfy, whatever the layout and
@@ -473,7 +476,7 @@ pub struct Ran {
     pub want: QueryOutput,
     /// A routed case the request check admitted: its routed layout and
     /// its run on the case's arm.
-    pub exec: Option<(ExecPlan, ExecRun)>,
+    pub exec: Option<(Arc<ExecPlan>, ExecRun)>,
 }
 
 /// The universal check. Every case answers like `run_baseline`, or is
@@ -532,12 +535,12 @@ fn check_plan(
     case: &Case,
     ran: &Ran,
     refusal: Option<cheetah_core::Error>,
-) -> Option<(ExecPlan, ExecRun)> {
+) -> Option<(Arc<ExecPlan>, ExecRun)> {
     let Ran { q, cluster, left, right, want, .. } = ran;
     let right_of = q.is_binary().then_some(right);
     let layout = case.shards(q, left, right_of.map(|r| &**r));
     let plan = match ExecPlan::new(cluster, q, left, right_of, layout) {
-        Ok(plan) => plan,
+        Ok(plan) => Arc::new(plan),
         Err(e) => {
             assert_eq!(Some(e), refusal, "refused as the request check refuses");
             return None;
@@ -547,10 +550,9 @@ fn check_plan(
     let shards = plan.shards();
     assert_eq!(shards, layout.max(1), "the layout's shard count");
     let arm = ARMS[case.arm];
-    let lossless = cluster.clone().with_backend(arm.backend);
-    let faulty = lossless.clone().with_fault(FaultProfile::harsh(), case.seed);
-    let on = if case.fault { &faulty } else { &lossless };
-    let run = execute(on, &plan, arm.path).expect("plan fits");
+    let faulty = cluster.clone().with_fault(FaultProfile::harsh(), case.seed);
+    let on = if case.fault { &faulty } else { cluster };
+    let run = execute(on, &plan, arm, None).expect("plan fits");
     assert_eq!(&run.output, want, "diverged from baseline");
     assert_eq!((run.breakdown.shards as usize, run.per_shard.len()), (shards, shards));
     let routed: u64 = run.per_shard.iter().map(|s| s.rows).sum();
@@ -562,7 +564,8 @@ fn check_plan(
     if shards == 1 && left.rows() == 0 && arm.path != ExecPath::Direct && !case.fault {
         // An empty unit never reaches the executor: run it there directly.
         // (A right table is empty exactly when the left one is.)
-        let direct = lossless.run_cheetah(q, left, right_of.map(|r| &**r)).expect("plan fits");
+        let direct = cluster.run_cheetah(q, left, right_of.map(|r| &**r), arm.backend);
+        let direct = direct.expect("plan fits");
         assert_eq!(&direct.output, want, "the executor over an empty input");
     }
     // The direct arm's switch passes every row through; in fault mode the
@@ -580,7 +583,7 @@ fn check_plan(
         assert_eq!(run.breakdown.passes, passes, "the JOIN pass structure");
     }
     if case.fault {
-        let clean = execute(&lossless, &plan, arm.path).unwrap();
+        let clean = execute(cluster, &plan, arm, None).unwrap();
         assert_eq!(run.output, clean.output, "fault mode answers like the lossless run");
         assert_eq!(run.switch_stats, clean.switch_stats, "a lossy rack moves no counter");
         assert_eq!(run.breakdown.passes, clean.breakdown.passes, "a lossy rack adds no pass");
@@ -593,7 +596,7 @@ fn check_plan(
         assert_eq!(b.switch_acks, rows - kept, "the switch ACKs what the program pruned");
         let delivered = b.entries_to_master;
         assert!((clean.breakdown.entries_to_master..=rows).contains(&delivered), "{delivered}");
-        let again = execute(on, &plan, arm.path).unwrap().breakdown.retransmits;
+        let again = execute(on, &plan, arm, None).unwrap().breakdown.retransmits;
         assert_eq!(again, b.retransmits, "the seed repeats its resends");
         return Some((plan, run));
     }

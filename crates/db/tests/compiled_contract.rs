@@ -25,7 +25,7 @@ mod common;
 
 use common::{all_seven, for_each_case, run_barrier, Gate, ADVERSARIES, INTERPRETER_ONLY};
 
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath};
+use cheetah_db::{ChooserArm, Cluster, DbQuery, ExecBackend, ExecPath};
 use cheetah_runtime::{execute, ExecRun};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
@@ -67,7 +67,7 @@ fn compiled_kernels_are_bit_identical_to_the_interpreter() {
             ExecBackend::Interpreted => ExecBackend::Compiled,
             ExecBackend::Compiled => ExecBackend::Interpreted,
         };
-        let twin = execute(&ran.cluster.clone().with_backend(other), plan, arm.path).unwrap();
+        let twin = execute(&ran.cluster, plan, ChooserArm { backend: other, ..arm }, None).unwrap();
         match arm.backend {
             ExecBackend::Interpreted => assert_backends_agree(&ran.q, run, &twin),
             ExecBackend::Compiled => assert_backends_agree(&ran.q, &twin, run),
@@ -79,24 +79,24 @@ fn compiled_kernels_are_bit_identical_to_the_interpreter() {
 fn compiled_backend_is_recorded_end_to_end() {
     // The honest-attribution clause on its own, over a bigger table, so a
     // future fallback path can't silently misreport what ran.
-    let compiled = Cluster::default().with_backend(ExecBackend::Compiled);
+    let (cluster, compiled) = (Cluster::default(), ExecBackend::Compiled);
     let t = Arc::new(PlannerAdversary::Zipf(1.5).table(2_000, 4, 0xBEEF));
     let q = DbQuery::Distinct { col: 0 };
-    let run = compiled.run_cheetah(&q, &t, None).unwrap();
+    let run = cluster.run_cheetah(&q, &t, None, compiled).unwrap();
     assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
     assert_eq!(run.breakdown.backend.label(), "compiled");
-    let sharded = run_barrier(&compiled, &q, &t, None, 4);
+    let sharded = run_barrier(&cluster, compiled, &q, &t, None, 4);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Compiled);
 
     // JOIN has no kernel: asked for the compiled backend, it answers like
     // the oracle and says the interpreter ran — unsharded and sharded.
     let join = DbQuery::Join { left_key: 0, right_key: 0 };
     let r = Arc::new(PlannerAdversary::Zipf(1.0).table(1_000, 2, 0xFEED));
-    let want = compiled.run_baseline(&join, &t, Some(&r)).output;
-    let run = compiled.run_cheetah(&join, &t, Some(&r)).unwrap();
+    let want = cluster.run_baseline(&join, &t, Some(&r)).output;
+    let run = cluster.run_cheetah(&join, &t, Some(&r), compiled).unwrap();
     assert_eq!(run.output, want);
     assert_eq!(run.breakdown.backend, ExecBackend::Interpreted);
-    let sharded = run_barrier(&compiled, &join, &t, Some(&r), 4);
+    let sharded = run_barrier(&cluster, compiled, &join, &t, Some(&r), 4);
     assert_eq!(sharded.output, want);
     assert_eq!(sharded.breakdown.backend, ExecBackend::Interpreted);
 }
@@ -105,14 +105,14 @@ fn compiled_backend_is_recorded_end_to_end() {
 fn compiled_repeat_runs_are_deterministic() {
     // Same cluster, same tables: the kernels rebuild identical state, so
     // two compiled runs must agree with each other bit for bit too.
-    let compiled = Cluster::default().with_backend(ExecBackend::Compiled);
+    let (cluster, compiled) = (Cluster::default(), ExecBackend::Compiled);
     let t = PlannerAdversary::SingleHotKey.table(1_200, 3, 42);
     for q in all_seven(9_000) {
         if q.is_binary() {
             continue;
         }
-        let a = compiled.run_cheetah(&q, &t, None).unwrap();
-        let b = compiled.run_cheetah(&q, &t, None).unwrap();
+        let a = cluster.run_cheetah(&q, &t, None, compiled).unwrap();
+        let b = cluster.run_cheetah(&q, &t, None, compiled).unwrap();
         assert_eq!(a.output, b.output, "{}", q.kind());
         assert_eq!(a.switch_stats, b.switch_stats, "{}", q.kind());
     }

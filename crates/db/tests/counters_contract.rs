@@ -28,7 +28,7 @@
 
 mod common;
 
-use cheetah_db::{Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp};
+use cheetah_db::{ChooserArm, Cluster, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp};
 use cheetah_net::FaultProfile;
 use cheetah_runtime::{execute, ExecPlan};
 use cheetah_serve::{QueryRequest, Session};
@@ -87,7 +87,6 @@ fn pruning_counters_match_the_golden_table_exactly() {
         .build(),
     );
     let cluster = Cluster::default();
-    let compiled = cluster.clone().with_backend(COMPILED);
     let distinct = DbQuery::Distinct { col: 0 };
     let groupby = DbQuery::GroupByMax { key_col: 0, val_col: 1 };
     let join = DbQuery::Join { left_key: 0, right_key: 0 };
@@ -104,23 +103,23 @@ fn pruning_counters_match_the_golden_table_exactly() {
         ("join", join.clone()),
     ] {
         let right_of = q.is_binary().then_some(&*right);
-        let run = cluster.run_cheetah(&q, &left, right_of).expect("plan fits");
+        let run = cluster.run_cheetah(&q, &left, right_of, INTERP).expect("plan fits");
         let b = run.breakdown;
         seen.push((name.to_string(), run.switch_stats.pruned, b.entries_to_master, b.backend));
     }
 
     for (family, q) in [("distinct", &distinct), ("groupby-max", &groupby), ("join", &join)] {
         let right_of = q.is_binary().then_some(&right);
-        let plan = ExecPlan::new(&cluster, q, &left, right_of, SHARDS).expect("routes");
+        let plan = Arc::new(ExecPlan::new(&cluster, q, &left, right_of, SHARDS).expect("routes"));
         let faulty = cluster.clone().with_fault(FaultProfile::harsh(), 0xC0FFEE);
         // The layout the serving plane holds for these tables is one unit,
         // the tables themselves: its row would repeat the unsharded one.
         assert_eq!(common::served(q, &left, right_of.map(|r| &**r)), 1, "{family}");
-        let barrier = ExecPath::BarrierPooled;
+        let barrier = |backend| ChooserArm { path: ExecPath::BarrierPooled, backend };
         let runs = [
-            ("shards4", execute(&cluster, &plan, barrier).expect("plan fits")),
-            ("compiled", execute(&compiled, &plan, barrier).expect("plan fits")),
-            ("faulty", execute(&faulty, &plan, barrier).expect("plan fits")),
+            ("shards4", execute(&cluster, &plan, barrier(INTERP), None).expect("plan fits")),
+            ("compiled", execute(&cluster, &plan, barrier(COMPILED), None).expect("plan fits")),
+            ("faulty", execute(&faulty, &plan, barrier(INTERP), None).expect("plan fits")),
         ];
         for (form, run) in &runs {
             let b = &run.breakdown;
@@ -132,7 +131,8 @@ fn pruning_counters_match_the_golden_table_exactly() {
         // switch let through — but an identity, asserted: a pass-through
         // switch sees and forwards exactly the partials' result rows,
         // shard by shard, prunes nothing, and no engine is named.
-        let direct = execute(&compiled, &plan, ExecPath::Direct).expect("runs");
+        let direct_arm = ChooserArm { path: ExecPath::Direct, backend: COMPILED };
+        let direct = execute(&cluster, &plan, direct_arm, None).expect("runs");
         assert_eq!(direct.output, runs[0].1.output, "{family}@direct");
         let (stats, b) = (direct.switch_stats, &direct.breakdown);
         assert_eq!((stats.pruned, b.backend), (0, INTERP), "{family}@direct");

@@ -26,8 +26,8 @@ mod common;
 use cheetah_core::{PassPlan, QuerySpec};
 use cheetah_db::operators::{PruningOperator, Survivors};
 use cheetah_db::{
-    Cluster, DataType, DbQuery, ExecPath, Partition, QueryOutput, Table, TableBuilder, Tables,
-    Value,
+    ChooserArm, Cluster, DataType, DbQuery, ExecBackend, ExecPath, Partition, QueryOutput, Table,
+    TableBuilder, Tables, Value,
 };
 use cheetah_net::{explore, CheckerConfig, DeliveryKind, FaultProfile, MasterFlow};
 use cheetah_runtime::{execute, ExecPlan};
@@ -42,6 +42,10 @@ use std::sync::Arc;
 /// whatever the verdicts (10 380 with every entry forwarded); the gate
 /// asserts the search completes under this ceiling.
 const MAX_SCHEDULES: u64 = 60_000;
+
+/// The pruned arm on the interpreter.
+const POOLED: ChooserArm =
+    ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Interpreted };
 
 /// The engine's own operator ([`Cluster::lend_operator`]), also recording
 /// what its run's switch kept: per (stream, partition), a verdict per row
@@ -148,7 +152,8 @@ fn every_entry_schedule_completes_to_the_baseline_for_all_seven_families() {
         let want = cluster.run_baseline(q, l, r).output;
         let verdicts = cluster.lend_operator(q, |op| {
             let probe = Probe { op, verdicts: RefCell::default() };
-            let run = cluster.execute(&probe, &Tables { left: l, right: r }).expect("runs");
+            let tables = Tables { left: l, right: r };
+            let run = cluster.execute(&probe, &tables, ExecBackend::Interpreted).expect("runs");
             assert_eq!(run.output, want, "{kind}: the lossless run");
             probe.verdicts.into_inner()
         });
@@ -233,8 +238,8 @@ fn fault_mode_answers_all_seven_families_under_harsh_faults() {
     for (q, resends) in all_seven(4_000).into_iter().zip(resends) {
         let r = matches!(q, DbQuery::Join { .. }).then_some(&right);
         let base = cluster.run_baseline(&q, &left, r.map(|r| &**r)).output;
-        let plan = ExecPlan::new(&cluster, &q, &left, r, 2).expect("routes");
-        let run = execute(&faulty, &plan, ExecPath::BarrierPooled).expect("faulty run");
+        let plan = Arc::new(ExecPlan::new(&cluster, &q, &left, r, 2).expect("routes"));
+        let run = execute(&faulty, &plan, POOLED, None).expect("faulty run");
         assert_eq!(base, run.output, "{}: harsh channel changed the answer", q.kind());
         assert_eq!(
             run.breakdown.retransmits,
@@ -243,7 +248,7 @@ fn fault_mode_answers_all_seven_families_under_harsh_faults() {
             q.kind()
         );
         // Same seed, same run: every counter repeats.
-        let again = execute(&faulty, &plan, ExecPath::BarrierPooled).expect("faulty run");
+        let again = execute(&faulty, &plan, POOLED, None).expect("faulty run");
         let counters =
             |b: &cheetah_db::ExecBreakdown| (b.retransmits, b.switch_acks, b.entries_to_master);
         assert_eq!(counters(&again.breakdown), counters(&run.breakdown), "{}", q.kind());

@@ -20,7 +20,7 @@ mod common;
 
 use common::{check, for_each_case, Case, Gate, EMPTY, REPEATING};
 
-use cheetah_db::{Cluster, DataType, DbQuery, QueryOutput, TableBuilder, Value};
+use cheetah_db::{Cluster, DataType, DbQuery, ExecBackend, QueryOutput, TableBuilder, Value};
 
 #[test]
 fn coded_and_plain_storage_answer_alike() {
@@ -54,12 +54,13 @@ fn join_keys_of_different_types_never_match() {
     cluster.tuning.join_m_bits = 64;
     let q = DbQuery::Join { left_key: 0, right_key: 0 };
 
-    let mixed = cluster.run_cheetah(&q, &ints, Some(&strs)).expect("plan fits");
+    const INTERP: ExecBackend = ExecBackend::Interpreted;
+    let mixed = cluster.run_cheetah(&q, &ints, Some(&strs), INTERP).expect("plan fits");
     assert_eq!(mixed.breakdown.entries_to_master, 800, "nothing pruned");
     assert_eq!(mixed.output, QueryOutput::JoinPairs(0));
     assert_eq!(mixed.output, cluster.run_baseline(&q, &ints, Some(&strs)).output);
     // The same rows under one type do join: 2 × 2 per key.
-    let same = cluster.run_cheetah(&q, &strs, Some(&strs)).expect("plan fits");
+    let same = cluster.run_cheetah(&q, &strs, Some(&strs), INTERP).expect("plan fits");
     assert_eq!(same.output, QueryOutput::JoinPairs(800));
     assert_eq!(same.output, cluster.run_baseline(&q, &strs, Some(&strs)).output);
 }

@@ -19,7 +19,7 @@ mod common;
 
 use common::{for_each_case, run_barrier, Gate, EDGE_TABLES};
 
-use cheetah_db::{Cluster, DataType, DbQuery, Table, TableBuilder, Value};
+use cheetah_db::{Cluster, DataType, DbQuery, ExecBackend, Table, TableBuilder, Value};
 use cheetah_workloads::PlannerAdversary;
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ fn merge_of_shards_equals_the_unsharded_query() {
 
 /// One barrier run at a hand-picked shard count.
 fn sharded(q: &DbQuery, t: &Arc<Table>, shards: usize) -> cheetah_runtime::ExecRun {
-    run_barrier(&Cluster::default(), q, t, None, shards)
+    run_barrier(&Cluster::default(), ExecBackend::Interpreted, q, t, None, shards)
 }
 
 #[test]

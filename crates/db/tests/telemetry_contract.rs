@@ -36,7 +36,7 @@ mod common;
 use common::{on_their_threads, Gate};
 
 use cheetah_db::planner::{units, ROWS_PER_UNIT};
-use cheetah_db::{Cluster, DbQuery, ExecBackend, ExecPath, Table};
+use cheetah_db::{ChooserArm, Cluster, DbQuery, ExecBackend, ExecPath, Table};
 use cheetah_net::FaultProfile;
 use cheetah_runtime::WorkerPool;
 use cheetah_runtime::{execute, ExecPlan};
@@ -302,12 +302,10 @@ fn faulty_channel_retransmits_attribute_to_the_tracing_registry() {
     let registry = Registry::new();
     let trace = Trace::new(registry.clone());
     let root = trace.span("query");
-    let plan = ExecPlan::new(&cluster, &q, &t, None, 3).unwrap();
+    let plan = Arc::new(ExecPlan::new(&cluster, &q, &t, None, 3).unwrap());
     let faulty = cluster.with_fault(FaultProfile::harsh(), 0xC0FFEE);
-    let run = {
-        let _g = root.enter();
-        execute(&faulty, &plan, ExecPath::BarrierPooled).unwrap()
-    };
+    let pooled = ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Interpreted };
+    let run = execute(&faulty, &plan, pooled, Some(&root.context())).unwrap();
     root.finish();
     // The carrier's resend count is a pure function of the rows, their
     // verdicts and the seed.

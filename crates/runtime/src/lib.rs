@@ -7,17 +7,21 @@
 //! a one-shard layout is the table itself, uncopied) and [`execute`] runs
 //! the routed plan, one job — one
 //! [`Cluster::run_cheetah`](cheetah_db::Cluster::run_cheetah), one
-//! installed switch program, one report — per shard. The calling thread
+//! installed switch program, one run handed back as it is — per shard.
+//! The calling thread
 //! claims and runs shards off one counter, beside
 //! `min(shards, workers) − 1` helper jobs on the persistent [`WorkerPool`]
 //! that claim from the same counter; a one-shard plan submits none. The
 //! pool has one worker per core, and the shard count is the layout's: a
 //! run of more shards than cores works them on at most one thread per
 //! core, the caller counting as one, rather than time-slicing them. How a
-//! unit is run is an argument of the run
-//! ([`ExecPath`](cheetah_db::ExecPath)), not a second engine; whether its
-//! rows cross a lossy rack on their way to the master is the cluster's
-//! fault mode ([`Cluster::fault`](cheetah_db::Cluster::fault)):
+//! unit is run is an argument of the run — its arm
+//! ([`ChooserArm`](cheetah_db::ChooserArm): the
+//! [`ExecPath`](cheetah_db::ExecPath), and the backend a pruned run judges
+//! its entries with), not a second engine or a field of the cluster — and
+//! so is the span the run traces under; whether its rows cross a lossy
+//! rack on their way to the master is the cluster's fault mode
+//! ([`Cluster::fault`](cheetah_db::Cluster::fault)):
 //!
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
@@ -55,8 +59,8 @@
 //! Choosing a layout and an arm happens in the serving plane, not inside a
 //! run: a key's first sight runs the tables whole, its second sight routes
 //! its rows over the cores (at that rule's count), and later
-//! sights run that layout; the arm is the request's own. Each run executes the plan it is handed, on the path it
-//! is handed.
+//! sights run that layout; the arm is the request's own. Each run executes
+//! the plan it is handed — shared, never copied — on the arm it is handed.
 //!
 //! * **Direct** — the way out: a shard job skips `spec()`, encode and
 //!   the switch and runs
@@ -74,8 +78,8 @@
 //!   last worker is in. The barrier transport: every pruned request runs
 //!   it.
 //!
-//! Fault mode is a property of the cluster, like its backend, not of a
-//! path or a plan, and rides any run: a cluster built with
+//! Fault mode is a property of the cluster, not of an arm or a plan, and
+//! rides any run: a cluster built with
 //! [`Cluster::with_fault`](cheetah_db::Cluster::with_fault) (a
 //! [`FaultProfile`](cheetah_net::FaultProfile) and a seed) has each shard
 //! job carry every row it read across the simulated lossy rack of

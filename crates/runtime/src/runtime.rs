@@ -1,12 +1,12 @@
 //! The one executor: shard jobs → master merge, over a routed
-//! [`ExecPlan`].
+//! [`ExecPlan`], on the arm its caller names.
 //!
 //! Two roles share a run:
 //!
 //! * one **shard job** per shard runs the unchanged generic executor
-//!   ([`Cluster::run_cheetah`]) once, on its routed unit, and reports its
-//!   completed output whole, once, when its unit is done. On the
-//!   **direct** path the job skips the switch altogether
+//!   ([`Cluster::run_cheetah`], on the arm's backend) once, on its routed
+//!   unit, and hands its run back whole, once, when its unit is done. On
+//!   the **direct** path the job skips the switch altogether
 //!   ([`Cluster::run_direct`]: the operator's completion over every row)
 //!   and is the same job in every other respect. A run's shards sit
 //!   behind one atomic counter. The calling thread claims and runs shards
@@ -14,14 +14,20 @@
 //!   on the persistent [`WorkerPool`] that claim from the same counter, so
 //!   a run uses at most one thread per core, the caller counting as one,
 //!   and a one-shard run submits no helper. Each claimed shard runs
-//!   behind its own panic boundary and reports its output or
+//!   behind its own panic boundary and hands back its run or
 //!   [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked). In fault
 //!   mode ([`Cluster::fault`]) each job carries the rows it read across
-//!   its own simulated §7.2 rack before it completes, and reports the
-//!   rack's resends and switch ACKs with its output.
-//! * the **master merge plane** (the calling thread) folds once the last
-//!   report is in, through [`merge_shard_outputs`], which returns a lone
-//!   output as it stands, whatever path ran, lossless or not.
+//!   its own simulated §7.2 rack before it completes, and its run counts
+//!   the rack's resends and switch ACKs.
+//! * the **master** (the calling thread) folds once the last shard is in:
+//!   one pass over the shards' runs accounts each shard and the run, and
+//!   [`merge_shard_outputs`] merges their outputs, returning a lone output
+//!   as it stands, whatever path ran, lossless or not.
+//!
+//! How a run runs is its caller's to say, in the arguments of [`execute`]:
+//! the arm (path and backend) and the span its `worker` and `merge` spans
+//! open under. The run shares the caller's plan; a pool helper, which
+//! outlives the call's borrows, works on a copy of the cluster of its own.
 //!
 //! The caller waits only for shards a running helper claimed: a helper
 //! still queued when the shards run out claims nothing. So a run needs no
@@ -31,7 +37,10 @@
 use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
 use cheetah_core::{Error, Result};
-use cheetah_db::{merge_shard_outputs, Cluster, DbQuery, ExecPath, QueryOutput, ShardStats, Table};
+use cheetah_db::{
+    merge_shard_outputs, CheetahRun, ChooserArm, Cluster, DbQuery, ExecPath, QueryOutput,
+    ShardStats, Table,
+};
 use cheetah_net::{ExecBackend, ExecBreakdown};
 use cheetah_switch::ProgramStats;
 use cheetah_telemetry::{AttrValue, Span, SpanContext};
@@ -57,54 +66,51 @@ pub struct ExecRun {
     pub merge_seconds: f64,
 }
 
-/// Execute the routed `plan`'s query on `path`: prune every unit (each
-/// with its own planned switch program) — or, on [`ExecPath::Direct`],
-/// complete every unit with no switch at all — carry the results to the
-/// master (each job's rows across a lossy rack first, in the cluster's
-/// fault mode), merge, account. Every path but [`ExecPath::Direct`]
-/// prunes. The calling thread runs units itself, beside at most
-/// `min(shards, workers) − 1` pool helpers; a one-shard plan's unit runs
-/// on the calling thread, with no pool job at all.
+/// Execute the routed `plan`'s query on `arm`: prune every unit on the
+/// arm's backend (each unit with its own planned switch program) — or, on
+/// [`ExecPath::Direct`], complete every unit with no switch at all — carry
+/// the results to the master (each job's rows across a lossy rack first,
+/// in the cluster's fault mode), merge, account. Every path but
+/// [`ExecPath::Direct`] prunes. The calling thread runs units itself,
+/// beside at most `min(shards, workers) − 1` pool helpers; a one-shard
+/// plan's unit runs on the calling thread, with no pool job at all. Under
+/// a `parent` span, each shard job opens a `worker` span and the merge a
+/// `merge` span beneath it, whichever thread runs them; with none, the
+/// run traces nothing.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
-/// path and backend — the path changes *how much* reaches the master,
+/// path and backend — the arm changes *how much* reaches the master,
 /// never *what* the query answers. A fault profile the
 /// carrier cannot finish under (every entry dropped, say) is a typed
 /// [`FabricStalled`](cheetah_core::Error::FabricStalled); a shard job
 /// that panics is a typed
 /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
 /// failure is this call's alone.
-pub fn execute(cluster: &Cluster, plan: &ExecPlan, path: ExecPath) -> Result<ExecRun> {
-    let fold = merge_plane(plan, run_shards(cluster, plan, path)?);
-    Ok(assemble(fold, plan))
+pub fn execute(
+    cluster: &Cluster,
+    plan: &Arc<ExecPlan>,
+    arm: ChooserArm,
+    parent: Option<&SpanContext>,
+) -> Result<ExecRun> {
+    let shards = run_shards(cluster, plan, arm, parent)?;
+    Ok(fold(plan, shards, parent))
 }
 
-/// What a shard worker hands back when its unit is done.
-#[derive(Default)]
-struct WorkerReport {
-    stats: ShardStats,
-    switch: ProgramStats,
-    passes: u8,
-    /// Pruning backend the worker's run actually executed on (`None`
-    /// when the unit was empty and nothing ran).
-    backend: Option<ExecBackend>,
-    /// Fault mode's go-back-N resends and switch ACKs on the job's rack.
-    retransmits: u64,
-    switch_acks: u64,
-    /// The unit's completed output (`None` when the unit was empty).
-    output: Option<QueryOutput>,
-}
+/// What a shard job hands back: the rows routed to its unit, and the run
+/// of its unit as the executor returned it (none when the unit was empty
+/// and nothing ran).
+type Shard = (u64, Option<CheetahRun>);
 
-/// A shard job's `worker` span in the submitter's trace (none when the
-/// submitter is not traced), naming the `thread` the job runs on: a pool
-/// worker's index, or `caller`.
+/// A shard job's `worker` span under `parent` (none when the run is not
+/// traced), naming the `thread` the job runs on: a pool worker's index, or
+/// `caller`.
 fn worker_span(
-    trace_ctx: Option<&SpanContext>,
+    parent: Option<&SpanContext>,
     shard: usize,
     thread: impl Into<AttrValue>,
     path: ExecPath,
 ) -> Option<Span> {
-    let mut s = trace_ctx?.child("worker");
+    let mut s = parent?.child("worker");
     s.attr("shard", shard);
     s.attr("thread", thread);
     s.attr("path", path.label());
@@ -112,78 +118,63 @@ fn worker_span(
 }
 
 /// One shard's job, the same wherever it runs: run its unit (unless it is
-/// empty) through the unchanged generic executor — the plan's unit query,
-/// which addresses the unit's columns — or, on the direct path, through
-/// the operator's completion, and report the completed output whole.
+/// empty) through the unchanged generic executor on the arm's backend —
+/// the plan's unit query, which addresses the unit's columns — or, on the
+/// direct path, through the operator's completion.
 fn run_shard(
     cluster: &Cluster,
     unit_q: &DbQuery,
-    path: ExecPath,
+    arm: ChooserArm,
     (left, right): (&Table, Option<&Table>),
     mut span: Option<Span>,
-) -> Result<WorkerReport> {
-    let mut rep = WorkerReport::default();
-    let rows = left.rows() + right.map_or(0, Table::rows);
+) -> Result<Shard> {
+    let rows = (left.rows() + right.map_or(0, Table::rows)) as u64;
     // An empty unit never reaches the executor.
-    if rows > 0 {
-        let run = match path {
-            ExecPath::Direct => cluster.run_direct(unit_q, left, right),
-            _ => cluster.run_cheetah(unit_q, left, right),
-        }?;
-        let b = &run.breakdown;
-        rep.stats = ShardStats {
-            rows: rows as u64,
-            worker_seconds: b.worker_seconds,
-            master_seconds: b.master_seconds,
-            worker_wire_bytes: b.worker_wire_bytes,
-            master_wire_bytes: b.master_wire_bytes,
-            entries_to_master: b.entries_to_master,
-            seen: run.switch_stats.seen,
-            pruned: run.switch_stats.pruned,
-        };
-        rep.switch = run.switch_stats;
-        rep.passes = b.passes;
-        rep.backend = Some(b.backend);
-        (rep.retransmits, rep.switch_acks) = (b.retransmits, b.switch_acks);
-        rep.output = Some(run.output);
-    }
+    let run = match arm.path {
+        _ if rows == 0 => None,
+        ExecPath::Direct => Some(cluster.run_direct(unit_q, left, right)?),
+        _ => Some(cluster.run_cheetah(unit_q, left, right, arm.backend)?),
+    };
     if let Some(s) = span.as_mut() {
-        s.attr("rows", rep.stats.rows);
-        s.attr("entries_to_master", rep.stats.entries_to_master);
+        let nothing = ExecBreakdown::default();
+        let b = run.as_ref().map_or(&nothing, |run| &run.breakdown);
+        s.attr("rows", rows);
+        s.attr("entries_to_master", b.entries_to_master);
         if cluster.fault.is_some() {
             // The rack's recovery work lands in the owning registry,
             // attributed via the trace.
-            s.attr("retransmits", rep.retransmits);
-            s.attr("switch_acks", rep.switch_acks);
-            s.trace().registry().counter("net.retransmits").add(rep.retransmits);
+            s.attr("retransmits", b.retransmits);
+            s.attr("switch_acks", b.switch_acks);
+            s.trace().registry().counter("net.retransmits").add(b.retransmits);
         }
     }
-    Ok(rep)
+    Ok((rows, run))
 }
 
-/// A shard's report, tagged by the shard it ran.
-type Report = (usize, Result<WorkerReport>);
+/// A shard job's outcome, tagged by the shard it ran.
+type Report = (usize, Result<Shard>);
 
-/// What every thread working one run shares: the run's own copy of the
-/// cluster and plan, and the counter its shards are claimed from.
+/// What every thread working one run shares: the caller's plan, the arm,
+/// the parent span, and the counter the shards are claimed from.
 struct Run {
-    cluster: Cluster,
-    plan: ExecPlan,
-    path: ExecPath,
-    /// The submitting thread's span context (the session's `execute` span,
-    /// when one is entered), so each shard's `worker` span lands in the
-    /// query's trace whichever thread runs it.
-    trace_ctx: Option<SpanContext>,
+    plan: Arc<ExecPlan>,
+    arm: ChooserArm,
+    parent: Option<SpanContext>,
     /// The next shard to claim; at `plan.shards()` or past it, none is left.
     next: AtomicUsize,
 }
 
 impl Run {
-    /// Claim and run shards until none are left, each behind its own panic
-    /// boundary: a shard that panics reports
+    /// Claim and run shards on `cluster` until none are left, each behind
+    /// its own panic boundary: a shard that panics reports
     /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
     /// thread claims on. `thread` names this thread in the `worker` spans.
-    fn work(&self, thread: impl Into<AttrValue> + Copy, mut report: impl FnMut(Report)) {
+    fn work(
+        &self,
+        cluster: &Cluster,
+        thread: impl Into<AttrValue> + Copy,
+        mut report: impl FnMut(Report),
+    ) {
         loop {
             // A claim publishes nothing: the run was shared before any
             // helper was submitted, and reports travel over the channel.
@@ -191,8 +182,8 @@ impl Run {
             let Some(left) = self.plan.units.get(shard) else { return };
             let unit = (&**left, self.plan.right_units.as_ref().map(|u| &*u[shard]));
             let job = || {
-                let span = worker_span(self.trace_ctx.as_ref(), shard, thread, self.path);
-                run_shard(&self.cluster, &self.plan.unit_query, self.path, unit, span)
+                let span = worker_span(self.parent.as_ref(), shard, thread, self.arm.path);
+                run_shard(cluster, &self.plan.unit_query, self.arm, unit, span)
             };
             let rep =
                 catch_unwind(AssertUnwindSafe(job)).unwrap_or(Err(Error::WorkerPanicked { shard }));
@@ -207,19 +198,26 @@ impl Run {
 /// over a channel. A one-shard run submits no helper. A helper still
 /// queued when the shards run out claims nothing, so the caller waits
 /// only for shards a running helper claimed, never on a free worker.
-fn run_shards(cluster: &Cluster, plan: &ExecPlan, path: ExecPath) -> Result<Vec<WorkerReport>> {
+fn run_shards(
+    cluster: &Cluster,
+    plan: &Arc<ExecPlan>,
+    arm: ChooserArm,
+    parent: Option<&SpanContext>,
+) -> Result<Vec<Shard>> {
     let shards = plan.shards();
-    let (cluster, plan, trace_ctx) = (cluster.clone(), plan.clone(), SpanContext::current());
-    let run = Arc::new(Run { cluster, plan, path, trace_ctx, next: 0.into() });
+    let run =
+        Arc::new(Run { plan: Arc::clone(plan), arm, parent: parent.cloned(), next: 0.into() });
     let pool = WorkerPool::global();
     let (report_tx, reports) = mpsc::channel();
     for _ in 1..shards.min(pool.workers()) {
-        let (run, report_tx) = (Arc::clone(&run), report_tx.clone());
-        pool.spawn(move |worker| run.work(worker, |rep| drop(report_tx.send(rep))));
+        // A pool job outlives this call's borrows: the helper works on a
+        // copy of the cluster of its own.
+        let (run, report_tx, cluster) = (Arc::clone(&run), report_tx.clone(), cluster.clone());
+        pool.spawn(move |worker| run.work(&cluster, worker, |rep| drop(report_tx.send(rep))));
     }
     drop(report_tx);
     let mut slots: Vec<_> = (0..shards).map(|_| None).collect();
-    run.work("caller", |(shard, rep)| slots[shard] = Some(rep));
+    run.work(cluster, "caller", |(shard, rep)| slots[shard] = Some(rep));
     await_helpers(slots, reports)
 }
 
@@ -229,9 +227,9 @@ fn run_shards(cluster: &Cluster, plan: &ExecPlan, path: ExecPath) -> Result<Vec<
 /// closed first) is [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked),
 /// never a panic on the caller's thread.
 fn await_helpers(
-    mut slots: Vec<Option<Result<WorkerReport>>>,
+    mut slots: Vec<Option<Result<Shard>>>,
     reports: mpsc::Receiver<Report>,
-) -> Result<Vec<WorkerReport>> {
+) -> Result<Vec<Shard>> {
     let claimed = slots.iter().filter(|s| s.is_none()).count();
     for (shard, rep) in reports.iter().take(claimed) {
         slots[shard] = Some(rep);
@@ -240,60 +238,62 @@ fn await_helpers(
     slots.into_iter().enumerate().map(silent).collect()
 }
 
-/// The master merge plane: fold the shards' whole outputs through
-/// [`merge_shard_outputs`], which hands a lone output back as it stands.
-fn merge_plane(plan: &ExecPlan, mut reports: Vec<WorkerReport>) -> Fold {
-    // The merge plane runs on the submitting thread, so the session's
-    // entered `execute` span (if any) is directly visible here.
-    let mut merge_span = SpanContext::current().map(|tc| tc.child("merge"));
+/// The master, once every shard is in: one pass over the shards' runs
+/// accounts each shard ([`ShardStats`]) and the run's breakdown, then
+/// [`merge_shard_outputs`] folds their whole outputs (a lone one handed
+/// back as it stands) under the `merge` span.
+fn fold(plan: &ExecPlan, shards: Vec<Shard>, parent: Option<&SpanContext>) -> ExecRun {
+    let mut b = ExecBreakdown { shards: plan.shards() as u32, ..ExecBreakdown::default() };
+    let mut switch_stats = ProgramStats::default();
+    let (mut per_shard, mut outputs) = (Vec::with_capacity(shards.len()), Vec::new());
+    let mut backend = None;
+    for (rows, run) in shards {
+        let Some(CheetahRun { output, breakdown: r, switch_stats: sw, .. }) = run else {
+            per_shard.push(ShardStats::default());
+            continue;
+        };
+        per_shard.push(ShardStats {
+            rows,
+            worker_seconds: r.worker_seconds,
+            master_seconds: r.master_seconds,
+            worker_wire_bytes: r.worker_wire_bytes,
+            master_wire_bytes: r.master_wire_bytes,
+            entries_to_master: r.entries_to_master,
+            seen: sw.seen,
+            pruned: sw.pruned,
+        });
+        // Workers run concurrently: the slowest shard bounds the phase, and
+        // the busiest uplink the worker wire. The master is one machine:
+        // per-slice completions add up (and the merge joins them below).
+        b.worker_seconds = b.worker_seconds.max(r.worker_seconds);
+        b.master_seconds += r.master_seconds;
+        b.worker_wire_bytes = b.worker_wire_bytes.max(r.worker_wire_bytes);
+        b.master_wire_bytes += r.master_wire_bytes;
+        b.entries_to_master += r.entries_to_master;
+        b.passes = b.passes.max(r.passes);
+        b.retransmits += r.retransmits;
+        b.switch_acks += r.switch_acks;
+        // Every shard runs on the run's one arm, so any shard that ran a
+        // unit speaks for the run (a compiled-requested run that fell
+        // back records the fallback here too).
+        backend.get_or_insert(r.backend);
+        switch_stats.seen += sw.seen;
+        switch_stats.pruned += sw.pruned;
+        switch_stats.forwarded += sw.forwarded;
+        outputs.push(output);
+    }
+    // With every unit empty no engine ran, and the run reads
+    // `Interpreted`, as the direct arm does.
+    b.backend = backend.unwrap_or(ExecBackend::Interpreted);
+    let merge_span = parent.map(|p| p.child("merge"));
     let started = Instant::now();
-    let outputs = reports.iter_mut().filter_map(|r| r.output.take()).collect();
     let output = merge_shard_outputs(plan.query(), outputs);
     let merge_seconds = started.elapsed().as_secs_f64();
-    if let Some(s) = merge_span.as_mut() {
+    if let Some(mut s) = merge_span {
         s.attr("shards", plan.shards());
     }
-    Fold { output, reports, merge_seconds }
-}
-
-/// Everything the worker and merge planes produced, before accounting.
-struct Fold {
-    output: QueryOutput,
-    reports: Vec<WorkerReport>,
-    merge_seconds: f64,
-}
-
-/// Turn the raw fold into the run's accounting.
-fn assemble(fold: Fold, plan: &ExecPlan) -> ExecRun {
-    let Fold { output, reports, merge_seconds } = fold;
-    let per_shard: Vec<ShardStats> = reports.iter().map(|r| r.stats).collect();
-    let switch_stats = reports.iter().fold(ProgramStats::default(), |mut acc, r| {
-        acc.seen += r.switch.seen;
-        acc.pruned += r.switch.pruned;
-        acc.forwarded += r.switch.forwarded;
-        acc
-    });
-
-    let breakdown = ExecBreakdown {
-        // Workers run concurrently; the slowest shard bounds the phase.
-        worker_seconds: per_shard.iter().map(|s| s.worker_seconds).fold(0.0, f64::max),
-        // The master is one machine: per-slice completions plus the merge.
-        master_seconds: per_shard.iter().map(|s| s.master_seconds).sum::<f64>() + merge_seconds,
-        worker_wire_bytes: per_shard.iter().map(|s| s.worker_wire_bytes).max().unwrap_or(0),
-        master_wire_bytes: per_shard.iter().map(|s| s.master_wire_bytes).sum(),
-        entries_to_master: per_shard.iter().map(|s| s.entries_to_master).sum(),
-        passes: reports.iter().map(|r| r.passes).max().unwrap_or(1),
-        shards: plan.shards() as u32,
-        // Every shard runs on the run's one cluster, so any report that
-        // ran a unit speaks for the run (a compiled-requested run that fell back
-        // records the fallback here too). With every unit empty no engine
-        // ran, and the run reads `Interpreted`, as the direct arm does.
-        backend: reports.iter().find_map(|r| r.backend).unwrap_or(ExecBackend::Interpreted),
-        retransmits: reports.iter().map(|r| r.retransmits).sum(),
-        switch_acks: reports.iter().map(|r| r.switch_acks).sum(),
-        ..ExecBreakdown::default()
-    };
-    ExecRun { output, breakdown, switch_stats, per_shard, merge_seconds }
+    b.master_seconds += merge_seconds;
+    ExecRun { output, breakdown: b, switch_stats, per_shard, merge_seconds }
 }
 
 #[cfg(test)]
@@ -306,7 +306,10 @@ mod tests {
     use cheetah_net::FaultProfile;
     use cheetah_telemetry::{Registry, Trace};
 
-    const PATHS: [ExecPath; 2] = [ExecPath::BarrierPooled, ExecPath::Direct];
+    const POOLED: ChooserArm =
+        ChooserArm { path: ExecPath::BarrierPooled, backend: ExecBackend::Interpreted };
+    const DIRECT: ChooserArm = ChooserArm { path: ExecPath::Direct, ..POOLED };
+    const ARMS: [ChooserArm; 2] = [POOLED, DIRECT];
 
     fn table(rows: usize, parts: usize) -> Arc<Table> {
         let mut b = TableBuilder::new(
@@ -330,24 +333,26 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn plan_of(q: &DbQuery, t: &Arc<Table>, r: Option<&Arc<Table>>, shards: usize) -> ExecPlan {
-        ExecPlan::new(&Cluster::default(), q, t, r, shards).expect("routes")
+    fn plan_of(
+        q: &DbQuery,
+        t: &Arc<Table>,
+        r: Option<&Arc<Table>>,
+        shards: usize,
+    ) -> Arc<ExecPlan> {
+        Arc::new(ExecPlan::new(&Cluster::default(), q, t, r, shards).expect("routes"))
     }
 
-    /// Execute `plan` on `path` under a fresh trace's entered root span:
-    /// the run, the `thread` of each `worker` span it traced, and its
-    /// `merge` spans.
+    /// Execute `plan` on `arm` under a fresh trace's root span, passed as
+    /// the run's parent: the run, the `thread` of each `worker` span it
+    /// traced, and its `merge` spans.
     fn traced(
         cluster: &Cluster,
-        plan: &ExecPlan,
-        path: ExecPath,
+        plan: &Arc<ExecPlan>,
+        arm: ChooserArm,
     ) -> (cheetah_core::Result<ExecRun>, Vec<String>, usize) {
         let trace = Trace::new(Registry::new());
         let root = trace.span("query");
-        let run = {
-            let _in_query = root.enter();
-            execute(cluster, plan, path)
-        };
+        let run = execute(cluster, plan, arm, Some(&root.context()));
         root.finish();
         let tree = trace.export().expect("every span closed");
         let (mut workers, mut merges) = (Vec::new(), Vec::new());
@@ -397,9 +402,9 @@ mod tests {
                 let right_unit = plan.right_units.as_ref().map(|units| &units[0]);
                 assert_eq!(right_unit.map(Arc::as_ptr), right.map(Arc::as_ptr), "{}", q.kind());
                 assert_eq!(plan.dispatched(), [total], "{}", q.kind());
-                for path in PATHS {
-                    let label = format!("{} {}", q.kind(), path.label());
-                    let (run, threads, merges) = traced(&cluster, &plan, path);
+                for arm in ARMS {
+                    let label = format!("{} {}", q.kind(), arm.label());
+                    let (run, threads, merges) = traced(&cluster, &plan, arm);
                     let output = run.unwrap().output;
                     assert_eq!(output, base, "{label}");
                     // One job, on the calling thread; the tree keeps its shape.
@@ -448,9 +453,9 @@ mod tests {
                     };
                     assert!(Arc::ptr_eq(left, right), "{kind} shard {s}: one dictionary");
                 }
-                for path in PATHS {
-                    let label = format!("{kind} {}", path.label());
-                    let (run, threads, merges) = traced(&cluster, &plan, path);
+                for arm in ARMS {
+                    let label = format!("{kind} {}", arm.label());
+                    let (run, threads, merges) = traced(&cluster, &plan, arm);
                     let run = run.unwrap();
                     assert_eq!(run.output, base, "{label}");
                     assert_eq!(run.per_shard.len(), shards, "{label}: every shard reports");
@@ -466,6 +471,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_parent_taken_on_one_thread_holds_every_span_of_a_run_on_another() {
+        // The parent crosses to a scoped thread as an argument: the run
+        // there opens each shard's `worker` span (on that thread or a pool
+        // helper) and its `merge` span under it, and no other span.
+        let t = table(1_200, 3);
+        let q = DbQuery::Distinct { col: 0 };
+        let plan = plan_of(&q, &t, None, 3);
+        let trace = Trace::new(Registry::new());
+        let root = trace.span("query");
+        let exec = root.child("execute");
+        let parent = exec.context();
+        let run = std::thread::scope(|scope| {
+            let on_another =
+                scope.spawn(|| execute(&Cluster::default(), &plan, POOLED, Some(&parent)));
+            on_another.join().expect("the run's thread")
+        });
+        assert_eq!(run.unwrap().output, Cluster::default().run_baseline(&q, &t, None).output);
+        exec.finish();
+        root.finish();
+        let tree = trace.export().expect("every span closed");
+        let [exec] = &tree.root.children[..] else { panic!("one child of the root") };
+        let children: Vec<_> =
+            exec.children.iter().map(|c| (c.name.as_str(), c.attr("shard"))).collect();
+        let want =
+            [("merge", None), ("worker", Some("0")), ("worker", Some("1")), ("worker", Some("2"))];
+        assert_eq!(children, want);
+        assert_eq!(tree.span_count(), 6, "nothing opened elsewhere");
     }
 
     #[test]
@@ -497,7 +532,7 @@ mod tests {
             assert!(Arc::ptr_eq(a, b), "one dictionary per shard");
         }
         let cluster = Cluster::default();
-        let run = execute(&cluster, &plan, ExecPath::Direct).unwrap();
+        let run = execute(&cluster, &plan, DIRECT, None).unwrap();
         assert_eq!(run.output, cluster.run_baseline(&q, &l, Some(&*r)).output);
     }
 
@@ -510,16 +545,17 @@ mod tests {
         let t = table(600, 2);
         let skyline = DbQuery::Skyline { cols: vec![2, 1] };
         let plan = plan_of(&skyline, &t, None, 1);
-        let (run, threads, _) = traced(&broken, &plan, ExecPath::BarrierPooled);
+        let (run, threads, _) = traced(&broken, &plan, POOLED);
         assert_eq!(run.err(), Some(cheetah_core::Error::WorkerPanicked { shard: 0 }));
         assert_eq!(threads, ["caller"], "the job unwound on the calling thread");
         // The same thread's kernel cache and scratch block serve the next
         // compiled runs: one installs a kernel, the next reuses it.
-        let cluster = Cluster::default().with_backend(ExecBackend::Compiled);
+        let cluster = Cluster::default();
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &t, None, 1);
+        let compiled = ChooserArm { backend: ExecBackend::Compiled, ..POOLED };
         for _ in 0..2 {
-            let run = execute(&cluster, &plan, ExecPath::BarrierPooled).unwrap();
+            let run = execute(&cluster, &plan, compiled, None).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &t, None).output);
             assert_eq!(run.breakdown.backend, ExecBackend::Compiled);
         }
@@ -548,21 +584,21 @@ mod tests {
         for (q, resends) in queries {
             let base = cluster.run_baseline(&q, &t, None);
             let plan = plan_of(&q, &t, None, 3);
-            for (path, resends) in PATHS.into_iter().zip(resends) {
-                let label = format!("{} {}", q.kind(), path.label());
-                let lossless = execute(&cluster, &plan, path).unwrap();
+            for (arm, resends) in ARMS.into_iter().zip(resends) {
+                let label = format!("{} {}", q.kind(), arm.label());
+                let lossless = execute(&cluster, &plan, arm, None).unwrap();
                 assert_eq!(base.output, lossless.output, "{label}");
                 let b = &lossless.breakdown;
                 assert_eq!((b.retransmits, b.switch_acks), (0, 0), "{label}: nothing carried");
-                let first = execute(&faulty, &plan, path).unwrap();
-                let second = execute(&faulty, &plan, path).unwrap();
+                let first = execute(&faulty, &plan, arm, None).unwrap();
+                let second = execute(&faulty, &plan, arm, None).unwrap();
                 for run in [&first, &second] {
                     assert_eq!(base.output, run.output, "{label} under harsh faults");
                     assert_eq!(run.breakdown.retransmits, resends, "{label}");
                     assert_eq!(run.switch_stats, lossless.switch_stats, "{label}");
                     // The switch ACKs every row its program did not keep;
                     // the master holds at least what it kept, at most all.
-                    let kept = match path {
+                    let kept = match arm.path {
                         ExecPath::Direct => t.rows() as u64,
                         _ => b.entries_to_master,
                     };
@@ -587,8 +623,7 @@ mod tests {
         let q = DbQuery::Distinct { col: 0 };
         let black_hole = FaultProfile { drop_prob: 1.0, ..FaultProfile::lossless() };
         let plan = plan_of(&q, &t, None, 2);
-        let err = execute(&cluster.with_fault(black_hole, 7), &plan, ExecPath::BarrierPooled)
-            .unwrap_err();
+        let err = execute(&cluster.with_fault(black_hole, 7), &plan, POOLED, None).unwrap_err();
         assert!(
             matches!(err, cheetah_core::Error::FabricStalled { delivered: 0, entries } if entries > 1_000),
             "{err}"
@@ -601,10 +636,10 @@ mod tests {
         // helper reports; shard 1's stopped without reporting, its sender
         // dropped. The caller's wait names shard 1 rather than panicking.
         let (report_tx, reports) = mpsc::channel();
-        report_tx.send((0, Ok(WorkerReport::default()))).unwrap();
+        report_tx.send((0, Ok((0, None)))).unwrap();
         drop(report_tx);
-        let slots = vec![None, None, Some(Ok(WorkerReport::default()))];
-        let err = await_helpers(slots, reports).err().expect("no answer");
+        let slots = vec![None, None, Some(Ok((0, None)))];
+        let err = await_helpers(slots, reports).expect_err("no answer");
         assert_eq!(err, cheetah_core::Error::WorkerPanicked { shard: 1 });
     }
 
@@ -619,14 +654,14 @@ mod tests {
         let t = table(2_000, 4);
         let q = DbQuery::Distinct { col: 0 };
         let base = Cluster::default().run_baseline(&q, &t, None).output;
-        let plan = Arc::new(plan_of(&q, &t, None, 4));
+        let plan = plan_of(&q, &t, None, 4);
         let all_busy = Arc::new(std::sync::Barrier::new(workers));
         let (tx, rx) = mpsc::channel();
         for _ in 0..workers {
             let (plan, all_busy, tx) = (Arc::clone(&plan), Arc::clone(&all_busy), tx.clone());
             pool.spawn(move |_| {
                 all_busy.wait();
-                let run = execute(&Cluster::default(), &plan, ExecPath::BarrierPooled);
+                let run = execute(&Cluster::default(), &plan, POOLED, None);
                 tx.send(run.map(|run| run.output)).ok();
             });
         }
@@ -649,8 +684,8 @@ mod tests {
         );
         let q = DbQuery::Distinct { col: 0 };
         let plan = plan_of(&q, &empty, None, 5);
-        for path in PATHS {
-            let run = execute(&cluster, &plan, path).unwrap();
+        for arm in ARMS {
+            let run = execute(&cluster, &plan, arm, None).unwrap();
             assert_eq!(run.output, QueryOutput::Values(vec![]));
             assert_eq!(run.breakdown.entries_to_master, 0);
         }
@@ -658,15 +693,15 @@ mod tests {
         let tiny = table(3, 1);
         let q = DbQuery::TopN { order_col: 1, n: 2 };
         let plan = plan_of(&q, &tiny, None, 7);
-        for path in PATHS {
-            let run = execute(&cluster, &plan, path).unwrap();
+        for arm in ARMS {
+            let run = execute(&cluster, &plan, arm, None).unwrap();
             assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
             assert!(run.per_shard.iter().filter(|s| s.rows == 0).count() >= 4);
         }
         // Same layout under harsh faults: empty shards carry nothing, and
         // the others' flows finish through the carrier.
         let faulty = cluster.clone().with_fault(FaultProfile::harsh(), 0xC0FFEE);
-        let run = execute(&faulty, &plan, ExecPath::BarrierPooled).unwrap();
+        let run = execute(&faulty, &plan, POOLED, None).unwrap();
         assert_eq!(run.output, cluster.run_baseline(&q, &tiny, None).output);
     }
 

@@ -1,13 +1,14 @@
 //! The key lifecycle: what the session holds for each (query, tables) key,
-//! and every decision about it, as two transitions over the one map.
+//! and every decision about it, as transitions over the one map: a sight,
+//! a settle, and the release of a claim that never settles.
 //!
 //! ```text
 //!             first sight: run whole,          second sight: claim
 //!             then hold it (settle)            the key's route (sight)
 //!   absent ─────────────────────────▶ whole ─────────────────────▶ routing
-//!    ▲                                                              │ the claimer routes its
-//!    │                                                              │ rows over the cores,
-//!    │                                                              ▼ then holds the layout
+//!    ▲                                  ▲                          │ │ the claimer routes its
+//!    │                                  └─ the claimer unwound or ─┘ │ rows over the cores,
+//!    │                                     failed first (release)    ▼ then holds the layout
 //!    └───────── evicted, oldest first, from any stage ───────── routed ◀─┐  while its claim
 //!                                                                  └─────┘  stands; warm
 //!                                                                           sights run it
@@ -18,7 +19,10 @@
 //! key, claims a whole key's route and names its layout ([`units`]: the one
 //! shard-count rule), and says what the request does ([`Sight`]); a pin
 //! reads nothing. [`Caches::settle`] is the other: it holds what the sight
-//! earned. Neither takes a lock, reads a clock, opens a span or does I/O;
+//! earned. A claimer that leaves before it settles — a panic unwinding its
+//! thread, or an error — gives a standing claim back through
+//! [`Caches::release`], which the session's claim guard calls on drop.
+//! None of them takes a lock, reads a clock, opens a span or does I/O;
 //! the session calls each under its one mutex and performs the sight
 //! between them, with no lock held: route, run. The module's checker
 //! explores every interleaving of racing requests over these very
@@ -187,11 +191,13 @@ impl Caches {
         capacity: usize,
     ) {
         let entry = |stage| Entry { plan: Arc::clone(plan), stage };
-        match (claim, self.map.get_mut(key)) {
-            (Some(claim), Some(e)) if e.stage == Stage::Routing && Arc::ptr_eq(&e.plan, claim) => {
-                *e = entry(Stage::Routed);
+        match claim {
+            Some(claim) => {
+                if let Some(e) = self.standing(key, claim) {
+                    *e = entry(Stage::Routed);
+                }
             }
-            (None, None) => {
+            None if !self.map.contains_key(key) => {
                 self.map.insert(key.clone(), entry(Stage::Whole));
                 self.order.push_back(key.clone());
                 if self.order.len() > capacity.max(1) {
@@ -199,8 +205,25 @@ impl Caches {
                     self.map.remove(&oldest);
                 }
             }
-            _ => {}
+            None => {}
         }
+    }
+
+    /// Release a routing sight's `claim` that will never settle: its
+    /// request unwound, or failed, before it held a routed layout. A claim
+    /// still standing returns its entry to [`Stage::Whole`], where the next
+    /// sight claims it afresh; a stale one releases nothing.
+    pub(crate) fn release(&mut self, key: &Key, claim: &Arc<ExecPlan>) {
+        if let Some(e) = self.standing(key, claim) {
+            e.stage = Stage::Whole;
+        }
+    }
+
+    /// `key`'s entry while `claim` stands on it: still routing, under the
+    /// very whole layout the claim took.
+    fn standing(&mut self, key: &Key, claim: &Arc<ExecPlan>) -> Option<&mut Entry> {
+        let e = self.map.get_mut(key)?;
+        (e.stage == Stage::Routing && Arc::ptr_eq(&e.plan, claim)).then_some(e)
     }
 }
 
@@ -211,7 +234,8 @@ mod tests {
     //! own code, not a model of it — in the dslab-mp style of
     //! `cheetah_net::checker`. A request is its critical sections: admit
     //! (once more after a refusal, where the world retries), sight, settle
-    //! (when its sight earned something to hold) and complete. The gaps
+    //! (when its sight earned something to hold; [`Caches::release`]
+    //! instead, where the world has it unwind) and complete. The gaps
     //! between them — route, run — are where other requests interleave.
     //! Distinct states are visited once, so the search is exhaustive over
     //! states rather than over schedules.
@@ -263,6 +287,10 @@ mod tests {
         pins: Vec<Option<usize>>,
         /// Whether a request refused at admission retries, once.
         retry: bool,
+        /// The request, if any, that unwinds where it would settle: its
+        /// claim guard releases a routing claim, and a first sight holds
+        /// nothing. It still completes, as its in-flight slot's drop does.
+        unwinds: Option<usize>,
         capacity: usize,
         bound: usize,
     }
@@ -293,7 +321,7 @@ mod tests {
             let plans = whole.collect::<Vec<_>>().into_iter().chain(routed).collect();
             let pins = vec![None; requests.len()];
             let keys = keys.collect();
-            World { keys, requests, plans, pins, retry: false, capacity, bound }
+            World { keys, requests, plans, pins, retry: false, unwinds: None, capacity, bound }
         }
 
         /// The index of request `r`'s routed layout in [`World::plans`]
@@ -390,7 +418,13 @@ mod tests {
                 Phase::Holding { claim } => {
                     let own = &w.plans[if claim.is_some() { w.routed(r) } else { r }];
                     let claim = claim.map(|c| &w.plans[c]);
-                    next.caches.settle(&w.keys[k], claim, own, w.capacity);
+                    match claim {
+                        Some(claim) if w.unwinds == Some(r) => {
+                            next.caches.release(&w.keys[k], claim);
+                        }
+                        _ if w.unwinds == Some(r) => {}
+                        _ => next.caches.settle(&w.keys[k], claim, own, w.capacity),
+                    }
                     Phase::Finishing
                 }
                 Phase::Finishing => {
@@ -417,13 +451,23 @@ mod tests {
                     (Some(_), None) | (None, Some(_)) => (self.claims[k], self.holds[k]) = (0, 0),
                     (Some((p0, s0)), Some((p1, s1))) => {
                         let routed = s0 == Stage::Routing && s1 == Stage::Routed;
-                        if rank(s1) < rank(s0) || (p1 != p0 && !routed) {
+                        // A claim goes back only by its own release: the
+                        // unwinding claimer, its claim still standing.
+                        let standing = Phase::Holding { claim: Some(p0) };
+                        let released = s0 == Stage::Routing && s1 == Stage::Whole && p1 == p0;
+                        let unwound = w.unwinds.is_some_and(|u| {
+                            before.phases[u] == standing && self.phases[u] == Phase::Finishing
+                        });
+                        if released && unwound {
+                            // The released claim is no claim of this
+                            // residency: the next sight may claim afresh.
+                            self.claims[k] -= 1;
+                        } else if rank(s1) < rank(s0) || (p1 != p0 && !routed) {
                             return Err(format!("key {k} moved {s0:?} → {s1:?} while held"));
                         }
                         // A routed layout is held only under the claim it
                         // was routed for, the claim still standing.
                         let claimer = p1.checked_sub(w.requests.len());
-                        let standing = Phase::Holding { claim: Some(p0) };
                         if routed && claimer.map(|r| before.phases[r]) != Some(standing) {
                             return Err(format!("key {k} held a layout of another claim"));
                         }
@@ -563,6 +607,20 @@ mod tests {
         let mut w = World::new(&SIGHTS, CAPACITY, BOUND);
         (w.pins[1], w.retry) = (Some(3), true);
         assert_eq!(exhaust(&w), Explored { states: 110_716, ends: 253, truncated: false });
+    }
+
+    /// Key 0 seen four times and key 1 twice (so that a claim can go stale
+    /// and the key be claimed afresh), where key 0's second request unwinds
+    /// where it would settle: a claim of its that still stands is
+    /// released, the key whole again for the next sight to claim; a stale
+    /// one releases nothing, whoever claimed the key since; and a first
+    /// sight it made holds nothing. No entry is left routing
+    /// ([`State::check_end`]).
+    #[test]
+    fn lifecycle_checker_releases_the_claim_of_a_request_that_unwinds() {
+        let mut w = World::new(&[4, 2], CAPACITY, BOUND);
+        w.unwinds = Some(1);
+        assert_eq!(exhaust(&w), Explored { states: 46_035, ends: 256, truncated: false });
     }
 
     /// Every state reachable from the start of `w`, each checked; what the

@@ -62,12 +62,14 @@
 //!
 //! Every decision about a key lives in `lifecycle.rs`: a sight reads what
 //! is held, claims a whole key's route and names its layout, and a settle
-//! holds what the sight earned. Each is one critical section under the
-//! session's one lock, and neither takes a lock, reads a clock, opens a
-//! span or does I/O; `serve` performs what they ask for between them
-//! (route, run). The lifecycle's checker explores every interleaving of
-//! racing requests over those very functions: 2 keys × 3 sights, a
-//! one-entry map and an in-flight bound of 2.
+//! holds what the sight earned; a claim its request leaves unsettled — a
+//! panic unwinding, or an error — is released by the claim's drop guard.
+//! Each is one critical section under the session's one lock, and none
+//! takes a lock, reads a clock, opens a span or does I/O; `serve`
+//! performs what they ask for between them (route, run). The lifecycle's
+//! checker explores every interleaving of racing requests over those very
+//! functions: 2 keys × 3 sights, a one-entry map and an in-flight bound
+//! of 2.
 //!
 //! The entry is all the session knows about its key, in one map under
 //! one lock. Every total routing preserves the merge
@@ -427,6 +429,7 @@ fn serve(
     let mut plan_span = root.child("plan");
     let workers = WorkerPool::global().workers();
     let sight = lock(&session.caches).sight(&key, req.shards, workers);
+    let claim = Claim::of(&session.caches, &key, &sight);
     plan_span.attr("cache", sight.label());
     if sight.plan_cached() {
         session.telemetry.plan_hits.inc();
@@ -441,10 +444,10 @@ fn serve(
     choose_span.attr("arm", chosen.label());
     choose_span.finish();
 
-    // 3. Execute: resolve the laid-out plan, then run it on the arm's
-    // path with the span entered so the shard jobs (on this thread, and
-    // on pool helpers beside it for more than one shard) and the merge
-    // plane trace themselves under it.
+    // 3. Execute: resolve the laid-out plan, then run it on the arm with
+    // the `execute` span as the run's parent, so the shard jobs (on this
+    // thread, and on pool helpers beside it for more than one shard) and
+    // the merge trace themselves under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", chosen.path.label());
     if chosen.path == ExecPath::Direct {
@@ -471,14 +474,9 @@ fn serve(
             plan
         }
     };
-    if let Sight::Routing { claim, .. } = &sight {
-        lock(&session.caches).settle(&key, Some(claim), &plan, capacity);
-    }
-    let cluster = session.cluster.clone().with_backend(chosen.backend);
-    let run = {
-        let _in_exec = exec_span.enter();
-        cheetah_runtime::execute(&cluster, &plan, chosen.path)?
-    };
+    claim.settle(&plan, capacity);
+    let parent = exec_span.context();
+    let run = cheetah_runtime::execute(&session.cluster, &plan, chosen, Some(&parent))?;
     let (output, mut breakdown, switch_stats) = (run.output, run.breakdown, run.switch_stats);
     // The engine the run recorded — the interpreter, for a family with
     // no kernel, whatever was chosen.
@@ -503,6 +501,45 @@ fn serve(
     root.attr("arm", arm.label());
     root.attr("plan_cached", plan_cached);
     Ok(QueryResponse { output, breakdown, switch_stats, arm, plan_cached, trace: None })
+}
+
+/// A routing sight's claim on its key, held from the sight until it
+/// settles. Dropped unsettled — the request unwinding from a panic, or
+/// returning an error, between the two — it releases the claim
+/// ([`Caches::release`]), so the key is whole again and a later sight
+/// routes it, rather than racing a route nobody will finish until the key
+/// is evicted. Any other sight claims nothing, and its guard does nothing.
+struct Claim<'a> {
+    caches: &'a Mutex<Caches>,
+    key: &'a Key,
+    /// The claimed whole layout, until it settles or is released.
+    claim: Option<Arc<ExecPlan>>,
+}
+
+impl<'a> Claim<'a> {
+    fn of(caches: &'a Mutex<Caches>, key: &'a Key, sight: &Sight) -> Self {
+        let claim = match sight {
+            Sight::Routing { claim, .. } => Some(Arc::clone(claim)),
+            _ => None,
+        };
+        Claim { caches, key, claim }
+    }
+
+    /// Hold `plan`, the routed layout, while the claim stands
+    /// ([`Caches::settle`]).
+    fn settle(mut self, plan: &Arc<ExecPlan>, capacity: usize) {
+        if let Some(claim) = self.claim.take() {
+            lock(self.caches).settle(self.key, Some(&claim), plan, capacity);
+        }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if let Some(claim) = self.claim.take() {
+            lock(self.caches).release(self.key, &claim);
+        }
+    }
 }
 
 /// The arm chosen for a request: a function of the request alone. A path
@@ -1062,6 +1099,32 @@ mod tests {
         // The one slot serves the next request.
         let t = table(100, 1, 5);
         session.run_blocking(QueryRequest::new(DbQuery::Distinct { col: 0 }, t)).unwrap();
+    }
+
+    /// A routing claim its request drops unsettled — a panic unwinding
+    /// between sight and settle — is released: the key is whole again, and
+    /// the next sight routes it and holds the layout.
+    #[test]
+    fn a_claim_dropped_by_unwinding_is_released_and_the_next_sight_routes() {
+        let t = table(1_500, 3, 5);
+        let session = Session::with_defaults();
+        let req = || QueryRequest::new(DbQuery::Distinct { col: 0 }, Arc::clone(&t));
+        session.run_blocking(req()).unwrap();
+        let key = Key::of(&req());
+        let stage = || session.caches.lock().unwrap().map.get(&key).map(|e| e.stage);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let sight = lock(&session.caches).sight(&key, None, 2);
+            assert!(matches!(sight, Sight::Routing { .. }), "the second sight claims");
+            let _claim = Claim::of(&session.caches, &key, &sight);
+            assert_eq!(stage(), Some(Stage::Routing));
+            panic!("unwinds between sight and settle (expected by this test)");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(stage(), Some(Stage::Whole), "the claim is released");
+        let resp = session.run_blocking(req()).unwrap();
+        assert!(has_route_span(&resp), "the next sight routes");
+        assert_eq!(stage(), Some(Stage::Routed), "and holds");
+        assert!(session.run_blocking(req()).unwrap().plan_cached);
     }
 
     #[test]

@@ -64,11 +64,13 @@
 //!
 //! ## Adding a span
 //!
-//! Open children from the nearest span you have; to cross a thread
-//! boundary, capture a [`SpanContext`] into the closure. Span names and
-//! attribute keys are `&'static str`; a value is an [`AttrValue`] — a
-//! static string, an integer or a bool, kept as it is, and an owned
-//! `String` only for text the caller supplies (a tenant, an error):
+//! Open children from the nearest span you have. Code that opens spans
+//! under its caller's takes the caller's [`SpanContext`] as an argument,
+//! and a clone of it crosses a thread boundary captured into the closure.
+//! Span names and attribute keys are `&'static str`; a value is an
+//! [`AttrValue`] — a static string, an integer or a bool, kept as it is,
+//! and an owned `String` only for text the caller supplies (a tenant, an
+//! error):
 //!
 //! ```
 //! use cheetah_telemetry::{Registry, Trace};
@@ -94,9 +96,11 @@
 //! value) is built only by a reader, and [`Trace::export`] builds the
 //! same one at once.
 //!
-//! For code that can't thread a handle through (the worker pool's
-//! spawn path), [`Span::enter`] pushes the span onto a thread-local
-//! stack and [`SpanContext::current`] reads it back at the spawn site.
+//! There is no thread-local span stack: a span's parent is always handed
+//! over explicitly (`cheetah_runtime::execute` takes the session's
+//! `execute` span's context as an argument, and hands a clone to each
+//! pool job it submits), so no span's place in a tree depends on which
+//! thread opened it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,6 +113,4 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HIST_MIN, HIST_SUB_BUCKETS,
 };
 pub use sink::{export_jsonl, render, TraceSink};
-pub use span::{
-    AttrValue, ClosedTrace, ContextGuard, Span, SpanContext, SpanNode, Trace, TraceError, TraceTree,
-};
+pub use span::{AttrValue, ClosedTrace, Span, SpanContext, SpanNode, Trace, TraceError, TraceTree};

@@ -23,7 +23,6 @@
 //! same tree at once.
 
 use crate::metrics::Registry;
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -377,17 +376,10 @@ impl Span {
         self.trace.open(name, Some(self.id))
     }
 
-    /// A cloneable handle for opening children from another thread.
+    /// A cloneable handle for opening children from another thread, or
+    /// from code this span is handed to as an argument.
     pub fn context(&self) -> SpanContext {
         SpanContext { trace: self.trace.clone(), span: self.id }
-    }
-
-    /// Push this span onto the calling thread's context stack; children
-    /// opened via [`SpanContext::current`] land under it until the
-    /// returned guard drops.
-    pub fn enter(&self) -> ContextGuard {
-        CURRENT.with(|stack| stack.borrow_mut().push(self.context()));
-        ContextGuard { _priv: () }
     }
 
     /// The trace this span belongs to.
@@ -431,13 +423,6 @@ pub struct SpanContext {
 }
 
 impl SpanContext {
-    /// The calling thread's innermost entered span, if any. This is how
-    /// the worker pool picks up the submitting query's trace without
-    /// any signature change on the spawn path.
-    pub fn current() -> Option<SpanContext> {
-        CURRENT.with(|stack| stack.borrow().last().cloned())
-    }
-
     /// Open a child span under the context's span.
     pub fn child(&self, name: &'static str) -> Span {
         self.trace.open(name, Some(self.span))
@@ -446,24 +431,6 @@ impl SpanContext {
     /// The trace behind this context.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-}
-
-thread_local! {
-    static CURRENT: RefCell<Vec<SpanContext>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Pops the entered span off the thread's context stack on drop.
-#[derive(Debug)]
-pub struct ContextGuard {
-    _priv: (),
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|stack| {
-            stack.borrow_mut().pop();
-        });
     }
 }
 
@@ -646,22 +613,6 @@ mod tests {
         let shards: Vec<_> =
             tree.root.children.iter().map(|c| c.attr("shard").unwrap().to_string()).collect();
         assert_eq!(shards, ["0", "1", "2", "3"]);
-    }
-
-    #[test]
-    fn thread_local_context_stack_nests() {
-        let trace = Trace::new(Registry::new());
-        assert!(SpanContext::current().is_none());
-        let root = trace.span("query");
-        {
-            let _g = root.enter();
-            let ctx = SpanContext::current().expect("entered");
-            ctx.child("inner").finish();
-        }
-        assert!(SpanContext::current().is_none());
-        root.finish();
-        let tree = trace.export().unwrap();
-        assert_eq!(tree.root.children[0].name, "inner");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! wiring regression before anything subtler does.
 
 use cheetah::algorithms::analysis;
-use cheetah::db::{Cluster, DataType, DbQuery, TableBuilder, Value};
+use cheetah::db::{Cluster, DataType, DbQuery, ExecBackend, TableBuilder, Value};
 use cheetah::net::{AckPacket, AckSource, Packet};
 use cheetah::switch::{ResourceLedger, SwitchProfile};
 use cheetah::workloads::Zipf;
@@ -37,7 +37,7 @@ fn db_reexport_runs_a_query() {
     let cluster = Cluster::default();
     let q = DbQuery::Distinct { col: 0 };
     let base = cluster.run_baseline(&q, &table, None);
-    let chee = cluster.run_cheetah(&q, &table, None).expect("plan fits");
+    let chee = cluster.run_cheetah(&q, &table, None, ExecBackend::Interpreted).expect("plan fits");
     assert_eq!(base.output, chee.output);
 }
 
