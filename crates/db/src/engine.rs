@@ -21,16 +21,17 @@
 //! are modelled from byte counts and link rates by `cheetah-net`'s
 //! [`ExecBreakdown`] (the repository has no 40G NICs).
 
-use crate::executor::Tables;
+use crate::executor::{direct_run, Tables};
 use crate::operators::{
-    DistinctOp, FilterOp, GroupByMaxOp, HavingSumOp, JoinOp, PruningOperator, SkylineOp, TopNOp,
+    DistinctOp, FilterOp, GroupByMaxOp, HavingSumOp, JoinOp, Partial, PruningOperator, SkylineOp,
+    Survivors, TopNOp,
 };
 use crate::query::{DbQuery, QueryOutput};
 use crate::table::{Partition, Table};
 use cheetah_core::{
     BloomKind, DistinctConfig, EvictionPolicy, JoinMode, SkylinePolicy, TopNRandConfig,
 };
-use cheetah_net::FaultProfile;
+use cheetah_net::{FaultProfile, RackReport};
 use cheetah_switch::{ProgramStats, SwitchProfile};
 
 // Byte accounting lives in the layer that owns link modelling; re-exported
@@ -292,7 +293,9 @@ impl Cluster {
     /// fan-out join ships its input rows instead, being fewer), every one
     /// of them seen and forwarded, none pruned. In fault mode every row it
     /// read crosses the lossy rack first, forwarded whole, and reaches the
-    /// master.
+    /// master. It is [`finish_direct`](Self::finish_direct) of one
+    /// [`fold_direct`](Self::fold_direct) over every partition, run on one
+    /// thread.
     pub fn run_direct(
         &self,
         q: &DbQuery,
@@ -301,6 +304,51 @@ impl Cluster {
     ) -> cheetah_core::Result<CheetahRun> {
         let t = Tables { left, right };
         with_operator!(self, q, |op| crate::executor::complete_all(&op, &t, self.fault))
+    }
+
+    /// The direct arm's fold of one group of stored partitions: the
+    /// partitions `parts` of `left` (with every row of `right`), folded by
+    /// `q`'s operator into its [`Partial`]. A lossless direct run whose
+    /// unit splits into groups ([`planner::groups`](crate::planner::groups))
+    /// folds each group on its own thread and finishes them together
+    /// ([`finish_direct`](Self::finish_direct)).
+    pub fn fold_direct(
+        &self,
+        q: &DbQuery,
+        left: &Table,
+        right: Option<&Table>,
+        parts: &[usize],
+    ) -> cheetah_core::Result<Partial> {
+        let t = Tables { left, right };
+        with_operator!(
+            self,
+            q,
+            |op| Ok(op.fold(&t, &Survivors::all(&t, op.streams())?.only(parts)))
+        )
+    }
+
+    /// A lossless direct run of a unit of `rows` rows, from the partials
+    /// of its groups ([`fold_direct`](Self::fold_direct)) — combined
+    /// before any key is materialised, so its answer is built once — and
+    /// accounted as [`run_direct`](Self::run_direct) accounts one, its
+    /// worker time the slowest group's fold, `fold_seconds`. Output equals
+    /// [`run_baseline`](Self::run_baseline)'s exactly, whatever the split.
+    pub fn finish_direct(
+        &self,
+        q: &DbQuery,
+        rows: u64,
+        partials: Vec<Partial>,
+        fold_seconds: f64,
+    ) -> CheetahRun {
+        // The groups fold side by side: the slowest is the worker time.
+        let lossless = RackReport::default();
+        with_operator!(self, q, |op| direct_run(
+            op.finish(partials),
+            rows,
+            fold_seconds,
+            None,
+            lossless
+        ))
     }
 
     /// Build `q`'s operator as every run does and lend it to `f`: for a

@@ -31,6 +31,7 @@
 
 use crate::engine::{CheetahRun, Cluster};
 use crate::operators::{PruningOperator, Survivors};
+use crate::query::QueryOutput;
 use crate::table::Table;
 use cheetah_core::{
     planner, CompiledProgram, Error, PassPlan, PruneEngine, QuerySpec, StandalonePruner,
@@ -178,10 +179,10 @@ impl Cluster {
         let hit = |p: &mut InstalledProgram| p.spec == spec && p.profile == self.profile;
         let compiled = backend == ExecBackend::Compiled;
         let installed = compiled.then(|| COMPILED_CACHE.with(|c| c.borrow_mut().take_if(hit)));
-        let (usage, mut kernel) = match installed.flatten() {
+        let (usage, mut kernel, profile) = match installed.flatten() {
             Some(mut installed) => {
                 installed.engine.reset();
-                (installed.usage, installed.engine)
+                (installed.usage, installed.engine, installed.profile)
             }
             None => {
                 let planner::Plan { pipeline, program, usage, .. } =
@@ -196,13 +197,13 @@ impl Cluster {
                     let backend = ExecBackend::Interpreted;
                     return run_on(&mut engine, backend, op, tables, usage.rules, self.fault);
                 };
-                (usage, kernel)
+                (usage, kernel, self.profile.clone())
             }
         };
         let run = run_on(&mut kernel, ExecBackend::Compiled, op, tables, usage.rules, self.fault)?;
-        // Park the kernel for this thread's next run of (spec, profile).
-        let installed =
-            InstalledProgram { spec, profile: self.profile.clone(), usage, engine: kernel };
+        // Park the kernel for this thread's next run of (spec, profile),
+        // beside the profile it was planned against: a hit re-parks its own.
+        let installed = InstalledProgram { spec, profile, usage, engine: kernel };
         COMPILED_CACHE.with(|c| *c.borrow_mut() = Some(installed));
         Ok(run)
     }
@@ -515,9 +516,25 @@ pub(crate) fn complete_all<O: PruningOperator>(
     let t0 = Instant::now();
     let output = op.complete(tables, &selection);
     let worker_seconds = t0.elapsed().as_secs_f64();
+    let delivered = fault.map(|_| selection.count());
+    Ok(direct_run(output, rows, worker_seconds, delivered, rack))
+}
+
+/// A direct run's accounting: a worker that read `rows` rows computed
+/// `output` in `worker_seconds` and shipped its result rows (or the rows
+/// it read, where those are fewer) through a pass-through switch. In
+/// fault mode the master's entries are the rows `delivered`, and `rack`
+/// reports what carrying them cost.
+pub(crate) fn direct_run(
+    output: QueryOutput,
+    rows: u64,
+    worker_seconds: f64,
+    delivered: Option<u64>,
+    rack: RackReport,
+) -> CheetahRun {
     let shipped = output.result_rows().min(rows);
-    let entries = fault.map_or(shipped, |_| selection.count());
-    Ok(CheetahRun {
+    let entries = delivered.unwrap_or(shipped);
+    CheetahRun {
         output,
         breakdown: ExecBreakdown {
             worker_seconds,
@@ -531,14 +548,14 @@ pub(crate) fn complete_all<O: PruningOperator>(
         },
         switch_stats: ProgramStats { seen: shipped, pruned: 0, forwarded: shipped },
         rules: 0,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::Selected;
-    use crate::query::{DbQuery, QueryOutput};
+    use crate::operators::{Partial, Selected};
+    use crate::query::DbQuery;
     use crate::table::Partition;
     use crate::testutil::{all_queries, test_table};
 
@@ -623,8 +640,8 @@ mod tests {
                 sink(self.slots);
             }
         }
-        fn complete(&self, _src: &Tables<'_>, _survivors: &Survivors) -> QueryOutput {
-            QueryOutput::Count(0)
+        fn fold(&self, _src: &Tables<'_>, _survivors: &Survivors) -> Partial {
+            Partial::Whole(QueryOutput::Count(0))
         }
     }
 
@@ -684,7 +701,7 @@ mod tests {
         fn encode_part(&self, stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
             self.0.encode_part(stream, part, sink)
         }
-        fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial {
             let mut handed = 0;
             for s in 0..self.streams() {
                 let parts = src.stream(s).unwrap().partitions().len();
@@ -699,7 +716,7 @@ mod tests {
                     handed += sel.count() as u64;
                 }
             }
-            QueryOutput::Count(handed)
+            Partial::Whole(QueryOutput::Count(handed))
         }
     }
 

@@ -56,8 +56,9 @@ pub use engine::{CheetahRun, CheetahTuning, Cluster, ExecBackend, ExecBreakdown,
 pub use executor::Tables;
 pub use expr::{DbPredicate, IntCmp, LikePattern};
 pub use master::{decompose_output, merge_shard_outputs, MergeItem, MergeState};
+pub use operators::Partial;
 pub use planner::{
-    fixed_sharder, routing_keys, unit_columns, units, ChooserArm, ExecPath, PathChooser,
+    fixed_sharder, groups, routing_keys, unit_columns, units, ChooserArm, ExecPath, PathChooser,
     PlannerConfig, ShardPlan, ShardPlanner, ShardSpec,
 };
 pub use query::{DbQuery, QueryOutput};

@@ -78,10 +78,12 @@ pub fn merge_shard_outputs(q: &DbQuery, mut outputs: Vec<QueryOutput>) -> QueryO
         }),
         DbQuery::GroupByMax { .. } | DbQuery::HavingSum { .. } => {
             // Each map is a sorted run: a stable sort merges the runs, then
-            // equal keys collapse. GROUP BY keeps their max. HAVING has
-            // none: key-aligned routing puts every row of a key on one
-            // shard, so its qualifying keys are disjoint, its sums global.
-            let having = matches!(q, DbQuery::HavingSum { .. });
+            // equal keys collapse, keeping their max. Only GROUP BY has
+            // such keys: key-aligned routing puts every row of a HAVING
+            // key on one shard, so its qualifying keys are disjoint, its
+            // sums global. (A direct run that splits one unit adds its
+            // groups' sums before the threshold, in the operator's
+            // `finish`, never here.)
             let mut pairs = Vec::with_capacity(
                 outputs.iter().map(QueryOutput::cardinality).sum::<u64>() as usize,
             );
@@ -91,7 +93,6 @@ pub fn merge_shard_outputs(q: &DbQuery, mut outputs: Vec<QueryOutput>) -> QueryO
                 if dup.0 != kept.0 {
                     return false;
                 }
-                debug_assert!(!having, "HAVING partials share a key: not key-aligned");
                 kept.1 = kept.1.max(dup.1);
                 true
             });
@@ -382,7 +383,12 @@ fn gather<T>(parts: impl Iterator<Item = Result<T, WireError>>) -> Result<Vec<T>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Cluster;
     use crate::expr::{DbPredicate, IntCmp};
+    use crate::planner::{routing_keys, unit_columns};
+    use crate::sharded::{route_columns, RouteStream};
+    use crate::testutil::test_table;
+    use cheetah_core::Sharder;
 
     fn filter_q() -> DbQuery {
         DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 0, op: IntCmp::Lt, lit: 1 } }
@@ -459,15 +465,40 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "HAVING partials share a key")]
-    fn having_partials_that_share_a_key_are_a_routing_bug() {
-        // Two shards both qualifying key 1: the rows of a key were split,
-        // so neither local sum is the global one.
-        let _ = merge_shard_outputs(
-            &DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 50 },
-            vec![keyed(&[(1, 100), (2, 60)]), keyed(&[(1, 70)])],
-        );
+    fn having_split_over_stored_partitions_finishes_like_the_routed_answer_and_the_baseline() {
+        // Routing puts every row of a key on one shard, so the union of the
+        // shards' answers is the answer. A direct run that splits a table's
+        // stored partitions into groups shares every key between them: it
+        // adds the groups' sums before the threshold, in the operator's
+        // finish, and must answer bit for bit alike.
+        let cluster = Cluster::default();
+        let t = test_table(3_000, 4);
+        assert!(t.is_coded(0), "fixture: the key is coded at load");
+        // Near the mean per-key sum: some keys clear it, some do not.
+        let q = DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: 300_000 };
+        let want = cluster.run_baseline(&q, &t, None).output;
+        let keys = routing_keys(&q, 0, &t, cluster.tuning.seed);
+        let (cols, keyed) = unit_columns(&q, 0);
+        let rows = 0..t.rows();
+        let stream = RouteStream { table: &t, cols: &cols, keyed, keys: &keys, rows };
+        let units = route_columns(&[stream], &Sharder::hash(3, 1));
+        let unit_q = q.remapped();
+        let shards = units[0].iter().map(|u| cluster.run_direct(&unit_q, u, None).unwrap().output);
+        let routed = merge_shard_outputs(&q, shards.collect());
+        let groups = [vec![0, 2], vec![1, 3]];
+        let fold = |g: &Vec<usize>| cluster.fold_direct(&q, &t, None, g).unwrap();
+        let finish = |partials| cluster.finish_direct(&q, t.rows() as u64, partials, 0.0).output;
+        let split = finish(groups.iter().map(fold).collect());
+        assert_eq!((&split, &routed), (&want, &want));
+        // Each group alone clears the threshold for fewer keys: a
+        // threshold applied per group, before the sums, would lose some.
+        let alone: Vec<QueryOutput> = groups.iter().map(|g| finish(vec![fold(g)])).collect();
+        let QueryOutput::KeyedInts(answer) = &want else { panic!("HAVING answers keyed sums") };
+        let cleared = |k: &Value| {
+            alone.iter().any(|o| matches!(o, QueryOutput::KeyedInts(m) if m.contains_key(k)))
+        };
+        assert!(answer.keys().any(|k| !cleared(k)), "some key clears it only across groups");
+        assert_ne!(merge_shard_outputs(&q, alone), want, "a union of per-group answers is wrong");
     }
 
     #[test]

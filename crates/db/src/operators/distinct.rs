@@ -4,7 +4,7 @@
 //! the master re-fetches the true column values of the survivors and
 //! normalizes (duplicates from matrix evictions collapse there).
 
-use super::{for_each_group, for_each_key, PruningOperator, Survivors};
+use super::{finish_keys, fold_keys, for_each_key, mismatch, Partial, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -38,13 +38,19 @@ impl PruningOperator for DistinctOp {
         for_each_key(self.seed, part.coded(self.col), |_, k| sink(&[k]));
     }
 
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
-        // Matrix evictions let a key through more than once: each distinct
-        // key reaches the walk once (a coded key by a hit flag per code,
-        // in order), and owns one `Value`.
-        let mut keys = Vec::new();
-        let (unit, nothing) = (|_| |_| (), |(), ()| ());
-        for_each_group(src, survivors, 0, self.col, unit, nothing, |k, ()| keys.push(k.to_value()));
-        QueryOutput::values(keys)
+    fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial {
+        // Matrix evictions let a key through more than once: a coded key
+        // is one hit flag per code.
+        Partial::Hits(fold_keys(src, survivors, 0, self.col, |_| |_| (), |(), ()| ()))
+    }
+
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        // Each distinct key once, in order, owning one `Value`.
+        let hits = partials.into_iter().map(|p| match p {
+            Partial::Hits(hits) => hits,
+            p => mismatch(self.kind(), &p),
+        });
+        let keys = finish_keys(hits, |(), ()| (), |()| true);
+        QueryOutput::Values(keys.into_iter().map(|(k, ())| k).collect())
     }
 }

@@ -8,7 +8,7 @@
 //! operators see it ([`Partition::coded`]): a coded column's LIKE matches
 //! its dictionary's strings, read by code.
 
-use super::{PruningOperator, Selected, Survivors};
+use super::{count, Partial, PruningOperator, Selected, Survivors};
 use crate::executor::Tables;
 use crate::expr::{DbPredicate, IntCmp};
 use crate::ops;
@@ -56,7 +56,7 @@ impl PruningOperator for FilterOp<'_> {
         }
     }
 
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+    fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial {
         // Master: evaluate the FULL predicate (including atoms the switch
         // replaced by tautologies) on the survivors, count. A sparse
         // selection re-checks row by row; the identity scans.
@@ -70,7 +70,11 @@ impl PruningOperator for FilterOp<'_> {
                     .count() as u64,
             };
         }
-        QueryOutput::Count(count)
+        Partial::Count(count)
+    }
+
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        QueryOutput::Count(partials.into_iter().map(|p| count(self.kind(), p)).sum())
     }
 }
 

@@ -4,7 +4,10 @@
 //! their group's maximum; the master re-aggregates the survivors exactly
 //! by true key value (fingerprint collisions only reduce pruning).
 
-use super::{encode_i64_32, for_each_group, for_each_key, PruningOperator, Survivors};
+use super::{
+    encode_i64_32, finish_keys, fold_keys, for_each_key, mismatch, Partial, PruningOperator,
+    Survivors,
+};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -56,17 +59,21 @@ impl PruningOperator for GroupByMaxOp {
         });
     }
 
-    fn complete<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> QueryOutput {
-        // Aggregate by *borrowed* key (a coded key by code, handed over in
-        // order): an owned `Value` key per group, not per survivor.
-        let mut best = Vec::new();
+    fn fold<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> Partial {
+        // Aggregate by *borrowed* key (a coded key by code): an owned
+        // `Value` key per group, not per survivor.
         let vals = |part: &'t Partition| {
             let vals = part.column(self.val_col).as_int().expect("int agg col");
             move |r| vals[r]
         };
-        for_each_group(src, survivors, 0, self.key_col, vals, i64::max, |k, v| {
-            best.push((k.to_value(), v));
+        Partial::Max(fold_keys(src, survivors, 0, self.key_col, vals, i64::max))
+    }
+
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        let maxes = partials.into_iter().map(|p| match p {
+            Partial::Max(maxes) => maxes,
+            p => mismatch(self.kind(), &p),
         });
-        QueryOutput::KeyedInts(best.into_iter().collect())
+        QueryOutput::KeyedInts(finish_keys(maxes, i64::max, |_| true).into_iter().collect())
     }
 }

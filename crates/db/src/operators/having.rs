@@ -8,7 +8,7 @@
 //! them exactly by true key value and applies the threshold — sketch
 //! overestimates only add candidates, never wrong sums.
 
-use super::{for_each_group, for_each_key, PruningOperator, Survivors};
+use super::{finish_keys, fold_keys, for_each_key, mismatch, Partial, PruningOperator, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::ops::clamp_sum;
@@ -73,23 +73,26 @@ impl PruningOperator for HavingSumOp {
         for_each_key(self.seed, part.coded(self.key_col), |r, k| sink(&[k, vals[r].max(0) as u64]));
     }
 
-    fn complete<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> QueryOutput {
-        // Exact `i128` sums by true (borrowed) key (a coded key by code,
-        // handed over in order): no sum of `i64` cells overflows them. An
-        // owned `Value` only for the keys that clear the threshold, each
-        // sum reported clamped to `i64`.
-        let mut over = Vec::new();
-        let sum = |a: i128, b: i128| a + b;
+    fn fold<'t>(&self, src: &Tables<'t>, survivors: &Survivors) -> Partial {
+        // Exact `i128` sums by true (borrowed) key (a coded key by code):
+        // no sum of `i64` cells overflows them.
         let vals = |part: &'t Partition| {
             let vals = part.column(self.val_col).as_int().expect("int sum col");
             move |r| i128::from(vals[r])
         };
-        for_each_group(src, survivors, 0, self.key_col, vals, sum, |k, s| {
-            if s > i128::from(self.threshold) {
-                over.push((k.to_value(), clamp_sum(s)));
-            }
+        Partial::Sum(fold_keys(src, survivors, 0, self.key_col, vals, |a, b| a + b))
+    }
+
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        // The threshold judges whole sums, so it runs after the partials
+        // are added: an owned `Value` only for the keys that clear it,
+        // each sum reported clamped to `i64`.
+        let sums = partials.into_iter().map(|p| match p {
+            Partial::Sum(sums) => sums,
+            p => mismatch(self.kind(), &p),
         });
-        QueryOutput::KeyedInts(over.into_iter().collect())
+        let over = finish_keys(sums, |a, b| a + b, |s| s > i128::from(self.threshold));
+        QueryOutput::KeyedInts(over.into_iter().map(|(k, s)| (k, clamp_sum(s))).collect())
     }
 }
 

@@ -14,7 +14,10 @@
 //! The master runs an exact hash join on the survivors' true key values —
 //! Bloom false positives contribute no pairs.
 
-use super::{for_each_key, for_each_selected_key, one_dict, KeyRef, PruningOperator, Survivors};
+use super::{
+    count, for_each_key, for_each_selected_key, one_dict, KeyRef, Partial, PruningOperator,
+    Survivors,
+};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::query::QueryOutput;
@@ -79,7 +82,7 @@ impl PruningOperator for JoinOp {
         for_each_key(self.seed, part.coded(key_col), |_, k| sink(&[k]));
     }
 
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+    fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial {
         // One build over the true keys of the side with fewer survivors,
         // one probe per key of the other (pair counts are symmetric): the
         // map every probe lands in is the smaller one, and a key held is
@@ -100,7 +103,7 @@ impl PruningOperator for JoinOp {
                 let codes = codes(part.coded(key_cols[large]));
                 sel.rows().for_each(|r| pairs += counts[codes[r] as usize]);
             }
-            return QueryOutput::JoinPairs(pairs);
+            return Partial::Count(pairs);
         }
         // Otherwise each side is counted per key (`for_each_count`): the
         // build hashes one string per code or row of the smaller side, the
@@ -113,7 +116,12 @@ impl PruningOperator for JoinOp {
         for_each_count(src, survivors, large, key_cols[large], |k, n| {
             pairs += build.get(&k).map_or(0, |&c| c * n);
         });
-        QueryOutput::JoinPairs(pairs)
+        Partial::Count(pairs)
+    }
+
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        // Each partial counts the pairs of its own left rows.
+        QueryOutput::JoinPairs(partials.into_iter().map(|p| count(self.kind(), p)).sum())
     }
 }
 
@@ -140,7 +148,7 @@ fn count_codes(
 /// selection touches reaches `f` once, as its string, in code order — a
 /// join needs no rank, so it never computes one. A plain stream reaches
 /// `f` once per selected row, with a count of 1: grouping it first, as
-/// [`for_each_group`](super::for_each_group) does, costs a map insert per
+/// [`fold_keys`](super::fold_keys) does, costs a map insert per
 /// row, and a whole-table JOIN on near-unique URLs read 2.2× slower so.
 fn for_each_count<'t>(
     src: &Tables<'t>,

@@ -3,7 +3,7 @@
 //!
 //! # The contract
 //!
-//! A [`PruningOperator`] answers exactly four questions — everything else
+//! A [`PruningOperator`] answers exactly five questions — everything else
 //! (planning, the encode → prune pass loop, byte accounting, timing) is
 //! the generic executor's job
 //! ([`Cluster::execute`](crate::Cluster::execute)):
@@ -12,8 +12,12 @@
 //! |---|---|---|
 //! | which switch program? | `spec()` | `QuerySpec::Distinct(matrix cfg)` |
 //! | how do a partition's rows become packet slots? | `encode_part()` | one slot per row: the encoded key |
-//! | what does the master do with survivors? | `complete()` | gather the selected key cells, dedup, normalize |
+//! | what does a selection of rows come to? | `fold()` | a hit flag per key code of the selected rows |
+//! | what is the answer from those? | `finish()` | the hit flags combined, each key's string once, in order |
 //! | what pass structure? | `pass_plan()` | [`PassPlan::Single`] |
+//!
+//! The master's completion over the survivors is `complete()`: the
+//! `finish()` of one `fold()`.
 //!
 //! # What a survivor is
 //!
@@ -43,9 +47,10 @@
 //! stream holds its key against one dictionary — a loaded table's, or a
 //! routed unit's — DISTINCT, GROUP BY and HAVING fold the selected rows of
 //! all of them into one dense per-code array (a hit flag, the max, the
-//! sum, each beside presence), then walk it in the dictionary's rank
-//! order, touching one string per code the selection holds
-//! (`for_each_group`): each key arrives once and in order, so they push
+//! sum, each beside presence: `fold_keys`); their finish combines such
+//! arrays element by element and walks the result once in the
+//! dictionary's rank order, touching one string per code a kept key holds
+//! (`finish_keys`): each key arrives once and in order, so they push
 //! their answer into a `Vec` and build no hash map. A JOIN whose two
 //! streams share one dictionary — what routing both streams together
 //! leaves in a shard — counts one side's codes and probes them with the
@@ -59,7 +64,14 @@
 //! query with no `spec()`, no encode and no switch. That is the whole of
 //! the direct arm ([`Cluster::run_direct`](crate::Cluster::run_direct)) —
 //! no operator carries a second implementation for it, only a scan where
-//! its selection is [`Selected::All`].
+//! its selection is [`Selected::All`]. And a fold is a function of its
+//! selection too, so the identity cut into groups of stored partitions
+//! ([`Survivors::only`]) folds on as many threads as there are groups
+//! ([`Cluster::fold_direct`](crate::Cluster::fold_direct)), and the
+//! groups' partials finish into the same answer
+//! ([`Cluster::finish_direct`](crate::Cluster::finish_direct)): per-key
+//! folds are merged before any string is built, and HAVING's threshold
+//! judges the summed partials.
 //!
 //! # Adding a query type
 //!
@@ -67,8 +79,12 @@
 //!    parameters (plus whatever [`CheetahTuning`] knobs it reads).
 //! 2. Implement [`PruningOperator`]: build the [`QuerySpec`] (add a
 //!    pruning algorithm to `cheetah-core` first if none fits), encode a
-//!    partition's queried columns into value slots, and complete the
-//!    query by walking [`Survivors::parts`]. Pick the [`PassPlan`]
+//!    partition's queried columns into value slots, fold the selected rows
+//!    into a [`Partial`] by walking [`Survivors::parts`], and finish the
+//!    partials of disjoint selections into the answer (an operator whose
+//!    fold cannot split folds to [`Partial::Whole`] and keeps the default
+//!    finish; `planner::groups` must then keep it whole). Pick the
+//!    [`PassPlan`]
 //!    matching the algorithm's pass structure; `streams()`/`flow_id()`
 //!    only matter for binary queries.
 //! 3. Add its [`DbQuery`] variant, and give the variant its case in
@@ -78,7 +94,8 @@
 //! 4. Build the operator from the variant in `with_operator!`, and price
 //!    its software stack in `spark_overhead_factor` (`engine.rs`).
 //! 5. Name the column its rows are routed by, or none for a row-id hash,
-//!    in `routing_column` (`planner.rs`).
+//!    in `routing_column`, and whether a direct run may fold a table's
+//!    stored partitions apart, in `groups` (`planner.rs`).
 //! 6. Fold its shard outputs in `merge_shard_outputs`, name the output
 //!    variant it produces in `check_variant`, and cut that output into
 //!    merge items in `decompose_output` (`master.rs`).
@@ -149,9 +166,84 @@ pub trait PruningOperator {
     /// per-row query work: CWorkers only serialize (§7.1).
     fn encode_part(&self, stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64]));
 
+    /// Fold the rows `survivors` selects into this operator's [`Partial`],
+    /// reading their true values out of `src`: a count, the top n, a
+    /// skyline window, or a per-key fold. Partials folded over disjoint
+    /// selections of the same tables — a direct run's groups of stored
+    /// partitions ([`Survivors::only`]) — finish into one answer.
+    fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial;
+
+    /// The answer from partials this operator folded over disjoint
+    /// selections of the same tables, combined before anything is
+    /// materialised: per-key folds element by element, each key's string
+    /// built once, and HAVING's threshold applied after the sums. The
+    /// default finishes a lone [`Partial::Whole`] as it stands: an
+    /// operator whose fold cannot split.
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        match <[Partial; 1]>::try_from(partials) {
+            Ok([Partial::Whole(output)]) => output,
+            Ok([p]) => mismatch(self.kind(), &p),
+            Err(partials) => {
+                panic!("{}: {} whole partials finish alone", self.kind(), partials.len())
+            }
+        }
+    }
+
     /// Complete the query on the master from the rows that came through
-    /// the switch, reading their true values out of `src`.
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput;
+    /// the switch: [`finish`](Self::finish) of the one
+    /// [`fold`](Self::fold) over them.
+    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+        self.finish(vec![self.fold(src, survivors)])
+    }
+}
+
+/// What one fold of an operator hands its [`finish`](PruningOperator::finish):
+/// owned, so a fold on one thread finishes on another.
+#[derive(Debug)]
+pub enum Partial {
+    /// FILTER's matching rows, or JOIN's pairs.
+    Count(u64),
+    /// TOP N: the selection's `n` largest values, in no order.
+    Top(Vec<i64>),
+    /// SKYLINE: the selection's skyline window.
+    Points(Vec<Vec<i64>>),
+    /// DISTINCT: a hit flag per key.
+    Hits(Groups<()>),
+    /// GROUP BY: the max per key.
+    Max(Groups<i64>),
+    /// HAVING: the sum per key, before the threshold.
+    Sum(Groups<i128>),
+    /// A finished answer, for an operator whose fold cannot split.
+    Whole(QueryOutput),
+}
+
+/// A partial of another family than the finishing operator's: a caller's
+/// bug, never a data error.
+pub(crate) fn mismatch(kind: &str, partial: &Partial) -> ! {
+    panic!("{kind} cannot finish {partial:?}")
+}
+
+/// A count partial's count.
+pub(crate) fn count(kind: &str, partial: Partial) -> u64 {
+    match partial {
+        Partial::Count(n) => n,
+        p => mismatch(kind, &p),
+    }
+}
+
+/// A per-key fold: for each key a selected row holds, the fold of those
+/// rows' values. Over one dictionary it is dense by code, so partials
+/// merge element by element and no string is read until the answer;
+/// otherwise each key is an owned [`Value`].
+#[derive(Debug)]
+pub struct Groups<A>(Keyed<A>);
+
+#[derive(Debug)]
+enum Keyed<A> {
+    /// Slot `c` folds the rows coded `c`; `None` where no selected row is.
+    Codes { dict: Arc<Dictionary>, dense: Vec<Option<A>> },
+    /// Plain strings, ints, or dictionaries coded apart: each key once.
+    Values(Vec<(Value, A)>),
 }
 
 /// What came through the switch, as row selections: per stream, one per
@@ -243,6 +335,20 @@ impl Survivors {
         debug_assert!(selection.windows(2).all(|w| w[0] < w[1]), "a selection ascends strictly");
     }
 
+    /// This selection with stream 0 cut to the partitions `parts` names:
+    /// each other partition of stream 0 selects nothing, and every other
+    /// stream keeps its selection. A direct run folds each group of a
+    /// table's stored partitions over such a cut of the identity.
+    pub fn only(&self, parts: &[usize]) -> Survivors {
+        let mut streams = self.streams.clone();
+        for (p, sel) in streams[0].iter_mut().enumerate() {
+            if !parts.contains(&p) {
+                *sel = Selection::Rows(Vec::new());
+            }
+        }
+        Survivors { streams }
+    }
+
     /// Rows kept across all streams — the entries the master receives.
     pub fn count(&self) -> u64 {
         self.streams.iter().flatten().map(|sel| Selected::from(sel).count() as u64).sum()
@@ -319,30 +425,26 @@ pub(crate) fn for_each_selected_key<'t>(
 
 /// The selected rows of stream `stream` folded per key of its key column
 /// `key_col`, across partitions: `value(part)` gives a partition's
-/// per-row contribution, `combine` folds two contributions to one key,
-/// and `f` receives `(key, fold)` exactly once per key a selected row
-/// holds — so a completion pushes what it receives and keeps no map.
+/// per-row contribution and `combine` folds two contributions to one key.
+/// A key no selected row holds has no fold, so it is never reported with
+/// an aggregate no row gave it.
 ///
 /// Where every partition holds the key against one dictionary
 /// ([`one_dict`]), the selected rows of all of them are folded by code
-/// into one dense per-code array holding presence and the aggregate before
-/// any string is read; then the array is walked in the dictionary's rank
-/// ([`Dictionary::rank`]), so the keys reach `f` in ascending [`Value`]
-/// order, each as its dictionary string. A code no selected row holds
-/// reaches `f` not at all, so a key is never reported with an aggregate no
-/// row gave it. Otherwise — plain strings, ints, or dictionaries coded
-/// apart — every selected row is folded into one map by its borrowed key,
-/// through [`for_each_selected_key`]'s loop, and each key reaches `f`
-/// once, in no set order.
-pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
+/// into one dense per-code array, and no string is read: the identity
+/// selection zips the codes with the rows, a row selection gathers
+/// through its ids. Otherwise — plain strings, ints, or dictionaries
+/// coded apart — every selected row is folded into one map by its
+/// borrowed key, through [`for_each_selected_key`]'s loop, and each key
+/// is owned once.
+pub(crate) fn fold_keys<'t, A: Copy, V: Fn(usize) -> A>(
     src: &Tables<'t>,
     survivors: &Survivors,
     stream: usize,
     key_col: usize,
     value: impl Fn(&'t Partition) -> V,
     combine: impl Fn(A, A) -> A,
-    mut f: impl FnMut(KeyRef<'t>, A),
-) {
+) -> Groups<A> {
     let parts = || survivors.parts(src, stream);
     let Some(dict) = one_dict(parts().map(|(part, _)| part.coded(key_col))) else {
         let mut groups: HashMap<KeyRef<'t>, A> = HashMap::new();
@@ -353,8 +455,7 @@ pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
                 groups.entry(k).and_modify(|acc| *acc = combine(*acc, v)).or_insert(v);
             });
         }
-        groups.into_iter().for_each(|(k, acc)| f(k, acc));
-        return;
+        return Groups(Keyed::Values(groups.into_iter().map(|(k, a)| (k.to_value(), a)).collect()));
     };
     let mut dense: Vec<Option<A>> = vec![None; dict.len()];
     for (part, sel) in parts() {
@@ -362,14 +463,70 @@ pub(crate) fn for_each_group<'t, A: Copy, V: Fn(usize) -> A>(
             unreachable!("one_dict found every key column coded")
         };
         let value = value(part);
-        sel.rows().for_each(|r| {
-            let (slot, v) = (&mut dense[codes[r] as usize], value(r));
+        let mut add = |r: usize, code: u32| {
+            let (slot, v) = (&mut dense[code as usize], value(r));
             *slot = Some(slot.map_or(v, |acc| combine(acc, v)));
-        });
+        };
+        match sel {
+            Selected::All(_) => codes.iter().enumerate().for_each(|(r, &code)| add(r, code)),
+            Selected::Rows(ids) => ids.iter().for_each(|&r| add(r as usize, codes[r as usize])),
+        }
     }
-    for &code in dict.rank() {
-        if let Some(acc) = dense[code as usize] {
-            f(KeyRef::Str(&dict[code as usize]), acc);
+    Groups(Keyed::Codes { dict: Arc::clone(dict), dense })
+}
+
+/// Per-key folds of disjoint selections of one table combined into the
+/// answer's keys: every key some fold holds, once, in ascending [`Value`]
+/// order, beside its combined fold — those `keep` accepts. Every fold of
+/// one table's key column takes the same form ([`fold_keys`] decides it by
+/// the whole column), so folds by code share one dictionary: they are
+/// combined code by code and walked once in its rank
+/// ([`Dictionary::rank`]), and a key's string is read only if its fold is
+/// kept. Folds by owned key are combined by sorting them together.
+pub(crate) fn finish_keys<A: Copy>(
+    folds: impl IntoIterator<Item = Groups<A>>,
+    combine: impl Fn(A, A) -> A,
+    keep: impl Fn(A) -> bool,
+) -> Vec<(Value, A)> {
+    let mut folds = folds.into_iter().map(|g| g.0);
+    match folds.next() {
+        None => Vec::new(),
+        Some(Keyed::Codes { dict, mut dense }) => {
+            for fold in folds {
+                let Keyed::Codes { dict: theirs, dense: other } = fold else {
+                    panic!("folds of one key column take one form")
+                };
+                assert!(
+                    Arc::ptr_eq(&dict, &theirs),
+                    "folds of one key column share its dictionary"
+                );
+                for (slot, v) in dense.iter_mut().zip(other) {
+                    if let Some(v) = v {
+                        *slot = Some(slot.map_or(v, |acc| combine(acc, v)));
+                    }
+                }
+            }
+            let kept = |&code: &u32| Some((code, dense[code as usize].filter(|&a| keep(a))?));
+            let key = |(code, acc): (u32, A)| (Value::Str(dict[code as usize].clone()), acc);
+            dict.rank().iter().filter_map(kept).map(key).collect()
+        }
+        Some(Keyed::Values(mut pairs)) => {
+            for fold in folds {
+                let Keyed::Values(more) = fold else {
+                    panic!("folds of one key column take one form")
+                };
+                pairs.extend(more);
+            }
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            pairs.dedup_by(|dup, kept| {
+                let same = dup.0 == kept.0;
+                if same {
+                    kept.1 = combine(kept.1, dup.1);
+                }
+                same
+            });
+            pairs.retain(|&(_, acc)| keep(acc));
+            pairs
         }
     }
 }
@@ -579,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn each_selected_key_reaches_a_group_walk_once_and_in_order_over_one_dictionary() {
+    fn each_selected_key_is_folded_once_and_finished_in_order() {
         let left = test_table(3_000, 4);
         let right = test_table(700, 2);
         assert!(left.is_coded(0) && right.is_coded(0), "fixture: coded at load");
@@ -624,11 +781,9 @@ mod tests {
             ];
             for (which, survivors) in selections {
                 let at = format!("{form} stream {stream}, {which}");
-                let mut got: Vec<(Value, (u64, i64))> = Vec::new();
                 let add = |a: (u64, i64), b: (u64, i64)| (a.0 + b.0, a.1 + b.1);
-                for_each_group(&src, &survivors, stream, key_col, durations, add, |k, acc| {
-                    got.push((k.to_value(), acc));
-                });
+                let folded = fold_keys(&src, &survivors, stream, key_col, durations, add);
+                let got = finish_keys([folded], add, |_| true);
                 // The reference: every selected row, one at a time.
                 let mut want: std::collections::BTreeMap<Value, (u64, i64)> = Default::default();
                 for (part, sel) in survivors.parts(&src, stream) {
@@ -642,11 +797,7 @@ mod tests {
                 assert_eq!(once.len(), got.len(), "{at}: each key once");
                 assert_eq!(got.iter().cloned().collect::<std::collections::BTreeMap<_, _>>(), want);
                 assert!(got.iter().all(|(_, (rows, _))| *rows > 0), "{at}: no untouched code");
-                let coded = survivors.parts(&src, stream).map(|(p, _)| p.coded(key_col));
-                if let Some(dict) = one_dict(coded) {
-                    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{at}: ascending");
-                    assert!(got.len() <= dict.len(), "{at}");
-                }
+                assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{at}: ascending");
             }
         }
     }
@@ -716,6 +867,108 @@ mod tests {
         let second = Cluster::default().run_direct(&distinct, &t, None).unwrap().output;
         assert_eq!(first, second);
         assert!(std::ptr::eq(rank, dict.rank().as_ptr()), "ranked once");
+    }
+
+    #[test]
+    fn folds_of_any_split_finish_like_the_whole_completion_and_the_baseline() {
+        // Every family, over its key coded and plain, over tables of 1-5
+        // stored partitions with empty ones among them; every selection
+        // kind; every split of the left stream's partitions into groups,
+        // contiguous and interleaved alike: the groups' folds finish into
+        // the completion over all of them, and that is the baseline's.
+        let cluster = Cluster::default();
+        let right = test_table(300, 2);
+        let mut queries = crate::testutil::all_queries();
+        // Below every sum: every key a row holds passes, none that it does not.
+        queries.push(DbQuery::HavingSum { key_col: 0, val_col: 1, threshold: -1 });
+        queries.push(DbQuery::Join { left_key: 0, right_key: 0 });
+        let mut splits_seen = 0;
+        for parts in 1..=5 {
+            let coded = holed(parts);
+            assert!(coded.is_coded(0), "fixture: the key is coded at load");
+            for (form, left) in [("coded", &coded), ("plain", &coded.plain())] {
+                for q in &queries {
+                    let right = q.is_binary().then_some(&right);
+                    let base = cluster.run_baseline(q, left, right).output;
+                    let src = Tables { left, right };
+                    cluster.lend_operator(q, |op| {
+                        let streams = op.streams();
+                        let selections = [
+                            ("every row", Survivors::all(&src, streams).unwrap()),
+                            ("every third row", every_third_row(&src, streams)),
+                            ("no row", Survivors::none(&src, streams).unwrap()),
+                        ];
+                        for (which, sel) in &selections {
+                            let at =
+                                format!("{} over {parts} {form} partitions, {which}", q.kind());
+                            let whole = op.complete(&src, sel);
+                            if *which == "every row" {
+                                assert_eq!(whole, base, "{at}");
+                            }
+                            for split in splits(parts) {
+                                let folds = split.iter().map(|g| op.fold(&src, &sel.only(g)));
+                                let finished = op.finish(folds.collect());
+                                assert_eq!(finished, whole, "{at}, split {split:?}");
+                                splits_seen += 1;
+                            }
+                        }
+                    });
+                }
+            }
+        }
+        // 1 + 2 + 5 + 15 + 52 splits, three selections, two key forms.
+        assert_eq!(splits_seen, 75 * 3 * 2 * queries.len());
+    }
+
+    /// `parts` stored partitions of [`test_table`]'s rows, coded at load:
+    /// partitions 1 and 3 are empty; the others hold 150 rows each, but a
+    /// last one past the first holds 17.
+    fn holed(parts: usize) -> Table {
+        let src = test_table(450, 1);
+        let rows = &src.partitions()[0];
+        let mut b = TableBuilder::new("holed", src.fields().to_vec(), 1_000);
+        let mut next = 0;
+        for p in 0..parts {
+            if p > 0 {
+                b.cut_partition();
+            }
+            let take = match p {
+                1 | 3 => 0,
+                _ if p > 0 && p + 1 == parts => 17,
+                _ => 150,
+            };
+            for r in next..next + take {
+                b.push_row(rows.row(r));
+            }
+            next += take;
+        }
+        if parts.is_multiple_of(2) {
+            // `build` closes the last partition only if it holds rows.
+            b.cut_partition();
+        }
+        let t = b.build();
+        assert_eq!(t.partitions().len(), parts, "fixture: {parts} partitions");
+        t
+    }
+
+    /// Every split of partitions `0..parts` into non-empty groups, each
+    /// group ascending: the set partitions, as restricted growth strings.
+    fn splits(parts: usize) -> Vec<Vec<Vec<usize>>> {
+        let mut out = Vec::new();
+        let mut grow = vec![0usize; parts];
+        loop {
+            let groups = grow.iter().max().map_or(0, |&m| m + 1);
+            let mut split = vec![Vec::new(); groups];
+            grow.iter().enumerate().for_each(|(p, &g)| split[g].push(p));
+            out.push(split);
+            // The next string: bump the last position that may grow.
+            let Some(i) = (1..parts).rev().find(|&i| grow[i] <= *grow[..i].iter().max().unwrap())
+            else {
+                return out;
+            };
+            grow[i] += 1;
+            grow[i + 1..].iter_mut().for_each(|g| *g = 0);
+        }
     }
 
     /// Rows `0, 3, 6, …` of every partition of the first `streams` streams

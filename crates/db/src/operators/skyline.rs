@@ -18,7 +18,7 @@
 //! one thread, a 2-core box): the sort costs more than the evictions it
 //! saves, so the window takes the points as they come.
 
-use super::{encode_i64_32, PruningOperator, Selected, Survivors};
+use super::{encode_i64_32, mismatch, Partial, PruningOperator, Selected, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
 use crate::ops::{self, SkylineWindow};
@@ -48,7 +48,7 @@ impl<'q> SkylineOp<'q> {
     /// Fold every selected row into one [`SkylineWindow`] of `D`
     /// dimensions: an identity selection scans the raw column slices, a
     /// row selection gathers through its ids.
-    fn fold<const D: usize>(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+    fn window<const D: usize>(&self, src: &Tables<'_>, survivors: &Survivors) -> Vec<Vec<i64>> {
         let mut window = SkylineWindow::<D>::default();
         for (part, sel) in survivors.parts(src, 0) {
             let dims: [&[i64]; D] = std::array::from_fn(|i| self.dim(part, i));
@@ -58,7 +58,7 @@ impl<'q> SkylineOp<'q> {
                 Selected::Rows(ids) => ids.iter().for_each(|&r| window.offer(point(r as usize))),
             }
         }
-        QueryOutput::Points(window.into_points())
+        window.into_points()
     }
 }
 
@@ -87,7 +87,28 @@ impl PruningOperator for SkylineOp<'_> {
         }
     }
 
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
-        ops::with_dims!(self.cols.len(), D => self.fold::<D>(src, survivors))
+    fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial {
+        Partial::Points(ops::with_dims!(self.cols.len(), D => self.window::<D>(src, survivors)))
+    }
+
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        let mut windows: Vec<Vec<Vec<i64>>> = partials
+            .into_iter()
+            .map(|p| match p {
+                Partial::Points(points) => points,
+                p => mismatch(self.kind(), &p),
+            })
+            .collect();
+        if windows.len() == 1 {
+            return QueryOutput::Points(windows.pop().expect("one window"));
+        }
+        // The skyline of several windows' points: each window's survivors
+        // offered to one more window, as the master merges shard skylines.
+        let points = windows.into_iter().flatten();
+        ops::with_dims!(self.cols.len(), D => {
+            let mut window = SkylineWindow::<D>::default();
+            points.for_each(|p| window.offer(p[..].try_into().expect("a point of D dimensions")));
+            QueryOutput::Points(window.into_points())
+        })
     }
 }

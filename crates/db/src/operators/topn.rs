@@ -7,9 +7,10 @@
 //! that the answer does not hold. Over the identity selection (the direct
 //! arm) the heap reads the raw column slice, with no row ids between.
 
-use super::{encode_i64_32, PruningOperator, Selected, Survivors};
+use super::{encode_i64_32, mismatch, Partial, PruningOperator, Selected, Survivors};
 use crate::engine::CheetahTuning;
 use crate::executor::Tables;
+use crate::ops;
 use crate::query::QueryOutput;
 use crate::table::Partition;
 use cheetah_core::{QuerySpec, TopNRandConfig};
@@ -45,25 +46,54 @@ impl PruningOperator for TopNOp {
         }
     }
 
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+    fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial {
         // A min-heap of the `n` largest values so far; its root is the cut.
         let held = self.n.min(survivors.count() as usize);
         let mut top: BinaryHeap<Reverse<i64>> = BinaryHeap::with_capacity(held);
-        let mut offer = |v: i64| {
-            if top.len() < self.n {
-                top.push(Reverse(v));
-            } else if let Some(mut cut) = top.peek_mut().filter(|cut| v > cut.0) {
-                *cut = Reverse(v);
-            }
-        };
+        let n = self.n;
         for (part, sel) in survivors.parts(src, 0) {
             let col = part.column(self.col).as_int().expect("int order col");
             match sel {
-                Selected::All(_) => col.iter().for_each(|&v| offer(v)),
-                Selected::Rows(ids) => ids.iter().for_each(|&r| offer(col[r as usize])),
+                Selected::All(_) => scan(&mut top, n, col),
+                Selected::Rows(ids) => {
+                    ids.iter().for_each(|&r| offer(&mut top, n, col[r as usize]))
+                }
             }
         }
-        QueryOutput::top_values(top.into_iter().map(|Reverse(v)| v).collect())
+        Partial::Top(top.into_iter().map(|Reverse(v)| v).collect())
+    }
+
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        let tops = partials.into_iter().map(|p| match p {
+            Partial::Top(top) => top,
+            p => mismatch(self.kind(), &p),
+        });
+        QueryOutput::TopValues(ops::merge_topn(tops.collect(), self.n))
+    }
+}
+
+/// Offer every value of `col` to `top`, the `n` largest values so far.
+/// Once the heap is full, a value is weighed against the cut held in a
+/// register, and only one past it touches the heap.
+fn scan(top: &mut BinaryHeap<Reverse<i64>>, n: usize, col: &[i64]) {
+    let fill = n.saturating_sub(top.len()).min(col.len());
+    col[..fill].iter().for_each(|&v| top.push(Reverse(v)));
+    let Some(mut cut) = top.peek().map(|cut| cut.0) else { return };
+    for &v in &col[fill..] {
+        if v > cut {
+            *top.peek_mut().expect("a full heap") = Reverse(v);
+            cut = top.peek().expect("a full heap").0;
+        }
+    }
+}
+
+/// Offer `v` to `top`, the `n` largest values so far.
+#[inline]
+fn offer(top: &mut BinaryHeap<Reverse<i64>>, n: usize, v: i64) {
+    if top.len() < n {
+        top.push(Reverse(v));
+    } else if let Some(mut cut) = top.peek_mut().filter(|cut| v > cut.0) {
+        *cut = Reverse(v);
     }
 }
 

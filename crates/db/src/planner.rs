@@ -84,6 +84,46 @@ pub fn units(q: &DbQuery, left: &Table, right: Option<&Table>, workers: usize) -
     }
 }
 
+/// The groups of `left`'s stored partitions a lossless direct run of `q`
+/// over the unit `left` folds apart, each on a thread of its own; `None`
+/// where the unit stays whole, one group.
+///
+/// A unit of `P` stored partitions and `R` rows splits into
+/// `min(P, clamp(R / ROWS_PER_UNIT, 1, workers))` groups: so a routed
+/// unit (one partition) and a table under two units' rows are one group,
+/// and a first sight of a larger table is folded on every core. A group
+/// takes the partitions largest first, each onto the lightest group.
+/// Partials merge exactly only where the fold splits without reading a
+/// key twice, so a JOIN (whose build would be redone per group) and a
+/// keyed family over a key not coded against the table's one dictionary
+/// ([`Table::is_coded`]: plain strings, or ints) stay whole.
+pub fn groups(q: &DbQuery, left: &Table, workers: usize) -> Option<Vec<Vec<usize>>> {
+    let parts = left.partitions();
+    let splits = match q {
+        DbQuery::Join { .. } => false,
+        DbQuery::Distinct { col: key }
+        | DbQuery::GroupByMax { key_col: key, .. }
+        | DbQuery::HavingSum { key_col: key, .. } => left.is_coded(*key),
+        DbQuery::FilterCount { .. } | DbQuery::TopN { .. } | DbQuery::Skyline { .. } => true,
+    };
+    let count = match splits {
+        true => parts.len().min((left.rows() / ROWS_PER_UNIT).clamp(1, workers.max(1))),
+        false => 1,
+    };
+    if count <= 1 {
+        return None;
+    }
+    let mut groups = vec![(0, Vec::new()); count];
+    let mut largest_first: Vec<usize> = (0..parts.len()).collect();
+    largest_first.sort_by_key(|&p| std::cmp::Reverse(parts[p].rows()));
+    for p in largest_first {
+        let (rows, group) = groups.iter_mut().min_by_key(|(rows, _)| *rows).expect("a group");
+        *rows += parts[p].rows();
+        group.push(p);
+    }
+    Some(groups.into_iter().map(|(_, group)| group).collect())
+}
+
 /// A shard count, kept only for the frozen ledger, which builds one for
 /// [`fixed_sharder`]: a layout is its shard count, and the one routing
 /// family is the hash.
@@ -166,8 +206,10 @@ pub enum ExecPath {
     /// The unaccelerated plan: each shard job completes its unit over the
     /// identity selection ([`Cluster::run_direct`](crate::Cluster::run_direct)
     /// — no `spec()`, no encode, no switch) and hands the whole output to
-    /// the same barrier merge. The serving plane runs it for every request
-    /// that pins no pruned arm.
+    /// the same barrier merge; a lossless run folds a unit of many stored
+    /// partitions in groups ([`groups`]) and finishes them into the unit's
+    /// output first. The serving plane runs it for every request that pins
+    /// no pruned arm.
     Direct,
 }
 
@@ -333,6 +375,51 @@ mod tests {
             ("join, int keys", &int_join, &plain, Some(&plain), 2, 1),
         ] {
             assert_eq!(units(q, left, right, workers), want, "{label}");
+        }
+    }
+
+    #[test]
+    fn the_partition_group_rule_at_its_edges() {
+        const R: usize = ROWS_PER_UNIT;
+        // One string key (`distinct` keys) and an int, in partitions of
+        // these sizes.
+        let sized = |sizes: &[usize], distinct: usize| {
+            let fields = vec![("k".into(), DataType::Str), ("n".into(), DataType::Int)];
+            let mut b = TableBuilder::new("t", fields, usize::MAX);
+            for (p, &size) in sizes.iter().enumerate() {
+                if p > 0 {
+                    b.cut_partition();
+                }
+                for i in 0..size {
+                    b.push_row([Value::Str(format!("k{}", i % distinct)), Value::Int(i as i64)]);
+                }
+            }
+            b.build()
+        };
+        let sizes = [R + 5_000, R / 2, R / 2, R / 4, 0, 1_000];
+        let (coded, plain) = (sized(&sizes, 30), sized(&sizes, usize::MAX));
+        assert!(coded.is_coded(0) && !plain.is_coded(0), "fixture: the load rule");
+        let (under, few) = (sized(&[R, R - 1], 30), sized(&[3 * R, R, R], 30));
+        let distinct = DbQuery::Distinct { col: 0 };
+        let top = DbQuery::TopN { order_col: 1, n: 3 };
+        let by_int = DbQuery::GroupByMax { key_col: 1, val_col: 1 };
+        let join = DbQuery::Join { left_key: 0, right_key: 0 };
+        // Two groups, the largest partition first onto the lightest.
+        let halves = Some(vec![vec![0, 4, 5], vec![1, 2, 3]]);
+        let one_each = Some(vec![vec![0], vec![1], vec![2]]);
+        for (label, q, left, workers, want) in [
+            ("two units' rows, coded", &distinct, &coded, 2, halves.clone()),
+            ("one worker", &distinct, &coded, 1, None),
+            ("a keyless family over plain keys", &top, &plain, 2, halves),
+            ("a plain key", &distinct, &plain, 2, None),
+            ("an int key", &by_int, &coded, 2, None),
+            ("a join", &join, &coded, 2, None),
+            ("one row under two units", &distinct, &under, 2, None),
+            ("no more groups than partitions", &distinct, &few, 8, one_each),
+        ] {
+            let mut got = groups(q, left, workers);
+            got.iter_mut().flatten().for_each(|g| g.sort_unstable());
+            assert_eq!(got, want, "{label}");
         }
     }
 

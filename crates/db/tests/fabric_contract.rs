@@ -24,7 +24,7 @@
 mod common;
 
 use cheetah_core::{PassPlan, QuerySpec};
-use cheetah_db::operators::{PruningOperator, Survivors};
+use cheetah_db::operators::{Partial, PruningOperator, Survivors};
 use cheetah_db::{
     ChooserArm, Cluster, DataType, DbQuery, ExecBackend, ExecPath, Partition, QueryOutput, Table,
     TableBuilder, Tables, Value,
@@ -74,7 +74,7 @@ impl PruningOperator for Probe<'_> {
     fn encode_part(&self, stream: usize, part: &Partition, sink: &mut dyn FnMut(&[u64])) {
         self.op.encode_part(stream, part, sink)
     }
-    fn complete(&self, src: &Tables<'_>, survivors: &Survivors) -> QueryOutput {
+    fn fold(&self, src: &Tables<'_>, survivors: &Survivors) -> Partial {
         for s in 0..self.streams() {
             for (part, sel) in survivors.parts(src, s) {
                 let mut v = vec![Verdict::Prune; part.rows()];
@@ -82,7 +82,10 @@ impl PruningOperator for Probe<'_> {
                 self.verdicts.borrow_mut().push(v);
             }
         }
-        self.op.complete(src, survivors)
+        self.op.fold(src, survivors)
+    }
+    fn finish(&self, partials: Vec<Partial>) -> QueryOutput {
+        self.op.finish(partials)
     }
 }
 

@@ -27,7 +27,7 @@
 mod common;
 
 use cheetah_core::Error::{BadArity, BadColumn, WorkerPanicked};
-use cheetah_db::planner::{units, ROWS_PER_UNIT};
+use cheetah_db::planner::{groups, units, ROWS_PER_UNIT};
 use cheetah_db::{
     CheetahTuning, Cluster, DataType, DbPredicate, DbQuery, ExecBackend, ExecPath, IntCmp,
     LikePattern, QueryOutput, Table, TableBuilder, Value,
@@ -219,8 +219,8 @@ fn rows_by_shard(resp: &QueryResponse) -> BTreeMap<String, String> {
 
 /// Property 1d: an unpinned request never runs the switch. For every
 /// family over multi-partition tables past two units' rows every unpinned
-/// sight runs `direct` — the first over the tables whole (one `worker`, no
-/// `route`), the second on the layout it routes (its rows over the cores:
+/// sight runs `direct` — the first over the tables whole (one shard, no
+/// `route`: a `worker` per group of its stored partitions), the second on the layout it routes (its rows over the cores:
 /// several units), later ones on that held layout — with nothing pruned,
 /// a pass-through switch, no `rule` span, and the baseline's answer. There
 /// is one routing function: a request pinned to the held layout's unit
@@ -251,9 +251,10 @@ fn every_unpinned_sight_of_every_family_runs_direct() {
             assert_eq!(routed(&resp), sight == 2, "{label}: routed once, at second sight");
             let shards = resp.breakdown.shards;
             if sight == 1 {
-                let mut workers = Vec::new();
-                resp.trace.as_ref().expect("trace exports").root.find_all("worker", &mut workers);
-                assert_eq!((shards, workers.len()), (1, 1), "{label}: the tables whole");
+                let mut spans = Vec::new();
+                resp.trace.as_ref().expect("trace exports").root.find_all("worker", &mut spans);
+                let items = groups(q, &left, workers).map_or(1, |g| g.len());
+                assert_eq!((shards, spans.len()), (1, items), "{label}: the tables whole");
             } else {
                 assert_eq!(shards as usize, units, "{label}: the rows over the cores");
             }

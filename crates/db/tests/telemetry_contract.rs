@@ -35,7 +35,7 @@ mod common;
 
 use common::{on_their_threads, Gate};
 
-use cheetah_db::planner::{units, ROWS_PER_UNIT};
+use cheetah_db::planner::{groups, units, ROWS_PER_UNIT};
 use cheetah_db::{ChooserArm, Cluster, DbQuery, ExecBackend, ExecPath, Table};
 use cheetah_net::FaultProfile;
 use cheetah_runtime::WorkerPool;
@@ -160,7 +160,8 @@ fn a_thousand_tenants_leave_the_registry_as_one_tenant_does() {
 
 /// The layout policy, read off the span trees — no timer: a layout is
 /// built only for a key that comes back. First sight routes nothing and
-/// runs the table whole on one worker; second sight routes its rows over
+/// runs the table whole, one `worker` per group of its stored partitions
+/// (`planner::groups`); second sight routes its rows over
 /// the cores, one worker per unit, and runs it once; from the third on
 /// nothing is routed. A pinned shard count is a
 /// layout of its own, routed per request and never held.
@@ -169,7 +170,9 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     // Two units' rows and more: TOP N is laid out over several units.
     let t = Arc::new(common::gen_table(2 * ROWS_PER_UNIT + 1_000, 90, 4, 0x51647));
     let q = DbQuery::TopN { order_col: 1, n: 10 };
-    let units = units(&q, &t, None, WorkerPool::global().workers());
+    let cores = WorkerPool::global().workers();
+    let (units, groups) =
+        (units(&q, &t, None, cores), groups(&q, &t, cores).map_or(1, |g| g.len()));
     let session = Session::with_defaults();
     let workers_under = |node: Option<&SpanNode>| {
         let mut workers = Vec::new();
@@ -188,7 +191,7 @@ fn a_layout_is_built_at_second_sight_and_reused_from_the_third() {
     let unpinned = || QueryRequest::new(q.clone(), Arc::clone(&t));
 
     let (first, routed, workers) = ask(unpinned());
-    assert_eq!((routed, workers), (None, 1), "first sight: no route span, one worker");
+    assert_eq!((routed, workers), (None, groups), "first sight: no route span, a worker a group");
     assert_eq!(first.breakdown.shards, 1);
     assert_eq!(first.arm.label(), "direct", "…and no switch program");
 

@@ -7,13 +7,15 @@
 //! a one-shard layout is the table itself, uncopied) and [`execute`] runs
 //! the routed plan, one job — one
 //! [`Cluster::run_cheetah`](cheetah_db::Cluster::run_cheetah), one
-//! installed switch program, one run handed back as it is — per shard.
+//! installed switch program, one run handed back as it is — per shard;
+//! a lossless direct run splits a unit of many stored partitions into
+//! groups of them ([`cheetah_db::planner::groups`]), one item each.
 //! The calling thread
-//! claims and runs shards off one counter, beside
-//! `min(shards, workers) − 1` helper jobs on the persistent [`WorkerPool`]
-//! that claim from the same counter; a one-shard plan submits none. The
+//! claims and runs items off one counter, beside
+//! `min(items, workers) − 1` helper jobs on the persistent [`WorkerPool`]
+//! that claim from the same counter; a one-item run submits none. The
 //! pool has one worker per core, and the shard count is the layout's: a
-//! run of more shards than cores works them on at most one thread per
+//! run of more items than cores works them on at most one thread per
 //! core, the caller counting as one, rather than time-slicing them. How a
 //! unit is run is an argument of the run — its arm
 //! ([`ChooserArm`](cheetah_db::ChooserArm): the
@@ -26,11 +28,12 @@
 //! ```text
 //!  ExecPlan::new  (once per layout)            execute  (per query)
 //!  DbQuery::check (schema, types)           units[shard]
-//!  rows ──routing_keys──▶ sharder                │ one job per shard, the same on every path:
-//!           │ route_columns, once                │ the caller + ≤ cores − 1 pool helpers, one counter
-//!           ▼                                    ▼
+//!  rows ──routing_keys──▶ sharder                │ one item per unit (lossless direct: per group of
+//!           │ route_columns, once                │ its stored partitions), the caller + ≤ cores − 1
+//!           ▼                                    ▼ pool helpers off one counter
 //!     one unit per shard                   Cluster::run_cheetah per unit: encode ─▶ prune passes
-//!                                          (direct: Cluster::run_direct, no switch)
+//!                                          (direct: Cluster::run_direct, no switch; a group:
+//!                                           Cluster::fold_direct, finished per unit by the master)
 //!                                                │ fault mode only: every row read, one entry each,
 //!                                                │ across the lossy rack (the switch replays the
 //!                                                │ verdicts and ACKs what it prunes); the master's
@@ -42,10 +45,17 @@
 //! ```
 //!
 //! A one-shard plan — every first sight, and every key served as one unit
-//! — has nothing to run in parallel, so its run submits no
-//! helper: the calling thread (for a session, the `run_blocking` caller)
-//! claims its one shard, behind the same per-shard panic boundary every
-//! shard keeps, and there is no second code path for it. Its one output
+//! — is the caller's table, uncopied, and a direct run of it splits by
+//! the partition-group rule ([`cheetah_db::planner::groups`]): a table of
+//! `P` stored partitions and `R` rows is folded as
+//! `min(P, clamp(R / ROWS_PER_UNIT, 1, workers))` groups, the largest
+//! partition first onto the lightest group, each group one item beside
+//! the others on the pool. A table under two units' rows, a JOIN, a keyed
+//! family over a key the load rule left uncoded, a pruned run and a run in
+//! fault mode are one group: the calling thread (for a session, the
+//! `run_blocking` caller) claims its one item, behind the same panic
+//! boundary every item keeps, submits no helper, and there is no second
+//! code path for it. Its one output
 //! goes through the same merge as any other's, and
 //! [`merge_shard_outputs`](cheetah_db::merge_shard_outputs) hands a lone
 //! output back as it stands: no copy, no fold. Its switch

@@ -16,10 +16,14 @@
 //! Three facts about what a layout holds:
 //!
 //! * **A one-shard layout is the table.** Whenever the layout has one
-//!   shard — a pinned count of 0 or 1, or one served unit — there is
-//!   nothing to split: no key is extracted, no cell copied, the single
-//!   unit *is* the `Arc` the caller handed in. It runs through the same
-//!   [`execute`](crate::execute) as any other plan.
+//!   shard — a pinned count of 0 or 1, or one served unit — nothing is
+//!   routed: no key is extracted, no cell copied, the single unit *is*
+//!   the `Arc` the caller handed in, its stored partitions as loaded. It
+//!   runs through the same [`execute`](crate::execute) as any other plan,
+//!   and a lossless direct run splits it by its stored partitions instead:
+//!   `min(P, clamp(R / ROWS_PER_UNIT, 1, workers))` groups of its `P`
+//!   partitions and `R` rows ([`groups`](cheetah_db::planner::groups)),
+//!   folded side by side and finished into one answer.
 //! * **Units carry the query's columns.** With two shards or more a unit
 //!   is a fresh copy of its rows — a layout worth having: each column's
 //!   cells re-allocated contiguously per shard — so it copies only the

@@ -9,12 +9,16 @@
 //! channel send, not a `pthread_create`. A job is handed the index of the
 //! worker running it, which is all a worker owns.
 //!
-//! [`execute`](crate::execute) submits `min(shards, workers) − 1` helper
+//! [`execute`](crate::execute) submits `min(items, workers) − 1` helper
 //! jobs to [`WorkerPool::global`] per run, whichever path the plan
-//! carries, and the thread that called it works the run's shards beside
-//! them: every one of them claims shards off one counter until none are
-//! left. A one-shard plan never reaches the pool, so a request with
-//! nothing to run in parallel pays no hand-off and no worker wake-up.
+//! carries, and the thread that called it works the run's items beside
+//! them: every one of them claims items off one counter until none are
+//! left. An item is a shard's unit, or — on a lossless direct run — one
+//! group of a unit's stored partitions
+//! ([`cheetah_db::planner::groups`]), so a first sight of a table past
+//! two units' rows is folded on every core, while a one-item run (a
+//! small table's, a routed unit's on one shard, a JOIN's) never reaches
+//! the pool and pays no hand-off and no worker wake-up.
 //!
 //! The pool is as wide as the machine, whatever the plans it serves: the
 //! shard count is a layout's unit of work (how finely a query is cut),

@@ -8,29 +8,38 @@
 //!   unit, and hands its run back whole, once, when its unit is done. On
 //!   the **direct** path the job skips the switch altogether
 //!   ([`Cluster::run_direct`]: the operator's completion over every row)
-//!   and is the same job in every other respect. A run's shards sit
-//!   behind one atomic counter. The calling thread claims and runs shards
-//!   until none are left, beside `min(shards, workers) − 1` helper jobs
-//!   on the persistent [`WorkerPool`] that claim from the same counter, so
-//!   a run uses at most one thread per core, the caller counting as one,
-//!   and a one-shard run submits no helper. Each claimed shard runs
-//!   behind its own panic boundary and hands back its run or
+//!   and is the same job in every other respect. A lossless direct run
+//!   splits a unit of many stored partitions — a first sight's table, say
+//!   — into groups of them ([`groups`]: as many as its rows fill units,
+//!   up to the cores and the partitions), and each group is an item of
+//!   its own: the operator's fold of those partitions
+//!   ([`Cluster::fold_direct`]), a [`Partial`] handed back to the master.
+//!   A run's items — a whole unit, or a group — sit behind one atomic
+//!   counter. The calling thread claims and runs items until none are
+//!   left, beside `min(items, workers) − 1` helper jobs on the persistent
+//!   [`WorkerPool`] that claim from the same counter, so a run uses at
+//!   most one thread per core, the caller counting as one, and a one-item
+//!   run submits no helper. Each claimed item runs behind its own panic
+//!   boundary, opens its own `worker` span, and hands back its piece or
 //!   [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked). In fault
 //!   mode ([`Cluster::fault`]) each job carries the rows it read across
 //!   its own simulated §7.2 rack before it completes, and its run counts
 //!   the rack's resends and switch ACKs.
-//! * the **master** (the calling thread) folds once the last shard is in:
-//!   one pass over the shards' runs accounts each shard and the run, and
-//!   [`merge_shard_outputs`] merges their outputs, returning a lone output
-//!   as it stands, whatever path ran, lossless or not.
+//! * the **master** (the calling thread) folds once the last item is in:
+//!   it finishes each split unit's partials into that unit's run
+//!   ([`Cluster::finish_direct`]: per-key folds combined before a key is
+//!   materialised, so the answer is built once), one pass over the
+//!   shards' runs accounts each shard and the run, and
+//!   [`merge_shard_outputs`] merges their outputs across units, returning
+//!   a lone output as it stands, whatever path ran, lossless or not.
 //!
 //! How a run runs is its caller's to say, in the arguments of [`execute`]:
 //! the arm (path and backend) and the span its `worker` and `merge` spans
 //! open under. The run shares the caller's plan; a pool helper, which
 //! outlives the call's borrows, works on a copy of the cluster of its own.
 //!
-//! The caller waits only for shards a running helper claimed: a helper
-//! still queued when the shards run out claims nothing. So a run needs no
+//! The caller waits only for items a running helper claimed: a helper
+//! still queued when the items run out claims nothing. So a run needs no
 //! free pool worker to finish, and `execute` may be called from inside a
 //! pool job, every worker busy.
 
@@ -38,8 +47,8 @@ use crate::plan::ExecPlan;
 use crate::pool::WorkerPool;
 use cheetah_core::{Error, Result};
 use cheetah_db::{
-    merge_shard_outputs, CheetahRun, ChooserArm, Cluster, DbQuery, ExecPath, QueryOutput,
-    ShardStats, Table,
+    groups, merge_shard_outputs, CheetahRun, ChooserArm, Cluster, DbQuery, ExecPath, Partial,
+    QueryOutput, ShardStats, Table,
 };
 use cheetah_net::{ExecBackend, ExecBreakdown};
 use cheetah_switch::ProgramStats;
@@ -61,8 +70,8 @@ pub struct ExecRun {
     pub switch_stats: ProgramStats,
     /// Per-shard accounting (the §4.6 skew story).
     pub per_shard: Vec<ShardStats>,
-    /// Merge-plane work: the fold of every shard's output, after the last
-    /// worker reported.
+    /// Merge-plane work, after the last worker reported: finishing each
+    /// split unit's partials, and the fold of every shard's output.
     pub merge_seconds: f64,
 }
 
@@ -71,12 +80,14 @@ pub struct ExecRun {
 /// [`ExecPath::Direct`], complete every unit with no switch at all — carry
 /// the results to the master (each job's rows across a lossy rack first,
 /// in the cluster's fault mode), merge, account. Every path but
-/// [`ExecPath::Direct`] prunes. The calling thread runs units itself,
-/// beside at most `min(shards, workers) − 1` pool helpers; a one-shard
-/// plan's unit runs on the calling thread, with no pool job at all. Under
-/// a `parent` span, each shard job opens a `worker` span and the merge a
-/// `merge` span beneath it, whichever thread runs them; with none, the
-/// run traces nothing.
+/// [`ExecPath::Direct`] prunes; a lossless direct run folds each unit's
+/// groups of stored partitions ([`groups`]) apart and finishes them
+/// together. The calling thread runs items itself, beside at most
+/// `min(items, workers) − 1` pool helpers; a one-item run — a one-shard
+/// plan whose unit is one group — runs on the calling thread, with no
+/// pool job at all. Under a `parent` span, each item opens a `worker`
+/// span and the merge a `merge` span beneath it, whichever thread runs
+/// them; with none, the run traces nothing.
 ///
 /// Output equals `run_baseline`'s for every query shape, shard count,
 /// path and backend — the arm changes *how much* reaches the master,
@@ -92,8 +103,8 @@ pub fn execute(
     arm: ChooserArm,
     parent: Option<&SpanContext>,
 ) -> Result<ExecRun> {
-    let shards = run_shards(cluster, plan, arm, parent)?;
-    Ok(fold(plan, shards, parent))
+    let pieces = run_items(cluster, plan, arm, parent)?;
+    Ok(fold(cluster, plan, pieces, parent))
 }
 
 /// What a shard job hands back: the rows routed to its unit, and the run
@@ -101,9 +112,44 @@ pub fn execute(
 /// and nothing ran).
 type Shard = (u64, Option<CheetahRun>);
 
-/// A shard job's `worker` span under `parent` (none when the run is not
-/// traced), naming the `thread` the job runs on: a pool worker's index, or
-/// `caller`.
+/// One item a run's threads claim: a shard's unit whole, or one group of
+/// its stored partitions ([`groups`]).
+struct Item {
+    shard: usize,
+    /// The unit's stored partitions this item folds; `None` runs it whole.
+    group: Option<Vec<usize>>,
+}
+
+/// What an item hands back.
+#[derive(Debug)]
+enum Piece {
+    /// A whole unit's job.
+    Unit(Shard),
+    /// A group's fold: the rows it read, its partial, and the seconds the
+    /// fold took.
+    Group(u64, Partial, f64),
+}
+
+/// The items of a run on `arm`: a lossless direct run folds each unit's
+/// groups of stored partitions ([`groups`]) as items of their own, and
+/// every other unit — or any unit of another run — is one item.
+fn items(cluster: &Cluster, plan: &ExecPlan, arm: ChooserArm, workers: usize) -> Vec<Item> {
+    let splits = arm.path == ExecPath::Direct && cluster.fault.is_none();
+    let mut items = Vec::with_capacity(plan.shards());
+    for (shard, unit) in plan.units.iter().enumerate() {
+        match splits.then(|| groups(&plan.unit_query, unit, workers)).flatten() {
+            Some(groups) => {
+                items.extend(groups.into_iter().map(|g| Item { shard, group: Some(g) }))
+            }
+            None => items.push(Item { shard, group: None }),
+        }
+    }
+    items
+}
+
+/// An item's `worker` span under `parent` (none when the run is not
+/// traced), naming its shard and the `thread` it runs on: a pool worker's
+/// index, or `caller`.
 fn worker_span(
     parent: Option<&SpanContext>,
     shard: usize,
@@ -151,24 +197,49 @@ fn run_shard(
     Ok((rows, run))
 }
 
-/// A shard job's outcome, tagged by the shard it ran.
-type Report = (usize, Result<Shard>);
+/// One group's job: the direct fold of the stored partitions `group` of
+/// the unit `left`. Its `worker` span names the rows it read and the
+/// group's stored partitions; what the unit ships is known once its
+/// groups finish.
+fn fold_group(
+    cluster: &Cluster,
+    unit_q: &DbQuery,
+    left: &Table,
+    group: &[usize],
+    mut span: Option<Span>,
+) -> Result<Piece> {
+    let started = Instant::now();
+    let partial = cluster.fold_direct(unit_q, left, None, group)?;
+    let seconds = started.elapsed().as_secs_f64();
+    let rows: usize = group.iter().map(|&p| left.partitions()[p].rows()).sum();
+    if let Some(s) = span.as_mut() {
+        s.attr("rows", rows);
+        s.attr("partitions", group.len());
+    }
+    Ok(Piece::Group(rows as u64, partial, seconds))
+}
+
+/// An item's outcome, tagged by the item it ran.
+type Report = (usize, Result<Piece>);
 
 /// What every thread working one run shares: the caller's plan, the arm,
-/// the parent span, and the counter the shards are claimed from.
+/// the parent span, the run's items, and the counter they are claimed
+/// from.
 struct Run {
     plan: Arc<ExecPlan>,
     arm: ChooserArm,
     parent: Option<SpanContext>,
-    /// The next shard to claim; at `plan.shards()` or past it, none is left.
+    items: Vec<Item>,
+    /// The next item to claim; at `items.len()` or past it, none is left.
     next: AtomicUsize,
 }
 
 impl Run {
-    /// Claim and run shards on `cluster` until none are left, each behind
-    /// its own panic boundary: a shard that panics reports
-    /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked), and the
-    /// thread claims on. `thread` names this thread in the `worker` spans.
+    /// Claim and run items on `cluster` until none are left, each behind
+    /// its own panic boundary: an item that panics reports
+    /// [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked) for its
+    /// shard, and the thread claims on. `thread` names this thread in the
+    /// `worker` spans.
     fn work(
         &self,
         cluster: &Cluster,
@@ -178,76 +249,124 @@ impl Run {
         loop {
             // A claim publishes nothing: the run was shared before any
             // helper was submitted, and reports travel over the channel.
-            let shard = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(left) = self.plan.units.get(shard) else { return };
-            let unit = (&**left, self.plan.right_units.as_ref().map(|u| &*u[shard]));
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(Item { shard, group }) = self.items.get(i) else { return };
+            let (shard, q) = (*shard, &self.plan.unit_query);
+            let left = &*self.plan.units[shard];
             let job = || {
                 let span = worker_span(self.parent.as_ref(), shard, thread, self.arm.path);
-                run_shard(cluster, &self.plan.unit_query, self.arm, unit, span)
+                match group {
+                    Some(group) => fold_group(cluster, q, left, group, span),
+                    None => {
+                        let right = self.plan.right_units.as_ref().map(|u| &*u[shard]);
+                        run_shard(cluster, q, self.arm, (left, right), span).map(Piece::Unit)
+                    }
+                }
             };
             let rep =
                 catch_unwind(AssertUnwindSafe(job)).unwrap_or(Err(Error::WorkerPanicked { shard }));
-            report((shard, rep));
+            report((i, rep));
         }
     }
 }
 
-/// Run every shard of `plan`, in shard order: the calling thread claims
-/// and runs shards beside `min(shards, workers) − 1` helper jobs on the
-/// global [`WorkerPool`], which claim from the same counter and report
-/// over a channel. A one-shard run submits no helper. A helper still
-/// queued when the shards run out claims nothing, so the caller waits
-/// only for shards a running helper claimed, never on a free worker.
-fn run_shards(
+/// Run every item of `plan`'s run on `arm`: the shard each item belongs
+/// to, and its piece, in item order. The calling
+/// thread claims and runs items beside `min(items, workers) − 1` helper
+/// jobs on the global [`WorkerPool`], which claim from the same counter
+/// and report over a channel. A one-item run submits no helper. A helper
+/// still queued when the items run out claims nothing, so the caller
+/// waits only for items a running helper claimed, never on a free worker.
+fn run_items(
     cluster: &Cluster,
     plan: &Arc<ExecPlan>,
     arm: ChooserArm,
     parent: Option<&SpanContext>,
-) -> Result<Vec<Shard>> {
-    let shards = plan.shards();
-    let run =
-        Arc::new(Run { plan: Arc::clone(plan), arm, parent: parent.cloned(), next: 0.into() });
+) -> Result<(Vec<usize>, Vec<Piece>)> {
     let pool = WorkerPool::global();
+    let items = items(cluster, plan, arm, pool.workers());
+    let (count, shards): (_, Vec<usize>) = (items.len(), items.iter().map(|i| i.shard).collect());
+    let run = Arc::new(Run {
+        plan: Arc::clone(plan),
+        arm,
+        parent: parent.cloned(),
+        items,
+        next: 0.into(),
+    });
     let (report_tx, reports) = mpsc::channel();
-    for _ in 1..shards.min(pool.workers()) {
+    for _ in 1..count.min(pool.workers()) {
         // A pool job outlives this call's borrows: the helper works on a
         // copy of the cluster of its own.
         let (run, report_tx, cluster) = (Arc::clone(&run), report_tx.clone(), cluster.clone());
         pool.spawn(move |worker| run.work(&cluster, worker, |rep| drop(report_tx.send(rep))));
     }
     drop(report_tx);
-    let mut slots: Vec<_> = (0..shards).map(|_| None).collect();
-    run.work(cluster, "caller", |(shard, rep)| slots[shard] = Some(rep));
-    await_helpers(slots, reports)
+    let mut slots: Vec<_> = (0..count).map(|_| None).collect();
+    run.work(cluster, "caller", |(i, rep)| slots[i] = Some(rep));
+    let pieces = await_helpers(slots, reports, |i| shards[i])?;
+    Ok((shards, pieces))
 }
 
-/// Fill the slots the caller left empty — the shards helpers claimed —
-/// from the helpers' reports. Every claimed shard reports, a panic
-/// included; a shard whose helper stopped without reporting (the channel
-/// closed first) is [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked),
-/// never a panic on the caller's thread.
+/// Fill the slots the caller left empty — the items helpers claimed —
+/// from the helpers' reports. Every claimed item reports, a panic
+/// included; an item whose helper stopped without reporting (the channel
+/// closed first) is [`WorkerPanicked`](cheetah_core::Error::WorkerPanicked)
+/// for its shard (`shard_of` the item), never a panic on the caller's
+/// thread.
 fn await_helpers(
-    mut slots: Vec<Option<Result<Shard>>>,
+    mut slots: Vec<Option<Result<Piece>>>,
     reports: mpsc::Receiver<Report>,
-) -> Result<Vec<Shard>> {
+    shard_of: impl Fn(usize) -> usize,
+) -> Result<Vec<Piece>> {
     let claimed = slots.iter().filter(|s| s.is_none()).count();
-    for (shard, rep) in reports.iter().take(claimed) {
-        slots[shard] = Some(rep);
+    for (i, rep) in reports.iter().take(claimed) {
+        slots[i] = Some(rep);
     }
-    let silent = |(shard, r): (usize, Option<_>)| r.unwrap_or(Err(Error::WorkerPanicked { shard }));
+    let silent = |(i, r): (usize, Option<_>)| {
+        r.unwrap_or_else(|| Err(Error::WorkerPanicked { shard: shard_of(i) }))
+    };
     slots.into_iter().enumerate().map(silent).collect()
 }
 
-/// The master, once every shard is in: one pass over the shards' runs
-/// accounts each shard ([`ShardStats`]) and the run's breakdown, then
+/// One shard's job from its items' pieces: a whole unit's as it stands,
+/// or its groups' partials finished into one direct run of the unit.
+fn finish_unit(cluster: &Cluster, unit_q: &DbQuery, pieces: impl Iterator<Item = Piece>) -> Shard {
+    let (mut rows, mut partials, mut slowest) = (0, Vec::new(), 0.0f64);
+    for piece in pieces {
+        match piece {
+            Piece::Unit(shard) => return shard,
+            Piece::Group(read, partial, seconds) => {
+                rows += read;
+                partials.push(partial);
+                slowest = slowest.max(seconds);
+            }
+        }
+    }
+    (rows, Some(cluster.finish_direct(unit_q, rows, partials, slowest)))
+}
+
+/// The master, once every item is in: each split unit's groups are
+/// finished into its run, one pass over the shards' runs accounts each
+/// shard ([`ShardStats`]) and the run's breakdown, then
 /// [`merge_shard_outputs`] folds their whole outputs (a lone one handed
-/// back as it stands) under the `merge` span.
-fn fold(plan: &ExecPlan, shards: Vec<Shard>, parent: Option<&SpanContext>) -> ExecRun {
+/// back as it stands), all under the `merge` span.
+fn fold(
+    cluster: &Cluster,
+    plan: &ExecPlan,
+    (shards, pieces): (Vec<usize>, Vec<Piece>),
+    parent: Option<&SpanContext>,
+) -> ExecRun {
+    let merge_span = parent.map(|p| p.child("merge"));
+    let started = Instant::now();
+    // Items are listed in shard order, so a shard's pieces are adjacent.
+    let mut pieces = shards.into_iter().zip(pieces).peekable();
     let mut b = ExecBreakdown { shards: plan.shards() as u32, ..ExecBreakdown::default() };
     let mut switch_stats = ProgramStats::default();
-    let (mut per_shard, mut outputs) = (Vec::with_capacity(shards.len()), Vec::new());
+    let (mut per_shard, mut outputs) = (Vec::with_capacity(plan.shards()), Vec::new());
     let mut backend = None;
-    for (rows, run) in shards {
+    for shard in 0..plan.shards() {
+        let unit = std::iter::from_fn(|| pieces.next_if(|(s, _)| *s == shard).map(|(_, p)| p));
+        let (rows, run) = finish_unit(cluster, &plan.unit_query, unit);
         let Some(CheetahRun { output, breakdown: r, switch_stats: sw, .. }) = run else {
             per_shard.push(ShardStats::default());
             continue;
@@ -285,8 +404,6 @@ fn fold(plan: &ExecPlan, shards: Vec<Shard>, parent: Option<&SpanContext>) -> Ex
     // With every unit empty no engine ran, and the run reads
     // `Interpreted`, as the direct arm does.
     b.backend = backend.unwrap_or(ExecBackend::Interpreted);
-    let merge_span = parent.map(|p| p.child("merge"));
-    let started = Instant::now();
     let output = merge_shard_outputs(plan.query(), outputs);
     let merge_seconds = started.elapsed().as_secs_f64();
     if let Some(mut s) = merge_span {
@@ -474,9 +591,77 @@ mod tests {
     }
 
     #[test]
+    fn a_direct_run_of_a_large_table_folds_its_stored_partitions_on_every_core() {
+        // A first sight's layout: the table itself, one shard of five
+        // stored partitions past two units' rows. Its direct run claims one
+        // item per group of partitions — as many groups as cores, up to
+        // the partitions — and answers like the baseline; a JOIN, the
+        // pruned arm and fault mode keep the unit whole.
+        let cluster = Cluster::default();
+        let workers = WorkerPool::global().workers();
+        let t = table(2 * cheetah_db::planner::ROWS_PER_UNIT + 5_000, 5);
+        let (r, q_join) = (table(3_000, 2), DbQuery::Join { left_key: 0, right_key: 0 });
+        let families = [
+            DbQuery::FilterCount { pred: DbPredicate::CmpInt { col: 2, op: IntCmp::Lt, lit: 40 } },
+            DbQuery::Distinct { col: 0 },
+            DbQuery::Skyline { cols: vec![2, 1] },
+            DbQuery::TopN { order_col: 1, n: 10 },
+            DbQuery::GroupByMax { key_col: 0, val_col: 2 },
+            DbQuery::HavingSum { key_col: 0, val_col: 2, threshold: 890_000 },
+            q_join.clone(),
+        ];
+        let faulty = cluster.clone().with_fault(FaultProfile::lossless(), 1);
+        for q in &families {
+            let right = q.is_binary().then_some(&r);
+            let base = cluster.run_baseline(q, &t, right.map(|r| &**r)).output;
+            let plan = plan_of(q, &t, right, 1);
+            let want = if *q == q_join { 1 } else { workers.min(5) };
+            assert_eq!(items(&cluster, &plan, DIRECT, workers).len(), want, "{}", q.kind());
+            for whole in
+                [items(&cluster, &plan, POOLED, workers), items(&faulty, &plan, DIRECT, workers)]
+            {
+                assert_eq!(whole.len(), 1, "{}: the pruned arm and fault mode", q.kind());
+            }
+            // The groups' folds run side by side: on a pool of two workers
+            // or more, some run has them on two threads or more. The caller
+            // may claim every item before a helper wakes, or while other
+            // tests keep the pool busy, so it tries for a while.
+            let mut spread = workers == 1 || want == 1;
+            let tries = Instant::now();
+            while tries.elapsed().as_secs() < 30 {
+                let (run, threads, merges) = traced(&cluster, &plan, DIRECT);
+                let run = run.unwrap();
+                assert_eq!(run.output, base, "{}", q.kind());
+                assert_eq!(
+                    (threads.len(), merges, run.per_shard.len()),
+                    (want, 1, 1),
+                    "{}",
+                    q.kind()
+                );
+                let named: std::collections::BTreeSet<_> = threads.into_iter().collect();
+                spread |= named.len() >= 2;
+                if spread {
+                    break;
+                }
+            }
+            assert!(spread, "{}: every try ran its groups on one thread", q.kind());
+        }
+        // A table under two units' rows is one group: its direct run is one
+        // item, on the caller, and submits no helper.
+        let small = table(6_000, 4);
+        for q in &families[..6] {
+            let plan = plan_of(q, &small, None, 1);
+            assert_eq!(items(&cluster, &plan, DIRECT, workers).len(), 1, "{}", q.kind());
+            let (run, threads, _) = traced(&cluster, &plan, DIRECT);
+            assert_eq!(run.unwrap().output, cluster.run_baseline(q, &small, None).output);
+            assert_eq!(threads, ["caller"], "{}", q.kind());
+        }
+    }
+
+    #[test]
     fn a_parent_taken_on_one_thread_holds_every_span_of_a_run_on_another() {
-        // The parent crosses to a scoped thread as an argument: the run
-        // there opens each shard's `worker` span (on that thread or a pool
+        // The parent crosses to a pool job as an argument: the run there
+        // opens each shard's `worker` span (on that thread or a pool
         // helper) and its `merge` span under it, and no other span.
         let t = table(1_200, 3);
         let q = DbQuery::Distinct { col: 0 };
@@ -484,12 +669,11 @@ mod tests {
         let trace = Trace::new(Registry::new());
         let root = trace.span("query");
         let exec = root.child("execute");
-        let parent = exec.context();
-        let run = std::thread::scope(|scope| {
-            let on_another =
-                scope.spawn(|| execute(&Cluster::default(), &plan, POOLED, Some(&parent)));
-            on_another.join().expect("the run's thread")
+        let (parent, on_another, (tx, rx)) = (exec.context(), Arc::clone(&plan), mpsc::channel());
+        WorkerPool::global().spawn(move |_| {
+            tx.send(execute(&Cluster::default(), &on_another, POOLED, Some(&parent))).ok();
         });
+        let run = rx.recv().expect("the run's thread");
         assert_eq!(run.unwrap().output, Cluster::default().run_baseline(&q, &t, None).output);
         exec.finish();
         root.finish();
@@ -632,14 +816,16 @@ mod tests {
 
     #[test]
     fn a_shard_that_never_reports_is_a_typed_error_naming_it() {
-        // The caller ran shard 2; helpers claimed shards 0 and 1. Shard 0's
-        // helper reports; shard 1's stopped without reporting, its sender
-        // dropped. The caller's wait names shard 1 rather than panicking.
+        // Items 0 and 1 are shard 1's two groups, item 2 is shard 0's
+        // unit. The caller ran item 2; helpers claimed items 0 and 1. Item
+        // 0's helper reports; item 1's stopped without reporting, its
+        // sender dropped. The caller's wait names shard 1 rather than
+        // panicking.
         let (report_tx, reports) = mpsc::channel();
-        report_tx.send((0, Ok((0, None)))).unwrap();
+        report_tx.send((0, Ok(Piece::Group(5, Partial::Count(2), 0.0)))).unwrap();
         drop(report_tx);
-        let slots = vec![None, None, Some(Ok((0, None)))];
-        let err = await_helpers(slots, reports).expect_err("no answer");
+        let slots = vec![None, None, Some(Ok(Piece::Unit((0, None))))];
+        let err = await_helpers(slots, reports, |i| [1, 1, 0][i]).expect_err("no answer");
         assert_eq!(err, cheetah_core::Error::WorkerPanicked { shard: 1 });
     }
 

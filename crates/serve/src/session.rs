@@ -12,7 +12,9 @@
 //!                 ▼ the caller's thread
 //!        ┌─────────────────┐   what is held for (query, tables)? (lifecycle.rs)
 //!        │  one entry per   │   absent ─▶ first sight: the tables run whole on one
-//!        │  key: a sight,   │             shard — no copy; settle notes the key seen
+//!        │  key: a sight,   │             shard — no copy, a direct run folds its
+//!        │                  │             stored partitions in groups over the cores
+//!        │                  │             (planner::groups); settle notes the key seen
 //!        │  then a settle   │   whole ──▶ second sight claims the key's route: its
 //!        │                  │             rows hashed over the cores (planner::
 //!        │                  │             units: one unit per ROWS_PER_UNIT rows,
@@ -28,6 +30,9 @@
 //!        └────────┬────────┘   kernel); unpinned, `direct` — no spec, no encode, no switch
 //!                 ▼
 //!        ExecPlan ─▶ execute ──▶ QueryResponse (+ queue/tenant breakdown)
+//!                    (one item per unit, or per group of a unit's stored
+//!                     partitions on a lossless direct run: the caller +
+//!                     ≤ cores − 1 pool helpers)
 //! ```
 //!
 //! A routed layout is an investment — every row of the columns the query
@@ -77,7 +82,9 @@
 //! balance, never answers.
 //!
 //! A request runs on its caller's thread, and that thread works its own
-//! run's shards beside at most `cores − 1` pool helpers. `execute` never
+//! run's items — its units, or on a direct run of a table past two units'
+//! rows the groups of its stored partitions — beside at most `cores − 1`
+//! pool helpers. `execute` never
 //! waits for a free pool worker, so a session cannot deadlock the pool it
 //! feeds, even when its caller is itself a pool job.
 
@@ -281,9 +288,10 @@ impl Session {
     /// with [`SessionConfig::max_in_flight`] requests executing, the call
     /// returns [`Error::Overloaded`] at once. Past this gate the request
     /// *will* execute (or report a typed execution error), with no
-    /// cross-thread handoff: this thread runs the plan's shards itself,
-    /// beside at most `min(shards, workers) − 1` pool helpers, and a
-    /// one-shard plan touches no pool worker at all.
+    /// cross-thread handoff: this thread runs the plan's items itself,
+    /// beside at most `min(items, workers) − 1` pool helpers, and a
+    /// one-item run (a one-shard plan whose unit is one group of stored
+    /// partitions) touches no pool worker at all.
     pub fn run_blocking(&self, req: QueryRequest) -> Result<QueryResponse> {
         let slot = self.admit_slot()?;
         // Nothing waits between admission and work, so the queue span
@@ -445,8 +453,8 @@ fn serve(
     choose_span.finish();
 
     // 3. Execute: resolve the laid-out plan, then run it on the arm with
-    // the `execute` span as the run's parent, so the shard jobs (on this
-    // thread, and on pool helpers beside it for more than one shard) and
+    // the `execute` span as the run's parent, so the run's items (on this
+    // thread, and on pool helpers beside it for more than one item) and
     // the merge trace themselves under it.
     let mut exec_span = root.child("execute");
     exec_span.attr("path", chosen.path.label());
@@ -456,7 +464,8 @@ fn serve(
 
     // The session lays out once: both paths run off the same resident
     // units. First sight's one shard is the tables themselves — there is
-    // nothing to route, and nothing to hold until the run has answered. A
+    // nothing to route (a direct run folds their stored partitions in
+    // groups), and nothing to hold until the run has answered. A
     // routed layout is held before it runs, so a racing sight runs it
     // rather than route it again. (A second sight cannot fail here: first
     // sight checked the request against these very tables.) A pin's layout
